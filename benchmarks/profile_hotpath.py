@@ -1,14 +1,17 @@
-"""cProfile harness for the control-plane hot loop.
+"""cProfile harness for the task path users get.
 
-Profiles the same submit+drain workload as
-``test_ablation_sched_throughput.submit_drain_rate`` -- N mixed-shape
-tasks through the indexed scheduler, grant events triggering releases,
-one ``session.run()`` draining the campaign -- and prints the top
-functions by cumulative and internal time.  This is the harness that
-guided the kernel-flattening work (now-queue, pooled ``Deferred``
-dispatch, plan-cached ``Config`` defaults); re-run it before touching
-``sim/engine.py`` or ``pilot/agent/scheduler.py`` so optimisation stays
-measurement-driven.
+Profiles a task bag through the public API -- a default ``Session()``
+(profile tier ``full``), ``TaskManager.submit_tasks`` of N mixed-shape
+executable tasks onto one active pilot, ``session.run(until=wait_tasks)``
+-- and prints the top functions by cumulative and internal time.  That
+is the path ``benchmarks/e2e`` measures as ``task_bag``, so what shows up
+here is what a user pays per task: description reads, state transitions,
+profile rows, the event kernel, the agent scheduler.  A loop that drives
+``AgentScheduler`` directly hides the first three; that loop is profiled
+by ``test_ablation_sched_throughput`` under ``REPRO_BENCH_PROFILE=1``.
+Re-run this one before touching ``sim/engine.py``, ``pilot/task_manager.py``,
+``pilot/profiler.py`` or ``pilot/agent/scheduler.py`` so optimisation
+stays measurement-driven.
 
 Usage::
 
@@ -26,30 +29,37 @@ import pstats
 import sys
 import time
 
-from repro.hpc import NodeList
-from repro.pilot import Session, TaskDescription
-from repro.pilot.agent.scheduler import AgentScheduler
-from repro.pilot.task import Task
+from repro.pilot import (
+    PilotDescription,
+    PilotManager,
+    Session,
+    TaskDescription,
+    TaskManager,
+    TaskState,
+)
 
-SHAPES = [(1, 0), (2, 0), (4, 1), (8, 0)]
+SHAPES = [1, 2, 4, 8]  # cores per task, cycled
 
 
 def submit_drain(n_tasks: int, n_nodes: int) -> float:
     """The profiled workload; returns sustained tasks/sec."""
-    with Session(seed=0, profile="durations") as session:
-        nodes = NodeList.build(n_nodes, 64, 8, 512.0)
-        sched = AgentScheduler(session, nodes, "pilot.prof")
+    with Session(seed=0) as session:
+        pmgr = PilotManager(session)
+        tmgr = TaskManager(session)
+        (pilot,) = pmgr.submit_pilots(PilotDescription(
+            resource="frontier", nodes=n_nodes, runtime_s=1e9))
+        tmgr.add_pilots(pilot)
+        session.run(until=pmgr.wait_active([pilot]))
         t0 = time.perf_counter()
-        for i in range(n_tasks):
-            cores, gpus = SHAPES[i % len(SHAPES)]
-            desc = TaskDescription(executable="x", cores_per_rank=cores,
-                                   gpus_per_rank=gpus)
-            task = Task(session, desc, f"t{i}")
-            grant = sched.schedule(task)
-            grant.callbacks.append(lambda ev, t=task: sched.release(t))
-        session.run()
+        tasks = tmgr.submit_tasks([
+            TaskDescription(executable="x", duration_s=60.0,
+                            cores_per_rank=SHAPES[i % len(SHAPES)])
+            for i in range(n_tasks)])
+        session.run(until=tmgr.wait_tasks(tasks))
         elapsed = time.perf_counter() - t0
-        assert sched.queue_length == 0 and not sched.held_tasks
+        assert all(t.state == TaskState.DONE for t in tasks)
+        scheduler = pilot.agent.scheduler
+        assert scheduler.queue_length == 0 and not scheduler.held_tasks
         return n_tasks / elapsed
 
 
@@ -60,7 +70,7 @@ def main(argv) -> int:
         pstats_out = argv[i + 1]
         argv = argv[:i] + argv[i + 2:]
     n_tasks = int(argv[0]) if argv else 50_000
-    n_nodes = int(argv[1]) if len(argv) > 1 else 1024
+    n_nodes = int(argv[1]) if len(argv) > 1 else 256
 
     profiler = cProfile.Profile()
     profiler.enable()

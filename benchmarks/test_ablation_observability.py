@@ -12,8 +12,11 @@ Two studies plus a smoke artifact:
 1. **steady-state grant throughput** off vs metrics-on on the indexed
    scheduler (same cycle harness as ``test_ablation_sched_throughput``).
    Acceptance: *off* clears the absolute ``MIN_GRANTS_PER_S`` floor, and
-   *metrics-on* stays within 15% of *off* (best-of-3 each, interleaved,
-   to damp scheduling noise).
+   *metrics-on* stays within 15% of *off*: the median of the per-pair
+   on/off ratios over ``PAIRS`` back-to-back pairs, alternating which
+   side runs first.  (The ratio of two best-of-3 maxima this replaces
+   let a single lucky *off* run decide the gate: it read 0.83x, then
+   passed, on consecutive tier-1 runs of the same tree.)
 
 2. **end-to-end TaskManager campaign** with every plane on (tracing +
    metrics + monitors), reported for context -- the full pipeline
@@ -25,6 +28,7 @@ Two studies plus a smoke artifact:
 """
 
 import json
+import statistics
 import time
 from collections import deque
 from pathlib import Path
@@ -48,7 +52,7 @@ from repro.pilot.task import Task
 
 DEPTH = bench_scale(20_000)
 CYCLES = 1_000
-REPEATS = 3
+PAIRS = 5
 E2E_TASKS = bench_scale(3_000)
 
 #: absolute floor with telemetry off (same floor as the scheduler bench)
@@ -133,19 +137,24 @@ def test_observability_overhead(emit):
     # -- study 1: grant-cycle throughput, off vs metrics-on ------------------
     metrics_cfg = ObservabilityConfig(tracing=False, monitors=False)
     off_runs, on_runs = [], []
-    for _ in range(REPEATS):  # interleaved best-of-N damps machine noise
-        off_runs.append(grant_cycle_rate(None))
-        on_runs.append(grant_cycle_rate(metrics_cfg))
-    off, on = max(off_runs), max(on_runs)
+    for pair in range(PAIRS):  # back-to-back pairs see the same machine
+        order = [(None, off_runs), (metrics_cfg, on_runs)]
+        if pair % 2:
+            order.reverse()
+        for config, runs in order:
+            runs.append(grant_cycle_rate(config))
+    off, on = statistics.median(off_runs), statistics.median(on_runs)
+    ratio = statistics.median(b / a for a, b in zip(off_runs, on_runs))
     report.add_table(
         ["configuration", "grants/s", "vs off"],
         [["observability=None", f"{off:.0f}", "1.00x"],
-         ["metrics on", f"{on:.0f}", f"{on / off:.2f}x"]],
+         ["metrics on", f"{on:.0f}", f"{ratio:.2f}x"]],
         title=(f"Steady-state grant throughput at {DEPTH} pending "
-               f"(best of {REPEATS}, 256 nodes x 64 cores)"))
+               f"(medians of {PAIRS} pairs, 256 nodes x 64 cores)"))
     assert off >= MIN_GRANTS_PER_S
-    assert on / off >= MIN_METRICS_RATIO, \
-        f"metrics-on grant throughput {on:.0f}/s is {on / off:.2f}x of off"
+    assert ratio >= MIN_METRICS_RATIO, \
+        f"metrics-on grant throughput {on:.0f}/s is {ratio:.2f}x of off " \
+        f"(pairs: {[round(b / a, 2) for a, b in zip(off_runs, on_runs)]})"
 
     # -- study 2 + smoke artifact: full pipeline, every plane on -------------
     e2e_off, _ = e2e_rate(None)
@@ -167,7 +176,7 @@ def test_observability_overhead(emit):
     bench.record("grants_per_s_off", off, unit="grants/s",
                  floor=MIN_GRANTS_PER_S, scale_free=True,
                  deterministic=False)
-    bench.record("metrics_on_throughput_ratio", on / off, unit="x",
+    bench.record("metrics_on_throughput_ratio", ratio, unit="x",
                  floor=MIN_METRICS_RATIO, scale_free=True,
                  deterministic=False)
     bench.record("e2e_full_plane_ratio", e2e_full / e2e_off, unit="x",

@@ -34,7 +34,11 @@ scales -- see ``benchmarks/test_ablation_sched_throughput.py``):
   only parked shapes that pass the free-capacity index's O(1)
   root-qualification (some up node could host one rank right now -- a
   necessary condition for placement) are woken; the rest stay parked
-  without a doomed placement attempt.  Woken shapes enter a **feasible-
+  without a doomed placement attempt.  The grant pass applies the same
+  O(1) qualification to each woken shape's head *again* right before
+  placing it (**capacity-qualified wake**): siblings woken by the same
+  release compete for the same few cores, and the ones that lost are
+  parked unattempted.  Woken shapes enter a **feasible-
   shape ready heap** keyed on their head entry's ``(-priority, seq)``, so
   the grant pass picks the globally best pending request in O(log shapes)
   instead of a linear scan over every shape key (colocate-heavy mixes
@@ -271,9 +275,17 @@ class AgentScheduler:
 
         O(1): the entry is tombstoned in place and skipped lazily when its
         heap surfaces it.  No capacity changed, so no rescan is needed.
+
+        A requester interrupted at the grant instant (its URGENT
+        interruption overtakes the already-issued grant event) finds
+        nothing queued here, but the scheduler holds slots for it that
+        nobody will ever release: those are returned, and the call still
+        reports False -- there was no queued request.
         """
         entry = self._entries.pop(task.uid, None)
         if entry is None:
+            if task.uid in self._held:
+                self.release(task)
             return False
         entry[_ALIVE] = False
         self._pending_count -= 1
@@ -398,6 +410,7 @@ class AgentScheduler:
         """Try to place all ranks; returns slots or None (state rolled back)."""
         self.stats.place_attempts += 1
         d = task.description
+        cores, gpus, mem = d.cores_per_rank, d.gpus_per_rank, d.mem_per_rank_gb
         slots: List[Slot] = []
         group = d.tags.get("colocate") if d.tags else None
         affinity = d.tags.get("affinity") if d.tags else None
@@ -414,27 +427,23 @@ class AgentScheduler:
                 # colocation is a *hard* constraint: the pin wins even over
                 # the retry policy's failed-node memory
                 node = self.nodes[pinned]
-                if not node.fits(d.cores_per_rank, d.gpus_per_rank,
-                                 d.mem_per_rank_gb):
+                if not node.fits(cores, gpus, mem):
                     node = None
             else:
                 node = None
                 if preferred is not None:  # soft: fall through on no fit
                     candidate = self.nodes[preferred]
-                    if candidate.fits(d.cores_per_rank, d.gpus_per_rank,
-                                      d.mem_per_rank_gb) \
+                    if candidate.fits(cores, gpus, mem) \
                             and not (avoid and candidate.name in avoid):
                         node = candidate
                 if node is None:
                     node = self.nodes.find_fit(
-                        d.cores_per_rank, d.gpus_per_rank, d.mem_per_rank_gb,
-                        start=self._rr_index, avoid=avoid)
+                        cores, gpus, mem, start=self._rr_index, avoid=avoid)
             if node is None:
                 for slot in slots:  # rollback partial placement
                     self.nodes[slot.node_index].release(slot)
                 return None
-            slots.append(node.allocate(d.cores_per_rank, d.gpus_per_rank,
-                                       d.mem_per_rank_gb))
+            slots.append(node.allocate(cores, gpus, mem))
         if group and group not in self._colocate_node:
             self._colocate_node[group] = slots[0].node_index
         if affinity is not None:
@@ -453,15 +462,20 @@ class AgentScheduler:
         a grant re-offers the shape's next head (it may fit the remaining
         capacity), a failure parks the shape in the infeasible memo.  The
         heap always surfaces the minimal live head among non-parked
-        shapes, so the grant order is identical to the seed's full scan,
-        and each shape is attempted at most once past its final grant --
-        O(grants + woken shapes) placement attempts per pass.
+        shapes, so the grant order is identical to the seed's full scan.
+        A head is attempted only while the capacity index's O(1)
+        root-qualification still holds for its shape; otherwise the shape
+        is parked unattempted.  A pass therefore costs O(grants)
+        placement attempts, plus the rare shape whose per-dimension
+        maxima sit on *different* nodes and which fails inside
+        ``_place``.
         """
         self.stats.passes += 1
         ready = self._ready
         ready_shapes = self._ready_shapes
         queues = self._shape_queues
         infeasible = self._infeasible
+        root_qualifies = self.nodes.root_qualifies
         while ready:
             key0, key1, shape = heappop(ready)
             ready_shapes.discard(shape)
@@ -474,6 +488,13 @@ class AgentScheduler:
                 continue
             if head[0] != key0 or head[1] != key1:
                 self._push_ready(shape)  # stale key: re-offer live head
+                continue
+            # Capacity-qualified wake: grants earlier in this pass may have
+            # consumed what woke the shape.  When no up node can host one
+            # rank any more, _place could only return None (pinned or not),
+            # so park the shape without paying for the doomed attempt.
+            if not root_qualifies(shape[0], shape[1], shape[2]):
+                infeasible.add(shape)
                 continue
             task, event = head[2], head[3]
             slots = self._place(task)

@@ -13,7 +13,7 @@ state transition, launch and execution phase appends a row, and an
 unbounded row list dominates peak memory.  The profiler is therefore
 **tiered** (``level=``):
 
-* ``"full"``       -- every row is kept (``__slots__`` rows, optionally
+* ``"full"``       -- every row is kept (named-tuple rows, optionally
   bounded by ``max_rows``); the default, needed by row-level queries like
   :meth:`events`;
 * ``"durations"``  -- only the *first* timestamp per (uid, event) pair is
@@ -39,12 +39,24 @@ trailing meta line) into the exact :meth:`to_jsonl` format, so
 :meth:`from_jsonl`, :func:`repro.observability.spans_from_profiler` and
 :meth:`repro.observability.CampaignAttribution.from_profiler` work
 transparently from spilled files.
+
+**Record once.**  In the default configuration (``"full"`` tier, no
+``max_rows``: every row is retained) the row list *is* the profile, an
+append-only record stream: :meth:`Profiler.record` is a counter bump plus
+one row append, and the first-timestamp, per-event and per-uid indices
+are *derived* from the rows on the first query that needs them, then
+kept up to date incrementally from a watermark.  A run that never
+queries its profile never pays for indexing it.  Configurations that
+*drop* rows (``durations``/``off`` tiers, a ``max_rows`` bound, ring,
+spill) stamp eagerly inside ``record``: their first timestamps must
+outlive rows that are no longer there to derive them from.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
+from itertools import islice
 from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -98,15 +110,20 @@ class Profiler:
         self._spill_fh = None
         self._rows: List[ProfileRow] = (
             deque(maxlen=max_rows) if self._ring else [])
-        #: per-uid row index, maintained in *both* retention modes: ring
-        #: eviction prunes the evicted row from its uid's deque, so
-        #: uid-filtered queries are O(rows of that uid), never O(total)
-        self._by_uid: Dict[str, Deque[ProfileRow]] = {}
-        #: (uid, event) -> first timestamp (the "durations" tier's store;
-        #: also the O(1) lookup path for the full tier)
-        self._first: Dict[Tuple[str, str], float] = {}
-        #: event -> {uid: None} in first-occurrence order
-        self._event_uids: Dict[str, Dict[str, None]] = {}
+        #: every row is retained, so the indices can be derived from the
+        #: rows on demand instead of maintained per record
+        self._lazy = level == "full" and max_rows is None and not self._spill
+        #: rows[:_indexed] are reflected in the indices (lazy mode only)
+        self._indexed = 0
+        #: the three indices, read through the properties below:
+        #: ``(uid, event) -> first timestamp`` (the "durations" tier's
+        #: store and the O(1) lookup path of the full tier); ``event ->
+        #: {uid: None}`` in first-occurrence order; and the per-uid row
+        #: index (ring eviction prunes the evicted row from its uid's
+        #: deque, so uid-filtered queries are O(rows of that uid))
+        self._indices: Tuple[Dict[Tuple[str, str], float],
+                             Dict[str, Dict[str, None]],
+                             Dict[str, Deque[ProfileRow]]] = ({}, {}, {})
         #: record() calls total, regardless of tier/bound
         self.recorded = 0
         #: rows not retained (off tier, or full tier past max_rows)
@@ -126,25 +143,60 @@ class Profiler:
             "spilled": self.spilled,
         }
 
+    # -- derived indices ---------------------------------------------------------
+    def _derived(self):
+        """The indices, first caught up with rows past the watermark."""
+        if self._lazy and self._indexed < len(self._rows):
+            first, event_uids, by_uid = self._indices
+            rows = self._rows
+            for row in islice(rows, self._indexed, None):
+                t, uid, event, _ = row
+                key = (uid, event)
+                if key not in first:
+                    first[key] = t
+                    event_uids.setdefault(event, {})[uid] = None
+                bucket = by_uid.get(uid)
+                if bucket is None:
+                    bucket = by_uid[uid] = deque()
+                bucket.append(row)
+            self._indexed = len(rows)
+        return self._indices
+
+    @property
+    def _first(self) -> Dict[Tuple[str, str], float]:
+        return self._derived()[0]
+
+    @property
+    def _event_uids(self) -> Dict[str, Dict[str, None]]:
+        return self._derived()[1]
+
+    @property
+    def _by_uid(self) -> Dict[str, Deque[ProfileRow]]:
+        return self._derived()[2]
+
     def record(self, time: float, uid: str, event: str,
                component: str = "") -> None:
         """Record one profile row (retention depends on the tier)."""
         self.recorded += 1
+        if self._lazy:
+            self._rows.append(ProfileRow(float(time), uid, event, component))
+            return
         if self.level == "off":
             self.dropped += 1
             return
+        first, event_uids, by_uid = self._indices
         key = (uid, event)
-        if key not in self._first:
-            self._first[key] = float(time)
-            self._event_uids.setdefault(event, {})[uid] = None
+        if key not in first:
+            first[key] = float(time)
+            event_uids.setdefault(event, {})[uid] = None
         if self.level == "durations":
             return
         row = ProfileRow(float(time), uid, event, component)
         if self._spill:
             self._rows.append(row)
-            bucket = self._by_uid.get(uid)
+            bucket = by_uid.get(uid)
             if bucket is None:
-                bucket = self._by_uid[uid] = deque()
+                bucket = by_uid[uid] = deque()
             bucket.append(row)
             # flush a full chunk to disk; recording after close_spill()
             # keeps buffering in memory (safe teardown ordering)
@@ -157,18 +209,18 @@ class Profiler:
                 # the ring evicts its oldest row: prune it from the index
                 self.dropped += 1
                 evicted = self._rows[0]
-                bucket = self._by_uid.get(evicted.uid)
+                bucket = by_uid.get(evicted.uid)
                 if bucket is not None:
                     bucket.popleft()
                     if not bucket:
-                        del self._by_uid[evicted.uid]
+                        del by_uid[evicted.uid]
         elif self.max_rows is not None and len(self._rows) >= self.max_rows:
             self.dropped += 1
             return
         self._rows.append(row)
-        bucket = self._by_uid.get(uid)
+        bucket = by_uid.get(uid)
         if bucket is None:
-            bucket = self._by_uid[uid] = deque()
+            bucket = by_uid[uid] = deque()
         bucket.append(row)
 
     def __len__(self) -> int:
@@ -222,9 +274,9 @@ class Profiler:
 
     def clear(self) -> None:
         self._rows.clear()
-        self._by_uid.clear()
-        self._first.clear()
-        self._event_uids.clear()
+        self._indexed = 0
+        for index in self._indices:
+            index.clear()
         self.recorded = 0
         self.dropped = 0
 

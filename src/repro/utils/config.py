@@ -29,6 +29,13 @@ class Config:
     ``_defaults`` (key -> default value).  Unknown keys raise
     :class:`ConfigError` early instead of silently propagating typos.
 
+    The backing dict *is* the instance ``__dict__`` (``_data`` is the
+    mapping view of it), so reading a set field -- ``d.ranks`` on the
+    scheduler's placement path -- is ordinary attribute lookup and never
+    enters :meth:`__getattr__`.  Every write still goes through
+    :meth:`_check`: ``__setattr__`` is overridden, and nothing else puts
+    keys into the instance dict.
+
     Default materialization is the control plane's per-task constructor
     cost (every :class:`~repro.pilot.description.TaskDescription` of a
     million-task campaign passes through here), so defaults are *not*
@@ -64,16 +71,21 @@ class Config:
 
     def __init__(self, from_dict: Mapping[str, Any] | None = None, **kwargs: Any) -> None:
         shared, copied = self._default_plan()
-        data: Dict[str, Any] = dict(shared)
+        data = self.__dict__
+        data.update(shared)
         for key, make in copied:
             data[key] = make()
         merged: Dict[str, Any] = {}
         if from_dict:
             merged.update(from_dict)
         merged.update(kwargs)
-        object.__setattr__(self, "_data", data)
         for key, value in merged.items():
-            self._set(key, value)
+            data[key] = self._check(key, value)
+
+    @property
+    def _data(self) -> Dict[str, Any]:
+        """The fields as a mapping: the instance ``__dict__`` itself."""
+        return self.__dict__
 
     # -- validation ---------------------------------------------------------
     def _check(self, key: str, value: Any) -> Any:
@@ -97,30 +109,22 @@ class Config:
             )
         return value
 
-    def _set(self, key: str, value: Any) -> None:
-        self._data[key] = self._check(key, value)
-
     # -- attribute protocol -------------------------------------------------
     def __getattr__(self, key: str) -> Any:
-        data = object.__getattribute__(self, "_data")
-        if key in data:
-            return data[key]
+        # reached only for names ordinary lookup did not find: a declared
+        # field that was never set reads as None, anything else is an error
         if key in self._schema:
             return None
         raise AttributeError(f"{type(self).__name__} has no attribute {key!r}")
 
     def __setattr__(self, key: str, value: Any) -> None:
-        if key.startswith("_"):
-            object.__setattr__(self, key, value)
-        else:
-            self._set(key, value)
+        self.__dict__[key] = self._check(key, value)
 
     # -- mapping protocol ----------------------------------------------------
     def __getitem__(self, key: str) -> Any:
         return self._data[key]
 
-    def __setitem__(self, key: str, value: Any) -> None:
-        self._set(key, value)
+    __setitem__ = __setattr__
 
     def __contains__(self, key: str) -> bool:
         return key in self._data

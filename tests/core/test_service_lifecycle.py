@@ -10,8 +10,10 @@ from repro import (
     ServiceManager,
     ServiceState,
     Session,
+    TaskDescription,
     TaskState,
 )
+from repro.pilot.task import Task
 
 
 @pytest.fixture
@@ -201,6 +203,31 @@ class TestStopAndFailure:
         assert not handle.instance.running
         assert smgr.registry.list_services() == []
         assert pilot.free_capacity()["cores"] == pilot.nodes.total_free_cores
+
+    def test_interrupt_at_the_grant_instant_leaks_no_slots(self, env):
+        """A blocker's release grants the queued service; in the same
+        instant the bootstrap is interrupted (what the startup watchdog
+        does), so the interruption overtakes the grant event.  The service
+        must not keep slots its bootstrap never received."""
+        session, _, smgr, pilot = env
+        session.run(until=pilot.became_active)
+        scheduler = pilot.agent.scheduler
+        full = pilot.free_capacity()
+        blocker = Task(session, TaskDescription(
+            executable="hog", ranks=pilot.n_nodes,
+            cores_per_rank=full["cores"] // pilot.n_nodes), "task.blocker")
+        session.run(until=scheduler.schedule(blocker))
+        (handle,) = smgr.start_services(
+            ServiceDescription(model="noop", gpus_per_rank=0), pilot)
+        session.run(until=session.now + 1.0)
+        assert scheduler.queue_length == 1
+        scheduler.release(blocker)  # grants the service's task ...
+        assert handle.task.uid in scheduler.held_tasks
+        smgr._drivers[handle.uid].interrupt("startup timeout")  # ... too late
+        session.run(until=handle.stopped)
+        assert handle.service_state == ServiceState.FAILED
+        assert scheduler.held_tasks == []
+        assert pilot.free_capacity() == full
 
     def test_stop_is_idempotent(self, env):
         session, _, smgr, pilot = env

@@ -1,5 +1,7 @@
 """Tests for pilot/task/service descriptions and staging directives."""
 
+import copy
+
 import pytest
 
 from repro.pilot import (
@@ -8,7 +10,7 @@ from repro.pilot import (
     StagingDirective,
     TaskDescription,
 )
-from repro.utils.config import ConfigError
+from repro.utils.config import Config, ConfigError
 
 
 class TestPilotDescription:
@@ -127,3 +129,99 @@ class TestStagingDirective:
     def test_link_default_size_zero(self):
         d = StagingDirective(action="link", source="a", target="b")
         assert d.size_bytes == 0
+
+
+#: one valid instance of every description class, with non-default values
+DESCRIPTIONS = {
+    "task": lambda: TaskDescription(
+        executable="x", ranks=2, cores_per_rank=4, mem_per_rank_gb=2,
+        tags={"colocate": "g"}, arguments=["-v"],
+        input_staging=[{"source": "a", "target": "b", "size_bytes": 8}]),
+    "service": lambda: ServiceDescription(
+        model="llama-8b", max_batch_size=4, metadata={"k": [1, 2]}),
+    "staging": lambda: StagingDirective(
+        source="a", target="b", action="copy", size_bytes=1.5e6),
+    "pilot": lambda: PilotDescription(resource="delta", nodes=2,
+                                      runtime_s=600),
+}
+
+
+@pytest.fixture(params=sorted(DESCRIPTIONS))
+def desc(request):
+    return DESCRIPTIONS[request.param]()
+
+
+class TestPlainAttributeStorage:
+    """Declared fields live where ordinary attribute lookup finds them;
+    the mapping views and the validation are those of the dict-backed
+    original."""
+
+    def test_set_fields_never_enter_getattr(self, desc, monkeypatch):
+        def trap(self, key):
+            raise AssertionError(f"__getattr__({key!r}) reached")
+        monkeypatch.setattr(Config, "__getattr__", trap)
+        for key in desc._schema:
+            assert getattr(desc, key) == desc[key]
+
+    def test_every_view_agrees(self, desc):
+        data = desc.as_dict()
+        assert set(data) == set(desc._schema)
+        for key, value in data.items():
+            assert getattr(desc, key) == desc[key] == desc.get(key) == value
+            assert key in desc
+            assert f"{key}={value!r}" in repr(desc)
+        assert "bogus" not in desc and desc.get("bogus", 7) == 7
+        assert desc == data and desc == desc.copy()
+        clone = copy.deepcopy(desc)
+        assert type(clone) is type(desc) and clone == desc
+        assert clone.as_dict() == data
+        assert repr(clone) == repr(desc)
+
+    def test_views_are_copies_not_aliases(self):
+        d = DESCRIPTIONS["task"]()
+        d.as_dict()["tags"]["colocate"] = "other"
+        d.copy().arguments.append("-x")
+        assert d.tags == {"colocate": "g"} and d.arguments == ["-v"]
+        assert TaskDescription().tags is not TaskDescription().tags
+
+    def test_unknown_key_rejected_on_every_write_path(self, desc):
+        with pytest.raises(ConfigError, match="unknown key"):
+            type(desc)(from_dict=dict(desc.as_dict(), bogus=1))
+        with pytest.raises(ConfigError, match="unknown key"):
+            desc.bogus = 1
+        with pytest.raises(ConfigError, match="unknown key"):
+            desc["bogus"] = 1
+        with pytest.raises(ConfigError, match="unknown key"):
+            desc._private = 1  # private names are not fields either
+        assert "bogus" not in desc and "_private" not in desc.as_dict()
+        with pytest.raises(AttributeError):
+            desc.bogus
+
+    def test_type_checked_on_every_write_path(self):
+        d = TaskDescription()
+        with pytest.raises(ConfigError, match="expected"):
+            TaskDescription(ranks="2")
+        with pytest.raises(ConfigError, match="expected"):
+            d.ranks = "2"
+        with pytest.raises(ConfigError, match="expected"):
+            d["ranks"] = 2.0
+        assert d.ranks == 1
+
+    def test_int_coerced_to_float_on_every_write_path(self):
+        class Rate(Config):
+            _schema = {"rate": float, "label": str}
+            _defaults = {"rate": 0.5}
+
+        r = Rate(rate=2)
+        assert r.rate == 2.0 and type(r.rate) is float
+        r.rate = 3
+        assert type(r.rate) is float
+        r["rate"] = 4
+        assert type(r["rate"]) is float and r.rate == 4.0
+        # declared but never set: reads as None, is not a member
+        assert r.label is None and "label" not in r
+        assert r.as_dict() == {"rate": 4.0}
+        r.label = "x"
+        assert r.label == "x" and r == {"rate": 4.0, "label": "x"}
+        r.label = None  # None is always accepted
+        assert r.label is None and "label" in r

@@ -1,6 +1,10 @@
 """Tests for the profile-event store."""
 
+import json
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pilot import Profiler
 
@@ -257,3 +261,112 @@ class TestJsonlPersistence:
         p.to_jsonl(str(path))
         q = Profiler.from_jsonl(str(path))
         assert [r.event for r in q.events(uid="t0")] == ["start", "stop"]
+
+
+# -- derived indices ----------------------------------------------------------
+_UIDS = st.sampled_from(["t0", "t1", "t2"])
+_EVENTS = st.sampled_from(["a", "b", "c"])
+_OPS = st.one_of(
+    st.tuples(st.just("record"), st.integers(0, 50), _UIDS, _EVENTS),
+    st.tuples(st.just("events"), st.none() | _UIDS, st.none() | _EVENTS),
+    st.tuples(st.just("timestamp"), _UIDS, _EVENTS),
+    st.tuples(st.just("duration"), _UIDS, _EVENTS, _EVENTS),
+    st.tuples(st.just("durations"), _EVENTS, _EVENTS),
+    st.tuples(st.just("uids_with_event"), _EVENTS),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("reload")),
+)
+
+
+class TestDerivedIndices:
+    """The default configuration appends rows and derives its indices on
+    demand; a ``max_rows`` nobody reaches keeps the eager path and is the
+    oracle."""
+
+    def test_record_alone_builds_no_index(self):
+        p = Profiler()
+        for i in range(100):
+            p.record(float(i), f"t{i % 3}", "ev")
+        assert p._indices == ({}, {}, {}) and p._indexed == 0
+        assert len(p.events()) == 100          # needs no index either
+        assert p._indexed == 0
+        assert p.timestamp("t1", "ev") == 1.0  # first query derives
+        assert p._indexed == 100
+        p.record(200.0, "t9", "ev")            # ... and later ones catch up
+        assert p.uids_with_event("ev") == ["t0", "t1", "t2", "t9"]
+        p.clear()
+        assert p._indexed == 0 and p.timestamp("t1", "ev") is None
+
+    def test_configurations_that_drop_rows_stamp_eagerly(self, tmp_path):
+        for kwargs in ({"level": "durations"}, {"max_rows": 1},
+                       {"max_rows": 1, "retention": "ring"},
+                       {"retention": "spill",
+                        "spill_path": str(tmp_path / "s.jsonl")}):
+            p = Profiler(**kwargs)
+            p.record(1.0, "t", "a")
+            p.record(2.0, "t", "b")
+            assert set(p._indices[0]) == {("t", "a"), ("t", "b")}, kwargs
+            p.close_spill()
+
+    def test_reloaded_first_stamps_win_over_derivation(self, tmp_path):
+        # "f" lines are restored verbatim (they may outlive their rows, or
+        # precede them); rows derived later must not overwrite them
+        path = tmp_path / "p.jsonl"
+        meta = {"level": "full", "max_rows": None, "retention": "bound",
+                "recorded": 3, "dropped": 1, "spilled": 0}
+        path.write_text("\n".join(json.dumps(line) for line in (
+            {"meta": meta},
+            ["f", 0.5, "gone", "a"],
+            ["f", 0.75, "t", "a"],
+            ["r", 1.0, "t", "a", "c"],
+            ["r", 2.0, "t", "b", "c"])) + "\n")
+        p = Profiler.from_jsonl(str(path))
+        assert p._lazy
+        assert p.timestamp("t", "a") == 0.75 and p.timestamp("t", "b") == 2.0
+        assert p.uids_with_event("a") == ["gone", "t"]
+        assert (p.recorded, p.dropped, len(p)) == (3, 1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_OPS, max_size=40))
+    def test_lazy_matches_eager_under_any_interleaving(self, tmp_path_factory,
+                                                       ops):
+        tmp = tmp_path_factory.mktemp("lazy")
+        lazy, eager = Profiler(), Profiler(max_rows=10**9)
+        assert lazy._lazy and not eager._lazy
+
+        def jsonl(p, name):
+            path = tmp / name
+            n = p.to_jsonl(str(path))
+            lines = path.read_text().splitlines()
+            assert n == len(lines)
+            return path, lines[1:]  # the meta header carries max_rows
+
+        for op, *args in ops:
+            if op == "record":
+                t, uid, event = args
+                lazy.record(t, uid, event, "c")
+                eager.record(t, uid, event, "c")
+            elif op == "clear":
+                lazy.clear()
+                eager.clear()
+            elif op == "reload":
+                (lp, ll), (ep, el) = jsonl(lazy, "l"), jsonl(eager, "e")
+                assert ll == el
+                lazy = Profiler.from_jsonl(str(lp))
+                eager = Profiler.from_jsonl(str(ep))
+                assert lazy._lazy and not eager._lazy
+            elif op == "events":
+                assert lazy.events(*args) == eager.events(*args)
+            elif op == "durations":
+                uids = ["t2", "t0", "ghost", "t1"]
+                assert np.array_equal(lazy.durations(uids, *args),
+                                      eager.durations(uids, *args))
+            else:
+                assert getattr(lazy, op)(*args) == getattr(eager, op)(*args)
+            assert (lazy.recorded, lazy.dropped, len(lazy)) == \
+                (eager.recorded, eager.dropped, len(eager))
+        for event in "abc":
+            assert lazy.uids_with_event(event) == eager.uids_with_event(event)
+        assert lazy.events() == eager.events()
+        assert list(lazy._first.items()) == list(eager._first.items())
+        assert jsonl(lazy, "l")[1] == jsonl(eager, "e")[1]

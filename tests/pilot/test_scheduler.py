@@ -147,14 +147,43 @@ class TestHotPath:
         session.run()
         assert sched.queue_length == 10
         before = sched.stats.place_attempts
+        granted_before = sched.stats.grants
         sched.release(hog)  # single capacity increase
         session.run()
         # all four that fit were granted by the one kick
         assert sum(1 for g in grants if g.processed) == 4
         assert sched.queue_length == 6
-        # 4 successful placements + exactly 1 failed probe for the shared
-        # shape -- not a rescan of all 10 entries after every grant
-        assert sched.stats.place_attempts - before == 5
+        # 4 successful placements and no failed probe: once the node is
+        # full the shape's next head fails the O(1) root qualification and
+        # is parked unattempted -- not a rescan of all 10 entries after
+        # every grant, and not even one doomed _place
+        assert sched.stats.place_attempts - before == 4
+        assert sched.stats.grants - granted_before == 4
+
+    def test_root_qualification_is_only_a_filter(self, session):
+        # Free cores sit on node 0, the free GPU on node 1: the root maxima
+        # (3 cores, 1 GPU) qualify a 2-core + 1-GPU rank although no single
+        # node fits it.  The pre-check must let it through to _place, which
+        # fails and parks the shape exactly as before.
+        sched, nodes = make_scheduler(session, n_nodes=2, cores=4, gpus=1)
+        gpu_hog = make_task(session, cores_per_rank=1, gpus_per_rank=1)
+        core_hog = make_task(session, cores_per_rank=3)
+        session.run(until=sched.schedule(gpu_hog))
+        session.run(until=sched.schedule(core_hog))
+        assert gpu_hog.slots[0].node_index == 0
+        assert core_hog.slots[0].node_index == 1
+        waiter = make_task(session, cores_per_rank=2, gpus_per_rank=1)
+        grant = sched.schedule(waiter)  # probed once, memoised
+        assert nodes.root_qualifies(2, 1, 0.0)
+        assert not any(node.fits(2, 1, 0.0) for node in nodes)
+        before = sched.stats.place_attempts
+        sched.kick()  # wakes on root qualification alone
+        session.run()
+        assert sched.stats.place_attempts - before == 1  # attempted, failed
+        assert not grant.triggered and sched.queue_length == 1
+        sched.release(core_hog)  # node 1 now fits all three dimensions
+        session.run()
+        assert grant.processed and waiter.slots[0].node_index == 1
 
     def test_submit_into_infeasible_shape_skips_placement(self, session):
         sched, _ = make_scheduler(session, n_nodes=1, cores=4)

@@ -156,6 +156,39 @@ class TestFailureAndCancel:
         session.run(until=tmgr.wait_tasks([task]))
         assert task.state == TaskState.CANCELED
 
+    @pytest.mark.parametrize("fault", [False, True])
+    def test_interrupt_at_the_grant_instant_leaks_no_slots(self, fault):
+        """A's release grants queued B; A's DONE callback then cancels (or
+        faults) B in the same instant, so B's URGENT interruption overtakes
+        its own grant event.  B must not keep the slots it never saw."""
+        with Session(seed=3) as session:
+            pmgr = PilotManager(session)
+            tmgr = TaskManager(session)
+            (pilot,) = pmgr.submit_pilots(
+                PilotDescription(resource="delta", nodes=1, runtime_s=1e6))
+            tmgr.add_pilots(pilot)
+            a, b = tmgr.submit_tasks([
+                TaskDescription(executable="a", duration_s=10.0,
+                                cores_per_rank=64),
+                TaskDescription(executable="b", duration_s=10.0,
+                                cores_per_rank=4)])
+
+            def on_state(task, state):
+                if task is a and state == TaskState.DONE:
+                    assert b.state == TaskState.AGENT_SCHEDULING
+                    if fault:
+                        tmgr.fail_task(b, RuntimeError("node crash"))
+                    else:
+                        tmgr.cancel_tasks(b)
+
+            tmgr.register_callback(on_state)
+            session.run(until=tmgr.wait_tasks([a, b]))
+            assert a.state == TaskState.DONE
+            assert b.state == (TaskState.FAILED if fault
+                               else TaskState.CANCELED)
+            assert pilot.agent.scheduler.held_tasks == []
+            assert pilot.free_capacity()["cores"] == pilot.nodes.total_cores
+
 
 class TestPilotSelection:
     def test_explicit_pilot_binding(self, env):
