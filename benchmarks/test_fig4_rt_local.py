@@ -4,7 +4,15 @@ Strong scaling (16 clients against 1,2,4,8,16 Delta-local services) and
 weak scaling (n clients / n services), each client issuing 1024 NOOP
 requests.  Series reported: communication / service / inference components
 of RT -- communication dominates, inference is negligible (noop).
+
+The RT split of one strong-scaling and one weak-scaling point is recorded
+as a :class:`BenchResult` (sim clock, exact under the seed), so a change
+that moves the paper's Experiment-2 numbers fails the regression gate
+against ``BENCH_fig4_rt_local.json`` instead of needing a manual diff of
+the ``.txt``.
 """
+
+import time
 
 import pytest
 
@@ -15,7 +23,12 @@ from repro.analytics import (
     ReportBuilder,
     run_experiment2,
 )
+from repro.observability.bench import BenchResult
 from conftest import bench_scale
+
+#: the RT split recorded for the gated grid points
+RT_COMPONENTS = ("rt_mean_s", "communication_mean_s", "service_mean_s",
+                 "inference_mean_s")
 
 
 def _rows(results):
@@ -42,7 +55,9 @@ def test_fig4_rt_local_strong_and_weak(benchmark, emit):
             weak[(clients, services)] = run_experiment2(
                 clients, services, "local", n_requests=n_requests, seed=12)
 
+    t0 = time.perf_counter()
     benchmark.pedantic(run_all, rounds=1, iterations=1)
+    wall_s = time.perf_counter() - t0
 
     report = ReportBuilder(
         "Fig. 4 -- Local NOOP Response Times (Delta, "
@@ -58,7 +73,21 @@ def test_fig4_rt_local_strong_and_weak(benchmark, emit):
     report.add_text(
         "Paper shape: all components negligible vs. network latency; "
         "communication dominates; RT roughly flat in weak scaling.")
-    emit(report)
+    bench = BenchResult(params={"n_requests": n_requests,
+                                "strong_seed": 11, "weak_seed": 12})
+    for series, grid, (clients, services) in (("strong", strong, (16, 8)),
+                                              ("weak", weak, (16, 16))):
+        row = grid[(clients, services)].row()
+        for component in RT_COMPONENTS:
+            # sim clock at a fixed n_requests: exact under the seed
+            bench.record(f"{series}_{clients}x{services}_{component}",
+                         row[component], unit="s", direction="lower",
+                         scale_free=True)
+    # host clock over the whole grid: recorded for the trend, not gated
+    total = sum(clients * n_requests for clients, _ in [*strong, *weak])
+    bench.record("requests_per_wall_s", total / wall_s, unit="req/s",
+                 deterministic=False)
+    emit(report, bench=bench)
 
     # -- shape assertions ---------------------------------------------------------
     for result in [*strong.values(), *weak.values()]:

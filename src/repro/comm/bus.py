@@ -13,12 +13,19 @@ Every delivery is charged the fabric's latency+bandwidth cost between the
 endpoints' platforms, so local (intra-platform) and remote (WAN) exchanges
 reproduce the paper's 0.063 ms vs 0.47 ms regimes.  Because delays run on
 the simulation engine, the bus works unmodified in virtual and real time.
+
+A wire leg is one engine entry, and landing is the hand-over: a reply
+resolves its request event, a request goes to the server socket's consumer
+(its inbox, or the handler a service installed), a publication into the
+subscription's inbox.  Nothing relays a landed message inside the process,
+and a message whose endpoint closed while it was on the wire is dropped
+like one sent after the close.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..hpc.network import Fabric
 from ..sim.engine import SimulationEngine
@@ -34,16 +41,35 @@ log = get_logger("comm.bus")
 
 
 class ServerSocket:
-    """REP-style socket: an inbox of requests plus a reply primitive."""
+    """REP-style socket: requests land here, replies leave from here.
+
+    A landed request goes to exactly one consumer.  By default that is the
+    :attr:`inbox`, read with :meth:`recv` by pull consumers
+    (:meth:`MessageBus.serve`, the registry); :meth:`handle_with` replaces
+    it with a handler called on arrival, so a request is consumed where it
+    lands instead of being relayed through the inbox by a process.
+    """
 
     def __init__(self, bus: "MessageBus", address: Address) -> None:
         self.bus = bus
         self.address = address
         self.inbox: Store = Store(bus.engine)
+        self._receive: Callable[[Message], None] = self.inbox.put_nowait
 
     def recv(self):
         """Return an event yielding the next request :class:`Message`."""
         return self.inbox.get()
+
+    def handle_with(self, handler: Callable[[Message], None]) -> None:
+        """Consume requests with *handler* as they land.
+
+        Whatever already sits in the inbox (sent between ``bind`` and this
+        call) is handed over first, oldest first.
+        """
+        self._receive = handler
+        backlog = self.inbox.items
+        while backlog:
+            handler(backlog.popleft())
 
     def reply(self, request: Message, payload: Any,
               meta: Optional[Dict[str, Any]] = None) -> None:
@@ -63,27 +89,23 @@ class ServerSocket:
 class ClientSocket:
     """REQ-style socket: issues requests, resolves reply events.
 
-    Each socket owns a private reply inbox registered on the bus; a demux
-    process pairs incoming replies with outstanding request events via the
-    correlation id.
+    A landing reply is paired with its outstanding request event via the
+    correlation id and resolves it directly; the socket owns no inbox and
+    no process.
     """
 
     def __init__(self, bus: "MessageBus", address: Address) -> None:
         self.bus = bus
         self.address = address
-        self.inbox: Store = Store(bus.engine)
         self._pending: Dict[int, Event] = {}
         self._corr = itertools.count()
-        bus.engine.process(self._demux())
 
-    def _demux(self):
-        while True:
-            msg = yield self.inbox.get()
-            event = self._pending.pop(msg.corr_id, None)
-            if event is None:
-                log.warning("%s: unmatched reply %r", self.address, msg)
-                continue
-            event.succeed(msg)
+    def _receive(self, msg: Message) -> None:
+        event = self._pending.pop(msg.corr_id, None)
+        if event is None:
+            log.warning("%s: unmatched reply %r", self.address, msg)
+            return
+        event.succeed(msg)
 
     def request(self, target: Address, payload: Any,
                 kind: str = "request") -> Event:
@@ -106,9 +128,9 @@ class ClientSocket:
     def cancel_request(self, event: Event) -> bool:
         """Abandon an outstanding request (e.g. after a client timeout).
 
-        The correlation entry is removed so a late reply is dropped by the
-        demux instead of resolving an event nobody waits on.  Returns True
-        if the request was still pending.
+        The correlation entry is removed so a late reply is dropped on
+        arrival instead of resolving an event nobody waits on.  Returns
+        True if the request was still pending.
         """
         for corr, pending in list(self._pending.items()):
             if pending is event:
@@ -122,6 +144,9 @@ class ClientSocket:
 
     def close(self) -> None:
         self.bus._unbind(self.address.name)
+
+
+_Socket = Union[ServerSocket, ClientSocket]
 
 
 class Subscription:
@@ -149,7 +174,8 @@ class MessageBus:
     def __init__(self, engine: SimulationEngine, fabric: Fabric) -> None:
         self.engine = engine
         self.fabric = fabric
-        self._endpoints: Dict[str, Tuple[Address, Store]] = {}
+        #: name -> the socket bound to it (the receiver of what lands there)
+        self._endpoints: Dict[str, _Socket] = {}
         self._subs: Dict[str, List[Subscription]] = {}
         self.delivered_count = 0
         self.dropped_count = 0
@@ -159,7 +185,7 @@ class MessageBus:
         """Create a server endpoint reachable at *name*."""
         address = self._register(name, platform)
         socket = ServerSocket(self, address)
-        self._endpoints[name] = (address, socket.inbox)
+        self._endpoints[name] = socket
         return socket
 
     def connect(self, platform: str, name: Optional[str] = None) -> ClientSocket:
@@ -167,7 +193,7 @@ class MessageBus:
         name = name or generate_id("client-sock")
         address = self._register(name, platform)
         socket = ClientSocket(self, address)
-        self._endpoints[name] = (address, socket.inbox)
+        self._endpoints[name] = socket
         return socket
 
     def _register(self, name: str, platform: str) -> Address:
@@ -182,36 +208,41 @@ class MessageBus:
         self._endpoints.pop(name, None)
 
     def lookup(self, name: str) -> Optional[Address]:
-        entry = self._endpoints.get(name)
-        return entry[0] if entry else None
+        socket = self._endpoints.get(name)
+        return socket.address if socket is not None else None
 
     # -- point-to-point delivery ---------------------------------------------------
     def _deliver(self, msg: Message) -> None:
         """Schedule delivery of *msg* after the fabric-sampled delay."""
         if msg.recipient is None:
             raise ValueError(f"message without recipient: {msg!r}")
-        entry = self._endpoints.get(msg.recipient.name)
-        if entry is None:
-            # Recipient disappeared (service terminated): drop, like a ZMQ
-            # socket whose peer is gone.
-            self.dropped_count += 1
-            log.warning("dropping message to unbound endpoint %s",
-                        msg.recipient)
+        socket = self._endpoints.get(msg.recipient.name)
+        if socket is None:
+            self._drop(msg)
             return
-        _, inbox = entry
         src = msg.sender.platform if msg.sender else msg.recipient.platform
         dst = msg.recipient.platform
         delay = self.fabric.transfer_time(src, dst, msg.nbytes)
         msg.sent_at = self.engine.now
         # Leaf wait: deliver via the engine's pooled direct-callback path
         # instead of spawning a generator process per message.
-        self.engine.call_later(delay, self._land, (msg, inbox))
+        self.engine.call_later(delay, self._land, (msg, socket))
 
-    def _land(self, flight: Tuple[Message, Store]) -> None:
-        msg, inbox = flight
+    def _land(self, flight: Tuple[Message, _Socket]) -> None:
+        msg, socket = flight
+        if self._endpoints.get(msg.recipient.name) is not socket:
+            # closed (or rebound) while the message was on the wire
+            self._drop(msg)
+            return
         msg.received_at = self.engine.now
         self.delivered_count += 1
-        inbox.put(msg)
+        socket._receive(msg)
+
+    def _drop(self, msg: Message) -> None:
+        # Recipient disappeared (service terminated): drop, like a ZMQ
+        # socket whose peer is gone.
+        self.dropped_count += 1
+        log.warning("dropping message to unbound endpoint %s", msg.recipient)
 
     # -- pub/sub -------------------------------------------------------------------
     def subscribe(self, topic: str, platform: str) -> Subscription:
@@ -273,7 +304,7 @@ class MessageBus:
         if sub.active:
             msg.received_at = self.engine.now
             self.delivered_count += 1
-            sub.inbox.put(msg)
+            sub.inbox.put_nowait(msg)
 
     def _land_pub_batch(self, flights: List[Tuple[Message, Subscription]]) \
             -> None:

@@ -10,11 +10,13 @@ Beyond it the instance supports:
   ``host.max_batch_size`` queued requests into one backend call, whose cost
   model (:meth:`~repro.serving.hosts.ServingHost.infer_batch`) scales
   sub-linearly in batch size;
-* **bounded admission** -- an admission loop moves inbox messages into an
-  internal queue bounded at ``max_queue_depth``; overflowing requests are
-  *shed* with an immediate, typed ``busy`` reply instead of queueing
-  forever (clients retry with backoff, see
-  :class:`~repro.core.client.ServiceClient`);
+* **bounded admission** -- a request is admitted where it lands: the
+  socket hands it to :meth:`ServiceInstance._admit` on arrival (no inbox
+  hop, no admission process), which answers control operations inline and
+  puts inference requests on an internal queue bounded at
+  ``max_queue_depth``; overflowing requests are *shed* with an immediate,
+  typed ``busy`` reply instead of queueing forever (clients retry with
+  backoff, see :class:`~repro.core.client.ServiceClient`);
 * **load telemetry** -- queue depth, in-flight count and an EWMA of the
   marginal per-request service time are published on every heartbeat (both
   on the per-instance topic and the shared
@@ -76,7 +78,6 @@ class ServiceInstance:
         self.max_queue_depth = max_queue_depth
         self._rng = session.rng(f"service.{uid}")
         self._queue: Store = Store(session.engine)
-        self._admission: Optional[Process] = None
         self._workers: List[Process] = []
         self._heartbeat: Optional[Process] = None
         self._running = False
@@ -108,7 +109,11 @@ class ServiceInstance:
 
     @property
     def queue_depth(self) -> int:
-        """Requests admitted and waiting for a worker (plus unread inbox)."""
+        """Requests admitted and waiting for a worker.
+
+        The inbox term counts requests that landed before :meth:`start`;
+        a started service admits on arrival, so it is 0 from then on.
+        """
         return len(self._queue) + self.socket.pending
 
     @property
@@ -117,12 +122,15 @@ class ServiceInstance:
         return self._in_flight
 
     def start(self) -> None:
-        """Spawn admission, worker loops (one per slot) and heartbeats."""
+        """Spawn worker loops (one per slot) and heartbeats; admit arrivals.
+
+        Requests that landed since ``bind`` are admitted now, oldest first.
+        """
         if self._running:
             raise RuntimeError(f"{self.uid} already started")
         self._running = True
         engine = self.session.engine
-        self._admission = engine.process(self._admit())
+        self.socket.handle_with(self._admit)
         for _ in range(self.host.max_concurrency):
             self._workers.append(engine.process(self._worker()))
         self._heartbeat = engine.process(self._beat())
@@ -137,9 +145,6 @@ class ServiceInstance:
         if not self._running:
             return
         self._running = False
-        if self._admission is not None and self._admission.is_alive:
-            self._admission.interrupt("service stopping")
-        self._admission = None
         for worker in self._workers:
             if worker.is_alive:
                 worker.interrupt("service stopping")
@@ -198,43 +203,38 @@ class ServiceInstance:
             return
 
     # -- admission ------------------------------------------------------------------
-    def _admit(self):
-        """Move inbox messages into the bounded internal queue.
+    def _admit(self, msg: Message) -> None:
+        """Admit one landed message into the bounded internal queue.
 
         Control operations (``ping``/``stop``) are handled inline so
         liveness probes never wait behind queued inference work.  Inference
         requests beyond ``max_queue_depth`` are shed with a ``busy`` reply.
+        A message landing on a stopped instance is dropped.
         """
-        engine = self.session.engine
-        try:
-            while self._running:
-                msg: Message = yield self.socket.recv()
-                payload = msg.payload or {}
-                op = payload.get("op", "infer")
-                if op == "ping":
-                    self.socket.reply(msg, {"ok": True, "uid": self.uid},
-                                      meta=self._stamp(msg, engine.now,
-                                                       engine.now))
-                    continue
-                if op == "stop":
-                    self.socket.reply(msg, {"ok": True, "stopped": self.uid})
-                    self.stop()
-                    return
-                if op != "infer":
-                    self.socket.reply(
-                        msg, {"ok": False, "error": f"unknown op {op!r}"},
-                        meta=self._stamp(msg, engine.now, engine.now))
-                    continue
-                if self._draining or (
-                        self.max_queue_depth
-                        and len(self._queue) >= self.max_queue_depth):
-                    self._shed(msg)
-                    continue
-                self._queue.put(msg)
-                self.max_queue_seen = max(self.max_queue_seen,
-                                          len(self._queue))
-        except Interrupt:
+        if not self._running:
             return
+        payload = msg.payload or {}
+        op = payload.get("op", "infer")
+        if op == "infer":
+            if self._draining or (
+                    self.max_queue_depth
+                    and len(self._queue) >= self.max_queue_depth):
+                self._shed(msg)
+                return
+            self._queue.put_nowait(msg)
+            self.max_queue_seen = max(self.max_queue_seen, len(self._queue))
+            return
+        now = self.session.engine.now
+        if op == "ping":
+            self.socket.reply(msg, {"ok": True, "uid": self.uid},
+                              meta=self._stamp(msg, now, now))
+        elif op == "stop":
+            self.socket.reply(msg, {"ok": True, "stopped": self.uid})
+            self.stop()
+        else:
+            self.socket.reply(
+                msg, {"ok": False, "error": f"unknown op {op!r}"},
+                meta=self._stamp(msg, now, now))
 
     def _shed(self, msg: Message) -> None:
         """Reject *msg* with a typed busy reply (no queueing)."""
@@ -294,8 +294,11 @@ class ServiceInstance:
                 "prompt_tokens": result.prompt_tokens,
                 "completion_tokens": result.completion_tokens,
             } for result in results]
-            serialize_s = self.host.serialize_time(
-                sum(estimate_size(p) for p in reply_payloads), self._rng)
+            # size each reply once: serialisation is charged on these sizes
+            # and the wire leg reuses them through the message's cache
+            reply_sizes = [estimate_size(p) for p in reply_payloads]
+            serialize_s = self.host.serialize_time(sum(reply_sizes),
+                                                   self._rng)
             if serialize_s > 0:
                 yield engine.timeout(serialize_s)
 
@@ -306,12 +309,13 @@ class ServiceInstance:
                 self._obs_batch_hist.observe(len(batch))
             self.busy_time_s += span
             self._update_ewma(span / len(batch))
-            for msg, reply_payload in zip(batch, reply_payloads):
-                self.socket.reply(
-                    msg, reply_payload,
-                    meta=self._stamp(msg, infer_start_at, infer_stop_at,
-                                     dequeued_at=dequeued_at,
-                                     batch_size=len(batch)))
+            for msg, reply_payload, nbytes in zip(batch, reply_payloads,
+                                                  reply_sizes):
+                meta = self._stamp(msg, infer_start_at, infer_stop_at,
+                                   dequeued_at=dequeued_at,
+                                   batch_size=len(batch))
+                meta["_nbytes"] = nbytes
+                self.socket.reply(msg, reply_payload, meta=meta)
         finally:
             self._in_flight -= len(batch)
             self._active_dispatches -= 1

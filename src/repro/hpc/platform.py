@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
+import numpy as np
+
 __all__ = [
     "LatencySpec",
     "PlatformSpec",
@@ -43,8 +45,10 @@ class LatencySpec:
 
     def sample(self, rng, size: Optional[int] = None):
         """Draw one-way latency sample(s) in **seconds**."""
-        import numpy as np
-
+        if size is None:
+            # one delivery: plain floats, same bits as the array path
+            return max(rng.normal(self.mean_ms, self.std_ms),
+                       self.floor_ms) * 1e-3
         draw = rng.normal(self.mean_ms, self.std_ms, size=size)
         return np.maximum(draw, self.floor_ms) * 1e-3
 

@@ -11,6 +11,7 @@ payloads flowing through the service stack.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import defaultdict
 from typing import Dict, List, Tuple
 
@@ -58,14 +59,18 @@ class MarkovGenerator:
         table: Dict[str, Dict[str, int]] = defaultdict(lambda: defaultdict(int))
         for current, nxt in zip(tokens, tokens[1:]):
             table[current][nxt] += 1
-        # Dense arrays for fast, reproducible sampling.
         self._vocab = sorted({*tokens})
         self._index = {tok: i for i, tok in enumerate(self._vocab)}
-        self._successors: Dict[str, Tuple[List[str], np.ndarray]] = {}
+        # Per token: successor words and their normalised CDF, built the way
+        # ``Generator.choice(p=)`` builds it, so one ``rng.random()`` and a
+        # bisection pick the same successor at the same stream position.
+        self._successors: Dict[str, Tuple[List[str], List[float]]] = {}
         for tok, nexts in table.items():
             words = sorted(nexts)
             counts = np.array([nexts[w] for w in words], dtype=float)
-            self._successors[tok] = (words, counts / counts.sum())
+            cdf = (counts / counts.sum()).cumsum()
+            cdf /= cdf[-1]
+            self._successors[tok] = (words, cdf.tolist())
         self._start_tokens = [t for t in self._vocab
                               if t in self._successors and t not in ".,;:!?"]
 
@@ -95,8 +100,8 @@ class MarkovGenerator:
                 current = self._start_tokens[
                     int(rng.integers(len(self._start_tokens)))]
                 entry = self._successors[current]
-            words, probs = entry
-            current = words[int(rng.choice(len(words), p=probs))]
+            words, cdf = entry
+            current = words[bisect_right(cdf, rng.random())]
             out.append(current)
         return " ".join(out)
 

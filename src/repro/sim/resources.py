@@ -7,7 +7,9 @@
   node with >= 2 free GPUs").
 * :class:`Container`       -- continuous level (e.g. bytes of storage).
 
-All operations return events; processes ``yield`` them.
+All operations return events; processes ``yield`` them.  The one exception
+is :meth:`Store.put_nowait`, for producers that never wait for room: it
+deposits without allocating or scheduling a :class:`StorePut`.
 """
 
 from __future__ import annotations
@@ -193,6 +195,19 @@ class Store:
         self._putters.append(event)
         self._dispatch()
         return event
+
+    def put_nowait(self, item: Any) -> None:
+        """Deposit *item* now, without a :class:`StorePut` event.
+
+        For producers that discard the put event: same items to the same
+        getters in the same order as :meth:`put`, one kernel event fewer.
+        Raises when the store has no room or earlier putters still wait.
+        """
+        if self._putters or len(self.items) >= self.capacity:
+            raise RuntimeError("put_nowait on a full store")
+        self.items.append(item)
+        if self._getters:
+            self._match_getter()
 
     def get(self) -> StoreGet:
         """Withdraw the oldest item; triggers once one is available."""

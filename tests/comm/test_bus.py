@@ -159,6 +159,122 @@ class TestReqRep:
         assert out["r"] == "HELLO"
 
 
+class TestLanding:
+    """A message lands where it is consumed, or is dropped -- never parked."""
+
+    def test_message_landing_after_close_is_dropped(self, setup):
+        engine, _, bus = setup
+        server = bus.bind("svc", platform="delta")
+        client = bus.connect(platform="delta")
+        client.request(server.address, {"op": "infer"})
+        server.close()                        # request is on the wire
+        engine.run(until=1.0)
+        assert bus.delivered_count == 0
+        assert bus.dropped_count == 1
+        assert len(server.inbox) == 0         # nothing retained
+        assert bus.lookup("svc") is None
+
+    def test_reply_landing_after_client_close_is_dropped(self, setup):
+        engine, _, bus = setup
+        server = bus.bind("svc", platform="delta")
+        bus.serve(server, handler=lambda msg: "pong")
+        client = bus.connect(platform="delta")
+        reply = client.request(server.address, "ping")
+        while bus.delivered_count < 1 or engine.peek() <= engine.now:
+            engine.step()                     # request lands, reply leaves
+        assert client.in_flight == 1 and bus.dropped_count == 0
+        client.close()
+        engine.run(until=1.0)
+        assert not reply.triggered
+        assert (bus.delivered_count, bus.dropped_count) == (1, 1)
+
+    def test_rebound_name_does_not_inherit_messages_in_flight(self, setup):
+        engine, _, bus = setup
+        old = bus.bind("svc", platform="delta")
+        client = bus.connect(platform="delta")
+        client.send(old.address, "for the old socket")
+        old.close()
+        new = bus.bind("svc", platform="delta")
+        engine.run(until=1.0)
+        assert bus.dropped_count == 1
+        assert len(old.inbox) == len(new.inbox) == 0
+
+    def test_connect_starts_no_process(self, setup):
+        engine, _, bus = setup
+        client = bus.connect(platform="delta")
+        assert engine.peek() == float("inf")  # nothing scheduled
+        client.close()
+        engine.run()
+        assert engine.peek() == float("inf")
+
+    def test_unmatched_reply_is_warned_about_not_delivered(self, setup,
+                                                           monkeypatch):
+        engine, _, bus = setup
+        server = bus.bind("svc", platform="delta")
+        bus.serve(server, handler=lambda msg: "late")
+        client = bus.connect(platform="delta")
+        reply = client.request(server.address, "ping")
+        assert client.cancel_request(reply)
+        warned = []
+        monkeypatch.setattr("repro.comm.bus.log.warning",
+                            lambda fmt, *args: warned.append(fmt % args))
+        engine.run(until=1.0)
+        assert not reply.triggered
+        assert len(warned) == 1 and "unmatched reply" in warned[0]
+
+    def test_handle_with_takes_over_the_backlog_oldest_first(self, setup):
+        engine, _, bus = setup
+        server = bus.bind("svc", platform="delta")
+        client = bus.connect(platform="delta")
+        client.send(server.address, "first")
+        engine.run(until=1.0)
+        client.send(server.address, "second")
+        engine.run(until=2.0)
+        assert server.pending == 2
+        seen = []
+        server.handle_with(lambda msg: seen.append(msg.payload))
+        assert seen == ["first", "second"] and server.pending == 0
+        client.send(server.address, "third")
+        engine.run(until=3.0)
+        assert seen == ["first", "second", "third"] and server.pending == 0
+
+    def test_pull_and_push_consumers_see_the_same_arrivals(self):
+        def arrivals(push):
+            engine = SimulationEngine()
+            fabric = Fabric(RngHub(4).stream("fabric"))
+            fabric.add_platform(DELTA)
+            fabric.add_platform(R3)
+            bus = MessageBus(engine, fabric)
+            server = bus.bind("svc", platform="r3")
+            clients = [bus.connect(platform=p, name=f"c{i}")
+                       for i, p in enumerate(("delta", "r3", "delta"))]
+            seen = []
+            if push:
+                server.handle_with(
+                    lambda msg: seen.append((msg.payload, msg.received_at)))
+            else:
+                def loop():
+                    while True:
+                        msg = yield server.recv()
+                        assert msg.received_at == engine.now
+                        seen.append((msg.payload, msg.received_at))
+                engine.process(loop())
+
+            def sender(i, client):
+                gaps = RngHub(9).stream(f"gaps.{i}")
+                for k in range(20):
+                    yield engine.timeout(float(gaps.exponential(2e-4)))
+                    client.send(server.address, (i, k))
+            for i, client in enumerate(clients):
+                engine.process(sender(i, client))
+            engine.run()
+            return seen
+
+        pulled, pushed = arrivals(push=False), arrivals(push=True)
+        assert len(pulled) == 60
+        assert pushed == pulled
+
+
 class TestPubSub:
     def test_publish_reaches_all_subscribers(self, setup):
         engine, _, bus = setup

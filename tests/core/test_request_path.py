@@ -1,0 +1,186 @@
+"""The request path end to end: what one request/reply costs the kernel,
+that nothing sent before ``start()`` is lost, and that the paper's
+RT = communication + service + inference split does not move."""
+
+import pytest
+
+from repro import (
+    ServiceClient,
+    ServiceDescription,
+    ServiceInstance,
+    ServiceManager,
+    Session,
+)
+from repro.serving.hosts import create_host
+from repro.sim.events import Process
+
+
+def bound_instance(session, model="noop"):
+    """A bound but not yet started instance (no manager, no bootstrap)."""
+    socket = session.bus.bind(session.ids.generate("svc.rp"),
+                              platform="delta")
+    instance = ServiceInstance(session, f"{socket.address.name}.inst",
+                               socket, create_host("ollama", model),
+                               heartbeat_interval_s=1e6)
+    return instance, socket.address
+
+
+# ---------------------------------------------------------------------------
+# Event budget: 2 wire legs + 1 queue hand-off + 3 modelled delays + 1 reply
+# resolution, and nothing for forwarding inside the process
+# ---------------------------------------------------------------------------
+
+def engine_entries_and_resumed(n_requests, monkeypatch):
+    """Engine entries made, and processes resumed, by *n_requests* infers."""
+    with Session(seed=5) as session:
+        engine = session.engine
+        instance, address = bound_instance(session)
+        instance.start()
+        client = ServiceClient(session, platform="delta")
+        session.run(until=1.0)                # workers and heartbeat settle
+
+        entries = [0]
+        schedule, call_later = engine.schedule, engine.call_later
+
+        def counted_schedule(*args, **kwargs):
+            entries[0] += 1
+            return schedule(*args, **kwargs)
+
+        def counted_call_later(*args, **kwargs):
+            entries[0] += 1
+            return call_later(*args, **kwargs)
+
+        engine.schedule = counted_schedule
+        engine.call_later = counted_call_later
+        resumed = set()
+        resume = Process._resume
+        monkeypatch.setattr(
+            Process, "_resume",
+            lambda proc, event: (resumed.add(proc), resume(proc, event))[1])
+
+        def caller():
+            for _ in range(n_requests):
+                result = yield from client.infer(address, "noop")
+                assert result.ok
+        proc = engine.process(caller())
+        session.run(until=proc)
+        monkeypatch.undo()
+        assert instance.requests_handled == n_requests
+        return entries[0], resumed, {proc, *instance._workers}
+
+
+def test_one_request_costs_seven_engine_entries(monkeypatch):
+    few, _, _ = engine_entries_and_resumed(50, monkeypatch)
+    many, resumed, expected = engine_entries_and_resumed(100, monkeypatch)
+    assert (many - few) / 50 == 7             # start-up constants cancel
+    # no relay process sits between the caller and the worker
+    assert resumed == expected
+
+
+# ---------------------------------------------------------------------------
+# Backlog hand-over: bind and start() are a registry round trip apart
+# ---------------------------------------------------------------------------
+
+def test_requests_sent_before_start_are_served_after_it_in_order():
+    with Session(seed=5) as session:
+        engine = session.engine
+        instance, address = bound_instance(session)
+        sock = session.bus.connect("delta")
+        early = []
+        for i in range(2):                    # the first lands, then the next
+            early.append(sock.request(address,
+                                      {"op": "infer", "prompt": str(i)}))
+            session.run(until=0.5 * (i + 1))
+        assert not any(e.triggered for e in early)
+        assert instance.queue_depth == 2      # waiting in the socket inbox
+        order = []
+        for i, event in enumerate(early):
+            event.callbacks.append(lambda ev, i=i: order.append(i))
+
+        instance.start()
+        assert instance.socket.pending == 0   # handed over on start
+        late = sock.request(address, {"op": "infer", "prompt": "late"})
+        late.callbacks.append(lambda ev: order.append("late"))
+        session.run(until=engine.all_of(early + [late]))
+
+        assert order == [0, 1, "late"]
+        assert all(e.value.payload["ok"] for e in early + [late])
+        assert [e.value.meta["received_at"] for e in early] \
+            == sorted(e.value.meta["received_at"] for e in early)
+        assert early[0].value.meta["received_at"] < 1.0 \
+            <= early[0].value.meta["dequeued_at"]
+        assert instance.queue_depth == 0
+        instance.stop()
+
+
+def test_message_landing_on_a_stopped_instance_is_dropped():
+    with Session(seed=5) as session:
+        instance, address = bound_instance(session)
+        instance.start()
+        sock = session.bus.connect("delta")
+        reply = sock.request(address, {"op": "infer", "prompt": "x"})
+        instance.stop()                       # request still on the wire
+        session.run(until=1.0)
+        assert not reply.triggered
+        assert session.bus.dropped_count == 1
+        assert instance.queue_depth == 0 and instance.requests_handled == 0
+
+
+# ---------------------------------------------------------------------------
+# RT decomposition (paper Experiment 2): exact closure, parent's literals
+# ---------------------------------------------------------------------------
+
+#: (response_time, service_time, inference_time) per result, client by
+#: client; produced on the commit before admission-on-arrival
+RT_SPLIT = [
+    (0.00012710576349739267, 4.709760445975597e-06, 1.999999999946489e-06),
+    (0.0838712465575917, 5.944363131615837e-06, 0.08291048304508253),
+    (0.00012766789828122516, 5.951876174359327e-06, 1.999999999946489e-06),
+    (0.1751841204699368, 0.09395956707448683, 0.08029881322729748),
+    (0.00012265150073509368, 5.620244769244387e-06, 1.999999999946489e-06),
+    (0.17885761015083046, 0.0829054013647258, 0.09500632133259124),
+    (0.00014202372807847752, 5.89808133821812e-06, 2.0000000000575113e-06),
+    (0.136433453404311, 0.07917095732362234, 0.05625314704744966),
+]
+
+
+def test_rt_split_closes_and_matches_the_parent():
+    with Session(seed=21) as session:
+        smgr = ServiceManager(session, registry_platform="delta")
+        handles = [
+            smgr.start_remote(ServiceDescription(model="noop"),
+                              platform="delta"),
+            smgr.start_remote(ServiceDescription(model="llama-8b"),
+                              platform="r3"),
+        ]
+        session.run(until=smgr.wait_ready(handles))
+        targets = [h.address for h in handles]
+        clients = [ServiceClient(session, platform="delta")
+                   for _ in range(2)]
+        metas = []
+        for client in clients:
+            def spy(reply, t0, t1, decompose=client._decompose):
+                result = decompose(reply, t0, t1)
+                metas.append((result, reply.meta))
+                return result
+            client._decompose = spy
+
+        def work(client):
+            yield from client.run_workload(targets, 4, prompt="the runtime",
+                                           params={"max_tokens": 4})
+        procs = [session.engine.process(work(c)) for c in clients]
+        session.run(until=session.engine.all_of(procs))
+
+        results = [r for c in clients for r in c.results]
+        assert len(results) == len(metas) == 8
+        for result, meta in metas:
+            assert (result.communication + result.service_time
+                    + result.inference_time) \
+                == pytest.approx(result.response_time, rel=1e-12)
+            assert result.queue_time \
+                == meta["dequeued_at"] - meta["received_at"] >= 0
+            assert result.queue_time <= result.service_time
+        assert any(r.queue_time > 0 for r in results)   # the split has teeth
+        assert [(r.response_time, r.service_time, r.inference_time)
+                for r in results] \
+            == [pytest.approx(row, rel=1e-9) for row in RT_SPLIT]

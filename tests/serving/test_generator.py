@@ -1,8 +1,12 @@
 """Tests for the Markov text generator."""
 
+from collections import Counter, defaultdict
+
+import numpy as np
 import pytest
 
 from repro.serving import MarkovGenerator, tokenize
+from repro.serving.generator import SEED_CORPUS
 from repro.sim import RngHub
 
 
@@ -58,3 +62,43 @@ class TestMarkovGenerator:
     def test_tiny_corpus_rejected(self):
         with pytest.raises(ValueError):
             MarkovGenerator("one")
+
+
+class TestStoredCdfSampling:
+    """Successors come from a stored CDF; ``choice(p=)`` is the spec."""
+
+    def test_every_table_picks_what_choice_picks(self, gen):
+        tokens = tokenize(SEED_CORPUS)
+        table = defaultdict(Counter)
+        for current, nxt in zip(tokens, tokens[1:]):
+            table[current][nxt] += 1
+        assert set(table) == set(gen._successors)
+        for tok, nexts in table.items():
+            words = sorted(nexts)
+            counts = np.array([nexts[w] for w in words], dtype=float)
+            probs = counts / counts.sum()
+            spec, mine = np.random.default_rng(5), np.random.default_rng(5)
+            for _ in range(300):
+                want = words[int(spec.choice(len(words), p=probs))]
+                assert gen.generate(tok, 1, mine) == want, tok
+            # one uniform draw per pick: both streams sit at the same place
+            assert spec.random() == mine.random(), tok
+
+    @pytest.mark.parametrize("seed, prompt, text", [
+        (0, "the runtime",
+         "system manages heterogeneous tasks onto nodes respecting core and "
+         "retrieves outputs afterwards . the scheduler places tasks through "
+         "well defined request reply protocols ."),
+        (7, "hybrid workflows",
+         "combining traditional hpc and retrieves outputs afterwards . the "
+         "runtime system manages heterogeneous tasks through well defined "
+         "request reply protocols . uncertainty quantification evaluates"),
+        (3, "zzzqqqxxx",
+         ". experimental results show that concurrent execution of output "
+         "tokens . pathway enrichment analysis combines annotated variants "
+         "with the compute platform before execution and"),
+    ])
+    def test_generated_text_is_what_choice_produced(self, gen, seed, prompt,
+                                                    text):
+        # literals produced with ``rng.choice(len(words), p=probs)``
+        assert gen.generate(prompt, 24, RngHub(seed).stream("g")) == text

@@ -1,6 +1,7 @@
 """Unit tests for simulation resource primitives."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
     Container,
@@ -200,6 +201,85 @@ class TestStore:
         store.put(2)
         engine.run()
         assert len(store) == 2
+
+
+class TestStorePutNowait:
+    """``put_nowait`` is ``put`` without the event nobody reads."""
+
+    @staticmethod
+    def _replay(ops, deposit):
+        """Run *ops* (True = deposit the next integer, False = get)."""
+        engine = SimulationEngine()
+        store = Store(engine)
+        gets, served, lengths, n = [], [], [], 0
+        for is_put in ops:
+            if is_put:
+                deposit(store, n)
+                n += 1
+            else:
+                event = store.get()
+                event.callbacks.append(
+                    lambda ev, k=len(gets): served.append((k, ev.value)))
+                gets.append(event)
+            lengths.append(len(store))
+        engine.run()
+        return served, lengths, list(store.items), \
+            [g.triggered for g in gets]
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(st.booleans(), max_size=40))
+    def test_same_items_to_same_getters_in_same_order(self, ops):
+        with_put = self._replay(ops, lambda store, item: store.put(item))
+        nowait = self._replay(ops,
+                              lambda store, item: store.put_nowait(item))
+        assert nowait == with_put
+
+    def test_schedules_no_event(self, engine):
+        store = Store(engine)
+        store.put_nowait("a")
+        assert engine.peek() == float("inf") and len(store) == 1
+        store.put("b")
+        assert engine.peek() == 0.0           # the StorePut itself
+
+    def test_wakes_a_blocked_getter(self, engine):
+        store = Store(engine)
+        got = []
+        def getter():
+            got.append((yield store.get()))
+        engine.process(getter())
+        engine.run()
+        store.put_nowait("late")
+        assert len(store) == 0                # handed over, not parked
+        engine.run()
+        assert got == ["late"]
+
+    def test_full_bounded_store_raises(self, engine):
+        store = Store(engine, capacity=1)
+        store.put_nowait("a")
+        with pytest.raises(RuntimeError, match="full"):
+            store.put_nowait("b")
+        assert list(store.items) == ["a"]
+
+    def test_raises_behind_queued_putters(self, engine):
+        store = Store(engine, capacity=1)
+        store.put("a")
+        blocked = store.put("b")
+        store.get()                           # frees the slot for "b" ...
+        engine.run()
+        assert blocked.triggered and list(store.items) == ["b"]
+        waiting = store.put("c")              # ... and "c" queues again
+        with pytest.raises(RuntimeError):
+            store.put_nowait("d")
+        assert not waiting.triggered
+
+    def test_filter_store_serves_the_matching_getter(self, engine):
+        store = FilterStore(engine)
+        pear = store.get(lambda x: x == "pear")
+        store.put_nowait("apple")
+        store.put_nowait("pear")
+        engine.run()
+        assert pear.value == "pear"
+        assert list(store.items) == ["apple"]
 
 
 class TestFilterStore:
