@@ -12,19 +12,23 @@ Two payload kinds (matching :class:`repro.pilot.description.TaskDescription`):
 
 The concurrent-launch counter feeds the launcher cost model: Experiment 1's
 launch component grows past ~160 *simultaneous* launches (Fig. 3).
+
+On the task path the executor owns a task from the grant's landing to the
+end of its payload and advances it from the landings of its own timers
+(:meth:`AgentExecutor.start`); :meth:`AgentExecutor.launch` is the generator
+form of the launch phase alone, for the service bootstrap.
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING
 
 from ...hpc.launcher import LaunchMethod, get_launcher
-from ...hpc.node import Slot
 from ...resilience.failures import classify_failure
 from ...sim.engine import RealtimeEngine
-from ...sim.events import Interrupt
 from ...utils.log import get_logger
+from ..task import EXEC, LAUNCH, PLACED
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..session import Session
@@ -90,83 +94,132 @@ class AgentExecutor:
         profiler.record(engine.now, task.uid, "launch_stop", self.pilot_uid)
         return cost
 
-    def execute(self, task: "Task", slots: List[Slot]):
-        """Simulation process body: launch + run the task payload.
-
-        The task must already hold *slots*.  Raises the task's exception on
-        failure; cancellation arrives as :class:`Interrupt` and is re-raised
-        to the driving process after cleanup.
-        """
-        if not slots:
+    # -- the task path: one landing per timer ---------------------------------------
+    def start(self, task: "Task") -> None:
+        """Own a task that holds slots until its payload is over:
+        ``_launched`` and ``_exec_done`` are the landings of the launch and
+        exec timers (``pre_exec_s`` adds ``_run``), then the agent has it
+        back.  An exception escaping a landing goes to its TaskManager's
+        unwind, of which :meth:`abort` is the executor's part."""
+        if not task.slots:
             raise ExecutionError(f"{task.uid}: executing without slots")
-        d = task.description
         engine = self.session.engine
-        profiler = self.session.profiler
+        self._launching += 1
+        task.phase = LAUNCH
+        self.session.profiler.record(engine.now, task.uid, "launch_start",
+                                     self.pilot_uid)
+        task.wait = engine.call_later(self.launch_cost(), self._launched,
+                                      task)
 
-        yield from self.launch(task)
-
-        if d.pre_exec_s > 0:
-            yield engine.timeout(d.pre_exec_s)
-
-        profiler.record(engine.now, task.uid, "exec_start", self.pilot_uid)
-        self._executing += 1
-        started = engine.now
+    def _launched(self, task: "Task") -> None:
+        task.wait = None
         try:
-            if d.function is not None:
-                task.result = yield from self._run_function(task)
+            engine = self.session.engine
+            self._launching -= 1
+            task.phase = PLACED
+            self.session.profiler.record(engine.now, task.uid, "launch_stop",
+                                         self.pilot_uid)
+            pre_exec_s = task.description.pre_exec_s
+            if pre_exec_s > 0:
+                task.wait = engine.call_later(pre_exec_s, self._run, task)
             else:
-                duration = self._duration(task)
-                if duration > 0:
-                    yield engine.timeout(duration)
-                task.result = None
-            task.exit_code = 0
-        except Interrupt:
-            task.exit_code = None
-            profiler.record(engine.now, task.uid, "exec_cancel",
-                            self.pilot_uid)
-            raise
+                self._run(task)
         except Exception as exc:
-            task.exception = exc
-            task.exit_code = 1
-            task.record_failure(classify_failure(
-                exc, at=engine.now, attempt=task.attempts, phase="agent",
-                component=self.pilot_uid,
-                wasted_core_s=(engine.now - started) * task.n_cores))
-            profiler.record(engine.now, task.uid, "exec_fail", self.pilot_uid)
-            raise
-        finally:
-            self._executing -= 1
-            task.runtime_s = engine.now - started
-        profiler.record(engine.now, task.uid, "exec_stop", self.pilot_uid)
-        return task.result
+            task.owner._unwind(task, exc)
 
-    # -- function payloads ------------------------------------------------------------
-    def _run_function(self, task: "Task"):
-        d = task.description
-        engine = self.session.engine
-        if isinstance(engine, RealtimeEngine):
-            # Run on the worker pool; inject completion into the engine.
-            done = engine.event()
-            future = self.session.worker_pool.submit(
-                d.function, *d.fn_args, **dict(d.fn_kwargs))
+    def _run(self, task: "Task") -> None:
+        """Start the payload (a landing after ``pre_exec_s``, else inline)."""
+        task.wait = None
+        try:
+            d = task.description
+            engine = self.session.engine
+            self.session.profiler.record(engine.now, task.uid, "exec_start",
+                                         self.pilot_uid)
+            self._executing += 1
+            task.phase = EXEC
+            task.exec_started = engine.now
+            if d.function is None:
+                charge, landing, arg = \
+                    self._duration(task), self._exec_done, task
+            elif isinstance(engine, RealtimeEngine):
+                # on the session's worker pool; the completion is injected
+                # back into the engine thread
+                task.wait = future = self.session.worker_pool.submit(
+                    d.function, *d.fn_args, **dict(d.fn_kwargs))
+                future.add_done_callback(lambda fut: engine.call_soon_threadsafe(
+                    self._worker_done, task, fut))
+                return
+            else:
+                # Virtual time: run inline, charge modeled (or measured)
+                # duration; the result is the task's once that has passed.
+                try:
+                    wall0 = _time.perf_counter()
+                    result = d.function(*d.fn_args, **dict(d.fn_kwargs))
+                    measured = _time.perf_counter() - wall0
+                except Exception as exc:
+                    self._payload_failed(task, exc)
+                    return
+                charge = self._duration(task)
+                if d.duration_s <= 0:
+                    charge = measured
+                landing, arg = self._returned, (task, result)
+            if charge > 0:
+                task.wait = engine.call_later(charge, landing, arg)
+            else:
+                landing(arg)
+        except Exception as exc:
+            task.owner._unwind(task, exc)
 
-            def _notify(fut):
-                exc = fut.exception()
-                if exc is not None:
-                    engine.call_soon_threadsafe(done.fail, exc)
-                else:
-                    engine.call_soon_threadsafe(done.succeed, fut.result())
+    def _returned(self, flight: tuple) -> None:
+        task, result = flight
+        task.result = result
+        self._exec_done(task)
 
-            future.add_done_callback(_notify)
-            result = yield done
-            return result
+    def _worker_done(self, task: "Task", future) -> None:
+        if task.wait is not future:
+            return  # the attempt was interrupted while the worker ran
+        exc = future.exception()
+        if exc is not None:
+            task.wait = None
+            self._payload_failed(task, exc)
+        else:
+            task.result = future.result()
+            self._exec_done(task)
 
-        # Virtual time: run inline, charge modeled (or measured) duration.
-        wall0 = _time.perf_counter()
-        result = d.function(*d.fn_args, **dict(d.fn_kwargs))
-        measured = _time.perf_counter() - wall0
-        duration = self._duration(task)
-        charge = duration if d.duration_s > 0 else measured
-        if charge > 0:
-            yield engine.timeout(charge)
-        return result
+    def _exec_done(self, task: "Task") -> None:
+        task.wait = None
+        try:
+            task.exit_code = 0
+            self._stopped(task, "exec_stop")
+            task.pilot.agent._executed(task)
+        except Exception as exc:
+            task.owner._unwind(task, exc)
+
+    def _stopped(self, task: "Task", event: str) -> None:
+        """The payload is off the cores, however it ended."""
+        now = self.session.engine.now
+        self._executing -= 1
+        task.phase = PLACED
+        task.runtime_s = now - task.exec_started
+        self.session.profiler.record(now, task.uid, event, self.pilot_uid)
+
+    def _payload_failed(self, task: "Task", exc: BaseException) -> None:
+        now = self.session.engine.now
+        task.exception = exc
+        task.exit_code = 1
+        task.record_failure(classify_failure(
+            exc, at=now, attempt=task.attempts, phase="agent",
+            component=self.pilot_uid,
+            wasted_core_s=(now - task.exec_started) * task.n_cores))
+        self._stopped(task, "exec_fail")
+        task.owner._unwind(task, exc)
+
+    def abort(self, task: "Task") -> None:
+        """Unwind table, executor side (the timer is already withdrawn): a
+        launch no longer feeds the cost of the others; a payload was
+        killed -- no exit code, ``exec_cancel``."""
+        if task.phase == LAUNCH:
+            self._launching -= 1
+        elif task.phase == EXEC:
+            task.exit_code = None
+            self._stopped(task, "exec_cancel")

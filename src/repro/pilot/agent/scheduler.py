@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from ...hpc.node import NodeList, NodeState, Slot
 from ...sim.events import Event
@@ -81,7 +81,7 @@ log = get_logger("pilot.agent.scheduler")
 #: colocation group (None for ungrouped requests)
 ShapeKey = Tuple[int, int, float, int, Optional[str]]
 
-#: pending-queue entry: [(-priority), seq, task, event, alive]
+#: pending-queue entry: [(-priority), seq, task, event or landing, alive]
 _ALIVE = 4
 
 
@@ -219,20 +219,32 @@ class AgentScheduler:
                 d.ranks, group)
 
     # -- public API ------------------------------------------------------------
-    def schedule(self, task: "Task") -> Event:
-        """Request slots for *task*; event succeeds with ``List[Slot]``."""
-        event = self.session.engine.event()
+    def schedule(self, task: "Task", landing: Any = None) -> Optional[Event]:
+        """Request slots for *task*; event succeeds with ``List[Slot]``.
+
+        With *landing* (the owning agent's grant handler) no event is made:
+        the grant schedules ``landing(task)`` where the event's callbacks
+        would have run -- one zero-delay kernel entry later, the handle in
+        ``task.wait`` -- and a request that can never be granted raises.
+        """
         if task.uid in self._held:
-            event.fail(SchedulerError(f"{task.uid} already holds slots"))
-            return event
-        if task.uid in self._entries:
-            event.fail(SchedulerError(f"{task.uid} is already queued"))
-            return event
-        if not self._feasible(task):
-            event.fail(SchedulerError(
-                f"{task.uid} can never fit on pilot {self.pilot_uid}: "
-                f"needs {task.n_cores}c/{task.n_gpus}g"))
-            return event
+            error = f"{task.uid} already holds slots"
+        elif task.uid in self._entries:
+            error = f"{task.uid} is already queued"
+        elif not self._feasible(task):
+            error = (f"{task.uid} can never fit on pilot {self.pilot_uid}: "
+                     f"needs {task.n_cores}c/{task.n_gpus}g")
+        else:
+            error = None
+        if landing is not None:
+            if error is not None:
+                raise SchedulerError(error)
+            event = landing
+        else:
+            event = self.session.engine.event()
+            if error is not None:
+                event.fail(SchedulerError(error))
+                return event
         shape = self._shape_of(task)
         if shape in self._infeasible:
             # Known-unplaceable at current capacity: enqueue without a
@@ -241,18 +253,19 @@ class AgentScheduler:
             # shrinks between increases, so trying again cannot succeed.
             self.stats.memo_hits += 1
             self._enqueue(shape, task, event)
-            return event
-        # Invariant: a shape absent from the memo has no queued entries
-        # (they were all granted or the shape is memoised), so attempting
-        # just this request preserves the global grant order -- all other
-        # pending work is currently unplaceable by construction.
-        slots = self._place(task)
-        if slots is None:
-            self._infeasible.add(shape)
-            self._enqueue(shape, task, event)
-            return event
-        self._grant(task, event, slots)
-        return event
+        else:
+            # Invariant: a shape absent from the memo has no queued entries
+            # (they were all granted or the shape is memoised), so
+            # attempting just this request preserves the global grant order
+            # -- all other pending work is currently unplaceable by
+            # construction.
+            slots = self._place(task)
+            if slots is None:
+                self._infeasible.add(shape)
+                self._enqueue(shape, task, event)
+            else:
+                self._grant(task, event, slots)
+        return None if event is landing else event
 
     def release(self, task: "Task") -> None:
         """Return a task's slots and re-run placement for waiters."""
@@ -311,7 +324,7 @@ class AgentScheduler:
         return list(self._held)
 
     # -- queue plumbing ----------------------------------------------------------
-    def _enqueue(self, shape: ShapeKey, task: "Task", event: Event) -> None:
+    def _enqueue(self, shape: ShapeKey, task: "Task", event: Any) -> None:
         entry = [-task.description.priority, next(self._seq), task, event,
                  True]
         heappush(self._shape_queues.setdefault(shape, []), entry)
@@ -331,7 +344,7 @@ class AgentScheduler:
             heappop(queue)
         return None
 
-    def _grant(self, task: "Task", event: Event,
+    def _grant(self, task: "Task", event: Any,
                slots: List[Slot]) -> None:
         self._held[task.uid] = slots
         for slot in slots:
@@ -345,7 +358,10 @@ class AgentScheduler:
         if self._obs_metrics is not None:
             queued_at = self._obs_enqueued_at.pop(task.uid, now)
             self._obs_grant_hist.observe(now - queued_at)
-        event.succeed(slots)
+        if isinstance(event, Event):
+            event.succeed(slots)
+        else:  # the agent's landing: same queue position as the event
+            task.wait = self.session.engine.call_later(0.0, event, task)
 
     def _drop_node_held(self, node_index: int, uid: str) -> None:
         holders = self._node_held.get(node_index)

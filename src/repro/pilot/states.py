@@ -126,6 +126,8 @@ class StateModel:
                  final: Tuple[str, ...]) -> None:
         self.transitions = transitions
         self.final = final
+        #: profile event name of each state, built once
+        self.events = {state: f"state:{state}" for state in transitions}
 
     def check(self, current: str, target: str) -> None:
         """Raise :class:`StateError` unless ``current -> target`` is legal."""

@@ -3,6 +3,11 @@
 Entities pair a user description with live state: lifecycle state (enforced
 by :mod:`repro.pilot.states`), placement (pilot binding, slots), results and
 an engine event that observers can wait on.
+
+A :class:`Task` is a *record*: it runs nothing itself.  Between submission
+and completion one component at a time owns it, notes in ``phase`` what the
+task waits for and in ``wait`` the handle of that wait, and advances the
+record when the wait is over (:mod:`repro.pilot.task_manager`).
 """
 
 from __future__ import annotations
@@ -26,6 +31,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Task", "Pilot"]
 
+# ``Task.phase``: what a task in the pipeline waits for (None = queued behind
+# a chunk or window, or the attempt is over).  The TaskManager's phases are
+# named like the failure phase an error there is reported under.
+STARTING = "starting"      # in a start batch that has not landed yet
+BINDING = "binding"        # bound, waiting for the pilot to become active
+STAGE_IN = "stage_in"
+QUEUED = "queued"          # agent: waiting for slots or for the grant to land
+LAUNCH = "launch"          # executor: launch timer, counted in _launching
+PLACED = "placed"          # executor: holds slots, in neither counter
+EXEC = "exec"              # executor: exec timer, counted in _executing
+STAGE_OUT = "stage_out"    # slots released: stage-out and the final state
+RECOVERING = "recovering"  # FAILED, a retry plan decides
+
 
 class _StatefulEntity:
     """Shared machinery: validated state + profile + state callbacks."""
@@ -43,10 +61,12 @@ class _StatefulEntity:
         """Move to *target* state; records profile + notifies callbacks."""
         self._model.check(self.state, target)
         self.state = target
-        self.session.profiler.record(self.session.engine.now, self.uid,
-                                     f"state:{target}", component)
-        for callback in list(self._callbacks):
-            callback(self, target)
+        session = self.session
+        session.profiler.record(session.engine.now, self.uid,
+                                self._model.events[target], component)
+        if self._callbacks:
+            for callback in list(self._callbacks):
+                callback(self, target)
 
     def on_state(self, callback: Callable[[Any, str], None]) -> None:
         """Register ``callback(entity, new_state)`` for every transition."""
@@ -92,6 +112,18 @@ class Task(_StatefulEntity):
         #: usually unset -- campaign nodes parent via the tracer's ambient
         #: context instead
         self.trace_parent = None
+        # The record its owner advances.  Every field is assigned here,
+        # used or not, so instances share one key table (an attribute first
+        # set later costs each task its own dict):
+        self._obs_submitted_at: Optional[float] = None  # telemetry plane
+        self.owner = None  # the TaskManager the task was submitted to
+        self.phase: Optional[str] = None  # what it waits for (see above)
+        #: handle of that wait: ``Deferred`` / future (cancel), ``Routine``
+        #: (throw), or None while nothing is armed
+        self.wait: Any = None
+        #: the pilot this attempt is bound to (in its live-bound load)
+        self.pilot: Optional["Pilot"] = None
+        self.exec_started: Optional[float] = None  # payload start
 
     @property
     def is_final(self) -> bool:

@@ -1,10 +1,24 @@
-"""TaskManager: accepts tasks, binds them to pilots, drives their lifecycle.
+"""TaskManager: accepts tasks, binds them to pilots, owns their outcome.
 
-One driver process per task walks the pipeline of Fig. 2: TMGR scheduling
-(pilot binding) -> input staging (DataManager) -> agent scheduling ->
-execution -> output staging -> final state.  Failures are captured on the
-task (never crash the manager); cancellation interrupts the driver at
-whatever phase it is in, with slot cleanup guaranteed by the agent.
+A task is a record, and every step of the pipeline of Fig. 2 -- TMGR
+scheduling (pilot binding) -> input staging (DataManager) -> agent
+scheduling -> execution -> output staging -> final state -- is a plain
+method of the component that owns the task at that point (TaskManager:
+binding, staging, the outcome; Agent: queued for slots, release;
+AgentExecutor: the launch and exec timers), run inside the kernel entry
+that ended the previous wait.  No process, generator or private event per
+task: a plain executable task on an active pilot costs four kernel entries
+-- grant, launch, exec, ``task.completed`` -- plus one start landing per
+submitted batch or feeder chunk (README "task path": the owner table).
+Only a composite wait (the pilot, a staging fan-out, the recovery plan) is
+still a generator, run as a :class:`~repro.sim.events.Routine`: started
+from inside a handler, continued into :meth:`TaskManager._resumed`.
+
+Failures are captured on the task (never crash the manager).  A
+cancellation or injected fault is one URGENT landing, resolved against the
+task's phase *when it lands* by :meth:`TaskManager._unwind` -- as is an
+exception escaping any handler, so slots are released and timers withdrawn
+on every exit path.
 
 Pilot binding is **data-aware** by default: a task whose inputs already
 (partially) live on some pilot's platform -- as replicas registered by the
@@ -26,12 +40,13 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Unio
 from ..data import PLACEMENTS
 from ..data.objects import object_id
 from ..resilience.failures import PilotLost, classify_failure
-from ..sim.events import Event, Interrupt, Process
+from ..sim.events import URGENT, Event, Interrupt, Routine
 from ..utils.log import get_logger
 from .data_manager import DataManager
 from .description import TaskDescription
 from .states import PilotState, TaskState
-from .task import Pilot, Task
+from .task import (BINDING, RECOVERING, STAGE_IN, STAGE_OUT, STARTING, Pilot,
+                   Task)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .session import Session
@@ -40,13 +55,22 @@ __all__ = ["TaskManager", "SubmissionWindow"]
 
 log = get_logger("pilot.tmgr")
 
+#: phases in which the TaskManager itself holds the task; an error in one is
+#: reported under the phase's own name, anywhere else as "agent"
+_OURS = frozenset((STARTING, BINDING, STAGE_IN, STAGE_OUT, RECOVERING))
+
+
+def _until(event: Event):
+    """The smallest composite wait: one event."""
+    yield event
+
 
 class SubmissionWindow:
-    """A counting slot pool bounding concurrently *driven* tasks.
+    """A counting slot pool bounding the tasks concurrently in the pipeline.
 
     Windowed submission replaces the strictly serialized chunk path
     (chunk N+1 starts only when chunk N fully completed) with a sliding
-    window: a new driver starts the moment any in-flight task completes,
+    window: a new task starts the moment any in-flight task completes,
     so the pipe stays full through heterogeneous-duration bags.  One
     window may be shared across many ``submit_tasks`` calls (and even
     TaskManagers) -- that is how the campaign engine applies *global*
@@ -113,13 +137,7 @@ class TaskManager:
         self.affinity_placements = 0
         self._pilots: List[Pilot] = []
         self._tasks: Dict[str, Task] = {}
-        self._drivers: Dict[str, Process] = {}
         self._callbacks: List[Callable[[Task, str], None]] = []
-        # batched state-transition dispatch (see register_batch_callback)
-        self._batch_callbacks: List[
-            Callable[[List[tuple]], None]] = []
-        self._batch_buffer: List[tuple] = []
-        self._batch_armed = False
         self._rr = itertools.count()
         #: live (non-final) tasks bound per pilot uid, kept O(1) so
         #: placement never rescans the task table
@@ -271,32 +289,32 @@ class TaskManager:
 
         This is the **bulk path**: uids for the whole batch are generated
         under one lock acquisition and task handles are materialised
-        up-front, so campaign code holds the full list immediately.
+        up-front, so campaign code holds the full list immediately, and
+        the whole batch is started by one kernel entry.
 
         *chunk_size* bounds control-plane pressure for very large batches:
-        instead of spawning one driver process per task at submit time
-        (100k simultaneous drivers means 100k live generators and queue
-        entries before the first task finishes), drivers are started
-        *chunk_size* tasks at a time -- without *window*, the next chunk
-        starts only when the previous one has fully completed (strict
-        serialization).
+        instead of starting every task at submit time (100k simultaneous
+        starts means 100k queue entries on the agent before the first task
+        finishes), tasks are started *chunk_size* at a time -- without
+        *window*, the next chunk starts only when the previous one has
+        fully completed (strict serialization).
 
         *window* turns chunking into a sliding window: at most *window*
-        tasks hold live drivers, and the next driver (or chunk of
-        *chunk_size* drivers) starts as soon as slots free up, overlapping
+        tasks are in the pipeline, and the next task (or chunk of
+        *chunk_size* tasks) starts as soon as slots free up, overlapping
         chunk N+1's submission with chunk N's completion.  Pass a shared
         :class:`SubmissionWindow` to bound in-flight tasks *across*
         multiple submit calls -- the campaign engine's backpressure.
 
-        *after* defers driver start until the given event triggers
-        (dependency-aware submission: handles exist immediately, drivers
+        *after* defers the start until the given event triggers
+        (dependency-aware submission: handles exist immediately, the tasks
         wait for the upstream completion event).  The event must be one
         that only succeeds (e.g. ``task.completed``, a node-done event).
 
         *on_complete* is invoked as ``on_complete(task)`` when each task's
         completion event fires, whatever the final state.
 
-        Tasks cancelled before their drivers start are skipped, not
+        Tasks cancelled before they are started are skipped, not
         resurrected.  ``None`` everywhere keeps the fully concurrent
         semantics.
         """
@@ -315,6 +333,7 @@ class TaskManager:
         table = self._tasks
         for desc, uid in zip(descriptions, uids):
             task = Task(session, desc, uid)
+            task.owner = self
             for callback in callbacks:
                 task.on_state(callback)
             if on_complete is not None:
@@ -331,10 +350,7 @@ class TaskManager:
             session.engine.process(
                 self._feed_window(tasks, window, chunk_size or 1, after))
         elif (chunk_size is None or chunk_size >= len(tasks)) and not deferred:
-            engine_process = session.engine.process
-            drivers = self._drivers
-            for task in tasks:
-                drivers[task.uid] = engine_process(self._drive(task))
+            self._start(tasks[:])  # the caller owns the list it gets back
         else:
             session.engine.process(
                 self._feed_chunks(tasks, chunk_size or len(tasks), after))
@@ -342,145 +358,221 @@ class TaskManager:
 
     def _feed_chunks(self, tasks: List[Task], chunk_size: int,
                      after: Optional[Event] = None):
-        """Feeder process: start drivers one chunk at a time.
+        """Feeder process: start tasks one chunk at a time.
 
-        Bounds the number of simultaneously live driver generators (and
-        with them pending queue depth on the agent side) without touching
-        per-task semantics -- every task still gets its own driver with the
-        full retry/cancel machinery once its chunk is up.
+        Bounds the number of tasks in the pipeline (and with them pending
+        queue depth on the agent side) without touching per-task semantics
+        -- every task still gets the full retry/cancel machinery once its
+        chunk is up.
         """
         engine = self.session.engine
         if after is not None and not after.processed:
             yield after
         for lo in range(0, len(tasks), chunk_size):
-            chunk = tasks[lo:lo + chunk_size]
-            waits = []
-            for task in chunk:
-                if task.completed.triggered or task.is_final:
-                    continue  # cancelled while queued behind earlier chunks
-                self._drivers[task.uid] = engine.process(self._drive(task))
-                waits.append(task.completed)
-            if waits:
-                yield engine.all_of(waits)
+            # minus those cancelled while queued behind earlier chunks
+            chunk = [t for t in tasks[lo:lo + chunk_size]
+                     if not (t.completed.triggered or t.is_final)]
+            if chunk:
+                self._start(chunk)
+                yield engine.all_of([t.completed for t in chunk])
 
     def _feed_window(self, tasks: List[Task], window: SubmissionWindow,
                      chunk_size: int, after: Optional[Event] = None):
-        """Feeder process: start drivers under a sliding in-flight window.
+        """Feeder process: start tasks under a sliding in-flight window.
 
-        Each task holds one window slot from driver start to completion;
+        Each task holds one window slot from its start to completion;
         slots free as tasks finish, so submission overlaps completion
         instead of barriering on whole chunks.  With ``chunk_size > 1``
-        drivers spawn in bursts (the slots for a burst are acquired
-        atomically), preserving the spawn-batching of the chunked path.
+        tasks start in bursts (the slots for a burst are acquired
+        atomically), preserving the start-batching of the chunked path.
         """
-        engine = self.session.engine
         if after is not None and not after.processed:
             yield after
         chunk_size = min(chunk_size, window.capacity)
+
+        def release(event):
+            window.release()
+
         for lo in range(0, len(tasks), chunk_size):
             chunk = [t for t in tasks[lo:lo + chunk_size]
                      if not (t.completed.triggered or t.is_final)]
             if not chunk:
                 continue  # cancelled while queued behind the window
             yield from window.acquire(len(chunk))
+            started = []
             for task in chunk:
                 if task.completed.triggered or task.is_final:
                     window.release()  # cancelled while we waited for slots
                     continue
-                task.completed.callbacks.append(lambda event: window.release())
-                self._drivers[task.uid] = engine.process(self._drive(task))
+                task.completed.callbacks.append(release)
+                started.append(task)
+            if started:
+                self._start(started)
 
-    def _drive(self, task: Task):
-        """Driver process: attempt loop with policy-driven retries.
+    # -- the task path: TaskManager-owned steps -------------------------------------
+    def _start(self, tasks: List[Task]) -> None:
+        """One URGENT start landing for all of *tasks*."""
+        for task in tasks:
+            task.phase = STARTING
+        self.session.engine.call_later(0.0, self._start_batch, tasks,
+                                       priority=URGENT)
 
-        Each attempt runs the full pipeline.  On failure the task advances
-        to FAILED (observers see it) *without* completing; the recovery
-        engine may then grant a retry -- its plan gates on failure
-        detection (heartbeat leases), backs off and waits for pilot
-        capacity -- after which the task moves through RESCHEDULING back
-        into TMGR_SCHEDULING.  Exhausted or ungranted failures seal the
+    def _start_batch(self, tasks: List[Task]) -> None:
+        for i, task in enumerate(tasks):
+            if task.phase == STARTING:
+                try:
+                    self._begin(task)
+                except BaseException:  # goes to run()'s caller: the rest of
+                    self._start(tasks[i + 1:])  # the batch must still start
+                    raise
+
+    def _begin(self, task: Task, retry: bool = False) -> None:
+        """One execution attempt, as far as it gets without waiting.
+
+        On failure the task advances to FAILED (observers see it) *without*
+        completing; the recovery engine may then grant a retry -- its plan
+        gates on failure detection (heartbeat leases), backs off and waits
+        for pilot capacity -- after which the task moves through
+        RESCHEDULING back here.  Exhausted or ungranted failures seal the
         task, delivering the completion event.  Without resilience
-        configured every failure is terminal, exactly as before.
+        configured every failure is terminal.
         """
-        while True:
-            reason = yield from self._attempt(task)
-            if reason is None:
-                return  # reached DONE or CANCELED
-            task.advance(TaskState.FAILED, self.uid)
-            plan = None
-            if self._resilience is not None:
-                plan = self._resilience.recovery.task_failed(
-                    self, task, reason)
-            if plan is None:
-                task.seal()
-                return
-            try:
-                retry = yield from plan
-            except Interrupt:  # cancelled while waiting for recovery
-                task.seal()
-                return
-            if not retry:
-                task.seal()
-                return
-            task.advance(TaskState.RESCHEDULING, self.uid)
-            task.prepare_restart()
-            log.info("%s rescheduled (attempt %d)", task.uid, task.attempts)
-
-    def _attempt(self, task: Task):
-        """One full execution attempt.
-
-        Returns None once the task reached DONE or CANCELED, or the
-        :class:`FailureReason` of the failed attempt (the task is left in
-        its last live state; the caller advances it to FAILED).
-        """
-        d = task.description
-        phase = "binding"
-        bound: Optional[str] = None
         try:
+            task.phase = BINDING
+            if retry:
+                task.advance(TaskState.RESCHEDULING, self.uid)
+                task.prepare_restart()
+                log.info("%s rescheduled (attempt %d)", task.uid,
+                         task.attempts)
             task.advance(TaskState.TMGR_SCHEDULING, self.uid)
             pilot = self._select_pilot(task)
             task.pilot_uid = pilot.uid
-            bound = pilot.uid
+            task.pilot = pilot
             self._live_bound[pilot.uid] = \
                 self._live_bound.get(pilot.uid, 0) + 1
-            if not pilot.is_active:
-                yield pilot.became_active
-            platform_name = pilot.platform.name
-
-            if d.input_staging:
-                phase = "stage_in"
-                task.advance(TaskState.TMGR_STAGING_INPUT, self.uid)
-                yield from self.data_manager.stage(
-                    d.input_staging, platform_name, task.uid, "stage_in")
-
-            phase = "agent"
-            result = yield from pilot.agent.run_task(task)
-
-            if d.output_staging:
-                # run_task released the task's slots already: stage-out
-                # overlaps with successor tasks' scheduling and execution
-                # instead of holding compute hostage to the fabric.
-                phase = "stage_out"
-                task.advance(TaskState.TMGR_STAGING_OUTPUT, self.uid)
-                yield from self.data_manager.stage(
-                    d.output_staging, platform_name, task.uid, "stage_out")
-
-            task.result = result if result is not None else task.result
-            task.finish(TaskState.DONE, self.uid)
-            return None
-        except Interrupt as intr:
-            cause = intr.cause
-            if isinstance(cause, BaseException):
-                # An infrastructure fault delivered via interrupt (node
-                # crash, pilot loss): a failure, not a user cancellation.
-                return self._attempt_failed(task, cause, phase)
-            task.finish(TaskState.CANCELED, self.uid)
-            return None
+            if pilot.is_active:
+                self._bound(task)
+            else:
+                self._wait_on(task, _until(pilot.became_active))
         except Exception as exc:  # captured on the task, not raised
-            return self._attempt_failed(task, exc, phase)
+            self._unwind(task, exc)
+
+    def _bound(self, task: Task) -> None:
+        """The pilot is active: stage in, or go straight to its agent."""
+        staging = task.description.input_staging
+        if staging:
+            task.phase = STAGE_IN
+            task.advance(TaskState.TMGR_STAGING_INPUT, self.uid)
+            self._wait_on(task, self.data_manager.stage(
+                staging, task.pilot.platform.name, task.uid, "stage_in"))
+        else:
+            task.pilot.agent.submit(task)
+
+    def _executed(self, task: Task) -> None:
+        """Back from the agent, slots released: stage out, then DONE."""
+        staging = task.description.output_staging
+        if staging:
+            # stage-out overlaps with successor tasks' scheduling and
+            # execution instead of holding compute hostage to the fabric
+            task.advance(TaskState.TMGR_STAGING_OUTPUT, self.uid)
+            self._wait_on(task, self.data_manager.stage(
+                staging, task.pilot.platform.name, task.uid, "stage_out"))
+        else:
+            self._finish(task, TaskState.DONE)
+
+    def _finish(self, task: Task, state: str) -> None:
+        task.phase = None
+        try:
+            task.finish(state, self.uid)
         finally:
-            if bound is not None:
-                self._live_bound[bound] -= 1
+            self._unbind(task)
+
+    def _unbind(self, task: Task) -> None:
+        """The attempt no longer weighs on its pilot's live-bound load."""
+        if task.pilot is not None:
+            self._live_bound[task.pilot.uid] -= 1
+            task.pilot = None
+
+    def _wait_on(self, task: Task, generator) -> None:
+        """Run a composite wait from inside this kernel entry."""
+        task.wait = wait = Routine(self.session.engine, generator,
+                                   self._resumed, task)
+        wait.start()
+
+    def _resumed(self, task: Task, ok: bool, value) -> None:
+        task.wait = None
+        phase = task.phase
+        try:
+            if phase == RECOVERING:
+                if ok and value:  # the plan granted a retry
+                    self._begin(task, retry=True)
+                    return
+                task.phase = None
+                task.seal()  # gave up, or cancelled / faulted again meanwhile
+                if not ok and not isinstance(value, Interrupt):
+                    raise value  # the plan itself crashed
+            elif not ok:  # thrown in by _unwind, or the wait's own error
+                self._attempt_over(task, value.cause
+                                   if isinstance(value, Interrupt) else value)
+            elif phase == BINDING:
+                self._bound(task)
+            elif phase == STAGE_IN:
+                task.pilot.agent.submit(task)
+            else:
+                self._finish(task, TaskState.DONE)
+        except Exception as exc:
+            self._unwind(task, exc)
+
+    # -- the unwind table ---------------------------------------------------------------
+    def _landed(self, flight: tuple) -> None:
+        """URGENT landing of a cancellation or fault, resolved against the
+        task's phase *now*: a no-op once the attempt is over."""
+        task, cause = flight
+        if task.phase is not None:
+            self._unwind(task, cause)
+
+    def _unwind(self, task: Task, cause) -> None:
+        """Take *task* out of whatever it waits for and end the attempt.
+
+        *cause* is the exception that fails it -- a fault from
+        :meth:`fail_task`, or one that escaped a handler of any owner --
+        or, for a cancellation, a plain note.  A composite wait of ours
+        gets :class:`Interrupt` thrown in: the generator cleans up and its
+        exit ends the attempt in :meth:`_resumed`.  What the agent side
+        holds is undone by :meth:`Agent.evict`.
+        """
+        phase = task.phase
+        if phase is None:  # no attempt to charge it to
+            raise cause
+        wait, task.wait = task.wait, None
+        if phase not in _OURS:
+            task.pilot.agent.evict(task, wait)
+        elif wait is not None:
+            wait.throw(Interrupt(cause))
+            return
+        self._attempt_over(task, cause)
+
+    def _attempt_over(self, task: Task, cause) -> None:
+        """The attempt ended short of DONE: CANCELED, or FAILED and -- if
+        the recovery engine grants one -- a retry plan to wait on."""
+        if not isinstance(cause, BaseException):
+            self._finish(task, TaskState.CANCELED)
+            return
+        # An infrastructure fault (node crash, pilot loss) or an error of
+        # the pipeline itself: a failure, not a user cancellation.
+        phase, task.phase = task.phase, None
+        reason = self._attempt_failed(
+            task, cause, phase if phase in _OURS else "agent")
+        self._unbind(task)
+        task.advance(TaskState.FAILED, self.uid)
+        plan = None
+        if self._resilience is not None:
+            plan = self._resilience.recovery.task_failed(self, task, reason)
+        if plan is None:
+            task.seal()
+        else:
+            task.phase = RECOVERING
+            self._wait_on(task, plan)
 
     def _attempt_failed(self, task: Task, exc: BaseException, phase: str):
         """Record a structured failure reason for the live attempt."""
@@ -504,36 +596,39 @@ class TaskManager:
     def cancel_tasks(self, tasks: Union[Task, Iterable[Task]]) -> None:
         """Cancel tasks, wherever they are in the pipeline.
 
-        A task sitting in FAILED awaiting a recovery decision is *not*
-        final yet (its completion has not fired): cancelling it interrupts
-        the pending retry, sealing the task as FAILED.
+        A task in the pipeline is cancelled by an URGENT landing resolved
+        against its phase when it lands (see :meth:`_unwind`).  A task
+        sitting in FAILED awaiting a recovery decision is *not* final yet
+        (its completion has not fired): cancelling it interrupts the
+        pending retry, sealing the task as FAILED.
         """
         if isinstance(tasks, Task):
             tasks = [tasks]
         for task in tasks:
             if task.completed.triggered:
                 continue
-            driver = self._drivers.get(task.uid)
-            if driver is not None and driver.is_alive:
-                driver.interrupt("cancelled by user")
-            elif task.is_final:  # failed, recovery pending but driver gone
+            if task.phase is not None:
+                self.session.engine.call_later(
+                    0.0, self._landed, (task, "cancelled by user"),
+                    priority=URGENT)
+            elif task.is_final:  # failed, and nothing left to decide
                 task.seal()
-            else:  # queued behind an undriven chunk: cancel in place
+            else:  # queued behind an unstarted chunk: cancel in place
                 task.finish(TaskState.CANCELED, self.uid)
 
     def fail_task(self, task: Task, exc: BaseException) -> None:
-        """Deliver an infrastructure fault to a task's driver.
+        """Deliver an infrastructure fault to a task.
 
         Used by the fault injector (node crashes) and the pilot watcher
-        (pilot losses): the driver observes *exc* as the attempt's failure
-        and consults the recovery engine instead of treating the
-        interruption as a user cancellation.
+        (pilot losses): the attempt ends with *exc* as its failure and the
+        recovery engine is consulted, instead of treating the interruption
+        as a user cancellation.
         """
         if task.completed.triggered:
             return
-        driver = self._drivers.get(task.uid)
-        if driver is not None and driver.is_alive:
-            driver.interrupt(exc)
+        if task.phase is not None:
+            self.session.engine.call_later(0.0, self._landed, (task, exc),
+                                           priority=URGENT)
         elif not task.is_final:
             task.record_failure(classify_failure(
                 exc, at=self.session.engine.now, attempt=task.attempts,
@@ -546,37 +641,6 @@ class TaskManager:
         self._callbacks.append(callback)
         for task in self._tasks.values():
             task.on_state(callback)
-
-    def register_batch_callback(
-            self, callback: Callable[[List[tuple]], None]) -> None:
-        """Invoke ``callback([(task, state), ...])`` once per dispatch batch.
-
-        The coalesced counterpart of :meth:`register_callback` for
-        consumers that only need transitions in bulk (telemetry exporters,
-        progress reporters, accounting).  Per-task transitions are
-        buffered as they happen and flushed through **one** zero-delay
-        engine hop per same-timestamp dispatch batch: when a vectorised
-        grant (``ShardedScheduler.schedule_batch``) or a completion
-        cascade moves N tasks at one simulated instant, subscribers see a
-        single call with N ``(task, state)`` pairs -- in exact transition
-        order -- instead of N separate dispatches.  Transitions of
-        different timestamps are never merged.
-        """
-        if not self._batch_callbacks:
-            self.register_callback(self._batch_tap)
-        self._batch_callbacks.append(callback)
-
-    def _batch_tap(self, task: Task, state: str) -> None:
-        self._batch_buffer.append((task, state))
-        if not self._batch_armed:
-            self._batch_armed = True
-            self.session.engine.call_later(0.0, self._flush_batch)
-
-    def _flush_batch(self, _arg=None) -> None:
-        self._batch_armed = False
-        batch, self._batch_buffer = self._batch_buffer, []
-        for callback in self._batch_callbacks:
-            callback(batch)
 
     # -- introspection -----------------------------------------------------------------
     def get(self, uid: str) -> Task:

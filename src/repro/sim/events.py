@@ -26,6 +26,7 @@ __all__ = [
     "Deferred",
     "Timeout",
     "Process",
+    "Routine",
     "Interrupt",
     "Condition",
     "AllOf",
@@ -263,9 +264,24 @@ class Process(Event):
         Interrupting a terminated process is a silent no-op, which makes
         shutdown paths idempotent.
         """
+        if self._value is PENDING:
+            self.engine.call_later(0.0, self.throw, Interrupt(cause),
+                                   priority=URGENT)
+
+    def throw(self, exception: BaseException) -> None:
+        """Raise *exception* in the generator now, at the yield it waits in
+        (a no-op once it has ended).  The caller is a kernel entry."""
         if self._value is not PENDING:
             return
-        _Interruption(self, cause)
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:  # pragma: no cover - defensive
+                pass
+        carrier = Event(self.engine)
+        carrier._ok, carrier._value = False, exception
+        self._resume(carrier)
 
     # -- resume machinery -----------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -282,14 +298,10 @@ class Process(Event):
                     event._defused = True
                     next_event = self._generator.throw(event._value)
             except StopIteration as stop:
-                self._ok = True
-                self._value = stop.value
-                self.engine.schedule(self)
+                self._exit(True, stop.value)
                 break
             except BaseException as exc:
-                self._ok = False
-                self._value = exc
-                self.engine.schedule(self)
+                self._exit(False, exc)
                 break
             finally:
                 self.engine._active_process = None
@@ -306,37 +318,49 @@ class Process(Event):
             event = next_event
             self.engine._active_process = self
 
+    def _exit(self, ok: bool, value: Any) -> None:
+        """The generator ended: trigger the process event with its outcome."""
+        self._ok = ok
+        self._value = value
+        self.engine.schedule(self)
+
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", str(self._generator))
-        return f"<Process({name}) at {id(self):#x}>"
+        return f"<{type(self).__name__}({name}) at {id(self):#x}>"
 
 
-class _Interruption(Event):
-    """Immediate event that delivers an :class:`Interrupt` to a process."""
+class _Started:  # what Routine.start resumes with: ok, no value
+    _ok, _value = True, None
 
-    __slots__ = ("_process",)
 
-    def __init__(self, process: Process, cause: Any) -> None:
-        super().__init__(process.engine)
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self._process = process
-        self.callbacks.append(self._deliver)
-        self.engine.schedule(self, priority=URGENT)
+class Routine(Process):
+    """A generator run *inside* the kernel entries of whoever starts it.
 
-    def _deliver(self, event: Event) -> None:
-        process = self._process
-        if process._value is not PENDING:
-            return  # completed before the interrupt landed
-        # Detach the process from whatever it was waiting on.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        process._resume(self)
+    :meth:`start` runs it to its first yield within the caller's kernel
+    entry, and its exit calls ``then(arg, ok, value)`` within the entry that
+    ended it -- what ``yield from`` gives a surrounding process, with no
+    initialisation and no termination event.  Never scheduled: nobody can
+    wait on it, and a failure goes to *then*, not to the engine.
+    """
+
+    __slots__ = ("_then", "_arg")
+
+    def __init__(self, engine: "SimulationEngine",
+                 generator: Generator[Event, Any, Any],
+                 then: Callable[[Any, bool, Any], None], arg: Any) -> None:
+        Event.__init__(self, engine)
+        self._generator = generator
+        self._target = None
+        self._then = then
+        self._arg = arg
+
+    def start(self) -> None:
+        self._resume(_Started)  # type: ignore[arg-type]
+
+    def _exit(self, ok: bool, value: Any) -> None:
+        self._ok = ok
+        self._value = value
+        self._then(self._arg, ok, value)
 
 
 class Condition(Event):

@@ -82,3 +82,30 @@ class TestRealtimeExecution:
         session.run(until=tmgr.wait_tasks([task]))
         assert task.state == TaskState.FAILED
         assert isinstance(task.exception, ValueError)
+
+    def test_cancel_while_the_worker_runs(self, env):
+        """The worker cannot be stopped; its late completion must find the
+        attempt gone and change nothing."""
+        session, tmgr = env
+        release = threading.Event()
+        started = threading.Event()
+
+        def blocked():
+            started.set()
+            release.wait(timeout=5.0)
+            return "late"
+
+        (task,) = tmgr.submit_tasks(TaskDescription(function=blocked))
+        while not started.is_set():
+            session.run(until=session.now + 1.0)
+        assert task.state == TaskState.AGENT_EXECUTING
+        tmgr.cancel_tasks(task)
+        session.run(until=tmgr.wait_tasks([task]))
+        assert task.state == TaskState.CANCELED
+        (pilot,) = tmgr.pilots
+        assert pilot.agent.scheduler.held_tasks == []
+        assert pilot.agent.executor.executing_count == 0
+        release.set()                         # the worker finishes now
+        session.run(until=session.now + 5.0)  # its completion is injected
+        assert task.state == TaskState.CANCELED
+        assert task.result is None

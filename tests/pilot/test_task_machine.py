@@ -1,0 +1,226 @@
+"""The task path under composed disturbance: a stateful machine at the
+``Session`` API.
+
+Rules submit tasks every way ``submit_tasks`` allows, cancel them, fault
+them, crash and repair nodes, register an observer that raises once, and
+move the clock; after every rule no completed task may hold anything, and
+after the teardown nothing may be left anywhere.  Only public surface is
+used (plus ``TaskManager._live_load``), so the machine runs unchanged
+against any implementation of the path.
+"""
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
+
+from repro.pilot import (
+    PilotDescription,
+    PilotManager,
+    Session,
+    TaskDescription,
+    TaskManager,
+    TaskState,
+)
+from repro.resilience import NodeFailure, ResilienceConfig, RetryPolicy
+
+#: states an observer may raise on: every transition of a live attempt
+RAISE_ON = [TaskState.TMGR_SCHEDULING, TaskState.TMGR_STAGING_INPUT,
+            TaskState.AGENT_SCHEDULING, TaskState.AGENT_EXECUTING,
+            TaskState.TMGR_STAGING_OUTPUT]
+
+shapes = st.sampled_from([(1, 1), (16, 1), (64, 1), (64, 2), (8, 3)])
+durations = st.sampled_from([0.0, 1.0, 30.0, 1000.0])
+counts = st.integers(min_value=1, max_value=4)
+#: index into the tasks submitted so far (taken modulo their number)
+picks = st.integers(min_value=0, max_value=63)
+
+
+def _boom():
+    raise ValueError("payload failed")
+
+
+class TaskPathMachine(RuleBasedStateMachine):
+
+    @initialize(seed=st.integers(min_value=0, max_value=20),
+                warm=st.booleans())
+    def start(self, seed, warm):
+        self.session = Session(
+            seed=seed,
+            resilience_config=ResilienceConfig(
+                heartbeat_interval_s=50.0,
+                retry=RetryPolicy(max_retries=2, backoff_base_s=2.0,
+                                  backoff_jitter_s=1.0,
+                                  rebind_wait_s=100.0)))
+        self.pmgr = PilotManager(self.session)
+        self.tmgr = TaskManager(self.session)
+        (self.pilot,) = self.pmgr.submit_pilots(
+            PilotDescription(resource="delta", nodes=2, runtime_s=1e9))
+        self.tmgr.add_pilots(self.pilot)
+        if warm:  # otherwise the first tasks wait for the pilot
+            self.session.run(until=self.pmgr.wait_active([self.pilot]))
+        self.tasks = []
+        self.fired = {}
+
+    def teardown(self):
+        if not hasattr(self, "session"):
+            return
+        session, pilot = self.session, self.pilot
+        if not pilot.is_active:  # a job not queued yet cannot be cancelled
+            session.run(until=self.pmgr.wait_active([pilot]))
+        session.quiesce()
+        self.pmgr.cancel_pilots(pilot)
+        session.run()
+        assert session.engine.is_idle()
+        for task in self.tasks:
+            assert self.fired.get(task.uid) == 1, (task, self.fired)
+        self.nothing_left_on_completed_tasks()
+        if pilot.nodes is not None:
+            scheduler = pilot.agent.scheduler
+            assert scheduler.held_tasks == []
+            assert scheduler.queue_length == 0
+            assert pilot.agent.executor.concurrent_launches == 0
+            assert pilot.agent.executor.executing_count == 0
+            for node in pilot.nodes:
+                if node.is_up:
+                    assert node.free_cores == node.num_cores, node.name
+                    assert node.free_gpus == node.num_gpus, node.name
+        assert self.tmgr._live_load(pilot) == 0
+        session.close()
+
+    # -- submission ------------------------------------------------------------
+    def _submit(self, descriptions, **kwargs):
+        def on_complete(task):
+            assert task.state in TaskState.FINAL, task
+            self.fired[task.uid] = self.fired.get(task.uid, 0) + 1
+        self.tasks.extend(self.tmgr.submit_tasks(
+            descriptions, on_complete=on_complete, **kwargs))
+
+    @rule(n=counts, shape=shapes, duration=durations,
+          pre_exec=st.sampled_from([0.0, 2.0]),
+          payload=st.sampled_from(["executable", "function", "raising"]))
+    def submit_plain(self, n, shape, duration, pre_exec, payload):
+        function = {"executable": None, "function": lambda: 7,
+                    "raising": _boom}[payload]
+        self._submit([TaskDescription(
+            executable=None if function else "x", function=function,
+            cores_per_rank=shape[0], ranks=shape[1], duration_s=duration,
+            pre_exec_s=pre_exec) for _ in range(n)])
+
+    @rule(n=counts, shape=shapes, duration=durations,
+          in_bytes=st.sampled_from([1e6, 2e10]),
+          out_bytes=st.sampled_from([0.0, 1e6, 2e10]),
+          shared=st.booleans())
+    def submit_staged(self, n, shape, duration, in_bytes, out_bytes, shared):
+        base = len(self.tasks)
+        self._submit([TaskDescription(
+            executable="x", cores_per_rank=shape[0], ranks=shape[1],
+            duration_s=duration,
+            input_staging=[{"source": "shared" if shared else f"in-{base + i}",
+                            "size_bytes": in_bytes}],
+            output_staging=([{"target": f"out-{base + i}",
+                              "size_bytes": out_bytes}] if out_bytes else []))
+            for i in range(n)])
+
+    @rule(n=st.integers(min_value=2, max_value=9), shape=shapes,
+          duration=durations, window=st.integers(min_value=1, max_value=4),
+          chunk_size=st.sampled_from([None, 1, 2, 3]),
+          windowed=st.booleans())
+    def submit_throttled(self, n, shape, duration, window, chunk_size,
+                         windowed):
+        kwargs = {"chunk_size": chunk_size}
+        if windowed or chunk_size is None:
+            kwargs["window"] = window
+        self._submit([TaskDescription(
+            executable="x", cores_per_rank=shape[0], ranks=shape[1],
+            duration_s=duration) for _ in range(n)], **kwargs)
+
+    @rule(pick=picks, n=counts, duration=durations)
+    def submit_after(self, pick, n, duration):
+        if self.tasks:
+            self._submit([TaskDescription(executable="x", duration_s=duration)
+                          for _ in range(n)],
+                         after=self._pick(pick).completed)
+
+    # -- disturbance -----------------------------------------------------------
+    def _pick(self, pick):
+        return self.tasks[pick % len(self.tasks)]
+
+    @rule(chosen=st.lists(picks, min_size=1, max_size=3))
+    def cancel(self, chosen):
+        if self.tasks:
+            self.tmgr.cancel_tasks([self._pick(pick) for pick in chosen])
+
+    @rule(pick=picks, typed=st.booleans())
+    def fault(self, pick, typed):
+        if self.tasks:
+            exc = (NodeFailure("elsewhere", self.pilot.uid) if typed
+                   else RuntimeError("fault"))
+            self.tmgr.fail_task(self._pick(pick), exc)
+
+    @rule(index=st.integers(min_value=0, max_value=1))
+    def crash_node(self, index):
+        if not self.pilot.is_active:
+            return
+        node = self.pilot.nodes[index]
+        node.mark_down()
+        for uid in self.pilot.agent.scheduler.held_on_node(index):
+            self.tmgr.fail_task(self.tmgr.get(uid),
+                                NodeFailure(node.name, self.pilot.uid))
+
+    @rule(index=st.integers(min_value=0, max_value=1))
+    def repair_node(self, index):
+        if self.pilot.is_active:
+            self.pilot.nodes[index].mark_up()
+            self.pilot.agent.scheduler.kick()
+
+    @rule(state=st.sampled_from(RAISE_ON))
+    def observer_raises_once(self, state):
+        armed = [True]
+
+        def observer(task, new_state):
+            if armed[0] and new_state == state:
+                armed[0] = False
+                raise RuntimeError(f"observer raised on {state}")
+        self.tmgr.register_callback(observer)
+
+    @rule(step=st.sampled_from([0.0, 0.5, 3.0, 20.0, 200.0, 2000.0]))
+    def advance_clock(self, step):
+        self.session.run(until=self.session.now + step)
+
+    # -- invariants ------------------------------------------------------------
+    @invariant()
+    def nothing_left_on_completed_tasks(self):
+        if not hasattr(self, "session"):
+            return
+        held = (set(self.pilot.agent.scheduler.held_tasks)
+                if self.pilot.agent is not None else set())
+        for task in self.tasks:
+            assert self.fired.get(task.uid, 0) <= 1, task
+            if task.completed.triggered:
+                assert task.state in TaskState.FINAL, task
+                assert task.slots == [], task
+                assert task.uid not in held, task
+
+    @invariant()
+    def executor_counters_match_the_tasks_in_those_phases(self):
+        if not hasattr(self, "session") or self.pilot.agent is None:
+            return
+        last = {}
+        for task in self.tasks:
+            if task.state == TaskState.AGENT_EXECUTING:
+                last[task.uid] = \
+                    self.session.profiler.events(task.uid)[-1].event
+        executor = self.pilot.agent.executor
+        assert executor.concurrent_launches == \
+            sum(1 for event in last.values() if event == "launch_start")
+        assert executor.executing_count == \
+            sum(1 for event in last.values() if event == "exec_start")
+
+
+TaskPathMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=40, deadline=None)
+test_task_path_machine = TaskPathMachine.TestCase

@@ -190,6 +190,65 @@ class TestFailureAndCancel:
             assert pilot.free_capacity()["cores"] == pilot.nodes.total_cores
 
 
+    def test_raising_observer_leaks_no_slots(self):
+        """A state callback that raises on AGENT_EXECUTING fails the
+        attempt -- after the grant, so the slots must come back."""
+        with Session(seed=3) as session:
+            pmgr = PilotManager(session)
+            tmgr = TaskManager(session)
+            (pilot,) = pmgr.submit_pilots(
+                PilotDescription(resource="delta", nodes=1, runtime_s=1e6))
+            tmgr.add_pilots(pilot)
+
+            def observer(task, state):
+                if state == TaskState.AGENT_EXECUTING:
+                    raise RuntimeError("observer failed")
+
+            tmgr.register_callback(observer)
+            (task,) = tmgr.submit_tasks(TaskDescription(
+                executable="x", duration_s=10.0, cores_per_rank=4))
+            session.run(until=tmgr.wait_tasks([task]))
+            assert task.state == TaskState.FAILED
+            assert isinstance(task.exception, RuntimeError)
+            assert task.slots == []
+            assert pilot.agent.scheduler.held_tasks == []
+            assert pilot.free_capacity()["cores"] == pilot.nodes.total_cores
+            assert pilot.agent.executor.concurrent_launches == 0
+
+    @pytest.mark.parametrize("fault", [False, True])
+    @pytest.mark.parametrize("after_s, phase", [(0.5, "launch_start"),
+                                                (5.0, "exec_start")])
+    def test_interrupted_attempt_leaves_no_timer_behind(self, fault, after_s,
+                                                        phase):
+        """The launch / exec timer of an interrupted attempt is withdrawn:
+        left in the queue it fires for nobody and still drags the clock to
+        its deadline."""
+        with Session(seed=3) as session:
+            pmgr = PilotManager(session)
+            tmgr = TaskManager(session)
+            (pilot,) = pmgr.submit_pilots(
+                PilotDescription(resource="delta", nodes=1, runtime_s=1e6))
+            tmgr.add_pilots(pilot)
+            session.run(until=pmgr.wait_active([pilot]))
+            (task,) = tmgr.submit_tasks(
+                TaskDescription(executable="x", duration_s=1000.0))
+            interrupted_at = session.now + after_s
+            session.run(until=interrupted_at)
+            assert session.profiler.events(task.uid)[-1].event == phase
+            if fault:
+                tmgr.fail_task(task, RuntimeError("node crash"))
+            else:
+                tmgr.cancel_tasks(task)
+            session.run(until=tmgr.wait_tasks([task]))
+            assert task.state == (TaskState.FAILED if fault
+                                  else TaskState.CANCELED)
+            pmgr.cancel_pilots(pilot)
+            session.run()  # drain: nothing of the task is left to fire
+            assert session.now == interrupted_at
+            assert pilot.agent.executor.concurrent_launches == 0
+            assert pilot.agent.executor.executing_count == 0
+
+
 class TestPilotSelection:
     def test_explicit_pilot_binding(self, env):
         session, pmgr, tmgr, pilot1 = env
@@ -473,41 +532,3 @@ class TestBulkSubmission:
         with pytest.raises(ValueError, match="chunk_size"):
             tmgr.submit_tasks(
                 [TaskDescription(executable="x")], chunk_size=0)
-
-
-class TestBatchCallbacks:
-    """Coalesced state-transition dispatch via register_batch_callback."""
-
-    def test_batch_stream_equals_per_task_stream(self, env):
-        session, _, tmgr, _ = env
-        per, batches = [], []
-        tmgr.register_callback(lambda t, s: per.append((t.uid, s)))
-        tmgr.register_batch_callback(batches.append)
-        tasks = tmgr.submit_tasks(
-            [TaskDescription(executable="x", duration_s=1.0)
-             for _ in range(4)])
-        session.run(until=tmgr.wait_tasks(tasks))
-        session.run()  # drain the last armed flush
-        flat = [(t.uid, s) for batch in batches for (t, s) in batch]
-        assert flat == per
-        # same-instant transitions coalesce: fewer batches than transitions
-        assert len(batches) < len(per)
-        assert any(len(batch) > 1 for batch in batches)
-
-    def test_multiple_batch_callbacks_share_one_tap(self, env):
-        session, _, tmgr, _ = env
-        a, b = [], []
-        tmgr.register_batch_callback(a.append)
-        tmgr.register_batch_callback(b.append)
-        # only one buffering tap is registered on the per-task stream
-        assert tmgr._callbacks.count(tmgr._batch_tap) == 1
-        (task,) = tmgr.submit_tasks(
-            TaskDescription(executable="x", duration_s=1.0))
-        session.run(until=tmgr.wait_tasks([task]))
-        session.run()
-        assert a == b
-        assert a  # both actually saw the transitions
-
-    def test_no_batch_callbacks_means_no_tap(self, env):
-        _, _, tmgr, _ = env
-        assert tmgr._batch_tap not in tmgr._callbacks

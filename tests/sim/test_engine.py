@@ -252,6 +252,92 @@ class TestInterrupt:
         assert causes == [None]
 
 
+class TestRoutine:
+    """A generator run inside its starter's kernel entries: no event of its
+    own at either end, same resume machinery as a process."""
+
+    @staticmethod
+    def counting(engine):
+        entries = [0]
+        schedule = engine.schedule
+
+        def counted(*args, **kwargs):
+            entries[0] += 1
+            return schedule(*args, **kwargs)
+        engine.schedule = counted
+        return entries
+
+    def test_starts_and_exits_inside_the_callers_entries(self, engine):
+        from repro.sim.events import Routine
+        entries = self.counting(engine)
+        log = []
+
+        def body():
+            log.append(("started", engine.now))
+            value = yield engine.timeout(3.0, value="tick")
+            return value * 2
+
+        routine = Routine(engine, body(),
+                          lambda arg, ok, value: log.append(
+                              (arg, ok, value, engine.now)), "who")
+        routine.start()
+        assert log == [("started", 0.0)]      # ran to its first yield at once
+        assert routine.is_alive
+        engine.run()
+        assert log[1:] == [("who", True, "ticktick", 3.0)]
+        assert not routine.is_alive
+        assert entries[0] == 1                # the timeout, nothing else
+
+    def test_an_exit_without_a_yield_continues_synchronously(self, engine):
+        from repro.sim.events import Routine
+        seen = []
+
+        def body():
+            return 7
+            yield  # pragma: no cover
+
+        Routine(engine, body(), lambda *a: seen.append(a), None).start()
+        assert seen == [(None, True, 7)]
+        assert engine.is_idle()
+
+    def test_throw_lands_at_the_yield_and_runs_cleanup(self, engine):
+        from repro.sim.events import Routine
+        log = []
+        timer = engine.timeout(100.0)
+
+        def body():
+            try:
+                yield timer
+            except Interrupt as intr:
+                log.append(("cleanup", intr.cause))
+                raise
+
+        routine = Routine(engine, body(),
+                          lambda arg, ok, value: log.append((ok, value)), None)
+        routine.start()
+        engine.run(until=5.0)
+        exc = Interrupt("stop")
+        routine.throw(exc)
+        assert log == [("cleanup", "stop"), (False, exc)]
+        assert not routine.is_alive
+        assert routine._resume not in timer.callbacks   # detached
+        routine.throw(Interrupt("again"))               # dead: a no-op
+        assert len(log) == 2
+
+    def test_a_failure_goes_to_the_continuation_not_the_engine(self, engine):
+        from repro.sim.events import Routine
+        seen = []
+
+        def body():
+            yield engine.timeout(1.0)
+            raise ValueError("inside")
+
+        Routine(engine, body(), lambda arg, ok, value: seen.append(
+            (ok, type(value))), None).start()
+        engine.run()                          # does not raise
+        assert seen == [(False, ValueError)]
+
+
 class TestConditions:
     def test_all_of_waits_for_all(self, engine):
         t1 = engine.timeout(1.0, value="a")
