@@ -58,6 +58,8 @@ class BatchJob:
         self.started: Event = engine.event()
         #: triggers with the final state string when the job ends
         self.finished: Event = engine.event()
+        #: what the job's process waits on: bring-up delay, then walltime
+        self._timer: Optional[Event] = None
 
     @property
     def is_final(self) -> bool:
@@ -127,13 +129,15 @@ class BatchSystem:
 
     def cancel(self, job: BatchJob) -> None:
         """Cancel a pending or running job."""
-        if job.state == JobState.PENDING:
+        if job in self._running:
+            # running, or still pending but already holding its nodes
+            # (the queue-wait delay of _start has not elapsed yet)
+            self._finish(job, JobState.CANCELLED)
+        elif job.state == JobState.PENDING:
             self._queue.remove(job)
             job.state = JobState.CANCELLED
             job.finished_at = self.engine.now
             job.finished.succeed(JobState.CANCELLED)
-        elif job.state == JobState.RUNNING:
-            self._finish(job, JobState.CANCELLED)
         elif job.is_final:
             pass  # idempotent
         else:  # pragma: no cover - defensive
@@ -166,15 +170,17 @@ class BatchSystem:
         job.node_indices = nodes
 
         def bring_up():
-            if delay:
-                yield self.engine.timeout(delay)
-            job.state = JobState.RUNNING
-            job.started_at = self.engine.now
-            job.started.succeed(list(nodes))
-            timer = self.engine.timeout(job.walltime_s)
-            job._wall_timer = timer
             try:
-                yield timer
+                if job.is_final:
+                    return  # cancelled before this process first ran
+                if delay:
+                    job._timer = self.engine.timeout(delay)
+                    yield job._timer
+                job.state = JobState.RUNNING
+                job.started_at = self.engine.now
+                job.started.succeed(list(nodes))
+                job._timer = self.engine.timeout(job.walltime_s)
+                yield job._timer
             except Interrupt:
                 return  # completed/cancelled early; _finish already ran
             if job.state == JobState.RUNNING:
@@ -188,7 +194,7 @@ class BatchSystem:
         job.finished_at = self.engine.now
         self._free.update(job.node_indices)
         watchdog = self._running.pop(job, None)
-        timer = getattr(job, "_wall_timer", None)
+        timer = job._timer
         if timer is not None and not timer.processed:
             timer.cancel()  # keep the event heap (and the clock) clean
         if watchdog is not None and interrupt_watchdog:

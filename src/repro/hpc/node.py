@@ -6,26 +6,36 @@ carves :class:`Slot` objects out of nodes and returns them on task
 completion.  Invariant maintained throughout: a core/GPU index is held by at
 most one live slot (verified by property-based tests).
 
-Placement queries go through a **free-capacity index**: a segment tree over
-the node array whose cells hold the per-subtree maxima of free cores, free
-GPUs and free memory among *up* nodes.  ``find_fit`` descends the tree to
-the leftmost fitting node instead of scanning every node, turning the
-scheduler's placement hot path from O(nodes) into O(log nodes) while
-preserving the exact first-fit scan order (including wrap-around starts and
-the soft ``avoid`` deferral).  Node mutations (allocate / release / health
-flips) push point updates into the tree through a change hook.
+Placement queries read **per-rank-shape fit masks**: for every rank shape
+``(cores, gpus, mem_gb)`` a :class:`NodeList` has been asked about, one
+Python ``int`` whose bit *i* says whether node *i* passes
+:meth:`NodeState.fits` for one such rank right now.  A node change
+(allocate / release / health flip) re-evaluates that one node against the
+tracked shapes, O(tracked shapes); ``find_fit`` from a round-robin start
+with wrap-around is a shift and a lowest-set-bit, whatever the pool size or
+load, and returns exactly the node the seed's linear first-fit scan would
+(including the soft ``avoid`` deferral).  A bit is *exact* -- "no bit set"
+means no node fits -- so the scheduler's wake filter and pre-placement
+check read the same masks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-__all__ = ["Slot", "NodeState", "NodeList", "FreeCapacityIndex"]
+__all__ = ["Slot", "NodeState", "NodeList"]
+
+#: A rank shape: what one rank asks of a node, ``(cores, gpus, mem_gb)``.
+RankShape = Tuple[int, int, float]
+
+#: Rank shapes one NodeList keeps fit masks for.  Every node change costs
+#: O(tracked shapes), so the table is bounded: a workload with more distinct
+#: rank shapes than this overflows it, which clears the table and lets the
+#: live shapes refill lazily (O(nodes) per shape on its next query).
+_MAX_TRACKED_SHAPES = 64
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     """A placement of one task/service rank on a node.
 
     ``cores`` and ``gpus`` hold the specific indices assigned, ``mem_gb``
@@ -74,34 +84,59 @@ class NodeState:
         self._free_cores: List[int] = list(range(cores))
         self._free_gpus: List[int] = list(range(gpus))
         self._free_mem = float(mem_gb)
-        #: change hooks ``(node, kind)`` with kind in alloc | release |
-        #: down | degraded | up -- registered by owning NodeLists (index
-        #: maintenance) and schedulers (capacity-increase wakeups)
-        self._listeners: List[Callable[["NodeState", str], None]] = []
+        #: the owning NodeList's fit-mask table (shared, mutated in place)
+        #: and this node's bit in every mask; None for a free-standing node
+        self._fit_masks: Optional[Dict[RankShape, int]] = None
+        self._bit = 1 << index
+        #: health hooks ``(node, kind)`` with kind in down | degraded | up
+        #: -- schedulers subscribe to wake parked work on a repair
+        self._health_listeners: List[Callable[["NodeState", str], None]] = []
 
-    def _changed(self, kind: str) -> None:
-        for listener in self._listeners:
-            listener(self, kind)
+    def _refit(self) -> None:
+        """Re-evaluate this node's bit in every tracked shape's fit mask.
+
+        The predicate is :meth:`fits`, spelled out so the node's state is
+        read once for all shapes.
+        """
+        masks = self._fit_masks
+        if not masks:
+            return
+        bit = self._bit
+        up = self.health == NodeState.UP
+        free_cores = len(self._free_cores)
+        free_gpus = len(self._free_gpus)
+        free_mem = self._free_mem
+        for shape, mask in masks.items():
+            cores, gpus, mem_gb = shape
+            if (up and free_cores >= cores and free_gpus >= gpus
+                    and free_mem >= mem_gb - 1e-9):
+                if not mask & bit:
+                    masks[shape] = mask | bit
+            elif mask & bit:
+                masks[shape] = mask ^ bit
 
     # -- health ----------------------------------------------------------------
     @property
     def is_up(self) -> bool:
         return self.health == NodeState.UP
 
+    def _set_health(self, health: str) -> None:
+        self.health = health
+        self._refit()
+        for listener in self._health_listeners:
+            listener(self, health)
+
     def mark_down(self) -> None:
         """Crash the node: placements are rejected until :meth:`mark_up`."""
-        self.health = NodeState.DOWN
-        self._changed("down")
+        self._set_health(NodeState.DOWN)
 
     def mark_degraded(self) -> None:
         """Drain the node: running slots survive, new placements skip it."""
-        self.health = NodeState.DEGRADED
-        self._changed("degraded")
+        self._set_health(NodeState.DEGRADED)
 
     def mark_up(self) -> None:
         """Repair the node (end of MTTR window)."""
-        self.health = NodeState.UP
-        self._changed("up")
+        self._set_health(NodeState.UP)
 
     # -- capacity queries ------------------------------------------------------
     @property
@@ -129,17 +164,22 @@ class NodeState:
         """Carve a slot; raises RuntimeError if it does not fit."""
         if cores < 0 or gpus < 0 or mem_gb < 0:
             raise ValueError("resource amounts must be non-negative")
-        if not self.fits(cores, gpus, mem_gb):
+        free_cores = self._free_cores
+        free_gpus = self._free_gpus
+        if not (self.health == NodeState.UP       # == self.fits(...)
+                and len(free_cores) >= cores
+                and len(free_gpus) >= gpus
+                and self._free_mem >= mem_gb - 1e-9):
             raise RuntimeError(
                 f"node {self.name}: cannot allocate {cores}c/{gpus}g/"
                 f"{mem_gb}GB (free: {self.free_cores}c/{self.free_gpus}g/"
                 f"{self._free_mem}GB)")
-        core_ids = tuple(self._free_cores[:cores])
-        del self._free_cores[:cores]
-        gpu_ids = tuple(self._free_gpus[:gpus])
-        del self._free_gpus[:gpus]
+        core_ids = tuple(free_cores[:cores])
+        del free_cores[:cores]
+        gpu_ids = tuple(free_gpus[:gpus])
+        del free_gpus[:gpus]
         self._free_mem -= mem_gb
-        self._changed("alloc")
+        self._refit()
         return Slot(self.index, self.name, core_ids, gpu_ids, mem_gb)
 
     def release(self, slot: Slot) -> None:
@@ -147,197 +187,42 @@ class NodeState:
         if slot.node_index != self.index:
             raise RuntimeError(
                 f"slot for node {slot.node_index} released on node {self.index}")
-        overlap_c = set(slot.cores) & set(self._free_cores)
-        overlap_g = set(slot.gpus) & set(self._free_gpus)
-        if overlap_c or overlap_g:
+        free_cores = self._free_cores
+        free_gpus = self._free_gpus
+        if not (set(slot.cores).isdisjoint(free_cores)
+                and set(slot.gpus).isdisjoint(free_gpus)):
             raise RuntimeError(
-                f"double release on node {self.name}: cores {overlap_c}, "
-                f"gpus {overlap_g} already free")
-        self._free_cores.extend(slot.cores)
-        self._free_cores.sort()
-        self._free_gpus.extend(slot.gpus)
-        self._free_gpus.sort()
+                f"double release on node {self.name}: cores "
+                f"{set(slot.cores) & set(free_cores)}, gpus "
+                f"{set(slot.gpus) & set(free_gpus)} already free")
+        free_cores.extend(slot.cores)
+        free_cores.sort()
+        free_gpus.extend(slot.gpus)
+        free_gpus.sort()
         self._free_mem = min(self.mem_gb, self._free_mem + slot.mem_gb)
-        self._changed("release")
-
-    def release_many(self, slots: List[Slot]) -> None:
-        """Return many slots' resources with one change notification.
-
-        End-state equivalent to sequential :meth:`release` calls (same
-        double-release detection, including overlaps *between* the given
-        slots) but the free id lists are rebuilt and sorted once and
-        listeners fire once for the whole group -- a scheduler draining a
-        dispatch batch pays one capacity-index update per touched node
-        instead of one per slot.  Unlike the sequential loop the batch is
-        atomic: on a double-release nothing has been returned.
-        """
-        if len(slots) == 1:
-            self.release(slots[0])
-            return
-        free_c = set(self._free_cores)
-        free_g = set(self._free_gpus)
-        mem = 0.0
-        for slot in slots:
-            if slot.node_index != self.index:
-                raise RuntimeError(
-                    f"slot for node {slot.node_index} released on node "
-                    f"{self.index}")
-            overlap_c = free_c.intersection(slot.cores)
-            overlap_g = free_g.intersection(slot.gpus)
-            if overlap_c or overlap_g:
-                raise RuntimeError(
-                    f"double release on node {self.name}: cores "
-                    f"{overlap_c}, gpus {overlap_g} already free")
-            free_c.update(slot.cores)
-            free_g.update(slot.gpus)
-            mem += slot.mem_gb
-        self._free_cores = sorted(free_c)
-        self._free_gpus = sorted(free_g)
-        self._free_mem = min(self.mem_gb, self._free_mem + mem)
-        self._changed("release")
+        self._refit()
 
     def __repr__(self) -> str:
         return (f"<NodeState {self.name} free={self.free_cores}c/"
                 f"{self.free_gpus}g/{self._free_mem:.0f}GB>")
 
 
-class FreeCapacityIndex:
-    """Segment tree over a node array answering first-fit queries fast.
-
-    Each tree cell holds the maxima of (free cores, free GPUs, free memory)
-    among *up* nodes in its span; down/degraded nodes contribute ``-1`` so
-    they can never satisfy a query.  :meth:`first_fit` returns the leftmost
-    index in ``[lo, hi)`` whose node currently fits a request -- identical
-    to a linear ``NodeState.fits`` scan, in O(log n) typical time.
-
-    The conjunction of three per-component maxima can report a subtree as
-    promising when no single node in it satisfies all three bounds at once;
-    the descent then visits and rejects that subtree's children.  With the
-    homogeneous node pools of real allocations this is rare, and the worst
-    case degenerates to the old linear scan, never worse.
-
-    *offset* lets an index cover a contiguous slice of a larger node array
-    (a scheduler shard): leaf position ``i`` then maps to the node whose
-    global ``index`` is ``offset + i``.  All ``lo``/``hi`` query bounds and
-    returned positions stay in local (slice) coordinates.
-    """
-
-    _MEM_EPS = 1e-9  # mirrors NodeState.fits' float-resolution slack
-
-    def __init__(self, nodes: List[NodeState], offset: int = 0) -> None:
-        self._nodes = nodes
-        self._offset = offset
-        n = len(nodes)
-        size = 1
-        while size < max(n, 1):
-            size *= 2
-        self._size = size
-        self._mc = [-1] * (2 * size)      # max free cores per cell
-        self._mg = [-1] * (2 * size)      # max free GPUs per cell
-        self._mm = [-1.0] * (2 * size)    # max free mem (GB) per cell
-        for i, node in enumerate(nodes):
-            self._write_leaf(i, node)
-        for cell in range(size - 1, 0, -1):
-            self._pull(cell)
-
-    def _write_leaf(self, i: int, node: NodeState) -> None:
-        cell = self._size + i
-        if node.health == NodeState.UP:
-            self._mc[cell] = len(node._free_cores)
-            self._mg[cell] = len(node._free_gpus)
-            self._mm[cell] = node._free_mem
-        else:
-            self._mc[cell] = -1
-            self._mg[cell] = -1
-            self._mm[cell] = -1.0
-
-    def _pull(self, cell: int) -> None:
-        left, right = 2 * cell, 2 * cell + 1
-        self._mc[cell] = self._mc[left] if self._mc[left] >= self._mc[right] \
-            else self._mc[right]
-        self._mg[cell] = self._mg[left] if self._mg[left] >= self._mg[right] \
-            else self._mg[right]
-        self._mm[cell] = self._mm[left] if self._mm[left] >= self._mm[right] \
-            else self._mm[right]
-
-    def update(self, node: NodeState, _kind: str = "") -> None:
-        """Point-update one node's leaf and its ancestors.
-
-        O(log n) worst case, but the climb stops at the first ancestor
-        whose maxima are unchanged (allocating a few cores on one node of
-        a mostly-free pool rarely moves an upper-level maximum), which
-        makes the common case O(1) amortised on the placement hot path.
-        """
-        self._write_leaf(node.index - self._offset, node)
-        mc, mg, mm = self._mc, self._mg, self._mm
-        cell = (self._size + node.index - self._offset) // 2
-        while cell >= 1:
-            left, right = 2 * cell, 2 * cell + 1
-            nc = mc[left] if mc[left] >= mc[right] else mc[right]
-            ng = mg[left] if mg[left] >= mg[right] else mg[right]
-            nm = mm[left] if mm[left] >= mm[right] else mm[right]
-            if nc == mc[cell] and ng == mg[cell] and nm == mm[cell]:
-                return
-            mc[cell] = nc
-            mg[cell] = ng
-            mm[cell] = nm
-            cell //= 2
-
-    def root_qualifies(self, cores: int, gpus: int = 0,
-                       mem_gb: float = 0.0) -> bool:
-        """Could *some* up node currently host one rank of this request?
-
-        O(1) necessary-condition check against the root maxima: when it
-        fails, no single node in the span fits the rank, so a multi-rank
-        request cannot place either.  Schedulers use this to keep parked
-        shapes asleep across capacity increases that cannot help them.
-        """
-        return self._qualifies(1, cores, gpus, mem_gb)
-
-    def _qualifies(self, cell: int, cores: int, gpus: int,
-                   mem_gb: float) -> bool:
-        return (self._mc[cell] >= cores and self._mg[cell] >= gpus
-                and self._mm[cell] >= mem_gb - self._MEM_EPS)
-
-    def first_fit(self, cores: int, gpus: int = 0, mem_gb: float = 0.0,
-                  lo: int = 0, hi: Optional[int] = None) -> int:
-        """Leftmost node index in ``[lo, hi)`` that fits, or ``-1``."""
-        n = len(self._nodes)
-        hi = n if hi is None else hi
-        if lo >= hi or not self._qualifies(1, cores, gpus, mem_gb):
-            return -1
-        # Descend depth-first, leftmost child first; prune subtrees whose
-        # span misses [lo, hi) or whose maxima cannot satisfy the request.
-        stack = [(1, 0, self._size)]
-        while stack:
-            cell, span_lo, span_hi = stack.pop()
-            if span_hi <= lo or span_lo >= hi:
-                continue
-            if not self._qualifies(cell, cores, gpus, mem_gb):
-                continue
-            if cell >= self._size:  # leaf
-                i = cell - self._size
-                if i < n and self._nodes[i].fits(cores, gpus, mem_gb):
-                    return i
-                continue
-            mid = (span_lo + span_hi) // 2
-            stack.append((2 * cell + 1, mid, span_hi))  # right: popped last
-            stack.append((2 * cell, span_lo, mid))      # left: popped first
-        return -1
-
-
 class NodeList:
     """An ordered collection of :class:`NodeState` with search helpers.
 
-    Wrapping nodes in a NodeList attaches a :class:`FreeCapacityIndex` so
-    placement queries stop scanning the full array; the list is fixed-size
-    after construction.
+    Wrapping nodes in a NodeList makes it the keeper of their fit masks
+    (see the module docstring), so placement queries never scan the array;
+    the list is fixed-size after construction and a node belongs to at most
+    one list.
     """
 
     def __init__(self, nodes: List[NodeState]) -> None:
         self.nodes = list(nodes)
+        #: rank shape -> fit mask; built lazily per shape by :meth:`fit_mask`,
+        #: kept current by the nodes themselves (``NodeState._refit``)
+        self._fit_masks: Dict[RankShape, int] = {}
         # The runtime indexes nodes by Slot.node_index everywhere
-        # (scheduler release, colocation pins, the capacity index's leaf
+        # (scheduler release, colocation pins, the fit masks' bit
         # addressing), so node.index must equal list position; fail loudly
         # on subset/reordered lists instead of corrupting silently.
         for pos, node in enumerate(self.nodes):
@@ -346,9 +231,11 @@ class NodeList:
                     f"node {node.name} has index {node.index} at list "
                     f"position {pos}; NodeList requires dense, in-order "
                     f"node indices")
-        self._index = FreeCapacityIndex(self.nodes)
-        for node in self.nodes:
-            node._listeners.append(self._index.update)
+            if node._fit_masks is not None:
+                raise ValueError(
+                    f"node {node.name} already belongs to a NodeList")
+            node._fit_masks = self._fit_masks
+        self._index_of = {node.name: node.index for node in self.nodes}
         #: distinct static (cores, gpus, mem) profiles for O(1) feasibility
         self._profiles = sorted({(n.num_cores, n.num_gpus, n.mem_gb)
                                  for n in self.nodes}, reverse=True)
@@ -373,29 +260,24 @@ class NodeList:
             for i in range(count)
         ])
 
-    def detach_index(self) -> None:
-        """Drop the list-wide capacity index and its node listeners.
+    def fit_mask(self, cores: int, gpus: int = 0,
+                 mem_gb: float = 0.0) -> int:
+        """Bit *i* set iff node *i* fits one ``(cores, gpus, mem_gb)`` rank.
 
-        A sharded scheduler maintains one :class:`FreeCapacityIndex` per
-        node partition; the list-wide index would then be dead weight
-        updated on every allocate/release.  Detaching removes that cost.
-        The index is rebuilt lazily (from live node state, so it is
-        exact) if :meth:`find_fit` / :meth:`root_qualifies` are used
-        again later.  Idempotent.
+        Exact at all times: O(1) for a tracked shape, one O(nodes) pass of
+        :meth:`NodeState.fits` the first time a shape is asked about.
         """
-        if self._index is None:
-            return
-        update = self._index.update
-        for node in self.nodes:
-            node._listeners.remove(update)
-        self._index = None
-
-    def _ensure_index(self) -> FreeCapacityIndex:
-        if self._index is None:
-            self._index = FreeCapacityIndex(self.nodes)
+        shape = (cores, gpus, mem_gb)
+        mask = self._fit_masks.get(shape)
+        if mask is None:
+            if len(self._fit_masks) >= _MAX_TRACKED_SHAPES:
+                self._fit_masks.clear()
+            mask = 0
             for node in self.nodes:
-                node._listeners.append(self._index.update)
-        return self._index
+                if node.fits(cores, gpus, mem_gb):
+                    mask |= node._bit
+            self._fit_masks[shape] = mask
+        return mask
 
     def find_fit(self, cores: int, gpus: int = 0, mem_gb: float = 0.0,
                  start: int = 0,
@@ -406,37 +288,31 @@ class NodeList:
         the retry policy): avoided nodes are skipped on the first pass and
         reconsidered only when nothing else fits.
 
-        Served by the free-capacity index: instead of probing every node in
-        scan order, the segment tree jumps to the next fitting index, so a
-        fully-packed 2048-node allocation answers "nothing fits" in O(1)
-        from the root maxima.  The returned node is always identical to
-        what the seed's linear scan would have picked.
+        Served by the shape's fit mask: the first fitting node at or after
+        *start* is the lowest set bit of ``mask >> start``, the wrap-around
+        the lowest set bit of the mask itself, so a fully-packed allocation
+        answers "nothing fits" with one dict lookup.  The returned node is
+        always identical to what the seed's linear scan would have picked.
         """
-        index = self._ensure_index()
-        deferred: Optional[NodeState] = None
-        n = len(self.nodes)
-        for lo, hi in ((start, n), (0, start)):
-            pos = lo
-            while True:
-                i = index.first_fit(cores, gpus, mem_gb, pos, hi)
-                if i < 0:
-                    break
-                node = self.nodes[i]
-                if avoid and node.name in avoid:
-                    deferred = deferred or node
-                    pos = i + 1
-                    continue
-                return node
-        return deferred
+        mask = self.fit_mask(cores, gpus, mem_gb)
+        if not mask:
+            return None
+        if avoid:
+            avoided = 0
+            for name in avoid:
+                index = self._index_of.get(name)
+                if index is not None:
+                    avoided |= 1 << index
+            mask = mask & ~avoided or mask  # soft: all avoided = none avoided
+        ahead = mask >> start
+        if ahead:
+            return self.nodes[start + (ahead & -ahead).bit_length() - 1]
+        return self.nodes[(mask & -mask).bit_length() - 1]
 
     def root_qualifies(self, cores: int, gpus: int = 0,
                        mem_gb: float = 0.0) -> bool:
-        """O(1) check that some up node might fit one rank right now.
-
-        See :meth:`FreeCapacityIndex.root_qualifies` -- necessary, not
-        sufficient, which is exactly what wake filtering needs.
-        """
-        return self._ensure_index().root_qualifies(cores, gpus, mem_gb)
+        """Does some node fit one rank of this shape right now?  Exact."""
+        return self.fit_mask(cores, gpus, mem_gb) != 0
 
     def can_ever_fit(self, cores: int, gpus: int = 0,
                      mem_gb: float = 0.0) -> bool:

@@ -21,14 +21,13 @@ from ..states import TaskState
 from ..task import QUEUED, STAGE_OUT
 from .executor import AgentExecutor, ExecutionError
 from .scheduler import AgentScheduler, SchedulerError
-from .sharded import ShardedScheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..session import Session
     from ..task import Task
 
-__all__ = ["Agent", "AgentScheduler", "AgentExecutor", "ShardedScheduler",
-           "SchedulerError", "ExecutionError"]
+__all__ = ["Agent", "AgentScheduler", "AgentExecutor", "SchedulerError",
+           "ExecutionError"]
 
 
 class Agent:

@@ -30,28 +30,29 @@ scales -- see ``benchmarks/test_ablation_sched_throughput.py``):
 * rescans are **event-driven**: an ``_infeasible`` shape memo records which
   shapes failed placement since capacity last *grew* (release, node repair,
   explicit kick).  Submitting into a memoised shape is an O(log n) enqueue
-  with no placement attempt.  A capacity increase *wake-filters* the memo:
-  only parked shapes that pass the free-capacity index's O(1)
-  root-qualification (some up node could host one rank right now -- a
-  necessary condition for placement) are woken; the rest stay parked
-  without a doomed placement attempt.  The grant pass applies the same
-  O(1) qualification to each woken shape's head *again* right before
-  placing it (**capacity-qualified wake**): siblings woken by the same
+  with no placement attempt.  A capacity increase *wake-filters* the memo
+  against the node list's per-shape **fit masks**
+  (:meth:`~repro.hpc.node.NodeList.fit_mask`: bit *i* says node *i* fits
+  one rank right now): only parked shapes with a bit among the nodes whose
+  capacity grew are woken; the rest stay parked without a doomed placement
+  attempt.  The grant pass reads the same mask for each woken shape's head
+  *again* right before placing it, and before re-offering the shape after
+  a grant (**capacity-qualified wake**): siblings woken by the same
   release compete for the same few cores, and the ones that lost are
-  parked unattempted.  Woken shapes enter a **feasible-
-  shape ready heap** keyed on their head entry's ``(-priority, seq)``, so
-  the grant pass picks the globally best pending request in O(log shapes)
-  instead of a linear scan over every shape key (colocate-heavy mixes
-  create one shape per group).  A single kick therefore grants every
-  currently-feasible request without re-walking entries already rejected
-  at the same capacity (the seed restarted a full scan of the queue after
-  every grant);
+  parked unattempted.  A bit is exact -- no bit set means ``_place`` could
+  only fail -- so the checks never change what is granted, only what is
+  attempted.  Woken shapes enter a **feasible-shape ready heap** keyed on
+  their head entry's ``(-priority, seq)``, so the grant pass picks the
+  globally best pending request in O(log shapes) instead of a linear scan
+  over every shape key (colocate-heavy mixes create one shape per group).
+  A single kick therefore grants every currently-feasible request without
+  re-walking entries already rejected at the same capacity (the seed
+  restarted a full scan of the queue after every grant);
 * ``withdraw`` is O(1) via a uid->entry index with lazy heap deletion, and
   ``held_on_node`` reads a per-node held-task index instead of scanning
   every held slot;
-* node search inside :meth:`_place` goes through the
-  :class:`~repro.hpc.node.FreeCapacityIndex` (``NodeList.find_fit``),
-  O(log nodes) instead of O(nodes).
+* node search inside :meth:`_place` is ``NodeList.find_fit``: a shift and a
+  lowest-set-bit on the shape's fit mask, O(1) in the number of nodes.
 
 The semantics are pinned to the seed implementation
 (:class:`~repro.pilot.agent.reference.ReferenceScheduler`) by a
@@ -154,11 +155,11 @@ class AgentScheduler:
         # convention, not contract).  Subscribe to health-up changes so the
         # infeasible-shape memo can never go stale against a repair.
         for node in nodes:
-            node._listeners.append(self._node_changed)
+            node._health_listeners.append(self._health_changed)
 
-    def _node_changed(self, node: NodeState, kind: str) -> None:
-        if kind == "up":
-            self._capacity_increased([node])
+    def _health_changed(self, node: NodeState, health: str) -> None:
+        if health == NodeState.UP:
+            self._capacity_increased(1 << node.index)
 
     # -- observability -----------------------------------------------------------
     def _obs_poll(self) -> None:
@@ -272,14 +273,11 @@ class AgentScheduler:
         slots = self._held.pop(task.uid, None)
         if slots is None:
             raise SchedulerError(f"{task.uid} holds no slots")
-        changed: List[NodeState] = []
-        seen: Set[int] = set()
+        changed = 0  # bit i: node i got capacity back
         for slot in slots:
             self.nodes[slot.node_index].release(slot)
             self._drop_node_held(slot.node_index, task.uid)
-            if slot.node_index not in seen:
-                seen.add(slot.node_index)
-                changed.append(self.nodes[slot.node_index])
+            changed |= 1 << slot.node_index
         task.slots = []
         self._capacity_increased(changed)
 
@@ -375,35 +373,26 @@ class AgentScheduler:
             if not holders:
                 del self._node_held[node_index]
 
-    def _capacity_increased(
-            self, changed: Optional[List[NodeState]] = None) -> None:
+    def _capacity_increased(self, changed: int = -1) -> None:
         """Capacity grew: wake qualifying parked shapes and re-place.
 
-        A parked shape transitioned to placeable only if a node whose
-        capacity just grew can now host one of its ranks: state elsewhere
-        is unchanged, per-rank consumption is uniform (so greedy multi-
-        rank success is independent of node choice order), and capacity
-        only shrinks between increases.  With the *changed* node list
-        (release, single-node repair) the filter is therefore exact per
-        node: wake a shape iff some changed node fits one rank.  Without
-        it (explicit kick) the filter falls back to the capacity index's
-        O(1) root-qualification -- conservative but still sufficient.
-        Either way, unwoken shapes would have failed their placement
-        attempt, so skipping them is behaviour-preserving (the seed
-        cleared the memo wholesale and paid a doomed ``_place`` per
-        unplaceable shape).
+        *changed* is the bit mask of the nodes whose capacity grew
+        (release, single-node repair); an explicit kick names no node and
+        passes all bits.  A parked shape transitioned to placeable only if
+        a node whose capacity just grew can now host one of its ranks:
+        state elsewhere is unchanged, per-rank consumption is uniform (so
+        greedy multi-rank success is independent of node choice order), and
+        capacity only shrinks between increases.  So a shape is woken iff
+        its fit mask has a bit among the changed nodes.  Unwoken shapes
+        would have failed their placement attempt, so skipping them is
+        behaviour-preserving (the seed cleared the memo wholesale and paid
+        a doomed ``_place`` per unplaceable shape).
         """
         infeasible = self._infeasible
         if infeasible:
-            if changed is None:
-                nodes = self.nodes
-                woken = [shape for shape in infeasible
-                         if nodes.root_qualifies(shape[0], shape[1],
-                                                 shape[2])]
-            else:
-                woken = [shape for shape in infeasible
-                         if any(node.fits(shape[0], shape[1], shape[2])
-                                for node in changed)]
+            fit_mask = self.nodes.fit_mask
+            woken = [shape for shape in infeasible
+                     if fit_mask(shape[0], shape[1], shape[2]) & changed]
             for shape in woken:
                 infeasible.discard(shape)
                 self._push_ready(shape)
@@ -479,19 +468,18 @@ class AgentScheduler:
         capacity), a failure parks the shape in the infeasible memo.  The
         heap always surfaces the minimal live head among non-parked
         shapes, so the grant order is identical to the seed's full scan.
-        A head is attempted only while the capacity index's O(1)
-        root-qualification still holds for its shape; otherwise the shape
-        is parked unattempted.  A pass therefore costs O(grants)
-        placement attempts, plus the rare shape whose per-dimension
-        maxima sit on *different* nodes and which fails inside
-        ``_place``.
+        A head is attempted only while its shape's fit mask is non-zero
+        (some node fits one rank -- exact); otherwise the shape is parked
+        unattempted.  A pass therefore costs O(grants) placement attempts,
+        plus a multi-rank or pinned request whose ranks do not all find
+        room and which fails inside ``_place``.
         """
         self.stats.passes += 1
         ready = self._ready
         ready_shapes = self._ready_shapes
         queues = self._shape_queues
         infeasible = self._infeasible
-        root_qualifies = self.nodes.root_qualifies
+        fit_mask = self.nodes.fit_mask
         while ready:
             key0, key1, shape = heappop(ready)
             ready_shapes.discard(shape)
@@ -509,7 +497,7 @@ class AgentScheduler:
             # consumed what woke the shape.  When no up node can host one
             # rank any more, _place could only return None (pinned or not),
             # so park the shape without paying for the doomed attempt.
-            if not root_qualifies(shape[0], shape[1], shape[2]):
+            if not fit_mask(shape[0], shape[1], shape[2]):
                 infeasible.add(shape)
                 continue
             task, event = head[2], head[3]
@@ -523,4 +511,9 @@ class AgentScheduler:
             if self._obs_metrics is not None:
                 self._obs_track_dequeue(shape)
             self._grant(task, event, slots)
-            self._push_ready(shape)
+            # Capacity never grows inside a pass: siblings of a shape that
+            # no longer fits are parked here, not re-offered and popped.
+            if queue and not fit_mask(shape[0], shape[1], shape[2]):
+                infeasible.add(shape)
+            else:
+                self._push_ready(shape)

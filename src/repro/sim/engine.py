@@ -32,7 +32,7 @@ Two structural optimisations keep the kernel flat at million-task scale
 Beyond the flat kernel, ``SimulationEngine(lanes=N)`` builds a
 **lane-partitioned kernel**: N independent heap+now-queue pairs indexed by
 each event's :attr:`~repro.sim.events.Event.lane` tag (producers owning
-disjoint state -- e.g. scheduler shards -- tag their traffic), merged by a
+disjoint state tag their traffic), merged by a
 small offer heap of ``(time, priority, eid, lane)`` keys with per-lane
 registered heads and lazy invalidation.  Because event ids come from one
 monotonic counter and the merge picks the globally smallest

@@ -62,7 +62,7 @@ class Event:
 
     :attr:`lane` is the event's dispatch-lane affinity for engines built
     with ``lanes > 1`` (see :class:`~repro.sim.engine.SimulationEngine`):
-    producers that own disjoint state (e.g. scheduler shards) tag their
+    producers that own disjoint state tag their
     events with a lane id so same-lane traffic shares one queue pair.  The
     tag is purely a queueing hint -- the merge layer preserves the global
     ``(time, priority, eid)`` processing order bit-identically for any

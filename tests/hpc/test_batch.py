@@ -96,6 +96,31 @@ class TestCompletionAndWalltime:
         assert job.state == JobState.CANCELLED
         assert batch.free_nodes == 8
 
+    @pytest.mark.parametrize("ran_for", [None, 0.5])
+    def test_cancel_during_bring_up_returns_the_nodes(self, engine, ran_for):
+        # the job left the queue and took its nodes, but stays PENDING
+        # until the sampled queue-wait delay has elapsed
+        spec = make_spec(nodes=4, queue_wait=50.0)
+        batch = BatchSystem(engine, spec, RngHub(7).stream("b"))
+        job = batch.submit(n_nodes=3, walltime_s=100.0)
+        waiting = batch.submit(n_nodes=2, walltime_s=100.0)
+        if ran_for is not None:  # else: before the bring-up even started
+            engine.run(until=ran_for)
+        assert job.state == JobState.PENDING and batch.free_nodes == 1
+        cancelled_at = engine.now
+        batch.cancel(job)
+        assert job.state == JobState.CANCELLED
+        assert batch.queued_jobs == 0  # the freed nodes started `waiting`
+        assert engine.run(until=job.finished) == JobState.CANCELLED
+        engine.run(until=waiting.started)
+        batch.cancel(waiting)
+        engine.run()
+        assert not job.started.triggered and job.started_at is None
+        assert job.finished_at == cancelled_at
+        assert batch.free_nodes == 4
+        # neither the abandoned delay nor a walltime dragged the clock on
+        assert engine.now == waiting.started_at
+
     def test_cancel_final_job_is_idempotent(self, engine, batch):
         job = batch.submit(n_nodes=4, walltime_s=10.0)
         engine.run(until=job.finished)

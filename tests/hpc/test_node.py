@@ -71,54 +71,6 @@ class TestNodeState:
             node.allocate(cores=-1)
 
 
-class TestReleaseMany:
-    def test_matches_sequential_release(self, node):
-        slots = [node.allocate(cores=2, gpus=1, mem_gb=8.0)
-                 for _ in range(3)]
-        node.release_many(slots)
-        assert node.free_cores == 8
-        assert node.free_gpus == 4
-        assert node.free_mem_gb == 64.0
-        assert sorted(node._free_cores) == node._free_cores
-        assert sorted(node._free_gpus) == node._free_gpus
-
-    def test_single_slot_delegates(self, node):
-        slot = node.allocate(cores=2)
-        node.release_many([slot])
-        assert node.free_cores == 8
-
-    def test_fires_one_change_notification(self, node):
-        kinds = []
-        node._listeners.append(lambda n, kind: kinds.append(kind))
-        slots = [node.allocate(cores=1) for _ in range(4)]
-        del kinds[:]
-        node.release_many(slots)
-        assert kinds == ["release"]
-
-    def test_double_release_detected_and_atomic(self, node):
-        s1 = node.allocate(cores=2, gpus=1)
-        s2 = node.allocate(cores=2, gpus=1)
-        node.release(s1)
-        free_before = node.free_cores
-        with pytest.raises(RuntimeError, match="double release"):
-            node.release_many([s2, s1])
-        # atomic: s2 was not returned either
-        assert node.free_cores == free_before
-
-    def test_duplicate_within_batch_detected(self, node):
-        slot = node.allocate(cores=2)
-        with pytest.raises(RuntimeError, match="double release"):
-            node.release_many([slot, slot])
-
-    def test_wrong_node_detected(self, node):
-        other = NodeState(index=1, name="node00001", cores=8, gpus=4,
-                          mem_gb=64)
-        s_other = other.allocate(cores=1)
-        s_mine = node.allocate(cores=1)
-        with pytest.raises(RuntimeError, match="released on node"):
-            node.release_many([s_mine, s_other])
-
-
 class TestNodeList:
     def test_build(self):
         nl = NodeList.build(count=4, cores=8, gpus=2, mem_gb=32.0)
@@ -145,3 +97,53 @@ class TestNodeList:
         nl[3].allocate(cores=2)
         # starting at 2 should wrap and find node 0
         assert nl.find_fit(cores=2, start=2) is nl[0]
+
+    def test_find_fit_on_a_pool_wider_than_a_machine_word(self):
+        nl = NodeList.build(count=100, cores=2, gpus=0, mem_gb=4.0)
+        slots = [node.allocate(cores=2) for node in nl]
+        assert nl.find_fit(cores=1, start=10) is None
+        nl[3].release(slots[3])
+        nl[90].release(slots[90])
+        assert nl.find_fit(cores=1, start=10) is nl[90]  # 80 bits ahead
+        assert nl.find_fit(cores=1, start=91) is nl[3]   # wrapped
+        assert nl.find_fit(cores=1, start=3) is nl[3]
+
+    def test_fit_mask_follows_every_node_change(self):
+        nl = NodeList.build(count=3, cores=4, gpus=1, mem_gb=8.0)
+        assert nl.fit_mask(2, 1, 4.0) == 0b111
+        slot = nl[1].allocate(cores=3)
+        assert nl.fit_mask(2, 1, 4.0) == 0b101
+        nl[0].mark_degraded()
+        nl[2].mark_down()
+        assert nl.fit_mask(2, 1, 4.0) == 0 and not nl.root_qualifies(2, 1, 4.0)
+        nl[1].release(slot)
+        nl[2].mark_up()
+        assert nl.fit_mask(2, 1, 4.0) == 0b110
+        assert nl.fit_mask(0) == 0b110  # a zero-core rank still needs health
+
+    def test_fit_mask_keeps_fits_memory_slack(self):
+        nl = NodeList.build(count=1, cores=4, gpus=0, mem_gb=8.0)
+        asks = (8.0 + 1e-9, 8.0 + 3e-9, 8.0, 8.0 - 1e-9, 8.0 - 3e-9)
+        for mem in asks:  # tracked while free, so the node change refits
+            assert nl.root_qualifies(1, 0, mem) == nl[0].fits(1, 0, mem)
+        nl[0].allocate(cores=1, mem_gb=2e-9)
+        assert [nl.root_qualifies(1, 0, mem) for mem in asks] \
+            == [nl[0].fits(1, 0, mem) for mem in asks] \
+            == [False, False, False, True, True]
+
+    def test_mask_table_overflow_keeps_answers_exact(self):
+        from repro.hpc.node import _MAX_TRACKED_SHAPES
+        nl = NodeList.build(count=2, cores=4, gpus=0, mem_gb=64.0)
+        assert nl.find_fit(cores=4) is nl[0]
+        for k in range(_MAX_TRACKED_SHAPES + 1):     # evicts the 4-core shape
+            assert nl.find_fit(cores=1, mem_gb=float(k)) is nl[0]
+        slot = nl[0].allocate(cores=1)               # while it is untracked
+        assert nl.find_fit(cores=4) is nl[1]         # tracked again
+        nl[0].release(slot)                          # nodes follow the table
+        assert nl.find_fit(cores=4) is nl[0]
+        assert len(nl._fit_masks) <= _MAX_TRACKED_SHAPES
+
+    def test_node_joins_one_list_only(self):
+        nl = NodeList.build(count=2, cores=2, gpus=0, mem_gb=4.0)
+        with pytest.raises(ValueError, match="already belongs"):
+            NodeList(nl.nodes)

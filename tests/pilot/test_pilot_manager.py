@@ -75,6 +75,22 @@ class TestPilotLifecycle:
         assert queued.state == PilotState.CANCELED
         assert not queued.became_active.ok
 
+    def test_cancel_pilot_during_bring_up(self, session, pmgr):
+        # the batch job already holds its nodes but has not started: the
+        # cancel must neither raise nor leak them
+        batch = session.batch_system("delta")
+        free = batch.free_nodes
+        (pilot,) = pmgr.submit_pilots(
+            PilotDescription(resource="delta", nodes=2))
+        assert batch.free_nodes == free - 2
+        pmgr.cancel_pilots(pilot)
+        session.run(until=pilot.finished)
+        assert pilot.state == PilotState.CANCELED
+        assert not pilot.became_active.ok
+        assert batch.free_nodes == free
+        session.run()
+        assert session.engine.is_idle()
+
     def test_multiple_pilots_on_different_platforms(self, session, pmgr):
         pilots = pmgr.submit_pilots([
             PilotDescription(resource="delta", nodes=1),

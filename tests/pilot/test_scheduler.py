@@ -154,17 +154,17 @@ class TestHotPath:
         assert sum(1 for g in grants if g.processed) == 4
         assert sched.queue_length == 6
         # 4 successful placements and no failed probe: once the node is
-        # full the shape's next head fails the O(1) root qualification and
-        # is parked unattempted -- not a rescan of all 10 entries after
+        # full the shape's fit mask is empty and its next head is parked
+        # unattempted -- not a rescan of all 10 entries after
         # every grant, and not even one doomed _place
         assert sched.stats.place_attempts - before == 4
         assert sched.stats.grants - granted_before == 4
 
-    def test_root_qualification_is_only_a_filter(self, session):
-        # Free cores sit on node 0, the free GPU on node 1: the root maxima
-        # (3 cores, 1 GPU) qualify a 2-core + 1-GPU rank although no single
-        # node fits it.  The pre-check must let it through to _place, which
-        # fails and parks the shape exactly as before.
+    def test_qualification_is_exact(self, session):
+        # Free cores sit on node 1, the free GPU on node 0: per-dimension
+        # maxima over the pool (3 cores, 1 GPU) would admit a 2-core +
+        # 1-GPU rank although no single node fits it.  The fit mask is per
+        # node, so the shape stays parked without a doomed _place.
         sched, nodes = make_scheduler(session, n_nodes=2, cores=4, gpus=1)
         gpu_hog = make_task(session, cores_per_rank=1, gpus_per_rank=1)
         core_hog = make_task(session, cores_per_rank=3)
@@ -174,16 +174,44 @@ class TestHotPath:
         assert core_hog.slots[0].node_index == 1
         waiter = make_task(session, cores_per_rank=2, gpus_per_rank=1)
         grant = sched.schedule(waiter)  # probed once, memoised
-        assert nodes.root_qualifies(2, 1, 0.0)
-        assert not any(node.fits(2, 1, 0.0) for node in nodes)
+        assert max(n.free_cores for n in nodes) >= 2
+        assert max(n.free_gpus for n in nodes) >= 1
+        assert not nodes.root_qualifies(2, 1, 0.0)
         before = sched.stats.place_attempts
-        sched.kick()  # wakes on root qualification alone
+        sched.kick()
         session.run()
-        assert sched.stats.place_attempts - before == 1  # attempted, failed
+        assert sched.stats.place_attempts == before  # not even attempted
         assert not grant.triggered and sched.queue_length == 1
         sched.release(core_hog)  # node 1 now fits all three dimensions
         session.run()
         assert grant.processed and waiter.slots[0].node_index == 1
+
+    def test_split_maxima_mix_pays_no_failed_attempt(self, session):
+        # A GPU-bound shape and a whole-node shape queue on a pool whose
+        # free cores and free GPU keep ending up on different nodes: once
+        # each shape is parked (one probe each), every wake-up, kick and
+        # in-pass re-offer that follows attempts only what it can grant.
+        sched, nodes = make_scheduler(session, n_nodes=2, cores=4, gpus=1)
+        gpu_hog = make_task(session, cores_per_rank=1, gpus_per_rank=1)
+        core_hog = make_task(session, cores_per_rank=3)
+        session.run(until=sched.schedule(gpu_hog))   # node 0: 3c/0g free
+        session.run(until=sched.schedule(core_hog))  # node 1: 1c/1g free
+        gpu_bound = [make_task(session, cores_per_rank=2, gpus_per_rank=1)
+                     for _ in range(3)]
+        whole = [make_task(session, cores_per_rank=4) for _ in range(2)]
+        grants = [sched.schedule(task) for task in gpu_bound + whole]
+        session.run()
+        assert sched.queue_length == 5
+        attempts, granted = sched.stats.place_attempts, sched.stats.grants
+        sched.kick()
+        # node 0 fits gpu_bound[0]; what is left is split again (2c | 1g)
+        sched.release(gpu_hog)
+        sched.release(core_hog)      # node 1 fits gpu_bound[1]
+        sched.release(gpu_bound[0])  # node 0 fits gpu_bound[2], not `whole`
+        session.run()
+        assert [g.processed for g in grants] == [True] * 3 + [False] * 2
+        assert sched.stats.grants - granted == 3
+        assert sched.stats.place_attempts - attempts == 3
 
     def test_submit_into_infeasible_shape_skips_placement(self, session):
         sched, _ = make_scheduler(session, n_nodes=1, cores=4)

@@ -69,8 +69,6 @@ class TaskPathMachine(RuleBasedStateMachine):
         if not hasattr(self, "session"):
             return
         session, pilot = self.session, self.pilot
-        if not pilot.is_active:  # a job not queued yet cannot be cancelled
-            session.run(until=self.pmgr.wait_active([pilot]))
         session.quiesce()
         self.pmgr.cancel_pilots(pilot)
         session.run()
