@@ -132,19 +132,9 @@ class ObservabilityServices:
                     self.metrics, self.monitors, session.engine
                 metrics.add_poll(
                     lambda: monitors.on_sample(metrics, engine.now))
-            if session.engine.lanes > 1:
-                # lane-partitioned kernel: per-lane queue depth gauges so
-                # the dashboard and queue-growth monitor see dispatch
-                # imbalance between lanes
-                self.metrics.add_poll(self._poll_lane_depths)
             proc = session.engine.process(
                 self.metrics.sampler(session, self.config.sample_interval_s))
             session.add_daemon(proc)
-
-    def _poll_lane_depths(self) -> None:
-        metrics = self.metrics
-        for lane, depth in enumerate(self.session.engine.lane_depths()):
-            metrics.gauge("engine_lane_depth", {"lane": str(lane)}).set(depth)
 
     # -- interpretation --------------------------------------------------------
     def attribution(self, makespan: Optional[float] = None,

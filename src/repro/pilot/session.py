@@ -62,7 +62,6 @@ class Session:
                  profile_max_rows: Optional[int] = None,
                  profile_retention: str = "bound",
                  profile_spill: Optional[str] = None,
-                 lanes: int = 1,
                  gc_policy: str = "default") -> None:
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}")
@@ -72,17 +71,9 @@ class Session:
         self.ids = IdRegistry()
         self.uid = uid or self.ids.generate("session")
         self.rng_hub = RngHub(seed)
-        #: ``lanes > 1`` builds a lane-partitioned event kernel (virtual
-        #: mode only): producers owning disjoint state tag their events
-        #: with a lane id, bounding per-queue depth while the merge layer
-        #: keeps dispatch order bit-identical to the flat kernel.
         if mode == "virtual":
-            self.engine: SimulationEngine = SimulationEngine(lanes=lanes)
+            self.engine: SimulationEngine = SimulationEngine()
         else:
-            if lanes != 1:
-                raise ValueError(
-                    "lanes > 1 requires virtual mode (the realtime engine "
-                    "paces against the wall clock and stays single-lane)")
             self.engine = RealtimeEngine(factor=realtime_factor)
         self.fabric = Fabric(self.rng_hub.stream("fabric"))
         #: profiling tier: "full" keeps every row, "durations" keeps first

@@ -16,7 +16,7 @@ from .events import (
     Process,
     Timeout,
 )
-from .engine import RealtimeEngine, SimulationEngine, StopEngine
+from .engine import RealtimeEngine, SimulationEngine
 from .resources import (
     Container,
     FilterStore,
@@ -38,7 +38,6 @@ __all__ = [
     "Timeout",
     "RealtimeEngine",
     "SimulationEngine",
-    "StopEngine",
     "Container",
     "FilterStore",
     "PriorityResource",

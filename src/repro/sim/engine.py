@@ -12,7 +12,8 @@ injection, which lets executors run *real* Python workloads in worker threads
 and feed completions back into the simulation loop.
 
 Two structural optimisations keep the kernel flat at million-task scale
-(profiled via ``benchmarks/profile_hotpath.py``):
+(profiled via ``benchmarks/profile_hotpath.py``; held against a minimal
+one-heap kernel by ``benchmarks/test_micro_kernels.py``):
 
 * **now-queue** -- zero-delay NORMAL-priority events (the bulk of
   control-plane traffic: grant cascades, completion chains, zero-latency
@@ -29,19 +30,11 @@ Two structural optimisations keep the kernel flat at million-task scale
   it and calls the function directly.  No allocation after warm-up, no
   callback-list churn, no :class:`Process` machinery for leaf waits.
 
-Beyond the flat kernel, ``SimulationEngine(lanes=N)`` builds a
-**lane-partitioned kernel**: N independent heap+now-queue pairs indexed by
-each event's :attr:`~repro.sim.events.Event.lane` tag (producers owning
-disjoint state tag their traffic), merged by a
-small offer heap of ``(time, priority, eid, lane)`` keys with per-lane
-registered heads and lazy invalidation.  Because event ids come from one
-monotonic counter and the merge picks the globally smallest
-``(time, priority, eid)`` key, processing order is **bit-identical** to the
-flat kernel for any lane count (property-tested in
-``tests/test_properties.py``); lanes only change which queue holds an
-entry, which bounds per-queue depth and is the structural prerequisite for
-dispatching independent lanes concurrently.  Lane 0 aliases the flat
-``_heap``/``_nowq`` pair, so single-lane engines pay nothing.
+There is **one dispatch loop** (:meth:`SimulationEngine._dispatch`): the
+merged pop, the cancelled-entry skip and the dispatch body exist once, and
+:meth:`~SimulationEngine.step` and every :meth:`~SimulationEngine.run` mode
+are thin callers that differ only in the stop conditions they pass -- a stop
+event, a deadline, a budget of events.
 """
 
 from __future__ import annotations
@@ -51,12 +44,11 @@ import itertools
 import threading
 import time as _time
 from collections import deque
-from typing import Any, Callable, Deque, Generator, List, Optional, Union
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, \
+    Union
 
 from .events import (
-    PENDING,
     NORMAL,
-    URGENT,
     AllOf,
     AnyOf,
     Condition,
@@ -66,17 +58,22 @@ from .events import (
     Timeout,
 )
 
-__all__ = ["SimulationEngine", "RealtimeEngine", "StopEngine"]
+__all__ = ["SimulationEngine", "RealtimeEngine"]
 
-
-class StopEngine(Exception):
-    """Raised internally to halt :meth:`SimulationEngine.run`."""
+_INF = float("inf")
+#: "no stop event" for :meth:`SimulationEngine._dispatch`: never scheduled,
+#: so never processed, and the loop needs no ``stop is None`` test per event
+_NEVER = Event(None)  # type: ignore[arg-type]
+#: budgets for :meth:`SimulationEngine._dispatch`: ``for _ in budget`` costs
+#: nothing per event that a ``while True`` would not
+_UNBOUNDED = itertools.repeat(None)
+_ONE_EVENT = (None,)
 
 
 class SimulationEngine:
     """Discrete-event simulation core with a binary-heap event queue."""
 
-    def __init__(self, start_time: float = 0.0, lanes: int = 1) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._heap: List[tuple] = []
         #: zero-delay NORMAL-priority entries, sorted by construction
@@ -85,20 +82,6 @@ class SimulationEngine:
         self._active_process: Optional[Process] = None
         #: free list of fired Deferred instances (see call_later)
         self._pool: List[Deferred] = []
-        if lanes < 1:
-            raise ValueError(f"lanes must be >= 1, got {lanes}")
-        self._nlanes = int(lanes)
-        if self._nlanes > 1:
-            # Lane 0 aliases the flat queues so code that introspects
-            # ``_heap``/``_nowq`` keeps seeing a real lane.
-            self._lane_heaps: List[List[tuple]] = [
-                self._heap] + [[] for _ in range(self._nlanes - 1)]
-            self._lane_nowqs: List[Deque[tuple]] = [
-                self._nowq] + [deque() for _ in range(self._nlanes - 1)]
-            #: merge heap of (time, priority, eid, lane) offers
-            self._merge: List[tuple] = []
-            #: per-lane registered offer key (the smallest outstanding offer)
-            self._lane_offer: List[Optional[tuple]] = [None] * self._nlanes
 
     # -- introspection --------------------------------------------------------
     @property
@@ -107,103 +90,57 @@ class SimulationEngine:
         return self._now
 
     @property
-    def lanes(self) -> int:
-        """Number of dispatch lanes (1 = flat kernel)."""
-        return self._nlanes
-
-    def lane_depths(self) -> List[int]:
-        """Entries queued per lane (heap + now-queue), cancelled included."""
-        if self._nlanes == 1:
-            return [len(self._heap) + len(self._nowq)]
-        return [len(h) + len(q)
-                for h, q in zip(self._lane_heaps, self._lane_nowqs)]
-
-    @property
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed (None outside resumes)."""
         return self._active_process
 
     def _prune_cancelled(self) -> None:
-        """Drop cancelled events from the heads of every queue pair."""
-        if self._nlanes == 1:
-            heap = self._heap
-            while heap and heap[0][3]._cancelled:
-                heapq.heappop(heap)
-            nowq = self._nowq
-            while nowq and nowq[0][3]._cancelled:
-                nowq.popleft()
-            return
-        heappop = heapq.heappop
-        for heap, nowq in zip(self._lane_heaps, self._lane_nowqs):
-            while heap and heap[0][3]._cancelled:
-                heappop(heap)
-            while nowq and nowq[0][3]._cancelled:
-                nowq.popleft()
+        """Drop cancelled events from the heads of both queues."""
+        heap = self._heap
+        while heap and heap[0][3]._cancelled:
+            heapq.heappop(heap)
+        nowq = self._nowq
+        while nowq and nowq[0][3]._cancelled:
+            nowq.popleft()
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or +inf when idle."""
         self._prune_cancelled()
-        if self._nlanes == 1:
-            heap, nowq = self._heap, self._nowq
-            if heap:
-                if nowq and nowq[0] < heap[0]:
-                    return nowq[0][0]
-                return heap[0][0]
-            return nowq[0][0] if nowq else float("inf")
-        best: Optional[tuple] = None
-        for heap, nowq in zip(self._lane_heaps, self._lane_nowqs):
-            if heap:
-                head = heap[0]
-                if nowq and nowq[0] < head:
-                    head = nowq[0]
-            elif nowq:
-                head = nowq[0]
-            else:
-                continue
-            if best is None or head < best:
-                best = head
-        return best[0] if best is not None else float("inf")
+        heap, nowq = self._heap, self._nowq
+        if heap:
+            if nowq and nowq[0] < heap[0]:
+                return nowq[0][0]
+            return heap[0][0]
+        return nowq[0][0] if nowq else _INF
 
     def is_idle(self) -> bool:
         self._prune_cancelled()
-        if self._nlanes == 1:
-            return not self._heap and not self._nowq
-        return not any(self._lane_heaps) and not any(self._lane_nowqs)
+        return not self._heap and not self._nowq
 
     # -- scheduling -----------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0,
                  priority: int = NORMAL) -> None:
-        """Enqueue *event* for processing at ``now + delay``.
-
-        On lane-partitioned engines the entry lands in the queue pair named
-        by ``event.lane`` (taken modulo the lane count); single-lane engines
-        never read the tag.
-        """
-        if self._nlanes != 1:
-            self._insert_lane(event.lane, event, delay, priority)
-            return
+        """Enqueue *event* for processing at ``now + delay``."""
         if delay == 0.0 and priority == NORMAL:
             # Fast path: immediate events keep global (time, priority, eid)
             # order in a plain FIFO -- see the now-queue note in the module
             # docstring.
             self._nowq.append((self._now, NORMAL, next(self._eid), event))
             return
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # written this way round so that NaN is refused
+            raise ValueError(f"negative or NaN delay {delay}")
         heapq.heappush(self._heap, (self._now + delay, priority,
                                     next(self._eid), event))
 
     def call_later(self, delay: float, fn: Callable[[Any], None],
-                   arg: Any = None, priority: int = NORMAL,
-                   lane: int = 0) -> Deferred:
+                   arg: Any = None, priority: int = NORMAL) -> Deferred:
         """Schedule ``fn(arg)`` after *delay* via the pooled fast path.
 
         Internal fast path for leaf waits (bus deliveries, link timers)
         that need no observable :class:`Event`.  Returns a handle whose
         ``cancel()`` withdraws the call -- valid only *before* the fire
         time: fired handles are recycled into the pool and may already
-        back an unrelated call.  *lane* names the dispatch lane on
-        partitioned engines (ignored on flat ones).
+        back an unrelated call.
         """
         pool = self._pool
         if pool:
@@ -212,104 +149,14 @@ class SimulationEngine:
             ev = Deferred()
         ev.fn = fn
         ev.arg = arg
-        if self._nlanes != 1:
-            self._insert_lane(lane, ev, delay, priority)
-            return ev
         if delay == 0.0 and priority == NORMAL:
             self._nowq.append((self._now, NORMAL, next(self._eid), ev))
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        elif not delay >= 0:  # NaN too: it would corrupt the heap order
+            raise ValueError(f"negative or NaN delay {delay}")
         else:
             heapq.heappush(self._heap, (self._now + delay, priority,
                                         next(self._eid), ev))
         return ev
-
-    # -- lane-partitioned kernel ----------------------------------------------
-    def _insert_lane(self, lane: int, item: Any, delay: float,
-                     priority: int) -> None:
-        """Insert *item* into its lane and keep the merge offer current.
-
-        The merge heap holds ``(time, priority, eid, lane)`` offers;
-        ``_lane_offer[lane]`` records the smallest outstanding offer key for
-        the lane.  An offer is (re)issued only when the new entry beats the
-        registered one, so each lane contributes O(1) live offers and stale
-        (superseded or cancelled) offers are discarded lazily at pop time.
-        """
-        if lane:
-            lane %= self._nlanes
-        if delay == 0.0 and priority == NORMAL:
-            key = (self._now, NORMAL, next(self._eid))
-            self._lane_nowqs[lane].append(key + (item,))
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        else:
-            key = (self._now + delay, priority, next(self._eid))
-            heapq.heappush(self._lane_heaps[lane], key + (item,))
-        registered = self._lane_offer[lane]
-        if registered is None or key < registered:
-            self._lane_offer[lane] = key
-            heapq.heappush(self._merge, key + (lane,))
-
-    def _pop_next_lane(self) -> Optional[tuple]:
-        """Pop the globally next live entry across all lanes (or None).
-
-        Pops merge offers until one still matches its lane's registered
-        head; cancelled heads are pruned in the same pass (single prune,
-        like the flat kernel) and a head that changed since the offer was
-        issued is simply re-offered at its live key.  Keys are unique
-        (monotonic eids), so the matched offer identifies the exact entry
-        and the returned entry is the global ``(time, priority, eid)``
-        minimum -- every other lane's registered offer is a lower bound on
-        its live head and all of those are still in the merge heap.
-        """
-        merge = self._merge
-        heaps, nowqs, offers = self._lane_heaps, self._lane_nowqs, \
-            self._lane_offer
-        heappop, heappush = heapq.heappop, heapq.heappush
-        while merge:
-            t, p, e, lane = heappop(merge)
-            if (t, p, e) != offers[lane]:
-                continue  # superseded by a smaller offer for this lane
-            heap, nowq = heaps[lane], nowqs[lane]
-            while heap and heap[0][3]._cancelled:
-                heappop(heap)
-            while nowq and nowq[0][3]._cancelled:
-                nowq.popleft()
-            if heap:
-                if nowq and nowq[0] < heap[0]:
-                    head, from_nowq = nowq[0], True
-                else:
-                    head, from_nowq = heap[0], False
-            elif nowq:
-                head, from_nowq = nowq[0], True
-            else:
-                offers[lane] = None  # lane fully drained (all cancelled)
-                continue
-            key = head[:3]
-            if key != (t, p, e):
-                # The registered head was cancelled and pruned away;
-                # re-offer the live head and keep looking.
-                offers[lane] = key
-                heappush(merge, key + (lane,))
-                continue
-            entry = nowq.popleft() if from_nowq else heappop(heap)
-            # Re-offer the lane's next raw head (if cancelled, the mismatch
-            # branch above repairs it on a later pop).
-            if heap:
-                nxt = heap[0]
-                if nowq and nowq[0] < nxt:
-                    nxt = nowq[0]
-                key = nxt[:3]
-                offers[lane] = key
-                heappush(merge, key + (lane,))
-            elif nowq:
-                key = nowq[0][:3]
-                offers[lane] = key
-                heappush(merge, key + (lane,))
-            else:
-                offers[lane] = None
-            return entry
-        return None
 
     # -- event factories ------------------------------------------------------
     def event(self) -> Event:
@@ -330,53 +177,76 @@ class SimulationEngine:
     def any_of(self, events: List[Event]) -> Condition:
         return AnyOf(self, events)
 
-    # -- stepping -------------------------------------------------------------
+    # -- dispatch -------------------------------------------------------------
+    def _dispatch(self, stop: Event, deadline: float,
+                  budget: Iterable[None]) -> bool:
+        """The dispatch loop: pop the next live entry, run it, repeat.
+
+        Stops -- returning True -- as soon as *stop* has been processed
+        (all of its callbacks ran), the next entry lies past *deadline*
+        (it stays queued; entries at exactly the deadline still fire), or
+        *budget* is used up (one item per popped entry, cancelled or not).
+        Returns False when both queues ran dry first.  Re-raises the value
+        of a failed event nobody defused (an unhandled process crash).
+        """
+        heap = self._heap
+        nowq = self._nowq
+        pool = self._pool
+        heappop = heapq.heappop
+        for _ in budget:
+            # Wait for *processing*, not just triggering: Timeout events
+            # carry their value from creation, so .triggered alone is not
+            # "occurred".
+            if stop.callbacks is None:
+                return True
+            # Merged pop across heap and now-queue.  Cancelled entries are
+            # skipped in the same pass: pruning ahead (is_idle()/peek()
+            # before every pop) would test both heads twice per event,
+            # which adds up over the millions of events of a campaign.
+            if nowq:
+                if heap and heap[0] < nowq[0]:
+                    entry = heappop(heap)
+                else:
+                    entry = nowq.popleft()
+            elif heap:
+                # Only here can an entry lie past the deadline: now-queue
+                # entries carry the clock value they were queued at, which
+                # no deadline precedes, and a heap head that wins the
+                # merge above is no later than they are.
+                if heap[0][0] > deadline:
+                    return True
+                entry = heappop(heap)
+            else:
+                return False
+            event = entry[3]
+            if event._cancelled:
+                continue
+            self._now = entry[0]
+            if type(event) is Deferred:
+                fn = event.fn
+                arg = event.arg
+                event.fn = event.arg = None
+                pool.append(event)
+                fn(arg)
+                continue
+            callbacks = event.callbacks
+            event.callbacks = None
+            for callback in callbacks:
+                callback(event)
+            if event._ok is False and not event._defused:
+                raise event._value
+        return True
+
     def step(self) -> None:
         """Process the single next event.
 
         Raises :class:`IndexError` when the queue is empty, and re-raises the
         value of failed events nobody defused (unhandled process crashes).
         """
-        if self._nlanes != 1:
-            lane_entry = self._pop_next_lane()
-            if lane_entry is None:
-                raise IndexError("step from an empty event queue")
-            entry = lane_entry
-            event = entry[3]
-        else:
-            heap = self._heap
-            nowq = self._nowq
-            # merged pop across heap and now-queue, skipping cancelled events
-            # in the same pass (single prune, no helper-call churn)
-            while True:
-                if nowq:
-                    if heap and heap[0] < nowq[0]:
-                        entry = heapq.heappop(heap)
-                    else:
-                        entry = nowq.popleft()
-                elif heap:
-                    entry = heapq.heappop(heap)
-                else:
-                    raise IndexError("step from an empty event queue")
-                event = entry[3]
-                if not event._cancelled:
-                    break
-        self._now = entry[0]
-
-        if type(event) is Deferred:
-            fn = event.fn
-            arg = event.arg
-            event.fn = event.arg = None
-            self._pool.append(event)
-            fn(arg)
-            return
-
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-
-        if event._ok is False and not event._defused:
-            raise event._value
+        # prune first, so that the one-entry budget lands on a live entry
+        if self.is_idle():
+            raise IndexError("step from an empty event queue")
+        self._dispatch(_NEVER, _INF, _ONE_EVENT)
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -387,195 +257,24 @@ class SimulationEngine:
         * ``until=<Event>``-- run until the event triggers; returns its value
           (re-raising for failed events).
         """
-        if self._nlanes != 1:
-            return self._run_lanes(until)
-        heap = self._heap
-        nowq = self._nowq
-        pool = self._pool
-        heappop = heapq.heappop
-
-        if isinstance(until, Event):
-            stop_event = until
-            # Wait for *processing*, not just triggering: Timeout events carry
-            # their value from creation, so .triggered alone is not "occurred".
-            # Cancelled events are skipped inside the same pop loop -- a
-            # single prune pass, like the ``until=None`` path.
-            while not stop_event.processed:
-                if nowq:
-                    if heap and heap[0] < nowq[0]:
-                        entry = heappop(heap)
-                    else:
-                        entry = nowq.popleft()
-                elif heap:
-                    entry = heappop(heap)
-                else:
-                    raise RuntimeError(
-                        "simulation ran out of events before the 'until' "
-                        "event triggered (deadlock?)")
-                event = entry[3]
-                if event._cancelled:
-                    continue
-                self._now = entry[0]
-                if type(event) is Deferred:
-                    fn = event.fn
-                    arg = event.arg
-                    event.fn = event.arg = None
-                    pool.append(event)
-                    fn(arg)
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if event._ok is False and not event._defused:
-                    raise event._value
-            if stop_event._ok is False:
-                stop_event._defused = True
-                raise stop_event._value
-            return stop_event._value
-
         if until is None:
-            # Drive both queues directly: the is_idle()/step() pair would
-            # prune the cancelled-event prefix twice per iteration, which
-            # adds up over the millions of events of a large campaign.
-            while True:
-                if nowq:
-                    if heap and heap[0] < nowq[0]:
-                        entry = heappop(heap)
-                    else:
-                        entry = nowq.popleft()
-                elif heap:
-                    entry = heappop(heap)
-                else:
-                    return None
-                event = entry[3]
-                if event._cancelled:
-                    continue
-                self._now = entry[0]
-                if type(event) is Deferred:
-                    fn = event.fn
-                    arg = event.arg
-                    event.fn = event.arg = None
-                    pool.append(event)
-                    fn(arg)
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if event._ok is False and not event._defused:
-                    raise event._value
-
-        deadline = float(until)
-        if deadline < self._now:
-            raise ValueError(
-                f"until ({deadline}) lies in the past (now={self._now})")
-        # Same single-prune merged pop as the paths above: the peek()/step()
-        # pair would prune the cancelled-event prefix twice per event.  An
-        # entry past the deadline is pushed back (heap membership is valid
-        # for any entry -- ordering is by the full tuple) and the loop ends.
-        while True:
-            if nowq:
-                if heap and heap[0] < nowq[0]:
-                    entry = heappop(heap)
-                else:
-                    entry = nowq.popleft()
-            elif heap:
-                entry = heappop(heap)
-            else:
-                break
-            event = entry[3]
-            if event._cancelled:
-                continue
-            if entry[0] > deadline:
-                heapq.heappush(heap, entry)
-                break
-            self._now = entry[0]
-            if type(event) is Deferred:
-                fn = event.fn
-                arg = event.arg
-                event.fn = event.arg = None
-                pool.append(event)
-                fn(arg)
-                continue
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if event._ok is False and not event._defused:
-                raise event._value
-        self._now = deadline
-        return None
-
-    def _run_lanes(self, until: Union[None, float, Event]) -> Any:
-        """Lane-partitioned run loop: merged pop, identical dispatch order."""
-        pop = self._pop_next_lane
-        pool = self._pool
-
+            self._dispatch(_NEVER, _INF, _UNBOUNDED)
+            return None
         if isinstance(until, Event):
-            stop_event = until
-            while not stop_event.processed:
-                entry = pop()
-                if entry is None:
-                    raise RuntimeError(
-                        "simulation ran out of events before the 'until' "
-                        "event triggered (deadlock?)")
-                event = entry[3]
-                self._now = entry[0]
-                if type(event) is Deferred:
-                    fn = event.fn
-                    arg = event.arg
-                    event.fn = event.arg = None
-                    pool.append(event)
-                    fn(arg)
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if event._ok is False and not event._defused:
-                    raise event._value
-            if stop_event._ok is False:
-                stop_event._defused = True
-                raise stop_event._value
-            return stop_event._value
-
-        deadline = None if until is None else float(until)
-        if deadline is not None and deadline < self._now:
+            if not self._dispatch(until, _INF, _UNBOUNDED):
+                raise RuntimeError(
+                    "simulation ran out of events before the 'until' "
+                    "event triggered (deadlock?)")
+            if until._ok is False:
+                until._defused = True
+                raise until._value
+            return until._value
+        deadline = float(until)
+        if not deadline >= self._now:  # NaN is refused like a past deadline
             raise ValueError(
                 f"until ({deadline}) lies in the past (now={self._now})")
-        while True:
-            entry = pop()
-            if entry is None:
-                break
-            if deadline is not None and entry[0] > deadline:
-                # Push back into lane 0: which lane holds an entry does not
-                # affect ordering, only the offer bookkeeping, so re-homing
-                # the overshoot entry is safe and O(log n).
-                key = entry[:3]
-                heapq.heappush(self._lane_heaps[0], entry)
-                registered = self._lane_offer[0]
-                if registered is None or key < registered:
-                    self._lane_offer[0] = key
-                    heapq.heappush(self._merge, key + (0,))
-                break
-            event = entry[3]
-            self._now = entry[0]
-            if type(event) is Deferred:
-                fn = event.fn
-                arg = event.arg
-                event.fn = event.arg = None
-                pool.append(event)
-                fn(arg)
-                continue
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if event._ok is False and not event._defused:
-                raise event._value
-        if deadline is not None:
-            self._now = deadline
+        self._dispatch(_NEVER, deadline, _UNBOUNDED)
+        self._now = deadline
         return None
 
 
@@ -590,10 +289,9 @@ class RealtimeEngine(SimulationEngine):
     the engine thread; this is how worker pools deliver completions of real
     Python workloads into the simulation.
 
-    Always single-lane: the wall-clock wait loop reads the flat
-    ``_heap``/``_nowq`` pair directly, and realtime runs are paced by the
-    wall clock rather than dispatch throughput, so lane partitioning has
-    nothing to win here.
+    Events are dispatched one :meth:`step` at a time: between any two of
+    them the loop may have to sleep or run an injection, and realtime runs
+    are paced by the wall clock rather than dispatch throughput.
     """
 
     def __init__(self, factor: float = 1.0, start_time: float = 0.0) -> None:
@@ -690,14 +388,10 @@ class RealtimeEngine(SimulationEngine):
     def _run_until_event(self, stop_event: Event) -> Any:
         while not stop_event.processed:
             if not self._wait_for_next(None):
-                # Idle but the stop event may arrive via injection; keep
-                # spinning only if anything could still inject.  Heuristic:
+                # Idle, but the stop event may still arrive via injection:
                 # block briefly, then re-check.
                 with self._cv:
                     self._cv.wait(timeout=0.01)
-                if not self._heap and not self._nowq and \
-                        not self._injected and not stop_event.triggered:
-                    continue
                 continue
             self.step()
         if stop_event._ok is False:

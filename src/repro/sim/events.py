@@ -59,23 +59,14 @@ class Event:
     The event hierarchy uses ``__slots__``: O(100k)-task campaigns allocate
     millions of events, and dropping the per-instance ``__dict__`` cuts
     both allocation time and peak memory on the control-plane hot path.
-
-    :attr:`lane` is the event's dispatch-lane affinity for engines built
-    with ``lanes > 1`` (see :class:`~repro.sim.engine.SimulationEngine`):
-    producers that own disjoint state tag their
-    events with a lane id so same-lane traffic shares one queue pair.  The
-    tag is purely a queueing hint -- the merge layer preserves the global
-    ``(time, priority, eid)`` processing order bit-identically for any
-    lane count -- and is ignored (never read) by single-lane engines.
     """
 
-    __slots__ = ("engine", "callbacks", "lane", "_value", "_ok", "_defused",
+    __slots__ = ("engine", "callbacks", "_value", "_ok", "_defused",
                  "_cancelled")
 
     def __init__(self, engine: "SimulationEngine") -> None:
         self.engine = engine
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
-        self.lane = 0
         self._value: Any = PENDING
         self._ok: Optional[bool] = None
         self._defused = False
@@ -186,8 +177,8 @@ class Timeout(Event):
 
     def __init__(self, engine: "SimulationEngine", delay: float,
                  value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:  # written this way round so that NaN is refused
+            raise ValueError(f"negative or NaN delay {delay}")
         super().__init__(engine)
         self._delay = delay
         self._ok = True

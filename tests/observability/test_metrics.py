@@ -152,25 +152,3 @@ class TestSamplingDaemon:
             # cancelled so the drain does not advance the clock to t=15
             assert reg.sample_times == [5.0, 10.0, 12.0]
             assert session.now == 12.0
-
-
-class TestEngineLaneGauges:
-    OBS = ObservabilityConfig(tracing=False, monitors=False)
-
-    def test_engine_lane_depth_gauges(self):
-        with Session(seed=0, lanes=3, observability=self.OBS) as session:
-            session.engine.call_later(1.0, lambda _: None, lane=1)
-            session.engine.call_later(2.0, lambda _: None, lane=1)
-            metrics = session.observability.metrics
-            metrics.sample(session.now)
-            depths = {dict(inst.labels)["lane"]: inst.value
-                      for inst in metrics.instruments("engine_lane_depth")}
-            # the metrics sampler daemon itself occupies a lane-0 slot
-            assert depths["1"] == 2
-            assert depths["2"] == 0
-
-    def test_flat_engine_has_no_lane_gauges(self):
-        with Session(seed=0, observability=self.OBS) as session:
-            metrics = session.observability.metrics
-            metrics.sample(session.now)
-            assert metrics.instruments("engine_lane_depth") == []

@@ -444,7 +444,7 @@ class TestFlattenedKernel:
         assert order == [0, 1, 2, 3, 4]
 
     def test_urgent_beats_now_queue_at_same_timestamp(self, engine):
-        from repro.sim.engine import URGENT
+        from repro.sim.events import URGENT
         order = []
         normal = engine.event()
         normal.callbacks.append(lambda e: order.append("normal"))
@@ -531,165 +531,152 @@ class TestFlattenedKernel:
         assert engine.now == 2.0
 
 
-class TestLaneKernel:
-    """The lane-partitioned kernel: per-lane queues + deterministic merge."""
+class TestRunModes:
+    """step() and the three run() modes share one dispatch loop; these pin
+    what each stop condition leaves behind."""
 
-    @staticmethod
-    def _scripted_run(lanes):
-        """Run a fixed mixed workload and return the dispatch trace."""
-        engine = SimulationEngine(lanes=lanes)
-        order = []
+    def test_step_raises_on_empty_queue(self, engine):
+        with pytest.raises(IndexError, match="empty event queue"):
+            engine.step()
+        engine.call_later(1.0, lambda _: None).cancel()
+        engine.call_later(0.0, lambda _: None).cancel()
+        with pytest.raises(IndexError):  # only cancelled entries: still empty
+            engine.step()
+        assert engine.now == 0.0
 
-        def note(tag):
-            return lambda _arg=None: order.append((engine.now, tag))
-
-        # spread across lanes (modulo for out-of-range lane ids), mix
-        # delayed, zero-delay and URGENT traffic, and cancel one entry
-        for i in range(12):
-            engine.call_later(float(i % 4), note(f"d{i}"), lane=i)
-        engine.call_later(0.0, note("z0"), lane=1)
-        engine.call_later(0.0, note("z1"), lane=7)
-        from repro.sim.engine import URGENT
-        engine.call_later(1.0, note("u"), priority=URGENT, lane=3)
-        doomed = engine.call_later(2.0, note("dropped"), lane=2)
-        doomed.cancel()
-
-        def body():
-            yield engine.timeout(0.5)
-            order.append((engine.now, "proc"))
-            engine.call_later(0.0, note("chained"), lane=5)
-        engine.process(body())
-        engine.run()
-        return order
-
-    def test_lanes_property_and_validation(self):
-        assert SimulationEngine().lanes == 1
-        assert SimulationEngine(lanes=4).lanes == 4
-        with pytest.raises(ValueError):
-            SimulationEngine(lanes=0)
-        with pytest.raises(ValueError):
-            SimulationEngine(lanes=-2)
-
-    def test_lane_zero_aliases_flat_queues(self):
-        engine = SimulationEngine(lanes=4)
-        assert engine._lane_heaps[0] is engine._heap
-        assert engine._lane_nowqs[0] is engine._nowq
-
-    def test_lane_depths(self):
-        engine = SimulationEngine(lanes=3)
-        engine.call_later(1.0, lambda _: None, lane=0)
-        engine.call_later(0.0, lambda _: None, lane=1)
-        engine.call_later(2.0, lambda _: None, lane=1)
-        assert engine.lane_depths() == [1, 2, 0]
-        engine.run()
-        assert engine.lane_depths() == [0, 0, 0]
-
-    def test_flat_lane_depths(self, engine):
-        engine.call_later(1.0, lambda _: None)
-        engine.call_later(0.0, lambda _: None)
-        assert engine.lane_depths() == [2]
-
-    def test_lane_id_taken_modulo_lane_count(self):
-        engine = SimulationEngine(lanes=2)
-        engine.call_later(1.0, lambda _: None, lane=5)  # 5 % 2 == lane 1
-        assert engine.lane_depths() == [0, 1]
-
-    def test_dispatch_order_bit_identical_across_lane_counts(self):
-        flat = self._scripted_run(1)
-        assert flat  # the workload actually dispatched something
-        for lanes in (2, 3, 8):
-            assert self._scripted_run(lanes) == flat
-
-    def test_peek_and_is_idle_scan_all_lanes(self):
-        engine = SimulationEngine(lanes=4)
-        assert engine.is_idle()
-        assert engine.peek() == float("inf")
-        engine.call_later(3.0, lambda _: None, lane=2)
-        engine.call_later(1.0, lambda _: None, lane=3)
-        assert not engine.is_idle()
-        assert engine.peek() == 1.0
-        engine.run()
-        assert engine.is_idle()
-
-    def test_run_until_float_pushes_overshoot_back(self):
-        engine = SimulationEngine(lanes=4)
+    def test_step_skips_cancelled_entries_and_fires_one(self, engine):
         seen = []
-        engine.call_later(1.0, seen.append, "early", lane=1)
-        engine.call_later(5.0, seen.append, "late", lane=3)
+        engine.call_later(1.0, seen.append, "dropped").cancel()
+        engine.call_later(2.0, seen.append, "first")
+        engine.call_later(3.0, seen.append, "second")
+        engine.step()
+        assert (seen, engine.now) == (["first"], 2.0)
+
+    def test_run_until_float_leaves_the_overshoot_entry_queued(self, engine):
+        seen = []
+        engine.call_later(0.0, seen.append, "dropped-now").cancel()
+        engine.call_later(1.0, seen.append, "early")
+        engine.call_later(2.0, seen.append, "on-time")
+        engine.call_later(3.0, seen.append, "dropped-late").cancel()
+        engine.call_later(5.0, seen.append, "late")
         engine.run(until=2.0)
-        assert seen == ["early"]
+        assert seen == ["early", "on-time"]  # at the deadline still fires
         assert engine.now == 2.0
-        # the overshoot entry survived (re-homed into lane 0) and fires on
-        # the next run at its original timestamp
+        assert engine.peek() == 5.0
         engine.run()
-        assert seen == ["early", "late"]
+        assert seen == ["early", "on-time", "late"]
         assert engine.now == 5.0
 
-    def test_run_until_event_across_lanes(self):
-        engine = SimulationEngine(lanes=4)
+    def test_run_until_float_fires_zero_delay_children_at_the_deadline(
+            self, engine):
         seen = []
-        engine.call_later(1.0, seen.append, "a", lane=1)
-        target = engine.timeout(2.0, "done")
-        engine.call_later(3.0, seen.append, "b", lane=2)
-        assert engine.run(until=target) == "done"
-        assert seen == ["a"]
+        engine.call_later(
+            2.0, lambda _: engine.call_later(0.0, seen.append, "child"))
+        engine.run(until=2.0)
+        assert seen == ["child"]
+
+    def test_run_until_event_returns_its_value_and_stops_there(self, engine):
+        seen = []
+        engine.call_later(1.0, seen.append, "a")
+        stop = engine.timeout(2.0, value="done")
+        stop.callbacks.append(lambda e: seen.append("stop-callback"))
+        engine.call_later(3.0, seen.append, "b")
+        assert engine.run(until=stop) == "done"
+        assert seen == ["a", "stop-callback"]
         assert engine.now == 2.0
-
-    def test_run_until_event_deadlock_detected(self):
-        engine = SimulationEngine(lanes=2)
-        never = engine.event()
-        with pytest.raises(RuntimeError, match="deadlock"):
-            engine.run(until=never)
-
-    def test_cancelled_lane_head_is_skipped(self):
-        engine = SimulationEngine(lanes=4)
-        seen = []
-        doomed = engine.call_later(1.0, seen.append, "dropped", lane=2)
-        engine.call_later(2.0, seen.append, "kept", lane=2)
-        engine.call_later(3.0, seen.append, "other", lane=1)
-        doomed.cancel()
+        assert engine.run(until=stop) == "done"  # already processed: no-op
+        assert engine.now == 2.0
         engine.run()
-        assert seen == ["kept", "other"]
+        assert seen == ["a", "stop-callback", "b"]
 
-    def test_whole_lane_cancelled(self):
-        engine = SimulationEngine(lanes=4)
+    def test_run_until_failed_event_reraises_and_defuses(self, engine):
+        stop = engine.event()
+        engine.call_later(1.0, stop.fail, KeyError("lost"))
+        stop.callbacks.append(lambda e: e.defuse())  # a waiter handled it
+        with pytest.raises(KeyError, match="lost"):
+            engine.run(until=stop)
+        assert stop._defused
+        engine.run()  # and the failure is not raised a second time
+
+    @pytest.mark.parametrize("drive", ["run", "deadline", "event", "step"])
+    def test_a_raising_entry_leaves_the_kernel_runnable(self, engine, drive):
         seen = []
-        doomed = engine.call_later(1.0, seen.append, "dropped", lane=3)
-        engine.call_later(2.0, seen.append, "kept", lane=1)
-        doomed.cancel()
-        engine.run()
-        assert seen == ["kept"]
+
+        def boom(_arg):
+            raise RuntimeError("boom")
+
+        handle = engine.call_later(1.0, boom)
+        ev = engine.event()
+        ev.callbacks.append(boom)
+        ev._ok, ev._value = True, None
+        engine.schedule(ev, 2.0)
+        engine.call_later(3.0, seen.append, "after")
+        last = engine.timeout(4.0)
+
+        def go():
+            if drive == "run":
+                engine.run()
+            elif drive == "deadline":
+                engine.run(until=10.0)
+            elif drive == "event":
+                engine.run(until=last)
+            else:
+                while True:
+                    engine.step()
+
+        with pytest.raises(RuntimeError, match="boom"):
+            go()  # the Deferred's function raises ...
+        assert engine.now == 1.0
+        assert engine._pool == [handle]  # ... after the handle was recycled
+        assert handle.fn is None and handle.arg is None
+        with pytest.raises(RuntimeError, match="boom"):
+            go()  # the event callback raises
+        assert engine.now == 2.0 and ev.processed
+        if drive == "step":
+            with pytest.raises(IndexError):
+                go()
+        else:
+            go()
+        assert seen == ["after"]
         assert engine.is_idle()
 
-    def test_step_raises_on_empty_lanes(self):
-        engine = SimulationEngine(lanes=2)
-        with pytest.raises(IndexError):
-            engine.step()
 
-    def test_deferred_pooling_under_lanes(self):
-        engine = SimulationEngine(lanes=4)
-        engine.call_later(0.0, lambda _: None, lane=3)
-        engine.run()
-        assert len(engine._pool) == 1
-        recycled = engine._pool[-1]
-        again = engine.call_later(0.0, lambda _: None, lane=2)
-        assert again is recycled
-        engine.run()
+class TestBadDelayRejected:
+    """A negative delay lies in the past.  NaN passes ``x < 0``; in the heap
+    it breaks the time order (and the clock steps backwards), as a deadline
+    it becomes the clock."""
 
-    def test_event_lane_tag_routes_schedule(self):
-        engine = SimulationEngine(lanes=4)
-        ev = engine.event()
-        ev.lane = 2
-        ev._ok = True
-        ev._value = None
-        engine.schedule(ev, 1.0)
-        assert engine.lane_depths() == [0, 0, 1, 0]
-        seen = []
-        ev.callbacks.append(lambda e: seen.append(engine.now))
-        engine.run()
-        assert seen == [1.0]
+    BAD = pytest.mark.parametrize("delay", [-1.0, float("nan")])
 
-    def test_negative_delay_rejected_on_lane_path(self):
-        engine = SimulationEngine(lanes=2)
+    @BAD
+    def test_call_later(self, engine, delay):
         with pytest.raises(ValueError):
-            engine.call_later(-1.0, lambda _: None, lane=1)
+            engine.call_later(delay, lambda _: None)
+        assert engine.is_idle()
+
+    def test_timeout_nan(self, engine):  # -1.0: see TestTimeAdvance
+        with pytest.raises(ValueError):
+            engine.timeout(float("nan"))
+        assert engine.is_idle()
+
+    @BAD
+    def test_schedule(self, engine, delay):
+        with pytest.raises(ValueError):
+            engine.schedule(engine.event(), delay)
+        assert engine.is_idle()
+
+    def test_run_until_nan(self, engine):
+        engine.timeout(1.0)
+        with pytest.raises(ValueError):
+            engine.run(until=float("nan"))
+        assert engine.now == 0.0
+
+    def test_time_order_survives_a_refused_nan(self, engine):
+        order = []
+        for delay in (3.0, float("nan"), 1.0, 2.0, 0.5):
+            try:
+                engine.call_later(delay, order.append, delay)
+            except ValueError:
+                pass
+        engine.run()
+        assert order == [0.5, 1.0, 2.0, 3.0]

@@ -6,6 +6,8 @@ delivery, conservation of scheduled capacity, statistical post-processing
 laws.
 """
 
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from repro.pilot.states import (
 )
 from repro.pilot.task import Task
 from repro.sim import RngHub, SimulationEngine, Store
+from repro.sim.events import NORMAL, URGENT
 from repro.workflows.pathways import benjamini_hochberg
 from repro.analytics import dist_stats
 
@@ -358,22 +361,49 @@ def test_indexed_scheduler_matches_reference(data):
                 assert na.free_mem_gb == nb.free_mem_gb
 
 
+class _ReferenceKernel:
+    """The specification the engine's run modes are held to: one heap
+    ordered by (time, priority, insertion), no now-queue, no pool,
+    cancelled entries skipped without moving the clock."""
+
+    class _Handle:
+        cancelled = False
+
+        def cancel(self):
+            self.cancelled = True
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._seq = 0
+
+    def call_later(self, delay, fn, arg=None, priority=NORMAL):
+        handle = self._Handle()
+        heapq.heappush(
+            self._heap, (self.now + delay, priority, self._seq, handle, fn, arg))
+        self._seq += 1
+        return handle
+
+    def run(self):
+        while self._heap:
+            when, _prio, _seq, handle, fn, arg = heapq.heappop(self._heap)
+            if not handle.cancelled:
+                self.now = when
+                fn(arg)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_lane_kernel_matches_flat_kernel(data):
-    """Lane-partitioned dispatch is bit-identical to the flat kernel.
+def test_run_modes_match_reference_kernel(data):
+    """``run()``, ``step()``, ``run(until=t)`` and ``run(until=event)`` are
+    one dispatch order, and it is the reference kernel's.
 
     A random event program (delayed calls, URGENT priorities, zero-delay
-    sends fired *from* callbacks, cancellations, triggered events with
-    lane tags) replays on engines built with ``lanes=1``, ``2`` and ``8``.
-    The dispatch trace -- (time, tag) in firing order -- the final clock
-    and the Deferred pool population must match exactly: lane membership
-    may never influence ordering, only which queue holds an entry.
+    sends fired *from* callbacks, triggered events, cancellations) is
+    replayed through every way of driving the engine; the dispatch trace
+    -- (time, tag) in firing order -- must agree exactly.
     """
-    from repro.sim.engine import URGENT
-
     delay_st = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.5])
-    lane_st = st.integers(min_value=0, max_value=9)
     n_ops = data.draw(st.integers(min_value=1, max_value=30))
     program = []
     n_cancellable = 0
@@ -383,64 +413,94 @@ def test_lane_kernel_matches_flat_kernel(data):
         if kind == "cancel" and n_cancellable == 0:
             kind = "call"
         if kind in ("call", "urgent"):
-            program.append((kind, data.draw(delay_st), data.draw(lane_st)))
+            program.append((kind, data.draw(delay_st)))
             n_cancellable += 1
         elif kind == "chain":
-            # fires at its delay, then sends 1-3 zero-delay children into
-            # other lanes from inside the callback
-            children = data.draw(st.lists(lane_st, min_size=1, max_size=3))
-            program.append(
-                ("chain", data.draw(delay_st), data.draw(lane_st), children))
+            # fires at its delay, then sends 1-3 zero-delay children from
+            # inside the callback
+            program.append(("chain", data.draw(delay_st),
+                            data.draw(st.integers(1, 3))))
             n_cancellable += 1
         elif kind == "event":
-            program.append(("event", data.draw(delay_st), data.draw(lane_st)))
+            program.append(("event", data.draw(delay_st)))
         else:
             program.append(
                 ("cancel", data.draw(st.integers(0, n_cancellable - 1))))
+    # some deadlines coincide with event times, some fall between them
+    deadlines = sorted(data.draw(st.lists(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.75, 2.5, 3.0]), max_size=5)))
 
-    def replay(lanes):
-        engine = SimulationEngine(lanes=lanes)
-        trace = []
+    def load(kernel, trace):
         handles = []
         for idx, op in enumerate(program):
             kind = op[0]
             if kind == "call":
-                handles.append(engine.call_later(
-                    op[1], lambda _a, i=idx: trace.append((engine.now, i)),
-                    lane=op[2]))
+                handles.append(kernel.call_later(
+                    op[1], lambda _a, i=idx: trace.append((kernel.now, i))))
             elif kind == "urgent":
-                handles.append(engine.call_later(
-                    op[1], lambda _a, i=idx: trace.append((engine.now, i)),
-                    priority=URGENT, lane=op[2]))
+                handles.append(kernel.call_later(
+                    op[1], lambda _a, i=idx: trace.append((kernel.now, i)),
+                    priority=URGENT))
             elif kind == "chain":
-                children = op[3]
-
-                def fire(_a, i=idx, children=children):
-                    trace.append((engine.now, i))
-                    for j, clane in enumerate(children):
-                        engine.call_later(
+                def fire(_a, i=idx, children=op[2]):
+                    trace.append((kernel.now, i))
+                    for j in range(children):
+                        kernel.call_later(
                             0.0, lambda _a, i=i, j=j: trace.append(
-                                (engine.now, i, j)),
-                            lane=clane)
+                                (kernel.now, i, j)))
 
-                handles.append(engine.call_later(op[1], fire, lane=op[2]))
-            elif kind == "event":
-                ev = engine.event()
-                ev.lane = op[2]
+                handles.append(kernel.call_later(op[1], fire))
+            elif kind == "event" and isinstance(kernel, SimulationEngine):
+                ev = kernel.event()
                 ev.callbacks.append(
-                    lambda e, i=idx: trace.append((engine.now, i)))
+                    lambda e, i=idx: trace.append((kernel.now, i)))
                 ev._ok = True
                 ev._value = None
-                engine.schedule(ev, op[1])
-            else:  # cancel: all scheduling precedes run(), so the handle
+                kernel.schedule(ev, op[1])
+            elif kind == "event":  # the reference has one kind of entry
+                kernel.call_later(
+                    op[1], lambda _a, i=idx: trace.append((kernel.now, i)))
+            else:  # cancel: all scheduling precedes the run, so the handle
                 # cannot have fired (and been recycled) yet
                 handles[op[1]].cancel()
-        engine.run()
-        return trace, engine.now, len(engine._pool)
 
-    flat = replay(1)
-    for lanes in (2, 8):
-        assert replay(lanes) == flat
+    def replay(drive, kernel_type=SimulationEngine):
+        kernel, trace = kernel_type(), []
+        load(kernel, trace)
+        drive(kernel, trace)
+        return kernel, trace
+
+    _, expected = replay(lambda kernel, _trace: kernel.run(),
+                         _ReferenceKernel)
+
+    def by_step(engine, _trace):
+        while not engine.is_idle():
+            engine.step()
+
+    def by_slices(engine, trace):
+        for t in deadlines:
+            engine.run(until=t)
+            assert engine.now == t
+            # everything at or before t has fired, nothing later has
+            assert trace == [row for row in expected if row[0] <= t]
+        engine.run()
+
+    def by_event(engine, trace):
+        stop = engine.timeout(10.0, value="done")  # after the last delay
+        engine.call_later(20.0, lambda _a: trace.append("late"))
+        assert engine.run(until=stop) == "done"
+        assert engine.now == 10.0
+        assert trace == expected  # whole program ran, nothing past the stop
+        engine.run()
+        assert trace.pop() == "late"
+
+    ran, ran_trace = replay(lambda engine, _trace: engine.run())
+    stepped, stepped_trace = replay(by_step)
+    assert ran_trace == expected
+    assert stepped_trace == expected
+    assert (stepped.now, len(stepped._pool)) == (ran.now, len(ran._pool))
+    assert replay(by_slices)[1] == expected
+    assert replay(by_event)[1] == expected
 
 
 # ---------------------------------------------------------------------------
