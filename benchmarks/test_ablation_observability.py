@@ -18,9 +18,14 @@ Two studies plus a smoke artifact:
    let a single lucky *off* run decide the gate: it read 0.83x, then
    passed, on consecutive tier-1 runs of the same tree.)
 
-2. **end-to-end TaskManager campaign** with every plane on (tracing +
-   metrics + monitors), reported for context -- the full pipeline
-   amortizes the per-grant cost, so relative overhead there is smaller.
+2. **end-to-end TaskManager campaign** off vs every plane on (tracing +
+   metrics + monitors): the cost of watching, gated.  Same pairing as
+   study 1 (the single unpaired shot this replaces last read 1.09x --
+   watching made the run *faster* -- i.e. noise).  The tracer only
+   records while the campaign runs and builds its spans on the first
+   query, so the full side's clock stops after ``len(tracer.spans)``:
+   deferring work to the query cannot improve the ratio.  Acceptance:
+   the median per-pair full/off ratio stays above ``MIN_FULL_RATIO``.
 
 3. the e2e run exports its Chrome trace to
    ``benchmarks/results/observability_smoke_trace.json`` (uploaded as a
@@ -54,11 +59,18 @@ DEPTH = bench_scale(20_000)
 CYCLES = 1_000
 PAIRS = 5
 E2E_TASKS = bench_scale(3_000)
+#: an end-to-end run is short (tens of ms at CI scale): more pairs
+E2E_PAIRS = 9
 
 #: absolute floor with telemetry off (same floor as the scheduler bench)
 MIN_GRANTS_PER_S = 2_000
 #: metrics-on must retain this fraction of the off throughput
 MIN_METRICS_RATIO = 0.85
+#: the whole plane on (run + first span query) must retain this fraction of
+#: the off end-to-end rate.  Read 0.74-0.85 with this module run alone and
+#: 0.64-0.78 late in a tier-1 run on a busy box (0.68-0.70 alone before the
+#: tracer deferred span construction): the floor sits under all of it
+MIN_FULL_RATIO = 0.5
 
 SMOKE_TRACE = RESULTS_DIR / "observability_smoke_trace.json"
 
@@ -92,7 +104,11 @@ def grant_cycle_rate(observability):
 
 
 def e2e_rate(observability):
-    """Full TaskManager pipeline tasks/sec, one configuration."""
+    """Full TaskManager pipeline tasks/sec, one configuration.
+
+    With tracing on the first full span query is on the clock; returns
+    (tasks/s, tracer or None, seconds of that query).
+    """
     with Session(seed=11, profile="durations",
                  observability=observability) as session:
         pmgr = PilotManager(session)
@@ -106,11 +122,14 @@ def e2e_rate(observability):
                              cores_per_rank=2)
              for _ in range(E2E_TASKS)])
         session.run(until=tmgr.wait_tasks(tasks))
-        elapsed = time.perf_counter() - t0
-        assert all(t.state == TaskState.DONE for t in tasks)
         obs = session.observability
         tracer = obs.tracer if obs is not None else None
-        return E2E_TASKS / elapsed, tracer
+        t_query = time.perf_counter()
+        if tracer is not None:
+            assert len(tracer.spans) == 5 * E2E_TASKS
+        done = time.perf_counter()
+        assert all(t.state == TaskState.DONE for t in tasks)
+        return E2E_TASKS / (done - t0), tracer, done - t_query
 
 
 def export_smoke_trace(tracer) -> int:
@@ -157,15 +176,37 @@ def test_observability_overhead(emit):
         f"(pairs: {[round(b / a, 2) for a, b in zip(off_runs, on_runs)]})"
 
     # -- study 2 + smoke artifact: full pipeline, every plane on -------------
-    e2e_off, _ = e2e_rate(None)
-    e2e_full, tracer = e2e_rate(ObservabilityConfig(sample_interval_s=60.0))
+    full_cfg = ObservabilityConfig(sample_interval_s=60.0)
+    e2e_off_runs, e2e_full_runs, query_s = [], [], []
+    for pair in range(E2E_PAIRS):
+        order = [None, full_cfg]
+        if pair % 2:
+            order.reverse()
+        for config in order:
+            rate, traced, first_query_s = e2e_rate(config)
+            if config is None:
+                e2e_off_runs.append(rate)
+            else:
+                e2e_full_runs.append(rate)
+                query_s.append(first_query_s)
+                tracer = traced
+    e2e_off = statistics.median(e2e_off_runs)
+    e2e_full = statistics.median(e2e_full_runs)
+    e2e_pairs = [b / a for a, b in zip(e2e_off_runs, e2e_full_runs)]
+    e2e_ratio = statistics.median(e2e_pairs)
     n_spans = export_smoke_trace(tracer)
     report.add_table(
         ["configuration", "tasks/s", "vs off"],
         [["observability=None", f"{e2e_off:.0f}", "1.00x"],
-         ["tracing+metrics+monitors", f"{e2e_full:.0f}",
-          f"{e2e_full / e2e_off:.2f}x"]],
-        title=f"End-to-end TaskManager campaign ({E2E_TASKS} tasks)")
+         ["tracing+metrics+monitors, spans queried", f"{e2e_full:.0f}",
+          f"{e2e_ratio:.2f}x"]],
+        title=(f"End-to-end TaskManager campaign ({E2E_TASKS} tasks, "
+               f"medians of {E2E_PAIRS} pairs; first span query "
+               f"{statistics.median(query_s) * 1e3:.0f} ms of the full "
+               f"side)"))
+    assert e2e_ratio >= MIN_FULL_RATIO, \
+        f"full-plane end-to-end rate {e2e_full:.0f}/s is {e2e_ratio:.2f}x " \
+        f"of off (pairs: {[round(r, 2) for r in e2e_pairs]})"
     report.add_kv({
         "smoke trace": str(SMOKE_TRACE.relative_to(RESULTS_DIR.parent)),
         "spans exported": n_spans,
@@ -179,7 +220,8 @@ def test_observability_overhead(emit):
     bench.record("metrics_on_throughput_ratio", ratio, unit="x",
                  floor=MIN_METRICS_RATIO, scale_free=True,
                  deterministic=False)
-    bench.record("e2e_full_plane_ratio", e2e_full / e2e_off, unit="x",
+    bench.record("e2e_full_plane_ratio", e2e_ratio, unit="x",
+                 floor=MIN_FULL_RATIO, scale_free=True,
                  deterministic=False)
     bench.record("spans_exported", float(n_spans))
     emit(report, bench=bench)

@@ -26,13 +26,25 @@ site guards with a single attribute test (``obs = session.observability``
 ... ``if obs is not None``), so the disabled plane costs one pointer read
 on hot paths -- the scheduler-throughput floor is unaffected (enforced by
 ``benchmarks/test_ablation_observability.py``).
+
+What a watched task costs while it runs: one lifecycle-log record per
+transition when tracing is on (the transition hook is not even registered
+otherwise), and **one** callback on its completion event that serves
+every plane that is on -- the tracer's completion record, the
+``task_latency_s`` histogram and ``tasks_completed_total`` counter (handles
+kept after first use) and the straggler / SLO monitors.  Spans are built by
+the first query, not during the run (see :mod:`~repro.observability.trace`);
+the same benchmark gates run + first query against the unwatched run
+(``e2e_full_plane_ratio``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Dict, Optional
 
+from ..pilot.states import TaskState
 from .attribution import (
     CampaignAttribution,
     NodeAttribution,
@@ -122,6 +134,9 @@ class ObservabilityServices:
         self.monitors: Optional[MonitorHub] = (
             MonitorHub(self.config) if self.config.monitors else None)
         self.dashboard: Optional[Dashboard] = None
+        # completion instruments, resolved once (see _on_task_completed)
+        self._latency: Optional[Histogram] = None
+        self._completed: Dict[str, Counter] = {}
         if self.config.dashboard and self.metrics is not None:
             self.dashboard = Dashboard(
                 session, interval_s=self.config.dashboard_interval_s)
@@ -155,33 +170,40 @@ class ObservabilityServices:
     # -- task lifecycle glue ---------------------------------------------------
     def attach_task_manager(self, tmgr: "TaskManager") -> None:
         """Subscribe to a TaskManager's task state transitions."""
-        tmgr.register_callback(self._on_task_state)
+        if self.tracer is not None:  # the only plane that reads them
+            tmgr.register_callback(self.tracer.on_task_state)
 
     def task_submitted(self, task: "Task") -> None:
-        """Called by the TaskManager for every accepted task."""
+        """Called by the TaskManager for every accepted task.
+
+        Leaves one callback on the task's completion event; it serves
+        every plane that is on.
+        """
         if self.tracer is not None:
             self.tracer.task_submitted(task)
-        if self.monitors is not None or self.metrics is not None:
-            task._obs_submitted_at = self.session.engine.now
-            task.completed.callbacks.append(
-                lambda event, task=task: self._on_task_completed(task))
+        task._obs_submitted_at = self.session.engine.now
+        task.completed.callbacks.append(
+            partial(self._on_task_completed, task))
 
-    def _on_task_state(self, task: "Task", state: str) -> None:
-        if self.tracer is not None:
-            self.tracer.on_task_state(task, state)
-
-    def _on_task_completed(self, task: "Task") -> None:
-        from ..pilot.states import TaskState
-
+    def _on_task_completed(self, task: "Task", event) -> None:
         now = self.session.engine.now
-        submitted = getattr(task, "_obs_submitted_at", None)
-        if self.metrics is not None and submitted is not None:
-            self.metrics.histogram("task_latency_s").observe(now - submitted)
-            self.metrics.counter(
-                "tasks_completed_total",
-                {"state": task.state}).inc()
+        latency = now - task._obs_submitted_at
+        state = task.state
+        if self.tracer is not None:
+            self.tracer.task_completed(task.uid)
+        if self.metrics is not None:
+            # handles are kept; instruments still register where they
+            # always did (the first completion, the first of each final
+            # state), so their sampled series start at the same tick
+            completed = self._completed.get(state)
+            if completed is None:
+                if self._latency is None:
+                    self._latency = self.metrics.histogram("task_latency_s")
+                completed = self._completed[state] = self.metrics.counter(
+                    "tasks_completed_total", {"state": state})
+            self._latency.observe(latency)
+            completed.inc()
         if self.monitors is not None:
-            if task.state == TaskState.DONE:
+            if state == TaskState.DONE:
                 self.monitors.observe_exec(task, now)
-            if submitted is not None:
-                self.monitors.observe_latency(task.uid, now - submitted, now)
+            self.monitors.observe_latency(task.uid, latency, now)

@@ -11,12 +11,34 @@ that as a forest of :class:`Span` objects:
   completion event fires -- so deferred drivers (windows, chunks, ``after=``
   dependencies) show up as real queue time;
 * **phase spans** (``submit``, ``schedule``, ``stage_in``, ``agent_queue``,
-  ``execute``, ``stage_out``, ``recovery``, ...) are derived automatically
-  from the task's state-transition hooks: entering a state closes the
-  previous phase and opens the next, stamped with the attempt number;
+  ``execute``, ``stage_out``, ``recovery``, ...) follow the task's state
+  transitions: entering a state closes the previous phase and opens the
+  next, stamped with the attempt number;
 * campaign-node spans and transfer spans are parented onto the graph node
   and task that caused them, so one trace id spans driver code, control
   plane and data plane.
+
+**Recorded per transition, derived on query.**  While a run is live the
+tracer *records*: submission, every state transition and the completion
+event each append one record of scalars (time, uid, phase name, attempt and
+the span / trace ids reserved for it from two integer counters) to an
+append-only lifecycle log.  No task ``Span`` exists until something asks:
+``Tracer.spans`` -- and with it ``len``, ``find``, ``spans_of_trace``,
+``task_root``, both exporters, ``CampaignAttribution.from_tracer`` and the
+dashboard summary -- first *replays* the unread part of the log into
+``Span`` objects, consuming it.  Ids, order, parents, stamps and attrs are
+those an eager tracer builds (``tests/observability/reference_tracer.py``
+is that tracer; ``tests/test_properties.py`` holds the two equal).  What
+this buys and costs: the run does not pay for span construction, the
+**first query does** (about 2 us per span; later queries replay only what
+was recorded since).  Explicit spans (``start_span``) are live objects from
+the start; opened while records are unread they queue in the log as
+themselves so that list order stays id order.
+
+**Mid-run queries** are first-class.  A span still open when queried has
+``end is None``; the *same object* is closed by the next query after its
+closing record -- a ``Span`` handed out by one query is brought up to date
+by the next, not behind the caller's back in between.
 
 Export formats: ``to_chrome_trace(path)`` writes Chrome trace-event JSON
 (openable in Perfetto / ``chrome://tracing``; each trace renders as one
@@ -30,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 from ..pilot.states import TaskState
 
@@ -106,14 +128,36 @@ class Span:
                 f"id={self.span_id} {state}>")
 
 
+#: lifecycle-log record kinds (first field of a record)
+_SUBMIT, _STATE, _DONE = 0, 1, 2
+
+
 class Tracer:
-    """Span store plus the task-lifecycle hooks that feed it."""
+    """Span store, fed by explicit spans and the task lifecycle log.
+
+    The three task hooks append one record each to ``_log`` and build
+    nothing; :attr:`spans` replays what has not been read yet.  The log is
+    one flat list (plain scalars: nothing for the garbage collector to
+    track), a record is a run of fields led by its kind:
+
+    * ``_SUBMIT, t, uid, attempt, root id, trace id, parent id`` -- the
+      ``submit`` phase takes ``root id + 1``;
+    * ``_STATE, t, uid, phase name | None, attempt, span id`` -- a state
+      that opens no phase (DONE, CANCELED) reserves no id;
+    * ``_DONE, t, uid`` -- the completion event fired;
+    * an explicit :class:`Span` opened while records were unread, so that
+      list order stays id order.
+    """
 
     def __init__(self, session: "Session") -> None:
         self.session = session
-        self.spans: List[Span] = []
-        self._trace_ids = itertools.count(1)
-        self._span_ids = itertools.count(1)
+        self._spans: List[Span] = []
+        self._log: List[Any] = []
+        self._last_trace_id = 0
+        self._last_span_id = 0
+        #: uids between ``task_submitted`` and ``task_completed``
+        self._live: Set[str] = set()
+        # replay state: as far as the log has been read
         #: task uid -> its live root span (dropped on completion)
         self._task_roots: Dict[str, Span] = {}
         #: task uid -> currently open phase span
@@ -131,11 +175,13 @@ class Tracer:
         if parent is not None:
             trace_id = parent.trace_id
         elif trace_id is None:
-            trace_id = next(self._trace_ids)
-        span = Span(trace_id, next(self._span_ids),
+            trace_id = self._last_trace_id = self._last_trace_id + 1
+        self._last_span_id = span_id = self._last_span_id + 1
+        span = Span(trace_id, span_id,
                     parent.span_id if parent is not None else None,
                     name, category, self.session.engine.now, attrs)
-        self.spans.append(span)
+        # behind unread records it waits its turn in the log
+        (self._log if self._log else self._spans).append(span)
         return span
 
     def end_span(self, span: Span) -> Span:
@@ -144,50 +190,98 @@ class Tracer:
             span.end = self.session.engine.now
         return span
 
-    # -- task lifecycle hooks ------------------------------------------------
-    def task_submitted(self, task: "Task") -> Span:
-        """Open the task's root span (and its initial ``submit`` phase).
+    # -- task lifecycle hooks: one log record each ---------------------------
+    def task_submitted(self, task: "Task") -> None:
+        """Record the task's root span and its initial ``submit`` phase.
 
         A campaign node that submitted the task marks itself as
         ``task.trace_parent``; the root then joins the node's trace so one
-        trace id covers graph node, task phases and transfers.
+        trace id covers graph node, task phases and transfers.  The caller
+        owes a :meth:`task_completed` when the completion event fires.
         """
-        parent = getattr(task, "trace_parent", None) or self.context_parent
-        root = self.start_span(task.uid, "task", parent=parent,
-                               attrs={"uid": task.uid})
-        self._task_roots[task.uid] = root
-        self._task_phase[task.uid] = self.start_span(
-            "submit", "task", parent=root, attrs={"attempt": task.attempts})
-        task.completed.callbacks.append(
-            lambda event, uid=task.uid: self._task_completed(uid))
-        return root
+        parent = task.trace_parent or self.context_parent
+        if parent is not None:
+            trace_id, parent_id = parent.trace_id, parent.span_id
+        else:
+            trace_id = self._last_trace_id = self._last_trace_id + 1
+            parent_id = None
+        root_id = self._last_span_id + 1
+        self._last_span_id = root_id + 1
+        self._live.add(task.uid)
+        self._log += (_SUBMIT, self.session.engine.now, task.uid,
+                      task.attempts, root_id, trace_id, parent_id)
+
+    def on_task_state(self, task: "Task", state: str) -> None:
+        """State-transition hook: the phase span rolls forward on replay."""
+        if task.uid not in self._live:
+            return  # not submitted through an instrumented manager
+        name = PHASE_OF_STATE.get(state)
+        span_id = 0
+        if name is not None:
+            self._last_span_id = span_id = self._last_span_id + 1
+        self._log += (_STATE, self.session.engine.now, task.uid, name,
+                      task.attempts, span_id)
+
+    def task_completed(self, uid: str) -> None:
+        """Completion event fired: any open phase and the root close."""
+        self._live.discard(uid)
+        self._log += (_DONE, self.session.engine.now, uid)
+
+    # -- replay --------------------------------------------------------------
+    @property
+    def spans(self) -> List[Span]:
+        """Every span so far, in id order; reads the log up to now.
+
+        The replay resumes where the last query stopped and consumes the
+        records it reads.  A span open now has ``end is None``; the same
+        object is closed by the query that follows its closing record.
+        """
+        if self._log:
+            self._replay()
+        return self._spans
+
+    def _replay(self) -> None:
+        log, self._log = self._log, []
+        log.reverse()  # read off the tail: the list shrinks as spans grow
+        pop = log.pop
+        roots, phases = self._task_roots, self._task_phase
+        append = self._spans.append
+        while log:
+            kind = pop()
+            if type(kind) is Span:  # an explicit span, queued as itself
+                append(kind)
+                continue
+            t = pop()
+            uid = pop()
+            if kind == _SUBMIT:
+                attempt, span_id, trace_id, parent_id = \
+                    pop(), pop(), pop(), pop()
+                root = roots[uid] = Span(trace_id, span_id, parent_id, uid,
+                                         "task", t, {"uid": uid})
+                append(root)
+                name, span_id = "submit", span_id + 1
+            else:
+                phase = phases.pop(uid, None)
+                if phase is not None and phase.end is None:
+                    phase.end = t
+                if kind == _DONE:
+                    root = roots.pop(uid, None)
+                    if root is not None and root.end is None:
+                        root.end = t
+                    continue
+                name, attempt, span_id = pop(), pop(), pop()
+                if name is None:
+                    continue
+                root = roots[uid]
+            phase = phases[uid] = Span(root.trace_id, span_id, root.span_id,
+                                       name, "task", t, {"attempt": attempt})
+            append(phase)
 
     def task_root(self, uid: str) -> Optional[Span]:
         """The live root span of a task (None once completed/untracked)."""
+        if self._log:
+            self._replay()
         return self._task_roots.get(uid)
-
-    def on_task_state(self, task: "Task", state: str) -> None:
-        """State-transition hook: roll the task's phase span forward."""
-        root = self._task_roots.get(task.uid)
-        if root is None:
-            return  # not submitted through an instrumented manager
-        phase = self._task_phase.pop(task.uid, None)
-        if phase is not None:
-            self.end_span(phase)
-        name = PHASE_OF_STATE.get(state)
-        if name is not None:
-            span = self.start_span(name, "task", parent=root,
-                                   attrs={"attempt": task.attempts})
-            self._task_phase[task.uid] = span
-
-    def _task_completed(self, uid: str) -> None:
-        """Completion event fired: close any open phase plus the root."""
-        phase = self._task_phase.pop(uid, None)
-        if phase is not None:
-            self.end_span(phase)
-        root = self._task_roots.pop(uid, None)
-        if root is not None:
-            self.end_span(root)
 
     # -- queries -------------------------------------------------------------
     def spans_of_trace(self, trace_id: int) -> List[Span]:

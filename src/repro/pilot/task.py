@@ -138,11 +138,18 @@ class Task(_StatefulEntity):
         return self.description.ranks * self.description.gpus_per_rank
 
     def finish(self, state: str, component: str = "") -> None:
-        """Enter a final state and trigger the completion event."""
+        """Enter a final state and trigger the completion event.
+
+        The event fires even when an observer of the transition raises:
+        the exception goes to the caller, the waiters are still released.
+        """
         if self.is_final:
             return
-        self.advance(state, component)
-        self.completed.succeed(state)
+        try:
+            self.advance(state, component)
+        finally:
+            if self.state == state:  # not so after an illegal transition
+                self.completed.succeed(state)
 
     def seal(self) -> None:
         """Trigger completion for a task already sitting in a final state.

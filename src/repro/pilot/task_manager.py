@@ -564,7 +564,11 @@ class TaskManager:
         reason = self._attempt_failed(
             task, cause, phase if phase in _OURS else "agent")
         self._unbind(task)
-        task.advance(TaskState.FAILED, self.uid)
+        try:
+            task.advance(TaskState.FAILED, self.uid)
+        except BaseException:  # an observer raised: FAILED stands, unretried
+            task.seal()
+            raise
         plan = None
         if self._resilience is not None:
             plan = self._resilience.recovery.task_failed(self, task, reason)

@@ -27,10 +27,14 @@ from repro.pilot import (
 )
 from repro.resilience import NodeFailure, ResilienceConfig, RetryPolicy
 
-#: states an observer may raise on: every transition of a live attempt
+#: states an observer may raise on.  On a transition of a live attempt the
+#: exception fails that attempt; on a final state there is no attempt left
+#: to charge: the task completes all the same and the exception surfaces,
+#: once, from whatever call was driving the task (``_surfacing``).
 RAISE_ON = [TaskState.TMGR_SCHEDULING, TaskState.TMGR_STAGING_INPUT,
             TaskState.AGENT_SCHEDULING, TaskState.AGENT_EXECUTING,
-            TaskState.TMGR_STAGING_OUTPUT]
+            TaskState.TMGR_STAGING_OUTPUT,
+            TaskState.DONE, TaskState.FAILED, TaskState.CANCELED]
 
 shapes = st.sampled_from([(1, 1), (16, 1), (64, 1), (64, 2), (8, 3)])
 durations = st.sampled_from([0.0, 1.0, 30.0, 1000.0])
@@ -64,15 +68,27 @@ class TaskPathMachine(RuleBasedStateMachine):
             self.session.run(until=self.pmgr.wait_active([self.pilot]))
         self.tasks = []
         self.fired = {}
+        self.raised = self.surfaced = 0  # by observers, on final states
+
+    def _surfacing(self, call, *args):
+        """Make *call*, again after each observer exception it surfaces."""
+        while True:
+            try:
+                return call(*args)
+            except RuntimeError as exc:
+                if not str(exc).startswith("observer raised on"):
+                    raise
+                self.surfaced += 1
 
     def teardown(self):
         if not hasattr(self, "session"):
             return
         session, pilot = self.session, self.pilot
         session.quiesce()
-        self.pmgr.cancel_pilots(pilot)
-        session.run()
+        self._surfacing(self.pmgr.cancel_pilots, pilot)
+        self._surfacing(session.run)
         assert session.engine.is_idle()
+        assert self.surfaced == self.raised
         for task in self.tasks:
             assert self.fired.get(task.uid) == 1, (task, self.fired)
         self.nothing_left_on_completed_tasks()
@@ -150,14 +166,15 @@ class TaskPathMachine(RuleBasedStateMachine):
     @rule(chosen=st.lists(picks, min_size=1, max_size=3))
     def cancel(self, chosen):
         if self.tasks:
-            self.tmgr.cancel_tasks([self._pick(pick) for pick in chosen])
+            self._surfacing(self.tmgr.cancel_tasks,
+                            [self._pick(pick) for pick in chosen])
 
     @rule(pick=picks, typed=st.booleans())
     def fault(self, pick, typed):
         if self.tasks:
             exc = (NodeFailure("elsewhere", self.pilot.uid) if typed
                    else RuntimeError("fault"))
-            self.tmgr.fail_task(self._pick(pick), exc)
+            self._surfacing(self.tmgr.fail_task, self._pick(pick), exc)
 
     @rule(index=st.integers(min_value=0, max_value=1))
     def crash_node(self, index):
@@ -166,8 +183,8 @@ class TaskPathMachine(RuleBasedStateMachine):
         node = self.pilot.nodes[index]
         node.mark_down()
         for uid in self.pilot.agent.scheduler.held_on_node(index):
-            self.tmgr.fail_task(self.tmgr.get(uid),
-                                NodeFailure(node.name, self.pilot.uid))
+            self._surfacing(self.tmgr.fail_task, self.tmgr.get(uid),
+                            NodeFailure(node.name, self.pilot.uid))
 
     @rule(index=st.integers(min_value=0, max_value=1))
     def repair_node(self, index):
@@ -182,18 +199,20 @@ class TaskPathMachine(RuleBasedStateMachine):
         def observer(task, new_state):
             if armed[0] and new_state == state:
                 armed[0] = False
+                self.raised += state in TaskState.FINAL
                 raise RuntimeError(f"observer raised on {state}")
         self.tmgr.register_callback(observer)
 
     @rule(step=st.sampled_from([0.0, 0.5, 3.0, 20.0, 200.0, 2000.0]))
     def advance_clock(self, step):
-        self.session.run(until=self.session.now + step)
+        self._surfacing(self.session.run, self.session.now + step)
 
     # -- invariants ------------------------------------------------------------
     @invariant()
     def nothing_left_on_completed_tasks(self):
         if not hasattr(self, "session"):
             return
+        assert self.surfaced == self.raised
         held = (set(self.pilot.agent.scheduler.held_tasks)
                 if self.pilot.agent is not None else set())
         for task in self.tasks:

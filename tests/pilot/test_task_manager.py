@@ -215,6 +215,41 @@ class TestFailureAndCancel:
             assert pilot.free_capacity()["cores"] == pilot.nodes.total_cores
             assert pilot.agent.executor.concurrent_launches == 0
 
+    @pytest.mark.parametrize("final", TaskState.FINAL)
+    def test_observer_raising_on_a_final_state_strands_nothing(self, final):
+        """There is no attempt left to charge the exception to: the task
+        completes all the same, ``run()`` raises once, the next drains."""
+        with Session(seed=3) as session:
+            pmgr = PilotManager(session)
+            tmgr = TaskManager(session)
+            (pilot,) = pmgr.submit_pilots(
+                PilotDescription(resource="delta", nodes=1, runtime_s=1e6))
+            tmgr.add_pilots(pilot)
+            session.run(until=pmgr.wait_active([pilot]))
+            armed = [True]
+
+            def observer(task, state):
+                if armed[0] and state == final:
+                    armed[0] = False
+                    raise RuntimeError("observer failed")
+
+            tmgr.register_callback(observer)
+            first, second = tasks = tmgr.submit_tasks(
+                [TaskDescription(executable="x", duration_s=1.0)] * 2)
+            session.run(until=session.now + 0.5)  # both are launching
+            if final == TaskState.FAILED:
+                tmgr.fail_task(first, RuntimeError("node crash"))
+            elif final == TaskState.CANCELED:
+                tmgr.cancel_tasks(first)
+            with pytest.raises(RuntimeError, match="observer failed"):
+                session.run(until=tmgr.wait_tasks(tasks))
+            assert first.state == final and first.completed.triggered
+            session.run(until=tmgr.wait_tasks(tasks))
+            assert second.state == TaskState.DONE
+            assert pilot.agent.scheduler.held_tasks == []
+            assert pilot.free_capacity()["cores"] == pilot.nodes.total_cores
+            assert tmgr._live_load(pilot) == 0
+
     @pytest.mark.parametrize("fault", [False, True])
     @pytest.mark.parametrize("after_s, phase", [(0.5, "launch_start"),
                                                 (5.0, "exec_start")])

@@ -10,7 +10,7 @@ import heapq
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.hpc import NodeList, NodeState
 from repro.pilot import Session, TaskDescription
@@ -987,3 +987,145 @@ def test_histogram_quantile_matches_rank_oracle(values, q):
     exact = sorted(values)[rank - 1]
     i = bisect.bisect_left(buckets, exact)
     assert h.quantile(q) == buckets[min(i, len(buckets) - 1)]
+
+
+# ---------------------------------------------------------------------------
+# Tracing plane: the lifecycle log replays into the eager tracer's spans
+# ---------------------------------------------------------------------------
+
+_TRACE_OPS = ("submit", "submit", "step", "step", "step", "fail", "retry",
+              "cancel", "span", "end", "attr", "root", "query", "tick")
+
+
+class _Hooks:
+    """What ``attach_task_manager`` needs of a TaskManager."""
+
+    def register_callback(self, callback):
+        self.on_state = callback
+
+
+@settings(max_examples=150, deadline=None)
+@example(ops=[("submit", 1, 0), ("fail", 0, 0), ("retry", 0, 0),
+              ("step", 0, 1), ("query", 0, 0)])  # attempt 2 on a retry
+@example(ops=[("submit", 2, 0), ("step", 0, 0), ("span", 1, 0),
+              ("query", 0, 0), ("step", 0, 1), ("span", 0, 0),
+              ("tick", 1, 0), ("cancel", 0, 0)])  # explicit spans between
+@given(ops=st.lists(st.tuples(st.sampled_from(_TRACE_OPS),
+                              st.integers(min_value=0, max_value=63),
+                              st.integers(min_value=0, max_value=63)),
+                    max_size=80))
+def test_tracer_replay_matches_eager_reference(ops):
+    """Any interleaving of task lifecycles, explicit spans and queries
+    yields the spans the eager tracer would have built.
+
+    The session's tracer is driven through the telemetry facade exactly as
+    a TaskManager drives it; the reference (the tracer this repo shipped
+    until PR 19, ``tests/observability/reference_tracer.py``) hangs on the
+    same tasks.  Ids, order, parents, stamps and attrs must agree at every
+    mid-run query, and so must the attribution built on them.
+    """
+    from observability.reference_tracer import ReferenceTracer
+
+    from repro.observability import CampaignAttribution, ObservabilityConfig
+
+    def same_spans():
+        assert ([s.as_dict() for s in tracer.spans]
+                == [s.as_dict() for s in ref.spans])
+        assert len(tracer) == len(ref.spans)
+
+    with Session(seed=0, observability=ObservabilityConfig(
+            metrics=False, monitors=False)) as session:
+        obs = session.observability
+        tracer, ref = obs.tracer, ReferenceTracer(session)
+        hooks = _Hooks()
+        obs.attach_task_manager(hooks)
+        tasks = []      # every task, tracked or not
+        explicit = []   # (span of tracer, span of ref) opened by hand
+        desc = TaskDescription(executable="x")
+
+        def parent_pair(pick):
+            """An explicit span or a live task root, one per tracer."""
+            if pick % 3 == 0 and tasks:
+                uid = tasks[pick % len(tasks)].uid
+                return tracer.task_root(uid), ref.task_root(uid)
+            if explicit:
+                return explicit[pick % len(explicit)]
+            return None, None
+
+        for op, a, b in ops:
+            task = tasks[a % len(tasks)] if tasks else None
+            if op == "submit":
+                task = Task(session, desc, f"task.{len(tasks):06d}")
+                task.on_state(hooks.on_state)
+                task.on_state(ref.on_task_state)
+                tasks.append(task)
+                if a % 8 == 0:
+                    continue  # never submitted to an instrumented manager
+                mine, theirs = parent_pair(b) if a % 4 else (None, None)
+                for trc, parent, submitted in (
+                        (tracer, mine, obs.task_submitted),
+                        (ref, theirs, ref.task_submitted)):
+                    if a % 2:
+                        task.trace_parent = parent
+                    else:
+                        trc.context_parent = parent
+                    submitted(task)
+                    trc.context_parent = None
+            elif op == "step" and task and not task.is_final:
+                targets = TaskState.TRANSITIONS[task.state]
+                target = targets[b % len(targets)]
+                if target == TaskState.DONE:
+                    task.finish(target)
+                else:
+                    task.advance(target)
+            elif op == "fail" and task and not task.is_final:
+                task.advance(TaskState.FAILED)  # not completed: may retry
+            elif (op == "retry" and task and task.state == TaskState.FAILED
+                  and not task.completed.triggered):
+                task.advance(TaskState.RESCHEDULING)
+                task.prepare_restart()
+                task.advance(TaskState.TMGR_SCHEDULING)
+            elif op == "cancel" and task and not task.completed.triggered:
+                if task.is_final:
+                    task.seal()
+                else:
+                    task.finish(TaskState.CANCELED)
+            elif op == "span":
+                mine, theirs = parent_pair(b) if a % 2 else (None, None)
+                attrs = {"a": a} if a % 3 else None
+                explicit.append(
+                    (tracer.start_span(f"s{a}", "test", parent=mine,
+                                       attrs=attrs and dict(attrs)),
+                     ref.start_span(f"s{a}", "test", parent=theirs,
+                                    attrs=attrs and dict(attrs))))
+            elif op == "end" and explicit:
+                mine, theirs = explicit[a % len(explicit)]
+                tracer.end_span(mine)
+                ref.end_span(theirs)
+            elif op == "attr" and explicit:
+                for span in explicit[a % len(explicit)]:
+                    span.set_attr("k", b)
+            elif op == "root" and task:
+                mine, theirs = (tracer.task_root(task.uid),
+                                ref.task_root(task.uid))
+                assert (mine and mine.as_dict()) == \
+                    (theirs and theirs.as_dict())
+            elif op == "query":
+                same_spans()
+            elif op == "tick":
+                session.run(until=session.now + (a % 4) * 0.5)
+
+        same_spans()
+        for task in tasks:  # completion of whatever is still open
+            if not task.completed.triggered:
+                if task.is_final:
+                    task.seal()
+                else:
+                    task.finish(TaskState.CANCELED)
+        session.run(until=session.now + 1.0)
+        same_spans()
+        assert all(s.end is not None for s in tracer.find(category="task"))
+        mine = CampaignAttribution.from_tracer(tracer)
+        theirs = CampaignAttribution.from_tracer(ref)
+        assert mine.report() == theirs.report()
+        assert mine.phase_totals() == theirs.phase_totals()
