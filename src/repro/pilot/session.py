@@ -16,7 +16,6 @@ mode:
 
 from __future__ import annotations
 
-import gc
 from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
@@ -45,11 +44,6 @@ class Session:
     """Root container for one runtime instance."""
 
     MODES = ("virtual", "realtime")
-    GC_POLICIES = ("default", "batch")
-    #: gc_policy="batch" thresholds while run() is live: first-generation
-    #: collections every 200k allocations, full sweeps ~four orders of
-    #: magnitude rarer than stock CPython's (700, 10, 10)
-    _GC_BATCH_THRESHOLD = (200_000, 100, 100)
 
     def __init__(self, mode: str = "virtual", seed: int = 0,
                  realtime_factor: float = 1.0,
@@ -61,12 +55,9 @@ class Session:
                  profile: str = "full",
                  profile_max_rows: Optional[int] = None,
                  profile_retention: str = "bound",
-                 profile_spill: Optional[str] = None,
-                 gc_policy: str = "default") -> None:
+                 profile_spill: Optional[str] = None) -> None:
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}")
-        if gc_policy not in self.GC_POLICIES:
-            raise ValueError(f"gc_policy must be one of {self.GC_POLICIES}")
         self.mode = mode
         self.ids = IdRegistry()
         self.uid = uid or self.ids.generate("session")
@@ -87,15 +78,6 @@ class Session:
         self.profiler = Profiler(level=profile, max_rows=profile_max_rows,
                                  retention=profile_retention,
                                  spill_path=profile_spill)
-        #: ``gc_policy="batch"`` trades collection frequency for pause
-        #: cost around :meth:`run`: the pre-run object population (nodes,
-        #: descriptions, queues -- alive for the whole run anyway) is
-        #: frozen out of the collector's scan set and generation
-        #: thresholds are raised so bursty dispatch batches stop
-        #: triggering full-heap sweeps; thresholds are restored when
-        #: run() returns.  Windowed campaigns bound live garbage by
-        #: construction, which is what makes the sparse schedule safe.
-        self._gc_policy = gc_policy
         self._batch: Dict[str, BatchSystem] = {}
         self._closed = False
         self._quiescing = False
@@ -220,26 +202,8 @@ class Session:
 
     # -- running -----------------------------------------------------------------
     def run(self, until: Union[None, float, Event] = None) -> Any:
-        """Drive the engine (see :meth:`SimulationEngine.run`).
-
-        Under ``gc_policy="batch"`` the run executes with the session's
-        steady-state objects frozen out of garbage collection and sparse
-        collection thresholds; both are process-global, so the previous
-        thresholds are restored (and frozen objects returned to the
-        collector) before this returns -- nested/concurrent sessions in
-        one process see their own policy only while *their* run is live.
-        """
-        if self._gc_policy != "batch" or not gc.isenabled():
-            return self.engine.run(until=until)
-        saved = gc.get_threshold()
-        gc.collect()
-        gc.freeze()
-        gc.set_threshold(*self._GC_BATCH_THRESHOLD)
-        try:
-            return self.engine.run(until=until)
-        finally:
-            gc.set_threshold(*saved)
-            gc.unfreeze()
+        """Drive the engine (see :meth:`SimulationEngine.run`)."""
+        return self.engine.run(until=until)
 
     # -- quiesce / stop ----------------------------------------------------------
     @property

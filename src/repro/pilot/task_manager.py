@@ -423,7 +423,8 @@ class TaskManager:
                 try:
                     self._begin(task)
                 except BaseException:  # goes to run()'s caller: the rest of
-                    self._start(tasks[i + 1:])  # the batch must still start
+                    self._start([t for t in tasks[i + 1:]  # the batch that
+                                 if t.phase == STARTING])  # waits still starts
                     raise
 
     def _begin(self, task: Task, retry: bool = False) -> None:

@@ -1,96 +1,37 @@
-"""Timestamped profile events, RADICAL-style: a flat log, read on demand.
+"""The eager profiler, kept as the test reference.
 
-Every runtime component records ``(time, entity_uid, event, component)``;
-the analytics layer (:mod:`repro.analytics.metrics`) derives the paper's
-metrics from the stamps:
+Until PR 21 this was ``repro.pilot.profiler.Profiler``: ``record`` built a
+:class:`ProfileRow` on the spot and, in every configuration that drops
+rows, stamped the indices and applied the retention bound per record.  The
+shipped profiler appends scalars to a flat log and derives the same rows,
+indices and counters when a reader arrives; ``tests/test_properties.py``
+holds it to this one, answer for answer and byte for byte.  The reference
+shares ``ProfileRow`` with the shipped module, nothing else.
 
-* **BT** (bootstrap time)  = launch + init + publish durations per service;
-* **RT** (response time)   = communication + service + inference per request;
-* **IT** (inference time)  = the inference component alone.
-
-**Record appends.**  The profile is one flat append-only list of scalars,
-four per record.  :meth:`Profiler.record` is a counter bump and one list
-extension: it builds no row, touches no index and allocates nothing the
-cyclic collector tracks, so a run that never reads its profile pays for
-neither rows nor collector passes over them.
-
-**Readers derive.**  Every public read (:meth:`events`, :meth:`timestamp`,
-:meth:`duration` / :meth:`durations`, :meth:`uids_with_event`, ``len``,
-:attr:`dropped`, :meth:`to_jsonl`, :meth:`close_spill`) first *closes the
-open chunk*: the log is consumed oldest-first off its reversed tail into
-:class:`ProfileRow` named tuples, so the two forms never coexist in full
-and answers are exact mid-chunk.  The first-timestamp, per-event and
-per-uid indices are derived from the rows past a watermark by the first
-query that needs them.  Row construction has *moved*, not vanished: the
-first reader pays it, once, for the records since the last (collector
-paused: rows are acyclic, a pass over them frees nothing).
-
-**Retention acts at chunk close**, never per record.  Tiers (``level=``,
-``Session(profile=...)`` for a whole run):
-
-* ``"full"``       -- every record becomes a row (optionally bounded by
-  ``max_rows``); the default, needed by row-level queries like
-  :meth:`events`;
-* ``"durations"``  -- a closing chunk is folded into the *first* timestamp
-  per (uid, event) pair and no row is built: exactly what
-  :meth:`timestamp` / :meth:`duration` / :meth:`durations` and the
-  analytics layer consume, in memory bounded by the distinct pairs;
-* ``"off"``        -- recording is a counter bump; all queries come back
-  empty.  For pure-throughput campaigns.
-
-The full tier's ``max_rows`` supports three *retention* modes: ``"bound"``
-(the default) keeps the **oldest** rows -- post-mortem analysis of a run's
-beginning; ``"ring"`` keeps the **most recent** -- live monitoring of the
-current window; ``"spill"`` keeps them all *without* the memory, streaming
-full chunks of ``max_rows`` rows to a JSONL ``spill_path`` that
-:meth:`close_spill` finalises (first timestamps plus a trailing meta line)
-into the exact :meth:`to_jsonl` format, so :meth:`from_jsonl`,
-:func:`repro.observability.spans_from_profiler` and
-:meth:`repro.observability.CampaignAttribution.from_profiler` read spilled
-files transparently.  Where rows are dropped, ``record`` closes the chunk
-itself once it holds ``max_rows`` records (:attr:`Profiler.CHUNK` when
-unset), and the chunk is folded into the first timestamps *before*
-retention lets rows go: the stamps outlive the rows.
+Two outcomes the parent left undefined are defined here as they are in
+the shipped class: a zero-row ring retains nothing and counts every record
+as dropped (the parent raised ``IndexError``), and ``clear()`` on an open
+spill restarts the file (the parent left ``spilled`` and the file behind).
 """
 
-from __future__ import annotations
-
-import gc
 import json
-import sys
 from collections import deque
 from itertools import islice
-from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Profiler", "ProfileEvent", "ProfileRow"]
-
-ProfileEvent = Tuple[float, str, str, str]  # (time, uid, event, component)
-
-#: log fields consumed per slice while a chunk closes (a multiple of four)
-_STEP = 4 * 4096
+from repro.pilot.profiler import ProfileRow
 
 
-class ProfileRow(NamedTuple):
-    """One profile row: a named tuple, so rows stay tuple-compatible
-    (``row[0]``, unpacking, ``== (t, uid, ev, comp)``) while carrying no
-    per-instance ``__dict__``."""
-
-    time: float
-    uid: str
-    event: str
-    component: str
-
-
-class Profiler:
-    """Flat record log with tiered, retained, indexed views."""
+class ReferenceProfiler:
+    """Tiered event store with duration extraction."""
 
     LEVELS = ("full", "durations", "off")
     RETENTIONS = ("bound", "ring", "spill")
 
-    #: records per chunk when max_rows does not say otherwise
-    CHUNK = 8192
+    #: buffered rows per spill flush when max_rows does not say otherwise
+    SPILL_CHUNK = 8192
 
     def __init__(self, level: str = "full",
                  max_rows: Optional[int] = None,
@@ -108,37 +49,37 @@ class Profiler:
         self.max_rows = max_rows
         self.retention = retention
         self.spill_path = spill_path
+        # a zero-row ring is a zero-row bound: nothing to evict
+        self._ring = retention == "ring" and bool(max_rows)
         self._spill = retention == "spill" and level == "full"
+        #: rows written to the spill file so far
+        self.spilled = 0
+        self._spill_chunk = max_rows or self.SPILL_CHUNK
         self._spill_fh = None
-        self._chunk = max_rows or self.CHUNK
-        #: some records leave no row behind: a closing chunk is folded into
-        #: the first timestamps, and record() closes it when it is full
-        self._drops = level != "full" or max_rows is not None or self._spill
-        #: log length at which record() closes the chunk
-        self._limit = 4 * self._chunk if self._drops else sys.maxsize
-        #: the open chunk: ``time, uid, event, component`` per record
-        self._log: list = []
-        #: the rows of closed chunks that retention kept
-        self._rows: List[ProfileRow] = []
-        #: rows[:_indexed] are reflected in the indices
+        self._rows: List[ProfileRow] = (
+            deque(maxlen=max_rows) if self._ring else [])
+        #: every row is retained, so the indices can be derived from the
+        #: rows on demand instead of maintained per record
+        self._lazy = level == "full" and max_rows is None and not self._spill
+        #: rows[:_indexed] are reflected in the indices (lazy mode only)
         self._indexed = 0
         #: the three indices, read through the properties below:
         #: ``(uid, event) -> first timestamp`` (the "durations" tier's
         #: store and the O(1) lookup path of the full tier); ``event ->
         #: {uid: None}`` in first-occurrence order; and the per-uid row
-        #: index (uid-filtered queries are O(rows of that uid))
+        #: index (ring eviction prunes the evicted row from its uid's
+        #: deque, so uid-filtered queries are O(rows of that uid))
         self._indices: Tuple[Dict[Tuple[str, str], float],
                              Dict[str, Dict[str, None]],
                              Dict[str, Deque[ProfileRow]]] = ({}, {}, {})
         #: record() calls total, regardless of tier/bound
         self.recorded = 0
-        self._dropped = 0
-        #: rows written to the spill file so far (exact without a catch-up:
-        #: record() closes the chunk the moment it completes)
-        self.spilled = 0
+        #: rows not retained (off tier, or full tier past max_rows)
+        self.dropped = 0
         if self._spill:
+            # provisional header: overridden by close_spill's trailing meta
             self._spill_fh = open(spill_path, "w")
-            self._write_header()
+            self._spill_fh.write(json.dumps({"meta": self._meta()}) + "\n")
 
     def _meta(self) -> Dict[str, object]:
         return {
@@ -150,73 +91,12 @@ class Profiler:
             "spilled": self.spilled,
         }
 
-    def record(self, time: float, uid: str, event: str,
-               component: str = "") -> None:
-        """Record one profile event: a counter bump and one flat append."""
-        self.recorded += 1
-        if self.level == "off":
-            self._dropped += 1
-            return
-        log = self._log
-        log += (float(time), uid, event, component)
-        if len(log) >= self._limit:
-            self._catch_up()
-
-    # -- chunk close -------------------------------------------------------------
-    def _catch_up(self) -> None:
-        """Close the open chunk: its rows are built, then retention acts."""
-        log = self._log
-        if not log:
-            return
-        self._log = []  # a record landing meanwhile opens the next chunk
-        rows = self._rows
-        first, event_uids, _ = self._indices
-        log.reverse()  # read off the tail: the log shrinks as the rows grow
-        collecting = gc.isenabled()
-        gc.disable()  # rows are acyclic leaves: a pass over them frees nothing
-        try:
-            while log:
-                part = log[-_STEP:]
-                del log[-_STEP:]
-                times, uids, events = part[-1::-4], part[-2::-4], part[-3::-4]
-                if self._drops:
-                    for t, uid, event in zip(times, uids, events):
-                        key = (uid, event)
-                        if key not in first:
-                            first[key] = t
-                            event_uids.setdefault(event, {})[uid] = None
-                if self.level == "full":
-                    rows.extend(map(ProfileRow, times, uids, events,
-                                    part[-4::-4]))
-        finally:
-            if collecting:
-                gc.enable()
-        if self._spill_fh is not None:
-            if len(rows) >= self._chunk:
-                self._flush_spill()
-            self._limit = 4 * (self._chunk - len(rows))  # to the chunk's end
-        elif self.max_rows is not None and not self._spill:
-            extra = len(rows) - self.max_rows
-            if extra > 0:
-                self._dropped += extra
-                if self.retention == "ring":
-                    self._drop_oldest(extra)
-                else:  # rows past the bound were never indexed
-                    del rows[self.max_rows:]
-
-    def _drop_oldest(self, count: int) -> None:
-        """Rows leave from the front: the per-uid index starts over."""
-        del self._rows[:count]
-        self._indices[2].clear()
-        self._indexed = 0
-
     # -- derived indices ---------------------------------------------------------
     def _derived(self):
-        """The indices, caught up with the log and the rows it became."""
-        self._catch_up()
-        rows = self._rows
-        if self._indexed < len(rows):
+        """The indices, first caught up with rows past the watermark."""
+        if self._lazy and self._indexed < len(self._rows):
             first, event_uids, by_uid = self._indices
+            rows = self._rows
             for row in islice(rows, self._indexed, None):
                 t, uid, event, _ = row
                 key = (uid, event)
@@ -235,18 +115,63 @@ class Profiler:
         return self._derived()[0]
 
     @property
+    def _event_uids(self) -> Dict[str, Dict[str, None]]:
+        return self._derived()[1]
+
+    @property
     def _by_uid(self) -> Dict[str, Deque[ProfileRow]]:
         return self._derived()[2]
 
-    # -- counters ------------------------------------------------------------
-    @property
-    def dropped(self) -> int:
-        """Records not retained (off tier, or full tier past max_rows)."""
-        self._catch_up()
-        return self._dropped
+    def record(self, time: float, uid: str, event: str,
+               component: str = "") -> None:
+        """Record one profile row (retention depends on the tier)."""
+        self.recorded += 1
+        if self._lazy:
+            self._rows.append(ProfileRow(float(time), uid, event, component))
+            return
+        if self.level == "off":
+            self.dropped += 1
+            return
+        first, event_uids, by_uid = self._indices
+        key = (uid, event)
+        if key not in first:
+            first[key] = float(time)
+            event_uids.setdefault(event, {})[uid] = None
+        if self.level == "durations":
+            return
+        row = ProfileRow(float(time), uid, event, component)
+        if self._spill:
+            self._rows.append(row)
+            bucket = by_uid.get(uid)
+            if bucket is None:
+                bucket = by_uid[uid] = deque()
+            bucket.append(row)
+            # flush a full chunk to disk; recording after close_spill()
+            # keeps buffering in memory (safe teardown ordering)
+            if (len(self._rows) >= self._spill_chunk
+                    and self._spill_fh is not None):
+                self._flush_spill()
+            return
+        if self._ring:
+            if len(self._rows) == self.max_rows:
+                # the ring evicts its oldest row: prune it from the index
+                self.dropped += 1
+                evicted = self._rows[0]
+                bucket = by_uid.get(evicted.uid)
+                if bucket is not None:
+                    bucket.popleft()
+                    if not bucket:
+                        del by_uid[evicted.uid]
+        elif self.max_rows is not None and len(self._rows) >= self.max_rows:
+            self.dropped += 1
+            return
+        self._rows.append(row)
+        bucket = by_uid.get(uid)
+        if bucket is None:
+            bucket = by_uid[uid] = deque()
+        bucket.append(row)
 
     def __len__(self) -> int:
-        self._catch_up()
         return len(self._rows)
 
     # -- queries -------------------------------------------------------------
@@ -254,14 +179,13 @@ class Profiler:
                event: Optional[str] = None) -> List[ProfileRow]:
         """Rows filtered by uid and/or event name (full tier only).
 
-        uid-filtered lookups go through the per-uid index in every
-        retention mode, so they cost O(rows of that uid) instead of
-        O(total retained rows).
+        uid-filtered lookups go through the per-uid index in both
+        retention modes (ring eviction prunes the index exactly), so they
+        cost O(rows of that uid) instead of O(total retained rows).
         """
         if uid is not None:
             rows: Iterable[ProfileRow] = self._by_uid.get(uid, ())
         else:
-            self._catch_up()
             rows = self._rows
         if event is not None:
             rows = [r for r in rows if r.event == event]
@@ -294,37 +218,32 @@ class Profiler:
 
     def uids_with_event(self, event: str) -> List[str]:
         """All entity uids that recorded *event* (first-occurrence order)."""
-        return list(self._derived()[1].get(event, ()))
+        return list(self._event_uids.get(event, ()))
 
     def clear(self) -> None:
-        """Forget everything; an open spill file starts over too."""
-        self._log.clear()
         self._rows.clear()
         self._indexed = 0
         for index in self._indices:
             index.clear()
         self.recorded = 0
-        self._dropped = 0
+        self.dropped = 0
         if self._spill_fh is not None:
             self.spilled = 0
-            self._limit = 4 * self._chunk
             self._spill_fh.seek(0)
             self._spill_fh.truncate()
-            self._write_header()
+            self._spill_fh.write(json.dumps({"meta": self._meta()}) + "\n")
 
     # -- spill ---------------------------------------------------------------
-    def _write_header(self) -> None:
-        # provisional: overridden by close_spill's trailing meta
-        self._spill_fh.write(json.dumps({"meta": self._meta()}) + "\n")
-
     def _flush_spill(self) -> None:
-        """Stream the buffered rows to the spill file and drop them."""
-        write = self._spill_fh.write
+        """Stream the buffered chunk to the spill file and drop it."""
+        fh = self._spill_fh
+        write = fh.write
         for row in self._rows:
             write(json.dumps(["r", row.time, row.uid, row.event,
                               row.component]) + "\n")
         self.spilled += len(self._rows)
-        self._drop_oldest(len(self._rows))
+        self._rows.clear()
+        self._by_uid.clear()
 
     def close_spill(self) -> Optional[str]:
         """Finalise the spill file; returns its path (None if not spilling).
@@ -340,10 +259,9 @@ class Profiler:
         if not self._spill:
             return None
         if self._spill_fh is not None:
-            first = self._first
             self._flush_spill()
             fh = self._spill_fh
-            for (uid, event), t in first.items():
+            for (uid, event), t in self._first.items():
                 fh.write(json.dumps(["f", t, uid, event]) + "\n")
             fh.write(json.dumps({"meta": self._meta()}) + "\n")
             fh.close()
@@ -380,7 +298,7 @@ class Profiler:
         return lines
 
     @classmethod
-    def from_jsonl(cls, path: str) -> "Profiler":
+    def from_jsonl(cls, path: str) -> "ReferenceProfiler":
         """Reload a profile written by :meth:`to_jsonl` or a spill file.
 
         First timestamps are restored verbatim (including ones whose rows
@@ -392,7 +310,7 @@ class Profiler:
         reloads as an unbounded in-memory ``"bound"`` profiler so every
         spilled row is queryable via :meth:`events`.
         """
-        profiler: Optional[Profiler] = None
+        profiler: Optional[ReferenceProfiler] = None
         meta: Dict[str, object] = {}
         with open(path) as fh:
             for line in fh:
@@ -409,16 +327,15 @@ class Profiler:
                                            retention=meta["retention"])
                 elif entry[0] == "f":
                     _, t, uid, event = entry
-                    first, event_uids, _ = profiler._derived()
-                    if (uid, event) not in first:
-                        first[uid, event] = float(t)
-                        event_uids.setdefault(event, {})[uid] = None
+                    key = (uid, event)
+                    if key not in profiler._first:
+                        profiler._first[key] = float(t)
+                        profiler._event_uids.setdefault(event, {})[uid] = None
                 else:
                     _, t, uid, event, component = entry
                     profiler.record(t, uid, event, component)
         if profiler is None:
             raise ValueError(f"no meta line in profile file: {path}")
-        profiler._catch_up()  # the replay's own counts end here
         profiler.recorded = meta["recorded"]
-        profiler._dropped = meta["dropped"]
+        profiler.dropped = meta["dropped"]
         return profiler

@@ -3,8 +3,6 @@
 import json
 
 import numpy as np
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.pilot import Profiler
 
@@ -165,6 +163,27 @@ class TestRetention:
         assert p.timestamp("t", "start") == 1.0
         assert p.duration("t", "start", "stop") == 8.0
 
+    def test_zero_row_ring_retains_nothing_and_counts_every_drop(self):
+        # was: IndexError on the first record (evicting from an empty ring)
+        ring, bound = (Profiler(max_rows=0, retention=r)
+                       for r in ("ring", "bound"))
+        for p in (ring, bound):
+            p.record(1.0, "t", "start")
+            p.record(4.0, "t", "stop")
+            p.record(9.0, "t", "start")
+        for p in (ring, bound):
+            assert (len(p), p.events(), p.events(uid="t")) == (0, [], [])
+            assert (p.recorded, p.dropped) == (3, 3)
+            assert p.duration("t", "start", "stop") == 3.0
+            assert p.uids_with_event("start") == ["t"]
+
+    def test_session_accepts_a_zero_row_ring(self):
+        from repro.pilot import Session
+        with Session(profile_retention="ring", profile_max_rows=0) as s:
+            s.profiler.record(0.0, "t", "x")
+            assert (len(s.profiler), s.profiler.dropped) == (0, 1)
+            assert s.profiler.timestamp("t", "x") == 0.0
+
     def test_ring_without_max_rows_is_unbounded(self):
         p = Profiler(retention="ring")
         for i in range(10):
@@ -264,24 +283,10 @@ class TestJsonlPersistence:
 
 
 # -- derived indices ----------------------------------------------------------
-_UIDS = st.sampled_from(["t0", "t1", "t2"])
-_EVENTS = st.sampled_from(["a", "b", "c"])
-_OPS = st.one_of(
-    st.tuples(st.just("record"), st.integers(0, 50), _UIDS, _EVENTS),
-    st.tuples(st.just("events"), st.none() | _UIDS, st.none() | _EVENTS),
-    st.tuples(st.just("timestamp"), _UIDS, _EVENTS),
-    st.tuples(st.just("duration"), _UIDS, _EVENTS, _EVENTS),
-    st.tuples(st.just("durations"), _EVENTS, _EVENTS),
-    st.tuples(st.just("uids_with_event"), _EVENTS),
-    st.tuples(st.just("clear")),
-    st.tuples(st.just("reload")),
-)
-
-
 class TestDerivedIndices:
-    """The default configuration appends rows and derives its indices on
-    demand; a ``max_rows`` nobody reaches keeps the eager path and is the
-    oracle."""
+    """Records append to a flat log; rows and indices are derived when a
+    reader arrives (``tests/test_properties.py`` holds every configuration
+    to the eager reference profiler)."""
 
     def test_record_alone_builds_no_index(self):
         p = Profiler()
@@ -297,15 +302,21 @@ class TestDerivedIndices:
         p.clear()
         assert p._indexed == 0 and p.timestamp("t1", "ev") is None
 
-    def test_configurations_that_drop_rows_stamp_eagerly(self, tmp_path):
-        for kwargs in ({"level": "durations"}, {"max_rows": 1},
-                       {"max_rows": 1, "retention": "ring"},
-                       {"retention": "spill",
+    def test_configurations_that_drop_rows_stamp_when_the_chunk_closes(
+            self, tmp_path):
+        # no reader in sight: record() closes a full chunk itself, and the
+        # first stamps are folded before retention lets the rows go
+        for kwargs in ({"level": "durations", "max_rows": 2}, {"max_rows": 2},
+                       {"max_rows": 2, "retention": "ring"},
+                       {"max_rows": 2, "retention": "spill",
                         "spill_path": str(tmp_path / "s.jsonl")}):
             p = Profiler(**kwargs)
             p.record(1.0, "t", "a")
+            assert p._indices[0] == {} and len(p._log) == 4, kwargs
             p.record(2.0, "t", "b")
+            p.record(3.0, "t", "c")
             assert set(p._indices[0]) == {("t", "a"), ("t", "b")}, kwargs
+            assert len(p._log) == 4 and len(p._rows) <= 2, kwargs
             p.close_spill()
 
     def test_reloaded_first_stamps_win_over_derivation(self, tmp_path):
@@ -321,52 +332,7 @@ class TestDerivedIndices:
             ["r", 1.0, "t", "a", "c"],
             ["r", 2.0, "t", "b", "c"])) + "\n")
         p = Profiler.from_jsonl(str(path))
-        assert p._lazy
+        assert not p._drops
         assert p.timestamp("t", "a") == 0.75 and p.timestamp("t", "b") == 2.0
         assert p.uids_with_event("a") == ["gone", "t"]
         assert (p.recorded, p.dropped, len(p)) == (3, 1, 2)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(_OPS, max_size=40))
-    def test_lazy_matches_eager_under_any_interleaving(self, tmp_path_factory,
-                                                       ops):
-        tmp = tmp_path_factory.mktemp("lazy")
-        lazy, eager = Profiler(), Profiler(max_rows=10**9)
-        assert lazy._lazy and not eager._lazy
-
-        def jsonl(p, name):
-            path = tmp / name
-            n = p.to_jsonl(str(path))
-            lines = path.read_text().splitlines()
-            assert n == len(lines)
-            return path, lines[1:]  # the meta header carries max_rows
-
-        for op, *args in ops:
-            if op == "record":
-                t, uid, event = args
-                lazy.record(t, uid, event, "c")
-                eager.record(t, uid, event, "c")
-            elif op == "clear":
-                lazy.clear()
-                eager.clear()
-            elif op == "reload":
-                (lp, ll), (ep, el) = jsonl(lazy, "l"), jsonl(eager, "e")
-                assert ll == el
-                lazy = Profiler.from_jsonl(str(lp))
-                eager = Profiler.from_jsonl(str(ep))
-                assert lazy._lazy and not eager._lazy
-            elif op == "events":
-                assert lazy.events(*args) == eager.events(*args)
-            elif op == "durations":
-                uids = ["t2", "t0", "ghost", "t1"]
-                assert np.array_equal(lazy.durations(uids, *args),
-                                      eager.durations(uids, *args))
-            else:
-                assert getattr(lazy, op)(*args) == getattr(eager, op)(*args)
-            assert (lazy.recorded, lazy.dropped, len(lazy)) == \
-                (eager.recorded, eager.dropped, len(eager))
-        for event in "abc":
-            assert lazy.uids_with_event(event) == eager.uids_with_event(event)
-        assert lazy.events() == eager.events()
-        assert list(lazy._first.items()) == list(eager._first.items())
-        assert jsonl(lazy, "l")[1] == jsonl(eager, "e")[1]

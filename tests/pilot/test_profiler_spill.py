@@ -76,6 +76,39 @@ class TestSpillStreaming:
         assert len(p) == 10
         assert p.timestamp("late", "b") == 0.0
 
+    def test_clear_restarts_an_open_spill_file(self, tmp_path):
+        # was: rows stayed on disk and in ``spilled`` while ``recorded``
+        # went to 0, so the final meta line disagreed with the file
+        path = tmp_path / "p.jsonl"
+        p = Profiler(max_rows=2, retention="spill", spill_path=str(path))
+        for i in range(5):
+            p.record(float(i), "old", f"e{i}")
+        assert p.spilled == 4
+        p.clear()
+        assert (p.recorded, p.spilled, len(p)) == (0, 0, 0)
+        for i in range(3):
+            p.record(10.0 + i, "new", "ev")
+        assert (p.spilled, len(p)) == (2, 1)  # chunks count from the restart
+        p.close_spill()
+        *lines, final = [json.loads(ln)
+                         for ln in path.read_text().splitlines()[1:]]
+        assert lines == [["r", 10.0, "new", "ev", ""],
+                         ["r", 11.0, "new", "ev", ""],
+                         ["r", 12.0, "new", "ev", ""],
+                         ["f", 10.0, "new", "ev"]]
+        assert (final["meta"]["recorded"], final["meta"]["spilled"]) == (3, 3)
+        q = Profiler.from_jsonl(str(path))
+        assert (q.recorded, len(q), q.timestamp("old", "e0")) == (3, 3, None)
+
+    def test_clear_after_close_leaves_the_finalised_file(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        p = Profiler(max_rows=2, retention="spill", spill_path=str(path))
+        p.record(0.0, "t", "a")
+        p.close_spill()
+        before = path.read_bytes()
+        p.clear()
+        assert path.read_bytes() == before and len(p) == 0
+
     def test_to_jsonl_refused_in_spill_mode(self, tmp_path):
         p = Profiler(max_rows=2, retention="spill",
                      spill_path=str(tmp_path / "p.jsonl"))

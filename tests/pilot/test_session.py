@@ -63,49 +63,6 @@ class TestSession:
             assert s2.ids.generate("task") == "task.0000"
 
 
-class TestGcPolicy:
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError, match="gc_policy"):
-            Session(gc_policy="yolo")
-
-    def test_batch_policy_runs_and_restores_thresholds(self):
-        import gc
-        saved = gc.get_threshold()
-        with Session(gc_policy="batch") as session:
-            live = []
-            session.engine.call_later(
-                1.0, lambda _: live.append(
-                    (gc.get_threshold(), gc.get_freeze_count() > 0)))
-            # thresholds are raised (and the pre-run population frozen)
-            # only while run() is live
-            session.run()
-            assert live == [(Session._GC_BATCH_THRESHOLD, True)]
-            assert gc.get_threshold() == saved
-            assert gc.get_freeze_count() == 0
-        assert gc.get_threshold() == saved
-
-    def test_batch_policy_restores_on_engine_error(self):
-        import gc
-        saved = gc.get_threshold()
-        with Session(gc_policy="batch") as session:
-            def boom(_arg):
-                raise RuntimeError("kernel callback failed")
-            session.engine.call_later(1.0, boom)
-            with pytest.raises(RuntimeError, match="kernel callback"):
-                session.run()
-            assert gc.get_threshold() == saved
-            assert gc.get_freeze_count() == 0
-
-    def test_default_policy_leaves_gc_alone(self):
-        import gc
-        thresholds = []
-        with Session() as session:
-            session.engine.call_later(
-                1.0, lambda _: thresholds.append(gc.get_threshold()))
-            session.run()
-        assert thresholds == [gc.get_threshold()]
-
-
 class TestQuiesce:
     """Session-scoped stop signal: run() drains with resilience live."""
 

@@ -250,6 +250,41 @@ class TestFailureAndCancel:
             assert pilot.free_capacity()["cores"] == pilot.nodes.total_cores
             assert tmgr._live_load(pilot) == 0
 
+    def test_a_surfacing_observer_restarts_only_what_still_waits(self):
+        """An exception surfacing from one task's start re-arms the rest of
+        its batch; a task of that rest cancelled in the meantime stays
+        cancelled (it was handed back to ``_begin`` and left CANCELED for
+        TMGR_SCHEDULING: found by the task machine, one tier-1 run in a
+        dozen)."""
+        with Session(seed=3) as session:
+            pmgr = PilotManager(session)
+            tmgr = TaskManager(session)
+            (pilot,) = pmgr.submit_pilots(
+                PilotDescription(resource="delta", nodes=1, runtime_s=1e6))
+            tmgr.add_pilots(pilot)
+            session.run(until=pmgr.wait_active([pilot]))
+            raising = set()
+
+            def observer(task, state):  # fails the start, then surfaces
+                if task.uid in raising and state in (
+                        TaskState.TMGR_SCHEDULING, TaskState.FAILED):
+                    raise RuntimeError("observer failed")
+
+            tmgr.register_callback(observer)
+            tasks = tmgr.submit_tasks(
+                [TaskDescription(executable="x", duration_s=1.0)] * 4)
+            raising.update((tasks[0].uid, tasks[2].uid))
+            tmgr.cancel_tasks(tasks[3])  # lands after the first start landing
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="observer failed"):
+                    session.run(until=tmgr.wait_tasks(tasks))
+            session.run(until=tmgr.wait_tasks(tasks))
+            assert [t.state for t in tasks] == [
+                TaskState.FAILED, TaskState.DONE, TaskState.FAILED,
+                TaskState.CANCELED]
+            assert pilot.agent.scheduler.held_tasks == []
+            assert tmgr._live_load(pilot) == 0
+
     @pytest.mark.parametrize("fault", [False, True])
     @pytest.mark.parametrize("after_s, phase", [(0.5, "launch_start"),
                                                 (5.0, "exec_start")])

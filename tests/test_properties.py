@@ -1129,3 +1129,114 @@ def test_tracer_replay_matches_eager_reference(ops):
         theirs = CampaignAttribution.from_tracer(ref)
         assert mine.report() == theirs.report()
         assert mine.phase_totals() == theirs.phase_totals()
+
+
+# ---------------------------------------------------------------------------
+# Profiler: the flat log derives what the eager profiler kept
+# ---------------------------------------------------------------------------
+
+_PROFILE_UIDS = ("t0", "t1", "t2")
+_PROFILE_EVENTS = ("a", "b", "c")
+_PROFILE_OPS = ("record",) * 8 + (
+    "events", "timestamp", "duration", "durations", "uids_with_event",
+    "counter", "clear", "reload", "close")
+
+
+@pytest.mark.parametrize("retention", ["bound", "ring", "spill"])
+@pytest.mark.parametrize("level", ["full", "durations", "off"])
+@settings(max_examples=60, deadline=None)
+@given(max_rows=st.sampled_from([None, 0, 1, 3, 8]),
+       ops=st.lists(st.tuples(st.sampled_from(_PROFILE_OPS),
+                              st.integers(min_value=0, max_value=63),
+                              st.integers(min_value=0, max_value=63)),
+                    min_size=15, max_size=80))
+def test_profiler_log_matches_eager_reference(tmp_path_factory, level,
+                                              retention, max_rows, ops):
+    """Any interleaving of records, readers, ``clear`` and file round
+    trips answers as the eager profiler would, in every configuration.
+
+    The reference (the profiler this repo shipped until PR 21,
+    ``tests/pilot/reference_profiler.py``) builds its rows and applies
+    tier and retention inside ``record``; the shipped one appends scalars
+    and catches up when a reader arrives or a chunk fills.  Chunks are
+    four records here, so runs of records close chunks with no reader in
+    sight.  Records repeat ``(uid, event)`` pairs and carry int and
+    ``numpy.float64`` times; a ``counter`` op reads *one* counter cold, so
+    each is exact without another read having caught up for it.
+    """
+    from pilot.reference_profiler import ReferenceProfiler
+
+    from repro.pilot.profiler import Profiler
+
+    class Mine(Profiler):
+        CHUNK = 4
+
+    class Theirs(ReferenceProfiler):
+        SPILL_CHUNK = 4
+
+    tmp = tmp_path_factory.mktemp("profile")
+    paths = [str(tmp / "mine.jsonl"), str(tmp / "theirs.jsonl")]
+    pair = [cls(level=level, max_rows=max_rows, retention=retention,
+                spill_path=path if retention == "spill" else None)
+            for cls, path in zip((Mine, Theirs), paths)]
+
+    def same(read):
+        mine, theirs = (read(p) for p in pair)
+        assert mine == theirs
+        return mine
+
+    def written():
+        """Finalise the spill files, or export: the bytes must agree."""
+        if not same(lambda p: p.close_spill() is not None):
+            assert pair[0].to_jsonl(paths[0]) == pair[1].to_jsonl(paths[1])
+        with open(paths[0], "rb") as mine, open(paths[1], "rb") as theirs:
+            assert mine.read() == theirs.read()
+        return [type(p).from_jsonl(path) for p, path in zip(pair, paths)]
+
+    def everything():
+        for read in ("dropped", "spilled", "recorded"):
+            same(lambda p: getattr(p, read))
+        same(len)
+        rows = same(lambda p: p.events())
+        assert all(type(row.time) is float for row in rows)
+        for uid in _PROFILE_UIDS:
+            same(lambda p: p.events(uid=uid))
+            for event in _PROFILE_EVENTS:
+                same(lambda p: p.events(uid=uid, event=event))
+                same(lambda p: p.timestamp(uid, event))
+        for event in _PROFILE_EVENTS:
+            same(lambda p: p.uids_with_event(event))
+
+    for op, a, b in ops:
+        uid = _PROFILE_UIDS[a % 3]
+        event, other = _PROFILE_EVENTS[b % 3], _PROFILE_EVENTS[b // 3 % 3]
+        if op == "record":
+            t = np.float64(a) / 4 if b % 2 else a
+            for p in pair:
+                p.record(t, uid, event, f"c{b % 5}")
+        elif op == "events":
+            same(lambda p: p.events(uid=uid if a % 2 else None,
+                                    event=event if b % 2 else None))
+        elif op == "timestamp":
+            same(lambda p: p.timestamp(uid, event))
+        elif op == "duration":
+            same(lambda p: p.duration(uid, event, other))
+        elif op == "durations":
+            same(lambda p: p.durations(["t2", "t0", "ghost", "t1"], event,
+                                       other).tolist())
+        elif op == "uids_with_event":
+            same(lambda p: p.uids_with_event(event))
+        elif op == "counter":
+            same((lambda p: p.dropped, lambda p: p.spilled, len,
+                  lambda p: p.recorded)[a % 4])
+        elif op == "clear":
+            for p in pair:
+                p.clear()
+        elif op == "close":
+            written()  # recording goes on: a closed spill buffers in memory
+        elif op == "reload":
+            pair = written()
+            same(lambda p: (p.level, p.max_rows, p.retention))
+    everything()
+    pair = written()
+    everything()
