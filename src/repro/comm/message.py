@@ -5,6 +5,14 @@ correlation id (to pair requests with replies), sender/recipient addresses
 and wire-size estimation.  Size matters because the fabric charges
 ``latency + nbytes/bandwidth`` per delivery -- a NOOP request is a few hundred
 bytes, a staged image batch is megabytes.
+
+The size *is* the pickle length (:func:`estimate_size`), so the pickled form
+of whatever travels in a payload -- :class:`Address` and :class:`LoadReport`
+as dataclasses, :class:`~repro.core.registry.ServiceInfo`, request dicts --
+is part of the simulated wire format: giving one of them another
+representation (a ``NamedTuple``, ``__slots__`` with ``__getstate__``, a
+renamed field) changes message sizes and with them every simulated latency.
+Make such a change as a modelling change, never as an optimisation.
 """
 
 from __future__ import annotations

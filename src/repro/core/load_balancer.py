@@ -88,7 +88,9 @@ class _ScoredBalancer(LoadBalancer):
     """Shared machinery: pick the minimum-score target, ties round-robin."""
 
     def __init__(self) -> None:
-        self._in_flight: Dict[Address, int] = {}
+        #: by endpoint *name* (unique on the bus): hashing the frozen
+        #: ``Address`` dataclass runs Python code on every score
+        self._in_flight: Dict[str, int] = {}
         self._next = 0
 
     def _score(self, target: Address) -> float:
@@ -105,14 +107,15 @@ class _ScoredBalancer(LoadBalancer):
         return targets[choice]
 
     def record_start(self, target: Address) -> None:
-        self._in_flight[target] = self._in_flight.get(target, 0) + 1
+        name = target.name
+        self._in_flight[name] = self._in_flight.get(name, 0) + 1
 
     def record_done(self, target: Address) -> None:
-        current = self._in_flight.get(target, 0)
-        self._in_flight[target] = max(0, current - 1)
+        name = target.name
+        self._in_flight[name] = max(0, self._in_flight.get(name, 0) - 1)
 
     def load_of(self, target: Address) -> int:
-        return self._in_flight.get(target, 0)
+        return self._in_flight.get(target.name, 0)
 
 
 class LeastLoadedBalancer(_ScoredBalancer):
@@ -130,7 +133,7 @@ class LeastLoadedBalancer(_ScoredBalancer):
         self.registry = registry
 
     def _score(self, target: Address) -> float:
-        score = float(self._in_flight.get(target, 0))
+        score = float(self._in_flight.get(target.name, 0))
         if self.registry is not None:
             report = self.registry.load_for(target)
             if report is not None:
@@ -156,11 +159,13 @@ class JoinShortestQueueBalancer(_ScoredBalancer):
         self.registry = registry
 
     def _score(self, target: Address) -> float:
-        local = self._in_flight.get(target, 0)
+        local = self._in_flight.get(target.name, 0)
         report = self.registry.load_for(target)
         if report is None:
             return float(local)
-        return (report.backlog + local) / max(1, report.capacity)
+        # (backlog + local) / capacity, read off the report's fields
+        return (report.queue_depth + report.in_flight + local) \
+            / max(1, report.workers * report.max_batch_size)
 
 
 def create_balancer(name: str, rng=None, registry=None) -> LoadBalancer:

@@ -114,6 +114,7 @@ class ServiceManager:
         pilot: Pilot,
     ) -> List[ServiceHandle]:
         """Bootstrap services on *pilot*'s resources; returns handles."""
+        self.session.check_open()
         if isinstance(descriptions, ServiceDescription):
             descriptions = [descriptions]
         handles: List[ServiceHandle] = []

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Set
 
 __all__ = ["DataObject", "ObjectStore", "ReplicaRegistry", "ReplicaError",
            "object_id"]
 
 
+@lru_cache(maxsize=4096)  # asked five times per staged task, SHA-1 each
 def object_id(source: str, size_bytes: float) -> str:
     """Content address for a named dataset of a given size."""
     digest = hashlib.sha1(

@@ -45,8 +45,10 @@ class Route:
 
     def transfer_time(self, nbytes: float, rng) -> float:
         """Seconds to move *nbytes*: one-way latency + serialisation time."""
-        lat = float(self.latency.sample(rng))
-        return lat + nbytes / (self.bandwidth_gbps * 1e9)
+        latency = self.latency  # LatencySpec.sample(rng), spelled out
+        return (max(rng.normal(latency.mean_ms, latency.std_ms),
+                    latency.floor_ms) * 1e-3
+                + nbytes / (self.bandwidth_gbps * 1e9))
 
 
 class Fabric:
@@ -61,6 +63,9 @@ class Fabric:
         self._rng = rng
         self._platforms: Dict[str, PlatformSpec] = {}
         self._routes: Dict[Tuple[str, str], Route] = {}
+        #: what ``route(a, b)`` resolved to, per ordered pair asked for by
+        #: :meth:`transfer_time`; emptied whenever the topology changes
+        self._resolved: Dict[Tuple[str, str], Route] = {}
 
     # -- topology --------------------------------------------------------------
     def add_platform(self, spec: PlatformSpec,
@@ -69,12 +74,14 @@ class Fabric:
         self._platforms[spec.name] = spec
         self._routes[(spec.name, spec.name)] = Route(
             latency=spec.intra_latency, bandwidth_gbps=local_bandwidth_gbps)
+        self._resolved.clear()
 
     def set_route(self, a: str, b: str, latency: LatencySpec,
                   bandwidth_gbps: float = DEFAULT_WAN_BANDWIDTH_GBPS) -> None:
         """Define/override the route between platforms *a* and *b*."""
         route = Route(latency=latency, bandwidth_gbps=bandwidth_gbps)
         self._routes[self._key(a, b)] = route
+        self._resolved.clear()
 
     @staticmethod
     def _key(a: str, b: str) -> Tuple[str, str]:
@@ -109,7 +116,10 @@ class Fabric:
         """Seconds to move *nbytes* of payload between *a* and *b*."""
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        return self.route(a, b).transfer_time(nbytes, self._rng)
+        route = self._resolved.get((a, b))
+        if route is None:  # once per pair: every bus hop asks
+            route = self._resolved[(a, b)] = self.route(a, b)
+        return route.transfer_time(nbytes, self._rng)
 
     def is_local(self, a: str, b: str) -> bool:
         return a == b

@@ -10,8 +10,9 @@ what had already been moved.  This DataManager sits on the session's
   tasks/iterations is one object with replicas, so warm-cache hits are free
   and concurrent stages of one object to one platform are coalesced
   (in-flight dedup);
-* independent directives run **concurrently**, and concurrent transfers on
-  one fabric link fair-share its bandwidth
+* independent directives run **concurrently** (each a Routine started and
+  counted down by :meth:`DataManager.stage`, not a process of its own), and
+  concurrent transfers on one fabric link fair-share its bandwidth
   (:class:`repro.data.TransferScheduler`);
 * completed transfers register **replicas** (durable at the data's origin,
   LRU-cached at the task platform), which feeds the TaskManager's
@@ -25,11 +26,11 @@ the shared-bandwidth model.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..data.objects import DataObject
 from ..data.transfers import TransferAborted
-from ..sim.events import Interrupt
+from ..sim.events import Event, Interrupt, Routine
 from .description import StagingDirective
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -38,8 +39,34 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["DataManager"]
 
 
+class _FanOut:
+    """The join of one :meth:`DataManager.stage` call: a counter."""
+
+    __slots__ = ("pending", "errors", "join")
+
+    def __init__(self) -> None:
+        self.pending = 0
+        self.errors: Dict[int, BaseException] = {}   # by directive index
+        self.join: Optional[Event] = None   # made only if a child waited
+
+    def child_done(self, index: int, ok: bool, value) -> None:
+        """Exit of one directive's Routine (never fails the engine: an
+        error is kept for :meth:`DataManager.stage` to re-raise)."""
+        self.pending -= 1
+        if not ok:
+            self.errors[index] = value
+        if not self.pending and self.join is not None:
+            self.join.succeed()
+
+
 class DataManager:
-    """Executes staging directives as concurrent simulation processes."""
+    """Executes staging directives concurrently, without a process each.
+
+    :meth:`stage` is the one generator of a staging call (its caller runs
+    it as a Routine or ``yield from``-s it); the directives are Routines it
+    starts and counts down, and a directive that has nothing to wait for --
+    a link, a warm replica -- costs no kernel entry at all.
+    """
 
     def __init__(self, session: "Session",
                  client_platform: str = "localhost") -> None:
@@ -83,52 +110,50 @@ class DataManager:
     # -- staging -----------------------------------------------------------------
     def stage(self, directives: Iterable[StagingDirective],
               task_platform: str, uid: str, phase: str):
-        """Simulation process: perform directives *concurrently*.
+        """Generator: perform directives *concurrently*.
 
         Records ``<phase>_start`` / ``<phase>_stop`` profile events for the
         owning entity *uid* (phase is ``stage_in`` or ``stage_out``).
         Returns the number of directives performed; the first directive
-        failure (if any) is re-raised after all directives settle.
+        failure (if any, lowest directive index) is re-raised after all
+        directives settle.
+
+        Each directive's :meth:`_perform` is started, in directive order,
+        as a :class:`~repro.sim.events.Routine` inside this generator's own
+        kernel entry and counted down in ``pending``.  A directive that
+        never waits (link, warm hit) is over before the next one starts;
+        only if some child did wait is a join event created, which the last
+        child to finish triggers.
         """
         engine = self.session.engine
         profiler = self.session.profiler
         directives = list(directives)
         profiler.record(engine.now, uid, f"{phase}_start", self.uid)
-        procs = [engine.process(self._stage_one(d, task_platform, phase, uid))
-                 for d in directives]
+        fanout = _FanOut()
+        children = []
         try:
-            if procs:
-                outcomes = yield engine.all_of(procs)
-                errors = [v for v in outcomes.values()
-                          if isinstance(v, BaseException)]
-                if errors:
-                    raise errors[0]
+            for index, directive in enumerate(directives):
+                fanout.pending += 1
+                child = Routine(
+                    engine, self._perform(directive, task_platform, phase,
+                                          uid), fanout.child_done, index)
+                children.append(child)
+                child.start()
+            if fanout.pending:
+                fanout.join = engine.event()
+                yield fanout.join
+            if fanout.errors:
+                raise fanout.errors[min(fanout.errors)]
         except Interrupt:
             # task cancelled: stop the children too, so abandoned transfers
             # free their links instead of contending with live work
-            for proc in procs:
-                if proc.is_alive:
-                    proc.interrupt("staging cancelled")
+            fanout.join = None
+            for child in children:
+                child.throw(Interrupt("staging cancelled"))
             raise
         finally:
             profiler.record(engine.now, uid, f"{phase}_stop", self.uid)
         return len(directives)
-
-    def _stage_one(self, directive: StagingDirective, task_platform: str,
-                   phase: str, owner_uid: str = ""):
-        """Child process wrapper: never fails the engine, returns errors.
-
-        Failing child processes that nobody awaits would crash the engine
-        (the parent may already be cancelled and detached); instead errors
-        -- including the Interrupt of a cancelled stage -- become return
-        values that :meth:`stage` re-raises if it is still listening.
-        """
-        try:
-            yield from self._perform(directive, task_platform, phase,
-                                     owner_uid)
-            return None
-        except BaseException as exc:
-            return exc
 
     def _perform(self, directive: StagingDirective, task_platform: str,
                  phase: str, owner_uid: str = ""):

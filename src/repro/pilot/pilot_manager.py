@@ -52,6 +52,7 @@ class PilotManager:
         self, descriptions: Union[PilotDescription, Iterable[PilotDescription]],
     ) -> List[Pilot]:
         """Submit one or many pilot descriptions; returns pilot handles."""
+        self.session.check_open()
         if isinstance(descriptions, PilotDescription):
             descriptions = [descriptions]
         pilots: List[Pilot] = []

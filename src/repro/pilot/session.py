@@ -203,6 +203,7 @@ class Session:
     # -- running -----------------------------------------------------------------
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Drive the engine (see :meth:`SimulationEngine.run`)."""
+        self.check_open()
         return self.engine.run(until=until)
 
     # -- quiesce / stop ----------------------------------------------------------
@@ -258,6 +259,17 @@ class Session:
     @property
     def closed(self) -> bool:
         return self._closed
+
+    def check_open(self) -> None:
+        """Refuse new work on a closed session.
+
+        Called by everything that would start something: :meth:`run`,
+        ``TaskManager.submit_tasks``, ``PilotManager.submit_pilots``,
+        ``ServiceManager.start_services``.  Reading a closed session --
+        ``now``, the profiler, task handles -- keeps working.
+        """
+        if self._closed:
+            raise RuntimeError("session is closed")
 
     def close(self) -> None:
         """Shut the session down (idempotent)."""

@@ -9,10 +9,17 @@ AgentExecutor: the launch and exec timers), run inside the kernel entry
 that ended the previous wait.  No process, generator or private event per
 task: a plain executable task on an active pilot costs four kernel entries
 -- grant, launch, exec, ``task.completed`` -- plus one start landing per
-submitted batch or feeder chunk (README "task path": the owner table).
+submitted batch or admitted chunk (README "task path": the owner table).
 Only a composite wait (the pilot, a staging fan-out, the recovery plan) is
 still a generator, run as a :class:`~repro.sim.events.Routine`: started
 from inside a handler, continued into :meth:`TaskManager._resumed`.
+
+A windowed submission (``submit_tasks(window=)``) is a record too
+(:class:`_WindowFeed`): chunks that fit start inside ``submit_tasks``, the
+next one queues at the :class:`SubmissionWindow`, and the completion that
+frees its slots starts it from its own kernel entry.  Only the strictly
+serialised ``chunk_size`` path without a window still runs a feeder process
+(it waits for whole chunks).
 
 Failures are captured on the task (never crash the manager).  A
 cancellation or injected fault is one URGENT landing, resolved against the
@@ -35,7 +42,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Union
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Union)
 
 from ..data import PLACEMENTS
 from ..data.objects import object_id
@@ -76,12 +84,15 @@ class SubmissionWindow:
     TaskManagers) -- that is how the campaign engine applies *global*
     backpressure across every node of every concurrently running graph.
 
-    Slots are acquired atomically per request (a waiter holds nothing
-    while queued), so concurrent submitters sharing one window cannot
-    deadlock on partially acquired bursts.  Admission is strict FIFO:
-    each release reserves slots for (and wakes) exactly the queued
-    requests that now fit, head first -- no thundering herd of waiters
-    re-checking on every completion.
+    Nobody blocks on a window: a request that does not fit is queued as
+    ``(handler, arg, n)``, and the :meth:`release` that makes room reserves
+    the slots and calls ``handler(arg)`` itself, inside the kernel entry of
+    the completion that freed them -- no wake-up event in between.  Slots
+    are taken atomically per request (a queued request holds nothing), so
+    submitters sharing one window cannot deadlock on partially acquired
+    bursts.  Admission is strict FIFO: a release admits exactly the queued
+    requests that now fit, head first, and a new request never overtakes a
+    queued one.
     """
 
     def __init__(self, engine, capacity: int) -> None:
@@ -92,32 +103,68 @@ class SubmissionWindow:
         self.in_flight = 0
         #: high-water mark of concurrently held slots (observability)
         self.peak = 0
-        self._waiters: deque = deque()   # (event, n) in arrival order
+        self._waiters: deque = deque()   # (handler, arg, n) in arrival order
+        #: admitted (slots reserved), handler not called yet: a release made
+        #: *by* a handler only reserves, the outermost one does the calling
+        self._admitted: deque = deque()
+        self._calling = False
 
-    def _note_peak(self) -> None:
-        if self.in_flight > self.peak:
-            self.peak = self.in_flight
-
-    def acquire(self, n: int = 1):
-        """Process body: block until *n* slots (capped at capacity) fit."""
+    def admit(self, n: int, handler: Callable[[Any], None], arg: Any) -> bool:
+        """Take *n* slots (capped at capacity) now -- True -- or queue the
+        request: ``handler(arg)`` is called once they are reserved."""
         n = min(n, self.capacity)
         if not self._waiters and self.in_flight + n <= self.capacity:
             self.in_flight += n
-            self._note_peak()
-            return
-        event = self.engine.event()
-        self._waiters.append((event, n))
-        yield event  # the slots were reserved by release() before the wake
+            if self.in_flight > self.peak:
+                self.peak = self.in_flight
+            return True
+        self._waiters.append((handler, arg, n))
+        return False
 
     def release(self, n: int = 1) -> None:
-        """Return *n* slots and admit whatever queued requests now fit."""
+        """Return *n* slots and admit whatever queued requests now fit.
+
+        A handler may itself release (a chunk cancelled while it queued
+        gives its slots straight back): the requests that admits are called
+        after it returns, in admission order, by the release that called
+        it -- as if each had been woken in turn -- so a run of cancelled
+        chunks, however long, unwinds in a loop and not in the stack.
+        """
         self.in_flight -= n
-        while self._waiters and \
-                self.in_flight + self._waiters[0][1] <= self.capacity:
-            event, need = self._waiters.popleft()
+        waiters, admitted = self._waiters, self._admitted
+        while waiters and self.in_flight + waiters[0][2] <= self.capacity:
+            handler, arg, need = waiters.popleft()
             self.in_flight += need
-            self._note_peak()
-            event.succeed(None)
+            if self.in_flight > self.peak:
+                self.peak = self.in_flight
+            admitted.append((handler, arg))
+        if admitted and not self._calling:
+            self._calling = True
+            try:
+                while admitted:
+                    handler, arg = admitted.popleft()
+                    handler(arg)
+            finally:
+                self._calling = False
+
+    def _task_completed(self, event: Event) -> None:
+        """``task.completed`` callback of a task holding one slot."""
+        self.release()
+
+
+class _WindowFeed:
+    """A windowed ``submit_tasks`` call in progress: what is left to admit."""
+
+    __slots__ = ("tasks", "window", "chunk_size", "next", "chunk")
+
+    def __init__(self, tasks: List[Task], window: SubmissionWindow,
+                 chunk_size: int) -> None:
+        self.tasks = tasks
+        self.window = window
+        self.chunk_size = min(chunk_size, window.capacity)
+        self.next = 0                        # index of the next chunk
+        #: the chunk queued at the window, whose slots release() reserves
+        self.chunk: Optional[List[Task]] = None
 
 
 class TaskManager:
@@ -318,6 +365,7 @@ class TaskManager:
         resurrected.  ``None`` everywhere keeps the fully concurrent
         semantics.
         """
+        self.session.check_open()
         if isinstance(descriptions, TaskDescription):
             descriptions = [descriptions]
         descriptions = list(descriptions)
@@ -347,8 +395,11 @@ class TaskManager:
             return tasks
         deferred = after is not None and not after.processed
         if window is not None:
-            session.engine.process(
-                self._feed_window(tasks, window, chunk_size or 1, after))
+            feed = _WindowFeed(tasks[:], window, chunk_size or 1)
+            if deferred:
+                after.callbacks.append(lambda event: self._advance_feed(feed))
+            else:
+                self._advance_feed(feed)
         elif (chunk_size is None or chunk_size >= len(tasks)) and not deferred:
             self._start(tasks[:])  # the caller owns the list it gets back
         else:
@@ -376,38 +427,44 @@ class TaskManager:
                 self._start(chunk)
                 yield engine.all_of([t.completed for t in chunk])
 
-    def _feed_window(self, tasks: List[Task], window: SubmissionWindow,
-                     chunk_size: int, after: Optional[Event] = None):
-        """Feeder process: start tasks under a sliding in-flight window.
+    def _advance_feed(self, feed: _WindowFeed) -> None:
+        """Start the chunks of *feed* that the window admits now.
 
         Each task holds one window slot from its start to completion;
         slots free as tasks finish, so submission overlaps completion
         instead of barriering on whole chunks.  With ``chunk_size > 1``
-        tasks start in bursts (the slots for a burst are acquired
+        tasks start in bursts (the slots for a burst are taken
         atomically), preserving the start-batching of the chunked path.
+        Runs inside ``submit_tasks`` (or the entry of *after*) until a
+        chunk has to queue at the window, then again -- called by
+        :meth:`SubmissionWindow.release` with that chunk's slots reserved
+        -- inside the completion entry that made room: one start landing
+        per admitted chunk and nothing else.
         """
-        if after is not None and not after.processed:
-            yield after
-        chunk_size = min(chunk_size, window.capacity)
-
-        def release(event):
-            window.release()
-
-        for lo in range(0, len(tasks), chunk_size):
-            chunk = [t for t in tasks[lo:lo + chunk_size]
+        window = feed.window
+        chunk, feed.chunk = feed.chunk, None  # reserved by release(), if any
+        while True:
+            if chunk:  # admitted: its slots are held
+                started = [t for t in chunk
+                           if not (t.completed.triggered or t.is_final)]
+                for task in started:
+                    task.completed.callbacks.append(window._task_completed)
+                if started:
+                    self._start(started)
+                if len(started) < len(chunk):
+                    # cancelled while the chunk waited for its slots
+                    window.release(len(chunk) - len(started))
+            lo = feed.next
+            if lo >= len(feed.tasks):
+                return
+            feed.next = lo + feed.chunk_size
+            # minus those cancelled while queued behind the window
+            chunk = [t for t in feed.tasks[lo:feed.next]
                      if not (t.completed.triggered or t.is_final)]
-            if not chunk:
-                continue  # cancelled while queued behind the window
-            yield from window.acquire(len(chunk))
-            started = []
-            for task in chunk:
-                if task.completed.triggered or task.is_final:
-                    window.release()  # cancelled while we waited for slots
-                    continue
-                task.completed.callbacks.append(release)
-                started.append(task)
-            if started:
-                self._start(started)
+            if chunk and not window.admit(len(chunk), self._advance_feed,
+                                          feed):
+                feed.chunk = chunk  # release() comes back with it
+                return
 
     # -- the task path: TaskManager-owned steps -------------------------------------
     def _start(self, tasks: List[Task]) -> None:

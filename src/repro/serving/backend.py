@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .generator import MarkovGenerator, default_generator, tokenize
+from .generator import MarkovGenerator, count_tokens, default_generator
 
 __all__ = [
     "InferenceResultPayload",
@@ -121,7 +121,7 @@ class NoopModel(ModelBackend):
 
     def infer(self, prompt: str, rng, params=None):
         payload = InferenceResultPayload(
-            text="", prompt_tokens=len(tokenize(prompt)),
+            text="", prompt_tokens=count_tokens(prompt),
             completion_tokens=0, model=self.name)
         return payload, self.NOOP_COST_S
 
@@ -130,7 +130,7 @@ class NoopModel(ModelBackend):
             raise ValueError("infer_batch needs at least one prompt")
         self._norm_params(prompts, params_list)
         payloads = [InferenceResultPayload(
-            text="", prompt_tokens=len(tokenize(p)),
+            text="", prompt_tokens=count_tokens(p),
             completion_tokens=0, model=self.name) for p in prompts]
         span = self.NOOP_COST_S * (
             1.0 + self.BATCH_MARGINAL_FRAC * (len(prompts) - 1))
@@ -200,7 +200,7 @@ class LlamaModel(ModelBackend):
         max_tokens = int(params.get("max_tokens", 256))
         if max_tokens < 0:
             raise ValueError("max_tokens must be >= 0")
-        prompt_tokens = len(tokenize(prompt))
+        prompt_tokens = count_tokens(prompt)
         # Sample the actual completion length: requests rarely use the cap.
         completion_tokens = int(min(
             max_tokens, max(1, rng.normal(0.75 * max_tokens,

@@ -13,11 +13,12 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections import defaultdict
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-__all__ = ["MarkovGenerator", "SEED_CORPUS", "tokenize"]
+__all__ = ["MarkovGenerator", "SEED_CORPUS", "tokenize", "count_tokens"]
 
 SEED_CORPUS = """
 Hybrid workflows combining traditional HPC and novel ML methodologies are
@@ -47,6 +48,12 @@ equivalent throughput once inference dominates the exchange .
 def tokenize(text: str) -> List[str]:
     """Lowercase word/punctuation tokens."""
     return re.findall(r"[a-zA-Z0-9']+|[.,;:!?]", text.lower())
+
+
+@lru_cache(maxsize=4096)  # a workload sends few distinct prompts, many times
+def count_tokens(text: str) -> int:
+    """``len(tokenize(text))``, remembered per distinct text."""
+    return len(tokenize(text))
 
 
 class MarkovGenerator:

@@ -74,7 +74,9 @@ class SimulationEngine:
     """Discrete-event simulation core with a binary-heap event queue."""
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        #: current simulation time in seconds -- a plain attribute, read a
+        #: dozen times per task or request; only the dispatch loop writes it
+        self.now = float(start_time)
         self._heap: List[tuple] = []
         #: zero-delay NORMAL-priority entries, sorted by construction
         self._nowq: Deque[tuple] = deque()
@@ -84,11 +86,6 @@ class SimulationEngine:
         self._pool: List[Deferred] = []
 
     # -- introspection --------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     @property
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed (None outside resumes)."""
@@ -125,11 +122,11 @@ class SimulationEngine:
             # Fast path: immediate events keep global (time, priority, eid)
             # order in a plain FIFO -- see the now-queue note in the module
             # docstring.
-            self._nowq.append((self._now, NORMAL, next(self._eid), event))
+            self._nowq.append((self.now, NORMAL, next(self._eid), event))
             return
         if not delay >= 0:  # written this way round so that NaN is refused
             raise ValueError(f"negative or NaN delay {delay}")
-        heapq.heappush(self._heap, (self._now + delay, priority,
+        heapq.heappush(self._heap, (self.now + delay, priority,
                                     next(self._eid), event))
 
     def call_later(self, delay: float, fn: Callable[[Any], None],
@@ -150,11 +147,11 @@ class SimulationEngine:
         ev.fn = fn
         ev.arg = arg
         if delay == 0.0 and priority == NORMAL:
-            self._nowq.append((self._now, NORMAL, next(self._eid), ev))
+            self._nowq.append((self.now, NORMAL, next(self._eid), ev))
         elif not delay >= 0:  # NaN too: it would corrupt the heap order
             raise ValueError(f"negative or NaN delay {delay}")
         else:
-            heapq.heappush(self._heap, (self._now + delay, priority,
+            heapq.heappush(self._heap, (self.now + delay, priority,
                                         next(self._eid), ev))
         return ev
 
@@ -221,7 +218,7 @@ class SimulationEngine:
             event = entry[3]
             if event._cancelled:
                 continue
-            self._now = entry[0]
+            self.now = entry[0]
             if type(event) is Deferred:
                 fn = event.fn
                 arg = event.arg
@@ -270,11 +267,11 @@ class SimulationEngine:
                 raise until._value
             return until._value
         deadline = float(until)
-        if not deadline >= self._now:  # NaN is refused like a past deadline
+        if not deadline >= self.now:  # NaN is refused like a past deadline
             raise ValueError(
-                f"until ({deadline}) lies in the past (now={self._now})")
+                f"until ({deadline}) lies in the past (now={self.now})")
         self._dispatch(_NEVER, deadline, _UNBOUNDED)
-        self._now = deadline
+        self.now = deadline
         return None
 
 
@@ -327,7 +324,7 @@ class RealtimeEngine(SimulationEngine):
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run with wall-clock pacing (see :meth:`SimulationEngine.run`)."""
         self._wall_anchor = _time.monotonic()
-        self._sim_anchor = self._now
+        self._sim_anchor = self.now
         self._running = True
         try:
             if isinstance(until, Event):
@@ -337,7 +334,7 @@ class RealtimeEngine(SimulationEngine):
                 return None
             deadline = float(until)
             self._run_until_drained(deadline)
-            self._now = max(self._now, deadline)
+            self.now = max(self.now, deadline)
             return None
         finally:
             self._running = False

@@ -23,6 +23,20 @@ the whole allocation.  This module replaces that execution model with a
 Per-node ``failure_tolerance`` and ``collect`` mean partial results flow
 downstream immediately: a node folds its results into the shared context
 as soon as *its* tasks finish, while sibling nodes are still computing.
+
+**Nodes are records, not processes.**  A node that waits for its inputs is
+a count (``_GraphState.waiting``: its unsettled dependencies); a running
+``build`` node is a :class:`_LiveNode` whose one callback sits on every
+``task.completed`` of its bag and counts them down, and the node *settles*
+-- collect, status, profile row, frontier checkpoint -- inside the kernel
+entry of its last task's completion.  Only what genuinely waits is a
+generator: a ``run=`` node and a frontier save each run as a
+:class:`~repro.sim.events.Routine`, and :meth:`CampaignRunner.run_campaign`
+itself waits on a single ``finished`` event.  A settled node launches each
+dependent it released through **one** zero-delay landing, not inline: the
+same completion entry may free a window slot, whose URGENT start landing
+(a sibling's cold stage-in drawing from the fabric stream) has to run
+before a released ``run=`` node sends its first request on that stream.
 """
 
 from __future__ import annotations
@@ -45,7 +59,7 @@ from ..pilot.description import TaskDescription
 from ..pilot.states import TaskState
 from ..pilot.task import Task
 from ..pilot.task_manager import SubmissionWindow, TaskManager
-from ..sim.events import Interrupt
+from ..sim.events import Event, Interrupt, Routine
 from ..utils.log import get_logger
 
 __all__ = [
@@ -75,6 +89,16 @@ def failed_tasks(tasks: Iterable[Task]) -> List[Task]:
     """
     return [t for t in tasks
             if t.completed.triggered and t.state != TaskState.DONE]
+
+
+def _check_tolerance(tasks: List[Task], failure_tolerance: float) -> None:
+    """Raise :class:`StageFailure` if too many of a finished bag failed."""
+    failed = failed_tasks(tasks)
+    if len(failed) > failure_tolerance * len(tasks):
+        first = failed[0]
+        raise StageFailure(
+            f"{len(failed)}/{len(tasks)} tasks failed "
+            f"(first: {first.uid}: {first.exception})")
 
 
 @dataclass
@@ -222,17 +246,53 @@ class NodeRunner:
 class _GraphState:
     """Mutable per-graph execution state during one campaign run."""
 
-    __slots__ = ("graph", "context", "status", "done", "failures")
+    __slots__ = ("graph", "context", "status", "waiting", "dependents",
+                 "prefix", "failures")
 
     def __init__(self, graph: CampaignGraph, context: Dict[str, Any],
-                 engine) -> None:
+                 prefix: str) -> None:
         self.graph = graph
         self.context = context
         #: node -> "done" | "failed" | "skipped" | "aborted" (absent = live)
         self.status: Dict[str, str] = {}
-        #: node -> engine event succeeding (never failing) on settlement
-        self.done = {name: engine.event() for name in graph.nodes}
+        #: node -> how many of its dependencies have not settled yet
+        self.waiting = {name: len(node.deps)
+                        for name, node in graph.nodes.items()}
+        #: node -> the nodes depending on it, in topological order
+        self.dependents: Dict[str, List[str]] = {name: []
+                                                 for name in graph.nodes}
+        for name in graph.topological_order():
+            for dep in graph.nodes[name].deps:
+                self.dependents[dep].append(name)
+        #: profile uid prefix of this graph's nodes
+        self.prefix = prefix
         self.failures: List[BaseException] = []
+
+
+class _LiveNode:
+    """A node between its start and its settlement."""
+
+    __slots__ = ("owner", "run", "state", "node", "uid", "key", "span",
+                 "tasks", "pending", "routine")
+
+    def __init__(self, owner: "CampaignRunner", run: "_CampaignRun",
+                 state: _GraphState, node: TaskNode) -> None:
+        self.owner = owner
+        self.run = run
+        self.state = state
+        self.node = node
+        self.uid = f"{state.prefix}.{node.name}"     # profile uid
+        self.key = f"{state.graph.name}/{node.name}"  # node_tasks / span key
+        self.span = None
+        self.tasks: List[Task] = []     # a build node's bag
+        self.pending = 0                # ... and how many are still out
+        self.routine: Optional[Routine] = None  # a run= node's generator
+
+    def task_completed(self, event: Event) -> None:
+        """``task.completed`` callback of every task of the bag."""
+        self.pending -= 1
+        if not self.pending:
+            self.owner._bag_over(self)
 
 
 class _CampaignRun:
@@ -247,9 +307,11 @@ class _CampaignRun:
     __slots__ = ("states", "ckpt", "ckpt_key", "ckpt_bytes", "saving",
                  "dirty", "save_index", "completed_total",
                  "completed_since_save", "camp_span", "frontier_gauge",
-                 "nodes_counter")
+                 "nodes_counter", "events", "live", "running", "saver",
+                 "finished", "aborted")
 
-    def __init__(self, states: Dict[str, _GraphState]) -> None:
+    def __init__(self, states: Dict[str, _GraphState], finished: Event,
+                 events: Tuple[str, str]) -> None:
         self.states = states
         self.ckpt = None             # Checkpointer while checkpointing
         self.ckpt_key = ""
@@ -263,6 +325,14 @@ class _CampaignRun:
         self.camp_span = None        # campaign root span
         self.frontier_gauge = None   # live (ready/running) node count
         self.nodes_counter = None    # completed-node counter
+        self.events = events         # (node start, node stop) profile events
+        #: unsettled nodes plus frontier saves under way; at zero the
+        #: campaign is over and ``finished`` triggers
+        self.live = 0
+        self.running: Dict[str, _LiveNode] = {}   # by key, in start order
+        self.saver: Optional[Routine] = None      # the frontier save Routine
+        self.finished = finished
+        self.aborted = False         # run_campaign was interrupted
 
 
 class CampaignRunner:
@@ -329,12 +399,7 @@ class CampaignRunner:
             return []
         tasks = self.submit(descriptions, node=node)
         yield self.tmgr.wait_tasks(tasks)
-        failed = failed_tasks(tasks)
-        if len(failed) > failure_tolerance * len(tasks):
-            first = failed[0]
-            raise StageFailure(
-                f"{len(failed)}/{len(tasks)} tasks failed "
-                f"(first: {first.uid}: {first.exception})")
+        _check_tolerance(tasks, failure_tolerance)
         return tasks
 
     @property
@@ -397,9 +462,12 @@ class CampaignRunner:
         node_start, node_stop, start_event, stop_event = events
 
         self.node_tasks = {}
-        run = _CampaignRun({g.name: _GraphState(g, ctx, engine)
-                            for g, ctx in zip(graphs, contexts)})
-        self._restore_frontier(run, checkpoint_key, checkpoint_bytes)
+        run = _CampaignRun(
+            {g.name: _GraphState(g, ctx, uid if single else f"{uid}.{g.name}")
+             for g, ctx in zip(graphs, contexts)},
+            engine.event(), (node_start, node_stop))
+        restored = self._restore_frontier(run, checkpoint_key,
+                                          checkpoint_bytes)
 
         obs = self.session.observability
         if obs is not None:
@@ -417,24 +485,26 @@ class CampaignRunner:
         profiler.record(engine.now, uid, start_event, "workflow")
         log.info("campaign %s: %d graph(s), %d node(s) at t=%.1f", uid,
                  len(graphs), sum(len(g) for g in graphs), engine.now)
-        procs = []
-        for graph in graphs:
-            state = run.states[graph.name]
-            prefix = uid if single else f"{uid}.{graph.name}"
-            for name in graph.topological_order():
-                if state.status.get(name) == "done":
-                    continue  # restored from the checkpoint frontier
-                procs.append(engine.process(self._run_node(
-                    run, state, graph.nodes[name], f"{prefix}.{name}",
-                    node_start, node_stop)))
+        to_run = sum(len(state.graph) - len(state.status)
+                     for state in run.states.values())
+        run.live = to_run + 1  # one held here until everything is launched
         try:
             try:
-                if procs:
-                    yield engine.all_of(procs)
+                # the roots start here; what the restored frontier released
+                # lands behind them, like the dependent of any settled node
+                for state in run.states.values():
+                    for name in state.graph.topological_order():
+                        node = state.graph.nodes[name]
+                        if not node.deps and name not in state.status:
+                            self._start_node(run, state, node)
+                for state, name in restored:
+                    self._release(run, state, name)
+                run.live -= 1
+                if to_run:
+                    self._check_finished(run)
+                    yield run.finished
             except Interrupt:
-                for proc in procs:
-                    if proc.is_alive:
-                        proc.interrupt("campaign interrupted")
+                self._abort(run)
                 raise
             if run.ckpt is not None and run.completed_since_save:
                 yield from self._save_frontier(run)
@@ -448,98 +518,186 @@ class CampaignRunner:
         profiler.record(engine.now, uid, stop_event, "workflow")
         return contexts[0] if single else contexts
 
-    def _run_node(self, run: _CampaignRun, state: _GraphState,
-                  node: TaskNode, node_uid: str,
-                  start_event: str, stop_event: str):
-        """Per-node process: wait for inputs, execute, settle the node."""
+    # -- node records: start, join, settle, release ------------------------------------
+    def _start_node(self, run: _CampaignRun, state: _GraphState,
+                    node: TaskNode) -> None:
+        """Handler: every input of *node* is done -- run it as far as it
+        gets without waiting (a ``run=`` node: to its first yield)."""
         engine = self.session.engine
-        profiler = self.session.profiler
+        live = _LiveNode(self, run, state, node)
+        self.session.profiler.record(engine.now, live.uid, run.events[0],
+                                     "workflow")
+        log.info("%s: node %s ready at t=%.1f", state.graph.name, node.name,
+                 engine.now)
+        run.running[live.key] = live
+        if run.frontier_gauge is not None:
+            run.frontier_gauge.inc()
         obs = self.session.observability
-        tracer = obs.tracer if obs is not None else None
-        graph = state.graph
-        done = state.done[node.name]
-        key = f"{graph.name}/{node.name}"
-        span = None
-        live = False
+        if obs is not None and obs.tracer is not None:
+            # the deps attr carries the graph's dependency edges into
+            # the span forest, so critical-path attribution can be
+            # rebuilt from the trace alone (no graph object needed)
+            live.span = obs.tracer.start_span(
+                live.key, "campaign_node", parent=run.camp_span,
+                attrs={"graph": state.graph.name,
+                       "deps": [f"{state.graph.name}/{d}"
+                                for d in node.deps]})
+            self._node_spans[live.key] = live.span
         try:
-            if node.deps:
-                yield engine.all_of([state.done[d] for d in node.deps])
-            if any(state.status.get(d) != "done" for d in node.deps):
-                state.status[node.name] = "skipped"
-                done.succeed("skipped")
-                return
-            profiler.record(engine.now, node_uid, start_event, "workflow")
-            log.info("%s: node %s ready at t=%.1f", graph.name, node.name,
-                     engine.now)
-            live = True
-            if run.frontier_gauge is not None:
-                run.frontier_gauge.inc()
-            if tracer is not None:
-                # the deps attr carries the graph's dependency edges into
-                # the span forest, so critical-path attribution can be
-                # rebuilt from the trace alone (no graph object needed)
-                span = tracer.start_span(
-                    key, "campaign_node", parent=run.camp_span,
-                    attrs={"graph": graph.name,
-                           "deps": [f"{graph.name}/{d}"
-                                    for d in node.deps]})
-                self._node_spans[key] = span
             if node.run is not None:
-                yield from node.run(NodeRunner(self, key), state.context)
+                live.routine = Routine(
+                    engine, node.run(NodeRunner(self, live.key),
+                                     state.context),
+                    self._node_over, live)
             else:
-                descriptions = node.build(state.context)
-                tasks = yield from self.submit_and_wait(
-                    descriptions, node.failure_tolerance, node=key)
-                if node.collect is not None:
-                    node.collect(state.context, tasks)
-            state.status[node.name] = "done"
-            profiler.record(engine.now, node_uid, stop_event, "workflow")
+                live.tasks = tasks = self.submit(node.build(state.context),
+                                                 node=live.key)
+        except Exception as exc:
+            self._node_over(live, False, exc)
+            return
+        if live.routine is not None:
+            live.routine.start()
+        elif tasks:
+            # one callback joins the bag: the last completion settles it
+            live.pending = len(tasks)
+            joined = live.task_completed
+            for task in tasks:
+                task.completed.callbacks.append(joined)
+        else:
+            self._bag_over(live)
+
+    def _bag_over(self, live: _LiveNode) -> None:
+        """Every task of a build node's bag completed: collect, settle."""
+        if live.run.aborted:
+            return  # the campaign is gone; its tasks finish unobserved
+        node = live.node
+        try:
+            _check_tolerance(live.tasks, node.failure_tolerance)
+            if node.collect is not None:
+                node.collect(live.state.context, live.tasks)
+        except Exception as exc:
+            self._node_over(live, False, exc)
+        else:
+            self._node_over(live, True)
+
+    def _node_over(self, live: _LiveNode, ok: bool, exc: Any = None) -> None:
+        """Settle a started node -- done, failed (*exc*) or aborted (an
+        :class:`Interrupt`) -- and launch the dependents it released.  Also
+        the exit of a ``run=`` node's Routine (*exc* is then its value)."""
+        run, state, name = live.run, live.state, live.node.name
+        engine = self.session.engine
+        run.running.pop(live.key, None)
+        if ok:
+            exc = None
+        if isinstance(exc, Interrupt):
+            # campaign torn down mid-node: settle, start nothing
+            state.status.setdefault(name, "aborted")
+        elif exc is None or isinstance(exc, Exception):
+            if exc is None:
+                state.status[name] = "done"
+            else:
+                state.status[name] = "failed"
+                state.failures.append(exc)
+                log.warning("%s: node %s failed: %s", state.graph.name, name,
+                            exc)
+            self.session.profiler.record(engine.now, live.uid, run.events[1],
+                                         "workflow")
+        if live.span is not None:
+            live.span.set_attr("status", state.status.get(name))
+            self.session.observability.tracer.end_span(live.span)
+            self._node_spans.pop(live.key, None)
+        if run.frontier_gauge is not None:
+            run.frontier_gauge.dec()
+        if exc is not None and not isinstance(exc, Exception):
+            raise exc  # not ours to absorb: surfaces from run()
+        if run.aborted:
+            return
+        self._release(run, state, name)
+        if exc is None:
             if run.nodes_counter is not None:
                 run.nodes_counter.inc()
-            # settle *before* checkpointing: dependents stream while the
+            # settled *before* checkpointing: dependents stream while the
             # frontier save's transfer is still crossing the fabric
-            done.succeed("done")
             run.completed_total += 1
             run.completed_since_save += 1
             if run.ckpt is not None \
                     and run.ckpt.due(run.completed_total - 1):
-                yield from self._save_frontier(run)
-        except Interrupt:
-            # Campaign torn down mid-node (or mid-save): settle without
-            # re-raising so the dead coordinator's teammates unwind instead
-            # of crashing the engine with an unhandled process failure.
-            state.status.setdefault(node.name, "aborted")
-            if not done.triggered:
-                done.succeed("aborted")
-        except Exception as exc:
-            state.status[node.name] = "failed"
-            state.failures.append(exc)
-            profiler.record(engine.now, node_uid, stop_event, "workflow")
-            log.warning("%s: node %s failed: %s", graph.name, node.name, exc)
-            if not done.triggered:
-                done.succeed("failed")
-        finally:
-            if span is not None:
-                span.set_attr("status", state.status.get(node.name))
-                tracer.end_span(span)
-                self._node_spans.pop(key, None)
-            if live and run.frontier_gauge is not None:
-                run.frontier_gauge.dec()
+                saver = Routine(engine, self._save_frontier(run),
+                                self._save_over, live)
+                if not run.saving:
+                    run.saver = saver  # else it only marks the frontier dirty
+                run.live += 1
+                saver.start()
+        run.live -= 1  # last, so a save that ends at once cannot finish us
+        self._check_finished(run)
+
+    def _check_finished(self, run: _CampaignRun) -> None:
+        """Nothing unsettled, no save under way: the campaign is over."""
+        if not (run.live or run.aborted):
+            run.finished.succeed()
+
+    def _release(self, run: _CampaignRun, state: _GraphState,
+                 name: str) -> None:
+        """Count the settled node *name* off its dependents.  One that
+        became runnable is launched by a zero-delay landing of its own (so
+        the URGENT start landing of its tasks precedes its sibling's start,
+        as when each dependent resumed in an entry of its own); one that
+        lost an input is skipped here and now, and so is the cone below."""
+        call_later = self.session.engine.call_later
+        settled = [name]
+        for name in settled:  # grows by the skip cone
+            for dep in state.dependents[name]:
+                state.waiting[dep] -= 1
+                if state.waiting[dep] or dep in state.status:
+                    continue
+                node = state.graph.nodes[dep]
+                if all(state.status.get(d) == "done" for d in node.deps):
+                    call_later(0.0, self._launch, (run, state, node))
+                else:
+                    state.status[dep] = "skipped"
+                    run.live -= 1
+                    settled.append(dep)
+
+    def _launch(self, flight: tuple) -> None:
+        """Landing: start a node its last input's settlement released."""
+        run, state, node = flight
+        if not run.aborted:
+            self._start_node(run, state, node)
+
+    def _abort(self, run: _CampaignRun) -> None:
+        """``run_campaign`` was interrupted: stop what genuinely runs (the
+        save, the ``run=`` generators), settle every other node aborted.
+        Tasks already submitted finish on their own, unobserved."""
+        run.aborted = True
+        if run.saver is not None:
+            run.saver.throw(Interrupt("campaign interrupted"))
+        for live in list(run.running.values()):
+            cause = Interrupt("campaign interrupted")
+            if live.routine is not None:
+                live.routine.throw(cause)
+            else:
+                self._node_over(live, False, cause)
+        for state in run.states.values():
+            for name in state.graph.nodes:
+                state.status.setdefault(name, "aborted")
 
     # -- frontier checkpoints --------------------------------------------------------
     def _restore_frontier(self, run: _CampaignRun, checkpoint_key: str,
-                          checkpoint_bytes: Optional[float]) -> None:
+                          checkpoint_bytes: Optional[float],
+                          ) -> List[Tuple[_GraphState, str]]:
+        """Mark the checkpointed nodes done; returns them in saved order."""
         run.ckpt_bytes = checkpoint_bytes
+        restored: List[Tuple[_GraphState, str]] = []
         if not checkpoint_key:
-            return
+            return restored
         resilience = self.session.resilience
         if resilience is None:
-            return
+            return restored
         run.ckpt = resilience.checkpoints
         run.ckpt_key = f"{checkpoint_key}/frontier"
         saved = run.ckpt.latest(run.ckpt_key)
         if saved is None:
-            return
+            return restored
         index, payload = saved
         run.save_index = index + 1
         for gname, completed in payload["completed"].items():
@@ -548,12 +706,13 @@ class CampaignRunner:
                 continue  # campaign composition changed between runs
             state.context.update(payload["contexts"].get(gname, {}))
             for name in completed:
-                if name in state.done:
+                if name in state.waiting:
                     state.status[name] = "done"
-                    state.done[name].succeed("done")
+                    restored.append((state, name))
                     run.completed_total += 1
         log.info("campaign restored frontier %d: %d node(s) skipped",
                  index, run.completed_total)
+        return restored
 
     @staticmethod
     def _frontier_payload(run: _CampaignRun) -> Dict[str, Any]:
@@ -590,3 +749,21 @@ class CampaignRunner:
                 run.save_index += 1
         finally:
             run.saving = False
+
+    def _save_over(self, live: _LiveNode, ok: bool, value: Any) -> None:
+        """Exit of a frontier save started by *live*'s settlement; a save
+        that failed fails that node (its dependents already streamed)."""
+        run, state, name = live.run, live.state, live.node.name
+        if not run.saving:
+            run.saver = None
+        run.live -= 1
+        if not ok and not isinstance(value, Interrupt):
+            if not isinstance(value, Exception):
+                raise value
+            state.status[name] = "failed"
+            state.failures.append(value)
+            self.session.profiler.record(self.session.engine.now, live.uid,
+                                         run.events[1], "workflow")
+            log.warning("%s: node %s failed: %s", state.graph.name, name,
+                        value)
+        self._check_finished(run)

@@ -85,6 +85,29 @@ class TestStagingProcess:
             run_stage(session, dmgr, directives, platform="atlantis")
 
 
+    def test_first_failure_is_the_lowest_directive_index(self, session, dmgr,
+                                                         monkeypatch):
+        """Every directive settles before stage() raises, and what it raises
+        is the failure of the lowest directive index -- not of whichever
+        child happened to fail first in time."""
+        settled = []
+
+        def perform(directive, task_platform, phase, owner_uid=""):
+            if directive.source == "slow":   # index 0: fails late
+                yield session.engine.timeout(5.0)
+            settled.append((directive.source, session.now))
+            if directive.source != "fine":
+                raise OSError(f"{directive.source} failed")
+
+        monkeypatch.setattr(dmgr, "_perform", perform)
+        directives = [StagingDirective(source=name, size_bytes=10)
+                      for name in ("slow", "fine", "fast")]
+        with pytest.raises(OSError, match="slow failed"):
+            run_stage(session, dmgr, directives)
+        assert settled == [("fine", 0.0), ("fast", 0.0), ("slow", 5.0)]
+        assert session.profiler.timestamp("task.x", "stage_in_stop") == 5.0
+
+
 class TestLinkAccounting:
     def test_link_directives_move_no_bytes(self, session, dmgr):
         """Satellite fix: free ``link`` directives must not inflate the

@@ -56,6 +56,45 @@ class TestSession:
         session.close()
         assert session.closed
 
+    def test_use_after_close_raises_and_reading_keeps_working(self):
+        """At the parent a task submitted after close() ran to DONE and
+        dragged the clock to the pilot's walltime; run() returned None."""
+        from repro import (PilotDescription, PilotManager,
+                           ServiceDescription, ServiceManager,
+                           TaskDescription, TaskManager)
+
+        session = Session(seed=3)
+        pmgr = PilotManager(session)
+        tmgr = TaskManager(session)
+        smgr = ServiceManager(session)
+        (pilot,) = pmgr.submit_pilots(
+            PilotDescription(resource="delta", nodes=1, runtime_s=3600.0))
+        tmgr.add_pilots(pilot)
+        (task,) = tmgr.submit_tasks(
+            TaskDescription(executable="x", duration_s=1.0))
+        session.run(until=task.completed)
+        closed_at = session.now
+        session.close()
+        session.close()  # a second close() stays a no-op
+
+        for call in (
+                session.run,
+                lambda: session.run(until=closed_at + 1.0),
+                lambda: tmgr.submit_tasks(TaskDescription(executable="y")),
+                lambda: pmgr.submit_pilots(
+                    PilotDescription(resource="delta", nodes=1)),
+                lambda: smgr.start_services(
+                    ServiceDescription(model="noop"), pilot)):
+            with pytest.raises(RuntimeError, match="^session is closed$"):
+                call()
+        # nothing was started, the clock did not move, reading still works
+        assert session.now == closed_at
+        assert [t.uid for t in tmgr.tasks] == [task.uid]
+        assert len(pmgr.pilots) == 1 and smgr.services == []
+        assert task.state == "DONE"
+        assert session.profiler.timestamp(task.uid, "state:DONE") \
+            == closed_at
+
     def test_unique_uids(self):
         with Session() as s1, Session() as s2:
             # ids are per-session registries; sessions share global prefix

@@ -1,10 +1,12 @@
 """The task path under composed disturbance: a stateful machine at the
 ``Session`` API.
 
-Rules submit tasks every way ``submit_tasks`` allows, cancel them, fault
-them, crash and repair nodes, register an observer that raises once, and
-move the clock; after every rule no completed task may hold anything, and
-after the teardown nothing may be left anywhere.  Only public surface is
+Rules submit tasks every way ``submit_tasks`` allows -- two batches through
+one shared ``SubmissionWindow`` included -- cancel them, fault them, crash
+and repair nodes, register an observer that raises once, and move the
+clock; after every rule no completed task may hold anything and no window
+may be over capacity, and after the teardown nothing may be left anywhere:
+no slot, no window slot, no feed queued at a window.  Only public surface is
 used (plus ``TaskManager._live_load``), so the machine runs unchanged
 against any implementation of the path.
 """
@@ -25,6 +27,7 @@ from repro.pilot import (
     TaskManager,
     TaskState,
 )
+from repro.pilot.task_manager import SubmissionWindow
 from repro.resilience import NodeFailure, ResilienceConfig, RetryPolicy
 
 #: states an observer may raise on.  On a transition of a live attempt the
@@ -67,6 +70,7 @@ class TaskPathMachine(RuleBasedStateMachine):
         if warm:  # otherwise the first tasks wait for the pilot
             self.session.run(until=self.pmgr.wait_active([self.pilot]))
         self.tasks = []
+        self.windows = []  # shared by two submissions each
         self.fired = {}
         self.raised = self.surfaced = 0  # by observers, on final states
 
@@ -103,6 +107,9 @@ class TaskPathMachine(RuleBasedStateMachine):
                     assert node.free_cores == node.num_cores, node.name
                     assert node.free_gpus == node.num_gpus, node.name
         assert self.tmgr._live_load(pilot) == 0
+        for window in self.windows:  # every slot back, no feed left queued
+            assert window.in_flight == 0, window.in_flight
+            assert not window._waiters
         session.close()
 
     # -- submission ------------------------------------------------------------
@@ -151,6 +158,24 @@ class TaskPathMachine(RuleBasedStateMachine):
         self._submit([TaskDescription(
             executable="x", cores_per_rank=shape[0], ranks=shape[1],
             duration_s=duration) for _ in range(n)], **kwargs)
+
+    @rule(capacity=st.integers(min_value=1, max_value=4),
+          first=st.integers(min_value=1, max_value=6),
+          second=st.integers(min_value=1, max_value=6),
+          chunk_size=st.sampled_from([None, 2, 3]), shape=shapes,
+          duration=durations)
+    def submit_two_batches_through_one_window(self, capacity, first, second,
+                                              chunk_size, shape, duration):
+        """Two feeds queue at one window (the campaign's backpressure): the
+        second may never overtake the first, and neither may strand a slot
+        whatever is cancelled, faulted or raised on meanwhile."""
+        window = SubmissionWindow(self.session.engine, capacity)
+        self.windows.append(window)
+        for n, chunk in ((first, chunk_size), (second, None)):
+            self._submit([TaskDescription(
+                executable="x", cores_per_rank=shape[0], ranks=shape[1],
+                duration_s=duration) for _ in range(n)],
+                window=window, chunk_size=chunk)
 
     @rule(pick=picks, n=counts, duration=durations)
     def submit_after(self, pick, n, duration):
@@ -221,6 +246,12 @@ class TaskPathMachine(RuleBasedStateMachine):
                 assert task.state in TaskState.FINAL, task
                 assert task.slots == [], task
                 assert task.uid not in held, task
+
+    @invariant()
+    def shared_windows_stay_within_capacity(self):
+        for window in getattr(self, "windows", ()):
+            assert 0 <= window.in_flight <= window.capacity, window.in_flight
+            assert window.peak <= window.capacity
 
     @invariant()
     def executor_counters_match_the_tasks_in_those_phases(self):

@@ -10,6 +10,7 @@ from repro.pilot import (
     TaskManager,
     TaskState,
 )
+from repro.pilot.task_manager import SubmissionWindow
 
 
 @pytest.fixture
@@ -256,6 +257,15 @@ class TestFailureAndCancel:
         cancelled (it was handed back to ``_begin`` and left CANCELED for
         TMGR_SCHEDULING: found by the task machine, one tier-1 run in a
         dozen)."""
+        self.surfacing_observer_scenario(windowed=False)
+
+    def test_a_surfacing_observer_in_a_windowed_chunk(self):
+        """The same for a chunk a window admitted: the exception surfaces
+        once per raise, the rest of the chunk still starts, the cancelled
+        task is not restarted, and every window slot comes back."""
+        self.surfacing_observer_scenario(windowed=True)
+
+    def surfacing_observer_scenario(self, windowed):
         with Session(seed=3) as session:
             pmgr = PilotManager(session)
             tmgr = TaskManager(session)
@@ -271,8 +281,10 @@ class TestFailureAndCancel:
                     raise RuntimeError("observer failed")
 
             tmgr.register_callback(observer)
+            window = SubmissionWindow(session.engine, 4)
             tasks = tmgr.submit_tasks(
-                [TaskDescription(executable="x", duration_s=1.0)] * 4)
+                [TaskDescription(executable="x", duration_s=1.0)] * 4,
+                **({"window": window, "chunk_size": 4} if windowed else {}))
             raising.update((tasks[0].uid, tasks[2].uid))
             tmgr.cancel_tasks(tasks[3])  # lands after the first start landing
             for _ in range(2):
@@ -284,6 +296,8 @@ class TestFailureAndCancel:
                 TaskState.CANCELED]
             assert pilot.agent.scheduler.held_tasks == []
             assert tmgr._live_load(pilot) == 0
+            session.run(until=session.now + 1.0)  # the last completion lands
+            assert window.in_flight == 0 and window.peak == 4 * windowed
 
     @pytest.mark.parametrize("fault", [False, True])
     @pytest.mark.parametrize("after_s, phase", [(0.5, "launch_start"),
@@ -588,6 +602,87 @@ class TestBulkSubmission:
         assert victim.runtime_s is None  # never executed
         done = [t for t in tasks if t.state == TaskState.DONE]
         assert len(done) == 5
+
+    def test_windowed_feed_keeps_fifo_and_skips_the_cancelled(self, env):
+        """Two submissions share a window of two: the second never overtakes
+        the first, and a task cancelled while its chunk was queued at the
+        window is neither started nor charged a slot."""
+        session, _, tmgr, _ = env
+        window = SubmissionWindow(session.engine, 2)
+        first = tmgr.submit_tasks(
+            [TaskDescription(executable="x", duration_s=10.0)
+             for _ in range(4)], window=window, chunk_size=2)
+        second = tmgr.submit_tasks(
+            [TaskDescription(executable="y", duration_s=10.0)
+             for _ in range(2)], window=window)
+        assert [t.phase for t in first + second] == \
+            ["starting"] * 2 + [None] * 4      # one chunk fits, at submit
+        tmgr.cancel_tasks(first[3])            # queued at the window
+        session.run(until=tmgr.wait_tasks(first + second))
+        order = [r.uid for r in session.profiler.events()
+                 if r.event == "state:TMGR_SCHEDULING"]
+        assert order == [t.uid for t in first[:3] + second]
+        assert first[3].state == TaskState.CANCELED
+        assert first[3].runtime_s is None
+        assert window.peak == 2
+        session.run(until=session.now + 1.0)
+        assert window.in_flight == 0 and not window._waiters
+
+    def test_a_request_that_fits_still_queues_behind_one_that_does_not(
+            self, env):
+        """Strict FIFO: one slot is free, the queued burst needs two, a
+        later single task would fit -- and waits its turn all the same."""
+        session, _, tmgr, _ = env
+        window = SubmissionWindow(session.engine, 2)
+
+        def submit(n, **kwargs):
+            return tmgr.submit_tasks(
+                [TaskDescription(executable="x", duration_s=10.0)
+                 for _ in range(n)], window=window, **kwargs)
+
+        head, burst, single = submit(1), submit(2, chunk_size=2), submit(1)
+        assert window.in_flight == 1 and len(window._waiters) == 2
+        session.run(until=tmgr.wait_tasks(head + burst + single))
+        order = [r.uid for r in session.profiler.events()
+                 if r.event == "state:TMGR_SCHEDULING"]
+        assert order == [t.uid for t in head + burst + single]
+        assert window.peak == 2
+
+    def test_a_long_run_of_cancelled_feeds_unwinds_without_recursion(
+            self, env):
+        """Each cancelled chunk hands its slot to the next feed queued at the
+        window; thousands in a row must not nest a call per feed."""
+        session, _, tmgr, _ = env
+        window = SubmissionWindow(session.engine, 1)
+        tasks = [tmgr.submit_tasks(
+            TaskDescription(executable="x", duration_s=1.0),
+            window=window)[0] for _ in range(3000)]
+        tmgr.cancel_tasks(tasks[1:-1])
+        session.run(until=tmgr.wait_tasks(tasks))
+        assert [t.state for t in (tasks[0], tasks[-1])] == ["DONE", "DONE"]
+        session.run(until=session.now + 1.0)
+        assert window.in_flight == 0 and not window._waiters
+
+    def test_a_crashed_windowed_feed_surfaces_from_run(self, env,
+                                                       monkeypatch):
+        """What a crashed feeder process did: the exception of a feed that
+        breaks while a completion hands it the window comes out of run()."""
+        session, _, tmgr, _ = env
+        start, calls = tmgr._start, []
+
+        def failing_start(tasks):
+            calls.append(len(tasks))
+            if len(calls) == 2:
+                raise OSError("feed broke")
+            start(tasks)
+
+        monkeypatch.setattr(tmgr, "_start", failing_start)
+        tasks = tmgr.submit_tasks(
+            [TaskDescription(executable="x", duration_s=5.0)
+             for _ in range(3)], window=1)
+        with pytest.raises(OSError, match="feed broke"):
+            session.run(until=tmgr.wait_tasks(tasks))
+        assert calls == [1, 1] and tasks[0].state == TaskState.DONE
 
     def test_bulk_uids_are_dense_and_ordered(self, env):
         _, _, tmgr, _ = env

@@ -27,7 +27,7 @@ def active_pilot(session, nodes=2):
 
 # ---------------------------------------------------------------------------
 # Event budget: grant + launch + exec + task.completed, and one start
-# landing per submitted batch or feeder chunk
+# landing per submitted batch or admitted chunk
 # ---------------------------------------------------------------------------
 
 def engine_entries(n_tasks, monkeypatch, **submit_kwargs):
@@ -74,18 +74,18 @@ def test_one_plain_task_costs_four_engine_entries(monkeypatch):
     assert resumed == set()                   # nothing runs per task
 
 
-def test_a_windowed_submission_adds_one_start_entry_per_chunk(monkeypatch):
+def test_a_windowed_chunk_costs_its_start_landing_and_nothing_else(
+        monkeypatch):
     plain, _, _ = engine_entries(64, monkeypatch)
     windowed, starts, resumed = engine_entries(64, monkeypatch, window=16,
                                                chunk_size=8)
-    assert starts == 8
-    assert len(resumed) == 1                  # the feeder, nobody else
-    (feeder,) = resumed
-    assert feeder._generator.__name__ == "_feed_window"
-    # beyond the plain bag: the feeder's own start and end, 7 more start
-    # landings, and one wake-up for each of the 6 chunks that had to wait
-    # for window slots (the first two fit at once)
-    assert windowed - plain == 2 + 7 + 6
+    assert starts == 8                        # one per admitted chunk
+    assert resumed == set()                   # no feeder process
+    # beyond the plain bag: 7 more start landings.  The two chunks that
+    # fit start inside submit_tasks; each of the other six is started by
+    # the completion that frees its slots, inside that completion's own
+    # entry -- no feeder start / end, no wake-up event
+    assert windowed - plain == 7
 
 
 # ---------------------------------------------------------------------------

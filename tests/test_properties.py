@@ -1240,3 +1240,354 @@ def test_profiler_log_matches_eager_reference(tmp_path_factory, level,
     everything()
     pair = written()
     everything()
+
+
+# ---------------------------------------------------------------------------
+# Campaign / data path as records: same outcome, row for row, as the
+# process-per-node / per-submit / per-directive drivers (the reference)
+# ---------------------------------------------------------------------------
+
+_NODE_KINDS = ("build", "build", "build", "build_empty", "build_raises",
+               "collect_raises", "run_wait", "run_submit", "run_timeout",
+               "run_raises", "run_noop")
+
+
+@st.composite
+def _campaign_scenarios(draw):
+    """1-3 graphs of 1-5 nodes (edges only i -> j, i < j), as plain data."""
+    # The other same-timestamp order meant to differ: a stage-in whose every
+    # directive is warm used to take five kernel hops (two child processes,
+    # their exits, the AllOf) and now takes none, so a warm-staged task
+    # reaches its agent inside the entry that started it instead of being
+    # overtaken by an unstaged task started later in the same instant.  A
+    # scenario therefore draws either unstaged tasks or tasks staging only
+    # the shared dataset, never both (a private input is always cold: its
+    # task moves on at a timestamp of its own either way).
+    inputs = draw(st.sampled_from([["none", "none", "private", "both"],
+                                   ["shared", "shared", "private", "both"]]))
+    graphs, orders = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        nodes = []
+        for j in range(draw(st.integers(min_value=1, max_value=5))):
+            n_tasks = draw(st.integers(min_value=1, max_value=3))
+            nodes.append({
+                "deps": [i for i in range(j) if draw(st.booleans())],
+                "kind": draw(st.sampled_from(_NODE_KINDS)),
+                "durations": draw(st.lists(
+                    st.sampled_from([0.0, 1.0, 5.0, 30.0]),
+                    min_size=n_tasks, max_size=n_tasks)),
+                "failing": draw(st.lists(
+                    st.sampled_from([False, False, False, True]),
+                    min_size=n_tasks, max_size=n_tasks)),
+                "tolerance": draw(st.sampled_from([0.0, 0.5, 1.0])),
+                "inputs": draw(st.sampled_from(inputs)),
+                "output": draw(st.booleans()),
+                # never 0.0: a zero-delay timeout is one kernel hop on both
+                # sides, a settlement releasing a dependent two hops in the
+                # reference and one here -- racing the two in one instant
+                # only swaps the order two ready nodes submit in.  Nor a
+                # value the drawn interrupt / cancel times shrink onto.
+                "wait_s": draw(st.sampled_from([2.3, 7.7])),
+            })
+        graphs.append(nodes)
+        # the order the nodes are handed to CampaignGraph in: siblings are
+        # released in *topological* order, whatever the insertion order
+        orders.append(draw(st.permutations(range(len(nodes)))))
+    window = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
+    # (cadence in completed nodes, bytes per node delta) or None
+    checkpoint = draw(st.one_of(st.none(), st.tuples(
+        st.integers(min_value=1, max_value=3),
+        st.sampled_from([None, 0.0, 5e10]))))
+    if window is not None and checkpoint is not None and any(
+            node["kind"] in ("run_wait", "run_submit")
+            for nodes in graphs for node in nodes):
+        # The one same-timestamp order that is *meant* to differ.  A custom
+        # node waiting for its own windowed tasks through an event resumes
+        # one NORMAL hop after their completion; the chunk that completion
+        # admits now starts URGENT inside the completion entry, i.e. before
+        # that hop (the reference woke its feeder through an event queued
+        # behind it).  Visible only when both then draw from one RNG stream
+        # -- the node's priced frontier save against the chunk's cold
+        # stage-in -- so such scenarios price their saves at zero.
+        checkpoint = (checkpoint[0], 0.0)
+    return {
+        "graphs": graphs,
+        "orders": orders,
+        "seed": draw(st.integers(min_value=0, max_value=5)),
+        "pilots": draw(st.integers(min_value=1, max_value=2)),
+        "window": window,
+        "interrupt_at": draw(st.one_of(st.none(), st.floats(
+            min_value=2.0, max_value=60.0, allow_nan=False))),
+        "checkpoint": checkpoint,
+        # (when, which): cancel one of the tasks submitted by then -- one,
+        # not a burst: simultaneous failures of a build node (settled in
+        # the completion entry) and of a custom node (resumed one hop
+        # later) would only swap which of them is "the first failure"
+        "cancel": draw(st.one_of(st.none(), st.tuples(
+            st.floats(min_value=2.0, max_value=40.0, allow_nan=False),
+            st.integers(min_value=0, max_value=11)))),
+    }
+
+
+def _scenario_boom():
+    raise RuntimeError("task payload failed")
+
+
+def _scenario_graphs(spec):
+    """The campaign graphs of *spec*; every node notes what it saw."""
+    from repro.workflows import CampaignGraph, TaskNode
+
+    def descriptions(g, j, node):
+        out = []
+        for k, (duration, failing) in enumerate(zip(node["durations"],
+                                                    node["failing"])):
+            staging = []
+            if node["inputs"] in ("shared", "both"):
+                staging.append({"source": "dataset", "size_bytes": 3e9})
+            if node["inputs"] in ("private", "both"):
+                staging.append({"source": f"in-{g}-{j}-{k}",
+                                "size_bytes": 1e9})
+            out.append(TaskDescription(
+                name=f"g{g}n{j}t{k}",
+                executable=None if failing else "sim",
+                function=_scenario_boom if failing else None,
+                duration_s=duration, input_staging=staging,
+                output_staging=([{"target": f"out-{g}-{j}-{k}",
+                                  "size_bytes": 5e8}]
+                                if node["output"] else [])))
+        return out
+
+    def seen(ctx, name, tasks, now):
+        ctx[name] = (now, [(t.uid, t.state) for t in tasks])
+
+    def make(g, j, node):
+        name, kind = f"n{j}", node["kind"]
+        deps = tuple(f"n{i}" for i in node["deps"])
+        common = dict(name=name, deps=deps,
+                      failure_tolerance=node["tolerance"])
+
+        def build(ctx):
+            if kind == "build_raises":
+                raise ValueError(f"build of {name} raised")
+            return [] if kind == "build_empty" else descriptions(g, j, node)
+
+        def collect(ctx, tasks):
+            if kind == "collect_raises":
+                raise ValueError(f"collect of {name} raised")
+            now = tasks[0].session.now if tasks else None
+            seen(ctx, name, tasks, now)
+
+        def run(runner, ctx):
+            engine = runner.session.engine
+            if kind == "run_raises":
+                yield engine.timeout(node["wait_s"])
+                raise ValueError(f"run of {name} raised")
+            if kind == "run_wait":
+                tasks = yield from runner.submit_and_wait(
+                    descriptions(g, j, node), node["tolerance"])
+            elif kind == "run_submit":
+                tasks = runner.submit(descriptions(g, j, node))
+                yield engine.timeout(node["wait_s"])
+                yield runner.tmgr.wait_tasks(tasks)
+            elif kind == "run_timeout":
+                tasks = []
+                yield engine.timeout(node["wait_s"])
+            else:  # run_noop: a node that never waits
+                tasks = []
+            seen(ctx, name, tasks, engine.now)
+
+        if kind.startswith("run"):
+            return TaskNode(run=run, **common)
+        return TaskNode(build=build, collect=collect, **common)
+
+    return [CampaignGraph(f"g{g}", [make(g, j, nodes[j]) for j in order])
+            for g, (nodes, order) in enumerate(zip(spec["graphs"],
+                                                   spec["orders"]))]
+
+
+def _run_campaign_scenario(spec, reference, store, interrupt):
+    """One session's worth of *spec*; everything the property compares."""
+    from repro import (CheckpointPolicy, DataConfig, PilotDescription,
+                       PilotManager, ResilienceConfig, TaskManager)
+    from repro.sim.events import Interrupt
+    from repro.workflows import CampaignRunner
+    from repro.workflows import campaign as campaign_module
+    from workflows.reference_campaign import (ReferenceCampaignRunner,
+                                              ReferenceTaskManager)
+
+    resilience = None
+    if spec["checkpoint"] is not None:
+        resilience = ResilienceConfig(
+            checkpoint=CheckpointPolicy(
+                interval_iters=spec["checkpoint"][0]),
+            checkpoint_store=store)
+    states = []
+
+    class SpiedState(campaign_module._GraphState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    with Session(seed=spec["seed"], resilience_config=resilience,
+                 data_config=DataConfig(placement="data_affinity")) as s:
+        pmgr = PilotManager(s)
+        tmgr = (ReferenceTaskManager if reference else TaskManager)(s)
+        tmgr.add_pilots(pmgr.submit_pilots(
+            [PilotDescription(resource=name, nodes=2, runtime_s=1e6)
+             for name in ("delta", "frontier")[:spec["pilots"]]]))
+        finals = {}
+        tmgr.register_callback(
+            lambda task, state: state in TaskState.FINAL
+            and finals.setdefault(task.uid, []).append((state, s.now)))
+        runner = (ReferenceCampaignRunner if reference
+                  else CampaignRunner)(s, tmgr, window=spec["window"])
+        graphs = _scenario_graphs(spec)
+        contexts = [{} for _ in graphs]
+        kwargs = {}
+        if spec["checkpoint"] is not None:
+            kwargs = {"checkpoint_key": "scenario",
+                      "checkpoint_bytes": spec["checkpoint"][1]}
+
+        def campaign():
+            try:
+                yield from runner.run_campaign(graphs, contexts, **kwargs)
+                return "returned"
+            except Interrupt as exc:
+                return f"interrupted: {exc.cause}"
+            except Exception as exc:
+                return f"raised {type(exc).__name__}: {exc}"
+
+        def canceller(when, which):
+            yield s.engine.timeout(when)
+            if tmgr.tasks:
+                tmgr.cancel_tasks(tmgr.tasks[which % len(tmgr.tasks)])
+
+        original = campaign_module._GraphState
+        campaign_module._GraphState = SpiedState
+        try:
+            proc = s.engine.process(campaign())
+            if spec["cancel"] is not None:
+                s.engine.process(canceller(*spec["cancel"]))
+            if interrupt is None:
+                # bounded: heartbeats keep a resilient session's queue alive,
+                # so a campaign that never finishes would spin, not deadlock
+                s.run(until=s.engine.any_of([proc, s.engine.timeout(1e4)]))
+                assert not proc.is_alive, "the campaign never finished"
+            else:
+                s.run(until=interrupt)
+                proc.interrupt("killed")
+            s.quiesce()
+            s.run()
+        finally:
+            campaign_module._GraphState = original
+        assert s.engine.is_idle()
+        if reference:
+            states = list(runner.states.values())
+        rows = {}
+        for r in s.profiler.events():
+            rows.setdefault(r.uid, []).append((r.time, r.event, r.component))
+        dm = tmgr.data_manager
+        window = runner.window
+        return {
+            "outcome": proc.value,
+            "status": {st_.graph.name: dict(st_.status) for st_ in states},
+            "contexts": contexts,
+            "node_tasks": {key: [t.uid for t in tasks]
+                           for key, tasks in runner.node_tasks.items()},
+            "finals": finals,
+            "rows": rows,
+            "window": (None if window is None
+                       else (window.peak, window.in_flight)),
+            "data": (dm.bytes_transferred, dm.bytes_saved, dm.cache_hits,
+                     dm.cache_misses, dm.dedup_hits, dm.links_total),
+            "now": s.now,
+            "frontier": store.get("scenario/frontier"),
+        }
+
+
+def _campaign_outcomes(spec, reference):
+    """The interrupted (or whole) run and, under a checkpoint key, the
+    restart that resumes from the frontier it left behind."""
+    store = {}
+    runs = [_run_campaign_scenario(spec, reference, store,
+                                   spec["interrupt_at"])]
+    if spec["checkpoint"] is not None:
+        runs.append(_run_campaign_scenario(spec, reference, store, None))
+    return runs
+
+
+def _node(kind="build", deps=(), durations=(5.0,), failing=None,
+          tolerance=0.0, inputs="none", output=False, wait_s=2.3):
+    return {"deps": list(deps), "kind": kind, "durations": list(durations),
+            "failing": list(failing or [False] * len(durations)),
+            "tolerance": tolerance, "inputs": inputs, "output": output,
+            "wait_s": wait_s}
+
+
+def _scenario(graphs, seed=1, pilots=2, window=None, interrupt_at=None,
+              checkpoint=None, cancel=None, orders=None):
+    return {"graphs": graphs, "seed": seed, "pilots": pilots,
+            "orders": orders or [range(len(nodes)) for nodes in graphs],
+            "window": window, "interrupt_at": interrupt_at,
+            "checkpoint": checkpoint, "cancel": cancel}
+
+
+@settings(max_examples=120, deadline=None)
+# a window of one slot over chains that stage a shared dataset cold, with a
+# service-like run= node downstream: the hybrid_campaign shape
+@example(spec=_scenario([[_node(inputs="both"),
+                          _node(deps=[0], output=True, durations=(1.0,)),
+                          _node("run_wait", deps=[1], durations=(1.0, 1.0))],
+                         [_node(inputs="both"),
+                          _node(deps=[0], output=True, durations=(1.0,)),
+                          _node("run_timeout", deps=[1])]], window=1))
+# a failed dependency: the skip cone spreads while the sibling streams
+@example(spec=_scenario([[_node(failing=[True]), _node(deps=[0]),
+                          _node(deps=[1]), _node("run_wait", deps=[0, 1]),
+                          _node(durations=(30.0,))]], window=2))
+# tolerated failures flow partial results; a raising collect fails its node
+@example(spec=_scenario([[_node(durations=(1.0, 5.0), failing=[True, False],
+                                tolerance=0.5),
+                          _node("collect_raises", deps=[0]),
+                          _node(deps=[1]), _node(deps=[0])]]))
+# an interrupt while build nodes, a run= node and a frontier save are live,
+# then the restart from the frontier
+@example(spec=_scenario([[_node(durations=(1.0,)),
+                          _node(deps=[0], durations=(30.0,)),
+                          _node("run_submit", deps=[0], durations=(30.0,)),
+                          _node(deps=[1, 2])]], window=3, interrupt_at=6.0,
+                        checkpoint=(1, 5e10)))
+# coalesced saves: two nodes complete inside one save's transfer
+@example(spec=_scenario([[_node(durations=(1.0,)), _node(durations=(1.0,)),
+                          _node(deps=[0, 1], durations=(1.0,))]],
+                        checkpoint=(1, 5e10)))
+# riders: four nodes stage one shared dataset at once under a wide window
+@example(spec=_scenario([[_node(inputs="shared"), _node(inputs="both"),
+                          _node(inputs="shared", durations=(1.0, 1.0)),
+                          _node("run_wait", inputs="shared", deps=[0])]],
+                        window=4))
+# siblings released by one settlement start in topological order: n3 (on
+# n0 and n1) is inserted ahead of n2 (on n0), n1 settles first
+@example(spec=_scenario([[_node(durations=(30.0,)), _node("run_noop"),
+                          _node(deps=[0], durations=(1.0,)),
+                          _node(deps=[0, 1], durations=(1.0,))]],
+                        orders=[[3, 0, 2, 1]]))
+# a task cancelled while its chunk queues at the window: its slot goes to
+# the next feed, which still starts behind the rest of that chunk
+@example(spec=_scenario([[_node(durations=(5.0, 5.0, 5.0, 5.0)),
+                          _node(durations=(5.0, 5.0))]], pilots=1, window=2,
+                        cancel=(6.0, 2)))
+@given(spec=_campaign_scenarios())
+def test_campaign_records_match_the_process_per_node_reference(spec):
+    """Random DAG campaigns -- build / run= nodes, failing tasks with and
+    without tolerance, raising build / collect / run, windows, shared and
+    private staged inputs, an interrupt, frontier checkpoints and the
+    restart from them, a burst of cancellations -- leave the same statuses,
+    contexts, task uids, final (state, time) per task, profile rows per
+    uid, window peak and data-plane counters as one process per node, per
+    windowed submit and per staging directive did."""
+    shipped = _campaign_outcomes(spec, reference=False)
+    expected = _campaign_outcomes(spec, reference=True)
+    for got, want in zip(shipped, expected):
+        for key in want:
+            assert got[key] == want[key], key

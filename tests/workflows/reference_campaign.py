@@ -1,0 +1,410 @@
+"""The process-per-entity campaign / data path, kept as the test oracle.
+
+Lifted from the commit before campaign nodes, windowed starts and staged
+directives became records (PR 22): one ``_run_node`` process per node with a
+``done`` event each, one ``_feed_window`` process per windowed
+``submit_tasks`` call blocking in the generator ``SubmissionWindow.acquire``,
+and one ``_stage_one`` process per staging directive joined by ``AllOf``.
+The equivalence property in ``tests/test_properties.py`` runs one drawn
+campaign through :func:`reference_stack` and through the shipped classes and
+demands the same outcome, row for row.
+
+Everything *below* these three drivers (task path, agent, executor, data
+services, fabric, engine) is the shipped code on both sides.
+"""
+
+from collections import deque
+from typing import Any, Dict, List, Optional
+
+from repro.pilot.data_manager import DataManager
+from repro.pilot.description import TaskDescription
+from repro.pilot.task import Task
+from repro.pilot.task_manager import TaskManager
+from repro.sim.events import Interrupt
+from repro.workflows.campaign import (
+    CampaignGraph,
+    CampaignRunner,
+    NodeRunner,
+)
+
+
+class ReferenceWindow:
+    """``SubmissionWindow`` with the generator ``acquire`` and wake-up events."""
+
+    def __init__(self, engine, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("window capacity must be >= 1")
+        self.engine = engine
+        self.capacity = capacity
+        self.in_flight = 0
+        self.peak = 0
+        self._waiters: deque = deque()   # (event, n) in arrival order
+
+    def _note_peak(self) -> None:
+        if self.in_flight > self.peak:
+            self.peak = self.in_flight
+
+    def acquire(self, n: int = 1):
+        n = min(n, self.capacity)
+        if not self._waiters and self.in_flight + n <= self.capacity:
+            self.in_flight += n
+            self._note_peak()
+            return
+        event = self.engine.event()
+        self._waiters.append((event, n))
+        yield event  # the slots were reserved by release() before the wake
+
+    def release(self, n: int = 1) -> None:
+        self.in_flight -= n
+        while self._waiters and \
+                self.in_flight + self._waiters[0][1] <= self.capacity:
+            event, need = self._waiters.popleft()
+            self.in_flight += need
+            self._note_peak()
+            event.succeed(None)
+
+
+class ReferenceDataManager(DataManager):
+    """``stage`` as a fan-out of one child process per directive."""
+
+    def stage(self, directives, task_platform: str, uid: str, phase: str):
+        engine = self.session.engine
+        profiler = self.session.profiler
+        directives = list(directives)
+        profiler.record(engine.now, uid, f"{phase}_start", self.uid)
+        procs = [engine.process(self._stage_one(d, task_platform, phase, uid))
+                 for d in directives]
+        try:
+            if procs:
+                outcomes = yield engine.all_of(procs)
+                errors = [v for v in outcomes.values()
+                          if isinstance(v, BaseException)]
+                if errors:
+                    raise errors[0]
+        except Interrupt:
+            for proc in procs:
+                if proc.is_alive:
+                    proc.interrupt("staging cancelled")
+            raise
+        finally:
+            profiler.record(engine.now, uid, f"{phase}_stop", self.uid)
+        return len(directives)
+
+    def _stage_one(self, directive, task_platform: str, phase: str,
+                   owner_uid: str = ""):
+        try:
+            yield from self._perform(directive, task_platform, phase,
+                                     owner_uid)
+            return None
+        except BaseException as exc:
+            return exc
+
+
+class ReferenceTaskManager(TaskManager):
+    """``submit_tasks(window=)`` through a feeder process per call."""
+
+    def __init__(self, session, *args, **kwargs) -> None:
+        super().__init__(session, *args, **kwargs)
+        # same object, same ``dmgr`` uid: only the staging driver differs
+        self.data_manager.__class__ = ReferenceDataManager
+
+    def submit_tasks(self, descriptions, chunk_size=None, window=None,
+                     after=None, on_complete=None) -> List[Task]:
+        if isinstance(descriptions, TaskDescription):
+            descriptions = [descriptions]
+        descriptions = list(descriptions)
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
+        if isinstance(window, int):
+            window = ReferenceWindow(self.session.engine, window)
+        uids = self.session.ids.generate_batch("task", len(descriptions))
+        session = self.session
+        tasks: List[Task] = []
+        for desc, uid in zip(descriptions, uids):
+            task = Task(session, desc, uid)
+            task.owner = self
+            for callback in self._callbacks:
+                task.on_state(callback)
+            if on_complete is not None:
+                task.completed.callbacks.append(
+                    lambda event, t=task: on_complete(t))
+            if self._observability is not None:
+                self._observability.task_submitted(task)
+            self._tasks[uid] = task
+            tasks.append(task)
+        if not tasks:
+            return tasks
+        deferred = after is not None and not after.processed
+        if window is not None:
+            session.engine.process(
+                self._feed_window(tasks, window, chunk_size or 1, after))
+        elif (chunk_size is None or chunk_size >= len(tasks)) and not deferred:
+            self._start(tasks[:])
+        else:
+            session.engine.process(
+                self._feed_chunks(tasks, chunk_size or len(tasks), after))
+        return tasks
+
+    def _feed_window(self, tasks, window, chunk_size, after=None):
+        if after is not None and not after.processed:
+            yield after
+        chunk_size = min(chunk_size, window.capacity)
+
+        def release(event):
+            window.release()
+
+        for lo in range(0, len(tasks), chunk_size):
+            chunk = [t for t in tasks[lo:lo + chunk_size]
+                     if not (t.completed.triggered or t.is_final)]
+            if not chunk:
+                continue  # cancelled while queued behind the window
+            yield from window.acquire(len(chunk))
+            started = []
+            for task in chunk:
+                if task.completed.triggered or task.is_final:
+                    window.release()  # cancelled while we waited for slots
+                    continue
+                task.completed.callbacks.append(release)
+                started.append(task)
+            if started:
+                self._start(started)
+
+
+class _GraphState:
+    __slots__ = ("graph", "context", "status", "done", "failures")
+
+    def __init__(self, graph: CampaignGraph, context: Dict[str, Any],
+                 engine) -> None:
+        self.graph = graph
+        self.context = context
+        #: node -> "done" | "failed" | "skipped" | "aborted" (absent = live)
+        self.status: Dict[str, str] = {}
+        #: node -> engine event succeeding (never failing) on settlement
+        self.done = {name: engine.event() for name in graph.nodes}
+        self.failures: List[BaseException] = []
+
+
+class _CampaignRun:
+    __slots__ = ("states", "ckpt", "ckpt_key", "ckpt_bytes", "saving",
+                 "dirty", "save_index", "completed_total",
+                 "completed_since_save", "camp_span", "frontier_gauge",
+                 "nodes_counter")
+
+    def __init__(self, states: Dict[str, _GraphState]) -> None:
+        self.states = states
+        self.ckpt = None
+        self.ckpt_key = ""
+        self.ckpt_bytes: Optional[float] = None
+        self.saving = False
+        self.dirty = False
+        self.save_index = 0
+        self.completed_total = 0
+        self.completed_since_save = 0
+        self.camp_span = None
+        self.frontier_gauge = None
+        self.nodes_counter = None
+
+
+class ReferenceCampaignRunner(CampaignRunner):
+    """One process per node, joined by per-node ``done`` events."""
+
+    def __init__(self, session, task_manager, window=None) -> None:
+        super().__init__(session, task_manager, window=None)
+        if window is not None:
+            self.window = ReferenceWindow(session.engine, window)
+        #: per-graph state of the last run (what the property compares)
+        self.states: Dict[str, _GraphState] = {}
+
+    def run_campaign(self, graphs, contexts=None, checkpoint_key="",
+                     checkpoint_bytes=None, uid=None,
+                     events=("node_start", "node_stop",
+                             "campaign_start", "campaign_stop")):
+        single = isinstance(graphs, CampaignGraph)
+        graphs = [graphs] if single else list(graphs)
+        if not graphs:
+            raise ValueError("run_campaign needs at least one graph")
+        names = [g.name for g in graphs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate graph names in campaign: {names}")
+        if isinstance(contexts, dict):
+            contexts = [contexts]
+        contexts = (list(contexts) if contexts is not None
+                    else [{} for _ in graphs])
+        if len(contexts) != len(graphs):
+            raise ValueError("contexts must align with graphs")
+
+        engine = self.session.engine
+        profiler = self.session.profiler
+        uid = uid or self.session.ids.generate("campaign")
+        node_start, node_stop, start_event, stop_event = events
+
+        self.node_tasks = {}
+        run = _CampaignRun({g.name: _GraphState(g, ctx, engine)
+                            for g, ctx in zip(graphs, contexts)})
+        self.states = run.states
+        self._restore_frontier(run, checkpoint_key, checkpoint_bytes)
+
+        obs = self.session.observability
+        if obs is not None:
+            if obs.tracer is not None:
+                run.camp_span = obs.tracer.start_span(
+                    uid, "campaign",
+                    attrs={"graphs": names,
+                           "nodes": sum(len(g) for g in graphs)})
+            if obs.metrics is not None:
+                run.frontier_gauge = obs.metrics.gauge(
+                    "campaign_frontier_size", {"campaign": uid})
+                run.nodes_counter = obs.metrics.counter(
+                    "campaign_nodes_completed_total", {"campaign": uid})
+
+        profiler.record(engine.now, uid, start_event, "workflow")
+        procs = []
+        for graph in graphs:
+            state = run.states[graph.name]
+            prefix = uid if single else f"{uid}.{graph.name}"
+            for name in graph.topological_order():
+                if state.status.get(name) == "done":
+                    continue  # restored from the checkpoint frontier
+                procs.append(engine.process(self._run_node(
+                    run, state, graph.nodes[name], f"{prefix}.{name}",
+                    node_start, node_stop)))
+        try:
+            try:
+                if procs:
+                    yield engine.all_of(procs)
+            except Interrupt:
+                for proc in procs:
+                    if proc.is_alive:
+                        proc.interrupt("campaign interrupted")
+                raise
+            if run.ckpt is not None and run.completed_since_save:
+                yield from self._save_frontier(run)
+            failures = [exc for state in run.states.values()
+                        for exc in state.failures]
+            if failures:
+                raise failures[0]
+        finally:
+            if run.camp_span is not None:
+                obs.tracer.end_span(run.camp_span)
+        profiler.record(engine.now, uid, stop_event, "workflow")
+        return contexts[0] if single else contexts
+
+    def _run_node(self, run, state, node, node_uid, start_event, stop_event):
+        engine = self.session.engine
+        profiler = self.session.profiler
+        obs = self.session.observability
+        tracer = obs.tracer if obs is not None else None
+        graph = state.graph
+        done = state.done[node.name]
+        key = f"{graph.name}/{node.name}"
+        span = None
+        live = False
+        try:
+            if node.deps:
+                yield engine.all_of([state.done[d] for d in node.deps])
+            if any(state.status.get(d) != "done" for d in node.deps):
+                state.status[node.name] = "skipped"
+                done.succeed("skipped")
+                return
+            profiler.record(engine.now, node_uid, start_event, "workflow")
+            live = True
+            if run.frontier_gauge is not None:
+                run.frontier_gauge.inc()
+            if tracer is not None:
+                span = tracer.start_span(
+                    key, "campaign_node", parent=run.camp_span,
+                    attrs={"graph": graph.name,
+                           "deps": [f"{graph.name}/{d}"
+                                    for d in node.deps]})
+                self._node_spans[key] = span
+            if node.run is not None:
+                yield from node.run(NodeRunner(self, key), state.context)
+            else:
+                descriptions = node.build(state.context)
+                tasks = yield from self.submit_and_wait(
+                    descriptions, node.failure_tolerance, node=key)
+                if node.collect is not None:
+                    node.collect(state.context, tasks)
+            state.status[node.name] = "done"
+            profiler.record(engine.now, node_uid, stop_event, "workflow")
+            if run.nodes_counter is not None:
+                run.nodes_counter.inc()
+            # settle *before* checkpointing: dependents stream while the
+            # frontier save's transfer is still crossing the fabric
+            done.succeed("done")
+            run.completed_total += 1
+            run.completed_since_save += 1
+            if run.ckpt is not None \
+                    and run.ckpt.due(run.completed_total - 1):
+                yield from self._save_frontier(run)
+        except Interrupt:
+            state.status.setdefault(node.name, "aborted")
+            if not done.triggered:
+                done.succeed("aborted")
+        except Exception as exc:
+            state.status[node.name] = "failed"
+            state.failures.append(exc)
+            profiler.record(engine.now, node_uid, stop_event, "workflow")
+            if not done.triggered:
+                done.succeed("failed")
+        finally:
+            if span is not None:
+                span.set_attr("status", state.status.get(node.name))
+                tracer.end_span(span)
+                self._node_spans.pop(key, None)
+            if live and run.frontier_gauge is not None:
+                run.frontier_gauge.dec()
+
+    def _restore_frontier(self, run, checkpoint_key, checkpoint_bytes):
+        run.ckpt_bytes = checkpoint_bytes
+        if not checkpoint_key:
+            return
+        resilience = self.session.resilience
+        if resilience is None:
+            return
+        run.ckpt = resilience.checkpoints
+        run.ckpt_key = f"{checkpoint_key}/frontier"
+        saved = run.ckpt.latest(run.ckpt_key)
+        if saved is None:
+            return
+        index, payload = saved
+        run.save_index = index + 1
+        for gname, completed in payload["completed"].items():
+            state = run.states.get(gname)
+            if state is None:
+                continue  # campaign composition changed between runs
+            state.context.update(payload["contexts"].get(gname, {}))
+            for name in completed:
+                if name in state.done:
+                    state.status[name] = "done"
+                    state.done[name].succeed("done")
+                    run.completed_total += 1
+
+    @staticmethod
+    def _frontier_payload(run) -> Dict[str, Any]:
+        return {
+            "completed": {name: [n for n in state.graph.topological_order()
+                                 if state.status.get(n) == "done"]
+                          for name, state in run.states.items()},
+            "contexts": {name: dict(state.context)
+                         for name, state in run.states.items()},
+        }
+
+    def _save_frontier(self, run):
+        run.dirty = True
+        if run.saving:
+            return
+        run.saving = True
+        try:
+            while run.dirty:
+                run.dirty = False
+                delta = run.completed_since_save
+                run.completed_since_save = 0
+                nbytes = (run.ckpt_bytes * delta
+                          if run.ckpt_bytes is not None else None)
+                yield from run.ckpt.save(
+                    run.ckpt_key, run.save_index,
+                    self._frontier_payload(run), nbytes=nbytes)
+                run.save_index += 1
+        finally:
+            run.saving = False

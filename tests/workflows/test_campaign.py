@@ -286,6 +286,103 @@ class TestFailurePropagation:
         probe = [done, recovering, rescheduling, sealed]
         assert failed_tasks(probe) == [sealed]
 
+    @pytest.mark.parametrize("where", ["build", "collect", "run"])
+    def test_raising_user_code_fails_the_node_not_the_engine(self, env,
+                                                             where):
+        session, tmgr = env
+
+        def boom(*args):
+            raise KeyError(f"{where} raised")
+
+        def run(runner, ctx):
+            yield runner.session.engine.timeout(1.0)
+            boom()
+
+        bad = {"build": TaskNode(name="bad", build=boom),
+               "collect": TaskNode(name="bad", collect=boom,
+                                   build=lambda c: [sim_task("t", 1.0)]),
+               "run": TaskNode(name="bad", run=run)}[where]
+        graph = CampaignGraph(name="g", nodes=[
+            bad,
+            TaskNode(name="downstream", deps=("bad",),
+                     build=lambda c: [sim_task("after", 1.0)],
+                     collect=lambda c, t: c.update(after="ran")),
+            TaskNode(name="sibling", build=lambda c: [sim_task("side", 5.0)],
+                     collect=lambda c, t: c.update(sibling="ran"))])
+        runner = CampaignRunner(session, tmgr, window=1)
+        proc = session.engine.process(
+            runner.run_campaign(graph, contexts=(context := {})))
+        with pytest.raises(KeyError, match=f"{where} raised"):
+            session.run(until=proc)       # raised by run_campaign, at its end
+        assert context == {"sibling": "ran"}
+        prof = session.profiler
+        (uid,) = prof.uids_with_event("campaign_start")
+        assert prof.timestamp(f"{uid}.bad", "node_stop") is not None
+        assert prof.timestamp(f"{uid}.downstream", "node_start") is None
+        assert runner.window.in_flight == 0
+
+    def test_interrupt_aborts_what_runs_and_ignores_late_completions(self):
+        """Interrupting run_campaign throws into the live ``run=`` generator,
+        settles every unsettled node ``aborted`` (spans closed, frontier
+        gauge back to zero), starts nothing more -- and the build node's
+        task, which nobody cancels, completes later without settling it."""
+        from repro import ObservabilityConfig
+        from repro.sim.events import Interrupt
+
+        with Session(seed=23, observability=ObservabilityConfig(
+                sample_interval_s=1.0)) as session:
+            pmgr = PilotManager(session)
+            tmgr = TaskManager(session)
+            (pilot,) = pmgr.submit_pilots(
+                PilotDescription(resource="delta", nodes=2, runtime_s=1e9))
+            tmgr.add_pilots(pilot)
+            runner = CampaignRunner(session, tmgr, window=4)
+            seen = {}
+
+            def waiter(node_runner, ctx):
+                try:
+                    yield node_runner.session.engine.timeout(500.0)
+                except Interrupt as exc:
+                    seen["thrown"] = (exc.cause, session.now)
+                    raise
+
+            graph = CampaignGraph(name="torn", nodes=[
+                TaskNode(name="bag", build=lambda c: [sim_task("t", 100.0)],
+                         collect=lambda c, t: c.update(bag="collected")),
+                TaskNode(name="waiter", run=waiter),
+                TaskNode(name="after", deps=("bag",),
+                         build=lambda c: [sim_task("late", 1.0)])])
+
+            def campaign(context):
+                try:
+                    yield from runner.run_campaign(graph, contexts=context)
+                except Interrupt:
+                    return "interrupted"
+
+            context = {}
+            proc = session.engine.process(campaign(context))
+            session.run(until=10.0)
+            proc.interrupt("killed")
+            session.run(until=11.0)
+            assert proc.value == "interrupted"
+            assert seen["thrown"] == ("campaign interrupted", 10.0)
+            tracer = session.observability.tracer
+            spans = {s.name: s for s in tracer.find(category="campaign_node")}
+            assert set(spans) == {"torn/bag", "torn/waiter"}
+            assert all(s.attrs["status"] == "aborted" and not s.open
+                       for s in spans.values())
+            (task,) = runner.tasks
+            assert not task.is_final  # still running: nobody cancelled it
+            session.run(until=task.completed)
+            session.run(until=session.now + 5.0)
+            assert task.state == "DONE" and session.now > 100.0
+            assert context == {}                 # never collected
+            assert len(tmgr.tasks) == 1          # "after" never started
+            assert runner.window.in_flight == 0  # the slot came back
+            (frontier,) = session.observability.metrics.series_by_name(
+                "campaign_frontier_size").values()
+            assert frontier[-1][1] == 0.0
+
     def test_interrupt_tears_down_node_processes(self, env):
         session, tmgr = env
         runner = CampaignRunner(session, tmgr)
@@ -469,6 +566,32 @@ class TestFrontierCheckpoints:
             session.quiesce()
             session.run()  # must drain without an engine error
             assert not proc.is_alive
+
+    def test_campaign_outlives_its_coalesced_frontier_saves(self):
+        """A node completing while a save's transfer is in flight only marks
+        the frontier dirty; the saver goes round again, and the campaign
+        ends when that last save has landed, not when its last node has."""
+        store = {}
+        session, tmgr = self.resilient_env(store)
+        with session:
+            runner = CampaignRunner(session, tmgr)
+            graph = CampaignGraph(name="pair", nodes=[
+                TaskNode(name="a", build=lambda c: [sim_task("a", 1.0)]),
+                TaskNode(name="b", build=lambda c: [sim_task("b", 1.0)])])
+            proc = session.engine.process(runner.run_campaign(
+                graph, checkpoint_key="pair", checkpoint_bytes=1e11))
+            session.run(until=proc)   # 1e11 B at 25 GB/s: a 4 s save
+            prof = session.profiler
+            (uid,) = prof.uids_with_event("campaign_start")
+            stops = sorted(prof.timestamp(f"{uid}.{n}", "node_stop")
+                           for n in "ab")
+            saves = [r.time for r in prof.events("ckpt.pair/frontier")
+                     if r.event == "checkpoint_save"]
+            assert len(saves) == session.resilience.checkpoints.saves == 2
+            assert stops[1] < saves[0]          # b settled inside save one
+            assert saves[1] == pytest.approx(saves[0] + 4.0, abs=0.01)
+            assert prof.timestamp(uid, "campaign_stop") == saves[1]
+        assert store["pair/frontier"][1]["completed"]["pair"] == ["a", "b"]
 
     def test_checkpoint_bytes_charged_per_node_delta(self):
         """Two nodes completing per save window charge two deltas."""
