@@ -1,8 +1,9 @@
 """Ablation: streaming campaign engine vs barrier-synchronized pipelines.
 
 The workflow layer historically executed stage bags bulk-synchronously:
-``run_pipeline`` barriered on the *entire* stage before building the next
-one, so one straggler task idled the whole allocation between stages.
+it barriered on the *entire* stage before building the next one (a chain
+graph with one node per stage), so one straggler task idled the whole
+allocation between stages.
 The campaign engine replaces that with per-item dataflow chains -- each
 item advances to its next stage the moment its own inputs complete.
 
@@ -59,10 +60,7 @@ from repro.pilot import (
 from repro.workflows import (
     CampaignGraph,
     CampaignRunner,
-    Pipeline,
-    StageSpec,
     TaskNode,
-    WorkflowRunner,
 )
 
 #: the hybrid chain every item walks (name, base duration s, gpus)
@@ -122,15 +120,19 @@ def streaming_graph(n_items: int) -> CampaignGraph:
     return CampaignGraph(name="hybrid-streaming", nodes=nodes)
 
 
-def barrier_pipeline(n_items: int) -> Pipeline:
-    """The same work as stage bags: the historical execution model."""
+def barrier_pipeline(n_items: int) -> CampaignGraph:
+    """The same work as stage bags, one node per stage in a chain: the
+    historical execution model."""
+    names = [name for name, _, _ in STAGES]
     stages = [
-        StageSpec(name=name, resource_type="GPU" if gpus else "CPU",
-                  build=lambda c, s=stage: [item_task(s, i)
-                                            for i in range(n_items)])
+        TaskNode(name=name, deps=tuple(names[:stage][-1:]),
+                 resource_type="GPU" if gpus else "CPU",
+                 build=lambda c, s=stage: [item_task(s, i)
+                                           for i in range(n_items)])
         for stage, (name, _, gpus) in enumerate(STAGES)]
-    stages.append(StageSpec(name="reduce", build=lambda c: [reduce_task()]))
-    return Pipeline(name="hybrid-barrier", stages=stages)
+    stages.append(TaskNode(name="reduce", deps=(names[-1],),
+                           build=lambda c: [reduce_task()]))
+    return CampaignGraph(name="hybrid-barrier", nodes=stages)
 
 
 def environment(seed: int = 7, observability=None):
@@ -160,9 +162,9 @@ def run_streaming(window=None):
 def run_barrier():
     session, tmgr = environment()
     with session:
-        runner = WorkflowRunner(session, tmgr)
+        runner = CampaignRunner(session, tmgr)
         proc = session.engine.process(
-            runner.run_pipeline(barrier_pipeline(N_ITEMS)))
+            runner.run_campaign(barrier_pipeline(N_ITEMS)))
         session.run(until=proc)
         # group the bag tasks by their stage so the overlap metric sees
         # the same node structure the streaming run has
@@ -202,7 +204,7 @@ class TestStreamingVsBarrier:
             .add_table(
                 ["execution model", "makespan s", "idle frac",
                  "overlap frac", "peak tasks"],
-                [("barrier (run_pipeline)", f"{barrier_makespan:.1f}",
+                [("barrier (chain graph)", f"{barrier_makespan:.1f}",
                   f"{barrier.idle_fraction:.3f}",
                   f"{barrier.overlap_fraction:.3f}",
                   barrier.peak_concurrency),

@@ -32,8 +32,8 @@ from repro import (
 from repro.analytics import ReportBuilder, data_metrics
 from repro.observability import BenchResult
 from repro.workflows import (
+    CampaignRunner,
     CellPaintingConfig,
-    WorkflowRunner,
     build_cell_painting_pipeline,
 )
 
@@ -93,13 +93,13 @@ def run_cell_painting(cache_enabled: bool, seed: int = 13):
         (pilot,) = pmgr.submit_pilots(
             PilotDescription(resource="delta", nodes=4, runtime_s=1e9))
         tmgr.add_pilots(pilot)
-        runner = WorkflowRunner(session, tmgr)
+        runner = CampaignRunner(session, tmgr)
         pipeline = build_cell_painting_pipeline(CellPaintingConfig(
             n_shards=4, images_per_shard=4, n_trials=4, concurrent_trials=2,
             min_shards_to_train=2,
             dataset_bytes=DATASET_BYTES, shard_bytes=SHARD_BYTES,
             features_bytes=25e9))
-        proc = session.engine.process(runner.run_pipeline(pipeline))
+        proc = session.engine.process(runner.run_campaign(pipeline))
         context = session.run(until=proc)
         assert context["result"].n_trials > 0
         return {

@@ -18,10 +18,10 @@ from repro import (
 )
 from repro.analytics import ReportBuilder
 from repro.workflows import (
+    CampaignRunner,
     CellPaintingConfig,
     SignatureConfig,
     UQConfig,
-    WorkflowRunner,
     build_cell_painting_pipeline,
     build_signature_pipeline,
     build_uq_pipeline,
@@ -37,7 +37,7 @@ def run_pipelines():
         (pilot,) = pmgr.submit_pilots(
             PilotDescription(resource="delta", nodes=4, runtime_s=1e9))
         tmgr.add_pilots(pilot)
-        runner = WorkflowRunner(session, tmgr)
+        runner = CampaignRunner(session, tmgr)
 
         # LLM service for the signature pipeline's stage 3.
         (llm,) = smgr.start_services(
@@ -55,15 +55,15 @@ def run_pipelines():
         ]
         contexts = []
         for pipeline in pipelines:
-            proc = session.engine.process(runner.run_pipeline(pipeline))
+            proc = session.engine.process(runner.run_campaign(pipeline))
             contexts.append(session.run(until=proc))
 
         rows = []
-        for pipeline in pipelines:
+        campaigns = session.profiler.uids_with_event("campaign_start")
+        for campaign, pipeline in zip(campaigns, pipelines):
             for entry in pipeline.table_rows():
-                stage_uid = f"pipeline.{pipeline.name}.{entry['stage']}"
                 duration = session.profiler.duration(
-                    stage_uid, "stage_start", "stage_stop")
+                    f"{campaign}.{entry['stage']}", "node_start", "node_stop")
                 rows.append([
                     entry["pipeline"], entry["stage"],
                     entry["resource_type"],

@@ -12,8 +12,8 @@ Run:  python examples/cell_painting.py
 from repro import PilotDescription, PilotManager, Session, TaskManager
 from repro.analytics import ReportBuilder
 from repro.workflows import (
+    CampaignRunner,
     CellPaintingConfig,
-    WorkflowRunner,
     build_cell_painting_pipeline,
 )
 
@@ -31,10 +31,10 @@ def main() -> None:
         (pilot,) = pmgr.submit_pilots(
             PilotDescription(resource="delta", nodes=2, runtime_s=1e7))
         tmgr.add_pilots(pilot)
-        runner = WorkflowRunner(session, tmgr)
+        runner = CampaignRunner(session, tmgr)
 
         pipeline = build_cell_painting_pipeline(config)
-        proc = session.engine.process(runner.run_pipeline(pipeline))
+        proc = session.engine.process(runner.run_campaign(pipeline))
         context = session.run(until=proc)
 
     result = context["result"]

@@ -18,8 +18,8 @@ from repro import (
 )
 from repro.analytics import ReportBuilder
 from repro.workflows import (
+    CampaignRunner,
     SignatureConfig,
-    WorkflowRunner,
     build_signature_pipeline,
 )
 
@@ -40,10 +40,10 @@ def main() -> None:
             ServiceDescription(model="llama-8b"), pilot)
         session.run(until=llm.ready)
 
-        runner = WorkflowRunner(session, tmgr)
+        runner = CampaignRunner(session, tmgr)
         pipeline = build_signature_pipeline(config,
                                             llm_targets=[llm.address])
-        proc = session.engine.process(runner.run_pipeline(pipeline))
+        proc = session.engine.process(runner.run_campaign(pipeline))
         context = session.run(until=proc)
         smgr.stop_services(llm)
         session.run(until=llm.stopped)

@@ -11,7 +11,7 @@ Run:  python examples/uq_pipeline.py
 
 from repro import PilotDescription, PilotManager, Session, TaskManager
 from repro.analytics import ReportBuilder
-from repro.workflows import UQConfig, WorkflowRunner, build_uq_pipeline
+from repro.workflows import CampaignRunner, UQConfig, build_uq_pipeline
 
 
 def main() -> None:
@@ -24,10 +24,10 @@ def main() -> None:
         (pilot,) = pmgr.submit_pilots(
             PilotDescription(resource="delta", nodes=4, runtime_s=1e7))
         tmgr.add_pilots(pilot)
-        runner = WorkflowRunner(session, tmgr)
+        runner = CampaignRunner(session, tmgr)
 
         proc = session.engine.process(
-            runner.run_pipeline(build_uq_pipeline(config)))
+            runner.run_campaign(build_uq_pipeline(config)))
         context = session.run(until=proc)
 
     result = context["result"]

@@ -164,8 +164,8 @@ class ObservabilityServices:
             raise RuntimeError(
                 "attribution needs the tracing plane "
                 "(ObservabilityConfig(tracing=True))")
-        return CampaignAttribution.from_tracer(self.tracer,
-                                               makespan=makespan)
+        return CampaignAttribution.from_spans(self.tracer.spans,
+                                              makespan=makespan)
 
     # -- task lifecycle glue ---------------------------------------------------
     def attach_task_manager(self, tmgr: "TaskManager") -> None:

@@ -32,16 +32,16 @@ RADICAL-Pilot performance-characterization line of work:
   invariant against the measured value -- a failed check means the span
   forest is inconsistent, not that the run was fast.
 
-Attribution degrades gracefully on truncated histories (``durations``-tier
-profiles, ``retention="ring"`` with evicted rows, tasks that never
-completed): nodes without data drop out of the path, phases default to
-empty, and open spans count as zero-length -- it never raises on partial
-input.
+Attribution degrades gracefully on truncated histories (``durations``-level
+profiles, tasks that never completed): nodes without data drop out of the
+path, phases default to empty, and open spans count as zero-length -- it
+never raises on partial input.
 
-Inputs: a live :class:`~repro.observability.trace.Tracer` (campaign node
-spans carry their dependency edges as ``deps`` attrs), or an offline
-profile via :func:`~repro.observability.trace.spans_from_profiler` plus an
-explicit ``node_tasks`` mapping and graph edges.
+Inputs: a span list.  A live :class:`~repro.observability.trace.Tracer`'s
+spans say everything themselves (campaign node spans carry their dependency
+edges as ``deps`` attrs, task roots are parented onto their node); spans
+rebuilt offline by :func:`~repro.observability.trace.spans_from_profiler`
+come with an explicit ``node_tasks`` mapping and graph edges.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from .trace import PHASE_OF_STATE, Span, spans_from_profiler
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..workflows.campaign import CampaignGraph
-    from .trace import Tracer
 
 __all__ = ["TaskPhases", "NodeAttribution", "PathStep", "Projection",
            "CampaignAttribution", "PHASES", "WAIT_PHASES",
@@ -205,36 +204,6 @@ class CampaignAttribution:
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def from_tracer(cls, tracer: "Tracer",
-                    makespan: Optional[float] = None,
-                    ) -> "CampaignAttribution":
-        """Build from a live tracer's span forest.
-
-        Campaign-node spans carry their dependency edges (``deps`` attr,
-        stamped by the campaign runner); task root spans parented onto a
-        node span join that node, every other task becomes its own
-        single-task node keyed by uid.
-        """
-        tasks = _tasks_from_spans(tracer.spans)
-        node_of_span: Dict[int, str] = {}
-        edges: Dict[str, Tuple[str, ...]] = {}
-        for span in tracer.spans:
-            if span.category == "campaign_node":
-                node_of_span[span.span_id] = span.name
-                deps = (span.attrs or {}).get("deps")
-                if deps:
-                    edges[span.name] = tuple(deps)
-        nodes: Dict[str, NodeAttribution] = {
-            key: NodeAttribution(key) for key in node_of_span.values()}
-        for root, phases in tasks:
-            key = node_of_span.get(root.parent_id, root.name)
-            node = nodes.get(key)
-            if node is None:
-                node = nodes[key] = NodeAttribution(key)
-            node.tasks.append(phases)
-        return cls(nodes, edges, makespan)
-
-    @classmethod
     def from_profiler(cls, profiler,
                       node_tasks: Optional[Dict[str, Sequence]] = None,
                       graphs: Optional[Iterable["CampaignGraph"]] = None,
@@ -246,8 +215,8 @@ class CampaignAttribution:
         :attr:`CampaignRunner.node_tasks`; *graphs* supplies the
         dependency edges (keys ``"graph/node"``).  Without either, every
         profiled task is attributed standalone.  Works on ``durations``
-        profiles and ring-retention profiles with evicted rows: spans are
-        rebuilt from first timestamps, which every tier retains.
+        profiles: spans are rebuilt from first timestamps, which both
+        retaining levels answer.
         """
         spans = spans_from_profiler(profiler)
         keyed: Optional[Dict[str, Tuple[str, ...]]] = None
@@ -269,16 +238,36 @@ class CampaignAttribution:
                    edges: Optional[Dict[str, Tuple[str, ...]]] = None,
                    makespan: Optional[float] = None,
                    ) -> "CampaignAttribution":
-        """Build from a flat span list plus explicit node/edge structure."""
-        tasks = _tasks_from_spans(spans)
-        node_of_uid: Dict[str, str] = {}
+        """Build from a span list.
+
+        With *node_tasks* (node key -> task uids) membership is explicit.
+        Without it, membership and edges are read from the list's
+        ``campaign_node`` spans, as a live tracer records them: each carries
+        its dependency edges (``deps`` attr, stamped by the campaign
+        runner), and a task root parented onto one joins that node.  Every
+        other task becomes its own single-task node keyed by uid.
+        """
+        spans = list(spans)
+        edges = dict(edges or {})
+        #: task uid (explicit membership) or node span id -> node key
+        node_of: Dict[object, str] = {}
         nodes: Dict[str, NodeAttribution] = {}
-        for key, uids in (node_tasks or {}).items():
-            nodes[key] = NodeAttribution(key)
-            for uid in uids:
-                node_of_uid[uid] = key
-        for root, phases in tasks:
-            key = node_of_uid.get(phases.uid, phases.uid)
+        if node_tasks is not None:
+            for key, uids in node_tasks.items():
+                nodes[key] = NodeAttribution(key)
+                for uid in uids:
+                    node_of[uid] = key
+        else:
+            for span in spans:
+                if span.category == "campaign_node":
+                    node_of[span.span_id] = span.name
+                    nodes[span.name] = NodeAttribution(span.name)
+                    deps = (span.attrs or {}).get("deps")
+                    if deps:
+                        edges[span.name] = tuple(deps)
+        for root, phases in _tasks_from_spans(spans):
+            member = phases.uid if node_tasks is not None else root.parent_id
+            key = node_of.get(member, phases.uid)
             node = nodes.get(key)
             if node is None:
                 node = nodes[key] = NodeAttribution(key)

@@ -147,7 +147,7 @@ class Dashboard:
         if attribution is None and obs is not None \
                 and obs.tracer is not None and obs.tracer.spans:
             from .attribution import CampaignAttribution
-            attribution = CampaignAttribution.from_tracer(obs.tracer)
+            attribution = CampaignAttribution.from_spans(obs.tracer.spans)
         text = builder.render()
         if attribution is not None and attribution.nodes:
             text += "\n\n" + attribution.report()

@@ -24,7 +24,7 @@ event each append one record of scalars (time, uid, phase name, attempt and
 the span / trace ids reserved for it from two integer counters) to an
 append-only lifecycle log.  No task ``Span`` exists until something asks:
 ``Tracer.spans`` -- and with it ``len``, ``find``, ``spans_of_trace``,
-``task_root``, both exporters, ``CampaignAttribution.from_tracer`` and the
+``task_root``, both exporters, ``CampaignAttribution.from_spans`` and the
 dashboard summary -- first *replays* the unread part of the log into
 ``Span`` objects, consuming it.  Ids, order, parents, stamps and attrs are
 those an eager tracer builds (``tests/observability/reference_tracer.py``

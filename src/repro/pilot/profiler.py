@@ -1,4 +1,4 @@
-"""Timestamped profile events, RADICAL-style: a flat log, read on demand.
+"""Timestamped profile events, RADICAL-style: one flat log, read on demand.
 
 Every runtime component records ``(time, entity_uid, event, component)``;
 the analytics layer (:mod:`repro.analytics.metrics`) derives the paper's
@@ -10,54 +10,43 @@ metrics from the stamps:
 
 **Record appends.**  The profile is one flat append-only list of scalars,
 four per record.  :meth:`Profiler.record` is a counter bump and one list
-extension: it builds no row, touches no index and allocates nothing the
-cyclic collector tracks, so a run that never reads its profile pays for
-neither rows nor collector passes over them.
+extension in every retaining level: it builds no row, touches no index,
+tests no length and allocates nothing the cyclic collector tracks, so a run
+that never reads its profile pays for neither rows nor collector passes
+over them.
 
 **Readers derive.**  Every public read (:meth:`events`, :meth:`timestamp`,
 :meth:`duration` / :meth:`durations`, :meth:`uids_with_event`, ``len``,
-:attr:`dropped`, :meth:`to_jsonl`, :meth:`close_spill`) first *closes the
-open chunk*: the log is consumed oldest-first off its reversed tail into
-:class:`ProfileRow` named tuples, so the two forms never coexist in full
-and answers are exact mid-chunk.  The first-timestamp, per-event and
-per-uid indices are derived from the rows past a watermark by the first
-query that needs them.  Row construction has *moved*, not vanished: the
-first reader pays it, once, for the records since the last (collector
-paused: rows are acyclic, a pass over them frees nothing).
+:attr:`dropped`, :meth:`to_jsonl`) first consumes the log, oldest record
+first, off its reversed tail, so the flat form and what it becomes never
+coexist in full.  Construction has *moved*, not vanished: the first reader
+pays it, once, for the records since the last (collector paused: what is
+built is acyclic, a pass over it frees nothing).
 
-**Retention acts at chunk close**, never per record.  Tiers (``level=``,
-``Session(profile=...)`` for a whole run):
+**One choice**, ``level=`` (``Session(profile=...)`` for a whole run), says
+what the log becomes when a reader arrives:
 
-* ``"full"``       -- every record becomes a row (optionally bounded by
-  ``max_rows``); the default, needed by row-level queries like
-  :meth:`events`;
-* ``"durations"``  -- a closing chunk is folded into the *first* timestamp
-  per (uid, event) pair and no row is built: exactly what
+* ``"full"``       -- every record becomes a :class:`ProfileRow`; the
+  default, needed by row-level queries like :meth:`events`.  The
+  first-timestamp, per-event and per-uid indices are derived from the rows
+  past a watermark by the first query that needs them;
+* ``"durations"``  -- the log is folded into the *first* timestamp per
+  (uid, event) pair and no row is ever built: exactly what
   :meth:`timestamp` / :meth:`duration` / :meth:`durations` and the
-  analytics layer consume, in memory bounded by the distinct pairs;
+  analytics layer consume, so what is kept after a read is bounded by the
+  distinct pairs;
 * ``"off"``        -- recording is a counter bump; all queries come back
   empty.  For pure-throughput campaigns.
 
-The full tier's ``max_rows`` supports three *retention* modes: ``"bound"``
-(the default) keeps the **oldest** rows -- post-mortem analysis of a run's
-beginning; ``"ring"`` keeps the **most recent** -- live monitoring of the
-current window; ``"spill"`` keeps them all *without* the memory, streaming
-full chunks of ``max_rows`` rows to a JSONL ``spill_path`` that
-:meth:`close_spill` finalises (first timestamps plus a trailing meta line)
-into the exact :meth:`to_jsonl` format, so :meth:`from_jsonl`,
-:func:`repro.observability.spans_from_profiler` and
-:meth:`repro.observability.CampaignAttribution.from_profiler` read spilled
-files transparently.  Where rows are dropped, ``record`` closes the chunk
-itself once it holds ``max_rows`` records (:attr:`Profiler.CHUNK` when
-unset), and the chunk is folded into the first timestamps *before*
-retention lets rows go: the stamps outlive the rows.
+**One on-disk form.**  :meth:`to_jsonl` after the run writes it;
+:meth:`from_jsonl`, :func:`repro.observability.spans_from_profiler` and
+:meth:`repro.observability.CampaignAttribution.from_profiler` read it back.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import sys
 from collections import deque
 from itertools import islice
 from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -68,7 +57,7 @@ __all__ = ["Profiler", "ProfileEvent", "ProfileRow"]
 
 ProfileEvent = Tuple[float, str, str, str]  # (time, uid, event, component)
 
-#: log fields consumed per slice while a chunk closes (a multiple of four)
+#: log fields consumed per slice by a reader (a multiple of four)
 _STEP = 4 * 4096
 
 
@@ -84,91 +73,46 @@ class ProfileRow(NamedTuple):
 
 
 class Profiler:
-    """Flat record log with tiered, retained, indexed views."""
+    """Flat record log with one choice of what a reader derives from it."""
 
     LEVELS = ("full", "durations", "off")
-    RETENTIONS = ("bound", "ring", "spill")
 
-    #: records per chunk when max_rows does not say otherwise
-    CHUNK = 8192
-
-    def __init__(self, level: str = "full",
-                 max_rows: Optional[int] = None,
-                 retention: str = "bound",
-                 spill_path: Optional[str] = None) -> None:
+    def __init__(self, level: str = "full") -> None:
         if level not in self.LEVELS:
             raise ValueError(f"level must be one of {self.LEVELS}")
-        if max_rows is not None and max_rows < 0:
-            raise ValueError("max_rows must be non-negative")
-        if retention not in self.RETENTIONS:
-            raise ValueError(f"retention must be one of {self.RETENTIONS}")
-        if retention == "spill" and spill_path is None:
-            raise ValueError("retention='spill' requires spill_path")
         self.level = level
-        self.max_rows = max_rows
-        self.retention = retention
-        self.spill_path = spill_path
-        self._spill = retention == "spill" and level == "full"
-        self._spill_fh = None
-        self._chunk = max_rows or self.CHUNK
-        #: some records leave no row behind: a closing chunk is folded into
-        #: the first timestamps, and record() closes it when it is full
-        self._drops = level != "full" or max_rows is not None or self._spill
-        #: log length at which record() closes the chunk
-        self._limit = 4 * self._chunk if self._drops else sys.maxsize
-        #: the open chunk: ``time, uid, event, component`` per record
+        #: records no reader has seen: ``time, uid, event, component`` each
         self._log: list = []
-        #: the rows of closed chunks that retention kept
+        #: the rows the log became (full level)
         self._rows: List[ProfileRow] = []
         #: rows[:_indexed] are reflected in the indices
         self._indexed = 0
         #: the three indices, read through the properties below:
-        #: ``(uid, event) -> first timestamp`` (the "durations" tier's
-        #: store and the O(1) lookup path of the full tier); ``event ->
+        #: ``(uid, event) -> first timestamp`` (all the "durations" level
+        #: keeps, and the O(1) lookup path of the full level); ``event ->
         #: {uid: None}`` in first-occurrence order; and the per-uid row
         #: index (uid-filtered queries are O(rows of that uid))
         self._indices: Tuple[Dict[Tuple[str, str], float],
                              Dict[str, Dict[str, None]],
                              Dict[str, Deque[ProfileRow]]] = ({}, {}, {})
-        #: record() calls total, regardless of tier/bound
+        #: record() calls total, regardless of level
         self.recorded = 0
-        self._dropped = 0
-        #: rows written to the spill file so far (exact without a catch-up:
-        #: record() closes the chunk the moment it completes)
-        self.spilled = 0
-        if self._spill:
-            self._spill_fh = open(spill_path, "w")
-            self._write_header()
-
-    def _meta(self) -> Dict[str, object]:
-        return {
-            "level": self.level,
-            "max_rows": self.max_rows,
-            "retention": self.retention,
-            "recorded": self.recorded,
-            "dropped": self.dropped,
-            "spilled": self.spilled,
-        }
 
     def record(self, time: float, uid: str, event: str,
                component: str = "") -> None:
         """Record one profile event: a counter bump and one flat append."""
         self.recorded += 1
         if self.level == "off":
-            self._dropped += 1
             return
-        log = self._log
-        log += (float(time), uid, event, component)
-        if len(log) >= self._limit:
-            self._catch_up()
+        self._log += (time, uid, event, component)
 
-    # -- chunk close -------------------------------------------------------------
+    # -- a reader arrives ----------------------------------------------------------
     def _catch_up(self) -> None:
-        """Close the open chunk: its rows are built, then retention acts."""
+        """Consume the log: rows (full) or first stamps (durations)."""
         log = self._log
         if not log:
             return
-        self._log = []  # a record landing meanwhile opens the next chunk
+        self._log = []  # a record landing meanwhile starts the next stretch
         rows = self._rows
         first, event_uids, _ = self._indices
         log.reverse()  # read off the tail: the log shrinks as the rows grow
@@ -179,38 +123,19 @@ class Profiler:
                 part = log[-_STEP:]
                 del log[-_STEP:]
                 times, uids, events = part[-1::-4], part[-2::-4], part[-3::-4]
-                if self._drops:
+                if self.level == "full":
+                    rows.extend(map(ProfileRow, map(float, times), uids,
+                                    events, part[-4::-4]))
+                else:
                     for t, uid, event in zip(times, uids, events):
                         key = (uid, event)
                         if key not in first:
-                            first[key] = t
+                            first[key] = float(t)
                             event_uids.setdefault(event, {})[uid] = None
-                if self.level == "full":
-                    rows.extend(map(ProfileRow, times, uids, events,
-                                    part[-4::-4]))
         finally:
             if collecting:
                 gc.enable()
-        if self._spill_fh is not None:
-            if len(rows) >= self._chunk:
-                self._flush_spill()
-            self._limit = 4 * (self._chunk - len(rows))  # to the chunk's end
-        elif self.max_rows is not None and not self._spill:
-            extra = len(rows) - self.max_rows
-            if extra > 0:
-                self._dropped += extra
-                if self.retention == "ring":
-                    self._drop_oldest(extra)
-                else:  # rows past the bound were never indexed
-                    del rows[self.max_rows:]
 
-    def _drop_oldest(self, count: int) -> None:
-        """Rows leave from the front: the per-uid index starts over."""
-        del self._rows[:count]
-        self._indices[2].clear()
-        self._indexed = 0
-
-    # -- derived indices ---------------------------------------------------------
     def _derived(self):
         """The indices, caught up with the log and the rows it became."""
         self._catch_up()
@@ -234,16 +159,13 @@ class Profiler:
     def _first(self) -> Dict[Tuple[str, str], float]:
         return self._derived()[0]
 
-    @property
-    def _by_uid(self) -> Dict[str, Deque[ProfileRow]]:
-        return self._derived()[2]
-
     # -- counters ------------------------------------------------------------
     @property
     def dropped(self) -> int:
-        """Records not retained (off tier, or full tier past max_rows)."""
-        self._catch_up()
-        return self._dropped
+        """Records that left neither a row nor a stamp behind: every one in
+        the ``"off"`` level (and, in a profile reloaded from a file written
+        under the former row bound, what that bound let go)."""
+        return 0 if self.level == "durations" else self.recorded - len(self)
 
     def __len__(self) -> int:
         self._catch_up()
@@ -252,14 +174,13 @@ class Profiler:
     # -- queries -------------------------------------------------------------
     def events(self, uid: Optional[str] = None,
                event: Optional[str] = None) -> List[ProfileRow]:
-        """Rows filtered by uid and/or event name (full tier only).
+        """Rows filtered by uid and/or event name (full level only).
 
-        uid-filtered lookups go through the per-uid index in every
-        retention mode, so they cost O(rows of that uid) instead of
-        O(total retained rows).
+        uid-filtered lookups go through the per-uid index, so they cost
+        O(rows of that uid) instead of O(rows).
         """
         if uid is not None:
-            rows: Iterable[ProfileRow] = self._by_uid.get(uid, ())
+            rows: Iterable[ProfileRow] = self._derived()[2].get(uid, ())
         else:
             self._catch_up()
             rows = self._rows
@@ -297,80 +218,31 @@ class Profiler:
         return list(self._derived()[1].get(event, ()))
 
     def clear(self) -> None:
-        """Forget everything; an open spill file starts over too."""
+        """Forget everything."""
         self._log.clear()
         self._rows.clear()
         self._indexed = 0
         for index in self._indices:
             index.clear()
         self.recorded = 0
-        self._dropped = 0
-        if self._spill_fh is not None:
-            self.spilled = 0
-            self._limit = 4 * self._chunk
-            self._spill_fh.seek(0)
-            self._spill_fh.truncate()
-            self._write_header()
-
-    # -- spill ---------------------------------------------------------------
-    def _write_header(self) -> None:
-        # provisional: overridden by close_spill's trailing meta
-        self._spill_fh.write(json.dumps({"meta": self._meta()}) + "\n")
-
-    def _flush_spill(self) -> None:
-        """Stream the buffered rows to the spill file and drop them."""
-        write = self._spill_fh.write
-        for row in self._rows:
-            write(json.dumps(["r", row.time, row.uid, row.event,
-                              row.component]) + "\n")
-        self.spilled += len(self._rows)
-        self._drop_oldest(len(self._rows))
-
-    def close_spill(self) -> Optional[str]:
-        """Finalise the spill file; returns its path (None if not spilling).
-
-        Flushes the buffered tail, appends the ``"f"`` first-timestamp
-        lines and a trailing meta line (which overrides the provisional
-        header on reload), and closes the file.  Idempotent: a second
-        call -- or a call on a non-spill profiler -- is a no-op returning
-        the path (or None).  Rows recorded *after* close buffer in memory
-        like plain ``"bound"`` retention, so teardown-ordering races
-        cannot write to a closed file.
-        """
-        if not self._spill:
-            return None
-        if self._spill_fh is not None:
-            first = self._first
-            self._flush_spill()
-            fh = self._spill_fh
-            for (uid, event), t in first.items():
-                fh.write(json.dumps(["f", t, uid, event]) + "\n")
-            fh.write(json.dumps({"meta": self._meta()}) + "\n")
-            fh.close()
-            self._spill_fh = None
-        return self.spill_path
 
     # -- persistence ---------------------------------------------------------
     def to_jsonl(self, path: str) -> int:
         """Persist the profile as JSONL; returns the line count.
 
         Format: a ``meta`` header line, one ``["f", t, uid, event]`` line
-        per first timestamp (written in first-occurrence order, so the
-        ``durations`` tier and stamps whose rows the retention bound
-        dropped survive), then one ``["r", t, uid, event, component]``
-        line per retained row.  The file round-trips through
-        :meth:`from_jsonl` for every tier/retention combination and feeds
-        the offline trace exporter
-        (:func:`repro.observability.spans_from_profiler`).
+        per first timestamp (written in first-occurrence order: all the
+        ``durations`` level has), then one ``["r", t, uid, event,
+        component]`` line per row.  The file round-trips through
+        :meth:`from_jsonl` in every level and feeds the offline trace
+        exporter (:func:`repro.observability.spans_from_profiler`).
         """
-        if self._spill:
-            raise ValueError(
-                "spill-retention profilers already stream to spill_path; "
-                "finalise with close_spill() instead of to_jsonl()")
+        first = self._first
         lines = 1
         with open(path, "w") as fh:
-            fh.write(json.dumps({"meta": self._meta()}) + "\n")
-            for (uid, event), t in self._first.items():
+            fh.write(json.dumps({"meta": {"level": self.level,
+                                          "recorded": self.recorded}}) + "\n")
+            for (uid, event), t in first.items():
                 fh.write(json.dumps(["f", t, uid, event]) + "\n")
                 lines += 1
             for row in self._rows:
@@ -381,44 +253,36 @@ class Profiler:
 
     @classmethod
     def from_jsonl(cls, path: str) -> "Profiler":
-        """Reload a profile written by :meth:`to_jsonl` or a spill file.
+        """Reload a profile written by :meth:`to_jsonl`.
 
-        First timestamps are restored verbatim (including ones whose rows
-        were dropped), rows are replayed into the original tier/retention
-        configuration, and the recorded/dropped counters come back from
-        the meta line rather than the replay.  Meta lines may appear
-        anywhere (spill files carry a provisional header *and* a trailing
-        final meta; the last one seen wins); a spill-retention profile
-        reloads as an unbounded in-memory ``"bound"`` profiler so every
-        spilled row is queryable via :meth:`events`.
+        First timestamps are restored verbatim, rows are replayed, and
+        ``recorded`` comes back from the meta line rather than the replay.
+        The file must open with a meta line.  Files written before the row
+        bound, the ring and the spill stream were removed still load: their
+        ``max_rows`` / ``retention`` / ``spilled`` / ``dropped`` meta keys
+        are ignored, every ``"r"`` row they hold is kept (a ring's window, a
+        bound's head, all of a spill), ``"f"`` stamps whose rows were let go
+        survive, and a spill file's trailing meta line overrides its
+        provisional header.
         """
-        profiler: Optional[Profiler] = None
-        meta: Dict[str, object] = {}
         with open(path) as fh:
-            for line in fh:
-                entry = json.loads(line)
+            entries = map(json.loads, fh)
+            head = next(entries, None)
+            if not isinstance(head, dict) or "meta" not in head:
+                raise ValueError(f"no meta line in profile file: {path}")
+            meta = head["meta"]
+            profiler = cls(level=meta["level"])
+            first, event_uids, _ = profiler._indices
+            for entry in entries:
                 if isinstance(entry, dict):
                     meta = entry["meta"]
-                    if profiler is None:
-                        if meta["retention"] == "spill":
-                            profiler = cls(level=meta["level"], max_rows=None,
-                                           retention="bound")
-                        else:
-                            profiler = cls(level=meta["level"],
-                                           max_rows=meta["max_rows"],
-                                           retention=meta["retention"])
                 elif entry[0] == "f":
                     _, t, uid, event = entry
-                    first, event_uids, _ = profiler._derived()
                     if (uid, event) not in first:
                         first[uid, event] = float(t)
                         event_uids.setdefault(event, {})[uid] = None
                 else:
                     _, t, uid, event, component = entry
                     profiler.record(t, uid, event, component)
-        if profiler is None:
-            raise ValueError(f"no meta line in profile file: {path}")
-        profiler._catch_up()  # the replay's own counts end here
         profiler.recorded = meta["recorded"]
-        profiler._dropped = meta["dropped"]
         return profiler

@@ -52,10 +52,7 @@ class Session:
                  data_config: Optional["DataConfig"] = None,
                  resilience_config: Optional["ResilienceConfig"] = None,
                  observability: Optional["ObservabilityConfig"] = None,
-                 profile: str = "full",
-                 profile_max_rows: Optional[int] = None,
-                 profile_retention: str = "bound",
-                 profile_spill: Optional[str] = None) -> None:
+                 profile: str = "full") -> None:
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}")
         self.mode = mode
@@ -67,17 +64,10 @@ class Session:
         else:
             self.engine = RealtimeEngine(factor=realtime_factor)
         self.fabric = Fabric(self.rng_hub.stream("fabric"))
-        #: profiling tier: "full" keeps every row, "durations" keeps first
-        #: timestamps only (bounded memory), "off" disables recording;
-        #: retention="ring" with max_rows keeps the *newest* rows (live
-        #: monitoring) instead of the oldest.  ``profile_spill=`` names a
-        #: JSONL path and switches retention to "spill": rows stream to
-        #: disk in bounded chunks, finalised by close()
-        if profile_spill is not None:
-            profile_retention = "spill"
-        self.profiler = Profiler(level=profile, max_rows=profile_max_rows,
-                                 retention=profile_retention,
-                                 spill_path=profile_spill)
+        #: what a reader derives from the profile log: "full" a row per
+        #: record, "durations" first timestamps only (no row is ever built),
+        #: "off" nothing (recording only counts)
+        self.profiler = Profiler(level=profile)
         self._batch: Dict[str, BatchSystem] = {}
         self._closed = False
         self._quiescing = False
@@ -279,7 +269,6 @@ class Session:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        self.profiler.close_spill()
         log.info("session %s closed at t=%.3f", self.uid, self.engine.now)
 
     def __enter__(self) -> "Session":

@@ -2,27 +2,26 @@
 
 * :mod:`repro.workflows.campaign` -- the streaming campaign engine
   (dependency-driven dataflow DAGs, no stage barriers);
-* :mod:`repro.workflows.dag` -- the barrier Pipeline/Stage compatibility
-  shim lowered onto the campaign engine;
 * :mod:`repro.workflows.cell_painting` -- use case II-A;
 * :mod:`repro.workflows.signature_detection` -- use case II-B;
 * :mod:`repro.workflows.uq` -- use case II-C;
 * supporting substrates: imaging, VCF, VEP, pathways, dose-response, MLP,
   HPO, UQ methods, synthetic QA data.
 
-Every use case ships in two forms: ``build_*_pipeline`` (the legacy
-barrier stage-sequence, executed via the shim) and ``build_*_campaign``
-(the streaming per-item dataflow graph).
+Every use case ships as two graphs for the same engine:
+``build_*_pipeline`` (the stage sequence as a chain, one node per stage:
+stage *k+1* depends on stage *k*, so each stage is a barrier) and
+``build_*_campaign`` (the streaming per-item dataflow graph).
 """
 
 from .campaign import (
     CampaignGraph,
     CampaignRunner,
     NodeRunner,
+    StageFailure,
     TaskNode,
     failed_tasks,
 )
-from .dag import Pipeline, StageFailure, StageSpec, WorkflowRunner
 from .mlp import MLPClassifier, MLPConfig
 from .hpo import (
     ChoiceParam,
@@ -85,10 +84,7 @@ __all__ = [
     "NodeRunner",
     "TaskNode",
     "failed_tasks",
-    "Pipeline",
     "StageFailure",
-    "StageSpec",
-    "WorkflowRunner",
     "MLPClassifier",
     "MLPConfig",
     "ChoiceParam",

@@ -1,17 +1,16 @@
 """Streaming campaign engine: dependency-driven dataflow execution.
 
-The barrier-synchronized :class:`~repro.workflows.dag.Pipeline` executes
-stage bags bulk-synchronously: every task of stage *k* must finish before
-the first task of stage *k+1* is even built, so a single straggler idles
-the whole allocation.  This module replaces that execution model with a
-**dataflow campaign**:
+A barrier-synchronized pipeline executes stage bags bulk-synchronously:
+every task of stage *k* must finish before the first task of stage *k+1*
+is even built, so a single straggler idles the whole allocation.  This
+module replaces that execution model with a **dataflow campaign**:
 
 * a :class:`TaskNode` is one node of a dependency DAG -- typically *one
   item* of a former stage (one sample, one shard, one grid cell) with
   explicit ``deps`` on the upstream nodes whose context entries it reads;
 * a :class:`CampaignGraph` is a named, validated (acyclic, closed) set of
-  nodes; :meth:`~repro.workflows.dag.Pipeline.to_graph` converts a legacy
-  barrier pipeline into the equivalent linear chain;
+  nodes; a barrier pipeline is the chain graph with one node per stage
+  (stage *k+1* ``deps=(stage k,)``);
 * the :class:`CampaignRunner` submits every node **the moment its inputs
   complete** -- no stage barriers -- runs *multiple graphs concurrently in
   one campaign*, applies global backpressure through a shared
@@ -115,7 +114,7 @@ class TaskNode:
 
     name: str
     deps: Tuple[str, ...] = ()
-    #: Table I metadata (carried over from StageSpec)
+    #: Table I metadata
     resource_type: str = "CPU"          # "CPU" | "GPU"
     as_service: bool = False
     #: declarative form
@@ -166,15 +165,13 @@ class CampaignGraph:
         for name, node in self.nodes.items():
             for dep in node.deps:
                 dependents[dep].append(name)
-        ready = [name for name in self.nodes if indegree[name] == 0]
-        order: List[str] = []
-        while ready:
-            name = ready.pop(0)
-            order.append(name)
+        # the order is its own FIFO ready queue, read by a cursor
+        order = [name for name in self.nodes if indegree[name] == 0]
+        for name in order:  # grows by every node whose last input is placed
             for succ in dependents[name]:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
-                    ready.append(succ)
+                    order.append(succ)
         if len(order) != len(self.nodes):
             cyclic = sorted(set(self.nodes) - set(order))
             raise ValueError(
@@ -219,11 +216,10 @@ class CampaignGraph:
 class NodeRunner:
     """The per-node facade handed to custom ``run`` generators.
 
-    Presents the same surface custom stages used on the barrier
-    :class:`~repro.workflows.dag.WorkflowRunner` (``session``, ``tmgr``,
-    ``submit_and_wait``) plus non-blocking tracked submission, so stage
-    generators written for the barrier runner work unchanged while their
-    tasks join the campaign's bookkeeping and backpressure window.
+    Presents the runner's own surface (``session``, ``tmgr``,
+    ``submit_and_wait``) plus non-blocking tracked submission, with every
+    task submitted through it joining *this node's* bookkeeping and the
+    campaign's backpressure window.
     """
 
     def __init__(self, campaign: "CampaignRunner", key: str) -> None:
@@ -299,19 +295,18 @@ class _CampaignRun:
     """Bookkeeping scoped to one ``run_campaign`` invocation.
 
     Run state lives here (not on the runner) so concurrent campaigns on
-    one runner -- e.g. two ``run_pipeline`` processes sharing a
-    WorkflowRunner, which the barrier runner always allowed -- cannot
+    one runner -- two ``run_campaign`` processes sharing it -- cannot
     clobber each other's frontier, failure or progress accounting.
     """
 
     __slots__ = ("states", "ckpt", "ckpt_key", "ckpt_bytes", "saving",
                  "dirty", "save_index", "completed_total",
                  "completed_since_save", "camp_span", "frontier_gauge",
-                 "nodes_counter", "events", "live", "running", "saver",
-                 "finished", "aborted")
+                 "nodes_counter", "live", "running", "saver", "finished",
+                 "aborted")
 
-    def __init__(self, states: Dict[str, _GraphState], finished: Event,
-                 events: Tuple[str, str]) -> None:
+    def __init__(self, states: Dict[str, _GraphState],
+                 finished: Event) -> None:
         self.states = states
         self.ckpt = None             # Checkpointer while checkpointing
         self.ckpt_key = ""
@@ -325,7 +320,6 @@ class _CampaignRun:
         self.camp_span = None        # campaign root span
         self.frontier_gauge = None   # live (ready/running) node count
         self.nodes_counter = None    # completed-node counter
-        self.events = events         # (node start, node stop) profile events
         #: unsettled nodes plus frontier saves under way; at zero the
         #: campaign is over and ``finished`` triggers
         self.live = 0
@@ -413,11 +407,7 @@ class CampaignRunner:
                      contexts: Union[None, Dict[str, Any],
                                      Sequence[Dict[str, Any]]] = None,
                      checkpoint_key: str = "",
-                     checkpoint_bytes: Optional[float] = None,
-                     uid: Optional[str] = None,
-                     events: Tuple[str, str, str, str] = (
-                         "node_start", "node_stop",
-                         "campaign_start", "campaign_stop")):
+                     checkpoint_bytes: Optional[float] = None):
         """Process body: stream every graph to completion; returns contexts.
 
         Nodes are submitted the moment their dependencies complete; nodes
@@ -458,14 +448,13 @@ class CampaignRunner:
 
         engine = self.session.engine
         profiler = self.session.profiler
-        uid = uid or self.session.ids.generate("campaign")
-        node_start, node_stop, start_event, stop_event = events
+        uid = self.session.ids.generate("campaign")
 
         self.node_tasks = {}
         run = _CampaignRun(
             {g.name: _GraphState(g, ctx, uid if single else f"{uid}.{g.name}")
              for g, ctx in zip(graphs, contexts)},
-            engine.event(), (node_start, node_stop))
+            engine.event())
         restored = self._restore_frontier(run, checkpoint_key,
                                           checkpoint_bytes)
 
@@ -482,7 +471,7 @@ class CampaignRunner:
                 run.nodes_counter = obs.metrics.counter(
                     "campaign_nodes_completed_total", {"campaign": uid})
 
-        profiler.record(engine.now, uid, start_event, "workflow")
+        profiler.record(engine.now, uid, "campaign_start", "workflow")
         log.info("campaign %s: %d graph(s), %d node(s) at t=%.1f", uid,
                  len(graphs), sum(len(g) for g in graphs), engine.now)
         to_run = sum(len(state.graph) - len(state.status)
@@ -515,7 +504,7 @@ class CampaignRunner:
         finally:
             if run.camp_span is not None:
                 obs.tracer.end_span(run.camp_span)
-        profiler.record(engine.now, uid, stop_event, "workflow")
+        profiler.record(engine.now, uid, "campaign_stop", "workflow")
         return contexts[0] if single else contexts
 
     # -- node records: start, join, settle, release ------------------------------------
@@ -525,7 +514,7 @@ class CampaignRunner:
         gets without waiting (a ``run=`` node: to its first yield)."""
         engine = self.session.engine
         live = _LiveNode(self, run, state, node)
-        self.session.profiler.record(engine.now, live.uid, run.events[0],
+        self.session.profiler.record(engine.now, live.uid, "node_start",
                                      "workflow")
         log.info("%s: node %s ready at t=%.1f", state.graph.name, node.name,
                  engine.now)
@@ -600,7 +589,7 @@ class CampaignRunner:
                 state.failures.append(exc)
                 log.warning("%s: node %s failed: %s", state.graph.name, name,
                             exc)
-            self.session.profiler.record(engine.now, live.uid, run.events[1],
+            self.session.profiler.record(engine.now, live.uid, "node_stop",
                                          "workflow")
         if live.span is not None:
             live.span.set_attr("status", state.status.get(name))
@@ -763,7 +752,7 @@ class CampaignRunner:
             state.status[name] = "failed"
             state.failures.append(value)
             self.session.profiler.record(self.session.engine.now, live.uid,
-                                         run.events[1], "workflow")
+                                         "node_stop", "workflow")
             log.warning("%s: node %s failed: %s", state.graph.name, name,
                         value)
         self._check_finished(run)

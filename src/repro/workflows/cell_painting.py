@@ -27,8 +27,7 @@ import numpy as np
 
 from ..pilot.description import TaskDescription
 from ..pilot.states import TaskState
-from .campaign import CampaignGraph
-from .dag import Pipeline, StageFailure, StageSpec, WorkflowRunner
+from .campaign import CampaignGraph, NodeRunner, StageFailure, TaskNode
 from .hpo import FloatParam, IntParam, RandomSampler, SearchSpace, Study, TpeSampler
 from .imaging import DOSE_LEVELS_GY, augment, extract_features, generate_dataset
 from .mlp import MLPClassifier, MLPConfig
@@ -183,12 +182,13 @@ class CellPaintingResult:
 
 
 def build_cell_painting_pipeline(
-        config: Optional[CellPaintingConfig] = None) -> Pipeline:
-    """Construct the two-stage pipeline with data/training overlap."""
+        config: Optional[CellPaintingConfig] = None) -> CampaignGraph:
+    """The two-stage pipeline with data/training overlap: a chain graph,
+    one ``run=`` node per stage."""
     config = config or CellPaintingConfig()
     config.validate()
 
-    def run_data_stage(runner: WorkflowRunner, context: Dict[str, Any]):
+    def run_data_stage(runner: NodeRunner, context: Dict[str, Any]):
         """Submit shard tasks; wait only for the training threshold."""
         descriptions = [
             TaskDescription(
@@ -213,7 +213,7 @@ def build_cell_painting_pipeline(
         labels = np.concatenate([t.result[1] for t in done])
         return feats, labels, len(done)
 
-    def run_training_stage(runner: WorkflowRunner, context: Dict[str, Any]):
+    def run_training_stage(runner: NodeRunner, context: Dict[str, Any]):
         """Concurrent HPO rounds over the data harvested so far.
 
         With ``checkpoint_key`` set on a resilient session, each completed
@@ -291,13 +291,14 @@ def build_cell_painting_pipeline(
             overlap_observed=shards_at_start < done_total,
         )
 
-    return Pipeline(name="cell-painting", stages=[
-        StageSpec(name="data-preprocessing-augmentation",
-                  resource_type="CPU", as_service=True,
-                  run=run_data_stage),
-        StageSpec(name="training-hyperparameter-optimization",
-                  resource_type="GPU", as_service=True,
-                  run=run_training_stage),
+    return CampaignGraph(name="cell-painting", nodes=[
+        TaskNode(name="data-preprocessing-augmentation",
+                 resource_type="CPU", as_service=True,
+                 run=run_data_stage),
+        TaskNode(name="training-hyperparameter-optimization",
+                 deps=("data-preprocessing-augmentation",),
+                 resource_type="GPU", as_service=True,
+                 run=run_training_stage),
     ])
 
 
@@ -308,10 +309,10 @@ def build_cell_painting_campaign(
     Cell Painting already streams *internally*: the data stage returns as
     soon as ``min_shards_to_train`` shards exist, and the HPO stage folds
     later shards in round by round -- its "barrier" was always a
-    threshold, not a full stage wait.  The campaign form therefore keeps
-    the same two custom nodes (lowered from the pipeline's linear chain)
-    and its value is *composition*: the graph can run inside one campaign
-    alongside other workflow graphs, sharing the allocation, the
-    backpressure window and the frontier checkpoints.
+    threshold, not a full stage wait.  The campaign form therefore *is*
+    the pipeline's two-node chain and its value is *composition*: the
+    graph can run inside one campaign alongside other workflow graphs,
+    sharing the allocation, the backpressure window and the frontier
+    checkpoints.
     """
-    return build_cell_painting_pipeline(config).to_graph()
+    return build_cell_painting_pipeline(config)

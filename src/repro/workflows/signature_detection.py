@@ -25,8 +25,7 @@ import numpy as np
 from ..comm.message import Address
 from ..pilot.description import TaskDescription
 from ..pilot.states import TaskState
-from .campaign import CampaignGraph, TaskNode
-from .dag import Pipeline, StageSpec, WorkflowRunner
+from .campaign import CampaignGraph, NodeRunner, TaskNode
 from .dose_response import DoseResponseFit, fit_hill, fit_linear
 from .pathways import EnrichmentResult, PathwayDatabase, enrich
 from .vcf import generate_vcf, parse_vcf, transition_fraction, write_vcf
@@ -135,8 +134,9 @@ class SignatureResult:
 def build_signature_pipeline(
         config: Optional[SignatureConfig] = None,
         llm_targets: Optional[Sequence[Address]] = None,
-        client_platform: str = "delta") -> Pipeline:
-    """Construct the three-stage pipeline.
+        client_platform: str = "delta") -> CampaignGraph:
+    """The three-stage pipeline: a chain graph, one node per stage, so
+    each stage's whole bag completes before the next stage builds.
 
     *llm_targets*: service endpoints for stage 3's LLM comparison; when
     empty, the stage degrades to dose-response analysis only.
@@ -172,20 +172,22 @@ def build_signature_pipeline(
         context["enrichments"] = [t.result for t in tasks
                                   if t.state == TaskState.DONE]
 
-    def run_stage3(runner: WorkflowRunner, context: Dict[str, Any]):
+    def run_stage3(runner: NodeRunner, context: Dict[str, Any]):
         yield from analyse_signatures(
             runner, context, context["annotations"], context["enrichments"],
             database, llm_targets, client_platform)
 
-    return Pipeline(name="signature-detection", stages=[
-        StageSpec(name="data-preparation", resource_type="CPU",
-                  as_service=True, build=build_stage1,
-                  collect=collect_stage1),
-        StageSpec(name="mutation-detection-analysis", resource_type="CPU",
-                  as_service=False, build=build_stage2,
-                  collect=collect_stage2),
-        StageSpec(name="llm-signature-comparison", resource_type="GPU",
-                  as_service=True, run=run_stage3),
+    return CampaignGraph(name="signature-detection", nodes=[
+        TaskNode(name="data-preparation", resource_type="CPU",
+                 as_service=True, build=build_stage1,
+                 collect=collect_stage1),
+        TaskNode(name="mutation-detection-analysis",
+                 deps=("data-preparation",), resource_type="CPU",
+                 as_service=False, build=build_stage2,
+                 collect=collect_stage2),
+        TaskNode(name="llm-signature-comparison",
+                 deps=("mutation-detection-analysis",), resource_type="GPU",
+                 as_service=True, run=run_stage3),
     ])
 
 

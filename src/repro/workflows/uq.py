@@ -26,7 +26,6 @@ import numpy as np
 from ..pilot.description import TaskDescription
 from ..pilot.states import TaskState
 from .campaign import CampaignGraph, TaskNode
-from .dag import Pipeline, StageSpec, WorkflowRunner
 from .generator_data import make_qa_dataset
 from .uq_methods import UQMetrics, UQ_METHODS, create_uq_method, evaluate_probs
 
@@ -162,8 +161,9 @@ class UQResult:
         return min(rows, key=lambda r: getattr(r, metric)).method
 
 
-def build_uq_pipeline(config: Optional[UQConfig] = None) -> Pipeline:
-    """Construct the three-stage UQ pipeline."""
+def build_uq_pipeline(config: Optional[UQConfig] = None) -> CampaignGraph:
+    """The three-stage UQ pipeline: a chain graph, one node per stage, so
+    each stage's whole bag completes before the next stage builds."""
     config = config or UQConfig()
     config.validate()
 
@@ -250,22 +250,18 @@ def build_uq_pipeline(config: Optional[UQConfig] = None) -> Pipeline:
                                      summary=task.result)
 
     if config.checkpoint_key:
-        methods_stage = StageSpec(name="uq-methods-three-level",
-                                  resource_type="GPU", as_service=False,
-                                  run=run_stage2_checkpointed)
+        methods = {"run": run_stage2_checkpointed}
     else:
-        methods_stage = StageSpec(name="uq-methods-three-level",
-                                  resource_type="GPU", as_service=False,
-                                  build=build_stage2,
-                                  collect=collect_stage2)
-    return Pipeline(name="uncertainty-quantification", stages=[
-        StageSpec(name="data-preparation", resource_type="CPU",
-                  as_service=True, build=build_stage1,
-                  collect=collect_stage1),
-        methods_stage,
-        StageSpec(name="post-processing", resource_type="GPU",
-                  as_service=True, build=build_stage3,
-                  collect=collect_stage3),
+        methods = {"build": build_stage2, "collect": collect_stage2}
+    return CampaignGraph(name="uncertainty-quantification", nodes=[
+        TaskNode(name="data-preparation", resource_type="CPU",
+                 as_service=True, build=build_stage1,
+                 collect=collect_stage1),
+        TaskNode(name="uq-methods-three-level", deps=("data-preparation",),
+                 resource_type="GPU", as_service=False, **methods),
+        TaskNode(name="post-processing", deps=("uq-methods-three-level",),
+                 resource_type="GPU", as_service=True, build=build_stage3,
+                 collect=collect_stage3),
     ])
 
 

@@ -314,20 +314,6 @@ class TestFromProfiler:
         assert attr.nodes["g/b"].dominant_phase()[0] == "execute"
         assert attr.validate() == []
 
-    def test_ring_retention_with_evicted_rows_still_attributes(self):
-        # ring keeps only the newest rows; _first timestamps survive, so
-        # attribution sees every task even after eviction
-        profiler = Profiler(level="full", max_rows=3, retention="ring")
-        for i in range(4):
-            self._record_lifecycle(profiler, f"t.{i}", 10.0 * i,
-                                   exec_s=5.0)
-        assert len(profiler) == 3  # rows evicted
-        attr = CampaignAttribution.from_profiler(profiler)
-        assert len(attr.nodes) == 4
-        for node in attr.nodes.values():
-            assert node.dominant_phase()[0] == "execute"
-        assert attr.validate() == []
-
     def test_task_without_stamps_degrades_gracefully(self):
         profiler = Profiler(level="durations")
         self._record_lifecycle(profiler, "t.a", 0.0)

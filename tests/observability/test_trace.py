@@ -175,17 +175,16 @@ class TestSpansFromProfiler:
             "stage_out": (20.0, 21.0),
         }
 
-    def test_ring_retention_survives_row_eviction(self):
-        # a tiny ring keeps only the last 3 raw rows, but first timestamps
-        # live outside the ring: reconstruction must not degrade
-        full = Profiler(level="durations")
-        ring = Profiler(level="full", retention="ring", max_rows=3)
+    def test_full_level_rebuilds_the_same_spans(self):
+        # reconstruction reads first timestamps, which both levels answer
+        durations = Profiler(level="durations")
+        full = Profiler(level="full")
         for uid, t0 in (("task.0", 0.0), ("task.1", 10.0),
                         ("task.2", 20.0), ("task.3", 30.0)):
+            self._record_lifecycle(durations, uid, t0)
             self._record_lifecycle(full, uid, t0)
-            self._record_lifecycle(ring, uid, t0)
-        assert len(ring) == 3 and ring.dropped > 0  # tail-only retention
-        rebuilt = [s.as_dict() for s in spans_from_profiler(ring)]
-        reference = [s.as_dict() for s in spans_from_profiler(full)]
+        assert len(durations) == 0 and len(full) == full.recorded
+        rebuilt = [s.as_dict() for s in spans_from_profiler(full)]
+        reference = [s.as_dict() for s in spans_from_profiler(durations)]
         assert rebuilt == reference
         assert len([s for s in rebuilt if s["parent_id"] is None]) == 4

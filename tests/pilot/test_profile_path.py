@@ -4,6 +4,8 @@ to walk), and who pays for the rows instead (the first reader, once)."""
 
 import gc
 
+import pytest
+
 from repro.pilot import (
     PilotDescription,
     PilotManager,
@@ -36,9 +38,9 @@ def run_bag(session, tmgr, n_tasks):
     assert all(t.state == TaskState.DONE for t in tasks)
 
 
-def bag_session(n_tasks):
-    """A default session that has run *n_tasks* plain tasks, unread."""
-    session = Session(seed=5)
+def bag_session(n_tasks, profile="full"):
+    """A session that has run *n_tasks* plain tasks, its profile unread."""
+    session = Session(seed=5, profile=profile)
     pmgr, tmgr = PilotManager(session), TaskManager(session)
     (pilot,) = pmgr.submit_pilots(
         PilotDescription(resource="delta", nodes=2, runtime_s=1e9))
@@ -59,6 +61,26 @@ def test_one_plain_task_costs_nine_records_and_no_row(monkeypatch):
             profiler = session.profiler
             assert len(profiler._log) == 4 * n and profiler._rows == []
             assert profiler._indices == ({}, {}, {})
+
+
+@pytest.mark.parametrize("level", Profiler.LEVELS)
+def test_nothing_is_derived_while_the_run_is_going(monkeypatch, level):
+    # 9,000+ records: past any chunk a run could have closed on the way
+    built = count_rows_built(monkeypatch)
+    session, _ = bag_session(1000, profile=level)
+    with session:
+        profiler = session.profiler
+        assert profiler.recorded > 9000
+        assert len(profiler._log) == \
+            (0 if level == "off" else 4 * profiler.recorded)
+        assert built[0] == 0 and profiler._rows == []
+        assert profiler._indices == ({}, {}, {})    # no first stamp either
+        # the first reader derives what the level keeps, and only that
+        stamped = len(profiler.uids_with_event("exec_start"))
+        assert stamped == (0 if level == "off" else 1000)
+        assert profiler._log == []
+        assert built[0] == len(profiler) == \
+            (profiler.recorded if level == "full" else 0)
 
 
 def test_the_first_reader_builds_each_row_once(monkeypatch):

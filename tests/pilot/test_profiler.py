@@ -1,10 +1,16 @@
 """Tests for the profile-event store."""
 
 import json
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.pilot import Profiler
+
+#: written by the parent commit's ``Profiler(max_rows=4, retention="spill")``
+#: and finalised by its ``close_spill()``: 3 task lifecycles, 24 records
+PARENT_SPILL = Path(__file__).parent / "data" / "parent_spill.jsonl"
 
 
 class TestProfiler:
@@ -96,17 +102,7 @@ class TestTiers:
         assert p.durations(["t"], "x", "y").size == 0
         assert p.recorded == 1 and p.dropped == 1
 
-    def test_full_tier_max_rows_bound(self):
-        p = Profiler(max_rows=3)
-        for i in range(10):
-            p.record(float(i), f"t{i}", "x")
-        assert len(p) == 3
-        assert p.dropped == 7
-        # first-timestamp queries still work past the row bound
-        assert p.timestamp("t9", "x") == 9.0
-
     def test_unknown_level_rejected(self):
-        import pytest
         with pytest.raises(ValueError, match="level"):
             Profiler(level="verbose")
 
@@ -128,81 +124,6 @@ class TestTiers:
             assert s.profiler.level == "durations"
 
 
-class TestRetention:
-    def test_bound_retention_keeps_oldest(self):
-        p = Profiler(max_rows=3)
-        for i in range(5):
-            p.record(float(i), f"t{i}", "ev")
-        assert [r.uid for r in p.events()] == ["t0", "t1", "t2"]
-        assert p.dropped == 2
-        assert p.recorded == 5
-
-    def test_ring_retention_keeps_newest(self):
-        p = Profiler(max_rows=3, retention="ring")
-        for i in range(5):
-            p.record(float(i), f"t{i}", "ev")
-        assert [r.uid for r in p.events()] == ["t2", "t3", "t4"]
-        assert p.dropped == 2
-        assert p.recorded == 5
-        assert len(p) == 3
-
-    def test_ring_uid_and_event_queries_scan_the_window(self):
-        p = Profiler(max_rows=4, retention="ring")
-        for i in range(6):
-            p.record(float(i), f"t{i % 2}", "a" if i % 3 else "b")
-        assert [r.time for r in p.events(uid="t0")] == [2.0, 4.0]
-        assert [r.time for r in p.events(uid="t1", event="a")] == [5.0]
-
-    def test_ring_keeps_first_timestamps_for_durations(self):
-        """Evictions only affect row queries: the durations store still
-        answers with the *first* occurrence, as in every tier."""
-        p = Profiler(max_rows=2, retention="ring")
-        p.record(1.0, "t", "start")
-        p.record(9.0, "t", "stop")
-        p.record(11.0, "t", "start")   # evicts the 1.0 row
-        assert p.timestamp("t", "start") == 1.0
-        assert p.duration("t", "start", "stop") == 8.0
-
-    def test_zero_row_ring_retains_nothing_and_counts_every_drop(self):
-        # was: IndexError on the first record (evicting from an empty ring)
-        ring, bound = (Profiler(max_rows=0, retention=r)
-                       for r in ("ring", "bound"))
-        for p in (ring, bound):
-            p.record(1.0, "t", "start")
-            p.record(4.0, "t", "stop")
-            p.record(9.0, "t", "start")
-        for p in (ring, bound):
-            assert (len(p), p.events(), p.events(uid="t")) == (0, [], [])
-            assert (p.recorded, p.dropped) == (3, 3)
-            assert p.duration("t", "start", "stop") == 3.0
-            assert p.uids_with_event("start") == ["t"]
-
-    def test_session_accepts_a_zero_row_ring(self):
-        from repro.pilot import Session
-        with Session(profile_retention="ring", profile_max_rows=0) as s:
-            s.profiler.record(0.0, "t", "x")
-            assert (len(s.profiler), s.profiler.dropped) == (0, 1)
-            assert s.profiler.timestamp("t", "x") == 0.0
-
-    def test_ring_without_max_rows_is_unbounded(self):
-        p = Profiler(retention="ring")
-        for i in range(10):
-            p.record(float(i), "t", f"e{i}")
-        assert len(p) == 10
-        assert p.dropped == 0
-
-    def test_retention_validation(self):
-        import pytest
-        with pytest.raises(ValueError, match="retention"):
-            Profiler(retention="lifo")
-
-    def test_clear_resets_ring(self):
-        p = Profiler(max_rows=2, retention="ring")
-        p.record(1.0, "t", "a")
-        p.clear()
-        assert len(p) == 0 and p.recorded == 0
-
-
 class TestUidIndex:
     def test_uid_queries_match_linear_scan(self):
         p = Profiler()
@@ -212,28 +133,6 @@ class TestUidIndex:
             indexed = p.events(uid=uid)
             scanned = [r for r in p._rows if r.uid == uid]
             assert indexed == scanned
-
-    def test_ring_eviction_prunes_the_index_exactly(self):
-        p = Profiler(max_rows=4, retention="ring")
-        for i in range(10):
-            p.record(float(i), f"t{i % 3}", "ev")
-        # the index holds exactly the retained rows, per uid, in order
-        for uid in ("t0", "t1", "t2"):
-            assert p.events(uid=uid) == \
-                [r for r in p._rows if r.uid == uid]
-        # uids whose every row was evicted vanish from the index
-        p2 = Profiler(max_rows=1, retention="ring")
-        p2.record(0.0, "old", "ev")
-        p2.record(1.0, "new", "ev")
-        assert p2.events(uid="old") == []
-        assert "old" not in p2._by_uid
-
-    def test_bound_retention_index_stops_at_cap(self):
-        p = Profiler(max_rows=2)
-        p.record(0.0, "a", "x")
-        p.record(1.0, "a", "y")
-        p.record(2.0, "a", "z")  # dropped past the bound
-        assert [r.event for r in p.events(uid="a")] == ["x", "y"]
 
 
 class TestJsonlPersistence:
@@ -248,7 +147,7 @@ class TestJsonlPersistence:
         path = tmp_path / "p.jsonl"
         assert p.to_jsonl(str(path)) == 1 + 3 + 3  # meta + firsts + rows
         q = Profiler.from_jsonl(str(path))
-        assert q.level == p.level and q.max_rows == p.max_rows
+        assert q.level == p.level
         assert q.events() == p.events()
         assert q._first == p._first
         assert q.recorded == p.recorded and q.dropped == p.dropped
@@ -262,18 +161,6 @@ class TestJsonlPersistence:
         assert q.level == "durations" and len(q) == 0
         assert q.duration("t0", "start", "stop") == 1.0
 
-    def test_round_trip_ring_preserves_window_and_stamps(self, tmp_path):
-        p = Profiler(max_rows=2, retention="ring")
-        self._populate(p)  # evicts the t=1.0 row
-        path = tmp_path / "p.jsonl"
-        p.to_jsonl(str(path))
-        q = Profiler.from_jsonl(str(path))
-        assert q.retention == "ring" and q.max_rows == 2
-        assert q.events() == p.events()
-        # the evicted row's first stamp survives via the "f" lines
-        assert q.timestamp("t0", "start") == 1.0
-        assert q.dropped == p.dropped
-
     def test_uid_index_rebuilt_on_load(self, tmp_path):
         p = self._populate(Profiler())
         path = tmp_path / "p.jsonl"
@@ -281,12 +168,95 @@ class TestJsonlPersistence:
         q = Profiler.from_jsonl(str(path))
         assert [r.event for r in q.events(uid="t0")] == ["start", "stop"]
 
+    @pytest.mark.parametrize("level", Profiler.LEVELS)
+    def test_round_trip_every_level(self, level, tmp_path):
+        p = Profiler(level=level)
+        for i in range(8):
+            p.record(float(i), f"t{i % 2}", f"e{i % 3}", "c")
+        path = str(tmp_path / "p.jsonl")
+        p.to_jsonl(path)
+        q = Profiler.from_jsonl(path)
+        assert (q.level, q.recorded, q.dropped) == \
+            (level, 8, 8 if level == "off" else 0)
+        assert q._first == p._first and q.events() == p.events()
+        assert len(q) == (8 if level == "full" else 0)
+        q.to_jsonl(path + ".again")
+        assert Path(path).read_bytes() == Path(path + ".again").read_bytes()
+
+    @pytest.mark.parametrize("lines", [
+        [],                                             # empty file
+        [["r", 1.0, "t", "a", "c"]],                    # a row, no header
+        [["f", 1.0, "t", "a"]],                         # a stamp, no header
+        [["r", 1.0, "t", "a", "c"], {"meta": {"level": "full",
+                                              "recorded": 1}}],
+    ], ids=["empty", "row-first", "stamp-first", "meta-last"])
+    def test_file_without_a_meta_header_is_refused(self, lines, tmp_path):
+        # was: AttributeError: 'NoneType' object has no attribute 'record'
+        path = tmp_path / "p.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(ValueError, match="no meta line in profile file"):
+            Profiler.from_jsonl(str(path))
+
+    def test_meta_only_file_is_an_empty_profile(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps({"meta": {"level": "full",
+                                             "recorded": 0}}) + "\n")
+        q = Profiler.from_jsonl(str(path))
+        assert (q.level, q.recorded, len(q), q.events()) == ("full", 0, 0, [])
+        assert q.timestamp("t", "a") is None
+
+
+class TestParentSpillFile:
+    """The spill stream is gone; the files it wrote are still input."""
+
+    UIDS = ["task.0", "task.1", "task.2"]
+
+    def test_every_row_and_first_stamp_is_queryable(self):
+        header, *lines, final = [
+            json.loads(ln) for ln in PARENT_SPILL.read_text().splitlines()]
+        assert header["meta"]["recorded"] == 0        # provisional
+        assert final["meta"] == {
+            "level": "full", "max_rows": 4, "retention": "spill",
+            "recorded": 24, "dropped": 0, "spilled": 24}
+        q = Profiler.from_jsonl(str(PARENT_SPILL))
+        assert (q.level, q.recorded, q.dropped, len(q)) == ("full", 24, 0, 24)
+        assert [list(r) for r in q.events()] == \
+            [ln[1:] for ln in lines if ln[0] == "r"]
+        for ln in lines:
+            if ln[0] == "f":
+                assert q.timestamp(ln[2], ln[3]) == ln[1]
+        # the uid index spans what were spill chunks; a repeat does not
+        # move the first stamp
+        assert [len(q.events(uid=uid)) for uid in self.UIDS] == [8, 8, 8]
+        assert [r.time for r in q.events(uid="task.1", event="exec_start")] \
+            == [13.0, 19.0]
+        assert q.timestamp("task.1", "exec_start") == 13.0
+        assert q.uids_with_event("exec_start") == self.UIDS
+
+    def test_spans_and_attribution_from_the_reloaded_file(self):
+        from repro.observability import (
+            CampaignAttribution,
+            spans_from_profiler,
+        )
+        q = Profiler.from_jsonl(str(PARENT_SPILL))
+        live = Profiler()
+        for row in q.events():
+            live.record(*row)
+        spans = [s.as_dict() for s in spans_from_profiler(q)]
+        assert spans == [s.as_dict() for s in spans_from_profiler(live)]
+        assert len(spans) == 3 * 6  # root + 5 phases per task
+        attr = CampaignAttribution.from_profiler(q)
+        # each task standalone: one attribution node per task uid
+        assert sorted(attr.nodes) == self.UIDS
+        assert attr.report() == CampaignAttribution.from_profiler(
+            live).report()
+
 
 # -- derived indices ----------------------------------------------------------
 class TestDerivedIndices:
     """Records append to a flat log; rows and indices are derived when a
-    reader arrives (``tests/test_properties.py`` holds every configuration
-    to the eager reference profiler)."""
+    reader arrives (``tests/test_properties.py`` holds every level to the
+    eager reference profiler)."""
 
     def test_record_alone_builds_no_index(self):
         p = Profiler()
@@ -302,26 +272,10 @@ class TestDerivedIndices:
         p.clear()
         assert p._indexed == 0 and p.timestamp("t1", "ev") is None
 
-    def test_configurations_that_drop_rows_stamp_when_the_chunk_closes(
-            self, tmp_path):
-        # no reader in sight: record() closes a full chunk itself, and the
-        # first stamps are folded before retention lets the rows go
-        for kwargs in ({"level": "durations", "max_rows": 2}, {"max_rows": 2},
-                       {"max_rows": 2, "retention": "ring"},
-                       {"max_rows": 2, "retention": "spill",
-                        "spill_path": str(tmp_path / "s.jsonl")}):
-            p = Profiler(**kwargs)
-            p.record(1.0, "t", "a")
-            assert p._indices[0] == {} and len(p._log) == 4, kwargs
-            p.record(2.0, "t", "b")
-            p.record(3.0, "t", "c")
-            assert set(p._indices[0]) == {("t", "a"), ("t", "b")}, kwargs
-            assert len(p._log) == 4 and len(p._rows) <= 2, kwargs
-            p.close_spill()
-
     def test_reloaded_first_stamps_win_over_derivation(self, tmp_path):
-        # "f" lines are restored verbatim (they may outlive their rows, or
-        # precede them); rows derived later must not overwrite them
+        # "f" lines are restored verbatim (in a file written under the
+        # former row bound they may outlive their rows); rows derived later
+        # must not overwrite them, and the old meta keys are ignored
         path = tmp_path / "p.jsonl"
         meta = {"level": "full", "max_rows": None, "retention": "bound",
                 "recorded": 3, "dropped": 1, "spilled": 0}
@@ -332,7 +286,6 @@ class TestDerivedIndices:
             ["r", 1.0, "t", "a", "c"],
             ["r", 2.0, "t", "b", "c"])) + "\n")
         p = Profiler.from_jsonl(str(path))
-        assert not p._drops
         assert p.timestamp("t", "a") == 0.75 and p.timestamp("t", "b") == 2.0
         assert p.uids_with_event("a") == ["gone", "t"]
         assert (p.recorded, p.dropped, len(p)) == (3, 1, 2)

@@ -12,8 +12,8 @@ from repro import (
 )
 from repro.resilience import RetryPolicy
 from repro.workflows import (
+    CampaignRunner,
     CellPaintingConfig,
-    WorkflowRunner,
     build_cell_painting_pipeline,
 )
 
@@ -31,7 +31,7 @@ def runner_with_pilot(session, nodes=2):
     (pilot,) = pmgr.submit_pilots(
         PilotDescription(resource="delta", nodes=nodes, runtime_s=1e9))
     tmgr.add_pilots(pilot)
-    return WorkflowRunner(session, tmgr)
+    return CampaignRunner(session, tmgr)
 
 
 class TestCheckpointer:
@@ -77,7 +77,7 @@ class TestCheckpointer:
     def test_interval_policy_gates_workflow_saves(self):
         """interval_iters=2: the UQ grid persists every 2nd chunk plus the
         final one, instead of every chunk."""
-        from repro.workflows import WorkflowRunner, build_uq_pipeline
+        from repro.workflows import build_uq_pipeline
         from repro.workflows.uq import UQConfig
 
         store = {}
@@ -87,7 +87,7 @@ class TestCheckpointer:
             runner = runner_with_pilot(session)
             pipe = build_uq_pipeline(UQConfig(checkpoint_key="uq-gated",
                                               checkpoint_chunk=3))
-            proc = session.engine.process(runner.run_pipeline(pipe))
+            proc = session.engine.process(runner.run_campaign(pipe))
             session.run(until=proc)
             # 12 cells / chunk 3 = 4 chunks: saves at chunk 1 (due) and
             # chunk 3 (final), not 4
@@ -99,7 +99,7 @@ class TestCheckpointer:
         every remaining cell exactly once (resume is by completed-cell
         count, not chunk index)."""
         from repro.sim.events import Interrupt
-        from repro.workflows import WorkflowRunner, build_uq_pipeline
+        from repro.workflows import build_uq_pipeline
         from repro.workflows.uq import UQConfig
 
         store = {}
@@ -112,7 +112,7 @@ class TestCheckpointer:
 
                 def campaign():
                     try:
-                        return (yield from runner.run_pipeline(pipe))
+                        return (yield from runner.run_campaign(pipe))
                     except Interrupt:
                         return None
 
@@ -162,13 +162,13 @@ class TestCellPaintingCheckpointing:
                 n_trials=8, concurrent_trials=2,
                 checkpoint_key="cp-campaign"))
 
-            # NB: no dag-level checkpoint_key here -- this pipeline stashes
+            # NB: no run_campaign checkpoint_key here -- this pipeline stashes
             # live Task handles in its context, so cross-session restarts
             # rely on the HPO stage's own round-level checkpoints (stage 1
             # re-runs, told trials are not re-fitted).
             def campaign():
                 try:
-                    return (yield from runner.run_pipeline(pipeline))
+                    return (yield from runner.run_campaign(pipeline))
                 except Interrupt:
                     return None  # the campaign process died
 

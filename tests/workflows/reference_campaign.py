@@ -216,9 +216,7 @@ class ReferenceCampaignRunner(CampaignRunner):
         self.states: Dict[str, _GraphState] = {}
 
     def run_campaign(self, graphs, contexts=None, checkpoint_key="",
-                     checkpoint_bytes=None, uid=None,
-                     events=("node_start", "node_stop",
-                             "campaign_start", "campaign_stop")):
+                     checkpoint_bytes=None):
         single = isinstance(graphs, CampaignGraph)
         graphs = [graphs] if single else list(graphs)
         if not graphs:
@@ -235,8 +233,7 @@ class ReferenceCampaignRunner(CampaignRunner):
 
         engine = self.session.engine
         profiler = self.session.profiler
-        uid = uid or self.session.ids.generate("campaign")
-        node_start, node_stop, start_event, stop_event = events
+        uid = self.session.ids.generate("campaign")
 
         self.node_tasks = {}
         run = _CampaignRun({g.name: _GraphState(g, ctx, engine)
@@ -257,7 +254,7 @@ class ReferenceCampaignRunner(CampaignRunner):
                 run.nodes_counter = obs.metrics.counter(
                     "campaign_nodes_completed_total", {"campaign": uid})
 
-        profiler.record(engine.now, uid, start_event, "workflow")
+        profiler.record(engine.now, uid, "campaign_start", "workflow")
         procs = []
         for graph in graphs:
             state = run.states[graph.name]
@@ -266,8 +263,7 @@ class ReferenceCampaignRunner(CampaignRunner):
                 if state.status.get(name) == "done":
                     continue  # restored from the checkpoint frontier
                 procs.append(engine.process(self._run_node(
-                    run, state, graph.nodes[name], f"{prefix}.{name}",
-                    node_start, node_stop)))
+                    run, state, graph.nodes[name], f"{prefix}.{name}")))
         try:
             try:
                 if procs:
@@ -286,10 +282,10 @@ class ReferenceCampaignRunner(CampaignRunner):
         finally:
             if run.camp_span is not None:
                 obs.tracer.end_span(run.camp_span)
-        profiler.record(engine.now, uid, stop_event, "workflow")
+        profiler.record(engine.now, uid, "campaign_stop", "workflow")
         return contexts[0] if single else contexts
 
-    def _run_node(self, run, state, node, node_uid, start_event, stop_event):
+    def _run_node(self, run, state, node, node_uid):
         engine = self.session.engine
         profiler = self.session.profiler
         obs = self.session.observability
@@ -306,7 +302,7 @@ class ReferenceCampaignRunner(CampaignRunner):
                 state.status[node.name] = "skipped"
                 done.succeed("skipped")
                 return
-            profiler.record(engine.now, node_uid, start_event, "workflow")
+            profiler.record(engine.now, node_uid, "node_start", "workflow")
             live = True
             if run.frontier_gauge is not None:
                 run.frontier_gauge.inc()
@@ -326,7 +322,7 @@ class ReferenceCampaignRunner(CampaignRunner):
                 if node.collect is not None:
                     node.collect(state.context, tasks)
             state.status[node.name] = "done"
-            profiler.record(engine.now, node_uid, stop_event, "workflow")
+            profiler.record(engine.now, node_uid, "node_stop", "workflow")
             if run.nodes_counter is not None:
                 run.nodes_counter.inc()
             # settle *before* checkpointing: dependents stream while the
@@ -344,7 +340,7 @@ class ReferenceCampaignRunner(CampaignRunner):
         except Exception as exc:
             state.status[node.name] = "failed"
             state.failures.append(exc)
-            profiler.record(engine.now, node_uid, stop_event, "workflow")
+            profiler.record(engine.now, node_uid, "node_stop", "workflow")
             if not done.triggered:
                 done.succeed("failed")
         finally:

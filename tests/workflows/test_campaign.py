@@ -81,15 +81,39 @@ class TestGraphValidation:
         assert order.index("a") < order.index("b") < order.index("z")
 
     def test_pipeline_lowering_is_a_chain(self):
-        from repro.workflows import Pipeline, StageSpec
-        pipeline = Pipeline(name="p", stages=[
-            StageSpec(name="s0", build=lambda c: []),
-            StageSpec(name="s1", build=lambda c: []),
-            StageSpec(name="s2", build=lambda c: [])])
-        graph = pipeline.to_graph()
-        assert graph.topological_order() == ["s0", "s1", "s2"]
-        assert graph.nodes["s1"].deps == ("s0",)
-        assert graph.table_rows() == pipeline.table_rows()
+        # a stage sequence is the chain graph: stage k+1 deps=(stage k,)
+        from repro.workflows import (
+            build_cell_painting_pipeline,
+            build_signature_pipeline,
+            build_uq_pipeline,
+        )
+        for build, n_stages in ((build_cell_painting_pipeline, 2),
+                                (build_signature_pipeline, 3),
+                                (build_uq_pipeline, 3)):
+            graph = build()
+            stages = [node.name for node in graph]
+            assert len(stages) == n_stages
+            assert graph.topological_order() == stages
+            assert [node.deps for node in graph] == \
+                [()] + [(name,) for name in stages[:-1]]
+            assert [row["stage"] for row in graph.table_rows()] == stages
+
+    def test_toposort_is_linear_in_the_width_of_the_ready_list(self):
+        # 20,000 roots feeding 20,000 leaves: a quadratic pop-from-the-front
+        # takes seconds here; FIFO order (roots first, then each node as its
+        # last input is placed) is unchanged
+        import time
+        n = 20_000
+        nodes = [TaskNode(name=f"r{i}", build=lambda c: []) for i in range(n)]
+        nodes += [TaskNode(name=f"l{i}", deps=(f"r{i}", f"r{(i + 1) % n}"),
+                           build=lambda c: []) for i in range(n)]
+        t0 = time.perf_counter()
+        graph = CampaignGraph(name="wide", nodes=nodes)
+        elapsed = time.perf_counter() - t0
+        order = graph.topological_order()
+        assert order[:n] == [f"r{i}" for i in range(n)]
+        assert order[n:] == [f"l{i}" for i in range(n)]
+        assert elapsed < 1.0
 
 
 class TestStreamingExecution:
@@ -155,27 +179,25 @@ class TestStreamingExecution:
         assert contexts[0]["done_at"] < 40.0 < contexts[1]["done_at"]
 
     def test_concurrent_campaigns_on_one_runner_do_not_interfere(self, env):
-        """Run state is scoped per run_campaign invocation: two pipelines
-        driven concurrently through one shared WorkflowRunner (as the old
-        barrier runner allowed) keep independent failure accounting."""
-        from repro.workflows import Pipeline, StageSpec, WorkflowRunner
-
+        """Run state is scoped per run_campaign invocation: two graphs
+        driven concurrently through one shared runner keep independent
+        failure accounting."""
         session, tmgr = env
-        runner = WorkflowRunner(session, tmgr)
+        runner = CampaignRunner(session, tmgr)
 
         def boom():
             raise RuntimeError("first pipeline fails")
 
-        failing = Pipeline(name="failing", stages=[
-            StageSpec(name="bad", build=lambda c: [
+        failing = CampaignGraph(name="failing", nodes=[
+            TaskNode(name="bad", build=lambda c: [
                 TaskDescription(name="bad", function=boom)])])
-        healthy = Pipeline(name="healthy", stages=[
-            StageSpec(name="slow", build=lambda c: [sim_task("slow", 30.0)],
-                      collect=lambda c, t: c.update(ok=True))])
+        healthy = CampaignGraph(name="healthy", nodes=[
+            TaskNode(name="slow", build=lambda c: [sim_task("slow", 30.0)],
+                     collect=lambda c, t: c.update(ok=True))])
 
-        # start the slow healthy pipeline first, then the failing one
-        healthy_proc = session.engine.process(runner.run_pipeline(healthy))
-        failing_proc = session.engine.process(runner.run_pipeline(failing))
+        # start the slow healthy campaign first, then the failing one
+        healthy_proc = session.engine.process(runner.run_campaign(healthy))
+        failing_proc = session.engine.process(runner.run_campaign(failing))
         with pytest.raises(StageFailure):
             session.run(until=failing_proc)
         context = session.run(until=healthy_proc)
@@ -652,7 +674,6 @@ class TestPortedUseCases:
     def test_signature_campaign_matches_pipeline(self, env):
         from repro.workflows import (
             SignatureConfig,
-            WorkflowRunner,
             build_signature_campaign,
             build_signature_pipeline,
         )
@@ -670,9 +691,9 @@ class TestPortedUseCases:
             (pilot,) = pmgr.submit_pilots(
                 PilotDescription(resource="delta", nodes=2, runtime_s=1e9))
             tmgr2.add_pilots(pilot)
-            wrunner = WorkflowRunner(session2, tmgr2)
+            wrunner = CampaignRunner(session2, tmgr2)
             proc = session2.engine.process(
-                wrunner.run_pipeline(build_signature_pipeline(config)))
+                wrunner.run_campaign(build_signature_pipeline(config)))
             barriered = session2.run(until=proc)["result"]
 
         assert [a.sample_id for a in streamed.annotations] == \
@@ -686,7 +707,6 @@ class TestPortedUseCases:
     def test_uq_campaign_matches_pipeline(self, env):
         from repro.workflows import (
             UQConfig,
-            WorkflowRunner,
             build_uq_campaign,
             build_uq_pipeline,
         )
@@ -704,9 +724,9 @@ class TestPortedUseCases:
             (pilot,) = pmgr.submit_pilots(
                 PilotDescription(resource="delta", nodes=2, runtime_s=1e9))
             tmgr2.add_pilots(pilot)
-            wrunner = WorkflowRunner(session2, tmgr2)
+            wrunner = CampaignRunner(session2, tmgr2)
             proc = session2.engine.process(
-                wrunner.run_pipeline(build_uq_pipeline(config)))
+                wrunner.run_campaign(build_uq_pipeline(config)))
             barriered = session2.run(until=proc)["result"]
 
         key = lambda c: (c.model, c.method, c.seed)  # noqa: E731

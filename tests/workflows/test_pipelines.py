@@ -11,18 +11,18 @@ from repro import (
     TaskManager,
 )
 from repro.workflows import (
+    CampaignGraph,
+    CampaignRunner,
     CellPaintingConfig,
-    Pipeline,
     SignatureConfig,
-    StageSpec,
+    StageFailure,
+    TaskNode,
     UQConfig,
-    WorkflowRunner,
     build_cell_painting_pipeline,
     build_signature_pipeline,
     build_uq_pipeline,
 )
 from repro.pilot.description import TaskDescription
-from repro.workflows.dag import StageFailure
 
 
 @pytest.fixture
@@ -33,32 +33,35 @@ def env():
         (pilot,) = pmgr.submit_pilots(
             PilotDescription(resource="delta", nodes=2, runtime_s=1e9))
         tmgr.add_pilots(pilot)
-        runner = WorkflowRunner(session, tmgr)
+        runner = CampaignRunner(session, tmgr)
         yield session, tmgr, runner, pmgr, pilot
 
 
 def run(session, runner, pipeline, context=None):
-    proc = session.engine.process(runner.run_pipeline(pipeline, context))
+    proc = session.engine.process(
+        runner.run_campaign(pipeline, contexts=context))
     return session.run(until=proc)
 
 
 class TestDagLayer:
+    """A pipeline is a chain graph: one node per stage."""
+
     def test_stage_requires_exactly_one_mode(self):
         with pytest.raises(ValueError):
-            StageSpec(name="bad")
+            TaskNode(name="bad")
         with pytest.raises(ValueError):
-            StageSpec(name="bad", build=lambda c: [],
-                      run=lambda r, c: iter(()))
+            TaskNode(name="bad", build=lambda c: [],
+                     run=lambda r, c: iter(()))
 
     def test_pipeline_rejects_duplicate_stages(self):
-        stage = StageSpec(name="s", build=lambda c: [])
+        stage = TaskNode(name="s", build=lambda c: [])
         with pytest.raises(ValueError, match="duplicate"):
-            Pipeline(name="p", stages=[stage, stage])
+            CampaignGraph(name="p", nodes=[stage, stage])
 
     def test_declarative_stage_runs_and_collects(self, env):
         session, tmgr, runner, _, _ = env
-        pipeline = Pipeline(name="simple", stages=[
-            StageSpec(
+        pipeline = CampaignGraph(name="simple", nodes=[
+            TaskNode(
                 name="compute",
                 build=lambda ctx: [
                     TaskDescription(function=lambda i=i: i * i)
@@ -75,11 +78,11 @@ class TestDagLayer:
         def boom():
             raise RuntimeError("stage exploded")
 
-        pipeline = Pipeline(name="failing", stages=[
-            StageSpec(name="bad", build=lambda ctx: [
+        pipeline = CampaignGraph(name="failing", nodes=[
+            TaskNode(name="bad", build=lambda ctx: [
                 TaskDescription(function=boom)]),
         ])
-        proc = session.engine.process(runner.run_pipeline(pipeline))
+        proc = session.engine.process(runner.run_campaign(pipeline))
         with pytest.raises(StageFailure):
             session.run(until=proc)
 
@@ -91,8 +94,8 @@ class TestDagLayer:
                 raise RuntimeError("one bad apple")
             return i
 
-        pipeline = Pipeline(name="tolerant", stages=[
-            StageSpec(
+        pipeline = CampaignGraph(name="tolerant", nodes=[
+            TaskNode(
                 name="mixed", failure_tolerance=0.5,
                 build=lambda ctx: [
                     TaskDescription(function=maybe_boom, fn_args=(i,))
@@ -104,13 +107,14 @@ class TestDagLayer:
 
     def test_stage_timings_profiled(self, env):
         session, tmgr, runner, _, _ = env
-        pipeline = Pipeline(name="timed", stages=[
-            StageSpec(name="only", build=lambda ctx: [
+        pipeline = CampaignGraph(name="timed", nodes=[
+            TaskNode(name="only", build=lambda ctx: [
                 TaskDescription(executable="x", duration_s=5.0)]),
         ])
         run(session, runner, pipeline)
+        (campaign,) = session.profiler.uids_with_event("campaign_start")
         duration = session.profiler.duration(
-            "pipeline.timed.only", "stage_start", "stage_stop")
+            f"{campaign}.only", "node_start", "node_stop")
         assert duration >= 5.0
 
 
