@@ -19,6 +19,7 @@ from repro.pilot.agent.scheduler import AgentScheduler
 from repro.pilot.task import Task
 from repro.serving import LlamaModel, default_generator
 from repro.sim import RngHub, SimulationEngine
+from repro.utils import IdRegistry
 from repro.workflows import MLPClassifier, MLPConfig
 
 import numpy as np
@@ -128,9 +129,9 @@ def test_micro_bus_round_trips(benchmark):
         engine = SimulationEngine()
         fabric = Fabric(RngHub(0).stream("f"))
         fabric.add_platform(DELTA)
-        bus = MessageBus(engine, fabric)
+        bus = MessageBus(engine, fabric, IdRegistry())
         server = bus.bind("svc", platform="delta")
-        bus.serve(server, handler=lambda m: m.payload)
+        server.handle_with(lambda m: server.reply(m, m.payload))
         client = bus.connect(platform="delta")
 
         def requester():

@@ -14,24 +14,31 @@ endpoints' platforms, so local (intra-platform) and remote (WAN) exchanges
 reproduce the paper's 0.063 ms vs 0.47 ms regimes.  Because delays run on
 the simulation engine, the bus works unmodified in virtual and real time.
 
-A wire leg is one engine entry, and landing is the hand-over: a reply
-resolves its request event, a request goes to the server socket's consumer
-(its inbox, or the handler a service installed), a publication into the
-subscription's inbox.  Nothing relays a landed message inside the process,
-and a message whose endpoint closed while it was on the wire is dropped
-like one sent after the close.
+There is one delivery contract.  A wire leg is one engine entry, and
+landing is the hand-over: inside that entry a reply resolves its request
+event, a request goes to the handler the server socket's owner installed
+(:meth:`ServerSocket.handle_with`), a publication to the handler given to
+:meth:`MessageBus.subscribe`.  Nothing pulls: there is no inbox, no accept
+loop and no process per message.  A consumer that raises surfaces from
+``run()`` like an unhandled process crash.
+
+Every flight is counted when it leaves (``sent_count``) and when it ends:
+``delivered_count`` if it was handed over, ``dropped_count`` if its endpoint
+closed or its subscription was cancelled first.  On a drained engine
+``delivered + dropped == sent``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, \
+    Tuple, Union
 
 from ..hpc.network import Fabric
 from ..sim.engine import SimulationEngine
 from ..sim.events import Event
-from ..sim.resources import Store
-from ..utils.ids import generate_id
+from ..utils.ids import IdRegistry
 from ..utils.log import get_logger
 from .message import Address, Message
 
@@ -43,31 +50,24 @@ log = get_logger("comm.bus")
 class ServerSocket:
     """REP-style socket: requests land here, replies leave from here.
 
-    A landed request goes to exactly one consumer.  By default that is the
-    :attr:`inbox`, read with :meth:`recv` by pull consumers
-    (:meth:`MessageBus.serve`, the registry); :meth:`handle_with` replaces
-    it with a handler called on arrival, so a request is consumed where it
-    lands instead of being relayed through the inbox by a process.
+    A landed request is consumed where it lands, by the handler its owner
+    installs with :meth:`handle_with`; what lands between ``bind`` and that
+    call (a registry round trip apart) waits in a backlog.
     """
 
     def __init__(self, bus: "MessageBus", address: Address) -> None:
         self.bus = bus
         self.address = address
-        self.inbox: Store = Store(bus.engine)
-        self._receive: Callable[[Message], None] = self.inbox.put_nowait
-
-    def recv(self):
-        """Return an event yielding the next request :class:`Message`."""
-        return self.inbox.get()
+        self._backlog: Deque[Message] = deque()
+        self._receive: Callable[[Message], None] = self._backlog.append
 
     def handle_with(self, handler: Callable[[Message], None]) -> None:
         """Consume requests with *handler* as they land.
 
-        Whatever already sits in the inbox (sent between ``bind`` and this
-        call) is handed over first, oldest first.
+        Whatever landed since ``bind`` is handed over first, oldest first.
         """
         self._receive = handler
-        backlog = self.inbox.items
+        backlog = self._backlog
         while backlog:
             handler(backlog.popleft())
 
@@ -79,8 +79,8 @@ class ServerSocket:
 
     @property
     def pending(self) -> int:
-        """Requests sitting in the inbox (not yet recv'ed)."""
-        return len(self.inbox)
+        """Requests that landed before a handler was installed."""
+        return len(self._backlog)
 
     def close(self) -> None:
         self.bus._unbind(self.address.name)
@@ -90,8 +90,7 @@ class ClientSocket:
     """REQ-style socket: issues requests, resolves reply events.
 
     A landing reply is paired with its outstanding request event via the
-    correlation id and resolves it directly; the socket owns no inbox and
-    no process.
+    correlation id and resolves it directly.
     """
 
     def __init__(self, bus: "MessageBus", address: Address) -> None:
@@ -150,20 +149,18 @@ _Socket = Union[ServerSocket, ClientSocket]
 
 
 class Subscription:
-    """A topic subscription: a store of matching published messages."""
+    """A topic subscription: *handler* is called with each publication."""
 
-    def __init__(self, bus: "MessageBus", topic: str, platform: str) -> None:
+    def __init__(self, bus: "MessageBus", topic: str, platform: str,
+                 handler: Callable[[Message], None]) -> None:
         self.bus = bus
         self.topic = topic
         self.platform = platform
-        self.inbox: Store = Store(bus.engine)
+        self.handler = handler
         self.active = True
 
-    def get(self):
-        """Event yielding the next publication on this topic."""
-        return self.inbox.get()
-
     def cancel(self) -> None:
+        """Stop delivery; what is still on the wire is dropped on landing."""
         self.active = False
         self.bus._unsubscribe(self)
 
@@ -171,12 +168,18 @@ class Subscription:
 class MessageBus:
     """Routes messages between named endpoints with fabric-modelled delays."""
 
-    def __init__(self, engine: SimulationEngine, fabric: Fabric) -> None:
+    def __init__(self, engine: SimulationEngine, fabric: Fabric,
+                 ids: IdRegistry) -> None:
         self.engine = engine
         self.fabric = fabric
+        #: names anonymous client sockets (the session's: same seed, same
+        #: names)
+        self.ids = ids
         #: name -> the socket bound to it (the receiver of what lands there)
         self._endpoints: Dict[str, _Socket] = {}
         self._subs: Dict[str, List[Subscription]] = {}
+        #: flights: one per message, one per subscriber of a publication
+        self.sent_count = 0
         self.delivered_count = 0
         self.dropped_count = 0
 
@@ -190,7 +193,7 @@ class MessageBus:
 
     def connect(self, platform: str, name: Optional[str] = None) -> ClientSocket:
         """Create a client endpoint hosted on *platform*."""
-        name = name or generate_id("client-sock")
+        name = name or self.ids.generate("client-sock")
         address = self._register(name, platform)
         socket = ClientSocket(self, address)
         self._endpoints[name] = socket
@@ -216,6 +219,7 @@ class MessageBus:
         """Schedule delivery of *msg* after the fabric-sampled delay."""
         if msg.recipient is None:
             raise ValueError(f"message without recipient: {msg!r}")
+        self.sent_count += 1
         socket = self._endpoints.get(msg.recipient.name)
         if socket is None:
             self._drop(msg)
@@ -245,9 +249,11 @@ class MessageBus:
         log.warning("dropping message to unbound endpoint %s", msg.recipient)
 
     # -- pub/sub -------------------------------------------------------------------
-    def subscribe(self, topic: str, platform: str) -> Subscription:
-        """Subscribe to *topic*; publications arrive with fabric latency."""
-        sub = Subscription(self, topic, platform)
+    def subscribe(self, topic: str, platform: str,
+                  handler: Callable[[Message], None]) -> Subscription:
+        """Subscribe to *topic*: *handler* is called with each publication
+        inside the entry it lands in, after the fabric latency."""
+        sub = Subscription(self, topic, platform, handler)
         self._subs.setdefault(topic, []).append(sub)
         return sub
 
@@ -274,6 +280,7 @@ class MessageBus:
         if not subs:
             return 0
         subs = list(subs)
+        self.sent_count += len(subs)
         src = sender.platform if sender else None
         now = self.engine.now
         groups: Dict[float, list] = {}
@@ -301,30 +308,23 @@ class MessageBus:
 
     def _land_pub(self, flight: Tuple[Message, Subscription]) -> None:
         msg, sub = flight
-        if sub.active:
-            msg.received_at = self.engine.now
-            self.delivered_count += 1
-            sub.inbox.put_nowait(msg)
+        if not sub.active:
+            # cancelled while the publication was on the wire
+            self.dropped_count += 1
+            return
+        msg.received_at = self.engine.now
+        self.delivered_count += 1
+        sub.handler(msg)
 
-    def _land_pub_batch(self, flights: List[Tuple[Message, Subscription]]) \
-            -> None:
+    def _land_pub_batch(
+            self, flights: Iterable[Tuple[Message, Subscription]]) -> None:
         land = self._land_pub
+        flights = iter(flights)
         for flight in flights:
-            land(flight)
-
-    # -- RPC convenience -------------------------------------------------------------
-    def serve(self, socket: ServerSocket,
-              handler: Callable[[Message], Any]) -> "Event":
-        """Spawn a trivial server loop: for each request, reply handler(msg).
-
-        Returns the server process (interrupt it to stop serving).  Real
-        services (:mod:`repro.core.service`) implement richer loops with
-        queueing semantics; this helper is for tests and examples.
-        """
-
-        def loop():
-            while True:
-                msg = yield socket.recv()
-                socket.reply(msg, handler(msg))
-
-        return self.engine.process(loop())
+            try:
+                land(flight)
+            except BaseException:
+                # one consumer crashed: the rest of the group still gets
+                # the publication, then the crash surfaces from run()
+                self._land_pub_batch(flights)
+                raise

@@ -5,7 +5,9 @@ service endpoints to the task" (§IV-A) -- the ``publish`` phase of Fig. 3.
 The registry is itself a bus-served component: services register over
 request/reply (paying a fabric round-trip plus the registry's processing
 cost), and clients/load-balancers look endpoints up either over the bus or
-through the cheap in-process read path.
+through the cheap in-process read path.  It owns no process: a request is
+handled in the kernel entry it lands in, a state-changing one is applied
+by one more entry its processing cost later.
 
 The registry also ingests the fleet's load telemetry: every service
 instance publishes a :class:`~repro.comm.message.LoadReport` on
@@ -75,49 +77,29 @@ class EndpointRegistry:
         self._by_uid: Dict[str, ServiceInfo] = {}
         self._loads: Dict[str, LoadReport] = {}
         self._rng = session.rng(f"registry.{name}")
-        self._server = session.engine.process(self._serve())
-        self._telemetry_sub = session.bus.subscribe(TELEMETRY_TOPIC,
-                                                    platform=platform)
-        self._telemetry = session.engine.process(self._ingest_telemetry())
+        self.socket.handle_with(self._on_request)
+        session.bus.subscribe(TELEMETRY_TOPIC, platform, self._on_report)
 
     @property
     def address(self) -> Address:
         return self.socket.address
 
-    # -- server loop -----------------------------------------------------------
-    def _serve(self):
-        """Accept loop: each request is handled by its own process.
+    # -- requests ------------------------------------------------------------------
+    def _on_request(self, msg: Message) -> None:
+        """Handle one landed request.
 
         Registrations are processed concurrently -- the processing cost
         models per-endpoint validation/synchronisation work, not an
         exclusive registry lock.  (A serialising registry would make the
         Fig. 3 publish component grow linearly with the instance count,
-        which the paper does not observe.)
+        which the paper does not observe.)  The cost is drawn in landing
+        order.
         """
-        while True:
-            msg: Message = yield self.socket.recv()
-            self.session.engine.process(self._handle(msg))
-
-    def _handle(self, msg: Message):
-        engine = self.session.engine
         op = (msg.payload or {}).get("op")
-        # Processing cost applies to state-changing operations.
         if op in ("register", "deregister"):
             cost = max(0.05, self._rng.normal(PUBLISH_PROCESS_MEAN_S,
                                               PUBLISH_PROCESS_STD_S))
-            yield engine.timeout(cost)
-        if op == "register":
-            info = msg.payload["info"]
-            info.registered_at = engine.now
-            self._entries[info.name] = info
-            self._by_uid[info.uid] = info
-            self.socket.reply(msg, {"ok": True, "name": info.name})
-        elif op == "deregister":
-            found = self._entries.pop(msg.payload["name"], None)
-            if found is not None:
-                self._by_uid.pop(found.uid, None)
-                self._loads.pop(found.uid, None)
-            self.socket.reply(msg, {"ok": found is not None})
+            self.session.engine.call_later(cost, self._apply, msg)
         elif op == "lookup":
             info = self._entries.get(msg.payload["name"])
             self.socket.reply(msg, {"ok": info is not None, "info": info})
@@ -128,28 +110,41 @@ class EndpointRegistry:
             self.socket.reply(msg, {"ok": False,
                                     "error": f"unknown op {op!r}"})
 
+    def _apply(self, msg: Message) -> None:
+        """A (de)registration's processing cost has passed: change state."""
+        if msg.payload["op"] == "register":
+            info = msg.payload["info"]
+            info.registered_at = self.session.engine.now
+            self._entries[info.name] = info
+            self._by_uid[info.uid] = info
+            self.socket.reply(msg, {"ok": True, "name": info.name})
+        else:
+            found = self._entries.pop(msg.payload["name"], None)
+            if found is not None:
+                self._by_uid.pop(found.uid, None)
+                self._loads.pop(found.uid, None)
+            self.socket.reply(msg, {"ok": found is not None})
+
     # -- telemetry ingestion -------------------------------------------------------
-    def _ingest_telemetry(self):
-        """Consume fleet LoadReports published on the telemetry topic."""
-        while True:
-            msg: Message = yield self._telemetry_sub.get()
-            report = msg.payload
-            if not isinstance(report, LoadReport):
-                log.warning("ignoring malformed telemetry %r", report)
-                continue
-            info = self._by_uid.get(report.uid)
-            if info is None:
-                # Not (or no longer) registered: a deregistered instance
-                # keeps heartbeating while it drains -- storing its report
-                # would leave a permanently stale entry behind.
-                continue
-            # Keep only the freshest report per instance (pub/sub legs from
-            # different platforms may reorder).
-            known = self._loads.get(report.uid)
-            if known is not None and known.t > report.t:
-                continue
-            self._loads[report.uid] = report
-            info.load = report
+    def _on_report(self, msg: Message) -> None:
+        """Ingest one fleet LoadReport published on the telemetry topic."""
+        report = msg.payload
+        if not isinstance(report, LoadReport):
+            log.warning("ignoring malformed telemetry %r", report)
+            return
+        info = self._by_uid.get(report.uid)
+        if info is None:
+            # Not (or no longer) registered: a deregistered instance keeps
+            # heartbeating while it drains -- storing its report would
+            # leave a permanently stale entry behind.
+            return
+        # Keep only the freshest report per instance (pub/sub legs from
+        # different platforms may reorder).
+        known = self._loads.get(report.uid)
+        if known is not None and known.t > report.t:
+            return
+        self._loads[report.uid] = report
+        info.load = report
 
     # -- cheap in-process reads (used by load balancers and tests) -----------------
     def lookup(self, name: str) -> Optional[ServiceInfo]:

@@ -111,7 +111,7 @@ class ServiceInstance:
     def queue_depth(self) -> int:
         """Requests admitted and waiting for a worker.
 
-        The inbox term counts requests that landed before :meth:`start`;
+        The socket term counts requests that landed before :meth:`start`;
         a started service admits on arrival, so it is 0 from then on.
         """
         return len(self._queue) + self.socket.pending

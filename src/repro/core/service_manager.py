@@ -124,7 +124,7 @@ class ServiceManager:
             handle.pilot_uid = pilot.uid
             self._handles[handle.uid] = handle
             driver = self.session.engine.process(
-                self._drive_local(handle, pilot))
+                self._drive(handle, pilot))
             self._drivers[handle.uid] = driver
             self.session.engine.process(
                 self._startup_watchdog(handle, driver))
@@ -145,66 +145,81 @@ class ServiceManager:
                         handle.description.startup_timeout_s)
             driver.interrupt("startup timeout")
 
-    def _drive_local(self, handle: ServiceHandle, pilot: Pilot):
+    def _drive(self, handle: ServiceHandle, pilot: Optional[Pilot]):
+        """Lifecycle of one service, on *pilot*'s resources or -- without a
+        pilot -- attached to a persistent remote endpoint.
+
+        A remote model is resident (§IV-A): nothing is launched or loaded,
+        and no ``bootstrap_*`` / ``init_*`` / ``publish_*`` row is recorded.
+        """
         engine = self.session.engine
-        profiler = self.session.profiler
         desc = handle.description
         task = handle.task
         scheduled = False
+
+        def mark(event: str) -> None:
+            if pilot is not None:
+                self.session.profiler.record(engine.now, handle.uid, event,
+                                             self.uid)
+
         try:
-            if not pilot.is_active:
-                yield pilot.became_active
-            platform = pilot.platform
-            handle.platform = platform.name
-            profiler.record(engine.now, handle.uid, "bootstrap_start",
-                            self.uid)
+            if pilot is not None:
+                if not pilot.is_active:
+                    yield pilot.became_active
+                handle.platform = pilot.platform.name
+            mark("bootstrap_start")
 
             # -- launch phase -----------------------------------------------------
             handle.advance_service(ServiceState.LAUNCHING)
-            task.advance(TaskState.TMGR_SCHEDULING, self.uid)
-            task.advance(TaskState.AGENT_SCHEDULING, self.uid)
-            grant = pilot.agent.scheduler.schedule(task)
-            try:
-                yield grant
-            except Interrupt:
-                pilot.agent.scheduler.withdraw(task)
-                raise
-            scheduled = True
-            task.advance(TaskState.AGENT_EXECUTING, self.uid)
-            yield from pilot.agent.executor.launch(task)
+            if pilot is not None:
+                task.advance(TaskState.TMGR_SCHEDULING, self.uid)
+                task.advance(TaskState.AGENT_SCHEDULING, self.uid)
+                grant = pilot.agent.scheduler.schedule(task)
+                try:
+                    yield grant
+                except Interrupt:
+                    pilot.agent.scheduler.withdraw(task)
+                    raise
+                scheduled = True
+                task.advance(TaskState.AGENT_EXECUTING, self.uid)
+                yield from pilot.agent.executor.launch(task)
 
             # -- init phase -------------------------------------------------------
             handle.advance_service(ServiceState.INITIALIZING)
-            profiler.record(engine.now, handle.uid, "init_start", self.uid)
+            mark("init_start")
             host = create_host(desc.backend, desc.model,
                                max_concurrency=desc.max_concurrency,
                                max_batch_size=desc.max_batch_size or None)
-            rng = self.session.rng(f"smgr.init.{handle.uid}")
-            self._loading[platform.name] = \
-                self._loading.get(platform.name, 0) + 1
-            try:
-                load_s = host.load_time(
-                    rng, concurrent_loads=self._loading[platform.name],
-                    fs_bandwidth_gbps=platform.fs_bandwidth_gbps,
-                    fs_aggregate_gbps=platform.fs_aggregate_gbps)
-                yield engine.timeout(load_s)
-            finally:
-                self._loading[platform.name] -= 1
-            profiler.record(engine.now, handle.uid, "init_stop", self.uid)
+            if pilot is not None:
+                platform = pilot.platform
+                rng = self.session.rng(f"smgr.init.{handle.uid}")
+                self._loading[platform.name] = \
+                    self._loading.get(platform.name, 0) + 1
+                try:
+                    load_s = host.load_time(
+                        rng, concurrent_loads=self._loading[platform.name],
+                        fs_bandwidth_gbps=platform.fs_bandwidth_gbps,
+                        fs_aggregate_gbps=platform.fs_aggregate_gbps)
+                    yield engine.timeout(load_s)
+                finally:
+                    self._loading[platform.name] -= 1
+            mark("init_stop")
 
             # -- publish phase ------------------------------------------------------
             handle.advance_service(ServiceState.PUBLISHING)
-            profiler.record(engine.now, handle.uid, "publish_start", self.uid)
+            mark("publish_start")
             endpoint = desc.endpoint_name or f"{handle.uid}.ep"
-            socket = self.session.bus.bind(endpoint, platform=platform.name)
+            socket = self.session.bus.bind(endpoint,
+                                           platform=handle.platform)
             handle.address = socket.address
             info = ServiceInfo(
                 uid=handle.uid, name=endpoint, address=socket.address,
                 model=desc.model, backend=desc.backend,
-                platform=platform.name)
+                platform=handle.platform,
+                meta={"remote": True} if handle.remote else {})
             yield self._reg_sock.request(self.registry.address,
                                          {"op": "register", "info": info})
-            profiler.record(engine.now, handle.uid, "publish_stop", self.uid)
+            mark("publish_stop")
 
             # -- ready ---------------------------------------------------------------
             handle.instance = ServiceInstance(
@@ -213,8 +228,7 @@ class ServiceManager:
                 max_queue_depth=desc.max_queue_depth)
             handle.instance.start()
             handle.advance_service(ServiceState.READY)
-            profiler.record(engine.now, handle.uid, "bootstrap_stop",
-                            self.uid)
+            mark("bootstrap_stop")
             handle.ready.succeed(handle)
             if self._resilience is not None:
                 self.watch_liveness(
@@ -233,7 +247,8 @@ class ServiceManager:
             yield from handle.instance.drain()
             handle.instance.stop()
             handle.advance_service(ServiceState.STOPPED)
-            task.finish(TaskState.DONE, self.uid)
+            if pilot is not None:
+                task.finish(TaskState.DONE, self.uid)
         except Interrupt as intr:
             self._fail_handle(handle, RuntimeError(str(intr.cause)))
         except Exception as exc:
@@ -252,14 +267,9 @@ class ServiceManager:
                 and self.registry.lookup(handle.address.name) is not None:
             # The failure is now *observed* (liveness/startup watchdog):
             # scrub the stale endpoint so no new traffic routes there.
-            name = handle.address.name
-
-            def scrub():
-                yield self._reg_sock.request(self.registry.address,
-                                             {"op": "deregister",
-                                              "name": name})
-
-            self.session.engine.process(scrub())
+            self._reg_sock.request(self.registry.address,
+                                   {"op": "deregister",
+                                    "name": handle.address.name})
         if handle.service_state not in ServiceState.FINAL:
             handle.service_state = ServiceState.FAILED
             self.session.profiler.record(
@@ -287,53 +297,8 @@ class ServiceManager:
         handle.platform = platform
         self._handles[handle.uid] = handle
         self._drivers[handle.uid] = self.session.engine.process(
-            self._drive_remote(handle, platform))
+            self._drive(handle, None))
         return handle
-
-    def _drive_remote(self, handle: ServiceHandle, platform: str):
-        desc = handle.description
-        try:
-            handle.advance_service(ServiceState.LAUNCHING)
-            handle.advance_service(ServiceState.INITIALIZING)
-            handle.advance_service(ServiceState.PUBLISHING)
-            endpoint = desc.endpoint_name or f"{handle.uid}.ep"
-            socket = self.session.bus.bind(endpoint, platform=platform)
-            handle.address = socket.address
-            host = create_host(desc.backend, desc.model,
-                               max_concurrency=desc.max_concurrency,
-                               max_batch_size=desc.max_batch_size or None)
-            info = ServiceInfo(
-                uid=handle.uid, name=endpoint, address=socket.address,
-                model=desc.model, backend=desc.backend, platform=platform,
-                meta={"remote": True})
-            yield self._reg_sock.request(self.registry.address,
-                                         {"op": "register", "info": info})
-            handle.instance = ServiceInstance(
-                self.session, handle.uid, socket, host,
-                heartbeat_interval_s=desc.heartbeat_interval_s,
-                max_queue_depth=desc.max_queue_depth)
-            handle.instance.start()
-            handle.advance_service(ServiceState.READY)
-            handle.ready.succeed(handle)
-            if self._resilience is not None:
-                self.watch_liveness(
-                    handle, misses=self._resilience.config.lease_misses)
-
-            yield handle._stop_requested
-            handle.advance_service(ServiceState.STOPPING)
-            yield self._reg_sock.request(self.registry.address,
-                                         {"op": "deregister",
-                                          "name": endpoint})
-            yield from handle.instance.drain()
-            handle.instance.stop()
-            handle.advance_service(ServiceState.STOPPED)
-        except Interrupt as intr:
-            self._fail_handle(handle, RuntimeError(str(intr.cause)))
-        except Exception as exc:
-            self._fail_handle(handle, exc)
-        finally:
-            if not handle.stopped.triggered:
-                handle.stopped.succeed(handle.service_state)
 
     # -- elasticity ------------------------------------------------------------------------
     def start_autoscaler(self, description: ServiceDescription,

@@ -21,7 +21,7 @@ from typing import List, Optional, Set
 
 from ..sim.engine import SimulationEngine
 from ..sim.events import Event, Interrupt
-from ..utils.ids import generate_id
+from ..utils.ids import IdRegistry
 from .platform import PlatformSpec
 
 __all__ = ["JobState", "BatchJob", "BatchSystem"]
@@ -43,9 +43,9 @@ class JobState:
 class BatchJob:
     """One node-level allocation request and its lifecycle."""
 
-    def __init__(self, engine: SimulationEngine, n_nodes: int,
+    def __init__(self, engine: SimulationEngine, uid: str, n_nodes: int,
                  walltime_s: float, priority: int = 0) -> None:
-        self.uid = generate_id("job")
+        self.uid = uid
         self.n_nodes = n_nodes
         self.walltime_s = walltime_s
         self.priority = priority
@@ -74,10 +74,12 @@ class BatchSystem:
     """The platform's batch scheduler (one per platform instance)."""
 
     def __init__(self, engine: SimulationEngine, spec: PlatformSpec, rng,
-                 backfill: bool = True) -> None:
+                 ids: IdRegistry, backfill: bool = True) -> None:
         self.engine = engine
         self.spec = spec
         self.rng = rng
+        #: names the jobs (the session's: same seed, same uids)
+        self.ids = ids
         self.backfill = backfill
         self._free: Set[int] = set(range(spec.nodes))
         self._queue: List[BatchJob] = []
@@ -104,7 +106,8 @@ class BatchSystem:
                 f"{self.spec.nodes}")
         if walltime_s <= 0:
             raise ValueError("walltime must be positive")
-        job = BatchJob(self.engine, n_nodes, walltime_s, priority)
+        job = BatchJob(self.engine, self.ids.generate("job"), n_nodes,
+                       walltime_s, priority)
         job.submitted_at = self.engine.now
         self._queue.append(job)
         self._schedule_pass()

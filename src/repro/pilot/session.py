@@ -71,8 +71,8 @@ class Session:
         self._batch: Dict[str, BatchSystem] = {}
         self._closed = False
         self._quiescing = False
-        #: background keep-alive processes (heartbeats, fault loops, lease
-        #: watchdogs) interrupted by quiesce() so run() can drain
+        #: background keep-alives (heartbeat and fault loops, armed leases)
+        #: interrupted by quiesce() so run() can drain
         self._daemons: List[Any] = []
         self._daemon_prune_at = 64
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -90,7 +90,7 @@ class Session:
         for spec in self._platforms.values():
             self.fabric.add_platform(spec)
 
-        self.bus = MessageBus(self.engine, self.fabric)
+        self.bus = MessageBus(self.engine, self.fabric, self.ids)
 
         #: live telemetry plane (None unless ``observability=`` was given).
         #: A plain attribute, not a lazy property: hot paths guard with a
@@ -121,7 +121,8 @@ class Session:
         if system is None:
             spec = self.platform(platform_name)
             system = BatchSystem(
-                self.engine, spec, self.rng_hub.stream(f"batch.{spec.name}"))
+                self.engine, spec, self.rng_hub.stream(f"batch.{spec.name}"),
+                self.ids)
             self._batch[platform_name] = system
         return system
 
@@ -203,12 +204,14 @@ class Session:
         return self._quiescing
 
     def add_daemon(self, process) -> None:
-        """Register a background keep-alive process for quiesce interruption.
+        """Register a background keep-alive for quiesce interruption.
 
-        Daemons are infinite loops that keep the event queue alive by
-        design -- pilot heartbeats, lease watchdogs, fault-injection loops.
-        They must treat :class:`~repro.sim.events.Interrupt` as an orderly
-        shutdown signal.
+        Daemons keep the event queue alive by design -- pilot heartbeat
+        and fault-injection loops, armed leases.  Two members are used of
+        one: ``interrupt(cause)``, an orderly shutdown signal (a process
+        gets :class:`~repro.sim.events.Interrupt`; a
+        :class:`~repro.resilience.detection.Lease` withdraws its timer),
+        and ``is_alive``.
 
         Registering after :meth:`quiesce` stops the daemon immediately:
         a pilot that only activates during the final drain (e.g. one still
@@ -229,7 +232,7 @@ class Session:
     def quiesce(self) -> None:
         """Signal session-scoped shutdown so ``run()`` drains cleanly.
 
-        With resilience enabled, pilot heartbeats (and their watchdogs and
+        With resilience enabled, pilot heartbeats (and their leases and
         fault loops) re-arm forever, which forced every campaign to run
         with ``until=`` and guess a horizon.  Quiescing interrupts all
         registered daemons: no further keep-alive events are scheduled, no

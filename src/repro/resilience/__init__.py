@@ -142,7 +142,7 @@ class ResilienceServices:
 
     # -- pilot lifecycle hooks (called by the PilotManager) ----------------------
     def pilot_activated(self, pmgr: "PilotManager", pilot: "Pilot") -> None:
-        """Start heartbeats, the lease watchdog and armed fault processes."""
+        """Start heartbeats, the lease and armed fault processes."""
         lease = self.monitor.watch(pilot.uid,
                                    self.config.heartbeat_interval_s,
                                    self.config.lease_misses)

@@ -8,14 +8,21 @@ bus topic (paying fabric latency like any other message); the
 *observed*: recovery policies key off the monitor's declaration event, so
 detection latency (fault time to declaration) is a real, measurable cost of
 the control plane rather than oracle knowledge.
+
+A lease is a record, not a loop: the bus hands each landed beat to
+:meth:`Lease._beat`, which re-arms the lease's one expiry timer, and the
+timer's landing declares.  Stopping a lease (:meth:`Lease.interrupt`: an
+orderly deregistration, or the session's quiesce) withdraws the timer and
+the subscription in the call, so nothing of it stays on the event queue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..sim.events import Event
+from ..comm.message import Message
+from ..sim.events import Deferred, Event
 from ..utils.log import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,10 +52,12 @@ class DetectionRecord:
 
 
 class Lease:
-    """Liveness lease of one watched entity."""
+    """Liveness lease of one watched entity, armed until it expires or is
+    stopped; a session daemon (``interrupt`` / ``is_alive``)."""
 
-    def __init__(self, session: "Session", uid: str, interval_s: float,
-                 misses: int) -> None:
+    def __init__(self, monitor: "HeartbeatMonitor", uid: str,
+                 interval_s: float, misses: int, topic: str) -> None:
+        session = monitor.session
         self.uid = uid
         self.interval_s = interval_s
         self.misses = misses
@@ -57,10 +66,47 @@ class Lease:
         self.deregistered = False
         #: succeeds (with the declaration timestamp) once the lease expires
         self.declared: Event = session.engine.event()
+        self._monitor = monitor
+        self._sub = session.bus.subscribe(topic, monitor.platform, self._beat)
+        #: the one armed expiry (None once expired or stopped)
+        self._timer: Optional[Deferred] = None
+        self._arm()
 
     @property
     def expired(self) -> bool:
         return self.declared.triggered
+
+    @property
+    def is_alive(self) -> bool:
+        """True while the expiry is armed."""
+        return self._timer is not None
+
+    def _arm(self) -> None:
+        self._timer = self._monitor.session.engine.call_later(
+            self.interval_s * self.misses, self._expire)
+
+    def _beat(self, msg: Message) -> None:
+        """A beat landed: stamp it and push the expiry out."""
+        self._timer.cancel()
+        self.last_beat_at = self._monitor.session.engine.now
+        self.beats += 1
+        self._arm()
+
+    def _expire(self, _: Any) -> None:
+        """``misses * interval`` of silence: the entity is observably dead."""
+        self._timer = None
+        self._sub.cancel()
+        self._monitor._declare(self)
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Orderly goodbye: the armed expiry is withdrawn, so the ensuing
+        silence declares nothing and a drain is not dragged to the
+        deadline.  A no-op on a lease that already expired or stopped."""
+        if self._timer is not None:
+            self.deregistered = True
+            self._timer.cancel()
+            self._timer = None
+            self._sub.cancel()
 
 
 class HeartbeatMonitor:
@@ -82,26 +128,25 @@ class HeartbeatMonitor:
 
         *topic* overrides the heartbeat topic (service instances publish
         on their pre-existing ``heartbeat.<uid>`` channel; pilots use
-        :func:`heartbeat_topic`).
+        :func:`heartbeat_topic`).  A lease watched after the session's
+        quiesce is stopped at once.
         """
         lease = self._leases.get(uid)
         if lease is not None:
             return lease
         if interval_s <= 0 or misses < 1:
             raise ValueError("need interval_s > 0 and misses >= 1")
-        lease = Lease(self.session, uid, interval_s, misses)
+        lease = Lease(self, uid, interval_s, misses,
+                      topic or heartbeat_topic(uid))
         self._leases[uid] = lease
-        sub = self.session.bus.subscribe(topic or heartbeat_topic(uid),
-                                         platform=self.platform)
-        self.session.add_daemon(
-            self.session.engine.process(self._watchdog(lease, sub)))
+        self.session.add_daemon(lease)
         return lease
 
     def deregister(self, uid: str) -> None:
         """Orderly goodbye: stop watching without declaring a failure."""
         lease = self._leases.get(uid)
         if lease is not None:
-            lease.deregistered = True
+            lease.interrupt("deregistered")
 
     # -- queries -----------------------------------------------------------------
     def lease(self, uid: str) -> Optional[Lease]:
@@ -117,62 +162,28 @@ class HeartbeatMonitor:
         return lease is not None and not lease.expired \
             and not lease.deregistered
 
-    # -- the watchdog ------------------------------------------------------------
-    def _watchdog(self, lease: Lease, sub):
-        """Lease loop: each beat re-arms the timer; silence declares death.
-
-        A session daemon: quiesce interrupts the loop, which counts as an
-        orderly goodbye (no failure is declared for the ensuing silence).
-        """
-        from ..sim.events import Interrupt
-        engine = self.session.engine
-        get_ev = sub.get()
-        timer = None
-        try:
-            while True:
-                timer = engine.timeout(lease.interval_s * lease.misses)
-                yield engine.any_of([get_ev, timer])
-                if lease.deregistered:
-                    if not timer.processed:
-                        timer.cancel()
-                    return
-                if get_ev.processed:
-                    if not timer.processed:
-                        timer.cancel()
-                    lease.last_beat_at = engine.now
-                    lease.beats += 1
-                    get_ev = sub.get()
-                    continue
-                # misses * interval of silence: the entity is observably dead
-                record = DetectionRecord(uid=lease.uid,
-                                         last_beat_at=lease.last_beat_at,
-                                         declared_at=engine.now)
-                self.detections.append(record)
-                log.warning("%s lease expired at t=%.1f (last beat t=%.1f)",
-                            lease.uid, engine.now, lease.last_beat_at)
-                obs = self._obs
-                if obs is not None:
-                    if obs.metrics is not None:
-                        obs.metrics.histogram(
-                            "detection_silence_s").observe(record.silence_s)
-                    if obs.monitors is not None:
-                        from ..observability.monitor import AnomalyEvent
-                        obs.monitors.emit(AnomalyEvent(
-                            kind="lease_expired", t=engine.now,
-                            subject=lease.uid,
-                            message=(f"{lease.uid} declared dead after "
-                                     f"{record.silence_s:.1f}s of silence"),
-                            severity="critical",
-                            details={"silence_s": record.silence_s,
-                                     "last_beat_at": lease.last_beat_at}))
-                lease.declared.succeed(engine.now)
-                return
-        except Interrupt:
-            # orderly goodbye (session quiesce): drop the armed lease
-            # timer so the drain does not advance the clock to its expiry
-            lease.deregistered = True
-            if timer is not None and not timer.processed:
-                timer.cancel()
-            return
-        finally:
-            sub.cancel()
+    # -- the declaration ---------------------------------------------------------
+    def _declare(self, lease: Lease) -> None:
+        """Record the expiry of *lease* and trigger its declaration."""
+        now = self.session.engine.now
+        record = DetectionRecord(uid=lease.uid,
+                                 last_beat_at=lease.last_beat_at,
+                                 declared_at=now)
+        self.detections.append(record)
+        log.warning("%s lease expired at t=%.1f (last beat t=%.1f)",
+                    lease.uid, now, lease.last_beat_at)
+        obs = self._obs
+        if obs is not None:
+            if obs.metrics is not None:
+                obs.metrics.histogram(
+                    "detection_silence_s").observe(record.silence_s)
+            if obs.monitors is not None:
+                from ..observability.monitor import AnomalyEvent
+                obs.monitors.emit(AnomalyEvent(
+                    kind="lease_expired", t=now, subject=lease.uid,
+                    message=(f"{lease.uid} declared dead after "
+                             f"{record.silence_s:.1f}s of silence"),
+                    severity="critical",
+                    details={"silence_s": record.silence_s,
+                             "last_beat_at": lease.last_beat_at}))
+        lease.declared.succeed(now)

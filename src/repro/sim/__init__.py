@@ -2,8 +2,9 @@
 
 Built from scratch for this reproduction: a process-interaction DES core
 (:class:`SimulationEngine`), a wall-clock paced variant
-(:class:`RealtimeEngine`) for running real workloads, resource primitives,
-and deterministic named RNG streams (:class:`RngHub`).
+(:class:`RealtimeEngine`) for running real workloads, the one queue a
+process still waits on (:class:`Store`), and deterministic named RNG
+streams (:class:`RngHub`).
 """
 
 from .events import (
@@ -17,14 +18,7 @@ from .events import (
     Timeout,
 )
 from .engine import RealtimeEngine, SimulationEngine
-from .resources import (
-    Container,
-    FilterStore,
-    PriorityResource,
-    Request,
-    Resource,
-    Store,
-)
+from .resources import Store, StoreGet
 from .rng import RngHub
 
 __all__ = [
@@ -38,11 +32,7 @@ __all__ = [
     "Timeout",
     "RealtimeEngine",
     "SimulationEngine",
-    "Container",
-    "FilterStore",
-    "PriorityResource",
-    "Request",
-    "Resource",
     "Store",
+    "StoreGet",
     "RngHub",
 ]

@@ -4,14 +4,12 @@ These helpers are intentionally dependency-free (stdlib + numpy only) so that
 every other subpackage can import them without cycles.
 """
 
-from .ids import IdRegistry, generate_id, reset_id_counters
+from .ids import IdRegistry
 from .config import Config, ConfigError
 from .log import get_logger, set_log_level
 
 __all__ = [
     "IdRegistry",
-    "generate_id",
-    "reset_id_counters",
     "Config",
     "ConfigError",
     "get_logger",

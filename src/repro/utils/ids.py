@@ -3,8 +3,8 @@
 RADICAL-Pilot names entities like ``task.0003`` or ``pilot.0000`` within a
 session.  We reproduce that convention: identifiers are ``<prefix>.<NNNN>``
 with a per-prefix monotonic counter.  Counters live in an :class:`IdRegistry`
-so that independent sessions (and independent tests) get independent,
-reproducible numbering.
+owned by the session -- there is no process-global one -- so that two
+sessions with the same seed name everything alike, in one process or two.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 import threading
 from typing import Dict, Iterator
 
-__all__ = ["IdRegistry", "generate_id", "reset_id_counters"]
+__all__ = ["IdRegistry"]
 
 
 class IdRegistry:
@@ -67,17 +67,3 @@ class IdRegistry:
                 self._counters.clear()
             else:
                 self._counters.pop(prefix, None)
-
-
-#: Process-global registry used by entities created outside a session scope.
-_GLOBAL_REGISTRY = IdRegistry()
-
-
-def generate_id(prefix: str, width: int = 4) -> str:
-    """Generate an identifier from the process-global registry."""
-    return _GLOBAL_REGISTRY.generate(prefix, width=width)
-
-
-def reset_id_counters(prefix: str | None = None) -> None:
-    """Reset global id counters (used by tests for reproducible naming)."""
-    _GLOBAL_REGISTRY.reset(prefix)

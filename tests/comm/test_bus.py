@@ -6,6 +6,7 @@ import pytest
 from repro.comm import MessageBus
 from repro.hpc import DELTA, R3, Fabric
 from repro.sim import RngHub, SimulationEngine
+from repro.utils import IdRegistry
 
 
 @pytest.fixture
@@ -14,8 +15,16 @@ def setup():
     fabric = Fabric(RngHub(0).stream("fabric"))
     fabric.add_platform(DELTA)
     fabric.add_platform(R3)
-    bus = MessageBus(engine, fabric)
-    return engine, fabric, bus
+    bus = MessageBus(engine, fabric, IdRegistry())
+    yield engine, fabric, bus
+    # every flight ends exactly one way, whatever the test did to it
+    engine.run()
+    assert bus.delivered_count + bus.dropped_count == bus.sent_count
+
+
+def echo(server, fn=lambda payload: payload):
+    """Serve *server*: every request is answered with fn(its payload)."""
+    server.handle_with(lambda msg: server.reply(msg, fn(msg.payload)))
 
 
 class TestReqRep:
@@ -24,16 +33,12 @@ class TestReqRep:
         server = bus.bind("svc", platform="delta")
         client = bus.connect(platform="delta")
 
-        def service():
-            msg = yield server.recv()
-            server.reply(msg, payload=msg.payload * 2)
-
+        echo(server, lambda payload: payload * 2)
         result = {}
         def requester():
             reply = yield client.request(server.address, 21)
             result["value"] = reply.payload
 
-        engine.process(service())
         engine.process(requester())
         engine.run()
         assert result["value"] == 42
@@ -43,17 +48,13 @@ class TestReqRep:
         server = bus.bind("svc", platform="r3")
         client = bus.connect(platform="delta")
 
-        def service():
-            msg = yield server.recv()
-            server.reply(msg, payload="pong")
-
+        echo(server, lambda payload: "pong")
         done = {}
         def requester():
             t0 = engine.now
             yield client.request(server.address, "ping")
             done["rtt"] = engine.now - t0
 
-        engine.process(service())
         engine.process(requester())
         engine.run()
         # Two WAN legs at ~0.47 ms each.
@@ -65,11 +66,7 @@ class TestReqRep:
         def measure(server_platform, name):
             server = bus.bind(name, platform=server_platform)
             client = bus.connect(platform="delta")
-            def service():
-                while True:
-                    msg = yield server.recv()
-                    server.reply(msg, "ok")
-            engine.process(service())
+            echo(server, lambda payload: "ok")
             rtts = []
             def requester():
                 for _ in range(50):
@@ -89,17 +86,12 @@ class TestReqRep:
         server = bus.bind("svc", platform="delta")
         client = bus.connect(platform="delta")
 
-        def service():
-            while True:
-                msg = yield server.recv()
-                server.reply(msg, payload=("echo", msg.payload))
-
+        echo(server, lambda payload: ("echo", payload))
         results = []
         def requester(i):
             reply = yield client.request(server.address, i)
             results.append(reply.payload)
 
-        engine.process(service())
         for i in range(10):
             engine.process(requester(i))
         engine.run()
@@ -110,10 +102,7 @@ class TestReqRep:
         server = bus.bind("svc", platform="delta")
         client = bus.connect(platform="delta")
         got = []
-        def service():
-            msg = yield server.recv()
-            got.append(msg.payload)
-        engine.process(service())
+        server.handle_with(lambda msg: got.append(msg.payload))
         client.send(server.address, {"cmd": "stop"})
         engine.run()
         assert got == [{"cmd": "stop"}]
@@ -145,10 +134,17 @@ class TestReqRep:
         assert bus.lookup("svc") == server.address
         assert bus.lookup("nope") is None
 
-    def test_serve_helper(self, setup):
+    def test_anonymous_sockets_are_named_by_the_registry_given(self, setup):
+        _, _, bus = setup
+        names = [bus.connect(platform="delta").address.name
+                 for _ in range(2)]
+        assert names == ["client-sock.0000", "client-sock.0001"]
+        assert bus.ids.generate("client-sock") == "client-sock.0002"
+
+    def test_handler_reply_round_trip(self, setup):
         engine, _, bus = setup
         server = bus.bind("echo", platform="delta")
-        bus.serve(server, handler=lambda msg: msg.payload.upper())
+        echo(server, str.upper)
         client = bus.connect(platform="delta")
         out = {}
         def requester():
@@ -171,17 +167,16 @@ class TestLanding:
         engine.run(until=1.0)
         assert bus.delivered_count == 0
         assert bus.dropped_count == 1
-        assert len(server.inbox) == 0         # nothing retained
+        assert server.pending == 0            # nothing retained
         assert bus.lookup("svc") is None
 
     def test_reply_landing_after_client_close_is_dropped(self, setup):
         engine, _, bus = setup
         server = bus.bind("svc", platform="delta")
-        bus.serve(server, handler=lambda msg: "pong")
+        echo(server, lambda payload: "pong")
         client = bus.connect(platform="delta")
         reply = client.request(server.address, "ping")
-        while bus.delivered_count < 1 or engine.peek() <= engine.now:
-            engine.step()                     # request lands, reply leaves
+        engine.step()                         # request lands, reply leaves
         assert client.in_flight == 1 and bus.dropped_count == 0
         client.close()
         engine.run(until=1.0)
@@ -197,7 +192,7 @@ class TestLanding:
         new = bus.bind("svc", platform="delta")
         engine.run(until=1.0)
         assert bus.dropped_count == 1
-        assert len(old.inbox) == len(new.inbox) == 0
+        assert old.pending == new.pending == 0
 
     def test_connect_starts_no_process(self, setup):
         engine, _, bus = setup
@@ -211,7 +206,7 @@ class TestLanding:
                                                            monkeypatch):
         engine, _, bus = setup
         server = bus.bind("svc", platform="delta")
-        bus.serve(server, handler=lambda msg: "late")
+        echo(server, lambda payload: "late")
         client = bus.connect(platform="delta")
         reply = client.request(server.address, "ping")
         assert client.cancel_request(reply)
@@ -238,54 +233,28 @@ class TestLanding:
         engine.run(until=3.0)
         assert seen == ["first", "second", "third"] and server.pending == 0
 
-    def test_pull_and_push_consumers_see_the_same_arrivals(self):
-        def arrivals(push):
-            engine = SimulationEngine()
-            fabric = Fabric(RngHub(4).stream("fabric"))
-            fabric.add_platform(DELTA)
-            fabric.add_platform(R3)
-            bus = MessageBus(engine, fabric)
-            server = bus.bind("svc", platform="r3")
-            clients = [bus.connect(platform=p, name=f"c{i}")
-                       for i, p in enumerate(("delta", "r3", "delta"))]
-            seen = []
-            if push:
-                server.handle_with(
-                    lambda msg: seen.append((msg.payload, msg.received_at)))
-            else:
-                def loop():
-                    while True:
-                        msg = yield server.recv()
-                        assert msg.received_at == engine.now
-                        seen.append((msg.payload, msg.received_at))
-                engine.process(loop())
+    def test_raising_request_handler_surfaces_from_run(self, setup):
+        engine, _, bus = setup
+        server = bus.bind("svc", platform="delta")
+        client = bus.connect(platform="delta")
 
-            def sender(i, client):
-                gaps = RngHub(9).stream(f"gaps.{i}")
-                for k in range(20):
-                    yield engine.timeout(float(gaps.exponential(2e-4)))
-                    client.send(server.address, (i, k))
-            for i, client in enumerate(clients):
-                engine.process(sender(i, client))
+        def handler(msg):
+            raise RuntimeError(f"cannot handle {msg.payload}")
+
+        server.handle_with(handler)
+        client.send(server.address, "this")
+        with pytest.raises(RuntimeError, match="cannot handle this"):
             engine.run()
-            return seen
-
-        pulled, pushed = arrivals(push=False), arrivals(push=True)
-        assert len(pulled) == 60
-        assert pushed == pulled
+        assert (bus.sent_count, bus.delivered_count) == (1, 1)
 
 
 class TestPubSub:
     def test_publish_reaches_all_subscribers(self, setup):
         engine, _, bus = setup
-        sub1 = bus.subscribe("state", platform="delta")
-        sub2 = bus.subscribe("state", platform="delta")
         got = []
-        def listener(sub, tag):
-            msg = yield sub.get()
-            got.append((tag, msg.payload))
-        engine.process(listener(sub1, "a"))
-        engine.process(listener(sub2, "b"))
+        for tag in "ab":
+            bus.subscribe("state", "delta",
+                          lambda msg, tag=tag: got.append((tag, msg.payload)))
         fanout = bus.publish("state", {"task": "t1", "state": "DONE"})
         engine.run()
         assert fanout == 2
@@ -293,18 +262,20 @@ class TestPubSub:
 
     def test_topic_isolation(self, setup):
         engine, _, bus = setup
-        sub = bus.subscribe("control", platform="delta")
+        got = []
+        bus.subscribe("control", "delta", got.append)
         bus.publish("state", "irrelevant")
         engine.run()
-        assert len(sub.inbox) == 0
+        assert got == [] and bus.sent_count == 0
 
     def test_cancelled_subscription_stops_delivery(self, setup):
         engine, _, bus = setup
-        sub = bus.subscribe("state", platform="delta")
+        got = []
+        sub = bus.subscribe("state", "delta", got.append)
         sub.cancel()
-        bus.publish("state", "late")
+        assert bus.publish("state", "late") == 0
         engine.run()
-        assert len(sub.inbox) == 0
+        assert got == [] and bus._subs["state"] == []
 
     def test_publish_without_subscribers_is_noop(self, setup):
         _, _, bus = setup
@@ -312,14 +283,10 @@ class TestPubSub:
 
     def test_message_timestamps_recorded(self, setup):
         engine, _, bus = setup
-        sub = bus.subscribe("t", platform="delta")
+        got = []
+        bus.subscribe("t", "delta", got.append)
         sender = bus.connect(platform="r3")
         bus.publish("t", "x", sender=sender.address)
-        got = []
-        def listener():
-            msg = yield sub.get()
-            got.append(msg)
-        engine.process(listener())
         engine.run()
         (msg,) = got
         assert msg.sent_at == 0.0
@@ -331,56 +298,79 @@ class TestPubCoalescing:
 
     def test_senderless_fanout_costs_one_queue_entry(self, setup):
         engine, _, bus = setup
-        subs = [bus.subscribe("state", platform="delta") for _ in range(5)]
+        got = [[] for _ in range(5)]
+        for seen in got:
+            bus.subscribe("state", "delta", seen.append)
         assert bus.publish("state", "payload") == 5
         # all five deliveries ride one pooled deferred in the now-queue
         assert len(engine._heap) + len(engine._nowq) == 1
         engine.run()
-        for sub in subs:
-            assert len(sub.inbox) == 1
+        assert [len(seen) for seen in got] == [1] * 5
         assert bus.delivered_count == 5
 
     def test_batched_landing_preserves_subscription_order(self, setup):
         engine, _, bus = setup
-        subs = [bus.subscribe("state", platform="delta") for _ in range(4)]
         got = []
-
-        def listener(sub, tag):
-            msg = yield sub.get()
-            got.append((tag, msg.payload))
-
-        for i, sub in enumerate(subs):
-            engine.process(listener(sub, i))
+        for i in range(4):
+            bus.subscribe("state", "delta",
+                          lambda msg, i=i: got.append((i, msg.payload)))
         bus.publish("state", "x")
         engine.run()
         assert got == [(0, "x"), (1, "x"), (2, "x"), (3, "x")]
 
     def test_cancelled_subscription_skipped_inside_batch(self, setup):
         engine, _, bus = setup
-        keep1 = bus.subscribe("state", platform="delta")
-        doomed = bus.subscribe("state", platform="delta")
-        keep2 = bus.subscribe("state", platform="delta")
+        got = {"keep1": [], "doomed": [], "keep2": []}
+        subs = {tag: bus.subscribe("state", "delta", seen.append)
+                for tag, seen in got.items()}
         assert bus.publish("state", "late") == 3
-        doomed.cancel()  # after publish, before the batch lands
+        subs["doomed"].cancel()  # after publish, before the batch lands
         engine.run()
-        assert len(keep1.inbox) == 1
-        assert len(doomed.inbox) == 0
-        assert len(keep2.inbox) == 1
-        assert bus.delivered_count == 2
+        assert [len(seen) for seen in got.values()] == [1, 0, 1]
+        # the flight to the cancelled subscription is counted, as dropped
+        assert (bus.sent_count, bus.delivered_count, bus.dropped_count) \
+            == (3, 2, 1)
+
+    def test_publication_on_the_wire_to_a_cancelled_subscription_is_dropped(
+            self, setup):
+        engine, _, bus = setup
+        got = []
+        sub = bus.subscribe("state", "delta", got.append)
+        sender = bus.connect(platform="r3")
+        bus.publish("state", "x", sender=sender.address)
+        sub.cancel()                          # alone on its WAN leg
+        engine.run()
+        assert got == []
+        assert (bus.sent_count, bus.delivered_count, bus.dropped_count) \
+            == (1, 0, 1)
+
+    def test_raising_subscriber_surfaces_from_run_and_siblings_are_served(
+            self, setup):
+        engine, _, bus = setup
+        got = []
+
+        def crash(msg):
+            raise RuntimeError(f"cannot consume {msg.payload}")
+
+        bus.subscribe("state", "delta", got.append)
+        bus.subscribe("state", "delta", crash)
+        bus.subscribe("state", "delta", got.append)
+        assert bus.publish("state", "this") == 3
+        with pytest.raises(RuntimeError, match="cannot consume this"):
+            engine.run()
+        assert [msg.payload for msg in got] == ["this", "this"]
+        assert (bus.sent_count, bus.delivered_count, bus.dropped_count) \
+            == (3, 3, 0)
+        assert engine.is_idle()               # nothing left half-landed
 
     def test_distinct_delays_never_share_a_group(self, setup):
         engine, _, bus = setup
-        local = bus.subscribe("state", platform="r3")
-        remote = bus.subscribe("state", platform="delta")
-        sender = bus.connect(platform="r3")
         arrivals = {}
-
-        def listener(sub, tag):
-            msg = yield sub.get()
-            arrivals[tag] = msg.received_at
-
-        engine.process(listener(local, "local"))
-        engine.process(listener(remote, "remote"))
+        for tag, platform in (("local", "r3"), ("remote", "delta")):
+            bus.subscribe(
+                "state", platform, lambda msg, tag=tag:
+                arrivals.__setitem__(tag, msg.received_at))
+        sender = bus.connect(platform="r3")
         bus.publish("state", "x", sender=sender.address)
         engine.run()
         # intra-platform delivery beats the WAN hop; both were charged

@@ -160,11 +160,11 @@ def test_heartbeat_carries_load_report():
     with Session(seed=3) as session:
         instance, address = make_instance(session,
                                           heartbeat_interval_s=5.0)
-        sub = session.bus.subscribe(f"heartbeat.{instance.uid}",
-                                    platform="delta")
-        get = sub.get()
-        session.run(until=get)
-        payload = get.value.payload
+        beat = session.engine.event()
+        sub = session.bus.subscribe(f"heartbeat.{instance.uid}", "delta",
+                                    beat.succeed)
+        payload = session.run(until=beat).payload
+        sub.cancel()
         report = payload["load"]
         assert isinstance(report, LoadReport)
         assert report.in_flight == 0 and report.shed == 0

@@ -67,6 +67,19 @@ class TestRegistryOps:
         elapsed = session.run(until=session.engine.process(work()))
         assert elapsed < 0.01
 
+    def test_concurrent_registrations_overlap(self, env):
+        """The processing cost is per endpoint, not a registry lock: eight
+        registrations sent together are all done after about one cost."""
+        session, registry, client = env
+        replies = [client.request(registry.address,
+                                  {"op": "register",
+                                   "info": make_info(f"ep{i}")})
+                   for i in range(8)]
+        session.run(until=session.engine.all_of(replies))
+        assert all(reply.value.payload["ok"] for reply in replies)
+        assert len(registry) == 8
+        assert session.now < 1.5              # not 8 x 0.8 s
+
     def test_deregister(self, env):
         session, registry, client = env
 

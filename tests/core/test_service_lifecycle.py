@@ -258,19 +258,10 @@ class TestStopAndFailure:
             ServiceDescription(model="noop", gpus_per_rank=0,
                                heartbeat_interval_s=5.0), pilot)
         beats = []
-        sub = None
-
-        def collect():
-            nonlocal sub
-            yield handle.ready
-            sub = session.bus.subscribe(f"heartbeat.{handle.uid}",
-                                        platform="delta")
-            for _ in range(3):
-                msg = yield sub.get()
-                beats.append(msg.payload["t"])
-
-        proc = session.engine.process(collect())
-        session.run(until=proc)
+        session.run(until=handle.ready)
+        session.bus.subscribe(f"heartbeat.{handle.uid}", "delta",
+                              lambda msg: beats.append(msg.payload["t"]))
+        session.run(until=session.now + 16.0)
         assert len(beats) == 3
         assert beats[1] - beats[0] == pytest.approx(5.0, abs=0.5)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.hpc import BatchSystem, JobState, LatencySpec, PlatformSpec
 from repro.sim import RngHub, SimulationEngine
+from repro.utils import IdRegistry
 
 
 def make_spec(nodes=8, queue_wait=0.0):
@@ -20,12 +21,14 @@ def engine():
 
 @pytest.fixture
 def batch(engine):
-    return BatchSystem(engine, make_spec(), RngHub(0).stream("batch"))
+    return BatchSystem(engine, make_spec(), RngHub(0).stream("batch"),
+                       IdRegistry())
 
 
 class TestSubmission:
     def test_job_starts_when_nodes_free(self, engine, batch):
         job = batch.submit(n_nodes=4, walltime_s=100.0)
+        assert job.uid == "job.0000"          # from the registry it was given
         nodes = engine.run(until=job.started)
         assert job.state == JobState.RUNNING
         assert len(nodes) == 4
@@ -101,7 +104,8 @@ class TestCompletionAndWalltime:
         # the job left the queue and took its nodes, but stays PENDING
         # until the sampled queue-wait delay has elapsed
         spec = make_spec(nodes=4, queue_wait=50.0)
-        batch = BatchSystem(engine, spec, RngHub(7).stream("b"))
+        batch = BatchSystem(engine, spec, RngHub(7).stream("b"),
+                            IdRegistry())
         job = batch.submit(n_nodes=3, walltime_s=100.0)
         waiting = batch.submit(n_nodes=2, walltime_s=100.0)
         if ran_for is not None:  # else: before the bring-up even started
@@ -131,7 +135,8 @@ class TestCompletionAndWalltime:
 class TestBackfill:
     def test_backfill_lets_small_job_jump(self, engine):
         batch = BatchSystem(engine, make_spec(nodes=8),
-                            RngHub(0).stream("b"), backfill=True)
+                            RngHub(0).stream("b"), IdRegistry(),
+                            backfill=True)
         running = batch.submit(n_nodes=6, walltime_s=100.0)
         big = batch.submit(n_nodes=8, walltime_s=10.0)     # head, cannot fit
         small = batch.submit(n_nodes=2, walltime_s=10.0)   # fits now
@@ -142,7 +147,8 @@ class TestBackfill:
 
     def test_no_backfill_keeps_fifo(self, engine):
         batch = BatchSystem(engine, make_spec(nodes=8),
-                            RngHub(0).stream("b"), backfill=False)
+                            RngHub(0).stream("b"), IdRegistry(),
+                            backfill=False)
         batch.submit(n_nodes=6, walltime_s=30.0)
         big = batch.submit(n_nodes=8, walltime_s=10.0)
         small = batch.submit(n_nodes=2, walltime_s=10.0)
@@ -152,7 +158,8 @@ class TestBackfill:
 
     def test_queue_wait_noise_applied(self, engine):
         spec = make_spec(nodes=4, queue_wait=5.0)
-        batch = BatchSystem(engine, spec, RngHub(7).stream("b"))
+        batch = BatchSystem(engine, spec, RngHub(7).stream("b"),
+                            IdRegistry())
         job = batch.submit(n_nodes=1, walltime_s=100.0)
         engine.run(until=job.started)
         assert job.started_at > 0.0

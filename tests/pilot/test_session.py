@@ -101,6 +101,46 @@ class TestSession:
             assert s1.ids.generate("task") == "task.0000"
             assert s2.ids.generate("task") == "task.0000"
 
+    def test_same_seed_twice_in_one_process_names_everything_alike(self):
+        """Job uids and anonymous socket names used to come from
+        process-global counters: the second run said job.0001 and
+        client-sock.0001 where the first said .0000."""
+        from repro import (PilotDescription, PilotManager, ServiceClient,
+                           ServiceDescription, ServiceManager,
+                           TaskDescription, TaskManager)
+
+        def run():
+            with Session(seed=0) as session:
+                pmgr = PilotManager(session)
+                tmgr = TaskManager(session)
+                smgr = ServiceManager(session, registry_platform="delta")
+                pilots = pmgr.submit_pilots(
+                    [PilotDescription(resource="delta", nodes=1,
+                                      runtime_s=600.0) for _ in range(2)])
+                tmgr.add_pilots(pilots)
+                tasks = tmgr.submit_tasks(
+                    [TaskDescription(executable="x", duration_s=2.0)
+                     for _ in range(4)])
+                handle = smgr.start_remote(
+                    ServiceDescription(model="noop"), platform="r3")
+                session.run(until=handle.ready)
+                clients = [ServiceClient(session, platform="delta")
+                           for _ in range(2)]
+                work = [session.engine.process(
+                    c.run_workload([handle.address], 3)) for c in clients]
+                session.run(until=session.engine.all_of(
+                    work + [tmgr.wait_tasks(tasks)]))
+                return ([p.batch_job.uid for p in pilots],
+                        [session.bus.connect("delta").address.name
+                         for _ in range(2)],
+                        [tuple(row) for row in session.profiler.events()])
+
+        first, second = run(), run()
+        assert first[0] == ["job.0000", "job.0001"]
+        assert first[1] == ["client-sock.0000", "client-sock.0001"]
+        assert len(first[2]) > 40
+        assert second == first
+
 
 class TestQuiesce:
     """Session-scoped stop signal: run() drains with resilience live."""

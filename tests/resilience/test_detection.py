@@ -78,6 +78,55 @@ class TestMonitorLeases:
             assert not lease.expired
             assert monitor.detections == []
 
+    def test_deregister_withdraws_the_timer_and_the_subscription(self):
+        """The lease used to stay armed: peek() said 30.0, a following
+        run() dragged the clock there, and the subscription stayed
+        attached until then."""
+        with resilient_session() as session:
+            monitor = session.resilience.monitor
+            lease = monitor.watch("e1", 10.0, 3)
+            assert lease.is_alive and session.engine.peek() == 30.0
+            session.run(until=5.0)
+            monitor.deregister("e1")
+            assert session.engine.peek() == float("inf")
+            assert not any(session.bus._subs.values())
+            assert not lease.is_alive and not monitor.is_live("e1")
+            session.run()
+            assert session.now == 5.0
+            assert not lease.expired and monitor.detections == []
+
+    def test_beat_on_the_wire_to_a_stopped_lease_is_dropped(self):
+        with resilient_session() as session:
+            monitor = session.resilience.monitor
+            lease = monitor.watch("e2", 10.0, 3)
+            session.bus.publish(heartbeat_topic("e2"), {}, sender=Address(
+                name="e2.hb", platform="delta"))
+            monitor.deregister("e2")
+            session.run()
+            assert lease.beats == 0
+            bus = session.bus
+            assert (bus.sent_count, bus.delivered_count,
+                    bus.dropped_count) == (1, 0, 1)
+
+    def test_lease_watched_after_quiesce_is_stopped_at_once(self):
+        with resilient_session() as session:
+            session.quiesce()
+            lease = session.resilience.monitor.watch("late", 10.0, 3)
+            assert not lease.is_alive and lease.deregistered
+            assert session.engine.is_idle()
+            assert not any(session.bus._subs.values())
+
+    def test_quiesce_stops_an_armed_lease_without_a_declaration(self):
+        with resilient_session() as session:
+            monitor = session.resilience.monitor
+            lease = monitor.watch("svc.q", 10.0, 3)
+            session.run(until=1.0)
+            session.quiesce()
+            assert session.engine.is_idle() and not lease.is_alive
+            lease.interrupt("again")          # idempotent, like a process
+            session.run()
+            assert session.now == 1.0 and monitor.detections == []
+
     def test_watch_is_idempotent(self):
         with resilient_session() as session:
             monitor = session.resilience.monitor

@@ -75,7 +75,7 @@ def test_store_is_fifo(items):
     engine = SimulationEngine()
     store = Store(engine)
     for item in items:
-        store.put(item)
+        store.put_nowait(item)
     gets = [store.get() for _ in items]
     engine.run()
     assert [g.value for g in gets] == items

@@ -9,9 +9,7 @@ from repro.utils import (
     Config,
     ConfigError,
     IdRegistry,
-    generate_id,
     get_logger,
-    reset_id_counters,
     set_log_level,
 )
 
@@ -57,11 +55,6 @@ class TestIdRegistry:
         for t in threads:
             t.join()
         assert len(out) == len(set(out)) == 1600
-
-    def test_global_registry(self):
-        reset_id_counters("globaltest")
-        assert generate_id("globaltest") == "globaltest.0000"
-        assert generate_id("globaltest") == "globaltest.0001"
 
 
 class DemoConfig(Config):
