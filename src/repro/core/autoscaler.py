@@ -2,11 +2,10 @@
 
 The paper's runtime fixes the number of service instances at submission
 time and names elasticity as future work (§IV-E).  The
-:class:`Autoscaler` closes that loop: a control process in the
-ServiceManager watches the fleet's :class:`~repro.comm.message.LoadReport`
-telemetry in the :class:`~repro.core.registry.EndpointRegistry` and
-starts/stops instances to hold the estimated queueing delay under a target
-SLO:
+:class:`Autoscaler` closes that loop: every ``interval_s`` it reads the
+fleet's :class:`~repro.comm.message.LoadReport` telemetry in the
+:class:`~repro.core.registry.EndpointRegistry` and starts/stops instances
+to hold the estimated queueing delay under a target SLO:
 
 * **scale up** when the fleet-mean estimated queue delay
   (``queue_depth * ewma_service_s / workers``) stays above
@@ -22,16 +21,19 @@ SLO:
 Scaling actions are recorded in :attr:`Autoscaler.scale_events` and the
 instance-count time series in :attr:`Autoscaler.count_trace`, which the
 scaling-study benchmark plots.
+
+The control loop is a re-armed timer record, not a process
+(:class:`~repro.sim.events.Ticker`); ``stop()`` withdraws its armed tick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from ..pilot.description import ServiceDescription
 from ..pilot.states import ServiceState
-from ..sim.events import Interrupt, Process
+from ..sim.events import Ticker
 from ..utils.log import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -100,28 +102,24 @@ class Autoscaler:
         self.count_trace: List[Tuple[float, int]] = []
         self._up_streak = 0
         self._down_streak = 0
-        self._running = False
-        self._proc: Optional[Process] = None
+        self._ticker: Optional[Ticker] = None
 
     # -- lifecycle ----------------------------------------------------------------
     def start(self) -> "Autoscaler":
-        """Spawn the control loop (ensuring the min instance count)."""
-        if self._running:
+        """Arm the control loop (ensuring the min instance count)."""
+        if self._ticker is not None:
             raise RuntimeError("autoscaler already started")
-        self._running = True
         while len(self._live()) < self.config.min_instances:
             self._launch_one()
-        self._proc = self.smgr.session.engine.process(self._loop())
+        self._ticker = Ticker(self.smgr.session.engine, self._tick,
+                              first=self.config.interval_s)
         return self
 
     def stop(self) -> None:
         """Stop the control loop (instances keep running)."""
-        if not self._running:
-            return
-        self._running = False
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("autoscaler stopping")
-        self._proc = None
+        if self._ticker is not None:
+            self._ticker.interrupt("autoscaler stopping")
+            self._ticker = None
 
     # -- introspection ------------------------------------------------------------
     @property
@@ -153,16 +151,11 @@ class Autoscaler:
         return live
 
     # -- control loop -------------------------------------------------------------
-    def _loop(self):
-        engine = self.smgr.session.engine
-        cfg = self.config
-        try:
-            while self._running:
-                yield engine.timeout(cfg.interval_s)
-                self._evaluate()
-                self.count_trace.append((engine.now, len(self._live())))
-        except Interrupt:
-            return
+    def _tick(self, _: Any) -> float:
+        self._evaluate()
+        self.count_trace.append((self.smgr.session.engine.now,
+                                 len(self._live())))
+        return self.config.interval_s
 
     def _evaluate(self) -> None:
         cfg = self.config

@@ -20,7 +20,8 @@ Beyond it the instance supports:
 * **load telemetry** -- queue depth, in-flight count and an EWMA of the
   marginal per-request service time are published on every heartbeat (both
   on the per-instance topic and the shared
-  :data:`~repro.comm.message.TELEMETRY_TOPIC` the registry ingests);
+  :data:`~repro.comm.message.TELEMETRY_TOPIC` the registry ingests) by a
+  re-armed timer record, not a process, which ``stop()`` withdraws;
 * **draining** -- an orderly stop finishes admitted requests while
   shedding new arrivals, so autoscaling down never drops in-flight work.
 
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 from ..comm.bus import ServerSocket
 from ..comm.message import TELEMETRY_TOPIC, LoadReport, Message, estimate_size
 from ..serving.hosts import ServingHost
-from ..sim.events import Interrupt, Process
+from ..sim.events import Interrupt, Process, Ticker
 from ..sim.resources import Store
 from ..utils.log import get_logger
 
@@ -79,7 +80,7 @@ class ServiceInstance:
         self._rng = session.rng(f"service.{uid}")
         self._queue: Store = Store(session.engine)
         self._workers: List[Process] = []
-        self._heartbeat: Optional[Process] = None
+        self._heartbeat: Optional[Ticker] = None
         self._running = False
         self._draining = False
         self._active_dispatches = 0
@@ -122,7 +123,7 @@ class ServiceInstance:
         return self._in_flight
 
     def start(self) -> None:
-        """Spawn worker loops (one per slot) and heartbeats; admit arrivals.
+        """Spawn worker loops (one per slot), arm heartbeats; admit arrivals.
 
         Requests that landed since ``bind`` are admitted now, oldest first.
         """
@@ -133,7 +134,7 @@ class ServiceInstance:
         self.socket.handle_with(self._admit)
         for _ in range(self.host.max_concurrency):
             self._workers.append(engine.process(self._worker()))
-        self._heartbeat = engine.process(self._beat())
+        self._heartbeat = Ticker(engine, self._beat)
 
     def stop(self) -> None:
         """Stop serving immediately: all loops are interrupted.
@@ -149,9 +150,9 @@ class ServiceInstance:
             if worker.is_alive:
                 worker.interrupt("service stopping")
         self._workers.clear()
-        if self._heartbeat is not None and self._heartbeat.is_alive:
+        if self._heartbeat is not None:
             self._heartbeat.interrupt("service stopping")
-        self._heartbeat = None
+            self._heartbeat = None
         self.socket.close()
 
     def drain(self):
@@ -181,26 +182,24 @@ class ServiceInstance:
             queue_bound=self.max_queue_depth,
         )
 
-    def _beat(self):
-        engine = self.session.engine
-        try:
-            while self._running:
-                report = self.load_report()
-                # Legacy liveness keys plus the full report; the remaining
-                # telemetry fields live in the report, not flattened copies.
-                payload = {
-                    "uid": self.uid, "t": engine.now,
-                    "queue": report.queue_depth,
-                    "handled": report.handled,
-                    "load": report,
-                }
-                self.session.bus.publish(f"heartbeat.{self.uid}", payload,
-                                         sender=self.socket.address)
-                self.session.bus.publish(TELEMETRY_TOPIC, report,
-                                         sender=self.socket.address)
-                yield engine.timeout(self.heartbeat_interval_s)
-        except Interrupt:
-            return
+    def _beat(self, _: Any) -> Optional[float]:
+        """One heartbeat, published on both topics (the ticker's handler)."""
+        if not self._running:
+            return None
+        report = self.load_report()
+        # Legacy liveness keys plus the full report; the remaining
+        # telemetry fields live in the report, not flattened copies.
+        payload = {
+            "uid": self.uid, "t": self.session.engine.now,
+            "queue": report.queue_depth,
+            "handled": report.handled,
+            "load": report,
+        }
+        self.session.bus.publish(f"heartbeat.{self.uid}", payload,
+                                 sender=self.socket.address)
+        self.session.bus.publish(TELEMETRY_TOPIC, report,
+                                 sender=self.socket.address)
+        return self.heartbeat_interval_s
 
     # -- admission ------------------------------------------------------------------
     def _admit(self, msg: Message) -> None:

@@ -11,7 +11,10 @@ running, discoverable, monitored service instances:
 * **publish** -- the endpoint is registered with the
   :class:`~repro.core.registry.EndpointRegistry` (Fig. 3 ``publish``);
 * **ready**   -- the instance serves requests until stopped; liveness is
-  observable via heartbeats and the ``watch_liveness`` watchdog.
+  observable via heartbeats and the lease ``watch_liveness`` arms.
+
+A service's one process is its driver; the startup timeout is a timer
+that ``handle.ready`` withdraws, the liveness watch two callbacks.
 
 Orderly shutdown deregisters the endpoint *first* (telemetry-reading load
 balancers stop routing there), then drains the instance's admitted
@@ -35,7 +38,7 @@ from ..pilot.description import ServiceDescription
 from ..pilot.states import SERVICE_MODEL, ServiceState, TaskState
 from ..pilot.task import Pilot, Task
 from ..serving.hosts import create_host
-from ..sim.events import Event, Interrupt, Process
+from ..sim.events import URGENT, Event, Interrupt, Process, Ticker
 from ..utils.log import get_logger
 from .autoscaler import Autoscaler, AutoscalerConfig
 from .registry import EndpointRegistry, ServiceInfo
@@ -43,6 +46,7 @@ from .service import ServiceInstance
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pilot.session import Session
+    from ..resilience.detection import Lease
 
 __all__ = ["ServiceHandle", "ServiceManager"]
 
@@ -123,24 +127,19 @@ class ServiceManager:
                                    self.session.ids.generate("service"))
             handle.pilot_uid = pilot.uid
             self._handles[handle.uid] = handle
-            driver = self.session.engine.process(
+            self._drivers[handle.uid] = self.session.engine.process(
                 self._drive(handle, pilot))
-            self._drivers[handle.uid] = driver
-            self.session.engine.process(
-                self._startup_watchdog(handle, driver))
+            # fail the bootstrap if it exceeds the description's timeout;
+            # the outcome of ``ready`` -- either way -- withdraws the timer
+            timeout = Ticker(self.session.engine, self._startup_timed_out,
+                             handle, first=desc.startup_timeout_s)
+            handle.ready.callbacks.append(lambda _, t=timeout: t.interrupt())
             handles.append(handle)
         return handles
 
-    def _startup_watchdog(self, handle: ServiceHandle, driver: Process):
-        """Fail the bootstrap if it exceeds the description's timeout."""
-        engine = self.session.engine
-        timer = engine.timeout(handle.description.startup_timeout_s)
-        yield engine.any_of([handle.ready, timer])
-        if handle.ready.processed or handle.ready.triggered:
-            if not timer.processed:
-                timer.cancel()
-            return
-        if driver.is_alive:
+    def _startup_timed_out(self, handle: ServiceHandle) -> None:
+        driver = self._drivers[handle.uid]
+        if not handle.ready.triggered and driver.is_alive:
             log.warning("%s startup timed out after %.0fs", handle.uid,
                         handle.description.startup_timeout_s)
             driver.interrupt("startup timeout")
@@ -231,8 +230,12 @@ class ServiceManager:
             mark("bootstrap_stop")
             handle.ready.succeed(handle)
             if self._resilience is not None:
-                self.watch_liveness(
-                    handle, misses=self._resilience.config.lease_misses)
+                # one URGENT hop, after the instance's first beat went out:
+                # the lease is not among that beat's subscribers
+                engine.call_later(
+                    0.0, lambda _: self.watch_liveness(
+                        handle, misses=self._resilience.config.lease_misses),
+                    priority=URGENT)
             log.info("%s ready at %s (t=%.1fs)", handle.uid, handle.address,
                      engine.now)
 
@@ -380,21 +383,21 @@ class ServiceManager:
         return self._own_monitor
 
     def watch_liveness(self, handle: ServiceHandle,
-                       misses: int = 3) -> Process:
-        """Spawn a watchdog failing the service after missed heartbeats."""
-        return self.session.engine.process(
-            self._liveness_loop(handle, misses))
-
-    def _liveness_loop(self, handle: ServiceHandle, misses: int):
-        """Lease the instance's existing heartbeat channel; act on expiry."""
+                       misses: int = 3) -> "Lease":
+        """Lease a running service's heartbeat channel; returns the lease.
+        Its expiry fails a READY service; the service's end deregisters it
+        (an orderly end declares nothing)."""
         monitor = self._liveness_monitor()
         lease = monitor.watch(handle.uid,
                               handle.description.heartbeat_interval_s,
                               misses, topic=f"heartbeat.{handle.uid}")
-        yield self.session.engine.any_of([lease.declared, handle.stopped])
-        if not lease.declared.processed:
-            monitor.deregister(handle.uid)  # orderly end: no declaration
-            return
+        lease.declared.callbacks.append(
+            lambda _: self._liveness_failed(handle, misses))
+        handle.stopped.callbacks.append(
+            lambda _: monitor.deregister(handle.uid))
+        return lease
+
+    def _liveness_failed(self, handle: ServiceHandle, misses: int) -> None:
         if handle.service_state == ServiceState.READY:
             log.warning("%s missed %d heartbeats; marking FAILED",
                         handle.uid, misses)

@@ -17,7 +17,7 @@ Enable per session::
 
     session = Session(observability=ObservabilityConfig())
     ...
-    session.quiesce()                       # stops the sampling daemon too
+    session.quiesce()                       # final sample; sampler stopped
     session.run()
     session.observability.tracer.to_chrome_trace("trace.json")
 
@@ -119,8 +119,8 @@ class ObservabilityServices:
     Holds the three planes (each None when its config switch is off) and
     the task-lifecycle glue shared by all instrumented subsystems.  The
     metrics sampling daemon starts with the session and follows the
-    standard daemon contract (interrupted by ``quiesce()``, final sample
-    at drain).
+    standard daemon contract (stopped by ``quiesce()``, which takes the
+    final sample).
     """
 
     def __init__(self, session: "Session",
@@ -147,9 +147,8 @@ class ObservabilityServices:
                     self.metrics, self.monitors, session.engine
                 metrics.add_poll(
                     lambda: monitors.on_sample(metrics, engine.now))
-            proc = session.engine.process(
-                self.metrics.sampler(session, self.config.sample_interval_s))
-            session.add_daemon(proc)
+            session.add_daemon(self.metrics.sampler(
+                session.engine, self.config.sample_interval_s))
 
     # -- interpretation --------------------------------------------------------
     def attribution(self, makespan: Optional[float] = None,

@@ -2,19 +2,19 @@
 
 The metrics registry accumulates series and the monitor hub accumulates
 anomalies, but during a long campaign nobody *sees* them until the run
-ends.  The :class:`Dashboard` is a session daemon (registered through
-:meth:`~repro.pilot.session.Session.add_daemon`, interrupted by
-``quiesce()`` like every other keep-alive loop) that renders a compact
-text snapshot every ``interval_s`` simulated seconds:
+ends.  The :class:`Dashboard` is a session daemon -- a re-armed timer
+record (:class:`~repro.sim.events.Ticker`), stopped by ``quiesce()`` like
+every other keep-alive -- that renders a compact text snapshot every
+``interval_s`` simulated seconds:
 
 * every **gauge**'s current value and every **counter**'s total;
 * every **histogram**'s count / mean / p50 / p99;
 * the most recent :class:`~repro.observability.monitor.AnomalyEvent`\\ s.
 
 Snapshots accumulate on :attr:`Dashboard.snapshots`; pass ``sink=print``
-(or any callable) to stream them somewhere as they render.  On quiesce
-the daemon cancels its armed timer (no clock drag in the drain) and takes
-one final snapshot, so drain-time values appear.
+(or any callable) to stream them somewhere as they render.  Quiesce
+withdraws the armed tick (no clock drag in the drain) and takes one final
+snapshot in the call, so drain-time values appear.
 
 :meth:`Dashboard.summary` renders the end-of-run report -- final
 instrument values, the anomaly log, and (when tracing was on) the full
@@ -25,9 +25,9 @@ layer, so the campaign postmortem reads like the paper's tables.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
-from ..sim.events import Interrupt
+from ..sim.events import Ticker
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pilot.session import Session
@@ -49,27 +49,16 @@ class Dashboard:
         self.max_events = max_events
         self.sink = sink
         self.snapshots: List[str] = []
-        proc = session.engine.process(self._loop())
-        session.add_daemon(proc)
+        session.add_daemon(Ticker(session.engine, self._snap,
+                                  first=interval_s, final=self._snap))
 
     # -- the daemon ----------------------------------------------------------
-    def _loop(self):
-        engine = self.session.engine
-        while True:
-            timeout = engine.timeout(self.interval_s)
-            try:
-                yield timeout
-            except Interrupt:
-                timeout.cancel()
-                self._snap()
-                return
-            self._snap()
-
-    def _snap(self) -> None:
+    def _snap(self, _: Any = None) -> float:
         text = self.snapshot()
         self.snapshots.append(text)
         if self.sink is not None:
             self.sink(text)
+        return self.interval_s
 
     # -- rendering -----------------------------------------------------------
     @staticmethod

@@ -2,9 +2,12 @@
 
 Prometheus-flavoured but simulation-native: instruments are registered in a
 :class:`MetricsRegistry` keyed by ``(name, labels)``, and a sampling daemon
-(a plain session daemon, see :meth:`~repro.pilot.session.Session.add_daemon`)
 snapshots every instrument at a fixed simulated-time interval, producing the
-time series that live dashboards and tests consume.  Poll callbacks let
+time series that live dashboards and tests consume.  The daemon is a
+re-armed timer record (:class:`~repro.sim.events.Ticker`), not a process: a
+tick is its timer's own kernel entry, and stopping it
+(:meth:`~repro.pilot.session.Session.quiesce`) withdraws the armed tick and
+takes the final sample in the call.  Poll callbacks let
 subsystems expose *derived* values (queue depth, utilization) without being
 woken on every mutation: the registry calls them once per sample tick.
 
@@ -22,13 +25,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
-from ..sim.events import Interrupt
+from ..sim.events import Ticker
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..pilot.session import Session
+    from ..sim.engine import SimulationEngine
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "DEFAULT_BUCKETS"]
@@ -245,22 +248,13 @@ class MetricsRegistry:
                 if n == name}
 
     # -- the sampling daemon ----------------------------------------------------
-    def sampler(self, session: "Session", interval_s: float):
-        """Session-daemon body: sample every *interval_s* simulated seconds.
-
-        Follows the standard daemon contract: runs until ``quiesce()``
-        interrupts it, then takes one final sample (so drain-time values --
-        pending depth back at zero, final utilization -- appear in the
-        series) and cancels its armed timer so the drain doesn't advance
-        the clock to the next tick.
-        """
-        engine = session.engine
-        while True:
-            timeout = engine.timeout(interval_s)
-            try:
-                yield timeout
-            except Interrupt:
-                timeout.cancel()
-                self.sample(engine.now)
-                return
+    def sampler(self, engine: "SimulationEngine", interval_s: float) -> Ticker:
+        """The sampling daemon: a sample every *interval_s* simulated
+        seconds, and a final one when it is stopped (``quiesce()``), so
+        drain-time values -- pending depth back at zero, final utilization
+        -- appear in the series.  Register it with
+        :meth:`~repro.pilot.session.Session.add_daemon`."""
+        def tick(_: Any) -> float:
             self.sample(engine.now)
+            return interval_s
+        return Ticker(engine, tick, first=interval_s, final=tick)

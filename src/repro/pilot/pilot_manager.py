@@ -97,8 +97,8 @@ class PilotManager:
         log.info("%s active (%d nodes) at t=%.2f", pilot.uid, n_nodes,
                  self.session.engine.now)
         if self._resilience is not None:
-            # Heartbeats + lease watchdog + armed fault processes: from
-            # here on the pilot's liveness is *observed*, not assumed.
+            # Heartbeats + lease + armed fault records: from here on the
+            # pilot's liveness is *observed*, not assumed.
             self._resilience.pilot_activated(self, pilot)
 
         final = yield job.finished

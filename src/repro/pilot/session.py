@@ -71,8 +71,8 @@ class Session:
         self._batch: Dict[str, BatchSystem] = {}
         self._closed = False
         self._quiescing = False
-        #: background keep-alives (heartbeat and fault loops, armed leases)
-        #: interrupted by quiesce() so run() can drain
+        #: background keep-alives (heartbeats, fault records, the sampler,
+        #: the dashboard, armed leases) stopped by quiesce() so run() drains
         self._daemons: List[Any] = []
         self._daemon_prune_at = 64
         self._pool: Optional[ThreadPoolExecutor] = None
@@ -203,15 +203,16 @@ class Session:
         """True once :meth:`quiesce` has been called."""
         return self._quiescing
 
-    def add_daemon(self, process) -> None:
-        """Register a background keep-alive for quiesce interruption.
+    def add_daemon(self, daemon) -> None:
+        """Register a background keep-alive for quiesce to stop.
 
-        Daemons keep the event queue alive by design -- pilot heartbeat
-        and fault-injection loops, armed leases.  Two members are used of
-        one: ``interrupt(cause)``, an orderly shutdown signal (a process
-        gets :class:`~repro.sim.events.Interrupt`; a
-        :class:`~repro.resilience.detection.Lease` withdraws its timer),
-        and ``is_alive``.
+        A daemon keeps the event queue alive by design -- a re-armed
+        :class:`~repro.sim.events.Ticker` (heartbeats, fault injectors, the
+        sampler, the dashboard) or an armed lease -- and is anything with
+        ``interrupt(cause)`` and ``is_alive``.  A record withdraws its timer
+        in ``interrupt`` and is dead when it returns; a
+        :class:`~repro.sim.events.Process` is still accepted (it gets
+        :class:`~repro.sim.events.Interrupt` at its next resume).
 
         Registering after :meth:`quiesce` stops the daemon immediately:
         a pilot that only activates during the final drain (e.g. one still
@@ -219,32 +220,33 @@ class Session:
         heartbeats the quiesce can no longer reach.
         """
         if self._quiescing:
-            process.interrupt("session quiesce")
+            daemon.interrupt("session quiesce")
             return
-        self._daemons.append(process)
+        self._daemons.append(daemon)
         # Amortised cleanup: long campaigns with pilot resubmission register
-        # daemons per activation (one fault loop per node); completed loops
+        # daemons per activation (one fault record per node); ended ones
         # must not pin their dead pilot's state for the session lifetime.
         if len(self._daemons) >= self._daemon_prune_at:
-            self._daemons = [p for p in self._daemons if p.is_alive]
+            self._daemons = [d for d in self._daemons if d.is_alive]
             self._daemon_prune_at = max(64, 2 * len(self._daemons))
 
     def quiesce(self) -> None:
         """Signal session-scoped shutdown so ``run()`` drains cleanly.
 
         With resilience enabled, pilot heartbeats (and their leases and
-        fault loops) re-arm forever, which forced every campaign to run
-        with ``until=`` and guess a horizon.  Quiescing interrupts all
-        registered daemons: no further keep-alive events are scheduled, no
-        lease is declared expired by the silence, and a final ``run()``
-        processes whatever genuine work remains and returns.  Idempotent.
+        fault records) re-arm forever, which forced every campaign to run
+        with ``until=`` and guess a horizon.  Quiescing stops every
+        registered daemon in this call (the sampler and the dashboard take
+        their final sample and snapshot in it), no lease is declared
+        expired by the silence, and a final ``run()`` processes whatever
+        genuine work remains and returns.  Idempotent.
         """
         if self._quiescing:
             return
         self._quiescing = True
         daemons, self._daemons = self._daemons, []
-        for process in daemons:
-            process.interrupt("session quiesce")
+        for daemon in daemons:
+            daemon.interrupt("session quiesce")
         log.info("session %s quiescing at t=%.3f (%d daemons stopped)",
                  self.uid, self.engine.now, len(daemons))
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Union)
 
@@ -209,14 +210,16 @@ class TaskManager:
             if pilot in self._pilots:
                 continue
             self._pilots.append(pilot)
-            self.session.engine.process(self._watch_pilot(pilot))
+            if not pilot.finished.processed:  # else no task of ours ran
+                pilot.finished.callbacks.append(partial(self._pilot_ended,
+                                                        pilot))
             added = True
         if added:
             fired, self.pilots_changed = (self.pilots_changed,
                                           self.session.engine.event())
             fired.succeed(None)
 
-    def _watch_pilot(self, pilot: Pilot):
+    def _pilot_ended(self, pilot: Pilot, finished: Event) -> None:
         """React to a pilot's end: cancel or fail its still-running tasks.
 
         An orderly end (DONE, user cancellation) cancels resident tasks as
@@ -224,9 +227,10 @@ class TaskManager:
         :class:`PilotLost` instead: the tasks physically died with their
         pilot, and their drivers hand the failure to the recovery engine
         -- which acts only once the heartbeat lease declares the pilot
-        dead, never on this (oracle) event.
+        dead, never on this (oracle) event.  A callback on
+        ``pilot.finished``, run in the entry that processes it.
         """
-        state = yield pilot.finished
+        state = finished.value
         victims = [t for t in self._tasks.values()
                    if t.pilot_uid == pilot.uid and not t.is_final]
         if not victims:

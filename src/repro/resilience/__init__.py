@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, MutableMapping, Optional
 
 from ..comm.message import Address
+from ..sim.events import Ticker
 from ..utils.log import get_logger
 from .detection import DetectionRecord, HeartbeatMonitor, Lease, heartbeat_topic
 from .failures import (
@@ -142,12 +143,13 @@ class ResilienceServices:
 
     # -- pilot lifecycle hooks (called by the PilotManager) ----------------------
     def pilot_activated(self, pmgr: "PilotManager", pilot: "Pilot") -> None:
-        """Start heartbeats, the lease and armed fault processes."""
+        """Start heartbeats, the lease and armed fault records."""
         lease = self.monitor.watch(pilot.uid,
                                    self.config.heartbeat_interval_s,
                                    self.config.lease_misses)
+        sender = Address(name=f"{pilot.uid}.hb", platform=pilot.platform.name)
         self.session.add_daemon(
-            self.session.engine.process(self._pilot_heartbeat(pilot)))
+            Ticker(self.session.engine, self._pilot_beat, (pilot, sender)))
         self.recovery.watch_pilot(pmgr, pilot, lease)
         if self.injector is not None:
             self.injector.arm_pilot(pilot)
@@ -158,29 +160,17 @@ class ResilienceServices:
         if state != PilotState.FAILED:
             self.monitor.deregister(pilot.uid)
 
-    def _pilot_heartbeat(self, pilot: "Pilot"):
-        """Agent-side heartbeat loop: beats stop the instant the pilot dies.
-
-        Runs as a session daemon: :meth:`Session.quiesce` interrupts it so
-        a final ``run()`` can drain instead of re-arming beats forever.
-        """
+    def _pilot_beat(self, beat) -> Optional[float]:
+        """One agent-side heartbeat (a session daemon's handler); beats stop
+        the instant the pilot dies, and quiesce withdraws the next one."""
         from ..pilot.states import PilotState
-        from ..sim.events import Interrupt
-        engine = self.session.engine
-        sender = Address(name=f"{pilot.uid}.hb",
-                         platform=pilot.platform.name)
-        timer = None
-        try:
-            while pilot.state == PilotState.PMGR_ACTIVE:
-                self.session.bus.publish(
-                    heartbeat_topic(pilot.uid),
-                    {"uid": pilot.uid, "t": engine.now}, sender=sender)
-                timer = engine.timeout(self.config.heartbeat_interval_s)
-                yield timer
-        except Interrupt:
-            self.monitor.deregister(pilot.uid)
-            if timer is not None and not timer.processed:
-                timer.cancel()
+        pilot, sender = beat
+        if pilot.state != PilotState.PMGR_ACTIVE:
+            return None
+        self.session.bus.publish(
+            heartbeat_topic(pilot.uid),
+            {"uid": pilot.uid, "t": self.session.engine.now}, sender=sender)
+        return self.config.heartbeat_interval_s
 
     # -- fan-out helpers ---------------------------------------------------------
     def fail_task(self, uid: str, exc: BaseException) -> bool:

@@ -22,14 +22,18 @@ independent of the workload's own randomness:
 The injector records ground-truth fault times so analytics can report
 *detection latency* (fault to lease expiry) without the runtime itself ever
 using that oracle knowledge.
+
+Every injector is a re-armed timer record (:class:`~repro.sim.events.Ticker`),
+not a process: a node's is a two-state up/down handler, and one callback on
+``pilot.finished`` stops a pilot's node and preemption records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, List, Optional
 
-from ..sim.events import AnyOf, Interrupt
+from ..sim.events import Ticker
 from ..utils.log import get_logger
 from .failures import NodeFailure
 
@@ -86,6 +90,17 @@ class FaultRecord:
     detail: str = ""
 
 
+@dataclass
+class _NodeFaults:
+    """One node's up/down fault record: the argument of its ticker."""
+
+    pilot: "Pilot"
+    node: Any
+    mtbf: float
+    mttr: float
+    down: bool = False  # a repair, not a fault, is due next
+
+
 class FaultInjector:
     """Drives the configured :class:`FaultModel` against live entities."""
 
@@ -97,7 +112,7 @@ class FaultInjector:
         self._rng = session.rng("resilience.faults")
         self.records: List[FaultRecord] = []
         self._armed_pilots: List["Pilot"] = []
-        self._link_loop_running = False
+        self._link_flaps: Optional[Ticker] = None
         if model.transfer_corrupt_prob > 0:
             transfers = session.data.transfers
             transfers.corruption_check = self._corruption_check
@@ -117,10 +132,10 @@ class FaultInjector:
 
     # -- arming ------------------------------------------------------------------
     def arm_pilot(self, pilot: "Pilot") -> None:
-        """Attach fault processes to a freshly activated pilot.
+        """Attach fault records to a freshly activated pilot.
 
-        Every fault loop registers as a session daemon: quiesce stops the
-        adversary along with the heartbeats it preys on.
+        Every record is a session daemon: quiesce stops the adversary along
+        with the heartbeats it preys on.
         """
         engine = self.session.engine
         daemon = self.session.add_daemon
@@ -130,83 +145,72 @@ class FaultInjector:
                 else spec.node_mtbf_s)
         mttr = (self.model.node_mttr_s if self.model.node_mttr_s is not None
                 else spec.node_mttr_s)
-        if mtbf and mtbf > 0:
-            for node in pilot.nodes:
-                daemon(engine.process(
-                    self._node_fault_loop(pilot, node, mtbf, mttr)))
+        records = [Ticker(engine, self._node_flip,
+                          _NodeFaults(pilot, node, mtbf, mttr),
+                          first=self._node_uptime)
+                   for node in pilot.nodes] if mtbf and mtbf > 0 else []
         if self.model.pilot_preempt_mtbf_s > 0:
-            daemon(engine.process(self._pilot_preempt(pilot)))
-        if self.model.link_flap_mtbf_s > 0 and not self._link_loop_running:
-            self._link_loop_running = True
-            daemon(engine.process(self._link_flap_loop()))
+            records.append(Ticker(
+                engine, self._preempt, pilot,
+                first=lambda _: self._draw(self.model.pilot_preempt_mtbf_s)))
+        for record in records:
+            daemon(record)
+
+        def disarm(_: Any) -> None:
+            for record in records:
+                record.interrupt("pilot ended")
+
+        pilot.finished.callbacks.append(disarm)
+        if self.model.link_flap_mtbf_s > 0 and self._link_flaps is None:
+            self._link_flaps = Ticker(
+                engine, self._link_flap,
+                first=lambda _: self._draw(self.model.link_flap_mtbf_s))
+            daemon(self._link_flaps)
 
     def arm_services(self, smgr) -> None:
-        """Start the serving-instance crash process over a ServiceManager."""
+        """Start the serving-instance crash record over a ServiceManager."""
         if self.model.service_crash_mtbf_s > 0:
-            self.session.add_daemon(
-                self.session.engine.process(self._service_crash_loop(smgr)))
+            self.session.add_daemon(Ticker(
+                self.session.engine, self._service_crash, smgr,
+                first=lambda _: self._draw(self.model.service_crash_mtbf_s)))
+
+    def _draw(self, mtbf: float) -> float:
+        """Time to the next fault of a kind, from the faults stream."""
+        return float(self._rng.exponential(mtbf))
 
     # -- node faults -------------------------------------------------------------
-    def _wait_or_pilot_end(self, pilot: "Pilot", delay: float):
-        """Yield until *delay* elapses or the pilot ends.  True = pilot ended."""
-        engine = self.session.engine
-        timer = engine.timeout(delay)
-        try:
-            yield AnyOf(engine, [timer, pilot.finished])
-        except Interrupt:
-            # session quiesce: drop the armed MTBF/MTTR timer so the final
-            # drain does not advance the clock to its (possibly distant)
-            # expiry; the caller's handler sees the same Interrupt
-            if not timer.processed:
-                timer.cancel()
-            raise
-        if pilot.finished.processed:
-            if not timer.processed:
-                timer.cancel()
-            return True
-        return False
-
-    def _node_fault_loop(self, pilot: "Pilot", node, mtbf: float,
-                         mttr: float):
+    def _node_uptime(self, rec: _NodeFaults) -> Optional[float]:
+        """Time to the node's next fault (None once its pilot is over)."""
         from ..pilot.states import PilotState
-        try:
-            while pilot.state == PilotState.PMGR_ACTIVE:
-                delay = float(self._rng.exponential(mtbf))
-                ended = yield from self._wait_or_pilot_end(pilot, delay)
-                if ended:
-                    return
-                degraded = \
-                    float(self._rng.random()) < self.model.degraded_fraction
-                if degraded:
-                    node.mark_degraded()
-                    self._record("node_degraded", node.name, detail=pilot.uid)
-                else:
-                    node.mark_down()
-                    self._record("node_crash", node.name, detail=pilot.uid)
-                    for uid in pilot.agent.scheduler.held_on_node(node.index):
-                        self.services.fail_task(
-                            uid, NodeFailure(node.name, pilot.uid))
-                ended = yield from self._wait_or_pilot_end(
-                    pilot, max(mttr, 0.0))
-                if ended:
-                    return
-                node.mark_up()
-                self._record("node_repair", node.name)
-                pilot.agent.scheduler.kick()
-        except Interrupt:  # session quiesce
-            return
+        if rec.pilot.state != PilotState.PMGR_ACTIVE:
+            return None
+        return self._draw(rec.mtbf)
+
+    def _node_flip(self, rec: _NodeFaults) -> Optional[float]:
+        """Up -> crashed or degraded (a repair is due after the MTTR);
+        down -> repaired (the next fault is drawn)."""
+        pilot, node = rec.pilot, rec.node
+        if rec.down:
+            rec.down = False
+            node.mark_up()
+            self._record("node_repair", node.name)
+            pilot.agent.scheduler.kick()
+            return self._node_uptime(rec)
+        rec.down = True
+        if float(self._rng.random()) < self.model.degraded_fraction:
+            node.mark_degraded()
+            self._record("node_degraded", node.name, detail=pilot.uid)
+        else:
+            node.mark_down()
+            self._record("node_crash", node.name, detail=pilot.uid)
+            for uid in pilot.agent.scheduler.held_on_node(node.index):
+                self.services.fail_task(uid, NodeFailure(node.name, pilot.uid))
+        return max(rec.mttr, 0.0)
 
     # -- pilot preemption --------------------------------------------------------
-    def _pilot_preempt(self, pilot: "Pilot"):
+    def _preempt(self, pilot: "Pilot") -> None:
         from ..hpc.batch import JobState
         from ..pilot.states import PilotState
-        delay = float(self._rng.exponential(self.model.pilot_preempt_mtbf_s))
-        try:
-            ended = yield from self._wait_or_pilot_end(pilot, delay)
-        except Interrupt:  # session quiesce
-            return
-        if ended:
-            return
         if pilot.state != PilotState.PMGR_ACTIVE \
                 or pilot.batch_job.state != JobState.RUNNING:
             return
@@ -225,58 +229,30 @@ class FaultInjector:
                          detail=f"{nbytes:.3g}B")
         return corrupt
 
-    def _link_flap_loop(self):
+    def _link_flap(self, _: Any) -> Optional[float]:
         from ..data.transfers import TransferAborted
         from ..pilot.states import PilotState
-        engine = self.session.engine
-        timer = None
-        try:
-            while True:
-                delay = float(self._rng.exponential(
-                    self.model.link_flap_mtbf_s))
-                timer = engine.timeout(delay)
-                yield timer
-                if self._armed_pilots and all(
-                        p.state in PilotState.FINAL
-                        for p in self._armed_pilots):
-                    return  # campaign over: stop generating events
-                busy = [link for link
-                        in self.session.data.transfers.links().values()
-                        if link.active_flows]
-                if not busy:
-                    continue
-                link = busy[int(self._rng.integers(len(busy)))]
-                n = link.interrupt_all(
-                    lambda flow: TransferAborted(f"link {link.name} flapped"))
-                self._record("link_flap", link.name,
-                             detail=f"{n} flows killed")
-        except Interrupt:  # session quiesce
-            if timer is not None and not timer.processed:
-                timer.cancel()
-            return
+        if self._armed_pilots and all(
+                p.state in PilotState.FINAL for p in self._armed_pilots):
+            return None  # campaign over: stop generating events
+        busy = [link for link in self.session.data.transfers.links().values()
+                if link.active_flows]
+        if busy:
+            link = busy[int(self._rng.integers(len(busy)))]
+            n = link.interrupt_all(
+                lambda flow: TransferAborted(f"link {link.name} flapped"))
+            self._record("link_flap", link.name, detail=f"{n} flows killed")
+        return self._draw(self.model.link_flap_mtbf_s)
 
     # -- service crashes ---------------------------------------------------------
-    def _service_crash_loop(self, smgr):
+    def _service_crash(self, smgr) -> Optional[float]:
         from ..pilot.states import ServiceState
-        engine = self.session.engine
-        timer = None
-        try:
-            while True:
-                delay = float(self._rng.exponential(
-                    self.model.service_crash_mtbf_s))
-                timer = engine.timeout(delay)
-                yield timer
-                if smgr.services and all(
-                        h.service_state in ServiceState.FINAL
-                        for h in smgr.services):
-                    return
-                ready = smgr.ready_services()
-                if not ready:
-                    continue
-                victim = ready[int(self._rng.integers(len(ready)))]
-                self._record("service_crash", victim.uid)
-                smgr.crash_service(victim)
-        except Interrupt:  # session quiesce
-            if timer is not None and not timer.processed:
-                timer.cancel()
-            return
+        if smgr.services and all(h.service_state in ServiceState.FINAL
+                                 for h in smgr.services):
+            return None
+        ready = smgr.ready_services()
+        if ready:
+            victim = ready[int(self._rng.integers(len(ready)))]
+            self._record("service_crash", victim.uid)
+            smgr.crash_service(victim)
+        return self._draw(self.model.service_crash_mtbf_s)

@@ -213,13 +213,12 @@ class RecoveryEngine:
     # -- pilot resubmission ------------------------------------------------------
     def watch_pilot(self, pmgr: "PilotManager", pilot: "Pilot",
                     lease) -> None:
-        """Arm resubmission for *pilot*: act when its lease expires."""
-        self.session.engine.process(
-            self._pilot_declared_watch(pmgr, pilot, lease))
+        """Arm resubmission for *pilot*: act when its lease expires (only
+        ever for an unclean death), in the entry that declares it."""
+        lease.declared.callbacks.append(
+            lambda _: self._pilot_declared(pmgr, pilot))
 
-    def _pilot_declared_watch(self, pmgr: "PilotManager", pilot: "Pilot",
-                              lease):
-        yield lease.declared   # only ever fires for unclean deaths
+    def _pilot_declared(self, pmgr: "PilotManager", pilot: "Pilot") -> None:
         policy = self.config.pilot_resubmit
         if policy is None:
             return

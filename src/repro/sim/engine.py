@@ -44,8 +44,7 @@ import itertools
 import threading
 import time as _time
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, \
-    Union
+from typing import Any, Callable, Deque, Generator, Iterable, List, Union
 
 from .events import (
     NORMAL,
@@ -81,16 +80,10 @@ class SimulationEngine:
         #: zero-delay NORMAL-priority entries, sorted by construction
         self._nowq: Deque[tuple] = deque()
         self._eid = itertools.count()
-        self._active_process: Optional[Process] = None
         #: free list of fired Deferred instances (see call_later)
         self._pool: List[Deferred] = []
 
     # -- introspection --------------------------------------------------------
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None outside resumes)."""
-        return self._active_process
-
     def _prune_cancelled(self) -> None:
         """Drop cancelled events from the heads of both queues."""
         heap = self._heap
@@ -327,19 +320,29 @@ class RealtimeEngine(SimulationEngine):
         self._sim_anchor = self.now
         self._running = True
         try:
-            if isinstance(until, Event):
-                return self._run_until_event(until)
-            if until is None:
-                self._run_until_drained(None)
-                return None
-            deadline = float(until)
-            self._run_until_drained(deadline)
-            self.now = max(self.now, deadline)
-            return None
+            return super().run(until)
         finally:
             self._running = False
 
-    def _wait_for_next(self, sim_deadline: Optional[float]) -> bool:
+    def _dispatch(self, stop: Event, deadline: float,
+                  budget: Iterable[None]) -> bool:
+        """The paced loop: one entry at a time, each once it is due, with
+        injections run in between.  While idle it keeps waiting for *stop*
+        (an injection may still trigger it); without one it returns when
+        nothing is left to run before *deadline*."""
+        if budget is _ONE_EVENT:
+            return super()._dispatch(stop, deadline, budget)
+        while stop.callbacks is not None:
+            if self._wait_for_next(deadline):
+                super()._dispatch(stop, deadline, _ONE_EVENT)
+            elif stop is _NEVER:
+                return False
+            else:
+                with self._cv:
+                    self._cv.wait(timeout=0.01)
+        return True
+
+    def _wait_for_next(self, sim_deadline: float) -> bool:
         """Sleep until the next event is due or an injection arrives.
 
         Returns True when an event is ready to step, False when the engine
@@ -365,7 +368,7 @@ class RealtimeEngine(SimulationEngine):
                     next_sim = nowq[0][0]
             else:
                 next_sim = nowq[0][0]
-            if sim_deadline is not None and next_sim > sim_deadline:
+            if next_sim > sim_deadline:
                 return False
             if self.factor <= 0:
                 return True
@@ -377,21 +380,3 @@ class RealtimeEngine(SimulationEngine):
                 if self._injected:
                     continue
                 self._cv.wait(timeout=min(remaining, 0.05))
-
-    def _run_until_drained(self, deadline: Optional[float]) -> None:
-        while self._wait_for_next(deadline):
-            self.step()
-
-    def _run_until_event(self, stop_event: Event) -> Any:
-        while not stop_event.processed:
-            if not self._wait_for_next(None):
-                # Idle, but the stop event may still arrive via injection:
-                # block briefly, then re-check.
-                with self._cv:
-                    self._cv.wait(timeout=0.01)
-                continue
-            self.step()
-        if stop_event._ok is False:
-            stop_event._defused = True
-            raise stop_event._value
-        return stop_event._value

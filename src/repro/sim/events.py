@@ -4,7 +4,9 @@ The kernel follows the classic process-interaction style (as popularised by
 SimPy, re-implemented here from scratch): an :class:`Event` is a one-shot
 occurrence with a value; a :class:`Process` wraps a generator that *yields*
 events and is resumed when they trigger; :class:`Condition` composes events
-(:func:`AllOf` / :func:`AnyOf`).
+(:func:`AllOf` / :func:`AnyOf`).  What only waits on a clock is no process:
+a :class:`Deferred` is one call at a time, a :class:`Ticker` one re-armed
+by its own handler.
 
 Events move through three phases:
 
@@ -24,6 +26,7 @@ __all__ = [
     "PENDING",
     "Event",
     "Deferred",
+    "Ticker",
     "Timeout",
     "Process",
     "Routine",
@@ -170,6 +173,64 @@ class Deferred:
         return f"<Deferred {state} at {id(self):#x}>"
 
 
+#: a Ticker's timer while its start entry is pending or its handler runs:
+#: never scheduled, so withdrawing it is harmless
+_UNARMED = Deferred()
+
+
+class Ticker:
+    """A keep-alive as a record: one armed timer, re-armed by its handler.
+
+    ``fn(arg)`` runs inside the timer's own kernel entry and returns the
+    delay to its next call, or ``None`` to end.  Starting costs one URGENT
+    zero-delay entry (where a :class:`Process` ran its body to its first
+    yield); it takes the first delay from *first* -- a number, or a
+    function of *arg* -- or, with ``first=None``, is the first call of *fn*.
+
+    A session daemon: :meth:`interrupt` withdraws the armed timer in the
+    call, then runs ``final(arg)``.  Interrupted before its start entry, it
+    still makes that first call (a process body ran to its first yield
+    before an interrupt could land) and arms nothing.
+    """
+
+    __slots__ = ("engine", "fn", "arg", "final", "_timer")
+
+    def __init__(self, engine: "SimulationEngine",
+                 fn: Callable[[Any], Optional[float]], arg: Any = None,
+                 first: Any = None,
+                 final: Optional[Callable[[Any], Any]] = None) -> None:
+        self.engine, self.fn, self.arg, self.final = engine, fn, arg, final
+        self._timer: Optional[Deferred] = _UNARMED
+        engine.call_later(0.0, self._start, first, priority=URGENT)
+
+    @property
+    def is_alive(self) -> bool:
+        return self._timer is not None
+
+    def _start(self, first: Any) -> None:
+        delay = (self.fn(self.arg) if first is None else
+                 first(self.arg) if callable(first) else first)
+        self._arm(delay)
+
+    def _fire(self, _: Any) -> None:
+        self._timer = _UNARMED
+        self._arm(self.fn(self.arg))
+
+    def _arm(self, delay: Optional[float]) -> None:
+        if self._timer is _UNARMED:  # not interrupted meanwhile
+            self._timer = (None if delay is None
+                           else self.engine.call_later(delay, self._fire))
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Withdraw the armed timer, run the final hook; a no-op once
+        ended or stopped."""
+        timer, self._timer = self._timer, None
+        if timer is not None:
+            timer.cancel()
+            if self.final is not None:
+                self.final(self.arg)
+
+
 class Timeout(Event):
     """An event that triggers after a fixed simulated delay."""
 
@@ -231,6 +292,7 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(engine)
         self._generator = generator
+        #: the event the generator waits on (None while it runs)
         self._target: Optional[Event] = None
         # Kick off the process via an immediate initialisation event.
         init = Event(engine)
@@ -238,11 +300,6 @@ class Process(Event):
         init._value = None
         init.callbacks.append(self._resume)
         engine.schedule(init, priority=URGENT)
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on (if any)."""
-        return self._target
 
     @property
     def is_alive(self) -> bool:
@@ -277,7 +334,6 @@ class Process(Event):
     # -- resume machinery -----------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of *event*."""
-        self.engine._active_process = self
         self._target = None
         while True:
             try:
@@ -294,8 +350,6 @@ class Process(Event):
             except BaseException as exc:
                 self._exit(False, exc)
                 break
-            finally:
-                self.engine._active_process = None
 
             if not isinstance(next_event, Event):
                 raise RuntimeError(
@@ -307,7 +361,6 @@ class Process(Event):
                 break
             # Already processed: consume its value immediately (no recursion).
             event = next_event
-            self.engine._active_process = self
 
     def _exit(self, ok: bool, value: Any) -> None:
         """The generator ended: trigger the process event with its outcome."""

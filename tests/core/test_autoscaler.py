@@ -68,6 +68,30 @@ class TestLifecycle:
             scaler.stop()
 
 
+class TestStop:
+    def test_stopping_leaves_no_tick_armed(self):
+        """``ServiceInstance.stop()`` and ``Autoscaler.stop()`` used to
+        leave their next interval timeout on the event queue, so a
+        ``run()`` after the stop ran the clock on to that abandoned tick.
+        Stopping withdraws the armed tick: once the stopped services and
+        the autoscaler have nothing genuine left, the queue is empty."""
+        with Session(seed=0) as session:
+            smgr = ServiceManager(session, registry_platform="delta")
+            scaler = smgr.start_autoscaler(
+                ServiceDescription(model="noop", heartbeat_interval_s=7.0),
+                remote_platform="r3",
+                config=AutoscalerConfig(min_instances=2, interval_s=11.0))
+            session.run(until=smgr.wait_ready(scaler.handles))
+            session.run(until=session.now + 30.0)
+            scaler.stop()
+            smgr.stop_services(scaler.handles)
+            session.run(until=smgr.wait_stopped(scaler.handles))
+            assert session.engine.peek() == float("inf")
+            stopped_at = session.now
+            session.run()
+            assert session.now == stopped_at
+
+
 class TestElasticity:
     def test_grows_and_shrinks_under_bursty_load(self):
         """Acceptance: a burst grows the fleet toward the SLO; the idle

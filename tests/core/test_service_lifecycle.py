@@ -204,6 +204,23 @@ class TestStopAndFailure:
         assert smgr.registry.list_services() == []
         assert pilot.free_capacity()["cores"] == pilot.nodes.total_free_cores
 
+    def test_bootstrap_failed_before_ready_withdraws_the_startup_timeout(
+            self, env):
+        """The pilot dies before the service is up: the service fails, and
+        the failed ``ready`` withdraws the startup timeout.  The watchdog
+        process this replaced waited on ``ready`` and re-raised its failure
+        from ``run()`` instead."""
+        session, pmgr, smgr, pilot = env
+        (handle,) = smgr.start_services(
+            ServiceDescription(model="noop", gpus_per_rank=0,
+                               startup_timeout_s=600.0), pilot)
+        pmgr.cancel_pilots(pilot)
+        session.run()
+        assert handle.service_state == ServiceState.FAILED
+        assert not handle.ready.ok
+        assert session.now < 600.0
+        assert session.engine.peek() == float("inf")
+
     def test_interrupt_at_the_grant_instant_leaks_no_slots(self, env):
         """A blocker's release grants the queued service; in the same
         instant the bootstrap is interrupted (what the startup watchdog

@@ -1,14 +1,18 @@
 """The task path under composed disturbance: a stateful machine at the
 ``Session`` API.
 
-Rules submit tasks every way ``submit_tasks`` allows -- two batches through
-one shared ``SubmissionWindow`` included -- cancel them, fault them, crash
-and repair nodes, register an observer that raises once, and move the
-clock; after every rule no completed task may hold anything and no window
-may be over capacity, and after the teardown nothing may be left anywhere:
-no slot, no window slot, no feed queued at a window.  Only public surface is
-used (plus ``TaskManager._live_load``), so the machine runs unchanged
-against any implementation of the path.
+The session may carry a node fault model (the injector crashes, degrades
+and repairs nodes on its own clock) and the metrics plane.  Rules submit
+tasks every way ``submit_tasks`` allows -- two batches through one shared
+``SubmissionWindow`` included -- cancel them, fault them, crash and repair
+nodes, register an observer that raises once, and move the clock; after
+every rule no completed task may hold anything and no window may be over
+capacity.  The teardown ends the pilot, which must take its fault records
+with it, then quiesces: after that nothing may be left anywhere -- no slot,
+no window slot, no feed queued at a window, no live daemon, no event on the
+queue -- and the sampler's last sample is the quiesce-time one.  Only
+public surface is used (plus ``TaskManager._live_load``), so the machine
+runs unchanged against any implementation of the path.
 """
 
 from hypothesis import settings, strategies as st
@@ -19,6 +23,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro import ObservabilityConfig
 from repro.pilot import (
     PilotDescription,
     PilotManager,
@@ -28,7 +33,12 @@ from repro.pilot import (
     TaskState,
 )
 from repro.pilot.task_manager import SubmissionWindow
-from repro.resilience import NodeFailure, ResilienceConfig, RetryPolicy
+from repro.resilience import (
+    FaultModel,
+    NodeFailure,
+    ResilienceConfig,
+    RetryPolicy,
+)
 
 #: states an observer may raise on.  On a transition of a live attempt the
 #: exception fails that attempt; on a final state there is no attempt left
@@ -44,24 +54,46 @@ durations = st.sampled_from([0.0, 1.0, 30.0, 1000.0])
 counts = st.integers(min_value=1, max_value=4)
 #: index into the tasks submitted so far (taken modulo their number)
 picks = st.integers(min_value=0, max_value=63)
+node_faults = st.one_of(st.none(), st.builds(
+    FaultModel, node_mtbf_s=st.sampled_from([60.0, 400.0, 3000.0]),
+    node_mttr_s=st.sampled_from([0.0, 30.0, 300.0]),
+    degraded_fraction=st.sampled_from([0.0, 0.5])))
+sample_intervals = st.one_of(st.none(), st.sampled_from([5.0, 60.0]))
 
 
 def _boom():
     raise ValueError("payload failed")
 
 
+class WatchedSession(Session):
+    """A session that keeps every daemon it was ever given."""
+
+    def __init__(self, **kwargs):
+        self.every_daemon = []
+        super().__init__(**kwargs)
+
+    def add_daemon(self, daemon):
+        self.every_daemon.append(daemon)
+        super().add_daemon(daemon)
+
+
 class TaskPathMachine(RuleBasedStateMachine):
 
     @initialize(seed=st.integers(min_value=0, max_value=20),
-                warm=st.booleans())
-    def start(self, seed, warm):
-        self.session = Session(
+                warm=st.booleans(), faults=node_faults,
+                sample_interval=sample_intervals)
+    def start(self, seed, warm, faults, sample_interval):
+        self.session = WatchedSession(
             seed=seed,
             resilience_config=ResilienceConfig(
                 heartbeat_interval_s=50.0,
                 retry=RetryPolicy(max_retries=2, backoff_base_s=2.0,
                                   backoff_jitter_s=1.0,
-                                  rebind_wait_s=100.0)))
+                                  rebind_wait_s=100.0),
+                faults=faults),
+            observability=(None if sample_interval is None else
+                           ObservabilityConfig(
+                               sample_interval_s=sample_interval)))
         self.pmgr = PilotManager(self.session)
         self.tmgr = TaskManager(self.session)
         (self.pilot,) = self.pmgr.submit_pilots(
@@ -88,9 +120,25 @@ class TaskPathMachine(RuleBasedStateMachine):
         if not hasattr(self, "session"):
             return
         session, pilot = self.session, self.pilot
-        session.quiesce()
         self._surfacing(self.pmgr.cancel_pilots, pilot)
-        self._surfacing(session.run)
+        self._surfacing(session.run, pilot.finished)
+        ended_at = session.now
+        # the pilot's end stops its fault records; quiesce would mask one
+        # still armed, so give it time to fire first
+        self._surfacing(session.run, session.now + 5000.0)
+        injector = session.resilience.injector
+        if injector is not None:
+            assert all(r.at <= ended_at for r in injector.records), \
+                injector.records
+        quiesced_at = session.now
+        session.quiesce()
+        # bounded, so that a daemon re-arming forever fails, not hangs
+        self._surfacing(session.run, session.now + 1e5)
+        assert session.engine.peek() == float("inf")
+        assert not [d for d in session.every_daemon if d.is_alive]
+        if session.observability is not None:
+            assert session.observability.metrics.sample_times[-1] \
+                == quiesced_at
         assert session.engine.is_idle()
         assert self.surfaced == self.raised
         for task in self.tasks:

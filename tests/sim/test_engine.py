@@ -9,6 +9,7 @@ from repro.sim import (
     Interrupt,
     SimulationEngine,
 )
+from repro.sim.events import Ticker
 
 
 @pytest.fixture
@@ -181,15 +182,80 @@ class TestProcess:
         with pytest.raises(RuntimeError, match="deadlock"):
             engine.run(until=event)
 
-    def test_active_process_visible_inside_resume(self, engine):
+
+
+class TestTicker:
+    """A keep-alive as a record: its handler's return value re-arms it."""
+
+    def test_handler_runs_in_its_timer_entry_and_rearms(self, engine):
         seen = []
-        def proc():
-            seen.append(engine.active_process)
-            yield engine.timeout(1.0)
-        p = engine.process(proc())
+
+        def tick(tag):
+            seen.append((tag, engine.now))
+            return 2.0 if len(seen) < 3 else None
+
+        ticker = Ticker(engine, tick, "t", first=1.5)
+        assert ticker.is_alive
         engine.run()
-        assert seen == [p]
-        assert engine.active_process is None
+        assert seen == [("t", 1.5), ("t", 3.5), ("t", 5.5)]
+        assert not ticker.is_alive
+
+    def test_first_none_makes_the_start_entry_the_first_call(self, engine):
+        seen = []
+        Ticker(engine, lambda _: seen.append(engine.now) or None)
+        assert seen == []                 # not inside the constructor
+        engine.run()
+        assert seen == [0.0]
+
+    def test_start_is_one_urgent_entry_like_a_process_start(self, engine):
+        order = []
+        engine.call_later(0.0, lambda _: order.append("normal"))
+        Ticker(engine, lambda _: order.append("ticker") or None)
+        engine.process(iter_once(order, "process"))
+        engine.run()
+        assert order == ["ticker", "process", "normal"]
+
+    def test_interrupt_withdraws_the_timer_and_runs_final_once(self, engine):
+        finals = []
+        ticker = Ticker(engine, lambda _: 10.0, "arg", first=10.0,
+                        final=finals.append)
+        engine.run(until=25.0)
+        ticker.interrupt("stop")
+        assert not ticker.is_alive and finals == ["arg"]
+        assert engine.peek() == float("inf")
+        ticker.interrupt("again")
+        assert finals == ["arg"]
+        engine.run()
+        assert engine.now == 25.0
+
+    def test_a_handler_may_stop_its_own_ticker(self, engine):
+        calls = []
+
+        def tick(_):
+            calls.append(engine.now)
+            ticker.interrupt()
+            return 1.0
+
+        ticker = Ticker(engine, tick, first=1.0)
+        engine.run()
+        assert calls == [1.0] and not ticker.is_alive
+        assert engine.now == 1.0
+
+    def test_an_interrupt_before_the_start_still_makes_the_first_call(
+            self, engine):
+        calls, finals = [], []
+        ticker = Ticker(engine, lambda _: calls.append(engine.now) or 5.0,
+                        final=finals.append)
+        ticker.interrupt()
+        assert not ticker.is_alive and finals == [None]
+        engine.run()
+        assert calls == [0.0]             # the first segment ran, once
+        assert engine.now == 0.0          # and armed nothing
+
+
+def iter_once(log, tag):
+    log.append(tag)
+    yield from ()
 
 
 class TestInterrupt:

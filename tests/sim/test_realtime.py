@@ -84,3 +84,22 @@ class TestThreadInjection:
                             engine.call_soon_threadsafe(start_proc)),
             daemon=True).start()
         assert engine.run(until=done) >= 5.0
+
+
+class TestRunModes:
+    """The paced engine runs through the same ``run()`` as the virtual one."""
+
+    def test_failed_until_event_reraises(self):
+        engine = RealtimeEngine(factor=0.0)
+        event = engine.event()
+        engine.call_later(1.0, lambda _: event.fail(KeyError("lost")))
+        with pytest.raises(KeyError):
+            engine.run(until=event)
+        assert engine.now == 1.0
+
+    def test_deadline_in_the_past_is_refused(self):
+        engine = RealtimeEngine(factor=0.0)
+        engine.run(until=5.0)
+        assert engine.now == 5.0
+        with pytest.raises(ValueError):
+            engine.run(until=1.0)
