@@ -27,21 +27,25 @@ site guards with a single attribute test (``obs = session.observability``
 on hot paths -- the scheduler-throughput floor is unaffected (enforced by
 ``benchmarks/test_ablation_observability.py``).
 
-What a watched task costs while it runs: one lifecycle-log record per
-transition when tracing is on (the transition hook is not even registered
-otherwise), and **one** callback on its completion event that serves
-every plane that is on -- the tracer's completion record, the
-``task_latency_s`` histogram and ``tasks_completed_total`` counter (handles
-kept after first use) and the straggler / SLO monitors.  Spans are built by
-the first query, not during the run (see :mod:`~repro.observability.trace`);
-the same benchmark gates run + first query against the unwatched run
-(``e2e_full_plane_ratio``).
+What a watched task costs while it runs: nothing per transition -- a
+transition is appended once, by the profiler, and the tracer reads it off
+the profile when queried; two records in the tracer's task log (submission
+and completion, when tracing is on); the enqueue time in its scheduler
+entry, which the ``scheduler_grant_latency_s`` histogram reads at the
+grant; and **one** callback on its completion event -- the same bound
+method for every task -- that serves every plane that is on: the tracer's
+completion record, the ``task_latency_s`` histogram and
+``tasks_completed_total`` counter (handles kept after first use) and the
+straggler / SLO monitors (an insertion into a sorted window, no sort).
+Spans are built by the first query, not during the run (see
+:mod:`~repro.observability.trace`); the same benchmark gates run + first
+query against the unwatched run (``e2e_full_plane_ratio``).  README.md
+("Observability") gives the cost in microseconds per task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional
 
 from ..pilot.states import TaskState
@@ -61,7 +65,6 @@ from .trace import Span, Tracer, spans_from_profiler
 if TYPE_CHECKING:  # pragma: no cover
     from ..pilot.session import Session
     from ..pilot.task import Task
-    from ..pilot.task_manager import TaskManager
 
 __all__ = ["ObservabilityConfig", "ObservabilityServices",
            "Tracer", "Span", "spans_from_profiler",
@@ -137,6 +140,8 @@ class ObservabilityServices:
         # completion instruments, resolved once (see _on_task_completed)
         self._latency: Optional[Histogram] = None
         self._completed: Dict[str, Counter] = {}
+        #: the completion observer every watched task shares
+        self._observer = self._on_task_completed
         if self.config.dashboard and self.metrics is not None:
             self.dashboard = Dashboard(
                 session, interval_s=self.config.dashboard_interval_s)
@@ -167,24 +172,19 @@ class ObservabilityServices:
                                               makespan=makespan)
 
     # -- task lifecycle glue ---------------------------------------------------
-    def attach_task_manager(self, tmgr: "TaskManager") -> None:
-        """Subscribe to a TaskManager's task state transitions."""
-        if self.tracer is not None:  # the only plane that reads them
-            tmgr.register_callback(self.tracer.on_task_state)
-
     def task_submitted(self, task: "Task") -> None:
         """Called by the TaskManager for every accepted task.
 
-        Leaves one callback on the task's completion event; it serves
-        every plane that is on.
+        Leaves one callback on the task's completion event, the observer
+        all tasks share; it serves every plane that is on.
         """
         if self.tracer is not None:
             self.tracer.task_submitted(task)
         task._obs_submitted_at = self.session.engine.now
-        task.completed.callbacks.append(
-            partial(self._on_task_completed, task))
+        task.completed.callbacks.append(self._observer)
 
-    def _on_task_completed(self, task: "Task", event) -> None:
+    def _on_task_completed(self, event) -> None:
+        task = event.task
         now = self.session.engine.now
         latency = now - task._obs_submitted_at
         state = task.state

@@ -19,13 +19,21 @@ double as an incident log.  Three detectors ship:
 Severity is ``"warning"`` or ``"critical"``; detectors are deliberately
 simple and deterministic (no EWMA tuning knobs) so alerts are explainable
 and reproducible under a fixed seed.
+
+**The sorted window.**  Each shape keeps its recent runtimes twice: in
+arrival order (what to evict) and sorted.  A completion inserts its
+runtime into the sorted copy by bisection and removes the evicted one the
+same way, so the median is an index, not a sort per completion; it is
+taken with the exact formula of :func:`statistics.median` (the middle
+element, or the mean of the two middle ones), so every ``median_s`` and
+``ratio`` is the one a sort gives.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from statistics import median
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
                     Optional, Tuple)
 
@@ -56,8 +64,9 @@ class MonitorHub:
         self.config = config
         self.events: List[AnomalyEvent] = []
         self._subscribers: List[Callable[[AnomalyEvent], None]] = []
-        #: shape key -> rolling window of recent exec times
-        self._exec_windows: Dict[Tuple, Deque[float]] = {}
+        #: shape key -> rolling window of recent exec times: in arrival
+        #: order, and the same values sorted
+        self._exec_windows: Dict[Tuple, Tuple[Deque[float], List[float]]] = {}
         #: rolling window of (met_slo: bool) for recent completions
         self._slo_window: Deque[bool] = deque(maxlen=config.slo_window)
         #: queue series already alerted at a given growth streak, to dedup
@@ -91,12 +100,15 @@ class MonitorHub:
             return
         cfg = self.config
         shape = self._shape_of(task)
-        window = self._exec_windows.get(shape)
-        if window is None:
-            window = self._exec_windows[shape] = deque(
-                maxlen=cfg.straggler_window)
-        if len(window) >= cfg.straggler_min_samples:
-            med = median(window)
+        windows = self._exec_windows.get(shape)
+        if windows is None:
+            windows = self._exec_windows[shape] = (deque(), [])
+        window, ranked = windows
+        n = len(ranked)
+        if n >= cfg.straggler_min_samples:
+            half = n // 2
+            med = (ranked[half] if n % 2
+                   else (ranked[half - 1] + ranked[half]) / 2)
             if med > 0 and runtime > cfg.straggler_k * med:
                 ratio = runtime / med
                 self.emit(AnomalyEvent(
@@ -110,6 +122,9 @@ class MonitorHub:
                              "ratio": ratio, "shape": shape,
                              "attempts": task.attempts}))
         window.append(runtime)
+        insort(ranked, runtime)
+        if len(window) > cfg.straggler_window:  # the oldest leaves both
+            del ranked[bisect_left(ranked, window.popleft())]
 
     def observe_latency(self, uid: str, latency_s: float, t: float) -> None:
         """Feed one submit-to-done latency; may emit an SLO burn alert."""

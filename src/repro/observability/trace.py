@@ -18,22 +18,26 @@ that as a forest of :class:`Span` objects:
   and task that caused them, so one trace id spans driver code, control
   plane and data plane.
 
-**Recorded per transition, derived on query.**  While a run is live the
-tracer *records*: submission, every state transition and the completion
-event each append one record of scalars (time, uid, phase name, attempt and
-the span / trace ids reserved for it from two integer counters) to an
-append-only lifecycle log.  No task ``Span`` exists until something asks:
-``Tracer.spans`` -- and with it ``len``, ``find``, ``spans_of_trace``,
-``task_root``, both exporters, ``CampaignAttribution.from_spans`` and the
-dashboard summary -- first *replays* the unread part of the log into
-``Span`` objects, consuming it.  Ids, order, parents, stamps and attrs are
-those an eager tracer builds (``tests/observability/reference_tracer.py``
-is that tracer; ``tests/test_properties.py`` holds the two equal).  What
-this buys and costs: the run does not pay for span construction, the
-**first query does** (about 2 us per span; later queries replay only what
-was recorded since).  Explicit spans (``start_span``) are live objects from
-the start; opened while records are unread they queue in the log as
-themselves so that list order stays id order.
+**Read off the profile, derived on query.**  A task transition is recorded
+once, by the profiler (:mod:`repro.pilot.profiler`); the tracer keeps no
+copy of it.  While a run is live the tracer records two things per task in
+its own append-only log: the submission (uid, attempt, the ids of the
+explicit or ambient parent) and the completion event, each stamped with the
+profile's record count at that moment.  No task ``Span`` exists until
+something asks: ``Tracer.spans`` -- and with it ``len``, ``find``,
+``spans_of_trace``, ``task_root``, ``start_span``, both exporters,
+``CampaignAttribution.from_spans`` and the dashboard summary -- first
+*replays*: its own records merged, in stamp order, with the profile's
+``state:*`` records of the tasks it tracks, which the profiler hands it
+once each, in every profile level, without folding them for it (see
+:attr:`~repro.pilot.profiler.Profiler.reader`).  Span and trace ids are
+handed out in that merged order, and ``start_span`` replays before it takes
+its own, so ids, order, parents, stamps and attrs are those an eager tracer
+builds (``tests/observability/reference_tracer.py`` is that tracer;
+``tests/test_properties.py`` holds the two equal).  What this buys and
+costs: the run pays for neither span construction nor a second copy of the
+transitions, the **first query does** (about 1.2 us per span; later
+queries replay only what was recorded since).
 
 **Mid-run queries** are first-class.  A span still open when queried has
 ``end is None``; the *same object* is closed by the next query after its
@@ -50,11 +54,11 @@ can be derived offline from runs that only kept the row table.
 
 from __future__ import annotations
 
-import itertools
 import json
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
+from itertools import chain, compress, count
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from ..pilot.states import TaskState
+from ..pilot.states import TASK_MODEL, TaskState
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pilot.session import Session
@@ -73,6 +77,11 @@ PHASE_OF_STATE = {
     TaskState.FAILED: "recovery",
     TaskState.RESCHEDULING: "reschedule",
 }
+
+#: the same, keyed by the profile event of each task state (None: the state
+#: closes the current phase and opens none)
+_PHASE_OF_EVENT = {event: PHASE_OF_STATE.get(state)
+                   for state, event in TASK_MODEL.events.items()}
 
 
 class Span:
@@ -128,35 +137,37 @@ class Span:
                 f"id={self.span_id} {state}>")
 
 
-#: lifecycle-log record kinds (first field of a record)
-_SUBMIT, _STATE, _DONE = 0, 1, 2
+#: record kinds of the tracer's own log (first field of a record)
+_SUBMIT, _DONE = 0, 1
 
 
 class Tracer:
-    """Span store, fed by explicit spans and the task lifecycle log.
+    """Span store, fed by explicit spans, its task log and the profile.
 
-    The three task hooks append one record each to ``_log`` and build
+    The two task hooks append one record each to ``_log`` and build
     nothing; :attr:`spans` replays what has not been read yet.  The log is
     one flat list (plain scalars: nothing for the garbage collector to
-    track), a record is a run of fields led by its kind:
+    track), a record is a run of fields led by its kind and the profile's
+    record count when it was made (its *stamp*):
 
-    * ``_SUBMIT, t, uid, attempt, root id, trace id, parent id`` -- the
-      ``submit`` phase takes ``root id + 1``;
-    * ``_STATE, t, uid, phase name | None, attempt, span id`` -- a state
-      that opens no phase (DONE, CANCELED) reserves no id;
-    * ``_DONE, t, uid`` -- the completion event fired;
-    * an explicit :class:`Span` opened while records were unread, so that
-      list order stays id order.
+    * ``_SUBMIT, stamp, t, uid, attempt, parent trace id, parent span id``
+      -- both ids None without a parent;
+    * ``_DONE, stamp, t, uid`` -- the completion event fired.
+
+    A record stamped *s* replays after profile record ``s - 1`` and before
+    profile record *s*.
     """
 
     def __init__(self, session: "Session") -> None:
         self.session = session
+        self._profiler = profiler = session.profiler
+        if profiler.reader is not None:
+            raise RuntimeError("the session's profile already has a reader")
+        profiler.reader = self._read
         self._spans: List[Span] = []
         self._log: List[Any] = []
         self._last_trace_id = 0
         self._last_span_id = 0
-        #: uids between ``task_submitted`` and ``task_completed``
-        self._live: Set[str] = set()
         # replay state: as far as the log has been read
         #: task uid -> its live root span (dropped on completion)
         self._task_roots: Dict[str, Span] = {}
@@ -172,6 +183,7 @@ class Tracer:
                    trace_id: Optional[int] = None,
                    attrs: Optional[Dict[str, Any]] = None) -> Span:
         """Open a span; inherits the parent's trace id when given."""
+        self._catch_up()  # its ids come after those of every record so far
         if parent is not None:
             trace_id = parent.trace_id
         elif trace_id is None:
@@ -180,8 +192,7 @@ class Tracer:
         span = Span(trace_id, span_id,
                     parent.span_id if parent is not None else None,
                     name, category, self.session.engine.now, attrs)
-        # behind unread records it waits its turn in the log
-        (self._log if self._log else self._spans).append(span)
+        self._spans.append(span)
         return span
 
     def end_span(self, span: Span) -> Span:
@@ -200,87 +211,112 @@ class Tracer:
         owes a :meth:`task_completed` when the completion event fires.
         """
         parent = task.trace_parent or self.context_parent
-        if parent is not None:
-            trace_id, parent_id = parent.trace_id, parent.span_id
-        else:
-            trace_id = self._last_trace_id = self._last_trace_id + 1
-            parent_id = None
-        root_id = self._last_span_id + 1
-        self._last_span_id = root_id + 1
-        self._live.add(task.uid)
-        self._log += (_SUBMIT, self.session.engine.now, task.uid,
-                      task.attempts, root_id, trace_id, parent_id)
-
-    def on_task_state(self, task: "Task", state: str) -> None:
-        """State-transition hook: the phase span rolls forward on replay."""
-        if task.uid not in self._live:
-            return  # not submitted through an instrumented manager
-        name = PHASE_OF_STATE.get(state)
-        span_id = 0
-        if name is not None:
-            self._last_span_id = span_id = self._last_span_id + 1
-        self._log += (_STATE, self.session.engine.now, task.uid, name,
-                      task.attempts, span_id)
+        self._log += (_SUBMIT, self._profiler.recorded,
+                      self.session.engine.now, task.uid, task.attempts,
+                      None if parent is None else parent.trace_id,
+                      None if parent is None else parent.span_id)
 
     def task_completed(self, uid: str) -> None:
         """Completion event fired: any open phase and the root close."""
-        self._live.discard(uid)
-        self._log += (_DONE, self.session.engine.now, uid)
+        self._log += (_DONE, self._profiler.recorded,
+                      self.session.engine.now, uid)
 
     # -- replay --------------------------------------------------------------
     @property
     def spans(self) -> List[Span]:
-        """Every span so far, in id order; reads the log up to now.
+        """Every span so far, in id order; reads the logs up to now.
 
         The replay resumes where the last query stopped and consumes the
         records it reads.  A span open now has ``end is None``; the same
         object is closed by the query that follows its closing record.
         """
-        if self._log:
-            self._replay()
+        self._catch_up()
         return self._spans
 
-    def _replay(self) -> None:
-        log, self._log = self._log, []
-        log.reverse()  # read off the tail: the list shrinks as spans grow
-        pop = log.pop
+    def _catch_up(self) -> None:
+        """Read what the profile and the task log hold up to now."""
+        self._profiler.share()  # hands what we have not seen to _read
+        if self._log:
+            self._read([], 0)
+
+    def _read(self, log: List[Any], start: int) -> None:
+        """Replay the task log merged with the profile *log* from field
+        *start* on (the stretch this tracer has not seen).
+
+        A tracked task's ``state:*`` record closes its open phase and opens
+        the next, as the eager tracer's transition hook did; its attempt is
+        the closed phase's, plus one after ``reschedule`` (the restart
+        bumps the counter between RESCHEDULING and the next state).  Every
+        record of the task log is stamped at or before the end of the
+        stretch, so the whole log is read.
+        """
+        own, self._log = self._log, []
+        base = self._profiler.recorded - (len(log) - start) // 4  # log[start]
+        events = log[start + 2::4]
+        # the task transitions among them by number, then a sentinel that
+        # reads the task records stamped after the last of them
+        hits = chain(compress(range(len(events)),
+                              map(_PHASE_OF_EVENT.__contains__, events)),
+                     (None,))
         roots, phases = self._task_roots, self._task_phase
         append = self._spans.append
-        while log:
-            kind = pop()
-            if type(kind) is Span:  # an explicit span, queued as itself
-                append(kind)
-                continue
-            t = pop()
-            uid = pop()
-            if kind == _SUBMIT:
-                attempt, span_id, trace_id, parent_id = \
-                    pop(), pop(), pop(), pop()
-                root = roots[uid] = Span(trace_id, span_id, parent_id, uid,
-                                         "task", t, {"uid": uid})
-                append(root)
-                name, span_id = "submit", span_id + 1
-            else:
-                phase = phases.pop(uid, None)
-                if phase is not None and phase.end is None:
-                    phase.end = t
-                if kind == _DONE:
+        trace_id, span_id = self._last_trace_id, self._last_span_id
+        at, end = 0, len(own)
+        for k in hits:
+            while at < end and (k is None or own[at + 1] <= base + k):
+                if own[at] == _SUBMIT:
+                    t, uid, attempt, parent_trace, parent_id = \
+                        own[at + 2:at + 7]
+                    at += 7
+                    if parent_trace is None:
+                        trace_id = parent_trace = trace_id + 1
+                    span_id += 2
+                    root = roots[uid] = Span(parent_trace, span_id - 1,
+                                             parent_id, uid, "task", t,
+                                             {"uid": uid})
+                    append(root)
+                    phase = phases[uid] = Span(parent_trace, span_id,
+                                               span_id - 1, "submit", "task",
+                                               t, {"attempt": attempt})
+                    append(phase)
+                else:
+                    t, uid = own[at + 2], own[at + 3]
+                    at += 4
+                    phase = phases.pop(uid, None)
+                    if phase is not None and phase.end is None:
+                        phase.end = t
                     root = roots.pop(uid, None)
                     if root is not None and root.end is None:
                         root.end = t
-                    continue
-                name, attempt, span_id = pop(), pop(), pop()
-                if name is None:
-                    continue
+            if k is None:
+                break
+            at_k = start + 4 * k
+            uid = log[at_k + 1]
+            # a tracked task has an open phase from its submission until a
+            # final state that opens none (DONE, CANCELED): the rest of the
+            # profile's transitions (pilots, untracked tasks) are not ours
+            phase = phases.pop(uid, None)
+            if phase is None:
+                continue
+            t = log[at_k]
+            if phase.end is None:
+                phase.end = t
+            name = _PHASE_OF_EVENT[events[k]]
+            if name is not None:
                 root = roots[uid]
-            phase = phases[uid] = Span(root.trace_id, span_id, root.span_id,
-                                       name, "task", t, {"attempt": attempt})
-            append(phase)
+                attempt = phase.attrs["attempt"]
+                if phase.name == "reschedule":
+                    attempt += 1
+                span_id += 1
+                phase = phases[uid] = Span(root.trace_id, span_id,
+                                           root.span_id, name, "task", t,
+                                           {"attempt": attempt})
+                append(phase)
+        self._last_trace_id, self._last_span_id = trace_id, span_id
 
     def task_root(self, uid: str) -> Optional[Span]:
         """The live root span of a task (None once completed/untracked)."""
-        if self._log:
-            self._replay()
+        self._catch_up()
         return self._task_roots.get(uid)
 
     # -- queries -------------------------------------------------------------
@@ -364,8 +400,8 @@ def spans_from_profiler(profiler, uids: Optional[List[str]] = None,
     if uids is None:
         uids = profiler.uids_with_event(f"state:{TaskState.TMGR_SCHEDULING}")
     spans: List[Span] = []
-    trace_ids = itertools.count(1)
-    span_ids = itertools.count(1)
+    trace_ids = count(1)
+    span_ids = count(1)
     for uid in uids:
         stamps = []
         for state in (TaskState.ORDER + [TaskState.FAILED,

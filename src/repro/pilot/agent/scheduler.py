@@ -82,7 +82,8 @@ log = get_logger("pilot.agent.scheduler")
 #: colocation group (None for ungrouped requests)
 ShapeKey = Tuple[int, int, float, int, Optional[str]]
 
-#: pending-queue entry: [(-priority), seq, task, event or landing, alive]
+#: pending-queue entry: [(-priority), seq, task, event or landing, alive,
+#: enqueue time]
 _ALIVE = 4
 
 
@@ -145,7 +146,6 @@ class AgentScheduler:
             #: shape -> live pending entries (incremental, so the per-tick
             #: poll never scans the heaps)
             self._obs_shape_counts: Dict[ShapeKey, int] = {}
-            self._obs_enqueued_at: Dict[str, float] = {}
             self._obs_grant_hist = self._obs_metrics.histogram(
                 "scheduler_grant_latency_s", {"pilot": pilot_uid})
             self._obs_shapes_seen: Set[ShapeKey] = set()
@@ -302,7 +302,6 @@ class AgentScheduler:
         self._pending_count -= 1
         if self._obs_metrics is not None:
             self._obs_track_dequeue(self._shape_of(task))
-            self._obs_enqueued_at.pop(task.uid, None)
         return True
 
     def kick(self) -> None:
@@ -324,14 +323,13 @@ class AgentScheduler:
     # -- queue plumbing ----------------------------------------------------------
     def _enqueue(self, shape: ShapeKey, task: "Task", event: Any) -> None:
         entry = [-task.description.priority, next(self._seq), task, event,
-                 True]
+                 True, self.session.engine.now]
         heappush(self._shape_queues.setdefault(shape, []), entry)
         self._entries[task.uid] = entry
         self._pending_count += 1
         if self._obs_metrics is not None:
             self._obs_shape_counts[shape] = \
                 self._obs_shape_counts.get(shape, 0) + 1
-            self._obs_enqueued_at[task.uid] = self.session.engine.now
 
     def _peek(self, queue: List[list]) -> Optional[list]:
         """Head live entry of one shape heap (tombstones popped lazily)."""
@@ -342,8 +340,10 @@ class AgentScheduler:
             heappop(queue)
         return None
 
-    def _grant(self, task: "Task", event: Any,
-               slots: List[Slot]) -> None:
+    def _grant(self, task: "Task", event: Any, slots: List[Slot],
+               queued_at: Optional[float] = None) -> None:
+        """Hand *slots* to *task*; *queued_at* is when a pending entry was
+        enqueued (None: granted on arrival, nothing was queued)."""
         self._held[task.uid] = slots
         for slot in slots:
             holders = self._node_held.setdefault(slot.node_index, {})
@@ -354,8 +354,8 @@ class AgentScheduler:
         self.session.profiler.record(now, task.uid, "schedule_ok",
                                      self.pilot_uid)
         if self._obs_metrics is not None:
-            queued_at = self._obs_enqueued_at.pop(task.uid, now)
-            self._obs_grant_hist.observe(now - queued_at)
+            self._obs_grant_hist.observe(
+                0.0 if queued_at is None else now - queued_at)
         if isinstance(event, Event):
             event.succeed(slots)
         else:  # the agent's landing: same queue position as the event
@@ -510,7 +510,7 @@ class AgentScheduler:
             self._pending_count -= 1
             if self._obs_metrics is not None:
                 self._obs_track_dequeue(shape)
-            self._grant(task, event, slots)
+            self._grant(task, event, slots, head[5])
             # Capacity never grows inside a pass: siblings of a shape that
             # no longer fits are parked here, not re-offered and popped.
             if queue and not fit_mask(shape[0], shape[1], shape[2]):

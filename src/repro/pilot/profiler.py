@@ -23,6 +23,16 @@ coexist in full.  Construction has *moved*, not vanished: the first reader
 pays it, once, for the records since the last (collector paused: what is
 built is acyclic, a pass over it frees nothing).
 
+**The log has a second reader.**  A transition is appended once, here; the
+tracer (:mod:`repro.observability.trace`) does not keep a copy but reads
+the task phases off this log.  The :attr:`reader` is handed every record
+once, in every level: by :meth:`share`, which leaves the log to the
+profile's own readers, or -- for what it has not seen yet -- by
+:meth:`catch_up` before the log is folded.  While a reader is attached
+``"off"`` keeps appending -- and drops each stretch once the reader has
+seen it: rows, first stamps, ``len`` and :attr:`dropped` mean what they
+mean without one.
+
 **One choice**, ``level=`` (``Session(profile=...)`` for a whole run), says
 what the log becomes when a reader arrives:
 
@@ -35,8 +45,9 @@ what the log becomes when a reader arrives:
   :meth:`timestamp` / :meth:`duration` / :meth:`durations` and the
   analytics layer consume, so what is kept after a read is bounded by the
   distinct pairs;
-* ``"off"``        -- recording is a counter bump; all queries come back
-  empty.  For pure-throughput campaigns.
+* ``"off"``        -- recording is a counter bump (and, while a reader is
+  attached, the append it reads); all queries come back empty.  For
+  pure-throughput campaigns.
 
 **One on-disk form.**  :meth:`to_jsonl` after the run writes it;
 :meth:`from_jsonl`, :func:`repro.observability.spans_from_profiler` and
@@ -48,8 +59,10 @@ from __future__ import annotations
 import gc
 import json
 from collections import deque
+from contextlib import contextmanager
 from itertools import islice
-from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import (Callable, Deque, Dict, Iterable, List, NamedTuple,
+                    Optional, Tuple)
 
 import numpy as np
 
@@ -59,6 +72,19 @@ ProfileEvent = Tuple[float, str, str, str]  # (time, uid, event, component)
 
 #: log fields consumed per slice by a reader (a multiple of four)
 _STEP = 4 * 4096
+
+
+@contextmanager
+def _collector_paused():
+    """Rows and the reader's spans are acyclic: a collector pass over them
+    frees nothing, so none runs while they are built."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class ProfileRow(NamedTuple):
@@ -81,7 +107,7 @@ class Profiler:
         if level not in self.LEVELS:
             raise ValueError(f"level must be one of {self.LEVELS}")
         self.level = level
-        #: records no reader has seen: ``time, uid, event, component`` each
+        #: records not folded yet: ``time, uid, event, component`` each
         self._log: list = []
         #: the rows the log became (full level)
         self._rows: List[ProfileRow] = []
@@ -97,28 +123,50 @@ class Profiler:
                              Dict[str, Deque[ProfileRow]]] = ({}, {}, {})
         #: record() calls total, regardless of level
         self.recorded = 0
+        #: the second reader: ``reader(log, start)`` is called with the log
+        #: (flat, oldest first, its last record numbered ``recorded - 1``)
+        #: and the field its unseen part starts at, before it is folded
+        self.reader: Optional[Callable[[list, int], None]] = None
+        #: log[:_shared] has been handed to the reader (see share)
+        self._shared = 0
 
     def record(self, time: float, uid: str, event: str,
                component: str = "") -> None:
         """Record one profile event: a counter bump and one flat append."""
         self.recorded += 1
-        if self.level == "off":
+        if self.level == "off" and self.reader is None:
             return
         self._log += (time, uid, event, component)
 
     # -- a reader arrives ----------------------------------------------------------
-    def _catch_up(self) -> None:
-        """Consume the log: rows (full) or first stamps (durations)."""
+    def share(self) -> None:
+        """Hand the reader what it has not seen, without consuming it: the
+        profile's own readers still find it (``"off"``, which keeps
+        nothing, drops it once read)."""
+        if self.level == "off":
+            self.catch_up()
+        elif self._shared < len(self._log):
+            with _collector_paused():
+                self.reader(self._log, self._shared)
+            self._shared = len(self._log)
+
+    def catch_up(self) -> None:
+        """Consume the log: the reader's turn for what it has not seen,
+        then rows (full) or first stamps (durations)."""
         log = self._log
         if not log:
             return
         self._log = []  # a record landing meanwhile starts the next stretch
+        shared, self._shared = self._shared, 0
         rows = self._rows
         first, event_uids, _ = self._indices
-        log.reverse()  # read off the tail: the log shrinks as the rows grow
-        collecting = gc.isenabled()
-        gc.disable()  # rows are acyclic leaves: a pass over them frees nothing
-        try:
+        with _collector_paused():
+            if self.reader is not None:
+                if shared < len(log):
+                    self.reader(log, shared)
+                if self.level == "off":
+                    return
+            log.reverse()  # read off the tail: the log shrinks as rows grow
             while log:
                 part = log[-_STEP:]
                 del log[-_STEP:]
@@ -132,13 +180,10 @@ class Profiler:
                         if key not in first:
                             first[key] = float(t)
                             event_uids.setdefault(event, {})[uid] = None
-        finally:
-            if collecting:
-                gc.enable()
 
     def _derived(self):
         """The indices, caught up with the log and the rows it became."""
-        self._catch_up()
+        self.catch_up()
         rows = self._rows
         if self._indexed < len(rows):
             first, event_uids, by_uid = self._indices
@@ -168,7 +213,7 @@ class Profiler:
         return 0 if self.level == "durations" else self.recorded - len(self)
 
     def __len__(self) -> int:
-        self._catch_up()
+        self.catch_up()
         return len(self._rows)
 
     # -- queries -------------------------------------------------------------
@@ -182,7 +227,7 @@ class Profiler:
         if uid is not None:
             rows: Iterable[ProfileRow] = self._derived()[2].get(uid, ())
         else:
-            self._catch_up()
+            self.catch_up()
             rows = self._rows
         if event is not None:
             rows = [r for r in rows if r.event == event]
@@ -218,7 +263,9 @@ class Profiler:
         return list(self._derived()[1].get(event, ()))
 
     def clear(self) -> None:
-        """Forget everything."""
+        """Forget everything (the reader reads it first)."""
+        if self.reader is not None:
+            self.catch_up()
         self._log.clear()
         self._rows.clear()
         self._indexed = 0

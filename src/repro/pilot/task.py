@@ -7,12 +7,16 @@ an engine event that observers can wait on.
 A :class:`Task` is a *record*: it runs nothing itself.  Between submission
 and completion one component at a time owns it, notes in ``phase`` what the
 task waits for and in ``wait`` the handle of that wait, and advances the
-record when the wait is over (:mod:`repro.pilot.task_manager`).
+record when the wait is over (:mod:`repro.pilot.task_manager`).  It
+allocates no container it does not use: the state callbacks, the failure
+history and the nodes to avoid are a shared empty tuple / frozenset until
+the first one arrives.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import (TYPE_CHECKING, AbstractSet, Any, Callable, Dict, List,
+                    Optional, Sequence, Tuple)
 
 from ..hpc.node import NodeList, Slot
 from ..sim.events import Event
@@ -44,6 +48,9 @@ EXEC = "exec"              # executor: exec timer, counted in _executing
 STAGE_OUT = "stage_out"    # slots released: stage-out and the final state
 RECOVERING = "recovering"  # FAILED, a retry plan decides
 
+#: ``Task.avoid_nodes`` of every task no retry policy has steered yet
+_NO_NODES: AbstractSet[str] = frozenset()
+
 
 class _StatefulEntity:
     """Shared machinery: validated state + profile + state callbacks."""
@@ -55,7 +62,8 @@ class _StatefulEntity:
         self.session = session
         self.uid = uid
         self.state = self._initial
-        self._callbacks: List[Callable[[Any, str], None]] = []
+        #: grown by copy, so a transition iterates the tuple it started with
+        self._callbacks: Tuple[Callable[[Any, str], None], ...] = ()
 
     def advance(self, target: str, component: str = "") -> None:
         """Move to *target* state; records profile + notifies callbacks."""
@@ -65,12 +73,19 @@ class _StatefulEntity:
         session.profiler.record(session.engine.now, self.uid,
                                 self._model.events[target], component)
         if self._callbacks:
-            for callback in list(self._callbacks):
+            for callback in self._callbacks:
                 callback(self, target)
 
     def on_state(self, callback: Callable[[Any, str], None]) -> None:
         """Register ``callback(entity, new_state)`` for every transition."""
-        self._callbacks.append(callback)
+        self._callbacks += (callback,)
+
+
+class Completion(Event):
+    """``Task.completed``: an engine event that knows its ``task``, so one
+    observer serves the completion of every task."""
+
+    __slots__ = ("task",)
 
 
 class Task(_StatefulEntity):
@@ -93,7 +108,8 @@ class Task(_StatefulEntity):
         self.result: Any = None
         self.exception: Optional[BaseException] = None
         self.exit_code: Optional[int] = None
-        self.completed: Event = session.engine.event()
+        self.completed = completed = Completion(session.engine)
+        completed.task = self
         #: wall/sim duration actually spent executing
         self.runtime_s: Optional[float] = None
         #: soft node-affinity hint (dominant input object id), set by the
@@ -104,10 +120,11 @@ class Task(_StatefulEntity):
         self.attempts: int = 1
         #: structured reason of the latest failure (resilience subsystem)
         self.failure = None  # Optional[repro.resilience.failures.FailureReason]
-        #: full per-attempt failure history
-        self.failures: List[Any] = []
+        #: full per-attempt failure history (a list from the first one)
+        self.failures: Sequence[Any] = ()
         #: node names the retry policy asks the agent scheduler to avoid
-        self.avoid_nodes: set = set()
+        #: (the recovery engine makes it a set on its first add)
+        self.avoid_nodes = _NO_NODES
         #: explicit causal parent span for the tracer (observability);
         #: usually unset -- campaign nodes parent via the tracer's ambient
         #: context instead
@@ -164,6 +181,8 @@ class Task(_StatefulEntity):
     def record_failure(self, reason) -> None:
         """Attach a structured :class:`FailureReason` for the live attempt."""
         self.failure = reason
+        if not self.failures:
+            self.failures = []
         self.failures.append(reason)
 
     def prepare_restart(self) -> None:

@@ -197,8 +197,6 @@ class TaskManager:
         if self._resilience is not None:
             self._resilience.register_task_manager(self)
         self._observability = session.observability
-        if self._observability is not None:
-            self._observability.attach_task_manager(self)
 
     # -- pilot binding -----------------------------------------------------------
     def add_pilots(self, pilots: Union[Pilot, Iterable[Pilot]]) -> None:

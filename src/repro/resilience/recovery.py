@@ -165,6 +165,8 @@ class RecoveryEngine:
             self.blacklisted_pilots.add(reason.pilot_uid)
         if policy.blacklist_nodes and reason.node_name:
             self.blacklisted_nodes.add(reason.node_name)
+            if isinstance(task.avoid_nodes, frozenset):
+                task.avoid_nodes = set(task.avoid_nodes)  # the first add
             task.avoid_nodes.add(reason.node_name)
         return self._retry_plan(tmgr, task, reason, policy)
 

@@ -59,11 +59,3 @@ class IdRegistry:
                 self._counters[prefix] = counter
             seqs = [next(counter) for _ in range(count)]
         return [f"{prefix}.{seq:0{width}d}" for seq in seqs]
-
-    def reset(self, prefix: str | None = None) -> None:
-        """Reset one prefix counter, or all counters when *prefix* is None."""
-        with self._lock:
-            if prefix is None:
-                self._counters.clear()
-            else:
-                self._counters.pop(prefix, None)

@@ -2,10 +2,11 @@
 
 Until PR 19 this was ``repro.observability.trace.Tracer``: every task
 transition closed the previous phase :class:`Span` and built the next one on
-the spot.  The shipped tracer records a lifecycle log and derives the same
-spans on query; ``tests/test_properties.py`` holds it to this one, span for
-span.  The reference takes its clock from ``session.engine.now`` and shares
-``Span`` / ``PHASE_OF_STATE`` with the shipped module, nothing else.
+the spot.  The shipped tracer reads the transitions off the profile and
+derives the same spans on query; ``tests/test_properties.py`` holds it to
+this one, span for span, at every profile level.  The reference takes its
+clock from ``session.engine.now`` and shares ``Span`` / ``PHASE_OF_STATE``
+with the shipped module, nothing else.
 """
 
 import itertools

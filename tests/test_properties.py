@@ -921,38 +921,40 @@ def test_histogram_quantile_matches_rank_oracle(values, q):
 
 
 # ---------------------------------------------------------------------------
-# Tracing plane: the lifecycle log replays into the eager tracer's spans
+# Tracing plane: the task log and the profile replay into the eager spans
 # ---------------------------------------------------------------------------
 
 _TRACE_OPS = ("submit", "submit", "step", "step", "step", "fail", "retry",
-              "cancel", "span", "end", "attr", "root", "query", "tick")
-
-
-class _Hooks:
-    """What ``attach_task_manager`` needs of a TaskManager."""
-
-    def register_callback(self, callback):
-        self.on_state = callback
+              "cancel", "span", "end", "attr", "root", "query", "tick",
+              "profile")
 
 
 @settings(max_examples=150, deadline=None)
 @example(ops=[("submit", 1, 0), ("fail", 0, 0), ("retry", 0, 0),
-              ("step", 0, 1), ("query", 0, 0)])  # attempt 2 on a retry
+              ("step", 0, 1), ("query", 0, 0)],
+         level="full")  # attempt 2 on a retry
 @example(ops=[("submit", 2, 0), ("step", 0, 0), ("span", 1, 0),
               ("query", 0, 0), ("step", 0, 1), ("span", 0, 0),
-              ("tick", 1, 0), ("cancel", 0, 0)])  # explicit spans between
+              ("tick", 1, 0), ("cancel", 0, 0)],
+         level="off")  # explicit spans between
+@example(ops=[("submit", 1, 0), ("step", 0, 0), ("query", 0, 0),
+              ("step", 0, 0), ("profile", 0, 0), ("query", 0, 0)],
+         level="durations")  # the profile folds what a query already read
 @given(ops=st.lists(st.tuples(st.sampled_from(_TRACE_OPS),
                               st.integers(min_value=0, max_value=63),
                               st.integers(min_value=0, max_value=63)),
-                    max_size=80))
-def test_tracer_replay_matches_eager_reference(ops):
-    """Any interleaving of task lifecycles, explicit spans and queries
-    yields the spans the eager tracer would have built.
+                    max_size=80),
+       level=st.sampled_from(["full", "durations", "off"]))
+def test_tracer_replay_matches_eager_reference(ops, level):
+    """Any interleaving of task lifecycles, explicit spans, span queries
+    and profile reads yields the spans the eager tracer would have built,
+    at every profile level.
 
     The session's tracer is driven through the telemetry facade exactly as
-    a TaskManager drives it; the reference (the tracer this repo shipped
-    until PR 19, ``tests/observability/reference_tracer.py``) hangs on the
-    same tasks.  Ids, order, parents, stamps and attrs must agree at every
+    a TaskManager drives it and reads the task phases off the profile; the
+    reference (the eager tracer this repo once shipped,
+    ``tests/observability/reference_tracer.py``) hangs on the same tasks'
+    transitions.  Ids, order, parents, stamps and attrs must agree at every
     mid-run query, and so must the attribution built on them.
     """
     from observability.reference_tracer import ReferenceTracer
@@ -964,12 +966,10 @@ def test_tracer_replay_matches_eager_reference(ops):
                 == [s.as_dict() for s in ref.spans])
         assert len(tracer) == len(ref.spans)
 
-    with Session(seed=0, observability=ObservabilityConfig(
+    with Session(seed=0, profile=level, observability=ObservabilityConfig(
             metrics=False, monitors=False)) as session:
         obs = session.observability
         tracer, ref = obs.tracer, ReferenceTracer(session)
-        hooks = _Hooks()
-        obs.attach_task_manager(hooks)
         tasks = []      # every task, tracked or not
         explicit = []   # (span of tracer, span of ref) opened by hand
         desc = TaskDescription(executable="x")
@@ -987,7 +987,6 @@ def test_tracer_replay_matches_eager_reference(ops):
             task = tasks[a % len(tasks)] if tasks else None
             if op == "submit":
                 task = Task(session, desc, f"task.{len(tasks):06d}")
-                task.on_state(hooks.on_state)
                 task.on_state(ref.on_task_state)
                 tasks.append(task)
                 if a % 8 == 0:
@@ -1043,6 +1042,9 @@ def test_tracer_replay_matches_eager_reference(ops):
                     (theirs and theirs.as_dict())
             elif op == "query":
                 same_spans()
+            elif op == "profile":  # its own reader folds the log
+                assert len(session.profiler) == (
+                    session.profiler.recorded if level == "full" else 0)
             elif op == "tick":
                 session.run(until=session.now + (a % 4) * 0.5)
 
@@ -1060,6 +1062,55 @@ def test_tracer_replay_matches_eager_reference(ops):
         theirs = CampaignAttribution.from_spans(ref.spans)
         assert mine.report() == theirs.report()
         assert mine.phase_totals() == theirs.phase_totals()
+
+
+# ---------------------------------------------------------------------------
+# Monitors: the sorted straggler window flags what the sorting one flagged
+# ---------------------------------------------------------------------------
+
+#: runtimes that tie often, plus a slow tail the median must flag
+_RUNTIMES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 12.0]),
+                      st.floats(min_value=0.0, max_value=50.0,
+                                allow_nan=False),
+                      st.none())
+
+
+@settings(max_examples=200, deadline=None)
+@example(stream=[(0, 1.0)] * 6 + [(0, 10.0), (1, 9.0)] + [(0, 2.0)] * 9
+         + [(0, 30.0)], window=8, min_samples=5, k=3.0)
+@given(stream=st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                                 _RUNTIMES), max_size=150),
+       window=st.integers(min_value=1, max_value=12),
+       min_samples=st.integers(min_value=1, max_value=8),
+       k=st.one_of(st.sampled_from([1.5, 2.0, 3.0]),
+                   st.floats(min_value=0.5, max_value=6.0)))
+def test_sorted_straggler_window_matches_the_sorting_reference(
+        stream, window, min_samples, k):
+    """Per shape, a window kept sorted by bisection gives the median the
+    sorting detector took: same anomalies, ``median_s`` and ``ratio`` to
+    the bit, through ties, evictions and unfinished tasks."""
+    from types import SimpleNamespace
+
+    from observability.reference_monitor import ReferenceStragglerDetector
+
+    from repro.observability import MonitorHub, ObservabilityConfig
+
+    config = ObservabilityConfig(straggler_window=window,
+                                 straggler_min_samples=min_samples,
+                                 straggler_k=k)
+    hub, ref = MonitorHub(config), ReferenceStragglerDetector(config)
+    for i, (shape, runtime) in enumerate(stream):
+        task = SimpleNamespace(uid=f"t{i}", runtime_s=runtime,
+                               n_cores=1 + shape, n_gpus=0,
+                               attempts=1 + i % 3,
+                               description=SimpleNamespace(ranks=1))
+        hub.observe_exec(task, float(i))
+        ref.observe_exec(task, float(i))
+        assert len(hub.events) == len(ref.events)
+    assert hub.events == ref.events
+    assert ([(e.details["median_s"], e.details["ratio"]) for e in hub.events]
+            == [(e.details["median_s"], e.details["ratio"])
+                for e in ref.events])
 
 
 # ---------------------------------------------------------------------------

@@ -25,20 +25,6 @@ class TestIdRegistry:
         reg = IdRegistry()
         assert reg.generate("x", width=2) == "x.00"
 
-    def test_reset_single_prefix(self):
-        reg = IdRegistry()
-        reg.generate("a")
-        reg.generate("b")
-        reg.reset("a")
-        assert reg.generate("a") == "a.0000"
-        assert reg.generate("b") == "b.0001"
-
-    def test_reset_all(self):
-        reg = IdRegistry()
-        reg.generate("a")
-        reg.reset()
-        assert reg.generate("a") == "a.0000"
-
     def test_empty_prefix_rejected(self):
         with pytest.raises(ValueError):
             IdRegistry().generate("")
