@@ -73,7 +73,7 @@ class ServerSocket:
 
     def reply(self, request: Message, payload: Any,
               meta: Optional[Dict[str, Any]] = None) -> None:
-        """Send a reply for *request* back to its sender."""
+        """Send a reply for *request* back to its sender; it owns *meta*."""
         msg = request.make_reply(payload, sender=self.address, meta=meta)
         self.bus._deliver(msg)
 
@@ -86,6 +86,13 @@ class ServerSocket:
         self.bus._unbind(self.address.name)
 
 
+class _ReplyEvent(Event):
+    """The event a request's reply resolves; it carries the request's
+    correlation id, so abandoning it is one dict operation."""
+
+    __slots__ = ("corr",)
+
+
 class ClientSocket:
     """REQ-style socket: issues requests, resolves reply events.
 
@@ -96,7 +103,7 @@ class ClientSocket:
     def __init__(self, bus: "MessageBus", address: Address) -> None:
         self.bus = bus
         self.address = address
-        self._pending: Dict[int, Event] = {}
+        self._pending: Dict[int, _ReplyEvent] = {}
         self._corr = itertools.count()
 
     def _receive(self, msg: Message) -> None:
@@ -110,11 +117,10 @@ class ClientSocket:
                 kind: str = "request") -> Event:
         """Send *payload* to *target*; the returned event yields the reply."""
         corr = next(self._corr)
-        msg = Message(kind=kind, payload=payload, sender=self.address,
-                      recipient=target, corr_id=corr)
-        event = self.bus.engine.event()
-        self._pending[corr] = event
-        self.bus._deliver(msg)
+        event = self._pending[corr] = _ReplyEvent(self.bus.engine)
+        event.corr = corr
+        self.bus._deliver(Message(kind, payload, self.address, target, None,
+                                  corr))
         return event
 
     def send(self, target: Address, payload: Any,
@@ -131,11 +137,11 @@ class ClientSocket:
         arrival instead of resolving an event nobody waits on.  Returns
         True if the request was still pending.
         """
-        for corr, pending in list(self._pending.items()):
-            if pending is event:
-                del self._pending[corr]
-                return True
-        return False
+        corr = getattr(event, "corr", None)
+        if corr is None or self._pending.get(corr) is not event:
+            return False
+        del self._pending[corr]
+        return True
 
     @property
     def in_flight(self) -> int:

@@ -13,13 +13,19 @@ is part of the simulated wire format: giving one of them another
 representation (a ``NamedTuple``, ``__slots__`` with ``__getstate__``, a
 renamed field) changes message sizes and with them every simulated latency.
 Make such a change as a modelling change, never as an optimisation.
+
+The envelope itself never travels: only ``payload`` is sized, so
+:class:`Message` is a plain record with ``__slots__`` and no dataclass
+machinery, and it compares by identity.  A reply takes ownership of the
+``meta`` dict it is built with (:meth:`Message.make_reply` does not copy
+it), so whoever builds a reply hands over a fresh dict.
 """
 
 from __future__ import annotations
 
 import itertools
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 __all__ = ["Address", "Message", "LoadReport", "TELEMETRY_TOPIC",
@@ -104,21 +110,32 @@ class LoadReport:
         return self.queue_depth * self.ewma_service_s / max(1, self.workers)
 
 
-@dataclass
 class Message:
     """One envelope travelling on the bus."""
 
-    kind: str                      # "request" | "reply" | "pub" | "control"
-    payload: Any
-    sender: Optional[Address] = None
-    recipient: Optional[Address] = None
-    topic: Optional[str] = None    # for pub/sub traffic
-    corr_id: Optional[int] = None  # pairs replies with requests
-    #: server-side bookkeeping attached to replies (timestamps, etc.)
-    meta: Dict[str, Any] = field(default_factory=dict)
-    uid: int = field(default_factory=lambda: next(_MSG_COUNTER))
-    sent_at: Optional[float] = None
-    received_at: Optional[float] = None
+    __slots__ = ("kind", "payload", "sender", "recipient", "topic",
+                 "corr_id", "meta", "uid", "sent_at", "received_at")
+
+    def __init__(self, kind: str, payload: Any,
+                 sender: Optional[Address] = None,
+                 recipient: Optional[Address] = None,
+                 topic: Optional[str] = None,
+                 corr_id: Optional[int] = None,
+                 meta: Optional[Dict[str, Any]] = None,
+                 uid: Optional[int] = None,
+                 sent_at: Optional[float] = None,
+                 received_at: Optional[float] = None) -> None:
+        self.kind = kind        # "request" | "reply" | "pub" | "control"
+        self.payload = payload
+        self.sender = sender
+        self.recipient = recipient
+        self.topic = topic      # for pub/sub traffic
+        self.corr_id = corr_id  # pairs replies with requests
+        #: server-side bookkeeping attached to replies (timestamps, etc.)
+        self.meta = {} if meta is None else meta
+        self.uid = next(_MSG_COUNTER) if uid is None else uid
+        self.sent_at = sent_at
+        self.received_at = received_at
 
     @property
     def nbytes(self) -> int:
@@ -131,17 +148,12 @@ class Message:
 
     def make_reply(self, payload: Any, sender: Address,
                    meta: Optional[Dict[str, Any]] = None) -> "Message":
-        """Build the reply envelope for this request."""
+        """Build the reply envelope for this request; it owns *meta*."""
         if self.sender is None:
             raise ValueError("cannot reply to a message without a sender")
-        return Message(
-            kind="reply",
-            payload=payload,
-            sender=sender,
-            recipient=self.sender,
-            corr_id=self.corr_id if self.corr_id is not None else self.uid,
-            meta=dict(meta or {}),
-        )
+        corr_id = self.corr_id
+        return Message("reply", payload, sender, self.sender, None,
+                       self.uid if corr_id is None else corr_id, meta)
 
     def __repr__(self) -> str:
         return (f"<Message #{self.uid} {self.kind} "

@@ -16,6 +16,10 @@ drained instance; timed-out requests are retried like busy ones.  Load
 balancer in-flight accounting is maintained around every attempt, so no
 exit path (reply, busy, timeout, interrupt) leaks a ``record_start``.
 
+Without a timeout an attempt is one frame: :meth:`ServiceClient.infer`
+yields the socket's reply event itself, and the result is built once, from
+the reply that ends the request.
+
 Results accumulate on the client and feed :mod:`repro.analytics.metrics`.
 """
 
@@ -40,7 +44,7 @@ class RequestTimeout(Exception):
     """A request got no reply within the client's timeout (after retries)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class InferenceResult:
     """Timing decomposition and payload of one request/reply exchange."""
 
@@ -116,27 +120,20 @@ class ServiceClient:
         t_first = engine.now
         attempt = 0
         while True:
-            t0 = engine.now
-            reply: Optional[Message] = None
             if balancer is not None:
                 balancer.record_start(target)
             try:
-                reply = yield from self._request(target, payload)
+                if self.timeout_s is None:
+                    reply = yield self.socket.request(target, payload)
+                else:
+                    reply = yield from self._request(target, payload)
             finally:
                 if balancer is not None:
                     balancer.record_done(target)
 
             if reply is not None:
-                result = self._decompose(reply, t0, engine.now)
-                result.retries = attempt
-                if not result.busy:
-                    result.submitted_at = t_first
-                    result.response_time = engine.now - t_first
-                    result.communication = (result.response_time
-                                            - result.service_time
-                                            - result.inference_time)
-                    self.results.append(result)
-                    return result
+                if not (reply.payload or {}).get("busy", False):
+                    break
                 self.busy_replies += 1
             else:
                 self.timeouts += 1
@@ -148,31 +145,26 @@ class ServiceClient:
                         f"{attempt + 1} attempts")
                 # Shed on every attempt: surface the busy result, spanning
                 # the whole retry window like the success path does.
-                result.submitted_at = t_first
-                result.response_time = engine.now - t_first
-                result.communication = (result.response_time
-                                        - result.service_time
-                                        - result.inference_time)
-                self.results.append(result)
-                return result
+                break
 
             attempt += 1
             self.retries += 1
             yield engine.timeout(self._backoff(attempt))
             if balancer is not None and targets:
                 target = balancer.pick(targets)
+            payload = dict(payload)     # a retry is a request of its own
+        result = self._decompose(reply, t_first, engine.now, attempt)
+        self.results.append(result)
+        return result
 
     def _request(self, target: Address, payload: Dict[str, Any]):
-        """Process body: one wire exchange, honouring ``timeout_s``.
+        """Process body: one wire exchange bounded by ``timeout_s``.
 
         Returns the reply message, or None when the timeout expired first
         (the pending request is abandoned so a late reply is dropped).
         """
         engine = self.session.engine
-        event = self.socket.request(target, dict(payload))
-        if self.timeout_s is None:
-            reply = yield event
-            return reply
+        event = self.socket.request(target, payload)
         timer = engine.timeout(self.timeout_s)
         yield engine.any_of([event, timer])
         if event.processed:
@@ -195,8 +187,9 @@ class ServiceClient:
         yield self.socket.request(target, {"op": "ping"})
         return engine.now - t0
 
-    def _decompose(self, reply: Message, t0: float,
-                   t1: float) -> InferenceResult:
+    def _decompose(self, reply: Message, t0: float, t1: float,
+                   retries: int) -> InferenceResult:
+        """Split the round trip *t0* -> *t1* that *reply* ended."""
         meta = reply.meta
         payload = reply.payload or {}
         received = meta.get("received_at", t1)
@@ -205,22 +198,17 @@ class ServiceClient:
         infer_stop = meta.get("infer_stop_at", infer_start)
         replied = meta.get("replied_at", infer_stop)
         rt = t1 - t0
-        server_span = replied - received
         inference = infer_stop - infer_start
-        service_time = server_span - inference
+        service_time = replied - received - inference
+        # positional, in field order: a keyword call costs twice as much
         return InferenceResult(
-            client_uid=self.uid,
-            service_uid=meta.get("service_uid", "?"),
-            ok=bool(payload.get("ok", False)),
-            submitted_at=t0,
-            completed_at=t1,
-            response_time=rt,
-            communication=rt - server_span,
-            service_time=service_time,
-            inference_time=inference,
-            queue_time=dequeued - received,
-            payload=payload,
-        )
+            self.uid, meta.get("service_uid", "?"),
+            bool(payload.get("ok", False)),
+            t0, t1, rt,
+            rt - service_time - inference,    # communication
+            service_time, inference,
+            dequeued - received,              # queue_time
+            payload, retries)
 
     # -- request streams --------------------------------------------------------------
     def run_workload(self, targets, n_requests: int,

@@ -33,6 +33,10 @@ response time exactly as the paper does:
 * ``infer_start_at``/``infer_stop_at`` -- backend busy window (IT);
 * ``replied_at``    -- reply handed to the wire (start of comm leg 2).
 
+A batch is answered in one pass: one loop reads every request's prompt,
+parameters and size, one builds and sizes every reply, and the replies
+leave with their stamps built in place.
+
 Supported operations: ``infer``, ``ping`` (liveness/readiness), ``stop``.
 """
 
@@ -221,7 +225,9 @@ class ServiceInstance:
                 self._shed(msg)
                 return
             self._queue.put_nowait(msg)
-            self.max_queue_seen = max(self.max_queue_seen, len(self._queue))
+            depth = len(self._queue.items)
+            if depth > self.max_queue_seen:
+                self.max_queue_seen = depth
             return
         now = self.session.engine.now
         if op == "ping":
@@ -264,59 +270,71 @@ class ServiceInstance:
 
     def _handle_batch(self, batch: List[Message]):
         engine = self.session.engine
+        rng = self._rng
+        n = len(batch)
         dequeued_at = engine.now
-        self._in_flight += len(batch)
+        self._in_flight += n
         self._active_dispatches += 1
         try:
+            prompts, params_list, nbytes = [], [], 0
+            for msg in batch:
+                payload = msg.payload or {}
+                prompts.append(payload.get("prompt", ""))
+                params_list.append(payload.get("params") or {})
+                nbytes += msg.nbytes
             # Parse/deserialise the coalesced requests (vectorised decode:
             # one dispatch overhead plus the per-byte cost of every message).
-            parse_s = self.host.parse_time(
-                sum(m.nbytes for m in batch), self._rng)
+            parse_s = self.host.parse_time(nbytes, rng)
             if parse_s > 0:
                 yield engine.timeout(parse_s)
-            prompts = [(m.payload or {}).get("prompt", "") for m in batch]
-            params_list = [(m.payload or {}).get("params") or {}
-                           for m in batch]
 
             infer_start_at = engine.now
             results, duration = self.host.infer_batch(
-                prompts, self._rng, params_list,
-                n_active=self._active_dispatches)
+                prompts, rng, params_list, n_active=self._active_dispatches)
             if duration > 0:
                 yield engine.timeout(duration)
             infer_stop_at = engine.now
 
-            reply_payloads = [{
-                "ok": True,
-                "text": result.text,
-                "model": result.model,
-                "prompt_tokens": result.prompt_tokens,
-                "completion_tokens": result.completion_tokens,
-            } for result in results]
             # size each reply once: serialisation is charged on these sizes
             # and the wire leg reuses them through the message's cache
-            reply_sizes = [estimate_size(p) for p in reply_payloads]
-            serialize_s = self.host.serialize_time(sum(reply_sizes),
-                                                   self._rng)
+            replies, nbytes = [], 0
+            for result in results:
+                reply_payload = {
+                    "ok": True,
+                    "text": result.text,
+                    "model": result.model,
+                    "prompt_tokens": result.prompt_tokens,
+                    "completion_tokens": result.completion_tokens,
+                }
+                size = estimate_size(reply_payload)
+                nbytes += size
+                replies.append((reply_payload, size))
+            serialize_s = self.host.serialize_time(nbytes, rng)
             if serialize_s > 0:
                 yield engine.timeout(serialize_s)
 
-            span = engine.now - dequeued_at
-            self.requests_handled += len(batch)
+            replied_at = engine.now
+            span = replied_at - dequeued_at
+            self.requests_handled += n
             self.batches_handled += 1
             if self._obs_metrics is not None:
-                self._obs_batch_hist.observe(len(batch))
+                self._obs_batch_hist.observe(n)
             self.busy_time_s += span
-            self._update_ewma(span / len(batch))
-            for msg, reply_payload, nbytes in zip(batch, reply_payloads,
-                                                  reply_sizes):
-                meta = self._stamp(msg, infer_start_at, infer_stop_at,
-                                   dequeued_at=dequeued_at,
-                                   batch_size=len(batch))
-                meta["_nbytes"] = nbytes
-                self.socket.reply(msg, reply_payload, meta=meta)
+            self._update_ewma(span / n)
+            reply, uid = self.socket.reply, self.uid
+            for msg, (reply_payload, size) in zip(batch, replies):
+                reply(msg, reply_payload, {
+                    "received_at": msg.received_at,
+                    "dequeued_at": dequeued_at,
+                    "infer_start_at": infer_start_at,
+                    "infer_stop_at": infer_stop_at,
+                    "replied_at": replied_at,
+                    "service_uid": uid,
+                    "batch_size": n,
+                    "_nbytes": size,
+                })
         finally:
-            self._in_flight -= len(batch)
+            self._in_flight -= n
             self._active_dispatches -= 1
 
     def _update_ewma(self, marginal_s: float) -> None:

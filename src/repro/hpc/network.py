@@ -57,6 +57,11 @@ class Fabric:
     Routes are symmetric.  Intra-platform routes default to the platform's
     own ``intra_latency``; inter-platform routes default to the paper's WAN
     numbers and can be overridden per pair.
+
+    Every draw is a gaussian, so *rng* needs only ``normal(loc, scale[,
+    size])``: a session hands over its block-drawn
+    ``RngHub.normals("fabric")`` stream, which prices every bus hop and
+    staging latency at a fraction of a scalar numpy call.
     """
 
     def __init__(self, rng) -> None:

@@ -51,7 +51,8 @@ class AgentExecutor:
         self.session = session
         self.pilot_uid = pilot_uid
         self.launcher: LaunchMethod = get_launcher(launch_method)
-        self._rng = session.rng(f"executor.{pilot_uid}")
+        #: launch cost and duration jitter are its only draws
+        self._rng = session.rng_hub.normals(f"executor.{pilot_uid}")
         self._launching = 0
         self._executing = 0
 

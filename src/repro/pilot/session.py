@@ -63,7 +63,7 @@ class Session:
             self.engine: SimulationEngine = SimulationEngine()
         else:
             self.engine = RealtimeEngine(factor=realtime_factor)
-        self.fabric = Fabric(self.rng_hub.stream("fabric"))
+        self.fabric = Fabric(self.rng_hub.normals("fabric"))
         #: what a reader derives from the profile log: "full" a row per
         #: record, "durations" first timestamps only (no row is ever built),
         #: "off" nothing (recording only counts)

@@ -217,6 +217,35 @@ class TestLanding:
         assert not reply.triggered
         assert len(warned) == 1 and "unmatched reply" in warned[0]
 
+    def test_cancelling_one_of_many_pending_requests_leaves_the_rest(
+            self, setup, monkeypatch):
+        engine, _, bus = setup
+        server = bus.bind("svc", platform="delta")
+        echo(server)
+        client = bus.connect(platform="delta")
+        replies = [client.request(server.address, i) for i in range(1000)]
+
+        class Unscannable(dict):
+            def __iter__(self):
+                raise AssertionError("cancel_request scanned the pending")
+            items = values = keys = __iter__
+        client._pending = Unscannable(client._pending)
+        victim = replies[500]
+        assert client.cancel_request(victim)
+        assert not client.cancel_request(victim)   # already abandoned
+        assert not client.cancel_request(engine.event())
+        assert client.in_flight == 999
+        warned = []
+        monkeypatch.setattr("repro.comm.bus.log.warning",
+                            lambda fmt, *args: warned.append(fmt % args))
+        engine.run(until=1.0)
+        assert not victim.triggered
+        assert [r.value.payload for r in replies if r is not victim] \
+            == [i for i in range(1000) if i != 500]
+        assert client.in_flight == 0
+        assert len(warned) == 1 and "unmatched reply" in warned[0] \
+            and "corr=500>" in warned[0]
+
     def test_handle_with_takes_over_the_backlog_oldest_first(self, setup):
         engine, _, bus = setup
         server = bus.bind("svc", platform="delta")

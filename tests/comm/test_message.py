@@ -57,3 +57,41 @@ class TestMessage:
         a = Message(kind="pub", payload=1)
         b = Message(kind="pub", payload=1)
         assert a.uid != b.uid
+
+    def test_a_given_uid_is_kept_and_takes_nothing_from_the_counter(self):
+        a = Message("pub", 1)
+        b = Message("pub", 1, uid=-7)
+        c = Message("pub", 1)
+        assert b.uid == -7 and c.uid == a.uid + 1
+
+    def test_positional_order_and_defaults_are_the_dataclass_ones(self):
+        client, server = Address("c", "delta"), Address("s", "r3")
+        meta = {"t": 1.0}
+        msg = Message("request", "x", client, server, "topic", 3, meta, 9,
+                      1.5, 2.5)
+        assert (msg.kind, msg.payload, msg.sender, msg.recipient, msg.topic,
+                msg.corr_id, msg.uid, msg.sent_at, msg.received_at) \
+            == ("request", "x", client, server, "topic", 3, 9, 1.5, 2.5)
+        assert msg.meta is meta
+        bare = Message("pub", None)
+        assert (bare.sender, bare.recipient, bare.topic, bare.corr_id,
+                bare.sent_at, bare.received_at) == (None,) * 6
+        assert bare.meta == {} and bare.meta is not Message("pub", 0).meta
+
+    def test_envelope_is_slotted(self):
+        msg = Message(kind="request", payload=1)
+        assert not hasattr(msg, "__dict__")
+        with pytest.raises(AttributeError):
+            msg.extra = 1
+
+    def test_messages_compare_by_identity(self):
+        a = Message("pub", 1, uid=0)
+        b = Message("pub", 1, uid=0)
+        assert a != b and a == a and len({a, b}) == 2
+
+    def test_reply_owns_the_meta_it_is_given(self):
+        req = Message("request", 1, sender=Address("c", "delta"))
+        meta = {"t": 1.0}
+        rep = req.make_reply("r", sender=Address("s", "delta"), meta=meta)
+        assert rep.meta is meta
+        assert req.make_reply("r", sender=Address("s", "delta")).meta == {}

@@ -1,18 +1,35 @@
 """The request path end to end: what one request/reply costs the kernel,
 that nothing sent before ``start()`` is lost, and that the paper's
-RT = communication + service + inference split does not move."""
+RT = communication + service + inference split does not move.
+
+``data/parent_request_path.json`` was written by running this file as a
+script on the commit where ``Message`` was still a dataclass, the client
+waited on each attempt through a nested generator and the fabric drew its
+latencies one scalar numpy call at a time.  The scenario below has to
+reproduce it exactly.
+"""
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro import (
+    PilotDescription,
+    PilotManager,
     ServiceClient,
     ServiceDescription,
     ServiceInstance,
     ServiceManager,
     Session,
 )
+from repro.comm.message import estimate_size
+from repro.core.client import RequestTimeout
+from repro.core.load_balancer import RoundRobinBalancer
 from repro.serving.hosts import create_host
 from repro.sim.events import Process
+
+GOLDEN = Path(__file__).parent / "data" / "parent_request_path.json"
 
 
 def bound_instance(session, model="noop"):
@@ -75,6 +92,34 @@ def test_one_request_costs_seven_engine_entries(monkeypatch):
     assert (many - few) / 50 == 7             # start-up constants cancel
     # no relay process sits between the caller and the worker
     assert resumed == expected
+
+
+def test_results_are_slotted_and_a_reply_carries_the_stamp_the_service_built():
+    with Session(seed=5) as session:
+        instance, address = bound_instance(session)
+        built, landed = [], []
+        reply = instance.socket.reply
+
+        def spy_reply(msg, payload, meta=None):
+            built.append(meta)
+            reply(msg, payload, meta=meta)
+        instance.socket.reply = spy_reply
+        instance.start()
+        client = ServiceClient(session, platform="delta")
+        decompose = client._decompose
+
+        def spy_decompose(reply, *args):
+            landed.append(reply.meta)
+            return decompose(reply, *args)
+        client._decompose = spy_decompose
+        proc = session.engine.process(client.infer(address, "noop"))
+        session.run(until=proc)
+        result = proc.value
+        assert not hasattr(result, "__dict__")
+        assert len(built) == len(landed) == 1
+        assert landed[0] is built[0]              # owned, not copied
+        assert built[0]["_nbytes"] == estimate_size(result.payload)
+        instance.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +204,8 @@ def test_rt_split_closes_and_matches_the_parent():
                    for _ in range(2)]
         metas = []
         for client in clients:
-            def spy(reply, t0, t1, decompose=client._decompose):
-                result = decompose(reply, t0, t1)
+            def spy(reply, t0, t1, retries, decompose=client._decompose):
+                result = decompose(reply, t0, t1, retries)
                 metas.append((result, reply.meta))
                 return result
             client._decompose = spy
@@ -184,3 +229,141 @@ def test_rt_split_closes_and_matches_the_parent():
         assert [(r.response_time, r.service_time, r.inference_time)
                 for r in results] \
             == [pytest.approx(row, rel=1e-9) for row in RT_SPLIT]
+
+
+# ---------------------------------------------------------------------------
+# Golden transcript: busy, shed, retry, timeout, a late reply, ping
+# ---------------------------------------------------------------------------
+
+RESULT_FIELDS = ("client_uid", "service_uid", "ok", "submitted_at",
+                 "completed_at", "response_time", "communication",
+                 "service_time", "inference_time", "queue_time", "payload",
+                 "retries")
+
+
+def _reprs(value):
+    """*value* ready for JSON, with every float as its ``repr``."""
+    if isinstance(value, float):              # numpy's float64 included
+        return repr(float(value))
+    if isinstance(value, dict):
+        return {key: _reprs(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reprs(item) for item in value]
+    return value
+
+
+def request_transcript():
+    """A local noop service, a batching llama service on vllm behind a
+    bounded queue, and a noop instance that stops mid-run.  Six clients
+    crowd the llama service: busy replies, shedding, backed-off retries,
+    and clients that run out of retries.  A client with a timeout
+    cycles over all three: timeouts against the stopped instance, and
+    llama replies that land after their timeout and are dropped.  One
+    ping."""
+    with Session(seed=23) as session:
+        engine, bus = session.engine, session.bus
+        pmgr = PilotManager(session)
+        smgr = ServiceManager(session, registry_platform="delta")
+        (pilot,) = pmgr.submit_pilots(
+            PilotDescription(resource="delta", gpus=2, runtime_s=1e6))
+        (local,) = smgr.start_services(
+            [ServiceDescription(model="noop", gpus_per_rank=0)], pilot)
+        llama = smgr.start_remote(
+            ServiceDescription(model="llama-8b", backend="vllm",
+                               max_batch_size=4, max_queue_depth=2),
+            platform="r3")
+        doomed = smgr.start_remote(ServiceDescription(model="noop"),
+                                   platform="delta")
+        handles = [local, llama, doomed]
+        session.run(until=smgr.wait_ready(handles))
+        t_ready = engine.now
+
+        crowd = [ServiceClient(session, platform="delta",
+                               max_retries=retries, backoff_base_s=0.02)
+                 for retries in (0, 1, 4, 4, 4, 4)]
+        impatient = ServiceClient(session, platform="delta", timeout_s=0.06,
+                                  max_retries=1)
+        clients = crowd + [impatient]
+        late = []
+        receive = impatient.socket._receive
+
+        def counting_receive(msg):
+            before = impatient.socket.in_flight
+            receive(msg)
+            if impatient.socket.in_flight == before:   # nobody waited
+                late.append(_reprs(engine.now))
+        impatient.socket._receive = counting_receive
+
+        def crowd_work(client):
+            yield from client.run_workload([llama.address], 12,
+                                           prompt="the runtime",
+                                           params={"max_tokens": 6})
+
+        outcomes = []
+
+        def impatient_work(crowd_done):
+            targets = [llama.address, doomed.address, local.address]
+            balancer = RoundRobinBalancer()
+            for n in range(12):
+                if n == 6:
+                    yield crowd_done          # llama admits again
+                try:
+                    yield from impatient.infer(
+                        balancer.pick(targets), "hello", {"max_tokens": 4},
+                        balancer=balancer, targets=targets)
+                    outcomes.append("reply")
+                except RequestTimeout:
+                    outcomes.append("timeout")
+
+        procs = [engine.process(crowd_work(c)) for c in crowd]
+        procs.append(engine.process(impatient_work(engine.all_of(procs))))
+        ping = engine.process(crowd[0].ping(local.address))
+        session.run(until=t_ready + 0.3)
+        assert smgr.crash_service(doomed)
+        session.run(until=engine.all_of(procs + [ping]))
+        session.run(until=engine.now + 5.0)   # the last late replies land
+        return {
+            "results": [[_reprs(getattr(r, name)) for name in RESULT_FIELDS]
+                        for c in clients for r in c.results],
+            "outcomes": outcomes,
+            "late_replies": late,
+            "ping_s": _reprs(ping.value),
+            "clients": [[c.busy_replies, c.timeouts, c.retries]
+                        for c in clients],
+            "services": [[h.instance.requests_handled,
+                          h.instance.batches_handled, h.instance.shed_count,
+                          h.instance.max_queue_seen,
+                          _reprs(h.instance.ewma_service_s)]
+                         for h in handles],
+            "bus": [bus.sent_count, bus.delivered_count, bus.dropped_count],
+        }
+
+
+def test_request_path_reproduces_the_parent_transcript():
+    golden = json.loads(GOLDEN.read_text())
+    got = json.loads(json.dumps(request_transcript()))
+    # the scenario has teeth: every path it is meant to cover ran
+    busy, timeouts, retries = zip(*got["clients"])
+    assert sum(busy[:-1]) > 0 and sum(timeouts) > 0 and sum(retries) > 0
+    assert got["late_replies"] and "timeout" in got["outcomes"]
+    assert any(s[2] > 0 for s in got["services"])          # shed
+    assert any(s[1] < s[0] for s in got["services"])       # batches > 1
+    assert any(r[2] is False for r in got["results"])      # busy result
+    for key in golden:
+        assert got[key] == golden[key], key
+
+
+if __name__ == "__main__":
+    record = request_transcript()
+    lines = ["{"]
+    for n, (key, value) in enumerate(record.items()):
+        comma = "," if n < len(record) - 1 else ""
+        if key == "results":                  # one result a line
+            body = ",\n".join("  " + json.dumps(item) for item in value)
+            lines += [f' "{key}": [', body, f" ]{comma}"]
+        else:
+            lines.append(f' "{key}": {json.dumps(value)}{comma}')
+    lines.append("}")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("\n".join(lines) + "\n")
+    print(f"wrote {GOLDEN}")

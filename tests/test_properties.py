@@ -705,6 +705,50 @@ def test_rng_streams_reproducible_and_name_isolated(seed, names):
         assert np.array_equal(draws1[name], draws2[name])
 
 
+_LOCS = st.sampled_from([0.0, -0.0, -3.5, 0.063, 0.47, 2.0, 1e300, -1e-300]) \
+    | st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+_SCALES = st.sampled_from([0.0, 1e-300, 1e-12, 0.014, 0.3, 1.0, 1e200]) \
+    | st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**31),
+       name=st.text(min_size=1, max_size=8),
+       steps=st.lists(st.tuples(
+           _LOCS, _SCALES,
+           st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129, 500])),
+           min_size=1, max_size=12))
+@example(seed=0, name="fabric",            # crosses 64, 192, 448, 960, 1984
+         steps=[(0.063, 0.014, 500), (-3.5, 1e-300, 500),
+                (1e300, 1e200, 500), (0.0, 1.0, 500)])
+def test_normal_only_stream_is_bit_identical_to_scalar_draws(seed, name,
+                                                            steps):
+    """Block-drawn ``loc + scale * z`` equals ``Generator.normal`` bit for
+    bit, across block boundaries."""
+    blocked = RngHub(seed).normals(name)
+    scalar = RngHub(seed).stream(name)
+    for loc, scale, repeat in steps:
+        for _ in range(repeat):
+            got, want = blocked.normal(loc, scale), scalar.normal(loc, scale)
+            assert type(got) is type(want) is float
+            assert repr(got) == repr(want)         # -0.0 and nan included
+
+
+@given(name=st.text(min_size=1, max_size=8), normal_first=st.booleans())
+def test_a_stream_name_is_normal_only_or_plain_never_both(name,
+                                                          normal_first):
+    hub = RngHub(3)
+    if normal_first:
+        hub.normals(name).normal(0.0, 1.0)
+        assert hub.normals(name) is hub.normals(name)
+        with pytest.raises(ValueError):
+            hub.stream(name)
+    else:
+        hub.stream(name).random()
+        with pytest.raises(ValueError):
+            hub.normals(name)
+    hub.fresh(name)                           # a restart is either's
+
+
 # ---------------------------------------------------------------------------
 # Statistics
 # ---------------------------------------------------------------------------
@@ -757,9 +801,12 @@ def test_rt_decomposition_adds_up(data):
         "received_at": received, "dequeued_at": dequeued,
         "infer_start_at": infer_start, "infer_stop_at": infer_stop,
         "replied_at": replied, "service_uid": "svc"})
+    retries = data.draw(st.integers(min_value=0, max_value=6))
     client = ServiceClient.__new__(ServiceClient)  # bypass bus wiring
     client.uid = "client.prop"
-    result = client._decompose(reply, t0, t1)
+    result = client._decompose(reply, t0, t1, retries)
+    assert (result.submitted_at, result.completed_at, result.retries) \
+        == (t0, t1, retries)
     assert result.response_time == pytest.approx(
         result.communication + result.service_time + result.inference_time)
     assert result.communication == pytest.approx(leg1 + leg2)
