@@ -79,7 +79,7 @@ def run_iterative(config: DataConfig, seed: int = 11):
             "makespan": session.now,
             "metrics": data_metrics(tmgr.data_manager),
             "affinity": tmgr.affinity_placements,
-            "evictions": session.data.cache.evictions,
+            "evictions": session.data.evictions,
         }
 
 

@@ -28,11 +28,13 @@ __all__ = ["Slot", "NodeState", "NodeList"]
 #: A rank shape: what one rank asks of a node, ``(cores, gpus, mem_gb)``.
 RankShape = Tuple[int, int, float]
 
-#: Rank shapes one NodeList keeps fit masks for.  Every node change costs
-#: O(tracked shapes), so the table is bounded: a workload with more distinct
-#: rank shapes than this overflows it, which clears the table and lets the
-#: live shapes refill lazily (O(nodes) per shape on its next query).
-_MAX_TRACKED_SHAPES = 64
+#: Rank shapes a NodeList keeps fit masks for, at the least.  A node change
+#: costs O(tracked shapes) and building an untracked shape's mask O(nodes),
+#: so a list tracks up to ``max(_MIN_TRACKED_SHAPES, nodes)`` shapes: a
+#: node change never costs more than one rebuild.  A workload with more
+#: distinct rank shapes than that overflows the table, which clears it and
+#: lets the live shapes refill lazily on their next query.
+_MIN_TRACKED_SHAPES = 64
 
 
 class Slot(NamedTuple):
@@ -221,6 +223,7 @@ class NodeList:
         #: rank shape -> fit mask; built lazily per shape by :meth:`fit_mask`,
         #: kept current by the nodes themselves (``NodeState._refit``)
         self._fit_masks: Dict[RankShape, int] = {}
+        self._max_shapes = max(_MIN_TRACKED_SHAPES, len(self.nodes))
         # The runtime indexes nodes by Slot.node_index everywhere
         # (scheduler release, colocation pins, the fit masks' bit
         # addressing), so node.index must equal list position; fail loudly
@@ -270,7 +273,7 @@ class NodeList:
         shape = (cores, gpus, mem_gb)
         mask = self._fit_masks.get(shape)
         if mask is None:
-            if len(self._fit_masks) >= _MAX_TRACKED_SHAPES:
+            if len(self._fit_masks) >= self._max_shapes:
                 self._fit_masks.clear()
             mask = 0
             for node in self.nodes:

@@ -14,8 +14,8 @@ what had already been moved.  This DataManager sits on the session's
   counted down by :meth:`DataManager.stage`, not a process of its own), and
   concurrent transfers on one fabric link fair-share its bandwidth
   (:class:`repro.data.TransferScheduler`);
-* completed transfers register **replicas** (durable at the data's origin,
-  LRU-cached at the task platform), which feeds the TaskManager's
+* completed transfers record **copies** (durable at the data's origin,
+  warm-tier at the task platform), which feeds the TaskManager's
   data-affinity placement;
 * ``link`` directives are free and are *not* counted as moved bytes.
 
@@ -165,8 +165,8 @@ class DataManager:
             return
 
         src, dst = self._endpoints(directive, task_platform, phase)
-        obj = data.objects.intern(directive.source or directive.target,
-                                  directive.size_bytes)
+        obj = data.intern(directive.source or directive.target,
+                          directive.size_bytes)
 
         # Warm-hit / dedup shortcuts apply to *inputs* only: stage-in reads
         # immutable shared datasets, but each stage-out carries a freshly
@@ -244,12 +244,10 @@ class DataManager:
 
     def _register(self, obj: DataObject, src: str, dst: str, action: str,
                   phase: str) -> None:
-        """Replica bookkeeping after a completed move.
+        """Copy bookkeeping after a completed move.
 
         The client-side endpoint holds the durable origin copy; the task
-        platform gets an evictable cache replica.  Durable registration
-        happens first so an object is never both durable and LRU-tracked at
-        the same location (eviction must never face a durable entry).
+        platform gets an evictable warm-tier copy.
         """
         if action == "copy":
             self.data.register_durable(obj.oid, dst)
@@ -264,7 +262,7 @@ class DataManager:
         """Cheapest holder to pull from (contention-aware, deterministic)."""
         if default_src == dst:
             return default_src  # intra-platform copy: never reroute remotely
-        candidates = set(self.data.replicas.holders(obj.oid))
+        candidates = set(self.data.holders(obj.oid))
         candidates.add(default_src)
         candidates.discard(dst)  # cannot pull from the destination
         if not candidates:

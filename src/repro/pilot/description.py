@@ -59,11 +59,8 @@ class PilotDescription(Config):
         "cores": int,             # alternative: derive nodes from cores
         "gpus": int,              # alternative: derive nodes from gpus
         "runtime_s": (int, float),  # walltime
-        "queue": str,
-        "project": str,
     }
-    _defaults = {"nodes": 0, "cores": 0, "gpus": 0, "runtime_s": 3600.0,
-                 "queue": "normal", "project": ""}
+    _defaults = {"nodes": 0, "cores": 0, "gpus": 0, "runtime_s": 3600.0}
 
     def __init__(self, from_dict=None, **kwargs) -> None:
         super().__init__(from_dict, **kwargs)
@@ -99,7 +96,6 @@ class TaskDescription(Config):
     _schema = {
         "name": str,
         "executable": str,
-        "arguments": list,
         "function": None,          # callable; validated below
         "fn_args": tuple,
         "fn_kwargs": dict,
@@ -114,14 +110,11 @@ class TaskDescription(Config):
         "output_staging": list,
         "tags": dict,                 # scheduler hints
         "priority": int,              # higher runs earlier
-        "restartable": bool,
-        "metadata": dict,
         "pilot": str,                 # optional explicit pilot uid binding
     }
     _defaults: Dict[str, Any] = {
         "name": "",
         "executable": "",
-        "arguments": [],
         "function": None,
         "fn_args": (),
         "fn_kwargs": {},
@@ -136,8 +129,6 @@ class TaskDescription(Config):
         "output_staging": [],
         "tags": {},
         "priority": 0,
-        "restartable": False,
-        "metadata": {},
         "pilot": "",
     }
 
@@ -174,7 +165,9 @@ class ServiceDescription(TaskDescription):
 
     Extends :class:`TaskDescription` with the service lifecycle knobs: which
     model/backend to instantiate, how long startup may take, how often to
-    heartbeat, and where (local pilot or a remote platform) it runs.
+    heartbeat, and how it batches and bounds requests.  Where it runs is
+    the manager's call: ``start_services`` on a pilot or ``start_remote``
+    on a platform.
     """
 
     _schema = dict(TaskDescription._schema)
@@ -188,8 +181,6 @@ class ServiceDescription(TaskDescription):
                                     # (0 = serving-host default)
         "max_queue_depth": int,     # admission bound (0 = unbounded)
         "endpoint_name": str,       # registry name (auto if empty)
-        "remote_platform": str,     # non-empty -> runs off-pilot
-        "persistent": bool,         # survives workload completion
     })
     _defaults = dict(TaskDescription._defaults)
     _defaults.update({
@@ -201,8 +192,6 @@ class ServiceDescription(TaskDescription):
         "max_batch_size": 0,       # paper: one request at a time
         "max_queue_depth": 0,      # paper: unbounded inbox
         "endpoint_name": "",
-        "remote_platform": "",
-        "persistent": False,
         # services usually hold one GPU (Exp 1: "each using one GPU")
         "gpus_per_rank": 1,
         "priority": 100,           # services schedule before compute tasks

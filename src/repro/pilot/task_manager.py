@@ -311,7 +311,7 @@ class TaskManager:
             return None
         data = self.session.data
         pairs = data.input_objects(staging)  # digest once, score per pilot
-        scores = {p.uid: data.resident_object_bytes(p.platform.name, pairs)
+        scores = {p.uid: data.resident_bytes(p.platform.name, pairs)
                   for p in candidates}
         best = max(scores.values())
         if best <= 0:

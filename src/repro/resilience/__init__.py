@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, List, MutableMapping, Optional
 
 from ..comm.message import Address
 from ..sim.events import Ticker
-from ..utils.log import get_logger
 from .detection import DetectionRecord, HeartbeatMonitor, Lease, heartbeat_topic
 from .failures import (
     FailureReason,
@@ -77,8 +76,6 @@ __all__ = [
     "failure_counts",
     "heartbeat_topic",
 ]
-
-log = get_logger("resilience")
 
 
 @dataclass
@@ -181,22 +178,6 @@ class ResilienceServices:
                 tmgr.fail_task(task, exc)
                 return True
         return False
-
-    def wipe_platform_cache(self, platform: str) -> int:
-        """Drop every cache replica at *platform* (lost warm tier).
-
-        Durable origins survive; the data subsystem re-stages lost
-        replicas from them on the next request.  Returns the victim count.
-        """
-        data = self.session.data
-        victims = data.cache.entries(platform)
-        for oid in victims:
-            data.cache.evict(platform, oid)
-            data.replicas.remove(oid, platform)
-        if victims:
-            log.warning("platform %s lost %d cache replicas", platform,
-                        len(victims))
-        return len(victims)
 
     # -- metrics support ---------------------------------------------------------
     def detection_latencies(self) -> List[float]:

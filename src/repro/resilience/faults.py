@@ -68,7 +68,7 @@ class FaultModel:
     #: MTBF of serving-instance crashes across READY services (0 = off)
     service_crash_mtbf_s: float = 0.0
     #: a lost pilot takes its platform's warm cache tier with it; lost
-    #: replicas must re-stage from durable origins
+    #: copies must re-stage from durable origins
     wipe_cache_on_pilot_loss: bool = False
 
     def __post_init__(self) -> None:
@@ -219,7 +219,10 @@ class FaultInjector:
         batch = self.session.batch_system(pilot.platform.name)
         batch.fail(pilot.batch_job)
         if self.model.wipe_cache_on_pilot_loss:
-            self.services.wipe_platform_cache(pilot.platform.name)
+            lost = self.session.data.wipe(pilot.platform.name)
+            if lost:
+                log.warning("platform %s lost %d warm-tier copies",
+                            pilot.platform.name, lost)
 
     # -- link faults -------------------------------------------------------------
     def _corruption_check(self, src: str, dst: str, nbytes: float) -> bool:

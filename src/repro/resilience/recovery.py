@@ -8,10 +8,10 @@ Three policies cover the failure modes of long-running hybrid campaigns:
   happen), failed nodes/pilots are blacklisted, and the retried task
   late-binds to whatever healthy pilot the TaskManager then holds.
 * :class:`CheckpointPolicy` / :class:`Checkpointer` -- iterative workflows
-  persist per-iteration state as durable ObjectStore objects (the save
-  pays a real transfer to the checkpoint home), so a campaign restart
-  replays only work lost since the last checkpoint; lost cache replicas
-  re-stage from the durable origins the data subsystem already tracks.
+  persist per-iteration state as durable data objects (the save pays a
+  real transfer to the checkpoint home), so a campaign restart replays
+  only work lost since the last checkpoint; lost warm-tier copies re-stage
+  from the durable origins the data subsystem already tracks.
 * :class:`PilotResubmitPolicy` -- a pilot declared dead by the monitor is
   resubmitted through the platform's batch system (paying queue wait
   again) and re-attached to the TaskManagers that held it, so waiting
@@ -283,8 +283,7 @@ class Checkpointer:
         if nbytes > 0:
             yield from self.session.data.transfers.transfer(
                 src, home, nbytes, uid=f"ckpt.{key}.{iteration}")
-        obj = self.session.data.objects.intern(
-            f"ckpt/{key}/{iteration}", nbytes or 0)
+        obj = self.session.data.intern(f"ckpt/{key}/{iteration}", nbytes or 0)
         self.session.data.register_durable(obj.oid, home)
         self._store[key] = (iteration, payload)
         self.saves += 1

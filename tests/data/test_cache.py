@@ -1,154 +1,169 @@
-"""Tests for the per-platform LRU cache manager."""
+"""Tests for the warm tier: each location's bounded LRU of staged copies."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.data import CacheManager, DataObject
+from repro.data import DataConfig, DataObject, DataServices
+from repro.pilot import DataManager, Session, StagingDirective
 
 
 def obj(name: str, size: float) -> DataObject:
     return DataObject(oid=f"obj.{name}", size_bytes=size, source=name)
 
 
+def oids(objects):
+    return [o.oid for o in objects]
+
+
+@pytest.fixture
+def session():
+    with Session(seed=0) as s:
+        yield s
+
+
+@pytest.fixture
+def tier(session):
+    """A data plane whose warm tiers hold 100 bytes each."""
+    def make(capacity=100):
+        return DataServices(session, DataConfig(
+            cache_capacity_bytes=capacity))
+    return make
+
+
 class TestAdmission:
-    def test_admit_and_contains(self):
-        cache = CacheManager(capacity_bytes=100)
-        admitted, evicted = cache.admit("delta", obj("a", 60))
-        assert admitted and not evicted
-        assert cache.contains("delta", "obj.a")
-        assert cache.occupancy("delta") == 60
+    def test_admit_and_contains(self, tier):
+        data = tier()
+        assert data.admit("delta", obj("a", 60)) == []
+        assert data.holds("delta", "obj.a")
+        assert data.occupancy("delta") == 60
 
-    def test_platforms_are_independent(self):
-        cache = CacheManager(capacity_bytes=100)
-        cache.admit("delta", obj("a", 60))
-        assert not cache.contains("frontier", "obj.a")
-        assert cache.occupancy("frontier") == 0
+    def test_platforms_are_independent(self, tier):
+        data = tier()
+        data.admit("delta", obj("a", 60))
+        assert not data.holds("frontier", "obj.a")
+        assert data.occupancy("frontier") == 0
 
-    def test_oversized_object_never_admitted(self):
-        cache = CacheManager(capacity_bytes=100)
-        cache.admit("delta", obj("small", 50))
-        admitted, evicted = cache.admit("delta", obj("huge", 101))
-        assert not admitted
-        assert evicted == []  # pass-through: evicts nothing either
-        assert cache.contains("delta", "obj.small")
+    def test_oversized_object_never_admitted(self, tier):
+        data = tier()
+        data.admit("delta", obj("small", 50))
+        assert data.admit("delta", obj("huge", 101)) == []  # evicts nothing
+        assert not data.holds("delta", "obj.huge")          # pass-through
+        assert data.holds("delta", "obj.small")
 
-    def test_zero_capacity_admits_nothing(self):
-        cache = CacheManager(capacity_bytes=0)
-        admitted, _ = cache.admit("delta", obj("a", 1))
-        assert not admitted
+    def test_zero_capacity_admits_nothing(self, tier):
+        data = tier(capacity=0)
+        data.admit("delta", obj("a", 1))
+        assert not data.holds("delta", "obj.a")
 
-    def test_readmission_is_a_touch(self):
-        cache = CacheManager(capacity_bytes=100)
-        cache.admit("delta", obj("a", 40))
-        cache.admit("delta", obj("b", 40))
-        admitted, evicted = cache.admit("delta", obj("a", 40))
-        assert admitted and not evicted
-        assert cache.occupancy("delta") == 80
+    def test_readmission_is_a_touch(self, tier):
+        data = tier()
+        data.admit("delta", obj("a", 40))
+        data.admit("delta", obj("b", 40))
+        assert data.admit("delta", obj("a", 40)) == []
+        assert data.occupancy("delta") == 80
         # "a" became MRU, so "b" is now the eviction victim
-        _, evicted = cache.admit("delta", obj("c", 40))
-        assert [o.oid for o in evicted] == ["obj.b"]
+        assert oids(data.admit("delta", obj("c", 40))) == ["obj.b"]
 
 
 class TestEviction:
-    def test_lru_order(self):
-        cache = CacheManager(capacity_bytes=100)
-        cache.admit("delta", obj("a", 40))
-        cache.admit("delta", obj("b", 40))
-        _, evicted = cache.admit("delta", obj("c", 40))
-        assert [o.oid for o in evicted] == ["obj.a"]
-        assert cache.entries("delta") == ["obj.b", "obj.c"]
+    def test_lru_order(self, tier):
+        data = tier()
+        data.admit("delta", obj("a", 40))
+        data.admit("delta", obj("b", 40))
+        assert oids(data.admit("delta", obj("c", 40))) == ["obj.a"]
+        assert not data.holds("delta", "obj.a")
+        assert data.holders("obj.a") == ()
+        assert oids(data.admit("delta", obj("d", 40))) == ["obj.b"]
 
-    def test_touch_rescues_from_eviction(self):
-        cache = CacheManager(capacity_bytes=100)
-        cache.admit("delta", obj("a", 40))
-        cache.admit("delta", obj("b", 40))
-        cache.touch("delta", "obj.a")
-        _, evicted = cache.admit("delta", obj("c", 40))
-        assert [o.oid for o in evicted] == ["obj.b"]
+    def test_touch_rescues_from_eviction(self, tier):
+        data = tier()
+        data.admit("delta", obj("a", 40))
+        data.admit("delta", obj("b", 40))
+        data.touch("delta", "obj.a")
+        assert oids(data.admit("delta", obj("c", 40))) == ["obj.b"]
 
-    def test_multi_eviction_for_large_object(self):
-        cache = CacheManager(capacity_bytes=100)
-        cache.admit("delta", obj("a", 30))
-        cache.admit("delta", obj("b", 30))
-        cache.admit("delta", obj("c", 30))
-        _, evicted = cache.admit("delta", obj("big", 90))
-        assert {o.oid for o in evicted} == {"obj.a", "obj.b", "obj.c"}
-        assert cache.occupancy("delta") == 90
+    def test_multi_eviction_for_large_object(self, tier):
+        data = tier()
+        for name in "abc":
+            data.admit("delta", obj(name, 30))
+        evicted = data.admit("delta", obj("big", 90))
+        assert oids(evicted) == ["obj.a", "obj.b", "obj.c"]
+        assert data.occupancy("delta") == 90
 
-    def test_explicit_evict(self):
-        cache = CacheManager(capacity_bytes=100)
-        cache.admit("delta", obj("a", 40))
-        victim = cache.evict("delta", "obj.a")
-        assert victim.oid == "obj.a"
-        assert cache.occupancy("delta") == 0
-        assert cache.evict("delta", "obj.a") is None
+    def test_eviction_stats(self, tier):
+        data = tier()
+        data.admit("delta", obj("a", 60))
+        data.admit("delta", obj("b", 60))
+        assert data.evictions == 1
+        assert data.bytes_evicted == 60
 
-    def test_eviction_stats(self):
-        cache = CacheManager(capacity_bytes=100)
-        cache.admit("delta", obj("a", 60))
-        cache.admit("delta", obj("b", 60))
-        assert cache.evictions == 1
-        assert cache.bytes_evicted == 60
+    def test_durable_copy_is_never_a_victim(self, tier):
+        data = tier()
+        data.admit("delta", obj("a", 60))
+        data.register_durable("obj.a", "delta")  # graduates out of the LRU
+        assert data.occupancy("delta") == 0
+        assert data.admit("delta", obj("b", 100)) == []
+        assert data.holds("delta", "obj.a") and data.holds("delta", "obj.b")
 
 
 class TestFloatResidue:
-    def test_exact_capacity_admission_after_residual_drift(self):
+    def test_exact_capacity_admission_after_residual_drift(self, tier):
         """Out-of-order removals leave float residue in the occupancy
-        accumulator; an exact-capacity admission on the emptied cache must
+        accumulator; an exact-capacity admission on the emptied tier must
         still succeed instead of crashing the eviction loop."""
-        cache = CacheManager(capacity_bytes=1.0)
+        data = tier(capacity=1.0)
         names = [f"o{i}" for i in range(6)]
         for name in names:
-            cache.admit("p", obj(name, 0.1 + 0.01 * len(name)))
+            data.admit("p", obj(name, 0.1 + 0.01 * len(name)))
         for name in reversed(names):
-            cache.discard("p", f"obj.{name}")
-        assert cache.entries("p") == []
-        admitted, evicted = cache.admit("p", obj("full", 1.0))
-        assert admitted and evicted == []
-        assert cache.occupancy("p") == 1.0
+            data.register_durable(f"obj.{name}", "p")
+        assert data.occupancy("p") != 0.0  # the residue this test is about
+        data.admit("p", obj("flag", 0.0))  # too small to round it away
+        assert data.occupancy("p") == 0.0
+        assert data.admit("p", obj("full", 1.0)) == []
+        assert data.holds("p", "obj.full")
+        assert data.occupancy("p") == 1.0
 
 
 class TestCapacityConfig:
-    def test_per_platform_override(self):
-        cache = CacheManager(capacity_bytes=100, per_platform={"edge": 10})
-        assert cache.capacity("delta") == 100
-        assert cache.capacity("edge") == 10
-        admitted, _ = cache.admit("edge", obj("a", 11))
-        assert not admitted
-
-    def test_set_capacity(self):
-        cache = CacheManager(capacity_bytes=100)
-        cache.set_capacity("delta", 10)
-        admitted, _ = cache.admit("delta", obj("a", 50))
-        assert not admitted
-
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            CacheManager(capacity_bytes=-1)
-        with pytest.raises(ValueError):
-            CacheManager(per_platform={"delta": -1})
+            DataConfig(cache_capacity_bytes=-1)
 
 
-@given(st.data())
-def test_occupancy_never_exceeds_capacity(data):
-    """Property: any admit/touch/evict traffic keeps occupancy <= capacity
-    and occupancy equal to the sum of resident entry sizes."""
-    capacity = data.draw(st.integers(min_value=0, max_value=200))
-    cache = CacheManager(capacity_bytes=float(capacity))
-    sizes = {}
-    for step in range(data.draw(st.integers(min_value=1, max_value=40))):
-        action = data.draw(st.sampled_from(["admit", "touch", "evict"]))
-        name = data.draw(st.sampled_from("abcdefgh"))
-        if action == "admit":
-            size = data.draw(st.integers(min_value=0, max_value=120))
-            sizes.setdefault(name, size)
-            admitted, _ = cache.admit("p", obj(name, sizes[name]))
-            if sizes[name] > capacity:
-                assert not admitted
-        elif action == "touch":
-            cache.touch("p", f"obj.{name}")
-        else:
-            cache.evict("p", f"obj.{name}")
-        assert cache.occupancy("p") <= capacity
-        assert cache.occupancy("p") == sum(
-            sizes[e.split(".", 1)[1]] for e in cache.entries("p"))
+class TestWipe:
+    def test_wipe_is_not_an_eviction(self):
+        """A lost warm tier loses its copies, not capacity: the eviction
+        counters stay put, the durable origin stays, and the next stage-in
+        is a miss that moves the input again."""
+        size = 40
+        with Session(seed=0, data_config=DataConfig(
+                cache_capacity_bytes=100)) as session:
+            dmgr = DataManager(session, client_platform="localhost")
+            data = session.data
+
+            def stage(name, uid):
+                directive = StagingDirective(source=name, size_bytes=size)
+                session.run(until=session.engine.process(
+                    dmgr.stage([directive], "delta", uid, "stage_in")))
+                return data.intern(name, size).oid
+
+            staged = [stage(name, f"task.{name}") for name in "abc"]
+            assert (data.evictions, data.bytes_evicted) == (1, size)
+            assert data.wipe("delta") == 2
+            assert (data.evictions, data.bytes_evicted) == (1, size)
+            assert data.occupancy("delta") == 0
+            for oid in staged:
+                assert not data.holds("delta", oid)
+                assert data.holders(oid) == {"localhost"}  # durable origin
+            misses, moved = dmgr.cache_misses, dmgr.bytes_transferred
+            assert stage("c", "task.again") == staged[-1]
+            assert dmgr.cache_misses == misses + 1
+            assert dmgr.bytes_transferred == moved + size
+            assert data.holds("delta", staged[-1])
+
+    def test_wipe_of_an_empty_tier_loses_nothing(self, tier):
+        data = tier()
+        data.register_durable("obj.a", "delta")
+        assert data.wipe("delta") == 0
+        assert data.wipe("frontier") == 0
+        assert data.holds("delta", "obj.a")

@@ -1,9 +1,20 @@
-"""Tests for content addressing, the object store and the replica registry."""
+"""Tests for content addressing and the copy record of objects."""
 
 import pytest
 
-from repro.data import DataObject, ObjectStore, ReplicaError, ReplicaRegistry
+from repro.data import DataConfig, DataObject, DataServices
 from repro.data.objects import object_id
+from repro.pilot import Session
+
+
+@pytest.fixture
+def data():
+    with Session(seed=0) as session:
+        yield DataServices(session, DataConfig(cache_capacity_bytes=100))
+
+
+def obj(name: str, size: float = 10) -> DataObject:
+    return DataObject(oid=name, size_bytes=size, source=name)
 
 
 class TestObjectId:
@@ -19,20 +30,18 @@ class TestObjectId:
 
 
 class TestObjectStore:
-    def test_intern_is_idempotent(self):
-        store = ObjectStore()
-        first = store.intern("data.h5", 1e9)
-        second = store.intern("data.h5", 1e9)
+    def test_intern_is_idempotent(self, data):
+        first = data.intern("data.h5", 1e9)
+        second = data.intern("data.h5", 1e9)
         assert first is second
-        assert len(store) == 1
+        assert first.oid == object_id("data.h5", 1e9)
 
-    def test_distinct_objects_catalogued(self):
-        store = ObjectStore()
-        a = store.intern("a", 10)
-        b = store.intern("b", 20)
+    def test_distinct_objects_catalogued(self, data):
+        a = data.intern("a", 10)
+        b = data.intern("b", 20)
         assert a.oid != b.oid
-        assert store.total_bytes == 30
-        assert a.oid in store and store.get(a.oid) is a
+        assert (a.size_bytes, b.size_bytes) == (10.0, 20.0)
+        assert data.intern("a", 10) is a
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
@@ -40,59 +49,48 @@ class TestObjectStore:
 
 
 class TestReplicaRegistry:
-    def test_add_and_query(self):
-        reg = ReplicaRegistry()
-        reg.add("o1", "delta")
-        assert reg.holds("delta", "o1")
-        assert not reg.holds("frontier", "o1")
-        assert reg.holders("o1") == frozenset({"delta"})
-        assert reg.objects_at("delta") == frozenset({"o1"})
+    def test_add_and_query(self, data):
+        data.admit("delta", obj("o1"))
+        assert data.holds("delta", "o1")
+        assert not data.holds("frontier", "o1")
+        assert data.holders("o1") == {"delta"}
 
-    def test_remove(self):
-        reg = ReplicaRegistry()
-        reg.add("o1", "delta")
-        reg.remove("o1", "delta")
-        assert not reg.holds("delta", "o1")
-        assert reg.holders("o1") == frozenset()
+    def test_remove(self, data):
+        data.admit("delta", obj("o1"))
+        data.wipe("delta")
+        assert not data.holds("delta", "o1")
+        assert data.holders("o1") == ()
 
-    def test_remove_absent_raises(self):
-        reg = ReplicaRegistry()
-        with pytest.raises(ReplicaError):
-            reg.remove("o1", "delta")
+    def test_durable_replica_protected(self, data):
+        data.register_durable("o1", "localhost")
+        data.admit("localhost", obj("big", 100))  # fills the tier
+        assert data.holds("localhost", "o1")
+        assert data.wipe("localhost") == 1        # only the warm copy
+        assert data.holders("o1") == {"localhost"}
+        assert data.holders("big") == ()
 
-    def test_durable_replica_protected(self):
-        reg = ReplicaRegistry()
-        reg.add("o1", "localhost", durable=True)
-        assert reg.is_durable("o1", "localhost")
-        with pytest.raises(ReplicaError):
-            reg.remove("o1", "localhost")
-        reg.remove("o1", "localhost", force=True)
-        assert not reg.holds("localhost", "o1")
+    def test_durable_upgrade_sticks(self, data):
+        data.admit("delta", obj("o1"))
+        data.register_durable("o1", "delta")
+        data.admit("delta", obj("o1"))  # re-admission must not downgrade
+        assert data.occupancy("delta") == 0
+        assert data.wipe("delta") == 0
+        assert data.holds("delta", "o1")
 
-    def test_durable_upgrade_sticks(self):
-        reg = ReplicaRegistry()
-        reg.add("o1", "delta")
-        reg.add("o1", "delta", durable=True)
-        assert reg.is_durable("o1", "delta")
-        reg.add("o1", "delta")  # re-add without durable must not downgrade
-        assert reg.is_durable("o1", "delta")
+    def test_drop_location(self, data):
+        data.admit("delta", obj("o1"))
+        data.admit("delta", obj("o2"))
+        data.admit("frontier", obj("o1"))
+        assert data.wipe("delta") == 2
+        assert data.holders("o1") == {"frontier"}
+        assert data.holders("o2") == ()
 
-    def test_drop_location(self):
-        reg = ReplicaRegistry()
-        reg.add("o1", "delta")
-        reg.add("o2", "delta")
-        reg.add("o1", "frontier")
-        dropped = set(reg.drop_location("delta"))
-        assert dropped == {"o1", "o2"}
-        assert reg.holders("o1") == frozenset({"frontier"})
-        assert reg.holders("o2") == frozenset()
-
-    def test_resident_bytes(self):
-        reg = ReplicaRegistry()
-        store = ObjectStore()
-        a = store.intern("a", 100)
-        b = store.intern("b", 50)
-        reg.add(a.oid, "delta")
-        assert reg.resident_bytes("delta", [a, b]) == 100
-        reg.add(b.oid, "delta")
-        assert reg.resident_bytes("delta", [a, b]) == 150
+    def test_resident_bytes(self, data):
+        a = data.intern("a", 100)
+        b = data.intern("b", 50)
+        pairs = [(a.oid, a.size_bytes), (b.oid, b.size_bytes)]
+        data.register_durable(a.oid, "delta")
+        assert data.resident_bytes("delta", pairs) == 100
+        data.admit("delta", b)
+        assert data.resident_bytes("delta", pairs) == 150
+        assert data.resident_bytes("frontier", pairs) == 0

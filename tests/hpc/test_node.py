@@ -132,16 +132,16 @@ class TestNodeList:
             == [False, False, False, True, True]
 
     def test_mask_table_overflow_keeps_answers_exact(self):
-        from repro.hpc.node import _MAX_TRACKED_SHAPES
         nl = NodeList.build(count=2, cores=4, gpus=0, mem_gb=64.0)
+        assert nl._max_shapes == 64                  # the floor: 2 nodes
         assert nl.find_fit(cores=4) is nl[0]
-        for k in range(_MAX_TRACKED_SHAPES + 1):     # evicts the 4-core shape
+        for k in range(nl._max_shapes + 1):          # evicts the 4-core shape
             assert nl.find_fit(cores=1, mem_gb=float(k)) is nl[0]
         slot = nl[0].allocate(cores=1)               # while it is untracked
         assert nl.find_fit(cores=4) is nl[1]         # tracked again
         nl[0].release(slot)                          # nodes follow the table
         assert nl.find_fit(cores=4) is nl[0]
-        assert len(nl._fit_masks) <= _MAX_TRACKED_SHAPES
+        assert len(nl._fit_masks) <= nl._max_shapes
 
     def test_node_joins_one_list_only(self):
         nl = NodeList.build(count=2, cores=2, gpus=0, mem_gb=4.0)

@@ -151,7 +151,7 @@ class TestCacheAndDedup:
         run_stage(session, dmgr, [directive], platform="frontier",
                   uid="task.2")
         data = session.data
-        oid = data.objects.intern("dataset", int(1e9)).oid
+        oid = data.intern("dataset", int(1e9)).oid
         assert data.holds("delta", oid)
         assert data.holds("frontier", oid)
         assert data.holds("localhost", oid)  # durable origin
@@ -248,7 +248,7 @@ class TestCacheAndDedup:
                                      size_bytes=int(1e8))
         run_stage(session, dmgr, [directive], phase="stage_out")
         data = session.data
-        oid = data.objects.intern("result.h5", int(1e8)).oid
+        oid = data.intern("result.h5", int(1e8)).oid
         assert data.holds("localhost", oid)  # durable at the client
         assert data.holds("delta", oid)      # cached where it was produced
 

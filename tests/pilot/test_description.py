@@ -51,6 +51,8 @@ class TestPilotDescription:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             PilotDescription(resource="delta", nodes=1, walltime=60)
+        with pytest.raises(ConfigError, match="unknown key"):
+            PilotDescription(resource="delta", nodes=1, queue="debug")
 
 
 class TestTaskDescription:
@@ -108,6 +110,12 @@ class TestServiceDescription:
     def test_is_a_task_description(self):
         assert isinstance(ServiceDescription(), TaskDescription)
 
+    def test_placement_is_not_a_description_field(self):
+        # where a service runs is start_services (a pilot) or
+        # start_remote (a platform), never the description
+        with pytest.raises(ConfigError, match="unknown key"):
+            ServiceDescription(remote_platform="r3")
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             ServiceDescription(startup_timeout_s=0)
@@ -135,10 +143,10 @@ class TestStagingDirective:
 DESCRIPTIONS = {
     "task": lambda: TaskDescription(
         executable="x", ranks=2, cores_per_rank=4, mem_per_rank_gb=2,
-        tags={"colocate": "g"}, arguments=["-v"],
+        tags={"colocate": "g"}, fn_kwargs={"verbose": True},
         input_staging=[{"source": "a", "target": "b", "size_bytes": 8}]),
     "service": lambda: ServiceDescription(
-        model="llama-8b", max_batch_size=4, metadata={"k": [1, 2]}),
+        model="llama-8b", max_batch_size=4, tags={"affinity": [1, 2]}),
     "staging": lambda: StagingDirective(
         source="a", target="b", action="copy", size_bytes=1.5e6),
     "pilot": lambda: PilotDescription(resource="delta", nodes=2,
@@ -180,8 +188,10 @@ class TestPlainAttributeStorage:
     def test_views_are_copies_not_aliases(self):
         d = DESCRIPTIONS["task"]()
         d.as_dict()["tags"]["colocate"] = "other"
-        d.copy().arguments.append("-x")
-        assert d.tags == {"colocate": "g"} and d.arguments == ["-v"]
+        d.copy().input_staging.clear()
+        d.copy().fn_kwargs["verbose"] = False
+        assert d.tags == {"colocate": "g"} and len(d.input_staging) == 1
+        assert d.fn_kwargs == {"verbose": True}
         assert TaskDescription().tags is not TaskDescription().tags
 
     def test_unknown_key_rejected_on_every_write_path(self, desc):

@@ -237,6 +237,59 @@ class TestHotPath:
         assert small.processed  # backfilled the leftover core
 
 
+def drain_cyclic_bag(scheduler_cls, n_shapes, n_tasks, n_nodes=1024):
+    """Single-rank tasks cycling through *n_shapes* rank shapes (shape k
+    asks ``1 + k % 8`` cores and ``k // 8`` GB), each released at its
+    grant.  Returns (wall seconds, grants in order with their slots,
+    scheduler)."""
+    import time
+
+    grants = []
+    with Session(seed=0, profile="off") as session:
+        nodes = NodeList.build(n_nodes, 64, 0, 256.0)
+        sched = scheduler_cls(session, nodes, "pilot.bag")
+        descs = [TaskDescription(executable="x", cores_per_rank=1 + k % 8,
+                                 mem_per_rank_gb=float(k // 8))
+                 for k in range(n_shapes)]
+
+        def granted(event, task):
+            grants.append((task.uid, event.value))
+            sched.release(task)
+
+        t0 = time.perf_counter()
+        for i in range(n_tasks):
+            task = Task(session, descs[i % n_shapes], f"t{i}")
+            sched.schedule(task).callbacks.append(
+                lambda event, task=task: granted(event, task))
+        session.run()
+        return time.perf_counter() - t0, grants, sched
+
+
+class TestFitMaskTable:
+    """A bag with one rank shape more than the old fixed 64-entry table
+    cleared it on every query, rebuilding an O(nodes) mask per task."""
+
+    def test_65_shapes_cost_what_64_do(self):
+        def best_of_three(n_shapes):
+            runs = [drain_cyclic_bag(AgentScheduler, n_shapes, 3000)
+                    for _ in range(3)]
+            return min(wall for wall, _, _ in runs), runs[0][2]
+
+        wall_64, _ = best_of_three(64)
+        wall_65, sched = best_of_three(65)
+        assert len(sched.nodes._fit_masks) == 65  # every shape stays tracked
+        assert sched.stats.grants == 3000
+        assert wall_65 <= 1.5 * wall_64
+
+    @pytest.mark.parametrize("n_shapes", [64, 65])
+    def test_cyclic_bag_grants_match_the_reference(self, n_shapes):
+        from repro.pilot.agent.reference import ReferenceScheduler
+        _, indexed, _ = drain_cyclic_bag(AgentScheduler, n_shapes, 500)
+        _, reference, _ = drain_cyclic_bag(ReferenceScheduler, n_shapes, 500)
+        assert len(indexed) == 500
+        assert indexed == reference
+
+
 class TestWithdrawAndCrashPaths:
     """Regression pins for cancel-while-queued and node-crash handling."""
 

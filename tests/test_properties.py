@@ -190,8 +190,6 @@ def test_free_capacity_index_matches_linear_scan(data):
     masks live through every node change in between) and more distinct
     shapes in one run than the mask table tracks.
     """
-    from repro.hpc.node import _MAX_TRACKED_SHAPES
-
     n_nodes = data.draw(st.one_of(st.integers(1, 6), st.integers(7, 100)))
     cores = data.draw(st.integers(min_value=1, max_value=8))
     gpus = data.draw(st.integers(min_value=0, max_value=3))
@@ -234,7 +232,7 @@ def test_free_capacity_index_matches_linear_scan(data):
                 node.mark_down, node.mark_degraded, node.mark_up]))()
         elif op == "flood":  # overflow the table; old shapes stay correct
             want_c = data.draw(st.integers(0, cores))
-            for k in range(_MAX_TRACKED_SHAPES + 2):
+            for k in range(nodes._max_shapes + 2):
                 check((want_c, 0, k * 0.25), touched, None)
         # every operation is followed by a query that scans from (or just
         # past) the node it touched
@@ -504,43 +502,85 @@ def test_run_modes_match_reference_kernel(data):
 
 
 # ---------------------------------------------------------------------------
-# Data subsystem: caches and replica registry
+# Data subsystem: the copy record
 # ---------------------------------------------------------------------------
 
+@settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_replica_registry_matches_actual_holdings(data):
-    """Random durable-register/admit traffic keeps the registry truthful:
-    it reports an object at a location iff a durable copy or a cache entry
-    actually sits there, and cache occupancy never exceeds capacity."""
+def test_copy_record_matches_the_three_record_reference(data):
+    """One copy record == the object store + replica registry + LRU caches.
+
+    Random intern / admit / register-durable / touch / wipe traffic, at
+    every location (durable origins on platforms too), replays through
+    :class:`repro.data.DataServices` and the three-record reference
+    (``tests/data/reference_replicas.py``).  Capacities run from 0 to 300
+    and sizes are whole or tenths, so out-of-order removals leave float
+    residue that an emptied tier must reset.  After every operation
+    ``holds`` agrees for every (location, object), ``holders`` and
+    occupancy are equal (occupancy exactly), every admission evicts the
+    same objects in the same order, and no empty holder set is kept.  The
+    one difference is asserted as such: a wipe loses the same copies but
+    is not counted as evictions (the reference counts it).
+    """
+    from data.reference_replicas import ReferenceDataServices
     from repro.data import DataConfig, DataServices
 
-    capacity = float(data.draw(st.integers(min_value=0, max_value=300)))
+    capacity = data.draw(st.one_of(
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=0, max_value=3000).map(lambda k: k / 10)))
+    sizes = st.one_of(st.integers(min_value=0, max_value=150),
+                      st.integers(min_value=0, max_value=1500).map(
+                          lambda k: k / 10))
+    locations = ["delta", "frontier", "localhost"]
+    ops = st.sampled_from(
+        ["admit", "admit", "admit", "durable", "touch", "wipe"])
     with Session(seed=0) as session:
-        services = DataServices(session, DataConfig(
+        shipped = DataServices(session, DataConfig(
             cache_capacity_bytes=capacity))
-        platforms = ["delta", "frontier"]
-        durable: dict = {}  # (oid, location) -> True
+        ref = ReferenceDataServices(capacity)
         objects = {}
+        wiped, wiped_bytes = 0, 0.0
         for _step in range(data.draw(st.integers(min_value=1, max_value=40))):
             name = data.draw(st.sampled_from("abcdef"))
             if name not in objects:
-                objects[name] = services.objects.intern(
-                    name, data.draw(st.integers(min_value=0, max_value=150)))
+                size = data.draw(sizes)
+                obj = shipped.intern(name, size)
+                assert obj == ref.objects.intern(name, size)
+                assert shipped.intern(name, size) is obj
+                objects[name] = obj
             obj = objects[name]
-            location = data.draw(st.sampled_from(platforms + ["localhost"]))
-            if data.draw(st.booleans()) and location == "localhost":
-                services.register_durable(obj.oid, location)
-                durable[(obj.oid, location)] = True
+            location = data.draw(st.sampled_from(locations))
+            op = data.draw(ops)
+            if op == "admit":
+                assert [o.oid for o in shipped.admit(location, obj)] \
+                    == [o.oid for o in ref.admit(location, obj)]
+            elif op == "durable":
+                shipped.register_durable(obj.oid, location)
+                ref.register_durable(obj.oid, location)
+            elif op == "touch":
+                shipped.touch(location, obj.oid)
+                ref.touch(location, obj.oid)
             else:
-                services.admit(location, obj)
-            # invariants, checked after every operation
-            for platform in platforms + ["localhost"]:
-                assert services.cache.occupancy(platform) <= capacity
+                lost = [o for o in objects.values()
+                        if o.oid in ref.cache.entries(location)]
+                assert shipped.wipe(location) == ref.wipe(location) \
+                    == len(lost)
+                wiped += len(lost)
+                wiped_bytes += sum(o.size_bytes for o in lost)
+            # the wipe is the only way the counters part
+            assert shipped.evictions + wiped == ref.cache.evictions
+            assert shipped.bytes_evicted + wiped_bytes \
+                == pytest.approx(ref.cache.bytes_evicted)
+            for where in locations:
+                assert shipped.occupancy(where) == ref.cache.occupancy(where)
+                assert shipped.occupancy(where) <= capacity
                 for o in objects.values():
-                    held = services.replicas.holds(platform, o.oid)
-                    actual = (durable.get((o.oid, platform), False)
-                              or services.cache.contains(platform, o.oid))
-                    assert held == actual
+                    assert shipped.holds(where, o.oid) \
+                        == ref.holds(where, o.oid)
+            for o in objects.values():
+                assert frozenset(shipped.holders(o.oid)) \
+                    == ref.replicas.holders(o.oid)
+            assert all(shipped._holders.values())
 
 
 @settings(max_examples=20, deadline=None)
