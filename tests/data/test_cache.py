@@ -1,6 +1,7 @@
 """Tests for the warm tier: each location's bounded LRU of staged copies."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.data import DataConfig, DataObject, DataServices
 from repro.pilot import DataManager, Session, StagingDirective
@@ -167,3 +168,36 @@ class TestWipe:
         assert data.wipe("delta") == 0
         assert data.wipe("frontier") == 0
         assert data.holds("delta", "obj.a")
+
+
+@given(st.data())
+def test_occupancy_never_exceeds_capacity(data):
+    """Property: any admit/touch/durable/wipe traffic keeps occupancy <=
+    capacity and occupancy equal to the sum of warm-tier copy sizes."""
+    capacity = data.draw(st.integers(min_value=0, max_value=200))
+    with Session(seed=0) as session:
+        tier = DataServices(session, DataConfig(
+            cache_capacity_bytes=float(capacity)))
+        sizes = {}
+        durable = set()
+        for _step in range(data.draw(st.integers(min_value=1, max_value=40))):
+            action = data.draw(st.sampled_from(
+                ["admit", "admit", "touch", "durable", "wipe"]))
+            name = data.draw(st.sampled_from("abcdefgh"))
+            size = sizes.setdefault(
+                name, data.draw(st.integers(min_value=0, max_value=120)))
+            if action == "admit":
+                tier.admit("p", obj(name, size))
+                if size > capacity and name not in durable:
+                    assert not tier.holds("p", f"obj.{name}")
+            elif action == "touch":
+                tier.touch("p", f"obj.{name}")
+            elif action == "durable":
+                tier.register_durable(f"obj.{name}", "p")
+                durable.add(name)
+            else:
+                tier.wipe("p")
+            warm = [n for n in sizes
+                    if tier.holds("p", f"obj.{n}") and n not in durable]
+            assert tier.occupancy("p") <= capacity
+            assert tier.occupancy("p") == sum(sizes[n] for n in warm)

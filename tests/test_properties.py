@@ -583,6 +583,43 @@ def test_copy_record_matches_the_three_record_reference(data):
             assert all(shipped._holders.values())
 
 
+@given(st.data())
+def test_replica_registry_matches_actual_holdings(data):
+    """Random durable-register/admit traffic keeps the copy record truthful:
+    it reports an object at a location iff a durable copy or a warm-tier
+    entry actually sits there, and occupancy never exceeds capacity."""
+    from repro.data import DataConfig, DataServices
+
+    capacity = float(data.draw(st.integers(min_value=0, max_value=300)))
+    with Session(seed=0) as session:
+        services = DataServices(session, DataConfig(
+            cache_capacity_bytes=capacity))
+        platforms = ["delta", "frontier"]
+        durable: dict = {}  # (oid, location) -> True
+        objects = {}
+        for _step in range(data.draw(st.integers(min_value=1, max_value=40))):
+            name = data.draw(st.sampled_from("abcdef"))
+            if name not in objects:
+                objects[name] = services.intern(
+                    name, data.draw(st.integers(min_value=0, max_value=150)))
+            obj = objects[name]
+            location = data.draw(st.sampled_from(platforms + ["localhost"]))
+            if data.draw(st.booleans()) and location == "localhost":
+                services.register_durable(obj.oid, location)
+                durable[(obj.oid, location)] = True
+            else:
+                services.admit(location, obj)
+            # invariants, checked after every operation
+            for platform in platforms + ["localhost"]:
+                assert services.occupancy(platform) <= capacity
+                warm = services._cached.get(platform, {})
+                for o in objects.values():
+                    held = services.holds(platform, o.oid)
+                    actual = (durable.get((o.oid, platform), False)
+                              or o.oid in warm)
+                    assert held == actual
+
+
 @settings(max_examples=20, deadline=None)
 @given(n_tasks=st.integers(min_value=1, max_value=8),
        n_objects=st.integers(min_value=1, max_value=4),
