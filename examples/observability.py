@@ -4,9 +4,10 @@
 Runs a two-node campaign (one deliberately 10x-slow task injected) with
 all three observability planes on, then:
 
-* writes ``campaign_trace.json`` -- open it in Perfetto
-  (https://ui.perfetto.dev) or ``chrome://tracing`` to see each task's
-  lifecycle phases nested under its campaign node;
+* writes ``campaign_trace.json`` into a fresh temporary directory and
+  prints its path -- open it in Perfetto (https://ui.perfetto.dev) or
+  ``chrome://tracing`` to see each task's lifecycle phases nested under its
+  campaign node;
 * prints the sampled metric series (pending depth, utilization, frontier
   size) and the latency/grant histograms;
 * prints the anomaly log -- the injected straggler shows up flagged
@@ -17,6 +18,9 @@ all three observability planes on, then:
 
 Run:  python examples/observability.py
 """
+
+import os
+import tempfile
 
 from repro import (
     ObservabilityConfig,
@@ -66,12 +70,13 @@ def main() -> None:
         session.run()
 
         obs = session.observability
-        n_spans = obs.tracer.to_chrome_trace("campaign_trace.json")
+        trace_path = os.path.join(tempfile.mkdtemp(), "campaign_trace.json")
+        n_spans = obs.tracer.to_chrome_trace(trace_path)
 
         report = ReportBuilder("Telemetry plane -- one campaign, traced")
         report.add_kv({
             "spans exported": n_spans,
-            "trace file": "campaign_trace.json (open in Perfetto)",
+            "trace file": f"{trace_path} (open in Perfetto)",
             "metric samples": len(obs.metrics.sample_times),
             "makespan": f"{makespan:.1f} s",
         }, title="run")

@@ -54,7 +54,6 @@ from .observability import (
     Dashboard,
     ObservabilityConfig,
     ObservabilityServices,
-    spans_from_profiler,
 )
 from .resilience import (
     CheckpointPolicy,
@@ -101,7 +100,6 @@ __all__ = [
     "ObservabilityServices",
     "ResilienceServices",
     "RetryPolicy",
-    "spans_from_profiler",
     "Pilot",
     "PilotDescription",
     "PilotManager",

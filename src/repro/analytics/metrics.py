@@ -169,12 +169,14 @@ class ResponseMetrics:
         return dist_stats(self.queue)
 
     def dominant_component(self) -> str:
-        """Which component contributes most to mean RT."""
-        means = {
-            "communication": float(self.communication.mean()),
-            "service": float(self.service.mean()),
-            "inference": float(self.inference.mean()),
-        }
+        """Which component contributes most to mean RT.
+
+        Raises ``ValueError`` when no request succeeded: the means are
+        then undefined, and no component dominates.
+        """
+        if self.n_requests == 0:
+            raise ValueError("no successful requests: no dominant component")
+        means = self.component_means()
         return max(means, key=means.get)
 
     def component_means(self) -> Dict[str, float]:

@@ -18,6 +18,12 @@ registry attaches the latest report to the corresponding
 :class:`~repro.core.autoscaler.Autoscaler` read it from here.  Reports
 arrive with fabric latency and heartbeat cadence, so consumers see
 *stale* load -- exactly the information regime a real control plane has.
+
+Registered means listed.  A crashed instance never deregisters itself: the
+heartbeat lease that
+:meth:`~repro.core.service_manager.ServiceManager.watch_liveness` arms
+(:class:`~repro.resilience.detection.HeartbeatMonitor`) notices the silence
+and fails the service, whose endpoint is then scrubbed from here.
 """
 
 from __future__ import annotations
@@ -62,16 +68,9 @@ class EndpointRegistry:
     """Bus-served registry of live service endpoints."""
 
     def __init__(self, session: "Session", platform: str = "localhost",
-                 name: str = "registry", lease_s: float = 0.0) -> None:
-        if lease_s < 0:
-            raise ValueError("lease_s must be >= 0 (0 = no lease filtering)")
+                 name: str = "registry") -> None:
         self.session = session
         self.platform = platform
-        #: liveness lease: an entry whose last telemetry heartbeat is older
-        #: than this is reported stale (a crashed instance never
-        #: deregisters -- lease expiry is how the registry notices).
-        #: 0 keeps the seed behaviour: registered means live.
-        self.lease_s = lease_s
         self.socket = session.bus.bind(name, platform=platform)
         self._entries: Dict[str, ServiceInfo] = {}
         self._by_uid: Dict[str, ServiceInfo] = {}
@@ -167,32 +166,6 @@ class EndpointRegistry:
         if platform is not None:
             out = [s for s in out if s.platform == platform]
         return out
-
-    # -- lease semantics -----------------------------------------------------------
-    def is_live(self, uid: str) -> bool:
-        """Is the instance's telemetry lease still valid?
-
-        With no lease configured every registered entry counts as live.
-        Before the first heartbeat arrives the registration time anchors
-        the lease (freshly published services get a grace window).
-        """
-        info = self._by_uid.get(uid)
-        if info is None:
-            return False
-        if self.lease_s <= 0:
-            return True
-        last = info.load.t if info.load is not None else info.registered_at
-        return self.session.engine.now - last <= self.lease_s
-
-    def live_services(self, model: Optional[str] = None,
-                      platform: Optional[str] = None) -> List[ServiceInfo]:
-        """Registered services whose lease has not expired."""
-        return [s for s in self.list_services(model, platform)
-                if self.is_live(s.uid)]
-
-    def expired_services(self) -> List[ServiceInfo]:
-        """Registered-but-silent entries (crashed or partitioned)."""
-        return [s for s in self._entries.values() if not self.is_live(s.uid)]
 
     def __len__(self) -> int:
         return len(self._entries)

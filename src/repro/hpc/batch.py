@@ -2,8 +2,8 @@
 
 Pilots (:mod:`repro.pilot`) acquire resources by submitting *batch jobs*
 that request whole nodes for a walltime.  This module models the machine's
-batch scheduler: a FIFO queue with optional backfill, per-job queue-wait
-noise, walltime enforcement and early release.
+batch scheduler: a FIFO queue with backfill, per-job queue-wait noise,
+walltime enforcement and early release.
 
 The model is deliberately simple -- the paper's experiments run inside a
 single pilot allocation, so what matters is that (a) allocation consumes the
@@ -74,13 +74,12 @@ class BatchSystem:
     """The platform's batch scheduler (one per platform instance)."""
 
     def __init__(self, engine: SimulationEngine, spec: PlatformSpec, rng,
-                 ids: IdRegistry, backfill: bool = True) -> None:
+                 ids: IdRegistry) -> None:
         self.engine = engine
         self.spec = spec
         self.rng = rng
         #: names the jobs (the session's: same seed, same uids)
         self.ids = ids
-        self.backfill = backfill
         self._free: Set[int] = set(range(spec.nodes))
         self._queue: List[BatchJob] = []
         self._running: dict = {}  # job -> walltime watchdog Process
@@ -148,19 +147,16 @@ class BatchSystem:
 
     # -- scheduling --------------------------------------------------------------
     def _schedule_pass(self) -> None:
-        """Start every job allowed to run under FIFO(+backfill) right now."""
+        """Start every job that fits right now, in queue order (backfill:
+        a later job that fits starts while the head waits)."""
         progressed = True
         while progressed:
             progressed = False
-            for pos, job in enumerate(list(self._queue)):
-                if pos > 0 and not self.backfill:
-                    break
+            for job in list(self._queue):
                 if job.n_nodes <= len(self._free):
                     self._queue.remove(job)
                     self._start(job)
                     progressed = True
-                    break
-                if pos == 0 and not self.backfill:
                     break
 
     def _start(self, job: BatchJob) -> None:

@@ -60,14 +60,14 @@ from .bench import BenchMetric, BenchResult
 from .dashboard import Dashboard
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .monitor import AnomalyEvent, MonitorHub
-from .trace import Span, Tracer, spans_from_profiler
+from .trace import Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pilot.session import Session
     from ..pilot.task import Task
 
 __all__ = ["ObservabilityConfig", "ObservabilityServices",
-           "Tracer", "Span", "spans_from_profiler",
+           "Tracer", "Span",
            "MetricsRegistry", "Counter", "Gauge", "Histogram",
            "MonitorHub", "AnomalyEvent",
            "CampaignAttribution", "NodeAttribution", "TaskPhases",
@@ -160,9 +160,8 @@ class ObservabilityServices:
                     ) -> CampaignAttribution:
         """Performance attribution built from the live span forest.
 
-        Requires the tracing plane; see
-        :class:`~repro.observability.attribution.CampaignAttribution`
-        for the offline (profiler-based) constructors.
+        Requires the tracing plane: the tracer's replay over the profile
+        is the one source of spans.
         """
         if self.tracer is None:
             raise RuntimeError(

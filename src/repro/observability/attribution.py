@@ -32,27 +32,22 @@ RADICAL-Pilot performance-characterization line of work:
   invariant against the measured value -- a failed check means the span
   forest is inconsistent, not that the run was fast.
 
-Attribution degrades gracefully on truncated histories (``durations``-level
-profiles, tasks that never completed): nodes without data drop out of the
-path, phases default to empty, and open spans count as zero-length -- it
-never raises on partial input.
+Attribution degrades gracefully on truncated histories (tasks that never
+completed, spans queried mid-run): nodes without data drop out of the path,
+phases default to empty, and open spans count as zero-length -- it never
+raises on partial input.
 
-Inputs: a span list.  A live :class:`~repro.observability.trace.Tracer`'s
-spans say everything themselves (campaign node spans carry their dependency
-edges as ``deps`` attrs, task roots are parented onto their node); spans
-rebuilt offline by :func:`~repro.observability.trace.spans_from_profiler`
-come with an explicit ``node_tasks`` mapping and graph edges.
+Input: the span list of a live :class:`~repro.observability.trace.Tracer`,
+which says everything itself: campaign node spans carry their dependency
+edges as ``deps`` attrs, and task roots are parented onto their node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .trace import PHASE_OF_STATE, Span, spans_from_profiler
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..workflows.campaign import CampaignGraph
+from .trace import PHASE_OF_STATE, Span
 
 __all__ = ["TaskPhases", "NodeAttribution", "PathStep", "Projection",
            "CampaignAttribution", "PHASES", "WAIT_PHASES",
@@ -202,72 +197,33 @@ class CampaignAttribution:
             makespan = end - start
         self.makespan = makespan or 0.0
 
-    # -- constructors --------------------------------------------------------
-    @classmethod
-    def from_profiler(cls, profiler,
-                      node_tasks: Optional[Dict[str, Sequence]] = None,
-                      graphs: Optional[Iterable["CampaignGraph"]] = None,
-                      makespan: Optional[float] = None,
-                      ) -> "CampaignAttribution":
-        """Offline companion: rebuild from a saved profile.
-
-        *node_tasks* maps node keys to tasks (or uids) as kept by
-        :attr:`CampaignRunner.node_tasks`; *graphs* supplies the
-        dependency edges (keys ``"graph/node"``).  Without either, every
-        profiled task is attributed standalone.  Works on ``durations``
-        profiles: spans are rebuilt from first timestamps, which both
-        retaining levels answer.
-        """
-        spans = spans_from_profiler(profiler)
-        keyed: Optional[Dict[str, Tuple[str, ...]]] = None
-        if node_tasks is not None:
-            keyed = {}
-            for key, tasks in node_tasks.items():
-                keyed[key] = tuple(getattr(t, "uid", t) for t in tasks)
-        edges: Dict[str, Tuple[str, ...]] = {}
-        for graph in graphs or ():
-            for node, deps in graph.edges().items():
-                edges[f"{graph.name}/{node}"] = tuple(
-                    f"{graph.name}/{d}" for d in deps)
-        return cls.from_spans(spans, node_tasks=keyed, edges=edges,
-                              makespan=makespan)
-
+    # -- the constructor -----------------------------------------------------
     @classmethod
     def from_spans(cls, spans: Iterable[Span],
-                   node_tasks: Optional[Dict[str, Tuple[str, ...]]] = None,
-                   edges: Optional[Dict[str, Tuple[str, ...]]] = None,
                    makespan: Optional[float] = None,
                    ) -> "CampaignAttribution":
-        """Build from a span list.
+        """Build from a span list, as a live tracer records it.
 
-        With *node_tasks* (node key -> task uids) membership is explicit.
-        Without it, membership and edges are read from the list's
-        ``campaign_node`` spans, as a live tracer records them: each carries
-        its dependency edges (``deps`` attr, stamped by the campaign
-        runner), and a task root parented onto one joins that node.  Every
-        other task becomes its own single-task node keyed by uid.
+        Membership and edges are read from the list's ``campaign_node``
+        spans: each carries its dependency edges (``deps`` attr, stamped by
+        the campaign runner), and a task root parented onto one joins that
+        node.  Every other task becomes its own single-task node keyed by
+        uid.
         """
         spans = list(spans)
-        edges = dict(edges or {})
-        #: task uid (explicit membership) or node span id -> node key
-        node_of: Dict[object, str] = {}
+        edges: Dict[str, Tuple[str, ...]] = {}
+        #: node span id -> node key
+        node_of: Dict[int, str] = {}
         nodes: Dict[str, NodeAttribution] = {}
-        if node_tasks is not None:
-            for key, uids in node_tasks.items():
-                nodes[key] = NodeAttribution(key)
-                for uid in uids:
-                    node_of[uid] = key
-        else:
-            for span in spans:
-                if span.category == "campaign_node":
-                    node_of[span.span_id] = span.name
-                    nodes[span.name] = NodeAttribution(span.name)
-                    deps = (span.attrs or {}).get("deps")
-                    if deps:
-                        edges[span.name] = tuple(deps)
+        for span in spans:
+            if span.category == "campaign_node":
+                node_of[span.span_id] = span.name
+                nodes[span.name] = NodeAttribution(span.name)
+                deps = (span.attrs or {}).get("deps")
+                if deps:
+                    edges[span.name] = tuple(deps)
         for root, phases in _tasks_from_spans(spans):
-            member = phases.uid if node_tasks is not None else root.parent_id
-            key = node_of.get(member, phases.uid)
+            key = node_of.get(root.parent_id, phases.uid)
             node = nodes.get(key)
             if node is None:
                 node = nodes[key] = NodeAttribution(key)

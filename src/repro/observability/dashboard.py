@@ -9,7 +9,8 @@ every other keep-alive -- that renders a compact text snapshot every
 
 * every **gauge**'s current value and every **counter**'s total;
 * every **histogram**'s count / mean / p50 / p99;
-* the most recent :class:`~repro.observability.monitor.AnomalyEvent`\\ s.
+* the :data:`MAX_EVENTS` most recent
+  :class:`~repro.observability.monitor.AnomalyEvent`\\ s.
 
 Snapshots accumulate on :attr:`Dashboard.snapshots`; pass ``sink=print``
 (or any callable) to stream them somewhere as they render.  Quiesce
@@ -35,18 +36,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Dashboard"]
 
+#: anomalies a snapshot lists (the most recent ones)
+MAX_EVENTS = 5
+
 
 class Dashboard:
     """Periodic telemetry snapshot renderer (a session daemon)."""
 
     def __init__(self, session: "Session", interval_s: float = 60.0,
-                 max_events: int = 5,
                  sink: Optional[Callable[[str], None]] = None) -> None:
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
         self.session = session
         self.interval_s = interval_s
-        self.max_events = max_events
         self.sink = sink
         self.snapshots: List[str] = []
         session.add_daemon(Ticker(session.engine, self._snap,
@@ -95,7 +97,7 @@ class Dashboard:
         if monitors is not None and monitors.events:
             lines.append(f"  -- recent anomalies "
                          f"({len(monitors.events)} total) --")
-            for event in monitors.events[-self.max_events:]:
+            for event in monitors.events[-MAX_EVENTS:]:
                 lines.append(f"  [{event.severity:>8}] t={event.t:.1f} "
                              f"{event.kind}: {event.message}")
         return "\n".join(lines)

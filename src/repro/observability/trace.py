@@ -8,8 +8,8 @@ that as a forest of :class:`Span` objects:
 
 * every task submitted through an instrumented TaskManager gets a **root
   span** (category ``task``), opened at submission and closed when its
-  completion event fires -- so deferred drivers (windows, chunks, ``after=``
-  dependencies) show up as real queue time;
+  completion event fires -- so deferred starts (windows, chunks) show up as
+  real queue time;
 * **phase spans** (``submit``, ``schedule``, ``stage_in``, ``agent_queue``,
   ``execute``, ``stage_out``, ``recovery``, ...) follow the task's state
   transitions: entering a state closes the previous phase and opens the
@@ -37,7 +37,9 @@ builds (``tests/observability/reference_tracer.py`` is that tracer;
 ``tests/test_properties.py`` holds the two equal).  What this buys and
 costs: the run pays for neither span construction nor a second copy of the
 transitions, the **first query does** (about 1.2 us per span; later
-queries replay only what was recorded since).
+queries replay only what was recorded since).  This replay is the one span
+constructor: every analysis of a run's spans (the exporters, the
+attribution engine, the dashboard) reads them from here.
 
 **Mid-run queries** are first-class.  A span still open when queried has
 ``end is None``; the *same object* is closed by the next query after its
@@ -47,15 +49,13 @@ by the next, not behind the caller's back in between.
 Export formats: ``to_chrome_trace(path)`` writes Chrome trace-event JSON
 (openable in Perfetto / ``chrome://tracing``; each trace renders as one
 named track), ``to_jsonl(path)`` writes one span per line for offline
-tooling.  :func:`spans_from_profiler` rebuilds lifecycle spans from a saved
-profile (see :meth:`~repro.pilot.profiler.Profiler.to_jsonl`), so traces
-can be derived offline from runs that only kept the row table.
+tooling.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, compress, count
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..pilot.states import TASK_MODEL, TaskState
@@ -64,7 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..pilot.session import Session
     from ..pilot.task import Task
 
-__all__ = ["Span", "Tracer", "spans_from_profiler"]
+__all__ = ["Span", "Tracer"]
 
 #: task state -> phase-span name opened on entering that state (states
 #: absent here -- final states -- close the current phase without opening)
@@ -382,48 +382,3 @@ class Tracer:
             for span in self.spans:
                 fh.write(json.dumps(span.as_dict()) + "\n")
         return len(self.spans)
-
-
-def spans_from_profiler(profiler, uids: Optional[List[str]] = None,
-                        ) -> List[Span]:
-    """Rebuild task lifecycle spans from recorded ``state:*`` events.
-
-    Offline companion to the live tracer: works from any profile that kept
-    first timestamps (the ``durations`` tier suffices, as does a profile
-    re-loaded via :meth:`~repro.pilot.profiler.Profiler.from_jsonl`).  Each
-    task gets a root span plus one phase span per state it entered, ordered
-    and closed by the next state's first timestamp.  Recovery loops
-    revisit states, whose *first* timestamps only are retained -- live
-    tracing keeps per-attempt spans; this reconstruction is first-attempt
-    granularity.
-    """
-    if uids is None:
-        uids = profiler.uids_with_event(f"state:{TaskState.TMGR_SCHEDULING}")
-    spans: List[Span] = []
-    trace_ids = count(1)
-    span_ids = count(1)
-    for uid in uids:
-        stamps = []
-        for state in (TaskState.ORDER + [TaskState.FAILED,
-                                         TaskState.RESCHEDULING,
-                                         TaskState.CANCELED]):
-            t = profiler.timestamp(uid, f"state:{state}")
-            if t is not None:
-                stamps.append((t, state))
-        if not stamps:
-            continue
-        stamps.sort()
-        trace_id = next(trace_ids)
-        end = max(t for t, _ in stamps)
-        root = Span(trace_id, next(span_ids), None, uid, "task", stamps[0][0])
-        root.end = end
-        spans.append(root)
-        for i, (t, state) in enumerate(stamps):
-            name = PHASE_OF_STATE.get(state)
-            if name is None:
-                continue
-            span = Span(trace_id, next(span_ids), root.span_id, name,
-                        "task", t)
-            span.end = stamps[i + 1][0] if i + 1 < len(stamps) else end
-            spans.append(span)
-    return spans

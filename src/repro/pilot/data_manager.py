@@ -19,9 +19,9 @@ what had already been moved.  This DataManager sits on the session's
   data-affinity placement;
 * ``link`` directives are free and are *not* counted as moved bytes.
 
-``stage_duration`` keeps the seed's uncontended single-transfer estimate
-(used by tests and back-of-envelope callers); actual staging goes through
-the shared-bandwidth model.
+A transfer's expected cost, for choosing among sources, is
+:meth:`repro.data.TransferScheduler.estimate` (contention-aware, draws no
+random numbers); the time it actually takes comes from staging it.
 """
 
 from __future__ import annotations
@@ -97,15 +97,6 @@ class DataManager:
         if phase == "stage_out":
             return task_platform, self.client_platform
         return self.client_platform, task_platform
-
-    def stage_duration(self, directive: StagingDirective,
-                       task_platform: str) -> float:
-        """Seconds one directive would take alone on the link (sampled)."""
-        if directive.action == "link":
-            return 0.0
-        src, dst = self._endpoints(directive, task_platform)
-        return self.session.fabric.transfer_time(
-            src, dst, directive.size_bytes)
 
     # -- staging -----------------------------------------------------------------
     def stage(self, directives: Iterable[StagingDirective],

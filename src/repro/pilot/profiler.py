@@ -50,8 +50,7 @@ what the log becomes when a reader arrives:
   pure-throughput campaigns.
 
 **One on-disk form.**  :meth:`to_jsonl` after the run writes it;
-:meth:`from_jsonl`, :func:`repro.observability.spans_from_profiler` and
-:meth:`repro.observability.CampaignAttribution.from_profiler` read it back.
+:meth:`from_jsonl` reads it back.
 """
 
 from __future__ import annotations
@@ -281,8 +280,7 @@ class Profiler:
         per first timestamp (written in first-occurrence order: all the
         ``durations`` level has), then one ``["r", t, uid, event,
         component]`` line per row.  The file round-trips through
-        :meth:`from_jsonl` in every level and feeds the offline trace
-        exporter (:func:`repro.observability.spans_from_profiler`).
+        :meth:`from_jsonl` in every level.
         """
         first = self._first
         lines = 1

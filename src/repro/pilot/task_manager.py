@@ -33,7 +33,9 @@ data subsystem -- is bound to the pilot holding the largest share of its
 input bytes, so warm caches are actually reached.  The policy degrades
 gracefully: no staged inputs, no replicas anywhere, or a hot pilot already
 carrying ``affinity_load_slack`` more live tasks than the least-loaded
-candidate all fall back to round-robin.  Compute slots are released by the
+candidate all fall back to round-robin.  The policy is the session's
+(``Session(data_config=DataConfig(placement=...))``), the same for every
+TaskManager of the session.  Compute slots are released by the
 agent *before* output staging runs, so stage-out never blocks the next
 task's placement.
 """
@@ -46,7 +48,6 @@ from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Union)
 
-from ..data import PLACEMENTS
 from ..data.objects import object_id
 from ..resilience.failures import PilotLost, classify_failure
 from ..sim.events import URGENT, Event, Interrupt, Routine
@@ -172,15 +173,12 @@ class TaskManager:
     """Manages compute tasks within one session."""
 
     def __init__(self, session: "Session",
-                 client_platform: str = "localhost",
-                 placement: Optional[str] = None) -> None:
+                 client_platform: str = "localhost") -> None:
         self.session = session
         self.uid = session.ids.generate("tmgr")
         self.data_manager = DataManager(session, client_platform)
-        self.placement = placement or session.data.config.placement
-        if self.placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {self.placement!r} (known: {PLACEMENTS})")
+        #: the session's placement policy (``DataConfig.placement``)
+        self.placement = session.data.config.placement
         #: how often data affinity (vs round-robin fallback) decided binding
         self.affinity_placements = 0
         self._pilots: List[Pilot] = []
@@ -331,7 +329,6 @@ class TaskManager:
         self, descriptions: Union[TaskDescription, Iterable[TaskDescription]],
         chunk_size: Optional[int] = None,
         window: Union[None, int, SubmissionWindow] = None,
-        after: Optional[Event] = None,
         on_complete: Optional[Callable[[Task], None]] = None,
     ) -> List[Task]:
         """Submit task descriptions; returns live task handles.
@@ -355,10 +352,8 @@ class TaskManager:
         :class:`SubmissionWindow` to bound in-flight tasks *across*
         multiple submit calls -- the campaign engine's backpressure.
 
-        *after* defers the start until the given event triggers
-        (dependency-aware submission: handles exist immediately, the tasks
-        wait for the upstream completion event).  The event must be one
-        that only succeeds (e.g. ``task.completed``, a node-done event).
+        To start tasks after an upstream event, submit them from that
+        event's callback, or make them a campaign node with ``deps``.
 
         *on_complete* is invoked as ``on_complete(task)`` when each task's
         completion event fires, whatever the final state.
@@ -395,22 +390,15 @@ class TaskManager:
             tasks.append(task)
         if not tasks:
             return tasks
-        deferred = after is not None and not after.processed
         if window is not None:
-            feed = _WindowFeed(tasks[:], window, chunk_size or 1)
-            if deferred:
-                after.callbacks.append(lambda event: self._advance_feed(feed))
-            else:
-                self._advance_feed(feed)
-        elif (chunk_size is None or chunk_size >= len(tasks)) and not deferred:
+            self._advance_feed(_WindowFeed(tasks[:], window, chunk_size or 1))
+        elif chunk_size is None or chunk_size >= len(tasks):
             self._start(tasks[:])  # the caller owns the list it gets back
         else:
-            session.engine.process(
-                self._feed_chunks(tasks, chunk_size or len(tasks), after))
+            session.engine.process(self._feed_chunks(tasks, chunk_size))
         return tasks
 
-    def _feed_chunks(self, tasks: List[Task], chunk_size: int,
-                     after: Optional[Event] = None):
+    def _feed_chunks(self, tasks: List[Task], chunk_size: int):
         """Feeder process: start tasks one chunk at a time.
 
         Bounds the number of tasks in the pipeline (and with them pending
@@ -419,8 +407,6 @@ class TaskManager:
         chunk is up.
         """
         engine = self.session.engine
-        if after is not None and not after.processed:
-            yield after
         for lo in range(0, len(tasks), chunk_size):
             # minus those cancelled while queued behind earlier chunks
             chunk = [t for t in tasks[lo:lo + chunk_size]
@@ -437,8 +423,8 @@ class TaskManager:
         instead of barriering on whole chunks.  With ``chunk_size > 1``
         tasks start in bursts (the slots for a burst are taken
         atomically), preserving the start-batching of the chunked path.
-        Runs inside ``submit_tasks`` (or the entry of *after*) until a
-        chunk has to queue at the window, then again -- called by
+        Runs inside ``submit_tasks`` until a chunk has to queue at the
+        window, then again -- called by
         :meth:`SubmissionWindow.release` with that chunk's slots reserved
         -- inside the completion entry that made room: one start landing
         per admitted chunk and nothing else.

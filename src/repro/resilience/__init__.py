@@ -78,6 +78,11 @@ __all__ = [
 ]
 
 
+#: platform the session's heartbeat monitor listens from (heartbeats pay
+#: fabric latency from the entity's platform to here)
+MONITOR_PLATFORM = "localhost"
+
+
 @dataclass
 class ResilienceConfig:
     """Tuning knobs of the resilience subsystem (the Session facade)."""
@@ -86,9 +91,6 @@ class ResilienceConfig:
     heartbeat_interval_s: float = 5.0
     #: silent intervals before a lease expires (detection declares death)
     lease_misses: int = 3
-    #: platform the monitor listens from (heartbeats pay fabric latency
-    #: from the entity's platform to here)
-    monitor_platform: str = "localhost"
     #: task-retry policy (None = failures are terminal, as in the seed)
     retry: Optional[RetryPolicy] = field(default_factory=RetryPolicy)
     #: checkpoint cadence/cost for iterative workflows (None = defaults)
@@ -116,8 +118,7 @@ class ResilienceServices:
                  config: Optional[ResilienceConfig] = None) -> None:
         self.session = session
         self.config = config or ResilienceConfig()
-        self.monitor = HeartbeatMonitor(
-            session, platform=self.config.monitor_platform)
+        self.monitor = HeartbeatMonitor(session, platform=MONITOR_PLATFORM)
         self.recovery = RecoveryEngine(self)
         self.checkpoints = Checkpointer(
             session, self.config.checkpoint or CheckpointPolicy(),

@@ -6,12 +6,17 @@ Three policies cover the failure modes of long-running hybrid campaigns:
   exponential backoff.  Pilot losses gate on the heartbeat monitor's
   *declaration* (failures are acted on when observed, not when they
   happen), failed nodes/pilots are blacklisted, and the retried task
-  late-binds to whatever healthy pilot the TaskManager then holds.
-* :class:`CheckpointPolicy` / :class:`Checkpointer` -- iterative workflows
-  persist per-iteration state as durable data objects (the save pays a
-  real transfer to the checkpoint home), so a campaign restart replays
-  only work lost since the last checkpoint; lost warm-tier copies re-stage
-  from the durable origins the data subsystem already tracks.
+  late-binds to whatever healthy pilot the TaskManager then holds.  Which
+  origins are retried and how fast the backoff grows are module constants
+  (:data:`RETRY_ORIGINS`, :data:`BACKOFF_FACTOR`).
+* :class:`CheckpointPolicy` / :class:`Checkpointer` -- state persisted as
+  durable data objects (the save pays a real transfer to the checkpoint
+  home).  Two things save through it: the campaign engine's frontier
+  checkpoints (``run_campaign(checkpoint_key=...)``, which is how any
+  graph, the UQ grid included, restarts) and the Cell Painting HPO stage's
+  per-round study.  A restart replays only work lost since the last
+  checkpoint; lost warm-tier copies re-stage from the durable origins the
+  data subsystem already tracks.
 * :class:`PilotResubmitPolicy` -- a pilot declared dead by the monitor is
   resubmitted through the platform's batch system (paying queue wait
   again) and re-attached to the TaskManagers that held it, so waiting
@@ -52,21 +57,26 @@ __all__ = [
 
 log = get_logger("resilience.recovery")
 
+#: failure origins worth retrying (binding errors and cancellations are not
+#: infrastructure faults)
+RETRY_ORIGINS = frozenset(
+    ("node", "pilot", "transfer", "staging", "executor", "service"))
+#: growth of the backoff per failed attempt
+BACKOFF_FACTOR = 2.0
+
 
 @dataclass
 class RetryPolicy:
-    """Bounded retries with backoff, blacklisting and late re-binding."""
+    """Bounded retries with backoff and late re-binding.
+
+    A retried failure blacklists the pilot it lost (origin ``pilot``) and
+    the node it ran on, and the backoff grows by :data:`BACKOFF_FACTOR` per
+    failed attempt.
+    """
 
     max_retries: int = 2
     backoff_base_s: float = 1.0
-    backoff_factor: float = 2.0
     backoff_jitter_s: float = 0.5
-    #: failure origins worth retrying (binding errors and cancellations
-    #: are not infrastructure faults)
-    retry_origins: Tuple[str, ...] = (
-        "node", "pilot", "transfer", "staging", "executor", "service")
-    blacklist_pilots: bool = True
-    blacklist_nodes: bool = True
     #: how long a retry may wait for a healthy pilot before giving up
     rebind_wait_s: float = 3600.0
 
@@ -75,8 +85,6 @@ class RetryPolicy:
             raise ValueError("max_retries must be >= 0")
         if self.backoff_base_s < 0 or self.backoff_jitter_s < 0:
             raise ValueError("backoff settings must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
 
 
 @dataclass
@@ -155,15 +163,14 @@ class RecoveryEngine:
         policy = self.config.retry
         if policy is None or reason is None:
             return None
-        if reason.origin not in policy.retry_origins:
+        if reason.origin not in RETRY_ORIGINS:
             return None
         if task.attempts > policy.max_retries:
             self.gave_up.append(task.uid)
             return None
-        if policy.blacklist_pilots and reason.origin == "pilot" \
-                and reason.pilot_uid:
+        if reason.origin == "pilot" and reason.pilot_uid:
             self.blacklisted_pilots.add(reason.pilot_uid)
-        if policy.blacklist_nodes and reason.node_name:
+        if reason.node_name:
             self.blacklisted_nodes.add(reason.node_name)
             if isinstance(task.avoid_nodes, frozenset):
                 task.avoid_nodes = set(task.avoid_nodes)  # the first add
@@ -183,7 +190,7 @@ class RecoveryEngine:
                 yield declared
         # 2. Jittered exponential backoff.
         delay = policy.backoff_base_s \
-            * policy.backoff_factor ** (task.attempts - 1)
+            * BACKOFF_FACTOR ** (task.attempts - 1)
         if policy.backoff_jitter_s > 0:
             delay += float(self._rng.uniform(0, policy.backoff_jitter_s))
         if delay > 0:

@@ -182,16 +182,6 @@ class CampaignGraph:
         """Node names in one valid topological order (deterministic)."""
         return list(self._topo)
 
-    def edges(self) -> Dict[str, Tuple[str, ...]]:
-        """Dependency edges: node name -> the names it depends on.
-
-        The structure the attribution engine walks for critical-path
-        extraction (:mod:`repro.observability.attribution`); the live
-        tracer stamps the same edges onto campaign-node spans so offline
-        and online attribution agree.
-        """
-        return {name: node.deps for name, node in self.nodes.items()}
-
     def __len__(self) -> int:
         return len(self.nodes)
 
@@ -524,8 +514,7 @@ class CampaignRunner:
         obs = self.session.observability
         if obs is not None and obs.tracer is not None:
             # the deps attr carries the graph's dependency edges into
-            # the span forest, so critical-path attribution can be
-            # rebuilt from the trace alone (no graph object needed)
+            # the span forest: critical-path attribution reads them there
             live.span = obs.tracer.start_span(
                 live.key, "campaign_node", parent=run.camp_span,
                 attrs={"graph": state.graph.name,

@@ -13,6 +13,12 @@ Three stages mirroring §II-C:
    that really fits and evaluates the method.
 3. **Post-processing** (GPU, service-enabled) -- aggregate metrics across
    seeds into the method/model comparison summary.
+
+:func:`build_uq_pipeline` is the three stages as a chain graph;
+:func:`build_uq_campaign` streams each model's cells as soon as its
+features land.  A restartable grid is the campaign form run under
+``run_campaign(checkpoint_key=...)``: the engine's frontier checkpoints
+record each completed cell.
 """
 
 from __future__ import annotations
@@ -47,12 +53,6 @@ class UQConfig:
     latent_dim: int = 12
     feature_dim: int = 20
     seed: int = 0
-    #: non-empty + a resilient session: the three-level grid runs in
-    #: chunks of ``checkpoint_chunk`` cells, each chunk persisting the
-    #: completed cells as a durable checkpoint -- a restarted campaign
-    #: resumes mid-grid instead of re-fitting every cell
-    checkpoint_key: str = ""
-    checkpoint_chunk: int = 0   # 0 = one chunk (stage-level granularity)
 
     def validate(self) -> None:
         if not self.models or not self.methods or not self.seeds:
@@ -61,8 +61,6 @@ class UQConfig:
             raise ValueError("dataset too small")
         if self.n_classes < 2:
             raise ValueError("need >= 2 classes")
-        if self.checkpoint_chunk < 0:
-            raise ValueError("checkpoint_chunk must be >= 0")
 
     @property
     def n_cells(self) -> int:
@@ -179,64 +177,20 @@ def build_uq_pipeline(config: Optional[UQConfig] = None) -> CampaignGraph:
             t.description.name.removeprefix("uq-data-"): t.result
             for t in tasks if t.state == TaskState.DONE}
 
-    def grid_cells() -> List[Tuple[str, int, str]]:
-        """The full (model, seed, method) grid in submission order."""
-        return [(model, seed, method)
-                for model in config.models          # outer level
-                for seed in config.seeds            # middle level
-                for method in config.methods]       # inner level
-
-    def cell_description(model: str, seed: int, method: str,
-                         data: Dict[str, Any]) -> TaskDescription:
-        return TaskDescription(
+    def build_stage2(context: Dict[str, Any]) -> List[TaskDescription]:
+        data = context["data"]
+        return [TaskDescription(
             name=f"uq-{model}-{method}-s{seed}",
             function=run_uq_cell,
             fn_args=(model, method, seed, data[model]),
             cores_per_rank=1, gpus_per_rank=1)
-
-    def build_stage2(context: Dict[str, Any]) -> List[TaskDescription]:
-        data = context["data"]
-        return [cell_description(model, seed, method, data)
-                for model, seed, method in grid_cells()]
+            for model in config.models          # outer level
+            for seed in config.seeds            # middle level
+            for method in config.methods]       # inner level
 
     def collect_stage2(context: Dict[str, Any], tasks) -> None:
         context["cells"] = [t.result for t in tasks
                             if t.state == TaskState.DONE]
-
-    def run_stage2_checkpointed(runner, context: Dict[str, Any]):
-        """Chunked grid with per-chunk durable checkpoints (resilience).
-
-        The checkpoint records *how many grid cells completed* (cells run
-        in deterministic submission order), so a restart resumes correctly
-        even if ``checkpoint_chunk`` changed between runs.  Saves follow
-        the session's :class:`CheckpointPolicy` cadence; the final chunk
-        always persists.
-        """
-        data = context["data"]
-        done: List[UQCellResult] = []
-        checkpoints = None
-        resilience = runner.session.resilience
-        key = f"{config.checkpoint_key}/uq-grid"
-        if resilience is not None:
-            checkpoints = resilience.checkpoints
-            saved = checkpoints.latest(key)
-            if saved is not None:
-                _, done = saved
-                done = list(done)
-        remaining = grid_cells()[len(done):]
-        chunk = config.checkpoint_chunk or max(1, len(remaining))
-        chunks = [remaining[i:i + chunk]
-                  for i in range(0, len(remaining), chunk)]
-        for index, cells in enumerate(chunks):
-            descriptions = [cell_description(model, seed, method, data)
-                            for model, seed, method in cells]
-            tasks = yield from runner.submit_and_wait(descriptions)
-            done.extend(t.result for t in tasks
-                        if t.state == TaskState.DONE)
-            if checkpoints is not None and \
-                    (checkpoints.due(index) or index == len(chunks) - 1):
-                yield from checkpoints.save(key, len(done), list(done))
-        context["cells"] = done
 
     def build_stage3(context: Dict[str, Any]) -> List[TaskDescription]:
         return [TaskDescription(
@@ -249,16 +203,13 @@ def build_uq_pipeline(config: Optional[UQConfig] = None) -> CampaignGraph:
         context["result"] = UQResult(cells=context["cells"],
                                      summary=task.result)
 
-    if config.checkpoint_key:
-        methods = {"run": run_stage2_checkpointed}
-    else:
-        methods = {"build": build_stage2, "collect": collect_stage2}
     return CampaignGraph(name="uncertainty-quantification", nodes=[
         TaskNode(name="data-preparation", resource_type="CPU",
                  as_service=True, build=build_stage1,
                  collect=collect_stage1),
         TaskNode(name="uq-methods-three-level", deps=("data-preparation",),
-                 resource_type="GPU", as_service=False, **methods),
+                 resource_type="GPU", as_service=False, build=build_stage2,
+                 collect=collect_stage2),
         TaskNode(name="post-processing", deps=("uq-methods-three-level",),
                  resource_type="GPU", as_service=True, build=build_stage3,
                  collect=collect_stage3),
@@ -276,9 +227,9 @@ def build_uq_campaign(config: Optional[UQConfig] = None) -> CampaignGraph:
     depends on every cell (the comparison summary needs the full grid).
 
     Running this graph with ``run_campaign(checkpoint_key=...)`` on a
-    resilient session gives *per-cell* restart granularity through the
-    campaign's frontier checkpoints -- finer than the chunked
-    ``checkpoint_chunk`` stage of the barrier pipeline.
+    resilient session is how the UQ grid restarts: the campaign's frontier
+    checkpoints record every completed cell node, so a restarted campaign
+    re-fits only the cells that were still in flight.
     """
     config = config or UQConfig()
     config.validate()

@@ -1,6 +1,7 @@
 """Tests for the real TCP JSON-lines transport."""
 
 import threading
+import time
 
 import pytest
 
@@ -44,6 +45,21 @@ class TestTcpTransport:
             client = TcpServiceClient(*server.endpoint)
             with pytest.raises(RemoteError, match="deliberate"):
                 client.request({})
+
+    def test_client_timeout_raises_and_the_server_keeps_serving(self):
+        def slow_handler(request):
+            time.sleep(0.5)
+            return {"echo": request}
+
+        with TcpServiceServer(slow_handler) as server:
+            impatient = TcpServiceClient(*server.endpoint, timeout_s=0.05)
+            start = time.monotonic()
+            with pytest.raises(OSError):  # socket.timeout
+                impatient.request({"x": 1})
+            assert time.monotonic() - start < 0.4
+            # the next request is answered
+            client = TcpServiceClient(*server.endpoint)
+            assert client.request({"x": 2}) == {"echo": {"x": 2}}
 
     def test_ping_liveness(self):
         server = TcpServiceServer(echo_handler).start()

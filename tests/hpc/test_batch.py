@@ -135,8 +135,7 @@ class TestCompletionAndWalltime:
 class TestBackfill:
     def test_backfill_lets_small_job_jump(self, engine):
         batch = BatchSystem(engine, make_spec(nodes=8),
-                            RngHub(0).stream("b"), IdRegistry(),
-                            backfill=True)
+                            RngHub(0).stream("b"), IdRegistry())
         running = batch.submit(n_nodes=6, walltime_s=100.0)
         big = batch.submit(n_nodes=8, walltime_s=10.0)     # head, cannot fit
         small = batch.submit(n_nodes=2, walltime_s=10.0)   # fits now
@@ -144,17 +143,6 @@ class TestBackfill:
         assert small.state == JobState.RUNNING
         assert big.state == JobState.PENDING
         assert running.state == JobState.RUNNING
-
-    def test_no_backfill_keeps_fifo(self, engine):
-        batch = BatchSystem(engine, make_spec(nodes=8),
-                            RngHub(0).stream("b"), IdRegistry(),
-                            backfill=False)
-        batch.submit(n_nodes=6, walltime_s=30.0)
-        big = batch.submit(n_nodes=8, walltime_s=10.0)
-        small = batch.submit(n_nodes=2, walltime_s=10.0)
-        engine.run(until=30.0)
-        assert small.state == JobState.PENDING
-        assert big.state != JobState.PENDING or batch.queued_jobs >= 1
 
     def test_queue_wait_noise_applied(self, engine):
         spec = make_spec(nodes=4, queue_wait=5.0)

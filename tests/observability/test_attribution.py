@@ -21,19 +21,22 @@ from repro.observability.attribution import (
     TaskPhases,
 )
 from repro.observability.trace import Span
-from repro.pilot import Profiler
-from repro.pilot.states import TaskState
 from repro.workflows import CampaignGraph, TaskNode
 
 _ids = itertools.count(1)
 
 
-def task_spans(uid, start, phases, trace_id=None):
-    """A closed task root span plus one phase span per (name, duration)."""
+def task_spans(uid, start, phases, trace_id=None, node=None):
+    """A closed task root span plus one phase span per (name, duration);
+    the root is parented onto the campaign *node* span, if given."""
+    if node is not None:
+        trace_id = node.trace_id
     trace_id = trace_id or next(_ids)
     spans = []
     t = start
-    root = Span(trace_id, next(_ids), None, uid, "task", start)
+    root = Span(trace_id, next(_ids),
+                node.span_id if node is not None else None, uid, "task",
+                start)
     spans.append(root)
     for name, duration in phases:
         span = Span(trace_id, next(_ids), root.span_id, name, "task", t)
@@ -44,6 +47,13 @@ def task_spans(uid, start, phases, trace_id=None):
     return spans
 
 
+def node_span(key, deps=()):
+    """A campaign node span carrying its dependency edges, as the campaign
+    runner stamps them."""
+    return Span(next(_ids), next(_ids), None, key, "campaign_node", 0.0,
+                {"deps": list(deps)})
+
+
 def diamond():
     """a -> {b, c} -> d with deterministic phase mixes.
 
@@ -52,19 +62,19 @@ def diamond():
     c: 2 stage_in + 3 execute    (t=10..15)
     d: 1 wait + 2 execute        (t=30..33)
     """
-    spans = []
-    spans += task_spans("t.a", 0.0, [("agent_queue", 2.0), ("execute", 8.0)])
+    a, b, c, d = (node_span("g/a"), node_span("g/b", ("g/a",)),
+                  node_span("g/c", ("g/a",)),
+                  node_span("g/d", ("g/b", "g/c")))
+    spans = [a, b, c, d]
+    spans += task_spans("t.a", 0.0, [("agent_queue", 2.0), ("execute", 8.0)],
+                        node=a)
     spans += task_spans("t.b", 10.0, [("agent_queue", 1.0),
-                                      ("execute", 19.0)])
-    spans += task_spans("t.c", 10.0, [("stage_in", 2.0), ("execute", 3.0)])
+                                      ("execute", 19.0)], node=b)
+    spans += task_spans("t.c", 10.0, [("stage_in", 2.0), ("execute", 3.0)],
+                        node=c)
     spans += task_spans("t.d", 30.0, [("agent_queue", 1.0),
-                                      ("execute", 2.0)])
-    node_tasks = {"g/a": ("t.a",), "g/b": ("t.b",), "g/c": ("t.c",),
-                  "g/d": ("t.d",)}
-    edges = {"g/a": (), "g/b": ("g/a",), "g/c": ("g/a",),
-             "g/d": ("g/b", "g/c")}
-    return CampaignAttribution.from_spans(spans, node_tasks=node_tasks,
-                                          edges=edges, makespan=33.0)
+                                      ("execute", 2.0)], node=d)
+    return CampaignAttribution.from_spans(spans, makespan=33.0)
 
 
 class TestPhaseBreakdowns:
@@ -132,22 +142,20 @@ class TestCriticalPath:
         assert [s.key for s in top] == ["g/b", "g/a"]
 
     def test_inter_node_wait_is_attributed(self):
-        spans = task_spans("t.a", 0.0, [("execute", 5.0)])
-        spans += task_spans("t.b", 8.0, [("execute", 2.0)])  # 3s gap
-        attr = CampaignAttribution.from_spans(
-            spans, node_tasks={"g/a": ("t.a",), "g/b": ("t.b",)},
-            edges={"g/b": ("g/a",)})
+        a, b = node_span("g/a"), node_span("g/b", ("g/a",))
+        spans = [a, b] + task_spans("t.a", 0.0, [("execute", 5.0)], node=a)
+        spans += task_spans("t.b", 8.0, [("execute", 2.0)], node=b)  # 3s gap
+        attr = CampaignAttribution.from_spans(spans)
         step = attr.critical_path()[-1]
         assert step.key == "g/b"
         assert step.wait == pytest.approx(3.0)
         assert step.duration == pytest.approx(5.0)
 
     def test_cycle_in_edges_terminates(self):
-        spans = task_spans("t.a", 0.0, [("execute", 1.0)])
-        spans += task_spans("t.b", 1.0, [("execute", 1.0)])
-        attr = CampaignAttribution.from_spans(
-            spans, node_tasks={"a": ("t.a",), "b": ("t.b",)},
-            edges={"a": ("b",), "b": ("a",)})
+        a, b = node_span("a", ("b",)), node_span("b", ("a",))
+        spans = [a, b] + task_spans("t.a", 0.0, [("execute", 1.0)], node=a)
+        spans += task_spans("t.b", 1.0, [("execute", 1.0)], node=b)
+        attr = CampaignAttribution.from_spans(spans)
         keys = [s.key for s in attr.critical_path()]
         assert keys == ["a", "b"]  # seen-set stops the walk
         assert attr.what_if() > 0.0  # longest path terminates too
@@ -204,19 +212,19 @@ class TestGracefulDegradation:
         assert "Performance attribution" in attr.report()
 
     def test_edges_to_missing_nodes_are_pruned(self):
-        spans = task_spans("t.b", 0.0, [("execute", 2.0)])
-        attr = CampaignAttribution.from_spans(
-            spans, node_tasks={"g/b": ("t.b",)},
-            edges={"g/b": ("g/ghost",), "g/ghost": ()})
+        # g/ghost never ran (skipped, or a truncated history): no span
+        b = node_span("g/b", ("g/ghost",))
+        spans = [b] + task_spans("t.b", 0.0, [("execute", 2.0)], node=b)
+        attr = CampaignAttribution.from_spans(spans)
         assert attr.edges == {"g/b": ()}
         assert [s.key for s in attr.critical_path()] == ["g/b"]
 
     def test_nodes_without_tasks_drop_out(self):
-        spans = task_spans("t.b", 0.0, [("execute", 2.0)])
-        attr = CampaignAttribution.from_spans(
-            spans, node_tasks={"g/a": (), "g/b": ("t.b",)},
-            edges={"g/b": ("g/a",)})
+        a, b = node_span("g/a"), node_span("g/b", ("g/a",))
+        spans = [a, b] + task_spans("t.b", 0.0, [("execute", 2.0)], node=b)
+        attr = CampaignAttribution.from_spans(spans)
         assert set(attr.nodes) == {"g/b"}
+        assert attr.edges == {"g/b": ()}
 
     def test_report_renders_on_partial_data(self):
         text = diamond().report(title="diamond")
@@ -286,38 +294,3 @@ class TestFromTracer:
             attr = session.attribution()
             assert set(attr.nodes) == {tasks[0].uid}
             assert attr.edges == {}
-
-
-class TestFromProfiler:
-    def _record_lifecycle(self, profiler, uid, t0, exec_s=1.0):
-        stamps = [
-            (0.0, TaskState.TMGR_SCHEDULING),
-            (1.0, TaskState.AGENT_SCHEDULING),
-            (2.0, TaskState.AGENT_EXECUTING),
-            (2.0 + exec_s, TaskState.DONE),
-        ]
-        for dt, state in stamps:
-            profiler.record(t0 + dt, uid, f"state:{state}", "tmgr")
-
-    def test_offline_reconstruction_with_graph_edges(self):
-        profiler = Profiler(level="durations")
-        self._record_lifecycle(profiler, "t.a", 0.0, exec_s=5.0)
-        self._record_lifecycle(profiler, "t.b", 7.0, exec_s=9.0)
-        graph = CampaignGraph(name="g", nodes=[
-            TaskNode(name="a", build=lambda c: []),
-            TaskNode(name="b", deps=("a",), build=lambda c: []),
-        ])
-        attr = CampaignAttribution.from_profiler(
-            profiler, node_tasks={"g/a": ("t.a",), "g/b": ("t.b",)},
-            graphs=[graph])
-        assert [s.key for s in attr.critical_path()] == ["g/a", "g/b"]
-        assert attr.nodes["g/b"].dominant_phase()[0] == "execute"
-        assert attr.validate() == []
-
-    def test_task_without_stamps_degrades_gracefully(self):
-        profiler = Profiler(level="durations")
-        self._record_lifecycle(profiler, "t.a", 0.0)
-        attr = CampaignAttribution.from_profiler(
-            profiler, node_tasks={"g/a": ("t.a", "t.ghost")})
-        assert set(attr.nodes) == {"g/a"}
-        assert len(attr.nodes["g/a"].tasks) == 1

@@ -104,7 +104,7 @@ class TestSnapshotContent:
             session.run()
         assert "recent anomalies (8 total)" in text
         assert "anomaly 7" in text
-        assert "anomaly 2" not in text  # only the last max_events=5 shown
+        assert "anomaly 2" not in text  # only the last MAX_EVENTS=5 shown
         assert "[ warning]" in text
 
 

@@ -1,10 +1,10 @@
-"""The tracing plane: spans, exports, and offline profile reconstruction."""
+"""The tracing plane: spans, exports, and task spans read off the profile."""
 
 import json
+from types import SimpleNamespace
 
-from repro import Session, spans_from_profiler
+from repro import Session
 from repro.observability.trace import Tracer
-from repro.pilot import Profiler
 from repro.pilot.states import TaskState
 
 
@@ -98,93 +98,121 @@ class TestExports:
             assert lines[1]["parent_id"] == lines[0]["span_id"]
 
 
+STAGES = [TaskState.TMGR_SCHEDULING, TaskState.TMGR_STAGING_INPUT,
+          TaskState.AGENT_SCHEDULING, TaskState.AGENT_EXECUTING,
+          TaskState.TMGR_STAGING_OUTPUT, TaskState.DONE]
+
+
 class TestSpansFromProfiler:
-    def _record_lifecycle(self, profiler, uid, t0):
-        for i, state in enumerate([
-                TaskState.TMGR_SCHEDULING, TaskState.TMGR_STAGING_INPUT,
-                TaskState.AGENT_SCHEDULING, TaskState.AGENT_EXECUTING,
-                TaskState.TMGR_STAGING_OUTPUT, TaskState.DONE]):
-            profiler.record(t0 + i, uid, f"state:{state}", "tmgr")
+    """The tracer builds task spans from the profile's ``state:*`` records:
+    a stand-in task manager submits a task to it and records the task's
+    transitions in the session profile, each at its own sim time."""
+
+    @staticmethod
+    def _advance(session, t):
+        session.run(until=session.engine.timeout(t - session.now))
+
+    def _lifecycle(self, session, tracer, uid, stamps):
+        """Submit *uid* at the first stamp, record each ``(t, state)`` at
+        *t*, complete it at the last."""
+        self._advance(session, stamps[0][0])
+        tracer.task_submitted(SimpleNamespace(uid=uid, attempts=1,
+                                              trace_parent=None))
+        for t, state in stamps:
+            self._advance(session, t)
+            session.profiler.record(t, uid, f"state:{state}", "tmgr")
+        tracer.task_completed(uid)
+
+    def _record_lifecycle(self, session, tracer, uid, t0):
+        self._lifecycle(session, tracer, uid,
+                        [(t0 + i, state) for i, state in enumerate(STAGES)])
 
     def test_rebuilds_phase_spans(self):
-        profiler = Profiler(level="durations")
-        self._record_lifecycle(profiler, "task.0", 0.0)
-        spans = spans_from_profiler(profiler)
+        with Session(seed=1) as session:
+            tracer = Tracer(session)
+            self._record_lifecycle(session, tracer, "task.0", 0.0)
+            spans = tracer.spans
         root = spans[0]
         assert root.name == "task.0" and root.parent_id is None
         assert (root.start, root.end) == (0.0, 5.0)
         phases = {s.name: s for s in spans[1:]}
-        assert set(phases) == {"schedule", "stage_in", "agent_queue",
-                               "execute", "stage_out"}
-        # each phase is closed by the next state's first stamp
+        assert list(phases) == ["submit", "schedule", "stage_in",
+                                "agent_queue", "execute", "stage_out"]
+        # each phase is closed by the next state's record
+        assert (phases["submit"].start, phases["submit"].end) == (0.0, 0.0)
         assert (phases["execute"].start, phases["execute"].end) == (3.0, 4.0)
         assert all(s.parent_id == root.span_id for s in spans[1:])
         assert all(s.trace_id == root.trace_id for s in spans[1:])
 
     def test_multiple_tasks_get_distinct_traces(self):
-        profiler = Profiler(level="durations")
-        self._record_lifecycle(profiler, "task.0", 0.0)
-        self._record_lifecycle(profiler, "task.1", 10.0)
-        spans = spans_from_profiler(profiler)
-        roots = [s for s in spans if s.parent_id is None]
-        assert len(roots) == 2
+        with Session(seed=1) as session:
+            tracer = Tracer(session)
+            self._record_lifecycle(session, tracer, "task.0", 0.0)
+            self._record_lifecycle(session, tracer, "task.1", 10.0)
+            roots = [s for s in tracer.spans if s.parent_id is None]
+        assert [r.name for r in roots] == ["task.0", "task.1"]
         assert roots[0].trace_id != roots[1].trace_id
 
     def test_explicit_uids_and_empty_profile(self):
-        profiler = Profiler(level="durations")
-        self._record_lifecycle(profiler, "task.0", 0.0)
-        assert spans_from_profiler(profiler, uids=["ghost"]) == []
-        assert len(spans_from_profiler(profiler, uids=["task.0"])) == 6
-
-    def test_round_trip_through_jsonl(self, tmp_path):
-        profiler = Profiler(level="durations")
-        self._record_lifecycle(profiler, "task.0", 0.0)
-        path = tmp_path / "profile.jsonl"
-        profiler.to_jsonl(str(path))
-        reloaded = Profiler.from_jsonl(str(path))
-        original = [s.as_dict() for s in spans_from_profiler(profiler)]
-        rebuilt = [s.as_dict() for s in spans_from_profiler(reloaded)]
-        assert rebuilt == original
+        # only the uids submitted to the tracer are its own: the
+        # transitions of any other entity in the profile build nothing
+        with Session(seed=1) as session:
+            tracer = Tracer(session)
+            assert tracer.spans == []
+            for t, state in enumerate(STAGES):
+                session.profiler.record(float(t), "ghost", f"state:{state}",
+                                        "tmgr")
+            assert tracer.spans == []
+            self._record_lifecycle(session, tracer, "task.0", 10.0)
+            assert {s.name for s in tracer.spans
+                    if s.parent_id is None} == {"task.0"}
+            assert len(tracer.spans) == 7  # root + submit + 5 phases
 
     def test_retry_loop_yields_recovery_and_reschedule_phases(self):
-        profiler = Profiler(level="durations")
-        for t, state in [(0.0, TaskState.TMGR_SCHEDULING),
-                         (1.0, TaskState.TMGR_STAGING_INPUT),
-                         (2.0, TaskState.AGENT_SCHEDULING),
-                         (3.0, TaskState.AGENT_EXECUTING),
-                         (8.0, TaskState.FAILED),
-                         (10.0, TaskState.RESCHEDULING),
-                         # the second attempt revisits these states: only
-                         # first timestamps are retained by the profiler
-                         (12.0, TaskState.AGENT_SCHEDULING),
-                         (13.0, TaskState.AGENT_EXECUTING),
-                         (20.0, TaskState.TMGR_STAGING_OUTPUT),
-                         (21.0, TaskState.DONE)]:
-            profiler.record(t, "task.r", f"state:{state}", "tmgr")
-        spans = spans_from_profiler(profiler)
+        with Session(seed=1) as session:
+            tracer = Tracer(session)
+            self._lifecycle(session, tracer, "task.r", [
+                (0.0, TaskState.TMGR_SCHEDULING),
+                (1.0, TaskState.TMGR_STAGING_INPUT),
+                (2.0, TaskState.AGENT_SCHEDULING),
+                (3.0, TaskState.AGENT_EXECUTING),
+                (8.0, TaskState.FAILED),
+                (10.0, TaskState.RESCHEDULING),
+                (11.0, TaskState.TMGR_SCHEDULING),
+                (12.0, TaskState.AGENT_SCHEDULING),
+                (13.0, TaskState.AGENT_EXECUTING),
+                (20.0, TaskState.TMGR_STAGING_OUTPUT),
+                (21.0, TaskState.DONE)])
+            spans = tracer.spans
         root = spans[0]
         assert (root.start, root.end) == (0.0, 21.0)
-        phases = {(s.name): (s.start, s.end) for s in spans[1:]}
-        assert phases == {
-            "schedule": (0.0, 1.0),
-            "stage_in": (1.0, 2.0),
-            "agent_queue": (2.0, 3.0),
-            "execute": (3.0, 8.0),      # first attempt only
-            "recovery": (8.0, 10.0),
-            "reschedule": (10.0, 20.0),  # spans the whole second attempt
-            "stage_out": (20.0, 21.0),
-        }
+        # a span per phase per attempt: the second attempt's phases are
+        # its own, stamped with its attempt number
+        assert [(s.name, s.start, s.end, s.attrs["attempt"])
+                for s in spans[1:]] == [
+            ("submit", 0.0, 0.0, 1),
+            ("schedule", 0.0, 1.0, 1),
+            ("stage_in", 1.0, 2.0, 1),
+            ("agent_queue", 2.0, 3.0, 1),
+            ("execute", 3.0, 8.0, 1),
+            ("recovery", 8.0, 10.0, 1),
+            ("reschedule", 10.0, 11.0, 1),
+            ("schedule", 11.0, 12.0, 2),
+            ("agent_queue", 12.0, 13.0, 2),
+            ("execute", 13.0, 20.0, 2),
+            ("stage_out", 20.0, 21.0, 2),
+        ]
 
     def test_full_level_rebuilds_the_same_spans(self):
-        # reconstruction reads first timestamps, which both levels answer
-        durations = Profiler(level="durations")
-        full = Profiler(level="full")
-        for uid, t0 in (("task.0", 0.0), ("task.1", 10.0),
-                        ("task.2", 20.0), ("task.3", 30.0)):
-            self._record_lifecycle(durations, uid, t0)
-            self._record_lifecycle(full, uid, t0)
-        assert len(durations) == 0 and len(full) == full.recorded
-        rebuilt = [s.as_dict() for s in spans_from_profiler(full)]
-        reference = [s.as_dict() for s in spans_from_profiler(durations)]
-        assert rebuilt == reference
-        assert len([s for s in rebuilt if s["parent_id"] is None]) == 4
+        # the tracer reads each record once, before any level folds it
+        built = {}
+        for level in ("full", "durations", "off"):
+            with Session(seed=1, profile=level) as session:
+                tracer = Tracer(session)
+                for uid, t0 in (("task.0", 0.0), ("task.1", 10.0),
+                                ("task.2", 20.0), ("task.3", 30.0)):
+                    self._record_lifecycle(session, tracer, uid, t0)
+                built[level] = [s.as_dict() for s in tracer.spans]
+        assert built["full"] == built["durations"] == built["off"]
+        assert len([s for s in built["full"]
+                    if s["parent_id"] is None]) == 4

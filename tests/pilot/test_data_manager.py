@@ -28,24 +28,37 @@ def run_stage(session, dmgr, directives, platform="delta", uid="task.x",
 
 
 class TestStageDurations:
+    """What staging one directive alone costs, staged and estimated
+    (``TransferScheduler.estimate``, what source selection reads)."""
+
     def test_link_is_free(self, session, dmgr):
         directive = StagingDirective(action="link", source="a", target="b")
-        assert dmgr.stage_duration(directive, "delta") == 0.0
+        assert run_stage(session, dmgr, [directive]) == 1
+        assert session.now == 0.0
+        assert dmgr.bytes_transferred == 0.0
 
     def test_transfer_charges_wan_bandwidth(self, session, dmgr):
         directive = StagingDirective(action="transfer", source="a",
                                      target="b", size_bytes=int(2e9))
-        duration = dmgr.stage_duration(directive, "delta")
-        assert duration > 1.5  # 2 GB over ~1 GB/s WAN
+        # 2 GB over ~1 GB/s WAN
+        assert session.data.transfers.estimate("localhost", "delta",
+                                               2e9) > 1.5
+        run_stage(session, dmgr, [directive])
+        assert session.now > 1.5
 
     def test_copy_is_intra_platform(self, session, dmgr):
         big = int(5e9)
+        transfers = session.data.transfers
+        assert transfers.estimate("delta", "delta", big) < \
+            transfers.estimate("localhost", "delta", big)
         copy = StagingDirective(action="copy", source="a", target="b",
                                 size_bytes=big)
-        transfer = StagingDirective(action="transfer", source="a",
-                                    target="b", size_bytes=big)
-        assert dmgr.stage_duration(copy, "delta") < \
-            dmgr.stage_duration(transfer, "delta")
+        transfer = StagingDirective(action="transfer", source="c",
+                                    target="d", size_bytes=big)
+        run_stage(session, dmgr, [copy])
+        copied = session.now
+        run_stage(session, dmgr, [transfer])
+        assert copied < session.now - copied
 
 
 class TestStagingProcess:

@@ -233,24 +233,6 @@ class TestParentSpillFile:
         assert q.timestamp("task.1", "exec_start") == 13.0
         assert q.uids_with_event("exec_start") == self.UIDS
 
-    def test_spans_and_attribution_from_the_reloaded_file(self):
-        from repro.observability import (
-            CampaignAttribution,
-            spans_from_profiler,
-        )
-        q = Profiler.from_jsonl(str(PARENT_SPILL))
-        live = Profiler()
-        for row in q.events():
-            live.record(*row)
-        spans = [s.as_dict() for s in spans_from_profiler(q)]
-        assert spans == [s.as_dict() for s in spans_from_profiler(live)]
-        assert len(spans) == 3 * 6  # root + 5 phases per task
-        attr = CampaignAttribution.from_profiler(q)
-        # each task standalone: one attribution node per task uid
-        assert sorted(attr.nodes) == self.UIDS
-        assert attr.report() == CampaignAttribution.from_profiler(
-            live).report()
-
 
 # -- derived indices ----------------------------------------------------------
 class TestDerivedIndices:

@@ -109,3 +109,54 @@ class TestRealtimeExecution:
         session.run(until=session.now + 5.0)  # its completion is injected
         assert task.state == TaskState.CANCELED
         assert task.result is None
+
+    def test_run_until_a_deadline_returns_while_a_worker_runs(self, env):
+        """A deadline run does not wait for the worker; a later run picks
+        up its injected completion."""
+        session, tmgr = env
+        release = threading.Event()
+        started = threading.Event()
+
+        def blocked():
+            started.set()
+            release.wait(timeout=5.0)
+            return "finished"
+
+        (task,) = tmgr.submit_tasks(TaskDescription(function=blocked))
+        while not started.is_set():
+            session.run(until=session.now + 1.0)
+        deadline = session.now + 5.0
+        session.run(until=deadline)
+        assert session.now == pytest.approx(deadline)
+        assert task.state == TaskState.AGENT_EXECUTING
+        release.set()
+        session.run(until=tmgr.wait_tasks([task]))
+        assert task.state == TaskState.DONE
+        assert task.result == "finished"
+
+
+class TestRealtimeShutdown:
+    def test_close_waits_for_a_running_worker(self):
+        finished = threading.Event()
+        started = threading.Event()
+
+        def slow():
+            started.set()
+            time.sleep(0.3)
+            finished.set()
+
+        session = Session(mode="realtime", seed=2, realtime_factor=0.02)
+        pmgr = PilotManager(session)
+        tmgr = TaskManager(session)
+        (pilot,) = pmgr.submit_pilots(
+            PilotDescription(resource="localhost", nodes=1, runtime_s=1e6))
+        tmgr.add_pilots(pilot)
+        tmgr.submit_tasks(TaskDescription(function=slow))
+        while not started.is_set():
+            session.run(until=session.now + 1.0)
+        assert not finished.is_set()
+        session.close()
+        assert finished.is_set()  # close returned only after the worker
+        prefix = f"{session.uid}-worker"
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith(prefix)]

@@ -225,13 +225,6 @@ class TaskPathMachine(RuleBasedStateMachine):
                 duration_s=duration) for _ in range(n)],
                 window=window, chunk_size=chunk)
 
-    @rule(pick=picks, n=counts, duration=durations)
-    def submit_after(self, pick, n, duration):
-        if self.tasks:
-            self._submit([TaskDescription(executable="x", duration_s=duration)
-                          for _ in range(n)],
-                         after=self._pick(pick).completed)
-
     # -- disturbance -----------------------------------------------------------
     def _pick(self, pick):
         return self.tasks[pick % len(self.tasks)]

@@ -451,11 +451,11 @@ class TestStagingCancellation:
 
 
 class TestDataAffinityPlacement:
-    def make_env(self, placement=None, data_config=None):
+    def make_env(self, data_config=None):
         from repro.pilot import PilotManager, PilotState, Session
         session = Session(seed=6, data_config=data_config)
         pmgr = PilotManager(session)
-        tmgr = TaskManager(session, placement=placement)
+        tmgr = TaskManager(session)
         pilots = pmgr.submit_pilots([
             PilotDescription(resource="delta", nodes=2, runtime_s=1e8),
             PilotDescription(resource="frontier", nodes=2, runtime_s=1e8)])
@@ -517,7 +517,9 @@ class TestDataAffinityPlacement:
             assert tmgr.affinity_placements == 0
 
     def test_round_robin_placement_opt_out(self):
-        session, tmgr, pilots = self.make_env(placement="round_robin")
+        from repro.data import DataConfig
+        session, tmgr, pilots = self.make_env(
+            data_config=DataConfig(placement="round_robin"))
         with session:
             (first,) = tmgr.submit_tasks(self.staged("dataset/a"))
             session.run(until=tmgr.wait_tasks([first]))
@@ -549,10 +551,9 @@ class TestDataAffinityPlacement:
             session.run(until=tmgr.wait_tasks())
 
     def test_invalid_placement_rejected(self):
-        from repro.pilot import Session
-        with Session(seed=1) as session:
-            with pytest.raises(ValueError):
-                TaskManager(session, placement="gravity")
+        from repro.data import DataConfig
+        with pytest.raises(ValueError, match="gravity"):
+            DataConfig(placement="gravity")
 
 
 class TestBulkSubmission:

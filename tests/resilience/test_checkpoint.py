@@ -15,7 +15,9 @@ from repro.workflows import (
     CampaignRunner,
     CellPaintingConfig,
     build_cell_painting_pipeline,
+    build_uq_campaign,
 )
+from repro.workflows.uq import UQConfig
 
 
 def resilient_session(store=None, seed=4, checkpoint=None):
@@ -75,66 +77,74 @@ class TestCheckpointer:
                 [False, False, True, False, False, True]
 
     def test_interval_policy_gates_workflow_saves(self):
-        """interval_iters=2: the UQ grid persists every 2nd chunk plus the
-        final one, instead of every chunk."""
-        from repro.workflows import build_uq_pipeline
-        from repro.workflows.uq import UQConfig
-
+        """interval_iters=2: the UQ campaign persists its frontier at most
+        every 2nd completed node plus the final one, and the final
+        frontier lists every node."""
         store = {}
         with resilient_session(store=store,
                                checkpoint=CheckpointPolicy(
                                    interval_iters=2)) as session:
             runner = runner_with_pilot(session)
-            pipe = build_uq_pipeline(UQConfig(checkpoint_key="uq-gated",
-                                              checkpoint_chunk=3))
-            proc = session.engine.process(runner.run_campaign(pipe))
+            graph = build_uq_campaign(UQConfig())
+            proc = session.engine.process(
+                runner.run_campaign(graph, checkpoint_key="uq-gated"))
             session.run(until=proc)
-            # 12 cells / chunk 3 = 4 chunks: saves at chunk 1 (due) and
-            # chunk 3 (final), not 4
-            assert session.resilience.checkpoints.saves == 2
-            assert store["uq-gated/uq-grid"][0] == 12  # all cells counted
+            # 2 data nodes + 12 cells + aggregate
+            assert len(graph) == 15
+            assert 1 <= session.resilience.checkpoints.saves <= 15 // 2 + 1
+            _, frontier = store["uq-gated/frontier"]
+            assert frontier["completed"][graph.name] == \
+                graph.topological_order()
 
-    def test_uq_resume_is_chunk_size_independent(self):
-        """A resumed grid with a different checkpoint_chunk still runs
-        every remaining cell exactly once (resume is by completed-cell
-        count, not chunk index)."""
+    def test_uq_campaign_resumes_from_its_frontier(self):
+        """Killed after its first frontier save, the UQ campaign resumes
+        in a new session on the same store: it ends with every cell
+        exactly once, and fits only the cells the frontier lacked."""
         from repro.sim.events import Interrupt
-        from repro.workflows import build_uq_pipeline
-        from repro.workflows.uq import UQConfig
 
         store = {}
 
-        def run(chunk, kill_after_first_save=False, seed=4):
-            with resilient_session(store=store, seed=seed) as session:
+        def cells_of(nodes):
+            return [n for n in nodes if n.startswith("cell-")]
+
+        def run(kill_after_first_save=False, seed=4):
+            # every 3rd completion saves: the first frontier holds both
+            # data nodes and a cell
+            with resilient_session(store=store, seed=seed,
+                                   checkpoint=CheckpointPolicy(
+                                       interval_iters=3)) as session:
                 runner = runner_with_pilot(session)
-                pipe = build_uq_pipeline(UQConfig(
-                    checkpoint_key="uq-resume", checkpoint_chunk=chunk))
+                graph = build_uq_campaign(UQConfig())
 
                 def campaign():
                     try:
-                        return (yield from runner.run_campaign(pipe))
+                        return (yield from runner.run_campaign(
+                            graph, checkpoint_key="uq-resume"))
                     except Interrupt:
                         return None
 
                 proc = session.engine.process(campaign())
                 if kill_after_first_save:
-                    while "uq-resume/uq-grid" not in store \
+                    while "uq-resume/frontier" not in store \
                             and proc.is_alive:
-                        session.run(until=session.now + 1.0)
+                        session.run(until=session.now + 0.5)
                     proc.interrupt("killed")
                     session.run(until=session.now + 2.0)
-                    return None
-                return session.run(until=proc)
+                    return None, runner
+                return session.run(until=proc), runner
 
-        run(chunk=4, kill_after_first_save=True)  # dies mid-grid
-        saved_count = store["uq-resume/uq-grid"][0]
-        assert 0 < saved_count < 12
-        context = run(chunk=5, seed=6)  # resume with a DIFFERENT chunking
+        run(kill_after_first_save=True)  # dies mid-grid
+        _, frontier = store["uq-resume/frontier"]
+        saved = cells_of(frontier["completed"]["uncertainty-quantification"])
+        assert 0 < len(saved) < 12
+        context, runner = run(seed=6)
         cells = context["result"].cells
         assert len(cells) == 12
         # every (model, method, seed) cell present exactly once
-        keys = {(c.model, c.method, c.seed) for c in cells}
-        assert len(keys) == 12
+        assert len({(c.model, c.method, c.seed) for c in cells}) == 12
+        fitted = cells_of(key.split("/")[1] for key in runner.node_tasks)
+        assert len(fitted) == 12 - len(saved)
+        assert not set(fitted) & set(saved)
 
     def test_store_survives_across_sessions(self):
         store = {}

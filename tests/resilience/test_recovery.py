@@ -85,7 +85,7 @@ class TestRetryPolicy:
             raise RuntimeError("x")
 
         with make_session(retry=RetryPolicy(
-                max_retries=2, backoff_base_s=4.0, backoff_factor=2.0,
+                max_retries=2, backoff_base_s=4.0,
                 backoff_jitter_s=0.0)) as session:
             _, tmgr, _ = one_pilot(session)
             (task,) = tmgr.submit_tasks(TaskDescription(function=flaky))

@@ -12,6 +12,7 @@ from repro.analytics import (
     dist_stats,
     format_seconds,
     render_table,
+    response_metrics,
     run_experiment1,
     run_experiment2,
     run_experiment3,
@@ -57,6 +58,16 @@ class TestExperiment1:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             run_experiment1(0)
+
+
+class TestResponseMetrics:
+    def test_no_successful_request_has_no_dominant_component(self):
+        # a run where every request failed must not read as
+        # "communication dominates"
+        metrics = response_metrics([])
+        assert metrics.n_requests == 0
+        with pytest.raises(ValueError, match="no successful requests"):
+            metrics.dominant_component()
 
 
 class TestExperiment2and3:

@@ -109,7 +109,7 @@ class ReferenceTaskManager(TaskManager):
         self.data_manager.__class__ = ReferenceDataManager
 
     def submit_tasks(self, descriptions, chunk_size=None, window=None,
-                     after=None, on_complete=None) -> List[Task]:
+                     on_complete=None) -> List[Task]:
         if isinstance(descriptions, TaskDescription):
             descriptions = [descriptions]
         descriptions = list(descriptions)
@@ -134,20 +134,16 @@ class ReferenceTaskManager(TaskManager):
             tasks.append(task)
         if not tasks:
             return tasks
-        deferred = after is not None and not after.processed
         if window is not None:
             session.engine.process(
-                self._feed_window(tasks, window, chunk_size or 1, after))
-        elif (chunk_size is None or chunk_size >= len(tasks)) and not deferred:
+                self._feed_window(tasks, window, chunk_size or 1))
+        elif chunk_size is None or chunk_size >= len(tasks):
             self._start(tasks[:])
         else:
-            session.engine.process(
-                self._feed_chunks(tasks, chunk_size or len(tasks), after))
+            session.engine.process(self._feed_chunks(tasks, chunk_size))
         return tasks
 
-    def _feed_window(self, tasks, window, chunk_size, after=None):
-        if after is not None and not after.processed:
-            yield after
+    def _feed_window(self, tasks, window, chunk_size):
         chunk_size = min(chunk_size, window.capacity)
 
         def release(event):

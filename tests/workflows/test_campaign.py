@@ -476,10 +476,15 @@ class TestBackpressure:
         assert windowed < chunked
 
     def test_submit_after_defers_driver_start(self, env):
+        # a dependent submitted from the upstream completion's callback
         session, tmgr = env
-        (first,) = tmgr.submit_tasks(sim_task("first", 10.0))
-        (second,) = tmgr.submit_tasks(sim_task("second", 1.0),
-                                      after=first.completed)
+        later = []
+        (first,) = tmgr.submit_tasks(
+            sim_task("first", 10.0),
+            on_complete=lambda t: later.extend(
+                tmgr.submit_tasks(sim_task("second", 1.0))))
+        session.run(until=first.completed)
+        (second,) = later
         session.run(until=tmgr.wait_tasks([first, second]))
         prof = session.profiler
         assert prof.timestamp(second.uid, "state:TMGR_SCHEDULING") >= \
