@@ -3,7 +3,9 @@
 Profiles a task bag through the public API -- a default ``Session()``
 (profile tier ``full``), ``TaskManager.submit_tasks`` of N mixed-shape
 executable tasks onto one active pilot, ``session.run(until=wait_tasks)``
--- and prints the top functions by cumulative and internal time.  That
+-- and prints the kernel's own budget per task (entries made and generator
+resumes, read off ``engine.entries`` / ``engine.resumes``) and the top
+functions by cumulative and internal time.  That
 is the path ``benchmarks/e2e`` measures as ``task_bag``, so what shows up
 here is what a user pays per task: description reads, state transitions,
 profile rows, the event kernel, the agent scheduler.  A loop that drives
@@ -41,8 +43,9 @@ from repro.pilot import (
 SHAPES = [1, 2, 4, 8]  # cores per task, cycled
 
 
-def submit_drain(n_tasks: int, n_nodes: int) -> float:
-    """The profiled workload; returns sustained tasks/sec."""
+def submit_drain(n_tasks: int, n_nodes: int):
+    """The profiled workload; returns sustained tasks/sec, and the kernel
+    entries and generator resumes per task from submission to drain."""
     with Session(seed=0) as session:
         pmgr = PilotManager(session)
         tmgr = TaskManager(session)
@@ -50,6 +53,8 @@ def submit_drain(n_tasks: int, n_nodes: int) -> float:
             resource="frontier", nodes=n_nodes, runtime_s=1e9))
         tmgr.add_pilots(pilot)
         session.run(until=pmgr.wait_active([pilot]))
+        engine = session.engine
+        entries, resumes = engine.entries, engine.resumes
         t0 = time.perf_counter()
         tasks = tmgr.submit_tasks([
             TaskDescription(executable="x", duration_s=60.0,
@@ -60,7 +65,8 @@ def submit_drain(n_tasks: int, n_nodes: int) -> float:
         assert all(t.state == TaskState.DONE for t in tasks)
         scheduler = pilot.agent.scheduler
         assert scheduler.queue_length == 0 and not scheduler.held_tasks
-        return n_tasks / elapsed
+        return (n_tasks / elapsed, (engine.entries - entries) / n_tasks,
+                (engine.resumes - resumes) / n_tasks)
 
 
 def main(argv) -> int:
@@ -74,10 +80,12 @@ def main(argv) -> int:
 
     profiler = cProfile.Profile()
     profiler.enable()
-    rate = submit_drain(n_tasks, n_nodes)
+    rate, entries, resumes = submit_drain(n_tasks, n_nodes)
     profiler.disable()
 
     print(f"{n_tasks} tasks / {n_nodes} nodes: {rate:.0f} tasks/s")
+    print(f"kernel budget per task: {entries:.4f} entries, "
+          f"{resumes:.4f} resumes")
     if pstats_out:
         profiler.dump_stats(pstats_out)
         print(f"profile written to {pstats_out}")

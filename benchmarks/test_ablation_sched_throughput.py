@@ -8,8 +8,8 @@ exactly that component, three ways:
 1. **steady-state grant throughput at queue depth** -- a full cluster with
    D pending identical requests; each cycle releases one holder and grants
    one waiter.  Run for both the *indexed* production scheduler and the
-   *reference* scheduler (``repro.pilot.agent.reference``, the seed's
-   quadratic grant-then-rescan algorithm, kept as executable spec).  The
+   *reference* scheduler (``tests/pilot/reference_scheduler.py``, the
+   seed's quadratic grant-then-rescan algorithm, kept as executable spec).  The
    seed rescans the whole queue per grant with a linear node scan per
    entry, so its cycle cost is O(depth x nodes); the indexed scheduler's
    is O(log nodes).  The reference is measured at 1k/2k/5k pending, where
@@ -37,10 +37,12 @@ reverts to unbounded row retention, fails this module at any
 ``REPRO_BENCH_SCALE``.
 """
 
+import importlib.util
 import time
 import tracemalloc
 from collections import deque
 from functools import lru_cache
+from pathlib import Path
 
 from conftest import bench_scale
 
@@ -55,9 +57,17 @@ from repro.pilot import (
     TaskManager,
     TaskState,
 )
-from repro.pilot.agent.reference import ReferenceScheduler
 from repro.pilot.agent.scheduler import AgentScheduler
 from repro.pilot.task import Task
+
+# the oracle lives beside the tests; loaded by path, so this module runs
+# on its own without tests/ being collected
+_ORACLE = importlib.util.spec_from_file_location(
+    "reference_scheduler", Path(__file__).resolve().parents[1] / "tests"
+    / "pilot" / "reference_scheduler.py")
+_oracle = importlib.util.module_from_spec(_ORACLE)
+_ORACLE.loader.exec_module(_oracle)
+ReferenceScheduler = _oracle.ReferenceScheduler
 
 # -- study 1: steady-state grant throughput at depth -------------------------
 DEPTHS = [bench_scale(10_000), bench_scale(50_000), bench_scale(100_000)]

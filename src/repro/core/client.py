@@ -16,9 +16,11 @@ drained instance; timed-out requests are retried like busy ones.  Load
 balancer in-flight accounting is maintained around every attempt, so no
 exit path (reply, busy, timeout, interrupt) leaks a ``record_start``.
 
-Without a timeout an attempt is one frame: :meth:`ServiceClient.infer`
-yields the socket's reply event itself, and the result is built once, from
-the reply that ends the request.
+An attempt is one frame: :meth:`ServiceClient.infer` yields the socket's
+reply event itself, and the result is built once, from the reply that ends
+the request.  A timeout is one armed timer per attempt: on expiry it
+abandons the request and resolves that same reply event with ``None``; a
+reply that lands first withdraws it.
 
 Results accumulate on the client and feed :mod:`repro.analytics.metrics`.
 """
@@ -123,15 +125,19 @@ class ServiceClient:
             if balancer is not None:
                 balancer.record_start(target)
             try:
-                if self.timeout_s is None:
-                    reply = yield self.socket.request(target, payload)
-                else:
-                    reply = yield from self._request(target, payload)
+                event = self.socket.request(target, payload)
+                if self.timeout_s is not None:
+                    timer = engine.call_later(self.timeout_s, self._expire,
+                                              event)
+                reply = yield event
             finally:
                 if balancer is not None:
                     balancer.record_done(target)
 
             if reply is not None:
+                # withdraw the timer if still armed (a fired one is pooled)
+                if self.timeout_s is not None and timer.arg is event:
+                    timer.cancel()
                 if not (reply.payload or {}).get("busy", False):
                     break
                 self.busy_replies += 1
@@ -157,22 +163,11 @@ class ServiceClient:
         self.results.append(result)
         return result
 
-    def _request(self, target: Address, payload: Dict[str, Any]):
-        """Process body: one wire exchange bounded by ``timeout_s``.
-
-        Returns the reply message, or None when the timeout expired first
-        (the pending request is abandoned so a late reply is dropped).
-        """
-        engine = self.session.engine
-        event = self.socket.request(target, payload)
-        timer = engine.timeout(self.timeout_s)
-        yield engine.any_of([event, timer])
-        if event.processed:
-            if not timer.processed:
-                timer.cancel()
-            return event.value
-        self.socket.cancel_request(event)
-        return None
+    def _expire(self, event) -> None:
+        """An attempt's timer: abandon the request and resume its wait with
+        None, unless a reply landing this same instant resolved it."""
+        if self.socket.cancel_request(event):
+            event.succeed(None)
 
     def _backoff(self, attempt: int) -> float:
         """Jittered exponential backoff before retry number *attempt*."""

@@ -37,6 +37,11 @@ A batch is answered in one pass: one loop reads every request's prompt,
 parameters and size, one builds and sizes every reply, and the replies
 leave with their stamps built in place.
 
+The workers stay processes on purpose: a prototype with the request as a
+record kept every sim digest, but moved the resume cost out of
+``sim.engine`` -- from 1.40-1.44x the next layer of ``service_noop`` to
+third (3 quick runs) -- and the benchmark requires it to be the largest.
+
 Supported operations: ``infer``, ``ping`` (liveness/readiness), ``stop``.
 """
 

@@ -12,15 +12,18 @@ platform's finite nodes, (b) pilots see a realistic queue wait, and
 variant: when the queue head does not fit, any later job that fits the
 current free set may start.  This can delay the head (no reservation); the
 simplification is documented and tested.
+
+A job holding nodes has one armed timer and no process: first the
+queue-resident delay, whose entry hands the nodes over, then the walltime.
+Ending the job any other way withdraws it.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..sim.engine import SimulationEngine
-from ..sim.events import Event, Interrupt
+from ..sim.events import NORMAL, URGENT, Deferred, Event
 from ..utils.ids import IdRegistry
 from .platform import PlatformSpec
 
@@ -44,11 +47,10 @@ class BatchJob:
     """One node-level allocation request and its lifecycle."""
 
     def __init__(self, engine: SimulationEngine, uid: str, n_nodes: int,
-                 walltime_s: float, priority: int = 0) -> None:
+                 walltime_s: float) -> None:
         self.uid = uid
         self.n_nodes = n_nodes
         self.walltime_s = walltime_s
-        self.priority = priority
         self.state = JobState.PENDING
         self.node_indices: List[int] = []
         self.submitted_at: Optional[float] = None
@@ -58,8 +60,6 @@ class BatchJob:
         self.started: Event = engine.event()
         #: triggers with the final state string when the job ends
         self.finished: Event = engine.event()
-        #: what the job's process waits on: bring-up delay, then walltime
-        self._timer: Optional[Event] = None
 
     @property
     def is_final(self) -> bool:
@@ -82,8 +82,8 @@ class BatchSystem:
         self.ids = ids
         self._free: Set[int] = set(range(spec.nodes))
         self._queue: List[BatchJob] = []
-        self._running: dict = {}  # job -> walltime watchdog Process
-        self._seq = itertools.count()
+        #: job holding nodes -> its armed timer (bring-up, then walltime)
+        self._running: Dict[BatchJob, Deferred] = {}
 
     # -- public API --------------------------------------------------------------
     @property
@@ -94,8 +94,7 @@ class BatchSystem:
     def queued_jobs(self) -> int:
         return len(self._queue)
 
-    def submit(self, n_nodes: int, walltime_s: float,
-               priority: int = 0) -> BatchJob:
+    def submit(self, n_nodes: int, walltime_s: float) -> BatchJob:
         """Enqueue an allocation request; returns the job handle."""
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
@@ -106,7 +105,7 @@ class BatchSystem:
         if walltime_s <= 0:
             raise ValueError("walltime must be positive")
         job = BatchJob(self.engine, self.ids.generate("job"), n_nodes,
-                       walltime_s, priority)
+                       walltime_s)
         job.submitted_at = self.engine.now
         self._queue.append(job)
         self._schedule_pass()
@@ -167,36 +166,28 @@ class BatchSystem:
         nodes = sorted(self._free)[:job.n_nodes]
         self._free.difference_update(nodes)
         job.node_indices = nodes
+        # an immediate hand-over precedes whatever else is due now
+        self._running[job] = self.engine.call_later(
+            delay, self._bring_up, job, priority=NORMAL if delay else URGENT)
 
-        def bring_up():
-            try:
-                if job.is_final:
-                    return  # cancelled before this process first ran
-                if delay:
-                    job._timer = self.engine.timeout(delay)
-                    yield job._timer
-                job.state = JobState.RUNNING
-                job.started_at = self.engine.now
-                job.started.succeed(list(nodes))
-                job._timer = self.engine.timeout(job.walltime_s)
-                yield job._timer
-            except Interrupt:
-                return  # completed/cancelled early; _finish already ran
-            if job.state == JobState.RUNNING:
-                self._finish(job, JobState.TIMEOUT, interrupt_watchdog=False)
+    def _bring_up(self, job: BatchJob) -> None:
+        """The queue-resident delay is over: hand over, arm the walltime."""
+        job.state = JobState.RUNNING
+        job.started_at = self.engine.now
+        job.started.succeed(list(job.node_indices))
+        self._running[job] = self.engine.call_later(job.walltime_s,
+                                                    self._expire, job)
 
-        self._running[job] = self.engine.process(bring_up())
+    def _expire(self, job: BatchJob) -> None:
+        del self._running[job]  # fired: nothing left to withdraw
+        self._finish(job, JobState.TIMEOUT)
 
-    def _finish(self, job: BatchJob, final_state: str,
-                interrupt_watchdog: bool = True) -> None:
+    def _finish(self, job: BatchJob, final_state: str) -> None:
         job.state = final_state
         job.finished_at = self.engine.now
         self._free.update(job.node_indices)
-        watchdog = self._running.pop(job, None)
-        timer = job._timer
-        if timer is not None and not timer.processed:
+        timer = self._running.pop(job, None)
+        if timer is not None:
             timer.cancel()  # keep the event heap (and the clock) clean
-        if watchdog is not None and interrupt_watchdog:
-            watchdog.interrupt("job finished")
         job.finished.succeed(final_state)
         self._schedule_pass()

@@ -55,7 +55,7 @@ scales -- see ``benchmarks/test_ablation_sched_throughput.py``):
   lowest-set-bit on the shape's fit mask, O(1) in the number of nodes.
 
 The semantics are pinned to the seed implementation
-(:class:`~repro.pilot.agent.reference.ReferenceScheduler`) by a
+(``ReferenceScheduler`` in ``tests/pilot/reference_scheduler.py``) by a
 property test replaying random traffic through both and comparing grant
 order and slot assignments.
 """

@@ -6,16 +6,21 @@ list, pays the agent bootstrap cost and flips the pilot to
 ``PMGR_ACTIVE``.  Cancellation and walltime expiry drive the pilot to a
 final state and (via :class:`repro.pilot.task_manager.TaskManager` watchers)
 cancel any still-running tasks.
+
+A pilot's lifecycle is no process: a callback on each of its job's
+``started`` and ``finished`` events and a bootstrap timer.  A job that ends
+while the agent boots is finalised when the agent comes up.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, List, Union
 
 from ..hpc.batch import JobState
 from ..hpc.node import NodeList
 from ..resilience.failures import PilotLost
-from ..sim.events import AnyOf, Event
+from ..sim.events import Event
 from ..utils.log import get_logger
 from .agent import Agent
 from .description import PilotDescription
@@ -64,49 +69,53 @@ class PilotManager:
                                           spec.gpus_per_node)
             batch = self.session.batch_system(spec.name)
             pilot.advance(PilotState.PMGR_LAUNCHING, self.uid)
-            pilot.batch_job = batch.submit(n_nodes, desc.runtime_s)
+            job = pilot.batch_job = batch.submit(n_nodes, desc.runtime_s)
             self._pilots[pilot.uid] = pilot
-            self.session.engine.process(self._lifecycle(pilot, n_nodes))
+            job.started.callbacks.append(partial(self._job_started, pilot))
+            job.finished.callbacks.append(partial(self._job_ended, pilot))
             pilots.append(pilot)
             log.info("submitted %s: %d nodes on %s", pilot.uid, n_nodes,
                      spec.name)
         return pilots
 
-    def _lifecycle(self, pilot: Pilot, n_nodes: int):
-        """Process: job start -> agent up -> ACTIVE -> watch for the end."""
-        job = pilot.batch_job
+    def _job_started(self, pilot: Pilot, started: Event) -> None:
+        """The allocation began: build the node list, boot the agent."""
         spec = pilot.platform
-        yield AnyOf(self.session.engine, [job.started, job.finished])
-
-        if not job.started.processed:
-            # Cancelled while pending: job went final without starting.
-            self._finalise(pilot, PilotState.CANCELED)
-            return
-
         pilot.nodes = NodeList.build(
-            count=n_nodes, cores=spec.cores_per_node,
+            count=pilot.batch_job.n_nodes, cores=spec.cores_per_node,
             gpus=spec.gpus_per_node, mem_gb=spec.mem_per_node_gb,
             name_prefix=f"{pilot.uid}-node")
         bootstrap = max(0.1, self._rng.normal(AGENT_BOOTSTRAP_MEAN_S,
                                               AGENT_BOOTSTRAP_STD_S))
-        yield self.session.engine.timeout(bootstrap)
+        self.session.engine.call_later(bootstrap, self._agent_up, pilot)
+
+    def _agent_up(self, pilot: Pilot) -> None:
+        """The bootstrap timer: the agent is up and the pilot ACTIVE."""
         pilot.agent = Agent(self.session, pilot.uid, pilot.nodes,
-                            spec.launch_method, spec.name)
+                            pilot.platform.launch_method, pilot.platform.name)
         pilot.advance(PilotState.PMGR_ACTIVE, self.uid)
         pilot.became_active.succeed(pilot)
-        log.info("%s active (%d nodes) at t=%.2f", pilot.uid, n_nodes,
-                 self.session.engine.now)
+        log.info("%s active (%d nodes) at t=%.2f", pilot.uid,
+                 pilot.batch_job.n_nodes, self.session.engine.now)
         if self._resilience is not None:
             # Heartbeats + lease + armed fault records: from here on the
             # pilot's liveness is *observed*, not assumed.
             self._resilience.pilot_activated(self, pilot)
+        finished = pilot.batch_job.finished
+        if finished.processed:  # the job ended while the agent booted
+            self._job_ended(pilot, finished)
 
-        final = yield job.finished
+    def _job_ended(self, pilot: Pilot, finished: Event) -> None:
+        """Finalise an active pilot, or one cancelled while pending; a
+        booting one is finalised by :meth:`_agent_up`."""
         if pilot.state == PilotState.PMGR_ACTIVE:
-            state = (PilotState.DONE if final == JobState.COMPLETED
-                     else PilotState.CANCELED if final == JobState.CANCELLED
-                     else PilotState.FAILED)  # walltime timeout / preemption
-            self._finalise(pilot, state)
+            final = finished.value
+            self._finalise(pilot, (
+                PilotState.DONE if final == JobState.COMPLETED
+                else PilotState.CANCELED if final == JobState.CANCELLED
+                else PilotState.FAILED))  # walltime timeout / preemption
+        elif not pilot.batch_job.started.triggered:
+            self._finalise(pilot, PilotState.CANCELED)
 
     def _finalise(self, pilot: Pilot, state: str) -> None:
         pilot.advance(state, self.uid)

@@ -17,9 +17,9 @@ from inside a handler, continued into :meth:`TaskManager._resumed`.
 A windowed submission (``submit_tasks(window=)``) is a record too
 (:class:`_WindowFeed`): chunks that fit start inside ``submit_tasks``, the
 next one queues at the :class:`SubmissionWindow`, and the completion that
-frees its slots starts it from its own kernel entry.  Only the strictly
-serialised ``chunk_size`` path without a window still runs a feeder process
-(it waits for whole chunks).
+frees its slots starts it from its own kernel entry.  ``chunk_size`` without
+a window runs on a window one chunk wide, which serialises chunks strictly:
+the completion of a chunk's last task starts the next one.
 
 Failures are captured on the task (never crash the manager).  A
 cancellation or injected fault is one URGENT landing, resolved against the
@@ -78,10 +78,10 @@ def _until(event: Event):
 class SubmissionWindow:
     """A counting slot pool bounding the tasks concurrently in the pipeline.
 
-    Windowed submission replaces the strictly serialized chunk path
-    (chunk N+1 starts only when chunk N fully completed) with a sliding
-    window: a new task starts the moment any in-flight task completes,
-    so the pipe stays full through heterogeneous-duration bags.  One
+    A window wider than a chunk is a sliding window: a new task (or
+    chunk) starts the moment enough in-flight tasks complete, so the pipe
+    stays full through heterogeneous-duration bags; one exactly a chunk
+    wide serialises chunks (chunk N+1 starts when chunk N completed).  One
     window may be shared across many ``submit_tasks`` calls (and even
     TaskManagers) -- that is how the campaign engine applies *global*
     backpressure across every node of every concurrently running graph.
@@ -342,8 +342,8 @@ class TaskManager:
         instead of starting every task at submit time (100k simultaneous
         starts means 100k queue entries on the agent before the first task
         finishes), tasks are started *chunk_size* at a time -- without
-        *window*, the next chunk starts only when the previous one has
-        fully completed (strict serialization).
+        *window*, on a window one chunk wide: a chunk starts when the last
+        task of the previous one completes (strict serialization).
 
         *window* turns chunking into a sliding window: at most *window*
         tasks are in the pipeline, and the next task (or chunk of
@@ -390,30 +390,14 @@ class TaskManager:
             tasks.append(task)
         if not tasks:
             return tasks
+        if window is None and chunk_size is not None \
+                and chunk_size < len(tasks):
+            window = SubmissionWindow(session.engine, chunk_size)
         if window is not None:
             self._advance_feed(_WindowFeed(tasks[:], window, chunk_size or 1))
-        elif chunk_size is None or chunk_size >= len(tasks):
-            self._start(tasks[:])  # the caller owns the list it gets back
         else:
-            session.engine.process(self._feed_chunks(tasks, chunk_size))
+            self._start(tasks[:])  # the caller owns the list it gets back
         return tasks
-
-    def _feed_chunks(self, tasks: List[Task], chunk_size: int):
-        """Feeder process: start tasks one chunk at a time.
-
-        Bounds the number of tasks in the pipeline (and with them pending
-        queue depth on the agent side) without touching per-task semantics
-        -- every task still gets the full retry/cancel machinery once its
-        chunk is up.
-        """
-        engine = self.session.engine
-        for lo in range(0, len(tasks), chunk_size):
-            # minus those cancelled while queued behind earlier chunks
-            chunk = [t for t in tasks[lo:lo + chunk_size]
-                     if not (t.completed.triggered or t.is_final)]
-            if chunk:
-                self._start(chunk)
-                yield engine.all_of([t.completed for t in chunk])
 
     def _advance_feed(self, feed: _WindowFeed) -> None:
         """Start the chunks of *feed* that the window admits now.

@@ -35,6 +35,9 @@ merged pop, the cancelled-entry skip and the dispatch body exist once, and
 :meth:`~SimulationEngine.step` and every :meth:`~SimulationEngine.run` mode
 are thin callers that differ only in the stop conditions they pass -- a stop
 event, a deadline, a budget of events.
+
+The kernel counts its own work: ``entries`` made and generator ``resumes``;
+a budget per task, request or tick is a difference of the two.
 """
 
 from __future__ import annotations
@@ -82,6 +85,13 @@ class SimulationEngine:
         self._eid = itertools.count()
         #: free list of fired Deferred instances (see call_later)
         self._pool: List[Deferred] = []
+        #: generator sends / throws so far, routines included
+        self.resumes = 0
+
+    @property
+    def entries(self) -> int:
+        """Kernel entries made so far: each drew one id from ``_eid``."""
+        return int(repr(self._eid)[6:-1])  # "count(N)"
 
     # -- introspection --------------------------------------------------------
     def _prune_cancelled(self) -> None:

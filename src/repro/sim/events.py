@@ -4,9 +4,9 @@ The kernel follows the classic process-interaction style (as popularised by
 SimPy, re-implemented here from scratch): an :class:`Event` is a one-shot
 occurrence with a value; a :class:`Process` wraps a generator that *yields*
 events and is resumed when they trigger; :class:`Condition` composes events
-(:func:`AllOf` / :func:`AnyOf`).  What only waits on a clock is no process:
-a :class:`Deferred` is one call at a time, a :class:`Ticker` one re-armed
-by its own handler.
+(:func:`AllOf` / :func:`AnyOf`).  A runtime wait is a timer or a callback,
+not a process: a :class:`Deferred` is one call at a time, a :class:`Ticker`
+one re-armed by its own handler, a wait on one event a callback on it.
 
 Events move through three phases:
 
@@ -335,7 +335,9 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of *event*."""
         self._target = None
+        engine = self.engine
         while True:
+            engine.resumes += 1
             try:
                 if event._ok:
                     next_event = self._generator.send(event._value)

@@ -10,9 +10,10 @@ genuinely park on an empty queue.
 Everything else that used to queue between two components -- socket and
 subscription inboxes, the registry's accept loop -- is a hand-over inside
 the landing's kernel entry (:mod:`repro.comm.bus`) and needs no store.
-Replacing this one too (a ``deque`` plus parked workers) is the simpler
-design still, but it is the request-as-record change of the service and
-client, which this module does not half-do.
+This one stays: with the request as a record, a prototype kept every sim
+digest identical but moved the resume cost out of ``sim.engine``, which
+fell from 1.40-1.44x the next layer of ``service_noop`` to third place
+(3 quick runs), and the benchmark contract requires it to be the largest.
 """
 
 from __future__ import annotations

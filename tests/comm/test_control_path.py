@@ -10,8 +10,8 @@ from repro.resilience import heartbeat_topic
 from repro.sim.events import Process
 
 
-def entries_and_resumes(n_ops, monkeypatch, drive):
-    """Engine entries made, and process resumes, by *n_ops* operations.
+def entries_and_resumes(n_ops, drive):
+    """Kernel entries made, and generator resumes, by *n_ops* operations.
 
     *drive(session, n_ops)* sets the scene and returns the generator that
     performs the operations, one per iteration.
@@ -21,36 +21,16 @@ def entries_and_resumes(n_ops, monkeypatch, drive):
         engine = session.engine
         body = drive(session, n_ops)
         session.run(until=1.0)
-
-        entries = [0]
-        schedule, call_later = engine.schedule, engine.call_later
-
-        def counted_schedule(*args, **kwargs):
-            entries[0] += 1
-            return schedule(*args, **kwargs)
-
-        def counted_call_later(*args, **kwargs):
-            entries[0] += 1
-            return call_later(*args, **kwargs)
-
-        engine.schedule = counted_schedule
-        engine.call_later = counted_call_later
-        resumes = [0]
-        resume = Process._resume
-        monkeypatch.setattr(
-            Process, "_resume",
-            lambda proc, event: (resumes.__setitem__(0, resumes[0] + 1),
-                                 resume(proc, event))[1])
+        entries, resumes = engine.entries, engine.resumes
         session.run(until=engine.process(body))
-        monkeypatch.undo()
-        return entries[0], resumes[0]
+        return engine.entries - entries, engine.resumes - resumes
 
 
-def per_operation(monkeypatch, drive):
+def per_operation(drive):
     """(entries, resumes) of one operation: 100 minus 50, over 50, so that
     start-up constants cancel; the driver's own resume is included."""
-    few = entries_and_resumes(50, monkeypatch, drive)
-    many = entries_and_resumes(100, monkeypatch, drive)
+    few = entries_and_resumes(50, drive)
+    many = entries_and_resumes(100, drive)
     return (many[0] - few[0]) / 50, (many[1] - few[1]) / 50
 
 
@@ -67,7 +47,7 @@ def report(t):
                       max_batch_size=1)
 
 
-def test_one_registration_costs_four_entries_and_one_resume(monkeypatch):
+def test_one_registration_costs_four_entries_and_one_resume():
     registries = []
 
     def drive(session, n_ops):
@@ -83,11 +63,11 @@ def test_one_registration_costs_four_entries_and_one_resume(monkeypatch):
         return body()
 
     # two wire legs, one modelled delay, the caller's reply
-    assert per_operation(monkeypatch, drive) == (4, 1)
+    assert per_operation(drive) == (4, 1)
     assert len(registries[-1]) == 100
 
 
-def test_one_telemetry_report_costs_two_entries_and_one_resume(monkeypatch):
+def test_one_telemetry_report_costs_two_entries_and_one_resume():
     registries = []
 
     def drive(session, n_ops):
@@ -104,12 +84,11 @@ def test_one_telemetry_report_costs_two_entries_and_one_resume(monkeypatch):
         return body()
 
     # the wire leg and the driver's own wait
-    assert per_operation(monkeypatch, drive) == (2, 1)
+    assert per_operation(drive) == (2, 1)
     assert registries[-1].load_of("service.0").t == 100.0
 
 
-def test_one_monitored_heartbeat_costs_three_entries_and_one_resume(
-        monkeypatch):
+def test_one_monitored_heartbeat_costs_three_entries_and_one_resume():
     leases = []
 
     def drive(session, n_ops):
@@ -124,16 +103,11 @@ def test_one_monitored_heartbeat_costs_three_entries_and_one_resume(
         return body()
 
     # the wire leg, the lease's re-armed expiry and the driver's own wait
-    assert per_operation(monkeypatch, drive) == (3, 1)
+    assert per_operation(drive) == (3, 1)
     assert leases[-1].beats == 100 and not leases[-1].expired
 
 
-def test_the_registry_and_a_watched_lease_own_no_process(monkeypatch):
-    started = []
-    init = Process.__init__
-    monkeypatch.setattr(
-        Process, "__init__",
-        lambda proc, *args: (started.append(proc), init(proc, *args))[1])
+def test_the_registry_and_a_watched_lease_own_no_process():
     config = ResilienceConfig(heartbeat_interval_s=1.0, retry=None)
     with Session(seed=5, resilience_config=config) as session:
         registry = EndpointRegistry(session, platform="delta")
@@ -144,7 +118,7 @@ def test_the_registry_and_a_watched_lease_own_no_process(monkeypatch):
         session.bus.publish(heartbeat_topic("svc.x"), {})
         session.run(until=reply)
         assert lease.beats == 1 and len(registry) == 1
-        assert started == []
+        assert session.engine.resumes == 0
         for owner in (registry, lease):
             assert not [v for v in vars(owner).values()
                         if isinstance(v, Process)]

@@ -322,6 +322,53 @@ def test_balancer_accounting_survives_timeout():
         assert balancer.load_of(target) == 0     # no leaked in-flight
 
 
+def test_a_reply_before_the_timeout_leaves_no_armed_timer():
+    """The reply withdraws its attempt's timer: once the instance stops,
+    the queue looks as if no timeout had been set, so the clock is never
+    dragged to ``t + timeout_s``."""
+    def after_stop(timeout_s):
+        with Session(seed=23) as session:
+            socket = session.bus.bind("svc.timed", platform="delta")
+            instance = ServiceInstance(session, "svc.timed.0", socket,
+                                       create_host("ollama", "noop"),
+                                       heartbeat_interval_s=100.0)
+            instance.start()
+            client = ServiceClient(session, platform="delta",
+                                   timeout_s=timeout_s)
+            proc = session.engine.process(
+                client.infer(socket.address, "p"))
+            assert session.run(until=proc).ok
+            instance.stop()
+            session.run()
+            return session.now, session.engine.peek()
+
+    assert after_stop(1e6) == after_stop(None)
+
+
+def test_a_late_reply_is_dropped_and_the_retry_succeeds(monkeypatch):
+    """The first attempt waits behind a long request and times out; its
+    reply lands later and reaches nobody, and the retry gets its own."""
+    warned = []
+    monkeypatch.setattr("repro.comm.bus.log.warning",
+                        lambda fmt, *args: warned.append(fmt % args))
+    with Session(seed=23) as session:
+        _, address = make_instance(session, model="llama-8b")
+        session.bus.connect("delta").request(
+            address, {"op": "infer", "prompt": "p",
+                      "params": {"max_tokens": 64}})
+        client = ServiceClient(session, platform="delta", timeout_s=1.0,
+                               max_retries=1)
+        proc = session.engine.process(
+            client.infer(address, "p", params={"max_tokens": 4}))
+        result = session.run(until=proc)
+        assert result.ok and result.retries == 1
+        assert (client.timeouts, client.retries) == (1, 1)
+        assert [w for w in warned if "unmatched reply" in w] != []
+        bus = session.bus
+        assert bus.delivered_count + bus.dropped_count == bus.sent_count
+        assert client.socket.in_flight == 0
+
+
 def test_balancer_accounting_survives_infer_success_and_busy():
     with Session(seed=29) as session:
         instance, address = make_instance(

@@ -27,7 +27,6 @@ from repro.comm.message import estimate_size
 from repro.core.client import RequestTimeout
 from repro.core.load_balancer import RoundRobinBalancer
 from repro.serving.hosts import create_host
-from repro.sim.events import Process
 
 GOLDEN = Path(__file__).parent / "data" / "parent_request_path.json"
 
@@ -44,54 +43,42 @@ def bound_instance(session, model="noop"):
 
 # ---------------------------------------------------------------------------
 # Event budget: 2 wire legs + 1 queue hand-off + 3 modelled delays + 1 reply
-# resolution, and nothing for forwarding inside the process
+# resolution, and nothing for forwarding inside the process; a timeout adds
+# its one timer.  Resumes: the caller once, the worker four times
 # ---------------------------------------------------------------------------
 
-def engine_entries_and_resumed(n_requests, monkeypatch):
-    """Engine entries made, and processes resumed, by *n_requests* infers."""
+def entries_and_resumes(n_requests, timeout_s=None):
+    """Kernel entries made, and generator resumes, by *n_requests* infers."""
     with Session(seed=5) as session:
         engine = session.engine
         instance, address = bound_instance(session)
         instance.start()
-        client = ServiceClient(session, platform="delta")
+        client = ServiceClient(session, platform="delta", timeout_s=timeout_s)
         session.run(until=1.0)                # workers and heartbeat settle
-
-        entries = [0]
-        schedule, call_later = engine.schedule, engine.call_later
-
-        def counted_schedule(*args, **kwargs):
-            entries[0] += 1
-            return schedule(*args, **kwargs)
-
-        def counted_call_later(*args, **kwargs):
-            entries[0] += 1
-            return call_later(*args, **kwargs)
-
-        engine.schedule = counted_schedule
-        engine.call_later = counted_call_later
-        resumed = set()
-        resume = Process._resume
-        monkeypatch.setattr(
-            Process, "_resume",
-            lambda proc, event: (resumed.add(proc), resume(proc, event))[1])
+        entries, resumes = engine.entries, engine.resumes
 
         def caller():
             for _ in range(n_requests):
                 result = yield from client.infer(address, "noop")
                 assert result.ok
-        proc = engine.process(caller())
-        session.run(until=proc)
-        monkeypatch.undo()
+        session.run(until=engine.process(caller()))
         assert instance.requests_handled == n_requests
-        return entries[0], resumed, {proc, *instance._workers}
+        return engine.entries - entries, engine.resumes - resumes
 
 
-def test_one_request_costs_seven_engine_entries(monkeypatch):
-    few, _, _ = engine_entries_and_resumed(50, monkeypatch)
-    many, resumed, expected = engine_entries_and_resumed(100, monkeypatch)
-    assert (many - few) / 50 == 7             # start-up constants cancel
-    # no relay process sits between the caller and the worker
-    assert resumed == expected
+def per_request(timeout_s=None):
+    few = entries_and_resumes(50, timeout_s)
+    many = entries_and_resumes(100, timeout_s)
+    # start-up constants cancel
+    return (many[0] - few[0]) / 50, (many[1] - few[1]) / 50
+
+
+def test_one_request_costs_seven_engine_entries():
+    assert per_request() == (7, 5)
+
+
+def test_a_timed_request_costs_eight_entries_and_five_resumes():
+    assert per_request(timeout_s=10.0) == (8, 5)
 
 
 def test_results_are_slotted_and_a_reply_carries_the_stamp_the_service_built():

@@ -21,12 +21,12 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ...hpc.node import NodeState, Slot
-from ...sim.events import Event
+from repro.hpc.node import NodeState, Slot
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..session import Session
-    from ..task import Task
+    from repro.pilot.session import Session
+    from repro.pilot.task import Task
 
 __all__ = ["ReferenceScheduler"]
 
@@ -35,7 +35,7 @@ class ReferenceScheduler:
     """Seed-semantics slot allocator: linear scans, rescan after grant."""
 
     def __init__(self, session: "Session", nodes, pilot_uid: str) -> None:
-        from .scheduler import SchedulerError
+        from repro.pilot.agent.scheduler import SchedulerError
         self._error = SchedulerError
         self.session = session
         self.nodes = nodes

@@ -91,6 +91,32 @@ class TestPilotLifecycle:
         session.run()
         assert session.engine.is_idle()
 
+    @pytest.mark.parametrize("end, final", [
+        ("cancel", PilotState.CANCELED),
+        ("preempt", PilotState.FAILED),
+        ("walltime", PilotState.FAILED),
+    ])
+    def test_a_job_ending_while_the_agent_boots_ends_the_pilot_on_activation(
+            self, session, pmgr, end, final):
+        (pilot,) = pmgr.submit_pilots(PilotDescription(
+            resource="delta", nodes=1,
+            runtime_s=0.05 if end == "walltime" else 3600.0))
+        job = pilot.batch_job
+        session.run(until=job.started)
+        if end == "cancel":
+            pmgr.cancel_pilots(pilot)
+        elif end == "preempt":
+            session.batch_system("delta").fail(job)
+        session.run(until=job.finished)
+        assert pilot.state == PilotState.PMGR_LAUNCHING    # still booting
+        seen, fired = [], []
+        pilot.on_state(lambda p, state: seen.append((session.now, state)))
+        pilot.became_active.callbacks.append(fired.append)
+        session.run(until=pilot.finished)
+        t_up = seen[0][0]
+        assert seen == [(t_up, PilotState.PMGR_ACTIVE), (t_up, final)]
+        assert fired == [pilot.became_active] and pilot.became_active.ok
+
     def test_multiple_pilots_on_different_platforms(self, session, pmgr):
         pilots = pmgr.submit_pilots([
             PilotDescription(resource="delta", nodes=1),

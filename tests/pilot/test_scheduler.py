@@ -283,7 +283,7 @@ class TestFitMaskTable:
 
     @pytest.mark.parametrize("n_shapes", [64, 65])
     def test_cyclic_bag_grants_match_the_reference(self, n_shapes):
-        from repro.pilot.agent.reference import ReferenceScheduler
+        from reference_scheduler import ReferenceScheduler
         _, indexed, _ = drain_cyclic_bag(AgentScheduler, n_shapes, 500)
         _, reference, _ = drain_cyclic_bag(ReferenceScheduler, n_shapes, 500)
         assert len(indexed) == 500

@@ -604,6 +604,38 @@ class TestBulkSubmission:
         done = [t for t in tasks if t.state == TaskState.DONE]
         assert len(done) == 5
 
+    def test_a_chunk_starts_only_once_the_previous_one_completed(self, env):
+        """Without a window, chunks are a strict barrier: no task of chunk
+        k+1 is queued at the agent before the last task of chunk k is
+        done, however their durations differ."""
+        session, _, tmgr, _ = env
+        tasks = tmgr.submit_tasks(
+            [TaskDescription(executable="x", duration_s=1.0 + i % 4)
+             for i in range(12)], chunk_size=3)
+        session.run(until=tmgr.wait_tasks(tasks))
+        rows = [(r.uid, r.event) for r in session.profiler.events()]
+        for lo in range(3, 12, 3):
+            last_done = max(rows.index((t.uid, "state:DONE"))
+                            for t in tasks[lo - 3:lo])
+            first_queued = min(rows.index((t.uid, "state:AGENT_SCHEDULING"))
+                               for t in tasks[lo:lo + 3])
+            assert last_done < first_queued
+
+    def test_a_cancelled_queued_chunk_is_skipped(self, env):
+        session, _, tmgr, _ = env
+        tasks = tmgr.submit_tasks(
+            [TaskDescription(executable="x", duration_s=10.0)
+             for _ in range(6)], chunk_size=2)
+        tmgr.cancel_tasks(tasks[2:4])          # the whole second chunk
+        session.run(until=tmgr.wait_tasks(tasks))
+        assert [t.state for t in tasks] == \
+            [TaskState.DONE] * 2 + [TaskState.CANCELED] * 2 \
+            + [TaskState.DONE] * 2
+        assert all(t.runtime_s is None for t in tasks[2:4])
+        queued = [r.uid for r in session.profiler.events()
+                  if r.event == "state:AGENT_SCHEDULING"]
+        assert queued == [t.uid for t in tasks[:2] + tasks[4:]]
+
     def test_windowed_feed_keeps_fifo_and_skips_the_cancelled(self, env):
         """Two submissions share a window of two: the second never overtakes
         the first, and a task cancelled while its chunk was queued at the

@@ -12,7 +12,6 @@ from repro.pilot import (
     TaskState,
 )
 from repro.resilience import NodeFailure, ResilienceConfig, RetryPolicy
-from repro.sim.events import Process
 
 
 def active_pilot(session, nodes=2):
@@ -31,56 +30,41 @@ def active_pilot(session, nodes=2):
 # ---------------------------------------------------------------------------
 
 def engine_entries(n_tasks, monkeypatch, **submit_kwargs):
-    """Engine entries made, start landings among them, and processes
-    resumed, by a bag of *n_tasks* plain executable tasks."""
+    """Kernel entries made, start landings among them, and generator
+    resumes, by a bag of *n_tasks* plain executable tasks."""
     with Session(seed=5) as session:
         engine = session.engine
         _, tmgr, _ = active_pilot(session)
-
-        entries, starts = [0], [0]
-        schedule, call_later = engine.schedule, engine.call_later
-
-        def counted_schedule(*args, **kwargs):
-            entries[0] += 1
-            return schedule(*args, **kwargs)
-
-        def counted_call_later(delay, fn, *args, **kwargs):
-            entries[0] += 1
-            starts[0] += getattr(fn, "__name__", "") == "_start_batch"
-            return call_later(delay, fn, *args, **kwargs)
-
-        engine.schedule = counted_schedule
-        engine.call_later = counted_call_later
-        resumed = set()
-        resume = Process._resume
-        monkeypatch.setattr(
-            Process, "_resume",
-            lambda proc, event: (resumed.add(proc), resume(proc, event))[1])
-
+        starts = [0]
+        start_batch = TaskManager._start_batch
+        monkeypatch.setattr(TaskManager, "_start_batch", lambda self, tasks: (
+            starts.__setitem__(0, starts[0] + 1), start_batch(self, tasks)))
+        entries, resumes = engine.entries, engine.resumes
         tasks = tmgr.submit_tasks(
             [TaskDescription(executable="x", duration_s=10.0)
              for _ in range(n_tasks)], **submit_kwargs)
         session.run(until=tmgr.wait_tasks(tasks))
         monkeypatch.undo()
         assert all(t.state == TaskState.DONE for t in tasks)
-        return entries[0], starts[0], resumed
+        return (engine.entries - entries, starts[0],
+                engine.resumes - resumes)
 
 
 def test_one_plain_task_costs_four_engine_entries(monkeypatch):
     few, few_starts, _ = engine_entries(50, monkeypatch)
-    many, many_starts, resumed = engine_entries(100, monkeypatch)
+    many, many_starts, resumes = engine_entries(100, monkeypatch)
     assert (many - few) / 50 == 4             # per-batch constants cancel
     assert few_starts == many_starts == 1     # one start landing per batch
-    assert resumed == set()                   # nothing runs per task
+    assert resumes == 0                       # nothing runs per task
 
 
 def test_a_windowed_chunk_costs_its_start_landing_and_nothing_else(
         monkeypatch):
     plain, _, _ = engine_entries(64, monkeypatch)
-    windowed, starts, resumed = engine_entries(64, monkeypatch, window=16,
+    windowed, starts, resumes = engine_entries(64, monkeypatch, window=16,
                                                chunk_size=8)
     assert starts == 8                        # one per admitted chunk
-    assert resumed == set()                   # no feeder process
+    assert resumes == 0                       # no feeder process
     # beyond the plain bag: 7 more start landings.  The two chunks that
     # fit start inside submit_tasks; each of the other six is started by
     # the completion that frees its slots, inside that completion's own

@@ -1,16 +1,16 @@
 """What a keep-alive costs: no process, one kernel entry per tick.
 
 Pilot heartbeats, the node-fault records of a pilot, the metrics sampler
-and the dashboard are re-armed timer records.  Arming a pilot creates no
-process whatever its node count, a tick is the timer's own kernel entry
-(a beat's bus landings are counted apart from it), nothing is resumed, and
+and the dashboard are re-armed timer records, and a pilot's lifecycle and
+its batch job's bring-up are callbacks and timers.  Arming a pilot resumes
+no generator whatever its node count, a tick is the timer's own kernel
+entry (a beat's bus landings are counted apart from it), and
 ``quiesce()`` stops every daemon in the call.
 """
 
 from repro import ObservabilityConfig
-from repro.comm.bus import MessageBus
 from repro.pilot import PilotDescription, PilotManager, Session
-from repro.resilience import FaultModel, Lease, ResilienceConfig
+from repro.resilience import FaultModel, ResilienceConfig
 from repro.sim.events import Process
 
 NODE_KINDS = ("node_crash", "node_degraded", "node_repair")
@@ -28,39 +28,30 @@ def watched_session(seed=3):
             dashboard=True, dashboard_interval_s=10.0))
 
 
-def processes_made_by_arming(nodes, monkeypatch):
-    """Processes created from pilot submission to 100 s after activation."""
-    made = []
-    init = Process.__init__
-
-    def counted(proc, engine, generator):
-        made.append(getattr(generator, "__name__", "?"))
-        init(proc, engine, generator)
-
-    monkeypatch.setattr(Process, "__init__", counted)
+def resumes_by_arming(nodes):
+    """Generator resumes from pilot submission to 100 s after activation,
+    and the daemons armed meanwhile."""
     with watched_session() as session:
         pmgr = PilotManager(session)
         (pilot,) = pmgr.submit_pilots(
             PilotDescription(resource="delta", nodes=nodes, runtime_s=1e9))
         session.run(until=pmgr.wait_active([pilot]))
         session.run(until=session.now + 100.0)
-        daemons = list(session._daemons)
-    monkeypatch.undo()
-    return made, daemons
+        return session.engine.resumes, list(session._daemons)
 
 
-def test_arming_a_pilot_creates_no_process(monkeypatch):
-    few, few_daemons = processes_made_by_arming(8, monkeypatch)
-    many, many_daemons = processes_made_by_arming(16, monkeypatch)
-    assert len(many) - len(few) == 0          # nothing per node
-    # what is left is the pilot's lifecycle and its batch bring-up
-    assert sorted(few) == sorted(many) == ["_lifecycle", "bring_up"]
+def test_arming_a_pilot_creates_no_process():
+    few, few_daemons = resumes_by_arming(8)
+    many, many_daemons = resumes_by_arming(16)
+    # nothing runs a generator: not the daemons, not the pilot's lifecycle,
+    # not its batch job's bring-up
+    assert few == many == 0
     assert len(many_daemons) - len(few_daemons) == 8
     for daemon in few_daemons + many_daemons:
         assert not isinstance(daemon, Process), daemon
 
 
-def test_a_tick_is_one_kernel_entry_and_resumes_nothing(monkeypatch):
+def test_a_tick_is_one_kernel_entry_and_resumes_nothing():
     with watched_session() as session:
         engine, bus = session.engine, session.bus
         injector = session.resilience.injector
@@ -71,48 +62,28 @@ def test_a_tick_is_one_kernel_entry_and_resumes_nothing(monkeypatch):
         session.run(until=pmgr.wait_active([pilot]))
         session.run(until=session.now + 1.0)   # every record has started
 
-        ticks, landings, resumed = [0], [0], [0]
-        schedule, call_later = engine.schedule, engine.call_later
-
-        def counted_schedule(*args, **kwargs):
-            ticks[0] += 1
-            return schedule(*args, **kwargs)
-
-        def counted_call_later(delay, fn, *args, **kwargs):
-            owner = type(getattr(fn, "__self__", None))
-            if owner in (MessageBus, Lease):
-                landings[0] += 1               # a beat's delivery and lease
-            else:
-                ticks[0] += 1
-            return call_later(delay, fn, *args, **kwargs)
-
-        engine.schedule = counted_schedule
-        engine.call_later = counted_call_later
-        resume = Process._resume
-        monkeypatch.setattr(
-            Process, "_resume",
-            lambda proc, event: (resumed.__setitem__(0, resumed[0] + 1),
-                                 resume(proc, event))[1])
-
+        lease = session.resilience.monitor.lease(pilot.uid)
+        entries, resumes = engine.entries, engine.resumes
         faults = len(injector.records)
         samples = len(obs.metrics.sample_times)
         snapshots = len(obs.dashboard.snapshots)
-        sent = bus.sent_count
+        sent, landed = bus.sent_count, lease.beats
         session.run(until=session.now + 400.0)
-        monkeypatch.undo()
 
         node_ticks = sum(1 for r in injector.records[faults:]
                          if r.kind in NODE_KINDS)
         beats = bus.sent_count - sent          # one subscriber: the lease
+        landed = lease.beats - landed
         samples = len(obs.metrics.sample_times) - samples
         snapshots = len(obs.dashboard.snapshots) - snapshots
         assert node_ticks > 0 and beats == 80 and samples == 80
         assert snapshots == 40
-        assert ticks[0] == node_ticks + beats + samples + snapshots
-        assert resumed[0] == 0
-        # each landed beat re-arms its lease once; the last beat may still
-        # be on the wire at the deadline
-        assert beats <= landings[0] <= 2 * beats
+        assert engine.resumes == resumes
+        # one entry per tick; a beat adds its delivery, and each landed beat
+        # re-arms its lease once (the last beat may still be on the wire)
+        assert engine.entries - entries \
+            == node_ticks + beats + samples + snapshots + beats + landed
+        assert beats - 1 <= landed <= beats
 
 
 def test_quiesce_stops_every_daemon_in_the_call():

@@ -1,5 +1,8 @@
 """Unit tests for the DES engine core: events, processes, run modes."""
 
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from repro.sim import (
@@ -9,7 +12,7 @@ from repro.sim import (
     Interrupt,
     SimulationEngine,
 )
-from repro.sim.events import Ticker
+from repro.sim.events import Routine, Ticker
 
 
 @pytest.fixture
@@ -746,3 +749,52 @@ class TestBadDelayRejected:
                 pass
         engine.run()
         assert order == [0.5, 1.0, 2.0, 3.0]
+
+
+class TestKernelCounters:
+    def test_entries_count_every_entry_made_cancelled_ones_too(self, engine):
+        engine.timeout(1.0)                       # schedule
+        engine.event().succeed()                  # schedule, now-queue
+        engine.call_later(2.0, print).cancel()    # call_later, withdrawn
+        engine.call_later(0.0, lambda _: None)    # call_later, now-queue
+        assert engine.entries == 4
+        engine.run()
+        assert engine.entries == 4                # dispatch adds none
+
+    def test_resumes_count_every_send_and_throw_routines_included(
+            self, engine):
+        def body():
+            yield engine.timeout(1.0)
+            try:
+                yield engine.timeout(5.0)
+            except Interrupt:
+                pass
+
+        proc = engine.process(body())
+        engine.run(until=2.0)
+        assert engine.resumes == 2                # start, after 1 s
+        proc.interrupt()
+        engine.run()
+        assert engine.resumes == 3                # the throw
+        def done():
+            return "done"
+            yield  # a generator that ends at once
+
+        ended = []
+        Routine(engine, done(), lambda *args: ended.append(args), None).start()
+        assert engine.resumes == 4 and ended == [(None, True, "done")]
+
+
+def test_only_user_drivers_and_the_kept_runtime_waits_start_processes():
+    """A runtime wait is a timer or a callback.  What still starts a process
+    under ``src/repro``: the service workers, the two service-manager
+    drivers, and user code: the experiments' client drivers and the
+    package docstring's example."""
+    root = Path(__file__).resolve().parents[2] / "src" / "repro"
+    sites = Counter(
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.py")
+        for line in path.read_text().splitlines()
+        if "engine.process(" in line)
+    assert sites == {"core/service.py": 1, "core/service_manager.py": 2,
+                     "analytics/experiments.py": 2, "__init__.py": 1}

@@ -254,7 +254,7 @@ def test_indexed_scheduler_matches_reference(data):
     *assignments*, queue lengths and per-node free capacity must all
     match exactly.
     """
-    from repro.pilot.agent.reference import ReferenceScheduler
+    from pilot.reference_scheduler import ReferenceScheduler
 
     n_nodes = data.draw(st.integers(min_value=1, max_value=4))
     cores = data.draw(st.integers(min_value=2, max_value=8))
