@@ -2,8 +2,8 @@
 
 The workflow layer historically executed stage bags bulk-synchronously:
 it barriered on the *entire* stage before building the next one (a chain
-graph with one node per stage), so one straggler task idled the whole
-allocation between stages.
+graph with one node per stage, here ``streaming_graph(n).barriered(...)``),
+so one straggler task idled the whole allocation between stages.
 The campaign engine replaces that with per-item dataflow chains -- each
 item advances to its next stage the moment its own inputs complete.
 
@@ -122,17 +122,9 @@ def streaming_graph(n_items: int) -> CampaignGraph:
 
 def barrier_pipeline(n_items: int) -> CampaignGraph:
     """The same work as stage bags, one node per stage in a chain: the
-    historical execution model."""
-    names = [name for name, _, _ in STAGES]
-    stages = [
-        TaskNode(name=name, deps=tuple(names[:stage][-1:]),
-                 resource_type="GPU" if gpus else "CPU",
-                 build=lambda c, s=stage: [item_task(s, i)
-                                           for i in range(n_items)])
-        for stage, (name, _, gpus) in enumerate(STAGES)]
-    stages.append(TaskNode(name="reduce", deps=(names[-1],),
-                           build=lambda c: [reduce_task()]))
-    return CampaignGraph(name="hybrid-barrier", nodes=stages)
+    historical execution model, derived from the streaming graph."""
+    return streaming_graph(n_items).barriered(
+        [name for name, _, _ in STAGES] + ["reduce"])
 
 
 def environment(seed: int = 7, observability=None):

@@ -8,10 +8,11 @@
 * supporting substrates: imaging, VCF, VEP, pathways, dose-response, MLP,
   HPO, UQ methods, synthetic QA data.
 
-Every use case ships as two graphs for the same engine:
-``build_*_pipeline`` (the stage sequence as a chain, one node per stage:
-stage *k+1* depends on stage *k*, so each stage is a barrier) and
-``build_*_campaign`` (the streaming per-item dataflow graph).
+Every use case is one graph, ``build_*_campaign`` (the streaming per-item
+dataflow graph).  Its Table I pipeline, ``build_*_pipeline``, is derived
+from it: ``graph.barriered(*_STAGES)`` chains one node per dependency level
+(stage *k+1* depends on stage *k*, so each stage is a barrier) and runs the
+same tasks.
 """
 
 from .campaign import (

@@ -9,8 +9,10 @@ module replaces that execution model with a **dataflow campaign**:
   item* of a former stage (one sample, one shard, one grid cell) with
   explicit ``deps`` on the upstream nodes whose context entries it reads;
 * a :class:`CampaignGraph` is a named, validated (acyclic, closed) set of
-  nodes; a barrier pipeline is the chain graph with one node per stage
-  (stage *k+1* ``deps=(stage k,)``);
+  nodes; its barrier pipeline is derived, not written:
+  :meth:`CampaignGraph.barriered` is the chain graph with one node per
+  dependency level (stage *k+1* ``deps=(stage k,)``) running the same
+  tasks;
 * the :class:`CampaignRunner` submits every node **the moment its inputs
   complete** -- no stage barriers -- runs *multiple graphs concurrently in
   one campaign*, applies global backpressure through a shared
@@ -40,7 +42,7 @@ before a released ``run=`` node sends its first request on that stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import (
     Any,
     Callable,
@@ -137,6 +139,27 @@ class TaskNode:
         self.deps = tuple(self.deps)
 
 
+def _joined(members: List[TaskNode]) -> Dict[str, Callable]:
+    """``build`` / ``collect`` of one bag joining *members*' bags."""
+    #: id(context) -> each member's bag size, from build to collect: a
+    #: context is one run's, so concurrent runs keep their shares apart
+    shares: Dict[int, List[int]] = {}
+
+    def build(context: Dict[str, Any]) -> List[TaskDescription]:
+        bags = [list(member.build(context)) for member in members]
+        shares[id(context)] = [len(bag) for bag in bags]
+        return [description for bag in bags for description in bag]
+
+    def collect(context: Dict[str, Any], tasks: List[Task]) -> None:
+        start = 0
+        for member, size in zip(members, shares.pop(id(context))):
+            if member.collect is not None:
+                member.collect(context, tasks[start:start + size])
+            start += size
+
+    return {"build": build, "collect": collect}
+
+
 class CampaignGraph:
     """A named, validated dataflow DAG of :class:`TaskNode` objects."""
 
@@ -181,6 +204,45 @@ class CampaignGraph:
     def topological_order(self) -> List[str]:
         """Node names in one valid topological order (deterministic)."""
         return list(self._topo)
+
+    def barriered(self, stages: Sequence[str]) -> "CampaignGraph":
+        """The same work as a barrier pipeline: one node per level.
+
+        A node's level is its longest dependency chain.  Level *k* becomes
+        the node ``stages[k]``, which depends on ``stages[k-1]``, so it
+        starts only once the whole level before it settled.  Its bag joins
+        its members' bags in topological order, and at collect each member
+        gets its own share back.  A level of one node keeps that node's
+        body under the stage name; a ``run=`` node must be alone on its
+        level, and the members of a level must agree on resource type,
+        service flag and failure tolerance.
+        """
+        level: Dict[str, int] = {}
+        levels: List[List[TaskNode]] = []
+        for name in self._topo:
+            node = self.nodes[name]
+            k = level[name] = max((level[d] + 1 for d in node.deps),
+                                  default=0)
+            if k == len(levels):
+                levels.append([])
+            levels[k].append(node)
+        if len(stages) != len(levels):
+            raise ValueError(
+                f"graph {self.name!r} has {len(levels)} levels, "
+                f"got {len(stages)} stage names")
+        nodes = []
+        for k, (stage, members) in enumerate(zip(stages, levels)):
+            first = members[0]
+            if len({(m.resource_type, m.as_service, m.failure_tolerance,
+                     m.run is None) for m in members}) > 1 or (
+                    len(members) > 1 and first.run is not None):
+                raise ValueError(
+                    f"graph {self.name!r}: level {k} ({stage!r}) mixes "
+                    f"node kinds: {[m.name for m in members]}")
+            body = _joined(members) if len(members) > 1 else {}
+            nodes.append(replace(first, name=stage,
+                                 deps=(stages[k - 1],) if k else (), **body))
+        return CampaignGraph(self.name, nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)

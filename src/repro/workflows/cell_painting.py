@@ -16,11 +16,15 @@ hyperparameters":
 
 Everything computes for real; durations in virtual time follow the
 measured wall time of each function task.
+
+:func:`build_cell_painting_campaign` is the use case's one graph, a node
+per stage, so its barriered form :func:`build_cell_painting_pipeline`
+keeps both nodes as they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -33,8 +37,13 @@ from .imaging import DOSE_LEVELS_GY, augment, extract_features, generate_dataset
 from .mlp import MLPClassifier, MLPConfig
 
 __all__ = ["CellPaintingConfig", "CellPaintingResult",
-           "build_cell_painting_pipeline", "build_cell_painting_campaign",
-           "prepare_shard", "run_trial", "HPO_SPACE"]
+           "CELL_PAINTING_STAGES", "build_cell_painting_pipeline",
+           "build_cell_painting_campaign", "prepare_shard", "run_trial",
+           "HPO_SPACE"]
+
+#: Table I row 1: the pipeline's stages, one per level of the campaign graph
+CELL_PAINTING_STAGES = ("data-preprocessing-augmentation",
+                        "training-hyperparameter-optimization")
 
 
 @dataclass
@@ -80,6 +89,10 @@ class CellPaintingConfig:
     def validate(self) -> None:
         if self.n_shards < 1 or self.images_per_shard < 1:
             raise ValueError("need at least one shard and image")
+        if min(self.n_trials, self.concurrent_trials,
+               self.trial_epochs) < 1:
+            raise ValueError(
+                "n_trials, concurrent_trials and trial_epochs must be >= 1")
         if not 1 <= self.min_shards_to_train <= self.n_shards:
             raise ValueError("min_shards_to_train out of range")
         if not 0 < self.holdout_fraction < 1:
@@ -181,10 +194,17 @@ class CellPaintingResult:
     overlap_observed: bool  # training began before all shards finished
 
 
-def build_cell_painting_pipeline(
+def build_cell_painting_campaign(
         config: Optional[CellPaintingConfig] = None) -> CampaignGraph:
-    """The two-stage pipeline with data/training overlap: a chain graph,
-    one ``run=`` node per stage."""
+    """The use case's graph: two ``run=`` nodes, training after data.
+
+    Cell Painting streams *internally*: the data node returns as soon as
+    ``min_shards_to_train`` shards exist, and the HPO node folds later
+    shards in round by round -- its "barrier" is a threshold, not a full
+    stage wait.  The graph's value as a campaign is *composition*: it can
+    run inside one campaign alongside other workflow graphs, sharing the
+    allocation, the backpressure window and the frontier checkpoints.
+    """
     config = config or CellPaintingConfig()
     config.validate()
 
@@ -302,17 +322,9 @@ def build_cell_painting_pipeline(
     ])
 
 
-def build_cell_painting_campaign(
+def build_cell_painting_pipeline(
         config: Optional[CellPaintingConfig] = None) -> CampaignGraph:
-    """The campaign-native form of the pipeline.
-
-    Cell Painting already streams *internally*: the data stage returns as
-    soon as ``min_shards_to_train`` shards exist, and the HPO stage folds
-    later shards in round by round -- its "barrier" was always a
-    threshold, not a full stage wait.  The campaign form therefore *is*
-    the pipeline's two-node chain and its value is *composition*: the
-    graph can run inside one campaign alongside other workflow graphs,
-    sharing the allocation, the backpressure window and the frontier
-    checkpoints.
-    """
-    return build_cell_painting_pipeline(config)
+    """The two-stage pipeline with data/training overlap: the campaign's
+    two nodes are already one per stage, so barriering keeps them."""
+    return build_cell_painting_campaign(config).barriered(
+        CELL_PAINTING_STAGES)

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
-from scipy.stats import linregress
 
 __all__ = ["DoseResponseFit", "fit_linear", "fit_hill", "hill"]
 
@@ -58,6 +56,9 @@ def fit_linear(doses: Sequence[float],
     y = np.asarray(list(responses), dtype=float)
     if x.size != y.size or x.size < 3:
         raise ValueError("need >= 3 paired observations")
+    # scipy is imported on first use (see hpo.TpeSampler._kde)
+    from scipy.stats import linregress
+
     result = linregress(x, y)
     y_hat = result.intercept + result.slope * x
     return DoseResponseFit(
@@ -80,6 +81,8 @@ def fit_hill(doses: Sequence[float],
     span0 = max(float(y.max() - y.min()), 1e-3)
     positive = x[x > 0]
     ec50_0 = float(np.median(positive)) if positive.size else 0.5
+    from scipy.optimize import curve_fit
+
     try:
         popt, _ = curve_fit(
             hill, x, y, p0=[floor0, span0, ec50_0, 1.0],

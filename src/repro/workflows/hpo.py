@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import gaussian_kde
 
 __all__ = [
     "FloatParam",
@@ -218,6 +217,10 @@ class TpeSampler:
         if np.allclose(units, units[0]):
             center = units[0]
             return lambda u: math.exp(-0.5 * ((u - center) / 0.1) ** 2)
+        # scipy.stats takes ~1 s to import: load it on first use only,
+        # not with every ``import repro.workflows``
+        from scipy.stats import gaussian_kde
+
         kde = gaussian_kde(units, bw_method=0.3)
         return lambda u: float(kde(u)[0])
 

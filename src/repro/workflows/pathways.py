@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
-from scipy.stats import hypergeom
 
 __all__ = [
     "PathwayDatabase",
@@ -127,6 +126,9 @@ def enrich(hit_genes: Set[str],
     *hit_genes* is the mutated/burdened gene set of one sample (or sample
     group).  Returns results sorted by q-value.
     """
+    # scipy.stats is imported on first use (see hpo.TpeSampler._kde)
+    from scipy.stats import hypergeom
+
     universe = set(database.universe)
     hits = hit_genes & universe
     M, n_hits = len(universe), len(hits)

@@ -13,18 +13,23 @@ Three stages over ``n_samples`` irradiated samples:
    fits on the signature statistic, plus (when service endpoints are
    supplied) prompts to a served LLM summarising the findings -- the
    "mixed workload of CPU- and GPU-intensive tasks" the paper anticipates.
+
+:func:`build_signature_campaign` is the use case's one graph: each sample
+streams through its own preparation and enrichment.
+:func:`build_signature_pipeline` is that graph with the three stages as
+barriers (:meth:`CampaignGraph.barriered
+<repro.workflows.campaign.CampaignGraph.barriered>`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
 from ..comm.message import Address
 from ..pilot.description import TaskDescription
-from ..pilot.states import TaskState
 from .campaign import CampaignGraph, NodeRunner, TaskNode
 from .dose_response import DoseResponseFit, fit_hill, fit_linear
 from .pathways import EnrichmentResult, PathwayDatabase, enrich
@@ -32,8 +37,12 @@ from .vcf import generate_vcf, parse_vcf, transition_fraction, write_vcf
 from .vep import GeneModel, VepAnnotator
 
 __all__ = ["SignatureConfig", "SignatureResult", "SampleAnnotation",
-           "build_signature_pipeline", "build_signature_campaign",
-           "prepare_sample", "enrich_sample"]
+           "SIGNATURE_STAGES", "build_signature_pipeline",
+           "build_signature_campaign", "prepare_sample", "enrich_sample"]
+
+#: Table I row 2: the pipeline's stages, one per level of the campaign graph
+SIGNATURE_STAGES = ("data-preparation", "mutation-detection-analysis",
+                    "llm-signature-comparison")
 
 
 @dataclass
@@ -135,118 +144,21 @@ def build_signature_pipeline(
         config: Optional[SignatureConfig] = None,
         llm_targets: Optional[Sequence[Address]] = None,
         client_platform: str = "delta") -> CampaignGraph:
-    """The three-stage pipeline: a chain graph, one node per stage, so
-    each stage's whole bag completes before the next stage builds.
+    """The three-stage pipeline: the campaign with a barrier after each
+    stage, so each stage's whole bag completes before the next one builds.
 
     *llm_targets*: service endpoints for stage 3's LLM comparison; when
     empty, the stage degrades to dose-response analysis only.
     """
-    config = config or SignatureConfig()
-    config.validate()
-    doses = sample_doses(config)
-    database = PathwayDatabase.synthesise(
-        n_genes=config.n_genes, n_pathways=config.n_pathways,
-        seed=config.seed)
-
-    def build_stage1(context: Dict[str, Any]) -> List[TaskDescription]:
-        return [
-            TaskDescription(
-                name=f"sig-prep-{i}",
-                function=prepare_sample, fn_args=(i, dose, config),
-                cores_per_rank=1)
-            for i, dose in enumerate(doses)]
-
-    def collect_stage1(context: Dict[str, Any], tasks) -> None:
-        context["annotations"] = [t.result for t in tasks
-                                  if t.state == TaskState.DONE]
-
-    def build_stage2(context: Dict[str, Any]) -> List[TaskDescription]:
-        return [
-            TaskDescription(
-                name=f"sig-enrich-{a.sample_id}",
-                function=enrich_sample, fn_args=(a, database, config),
-                cores_per_rank=1)
-            for a in context["annotations"]]
-
-    def collect_stage2(context: Dict[str, Any], tasks) -> None:
-        context["enrichments"] = [t.result for t in tasks
-                                  if t.state == TaskState.DONE]
-
-    def run_stage3(runner: NodeRunner, context: Dict[str, Any]):
-        yield from analyse_signatures(
-            runner, context, context["annotations"], context["enrichments"],
-            database, llm_targets, client_platform)
-
-    return CampaignGraph(name="signature-detection", nodes=[
-        TaskNode(name="data-preparation", resource_type="CPU",
-                 as_service=True, build=build_stage1,
-                 collect=collect_stage1),
-        TaskNode(name="mutation-detection-analysis",
-                 deps=("data-preparation",), resource_type="CPU",
-                 as_service=False, build=build_stage2,
-                 collect=collect_stage2),
-        TaskNode(name="llm-signature-comparison",
-                 deps=("mutation-detection-analysis",), resource_type="GPU",
-                 as_service=True, run=run_stage3),
-    ])
-
-
-def analyse_signatures(runner, context: Dict[str, Any],
-                       annotations: List[SampleAnnotation],
-                       enrichments: List[List[EnrichmentResult]],
-                       database: PathwayDatabase,
-                       llm_targets: Optional[Sequence[Address]],
-                       client_platform: str):
-    """Process body shared by the barrier and campaign forms of stage 3."""
-    significant = {
-        a.sample_id: [r.pathway for r in results if r.significant]
-        for a, results in zip(annotations, enrichments)}
-    # "Recovered" radiation pathways: significant in the top-dose half.
-    median_dose = float(np.median([a.dose_gy for a in annotations]))
-    recovered: Set[str] = set()
-    for a, results in zip(annotations, enrichments):
-        if a.dose_gy > median_dose:
-            recovered |= {r.pathway for r in results
-                          if r.significant and
-                          r.pathway.startswith("RADIATION_RESPONSE")}
-
-    xs = [a.dose_gy for a in annotations]
-    ys = [a.ct_fraction for a in annotations]
-    linear = fit_linear(xs, ys)
-    hill = fit_hill(xs, ys)
-
-    summaries: List[str] = []
-    if llm_targets:
-        from ..core.client import ServiceClient  # avoid import cycle
-        client = ServiceClient(runner.session, platform=client_platform)
-        top = sorted(recovered) or ["none"]
-        prompt = (
-            "compare mutational signatures across radiation doses : "
-            f"ct fraction rises from {min(ys):.2f} to {max(ys):.2f} ; "
-            f"enriched pathways {' , '.join(top)}")
-        for i, target in enumerate(llm_targets):
-            result = yield from client.infer(
-                target, prompt, params={"max_tokens": 48})
-            summaries.append(result.text)
-
-    context["result"] = SignatureResult(
-        annotations=annotations,
-        significant_by_sample=significant,
-        recovered_radiation_pathways=sorted(recovered),
-        planted_radiation_pathways=list(database.radiation_pathways),
-        linear_fit=linear,
-        hill_fit=hill,
-        llm_summaries=summaries,
-    )
-    return
-    yield  # pragma: no cover - make this a generator even if no LLM calls
+    return build_signature_campaign(
+        config, llm_targets, client_platform).barriered(SIGNATURE_STAGES)
 
 
 def build_signature_campaign(
         config: Optional[SignatureConfig] = None,
         llm_targets: Optional[Sequence[Address]] = None,
         client_platform: str = "delta") -> CampaignGraph:
-    """The campaign-native (streaming) form of the pipeline.
+    """The use case as one streaming dataflow graph.
 
     Each sample is its own two-node dataflow chain ``prep-i -> enrich-i``:
     a sample's pathway enrichment starts the moment *its* annotation
@@ -295,15 +207,53 @@ def build_signature_campaign(
     for i, dose in enumerate(doses):
         nodes.extend(make_sample_nodes(i, dose))
 
-    def run_analysis(runner, context: Dict[str, Any]):
+    def run_analysis(runner: NodeRunner, context: Dict[str, Any]):
+        """Dose-response fits over the full series, then the LLM prompts."""
         order = sorted(context["annotations_by_sample"])
         annotations = [context["annotations_by_sample"][i] for i in order]
         enrichments = [context["enrichments_by_sample"][i] for i in order]
         context["annotations"] = annotations
         context["enrichments"] = enrichments
-        yield from analyse_signatures(
-            runner, context, annotations, enrichments, database,
-            llm_targets, client_platform)
+        significant = {
+            a.sample_id: [r.pathway for r in results if r.significant]
+            for a, results in zip(annotations, enrichments)}
+        # "Recovered" radiation pathways: significant in the top-dose half.
+        median_dose = float(np.median([a.dose_gy for a in annotations]))
+        recovered: Set[str] = set()
+        for a, results in zip(annotations, enrichments):
+            if a.dose_gy > median_dose:
+                recovered |= {r.pathway for r in results
+                              if r.significant and
+                              r.pathway.startswith("RADIATION_RESPONSE")}
+
+        xs = [a.dose_gy for a in annotations]
+        ys = [a.ct_fraction for a in annotations]
+        linear = fit_linear(xs, ys)
+        hill = fit_hill(xs, ys)
+
+        summaries: List[str] = []
+        if llm_targets:
+            from ..core.client import ServiceClient  # avoid import cycle
+            client = ServiceClient(runner.session, platform=client_platform)
+            top = sorted(recovered) or ["none"]
+            prompt = (
+                "compare mutational signatures across radiation doses : "
+                f"ct fraction rises from {min(ys):.2f} to {max(ys):.2f} ; "
+                f"enriched pathways {' , '.join(top)}")
+            for target in llm_targets:
+                result = yield from client.infer(
+                    target, prompt, params={"max_tokens": 48})
+                summaries.append(result.text)
+
+        context["result"] = SignatureResult(
+            annotations=annotations,
+            significant_by_sample=significant,
+            recovered_radiation_pathways=sorted(recovered),
+            planted_radiation_pathways=list(database.radiation_pathways),
+            linear_fit=linear,
+            hill_fit=hill,
+            llm_summaries=summaries,
+        )
 
     nodes.append(TaskNode(
         name="analysis", deps=tuple(f"enrich-{i}" for i in range(len(doses))),

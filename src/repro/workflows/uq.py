@@ -14,30 +14,34 @@ Three stages mirroring §II-C:
 3. **Post-processing** (GPU, service-enabled) -- aggregate metrics across
    seeds into the method/model comparison summary.
 
-:func:`build_uq_pipeline` is the three stages as a chain graph;
-:func:`build_uq_campaign` streams each model's cells as soon as its
-features land.  A restartable grid is the campaign form run under
-``run_campaign(checkpoint_key=...)``: the engine's frontier checkpoints
-record each completed cell.
+:func:`build_uq_campaign` is the use case's one graph: it streams each
+model's cells as soon as its features land.  :func:`build_uq_pipeline` is
+that graph with the three stages as barriers (:meth:`CampaignGraph.barriered
+<repro.workflows.campaign.CampaignGraph.barriered>`).  A restartable grid is
+the campaign form run under ``run_campaign(checkpoint_key=...)``: the
+engine's frontier checkpoints record each completed cell.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..pilot.description import TaskDescription
-from ..pilot.states import TaskState
 from .campaign import CampaignGraph, TaskNode
 from .generator_data import make_qa_dataset
 from .uq_methods import UQMetrics, UQ_METHODS, create_uq_method, evaluate_probs
 
 __all__ = ["UQConfig", "UQCellResult", "UQSummaryRow", "UQResult",
-           "build_uq_pipeline", "build_uq_campaign", "featurize",
-           "run_uq_cell"]
+           "UQ_STAGES", "build_uq_pipeline", "build_uq_campaign",
+           "featurize", "run_uq_cell"]
+
+#: Table I row 3: the pipeline's stages, one per level of the campaign graph
+UQ_STAGES = ("data-preparation", "uq-methods-three-level",
+             "post-processing")
 
 
 @dataclass
@@ -57,6 +61,11 @@ class UQConfig:
     def validate(self) -> None:
         if not self.models or not self.methods or not self.seeds:
             raise ValueError("models, methods and seeds must be non-empty")
+        for axis in ("models", "methods", "seeds"):
+            values = getattr(self, axis)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ValueError(f"duplicate {axis}: {repeated}")
         if self.n_train < 20 or self.n_test < 10:
             raise ValueError("dataset too small")
         if self.n_classes < 2:
@@ -160,64 +169,13 @@ class UQResult:
 
 
 def build_uq_pipeline(config: Optional[UQConfig] = None) -> CampaignGraph:
-    """The three-stage UQ pipeline: a chain graph, one node per stage, so
-    each stage's whole bag completes before the next stage builds."""
-    config = config or UQConfig()
-    config.validate()
-
-    def build_stage1(context: Dict[str, Any]) -> List[TaskDescription]:
-        return [
-            TaskDescription(name=f"uq-data-{model}",
-                            function=prepare_model_data,
-                            fn_args=(model, config), cores_per_rank=1)
-            for model in config.models]
-
-    def collect_stage1(context: Dict[str, Any], tasks) -> None:
-        context["data"] = {
-            t.description.name.removeprefix("uq-data-"): t.result
-            for t in tasks if t.state == TaskState.DONE}
-
-    def build_stage2(context: Dict[str, Any]) -> List[TaskDescription]:
-        data = context["data"]
-        return [TaskDescription(
-            name=f"uq-{model}-{method}-s{seed}",
-            function=run_uq_cell,
-            fn_args=(model, method, seed, data[model]),
-            cores_per_rank=1, gpus_per_rank=1)
-            for model in config.models          # outer level
-            for seed in config.seeds            # middle level
-            for method in config.methods]       # inner level
-
-    def collect_stage2(context: Dict[str, Any], tasks) -> None:
-        context["cells"] = [t.result for t in tasks
-                            if t.state == TaskState.DONE]
-
-    def build_stage3(context: Dict[str, Any]) -> List[TaskDescription]:
-        return [TaskDescription(
-            name="uq-aggregate", function=aggregate_cells,
-            fn_args=(context["cells"],), cores_per_rank=1,
-            gpus_per_rank=1)]
-
-    def collect_stage3(context: Dict[str, Any], tasks) -> None:
-        (task,) = tasks
-        context["result"] = UQResult(cells=context["cells"],
-                                     summary=task.result)
-
-    return CampaignGraph(name="uncertainty-quantification", nodes=[
-        TaskNode(name="data-preparation", resource_type="CPU",
-                 as_service=True, build=build_stage1,
-                 collect=collect_stage1),
-        TaskNode(name="uq-methods-three-level", deps=("data-preparation",),
-                 resource_type="GPU", as_service=False, build=build_stage2,
-                 collect=collect_stage2),
-        TaskNode(name="post-processing", deps=("uq-methods-three-level",),
-                 resource_type="GPU", as_service=True, build=build_stage3,
-                 collect=collect_stage3),
-    ])
+    """The three-stage UQ pipeline: the campaign with a barrier after each
+    stage, so each stage's whole bag completes before the next one builds."""
+    return build_uq_campaign(config).barriered(UQ_STAGES)
 
 
 def build_uq_campaign(config: Optional[UQConfig] = None) -> CampaignGraph:
-    """The campaign-native (streaming) form of the UQ pipeline.
+    """The UQ use case as one streaming dataflow graph.
 
     Each base model owns an independent dataflow subtree: its feature
     preparation node feeds that model's (seed x method) grid-cell nodes,

@@ -991,6 +991,85 @@ def test_campaign_respects_every_dependency_edge(spec):
         assert streamed[f"val{i}"] == barriered[f"val{i}"]
 
 
+@st.composite
+def _bag_dag_specs(draw):
+    """A random DAG of build nodes (edges i -> j with i < j), each with a
+    bag of zero to three modeled-duration tasks."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    edges = [(i, j) for j in range(1, n) for i in range(j)
+             if draw(st.booleans())]
+    bags = [draw(st.lists(st.floats(min_value=0.0, max_value=8.0,
+                                    allow_nan=False), max_size=3))
+            for _ in range(n)]
+    return n, edges, bags
+
+
+@given(spec=_bag_dag_specs())
+@settings(max_examples=40, deadline=None)
+def test_barriered_graph_submits_the_streaming_tasks_level_by_level(spec):
+    """``graph.barriered(stages)`` runs the streaming graph's work: each
+    level's tasks, in topological order, go out in one submit call (a
+    level with no tasks submits nothing), and no task of a level is
+    submitted before every task of the levels above it completed."""
+    from repro.workflows import CampaignGraph, CampaignRunner, TaskNode
+
+    n, edges, bags = spec
+    deps = [tuple(f"n{u}" for u, v in edges if v == i) for i in range(n)]
+    level = []
+    for i in range(n):  # the longest chain of inputs above each node
+        level.append(max((level[u] + 1 for u, v in edges if v == i),
+                         default=0))
+    stages = [f"s{k}" for k in range(max(level) + 1)]
+
+    streaming = CampaignGraph(name="bags", nodes=[
+        TaskNode(name=f"n{i}", deps=deps[i],
+                 build=lambda ctx, i=i: [
+                     TaskDescription(name=f"n{i}-{k}", executable="sim",
+                                     duration_s=duration)
+                     for k, duration in enumerate(bags[i])])
+        for i in range(n)])
+
+    def run(graph):
+        """Names of every submit call; per node key, its task names; per
+        task name, its (submitted, done) times."""
+        session, tmgr = _campaign_env()
+        with session:
+            calls = []
+            submit = tmgr.submit_tasks
+
+            def recording_submit(descriptions, *args, **kwargs):
+                calls.append([d.name for d in descriptions])
+                return submit(descriptions, *args, **kwargs)
+
+            tmgr.submit_tasks = recording_submit
+            runner = CampaignRunner(session, tmgr)
+            session.run(until=session.engine.process(
+                runner.run_campaign(graph)))
+            prof = session.profiler
+            names = {key: [t.description.name for t in tasks]
+                     for key, tasks in runner.node_tasks.items()}
+            times = {task.description.name: (
+                prof.timestamp(task.uid, "state:TMGR_SCHEDULING"),
+                prof.timestamp(task.uid, "state:DONE"))
+                for task in runner.tasks}
+            return calls, names, times
+
+    _, streamed, _ = run(streaming)
+    order = streaming.topological_order()
+    expected = [sum((streamed.get(f"bags/{node}", []) for node in order
+                     if level[int(node[1:])] == k), [])
+                for k in range(len(stages))]
+    calls, barriered, times = run(streaming.barriered(stages))
+    assert calls == [names for names in expected if names]
+    assert [barriered.get(f"bags/{stage}", []) for stage in stages] == \
+        expected
+
+    for k in range(1, len(stages)):
+        above = [times[name][1] for names in expected[:k] for name in names]
+        for name in expected[k]:
+            assert times[name][0] >= max(above, default=0.0), name
+
+
 @given(capacity=st.integers(min_value=1, max_value=8),
        n_tasks=st.integers(min_value=1, max_value=20),
        chunk=st.integers(min_value=1, max_value=6))

@@ -675,6 +675,119 @@ class TestCampaignMetrics:
         assert metrics.makespan_s == 0.0
 
 
+def bag_node(name, sizes, deps=(), **kwargs):
+    """A build node of ``sizes[name]`` sim tasks (read from the context
+    when *sizes* is None) that records the task names it collects."""
+    def build(ctx):
+        n = ctx["sizes"][name] if sizes is None else sizes[name]
+        return [sim_task(f"{name}-{i}", 1.0 + i) for i in range(n)]
+
+    def collect(ctx, tasks):
+        ctx.setdefault("shares", {})[name] = [
+            t.description.name for t in tasks]
+    return TaskNode(name=name, deps=deps, build=build, collect=collect,
+                    **kwargs)
+
+
+class TestBarriered:
+    """``graph.barriered(stages)``: one chained node per dependency level."""
+
+    def test_level_is_the_longest_chain(self, env):
+        # the skip edge a -> c sits beside a -> b -> c: c is on level 2
+        sizes = {"a": 1, "b": 2, "c": 1}
+        graph = CampaignGraph(name="skip", nodes=[
+            bag_node("a", sizes), bag_node("b", sizes, deps=("a",)),
+            bag_node("c", sizes, deps=("a", "b"))])
+        barrier = graph.barriered(["s0", "s1", "s2"])
+        assert barrier.name == "skip"
+        assert [(node.name, node.deps) for node in barrier] == [
+            ("s0", ()), ("s1", ("s0",)), ("s2", ("s1",))]
+        session, tmgr = env
+        runner = CampaignRunner(session, tmgr)
+        context = run_graphs(session, runner, barrier)
+        assert {key: [t.description.name for t in tasks]
+                for key, tasks in runner.node_tasks.items()} == {
+            "skip/s0": ["a-0"], "skip/s1": ["b-0", "b-1"],
+            "skip/s2": ["c-0"]}
+        assert context["shares"] == {"a": ["a-0"], "b": ["b-0", "b-1"],
+                                     "c": ["c-0"]}
+
+    def test_stage_count_must_match_the_levels(self):
+        graph = CampaignGraph(name="g", nodes=[
+            bag_node("a", {"a": 1}), bag_node("b", {"b": 1}, deps=("a",))])
+        for stages in (["only"], ["s0", "s1", "s2"]):
+            with pytest.raises(ValueError, match="2 levels"):
+                graph.barriered(stages)
+
+    @pytest.mark.parametrize("other", [
+        dict(resource_type="GPU"), dict(as_service=True),
+        dict(failure_tolerance=0.5)])
+    def test_a_mixed_level_is_refused(self, other):
+        sizes = {"a": 1, "b": 1}
+        graph = CampaignGraph(name="g", nodes=[
+            bag_node("a", sizes), bag_node("b", sizes, **other)])
+        with pytest.raises(ValueError, match="mixes"):
+            graph.barriered(["s0"])
+
+    def test_a_run_node_must_be_alone_on_its_level(self):
+        def run(runner, ctx):
+            yield runner.session.engine.timeout(1.0)
+
+        for second in (bag_node("b", {"b": 1}), TaskNode(name="b", run=run)):
+            graph = CampaignGraph(name="g", nodes=[
+                TaskNode(name="a", run=run), second])
+            with pytest.raises(ValueError, match="mixes"):
+                graph.barriered(["s0"])
+
+    def test_a_lone_run_node_keeps_its_body(self, env):
+        def run(runner, ctx):
+            tasks = yield from runner.submit_and_wait(
+                [sim_task("late", 2.0)])
+            ctx["late"] = tasks[0].state
+
+        graph = CampaignGraph(name="g", nodes=[
+            bag_node("a", {"a": 2}),
+            TaskNode(name="r", deps=("a",), resource_type="GPU",
+                     as_service=True, run=run)])
+        barrier = graph.barriered(["prep", "drive"])
+        drive = barrier.nodes["drive"]
+        assert drive.run is run and drive.build is None
+        assert (drive.resource_type, drive.as_service) == ("GPU", True)
+        session, tmgr = env
+        context = run_graphs(session, CampaignRunner(session, tmgr), barrier)
+        assert context["late"] == "DONE"
+
+    def test_each_member_collects_its_own_share(self, env):
+        # the empty member b still collects, with an empty share
+        sizes = {"root": 1, "a": 2, "b": 0, "c": 3}
+        graph = CampaignGraph(name="g", nodes=[
+            bag_node("root", sizes)] + [
+            bag_node(name, sizes, deps=("root",)) for name in "abc"])
+        session, tmgr = env
+        runner = CampaignRunner(session, tmgr)
+        context = run_graphs(session, runner, graph.barriered(["s0", "s1"]))
+        assert [t.description.name for t in runner.node_tasks["g/s1"]] == \
+            ["a-0", "a-1", "c-0", "c-1", "c-2"]
+        assert context["shares"] == {
+            "root": ["root-0"], "a": ["a-0", "a-1"], "b": [],
+            "c": ["c-0", "c-1", "c-2"]}
+
+    def test_concurrent_runs_keep_their_shares_apart(self, env):
+        # one barriered graph, two campaigns on one runner, bag sizes read
+        # from each run's context: both levels build before either collects
+        graph = CampaignGraph(name="g", nodes=[
+            bag_node("a", None), bag_node("b", None)]).barriered(["s0"])
+        session, tmgr = env
+        runner = CampaignRunner(session, tmgr)
+        first = {"sizes": {"a": 1, "b": 3}}
+        second = {"sizes": {"a": 3, "b": 1}}
+        procs = [session.engine.process(runner.run_campaign(graph, ctx))
+                 for ctx in (first, second)]
+        session.run(until=session.engine.all_of(procs))
+        assert first["shares"] == {"a": ["a-0"], "b": ["b-0", "b-1", "b-2"]}
+        assert second["shares"] == {"a": ["a-0", "a-1", "a-2"], "b": ["b-0"]}
+
+
 class TestPortedUseCases:
     def test_signature_campaign_matches_pipeline(self, env):
         from repro.workflows import (

@@ -1,5 +1,7 @@
 """Integration tests: the three LUCID pipelines on the runtime."""
 
+import re
+
 import pytest
 
 from repro import (
@@ -155,6 +157,16 @@ class TestCellPainting:
         with pytest.raises(ValueError):
             CellPaintingConfig(sampler="grid").validate()
 
+    @pytest.mark.parametrize("field", [
+        "n_trials", "concurrent_trials", "trial_epochs"])
+    def test_trial_counts_must_be_positive(self, field):
+        # zero concurrent trials asked for nothing each HPO round and
+        # looped forever; zero trials failed only after the data stage
+        with pytest.raises(ValueError, match=field):
+            CellPaintingConfig(**{field: 0}).validate()
+        with pytest.raises(ValueError, match=field):
+            build_cell_painting_pipeline(CellPaintingConfig(**{field: 0}))
+
 
 class TestSignatureDetection:
     def test_end_to_end_without_llm(self, env):
@@ -235,3 +247,15 @@ class TestUQ:
             UQConfig(models=()).validate()
         with pytest.raises(ValueError):
             UQConfig(n_train=5).validate()
+
+    @pytest.mark.parametrize("axis, values, repeated", [
+        ("models", ("llama", "mistral", "llama"), "['llama']"),
+        ("methods", ("lora-ensemble", "lora-ensemble"), "['lora-ensemble']"),
+        ("seeds", (0, 1, 1, 0), "[0, 1]")])
+    def test_duplicate_grid_values_are_refused(self, axis, values,
+                                               repeated):
+        # a repeated model silently doubled its cells (n_seeds=4 for two
+        # seeds); the error names the duplicates
+        with pytest.raises(ValueError,
+                           match=re.escape(f"duplicate {axis}: {repeated}")):
+            UQConfig(**{axis: values}).validate()
