@@ -71,7 +71,7 @@ def run_campaign(policy, node_mtbf_s=0.0, walltime_s=1e9, store=None,
     retry = None
     if policy in ("retry", "checkpoint"):
         retry = RetryPolicy(max_retries=3, backoff_base_s=2.0,
-                            backoff_jitter_s=0.5, rebind_wait_s=30.0)
+                            rebind_wait_s=30.0)
     faults = None
     if node_mtbf_s > 0:
         faults = FaultModel(node_mtbf_s=node_mtbf_s, node_mttr_s=120.0)

@@ -56,7 +56,6 @@ from .observability import (
     ObservabilityServices,
 )
 from .resilience import (
-    CheckpointPolicy,
     FaultModel,
     PilotResubmitPolicy,
     ResilienceConfig,
@@ -65,7 +64,6 @@ from .resilience import (
 )
 from .core import (
     Autoscaler,
-    AutoscalerConfig,
     EndpointRegistry,
     InferenceResult,
     JoinShortestQueueBalancer,
@@ -89,7 +87,6 @@ __all__ = [
     "BenchResult",
     "CampaignAttribution",
     "Dashboard",
-    "CheckpointPolicy",
     "DataConfig",
     "DataManager",
     "DataServices",
@@ -115,7 +112,6 @@ __all__ = [
     "TaskManager",
     "TaskState",
     "Autoscaler",
-    "AutoscalerConfig",
     "EndpointRegistry",
     "InferenceResult",
     "JoinShortestQueueBalancer",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.autoscaler import AutoscalerConfig
+from ..core import autoscaler
 from ..core.client import InferenceResult, ServiceClient
 from ..core.service_manager import ServiceHandle, ServiceManager
 from ..pilot.description import PilotDescription, ServiceDescription
@@ -286,7 +286,6 @@ def run_autoscaled_workload(n_clients: int = 16,
                             idle_s: float = 300.0,
                             n_bursts: int = 2,
                             autoscale: bool = True,
-                            config: Optional[AutoscalerConfig] = None,
                             max_batch_size: int = 0,
                             max_queue_depth: int = 0,
                             max_tokens: int = 64,
@@ -303,7 +302,8 @@ def run_autoscaled_workload(n_clients: int = 16,
     silence.  With ``autoscale=True`` an :class:`Autoscaler` (remote
     attachment, so launches are cheap) grows the fleet toward the
     queue-delay SLO during bursts and shrinks it back during idles; with
-    ``autoscale=False`` the fleet stays at ``config.min_instances``.
+    ``autoscale=False`` the fleet stays at
+    :data:`~repro.core.autoscaler.MIN_INSTANCES`.
     Clients resolve targets from the registry before every request (the
     fleet changes underneath them) and use join-shortest-queue routing over
     the published telemetry.
@@ -313,7 +313,6 @@ def run_autoscaled_workload(n_clients: int = 16,
     """
     from ..core.load_balancer import JoinShortestQueueBalancer
 
-    config = config or AutoscalerConfig()
     with Session(seed=seed,
                  platforms=[client_platform, service_platform,
                             "localhost"]) as session:
@@ -324,10 +323,9 @@ def run_autoscaled_workload(n_clients: int = 16,
             max_queue_depth=max_queue_depth,
             heartbeat_interval_s=heartbeat_interval_s)
         scaler = smgr.start_autoscaler(description,
-                                       remote_platform=service_platform,
-                                       config=config)
+                                       remote_platform=service_platform)
         if not autoscale:
-            scaler.stop()  # fleet frozen at min_instances
+            scaler.stop()  # fleet frozen at MIN_INSTANCES
         session.run(until=smgr.wait_ready(scaler.handles))
 
         registry = smgr.registry
@@ -366,7 +364,7 @@ def run_autoscaled_workload(n_clients: int = 16,
         shed = sum(h.instance.shed_count for h in scaler.all_handles
                    if h.instance is not None)
         n_services = max((count for _, count in scaler.count_trace),
-                         default=config.min_instances)
+                         default=autoscaler.MIN_INSTANCES)
         return Exp23Result(
             n_clients=n_clients, n_services=n_services,
             deployment="remote", model=model,

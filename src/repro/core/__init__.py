@@ -9,7 +9,7 @@ Fig. 2 plus the paper's §IV-E future work (continuous batching, bounded
 admission, dynamic rerouting, elasticity).
 """
 
-from .autoscaler import Autoscaler, AutoscalerConfig
+from .autoscaler import Autoscaler
 from .client import InferenceResult, RequestTimeout, ServiceClient
 from .load_balancer import (
     JoinShortestQueueBalancer,
@@ -25,7 +25,6 @@ from .service_manager import ServiceHandle, ServiceManager
 
 __all__ = [
     "Autoscaler",
-    "AutoscalerConfig",
     "InferenceResult",
     "RequestTimeout",
     "ServiceClient",

@@ -2,21 +2,22 @@
 
 The paper's runtime fixes the number of service instances at submission
 time and names elasticity as future work (§IV-E).  The
-:class:`Autoscaler` closes that loop: every ``interval_s`` it reads the
+:class:`Autoscaler` closes that loop: every :data:`INTERVAL_S` it reads the
 fleet's :class:`~repro.comm.message.LoadReport` telemetry in the
 :class:`~repro.core.registry.EndpointRegistry` and starts/stops instances
 to hold the estimated queueing delay under a target SLO:
 
 * **scale up** when the fleet-mean estimated queue delay
   (``queue_depth * ewma_service_s / workers``) stays above
-  ``target_queue_delay_s`` for ``up_ticks`` consecutive evaluations --
-  bootstrapping instances count against ``max_instances`` so a slow model
-  load does not trigger a launch storm;
-* **scale down** when the fleet is below ``low_queue_delay_s`` with zero
-  backlog for ``down_ticks`` evaluations -- the least-loaded instance is
-  stopped (the ServiceManager drains it first, so admitted requests still
-  complete) and its endpoint deregisters before the drain, steering
-  registry-reading balancers away.
+  :data:`TARGET_QUEUE_DELAY_S` for :data:`UP_TICKS` consecutive
+  evaluations -- bootstrapping instances count against
+  :data:`MAX_INSTANCES` so a slow model load does not trigger a launch
+  storm;
+* **scale down** when the fleet is below :data:`LOW_QUEUE_DELAY_S` with
+  zero backlog for :data:`DOWN_TICKS` evaluations -- the least-loaded
+  instance is stopped (the ServiceManager drains it first, so admitted
+  requests still complete) and its endpoint deregisters before the drain,
+  steering registry-reading balancers away.
 
 Scaling actions are recorded in :attr:`Autoscaler.scale_events` and the
 instance-count time series in :attr:`Autoscaler.count_trace`, which the
@@ -28,7 +29,6 @@ The control loop is a re-armed timer record, not a process
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from ..pilot.description import ServiceDescription
@@ -40,39 +40,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..pilot.task import Pilot
     from .service_manager import ServiceHandle, ServiceManager
 
-__all__ = ["AutoscalerConfig", "Autoscaler"]
+__all__ = ["Autoscaler"]
 
 log = get_logger("core.autoscaler")
 
 
-@dataclass
-class AutoscalerConfig:
-    """Scaling policy knobs (all times in simulated seconds)."""
-
-    target_queue_delay_s: float = 2.0   # SLO: scale up above this
-    low_queue_delay_s: Optional[float] = None  # default: target / 4
-    interval_s: float = 5.0             # evaluation cadence
-    min_instances: int = 1
-    max_instances: int = 8
-    up_ticks: int = 2                   # consecutive breaches before up
-    down_ticks: int = 4                 # consecutive idles before down
-
-    def __post_init__(self) -> None:
-        if self.target_queue_delay_s <= 0:
-            raise ValueError("target_queue_delay_s must be positive")
-        if self.low_queue_delay_s is None:
-            self.low_queue_delay_s = self.target_queue_delay_s / 4.0
-        if not 0 <= self.low_queue_delay_s < self.target_queue_delay_s:
-            raise ValueError(
-                "low_queue_delay_s must be in [0, target_queue_delay_s)")
-        if self.interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        if self.min_instances < 1:
-            raise ValueError("min_instances must be >= 1")
-        if self.max_instances < self.min_instances:
-            raise ValueError("max_instances must be >= min_instances")
-        if self.up_ticks < 1 or self.down_ticks < 1:
-            raise ValueError("up_ticks and down_ticks must be >= 1")
+# scaling policy (all times in simulated seconds)
+#: SLO: scale up while the fleet-mean queue delay stays above this
+TARGET_QUEUE_DELAY_S = 2.0
+#: scale down while every instance's queue delay stays below this
+LOW_QUEUE_DELAY_S = TARGET_QUEUE_DELAY_S / 4.0
+#: evaluation cadence
+INTERVAL_S = 5.0
+MIN_INSTANCES = 1
+MAX_INSTANCES = 8
+#: consecutive breaches before scaling up
+UP_TICKS = 2
+#: consecutive idle evaluations before scaling down
+DOWN_TICKS = 4
 
 
 class Autoscaler:
@@ -82,7 +67,6 @@ class Autoscaler:
                  description: ServiceDescription,
                  pilot: Optional["Pilot"] = None,
                  remote_platform: Optional[str] = None,
-                 config: Optional[AutoscalerConfig] = None,
                  handles: Optional[List["ServiceHandle"]] = None) -> None:
         if (pilot is None) == (remote_platform is None):
             raise ValueError(
@@ -91,7 +75,6 @@ class Autoscaler:
         self.description = description
         self.pilot = pilot
         self.remote_platform = remote_platform
-        self.config = config or AutoscalerConfig()
         self.handles: List["ServiceHandle"] = list(handles or [])
         #: handles scaled down or failed out of the group (kept so
         #: fleet-wide statistics survive instance churn)
@@ -109,10 +92,10 @@ class Autoscaler:
         """Arm the control loop (ensuring the min instance count)."""
         if self._ticker is not None:
             raise RuntimeError("autoscaler already started")
-        while len(self._live()) < self.config.min_instances:
+        while len(self._live()) < MIN_INSTANCES:
             self._launch_one()
         self._ticker = Ticker(self.smgr.session.engine, self._tick,
-                              first=self.config.interval_s)
+                              first=INTERVAL_S)
         return self
 
     def stop(self) -> None:
@@ -155,10 +138,9 @@ class Autoscaler:
         self._evaluate()
         self.count_trace.append((self.smgr.session.engine.now,
                                  len(self._live())))
-        return self.config.interval_s
+        return INTERVAL_S
 
     def _evaluate(self) -> None:
-        cfg = self.config
         live = self._live()
         ready = [h for h in live if h.is_ready]
         reports = [self.smgr.registry.load_of(h.uid) for h in ready]
@@ -172,24 +154,24 @@ class Autoscaler:
         mean_delay = sum(delays) / len(delays)
         backlog = sum(r.backlog for r in reports)
 
-        if mean_delay > cfg.target_queue_delay_s:
+        if mean_delay > TARGET_QUEUE_DELAY_S:
             self._up_streak += 1
             self._down_streak = 0
-        elif max(delays) < cfg.low_queue_delay_s and backlog == 0:
+        elif max(delays) < LOW_QUEUE_DELAY_S and backlog == 0:
             self._down_streak += 1
             self._up_streak = 0
         else:
             self._up_streak = self._down_streak = 0
 
         now = self.smgr.session.engine.now
-        if self._up_streak >= cfg.up_ticks and len(live) < cfg.max_instances:
+        if self._up_streak >= UP_TICKS and len(live) < MAX_INSTANCES:
             self._launch_one()
             self._up_streak = 0
             self.scale_events.append((now, "up", len(self._live())))
             log.info("t=%.1fs scale up -> %d instances (delay %.2fs)",
                      now, len(self._live()), mean_delay)
-        elif (self._down_streak >= cfg.down_ticks
-              and len(ready) > 0 and len(live) > cfg.min_instances):
+        elif (self._down_streak >= DOWN_TICKS
+              and len(ready) > 0 and len(live) > MIN_INSTANCES):
             victim = self._pick_victim(ready)
             self.smgr.stop_services(victim)
             self.handles.remove(victim)

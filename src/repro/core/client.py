@@ -10,7 +10,8 @@ client records the total response time (RT) and splits it into
 On top of the paper's baseline the client understands the adaptive data
 plane's admission control: a service whose bounded queue is full replies
 ``busy`` instead of queueing forever, and the client retries with jittered
-exponential backoff (re-picking the target when a load balancer is in
+exponential backoff (:data:`BACKOFF_BASE_S` doubling per retry up to
+:data:`BACKOFF_CAP_S`; re-picking the target when a load balancer is in
 play).  An optional per-request timeout bounds the wait on a dead or
 drained instance; timed-out requests are retried like busy ones.  Load
 balancer in-flight accounting is maintained around every attempt, so no
@@ -40,6 +41,12 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["InferenceResult", "RequestTimeout", "ServiceClient"]
 
 log = get_logger("core.client")
+
+#: backoff before the first retry (seconds); it doubles per retry, jittered
+#: by a factor drawn from [0.5, 1.5)
+BACKOFF_BASE_S = 0.05
+#: ceiling of the un-jittered backoff (seconds)
+BACKOFF_CAP_S = 5.0
 
 
 class RequestTimeout(Exception):
@@ -79,13 +86,9 @@ class ServiceClient:
     def __init__(self, session: "Session", platform: str,
                  uid: Optional[str] = None,
                  max_retries: int = 6,
-                 backoff_base_s: float = 0.05,
-                 backoff_cap_s: float = 5.0,
                  timeout_s: Optional[float] = None) -> None:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if backoff_base_s <= 0 or backoff_cap_s <= 0:
-            raise ValueError("backoff parameters must be positive")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         self.session = session
@@ -94,8 +97,6 @@ class ServiceClient:
         self.socket = session.bus.connect(platform, name=f"{self.uid}.sock")
         self.results: List[InferenceResult] = []
         self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.timeout_s = timeout_s
         self._rng = session.rng(f"client.{self.uid}")
         # -- statistics --
@@ -171,8 +172,7 @@ class ServiceClient:
 
     def _backoff(self, attempt: int) -> float:
         """Jittered exponential backoff before retry number *attempt*."""
-        base = min(self.backoff_cap_s,
-                   self.backoff_base_s * (2.0 ** (attempt - 1)))
+        base = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2.0 ** (attempt - 1)))
         return float(base * self._rng.uniform(0.5, 1.5))
 
     def ping(self, target: Address):

@@ -19,11 +19,10 @@ registry attaches the latest report to the corresponding
 arrive with fabric latency and heartbeat cadence, so consumers see
 *stale* load -- exactly the information regime a real control plane has.
 
-Registered means listed.  A crashed instance never deregisters itself: the
-heartbeat lease that
-:meth:`~repro.core.service_manager.ServiceManager.watch_liveness` arms
-(:class:`~repro.resilience.detection.HeartbeatMonitor`) notices the silence
-and fails the service, whose endpoint is then scrubbed from here.
+Registered means listed.  A crashed instance never deregisters itself: in
+a resilient session the heartbeat lease the ServiceManager arms on the
+session's :class:`~repro.resilience.detection.HeartbeatMonitor` notices the
+silence and fails the service, whose endpoint is then scrubbed from here.
 """
 
 from __future__ import annotations

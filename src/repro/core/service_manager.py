@@ -10,8 +10,9 @@ running, discoverable, monitored service instances:
   (Fig. 3 ``init``, the dominating component);
 * **publish** -- the endpoint is registered with the
   :class:`~repro.core.registry.EndpointRegistry` (Fig. 3 ``publish``);
-* **ready**   -- the instance serves requests until stopped; liveness is
-  observable via heartbeats and the lease ``watch_liveness`` arms.
+* **ready**   -- the instance serves requests until stopped; in a
+  resilient session its heartbeats renew a lease on the session's
+  heartbeat monitor (``_watch_liveness``), whose expiry fails it.
 
 A service's one process is its driver; the startup timeout is a timer
 that ``handle.ready`` withdraws, the liveness watch two callbacks.
@@ -37,16 +38,16 @@ from ..comm.message import Address
 from ..pilot.description import ServiceDescription
 from ..pilot.states import SERVICE_MODEL, ServiceState, TaskState
 from ..pilot.task import Pilot, Task
+from ..resilience import LEASE_MISSES
 from ..serving.hosts import create_host
 from ..sim.events import URGENT, Event, Interrupt, Process, Ticker
 from ..utils.log import get_logger
-from .autoscaler import Autoscaler, AutoscalerConfig
+from .autoscaler import Autoscaler
 from .registry import EndpointRegistry, ServiceInfo
 from .service import ServiceInstance
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pilot.session import Session
-    from ..resilience.detection import Lease
 
 __all__ = ["ServiceHandle", "ServiceManager"]
 
@@ -106,7 +107,6 @@ class ServiceManager:
         #: concurrent model loads per platform (drives init contention)
         self._loading: Dict[str, int] = {}
         self._resilience = session.resilience
-        self._own_monitor = None  # lazy, for liveness without resilience
         if self._resilience is not None and \
                 self._resilience.injector is not None:
             self._resilience.injector.arm_services(self)
@@ -232,10 +232,8 @@ class ServiceManager:
             if self._resilience is not None:
                 # one URGENT hop, after the instance's first beat went out:
                 # the lease is not among that beat's subscribers
-                engine.call_later(
-                    0.0, lambda _: self.watch_liveness(
-                        handle, misses=self._resilience.config.lease_misses),
-                    priority=URGENT)
+                engine.call_later(0.0, lambda _: self._watch_liveness(handle),
+                                  priority=URGENT)
             log.info("%s ready at %s (t=%.1fs)", handle.uid, handle.address,
                      engine.now)
 
@@ -307,7 +305,6 @@ class ServiceManager:
     def start_autoscaler(self, description: ServiceDescription,
                          pilot: Optional[Pilot] = None,
                          remote_platform: Optional[str] = None,
-                         config: Optional[AutoscalerConfig] = None,
                          handles: Optional[List[ServiceHandle]] = None,
                          ) -> Autoscaler:
         """Start an :class:`Autoscaler` managing instances of *description*.
@@ -315,12 +312,11 @@ class ServiceManager:
         Give either *pilot* (instances bootstrap on pilot resources) or
         *remote_platform* (persistent attachment).  Pre-existing *handles*
         are adopted into the managed group; the autoscaler tops the group
-        up to ``config.min_instances`` immediately and then scales between
-        min and max against the registry's load telemetry.
+        up to its minimum immediately and then scales between its minimum
+        and maximum against the registry's load telemetry.
         """
         scaler = Autoscaler(self, description, pilot=pilot,
-                            remote_platform=remote_platform,
-                            config=config, handles=handles)
+                            remote_platform=remote_platform, handles=handles)
         return scaler.start()
 
     # -- control ---------------------------------------------------------------------------
@@ -367,40 +363,25 @@ class ServiceManager:
         return True
 
     # -- liveness ------------------------------------------------------------------------
-    def _liveness_monitor(self):
-        """The HeartbeatMonitor service leases live on.
-
-        Resilient sessions share the subsystem's monitor (service
-        declarations land in the same detection records as pilot ones);
-        otherwise a manager-local monitor provides the lease semantics.
+    def _watch_liveness(self, handle: ServiceHandle) -> None:
+        """Lease a READY service's heartbeat channel on the resilience
+        subsystem's monitor (service declarations land in the same
+        detection records as pilot ones).  Its expiry fails the service;
+        the service's end deregisters it (an orderly end declares nothing).
         """
-        if self._resilience is not None:
-            return self._resilience.monitor
-        if self._own_monitor is None:
-            from ..resilience.detection import HeartbeatMonitor
-            self._own_monitor = HeartbeatMonitor(
-                self.session, platform=self.registry.platform)
-        return self._own_monitor
-
-    def watch_liveness(self, handle: ServiceHandle,
-                       misses: int = 3) -> "Lease":
-        """Lease a running service's heartbeat channel; returns the lease.
-        Its expiry fails a READY service; the service's end deregisters it
-        (an orderly end declares nothing)."""
-        monitor = self._liveness_monitor()
+        monitor = self._resilience.monitor
         lease = monitor.watch(handle.uid,
                               handle.description.heartbeat_interval_s,
-                              misses, topic=f"heartbeat.{handle.uid}")
+                              LEASE_MISSES, topic=f"heartbeat.{handle.uid}")
         lease.declared.callbacks.append(
-            lambda _: self._liveness_failed(handle, misses))
+            lambda _: self._liveness_failed(handle))
         handle.stopped.callbacks.append(
             lambda _: monitor.deregister(handle.uid))
-        return lease
 
-    def _liveness_failed(self, handle: ServiceHandle, misses: int) -> None:
+    def _liveness_failed(self, handle: ServiceHandle) -> None:
         if handle.service_state == ServiceState.READY:
             log.warning("%s missed %d heartbeats; marking FAILED",
-                        handle.uid, misses)
+                        handle.uid, LEASE_MISSES)
             driver = self._drivers.get(handle.uid)
             if driver is not None and driver.is_alive:
                 driver.interrupt("liveness failure")

@@ -63,9 +63,6 @@ class DataConfig:
     placement: str = "data_affinity"
     #: coalesce concurrent stages of the same object to the same platform
     dedup_inflight: bool = True
-    #: data affinity yields to round-robin when the preferred pilot is
-    #: carrying this many more live tasks than the least-loaded candidate
-    affinity_load_slack: int = 8
 
     def __post_init__(self) -> None:
         if self.placement not in PLACEMENTS:
@@ -73,8 +70,6 @@ class DataConfig:
                 f"placement {self.placement!r} not in {PLACEMENTS}")
         if self.cache_capacity_bytes < 0:
             raise ValueError("cache_capacity_bytes must be >= 0")
-        if self.affinity_load_slack < 0:
-            raise ValueError("affinity_load_slack must be >= 0")
 
 
 class DataServices:

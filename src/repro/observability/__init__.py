@@ -1,8 +1,9 @@
 """Live telemetry plane: causal tracing, runtime metrics, anomaly monitors.
 
 The analytics layer (:mod:`repro.analytics`) explains a run after it ends;
-this package watches it *while it runs*.  Three planes, each independently
-switchable:
+this package watches it *while it runs*.  Three planes; the metrics plane
+is always on when observability is, tracing and the monitors can each be
+switched off:
 
 * :mod:`~repro.observability.trace`   -- causal spans across the task
   lifecycle, campaign graph and data plane, exportable as Chrome
@@ -11,7 +12,8 @@ switchable:
   sim-time sampling daemon producing per-instrument time series (queue
   depths, grant latency, utilization, link throughput, ...);
 * :mod:`~repro.observability.monitor` -- anomaly detectors (stragglers,
-  queue growth, SLO burn) emitting structured subscribable events.
+  queue growth, SLO burn) emitting structured subscribable events; their
+  thresholds and windows are that module's constants.
 
 Enable per session::
 
@@ -77,53 +79,45 @@ __all__ = ["ObservabilityConfig", "ObservabilityServices",
 
 @dataclass
 class ObservabilityConfig:
-    """Telemetry-plane switches and detector tuning.
+    """Telemetry-plane switches.
 
-    All three planes default on; turn individual ones off for cheaper runs
-    (``ObservabilityConfig(tracing=False)`` keeps metrics + monitors).
+    The metrics plane is always on; tracing and the monitors default on
+    and can be turned off for cheaper runs (``ObservabilityConfig(
+    tracing=False)`` keeps metrics + monitors).  The detectors' tuning is
+    the module constants of :mod:`~repro.observability.monitor`.
     """
 
     #: record causal spans (task lifecycle, campaign nodes, transfers)
     tracing: bool = True
-    #: register instruments and run the sampling daemon
-    metrics: bool = True
-    #: run anomaly detectors (requires nothing from the other two planes,
-    #: but queue-growth detection only fires when metrics are on)
+    #: run anomaly detectors (queue-growth detection scans the sampled
+    #: metric series)
     monitors: bool = True
     #: simulated seconds between metric samples
     sample_interval_s: float = 5.0
 
     #: run the live text dashboard daemon (renders periodic snapshots of
-    #: gauges/histograms and recent anomalies; needs the metrics plane)
+    #: gauges/histograms and recent anomalies)
     dashboard: bool = False
     #: simulated seconds between dashboard snapshots
     dashboard_interval_s: float = 60.0
 
-    # straggler detection: exec time > k x rolling median of same shape
-    straggler_k: float = 3.0
-    straggler_window: int = 32
-    straggler_min_samples: int = 5
-
-    # queue growth: depth grew monotonically over the last N samples while
-    # at or above the minimum depth
-    queue_growth_window: int = 5
-    queue_growth_min_depth: float = 16.0
-
-    # SLO burn: submit-to-done latency objective (None disables) and the
-    # miss fraction over the rolling window that triggers the alert
-    slo_latency_s: Optional[float] = None
-    slo_window: int = 32
-    slo_burn_threshold: float = 0.5
+    def __post_init__(self) -> None:
+        # written ``not x > 0`` so that NaN is refused too: a zero interval
+        # would re-arm its ticker at the same instant forever
+        if not self.sample_interval_s > 0:
+            raise ValueError("sample_interval_s must be positive")
+        if not self.dashboard_interval_s > 0:
+            raise ValueError("dashboard_interval_s must be positive")
 
 
 class ObservabilityServices:
     """Per-session telemetry facade: ``session.observability``.
 
-    Holds the three planes (each None when its config switch is off) and
-    the task-lifecycle glue shared by all instrumented subsystems.  The
-    metrics sampling daemon starts with the session and follows the
-    standard daemon contract (stopped by ``quiesce()``, which takes the
-    final sample).
+    Holds the three planes (the tracer and the monitors are None when their
+    config switch is off) and the task-lifecycle glue shared by all
+    instrumented subsystems.  The metrics sampling daemon starts with the
+    session and follows the standard daemon contract (stopped by
+    ``quiesce()``, which takes the final sample).
     """
 
     def __init__(self, session: "Session",
@@ -132,28 +126,25 @@ class ObservabilityServices:
         self.config = config or ObservabilityConfig()
         self.tracer: Optional[Tracer] = (
             Tracer(session) if self.config.tracing else None)
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry() if self.config.metrics else None)
+        self.metrics = MetricsRegistry()
         self.monitors: Optional[MonitorHub] = (
-            MonitorHub(self.config) if self.config.monitors else None)
+            MonitorHub() if self.config.monitors else None)
         self.dashboard: Optional[Dashboard] = None
         # completion instruments, resolved once (see _on_task_completed)
         self._latency: Optional[Histogram] = None
         self._completed: Dict[str, Counter] = {}
         #: the completion observer every watched task shares
         self._observer = self._on_task_completed
-        if self.config.dashboard and self.metrics is not None:
+        if self.config.dashboard:
             self.dashboard = Dashboard(
                 session, interval_s=self.config.dashboard_interval_s)
-        if self.metrics is not None:
-            if self.monitors is not None:
-                # queue-growth detection scans the sampled series each tick
-                metrics, monitors, engine = \
-                    self.metrics, self.monitors, session.engine
-                metrics.add_poll(
-                    lambda: monitors.on_sample(metrics, engine.now))
-            session.add_daemon(self.metrics.sampler(
-                session.engine, self.config.sample_interval_s))
+        if self.monitors is not None:
+            # queue-growth detection scans the sampled series each tick
+            metrics, monitors, engine = \
+                self.metrics, self.monitors, session.engine
+            metrics.add_poll(lambda: monitors.on_sample(metrics, engine.now))
+        session.add_daemon(self.metrics.sampler(
+            session.engine, self.config.sample_interval_s))
 
     # -- interpretation --------------------------------------------------------
     def attribution(self, makespan: Optional[float] = None,
@@ -189,18 +180,17 @@ class ObservabilityServices:
         state = task.state
         if self.tracer is not None:
             self.tracer.task_completed(task.uid)
-        if self.metrics is not None:
-            # handles are kept; instruments still register where they
-            # always did (the first completion, the first of each final
-            # state), so their sampled series start at the same tick
-            completed = self._completed.get(state)
-            if completed is None:
-                if self._latency is None:
-                    self._latency = self.metrics.histogram("task_latency_s")
-                completed = self._completed[state] = self.metrics.counter(
-                    "tasks_completed_total", {"state": state})
-            self._latency.observe(latency)
-            completed.inc()
+        # handles are kept; instruments still register where they always
+        # did (the first completion, the first of each final state), so
+        # their sampled series start at the same tick
+        completed = self._completed.get(state)
+        if completed is None:
+            if self._latency is None:
+                self._latency = self.metrics.histogram("task_latency_s")
+            completed = self._completed[state] = self.metrics.counter(
+                "tasks_completed_total", {"state": state})
+        self._latency.observe(latency)
+        completed.inc()
         if self.monitors is not None:
             if state == TaskState.DONE:
                 self.monitors.observe_exec(task, now)

@@ -41,7 +41,11 @@ MAX_EVENTS = 5
 
 
 class Dashboard:
-    """Periodic telemetry snapshot renderer (a session daemon)."""
+    """Periodic telemetry snapshot renderer (a session daemon).
+
+    It renders ``session.observability``, so the session must carry one
+    (``ObservabilityConfig(dashboard=True)`` builds it there).
+    """
 
     def __init__(self, session: "Session", interval_s: float = 60.0,
                  sink: Optional[Callable[[str], None]] = None) -> None:
@@ -74,26 +78,22 @@ class Dashboard:
         """One rendered snapshot of the current telemetry state."""
         obs = self.session.observability
         lines = [f"== telemetry @ t={self.session.now:.1f}s =="]
-        registry = obs.metrics if obs is not None else None
-        if registry is None:
-            lines.append("  (metrics plane off)")
-        else:
-            by_kind = {"gauge": [], "counter": [], "histogram": []}
-            for inst in registry.instruments():
-                by_kind[inst.kind].append(inst)
-            for kind in ("gauge", "counter"):
-                for inst in sorted(by_kind[kind], key=self._label):
-                    lines.append(
-                        f"  {kind:<9} {self._label(inst):<44} "
-                        f"{inst.value:g}")
-            for inst in sorted(by_kind["histogram"], key=self._label):
+        registry = obs.metrics
+        by_kind = {"gauge": [], "counter": [], "histogram": []}
+        for inst in registry.instruments():
+            by_kind[inst.kind].append(inst)
+        for kind in ("gauge", "counter"):
+            for inst in sorted(by_kind[kind], key=self._label):
                 lines.append(
-                    f"  histogram {self._label(inst):<44} "
-                    f"count={inst.count} mean={inst.mean:.3f} "
-                    f"p50={inst.quantile(0.5):g} p99={inst.quantile(0.99):g}")
-            if not registry.instruments():
-                lines.append("  (no instruments registered yet)")
-        monitors = obs.monitors if obs is not None else None
+                    f"  {kind:<9} {self._label(inst):<44} {inst.value:g}")
+        for inst in sorted(by_kind["histogram"], key=self._label):
+            lines.append(
+                f"  histogram {self._label(inst):<44} "
+                f"count={inst.count} mean={inst.mean:.3f} "
+                f"p50={inst.quantile(0.5):g} p99={inst.quantile(0.99):g}")
+        if not registry.instruments():
+            lines.append("  (no instruments registered yet)")
+        monitors = obs.monitors
         if monitors is not None and monitors.events:
             lines.append(f"  -- recent anomalies "
                          f"({len(monitors.events)} total) --")
@@ -114,29 +114,28 @@ class Dashboard:
 
         obs = self.session.observability
         builder = ReportBuilder(title)
-        registry = obs.metrics if obs is not None else None
-        if registry is not None:
-            rows = []
-            for inst in sorted(registry.instruments(), key=self._label):
-                value = (f"count={inst.count} mean={inst.mean:.3f} "
-                         f"p99={inst.quantile(0.99):g}"
-                         if inst.kind == "histogram" else f"{inst.value:g}")
-                rows.append([inst.kind, self._label(inst), value])
-            if rows:
-                builder.add_table(["kind", "instrument", "final value"],
-                                  rows, title="instruments")
-            builder.add_kv({"samples taken": len(registry.sample_times),
-                            "snapshots rendered": len(self.snapshots)},
-                           title="sampling")
-        monitors = obs.monitors if obs is not None else None
+        registry = obs.metrics
+        rows = []
+        for inst in sorted(registry.instruments(), key=self._label):
+            value = (f"count={inst.count} mean={inst.mean:.3f} "
+                     f"p99={inst.quantile(0.99):g}"
+                     if inst.kind == "histogram" else f"{inst.value:g}")
+            rows.append([inst.kind, self._label(inst), value])
+        if rows:
+            builder.add_table(["kind", "instrument", "final value"],
+                              rows, title="instruments")
+        builder.add_kv({"samples taken": len(registry.sample_times),
+                        "snapshots rendered": len(self.snapshots)},
+                       title="sampling")
+        monitors = obs.monitors
         if monitors is not None:
             counts = {}
             for event in monitors.events:
                 counts[event.kind] = counts.get(event.kind, 0) + 1
             builder.add_kv(counts or {"anomalies": 0},
                            title="anomaly events by kind")
-        if attribution is None and obs is not None \
-                and obs.tracer is not None and obs.tracer.spans:
+        if attribution is None and obs.tracer is not None \
+                and obs.tracer.spans:
             from .attribution import CampaignAttribution
             attribution = CampaignAttribution.from_spans(obs.tracer.spans)
         text = builder.render()

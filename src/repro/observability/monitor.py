@@ -13,12 +13,13 @@ double as an incident log.  Three detectors ship:
   the last N sample ticks while above a minimum depth: the classic
   saturation signature (arrival rate > service rate);
 * **slo_burn** -- the fraction of recently completed tasks that missed a
-  submit-to-done latency objective exceeds a burn threshold.  Off unless
-  an SLO is configured.
+  submit-to-done latency objective exceeds a burn threshold.  Off while
+  :data:`SLO_LATENCY_S` is None.
 
 Severity is ``"warning"`` or ``"critical"``; detectors are deliberately
 simple and deterministic (no EWMA tuning knobs) so alerts are explainable
-and reproducible under a fixed seed.
+and reproducible under a fixed seed.  Their thresholds and windows are the
+module constants below.
 
 **The sorted window.**  Each shape keeps its recent runtimes twice: in
 arrival order (what to evict) and sorted.  A completion inserts its
@@ -39,10 +40,25 @@ from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pilot.task import Task
-    from . import ObservabilityConfig
     from .metrics import MetricsRegistry
 
 __all__ = ["AnomalyEvent", "MonitorHub"]
+
+# straggler detection: exec time > k x rolling median of the same shape
+STRAGGLER_K = 3.0
+STRAGGLER_WINDOW = 32
+STRAGGLER_MIN_SAMPLES = 5
+
+# queue growth: depth grew monotonically over the last N samples while at
+# or above the minimum depth
+QUEUE_GROWTH_WINDOW = 5
+QUEUE_GROWTH_MIN_DEPTH = 16.0
+
+# SLO burn: submit-to-done latency objective (None disables the detector)
+# and the miss fraction over the rolling window that triggers the alert
+SLO_LATENCY_S: Optional[float] = None
+SLO_WINDOW = 32
+SLO_BURN_THRESHOLD = 0.5
 
 
 @dataclass
@@ -60,15 +76,14 @@ class AnomalyEvent:
 class MonitorHub:
     """Runs the detectors and fans detected anomalies out to subscribers."""
 
-    def __init__(self, config: "ObservabilityConfig") -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.events: List[AnomalyEvent] = []
         self._subscribers: List[Callable[[AnomalyEvent], None]] = []
         #: shape key -> rolling window of recent exec times: in arrival
         #: order, and the same values sorted
         self._exec_windows: Dict[Tuple, Tuple[Deque[float], List[float]]] = {}
         #: rolling window of (met_slo: bool) for recent completions
-        self._slo_window: Deque[bool] = deque(maxlen=config.slo_window)
+        self._slo_window: Deque[bool] = deque(maxlen=SLO_WINDOW)
         #: queue series already alerted at a given growth streak, to dedup
         self._growth_alerted: Dict[Tuple[str, Tuple], float] = {}
 
@@ -98,66 +113,63 @@ class MonitorHub:
         runtime = task.runtime_s
         if runtime is None:
             return
-        cfg = self.config
         shape = self._shape_of(task)
         windows = self._exec_windows.get(shape)
         if windows is None:
             windows = self._exec_windows[shape] = (deque(), [])
         window, ranked = windows
         n = len(ranked)
-        if n >= cfg.straggler_min_samples:
+        if n >= STRAGGLER_MIN_SAMPLES:
             half = n // 2
             med = (ranked[half] if n % 2
                    else (ranked[half - 1] + ranked[half]) / 2)
-            if med > 0 and runtime > cfg.straggler_k * med:
+            if med > 0 and runtime > STRAGGLER_K * med:
                 ratio = runtime / med
                 self.emit(AnomalyEvent(
                     kind="straggler", t=t, subject=task.uid,
                     message=(f"{task.uid} ran {runtime:.3f}s, "
                              f"{ratio:.1f}x the rolling median "
                              f"({med:.3f}s) of its shape"),
-                    severity="critical" if ratio >= 2 * cfg.straggler_k
+                    severity="critical" if ratio >= 2 * STRAGGLER_K
                              else "warning",
                     details={"runtime_s": runtime, "median_s": med,
                              "ratio": ratio, "shape": shape,
                              "attempts": task.attempts}))
         window.append(runtime)
         insort(ranked, runtime)
-        if len(window) > cfg.straggler_window:  # the oldest leaves both
+        if len(window) > STRAGGLER_WINDOW:  # the oldest leaves both
             del ranked[bisect_left(ranked, window.popleft())]
 
     def observe_latency(self, uid: str, latency_s: float, t: float) -> None:
         """Feed one submit-to-done latency; may emit an SLO burn alert."""
-        cfg = self.config
-        if cfg.slo_latency_s is None:
+        if SLO_LATENCY_S is None:
             return
-        self._slo_window.append(latency_s <= cfg.slo_latency_s)
+        self._slo_window.append(latency_s <= SLO_LATENCY_S)
         window = self._slo_window
         if len(window) < window.maxlen:
             return
         burn = 1.0 - sum(window) / len(window)
-        if burn >= cfg.slo_burn_threshold:
+        if burn >= SLO_BURN_THRESHOLD:
             self.emit(AnomalyEvent(
                 kind="slo_burn", t=t, subject="task_latency",
                 message=(f"{burn:.0%} of the last {len(window)} tasks "
-                         f"missed the {cfg.slo_latency_s}s latency SLO"),
+                         f"missed the {SLO_LATENCY_S}s latency SLO"),
                 severity="critical",
                 details={"burn": burn, "window": len(window),
-                         "slo_latency_s": cfg.slo_latency_s,
+                         "slo_latency_s": SLO_LATENCY_S,
                          "last_uid": uid}))
             window.clear()  # re-arm instead of alerting every completion
 
     # -- queue growth (driven from the sample tick) ----------------------------
     def on_sample(self, registry: "MetricsRegistry", t: float) -> None:
         """Scan queue-depth series for sustained monotonic growth."""
-        cfg = self.config
-        n = cfg.queue_growth_window
+        n = QUEUE_GROWTH_WINDOW
         for name in ("scheduler_pending_total", "service_queue_depth"):
             for labels, points in registry.series_by_name(name).items():
                 if len(points) < n:
                     continue
                 tail = [v for _, v in points[-n:]]
-                if tail[-1] < cfg.queue_growth_min_depth:
+                if tail[-1] < QUEUE_GROWTH_MIN_DEPTH:
                     continue
                 if not all(b > a for a, b in zip(tail, tail[1:])):
                     continue

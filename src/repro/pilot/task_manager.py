@@ -32,7 +32,7 @@ Pilot binding is **data-aware** by default: a task whose inputs already
 data subsystem -- is bound to the pilot holding the largest share of its
 input bytes, so warm caches are actually reached.  The policy degrades
 gracefully: no staged inputs, no replicas anywhere, or a hot pilot already
-carrying ``affinity_load_slack`` more live tasks than the least-loaded
+carrying :data:`AFFINITY_LOAD_SLACK` more live tasks than the least-loaded
 candidate all fall back to round-robin.  The policy is the session's
 (``Session(data_config=DataConfig(placement=...))``), the same for every
 TaskManager of the session.  Compute slots are released by the
@@ -64,6 +64,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["TaskManager", "SubmissionWindow"]
 
 log = get_logger("pilot.tmgr")
+
+#: data affinity yields to round-robin when the preferred pilot is carrying
+#: this many more live tasks than the least-loaded candidate
+AFFINITY_LOAD_SLACK = 8
 
 #: phases in which the TaskManager itself holds the task; an error in one is
 #: reported under the phase's own name, anywhere else as "agent"
@@ -302,7 +306,7 @@ class TaskManager:
         Returns None (round-robin fallback) when the task stages nothing,
         no candidate platform holds any of its inputs, or every best-scoring
         pilot is overloaded relative to the least-loaded candidate by more
-        than the configured slack.
+        than :data:`AFFINITY_LOAD_SLACK`.
         """
         staging = task.description.input_staging
         if not staging:
@@ -316,8 +320,8 @@ class TaskManager:
             return None
         top = [p for p in candidates if scores[p.uid] >= best]
         min_load = min(self._live_load(p) for p in candidates)
-        slack = data.config.affinity_load_slack
-        top = [p for p in top if self._live_load(p) <= min_load + slack]
+        top = [p for p in top
+               if self._live_load(p) <= min_load + AFFINITY_LOAD_SLACK]
         if not top:
             return None
         if len(top) == 1:

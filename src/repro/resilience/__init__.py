@@ -40,7 +40,6 @@ from .failures import (
 from .faults import FaultInjector, FaultModel, FaultRecord
 from .recovery import (
     Checkpointer,
-    CheckpointPolicy,
     PilotResubmitPolicy,
     RecoveryEngine,
     RecoveryRecord,
@@ -54,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Checkpointer",
-    "CheckpointPolicy",
     "DetectionRecord",
     "FailureReason",
     "FaultInjector",
@@ -81,6 +79,9 @@ __all__ = [
 #: platform the session's heartbeat monitor listens from (heartbeats pay
 #: fabric latency from the entity's platform to here)
 MONITOR_PLATFORM = "localhost"
+#: silent heartbeat intervals before a lease expires (detection declares
+#: death); pilot and service leases alike
+LEASE_MISSES = 3
 
 
 @dataclass
@@ -89,12 +90,8 @@ class ResilienceConfig:
 
     #: cadence of pilot-agent heartbeats published over the bus
     heartbeat_interval_s: float = 5.0
-    #: silent intervals before a lease expires (detection declares death)
-    lease_misses: int = 3
     #: task-retry policy (None = failures are terminal, as in the seed)
     retry: Optional[RetryPolicy] = field(default_factory=RetryPolicy)
-    #: checkpoint cadence/cost for iterative workflows (None = defaults)
-    checkpoint: Optional[CheckpointPolicy] = None
     #: resubmit pilots the monitor declares dead (None = off)
     pilot_resubmit: Optional[PilotResubmitPolicy] = None
     #: fault model to inject (None = no injection; detection/recovery
@@ -107,8 +104,6 @@ class ResilienceConfig:
     def __post_init__(self) -> None:
         if self.heartbeat_interval_s <= 0:
             raise ValueError("heartbeat_interval_s must be positive")
-        if self.lease_misses < 1:
-            raise ValueError("lease_misses must be >= 1")
 
 
 class ResilienceServices:
@@ -120,9 +115,8 @@ class ResilienceServices:
         self.config = config or ResilienceConfig()
         self.monitor = HeartbeatMonitor(session, platform=MONITOR_PLATFORM)
         self.recovery = RecoveryEngine(self)
-        self.checkpoints = Checkpointer(
-            session, self.config.checkpoint or CheckpointPolicy(),
-            store=self.config.checkpoint_store)
+        self.checkpoints = Checkpointer(session,
+                                        store=self.config.checkpoint_store)
         self.injector: Optional[FaultInjector] = (
             FaultInjector(session, self.config.faults, self)
             if self.config.faults is not None else None)
@@ -144,7 +138,7 @@ class ResilienceServices:
         """Start heartbeats, the lease and armed fault records."""
         lease = self.monitor.watch(pilot.uid,
                                    self.config.heartbeat_interval_s,
-                                   self.config.lease_misses)
+                                   LEASE_MISSES)
         sender = Address(name=f"{pilot.uid}.hb", platform=pilot.platform.name)
         self.session.add_daemon(
             Ticker(self.session.engine, self._pilot_beat, (pilot, sender)))

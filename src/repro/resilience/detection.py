@@ -174,9 +174,8 @@ class HeartbeatMonitor:
                     lease.uid, now, lease.last_beat_at)
         obs = self._obs
         if obs is not None:
-            if obs.metrics is not None:
-                obs.metrics.histogram(
-                    "detection_silence_s").observe(record.silence_s)
+            obs.metrics.histogram(
+                "detection_silence_s").observe(record.silence_s)
             if obs.monitors is not None:
                 from ..observability.monitor import AnomalyEvent
                 obs.monitors.emit(AnomalyEvent(

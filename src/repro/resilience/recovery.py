@@ -7,16 +7,18 @@ Three policies cover the failure modes of long-running hybrid campaigns:
   *declaration* (failures are acted on when observed, not when they
   happen), failed nodes/pilots are blacklisted, and the retried task
   late-binds to whatever healthy pilot the TaskManager then holds.  Which
-  origins are retried and how fast the backoff grows are module constants
-  (:data:`RETRY_ORIGINS`, :data:`BACKOFF_FACTOR`).
-* :class:`CheckpointPolicy` / :class:`Checkpointer` -- state persisted as
-  durable data objects (the save pays a real transfer to the checkpoint
-  home).  Two things save through it: the campaign engine's frontier
-  checkpoints (``run_campaign(checkpoint_key=...)``, which is how any
-  graph, the UQ grid included, restarts) and the Cell Painting HPO stage's
-  per-round study.  A restart replays only work lost since the last
-  checkpoint; lost warm-tier copies re-stage from the durable origins the
-  data subsystem already tracks.
+  origins are retried, how fast the backoff grows and its jitter are module
+  constants (:data:`RETRY_ORIGINS`, :data:`BACKOFF_FACTOR`,
+  :data:`BACKOFF_JITTER_S`).
+* :class:`Checkpointer` -- state persisted as durable data objects (the
+  save pays a real transfer to the checkpoint home,
+  :data:`CHECKPOINT_HOME`, every :data:`CHECKPOINT_INTERVAL`-th iteration).
+  Two things save through it: the campaign engine's frontier checkpoints
+  (``run_campaign(checkpoint_key=...)``, which is how any graph, the UQ
+  grid included, restarts) and the Cell Painting HPO stage's per-round
+  study.  A restart replays only work lost since the last checkpoint; lost
+  warm-tier copies re-stage from the durable origins the data subsystem
+  already tracks.
 * :class:`PilotResubmitPolicy` -- a pilot declared dead by the monitor is
   resubmitted through the platform's batch system (paying queue wait
   again) and re-attached to the TaskManagers that held it, so waiting
@@ -25,7 +27,7 @@ Three policies cover the failure modes of long-running hybrid campaigns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -48,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "RetryPolicy",
-    "CheckpointPolicy",
     "PilotResubmitPolicy",
     "RecoveryRecord",
     "RecoveryEngine",
@@ -63,6 +64,15 @@ RETRY_ORIGINS = frozenset(
     ("node", "pilot", "transfer", "staging", "executor", "service"))
 #: growth of the backoff per failed attempt
 BACKOFF_FACTOR = 2.0
+#: upper bound of the uniform jitter added to each backoff (seconds)
+BACKOFF_JITTER_S = 0.5
+
+#: a checkpoint is due every k-th iteration (1 = every iteration)
+CHECKPOINT_INTERVAL = 1
+#: serialized-state size charged per save when the caller names none
+CHECKPOINT_BYTES = 0.0
+#: durable home of checkpoint objects (the client side)
+CHECKPOINT_HOME = "localhost"
 
 
 @dataclass
@@ -71,38 +81,19 @@ class RetryPolicy:
 
     A retried failure blacklists the pilot it lost (origin ``pilot``) and
     the node it ran on, and the backoff grows by :data:`BACKOFF_FACTOR` per
-    failed attempt.
+    failed attempt, plus up to :data:`BACKOFF_JITTER_S` of jitter.
     """
 
     max_retries: int = 2
     backoff_base_s: float = 1.0
-    backoff_jitter_s: float = 0.5
     #: how long a retry may wait for a healthy pilot before giving up
     rebind_wait_s: float = 3600.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_s < 0 or self.backoff_jitter_s < 0:
-            raise ValueError("backoff settings must be >= 0")
-
-
-@dataclass
-class CheckpointPolicy:
-    """How often iterative workflows persist state, and where."""
-
-    #: checkpoint every k-th iteration (1 = every iteration)
-    interval_iters: int = 1
-    #: default serialized-state size charged per save (bytes)
-    checkpoint_bytes: float = 0.0
-    #: durable home of checkpoint objects (the client side by default)
-    home_platform: str = "localhost"
-
-    def __post_init__(self) -> None:
-        if self.interval_iters < 1:
-            raise ValueError("interval_iters must be >= 1")
-        if self.checkpoint_bytes < 0:
-            raise ValueError("checkpoint_bytes must be >= 0")
+        if self.backoff_base_s < 0:
+            raise ValueError("backoff_base_s must be >= 0")
 
 
 @dataclass
@@ -191,8 +182,8 @@ class RecoveryEngine:
         # 2. Jittered exponential backoff.
         delay = policy.backoff_base_s \
             * BACKOFF_FACTOR ** (task.attempts - 1)
-        if policy.backoff_jitter_s > 0:
-            delay += float(self._rng.uniform(0, policy.backoff_jitter_s))
+        if BACKOFF_JITTER_S > 0:
+            delay += float(self._rng.uniform(0, BACKOFF_JITTER_S))
         if delay > 0:
             yield engine.timeout(delay)
         # 3. Capacity gate: late re-binding needs a live pilot; wait for
@@ -268,24 +259,23 @@ class Checkpointer:
     campaign resume from its predecessor's last checkpoint.
     """
 
-    def __init__(self, session, policy: CheckpointPolicy,
+    def __init__(self, session,
                  store: Optional[MutableMapping] = None) -> None:
         self.session = session
-        self.policy = policy
         self._store: MutableMapping = store if store is not None else {}
         self.saves = 0
         self.restores = 0
 
     def due(self, iteration: int) -> bool:
-        """Is *iteration* (0-based) a checkpoint boundary under the policy?"""
-        return (iteration + 1) % self.policy.interval_iters == 0
+        """Is *iteration* (0-based) a checkpoint boundary?"""
+        return (iteration + 1) % CHECKPOINT_INTERVAL == 0
 
     def save(self, key: str, iteration: int, payload: Any,
              nbytes: Optional[float] = None,
              src_platform: Optional[str] = None):
         """Process body: persist *payload* as checkpoint *iteration* of *key*."""
-        nbytes = self.policy.checkpoint_bytes if nbytes is None else nbytes
-        home = self.policy.home_platform
+        nbytes = CHECKPOINT_BYTES if nbytes is None else nbytes
+        home = CHECKPOINT_HOME
         src = src_platform or home
         if nbytes > 0:
             yield from self.session.data.transfers.transfer(

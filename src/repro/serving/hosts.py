@@ -91,11 +91,15 @@ class OllamaHost(ServingHost):
     max_batch_size = 1
 
 
+#: per-extra-request slowdown of a continuous-batching host
+BATCH_PENALTY = 0.12
+
+
 class VllmHost(ServingHost):
     """Continuous-batching host (the paper's future-work serving tier).
 
     Running *b* requests concurrently slows each one down only mildly
-    (``1 + batch_penalty*(b-1)``), so aggregate throughput grows nearly
+    (``1 + BATCH_PENALTY*(b-1)``), so aggregate throughput grows nearly
     linearly until ``max_concurrency`` -- the behaviour that motivates
     replacing Ollama with vLLM/TensorRT/DeepSpeed (§IV-E).
     """
@@ -104,24 +108,15 @@ class VllmHost(ServingHost):
     max_concurrency = 8
     max_batch_size = 8
 
-    def __init__(self, backend: ModelBackend,
-                 max_concurrency: Optional[int] = None,
-                 max_batch_size: Optional[int] = None,
-                 batch_penalty: float = 0.12) -> None:
-        super().__init__(backend, max_concurrency, max_batch_size)
-        if batch_penalty < 0:
-            raise ValueError("batch_penalty must be >= 0")
-        self.batch_penalty = batch_penalty
-
     def infer(self, prompt: str, rng, params=None, n_active: int = 1):
         payload, duration = self.backend.infer(prompt, rng, params)
-        slowdown = 1.0 + self.batch_penalty * max(0, n_active - 1)
+        slowdown = 1.0 + BATCH_PENALTY * max(0, n_active - 1)
         return payload, duration * slowdown
 
     def infer_batch(self, prompts, rng, params_list=None, n_active: int = 1):
         payloads, span = self.backend.infer_batch(prompts, rng, params_list)
         # Other concurrently-running dispatches contend for the same GPU.
-        slowdown = 1.0 + self.batch_penalty * max(0, n_active - 1)
+        slowdown = 1.0 + BATCH_PENALTY * max(0, n_active - 1)
         return payloads, span * slowdown
 
 

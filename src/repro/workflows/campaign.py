@@ -517,11 +517,10 @@ class CampaignRunner:
                     uid, "campaign",
                     attrs={"graphs": names,
                            "nodes": sum(len(g) for g in graphs)})
-            if obs.metrics is not None:
-                run.frontier_gauge = obs.metrics.gauge(
-                    "campaign_frontier_size", {"campaign": uid})
-                run.nodes_counter = obs.metrics.counter(
-                    "campaign_nodes_completed_total", {"campaign": uid})
+            run.frontier_gauge = obs.metrics.gauge(
+                "campaign_frontier_size", {"campaign": uid})
+            run.nodes_counter = obs.metrics.counter(
+                "campaign_nodes_completed_total", {"campaign": uid})
 
         profiler.record(engine.now, uid, "campaign_start", "workflow")
         log.info("campaign %s: %d graph(s), %d node(s) at t=%.1f", uid,

@@ -4,29 +4,22 @@ import pytest
 
 from repro import (
     Autoscaler,
-    AutoscalerConfig,
     ServiceDescription,
     ServiceManager,
     Session,
 )
 from repro.analytics import run_autoscaled_workload
+from repro.core import autoscaler
 
 
-class TestConfig:
-    def test_defaults_valid(self):
-        cfg = AutoscalerConfig()
-        assert cfg.low_queue_delay_s == pytest.approx(
-            cfg.target_queue_delay_s / 4)
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            AutoscalerConfig(target_queue_delay_s=0)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(target_queue_delay_s=1.0, low_queue_delay_s=2.0)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(min_instances=0)
-        with pytest.raises(ValueError):
-            AutoscalerConfig(min_instances=4, max_instances=2)
+@pytest.fixture
+def policy(monkeypatch):
+    """Set autoscaler policy constants for one test: ``policy(
+    min_instances=2)`` patches ``autoscaler.MIN_INSTANCES``."""
+    def patch(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(autoscaler, name.upper(), value)
+    return patch
 
 
 class TestLifecycle:
@@ -40,27 +33,26 @@ class TestLifecycle:
                 Autoscaler(smgr, desc, pilot=object(),
                            remote_platform="r3")  # both
 
-    def test_start_ensures_min_instances(self):
+    def test_start_ensures_min_instances(self, policy):
+        policy(min_instances=3, max_instances=5)
         with Session(seed=0) as session:
             smgr = ServiceManager(session, registry_platform="delta")
             scaler = smgr.start_autoscaler(
                 ServiceDescription(model="noop"),
-                remote_platform="r3",
-                config=AutoscalerConfig(min_instances=3, max_instances=5))
+                remote_platform="r3")
             session.run(until=smgr.wait_ready(scaler.handles))
             assert scaler.n_instances == 3
             assert len(scaler.targets()) == 3
             scaler.stop()
 
-    def test_idle_fleet_stays_at_min(self):
+    def test_idle_fleet_stays_at_min(self, policy):
+        policy(min_instances=2, max_instances=6, interval_s=2.0)
         with Session(seed=0) as session:
             smgr = ServiceManager(session, registry_platform="delta")
             scaler = smgr.start_autoscaler(
                 ServiceDescription(model="noop",
                                    heartbeat_interval_s=2.0),
-                remote_platform="r3",
-                config=AutoscalerConfig(min_instances=2, max_instances=6,
-                                        interval_s=2.0))
+                remote_platform="r3")
             session.run(until=smgr.wait_ready(scaler.handles))
             session.run(until=session.now + 120.0)
             assert scaler.n_instances == 2
@@ -69,18 +61,18 @@ class TestLifecycle:
 
 
 class TestStop:
-    def test_stopping_leaves_no_tick_armed(self):
+    def test_stopping_leaves_no_tick_armed(self, policy):
         """``ServiceInstance.stop()`` and ``Autoscaler.stop()`` used to
         leave their next interval timeout on the event queue, so a
         ``run()`` after the stop ran the clock on to that abandoned tick.
         Stopping withdraws the armed tick: once the stopped services and
         the autoscaler have nothing genuine left, the queue is empty."""
+        policy(min_instances=2, interval_s=11.0)
         with Session(seed=0) as session:
             smgr = ServiceManager(session, registry_platform="delta")
             scaler = smgr.start_autoscaler(
                 ServiceDescription(model="noop", heartbeat_interval_s=7.0),
-                remote_platform="r3",
-                config=AutoscalerConfig(min_instances=2, interval_s=11.0))
+                remote_platform="r3")
             session.run(until=smgr.wait_ready(scaler.handles))
             session.run(until=session.now + 30.0)
             scaler.stop()
@@ -100,7 +92,7 @@ class TestElasticity:
             n_clients=16, burst_s=120.0, idle_s=240.0, n_bursts=2, seed=3)
 
         counts = [count for _, count in result.count_trace]
-        cfg_min = AutoscalerConfig().min_instances
+        cfg_min = autoscaler.MIN_INSTANCES
         assert max(counts) > cfg_min              # demonstrably grew
         assert counts[-1] == cfg_min              # ...and shrank back
         directions = [d for _, d, _ in result.scale_events]

@@ -33,8 +33,7 @@ GOLDEN = Path(__file__).parent / "data" / "parent_control_plane.json"
 def transcript():
     """8 local + 1 remote service bootstrap, beat and report for 120 s;
     one crashes (its lease expires), one stops in order; quiesce, drain."""
-    config = ResilienceConfig(heartbeat_interval_s=4.0, lease_misses=3,
-                              retry=None)
+    config = ResilienceConfig(heartbeat_interval_s=4.0, retry=None)
     with Session(seed=17, resilience_config=config) as session:
         engine = session.engine
         pmgr = PilotManager(session)

@@ -13,6 +13,7 @@ from repro import (
     Session,
 )
 from repro.comm.message import LoadReport
+from repro.core import client as client_module
 from repro.core.load_balancer import LeastLoadedBalancer
 from repro.serving.hosts import create_host
 
@@ -258,12 +259,12 @@ def test_draining_instance_sheds_new_arrivals():
 # Client retry-on-busy and balancer accounting
 # ---------------------------------------------------------------------------
 
-def test_client_retries_busy_until_served():
+def test_client_retries_busy_until_served(monkeypatch):
+    monkeypatch.setattr(client_module, "BACKOFF_BASE_S", 0.5)
     with Session(seed=17) as session:
         instance, address = make_instance(
             session, model="llama-8b", max_queue_depth=1)
-        clients = [ServiceClient(session, platform="delta",
-                                 backoff_base_s=0.5)
+        clients = [ServiceClient(session, platform="delta")
                    for _ in range(6)]
 
         def work(client):

@@ -11,6 +11,7 @@ reproduce it exactly.
 
 import json
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro import (
     Session,
 )
 from repro.comm.message import estimate_size
+from repro.core import client as client_module
 from repro.core.client import RequestTimeout
 from repro.core.load_balancer import RoundRobinBalancer
 from repro.serving.hosts import create_host
@@ -239,6 +241,15 @@ def _reprs(value):
     return value
 
 
+class CrowdClient(ServiceClient):
+    """A client whose backoff starts at 0.02 s, as the recording's crowd
+    did; the rest of the scenario backs off from the default."""
+
+    def _backoff(self, attempt):
+        with patch.object(client_module, "BACKOFF_BASE_S", 0.02):
+            return super()._backoff(attempt)
+
+
 def request_transcript():
     """A local noop service, a batching llama service on vllm behind a
     bounded queue, and a noop instance that stops mid-run.  Six clients
@@ -265,8 +276,7 @@ def request_transcript():
         session.run(until=smgr.wait_ready(handles))
         t_ready = engine.now
 
-        crowd = [ServiceClient(session, platform="delta",
-                               max_retries=retries, backoff_base_s=0.02)
+        crowd = [CrowdClient(session, platform="delta", max_retries=retries)
                  for retries in (0, 1, 4, 4, 4, 4)]
         impatient = ServiceClient(session, platform="delta", timeout_s=0.06,
                                   max_retries=1)

@@ -5,6 +5,7 @@ import pytest
 from repro import (
     PilotDescription,
     PilotManager,
+    ResilienceConfig,
     ServiceClient,
     ServiceDescription,
     ServiceManager,
@@ -282,17 +283,25 @@ class TestStopAndFailure:
         assert len(beats) == 3
         assert beats[1] - beats[0] == pytest.approx(5.0, abs=0.5)
 
-    def test_liveness_watchdog_detects_dead_service(self, env):
-        session, _, smgr, pilot = env
-        (handle,) = smgr.start_services(
-            ServiceDescription(model="noop", gpus_per_rank=0,
-                               heartbeat_interval_s=2.0), pilot)
-        session.run(until=handle.ready)
-        smgr.watch_liveness(handle, misses=3)
-        # Kill the data plane silently (no manager-visible stop).
-        handle.instance.stop()
-        session.run(until=handle.stopped)
-        assert handle.service_state == ServiceState.FAILED
+    def test_liveness_watchdog_detects_dead_service(self):
+        """In a resilient session a READY service's heartbeats renew a lease
+        on the session's monitor: a silent data plane ends FAILED."""
+        config = ResilienceConfig(retry=None)
+        with Session(seed=5, resilience_config=config) as session:
+            pmgr = PilotManager(session)
+            smgr = ServiceManager(session, registry_platform="delta")
+            (pilot,) = pmgr.submit_pilots(
+                PilotDescription(resource="delta", gpus=16, runtime_s=1e7))
+            (handle,) = smgr.start_services(
+                ServiceDescription(model="noop", gpus_per_rank=0,
+                                   heartbeat_interval_s=2.0), pilot)
+            session.run(until=handle.ready)
+            # Kill the data plane silently (no manager-visible stop).
+            handle.instance.stop()
+            session.run(until=handle.stopped)
+            assert handle.service_state == ServiceState.FAILED
+            detections = session.resilience.monitor.detections
+            assert [d.uid for d in detections] == [handle.uid]
 
 
 class TestRemoteServices:

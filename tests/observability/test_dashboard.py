@@ -58,13 +58,6 @@ class TestDaemonContract:
             session.quiesce()
             session.run()
 
-    def test_no_dashboard_without_metrics_plane(self):
-        config = ObservabilityConfig(dashboard=True, metrics=False)
-        with Session(seed=3, observability=config) as session:
-            assert session.observability.dashboard is None
-            session.quiesce()
-            session.run()
-
 
 class TestSnapshotContent:
     def test_instruments_render_by_kind(self):

@@ -221,7 +221,20 @@ class TestDisabledPlane:
 
     def test_partial_planes(self):
         with Session(seed=1, observability=ObservabilityConfig(
-                tracing=False, metrics=False)) as session:
+                tracing=False, monitors=False)) as session:
             obs = session.observability
-            assert obs.tracer is None and obs.metrics is None
-            assert obs.monitors is not None
+            assert obs.tracer is None and obs.monitors is None
+            assert obs.metrics is not None  # the metrics plane is always on
+
+
+class TestConfig:
+    @pytest.mark.parametrize("interval", [0.0, -5.0, float("nan")])
+    @pytest.mark.parametrize("field", ["sample_interval_s",
+                                       "dashboard_interval_s"])
+    def test_intervals_must_be_positive(self, field, interval):
+        """A zero sample interval re-armed the sampler at the same instant
+        forever, so ``session.run(until=1.0)`` never returned; the dashboard
+        interval was only checked with ``dashboard=True``.  Both are refused
+        up front, NaN included."""
+        with pytest.raises(ValueError, match=field):
+            ObservabilityConfig(**{field: interval})

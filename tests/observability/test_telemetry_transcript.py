@@ -17,6 +17,7 @@ import os
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -30,12 +31,14 @@ from repro import (
     TaskDescription,
     TaskManager,
 )
-from repro.observability import Histogram
+from repro.observability import Histogram, monitor
 from repro.resilience import RetryPolicy
 from repro.workflows import CampaignGraph, TaskNode
 
 GOLDEN = Path(__file__).parent / "data" / "parent_telemetry.json"
 LEVELS = ("full", "durations", "off")
+#: the detector tuning the transcript was recorded under
+DETECTORS = dict(STRAGGLER_WINDOW=16, SLO_LATENCY_S=50.0, SLO_WINDOW=8)
 
 
 def campaign():
@@ -67,11 +70,10 @@ def transcript(level):
         heartbeat_interval_s=5.0,
         retry=RetryPolicy(max_retries=6, backoff_base_s=1.0),
         faults=FaultModel(node_mtbf_s=400.0, node_mttr_s=30.0))
-    observability = ObservabilityConfig(sample_interval_s=15.0,
-                                        straggler_window=16,
-                                        slo_latency_s=50.0, slo_window=8)
-    with Session(seed=17, profile=level, resilience_config=config,
-                 observability=observability) as session:
+    observability = ObservabilityConfig(sample_interval_s=15.0)
+    with patch.multiple(monitor, **DETECTORS), \
+            Session(seed=17, profile=level, resilience_config=config,
+                    observability=observability) as session:
         pmgr = PilotManager(session)
         tmgr = TaskManager(session)
         (pilot,) = pmgr.submit_pilots(

@@ -223,7 +223,7 @@ class TestQuiesce:
 
         session = Session(
             seed=1, resilience_config=ResilienceConfig(
-                heartbeat_interval_s=100.0, lease_misses=3))
+                heartbeat_interval_s=100.0))
         with session:
             monitor = session.resilience.monitor
             monitor.watch("svc.test", interval_s=100.0, misses=3)

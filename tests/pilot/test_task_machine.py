@@ -15,6 +15,8 @@ public surface is used (plus ``TaskManager._live_load``), so the machine
 runs unchanged against any implementation of the path.
 """
 
+from unittest.mock import patch
+
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -38,6 +40,7 @@ from repro.resilience import (
     NodeFailure,
     ResilienceConfig,
     RetryPolicy,
+    recovery,
 )
 
 #: states an observer may raise on.  On a transition of a live attempt the
@@ -88,12 +91,15 @@ class TaskPathMachine(RuleBasedStateMachine):
             resilience_config=ResilienceConfig(
                 heartbeat_interval_s=50.0,
                 retry=RetryPolicy(max_retries=2, backoff_base_s=2.0,
-                                  backoff_jitter_s=1.0,
                                   rebind_wait_s=100.0),
                 faults=faults),
             observability=(None if sample_interval is None else
                            ObservabilityConfig(
                                sample_interval_s=sample_interval)))
+        # retries back off with up to 1 s of jitter, for this example only
+        # (the teardown stops the patch)
+        self.jitter = patch.object(recovery, "BACKOFF_JITTER_S", 1.0)
+        self.jitter.start()
         self.pmgr = PilotManager(self.session)
         self.tmgr = TaskManager(self.session)
         (self.pilot,) = self.pmgr.submit_pilots(
@@ -119,6 +125,12 @@ class TaskPathMachine(RuleBasedStateMachine):
     def teardown(self):
         if not hasattr(self, "session"):
             return
+        try:
+            self._drain_and_check()
+        finally:
+            self.jitter.stop()
+
+    def _drain_and_check(self):
         session, pilot = self.session, self.pilot
         self._surfacing(self.pmgr.cancel_pilots, pilot)
         self._surfacing(session.run, pilot.finished)

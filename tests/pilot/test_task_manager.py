@@ -529,10 +529,10 @@ class TestDataAffinityPlacement:
             assert {t.pilot_uid for t in repeats} == {p.uid for p in pilots}
             assert tmgr.affinity_placements == 0
 
-    def test_overloaded_preferred_pilot_yields(self):
-        from repro.data import DataConfig
-        session, tmgr, pilots = self.make_env(
-            data_config=DataConfig(affinity_load_slack=2))
+    def test_overloaded_preferred_pilot_yields(self, monkeypatch):
+        from repro.pilot import task_manager
+        monkeypatch.setattr(task_manager, "AFFINITY_LOAD_SLACK", 2)
+        session, tmgr, pilots = self.make_env()
         with session:
             (first,) = tmgr.submit_tasks(self.staged("dataset/a"))
             session.run(until=tmgr.wait_tasks([first]))

@@ -141,8 +141,8 @@ PROFILE_STREAM = [
 def test_fault_retry_cancel_scenario_matches_the_parent_row_for_row():
     with Session(seed=7, resilience_config=ResilienceConfig(
             heartbeat_interval_s=1e6,
-            retry=RetryPolicy(max_retries=2, backoff_base_s=2.0,
-                              backoff_jitter_s=0.5))) as session:
+            retry=RetryPolicy(max_retries=2,
+                              backoff_base_s=2.0))) as session:
         _, tmgr, pilot = active_pilot(session)
         t0 = session.now
         staged, victim, filler, queued, running = tmgr.submit_tasks([

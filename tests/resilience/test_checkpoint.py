@@ -3,14 +3,13 @@
 import pytest
 
 from repro import (
-    CheckpointPolicy,
     PilotDescription,
     PilotManager,
     ResilienceConfig,
     Session,
     TaskManager,
 )
-from repro.resilience import RetryPolicy
+from repro.resilience import RetryPolicy, recovery
 from repro.workflows import (
     CampaignRunner,
     CellPaintingConfig,
@@ -20,11 +19,16 @@ from repro.workflows import (
 from repro.workflows.uq import UQConfig
 
 
-def resilient_session(store=None, seed=4, checkpoint=None):
+def resilient_session(store=None, seed=4):
     return Session(seed=seed, resilience_config=ResilienceConfig(
         retry=RetryPolicy(max_retries=1),
-        checkpoint=checkpoint,
         checkpoint_store=store))
+
+
+@pytest.fixture
+def every(monkeypatch):
+    """``every(k)``: a checkpoint is due every k-th iteration."""
+    return lambda k: monkeypatch.setattr(recovery, "CHECKPOINT_INTERVAL", k)
 
 
 def runner_with_pilot(session, nodes=2):
@@ -37,10 +41,10 @@ def runner_with_pilot(session, nodes=2):
 
 
 class TestCheckpointer:
-    def test_save_registers_durable_object_and_charges_transfer(self):
-        policy = CheckpointPolicy(checkpoint_bytes=2e9,
-                                  home_platform="localhost")
-        with resilient_session(checkpoint=policy) as session:
+    def test_save_registers_durable_object_and_charges_transfer(
+            self, monkeypatch):
+        monkeypatch.setattr(recovery, "CHECKPOINT_BYTES", 2e9)
+        with resilient_session() as session:
             ckpt = session.resilience.checkpoints
 
             def saver():
@@ -69,21 +73,20 @@ class TestCheckpointer:
             session.run(until=session.engine.process(saver()))
             assert ckpt.latest("k") == (2, "state-2")
 
-    def test_due_follows_interval_policy(self):
-        with resilient_session(checkpoint=CheckpointPolicy(
-                interval_iters=3)) as session:
+    def test_due_follows_interval_policy(self, every):
+        every(3)
+        with resilient_session() as session:
             ckpt = session.resilience.checkpoints
             assert [ckpt.due(i) for i in range(6)] == \
                 [False, False, True, False, False, True]
 
-    def test_interval_policy_gates_workflow_saves(self):
-        """interval_iters=2: the UQ campaign persists its frontier at most
-        every 2nd completed node plus the final one, and the final
-        frontier lists every node."""
+    def test_interval_policy_gates_workflow_saves(self, every):
+        """A save due every 2nd iteration: the UQ campaign persists its
+        frontier at most every 2nd completed node plus the final one, and
+        the final frontier lists every node."""
+        every(2)
         store = {}
-        with resilient_session(store=store,
-                               checkpoint=CheckpointPolicy(
-                                   interval_iters=2)) as session:
+        with resilient_session(store=store) as session:
             runner = runner_with_pilot(session)
             graph = build_uq_campaign(UQConfig())
             proc = session.engine.process(
@@ -96,7 +99,7 @@ class TestCheckpointer:
             assert frontier["completed"][graph.name] == \
                 graph.topological_order()
 
-    def test_uq_campaign_resumes_from_its_frontier(self):
+    def test_uq_campaign_resumes_from_its_frontier(self, every):
         """Killed after its first frontier save, the UQ campaign resumes
         in a new session on the same store: it ends with every cell
         exactly once, and fits only the cells the frontier lacked."""
@@ -107,12 +110,12 @@ class TestCheckpointer:
         def cells_of(nodes):
             return [n for n in nodes if n.startswith("cell-")]
 
+        # every 3rd completion saves: the first frontier holds both data
+        # nodes and a cell
+        every(3)
+
         def run(kill_after_first_save=False, seed=4):
-            # every 3rd completion saves: the first frontier holds both
-            # data nodes and a cell
-            with resilient_session(store=store, seed=seed,
-                                   checkpoint=CheckpointPolicy(
-                                       interval_iters=3)) as session:
+            with resilient_session(store=store, seed=seed) as session:
                 runner = runner_with_pilot(session)
                 graph = build_uq_campaign(UQConfig())
 

@@ -18,9 +18,9 @@ the drain ends at the last genuine event, the last profile row.
 
 import json
 from pathlib import Path
+from unittest.mock import patch
 
 from repro import (
-    AutoscalerConfig,
     FaultModel,
     ObservabilityConfig,
     PilotDescription,
@@ -33,9 +33,16 @@ from repro import (
     TaskDescription,
     TaskManager,
 )
+from repro.core import autoscaler
 from repro.resilience import PilotResubmitPolicy, RetryPolicy
 
 GOLDEN = Path(__file__).parent / "data" / "parent_daemons.json"
+
+#: the autoscaler policy the transcript was recorded under (the low mark is
+#: a quarter of the target, as the recording's policy object derived it)
+POLICY = dict(TARGET_QUEUE_DELAY_S=1.0, LOW_QUEUE_DELAY_S=0.25,
+              INTERVAL_S=7.0, MIN_INSTANCES=1, MAX_INSTANCES=3, UP_TICKS=1,
+              DOWN_TICKS=3)
 
 
 def transcript():
@@ -54,8 +61,9 @@ def transcript():
     observability = ObservabilityConfig(sample_interval_s=25.0,
                                         dashboard=True,
                                         dashboard_interval_s=150.0)
-    with Session(seed=23, resilience_config=config,
-                 observability=observability) as session:
+    with patch.multiple(autoscaler, **POLICY), \
+            Session(seed=23, resilience_config=config,
+                    observability=observability) as session:
         engine = session.engine
         pmgr = PilotManager(session)
         tmgr = TaskManager(session)
@@ -66,10 +74,7 @@ def transcript():
         scaler = smgr.start_autoscaler(
             ServiceDescription(model="llama-8b", backend="ollama",
                                heartbeat_interval_s=3.0),
-            remote_platform="r3",
-            config=AutoscalerConfig(target_queue_delay_s=1.0, interval_s=7.0,
-                                    min_instances=1, max_instances=3,
-                                    up_ticks=1, down_ticks=3))
+            remote_platform="r3")
         tasks = tmgr.submit_tasks([
             TaskDescription(executable="x", cores_per_rank=8,
                             duration_s=80.0 + 5.0 * (i % 7),

@@ -12,11 +12,11 @@ from repro import (
 )
 from repro.comm.message import Address
 from repro.pilot.states import PilotState
-from repro.resilience import RetryPolicy, heartbeat_topic
+from repro.resilience import LEASE_MISSES, RetryPolicy, heartbeat_topic
 
 
 def resilient_session(**kwargs):
-    defaults = dict(heartbeat_interval_s=2.0, lease_misses=3, retry=None)
+    defaults = dict(heartbeat_interval_s=2.0, retry=None)
     defaults.update(kwargs)
     return Session(seed=3, resilience_config=ResilienceConfig(**defaults))
 
@@ -157,9 +157,9 @@ class TestPilotLiveness:
             assert pilot.state == PilotState.FAILED
             (record,) = session.resilience.monitor.detections
             # silence spans at most interval + misses * interval
-            cfg = session.resilience.config
+            interval = session.resilience.config.heartbeat_interval_s
             assert record.silence_s <= \
-                (cfg.lease_misses + 1) * cfg.heartbeat_interval_s + 1e-6
+                (LEASE_MISSES + 1) * interval + 1e-6
             assert record.declared_at > 60.0  # observed *after* the death
 
     def test_orderly_pilot_completion_never_declares(self):

@@ -16,6 +16,7 @@ from repro.resilience import (
     PilotResubmitPolicy,
     RetryPolicy,
     failure_counts,
+    recovery,
 )
 
 
@@ -77,7 +78,8 @@ class TestRetryPolicy:
             assert len(task.failures) == 3
             assert task.uid in session.resilience.recovery.gave_up
 
-    def test_backoff_delays_grow_between_attempts(self):
+    def test_backoff_delays_grow_between_attempts(self, monkeypatch):
+        monkeypatch.setattr(recovery, "BACKOFF_JITTER_S", 0.0)
         times = []
 
         def flaky():
@@ -85,8 +87,7 @@ class TestRetryPolicy:
             raise RuntimeError("x")
 
         with make_session(retry=RetryPolicy(
-                max_retries=2, backoff_base_s=4.0,
-                backoff_jitter_s=0.0)) as session:
+                max_retries=2, backoff_base_s=4.0)) as session:
             _, tmgr, _ = one_pilot(session)
             (task,) = tmgr.submit_tasks(TaskDescription(function=flaky))
             session.run(until=tmgr.wait_tasks([task]))

@@ -8,6 +8,7 @@ from repro.serving import (
     OllamaHost,
     VllmHost,
     create_host,
+    hosts,
 )
 from repro.serving.backend import LlamaModel
 from repro.sim import RngHub
@@ -49,8 +50,9 @@ class TestVllmHost:
     def test_default_concurrency(self):
         assert VllmHost(NoopModel()).max_concurrency == 8
 
-    def test_batching_penalty_applied(self, rng):
-        host = VllmHost(LlamaModel(), batch_penalty=0.2)
+    def test_batching_penalty_applied(self, rng, monkeypatch):
+        monkeypatch.setattr(hosts, "BATCH_PENALTY", 0.2)
+        host = VllmHost(LlamaModel())
         solo = np.mean([host.infer("p", rng, {"max_tokens": 64},
                                    n_active=1)[1] for _ in range(30)])
         batched = np.mean([host.infer("p", rng, {"max_tokens": 64},
@@ -61,7 +63,7 @@ class TestVllmHost:
         """8 concurrent requests on vLLM finish faster in aggregate."""
         llama = LlamaModel()
         serial = OllamaHost(llama)
-        batchy = VllmHost(llama, batch_penalty=0.12)
+        batchy = VllmHost(llama)
         n = 8
         serial_total = sum(serial.infer("p", rng, {"max_tokens": 64})[1]
                            for _ in range(n))
@@ -69,10 +71,6 @@ class TestVllmHost:
         batched_times = [batchy.infer("p", rng, {"max_tokens": 64},
                                       n_active=n)[1] for _ in range(n)]
         assert max(batched_times) < serial_total / 2
-
-    def test_invalid_penalty(self):
-        with pytest.raises(ValueError):
-            VllmHost(NoopModel(), batch_penalty=-0.1)
 
 
 class TestHostFactory:

@@ -7,6 +7,7 @@ laws.
 """
 
 import heapq
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -669,14 +670,16 @@ def test_forced_failures_leak_no_resources(data):
     recovery-driven re-execution alike.
     """
     from repro.pilot import PilotDescription, PilotManager, TaskManager
-    from repro.resilience import NodeFailure, ResilienceConfig, RetryPolicy
+    from repro.resilience import (NodeFailure, ResilienceConfig, RetryPolicy,
+                                  recovery)
 
     with_retry = data.draw(st.booleans())
     config = ResilienceConfig(
-        retry=RetryPolicy(max_retries=1, backoff_base_s=0.5,
-                          backoff_jitter_s=0.0)) if with_retry else None
+        retry=RetryPolicy(max_retries=1, backoff_base_s=0.5)
+    ) if with_retry else None
     seed = data.draw(st.integers(min_value=0, max_value=50))
-    with Session(seed=seed, resilience_config=config) as session:
+    with patch.object(recovery, "BACKOFF_JITTER_S", 0.0), \
+            Session(seed=seed, resilience_config=config) as session:
         pmgr = PilotManager(session)
         tmgr = TaskManager(session)
         (pilot,) = pmgr.submit_pilots(
@@ -1170,7 +1173,7 @@ def test_tracer_replay_matches_eager_reference(ops, level):
         assert len(tracer) == len(ref.spans)
 
     with Session(seed=0, profile=level, observability=ObservabilityConfig(
-            metrics=False, monitors=False)) as session:
+            monitors=False)) as session:
         obs = session.observability
         tracer, ref = obs.tracer, ReferenceTracer(session)
         tasks = []      # every task, tracked or not
@@ -1296,20 +1299,20 @@ def test_sorted_straggler_window_matches_the_sorting_reference(
 
     from observability.reference_monitor import ReferenceStragglerDetector
 
-    from repro.observability import MonitorHub, ObservabilityConfig
+    from repro.observability import MonitorHub, monitor
 
-    config = ObservabilityConfig(straggler_window=window,
-                                 straggler_min_samples=min_samples,
-                                 straggler_k=k)
-    hub, ref = MonitorHub(config), ReferenceStragglerDetector(config)
-    for i, (shape, runtime) in enumerate(stream):
-        task = SimpleNamespace(uid=f"t{i}", runtime_s=runtime,
-                               n_cores=1 + shape, n_gpus=0,
-                               attempts=1 + i % 3,
-                               description=SimpleNamespace(ranks=1))
-        hub.observe_exec(task, float(i))
-        ref.observe_exec(task, float(i))
-        assert len(hub.events) == len(ref.events)
+    ref = ReferenceStragglerDetector(window, min_samples, k)
+    with patch.multiple(monitor, STRAGGLER_WINDOW=window,
+                        STRAGGLER_MIN_SAMPLES=min_samples, STRAGGLER_K=k):
+        hub = MonitorHub()
+        for i, (shape, runtime) in enumerate(stream):
+            task = SimpleNamespace(uid=f"t{i}", runtime_s=runtime,
+                                   n_cores=1 + shape, n_gpus=0,
+                                   attempts=1 + i % 3,
+                                   description=SimpleNamespace(ranks=1))
+            hub.observe_exec(task, float(i))
+            ref.observe_exec(task, float(i))
+            assert len(hub.events) == len(ref.events)
     assert hub.events == ref.events
     assert ([(e.details["median_s"], e.details["ratio"]) for e in hub.events]
             == [(e.details["median_s"], e.details["ratio"])
@@ -1577,8 +1580,8 @@ def _scenario_graphs(spec):
 
 def _run_campaign_scenario(spec, reference, store, interrupt):
     """One session's worth of *spec*; everything the property compares."""
-    from repro import (CheckpointPolicy, DataConfig, PilotDescription,
-                       PilotManager, ResilienceConfig, TaskManager)
+    from repro import (DataConfig, PilotDescription, PilotManager,
+                       ResilienceConfig, TaskManager)
     from repro.sim.events import Interrupt
     from repro.workflows import CampaignRunner
     from repro.workflows import campaign as campaign_module
@@ -1587,10 +1590,7 @@ def _run_campaign_scenario(spec, reference, store, interrupt):
 
     resilience = None
     if spec["checkpoint"] is not None:
-        resilience = ResilienceConfig(
-            checkpoint=CheckpointPolicy(
-                interval_iters=spec["checkpoint"][0]),
-            checkpoint_store=store)
+        resilience = ResilienceConfig(checkpoint_store=store)
     states = []
 
     class SpiedState(campaign_module._GraphState):
@@ -1756,8 +1756,12 @@ def test_campaign_records_match_the_process_per_node_reference(spec):
     contexts, task uids, final (state, time) per task, profile rows per
     uid, window peak and data-plane counters as one process per node, per
     windowed submit and per staging directive did."""
-    shipped = _campaign_outcomes(spec, reference=False)
-    expected = _campaign_outcomes(spec, reference=True)
+    from repro.resilience import recovery
+
+    interval = 1 if spec["checkpoint"] is None else spec["checkpoint"][0]
+    with patch.object(recovery, "CHECKPOINT_INTERVAL", interval):
+        shipped = _campaign_outcomes(spec, reference=False)
+        expected = _campaign_outcomes(spec, reference=True)
     for got, want in zip(shipped, expected):
         for key in want:
             assert got[key] == want[key], key

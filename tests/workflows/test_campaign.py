@@ -4,7 +4,6 @@ checkpoints, multi-graph campaigns and the ported use-case graphs."""
 import pytest
 
 from repro import (
-    CheckpointPolicy,
     PilotDescription,
     PilotManager,
     ResilienceConfig,
@@ -14,6 +13,7 @@ from repro import (
 from repro.analytics import campaign_metrics
 from repro.pilot.description import TaskDescription
 from repro.pilot.task_manager import SubmissionWindow
+from repro.resilience import recovery
 from repro.workflows import (
     CampaignGraph,
     CampaignRunner,
@@ -520,7 +520,6 @@ class TestFrontierCheckpoints:
 
     def resilient_env(self, store, seed=23):
         session = Session(seed=seed, resilience_config=ResilienceConfig(
-            checkpoint=CheckpointPolicy(interval_iters=1),
             checkpoint_store=store))
         pmgr = PilotManager(session)
         tmgr = TaskManager(session)
@@ -620,11 +619,11 @@ class TestFrontierCheckpoints:
             assert prof.timestamp(uid, "campaign_stop") == saves[1]
         assert store["pair/frontier"][1]["completed"]["pair"] == ["a", "b"]
 
-    def test_checkpoint_bytes_charged_per_node_delta(self):
+    def test_checkpoint_bytes_charged_per_node_delta(self, monkeypatch):
         """Two nodes completing per save window charge two deltas."""
+        monkeypatch.setattr(recovery, "CHECKPOINT_INTERVAL", 2)
         store = {}
         session, tmgr = self.resilient_env(store)
-        session._resilience_config.checkpoint.interval_iters = 2
         with session:
             runner = CampaignRunner(session, tmgr)
             proc = session.engine.process(runner.run_campaign(
