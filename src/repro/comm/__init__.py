@@ -1,7 +1,7 @@
 """Communication substrate: the ZeroMQ-equivalent bus plus real TCP.
 
 * :class:`MessageBus` -- REQ/REP and PUB/SUB with fabric-modelled delivery
-  delays; runs on the simulation engine (virtual or real time).
+  delays; runs on the simulation engine.
 * :class:`TcpServiceServer` / :class:`TcpServiceClient` -- actual sockets for
   genuinely remote services in examples and integration tests.
 """

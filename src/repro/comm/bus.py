@@ -11,8 +11,8 @@ clients").  The same patterns are provided:
 
 Every delivery is charged the fabric's latency+bandwidth cost between the
 endpoints' platforms, so local (intra-platform) and remote (WAN) exchanges
-reproduce the paper's 0.063 ms vs 0.47 ms regimes.  Because delays run on
-the simulation engine, the bus works unmodified in virtual and real time.
+reproduce the paper's 0.063 ms vs 0.47 ms regimes.  Delays run on the
+simulation engine.
 
 There is one delivery contract.  A wire leg is one engine entry, and
 landing is the hand-over: inside that entry a reply resolves its request

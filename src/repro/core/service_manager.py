@@ -292,6 +292,7 @@ class ServiceManager:
         The endpoint is bound and registered immediately; the model is
         assumed resident (paper §IV-A).
         """
+        self.session.check_open()
         handle = ServiceHandle(self.session, description,
                                self.session.ids.generate("service"))
         handle.remote = True
@@ -315,6 +316,7 @@ class ServiceManager:
         up to its minimum immediately and then scales between its minimum
         and maximum against the registry's load telemetry.
         """
+        self.session.check_open()
         scaler = Autoscaler(self, description, pilot=pilot,
                             remote_platform=remote_platform, handles=handles)
         return scaler.start()

@@ -5,10 +5,9 @@ Two payload kinds (matching :class:`repro.pilot.description.TaskDescription`):
 * **executable tasks** -- cost-modelled: the executor charges the launch
   method's cost (including the MPI concurrency knee), ``pre_exec_s``, then
   ``duration_s`` (+jitter).
-* **function tasks** -- *really executed*.  In virtual mode the callable runs
-  inline and the clock advances by ``duration_s`` if given, else by the
-  measured wall time.  In realtime mode the callable runs on the session's
-  worker pool and completion is injected back into the engine.
+* **function tasks** -- *really executed*: the callable runs inline and the
+  clock advances by ``duration_s`` if given, else by the measured wall
+  time; a cancel while that charge runs withdraws its timer.
 
 The concurrent-launch counter feeds the launcher cost model: Experiment 1's
 launch component grows past ~160 *simultaneous* launches (Fig. 3).
@@ -26,7 +25,6 @@ from typing import TYPE_CHECKING
 
 from ...hpc.launcher import LaunchMethod, get_launcher
 from ...resilience.failures import classify_failure
-from ...sim.engine import RealtimeEngine
 from ...utils.log import get_logger
 from ..task import EXEC, LAUNCH, PLACED
 
@@ -142,17 +140,9 @@ class AgentExecutor:
             if d.function is None:
                 charge, landing, arg = \
                     self._duration(task), self._exec_done, task
-            elif isinstance(engine, RealtimeEngine):
-                # on the session's worker pool; the completion is injected
-                # back into the engine thread
-                task.wait = future = self.session.worker_pool.submit(
-                    d.function, *d.fn_args, **dict(d.fn_kwargs))
-                future.add_done_callback(lambda fut: engine.call_soon_threadsafe(
-                    self._worker_done, task, fut))
-                return
             else:
-                # Virtual time: run inline, charge modeled (or measured)
-                # duration; the result is the task's once that has passed.
+                # Run inline, charge the modeled (or measured) duration;
+                # the result is the task's once that has passed.
                 try:
                     wall0 = _time.perf_counter()
                     result = d.function(*d.fn_args, **dict(d.fn_kwargs))
@@ -175,17 +165,6 @@ class AgentExecutor:
         task, result = flight
         task.result = result
         self._exec_done(task)
-
-    def _worker_done(self, task: "Task", future) -> None:
-        if task.wait is not future:
-            return  # the attempt was interrupted while the worker ran
-        exc = future.exception()
-        if exc is not None:
-            task.wait = None
-            self._payload_failed(task, exc)
-        else:
-            task.result = future.result()
-            self._exec_done(task)
 
     def _exec_done(self, task: "Task") -> None:
         task.wait = None

@@ -2,21 +2,14 @@
 
 Mirrors RADICAL-Pilot's ``rp.Session``: every run starts by creating a
 session, from which managers (:class:`PilotManager`, :class:`TaskManager`,
-:class:`ServiceManager`) are derived.  The session also fixes the execution
-mode:
-
-* ``mode="virtual"``  -- discrete-event time; cost models; used by the
-  benchmark harness to reproduce the paper's scales.
-* ``mode="realtime"`` -- wall-clock pacing (``realtime_factor`` seconds of
-  wall time per simulated second; 1.0 = true real time) plus a thread
-  pool so function tasks execute *real* Python work.  Keep the factor above
-  zero in this mode: at 0, *modeled* delays (launch costs, walltimes)
-  collapse to zero wall time and race ahead of real worker threads.
+:class:`ServiceManager`) are derived.  A session runs on one kernel, the
+virtual-time :class:`~repro.sim.engine.SimulationEngine`: modeled costs
+advance its clock, and function tasks run their real Python inline (see
+:mod:`repro.pilot.agent.executor`).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,7 +21,7 @@ from ..comm.bus import MessageBus
 from ..hpc.batch import BatchSystem
 from ..hpc.network import Fabric
 from ..hpc.platform import PLATFORMS, PlatformSpec, get_platform
-from ..sim.engine import RealtimeEngine, SimulationEngine
+from ..sim.engine import SimulationEngine
 from ..sim.events import Event
 from ..sim.rng import RngHub
 from ..utils.ids import IdRegistry
@@ -43,26 +36,16 @@ log = get_logger("pilot.session")
 class Session:
     """Root container for one runtime instance."""
 
-    MODES = ("virtual", "realtime")
-
-    def __init__(self, mode: str = "virtual", seed: int = 0,
-                 realtime_factor: float = 1.0,
+    def __init__(self, seed: int = 0,
                  platforms: Optional[List[Union[str, PlatformSpec]]] = None,
-                 uid: Optional[str] = None,
                  data_config: Optional["DataConfig"] = None,
                  resilience_config: Optional["ResilienceConfig"] = None,
                  observability: Optional["ObservabilityConfig"] = None,
                  profile: str = "full") -> None:
-        if mode not in self.MODES:
-            raise ValueError(f"mode must be one of {self.MODES}")
-        self.mode = mode
         self.ids = IdRegistry()
-        self.uid = uid or self.ids.generate("session")
+        self.uid = self.ids.generate("session")
         self.rng_hub = RngHub(seed)
-        if mode == "virtual":
-            self.engine: SimulationEngine = SimulationEngine()
-        else:
-            self.engine = RealtimeEngine(factor=realtime_factor)
+        self.engine = SimulationEngine()
         self.fabric = Fabric(self.rng_hub.normals("fabric"))
         #: what a reader derives from the profile log: "full" a row per
         #: record, "durations" first timestamps only (no row is ever built),
@@ -75,7 +58,6 @@ class Session:
         #: the dashboard, armed leases) stopped by quiesce() so run() drains
         self._daemons: List[Any] = []
         self._daemon_prune_at = 64
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._data_config = data_config
         self._data: Optional["DataServices"] = None
         self._resilience_config = resilience_config
@@ -100,7 +82,7 @@ class Session:
             from ..observability import ObservabilityServices
             self.observability = ObservabilityServices(self, observability)
 
-        log.info("session %s created (mode=%s, seed=%d)", self.uid, mode, seed)
+        log.info("session %s created (seed=%d)", self.uid, seed)
 
     # -- lookups -------------------------------------------------------------
     def platform(self, name: str) -> PlatformSpec:
@@ -182,15 +164,6 @@ class Session:
                 "session with observability=ObservabilityConfig()")
         return self.observability.attribution(makespan=makespan)
 
-    # -- real-work execution (realtime mode) ------------------------------------
-    @property
-    def worker_pool(self) -> ThreadPoolExecutor:
-        """Thread pool used by executors to run real function tasks."""
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=8, thread_name_prefix=f"{self.uid}-worker")
-        return self._pool
-
     # -- running -----------------------------------------------------------------
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Drive the engine (see :meth:`SimulationEngine.run`)."""
@@ -260,8 +233,9 @@ class Session:
 
         Called by everything that would start something: :meth:`run`,
         ``TaskManager.submit_tasks``, ``PilotManager.submit_pilots``,
-        ``ServiceManager.start_services``.  Reading a closed session --
-        ``now``, the profiler, task handles -- keeps working.
+        ``ServiceManager.start_services`` / ``start_remote`` /
+        ``start_autoscaler``.  Reading a closed session -- ``now``, the
+        profiler, task handles -- keeps working.
         """
         if self._closed:
             raise RuntimeError("session is closed")
@@ -271,9 +245,6 @@ class Session:
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         log.info("session %s closed at t=%.3f", self.uid, self.engine.now)
 
     def __enter__(self) -> "Session":
@@ -283,4 +254,4 @@ class Session:
         self.close()
 
     def __repr__(self) -> str:
-        return f"<Session {self.uid} mode={self.mode} t={self.engine.now:.3f}>"
+        return f"<Session {self.uid} t={self.engine.now:.3f}>"

@@ -135,7 +135,7 @@ class Task(_StatefulEntity):
         self._obs_submitted_at: Optional[float] = None  # telemetry plane
         self.owner = None  # the TaskManager the task was submitted to
         self.phase: Optional[str] = None  # what it waits for (see above)
-        #: handle of that wait: ``Deferred`` / future (cancel), ``Routine``
+        #: handle of that wait: ``Deferred`` (cancel), ``Routine``
         #: (throw), or None while nothing is armed
         self.wait: Any = None
         #: the pilot this attempt is bound to (in its live-bound load)

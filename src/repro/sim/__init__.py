@@ -1,10 +1,9 @@
 """Discrete-event simulation kernel.
 
-Built from scratch for this reproduction: a process-interaction DES core
-(:class:`SimulationEngine`), a wall-clock paced variant
-(:class:`RealtimeEngine`) for running real workloads, the one queue a
-process still waits on (:class:`Store`), and deterministic named RNG
-streams (:class:`RngHub`).
+Built from scratch for this reproduction: one process-interaction DES core
+in virtual time (:class:`SimulationEngine`), the one queue a process still
+waits on (:class:`Store`), and deterministic named RNG streams
+(:class:`RngHub`).
 """
 
 from .events import (
@@ -17,7 +16,7 @@ from .events import (
     Process,
     Timeout,
 )
-from .engine import RealtimeEngine, SimulationEngine
+from .engine import SimulationEngine
 from .resources import Store, StoreGet
 from .rng import RngHub
 
@@ -30,7 +29,6 @@ __all__ = [
     "Interrupt",
     "Process",
     "Timeout",
-    "RealtimeEngine",
     "SimulationEngine",
     "Store",
     "StoreGet",

@@ -1,15 +1,10 @@
-"""Simulation engines: virtual-time (as fast as possible) and real-time.
+"""The simulation engine: one virtual-time kernel, run as fast as possible.
 
 :class:`SimulationEngine` is a classic event-heap DES core: events are
 scheduled at absolute timestamps, popped in (time, priority, insertion)
 order, and their callbacks executed.  Virtual time advances instantly
 between events, so a 640-service bootstrap experiment "on Frontier" runs in
 milliseconds of wall time.
-
-:class:`RealtimeEngine` exposes the identical API but paces event execution
-against the wall clock (scaled by *factor*) and accepts thread-safe event
-injection, which lets executors run *real* Python workloads in worker threads
-and feed completions back into the simulation loop.
 
 Two structural optimisations keep the kernel flat at million-task scale
 (profiled via ``benchmarks/profile_hotpath.py``; held against a minimal
@@ -44,8 +39,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
-import time as _time
 from collections import deque
 from typing import Any, Callable, Deque, Generator, Iterable, List, Union
 
@@ -60,7 +53,7 @@ from .events import (
     Timeout,
 )
 
-__all__ = ["SimulationEngine", "RealtimeEngine"]
+__all__ = ["SimulationEngine"]
 
 _INF = float("inf")
 #: "no stop event" for :meth:`SimulationEngine._dispatch`: never scheduled,
@@ -277,116 +270,3 @@ class SimulationEngine:
         self.now = deadline
         return None
 
-
-class RealtimeEngine(SimulationEngine):
-    """DES engine paced against the wall clock with thread-safe injection.
-
-    *factor* is the wall-clock duration of one simulated second (``1.0`` =
-    real time, ``0.1`` = 10x speed-up, ``0`` = as fast as possible while
-    still accepting cross-thread injections).
-
-    External threads call :meth:`call_soon_threadsafe` to run a callable on
-    the engine thread; this is how worker pools deliver completions of real
-    Python workloads into the simulation.
-
-    Events are dispatched one :meth:`step` at a time: between any two of
-    them the loop may have to sleep or run an injection, and realtime runs
-    are paced by the wall clock rather than dispatch throughput.
-    """
-
-    def __init__(self, factor: float = 1.0, start_time: float = 0.0) -> None:
-        super().__init__(start_time)
-        if factor < 0:
-            raise ValueError("factor must be >= 0")
-        self.factor = factor
-        self._cv = threading.Condition()
-        self._injected: List[tuple] = []
-        self._running = False
-        self._wall_anchor = 0.0
-        self._sim_anchor = 0.0
-
-    # -- cross-thread API ------------------------------------------------------
-    def call_soon_threadsafe(self, fn: Callable, *args: Any) -> None:
-        """Schedule ``fn(*args)`` to run on the engine thread ASAP."""
-        with self._cv:
-            self._injected.append((fn, args))
-            self._cv.notify_all()
-
-    def _drain_injected(self) -> bool:
-        """Run injected callables (engine thread only).  Returns True if any ran."""
-        with self._cv:
-            batch, self._injected = self._injected, []
-        for fn, args in batch:
-            fn(*args)
-        return bool(batch)
-
-    # -- pacing ----------------------------------------------------------------
-    def _wall_deadline(self, sim_time: float) -> float:
-        return self._wall_anchor + (sim_time - self._sim_anchor) * self.factor
-
-    def run(self, until: Union[None, float, Event] = None) -> Any:
-        """Run with wall-clock pacing (see :meth:`SimulationEngine.run`)."""
-        self._wall_anchor = _time.monotonic()
-        self._sim_anchor = self.now
-        self._running = True
-        try:
-            return super().run(until)
-        finally:
-            self._running = False
-
-    def _dispatch(self, stop: Event, deadline: float,
-                  budget: Iterable[None]) -> bool:
-        """The paced loop: one entry at a time, each once it is due, with
-        injections run in between.  While idle it keeps waiting for *stop*
-        (an injection may still trigger it); without one it returns when
-        nothing is left to run before *deadline*."""
-        if budget is _ONE_EVENT:
-            return super()._dispatch(stop, deadline, budget)
-        while stop.callbacks is not None:
-            if self._wait_for_next(deadline):
-                super()._dispatch(stop, deadline, _ONE_EVENT)
-            elif stop is _NEVER:
-                return False
-            else:
-                with self._cv:
-                    self._cv.wait(timeout=0.01)
-        return True
-
-    def _wait_for_next(self, sim_deadline: float) -> bool:
-        """Sleep until the next event is due or an injection arrives.
-
-        Returns True when an event is ready to step, False when the engine
-        should stop (no events, nothing injected, deadline exhausted).
-        """
-        while True:
-            if self._drain_injected():
-                # Injections may have scheduled new, earlier events.
-                continue
-            self._prune_cancelled()
-            heap, nowq = self._heap, self._nowq
-            if not heap and not nowq:
-                # Nothing to do: wait briefly for possible injections.
-                with self._cv:
-                    if not self._injected:
-                        got = self._cv.wait(timeout=0.01)
-                        if not got:
-                            return False
-                continue
-            if heap:
-                next_sim = heap[0][0]
-                if nowq and nowq[0] < heap[0]:
-                    next_sim = nowq[0][0]
-            else:
-                next_sim = nowq[0][0]
-            if next_sim > sim_deadline:
-                return False
-            if self.factor <= 0:
-                return True
-            wall_target = self._wall_deadline(next_sim)
-            remaining = wall_target - _time.monotonic()
-            if remaining <= 0:
-                return True
-            with self._cv:
-                if self._injected:
-                    continue
-                self._cv.wait(timeout=min(remaining, 0.05))

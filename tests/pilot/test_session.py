@@ -4,22 +4,13 @@ import numpy as np
 import pytest
 
 from repro.pilot import Session
-from repro.sim import RealtimeEngine, SimulationEngine
+from repro.sim import SimulationEngine
 
 
 class TestSession:
     def test_virtual_mode_default(self):
         with Session() as session:
-            assert isinstance(session.engine, SimulationEngine)
-            assert not isinstance(session.engine, RealtimeEngine)
-
-    def test_realtime_mode(self):
-        with Session(mode="realtime") as session:
-            assert isinstance(session.engine, RealtimeEngine)
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Session(mode="hyperspeed")
+            assert type(session.engine) is SimulationEngine
 
     def test_default_platforms_registered(self):
         with Session() as session:
@@ -58,7 +49,9 @@ class TestSession:
 
     def test_use_after_close_raises_and_reading_keeps_working(self):
         """At the parent a task submitted after close() ran to DONE and
-        dragged the clock to the pilot's walltime; run() returned None."""
+        dragged the clock to the pilot's walltime; run() returned None.
+        start_remote() and start_autoscaler() once handed back a live
+        handle and queued its driver (the autoscaler armed its ticker)."""
         from repro import (PilotDescription, PilotManager,
                            ServiceDescription, ServiceManager,
                            TaskDescription, TaskManager)
@@ -84,7 +77,12 @@ class TestSession:
                 lambda: pmgr.submit_pilots(
                     PilotDescription(resource="delta", nodes=1)),
                 lambda: smgr.start_services(
-                    ServiceDescription(model="noop"), pilot)):
+                    ServiceDescription(model="noop"), pilot),
+                lambda: smgr.start_remote(
+                    ServiceDescription(model="noop"), "r3"),
+                lambda: smgr.start_autoscaler(
+                    ServiceDescription(model="noop"),
+                    remote_platform="r3")):
             with pytest.raises(RuntimeError, match="^session is closed$"):
                 call()
         # nothing was started, the clock did not move, reading still works

@@ -116,15 +116,21 @@ class TestFailureAndCancel:
         assert tasks[1].state == TaskState.DONE
 
     def test_cancel_running_task(self, env):
+        """An executable and a function task, each cancelled while its
+        charge runs: the function already returned, but its result is only
+        the task's once the charge has passed, so it never becomes one."""
         session, _, tmgr, pilot = env
-        (task,) = tmgr.submit_tasks(
-            TaskDescription(executable="x", duration_s=1000.0))
+        tasks = tmgr.submit_tasks([
+            TaskDescription(executable="x", duration_s=1000.0),
+            TaskDescription(function=lambda: "late", duration_s=1000.0)])
         session.run(until=10.0)
-        assert task.state == TaskState.AGENT_EXECUTING
-        tmgr.cancel_tasks(task)
-        session.run(until=tmgr.wait_tasks([task]))
-        assert task.state == TaskState.CANCELED
+        assert [t.state for t in tasks] == [TaskState.AGENT_EXECUTING] * 2
+        tmgr.cancel_tasks(tasks)
+        session.run(until=tmgr.wait_tasks(tasks))
+        assert [t.state for t in tasks] == [TaskState.CANCELED] * 2
+        assert [t.result for t in tasks] == [None, None]
         assert session.now < 500.0
+        assert pilot.agent.executor.executing_count == 0
         assert pilot.free_capacity()["cores"] == 128
 
     def test_cancel_queued_task(self, env):

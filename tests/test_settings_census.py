@@ -3,14 +3,15 @@
 An option stays only if a non-test caller uses it: ``src/repro`` itself, a
 ``benchmarks/`` module or an ``examples/`` script.  This census reads their
 source (no import, no run) for keyword arguments in calls to the config
-classes below; a literal equal to the field's default does not count as
-setting it.  A tuning value that only tests change is a module constant
-instead, which a test patches.  The few fields no caller sets yet are on
-:data:`ALLOWED`, each with its reason.
+classes below and to :class:`Session`; a literal equal to the field's (or
+the keyword's) default does not count as setting it.  A tuning value that
+only tests change is a module constant instead, which a test patches.  The
+few fields no caller sets yet are on :data:`ALLOWED`, each with its reason.
 """
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 from repro import (
@@ -20,13 +21,14 @@ from repro import (
     PilotResubmitPolicy,
     ResilienceConfig,
     RetryPolicy,
+    Session,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = ("src/repro", "benchmarks", "examples")
 CLASSES = {cls.__name__: cls for cls in (
     ObservabilityConfig, ResilienceConfig, RetryPolicy, PilotResubmitPolicy,
-    DataConfig, FaultModel)}
+    DataConfig, FaultModel, Session)}
 
 #: (class, field) -> why it stays although no non-test caller sets it
 ALLOWED = {
@@ -40,6 +42,9 @@ ALLOWED = {
 
 
 def _defaults(cls):
+    if not dataclasses.is_dataclass(cls):  # Session: its keywords
+        return {name: param.default for name, param
+                in inspect.signature(cls).parameters.items()}
     return {f.name: (f.default if f.default is not dataclasses.MISSING
                      else f.default_factory())
             for f in dataclasses.fields(cls)}
