@@ -47,7 +47,7 @@ Supported operations: ``infer``, ``ping`` (liveness/readiness), ``stop``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..comm.bus import ServerSocket
 from ..comm.message import TELEMETRY_TOPIC, LoadReport, Message, estimate_size
@@ -164,16 +164,15 @@ class ServiceInstance:
             self._heartbeat = None
         self.socket.close()
 
-    def drain(self):
-        """Process body: shed new work, wait for admitted work to finish.
-
-        Use as ``yield from instance.drain()`` before :meth:`stop` for a
-        graceful shutdown (every admitted request still gets its reply).
-        """
-        engine = self.session.engine
+    def drain(self, then: Callable[[], Any]) -> None:
+        """Shed new work; ``then()`` once the admitted work is done (now, or
+        at a ``DRAIN_POLL_S`` poll) or the instance stopped.  Call before
+        :meth:`stop`: every admitted request still gets its reply."""
         self._draining = True
-        while self._running and (len(self._queue) or self._in_flight):
-            yield engine.timeout(DRAIN_POLL_S)
+        if self._running and (len(self._queue) or self._in_flight):
+            self.session.engine.call_later(DRAIN_POLL_S, self.drain, then)
+        else:
+            then()
 
     # -- telemetry ------------------------------------------------------------------
     def load_report(self) -> LoadReport:

@@ -1,46 +1,32 @@
 """ServiceManager: the control plane of the paper's runtime extension.
 
-Complementing the existing TaskManager (§III, Fig. 2), the ServiceManager
-turns :class:`~repro.pilot.description.ServiceDescription` objects into
-running, discoverable, monitored service instances:
-
-* **launch**  -- the service task is scheduled (with priority) on pilot
-  resources and its executable launched (Fig. 3 ``launch``);
-* **init**    -- the serving host loads and initialises the model
-  (Fig. 3 ``init``, the dominating component);
-* **publish** -- the endpoint is registered with the
-  :class:`~repro.core.registry.EndpointRegistry` (Fig. 3 ``publish``);
-* **ready**   -- the instance serves requests until stopped; in a
-  resilient session its heartbeats renew a lease on the session's
-  heartbeat monitor (``_watch_liveness``), whose expiry fails it.
-
-A service's one process is its driver; the startup timeout is a timer
-that ``handle.ready`` withdraws, the liveness watch two callbacks.
-
-Orderly shutdown deregisters the endpoint *first* (telemetry-reading load
-balancers stop routing there), then drains the instance's admitted
-requests, then tears the data plane down -- so scaling down never drops
-in-flight work.  :meth:`ServiceManager.start_autoscaler` attaches an
-:class:`~repro.core.autoscaler.Autoscaler` that grows and shrinks a
-service group against queue-delay SLOs using the registry's telemetry.
-
-Remote services (the paper's R3 scenario) attach to persistent endpoints:
-"Remote models are usually persistent on dedicated resources and do not
-need to be bootstrapped" (§IV-A) -- so ``start_remote`` registers them
-without charging (or recording) bootstrap phases.
+Complementing the TaskManager (§III, Fig. 2), it runs services as
+discoverable, monitored instances.  A service is a task, its Fig. 3 phases
+landings on the task path: the grant lands on ``_granted``, which starts
+the executor's launch timer (**launch**); that lands on ``_init``, a
+model-load timer (**init**), which lands on ``_publish``; the registry's
+reply makes it READY (**publish**).  A startup timeout, a lease expiry, a
+node fault, the pilot's end and an exception escaping a step all end it in
+:meth:`ServiceManager._end`.  An orderly stop deregisters the endpoint
+*first*, then drains the admitted requests, then tears down, so scaling
+down never drops in-flight work.  A remote service (the paper's R3) is
+resident: "Remote models ... do not need to be bootstrapped" (§IV-A).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Union
+from functools import partial
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Union
 
 from ..comm.message import Address
+from ..pilot.agent import SchedulerError
 from ..pilot.description import ServiceDescription
 from ..pilot.states import SERVICE_MODEL, ServiceState, TaskState
-from ..pilot.task import Pilot, Task
+from ..pilot.task import QUEUED, Pilot, Task
 from ..resilience import LEASE_MISSES
+from ..resilience.failures import pilot_end_cause
 from ..serving.hosts import create_host
-from ..sim.events import URGENT, Event, Interrupt, Process, Ticker
+from ..sim.events import URGENT, Deferred, Event
 from ..utils.log import get_logger
 from .autoscaler import Autoscaler
 from .registry import EndpointRegistry, ServiceInfo
@@ -53,27 +39,32 @@ __all__ = ["ServiceHandle", "ServiceManager"]
 
 log = get_logger("core.smgr")
 
+_NO_TIMER = Deferred()  # a ServiceHandle's startup timer, once none is armed
+
 
 class ServiceHandle:
     """User-facing handle of one managed service."""
 
     def __init__(self, session: "Session", description: ServiceDescription,
-                 uid: str) -> None:
+                 uid: str, pilot: Optional[Pilot], platform: str) -> None:
         self.session = session
         self.description = description
         self.uid = uid
         self.task = Task(session, description, uid)  # the Service Task (§III)
+        self.task.pilot = pilot
         self.service_state = ServiceState.DEFINED
         self.address: Optional[Address] = None
         self.instance: Optional[ServiceInstance] = None
-        self.pilot_uid: Optional[str] = None
-        self.platform: Optional[str] = None
-        self.remote = False
+        self.platform = platform
+        self.remote = pilot is None
         #: succeeds with the handle once READY; fails if startup fails
         self.ready: Event = session.engine.event()
         #: succeeds with the final service state
         self.stopped: Event = session.engine.event()
         self._stop_requested: Event = session.engine.event()
+        #: the registry reply a step waits for (register / deregister)
+        self.wait: Optional[Event] = None
+        self._timer = _NO_TIMER  # the armed startup timeout
 
     def advance_service(self, state: str) -> None:
         """Validated service-state transition with profiling."""
@@ -90,6 +81,23 @@ class ServiceHandle:
         return f"<ServiceHandle {self.uid} {self.service_state}>"
 
 
+Handles = Union[ServiceHandle, Iterable[ServiceHandle]]  # one or several
+
+
+def _listed(handles: Handles) -> Iterable[ServiceHandle]:
+    return [handles] if isinstance(handles, ServiceHandle) else handles
+
+
+def _step(method):
+    """A landing on the service path: an exception escaping it fails it."""
+    def landing(self, subject, *args):  # the handle, or its task
+        try:
+            method(self, subject, *args)
+        except Exception as exc:
+            self._unwind(subject, exc)
+    return landing
+
+
 class ServiceManager:
     """Manages service lifecycles within one session."""
 
@@ -103,274 +111,270 @@ class ServiceManager:
         self._reg_sock = session.bus.connect(
             self.registry.platform, name=f"{self.uid}.regsock")
         self._handles: Dict[str, ServiceHandle] = {}
-        self._drivers: Dict[str, Process] = {}
-        #: concurrent model loads per platform (drives init contention)
-        self._loading: Dict[str, int] = {}
+        self._pilots: Set[Pilot] = set()  # those whose end we hear
+        self._loading: Dict[str, int] = {}  # concurrent loads, per platform
         self._resilience = session.resilience
-        if self._resilience is not None and \
-                self._resilience.injector is not None:
-            self._resilience.injector.arm_services(self)
+        if self._resilience is not None:
+            self._resilience.register_service_manager(self)
 
-    # -- local (pilot-hosted) services ---------------------------------------------
-    def start_services(
-        self,
-        descriptions: Union[ServiceDescription, Iterable[ServiceDescription]],
-        pilot: Pilot,
-    ) -> List[ServiceHandle]:
+    # -- bootstrap -----------------------------------------------------------------
+    def start_services(self, descriptions: Union[
+            ServiceDescription, Iterable[ServiceDescription]],
+            pilot: Pilot) -> List[ServiceHandle]:
         """Bootstrap services on *pilot*'s resources; returns handles."""
         self.session.check_open()
         if isinstance(descriptions, ServiceDescription):
             descriptions = [descriptions]
-        handles: List[ServiceHandle] = []
-        for desc in descriptions:
-            handle = ServiceHandle(self.session, desc,
-                                   self.session.ids.generate("service"))
-            handle.pilot_uid = pilot.uid
-            self._handles[handle.uid] = handle
-            self._drivers[handle.uid] = self.session.engine.process(
-                self._drive(handle, pilot))
-            # fail the bootstrap if it exceeds the description's timeout;
-            # the outcome of ``ready`` -- either way -- withdraws the timer
-            timeout = Ticker(self.session.engine, self._startup_timed_out,
-                             handle, first=desc.startup_timeout_s)
-            handle.ready.callbacks.append(lambda _, t=timeout: t.interrupt())
-            handles.append(handle)
+        handles = [self._begin_soon(desc, pilot) for desc in descriptions]
+        if pilot.finished.processed:  # it ended: so do they, unlaunched
+            self._pilot_ended(pilot, pilot.finished)
+        elif pilot not in self._pilots:  # hear its end, once
+            self._pilots.add(pilot)
+            pilot.finished.callbacks.append(partial(self._pilot_ended, pilot))
         return handles
 
-    def _startup_timed_out(self, handle: ServiceHandle) -> None:
-        driver = self._drivers[handle.uid]
-        if not handle.ready.triggered and driver.is_alive:
-            log.warning("%s startup timed out after %.0fs", handle.uid,
-                        handle.description.startup_timeout_s)
-            driver.interrupt("startup timeout")
-
-    def _drive(self, handle: ServiceHandle, pilot: Optional[Pilot]):
-        """Lifecycle of one service, on *pilot*'s resources or -- without a
-        pilot -- attached to a persistent remote endpoint.
-
-        A remote model is resident (§IV-A): nothing is launched or loaded,
-        and no ``bootstrap_*`` / ``init_*`` / ``publish_*`` row is recorded.
-        """
-        engine = self.session.engine
-        desc = handle.description
-        task = handle.task
-        scheduled = False
-
-        def mark(event: str) -> None:
-            if pilot is not None:
-                self.session.profiler.record(engine.now, handle.uid, event,
-                                             self.uid)
-
-        try:
-            if pilot is not None:
-                if not pilot.is_active:
-                    yield pilot.became_active
-                handle.platform = pilot.platform.name
-            mark("bootstrap_start")
-
-            # -- launch phase -----------------------------------------------------
-            handle.advance_service(ServiceState.LAUNCHING)
-            if pilot is not None:
-                task.advance(TaskState.TMGR_SCHEDULING, self.uid)
-                task.advance(TaskState.AGENT_SCHEDULING, self.uid)
-                grant = pilot.agent.scheduler.schedule(task)
-                try:
-                    yield grant
-                except Interrupt:
-                    pilot.agent.scheduler.withdraw(task)
-                    raise
-                scheduled = True
-                task.advance(TaskState.AGENT_EXECUTING, self.uid)
-                yield from pilot.agent.executor.launch(task)
-
-            # -- init phase -------------------------------------------------------
-            handle.advance_service(ServiceState.INITIALIZING)
-            mark("init_start")
-            host = create_host(desc.backend, desc.model,
-                               max_concurrency=desc.max_concurrency,
-                               max_batch_size=desc.max_batch_size or None)
-            if pilot is not None:
-                platform = pilot.platform
-                rng = self.session.rng(f"smgr.init.{handle.uid}")
-                self._loading[platform.name] = \
-                    self._loading.get(platform.name, 0) + 1
-                try:
-                    load_s = host.load_time(
-                        rng, concurrent_loads=self._loading[platform.name],
-                        fs_bandwidth_gbps=platform.fs_bandwidth_gbps,
-                        fs_aggregate_gbps=platform.fs_aggregate_gbps)
-                    yield engine.timeout(load_s)
-                finally:
-                    self._loading[platform.name] -= 1
-            mark("init_stop")
-
-            # -- publish phase ------------------------------------------------------
-            handle.advance_service(ServiceState.PUBLISHING)
-            mark("publish_start")
-            endpoint = desc.endpoint_name or f"{handle.uid}.ep"
-            socket = self.session.bus.bind(endpoint,
-                                           platform=handle.platform)
-            handle.address = socket.address
-            info = ServiceInfo(
-                uid=handle.uid, name=endpoint, address=socket.address,
-                model=desc.model, backend=desc.backend,
-                platform=handle.platform,
-                meta={"remote": True} if handle.remote else {})
-            yield self._reg_sock.request(self.registry.address,
-                                         {"op": "register", "info": info})
-            mark("publish_stop")
-
-            # -- ready ---------------------------------------------------------------
-            handle.instance = ServiceInstance(
-                self.session, handle.uid, socket, host,
-                heartbeat_interval_s=desc.heartbeat_interval_s,
-                max_queue_depth=desc.max_queue_depth)
-            handle.instance.start()
-            handle.advance_service(ServiceState.READY)
-            mark("bootstrap_stop")
-            handle.ready.succeed(handle)
-            if self._resilience is not None:
-                # one URGENT hop, after the instance's first beat went out:
-                # the lease is not among that beat's subscribers
-                engine.call_later(0.0, lambda _: self._watch_liveness(handle),
-                                  priority=URGENT)
-            log.info("%s ready at %s (t=%.1fs)", handle.uid, handle.address,
-                     engine.now)
-
-            # -- serve until stop requested ---------------------------------------------
-            yield handle._stop_requested
-            handle.advance_service(ServiceState.STOPPING)
-            # Deregister first (no new traffic routes here), then drain so
-            # every admitted request still gets its reply, then tear down.
-            yield self._reg_sock.request(self.registry.address,
-                                         {"op": "deregister",
-                                          "name": endpoint})
-            yield from handle.instance.drain()
-            handle.instance.stop()
-            handle.advance_service(ServiceState.STOPPED)
-            if pilot is not None:
-                task.finish(TaskState.DONE, self.uid)
-        except Interrupt as intr:
-            self._fail_handle(handle, RuntimeError(str(intr.cause)))
-        except Exception as exc:
-            self._fail_handle(handle, exc)
-        finally:
-            if scheduled and task.uid in pilot.agent.scheduler.held_tasks:
-                pilot.agent.scheduler.release(task)
-            if not handle.stopped.triggered:
-                handle.stopped.succeed(handle.service_state)
-
-    def _fail_handle(self, handle: ServiceHandle,
-                     exc: BaseException) -> None:
-        if handle.instance is not None and handle.instance.running:
-            handle.instance.stop()
-        if handle.address is not None \
-                and self.registry.lookup(handle.address.name) is not None:
-            # The failure is now *observed* (liveness/startup watchdog):
-            # scrub the stale endpoint so no new traffic routes there.
-            self._reg_sock.request(self.registry.address,
-                                   {"op": "deregister",
-                                    "name": handle.address.name})
-        if handle.service_state not in ServiceState.FINAL:
-            handle.service_state = ServiceState.FAILED
-            self.session.profiler.record(
-                self.session.engine.now, handle.uid,
-                f"svc:{ServiceState.FAILED}", self.uid)
-        if not handle.task.is_final:
-            handle.task.exception = exc
-            handle.task.finish(TaskState.FAILED, self.uid)
-        if not handle.ready.triggered:
-            handle.ready.fail(exc)
-            handle.ready.defuse()
-        log.info("%s failed: %s", handle.uid, exc)
-
-    # -- remote (persistent) services --------------------------------------------------
     def start_remote(self, description: ServiceDescription,
                      platform: str) -> ServiceHandle:
-        """Attach a persistent remote service (no bootstrap, no BT).
-
-        The endpoint is bound and registered immediately; the model is
-        assumed resident (paper §IV-A).
-        """
+        """Attach a persistent remote service (no bootstrap, no BT)."""
         self.session.check_open()
-        handle = ServiceHandle(self.session, description,
-                               self.session.ids.generate("service"))
-        handle.remote = True
-        handle.platform = platform
+        return self._begin_soon(description, None, platform)
+
+    def _begin_soon(self, desc: ServiceDescription, pilot: Optional[Pilot],
+                    remote_platform: Optional[str] = None) -> ServiceHandle:
+        """A new handle whose first step is one URGENT entry later."""
+        handle = ServiceHandle(
+            self.session, desc, self.session.ids.generate("service"), pilot,
+            remote_platform or pilot.platform.name)
+        handle.task.owner = self  # the executor's launch hands it back
         self._handles[handle.uid] = handle
-        self._drivers[handle.uid] = self.session.engine.process(
-            self._drive(handle, None))
+        handle._stop_requested.callbacks.append(lambda _: self._stop(handle))
+        self.session.engine.call_later(0.0, self._begin, handle,
+                                       priority=URGENT)
         return handle
 
-    # -- elasticity ------------------------------------------------------------------------
+    @_step
+    def _begin(self, handle: ServiceHandle) -> None:
+        """Wait for the pilot, then arm the startup timeout (remote: init)."""
+        pilot = handle.task.pilot
+        if pilot is None:
+            handle.advance_service(ServiceState.LAUNCHING)
+            self._init(handle.task)
+        elif pilot.is_active or pilot.became_active.processed:
+            self._activated(handle, pilot.became_active)
+        else:
+            pilot.became_active.callbacks.append(
+                partial(self._activated, handle))
+        if pilot is not None and handle.service_state != ServiceState.FAILED:
+            handle._timer = self.session.engine.call_later(
+                handle.description.startup_timeout_s, self._timed_out, handle)
+
+    def _timed_out(self, handle: ServiceHandle) -> None:
+        handle._timer = _NO_TIMER
+        self.fail_service(handle, RuntimeError("startup timeout"))
+
+    def _mark(self, handle: ServiceHandle, event: str) -> None:
+        if not handle.remote:
+            self.session.profiler.record(self.session.engine.now,
+                                         handle.uid, event, self.uid)
+
+    @_step
+    def _activated(self, handle: ServiceHandle, active: Event) -> None:
+        """The pilot is up: request slots (the scheduler's landing form)."""
+        if not active.ok or handle.service_state == ServiceState.FAILED:
+            return self._end(handle, active.value)  # no pilot, or ended
+        task = handle.task
+        self._mark(handle, "bootstrap_start")
+        handle.advance_service(ServiceState.LAUNCHING)
+        task.advance(TaskState.TMGR_SCHEDULING, self.uid)
+        task.advance(TaskState.AGENT_SCHEDULING, self.uid)
+        task.phase = QUEUED
+        try:
+            task.pilot.agent.scheduler.schedule(task, self._granted)
+        except SchedulerError as exc:  # fails one kernel entry later
+            self.session.engine.call_later(0.0, partial(self._end, handle),
+                                           exc)
+
+    @_step
+    def _granted(self, task: Task) -> None:
+        """Grant landing: the launch timer's landing is the init."""
+        task.wait = None
+        task.advance(TaskState.AGENT_EXECUTING, self.uid)
+        task.pilot.agent.executor.start(task)
+
+    def _init(self, task: Task) -> None:
+        """Load the model: one timer, counted in ``_loading`` meanwhile."""
+        handle, desc = self._handles[task.uid], task.description
+        handle.advance_service(ServiceState.INITIALIZING)
+        self._mark(handle, "init_start")
+        host = create_host(desc.backend, desc.model,
+                           max_concurrency=desc.max_concurrency,
+                           max_batch_size=desc.max_batch_size or None)
+        if handle.remote:
+            return self._publish(handle, host)
+        platform = task.pilot.platform
+        loads = self._loading.get(platform.name, 0) + 1
+        load_s = host.load_time(self.session.rng(f"smgr.init.{handle.uid}"),
+                                concurrent_loads=loads,
+                                fs_bandwidth_gbps=platform.fs_bandwidth_gbps,
+                                fs_aggregate_gbps=platform.fs_aggregate_gbps)
+        self._loading[platform.name] = loads
+        task.wait = self.session.engine.call_later(
+            load_s, partial(self._publish, handle), host)
+
+    @_step
+    def _publish(self, handle: ServiceHandle, host) -> None:
+        """Bind the endpoint and register it; the reply makes it READY."""
+        if handle.task.wait is not None:  # the load timer's landing
+            handle.task.wait = None
+            self._loading[handle.platform] -= 1
+        self._mark(handle, "init_stop")
+        desc = handle.description
+        endpoint = desc.endpoint_name or f"{handle.uid}.ep"
+        handle.advance_service(ServiceState.PUBLISHING)
+        self._mark(handle, "publish_start")
+        socket = self.session.bus.bind(endpoint, platform=handle.platform)
+        handle.address = socket.address
+        info = ServiceInfo(
+            uid=handle.uid, name=endpoint, address=socket.address,
+            model=desc.model, backend=desc.backend, platform=handle.platform,
+            meta={"remote": True} if handle.remote else {})
+        handle.wait = reply = self._reg_sock.request(
+            self.registry.address, {"op": "register", "info": info})
+        reply.callbacks.append(partial(self._ready, handle, socket, host))
+
+    @_step
+    def _ready(self, handle: ServiceHandle, socket, host,
+               reply: Event) -> None:
+        if handle.wait is not reply:
+            return  # ended, and scrubbed from the registry
+        handle.wait = None
+        if handle.service_state == ServiceState.FAILED:
+            return self._deregister(handle)  # it ended while registering
+        self._mark(handle, "publish_stop")
+        handle.instance = ServiceInstance(
+            self.session, handle.uid, socket, host,
+            heartbeat_interval_s=handle.description.heartbeat_interval_s,
+            max_queue_depth=handle.description.max_queue_depth)
+        handle.instance.start()
+        handle.advance_service(ServiceState.READY)
+        self._mark(handle, "bootstrap_stop")
+        handle._timer.cancel()
+        handle.ready.succeed(handle)
+        if self._resilience is not None:
+            # one URGENT hop: the lease misses the first beat's delivery
+            self.session.engine.call_later(
+                0.0, lambda _: self._watch_liveness(handle), priority=URGENT)
+        log.info("%s ready at %s", handle.uid, handle.address)
+        if handle._stop_requested.processed:  # asked while bootstrapping
+            self._stop(handle)
+
+    # -- ends ----------------------------------------------------------------------
+    def _stop(self, handle: ServiceHandle) -> None:
+        """Deregister (no new traffic), drain, tear down."""
+        if handle.service_state == ServiceState.READY:  # not ended first
+            handle.advance_service(ServiceState.STOPPING)
+            self._deregister(handle).callbacks.append(
+                lambda _: handle.instance.drain(
+                    partial(self._end, handle, None)))
+
+    def _deregister(self, handle: ServiceHandle) -> Event:
+        return self._reg_sock.request(self.registry.address, {
+            "op": "deregister", "name": handle.address.name})
+
+    def fail_service(self, handle: ServiceHandle, cause) -> None:
+        """End a service in an URGENT landing (*cause*: see :meth:`_end`)."""
+        self.session.engine.call_later(
+            0.0, lambda _: self._end(handle, cause), priority=URGENT)
+
+    def _pilot_ended(self, pilot: Pilot, finished: Event) -> None:
+        """Every service aboard ends with its pilot (``pilot_end_cause``)."""
+        cause = pilot_end_cause(pilot.uid, finished.value,
+                                self._resilience is not None)
+        for handle in list(self._handles.values()):
+            if handle.task.pilot is pilot:
+                self._end(handle, cause)
+
+    def _unwind(self, subject, exc: BaseException) -> None:
+        """An exception escaped a step of *subject* (a handle or its task)."""
+        self._end(self._handles[subject.uid], exc)
+
+    def _end(self, handle: ServiceHandle, cause) -> None:
+        """A service ends here, from any step: landing withdrawn, agent side
+        undone (:meth:`Agent.evict`), instance stopped, endpoint scrubbed,
+        ``stopped`` fired.  *cause* None: a drained stop; else it FAILs, its
+        task FAILED by an exception, CANCELED by a note (an orderly end)."""
+        state, task = handle.service_state, handle.task
+        if state in ServiceState.FINAL:
+            return
+        wait, task.wait = task.wait, None
+        queued = task.phase == QUEUED
+        if queued:
+            task.pilot.agent.evict(task, wait)
+        elif state == ServiceState.INITIALIZING and wait is not None:
+            self._loading[handle.platform] -= 1
+        handle._timer.cancel()
+        if handle.instance is not None:
+            handle.instance.stop()
+        if state != ServiceState.STOPPING and handle.address is not None \
+                and self.registry.lookup(handle.address.name) is not None:
+            handle.wait = None  # nothing left for its reply to do
+            self._deregister(handle)
+        if cause is None:
+            handle.advance_service(ServiceState.STOPPED)
+            if not handle.remote:
+                task.finish(TaskState.DONE, self.uid)
+        else:
+            handle.service_state = ServiceState.FAILED
+            self.session.profiler.record(self.session.engine.now,
+                                         handle.uid, "svc:FAILED", self.uid)
+            failed = isinstance(cause, BaseException)
+            exc = cause if failed else RuntimeError(cause)
+            task.exception = exc if failed else None
+            task.finish(TaskState.FAILED if failed else TaskState.CANCELED,
+                        self.uid)
+            if not handle.ready.triggered:
+                handle.ready.fail(exc).defuse()
+            log.warning("%s failed: %s", handle.uid, exc)
+        if task.phase is not None and not queued:  # launched: holds slots
+            task.pilot.agent.evict(task, wait)
+        task.phase = None
+        handle.stopped.succeed(handle.service_state)
+
+    # -- control -----------------------------------------------------------------
     def start_autoscaler(self, description: ServiceDescription,
                          pilot: Optional[Pilot] = None,
                          remote_platform: Optional[str] = None,
                          handles: Optional[List[ServiceHandle]] = None,
                          ) -> Autoscaler:
-        """Start an :class:`Autoscaler` managing instances of *description*.
-
-        Give either *pilot* (instances bootstrap on pilot resources) or
-        *remote_platform* (persistent attachment).  Pre-existing *handles*
-        are adopted into the managed group; the autoscaler tops the group
-        up to its minimum immediately and then scales between its minimum
-        and maximum against the registry's load telemetry.
-        """
+        """An :class:`Autoscaler` of *description* instances, started."""
         self.session.check_open()
-        scaler = Autoscaler(self, description, pilot=pilot,
-                            remote_platform=remote_platform, handles=handles)
-        return scaler.start()
+        return Autoscaler(self, description, pilot=pilot, handles=handles,
+                          remote_platform=remote_platform).start()
 
-    # -- control ---------------------------------------------------------------------------
-    def stop_services(
-        self, handles: Union[ServiceHandle, Iterable[ServiceHandle]],
-    ) -> None:
+    def stop_services(self, handles: Handles) -> None:
         """Request orderly shutdown of the given services."""
-        if isinstance(handles, ServiceHandle):
-            handles = [handles]
-        for handle in handles:
-            if handle.service_state in ServiceState.FINAL:
-                continue
-            if not handle._stop_requested.triggered:
+        for handle in _listed(handles):
+            if handle.service_state not in ServiceState.FINAL \
+                    and not handle._stop_requested.triggered:
                 handle._stop_requested.succeed("stop")
 
-    def wait_ready(
-        self, handles: Union[ServiceHandle, Iterable[ServiceHandle]],
-    ) -> Event:
-        """Event succeeding when all given services are READY."""
-        if isinstance(handles, ServiceHandle):
-            handles = [handles]
-        return self.session.engine.all_of([h.ready for h in handles])
+    def wait_ready(self, handles: Handles) -> Event:
+        return self.session.engine.all_of(
+            [h.ready for h in _listed(handles)])
 
-    def wait_stopped(
-        self, handles: Union[ServiceHandle, Iterable[ServiceHandle]],
-    ) -> Event:
-        if isinstance(handles, ServiceHandle):
-            handles = [handles]
-        return self.session.engine.all_of([h.stopped for h in handles])
+    def wait_stopped(self, handles: Handles) -> Event:
+        return self.session.engine.all_of(
+            [h.stopped for h in _listed(handles)])
 
-    # -- fault injection ------------------------------------------------------------------
     def crash_service(self, handle: ServiceHandle) -> bool:
-        """Crash a service's data plane abruptly (fault injection).
-
-        The instance dies mid-flight: admitted requests are dropped, the
-        endpoint socket unbinds, heartbeats cease.  Nothing notifies the
-        control plane -- the liveness watchdog has to notice the silence,
-        which is exactly the detection latency the resilience metrics
-        report.  Returns False when there was nothing live to crash.
-        """
+        """Kill a live data plane silently (only the lease can notice)."""
         if handle.instance is None or not handle.instance.running:
             return False
         handle.instance.stop()
         return True
 
-    # -- liveness ------------------------------------------------------------------------
     def _watch_liveness(self, handle: ServiceHandle) -> None:
-        """Lease a READY service's heartbeat channel on the resilience
-        subsystem's monitor (service declarations land in the same
-        detection records as pilot ones).  Its expiry fails the service;
-        the service's end deregisters it (an orderly end declares nothing).
-        """
+        """Lease a READY service's beats; the lease's expiry fails it."""
         monitor = self._resilience.monitor
         lease = monitor.watch(handle.uid,
                               handle.description.heartbeat_interval_s,
@@ -382,15 +386,11 @@ class ServiceManager:
 
     def _liveness_failed(self, handle: ServiceHandle) -> None:
         if handle.service_state == ServiceState.READY:
-            log.warning("%s missed %d heartbeats; marking FAILED",
-                        handle.uid, LEASE_MISSES)
-            driver = self._drivers.get(handle.uid)
-            if driver is not None and driver.is_alive:
-                driver.interrupt("liveness failure")
+            self.fail_service(handle, RuntimeError("liveness failure"))
 
     # -- introspection -------------------------------------------------------------------
-    def get(self, uid: str) -> ServiceHandle:
-        return self._handles[uid]
+    def lookup(self, uid: str) -> Optional[ServiceHandle]:
+        return self._handles.get(uid)
 
     @property
     def services(self) -> List[ServiceHandle]:

@@ -14,8 +14,8 @@ launch component grows past ~160 *simultaneous* launches (Fig. 3).
 
 On the task path the executor owns a task from the grant's landing to the
 end of its payload and advances it from the landings of its own timers
-(:meth:`AgentExecutor.start`); :meth:`AgentExecutor.launch` is the generator
-form of the launch phase alone, for the service bootstrap.
+(:meth:`AgentExecutor.start`); a service task shares the launch timer, but
+its launch landing hands it back to its owner, the ServiceManager.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 from ...hpc.launcher import LaunchMethod, get_launcher
 from ...resilience.failures import classify_failure
 from ...utils.log import get_logger
+from ..description import ServiceDescription
 from ..task import EXEC, LAUNCH, PLACED
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,32 +75,13 @@ class AgentExecutor:
             duration += float(abs(self._rng.normal(0.0, d.duration_jitter_s)))
         return duration
 
-    # -- execution ------------------------------------------------------------------
-    def launch(self, task: "Task"):
-        """Simulation (sub)process: charge the launch phase only.
-
-        Split out so the service runtime can interleave its own phases
-        (init/publish) after launch.  Yields; returns the charged cost.
-        """
-        profiler = self.session.profiler
-        engine = self.session.engine
-        self._launching += 1
-        profiler.record(engine.now, task.uid, "launch_start", self.pilot_uid)
-        try:
-            cost = self.launch_cost()
-            yield engine.timeout(cost)
-        finally:
-            self._launching -= 1
-        profiler.record(engine.now, task.uid, "launch_stop", self.pilot_uid)
-        return cost
-
     # -- the task path: one landing per timer ---------------------------------------
     def start(self, task: "Task") -> None:
         """Own a task that holds slots until its payload is over:
         ``_launched`` and ``_exec_done`` are the landings of the launch and
         exec timers (``pre_exec_s`` adds ``_run``), then the agent has it
-        back.  An exception escaping a landing goes to its TaskManager's
-        unwind, of which :meth:`abort` is the executor's part."""
+        back.  An exception escaping a landing goes to its owner's unwind,
+        of which :meth:`abort` is the executor's part."""
         if not task.slots:
             raise ExecutionError(f"{task.uid}: executing without slots")
         engine = self.session.engine
@@ -118,9 +100,11 @@ class AgentExecutor:
             task.phase = PLACED
             self.session.profiler.record(engine.now, task.uid, "launch_stop",
                                          self.pilot_uid)
-            pre_exec_s = task.description.pre_exec_s
-            if pre_exec_s > 0:
-                task.wait = engine.call_later(pre_exec_s, self._run, task)
+            d = task.description
+            if isinstance(d, ServiceDescription):  # its payload is a service
+                task.owner._init(task)
+            elif d.pre_exec_s > 0:
+                task.wait = engine.call_later(d.pre_exec_s, self._run, task)
             else:
                 self._run(task)
         except Exception as exc:

@@ -49,7 +49,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Union)
 
 from ..data.objects import object_id
-from ..resilience.failures import PilotLost, classify_failure
+from ..resilience.failures import classify_failure, pilot_end_cause
 from ..sim.events import URGENT, Event, Interrupt, Routine
 from ..utils.log import get_logger
 from .data_manager import DataManager
@@ -220,29 +220,20 @@ class TaskManager:
             fired.succeed(None)
 
     def _pilot_ended(self, pilot: Pilot, finished: Event) -> None:
-        """React to a pilot's end: cancel or fail its still-running tasks.
-
-        An orderly end (DONE, user cancellation) cancels resident tasks as
-        before.  A *failed* pilot under resilience delivers
-        :class:`PilotLost` instead: the tasks physically died with their
-        pilot, and their drivers hand the failure to the recovery engine
-        -- which acts only once the heartbeat lease declares the pilot
-        dead, never on this (oracle) event.  A callback on
-        ``pilot.finished``, run in the entry that processes it.
-        """
+        """A callback on ``pilot.finished``: its still-running tasks are
+        cancelled, or failed, as :func:`pilot_end_cause` maps the end."""
         state = finished.value
         victims = [t for t in self._tasks.values()
                    if t.pilot_uid == pilot.uid and not t.is_final]
         if not victims:
             return
-        if self._resilience is not None and state == PilotState.FAILED:
-            log.warning("%s went %s; %d tasks lost, handing to recovery",
-                        pilot.uid, state, len(victims))
+        cause = pilot_end_cause(pilot.uid, state, self._resilience is not None)
+        log.warning("%s went %s; %d tasks end: %s", pilot.uid, state,
+                    len(victims), cause)
+        if isinstance(cause, BaseException):  # PilotLost
             for task in victims:
-                self.fail_task(task, PilotLost(pilot.uid, state))
+                self.fail_task(task, cause)
         else:
-            log.warning("%s went %s; cancelling %d tasks", pilot.uid, state,
-                        len(victims))
             self.cancel_tasks(victims)
 
     def _select_pilot(self, task: Task) -> Pilot:

@@ -123,6 +123,7 @@ class ResilienceServices:
         #: managers registered for recovery fan-out
         self.task_managers: List = []
         self.pilot_managers: List = []
+        self.service_managers: List = []
 
     # -- registration ------------------------------------------------------------
     def register_task_manager(self, tmgr) -> None:
@@ -132,6 +133,11 @@ class ResilienceServices:
     def register_pilot_manager(self, pmgr) -> None:
         if pmgr not in self.pilot_managers:
             self.pilot_managers.append(pmgr)
+
+    def register_service_manager(self, smgr) -> None:
+        self.service_managers.append(smgr)
+        if self.injector is not None:
+            self.injector.arm_services(smgr)
 
     # -- pilot lifecycle hooks (called by the PilotManager) ----------------------
     def pilot_activated(self, pmgr: "PilotManager", pilot: "Pilot") -> None:
@@ -166,11 +172,16 @@ class ResilienceServices:
 
     # -- fan-out helpers ---------------------------------------------------------
     def fail_task(self, uid: str, exc: BaseException) -> bool:
-        """Deliver an infrastructure fault to the task driver owning *uid*."""
+        """Deliver an infrastructure fault to the task or service *uid*."""
         for tmgr in self.task_managers:
             task = tmgr._tasks.get(uid)
             if task is not None:
                 tmgr.fail_task(task, exc)
+                return True
+        for smgr in self.service_managers:
+            handle = smgr.lookup(uid)
+            if handle is not None:
+                smgr.fail_service(handle, exc)
                 return True
         return False
 

@@ -21,6 +21,7 @@ __all__ = [
     "RuntimeFault",
     "NodeFailure",
     "PilotLost",
+    "pilot_end_cause",
     "ServiceCrash",
     "FailureReason",
     "classify_failure",
@@ -48,6 +49,17 @@ class PilotLost(RuntimeFault):
         super().__init__(f"pilot {pilot_uid} lost ({state})")
         self.pilot_uid = pilot_uid
         self.state = state
+
+
+def pilot_end_cause(pilot_uid: str, state: str, resilient: bool):
+    """What a pilot's end does to the tasks and services aboard: an
+    orderly end cancels them (the note returned is the cause); a FAILED
+    pilot under resilience loses them, and :class:`PilotLost` is the fault
+    handed to recovery, which acts only once the heartbeat lease declares
+    the pilot dead, never on this (oracle) end."""
+    if resilient and state == "FAILED":
+        return PilotLost(pilot_uid, state)
+    return f"{pilot_uid} ended {state}"
 
 
 class ServiceCrash(RuntimeFault):

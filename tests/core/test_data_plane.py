@@ -27,7 +27,7 @@ def make_instance(session, model="llama-8b", backend="ollama",
                               platform=platform)
     host = create_host(backend, model, max_concurrency=max_concurrency,
                        max_batch_size=max_batch_size)
-    instance = ServiceInstance(session, f"svc.dp.{id(socket)}", socket, host,
+    instance = ServiceInstance(session, socket.address.name, socket, host,
                                heartbeat_interval_s=heartbeat_interval_s,
                                max_queue_depth=max_queue_depth)
     instance.start()
@@ -247,7 +247,8 @@ def test_draining_instance_sheds_new_arrivals():
         first = sock.request(address, {"op": "infer", "prompt": "p",
                                        "params": {"max_tokens": 64}})
         session.run(until=session.now + 0.1)  # first request in flight
-        drain = session.engine.process(instance.drain())
+        drain = session.engine.event()
+        instance.drain(drain.succeed)
         late = sock.request(address, {"op": "infer", "prompt": "p",
                                       "params": {"max_tokens": 64}})
         session.run(until=session.engine.all_of([drain, first, late]))

@@ -5,6 +5,7 @@ import pytest
 from repro import (
     PilotDescription,
     PilotManager,
+    RequestTimeout,
     ResilienceConfig,
     ServiceClient,
     ServiceDescription,
@@ -15,6 +16,7 @@ from repro import (
     TaskState,
 )
 from repro.pilot.task import Task
+from repro.resilience import NodeFailure, PilotLost
 
 
 @pytest.fixture
@@ -90,6 +92,14 @@ class TestBootstrap:
         assert handle.service_state == ServiceState.FAILED
         # resources returned
         assert pilot.free_capacity()["gpus"] == 16
+
+    def test_a_ready_service_outlives_its_startup_timeout(self, env):
+        session, _, smgr, pilot = env
+        (handle,) = smgr.start_services(ServiceDescription(
+            model="noop", gpus_per_rank=0, startup_timeout_s=30.0), pilot)
+        session.run(until=handle.ready)
+        session.run(until=session.now + 60.0)
+        assert handle.is_ready
 
     def test_noop_service_boots_fast(self, env):
         session, _, smgr, pilot = env
@@ -224,9 +234,9 @@ class TestStopAndFailure:
 
     def test_interrupt_at_the_grant_instant_leaks_no_slots(self, env):
         """A blocker's release grants the queued service; in the same
-        instant the bootstrap is interrupted (what the startup watchdog
-        does), so the interruption overtakes the grant event.  The service
-        must not keep slots its bootstrap never received."""
+        instant the startup timeout's end lands (an URGENT landing, as the
+        timer's), so it overtakes the grant's landing.  The service must
+        not keep slots its bootstrap never received."""
         session, _, smgr, pilot = env
         session.run(until=pilot.became_active)
         scheduler = pilot.agent.scheduler
@@ -241,9 +251,11 @@ class TestStopAndFailure:
         assert scheduler.queue_length == 1
         scheduler.release(blocker)  # grants the service's task ...
         assert handle.task.uid in scheduler.held_tasks
-        smgr._drivers[handle.uid].interrupt("startup timeout")  # ... too late
+        smgr.fail_service(handle, RuntimeError("startup timeout"))  # too late
         session.run(until=handle.stopped)
         assert handle.service_state == ServiceState.FAILED
+        assert handle.task.phase is None and handle.task.wait is None
+        assert session.profiler.timestamp(handle.uid, "launch_start") is None
         assert scheduler.held_tasks == []
         assert pilot.free_capacity() == full
 
@@ -340,3 +352,205 @@ class TestRemoteServices:
         smgr.stop_services(handle)
         session.run(until=handle.stopped)
         assert handle.service_state == ServiceState.STOPPED
+
+
+class TestServicesEndWithTheirPilot:
+    """A service is a task on its pilot: when the pilot ends -- cancelled,
+    out of walltime or preempted -- every service aboard ends with it,
+    whatever step it is in, with its task mapped as ``TaskManager`` maps
+    the pilot's tasks."""
+
+    #: the step a service is in when its pilot ends
+    PHASES = {
+        "grant": lambda h: h.task.state == TaskState.AGENT_SCHEDULING,
+        "launch": lambda h: h.service_state == ServiceState.LAUNCHING
+        and h.task.state == TaskState.AGENT_EXECUTING,
+        "init": lambda h: h.service_state == ServiceState.INITIALIZING,
+        "publish": lambda h: h.service_state == ServiceState.PUBLISHING,
+        "ready": lambda h: h.service_state == ServiceState.READY,
+        "draining": lambda h: h.service_state == ServiceState.STOPPING
+        and h.instance.queue_depth + h.instance.in_flight > 0,
+    }
+
+    @staticmethod
+    def _aboard(phase, resilient, runtime_s=1e6):
+        """A llama service on a delta pilot, heading for *phase*."""
+        config = ResilienceConfig(heartbeat_interval_s=2.0, retry=None) \
+            if resilient else None
+        session = Session(seed=5, resilience_config=config)
+        pmgr = PilotManager(session)
+        smgr = ServiceManager(session, registry_platform="delta")
+        (pilot,) = pmgr.submit_pilots(
+            PilotDescription(resource="delta", gpus=16, runtime_s=runtime_s))
+        if phase == "grant":  # every GPU, first
+            smgr.start_services(ServiceDescription(
+                model="noop", ranks=4, gpus_per_rank=4), pilot)
+        (handle,) = smgr.start_services(ServiceDescription(
+            model="llama-8b", gpus_per_rank=4, heartbeat_interval_s=2.0),
+            pilot)
+        fired = []
+        handle.stopped.callbacks.append(fired.append)
+        if phase == "draining":
+            session.run(until=handle.ready)
+            for _ in range(3):
+                client = ServiceClient(session, platform="delta")
+                session.engine.process(client.infer(
+                    handle.address, "p", params={"max_tokens": 64}))
+            session.run(until=session.now + 0.5)
+            smgr.stop_services(handle)
+        return session, pmgr, smgr, pilot, handle, fired
+
+    def _phase_window(self, phase, resilient):
+        """When the service is in *phase*, and when the pilot's walltime
+        started: ``(enter, leave, started_at)`` on an unended run."""
+        session, _, _, pilot, handle, _ = self._aboard(phase, resilient)
+        with session:
+            inside = self.PHASES[phase]
+            while not inside(handle):
+                session.engine.step()
+            enter = session.now
+            if phase == "ready":
+                return enter, enter + 10.0, pilot.batch_job.started_at
+            while inside(handle):
+                session.engine.step()
+            return enter, session.now, pilot.batch_job.started_at
+
+    @pytest.mark.parametrize("resilient", [False, True],
+                             ids=["plain", "resilient"])
+    @pytest.mark.parametrize("phase", list(PHASES))
+    @pytest.mark.parametrize("end", ["cancel", "walltime", "preempt"])
+    def test_the_service_ends_with_the_pilot(self, end, phase, resilient):
+        enter, leave, started_at = self._phase_window(phase, resilient)
+        at = (enter + leave) / 2
+        runtime_s = at - started_at if end == "walltime" else 1e6
+        session, pmgr, smgr, pilot, handle, fired = self._aboard(
+            phase, resilient, runtime_s)
+        with session:
+            session.run(until=at - 1e-6)  # the walltime expires at *at*
+            assert self.PHASES[phase](handle)
+            if end == "cancel":
+                pmgr.cancel_pilots(pilot)
+            elif end == "preempt":
+                session.batch_system("delta").fail(pilot.batch_job)
+            session.run(until=session.now + 60.0)
+
+            assert pilot.state in ("CANCELED", "FAILED")
+            assert handle.service_state == ServiceState.FAILED
+            lost = resilient and pilot.state == "FAILED"
+            assert handle.task.state == (TaskState.FAILED if lost
+                                         else TaskState.CANCELED)
+            assert isinstance(handle.task.exception, PilotLost) == lost
+            assert fired == [handle.stopped]
+            assert handle.uid not in [i.uid for i in
+                                      smgr.registry.list_services()]
+            assert handle.uid not in pilot.agent.scheduler.held_tasks
+            assert handle.instance is None or not handle.instance.running
+            if resilient:
+                assert handle.uid not in [
+                    d.uid for d in session.resilience.monitor.detections]
+            if handle.address is not None:
+                client = ServiceClient(session, platform="delta",
+                                       timeout_s=1.0, max_retries=0)
+                with pytest.raises(RequestTimeout):
+                    session.run(until=session.engine.process(
+                        client.infer(handle.address, "anyone there?")))
+
+
+    @pytest.mark.parametrize("resilient", [False, True],
+                             ids=["plain", "resilient"])
+    def test_a_service_started_on_an_ended_pilot_ends_unlaunched(
+            self, resilient):
+        session, pmgr, smgr, pilot, _, _ = self._aboard("ready", resilient)
+        with session:
+            session.run(until=pilot.became_active)
+            pmgr.cancel_pilots(pilot)
+            session.run(until=pilot.finished)
+            (late,) = smgr.start_services(
+                ServiceDescription(model="noop", gpus_per_rank=0), pilot)
+            fired = []
+            late.stopped.callbacks.append(fired.append)
+            session.run(until=session.now + 60.0)
+            assert late.service_state == ServiceState.FAILED
+            assert late.task.state == TaskState.CANCELED
+            assert fired == [late.stopped]
+            assert session.profiler.timestamp(late.uid,
+                                              "bootstrap_start") is None
+            assert pilot.agent.scheduler.held_tasks == []
+            assert smgr.ready_services() == []
+
+
+class TestAStepThatRaisesFailsItsService:
+    """An exception escaping a bootstrap step -- here a model factory
+    refusing ``llama-0b`` -- fails that one service, as it failed the old
+    driver process: nothing escapes ``session.run`` and no slot is held."""
+
+    @pytest.mark.parametrize("where", ["local", "remote"])
+    def test_an_unbuildable_model_fails_the_service(self, env, where):
+        session, _, smgr, pilot = env
+        bad = ServiceDescription(model="llama-0b")
+        handle = smgr.start_remote(bad, platform="delta") \
+            if where == "remote" else smgr.start_services(bad, pilot)[0]
+        (good,) = smgr.start_services(
+            ServiceDescription(model="noop", gpus_per_rank=0), pilot)
+        fired = []
+        handle.stopped.callbacks.append(fired.append)
+        session.run(until=smgr.wait_stopped(handle))
+        session.run(until=good.ready)
+        assert handle.service_state == ServiceState.FAILED
+        assert handle.task.state == TaskState.FAILED
+        assert isinstance(handle.task.exception, ValueError)
+        assert not handle.ready.ok
+        assert fired == [handle.stopped]
+        assert pilot.agent.scheduler.held_tasks == [good.uid]
+        assert pilot.agent.executor._launching == 0
+        assert smgr._loading.get("delta", 0) == 0
+        assert smgr.ready_services() == [good]
+
+
+class TestPathPins:
+    """What a service costs the kernel: its worker processes' resumes and
+    nothing else -- the bootstrap and the stop are landings."""
+
+    def test_bootstrap_and_stop_resume_only_the_workers(self, env):
+        session, _, smgr, pilot = env
+        engine = session.engine
+        session.run(until=pilot.became_active)
+        noop = ServiceDescription(model="noop", gpus_per_rank=0)
+        before = engine.resumes
+        local = smgr.start_services([noop] * 3, pilot)
+        session.run(until=smgr.wait_ready(local))
+        assert engine.resumes - before == 3       # one worker each
+        before = engine.resumes
+        remote = [smgr.start_remote(noop, platform="r3") for _ in range(2)]
+        session.run(until=smgr.wait_ready(remote))
+        assert engine.resumes - before == 2
+        before = engine.resumes
+        smgr.stop_services(local + remote)
+        session.run(until=smgr.wait_stopped(local + remote))
+        assert engine.resumes - before == 5       # each worker's throw
+
+
+def test_a_node_crash_under_a_service_ends_it():
+    """The fault injector hands a crashed node's holders to
+    ``resilience.fail_task``; a service's task is one of them."""
+    config = ResilienceConfig(heartbeat_interval_s=2.0, retry=None)
+    with Session(seed=5, resilience_config=config) as session:
+        pmgr = PilotManager(session)
+        smgr = ServiceManager(session, registry_platform="delta")
+        (pilot,) = pmgr.submit_pilots(
+            PilotDescription(resource="delta", gpus=16, runtime_s=1e7))
+        (handle,) = smgr.start_services(ServiceDescription(
+            model="llama-8b", heartbeat_interval_s=2.0), pilot)
+        session.run(until=handle.ready)
+        node = pilot.nodes[handle.task.slots[0].node_index]
+        node.mark_down()
+        assert session.resilience.fail_task(
+            handle.uid, NodeFailure(node.name, pilot.uid))
+        session.run(until=session.now + 60.0)
+        assert handle.service_state == ServiceState.FAILED
+        assert handle.task.state == TaskState.FAILED
+        assert isinstance(handle.task.exception, NodeFailure)
+        assert pilot.agent.scheduler.held_tasks == []
+        assert smgr.registry.list_services() == []
+        assert session.resilience.monitor.lease(handle.uid).deregistered
+        assert session.resilience.monitor.detections == []

@@ -787,14 +787,16 @@ class TestKernelCounters:
 
 def test_only_user_drivers_and_the_kept_runtime_waits_start_processes():
     """A runtime wait is a timer or a callback.  What still starts a process
-    under ``src/repro``: the service workers, the two service-manager
-    drivers, and user code: the experiments' client drivers and the
-    package docstring's example."""
+    under ``src/repro``: the service workers and user code: the
+    experiments' client drivers and the package docstring's example.  A
+    service's bootstrap and stop are landings, so
+    ``core/service_manager.py`` starts none."""
     root = Path(__file__).resolve().parents[2] / "src" / "repro"
     sites = Counter(
         path.relative_to(root).as_posix()
         for path in root.rglob("*.py")
         for line in path.read_text().splitlines()
         if "engine.process(" in line)
-    assert sites == {"core/service.py": 1, "core/service_manager.py": 2,
-                     "analytics/experiments.py": 2, "__init__.py": 1}
+    assert sites == {"core/service.py": 1, "analytics/experiments.py": 2,
+                     "__init__.py": 1}
+    assert sites["core/service_manager.py"] == 0

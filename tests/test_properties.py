@@ -727,6 +727,120 @@ def test_forced_failures_leak_no_resources(data):
 
 
 # ---------------------------------------------------------------------------
+# Services end with their pilot
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_services_end_with_their_pilot_and_hold_nothing(data):
+    """Random local services (noop, llama or an unbuildable llama-0b, with
+    and without GPUs, some with a startup timeout that can land in any
+    bootstrap step, one maybe started late -- after the pilot's end),
+    remote ones and a client, on a pilot that is cancelled, runs out of
+    walltime or is preempted at a random time, with random orderly stops
+    before and after, with and without resilience.  Once the pilot has ended, no
+    service aboard is READY and the registry lists exactly the running
+    instances; after every service stopped, ``quiesce()`` and ``run()``,
+    no final service holds a slot, every ``stopped`` fired once and the
+    event queue is empty."""
+    from repro import (PilotDescription, PilotManager, RequestTimeout,
+                       ResilienceConfig, ServiceClient, ServiceDescription,
+                       ServiceManager)
+    from repro.hpc.batch import JobState
+
+    config = ResilienceConfig(heartbeat_interval_s=2.0, retry=None) \
+        if data.draw(st.booleans()) else None
+    end = data.draw(st.sampled_from(["cancel", "walltime", "preempt"]))
+    end_at = data.draw(st.floats(min_value=0.0, max_value=40.0))
+    seed = data.draw(st.integers(min_value=0, max_value=50))
+    with Session(seed=seed, resilience_config=config) as session:
+        engine = session.engine
+        pmgr = PilotManager(session)
+        smgr = ServiceManager(session, registry_platform="delta")
+        (pilot,) = pmgr.submit_pilots(PilotDescription(
+            resource="delta", gpus=8,
+            runtime_s=end_at + 1.0 if end == "walltime" else 1e6))
+        local = smgr.start_services([ServiceDescription(
+            model=data.draw(st.sampled_from(["noop", "llama-8b",
+                                             "llama-0b"])),
+            gpus_per_rank=data.draw(st.sampled_from([0, 1, 4])),
+            heartbeat_interval_s=2.0,
+            startup_timeout_s=data.draw(st.sampled_from(
+                [1e4, data.draw(st.floats(min_value=0.5, max_value=30.0))])))
+            for _ in range(data.draw(st.integers(min_value=1, max_value=5)))],
+            pilot)
+        remote = [smgr.start_remote(ServiceDescription(model="noop"), "r3")
+                  for _ in range(data.draw(st.integers(0, 1)))]
+        handles = local + remote
+        fired = {}
+
+        def watch(handle):
+            fired[handle.uid] = []
+            handle.stopped.callbacks.append(fired[handle.uid].append)
+
+        for handle in handles:
+            watch(handle)
+            if data.draw(st.booleans()):
+                engine.call_later(
+                    data.draw(st.floats(min_value=0.0, max_value=50.0)),
+                    lambda _, h=handle: smgr.stop_services(h))
+
+        def start_late(_):
+            (handle,) = smgr.start_services(ServiceDescription(
+                model="noop", gpus_per_rank=1, heartbeat_interval_s=2.0),
+                pilot)
+            watch(handle)
+            local.append(handle)
+
+        if data.draw(st.booleans()):
+            engine.call_later(
+                data.draw(st.floats(min_value=0.0, max_value=60.0)),
+                start_late)
+        client = ServiceClient(session, platform="delta", timeout_s=5.0,
+                               max_retries=0)
+
+        def ask(handle):
+            try:
+                yield handle.ready
+            except Exception:  # it never came up
+                return
+            for _ in range(3):
+                try:
+                    yield from client.infer(handle.address, "p",
+                                            params={"max_tokens": 32})
+                except RequestTimeout:
+                    return
+
+        engine.process(ask(local[0]))
+
+        def pilot_end(_):
+            if end == "cancel":
+                pmgr.cancel_pilots(pilot)
+            elif end == "preempt" \
+                    and pilot.batch_job.state == JobState.RUNNING:
+                session.batch_system("delta").fail(pilot.batch_job)
+
+        engine.call_later(end_at, pilot_end)
+        session.run(until=110.0)
+        assert pilot.state in ("CANCELED", "FAILED")
+        handles = local + remote
+        assert not [h for h in local if h.is_ready]
+        running = {h.uid for h in handles
+                   if h.instance is not None and h.instance.running}
+        listed = {info.uid for info in smgr.registry.list_services()}
+        assert listed == running
+        smgr.stop_services(handles)
+        session.run(until=smgr.wait_stopped(handles))
+        session.quiesce()
+        session.run()
+        assert engine.peek() == float("inf")
+        assert all(len(fired[h.uid]) == 1 for h in handles)
+        assert pilot.agent is None or pilot.agent.scheduler.held_tasks == []
+        assert smgr.registry.list_services() == []
+        assert not any(smgr._loading.values())  # no model load left counted
+
+
+# ---------------------------------------------------------------------------
 # State machines
 # ---------------------------------------------------------------------------
 
