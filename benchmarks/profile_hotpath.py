@@ -4,8 +4,10 @@ Profiles a task bag through the public API -- a default ``Session()``
 (profile tier ``full``), ``TaskManager.submit_tasks`` of N mixed-shape
 executable tasks onto one active pilot, ``session.run(until=wait_tasks)``
 -- and prints the kernel's own budget per task (entries made and generator
-resumes, read off ``engine.entries`` / ``engine.resumes``) and the top
-functions by cumulative and internal time.  That
+resumes, read off ``engine.entries`` / ``engine.resumes``), the memory
+budget (traced heap bytes per default description, and per finished task
+with the session still open, from a second, untimed run under
+tracemalloc) and the top functions by cumulative and internal time.  That
 is the path ``benchmarks/e2e`` measures as ``task_bag``, so what shows up
 here is what a user pays per task: description reads, state transitions,
 profile rows, the event kernel, the agent scheduler.  A loop that drives
@@ -27,9 +29,11 @@ with pytest (see ``benchmarks/conftest.py``).
 """
 
 import cProfile
+import gc
 import pstats
 import sys
 import time
+import tracemalloc
 
 from repro.pilot import (
     PilotDescription,
@@ -43,9 +47,24 @@ from repro.pilot import (
 SHAPES = [1, 2, 4, 8]  # cores per task, cycled
 
 
-def submit_drain(n_tasks: int, n_nodes: int):
-    """The profiled workload; returns sustained tasks/sec, and the kernel
-    entries and generator resumes per task from submission to drain."""
+def description_bytes(n: int = 10_000) -> float:
+    """Traced heap bytes per default ``TaskDescription``, *n* kept alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [TaskDescription(executable="x", cores_per_rank=1,
+                                duration_s=60.0) for _ in range(n)]
+        return (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+
+
+def submit_drain(n_tasks: int, n_nodes: int, track_memory: bool = False):
+    """The profiled workload; returns sustained tasks/sec, the kernel
+    entries and generator resumes per task from submission to drain, and
+    with *track_memory* the traced heap bytes each finished task still
+    holds (else None; tracemalloc slows the run, so never time that one)."""
     with Session(seed=0) as session:
         pmgr = PilotManager(session)
         tmgr = TaskManager(session)
@@ -55,6 +74,9 @@ def submit_drain(n_tasks: int, n_nodes: int):
         session.run(until=pmgr.wait_active([pilot]))
         engine = session.engine
         entries, resumes = engine.entries, engine.resumes
+        if track_memory:
+            gc.collect()
+            tracemalloc.start()
         t0 = time.perf_counter()
         tasks = tmgr.submit_tasks([
             TaskDescription(executable="x", duration_s=60.0,
@@ -62,11 +84,15 @@ def submit_drain(n_tasks: int, n_nodes: int):
             for i in range(n_tasks)])
         session.run(until=tmgr.wait_tasks(tasks))
         elapsed = time.perf_counter() - t0
+        held = None
+        if track_memory:
+            held = tracemalloc.get_traced_memory()[0] / n_tasks
+            tracemalloc.stop()
         assert all(t.state == TaskState.DONE for t in tasks)
         scheduler = pilot.agent.scheduler
         assert scheduler.queue_length == 0 and not scheduler.held_tasks
         return (n_tasks / elapsed, (engine.entries - entries) / n_tasks,
-                (engine.resumes - resumes) / n_tasks)
+                (engine.resumes - resumes) / n_tasks, held)
 
 
 def main(argv) -> int:
@@ -80,12 +106,15 @@ def main(argv) -> int:
 
     profiler = cProfile.Profile()
     profiler.enable()
-    rate, entries, resumes = submit_drain(n_tasks, n_nodes)
+    rate, entries, resumes, _ = submit_drain(n_tasks, n_nodes)
     profiler.disable()
+    held = submit_drain(n_tasks, n_nodes, track_memory=True)[3]
 
     print(f"{n_tasks} tasks / {n_nodes} nodes: {rate:.0f} tasks/s")
     print(f"kernel budget per task: {entries:.4f} entries, "
           f"{resumes:.4f} resumes")
+    print(f"memory budget: {description_bytes():.0f} B per description, "
+          f"{held:.0f} B per finished task")
     if pstats_out:
         profiler.dump_stats(pstats_out)
         print(f"profile written to {pstats_out}")

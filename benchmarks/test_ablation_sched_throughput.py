@@ -3,7 +3,8 @@
 The paper's runtime claims to sustain high task throughput on
 leadership-class machines; its companion characterization work shows the
 agent scheduler is the component that caps it.  This benchmark measures
-exactly that component, three ways:
+exactly that component, three ways, and the description every task starts
+from:
 
 1. **steady-state grant throughput at queue depth** -- a full cluster with
    D pending identical requests; each cycle releases one holder and grants
@@ -31,6 +32,11 @@ exactly that component, three ways:
    tasks/sec through the *full* pipeline and the profiler's retained-row
    counts per tier (full vs durations) for the same campaign.
 
+4. **bytes per description** -- the traced heap one default
+   ``TaskDescription`` holds (``profile_hotpath.description_bytes``), held
+   under a ceiling: every task of a bag starts as one, and they are the
+   largest live item at a task bag's peak.
+
 Small-N floors double as the CI smoke: a hot-path regression that drags
 grant throughput below the floor, or a profiler tier that silently
 reverts to unbounded row retention, fails this module at any
@@ -45,6 +51,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from conftest import bench_scale
+from profile_hotpath import description_bytes
 
 from repro.analytics import ReportBuilder
 from repro.hpc import NodeList
@@ -97,6 +104,9 @@ E2E_CHUNK = 512
 #: CI smoke floors (conservative: >= 10x headroom on a laptop-class core)
 MIN_GRANTS_PER_S = 2_000
 MIN_E2E_TASKS_PER_S = 500
+#: traced heap bytes per default TaskDescription: about 418 as a slotted
+#: record on CPython 3.10-3.13, 538-939 in the dict-backed form
+DESCRIPTION_BYTES_CEILING = 500
 
 
 @lru_cache(maxsize=None)
@@ -322,6 +332,14 @@ def test_scheduler_throughput_scaling(emit):
     assert tiered["rows_kept"] == 0
     assert full["rows_kept"] >= E2E_TASKS  # full tier keeps everything
 
+    # -- study 4: bytes per description -------------------------------------
+    per_description = description_bytes()
+    report.add_table(
+        ["bytes per description", "ceiling"],
+        [[f"{per_description:.0f}", DESCRIPTION_BYTES_CEILING]],
+        title="Traced heap per default TaskDescription (10k kept alive)")
+    assert per_description <= DESCRIPTION_BYTES_CEILING
+
     # wall-clock rates vary per machine: floor-gated, never drift-gated
     bench = BenchResult(params={"depths": DEPTHS,
                                 "reference_depths": REFERENCE_DEPTHS,
@@ -341,4 +359,8 @@ def test_scheduler_throughput_scaling(emit):
                  floor=0.0, scale_free=True)
     bench.record("e2e_makespan_sim_s", tiered["makespan_sim_s"],
                  unit="s", direction="lower")
+    # depends on the interpreter's object layout: ceiling-gated only
+    bench.record("description_bytes", per_description, unit="B",
+                 direction="lower", floor=DESCRIPTION_BYTES_CEILING,
+                 scale_free=True, deterministic=False)
     emit(report, bench=bench)

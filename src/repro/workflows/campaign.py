@@ -626,6 +626,7 @@ class CampaignRunner:
         run, state, name = live.run, live.state, live.node.name
         engine = self.session.engine
         run.running.pop(live.key, None)
+        live.routine = None  # the routine holds live: no cycle outlives it
         if ok:
             exc = None
         if isinstance(exc, Interrupt):

@@ -1,6 +1,9 @@
 """Tests for pilot/task/service descriptions and staging directives."""
 
 import copy
+import gc
+import tracemalloc
+import types
 
 import pytest
 
@@ -154,6 +157,12 @@ DESCRIPTIONS = {
 }
 
 
+#: traced heap bytes per default TaskDescription: about 418 as a slotted
+#: record on CPython 3.10-3.13; the dict-backed form cost 939 / 770 / 762 /
+#: 538 on 3.10 / 3.11 / 3.12 / 3.13
+DESCRIPTION_BYTES_CEILING = 500
+
+
 @pytest.fixture(params=sorted(DESCRIPTIONS))
 def desc(request):
     return DESCRIPTIONS[request.param]()
@@ -235,3 +244,25 @@ class TestPlainAttributeStorage:
         assert r.label == "x" and r == {"rate": 4.0, "label": "x"}
         r.label = None  # None is always accepted
         assert r.label is None and "label" in r
+
+    def test_no_instance_has_a_dict(self, desc):
+        # as tests/comm/test_message.py pins for Message
+        assert not hasattr(desc, "__dict__")
+
+    def test_every_field_is_a_slot(self, desc):
+        for key in desc._schema:
+            assert isinstance(getattr(type(desc), key),
+                              types.MemberDescriptorType), key
+
+    def test_a_default_task_description_stays_under_its_byte_ceiling(self):
+        n = 10_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [TaskDescription(executable="/bin/sim", cores_per_rank=1,
+                                    duration_s=1.0) for _ in range(n)]
+            per = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+        finally:
+            tracemalloc.stop()
+        assert per < DESCRIPTION_BYTES_CEILING, per

@@ -6,6 +6,7 @@ delivery, conservation of scheduled capacity, statistical post-processing
 laws.
 """
 
+import copy
 import heapq
 from unittest.mock import patch
 
@@ -1879,3 +1880,232 @@ def test_campaign_records_match_the_process_per_node_reference(spec):
     for got, want in zip(shipped, expected):
         for key in want:
             assert got[key] == want[key], key
+
+
+# ---------------------------------------------------------------------------
+# Descriptions: slotted records vs the dict-backed reference
+# ---------------------------------------------------------------------------
+
+class _Directive:
+    """A staging entry drawn as a ``StagingDirective`` of either form."""
+
+    def __init__(self, kwargs):
+        self.kwargs = kwargs
+
+    def __repr__(self):
+        return f"_Directive({self.kwargs!r})"
+
+
+#: a bare record with a float field (int -> float coercion), a mixed float
+#: tuple, a field no default sets and a nested container default
+_RATE_SCHEMA = {"rate": float, "scale": (float, str), "label": str,
+                "bins": list, "meta": dict}
+_RATE_DEFAULTS = {"rate": 0.5, "bins": [], "meta": {"k": [1]}}
+
+
+def _description_forms():
+    """``{name: (shipped class, reference class, minimal valid kwargs)}``."""
+    from pilot import reference_config as ref
+    from repro.pilot import (PilotDescription, ServiceDescription,
+                             StagingDirective)
+    from repro.utils.config import Config
+
+    def rate(base, slotted):
+        body = {"_schema": _RATE_SCHEMA, "_defaults": _RATE_DEFAULTS}
+        if slotted:
+            body["__slots__"] = tuple(_RATE_SCHEMA)
+        return type("Rate", (base,), body)
+
+    return {
+        "task": (TaskDescription, ref.TaskDescription, {}),
+        "service": (ServiceDescription, ref.ServiceDescription, {}),
+        "staging": (StagingDirective, ref.StagingDirective, {}),
+        "pilot": (PilotDescription, ref.PilotDescription,
+                  {"resource": "delta", "nodes": 1}),
+        "rate": (rate(Config, True), rate(ref.Config, False), {}),
+    }
+
+
+_STAGING_ENTRY = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "source": st.sampled_from(["a", "b"]),
+        "target": st.sampled_from(["a", "c"]),
+        "action": st.sampled_from(["transfer", "copy", "link", "teleport"]),
+        "size_bytes": st.one_of(st.integers(-1, 64), st.just(2.5)),
+        "bogus": st.just(1)}),
+    st.builds(_Directive, st.fixed_dictionaries({}, optional={
+        "source": st.just("s"),
+        "action": st.sampled_from(["transfer", "copy", "link"]),
+        "size_bytes": st.one_of(st.integers(0, 64), st.just(1.5))})),
+    st.just("not-a-directive"))
+
+_NUMBER = st.one_of(st.integers(-2, 6), st.floats(-2.0, 1e6),
+                    st.booleans())
+_VALID = {
+    str: st.sampled_from(["", "delta", "x", "copy", "link", "teleport",
+                          "llama-8b", "vllm"]),
+    int: st.one_of(st.integers(-1, 6), st.booleans()),
+    (int, float): _NUMBER,
+    float: _NUMBER,
+    (float, str): st.one_of(_NUMBER, st.just("wide")),
+    tuple: st.tuples(st.integers(0, 3)),
+    dict: st.dictionaries(st.sampled_from(["a", "colocate"]),
+                          st.integers(0, 3), max_size=2),
+    list: st.lists(_STAGING_ENTRY, max_size=2),
+    None: st.sampled_from([sum, len, "not-callable", 3]),
+}
+#: a value of some other type, for every schema type
+_WRONG = st.sampled_from(["s", 3, 2.5, True, (), [], {}, b"b"])
+
+
+def _value_for(schema, key):
+    if key not in schema:          # unknown and private names
+        return st.one_of(st.integers(0, 3), st.none())
+    return st.one_of(_VALID[schema[key]], st.none(), _WRONG)
+
+
+def _materialise(value, form):
+    """A fresh copy of a drawn value, its directives built in *form*."""
+    if isinstance(value, _Directive):
+        return form.StagingDirective(**value.kwargs)
+    if isinstance(value, list):
+        return [_materialise(v, form) for v in value]
+    if isinstance(value, dict):
+        return {k: _materialise(v, form) for k, v in value.items()}
+    return value
+
+
+def _canon(value):
+    """A comparable form of a field value: records by class name and
+    fields, scalars with their type, so ``2`` and ``2.0`` differ."""
+    from pilot import reference_config as ref
+    from repro.utils.config import Config
+
+    if isinstance(value, (Config, ref.Config)):
+        return (type(value).__name__,
+                tuple(sorted((k, _canon(v)) for k, v in
+                             value.as_dict().items())))
+    if isinstance(value, list):
+        return ["list"] + [_canon(v) for v in value]
+    if isinstance(value, tuple):
+        return ("tuple",) + tuple(_canon(v) for v in value)
+    if isinstance(value, dict):
+        return ("dict", tuple(sorted((k, _canon(v))
+                                     for k, v in value.items())))
+    return (type(value).__name__, value)
+
+
+def _outcome(fn):
+    try:
+        return ("ok", fn())
+    except Exception as exc:  # noqa: BLE001 -- the error is the outcome
+        return ("raise", type(exc).__name__, str(exc))
+
+
+def _observe(record, rebuild):
+    """Every read of the contract, as comparable data."""
+    keys = list(type(record)._schema) + ["bogus"]
+    deep = copy.deepcopy(record)
+    return {
+        "as_dict": _canon(record.as_dict()),
+        "repr": repr(record),
+        "eq": (record == record.as_dict(), record == rebuild(),
+               record == {}, record != record.as_dict()),
+        "copy": _outcome(lambda: (_canon(record.copy().as_dict()),
+                                  record.copy() == record)),
+        "deepcopy": (type(deep).__name__, repr(deep), deep == record,
+                     _canon(deep.as_dict())),
+        "fields": [(key, key in record, _canon(record.get(key, "unset")),
+                    _outcome(lambda k=key: _canon(getattr(record, k))),
+                    _outcome(lambda k=key: _canon(record[k])))
+                   for key in keys],
+    }
+
+
+def _run_description(form, cls, spec):
+    """Build *cls* from *spec*, apply its writes; every outcome in order."""
+    from_dict, kwargs, writes, minimal = spec
+
+    def build(given=None):
+        args = ()
+        if from_dict is not None:
+            args = (_materialise(from_dict, form),)
+        made = _materialise(kwargs, form)
+        if given is not None:
+            given.update(made)
+        return cls(*args, **made)
+
+    given = {}
+    built = _outcome(lambda: build(given))
+    if built[0] == "raise":
+        return [built]
+    record = built[1]
+    # which given containers the record holds as they were given
+    aliased = sorted(key for key, value in given.items()
+                     if isinstance(value, (list, dict))
+                     and record.get(key) is value)
+    outcomes = [("ok", _observe(record, build), aliased)]
+    for how, key, value in writes:
+        value = _materialise(value, form)
+        if how == "attr":
+            outcomes.append(_outcome(lambda: setattr(record, key, value)))
+        else:
+            outcomes.append(_outcome(lambda: record.__setitem__(key, value)))
+        outcomes.append(("ok", _observe(record, build)))
+    # edit every container in place: a default container shared between
+    # instances shows up in the next fresh one
+    for key in type(record)._schema:
+        held = record.get(key)
+        if isinstance(held, dict):
+            held["m"] = 1
+        elif isinstance(held, list):
+            held.append(form.StagingDirective(source="m"))
+    outcomes.append(_outcome(lambda: _canon(cls(**minimal).as_dict())))
+    return outcomes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_slotted_descriptions_match_the_dict_backed_reference(data):
+    """The slotted descriptions (and a slotted bare record) answer every
+    read of the :class:`~repro.utils.config.Config` contract as the
+    dict-backed reference (``tests/pilot/reference_config.py``) does.
+
+    Random keyword sets -- valid values, ints for float fields, ``None``,
+    wrong types, unknown and ``_private`` names, staging entries as dicts
+    or ``StagingDirective``\\ s, ``from_dict`` with overriding keywords --
+    build both forms; random writes through attributes and items follow.
+    Both must raise the same error with the same message, or agree on
+    ``as_dict``, ``repr``, ``==``, ``copy``, ``copy.deepcopy``, ``in``,
+    ``get``, attribute and item reads, after every step.  Last, every
+    container field is edited in place, and a fresh default instance must
+    not see the edits (no default container is shared)."""
+    from pilot import reference_config as ref
+    from repro.pilot import description as shipped
+
+    forms = _description_forms()
+    name = data.draw(st.sampled_from(sorted(forms)), label="class")
+    slotted, reference, minimal = forms[name]
+    schema = slotted._schema
+    names = st.sampled_from(sorted(schema) + ["bogus", "_private"])
+
+    def keywords(label):
+        keys = data.draw(st.lists(names, unique=True, max_size=6),
+                         label=label)
+        return {k: data.draw(_value_for(schema, k), label=k) for k in keys}
+
+    kwargs = dict(minimal)
+    kwargs.update(keywords("kwargs"))
+    from_dict = None
+    if data.draw(st.booleans(), label="from_dict"):
+        from_dict = keywords("from_dict")
+    writes = []
+    for _ in range(data.draw(st.integers(0, 4), label="writes")):
+        how = data.draw(st.sampled_from(["attr", "item"]))
+        key = data.draw(names)
+        writes.append((how, key, data.draw(_value_for(schema, key))))
+    spec = (from_dict, kwargs, writes, minimal)
+
+    got = _run_description(shipped, slotted, spec)
+    want = _run_description(ref, reference, spec)
+    assert got == want
