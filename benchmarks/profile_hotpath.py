@@ -5,9 +5,9 @@ Profiles a task bag through the public API -- a default ``Session()``
 executable tasks onto one active pilot, ``session.run(until=wait_tasks)``
 -- and prints the kernel's own budget per task (entries made and generator
 resumes, read off ``engine.entries`` / ``engine.resumes``), the memory
-budget (traced heap bytes per default description, and per finished task
+budget (traced heap bytes per default description, per finished task
 with the session still open, from a second, untimed run under
-tracemalloc) and the top functions by cumulative and internal time.  That
+tracemalloc, and per task when a traced run is read) and the top functions by cumulative and internal time.  That
 is the path ``benchmarks/e2e`` measures as ``task_bag``, so what shows up
 here is what a user pays per task: description reads, state transitions,
 profile rows, the event kernel, the agent scheduler.  A loop that drives
@@ -35,6 +35,7 @@ import sys
 import time
 import tracemalloc
 
+from repro import ObservabilityConfig
 from repro.pilot import (
     PilotDescription,
     PilotManager,
@@ -60,28 +61,60 @@ def description_bytes(n: int = 10_000) -> float:
         tracemalloc.stop()
 
 
+def active_pilot(session, n_nodes: int):
+    """One active pilot of *n_nodes* frontier nodes and its task manager."""
+    pmgr = PilotManager(session)
+    tmgr = TaskManager(session)
+    (pilot,) = pmgr.submit_pilots(PilotDescription(
+        resource="frontier", nodes=n_nodes, runtime_s=1e9))
+    tmgr.add_pilots(pilot)
+    session.run(until=pmgr.wait_active([pilot]))
+    return pilot, tmgr
+
+
+def mixed_bag(n_tasks: int):
+    """*n_tasks* executable task descriptions, cores cycling over SHAPES."""
+    return [TaskDescription(executable="x", duration_s=60.0,
+                            cores_per_rank=SHAPES[i % len(SHAPES)])
+            for i in range(n_tasks)]
+
+
+def read_bytes(n_tasks: int = 5_000, n_nodes: int = 16) -> float:
+    """Traced heap bytes a finished task adds when its run is read: every
+    profile row iterated once and the tracer's spans built, after a bag of
+    *n_tasks* mixed-shape tasks with the telemetry plane on."""
+    with Session(seed=0, observability=ObservabilityConfig()) as session:
+        _, tmgr = active_pilot(session, n_nodes)
+        tasks = tmgr.submit_tasks(mixed_bag(n_tasks))
+        session.run(until=tmgr.wait_tasks(tasks))
+        assert all(t.state == TaskState.DONE for t in tasks)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = sum(1 for _ in session.profiler.events())
+            spans = session.observability.tracer.spans
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rows == session.profiler.recorded and spans
+        return held / n_tasks
+
+
 def submit_drain(n_tasks: int, n_nodes: int, track_memory: bool = False):
     """The profiled workload; returns sustained tasks/sec, the kernel
     entries and generator resumes per task from submission to drain, and
     with *track_memory* the traced heap bytes each finished task still
     holds (else None; tracemalloc slows the run, so never time that one)."""
     with Session(seed=0) as session:
-        pmgr = PilotManager(session)
-        tmgr = TaskManager(session)
-        (pilot,) = pmgr.submit_pilots(PilotDescription(
-            resource="frontier", nodes=n_nodes, runtime_s=1e9))
-        tmgr.add_pilots(pilot)
-        session.run(until=pmgr.wait_active([pilot]))
+        pilot, tmgr = active_pilot(session, n_nodes)
         engine = session.engine
         entries, resumes = engine.entries, engine.resumes
         if track_memory:
             gc.collect()
             tracemalloc.start()
         t0 = time.perf_counter()
-        tasks = tmgr.submit_tasks([
-            TaskDescription(executable="x", duration_s=60.0,
-                            cores_per_rank=SHAPES[i % len(SHAPES)])
-            for i in range(n_tasks)])
+        tasks = tmgr.submit_tasks(mixed_bag(n_tasks))
         session.run(until=tmgr.wait_tasks(tasks))
         elapsed = time.perf_counter() - t0
         held = None
@@ -114,7 +147,8 @@ def main(argv) -> int:
     print(f"kernel budget per task: {entries:.4f} entries, "
           f"{resumes:.4f} resumes")
     print(f"memory budget: {description_bytes():.0f} B per description, "
-          f"{held:.0f} B per finished task")
+          f"{held:.0f} B per finished task, {read_bytes():.0f} B per task "
+          f"read (5,000 tasks, 16 nodes, telemetry on)")
     if pstats_out:
         profiler.dump_stats(pstats_out)
         print(f"profile written to {pstats_out}")

@@ -8,7 +8,7 @@ pays one dict write at enqueue and at dequeue (the per-shape depth) and a
 histogram observe at grant, whose enqueue time rides in the pending entry
 -- bounded, measured here.
 
-Two studies plus a smoke artifact:
+Three studies plus a smoke artifact:
 
 1. **steady-state grant throughput** off vs metrics-on on the indexed
    scheduler (same cycle harness as ``test_ablation_sched_throughput``).
@@ -43,7 +43,14 @@ Two studies plus a smoke artifact:
    side first.  Acceptance: the median per-pair full/off ratio stays above
    ``MIN_FULL_RATIO``.
 
-3. the e2e run exports its Chrome trace to
+3. **bytes per task read** -- the traced heap a finished task adds when
+   its run is read: the profile's rows iterated once and the tracer's
+   spans built (``profile_hotpath.read_bytes``: 5,000 mixed-shape tasks,
+   16 frontier nodes, ``ObservabilityConfig()``), held under a ceiling.
+   The profile's rows are built as they are read and a task span keeps its
+   one attribute raw until it is read, so what stays is the spans.
+
+4. the e2e run exports its Chrome trace to
    ``benchmarks/results/observability_smoke_trace.json`` (uploaded as a
    CI artifact) and sanity-checks the span forest before writing it.
 """
@@ -60,6 +67,7 @@ from contextlib import ExitStack
 from pathlib import Path
 
 from conftest import RESULTS_DIR, bench_scale
+from profile_hotpath import read_bytes
 
 from repro import ObservabilityConfig
 from repro.analytics import ReportBuilder
@@ -95,6 +103,10 @@ MIN_METRICS_RATIO = 0.85
 #: kept its own copy).  The floor is the lowest read minus 0.1, rounded
 #: down to 0.05
 MIN_FULL_RATIO = 0.7
+#: traced heap bytes a finished task adds when its run is read: 806 on
+#: CPython 3.11 (2,525 while rows were kept once read and every task span
+#: carried its own attribute dict)
+READ_BYTES_CEILING = 1_000
 
 SMOKE_TRACE = RESULTS_DIR / "observability_smoke_trace.json"
 
@@ -257,6 +269,15 @@ def test_observability_overhead(emit):
         "spans exported": n_spans,
     }, title="CI artifact")
 
+    # -- study 3: bytes per task read ----------------------------------------
+    per_task_read = read_bytes()
+    report.add_table(
+        ["bytes per task read", "ceiling"],
+        [[f"{per_task_read:.0f}", READ_BYTES_CEILING]],
+        title=("Traced heap per finished task when its run is read "
+               "(rows iterated, spans built; 5k tasks, 16 nodes)"))
+    assert per_task_read <= READ_BYTES_CEILING
+
     # wall-clock rates vary per machine: floor-gated, never drift-gated
     bench = BenchResult(params={"depth": DEPTH, "e2e_tasks": E2E_TASKS})
     bench.record("grants_per_s_off", off, unit="grants/s",
@@ -269,6 +290,10 @@ def test_observability_overhead(emit):
                  floor=MIN_FULL_RATIO, scale_free=True,
                  deterministic=False)
     bench.record("spans_exported", float(n_spans))
+    # depends on the interpreter's object layout: ceiling-gated only
+    bench.record("read_bytes_per_task", per_task_read, unit="B",
+                 direction="lower", floor=READ_BYTES_CEILING,
+                 scale_free=True, deterministic=False)
     emit(report, bench=bench)
 
 

@@ -15,36 +15,33 @@ tests no length and allocates nothing the cyclic collector tracks, so a run
 that never reads its profile pays for neither rows nor collector passes
 over them.
 
-**Readers derive.**  Every public read (:meth:`events`, :meth:`timestamp`,
-:meth:`duration` / :meth:`durations`, :meth:`uids_with_event`, ``len``,
-:attr:`dropped`, :meth:`to_jsonl`) first consumes the log, oldest record
-first, off its reversed tail, so the flat form and what it becomes never
-coexist in full.  Construction has *moved*, not vanished: the first reader
-pays it, once, for the records since the last (collector paused: what is
-built is acyclic, a pass over it frees nothing).
+**Reading costs what the run recorded.**  The log is the only row store:
+:meth:`events` returns a :class:`ProfileView`, a snapshot of the log that
+builds each :class:`ProfileRow` when it is read and keeps none.  The first
+stamps, ``event -> {uid: first time}`` in first-occurrence order, derive
+from the log past a watermark without a row, on the first stamp query
+(:meth:`timestamp`, :meth:`duration`, :meth:`durations`,
+:meth:`uids_with_event`, :meth:`to_jsonl`); only a uid-filtered
+:meth:`events` derives the other index, ``uid -> record numbers``.
 
 **The log has a second reader.**  A transition is appended once, here; the
 tracer (:mod:`repro.observability.trace`) does not keep a copy but reads
 the task phases off this log.  The :attr:`reader` is handed every record
-once, in every level: by :meth:`share`, which leaves the log to the
-profile's own readers, or -- for what it has not seen yet -- by
-:meth:`catch_up` before the log is folded.  While a reader is attached
-``"off"`` keeps appending -- and drops each stretch once the reader has
-seen it: rows, first stamps, ``len`` and :attr:`dropped` mean what they
-mean without one.
+once, in every level, by :meth:`share`: the tracer calls it on each span
+query, and the profile calls it before it folds or forgets records.  While
+a reader is attached ``"off"`` keeps appending -- and drops each stretch
+once the reader has seen it: rows, first stamps, ``len`` and
+:attr:`dropped` mean what they mean without one.
 
 **One choice**, ``level=`` (``Session(profile=...)`` for a whole run), says
 what the log becomes when a reader arrives:
 
-* ``"full"``       -- every record becomes a :class:`ProfileRow`; the
-  default, needed by row-level queries like :meth:`events`.  The
-  first-timestamp, per-event and per-uid indices are derived from the rows
-  past a watermark by the first query that needs them;
-* ``"durations"``  -- the log is folded into the *first* timestamp per
-  (uid, event) pair and no row is ever built: exactly what
-  :meth:`timestamp` / :meth:`duration` / :meth:`durations` and the
-  analytics layer consume, so what is kept after a read is bounded by the
-  distinct pairs;
+* ``"full"``       -- the log is kept and every record is a row; the
+  default, needed by row-level queries like :meth:`events`;
+* ``"durations"``  -- the log is folded into the first stamps and dropped,
+  and no row is ever built: exactly what :meth:`timestamp` /
+  :meth:`duration` / :meth:`durations` and the analytics layer consume, so
+  what is kept after a read is bounded by the distinct (uid, event) pairs;
 * ``"off"``        -- recording is a counter bump (and, while a reader is
   attached, the append it reads); all queries come back empty.  For
   pure-throughput campaigns.
@@ -57,26 +54,24 @@ from __future__ import annotations
 
 import gc
 import json
-from collections import deque
+from collections.abc import Sequence
 from contextlib import contextmanager
 from itertools import islice
-from typing import (Callable, Deque, Dict, Iterable, List, NamedTuple,
-                    Optional, Tuple)
+from operator import eq
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Tuple, Union)
 
 import numpy as np
 
-__all__ = ["Profiler", "ProfileEvent", "ProfileRow"]
+__all__ = ["Profiler", "ProfileEvent", "ProfileRow", "ProfileView"]
 
 ProfileEvent = Tuple[float, str, str, str]  # (time, uid, event, component)
-
-#: log fields consumed per slice by a reader (a multiple of four)
-_STEP = 4 * 4096
 
 
 @contextmanager
 def _collector_paused():
-    """Rows and the reader's spans are acyclic: a collector pass over them
-    frees nothing, so none runs while they are built."""
+    """The reader's spans are acyclic: a collector pass over them frees
+    nothing, so none runs while they are built."""
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -97,6 +92,42 @@ class ProfileRow(NamedTuple):
     component: str
 
 
+class ProfileView(Sequence):
+    """Read-only rows of a profile, each built when read (``time`` as a
+    float): ``len``, indexing (negative too; a slice is a view), iteration,
+    ``==`` with a list or a view, ``repr``.  A snapshot: the full level only
+    appends to its log and replaces it when it forgets, so later records
+    and a later ``clear()`` do not change a view."""
+
+    __slots__ = ("_log", "_at")
+
+    def __init__(self, log: list, at: Union[range, List[int]]) -> None:
+        self._log, self._at = log, at  # the log, the record numbers shown
+
+    def __len__(self) -> int:
+        return len(self._at)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ProfileView(self._log, self._at[i])
+        return self._row(self._at[i])
+
+    def __iter__(self) -> Iterator[ProfileRow]:
+        return map(self._row, self._at)
+
+    def _row(self, k: int) -> ProfileRow:
+        log, k = self._log, 4 * k
+        return ProfileRow(float(log[k]), log[k + 1], log[k + 2], log[k + 3])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, ProfileView)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class Profiler:
     """Flat record log with one choice of what a reader derives from it."""
 
@@ -106,28 +137,11 @@ class Profiler:
         if level not in self.LEVELS:
             raise ValueError(f"level must be one of {self.LEVELS}")
         self.level = level
-        #: records not folded yet: ``time, uid, event, component`` each
-        self._log: list = []
-        #: the rows the log became (full level)
-        self._rows: List[ProfileRow] = []
-        #: rows[:_indexed] are reflected in the indices
-        self._indexed = 0
-        #: the three indices, read through the properties below:
-        #: ``(uid, event) -> first timestamp`` (all the "durations" level
-        #: keeps, and the O(1) lookup path of the full level); ``event ->
-        #: {uid: None}`` in first-occurrence order; and the per-uid row
-        #: index (uid-filtered queries are O(rows of that uid))
-        self._indices: Tuple[Dict[Tuple[str, str], float],
-                             Dict[str, Dict[str, None]],
-                             Dict[str, Deque[ProfileRow]]] = ({}, {}, {})
-        #: record() calls total, regardless of level
-        self.recorded = 0
         #: the second reader: ``reader(log, start)`` is called with the log
         #: (flat, oldest first, its last record numbered ``recorded - 1``)
         #: and the field its unseen part starts at, before it is folded
         self.reader: Optional[Callable[[list, int], None]] = None
-        #: log[:_shared] has been handed to the reader (see share)
-        self._shared = 0
+        self.clear()
 
     def record(self, time: float, uid: str, event: str,
                component: str = "") -> None:
@@ -142,66 +156,42 @@ class Profiler:
         """Hand the reader what it has not seen, without consuming it: the
         profile's own readers still find it (``"off"``, which keeps
         nothing, drops it once read)."""
-        if self.level == "off":
-            self.catch_up()
-        elif self._shared < len(self._log):
-            with _collector_paused():
-                self.reader(self._log, self._shared)
-            self._shared = len(self._log)
-
-    def catch_up(self) -> None:
-        """Consume the log: the reader's turn for what it has not seen,
-        then rows (full) or first stamps (durations)."""
         log = self._log
-        if not log:
-            return
-        self._log = []  # a record landing meanwhile starts the next stretch
-        shared, self._shared = self._shared, 0
-        rows = self._rows
-        first, event_uids, _ = self._indices
-        with _collector_paused():
-            if self.reader is not None:
-                if shared < len(log):
-                    self.reader(log, shared)
-                if self.level == "off":
-                    return
-            log.reverse()  # read off the tail: the log shrinks as rows grow
-            while log:
-                part = log[-_STEP:]
-                del log[-_STEP:]
-                times, uids, events = part[-1::-4], part[-2::-4], part[-3::-4]
-                if self.level == "full":
-                    rows.extend(map(ProfileRow, map(float, times), uids,
-                                    events, part[-4::-4]))
-                else:
-                    for t, uid, event in zip(times, uids, events):
-                        key = (uid, event)
-                        if key not in first:
-                            first[key] = float(t)
-                            event_uids.setdefault(event, {})[uid] = None
-
-    def _derived(self):
-        """The indices, caught up with the log and the rows it became."""
-        self.catch_up()
-        rows = self._rows
-        if self._indexed < len(rows):
-            first, event_uids, by_uid = self._indices
-            for row in islice(rows, self._indexed, None):
-                t, uid, event, _ = row
-                key = (uid, event)
-                if key not in first:
-                    first[key] = t
-                    event_uids.setdefault(event, {})[uid] = None
-                bucket = by_uid.get(uid)
-                if bucket is None:
-                    bucket = by_uid[uid] = deque()
-                bucket.append(row)
-            self._indexed = len(rows)
-        return self._indices
+        if self._shared < len(log):
+            with _collector_paused():
+                self.reader(log, self._shared)
+            self._shared = len(log)
+        if self.level == "off" and log:
+            self._log, self._shared = [], 0
 
     @property
-    def _first(self) -> Dict[Tuple[str, str], float]:
-        return self._derived()[0]
+    def _first(self) -> Dict[str, Dict[str, float]]:
+        """The first-stamp index, caught up with the log (which the
+        durations level folds into it and drops)."""
+        log, start = self._log, self._stamped
+        if start < len(log) and self.level != "off":
+            if self.level == "full":
+                self._stamped = len(log)
+            elif self.reader is not None:
+                self.share()  # the reader's turn before the log is folded
+            self._stamp(islice(log, start, None, 4),
+                        islice(log, start + 1, None, 4),
+                        islice(log, start + 2, None, 4))
+            if self.level == "durations":
+                self._log, self._shared = [], 0
+        return self._stamps
+
+    def _stamp(self, times: Iterable, uids: Iterable[str],
+               events: Iterable[str]) -> None:
+        """Take the first stamp of every (uid, event) pair not stamped yet."""
+        first, order = self._stamps, self._stamp_order
+        for t, uid, event in zip(times, uids, events):
+            stamps = first.get(event)
+            if stamps is None:
+                stamps = first[event] = {}
+            if uid not in stamps:
+                stamps[uid] = float(t)
+                order.append(event)
 
     # -- counters ------------------------------------------------------------
     @property
@@ -212,64 +202,74 @@ class Profiler:
         return 0 if self.level == "durations" else self.recorded - len(self)
 
     def __len__(self) -> int:
-        self.catch_up()
-        return len(self._rows)
+        return len(self._log) // 4 if self.level == "full" else 0
 
     # -- queries -------------------------------------------------------------
     def events(self, uid: Optional[str] = None,
-               event: Optional[str] = None) -> List[ProfileRow]:
-        """Rows filtered by uid and/or event name (full level only).
+               event: Optional[str] = None) -> ProfileView:
+        """Rows filtered by uid and/or event name (full level only), as a
+        snapshot view that builds each row when read.
 
         uid-filtered lookups go through the per-uid index, so they cost
         O(rows of that uid) instead of O(rows).
         """
-        if uid is not None:
-            rows: Iterable[ProfileRow] = self._derived()[2].get(uid, ())
-        else:
-            self.catch_up()
-            rows = self._rows
+        log = self._log if self.level == "full" else []
+        at = (range(len(log) // 4) if uid is None or not log
+              else self._uid_index().get(uid, []).copy())
         if event is not None:
-            rows = [r for r in rows if r.event == event]
-        return list(rows)
+            at = [k for k in at if log[4 * k + 2] == event]
+        return ProfileView(log, at)
+
+    def _uid_index(self) -> Dict[str, List[int]]:
+        """``uid -> record numbers``, caught up with the log."""
+        log, by_uid = self._log, self._by_uid
+        if self._placed < len(log):
+            start, self._placed = self._placed, len(log)
+            for k, uid in enumerate(islice(log, start + 1, None, 4),
+                                    start // 4):
+                by_uid.setdefault(uid, []).append(k)
+        return by_uid
 
     def timestamp(self, uid: str, event: str) -> Optional[float]:
         """First timestamp of *event* for *uid* (None if absent)."""
-        return self._first.get((uid, event))
+        return self._first.get(event, {}).get(uid)
 
     def duration(self, uid: str, start_event: str,
                  stop_event: str) -> Optional[float]:
         """Seconds between two events of one entity (None if either absent)."""
-        t0 = self._first.get((uid, start_event))
-        t1 = self._first.get((uid, stop_event))
-        if t0 is None or t1 is None:
-            return None
-        return t1 - t0
+        t0 = self.timestamp(uid, start_event)
+        t1 = self.timestamp(uid, stop_event)
+        return None if t0 is None or t1 is None else t1 - t0
 
     def durations(self, uids: Iterable[str], start_event: str,
                   stop_event: str) -> np.ndarray:
         """Vector of durations across entities (skips incomplete ones)."""
         first = self._first
-        values = []
-        for uid in uids:
-            t0 = first.get((uid, start_event))
-            t1 = first.get((uid, stop_event))
-            if t0 is not None and t1 is not None:
-                values.append(t1 - t0)
-        return np.asarray(values, dtype=float)
+        starts = first.get(start_event, {})
+        stops = first.get(stop_event, {})
+        return np.asarray([stops[uid] - starts[uid] for uid in uids
+                           if uid in starts and uid in stops], dtype=float)
 
     def uids_with_event(self, event: str) -> List[str]:
         """All entity uids that recorded *event* (first-occurrence order)."""
-        return list(self._derived()[1].get(event, ()))
+        return list(self._first.get(event, ()))
 
     def clear(self) -> None:
-        """Forget everything (the reader reads it first)."""
+        """Forget everything (the reader reads it first).  Each store is
+        replaced, not emptied: a view handed out keeps its snapshot."""
         if self.reader is not None:
-            self.catch_up()
-        self._log.clear()
-        self._rows.clear()
-        self._indexed = 0
-        for index in self._indices:
-            index.clear()
+            self.share()
+        self._log: list = []  # time, uid, event, component per record
+        self._shared = 0      # log[:_shared] was handed to the reader
+        #: ``event -> {uid: first timestamp}``, each in first-occurrence
+        #: order (all the "durations" level keeps), and the event of each
+        #: stamp in the order they were taken
+        self._stamps: Dict[str, Dict[str, float]] = {}
+        self._stamp_order: List[str] = []
+        self._stamped = 0     # log[:_stamped] is stamped (full level)
+        self._by_uid: Dict[str, List[int]] = {}  # uid -> record numbers
+        self._placed = 0      # ... of the records in log[:_placed]
+        #: record() calls total, regardless of level
         self.recorded = 0
 
     # -- persistence ---------------------------------------------------------
@@ -282,17 +282,18 @@ class Profiler:
         component]`` line per row.  The file round-trips through
         :meth:`from_jsonl` in every level.
         """
-        first = self._first
+        stamps = {event: iter(uids.items())
+                  for event, uids in self._first.items()}
         lines = 1
         with open(path, "w") as fh:
             fh.write(json.dumps({"meta": {"level": self.level,
                                           "recorded": self.recorded}}) + "\n")
-            for (uid, event), t in first.items():
+            for event in self._stamp_order:
+                uid, t = next(stamps[event])
                 fh.write(json.dumps(["f", t, uid, event]) + "\n")
                 lines += 1
-            for row in self._rows:
-                fh.write(json.dumps(["r", row.time, row.uid, row.event,
-                                     row.component]) + "\n")
+            for row in self.events():
+                fh.write(json.dumps(["r", *row]) + "\n")
                 lines += 1
         return lines
 
@@ -317,15 +318,12 @@ class Profiler:
                 raise ValueError(f"no meta line in profile file: {path}")
             meta = head["meta"]
             profiler = cls(level=meta["level"])
-            first, event_uids, _ = profiler._indices
             for entry in entries:
                 if isinstance(entry, dict):
                     meta = entry["meta"]
                 elif entry[0] == "f":
                     _, t, uid, event = entry
-                    if (uid, event) not in first:
-                        first[uid, event] = float(t)
-                        event_uids.setdefault(event, {})[uid] = None
+                    profiler._stamp((t,), (uid,), (event,))
                 else:
                     _, t, uid, event, component = entry
                     profiler.record(t, uid, event, component)

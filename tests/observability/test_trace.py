@@ -4,7 +4,7 @@ import json
 from types import SimpleNamespace
 
 from repro import Session
-from repro.observability.trace import Tracer
+from repro.observability.trace import Span, Tracer
 from repro.pilot.states import TaskState
 
 
@@ -216,3 +216,50 @@ class TestSpansFromProfiler:
         assert built["full"] == built["durations"] == built["off"]
         assert len([s for s in built["full"]
                     if s["parent_id"] is None]) == 4
+
+    def test_a_task_span_builds_its_attrs_once_and_keeps_writes(
+            self, tmp_path):
+        # a task root or phase keeps its one attribute raw until ``attrs``
+        # is read; the dict built then is what every later read returns
+        with Session(seed=1) as session:
+            tracer = Tracer(session)
+            tracer.task_submitted(SimpleNamespace(uid="task.a", attempts=1,
+                                                  trace_parent=None))
+            for t, state in ((0.0, TaskState.TMGR_SCHEDULING),
+                             (1.0, TaskState.AGENT_EXECUTING),
+                             (2.0, TaskState.FAILED),
+                             (3.0, TaskState.RESCHEDULING)):
+                self._advance(session, t)
+                session.profiler.record(t, "task.a", f"state:{state}", "t")
+            root, *phases = tracer.spans
+            reschedule = phases[-1]
+            assert reschedule.name == "reschedule" and reschedule.open
+            assert (Span.attrs.__get__(root),
+                    Span.attrs.__get__(reschedule)) == ("task.a", 1)
+            assert root.attrs is root.attrs
+            assert reschedule.attrs is reschedule.attrs
+            reschedule.attrs["note"] = "read while open"
+            root.set_attr("status", "done")
+            # the replay reads the attempt off a built dict as well
+            self._advance(session, 4.0)
+            session.profiler.record(4.0, "task.a", "state:TMGR_SCHEDULING",
+                                    "t")
+            tracer.task_completed("task.a")
+            spans = tracer.spans
+            assert (spans[-1].name, spans[-1].attrs) == \
+                ("schedule", {"attempt": 2})
+            want = {root.span_id: {"uid": "task.a", "status": "done"},
+                    reschedule.span_id: {"attempt": 1,
+                                         "note": "read while open"}}
+            for span_id, attrs in want.items():
+                (span,) = [s for s in spans if s.span_id == span_id]
+                assert span.as_dict()["attrs"] == attrs
+            path = tmp_path / "spans.jsonl"
+            tracer.to_jsonl(str(path))
+            lines = {line["span_id"]: line["attrs"] for line in
+                     map(json.loads, path.read_text().splitlines())}
+            args = {e["args"]["span_id"]: e["args"]
+                    for e in tracer.chrome_trace_events() if e["ph"] == "X"}
+            for span_id, attrs in want.items():
+                assert lines[span_id] == attrs
+                assert attrs.items() <= args[span_id].items()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.pilot import Profiler
+from repro.pilot.profiler import ProfileRow, ProfileView
 
 #: written by the parent commit's ``Profiler(max_rows=4, retention="spill")``
 #: and finalised by its ``close_spill()``: 3 task lifecycles, 24 records
@@ -131,8 +132,69 @@ class TestUidIndex:
             p.record(float(i), f"t{i % 7}", f"e{i % 3}")
         for uid in {f"t{i}" for i in range(7)}:
             indexed = p.events(uid=uid)
-            scanned = [r for r in p._rows if r.uid == uid]
+            scanned = [r for r in p.events() if r.uid == uid]
             assert indexed == scanned
+        # the index holds record numbers, never a row
+        assert p._by_uid["t0"] == list(range(0, 100, 7))
+
+
+class TestProfileView:
+    """``events()`` is a read-only snapshot of the log that builds each row
+    when it is read."""
+
+    @staticmethod
+    def _profile(n=5):
+        p = Profiler()
+        for i in range(n):
+            p.record(i, f"t{i % 2}", f"e{i}", "c")  # int times read as float
+        return p
+
+    def test_negative_indices_and_slices(self):
+        p = self._profile()
+        rows = p.events()
+        assert rows[-1] == (4.0, "t0", "e4", "c")
+        assert type(rows[-1].time) is float
+        assert rows[1:4:2] == [rows[1], rows[3]]
+        assert isinstance(rows[1:], ProfileView) and len(rows[1:]) == 4
+        assert rows[::-1][0] == rows[-1] and rows[5:] == []
+        assert p.events(uid="t1")[-1].event == "e3"
+        assert p.events(uid="t0")[1:] == [(2.0, "t0", "e2", "c"),
+                                          (4.0, "t0", "e4", "c")]
+        assert p.events(event="e2")[-1].uid == "t0"
+
+    def test_out_of_range_raises_index_error(self):
+        p = self._profile()
+        for rows, i in ((p.events(), 5), (p.events(), -6),
+                        (p.events(uid="t1"), 2), (Profiler().events(), 0),
+                        (p.events(uid="ghost"), -1)):
+            with pytest.raises(IndexError):
+                rows[i]
+
+    def test_equality_with_lists_and_views(self):
+        p = self._profile(2)
+        rows = p.events()
+        expected = [(0.0, "t0", "e0", "c"), (1.0, "t1", "e1", "c")]
+        assert rows == expected and expected == rows
+        assert rows == p.events() and rows == p.events()[:]
+        assert rows != expected[:1] and rows != [] and [] != rows
+        assert rows != [list(r) for r in expected]
+        assert rows != tuple(expected)              # as a list would
+        assert list(rows) == expected and len(rows) == 2
+        assert repr(rows) == repr([ProfileRow(*r) for r in expected])
+
+    def test_a_view_is_a_snapshot(self):
+        p = self._profile(3)
+        rows, odd = p.events(), p.events(uid="t1")
+        p.record(9.0, "t1", "late", "c")
+        assert len(rows) == 3 and odd == [(1.0, "t1", "e1", "c")]
+        assert len(p.events()) == 4 and len(p.events(uid="t1")) == 2
+        p.clear()
+        assert p.events() == [] and len(p) == 0
+        assert len(rows) == 3 and rows[-1] == (2.0, "t0", "e2", "c")
+        assert odd == [(1.0, "t1", "e1", "c")]
+        p.record(5.0, "t1", "after", "c")
+        assert [r.event for r in rows] == ["e0", "e1", "e2"]
+        assert p.events() == [(5.0, "t1", "after", "c")]
 
 
 class TestJsonlPersistence:
@@ -244,15 +306,15 @@ class TestDerivedIndices:
         p = Profiler()
         for i in range(100):
             p.record(float(i), f"t{i % 3}", "ev")
-        assert p._indices == ({}, {}, {}) and p._indexed == 0
+        assert p._stamps == {} and p._stamped == 0 and p._by_uid == {}
         assert len(p.events()) == 100          # needs no index either
-        assert p._indexed == 0
+        assert p._stamped == 0 and p._by_uid == {}
         assert p.timestamp("t1", "ev") == 1.0  # first query derives
-        assert p._indexed == 100
+        assert p._stamped == 4 * 100 and p._by_uid == {}
         p.record(200.0, "t9", "ev")            # ... and later ones catch up
         assert p.uids_with_event("ev") == ["t0", "t1", "t2", "t9"]
         p.clear()
-        assert p._indexed == 0 and p.timestamp("t1", "ev") is None
+        assert p._stamped == 0 and p.timestamp("t1", "ev") is None
 
     def test_reloaded_first_stamps_win_over_derivation(self, tmp_path):
         # "f" lines are restored verbatim (in a file written under the
