@@ -7,7 +7,9 @@ executable tasks onto one active pilot, ``session.run(until=wait_tasks)``
 resumes, read off ``engine.entries`` / ``engine.resumes``), the memory
 budget (traced heap bytes per default description, per finished task
 with the session still open, from a second, untimed run under
-tracemalloc, and per task when a traced run is read) and the top functions by cumulative and internal time.  That
+tracemalloc, per task when a traced run is read, and per request a
+service client keeps) and the top functions by cumulative and internal
+time.  That
 is the path ``benchmarks/e2e`` measures as ``task_bag``, so what shows up
 here is what a user pays per task: description reads, state transitions,
 profile rows, the event kernel, the agent scheduler.  A loop that drives
@@ -35,7 +37,12 @@ import sys
 import time
 import tracemalloc
 
-from repro import ObservabilityConfig
+from repro import (
+    ObservabilityConfig,
+    ServiceClient,
+    ServiceDescription,
+    ServiceManager,
+)
 from repro.pilot import (
     PilotDescription,
     PilotManager,
@@ -101,6 +108,39 @@ def read_bytes(n_tasks: int = 5_000, n_nodes: int = 16) -> float:
         return held / n_tasks
 
 
+def request_bytes(n_clients: int = 4, n_services: int = 2,
+                  n_requests: int = 1_000) -> float:
+    """Traced heap bytes per request that the clients keep: *n_clients*
+    clients each stream *n_requests* round-robin noop requests at
+    *n_services* remote services, and every result stays on its client."""
+    with Session(seed=0) as session:
+        smgr = ServiceManager(session, registry_platform="delta")
+        handles = [smgr.start_remote(ServiceDescription(model="noop"),
+                                     platform="delta")
+                   for _ in range(n_services)]
+        session.run(until=smgr.wait_ready(handles))
+        targets = [h.address for h in handles]
+        clients = [ServiceClient(session, platform="delta")
+                   for _ in range(n_clients)]
+
+        def stream(client):     # returns nothing: the client keeps the rows
+            yield from client.run_workload(targets, n_requests)
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            session.run(until=session.engine.all_of(
+                [session.engine.process(stream(c)) for c in clients]))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n = sum(len(c.results) for c in clients)
+        assert n == n_clients * n_requests
+        return held / n
+
+
 def submit_drain(n_tasks: int, n_nodes: int, track_memory: bool = False):
     """The profiled workload; returns sustained tasks/sec, the kernel
     entries and generator resumes per task from submission to drain, and
@@ -148,7 +188,9 @@ def main(argv) -> int:
           f"{resumes:.4f} resumes")
     print(f"memory budget: {description_bytes():.0f} B per description, "
           f"{held:.0f} B per finished task, {read_bytes():.0f} B per task "
-          f"read (5,000 tasks, 16 nodes, telemetry on)")
+          f"read (5,000 tasks, 16 nodes, telemetry on), "
+          f"{request_bytes():.0f} B per request a client keeps (4 clients x "
+          f"1,000 noop requests)")
     if pstats_out:
         profiler.dump_stats(pstats_out)
         print(f"profile written to {pstats_out}")

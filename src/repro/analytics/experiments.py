@@ -235,7 +235,8 @@ def run_service_workload(n_clients: int, n_services: int,
         session.run(until=session.engine.all_of(procs))
         makespan = session.now - t0
 
-        all_results = [r for c in clients for r in c.results]
+        per_client = [proc.value for proc in procs]   # each row built once
+        all_results = [r for rows in per_client for r in rows]
         shed = sum(h.instance.shed_count for h in handles
                    if h.instance is not None)
         return Exp23Result(
@@ -244,7 +245,7 @@ def run_service_workload(n_clients: int, n_services: int,
             n_requests_per_client=n_requests,
             metrics=response_metrics(all_results),
             makespan_s=makespan,
-            per_client=[list(c.results) for c in clients],
+            per_client=per_client,
             shed_total=shed,
             retries_total=sum(c.retries for c in clients),
             failed_total=sum(1 for r in all_results if not r.ok))
@@ -359,7 +360,8 @@ def run_autoscaled_workload(n_clients: int = 16,
         session.run(until=session.now + idle_s)
         scaler.stop()
 
-        all_results = [r for c in clients for r in c.results]
+        per_client = [list(c.results) for c in clients]
+        all_results = [r for rows in per_client for r in rows]
         # all_handles includes scaled-down instances: their sheds count too
         shed = sum(h.instance.shed_count for h in scaler.all_handles
                    if h.instance is not None)
@@ -371,7 +373,7 @@ def run_autoscaled_workload(n_clients: int = 16,
             n_requests_per_client=len(all_results) // max(1, n_clients),
             metrics=response_metrics(all_results),
             makespan_s=makespan,
-            per_client=[list(c.results) for c in clients],
+            per_client=per_client,
             shed_total=shed,
             retries_total=sum(c.retries for c in clients),
             failed_total=sum(1 for r in all_results if not r.ok),

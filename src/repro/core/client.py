@@ -23,13 +23,22 @@ the request.  A timeout is one armed timer per attempt: on expiry it
 abandons the request and resolves that same reply event with ``None``; a
 reply that lands first withdraws it.
 
-Results accumulate on the client and feed :mod:`repro.analytics.metrics`.
+Results accumulate on the client, in its :class:`ResultLog`, and feed
+:mod:`repro.analytics.metrics`.  The log keeps a request's numbers in one
+float array and its service uid and reply payload in one list; reading a
+row builds the :class:`InferenceResult` again, field for field what
+``infer`` returned.  A drive of 128k requests therefore keeps no object
+per request but the payload dict, and gives the cyclic collector nothing
+new to traverse.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+from struct import Struct
+from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
+                    Sequence, Union)
 
 from ..comm.message import Address, Message
 from ..utils.log import get_logger
@@ -38,7 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..pilot.session import Session
     from .load_balancer import LoadBalancer
 
-__all__ = ["InferenceResult", "RequestTimeout", "ServiceClient"]
+__all__ = ["InferenceResult", "RequestTimeout", "ResultLog", "ServiceClient"]
 
 log = get_logger("core.client")
 
@@ -80,6 +89,101 @@ class InferenceResult:
         return bool(self.payload.get("busy", False))
 
 
+#: numbers per row in a :class:`ResultLog`'s float array: submitted_at,
+#: completed_at, service_time, inference_time, queue_time, ok, retries
+_WIDTH = 7
+_pack_row = Struct(f"{_WIDTH}d").pack
+
+
+class ResultLog:
+    """Append-only columnar log of one client's :class:`InferenceResult` rows.
+
+    A row's numbers are seven doubles in one ``array('d')``
+    (``submitted_at``, ``completed_at``, ``service_time``,
+    ``inference_time``, ``queue_time``, ``ok``, ``retries``; a double holds
+    the bool and the retry count exactly), its ``service_uid`` and reply
+    ``payload`` two slots of one list, and ``client_uid`` is kept once.
+    ``response_time`` and ``communication`` are not stored: a read
+    recomputes them with :meth:`ServiceClient._decompose`'s expressions,
+    so every float matches bit for bit.
+
+    ``len``, an int index (negative too), a slice (a list), iteration in
+    append order and ``==`` with a list or another log read it.  Each read
+    builds a fresh :class:`InferenceResult` and the log holds none: a read
+    row is a snapshot, and changing its fields does not change the log (its
+    ``payload`` is the dict the log keeps, as it was the reply's before).
+    """
+
+    __slots__ = ("client_uid", "_nums", "_refs")
+
+    def __init__(self, client_uid: str) -> None:
+        self.client_uid = client_uid
+        self._nums = array("d")
+        self._refs: List[Any] = []     # service_uid, payload, ...
+
+    def append(self, result: InferenceResult) -> None:
+        """Keep *result*; refuse one whose ``client_uid``, ``response_time``
+        or ``communication`` a read would not give back."""
+        t0, t1 = result.submitted_at, result.completed_at
+        service_time, inference = result.service_time, result.inference_time
+        rt = t1 - t0
+        if (result.client_uid != self.client_uid or result.response_time != rt
+                or result.communication != rt - service_time - inference):
+            raise ValueError(f"{self.client_uid}: {result!r} is not a row "
+                             f"this log can read back")
+        # one packed write: array.extend converts item by item, 2.5x slower
+        self._nums.frombytes(_pack_row(t0, t1, service_time, inference,
+                                       result.queue_time, result.ok,
+                                       result.retries))
+        self._refs += (result.service_uid, result.payload)
+
+    def clear(self) -> None:
+        self._nums = array("d")
+        self._refs = []
+
+    def response_times(self) -> Iterator[float]:
+        """Each row's ``response_time``, without building the rows."""
+        nums = self._nums
+        return map(float.__sub__, nums[1::_WIDTH], nums[0::_WIDTH])
+
+    def _row(self, service_uid: str, payload: Dict[str, Any], t0: float,
+             t1: float, service_time: float, inference: float,
+             queue: float, ok: float, retries: float) -> InferenceResult:
+        rt = t1 - t0
+        return InferenceResult(
+            self.client_uid, service_uid, ok != 0.0, t0, t1, rt,
+            rt - service_time - inference, service_time, inference, queue,
+            payload, int(retries))
+
+    def __len__(self) -> int:
+        return len(self._refs) >> 1
+
+    def __getitem__(self, index: Union[int, slice]):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("result index out of range")
+        k = index * _WIDTH
+        return self._row(self._refs[2 * index], self._refs[2 * index + 1],
+                         *self._nums[k:k + _WIDTH])
+
+    def __iter__(self) -> Iterator[InferenceResult]:
+        refs, nums = iter(self._refs), iter(self._nums)
+        row = self._row
+        for ref in zip(refs, refs, nums, nums, nums, nums, nums, nums, nums):
+            yield row(*ref)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, ResultLog)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 class ServiceClient:
     """A client task issuing requests to service endpoints."""
 
@@ -95,7 +199,7 @@ class ServiceClient:
         self.uid = uid or session.ids.generate("client")
         self.platform = platform
         self.socket = session.bus.connect(platform, name=f"{self.uid}.sock")
-        self.results: List[InferenceResult] = []
+        self.results = ResultLog(self.uid)
         self.max_retries = max_retries
         self.timeout_s = timeout_s
         self._rng = session.rng(f"client.{self.uid}")
@@ -217,7 +321,8 @@ class ServiceClient:
         balancer (round-robin by default over *targets*).  *targets* may be
         a static address sequence or a zero-argument callable returning the
         currently-available addresses (autoscaled fleets grow and shrink
-        between requests).  Returns the list of results.
+        between requests).  Returns the list of the rows it added to
+        :attr:`results`, read back from the log.
         """
         from .load_balancer import RoundRobinBalancer  # avoid cycle
 
@@ -226,7 +331,7 @@ class ServiceClient:
         if not callable(targets) and not targets:
             raise ValueError("run_workload needs at least one target")
         balancer = balancer or RoundRobinBalancer()
-        mine: List[InferenceResult] = []
+        start = len(self.results)
         for _ in range(n_requests):
             current = list(resolve())
             while not current:
@@ -234,17 +339,15 @@ class ServiceClient:
                 yield engine.timeout(0.1)
                 current = list(resolve())
             target = balancer.pick(current)
-            result = yield from self.infer(target, prompt, params,
-                                           balancer=balancer,
-                                           targets=current)
-            mine.append(result)
-        return mine
+            yield from self.infer(target, prompt, params, balancer=balancer,
+                                  targets=current)
+        return self.results[start:]
 
     # -- stats ------------------------------------------------------------------------
     def mean_rt(self) -> float:
         if not self.results:
             return float("nan")
-        return sum(r.response_time for r in self.results) / len(self.results)
+        return sum(self.results.response_times()) / len(self.results)
 
     def clear(self) -> None:
         self.results.clear()

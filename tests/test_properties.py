@@ -1009,6 +1009,43 @@ def test_rt_decomposition_adds_up(data):
     assert result.queue_time == pytest.approx(queue)
 
 
+@given(st.data())
+def test_result_log_reads_back_what_decompose_built(data):
+    """A result kept in a client's columnar log reads back bit for bit:
+    the response time and communication it recomputes, the bool and the
+    retry count it stores as doubles, field types included."""
+    from repro.comm.message import Message
+    from repro.core.client import ResultLog, ServiceClient
+
+    times = st.floats(min_value=0, max_value=1e6, allow_nan=False)
+    stamps = sorted(data.draw(st.lists(times, min_size=7, max_size=7)))
+    t0, received, dequeued, infer_start, infer_stop, replied, t1 = stamps
+    meta = {"received_at": received, "dequeued_at": dequeued,
+            "infer_start_at": infer_start, "infer_stop_at": infer_stop,
+            "replied_at": replied, "service_uid": "svc"}
+    for key in data.draw(st.sets(st.sampled_from(sorted(meta)))):
+        del meta[key]                   # a reply that lacks a stamp
+    reply = Message(kind="reply", meta=meta, payload=data.draw(
+        st.sampled_from([None, {"ok": True}, {"ok": False, "busy": True}])))
+    client = ServiceClient.__new__(ServiceClient)  # bypass bus wiring
+    client.uid = "client.prop"
+    log = ResultLog(client.uid)
+    results = [client._decompose(reply, t0, t1, data.draw(
+        st.integers(min_value=0, max_value=64))) for _ in range(2)]
+    for result in results:
+        log.append(result)
+    for row, result in zip(log, results):
+        assert repr(row) == repr(result)
+        assert [type(v) for v in vars_of(row)] \
+            == [type(v) for v in vars_of(result)]
+    assert log[-1] == results[-1] and log[:] == results
+    assert list(log.response_times()) == [r.response_time for r in results]
+
+
+def vars_of(result):
+    return [getattr(result, name) for name in result.__slots__]
+
+
 # ---------------------------------------------------------------------------
 # Streaming campaign engine (workflows.campaign)
 # ---------------------------------------------------------------------------
