@@ -46,7 +46,7 @@ def test_ablation_batching_and_autoscaling(benchmark, emit):
             results["noop"][f"batched b={batch}"] = run_service_workload(
                 N_CLIENTS, 1, deployment="local", model="noop",
                 n_requests=N_REQUESTS, seed=11, backend="vllm",
-                max_concurrency=1, max_batch_size=batch)
+                max_batch_size=batch)
 
         # -- 2: llama-8b batch sweep ---------------------------------------
         results["llama"] = {}
@@ -54,7 +54,7 @@ def test_ablation_batching_and_autoscaling(benchmark, emit):
             results["llama"][f"b={batch}"] = run_service_workload(
                 16, 2, deployment="remote", model="llama-8b",
                 n_requests=bench_scale(8), seed=7, backend="vllm",
-                max_concurrency=1, max_batch_size=batch, max_tokens=64)
+                max_batch_size=batch, max_tokens=64)
 
         # -- 3: queue bound sweep (serial llama, saturated) ----------------
         results["bound"] = {}
@@ -68,11 +68,11 @@ def test_ablation_batching_and_autoscaling(benchmark, emit):
         # -- 4: autoscaling on/off under one burst -------------------------
         results["scale"] = {
             "fixed fleet": run_autoscaled_workload(
-                n_clients=16, burst_s=120.0, idle_s=120.0, n_bursts=1,
-                seed=3, autoscale=False),
+                burst_s=120.0, idle_s=120.0, n_bursts=1, seed=3,
+                autoscale=False),
             "autoscaled": run_autoscaled_workload(
-                n_clients=16, burst_s=120.0, idle_s=120.0, n_bursts=1,
-                seed=3, autoscale=True),
+                burst_s=120.0, idle_s=120.0, n_bursts=1, seed=3,
+                autoscale=True),
         }
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)

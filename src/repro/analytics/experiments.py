@@ -84,9 +84,7 @@ class Exp1Result:
 
 
 def run_experiment1(n_services: int, seed: int = 0,
-                    platform: str = "frontier",
-                    model: str = "llama-8b",
-                    backend: str = "ollama") -> Exp1Result:
+                    platform: str = "frontier") -> Exp1Result:
     """Bootstrap *n_services* model instances, one GPU each (Fig. 3)."""
     if n_services < 1:
         raise ValueError("n_services must be >= 1")
@@ -96,7 +94,7 @@ def run_experiment1(n_services: int, seed: int = 0,
         (pilot,) = pmgr.submit_pilots(PilotDescription(
             resource=platform, gpus=n_services, runtime_s=1e7))
         descriptions = [
-            ServiceDescription(model=model, backend=backend, gpus_per_rank=1,
+            ServiceDescription(model="llama-8b", gpus_per_rank=1,
                                startup_timeout_s=1e6)
             for _ in range(n_services)]
         handles = smgr.start_services(descriptions, pilot)
@@ -106,7 +104,7 @@ def run_experiment1(n_services: int, seed: int = 0,
         metrics = bootstrap_metrics(session.profiler,
                                     [h.uid for h in handles])
         return Exp1Result(n_services=n_services, platform=platform,
-                          model=model, metrics=metrics,
+                          model="llama-8b", metrics=metrics,
                           wallclock_s=wallclock)
 
 
@@ -154,13 +152,10 @@ def run_service_workload(n_clients: int, n_services: int,
                          seed: int = 0,
                          prompt: str = "noop request",
                          max_tokens: int = 128,
-                         client_platform: str = "delta",
-                         service_platform_remote: str = "r3",
                          backend: str = "ollama",
                          max_concurrency: int = 1,
                          max_batch_size: int = 0,
                          max_queue_depth: int = 0,
-                         client_timeout_s: Optional[float] = None,
                          balancer=None,
                          models: Optional[List[str]] = None) -> Exp23Result:
     """Common driver for Experiments 2 and 3 (and the batching ablation).
@@ -176,7 +171,7 @@ def run_service_workload(n_clients: int, n_services: int,
     per-service model list overriding *model* (heterogeneous fleets for the
     load-balancing ablation).  *max_batch_size* / *max_queue_depth*
     configure the adaptive data plane (0 keeps the paper's serial/unbounded
-    baseline); *client_timeout_s* enables client-side request timeouts.
+    baseline).
     """
     if deployment not in ("local", "remote"):
         raise ValueError("deployment must be 'local' or 'remote'")
@@ -188,15 +183,14 @@ def run_service_workload(n_clients: int, n_services: int,
         raise ValueError("models list must have n_services entries")
 
     with Session(seed=seed,
-                 platforms=[client_platform, service_platform_remote,
-                            "localhost"]) as session:
-        smgr = ServiceManager(session, registry_platform=client_platform)
+                 platforms=["delta", "r3", "localhost"]) as session:
+        smgr = ServiceManager(session, registry_platform="delta")
         handles: List[ServiceHandle]
 
         if deployment == "local":
             pmgr = PilotManager(session)
             (pilot,) = pmgr.submit_pilots(PilotDescription(
-                resource=client_platform, cores=256, gpus=16, runtime_s=1e8))
+                resource="delta", cores=256, gpus=16, runtime_s=1e8))
             descriptions = [
                 ServiceDescription(model=svc_model, backend=backend,
                                    gpus_per_rank=0 if svc_model == "noop" else 1,
@@ -213,14 +207,13 @@ def run_service_workload(n_clients: int, n_services: int,
                                        max_concurrency=max_concurrency,
                                        max_batch_size=max_batch_size,
                                        max_queue_depth=max_queue_depth),
-                    platform=service_platform_remote)
+                    platform="r3")
                 for svc_model in service_models]
 
         session.run(until=smgr.wait_ready(handles))
         targets = [h.address for h in handles]
 
-        clients = [ServiceClient(session, platform=client_platform,
-                                 timeout_s=client_timeout_s)
+        clients = [ServiceClient(session, platform="delta")
                    for _ in range(n_clients)]
         params = {"max_tokens": max_tokens}
 
@@ -264,7 +257,6 @@ def run_experiment2(n_clients: int, n_services: int,
 def run_experiment3(n_clients: int, n_services: int,
                     deployment: str = "remote",
                     n_requests: int = 32,
-                    max_tokens: int = 128,
                     seed: int = 0) -> Exp23Result:
     """llama-8b inference-time scaling (Fig. 6).
 
@@ -276,34 +268,23 @@ def run_experiment3(n_clients: int, n_services: int,
     return run_service_workload(
         n_clients, n_services, deployment=deployment, model="llama-8b",
         n_requests=n_requests, seed=seed,
-        prompt="summarize the role of runtime systems in hybrid workflows",
-        max_tokens=max_tokens)
+        prompt="summarize the role of runtime systems in hybrid workflows")
 
 
-def run_autoscaled_workload(n_clients: int = 16,
-                            model: str = "llama-8b",
-                            backend: str = "ollama",
-                            burst_s: float = 180.0,
+def run_autoscaled_workload(burst_s: float = 180.0,
                             idle_s: float = 300.0,
                             n_bursts: int = 2,
                             autoscale: bool = True,
-                            max_batch_size: int = 0,
-                            max_queue_depth: int = 0,
-                            max_tokens: int = 64,
-                            seed: int = 0,
-                            client_platform: str = "delta",
-                            service_platform: str = "r3",
-                            client_timeout_s: float = 120.0,
-                            heartbeat_interval_s: float = 2.0,
-                            ) -> Exp23Result:
+                            seed: int = 0) -> Exp23Result:
     """Bursty-load scaling study: elastic instance counts vs a fixed fleet.
 
-    *n_clients* clients hammer the fleet back-to-back during each of
-    *n_bursts* windows of *burst_s* seconds, separated by *idle_s* of
-    silence.  With ``autoscale=True`` an :class:`Autoscaler` (remote
-    attachment, so launches are cheap) grows the fleet toward the
-    queue-delay SLO during bursts and shrinks it back during idles; with
-    ``autoscale=False`` the fleet stays at
+    16 clients on Delta hammer a llama-8b fleet (Ollama hosts beating every
+    2 s) back-to-back during each of *n_bursts* windows of *burst_s*
+    seconds, separated by *idle_s* of silence; a request times out after
+    120 s and asks for 64 tokens.  With ``autoscale=True`` an
+    :class:`Autoscaler` (remote attachment on R3, so launches are cheap)
+    grows the fleet toward the queue-delay SLO during bursts and shrinks it
+    back during idles; with ``autoscale=False`` the fleet stays at
     :data:`~repro.core.autoscaler.MIN_INSTANCES`.
     Clients resolve targets from the registry before every request (the
     fleet changes underneath them) and use join-shortest-queue routing over
@@ -314,17 +295,13 @@ def run_autoscaled_workload(n_clients: int = 16,
     """
     from ..core.load_balancer import JoinShortestQueueBalancer
 
+    n_clients = 16
     with Session(seed=seed,
-                 platforms=[client_platform, service_platform,
-                            "localhost"]) as session:
-        smgr = ServiceManager(session, registry_platform=client_platform)
-        description = ServiceDescription(
-            model=model, backend=backend,
-            max_batch_size=max_batch_size,
-            max_queue_depth=max_queue_depth,
-            heartbeat_interval_s=heartbeat_interval_s)
-        scaler = smgr.start_autoscaler(description,
-                                       remote_platform=service_platform)
+                 platforms=["delta", "r3", "localhost"]) as session:
+        smgr = ServiceManager(session, registry_platform="delta")
+        description = ServiceDescription(model="llama-8b", backend="ollama",
+                                         heartbeat_interval_s=2.0)
+        scaler = smgr.start_autoscaler(description, "r3")
         if not autoscale:
             scaler.stop()  # fleet frozen at MIN_INSTANCES
         session.run(until=smgr.wait_ready(scaler.handles))
@@ -335,10 +312,9 @@ def run_autoscaled_workload(n_clients: int = 16,
             return [info.address for info in registry.list_services()]
 
         balancer = JoinShortestQueueBalancer(registry)
-        clients = [ServiceClient(session, platform=client_platform,
-                                 timeout_s=client_timeout_s)
+        clients = [ServiceClient(session, platform="delta", timeout_s=120.0)
                    for _ in range(n_clients)]
-        params = {"max_tokens": max_tokens}
+        params = {"max_tokens": 64}
         engine = session.engine
 
         def client_proc(client: ServiceClient):
@@ -369,7 +345,7 @@ def run_autoscaled_workload(n_clients: int = 16,
                          default=autoscaler.MIN_INSTANCES)
         return Exp23Result(
             n_clients=n_clients, n_services=n_services,
-            deployment="remote", model=model,
+            deployment="remote", model="llama-8b",
             n_requests_per_client=len(all_results) // max(1, n_clients),
             metrics=response_metrics(all_results),
             makespan_s=makespan,

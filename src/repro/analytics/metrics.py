@@ -20,7 +20,7 @@ service, and model instances".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -389,18 +389,16 @@ class CampaignMetrics:
 
 
 def campaign_metrics(session, groups: Dict[str, Iterable],
-                     total_cores: int,
-                     span_s: Optional[float] = None) -> CampaignMetrics:
+                     total_cores: int) -> CampaignMetrics:
     """Extract :class:`CampaignMetrics` from a finished campaign.
 
     *groups* maps node keys to their tasks -- a
     :class:`~repro.workflows.campaign.CampaignRunner`'s ``node_tasks``
     fits directly.  Execution intervals come from the profiler's
     ``exec_start``/``exec_stop`` first-timestamps, so the ``durations``
-    tier suffices; tasks that never reached execution are skipped.
-    *span_s* overrides the makespan (default: last ``exec_stop`` minus
-    first ``exec_start``); *total_cores* sizes the allocation for the
-    idle accounting.
+    tier suffices; tasks that never reached execution are skipped.  The
+    makespan runs from the first ``exec_start`` to the last ``exec_stop``;
+    *total_cores* sizes the allocation for the idle accounting.
     """
     if total_cores < 1:
         raise ValueError("total_cores must be >= 1")
@@ -420,14 +418,13 @@ def campaign_metrics(session, groups: Dict[str, Iterable],
     if not intervals:
         nan = float("nan")
         return CampaignMetrics(
-            makespan_s=span_s if span_s is not None else 0.0,
+            makespan_s=0.0,
             n_tasks=n_tasks, n_done=n_done, n_nodes=len(groups),
             busy_core_s=0.0, alloc_core_s=0.0, idle_fraction=nan,
             overlap_fraction=nan, peak_concurrency=0, peak_busy_cores=0)
 
-    makespan = span_s if span_s is not None else (
-        max(t1 for _, t1, _, _ in intervals)
-        - min(t0 for t0, _, _, _ in intervals))
+    makespan = (max(t1 for _, t1, _, _ in intervals)
+                - min(t0 for t0, _, _, _ in intervals))
     busy_core_s = sum((t1 - t0) * cores for t0, t1, _, cores in intervals)
     alloc_core_s = total_cores * makespan
 

@@ -11,6 +11,9 @@ from typing import Dict, Iterable, List, Sequence
 
 __all__ = ["render_table", "format_seconds", "ReportBuilder"]
 
+#: characters in the longest bar of :meth:`ReportBuilder.add_bars`
+BAR_WIDTH = 40
+
 
 def format_seconds(value: float) -> str:
     """Human-scaled seconds: µs/ms/s picked by magnitude."""
@@ -68,8 +71,8 @@ class ReportBuilder:
         self._sections.append(text)
         return self
 
-    def add_bars(self, mapping: Dict[str, float], title: str = "",
-                 width: int = 40) -> "ReportBuilder":
+    def add_bars(self, mapping: Dict[str, float],
+                 title: str = "") -> "ReportBuilder":
         """Horizontal ASCII bar chart, scaled to the largest value.
 
         Used by the attribution engine's phase-breakdown summaries: a
@@ -79,7 +82,7 @@ class ReportBuilder:
         peak = max(mapping.values(), default=0.0)
         key_width = max((len(k) for k in mapping), default=0)
         for key, value in mapping.items():
-            bar = "#" * (round(width * value / peak) if peak > 0 else 0)
+            bar = "#" * (round(BAR_WIDTH * value / peak) if peak > 0 else 0)
             lines.append(f"  {key.ljust(key_width)} |{bar} {value:g}")
         self._sections.append("\n".join(lines))
         return self

@@ -113,20 +113,18 @@ class ClientSocket:
             return
         event.succeed(msg)
 
-    def request(self, target: Address, payload: Any,
-                kind: str = "request") -> Event:
+    def request(self, target: Address, payload: Any) -> Event:
         """Send *payload* to *target*; the returned event yields the reply."""
         corr = next(self._corr)
         event = self._pending[corr] = _ReplyEvent(self.bus.engine)
         event.corr = corr
-        self.bus._deliver(Message(kind, payload, self.address, target, None,
-                                  corr))
+        self.bus._deliver(Message("request", payload, self.address, target,
+                                  None, corr))
         return event
 
-    def send(self, target: Address, payload: Any,
-             kind: str = "control") -> None:
-        """Fire-and-forget send (no reply expected)."""
-        msg = Message(kind=kind, payload=payload, sender=self.address,
+    def send(self, target: Address, payload: Any) -> None:
+        """Fire-and-forget control message (no reply expected)."""
+        msg = Message(kind="control", payload=payload, sender=self.address,
                       recipient=target, corr_id=None)
         self.bus._deliver(msg)
 

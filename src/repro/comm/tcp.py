@@ -23,6 +23,9 @@ __all__ = ["TcpServiceServer", "TcpServiceClient", "RemoteError"]
 
 log = get_logger("comm.tcp")
 
+#: seconds a :class:`TcpServiceClient` waits to connect and for a reply
+TIMEOUT_S = 10.0
+
 
 class RemoteError(Exception):
     """Raised client-side when the server reports a handler failure."""
@@ -108,15 +111,14 @@ class TcpServiceServer:
 class TcpServiceClient:
     """Per-request JSON-lines client with timeouts."""
 
-    def __init__(self, host: str, port: int, timeout_s: float = 10.0) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self.timeout_s = timeout_s
 
     def request(self, payload: Dict[str, Any]) -> Any:
         """Send one request; returns the handler result or raises."""
         with socket.create_connection((self.host, self.port),
-                                      timeout=self.timeout_s) as sock:
+                                      timeout=TIMEOUT_S) as sock:
             sock.sendall(json.dumps(payload).encode("utf-8") + b"\n")
             chunks = []
             while True:
@@ -138,7 +140,7 @@ class TcpServiceClient:
         """Liveness probe: can we open a connection?"""
         try:
             with socket.create_connection((self.host, self.port),
-                                          timeout=self.timeout_s):
+                                          timeout=TIMEOUT_S):
                 return True
         except OSError:
             return False

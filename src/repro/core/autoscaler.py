@@ -29,7 +29,7 @@ The control loop is a re-armed timer record, not a process
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple, Union
 
 from ..pilot.description import ServiceDescription
 from ..pilot.states import ServiceState
@@ -61,21 +61,23 @@ DOWN_TICKS = 4
 
 
 class Autoscaler:
-    """Grows and shrinks one service group against queue-delay SLOs."""
+    """Grows and shrinks one service group against queue-delay SLOs.
+
+    *home* is where new instances start: a pilot (launched on its slots)
+    or the name of a platform whose services are attached remotely.  The
+    group is :attr:`handles`; ones put there before :meth:`start` are
+    managed like the autoscaler's own.
+    """
 
     def __init__(self, smgr: "ServiceManager",
                  description: ServiceDescription,
-                 pilot: Optional["Pilot"] = None,
-                 remote_platform: Optional[str] = None,
-                 handles: Optional[List["ServiceHandle"]] = None) -> None:
-        if (pilot is None) == (remote_platform is None):
-            raise ValueError(
-                "exactly one of pilot / remote_platform is required")
+                 home: Union["Pilot", str]) -> None:
         self.smgr = smgr
         self.description = description
-        self.pilot = pilot
-        self.remote_platform = remote_platform
-        self.handles: List["ServiceHandle"] = list(handles or [])
+        remote = isinstance(home, str)
+        self.pilot: Optional["Pilot"] = None if remote else home
+        self.remote_platform: Optional[str] = home if remote else None
+        self.handles: List["ServiceHandle"] = []
         #: handles scaled down or failed out of the group (kept so
         #: fleet-wide statistics survive instance churn)
         self.retired: List["ServiceHandle"] = []

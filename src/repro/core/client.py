@@ -188,7 +188,6 @@ class ServiceClient:
     """A client task issuing requests to service endpoints."""
 
     def __init__(self, session: "Session", platform: str,
-                 uid: Optional[str] = None,
                  max_retries: int = 6,
                  timeout_s: Optional[float] = None) -> None:
         if max_retries < 0:
@@ -196,7 +195,7 @@ class ServiceClient:
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         self.session = session
-        self.uid = uid or session.ids.generate("client")
+        self.uid = session.ids.generate("client")
         self.platform = platform
         self.socket = session.bus.connect(platform, name=f"{self.uid}.sock")
         self.results = ResultLog(self.uid)

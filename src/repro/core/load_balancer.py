@@ -168,14 +168,11 @@ class JoinShortestQueueBalancer(_ScoredBalancer):
             / max(1, report.workers * report.max_batch_size)
 
 
-def create_balancer(name: str, rng=None, registry=None) -> LoadBalancer:
-    """Factory by policy name."""
+def create_balancer(name: str, registry=None) -> LoadBalancer:
+    """Factory by policy name (a :class:`RandomBalancer` takes its rng
+    directly)."""
     if name == "round-robin":
         return RoundRobinBalancer()
-    if name == "random":
-        if rng is None:
-            raise ValueError("random balancer needs an rng")
-        return RandomBalancer(rng)
     if name == "least-loaded":
         return LeastLoadedBalancer(registry=registry)
     if name == "join-shortest-queue":

@@ -66,15 +66,15 @@ class ServiceInfo:
 class EndpointRegistry:
     """Bus-served registry of live service endpoints."""
 
-    def __init__(self, session: "Session", platform: str = "localhost",
-                 name: str = "registry") -> None:
+    def __init__(self, session: "Session",
+                 platform: str = "localhost") -> None:
         self.session = session
         self.platform = platform
-        self.socket = session.bus.bind(name, platform=platform)
+        self.socket = session.bus.bind("registry", platform=platform)
         self._entries: Dict[str, ServiceInfo] = {}
         self._by_uid: Dict[str, ServiceInfo] = {}
         self._loads: Dict[str, LoadReport] = {}
-        self._rng = session.rng(f"registry.{name}")
+        self._rng = session.rng("registry.registry")
         self.socket.handle_with(self._on_request)
         session.bus.subscribe(TELEMETRY_TOPIC, platform, self._on_report)
 

@@ -102,12 +102,10 @@ class ServiceManager:
     """Manages service lifecycles within one session."""
 
     def __init__(self, session: "Session",
-                 registry: Optional[EndpointRegistry] = None,
                  registry_platform: str = "localhost") -> None:
         self.session = session
         self.uid = session.ids.generate("smgr")
-        self.registry = registry or EndpointRegistry(
-            session, platform=registry_platform)
+        self.registry = EndpointRegistry(session, platform=registry_platform)
         self._reg_sock = session.bus.connect(
             self.registry.platform, name=f"{self.uid}.regsock")
         self._handles: Dict[str, ServiceHandle] = {}
@@ -342,14 +340,11 @@ class ServiceManager:
 
     # -- control -----------------------------------------------------------------
     def start_autoscaler(self, description: ServiceDescription,
-                         pilot: Optional[Pilot] = None,
-                         remote_platform: Optional[str] = None,
-                         handles: Optional[List[ServiceHandle]] = None,
-                         ) -> Autoscaler:
-        """An :class:`Autoscaler` of *description* instances, started."""
+                         remote_platform: str) -> Autoscaler:
+        """An :class:`Autoscaler` of *description* instances attached on
+        *remote_platform*, started."""
         self.session.check_open()
-        return Autoscaler(self, description, pilot=pilot, handles=handles,
-                          remote_platform=remote_platform).start()
+        return Autoscaler(self, description, remote_platform).start()
 
     def stop_services(self, handles: Handles) -> None:
         """Request orderly shutdown of the given services."""

@@ -68,7 +68,7 @@ class DataConfig:
         if self.placement not in PLACEMENTS:
             raise ValueError(
                 f"placement {self.placement!r} not in {PLACEMENTS}")
-        if self.cache_capacity_bytes < 0:
+        if not self.cache_capacity_bytes >= 0:  # NaN fails it too
             raise ValueError("cache_capacity_bytes must be >= 0")
 
 

@@ -8,12 +8,13 @@ the growth to MPI startup time (§IV-B).  We model exactly that knee.
 
 Each launcher exposes ``launch_time(n_concurrent, rng)``: the seconds it
 takes one instance to be launched when ``n_concurrent`` instances are being
-launched simultaneously.
+launched simultaneously.  A launcher's calibration is class constants (one
+instance of each serves every platform, :data:`LAUNCHERS`); a test that
+needs other values patches them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 __all__ = [
@@ -29,7 +30,7 @@ __all__ = [
 class LaunchMethod:
     """Base class: a named launcher with a stochastic cost model."""
 
-    name: str = "base"
+    name = "base"
 
     def launch_time(self, n_concurrent: int, rng) -> float:
         """Seconds to launch one instance among *n_concurrent* peers."""
@@ -39,7 +40,6 @@ class LaunchMethod:
         return f"<{type(self).__name__}>"
 
 
-@dataclass
 class MpiexecLauncher(LaunchMethod):
     """PRRTE/PMIx-style launcher with a concurrency knee.
 
@@ -54,12 +54,12 @@ class MpiexecLauncher(LaunchMethod):
     at 320 and 640).
     """
 
-    name: str = "MPIEXEC"
-    base_s: float = 2.0
-    jitter_s: float = 0.3
-    knee: int = 160
-    slope_s: float = 0.02
-    exponent: float = 1.1
+    name = "MPIEXEC"
+    base_s = 2.0
+    jitter_s = 0.3
+    knee = 160
+    slope_s = 0.02
+    exponent = 1.1
 
     def launch_time(self, n_concurrent: int, rng) -> float:
         if n_concurrent < 1:
@@ -71,14 +71,13 @@ class MpiexecLauncher(LaunchMethod):
         return float(cost)
 
 
-@dataclass
 class SshLauncher(LaunchMethod):
     """SSH-based launcher: no MPI knee, but linear connection contention."""
 
-    name: str = "SSH"
-    base_s: float = 0.6
-    jitter_s: float = 0.1
-    per_peer_s: float = 0.004
+    name = "SSH"
+    base_s = 0.6
+    jitter_s = 0.1
+    per_peer_s = 0.004
 
     def launch_time(self, n_concurrent: int, rng) -> float:
         if n_concurrent < 1:
@@ -88,13 +87,12 @@ class SshLauncher(LaunchMethod):
         return float(cost)
 
 
-@dataclass
 class ForkLauncher(LaunchMethod):
     """Local fork/exec: effectively flat and cheap."""
 
-    name: str = "FORK"
-    base_s: float = 0.05
-    jitter_s: float = 0.01
+    name = "FORK"
+    base_s = 0.05
+    jitter_s = 0.01
 
     def launch_time(self, n_concurrent: int, rng) -> float:
         if n_concurrent < 1:

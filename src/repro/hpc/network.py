@@ -34,6 +34,8 @@ __all__ = ["Route", "Fabric", "SharedLink", "DEFAULT_WAN_LATENCY",
 DEFAULT_WAN_LATENCY = LatencySpec(mean_ms=0.47, std_ms=0.04)
 #: Sustained wide-area transfer bandwidth (Globus-managed, GB/s).
 DEFAULT_WAN_BANDWIDTH_GBPS = 1.0
+#: Bandwidth of every platform's intra-platform route (GB/s).
+LOCAL_BANDWIDTH_GBPS = 25.0
 
 
 @dataclass(frozen=True)
@@ -73,18 +75,17 @@ class Fabric:
         self._resolved: Dict[Tuple[str, str], Route] = {}
 
     # -- topology --------------------------------------------------------------
-    def add_platform(self, spec: PlatformSpec,
-                     local_bandwidth_gbps: float = 25.0) -> None:
+    def add_platform(self, spec: PlatformSpec) -> None:
         """Register a platform; creates its intra-platform route."""
         self._platforms[spec.name] = spec
         self._routes[(spec.name, spec.name)] = Route(
-            latency=spec.intra_latency, bandwidth_gbps=local_bandwidth_gbps)
+            latency=spec.intra_latency, bandwidth_gbps=LOCAL_BANDWIDTH_GBPS)
         self._resolved.clear()
 
-    def set_route(self, a: str, b: str, latency: LatencySpec,
-                  bandwidth_gbps: float = DEFAULT_WAN_BANDWIDTH_GBPS) -> None:
+    def set_route(self, a: str, b: str, latency: LatencySpec) -> None:
         """Define/override the route between platforms *a* and *b*."""
-        route = Route(latency=latency, bandwidth_gbps=bandwidth_gbps)
+        route = Route(latency=latency,
+                      bandwidth_gbps=DEFAULT_WAN_BANDWIDTH_GBPS)
         self._routes[self._key(a, b)] = route
         self._resolved.clear()
 

@@ -312,13 +312,11 @@ class NodeList:
             return self.nodes[start + (ahead & -ahead).bit_length() - 1]
         return self.nodes[(mask & -mask).bit_length() - 1]
 
-    def root_qualifies(self, cores: int, gpus: int = 0,
-                       mem_gb: float = 0.0) -> bool:
+    def root_qualifies(self, cores: int, gpus: int, mem_gb: float) -> bool:
         """Does some node fit one rank of this shape right now?  Exact."""
         return self.fit_mask(cores, gpus, mem_gb) != 0
 
-    def can_ever_fit(self, cores: int, gpus: int = 0,
-                     mem_gb: float = 0.0) -> bool:
+    def can_ever_fit(self, cores: int, gpus: int, mem_gb: float) -> bool:
         """Could any node host this rank when completely empty?
 
         Static-capacity check over the distinct node profiles (O(1) for

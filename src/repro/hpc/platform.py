@@ -14,9 +14,7 @@ A :class:`PlatformSpec` is immutable; mutable node state lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Dict
 
 __all__ = [
     "LatencySpec",
@@ -43,14 +41,9 @@ class LatencySpec:
     std_ms: float
     floor_ms: float = 1e-3
 
-    def sample(self, rng, size: Optional[int] = None):
-        """Draw one-way latency sample(s) in **seconds**."""
-        if size is None:
-            # one delivery: plain floats, same bits as the array path
-            return max(rng.normal(self.mean_ms, self.std_ms),
-                       self.floor_ms) * 1e-3
-        draw = rng.normal(self.mean_ms, self.std_ms, size=size)
-        return np.maximum(draw, self.floor_ms) * 1e-3
+    def sample(self, rng) -> float:
+        """Draw one one-way latency, in **seconds**."""
+        return max(rng.normal(self.mean_ms, self.std_ms), self.floor_ms) * 1e-3
 
     @property
     def mean_s(self) -> float:

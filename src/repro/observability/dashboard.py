@@ -12,8 +12,7 @@ every other keep-alive -- that renders a compact text snapshot every
 * the :data:`MAX_EVENTS` most recent
   :class:`~repro.observability.monitor.AnomalyEvent`\\ s.
 
-Snapshots accumulate on :attr:`Dashboard.snapshots`; pass ``sink=print``
-(or any callable) to stream them somewhere as they render.  Quiesce
+Snapshots accumulate on :attr:`Dashboard.snapshots`.  Quiesce
 withdraws the armed tick (no clock drag in the drain) and takes one final
 snapshot in the call, so drain-time values appear.
 
@@ -26,7 +25,7 @@ layer, so the campaign postmortem reads like the paper's tables.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from ..sim.events import Ticker
 
@@ -47,13 +46,11 @@ class Dashboard:
     (``ObservabilityConfig(dashboard=True)`` builds it there).
     """
 
-    def __init__(self, session: "Session", interval_s: float = 60.0,
-                 sink: Optional[Callable[[str], None]] = None) -> None:
-        if interval_s <= 0:
+    def __init__(self, session: "Session", interval_s: float = 60.0) -> None:
+        if not interval_s > 0:
             raise ValueError("interval_s must be positive")
         self.session = session
         self.interval_s = interval_s
-        self.sink = sink
         self.snapshots: List[str] = []
         session.add_daemon(Ticker(session.engine, self._snap,
                                   first=interval_s, final=self._snap))
@@ -62,8 +59,6 @@ class Dashboard:
     def _snap(self, _: Any = None) -> float:
         text = self.snapshot()
         self.snapshots.append(text)
-        if self.sink is not None:
-            self.sink(text)
         return self.interval_s
 
     # -- rendering -----------------------------------------------------------

@@ -97,8 +97,8 @@ class Gauge(_Instrument):
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+    def dec(self) -> None:
+        self.value -= 1.0
 
 
 class Histogram(_Instrument):

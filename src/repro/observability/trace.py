@@ -219,13 +219,12 @@ class Tracer:
     # -- generic span API ----------------------------------------------------
     def start_span(self, name: str, category: str = "",
                    parent: Optional[Span] = None,
-                   trace_id: Optional[int] = None,
                    attrs: Optional[Dict[str, Any]] = None) -> Span:
         """Open a span; inherits the parent's trace id when given."""
         self._catch_up()  # its ids come after those of every record so far
         if parent is not None:
             trace_id = parent.trace_id
-        elif trace_id is None:
+        else:
             trace_id = self._last_trace_id = self._last_trace_id + 1
         self._last_span_id = span_id = self._last_span_id + 1
         span = Span(trace_id, span_id,

@@ -38,6 +38,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["DataManager"]
 
+#: the platform a task's non-copy directives stage from (stage-in) and to
+#: (stage-out): the client side of the run
+CLIENT_PLATFORM = "localhost"
+
 
 class _FanOut:
     """The join of one :meth:`DataManager.stage` call: a counter."""
@@ -68,10 +72,8 @@ class DataManager:
     a link, a warm replica -- costs no kernel entry at all.
     """
 
-    def __init__(self, session: "Session",
-                 client_platform: str = "localhost") -> None:
+    def __init__(self, session: "Session") -> None:
         self.session = session
-        self.client_platform = client_platform
         self.uid = session.ids.generate("dmgr")
         self.data = session.data
         #: bytes actually moved over the fabric (free links/hits excluded)
@@ -95,8 +97,8 @@ class DataManager:
         if directive.action == "copy":
             return task_platform, task_platform
         if phase == "stage_out":
-            return task_platform, self.client_platform
-        return self.client_platform, task_platform
+            return task_platform, CLIENT_PLATFORM
+        return CLIENT_PLATFORM, task_platform
 
     # -- staging -----------------------------------------------------------------
     def stage(self, directives: Iterable[StagingDirective],

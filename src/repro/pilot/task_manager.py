@@ -176,11 +176,10 @@ class _WindowFeed:
 class TaskManager:
     """Manages compute tasks within one session."""
 
-    def __init__(self, session: "Session",
-                 client_platform: str = "localhost") -> None:
+    def __init__(self, session: "Session") -> None:
         self.session = session
         self.uid = session.ids.generate("tmgr")
-        self.data_manager = DataManager(session, client_platform)
+        self.data_manager = DataManager(session)
         #: the session's placement policy (``DataConfig.placement``)
         self.placement = session.data.config.placement
         #: how often data affinity (vs round-robin fallback) decided binding

@@ -102,7 +102,7 @@ class ResilienceConfig:
     checkpoint_store: Optional[MutableMapping] = None
 
     def __post_init__(self) -> None:
-        if self.heartbeat_interval_s <= 0:
+        if not self.heartbeat_interval_s > 0:  # NaN fails it too
             raise ValueError("heartbeat_interval_s must be positive")
 
 

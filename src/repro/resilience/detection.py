@@ -134,7 +134,7 @@ class HeartbeatMonitor:
         lease = self._leases.get(uid)
         if lease is not None:
             return lease
-        if interval_s <= 0 or misses < 1:
+        if not interval_s > 0 or misses < 1:
             raise ValueError("need interval_s > 0 and misses >= 1")
         lease = Lease(self, uid, interval_s, misses,
                       topic or heartbeat_topic(uid))

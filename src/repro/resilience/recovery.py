@@ -13,12 +13,11 @@ Three policies cover the failure modes of long-running hybrid campaigns:
 * :class:`Checkpointer` -- state persisted as durable data objects (the
   save pays a real transfer to the checkpoint home,
   :data:`CHECKPOINT_HOME`, every :data:`CHECKPOINT_INTERVAL`-th iteration).
-  Two things save through it: the campaign engine's frontier checkpoints
-  (``run_campaign(checkpoint_key=...)``, which is how any graph, the UQ
-  grid included, restarts) and the Cell Painting HPO stage's per-round
-  study.  A restart replays only work lost since the last checkpoint; lost
-  warm-tier copies re-stage from the durable origins the data subsystem
-  already tracks.
+  User code saves through it once per round -- the resilience ablation's
+  checkpoint/restart arm and ``examples/fault_tolerance.py`` do -- so a
+  restart replays only work lost since the last checkpoint; lost warm-tier
+  copies re-stage from the durable origins the data subsystem already
+  tracks.
 * :class:`PilotResubmitPolicy` -- a pilot declared dead by the monitor is
   resubmitted through the platform's batch system (paying queue wait
   again) and re-attached to the TaskManagers that held it, so waiting
@@ -92,8 +91,11 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base_s < 0:
+        # written so that NaN fails each check
+        if not self.backoff_base_s >= 0:
             raise ValueError("backoff_base_s must be >= 0")
+        if not self.rebind_wait_s >= 0:
+            raise ValueError("rebind_wait_s must be >= 0")
 
 
 @dataclass
@@ -271,15 +273,13 @@ class Checkpointer:
         return (iteration + 1) % CHECKPOINT_INTERVAL == 0
 
     def save(self, key: str, iteration: int, payload: Any,
-             nbytes: Optional[float] = None,
-             src_platform: Optional[str] = None):
+             nbytes: Optional[float] = None):
         """Process body: persist *payload* as checkpoint *iteration* of *key*."""
         nbytes = CHECKPOINT_BYTES if nbytes is None else nbytes
         home = CHECKPOINT_HOME
-        src = src_platform or home
         if nbytes > 0:
             yield from self.session.data.transfers.transfer(
-                src, home, nbytes, uid=f"ckpt.{key}.{iteration}")
+                home, home, nbytes, uid=f"ckpt.{key}.{iteration}")
         obj = self.session.data.intern(f"ckpt/{key}/{iteration}", nbytes or 0)
         self.session.data.register_durable(obj.oid, home)
         self._store[key] = (iteration, payload)

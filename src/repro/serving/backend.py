@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .generator import MarkovGenerator, count_tokens, default_generator
+from .generator import count_tokens, default_generator
 
 __all__ = [
     "InferenceResultPayload",
@@ -157,26 +157,27 @@ class LlamaModel(ModelBackend):
       ``1 + batch_decode_penalty * (b - 1)``.  Aggregate throughput thus
       grows sub-linearly in cost and near-linearly in requests, the
       continuous-batching behaviour of vLLM-class hosts.
+
+    The size and the decode rate differ per model; the rest of the
+    calibration is class constants.
     """
 
+    #: prompt tokens per second (compute-bound prefill)
+    prefill_tps = 3000.0
+    #: mean runtime-initialisation seconds after the weights are read
+    init_const_s = 8.0
+    #: per-extra-sequence slowdown of a batched decode step
+    batch_decode_penalty = 0.06
+
     def __init__(self, params_b: float = 8.0,
-                 prefill_tps: float = 3000.0,
-                 decode_tps: float = 35.0,
-                 init_const_s: float = 8.0,
-                 batch_decode_penalty: float = 0.06,
-                 generator: Optional[MarkovGenerator] = None) -> None:
-        if params_b <= 0:
+                 decode_tps: float = 35.0) -> None:
+        if not params_b > 0:
             raise ValueError("params_b must be positive")
-        if batch_decode_penalty < 0:
-            raise ValueError("batch_decode_penalty must be >= 0")
         self.params_b = params_b
-        self.prefill_tps = prefill_tps
         self.decode_tps = decode_tps
-        self.init_const_s = init_const_s
-        self.batch_decode_penalty = batch_decode_penalty
         self.name = f"llama-{int(params_b)}b"
         self.gpu_mem_gb = params_b * 2.0  # fp16 weights
-        self._generator = generator or default_generator()
+        self._generator = default_generator()
 
     def load_time(self, rng, concurrent_loads: int = 1,
                   fs_bandwidth_gbps: float = 2.0,
@@ -246,10 +247,10 @@ BACKENDS: Dict[str, Callable[[], ModelBackend]] = {
 _LLAMA_RE = re.compile(r"^llama-(\d+(?:\.\d+)?)b$")
 
 
-def register_backend(name: str, factory: Callable[[], ModelBackend],
-                     overwrite: bool = False) -> None:
+def register_backend(name: str,
+                     factory: Callable[[], ModelBackend]) -> None:
     """Register a custom model backend factory."""
-    if name in BACKENDS and not overwrite:
+    if name in BACKENDS:
         raise ValueError(f"backend {name!r} already registered")
     BACKENDS[name] = factory
 

@@ -59,8 +59,8 @@ def count_tokens(text: str) -> int:
 class MarkovGenerator:
     """Order-1 Markov model over word tokens with deterministic sampling."""
 
-    def __init__(self, corpus: str = SEED_CORPUS) -> None:
-        tokens = tokenize(corpus)
+    def __init__(self) -> None:
+        tokens = tokenize(SEED_CORPUS)
         if len(tokens) < 2:
             raise ValueError("corpus too small")
         table: Dict[str, Dict[str, int]] = defaultdict(lambda: defaultdict(int))

@@ -67,9 +67,9 @@ class ServingHost:
                                       fs_bandwidth_gbps, fs_aggregate_gbps)
 
     def infer(self, prompt: str, rng,
-              params: Optional[Dict[str, Any]] = None, n_active: int = 1,
+              params: Optional[Dict[str, Any]] = None,
               ) -> Tuple[InferenceResultPayload, float]:
-        """One inference under *n_active* concurrently-running requests."""
+        """One inference, alone on the host."""
         return self.backend.infer(prompt, rng, params)
 
     def infer_batch(self, prompts: Sequence[str], rng,
@@ -107,11 +107,6 @@ class VllmHost(ServingHost):
     name = "vllm"
     max_concurrency = 8
     max_batch_size = 8
-
-    def infer(self, prompt: str, rng, params=None, n_active: int = 1):
-        payload, duration = self.backend.infer(prompt, rng, params)
-        slowdown = 1.0 + BATCH_PENALTY * max(0, n_active - 1)
-        return payload, duration * slowdown
 
     def infer_batch(self, prompts, rng, params_list=None, n_active: int = 1):
         payloads, span = self.backend.infer_batch(prompts, rng, params_list)

@@ -68,10 +68,10 @@ _ONE_EVENT = (None,)
 class SimulationEngine:
     """Discrete-event simulation core with a binary-heap event queue."""
 
-    def __init__(self, start_time: float = 0.0) -> None:
+    def __init__(self) -> None:
         #: current simulation time in seconds -- a plain attribute, read a
         #: dozen times per task or request; only the dispatch loop writes it
-        self.now = float(start_time)
+        self.now = 0.0
         self._heap: List[tuple] = []
         #: zero-delay NORMAL-priority entries, sorted by construction
         self._nowq: Deque[tuple] = deque()
@@ -156,9 +156,9 @@ class SimulationEngine:
         """Create a fresh, untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create an event that triggers after *delay* simulated seconds."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start a simulation process from *generator*."""

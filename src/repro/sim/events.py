@@ -236,14 +236,13 @@ class Timeout(Event):
 
     __slots__ = ("_delay",)
 
-    def __init__(self, engine: "SimulationEngine", delay: float,
-                 value: Any = None) -> None:
+    def __init__(self, engine: "SimulationEngine", delay: float) -> None:
         if not delay >= 0:  # written this way round so that NaN is refused
             raise ValueError(f"negative or NaN delay {delay}")
         super().__init__(engine)
         self._delay = delay
         self._ok = True
-        self._value = value
+        self._value = None
         engine.schedule(self, delay=delay)
 
     @property

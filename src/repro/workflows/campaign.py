@@ -16,10 +16,7 @@ module replaces that execution model with a **dataflow campaign**:
 * the :class:`CampaignRunner` submits every node **the moment its inputs
   complete** -- no stage barriers -- runs *multiple graphs concurrently in
   one campaign*, applies global backpressure through a shared
-  :class:`~repro.pilot.task_manager.SubmissionWindow`, and checkpoints the
-  **frontier** (completed-node set + context snapshots) so a restarted
-  campaign replays only the items that were actually in flight when it
-  died.
+  :class:`~repro.pilot.task_manager.SubmissionWindow`.
 
 Per-node ``failure_tolerance`` and ``collect`` mean partial results flow
 downstream immediately: a node folds its results into the shared context
@@ -29,15 +26,15 @@ as soon as *its* tasks finish, while sibling nodes are still computing.
 a count (``_GraphState.waiting``: its unsettled dependencies); a running
 ``build`` node is a :class:`_LiveNode` whose one callback sits on every
 ``task.completed`` of its bag and counts them down, and the node *settles*
--- collect, status, profile row, frontier checkpoint -- inside the kernel
-entry of its last task's completion.  Only what genuinely waits is a
-generator: a ``run=`` node and a frontier save each run as a
-:class:`~repro.sim.events.Routine`, and :meth:`CampaignRunner.run_campaign`
-itself waits on a single ``finished`` event.  A settled node launches each
-dependent it released through **one** zero-delay landing, not inline: the
-same completion entry may free a window slot, whose URGENT start landing
-(a sibling's cold stage-in drawing from the fabric stream) has to run
-before a released ``run=`` node sends its first request on that stream.
+-- collect, status, profile row -- inside the kernel entry of its last
+task's completion.  Only what genuinely waits is a generator: a ``run=``
+node runs as a :class:`~repro.sim.events.Routine`, and
+:meth:`CampaignRunner.run_campaign` itself waits on a single ``finished``
+event.  A settled node launches each dependent it released through **one**
+zero-delay landing, not inline: the same completion entry may free a
+window slot, whose URGENT start landing (a sibling's cold stage-in drawing
+from the fabric stream) has to run before a released ``run=`` node sends
+its first request on that stream.
 """
 
 from __future__ import annotations
@@ -348,35 +345,23 @@ class _CampaignRun:
 
     Run state lives here (not on the runner) so concurrent campaigns on
     one runner -- two ``run_campaign`` processes sharing it -- cannot
-    clobber each other's frontier, failure or progress accounting.
+    clobber each other's failure or progress accounting.
     """
 
-    __slots__ = ("states", "ckpt", "ckpt_key", "ckpt_bytes", "saving",
-                 "dirty", "save_index", "completed_total",
-                 "completed_since_save", "camp_span", "frontier_gauge",
-                 "nodes_counter", "live", "running", "saver", "finished",
-                 "aborted")
+    __slots__ = ("states", "camp_span", "frontier_gauge", "nodes_counter",
+                 "live", "running", "finished", "aborted")
 
     def __init__(self, states: Dict[str, _GraphState],
                  finished: Event) -> None:
         self.states = states
-        self.ckpt = None             # Checkpointer while checkpointing
-        self.ckpt_key = ""
-        self.ckpt_bytes: Optional[float] = None
-        self.saving = False
-        self.dirty = False
-        self.save_index = 0
-        self.completed_total = 0
-        self.completed_since_save = 0
         # observability handles (None when the telemetry plane is off)
         self.camp_span = None        # campaign root span
         self.frontier_gauge = None   # live (ready/running) node count
         self.nodes_counter = None    # completed-node counter
-        #: unsettled nodes plus frontier saves under way; at zero the
-        #: campaign is over and ``finished`` triggers
+        #: unsettled nodes; at zero the campaign is over and ``finished``
+        #: triggers
         self.live = 0
         self.running: Dict[str, _LiveNode] = {}   # by key, in start order
-        self.saver: Optional[Routine] = None      # the frontier save Routine
         self.finished = finished
         self.aborted = False         # run_campaign was interrupted
 
@@ -457,9 +442,7 @@ class CampaignRunner:
     def run_campaign(self,
                      graphs: Union[CampaignGraph, Sequence[CampaignGraph]],
                      contexts: Union[None, Dict[str, Any],
-                                     Sequence[Dict[str, Any]]] = None,
-                     checkpoint_key: str = "",
-                     checkpoint_bytes: Optional[float] = None):
+                                     Sequence[Dict[str, Any]]] = None):
         """Process body: stream every graph to completion; returns contexts.
 
         Nodes are submitted the moment their dependencies complete; nodes
@@ -468,21 +451,6 @@ class CampaignRunner:
         the list of contexts in graph order.  The first node failure is
         re-raised (after every reachable node settled); nodes downstream
         of a failure are skipped, *siblings keep streaming*.
-
-        With *checkpoint_key* on a resilient session, the campaign
-        persists **frontier checkpoints** through the session's
-        :class:`~repro.resilience.recovery.Checkpointer`: the set of
-        completed nodes plus per-graph context snapshots, saved on the
-        checkpoint policy's cadence counted in *completed nodes* (the
-        final frontier always persists).  A re-run under the same key
-        marks the checkpointed nodes done up front and replays only the
-        items that were still in flight.  *checkpoint_bytes* is charged
-        **per newly completed node** in each save (delta accounting), so
-        fine-grained graphs pay for what each checkpoint adds, not for
-        the whole campaign state every time.  Snapshots are shallow
-        context copies -- nodes stashing live Task handles should keep
-        collected *values* in the context too if they must survive a
-        cross-session restart.
         """
         single = isinstance(graphs, CampaignGraph)
         graphs = [graphs] if single else list(graphs)
@@ -507,8 +475,6 @@ class CampaignRunner:
             {g.name: _GraphState(g, ctx, uid if single else f"{uid}.{g.name}")
              for g, ctx in zip(graphs, contexts)},
             engine.event())
-        restored = self._restore_frontier(run, checkpoint_key,
-                                          checkpoint_bytes)
 
         obs = self.session.observability
         if obs is not None:
@@ -525,29 +491,21 @@ class CampaignRunner:
         profiler.record(engine.now, uid, "campaign_start", "workflow")
         log.info("campaign %s: %d graph(s), %d node(s) at t=%.1f", uid,
                  len(graphs), sum(len(g) for g in graphs), engine.now)
-        to_run = sum(len(state.graph) - len(state.status)
-                     for state in run.states.values())
-        run.live = to_run + 1  # one held here until everything is launched
+        # one held here until every root is launched
+        run.live = sum(len(state.graph) for state in run.states.values()) + 1
         try:
             try:
-                # the roots start here; what the restored frontier released
-                # lands behind them, like the dependent of any settled node
                 for state in run.states.values():
                     for name in state.graph.topological_order():
                         node = state.graph.nodes[name]
-                        if not node.deps and name not in state.status:
+                        if not node.deps:
                             self._start_node(run, state, node)
-                for state, name in restored:
-                    self._release(run, state, name)
                 run.live -= 1
-                if to_run:
-                    self._check_finished(run)
-                    yield run.finished
+                self._check_finished(run)
+                yield run.finished
             except Interrupt:
                 self._abort(run)
                 raise
-            if run.ckpt is not None and run.completed_since_save:
-                yield from self._save_frontier(run)
             failures = [exc for state in run.states.values()
                         for exc in state.failures]
             if failures:
@@ -653,26 +611,13 @@ class CampaignRunner:
         if run.aborted:
             return
         self._release(run, state, name)
-        if exc is None:
-            if run.nodes_counter is not None:
-                run.nodes_counter.inc()
-            # settled *before* checkpointing: dependents stream while the
-            # frontier save's transfer is still crossing the fabric
-            run.completed_total += 1
-            run.completed_since_save += 1
-            if run.ckpt is not None \
-                    and run.ckpt.due(run.completed_total - 1):
-                saver = Routine(engine, self._save_frontier(run),
-                                self._save_over, live)
-                if not run.saving:
-                    run.saver = saver  # else it only marks the frontier dirty
-                run.live += 1
-                saver.start()
-        run.live -= 1  # last, so a save that ends at once cannot finish us
+        if exc is None and run.nodes_counter is not None:
+            run.nodes_counter.inc()
+        run.live -= 1
         self._check_finished(run)
 
     def _check_finished(self, run: _CampaignRun) -> None:
-        """Nothing unsettled, no save under way: the campaign is over."""
+        """Nothing unsettled: the campaign is over."""
         if not (run.live or run.aborted):
             run.finished.succeed()
 
@@ -706,11 +651,9 @@ class CampaignRunner:
 
     def _abort(self, run: _CampaignRun) -> None:
         """``run_campaign`` was interrupted: stop what genuinely runs (the
-        save, the ``run=`` generators), settle every other node aborted.
-        Tasks already submitted finish on their own, unobserved."""
+        ``run=`` generators), settle every other node aborted.  Tasks
+        already submitted finish on their own, unobserved."""
         run.aborted = True
-        if run.saver is not None:
-            run.saver.throw(Interrupt("campaign interrupted"))
         for live in list(run.running.values()):
             cause = Interrupt("campaign interrupted")
             if live.routine is not None:
@@ -720,90 +663,3 @@ class CampaignRunner:
         for state in run.states.values():
             for name in state.graph.nodes:
                 state.status.setdefault(name, "aborted")
-
-    # -- frontier checkpoints --------------------------------------------------------
-    def _restore_frontier(self, run: _CampaignRun, checkpoint_key: str,
-                          checkpoint_bytes: Optional[float],
-                          ) -> List[Tuple[_GraphState, str]]:
-        """Mark the checkpointed nodes done; returns them in saved order."""
-        run.ckpt_bytes = checkpoint_bytes
-        restored: List[Tuple[_GraphState, str]] = []
-        if not checkpoint_key:
-            return restored
-        resilience = self.session.resilience
-        if resilience is None:
-            return restored
-        run.ckpt = resilience.checkpoints
-        run.ckpt_key = f"{checkpoint_key}/frontier"
-        saved = run.ckpt.latest(run.ckpt_key)
-        if saved is None:
-            return restored
-        index, payload = saved
-        run.save_index = index + 1
-        for gname, completed in payload["completed"].items():
-            state = run.states.get(gname)
-            if state is None:
-                continue  # campaign composition changed between runs
-            state.context.update(payload["contexts"].get(gname, {}))
-            for name in completed:
-                if name in state.waiting:
-                    state.status[name] = "done"
-                    restored.append((state, name))
-                    run.completed_total += 1
-        log.info("campaign restored frontier %d: %d node(s) skipped",
-                 index, run.completed_total)
-        return restored
-
-    @staticmethod
-    def _frontier_payload(run: _CampaignRun) -> Dict[str, Any]:
-        return {
-            "completed": {name: [n for n in state.graph.topological_order()
-                                 if state.status.get(n) == "done"]
-                          for name, state in run.states.items()},
-            "contexts": {name: dict(state.context)
-                         for name, state in run.states.items()},
-        }
-
-    def _save_frontier(self, run: _CampaignRun):
-        """Process body: persist the frontier (serialized, latest wins).
-
-        Concurrent node completions coalesce: while one save's transfer is
-        in flight, further completions only mark the frontier dirty, and
-        the in-flight saver loops until clean -- the store never ends up
-        holding an older frontier than the latest completed one.
-        """
-        run.dirty = True
-        if run.saving:
-            return
-        run.saving = True
-        try:
-            while run.dirty:
-                run.dirty = False
-                delta = run.completed_since_save
-                run.completed_since_save = 0
-                nbytes = (run.ckpt_bytes * delta
-                          if run.ckpt_bytes is not None else None)
-                yield from run.ckpt.save(
-                    run.ckpt_key, run.save_index,
-                    self._frontier_payload(run), nbytes=nbytes)
-                run.save_index += 1
-        finally:
-            run.saving = False
-
-    def _save_over(self, live: _LiveNode, ok: bool, value: Any) -> None:
-        """Exit of a frontier save started by *live*'s settlement; a save
-        that failed fails that node (its dependents already streamed)."""
-        run, state, name = live.run, live.state, live.node.name
-        if not run.saving:
-            run.saver = None
-        run.live -= 1
-        if not ok and not isinstance(value, Interrupt):
-            if not isinstance(value, Exception):
-                raise value
-            state.status[name] = "failed"
-            state.failures.append(value)
-            self.session.profiler.record(self.session.engine.now, live.uid,
-                                         "node_stop", "workflow")
-            log.warning("%s: node %s failed: %s", state.graph.name, name,
-                        value)
-        self._check_finished(run)

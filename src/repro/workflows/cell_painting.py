@@ -79,12 +79,6 @@ class CellPaintingConfig:
     shard_bytes: float = 0.0
     #: harvested feature matrix staged to every HPO trial
     features_bytes: float = 0.0
-    #: non-empty + a resilient session: the HPO stage checkpoints the study
-    #: after every round under this key, and a re-run resumes from the last
-    #: completed round instead of replaying finished trials
-    checkpoint_key: str = ""
-    #: serialized study size charged per checkpoint save
-    checkpoint_bytes: float = 0.0
 
     def validate(self) -> None:
         if self.n_shards < 1 or self.images_per_shard < 1:
@@ -203,7 +197,7 @@ def build_cell_painting_campaign(
     shards in round by round -- its "barrier" is a threshold, not a full
     stage wait.  The graph's value as a campaign is *composition*: it can
     run inside one campaign alongside other workflow graphs, sharing the
-    allocation, the backpressure window and the frontier checkpoints.
+    allocation and the backpressure window.
     """
     config = config or CellPaintingConfig()
     config.validate()
@@ -234,34 +228,13 @@ def build_cell_painting_campaign(
         return feats, labels, len(done)
 
     def run_training_stage(runner: NodeRunner, context: Dict[str, Any]):
-        """Concurrent HPO rounds over the data harvested so far.
-
-        With ``checkpoint_key`` set on a resilient session, each completed
-        round persists the study (told trials) as a durable checkpoint:
-        a crashed-and-rerun campaign replays only the round that was in
-        flight, not the rounds already paid for.
-        """
+        """Concurrent HPO rounds over the data harvested so far."""
         sampler = (TpeSampler(seed=config.seed)
                    if config.sampler == "tpe"
                    else RandomSampler(seed=config.seed))
         study = Study(HPO_SPACE, sampler=sampler, direction="minimize")
         context["study"] = study
-
-        checkpoints = None
-        ckpt_key = ""
-        round_index = 0
         trials_done = 0
-        if config.checkpoint_key:
-            resilience = runner.session.resilience
-            if resilience is not None:
-                checkpoints = resilience.checkpoints
-                ckpt_key = f"{config.checkpoint_key}/hpo-rounds"
-                saved = checkpoints.latest(ckpt_key)
-                if saved is not None:
-                    round_index, snap = saved
-                    round_index += 1
-                    study.restore(snap)
-                    trials_done = len(snap)
 
         _, _, first_round_shards = harvest(context)
         shards_at_start = first_round_shards
@@ -288,14 +261,6 @@ def build_cell_painting_campaign(
                 else:
                     study.tell(trial, None, failed=True)
             trials_done += batch
-            # save on the policy's cadence; the final round always persists
-            if checkpoints is not None and \
-                    (checkpoints.due(round_index)
-                     or trials_done >= config.n_trials):
-                yield from checkpoints.save(
-                    ckpt_key, round_index, study.snapshot(),
-                    nbytes=config.checkpoint_bytes)
-            round_index += 1
 
         # Drain remaining shard tasks so the result can report overlap.
         yield runner.tmgr.wait_tasks(context["shard_tasks"])

@@ -256,26 +256,6 @@ class Study:
         trial.value = float(value)
         trial.state = "COMPLETE"
 
-    def snapshot(self) -> List[Tuple[Dict[str, Any], Optional[float], str]]:
-        """Serializable view of all *told* trials (checkpoint payload).
-
-        RUNNING trials are in-flight work at snapshot time; a restart
-        replays them, so they are excluded -- a restored study re-asks
-        exactly the trials whose results were lost.
-        """
-        return [(dict(t.params), t.value, t.state)
-                for t in self.trials if t.state != "RUNNING"]
-
-    def restore(self, snap: List[Tuple[Dict[str, Any], Optional[float], str]],
-                ) -> None:
-        """Rebuild trial history from a :meth:`snapshot` (fresh study only)."""
-        if self.trials:
-            raise ValueError("restore() requires a fresh study")
-        for params, value, state in snap:
-            self.trials.append(Trial(number=len(self.trials),
-                                     params=dict(params), value=value,
-                                     state=state))
-
     def _internal(self, trial: Trial) -> Trial:
         """View of a trial with value sign-flipped for maximisation."""
         if self.direction == "maximize" and trial.value is not None:

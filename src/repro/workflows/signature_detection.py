@@ -43,6 +43,8 @@ __all__ = ["SignatureConfig", "SignatureResult", "SampleAnnotation",
 #: Table I row 2: the pipeline's stages, one per level of the campaign graph
 SIGNATURE_STAGES = ("data-preparation", "mutation-detection-analysis",
                     "llm-signature-comparison")
+#: the platform stage 3's LLM client runs on
+CLIENT_PLATFORM = "delta"
 
 
 @dataclass
@@ -142,8 +144,7 @@ class SignatureResult:
 
 def build_signature_pipeline(
         config: Optional[SignatureConfig] = None,
-        llm_targets: Optional[Sequence[Address]] = None,
-        client_platform: str = "delta") -> CampaignGraph:
+        llm_targets: Optional[Sequence[Address]] = None) -> CampaignGraph:
     """The three-stage pipeline: the campaign with a barrier after each
     stage, so each stage's whole bag completes before the next one builds.
 
@@ -151,13 +152,12 @@ def build_signature_pipeline(
     empty, the stage degrades to dose-response analysis only.
     """
     return build_signature_campaign(
-        config, llm_targets, client_platform).barriered(SIGNATURE_STAGES)
+        config, llm_targets).barriered(SIGNATURE_STAGES)
 
 
 def build_signature_campaign(
         config: Optional[SignatureConfig] = None,
-        llm_targets: Optional[Sequence[Address]] = None,
-        client_platform: str = "delta") -> CampaignGraph:
+        llm_targets: Optional[Sequence[Address]] = None) -> CampaignGraph:
     """The use case as one streaming dataflow graph.
 
     Each sample is its own two-node dataflow chain ``prep-i -> enrich-i``:
@@ -234,7 +234,7 @@ def build_signature_campaign(
         summaries: List[str] = []
         if llm_targets:
             from ..core.client import ServiceClient  # avoid import cycle
-            client = ServiceClient(runner.session, platform=client_platform)
+            client = ServiceClient(runner.session, platform=CLIENT_PLATFORM)
             top = sorted(recovered) or ["none"]
             prompt = (
                 "compare mutational signatures across radiation doses : "

@@ -17,9 +17,7 @@ Three stages mirroring §II-C:
 :func:`build_uq_campaign` is the use case's one graph: it streams each
 model's cells as soon as its features land.  :func:`build_uq_pipeline` is
 that graph with the three stages as barriers (:meth:`CampaignGraph.barriered
-<repro.workflows.campaign.CampaignGraph.barriered>`).  A restartable grid is
-the campaign form run under ``run_campaign(checkpoint_key=...)``: the
-engine's frontier checkpoints record each completed cell.
+<repro.workflows.campaign.CampaignGraph.barriered>`).
 """
 
 from __future__ import annotations
@@ -183,11 +181,6 @@ def build_uq_campaign(config: Optional[UQConfig] = None) -> CampaignGraph:
     mistral's preparation is still running -- the three-level parallelism
     of §II-C without the stage barrier between levels.  ``aggregate``
     depends on every cell (the comparison summary needs the full grid).
-
-    Running this graph with ``run_campaign(checkpoint_key=...)`` on a
-    resilient session is how the UQ grid restarts: the campaign's frontier
-    checkpoints record every completed cell node, so a restarted campaign
-    re-fits only the cells that were still in flight.
     """
     config = config or UQConfig()
     config.validate()

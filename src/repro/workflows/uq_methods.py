@@ -129,11 +129,10 @@ class BayesianLinearUQ:
         self._std = 1.0 / np.sqrt(hess_diag)
         return self
 
-    def predict_proba(self, X: np.ndarray,
-                      rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self._mean is None:
             raise RuntimeError("not fitted")
-        rng = rng or np.random.default_rng(self.seed + 1)
+        rng = np.random.default_rng(self.seed + 1)
         X = self._design(np.asarray(X, dtype=float))
         acc = np.zeros((X.shape[0], self._mean.shape[1]))
         for _ in range(self.n_samples):

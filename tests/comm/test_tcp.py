@@ -2,10 +2,11 @@
 
 import threading
 import time
+from unittest.mock import patch
 
 import pytest
 
-from repro.comm import RemoteError, TcpServiceClient, TcpServiceServer
+from repro.comm import RemoteError, TcpServiceClient, TcpServiceServer, tcp
 
 
 def echo_handler(request):
@@ -52,9 +53,10 @@ class TestTcpTransport:
             return {"echo": request}
 
         with TcpServiceServer(slow_handler) as server:
-            impatient = TcpServiceClient(*server.endpoint, timeout_s=0.05)
+            impatient = TcpServiceClient(*server.endpoint)
             start = time.monotonic()
-            with pytest.raises(OSError):  # socket.timeout
+            with patch.object(tcp, "TIMEOUT_S", 0.05), \
+                    pytest.raises(OSError):  # socket.timeout
                 impatient.request({"x": 1})
             assert time.monotonic() - start < 0.4
             # the next request is answered

@@ -24,14 +24,17 @@ def policy(monkeypatch):
 
 class TestLifecycle:
     def test_needs_exactly_one_placement(self):
+        """The home is one argument: a pilot, or a remote platform name."""
         with Session(seed=0) as session:
             smgr = ServiceManager(session, registry_platform="delta")
             desc = ServiceDescription(model="noop")
-            with pytest.raises(ValueError):
-                Autoscaler(smgr, desc)  # neither pilot nor platform
-            with pytest.raises(ValueError):
-                Autoscaler(smgr, desc, pilot=object(),
-                           remote_platform="r3")  # both
+            with pytest.raises(TypeError):
+                Autoscaler(smgr, desc)  # no home
+            remote = Autoscaler(smgr, desc, "r3")
+            assert (remote.pilot, remote.remote_platform) == (None, "r3")
+            pilot = object()
+            local = Autoscaler(smgr, desc, pilot)
+            assert (local.pilot, local.remote_platform) == (pilot, None)
 
     def test_start_ensures_min_instances(self, policy):
         policy(min_instances=3, max_instances=5)
@@ -89,7 +92,7 @@ class TestElasticity:
         """Acceptance: a burst grows the fleet toward the SLO; the idle
         window shrinks it back to the minimum."""
         result = run_autoscaled_workload(
-            n_clients=16, burst_s=120.0, idle_s=240.0, n_bursts=2, seed=3)
+            burst_s=120.0, idle_s=240.0, n_bursts=2, seed=3)
 
         counts = [count for _, count in result.count_trace]
         cfg_min = autoscaler.MIN_INSTANCES
@@ -107,9 +110,9 @@ class TestElasticity:
     def test_fixed_fleet_control_shows_the_gap(self):
         """With autoscaling off the same burst piles onto min_instances."""
         elastic = run_autoscaled_workload(
-            n_clients=16, burst_s=120.0, idle_s=120.0, n_bursts=1, seed=3)
+            burst_s=120.0, idle_s=120.0, n_bursts=1, seed=3)
         fixed = run_autoscaled_workload(
-            n_clients=16, burst_s=120.0, idle_s=120.0, n_bursts=1, seed=3,
+            burst_s=120.0, idle_s=120.0, n_bursts=1, seed=3,
             autoscale=False)
         assert fixed.scale_events == []
         assert max(c for _, c in elastic.count_trace) > 1

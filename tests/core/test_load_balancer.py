@@ -165,13 +165,14 @@ class TestFactory:
         assert create_balancer("round-robin").name == "round-robin"
         assert create_balancer("least-loaded").name == "least-loaded"
         assert create_balancer(
-            "random", rng=RngHub(0).stream("x")).name == "random"
-        assert create_balancer(
             "join-shortest-queue",
             registry=FakeRegistry()).name == "join-shortest-queue"
 
     def test_random_needs_rng(self):
-        with pytest.raises(ValueError):
+        """A random balancer draws from the rng it is built with; the
+        factory, which has none to give, does not make one."""
+        assert RandomBalancer(RngHub(0).stream("x")).name == "random"
+        with pytest.raises(KeyError):
             create_balancer("random")
 
     def test_jsq_needs_registry(self):

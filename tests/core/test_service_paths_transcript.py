@@ -23,6 +23,7 @@ import json
 from pathlib import Path
 
 from repro import (
+    Autoscaler,
     PilotDescription,
     PilotManager,
     ResilienceConfig,
@@ -78,8 +79,10 @@ def transcript(timeouts=TIMEOUTS):
             ServiceDescription(model="noop", heartbeat_interval_s=2.5),
             platform="r3")
         handles = local + [remote]
-        scaler = smgr.start_autoscaler(scaled[0], pilot=pilot,
-                                       handles=group)
+        # a pilot-backed autoscaler that adopts the group before it starts
+        scaler = Autoscaler(smgr, scaled[0], pilot)
+        scaler.handles += group
+        scaler.start()
 
         view = []
 

@@ -139,7 +139,7 @@ class TestWipe:
         size = 40
         with Session(seed=0, data_config=DataConfig(
                 cache_capacity_bytes=100)) as session:
-            dmgr = DataManager(session, client_platform="localhost")
+            dmgr = DataManager(session)
             data = session.data
 
             def stage(name, uid):

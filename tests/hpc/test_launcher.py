@@ -28,9 +28,10 @@ class TestMpiexecKnee:
         assert at_320 > at_160 * 1.5
         assert at_640 > at_320
 
-    def test_monotone_growth_in_tail(self):
+    def test_monotone_growth_in_tail(self, monkeypatch):
+        monkeypatch.setattr(MpiexecLauncher, "jitter_s", 0.0)
         rng = RngHub(1).stream("l")
-        lm = MpiexecLauncher(jitter_s=0.0)
+        lm = MpiexecLauncher()
         values = [lm.launch_time(n, rng) for n in (161, 200, 400, 640)]
         assert values == sorted(values)
 
@@ -43,9 +44,10 @@ class TestMpiexecKnee:
 
 
 class TestOtherLaunchers:
-    def test_ssh_linear_growth_no_knee(self):
+    def test_ssh_linear_growth_no_knee(self, monkeypatch):
+        monkeypatch.setattr(SshLauncher, "jitter_s", 0.0)
         rng = RngHub(3).stream("l")
-        lm = SshLauncher(jitter_s=0.0)
+        lm = SshLauncher()
         at_1 = lm.launch_time(1, rng)
         at_501 = lm.launch_time(501, rng)
         assert at_501 - at_1 == pytest.approx(500 * lm.per_peer_s, rel=0.01)

@@ -40,8 +40,7 @@ class TestRoutes:
             fabric.latency("anvil", "anvil")
 
     def test_route_override(self, fabric):
-        fabric.set_route("delta", "r3", LatencySpec(10.0, 0.1),
-                         bandwidth_gbps=0.5)
+        fabric.set_route("delta", "r3", LatencySpec(10.0, 0.1))
         samples = [fabric.latency("delta", "r3") for _ in range(200)]
         assert np.mean(samples) == pytest.approx(10e-3, rel=0.1)
 

@@ -41,16 +41,6 @@ class TestDaemonContract:
             assert session.now == 35.0
             assert "t=35.0s" in dash.snapshots[-1]
 
-    def test_sink_streams_snapshots(self):
-        streamed = []
-        with dash_session() as session:
-            dash = Dashboard(session, interval_s=10.0, sink=streamed.append)
-            advance(session, 25.0)
-            session.quiesce()
-            session.run()
-            assert streamed == dash.snapshots
-            assert len(streamed) == 3  # t=10, 20, final
-
     def test_interval_must_be_positive(self):
         with dash_session() as session:
             with pytest.raises(ValueError):

@@ -19,7 +19,8 @@ class TestInstruments:
         g = Gauge("depth", ())
         g.set(4)
         g.inc()
-        g.dec(2.0)
+        g.dec()
+        g.dec()
         assert g.value == 3.0
 
     def test_histogram_buckets_and_overflow(self):

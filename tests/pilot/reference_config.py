@@ -11,7 +11,9 @@ description classes, under their shipped names so that every
 ``tests/test_properties.py`` builds and writes both forms with the same
 random keywords and holds them to the same views, or the same error.
 
-Do not optimise this module: its value is being obviously the original.
+Its range checks refuse NaN the way the shipped ones do (``not x >= 0``),
+so that both forms raise the same error for the same value.  Do not
+optimise this module: its value is being obviously the original.
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ class StagingDirective(Config):
         if self.action not in self.ACTIONS:
             raise ConfigError(
                 f"staging action {self.action!r} not in {self.ACTIONS}")
-        if self.size_bytes < 0:
+        if not self.size_bytes >= 0:
             raise ConfigError("size_bytes must be >= 0")
 
 
@@ -201,7 +203,7 @@ class PilotDescription(Config):
         if self.nodes <= 0 and self.cores <= 0 and self.gpus <= 0:
             raise ConfigError(
                 "PilotDescription needs nodes, cores or gpus > 0")
-        if self.runtime_s <= 0:
+        if not self.runtime_s > 0:
             raise ConfigError("runtime_s must be positive")
 
     def required_nodes(self, cores_per_node: int, gpus_per_node: int) -> int:
@@ -274,7 +276,7 @@ class TaskDescription(Config):
             raise ConfigError("cores_per_rank must be >= 1")
         if self.gpus_per_rank < 0:
             raise ConfigError("gpus_per_rank must be >= 0")
-        if self.duration_s < 0 or self.pre_exec_s < 0:
+        if not (self.duration_s >= 0 and self.pre_exec_s >= 0):
             raise ConfigError("durations must be >= 0")
         self._normalise_staging("input_staging")
         self._normalise_staging("output_staging")
@@ -331,7 +333,7 @@ class ServiceDescription(TaskDescription):
 
     def __init__(self, from_dict=None, **kwargs) -> None:
         super().__init__(from_dict, **kwargs)
-        if self.startup_timeout_s <= 0:
+        if not self.startup_timeout_s > 0:
             raise ConfigError("startup_timeout_s must be positive")
         if self.max_concurrency < 1:
             raise ConfigError("max_concurrency must be >= 1")
@@ -339,5 +341,5 @@ class ServiceDescription(TaskDescription):
             raise ConfigError("max_batch_size must be >= 0 (0 = default)")
         if self.max_queue_depth < 0:
             raise ConfigError("max_queue_depth must be >= 0 (0 = unbounded)")
-        if self.heartbeat_interval_s <= 0:
+        if not self.heartbeat_interval_s > 0:
             raise ConfigError("heartbeat_interval_s must be positive")

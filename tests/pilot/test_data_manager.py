@@ -14,7 +14,7 @@ def session():
 
 @pytest.fixture
 def dmgr(session):
-    return DataManager(session, client_platform="localhost")
+    return DataManager(session)
 
 
 def run_stage(session, dmgr, directives, platform="delta", uid="task.x",
@@ -189,7 +189,7 @@ class TestCacheAndDedup:
         from repro.data import DataConfig
         with Session(seed=4, data_config=DataConfig(
                 dedup_inflight=False)) as s:
-            dmgr = DataManager(s, client_platform="localhost")
+            dmgr = DataManager(s)
             directive = StagingDirective(source="dataset",
                                          size_bytes=int(1e9))
 
@@ -206,7 +206,7 @@ class TestCacheAndDedup:
         from repro.data import DataConfig
         with Session(seed=4, data_config=DataConfig(
                 cache_enabled=False)) as s:
-            dmgr = DataManager(s, client_platform="localhost")
+            dmgr = DataManager(s)
             directive = StagingDirective(source="dataset",
                                          size_bytes=int(1e9))
             run_stage(s, dmgr, [directive])
@@ -217,8 +217,8 @@ class TestCacheAndDedup:
     def test_dedup_spans_managers_in_one_session(self, session):
         """In-flight dedup is session-scoped: two DataManagers staging the
         same object to one platform coalesce into a single transfer."""
-        a = DataManager(session, client_platform="localhost")
-        b = DataManager(session, client_platform="localhost")
+        a = DataManager(session)
+        b = DataManager(session)
         directive = StagingDirective(source="dataset", size_bytes=int(1e9))
         procs = [
             session.engine.process(
@@ -271,7 +271,7 @@ class TestDeterminism:
         """Satellite: same seed, same staging plan => identical timings."""
         def run_once():
             with Session(seed=123) as s:
-                dmgr = DataManager(s, client_platform="localhost")
+                dmgr = DataManager(s)
                 directives = [
                     StagingDirective(source=f"f{i}", size_bytes=int(1e8))
                     for i in range(4)]

@@ -13,7 +13,35 @@ from repro.pilot import (
     StagingDirective,
     TaskDescription,
 )
+from repro import DataConfig, ResilienceConfig, RetryPolicy
 from repro.utils.config import Config, ConfigError
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TaskDescription(duration_s=NAN),
+    lambda: TaskDescription(pre_exec_s=NAN),
+    lambda: PilotDescription(resource="delta", nodes=1, runtime_s=NAN),
+    lambda: StagingDirective(size_bytes=NAN),
+    lambda: ServiceDescription(startup_timeout_s=NAN),
+    lambda: ServiceDescription(heartbeat_interval_s=NAN),
+    lambda: ResilienceConfig(heartbeat_interval_s=NAN),
+    lambda: RetryPolicy(backoff_base_s=NAN),
+    lambda: RetryPolicy(rebind_wait_s=NAN),
+    lambda: RetryPolicy(rebind_wait_s=-1.0),
+    lambda: DataConfig(cache_capacity_bytes=NAN),
+], ids=["task-duration", "task-pre-exec", "pilot-runtime", "staging-size",
+        "service-startup-timeout", "service-heartbeat",
+        "resilience-heartbeat", "retry-backoff", "retry-rebind-nan",
+        "retry-rebind-negative", "data-cache-capacity"])
+def test_nan_fails_every_non_negativity_check(build):
+    """Each check is written ``not x >= 0`` / ``not x > 0``: a NaN
+    duration once finished a task in zero simulated time, and a NaN
+    interval surfaced only later, from a timer inside ``session.run()``."""
+    with pytest.raises((ConfigError, ValueError)):
+        build()
 
 
 class TestPilotDescription:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.serving import MarkovGenerator, tokenize
+from repro.serving import generator
 from repro.serving.generator import SEED_CORPUS
 from repro.sim import RngHub
 
@@ -59,9 +60,10 @@ class TestMarkovGenerator:
         vocab = set(gen._vocab)
         assert all(tok in vocab for tok in text.split())
 
-    def test_tiny_corpus_rejected(self):
+    def test_tiny_corpus_rejected(self, monkeypatch):
+        monkeypatch.setattr(generator, "SEED_CORPUS", "one")
         with pytest.raises(ValueError):
-            MarkovGenerator("one")
+            MarkovGenerator()
 
 
 class TestStoredCdfSampling:

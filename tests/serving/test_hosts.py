@@ -53,10 +53,11 @@ class TestVllmHost:
     def test_batching_penalty_applied(self, rng, monkeypatch):
         monkeypatch.setattr(hosts, "BATCH_PENALTY", 0.2)
         host = VllmHost(LlamaModel())
-        solo = np.mean([host.infer("p", rng, {"max_tokens": 64},
-                                   n_active=1)[1] for _ in range(30)])
-        batched = np.mean([host.infer("p", rng, {"max_tokens": 64},
-                                      n_active=8)[1] for _ in range(30)])
+        solo = np.mean([host.infer_batch(["p"], rng, [{"max_tokens": 64}],
+                                         n_active=1)[1] for _ in range(30)])
+        batched = np.mean([host.infer_batch(["p"], rng, [{"max_tokens": 64}],
+                                            n_active=8)[1]
+                           for _ in range(30)])
         assert batched == pytest.approx(solo * 2.4, rel=0.2)
 
     def test_throughput_advantage_over_serial(self, rng):
@@ -68,8 +69,8 @@ class TestVllmHost:
         serial_total = sum(serial.infer("p", rng, {"max_tokens": 64})[1]
                            for _ in range(n))
         # batched: all run concurrently; makespan ~ slowest single request
-        batched_times = [batchy.infer("p", rng, {"max_tokens": 64},
-                                      n_active=n)[1] for _ in range(n)]
+        batched_times = [batchy.infer_batch(["p"], rng, [{"max_tokens": 64}],
+                                            n_active=n)[1] for _ in range(n)]
         assert max(batched_times) < serial_total / 2
 
 

@@ -24,9 +24,6 @@ class TestTimeAdvance:
     def test_starts_at_zero(self, engine):
         assert engine.now == 0.0
 
-    def test_custom_start_time(self):
-        assert SimulationEngine(start_time=100.0).now == 100.0
-
     def test_timeout_advances_clock(self, engine):
         engine.timeout(5.0)
         engine.run()
@@ -99,11 +96,11 @@ class TestProcess:
     def test_timeout_value_is_delivered(self, engine):
         got = []
         def proc():
-            value = yield engine.timeout(1.0, value="hello")
+            value = yield engine.timeout(1.0)
             got.append(value)
         engine.process(proc())
         engine.run()
-        assert got == ["hello"]
+        assert got == [None]
 
     def test_process_waits_on_manual_event(self, engine):
         event = engine.event()
@@ -343,8 +340,8 @@ class TestRoutine:
 
         def body():
             log.append(("started", engine.now))
-            value = yield engine.timeout(3.0, value="tick")
-            return value * 2
+            yield engine.timeout(3.0)
+            return "tick" * 2
 
         routine = Routine(engine, body(),
                           lambda arg, ok, value: log.append(
@@ -407,18 +404,25 @@ class TestRoutine:
         assert seen == [(False, ValueError)]
 
 
+def valued(engine, delay, value):
+    """An event that succeeds with *value* after *delay*."""
+    event = engine.event()
+    engine.call_later(delay, event.succeed, value)
+    return event
+
+
 class TestConditions:
     def test_all_of_waits_for_all(self, engine):
-        t1 = engine.timeout(1.0, value="a")
-        t2 = engine.timeout(3.0, value="b")
+        t1 = valued(engine, 1.0, "a")
+        t2 = valued(engine, 3.0, "b")
         cond = AllOf(engine, [t1, t2])
         result = engine.run(until=cond)
         assert result == {t1: "a", t2: "b"}
         assert engine.now == 3.0
 
     def test_any_of_fires_on_first(self, engine):
-        t1 = engine.timeout(1.0, value="fast")
-        t2 = engine.timeout(5.0, value="slow")
+        t1 = valued(engine, 1.0, "fast")
+        t2 = valued(engine, 5.0, "slow")
         cond = AnyOf(engine, [t1, t2])
         result = engine.run(until=cond)
         assert result == {t1: "fast"}
@@ -445,7 +449,7 @@ class TestConditions:
         ev = engine.event()
         ev.succeed("pre")
         engine.run()
-        t = engine.timeout(2.0, value="post")
+        t = valued(engine, 2.0, "post")
         cond = AllOf(engine, [ev, t])
         result = engine.run(until=cond)
         assert result == {ev: "pre", t: "post"}
@@ -647,13 +651,13 @@ class TestRunModes:
     def test_run_until_event_returns_its_value_and_stops_there(self, engine):
         seen = []
         engine.call_later(1.0, seen.append, "a")
-        stop = engine.timeout(2.0, value="done")
+        stop = engine.timeout(2.0)
         stop.callbacks.append(lambda e: seen.append("stop-callback"))
         engine.call_later(3.0, seen.append, "b")
-        assert engine.run(until=stop) == "done"
+        assert engine.run(until=stop) is None
         assert seen == ["a", "stop-callback"]
         assert engine.now == 2.0
-        assert engine.run(until=stop) == "done"  # already processed: no-op
+        assert engine.run(until=stop) is None  # already processed: no-op
         assert engine.now == 2.0
         engine.run()
         assert seen == ["a", "stop-callback", "b"]

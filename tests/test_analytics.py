@@ -250,14 +250,13 @@ class TestCampaignMetricsEdgeCases:
             assert np.isnan(m.idle_fraction)
             assert m.makespan_s == 0.0
 
-    def test_span_override_and_validation(self):
+    def test_makespan_idle_and_validation(self):
         from repro import Session
         from repro.analytics import campaign_metrics
         with Session(seed=1) as session:
             task = self._task(session, "t0", 0.0, 10.0)
-            m = campaign_metrics(session, {"g": [task]}, total_cores=1,
-                                 span_s=20.0)
-            assert m.makespan_s == 20.0
+            m = campaign_metrics(session, {"g": [task]}, total_cores=2)
+            assert m.makespan_s == 10.0
             assert m.idle_fraction == pytest.approx(0.5)
             with pytest.raises(ValueError, match="total_cores"):
                 campaign_metrics(session, {}, total_cores=0)

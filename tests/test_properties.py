@@ -486,9 +486,9 @@ def test_run_modes_match_reference_kernel(data):
         engine.run()
 
     def by_event(engine, trace):
-        stop = engine.timeout(10.0, value="done")  # after the last delay
+        stop = engine.timeout(10.0)  # after the last delay
         engine.call_later(20.0, lambda _a: trace.append("late"))
-        assert engine.run(until=stop) == "done"
+        assert engine.run(until=stop) is None
         assert engine.now == 10.0
         assert trace == expected  # whole program ran, nothing past the stop
         engine.run()
@@ -1619,22 +1619,6 @@ def _campaign_scenarios(draw):
         # released in *topological* order, whatever the insertion order
         orders.append(draw(st.permutations(range(len(nodes)))))
     window = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=8)))
-    # (cadence in completed nodes, bytes per node delta) or None
-    checkpoint = draw(st.one_of(st.none(), st.tuples(
-        st.integers(min_value=1, max_value=3),
-        st.sampled_from([None, 0.0, 5e10]))))
-    if window is not None and checkpoint is not None and any(
-            node["kind"] in ("run_wait", "run_submit")
-            for nodes in graphs for node in nodes):
-        # The one same-timestamp order that is *meant* to differ.  A custom
-        # node waiting for its own windowed tasks through an event resumes
-        # one NORMAL hop after their completion; the chunk that completion
-        # admits now starts URGENT inside the completion entry, i.e. before
-        # that hop (the reference woke its feeder through an event queued
-        # behind it).  Visible only when both then draw from one RNG stream
-        # -- the node's priced frontier save against the chunk's cold
-        # stage-in -- so such scenarios price their saves at zero.
-        checkpoint = (checkpoint[0], 0.0)
     return {
         "graphs": graphs,
         "orders": orders,
@@ -1643,7 +1627,6 @@ def _campaign_scenarios(draw):
         "window": window,
         "interrupt_at": draw(st.one_of(st.none(), st.floats(
             min_value=2.0, max_value=60.0, allow_nan=False))),
-        "checkpoint": checkpoint,
         # (when, which): cancel one of the tasks submitted by then -- one,
         # not a burst: simultaneous failures of a build node (settled in
         # the completion entry) and of a custom node (resumed one hop
@@ -1730,19 +1713,15 @@ def _scenario_graphs(spec):
                                                    spec["orders"]))]
 
 
-def _run_campaign_scenario(spec, reference, store, interrupt):
-    """One session's worth of *spec*; everything the property compares."""
-    from repro import (DataConfig, PilotDescription, PilotManager,
-                       ResilienceConfig, TaskManager)
+def _run_campaign_scenario(spec, reference):
+    """One run of *spec*; everything the property compares."""
+    from repro import DataConfig, PilotDescription, PilotManager, TaskManager
     from repro.sim.events import Interrupt
     from repro.workflows import CampaignRunner
     from repro.workflows import campaign as campaign_module
     from workflows.reference_campaign import (ReferenceCampaignRunner,
                                               ReferenceTaskManager)
 
-    resilience = None
-    if spec["checkpoint"] is not None:
-        resilience = ResilienceConfig(checkpoint_store=store)
     states = []
 
     class SpiedState(campaign_module._GraphState):
@@ -1750,7 +1729,7 @@ def _run_campaign_scenario(spec, reference, store, interrupt):
             super().__init__(*args)
             states.append(self)
 
-    with Session(seed=spec["seed"], resilience_config=resilience,
+    with Session(seed=spec["seed"],
                  data_config=DataConfig(placement="data_affinity")) as s:
         pmgr = PilotManager(s)
         tmgr = (ReferenceTaskManager if reference else TaskManager)(s)
@@ -1765,14 +1744,10 @@ def _run_campaign_scenario(spec, reference, store, interrupt):
                   else CampaignRunner)(s, tmgr, window=spec["window"])
         graphs = _scenario_graphs(spec)
         contexts = [{} for _ in graphs]
-        kwargs = {}
-        if spec["checkpoint"] is not None:
-            kwargs = {"checkpoint_key": "scenario",
-                      "checkpoint_bytes": spec["checkpoint"][1]}
 
         def campaign():
             try:
-                yield from runner.run_campaign(graphs, contexts, **kwargs)
+                yield from runner.run_campaign(graphs, contexts)
                 return "returned"
             except Interrupt as exc:
                 return f"interrupted: {exc.cause}"
@@ -1790,13 +1765,13 @@ def _run_campaign_scenario(spec, reference, store, interrupt):
             proc = s.engine.process(campaign())
             if spec["cancel"] is not None:
                 s.engine.process(canceller(*spec["cancel"]))
-            if interrupt is None:
-                # bounded: heartbeats keep a resilient session's queue alive,
-                # so a campaign that never finishes would spin, not deadlock
+            if spec["interrupt_at"] is None:
+                # bounded, so a campaign that never finishes fails the
+                # assertion below instead of spinning
                 s.run(until=s.engine.any_of([proc, s.engine.timeout(1e4)]))
                 assert not proc.is_alive, "the campaign never finished"
             else:
-                s.run(until=interrupt)
+                s.run(until=spec["interrupt_at"])
                 proc.interrupt("killed")
             s.quiesce()
             s.run()
@@ -1823,19 +1798,7 @@ def _run_campaign_scenario(spec, reference, store, interrupt):
             "data": (dm.bytes_transferred, dm.bytes_saved, dm.cache_hits,
                      dm.cache_misses, dm.dedup_hits, dm.links_total),
             "now": s.now,
-            "frontier": store.get("scenario/frontier"),
         }
-
-
-def _campaign_outcomes(spec, reference):
-    """The interrupted (or whole) run and, under a checkpoint key, the
-    restart that resumes from the frontier it left behind."""
-    store = {}
-    runs = [_run_campaign_scenario(spec, reference, store,
-                                   spec["interrupt_at"])]
-    if spec["checkpoint"] is not None:
-        runs.append(_run_campaign_scenario(spec, reference, store, None))
-    return runs
 
 
 def _node(kind="build", deps=(), durations=(5.0,), failing=None,
@@ -1847,11 +1810,10 @@ def _node(kind="build", deps=(), durations=(5.0,), failing=None,
 
 
 def _scenario(graphs, seed=1, pilots=2, window=None, interrupt_at=None,
-              checkpoint=None, cancel=None, orders=None):
+              cancel=None, orders=None):
     return {"graphs": graphs, "seed": seed, "pilots": pilots,
             "orders": orders or [range(len(nodes)) for nodes in graphs],
-            "window": window, "interrupt_at": interrupt_at,
-            "checkpoint": checkpoint, "cancel": cancel}
+            "window": window, "interrupt_at": interrupt_at, "cancel": cancel}
 
 
 @settings(max_examples=120, deadline=None)
@@ -1872,17 +1834,11 @@ def _scenario(graphs, seed=1, pilots=2, window=None, interrupt_at=None,
                                 tolerance=0.5),
                           _node("collect_raises", deps=[0]),
                           _node(deps=[1]), _node(deps=[0])]]))
-# an interrupt while build nodes, a run= node and a frontier save are live,
-# then the restart from the frontier
+# an interrupt while build nodes and a run= node are live
 @example(spec=_scenario([[_node(durations=(1.0,)),
                           _node(deps=[0], durations=(30.0,)),
                           _node("run_submit", deps=[0], durations=(30.0,)),
-                          _node(deps=[1, 2])]], window=3, interrupt_at=6.0,
-                        checkpoint=(1, 5e10)))
-# coalesced saves: two nodes complete inside one save's transfer
-@example(spec=_scenario([[_node(durations=(1.0,)), _node(durations=(1.0,)),
-                          _node(deps=[0, 1], durations=(1.0,))]],
-                        checkpoint=(1, 5e10)))
+                          _node(deps=[1, 2])]], window=3, interrupt_at=6.0))
 # riders: four nodes stage one shared dataset at once under a wide window
 @example(spec=_scenario([[_node(inputs="shared"), _node(inputs="both"),
                           _node(inputs="shared", durations=(1.0, 1.0)),
@@ -1903,20 +1859,14 @@ def _scenario(graphs, seed=1, pilots=2, window=None, interrupt_at=None,
 def test_campaign_records_match_the_process_per_node_reference(spec):
     """Random DAG campaigns -- build / run= nodes, failing tasks with and
     without tolerance, raising build / collect / run, windows, shared and
-    private staged inputs, an interrupt, frontier checkpoints and the
-    restart from them, a burst of cancellations -- leave the same statuses,
-    contexts, task uids, final (state, time) per task, profile rows per
-    uid, window peak and data-plane counters as one process per node, per
-    windowed submit and per staging directive did."""
-    from repro.resilience import recovery
-
-    interval = 1 if spec["checkpoint"] is None else spec["checkpoint"][0]
-    with patch.object(recovery, "CHECKPOINT_INTERVAL", interval):
-        shipped = _campaign_outcomes(spec, reference=False)
-        expected = _campaign_outcomes(spec, reference=True)
-    for got, want in zip(shipped, expected):
-        for key in want:
-            assert got[key] == want[key], key
+    private staged inputs, an interrupt, a cancellation -- leave the same
+    statuses, contexts, task uids, final (state, time) per task, profile
+    rows per uid, window peak and data-plane counters as one process per
+    node, per windowed submit and per staging directive did."""
+    got = _run_campaign_scenario(spec, reference=False)
+    want = _run_campaign_scenario(spec, reference=True)
+    for key in want:
+        assert got[key] == want[key], key
 
 
 # ---------------------------------------------------------------------------

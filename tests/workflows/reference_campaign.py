@@ -14,7 +14,7 @@ services, fabric, engine) is the shipped code on both sides.
 """
 
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.pilot.data_manager import DataManager
 from repro.pilot.description import TaskDescription
@@ -181,21 +181,10 @@ class _GraphState:
 
 
 class _CampaignRun:
-    __slots__ = ("states", "ckpt", "ckpt_key", "ckpt_bytes", "saving",
-                 "dirty", "save_index", "completed_total",
-                 "completed_since_save", "camp_span", "frontier_gauge",
-                 "nodes_counter")
+    __slots__ = ("states", "camp_span", "frontier_gauge", "nodes_counter")
 
     def __init__(self, states: Dict[str, _GraphState]) -> None:
         self.states = states
-        self.ckpt = None
-        self.ckpt_key = ""
-        self.ckpt_bytes: Optional[float] = None
-        self.saving = False
-        self.dirty = False
-        self.save_index = 0
-        self.completed_total = 0
-        self.completed_since_save = 0
         self.camp_span = None
         self.frontier_gauge = None
         self.nodes_counter = None
@@ -211,8 +200,7 @@ class ReferenceCampaignRunner(CampaignRunner):
         #: per-graph state of the last run (what the property compares)
         self.states: Dict[str, _GraphState] = {}
 
-    def run_campaign(self, graphs, contexts=None, checkpoint_key="",
-                     checkpoint_bytes=None):
+    def run_campaign(self, graphs, contexts=None):
         single = isinstance(graphs, CampaignGraph)
         graphs = [graphs] if single else list(graphs)
         if not graphs:
@@ -235,7 +223,6 @@ class ReferenceCampaignRunner(CampaignRunner):
         run = _CampaignRun({g.name: _GraphState(g, ctx, engine)
                             for g, ctx in zip(graphs, contexts)})
         self.states = run.states
-        self._restore_frontier(run, checkpoint_key, checkpoint_bytes)
 
         obs = self.session.observability
         if obs is not None:
@@ -256,21 +243,16 @@ class ReferenceCampaignRunner(CampaignRunner):
             state = run.states[graph.name]
             prefix = uid if single else f"{uid}.{graph.name}"
             for name in graph.topological_order():
-                if state.status.get(name) == "done":
-                    continue  # restored from the checkpoint frontier
                 procs.append(engine.process(self._run_node(
                     run, state, graph.nodes[name], f"{prefix}.{name}")))
         try:
             try:
-                if procs:
-                    yield engine.all_of(procs)
+                yield engine.all_of(procs)
             except Interrupt:
                 for proc in procs:
                     if proc.is_alive:
                         proc.interrupt("campaign interrupted")
                 raise
-            if run.ckpt is not None and run.completed_since_save:
-                yield from self._save_frontier(run)
             failures = [exc for state in run.states.values()
                         for exc in state.failures]
             if failures:
@@ -321,14 +303,7 @@ class ReferenceCampaignRunner(CampaignRunner):
             profiler.record(engine.now, node_uid, "node_stop", "workflow")
             if run.nodes_counter is not None:
                 run.nodes_counter.inc()
-            # settle *before* checkpointing: dependents stream while the
-            # frontier save's transfer is still crossing the fabric
             done.succeed("done")
-            run.completed_total += 1
-            run.completed_since_save += 1
-            if run.ckpt is not None \
-                    and run.ckpt.due(run.completed_total - 1):
-                yield from self._save_frontier(run)
         except Interrupt:
             state.status.setdefault(node.name, "aborted")
             if not done.triggered:
@@ -346,57 +321,3 @@ class ReferenceCampaignRunner(CampaignRunner):
                 self._node_spans.pop(key, None)
             if live and run.frontier_gauge is not None:
                 run.frontier_gauge.dec()
-
-    def _restore_frontier(self, run, checkpoint_key, checkpoint_bytes):
-        run.ckpt_bytes = checkpoint_bytes
-        if not checkpoint_key:
-            return
-        resilience = self.session.resilience
-        if resilience is None:
-            return
-        run.ckpt = resilience.checkpoints
-        run.ckpt_key = f"{checkpoint_key}/frontier"
-        saved = run.ckpt.latest(run.ckpt_key)
-        if saved is None:
-            return
-        index, payload = saved
-        run.save_index = index + 1
-        for gname, completed in payload["completed"].items():
-            state = run.states.get(gname)
-            if state is None:
-                continue  # campaign composition changed between runs
-            state.context.update(payload["contexts"].get(gname, {}))
-            for name in completed:
-                if name in state.done:
-                    state.status[name] = "done"
-                    state.done[name].succeed("done")
-                    run.completed_total += 1
-
-    @staticmethod
-    def _frontier_payload(run) -> Dict[str, Any]:
-        return {
-            "completed": {name: [n for n in state.graph.topological_order()
-                                 if state.status.get(n) == "done"]
-                          for name, state in run.states.items()},
-            "contexts": {name: dict(state.context)
-                         for name, state in run.states.items()},
-        }
-
-    def _save_frontier(self, run):
-        run.dirty = True
-        if run.saving:
-            return
-        run.saving = True
-        try:
-            while run.dirty:
-                run.dirty = False
-                delta = run.completed_since_save
-                run.completed_since_save = 0
-                nbytes = (run.ckpt_bytes * delta
-                          if run.ckpt_bytes is not None else None)
-                yield from run.ckpt.save(
-                    run.ckpt_key, run.save_index,
-                    self._frontier_payload(run), nbytes=nbytes)
-                run.save_index += 1
-        finally:
-            run.saving = False

@@ -1,19 +1,17 @@
-"""The streaming campaign engine: dataflow graphs, backpressure, frontier
-checkpoints, multi-graph campaigns and the ported use-case graphs."""
+"""The streaming campaign engine: dataflow graphs, backpressure,
+multi-graph campaigns and the ported use-case graphs."""
 
 import pytest
 
 from repro import (
     PilotDescription,
     PilotManager,
-    ResilienceConfig,
     Session,
     TaskManager,
 )
 from repro.analytics import campaign_metrics
 from repro.pilot.description import TaskDescription
 from repro.pilot.task_manager import SubmissionWindow
-from repro.resilience import recovery
 from repro.workflows import (
     CampaignGraph,
     CampaignRunner,
@@ -505,135 +503,6 @@ class TestBackpressure:
         session, tmgr = env
         with pytest.raises(ValueError):
             SubmissionWindow(session.engine, 0)
-
-
-class TestFrontierCheckpoints:
-    def chain_graph(self, n=4, duration=10.0):
-        def node(i, deps):
-            return TaskNode(
-                name=f"step-{i}", deps=deps,
-                build=lambda c, i=i: [sim_task(f"step-{i}", duration)],
-                collect=lambda c, t, i=i: c.update({f"step{i}": "done"}))
-        nodes = [node(0, ())]
-        nodes += [node(i, (f"step-{i - 1}",)) for i in range(1, n)]
-        return CampaignGraph(name="chain", nodes=nodes)
-
-    def resilient_env(self, store, seed=23):
-        session = Session(seed=seed, resilience_config=ResilienceConfig(
-            checkpoint_store=store))
-        pmgr = PilotManager(session)
-        tmgr = TaskManager(session)
-        (pilot,) = pmgr.submit_pilots(
-            PilotDescription(resource="delta", nodes=2, runtime_s=1e9))
-        tmgr.add_pilots(pilot)
-        return session, tmgr
-
-    def test_restart_replays_only_lost_nodes(self, env):
-        from repro.sim.events import Interrupt
-
-        store = {}
-        session, tmgr = self.resilient_env(store)
-        with session:
-            runner = CampaignRunner(session, tmgr)
-
-            def campaign():
-                try:
-                    return (yield from runner.run_campaign(
-                        self.chain_graph(), checkpoint_key="chain-ckpt"))
-                except Interrupt:
-                    return None
-
-            proc = session.engine.process(campaign())
-            # pilot bootstrap ~4s + 10s per step: at t=30 steps 0 and 1
-            # are done (and their frontiers saved), step 2 is in flight
-            session.run(until=30.0)
-            proc.interrupt("killed")
-            session.quiesce()
-            session.run()
-        frontier = store["chain-ckpt/frontier"][1]
-        assert frontier["completed"]["chain"] == ["step-0", "step-1"]
-
-        session, tmgr = self.resilient_env(store, seed=29)
-        with session:
-            runner = CampaignRunner(session, tmgr)
-            proc = session.engine.process(runner.run_campaign(
-                self.chain_graph(), checkpoint_key="chain-ckpt"))
-            context = session.run(until=proc)
-            # completed steps were restored, not re-executed
-            assert len(tmgr.tasks) == 2
-            assert all(context[f"step{i}"] == "done" for i in range(4))
-            assert session.resilience.checkpoints.restores >= 1
-        assert store["chain-ckpt/frontier"][1]["completed"]["chain"] == \
-            [f"step-{i}" for i in range(4)]
-
-    def test_interrupt_during_frontier_save_settles_cleanly(self):
-        """An interrupt landing while a frontier save's transfer is in
-        flight must not escape the node process (unhandled process
-        failures crash the engine drain)."""
-        from repro.sim.events import Interrupt
-
-        store = {}
-        session, tmgr = self.resilient_env(store)
-        with session:
-            runner = CampaignRunner(session, tmgr)
-
-            def campaign():
-                try:
-                    return (yield from runner.run_campaign(
-                        self.chain_graph(), checkpoint_key="mid-save",
-                        checkpoint_bytes=5e9))  # 5s on the 1 GB/s WAN
-                except Interrupt:
-                    return None
-
-            proc = session.engine.process(campaign())
-            # step-0 completes ~t=14.3; its 5s save is in flight at t=16
-            session.run(until=16.0)
-            proc.interrupt("killed")
-            session.quiesce()
-            session.run()  # must drain without an engine error
-            assert not proc.is_alive
-
-    def test_campaign_outlives_its_coalesced_frontier_saves(self):
-        """A node completing while a save's transfer is in flight only marks
-        the frontier dirty; the saver goes round again, and the campaign
-        ends when that last save has landed, not when its last node has."""
-        store = {}
-        session, tmgr = self.resilient_env(store)
-        with session:
-            runner = CampaignRunner(session, tmgr)
-            graph = CampaignGraph(name="pair", nodes=[
-                TaskNode(name="a", build=lambda c: [sim_task("a", 1.0)]),
-                TaskNode(name="b", build=lambda c: [sim_task("b", 1.0)])])
-            proc = session.engine.process(runner.run_campaign(
-                graph, checkpoint_key="pair", checkpoint_bytes=1e11))
-            session.run(until=proc)   # 1e11 B at 25 GB/s: a 4 s save
-            prof = session.profiler
-            (uid,) = prof.uids_with_event("campaign_start")
-            stops = sorted(prof.timestamp(f"{uid}.{n}", "node_stop")
-                           for n in "ab")
-            saves = [r.time for r in prof.events("ckpt.pair/frontier")
-                     if r.event == "checkpoint_save"]
-            assert len(saves) == session.resilience.checkpoints.saves == 2
-            assert stops[1] < saves[0]          # b settled inside save one
-            assert saves[1] == pytest.approx(saves[0] + 4.0, abs=0.01)
-            assert prof.timestamp(uid, "campaign_stop") == saves[1]
-        assert store["pair/frontier"][1]["completed"]["pair"] == ["a", "b"]
-
-    def test_checkpoint_bytes_charged_per_node_delta(self, monkeypatch):
-        """Two nodes completing per save window charge two deltas."""
-        monkeypatch.setattr(recovery, "CHECKPOINT_INTERVAL", 2)
-        store = {}
-        session, tmgr = self.resilient_env(store)
-        with session:
-            runner = CampaignRunner(session, tmgr)
-            proc = session.engine.process(runner.run_campaign(
-                self.chain_graph(n=2, duration=1.0),
-                checkpoint_key="delta-ckpt", checkpoint_bytes=1e9))
-            session.run(until=proc)
-            # one save of two completed nodes: 2 GB over the 1 GB/s WAN
-            assert session.resilience.checkpoints.saves == 1
-            data = session.data
-            assert data.transfers.bytes_moved >= 2e9
 
 
 class TestCampaignMetrics:
