@@ -4,34 +4,32 @@ The seed runtime replayed staging directives sequentially, each transfer
 seeing the link's full bandwidth regardless of what else was in flight.
 The :class:`TransferScheduler` replaces that with one
 :class:`~repro.hpc.network.SharedLink` per fabric route: independent
-directives run *concurrently* as simulation processes, and concurrent flows
-on the same link fair-share its capacity -- so three parallel 1 GB stages on
-one 1 GB/s WAN link still take ~3 s of wall time, but stages on *different*
-links overlap for free and the one-way latency of each transfer is paid
-concurrently rather than in series.
+directives move *concurrently* as :class:`Transfer` records, and concurrent
+flows on the same link fair-share its capacity -- so three parallel 1 GB
+stages on one 1 GB/s WAN link still take ~3 s of wall time, but stages on
+*different* links overlap for free and the one-way latency of each transfer
+is paid concurrently rather than in series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..hpc.network import Fabric, SharedLink
-from ..sim.events import Interrupt
+from ..sim.events import Hook
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..pilot.session import Session
 
-__all__ = ["TransferAborted", "TransferRecord", "TransferScheduler"]
+__all__ = ["Transfer", "TransferAborted", "TransferRecord",
+           "TransferScheduler"]
 
 
 class TransferAborted(Exception):
-    """An in-flight transfer was cancelled (e.g. its task was cancelled).
-
-    Distinct from :class:`~repro.sim.events.Interrupt` so that processes
-    *waiting* on the aborted transfer (in-flight dedup riders) can tell
-    "the owner went away, retry yourself" apart from "I was cancelled".
-    """
+    """An in-flight transfer was cancelled (e.g. its task was cancelled),
+    or a link flap or a corrupt arrival failed it: what in-flight dedup
+    riders read as "the owner went away, retry yourself"."""
 
 
 @dataclass(frozen=True)
@@ -48,6 +46,33 @@ class TransferRecord:
     @property
     def duration(self) -> float:
         return self.finished - self.started
+
+
+class Transfer:
+    """One transfer in flight: made by its caller, who keeps it as the
+    cancel handle.  :meth:`TransferScheduler.transfer` starts it, and it
+    lands on ``then(arg, error)`` -- *error* None, or what failed it --
+    inside the kernel entry that ended it."""
+
+    __slots__ = ("src", "dst", "nbytes", "uid", "then", "arg", "started",
+                 "wait", "link")
+
+    def __init__(self, src: str, dst: str, nbytes: float, uid: str,
+                 then: Callable[[Any, Any], None], arg: Any) -> None:
+        self.src, self.dst, self.nbytes, self.uid = src, dst, nbytes, uid
+        self.then, self.arg = then, arg
+        self.started = 0.0
+        self.wait: Any = None  # the latency timer, then the flow's hook
+        self.link: Optional[SharedLink] = None  # once the payload flows
+
+    def cancel(self) -> None:
+        """Withdraw the latency timer, or the flow: its link is freed for
+        the other flows at once."""
+        wait, self.wait = self.wait, None
+        if wait is not None:
+            wait.cancel()
+            if self.link is not None:
+                self.link.abort(wait.event)
 
 
 class TransferScheduler:
@@ -92,44 +117,48 @@ class TransferScheduler:
         return route.latency.mean_s + self.link(src, dst).eta(nbytes)
 
     # -- execution ---------------------------------------------------------------
-    def transfer(self, src: str, dst: str, nbytes: float, uid: str = ""):
-        """Simulation (sub)process: move *nbytes* from *src* to *dst*.
-
-        One-way latency is sampled from the route, then the payload drains
-        through the shared link at the fair-share rate.  Returns the
-        :class:`TransferRecord`.
-        """
-        if nbytes < 0:
+    def transfer(self, move: Transfer) -> None:
+        """Start *move*: a one-way latency sampled from the route (a timer),
+        then the payload drains through the shared link at the fair-share
+        rate (a hook on the flow).  Returns nothing: *move* lands on its
+        ``then`` -- here already, if it has nothing to wait for."""
+        if move.nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         engine = self.session.engine
-        started = engine.now
-        latency = self.session.fabric.latency(src, dst)
+        move.started = engine.now
+        latency = self.session.fabric.latency(move.src, move.dst)
         if latency > 0:
-            yield engine.timeout(latency)
-        if nbytes > 0:
-            link = self.link(src, dst)
-            flow = link.transfer(nbytes)
-            try:
-                yield flow
-            except Interrupt:
-                # cancelled mid-flight: free the link for survivors
-                link.abort(flow)
-                raise
-            # A link flap fails the flow event itself: the exception (a
-            # TransferAborted from the injector) propagates to the caller.
-            if self.corruption_check is not None \
-                    and self.corruption_check(src, dst, nbytes):
-                self.corrupted_count += 1
-                raise TransferAborted(
-                    f"transfer {src}->{dst} arrived corrupt "
-                    f"({nbytes:.3g} bytes, checksum mismatch)")
-        self.bytes_moved += nbytes
-        record = TransferRecord(src=src, dst=dst, nbytes=float(nbytes),
-                                started=started, finished=engine.now, uid=uid)
-        self.records.append(record)
-        if self._obs_metrics is not None and nbytes > 0:
-            key = Fabric._key(src, dst)
-            self._obs_metrics.counter(
-                "transfer_link_bytes_total",
-                {"link": f"{key[0]}<->{key[1]}"}).inc(nbytes)
-        return record
+            move.wait = engine.call_later(latency, self._flow, move)
+        else:
+            self._flow(move)
+
+    def _flow(self, move: Transfer) -> None:
+        if move.nbytes > 0:
+            move.link = self.link(move.src, move.dst)
+            move.wait = Hook(move.link.transfer(move.nbytes), self._arrived,
+                             move)
+        else:
+            self._arrived(move, None)
+
+    def _arrived(self, move: Transfer, error: Optional[BaseException]) -> None:
+        # a link flap fails the flow itself: *error* is the injector's
+        # TransferAborted, and goes to the caller as it is
+        move.wait = None
+        src, dst, nbytes = move.src, move.dst, move.nbytes
+        if error is None and nbytes > 0 and self.corruption_check is not None \
+                and self.corruption_check(src, dst, nbytes):
+            self.corrupted_count += 1
+            error = TransferAborted(
+                f"transfer {src}->{dst} arrived corrupt "
+                f"({nbytes:.3g} bytes, checksum mismatch)")
+        if error is None:
+            self.bytes_moved += nbytes
+            self.records.append(TransferRecord(
+                src=src, dst=dst, nbytes=float(nbytes), started=move.started,
+                finished=self.session.engine.now, uid=move.uid))
+            if self._obs_metrics is not None and nbytes > 0:
+                key = Fabric._key(src, dst)
+                self._obs_metrics.counter(
+                    "transfer_link_bytes_total",
+                    {"link": f"{key[0]}<->{key[1]}"}).inc(nbytes)
+        move.then(move.arg, error)

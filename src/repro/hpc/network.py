@@ -214,8 +214,8 @@ class SharedLink:
         """Fail every active flow (a link flap); returns the victim count.
 
         ``make_exc(flow)`` builds the exception each flow's completion
-        event fails with -- waiters (transfer processes) observe it as a
-        raised error and surface it as ``TransferAborted`` to staging.
+        event fails with -- waiters (in-flight transfers) get it as their
+        error and surface it as ``TransferAborted`` to staging.
         Failed events are defused so an already-detached waiter cannot
         crash the engine.
         """
@@ -231,7 +231,7 @@ class SharedLink:
     def abort(self, done: Event) -> bool:
         """Withdraw the flow identified by its completion event.
 
-        Used when a staging process is cancelled mid-transfer: the flow
+        Used when a staging call is cancelled mid-transfer: the flow
         stops consuming link bandwidth immediately (survivors speed up) and
         its event never triggers.  Returns True if the flow was active.
         """

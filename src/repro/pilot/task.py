@@ -135,8 +135,8 @@ class Task(_StatefulEntity):
         self._obs_submitted_at: Optional[float] = None  # telemetry plane
         self.owner = None  # the TaskManager the task was submitted to
         self.phase: Optional[str] = None  # what it waits for (see above)
-        #: handle of that wait: ``Deferred`` (cancel), ``Routine``
-        #: (throw), or None while nothing is armed
+        #: handle of that wait, whatever withdraws it on ``cancel()``
+        #: (a ``Deferred``, ``Hook``, ``Staging`` or retry plan), or None
         self.wait: Any = None
         #: the pilot this attempt is bound to (in its live-bound load)
         self.pilot: Optional["Pilot"] = None

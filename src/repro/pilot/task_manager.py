@@ -10,9 +10,9 @@ that ended the previous wait.  No process, generator or private event per
 task: a plain executable task on an active pilot costs four kernel entries
 -- grant, launch, exec, ``task.completed`` -- plus one start landing per
 submitted batch or admitted chunk (README "task path": the owner table).
-Only a composite wait (the pilot, a staging fan-out, the recovery plan) is
-still a generator, run as a :class:`~repro.sim.events.Routine`: started
-from inside a handler, continued into :meth:`TaskManager._resumed`.
+Its own waits are landings too -- a hook on ``pilot.became_active``, a
+:class:`~repro.pilot.data_manager.Staging` fan-out, the retry plan's steps
+-- each held in ``Task.wait`` and withdrawn by its ``cancel()``.
 
 A windowed submission (``submit_tasks(window=)``) is a record too
 (:class:`_WindowFeed`): chunks that fit start inside ``submit_tasks``, the
@@ -50,9 +50,9 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
 
 from ..data.objects import object_id
 from ..resilience.failures import classify_failure, pilot_end_cause
-from ..sim.events import URGENT, Event, Interrupt, Routine
+from ..sim.events import URGENT, Event, Hook
 from ..utils.log import get_logger
-from .data_manager import DataManager
+from .data_manager import DataManager, Staging
 from .description import TaskDescription
 from .states import PilotState, TaskState
 from .task import (BINDING, RECOVERING, STAGE_IN, STAGE_OUT, STARTING, Pilot,
@@ -72,11 +72,6 @@ AFFINITY_LOAD_SLACK = 8
 #: phases in which the TaskManager itself holds the task; an error in one is
 #: reported under the phase's own name, anywhere else as "agent"
 _OURS = frozenset((STARTING, BINDING, STAGE_IN, STAGE_OUT, RECOVERING))
-
-
-def _until(event: Event):
-    """The smallest composite wait: one event."""
-    yield event
 
 
 class SubmissionWindow:
@@ -474,10 +469,13 @@ class TaskManager:
             task.pilot = pilot
             self._live_bound[pilot.uid] = \
                 self._live_bound.get(pilot.uid, 0) + 1
+            active = pilot.became_active
             if pilot.is_active:
                 self._bound(task)
+            elif active.processed:  # not active, and never will be again
+                self._resumed(task, None if active.ok else active.value)
             else:
-                self._wait_on(task, _until(pilot.became_active))
+                task.wait = Hook(active, self._resumed, task)
         except Exception as exc:  # captured on the task, not raised
             self._unwind(task, exc)
 
@@ -487,8 +485,7 @@ class TaskManager:
         if staging:
             task.phase = STAGE_IN
             task.advance(TaskState.TMGR_STAGING_INPUT, self.uid)
-            self._wait_on(task, self.data_manager.stage(
-                staging, task.pilot.platform.name, task.uid, "stage_in"))
+            self._stage(task, staging, "stage_in")
         else:
             task.pilot.agent.submit(task)
 
@@ -499,10 +496,32 @@ class TaskManager:
             # stage-out overlaps with successor tasks' scheduling and
             # execution instead of holding compute hostage to the fabric
             task.advance(TaskState.TMGR_STAGING_OUTPUT, self.uid)
-            self._wait_on(task, self.data_manager.stage(
-                staging, task.pilot.platform.name, task.uid, "stage_out"))
+            self._stage(task, staging, "stage_out")
         else:
             self._finish(task, TaskState.DONE)
+
+    def _stage(self, task: Task, directives, phase: str) -> None:
+        task.wait = staging = Staging(self._resumed, task)
+        self.data_manager.stage(directives, task.pilot.platform.name,
+                                task.uid, phase, staging)
+
+    def _resumed(self, task: Task, error: Optional[BaseException]) -> None:
+        """The pilot became active, or a staging call landed: on to the
+        next step -- or *error* (the pilot ended first, a directive
+        failed) ends the attempt."""
+        task.wait = None
+        phase = task.phase
+        try:
+            if error is not None:
+                self._attempt_over(task, error)
+            elif phase == BINDING:
+                self._bound(task)
+            elif phase == STAGE_IN:
+                task.pilot.agent.submit(task)
+            else:
+                self._finish(task, TaskState.DONE)
+        except Exception as exc:
+            self._unwind(task, exc)
 
     def _finish(self, task: Task, state: str) -> None:
         task.phase = None
@@ -517,35 +536,14 @@ class TaskManager:
             self._live_bound[task.pilot.uid] -= 1
             task.pilot = None
 
-    def _wait_on(self, task: Task, generator) -> None:
-        """Run a composite wait from inside this kernel entry."""
-        task.wait = wait = Routine(self.session.engine, generator,
-                                   self._resumed, task)
-        wait.start()
-
-    def _resumed(self, task: Task, ok: bool, value) -> None:
+    def _recovered(self, task: Task, granted: bool) -> None:
+        """The retry plan landed: a retry, or FAILED stands."""
         task.wait = None
-        phase = task.phase
-        try:
-            if phase == RECOVERING:
-                if ok and value:  # the plan granted a retry
-                    self._begin(task, retry=True)
-                    return
-                task.phase = None
-                task.seal()  # gave up, or cancelled / faulted again meanwhile
-                if not ok and not isinstance(value, Interrupt):
-                    raise value  # the plan itself crashed
-            elif not ok:  # thrown in by _unwind, or the wait's own error
-                self._attempt_over(task, value.cause
-                                   if isinstance(value, Interrupt) else value)
-            elif phase == BINDING:
-                self._bound(task)
-            elif phase == STAGE_IN:
-                task.pilot.agent.submit(task)
-            else:
-                self._finish(task, TaskState.DONE)
-        except Exception as exc:
-            self._unwind(task, exc)
+        if granted:
+            self._begin(task, retry=True)
+        else:
+            task.phase = None
+            task.seal()
 
     # -- the unwind table ---------------------------------------------------------------
     def _landed(self, flight: tuple) -> None:
@@ -560,9 +558,9 @@ class TaskManager:
 
         *cause* is the exception that fails it -- a fault from
         :meth:`fail_task`, or one that escaped a handler of any owner --
-        or, for a cancellation, a plain note.  A composite wait of ours
-        gets :class:`Interrupt` thrown in: the generator cleans up and its
-        exit ends the attempt in :meth:`_resumed`.  What the agent side
+        or, for a cancellation, a plain note.  A wait of ours is cancelled:
+        its hooks and timers are withdrawn, its transfers aborted; a retry
+        plan's withdrawal leaves the task FAILED.  What the agent side
         holds is undone by :meth:`Agent.evict`.
         """
         phase = task.phase
@@ -572,8 +570,9 @@ class TaskManager:
         if phase not in _OURS:
             task.pilot.agent.evict(task, wait)
         elif wait is not None:
-            wait.throw(Interrupt(cause))
-            return
+            wait.cancel()
+            if phase == RECOVERING:  # no retry after all: FAILED stands
+                return self._recovered(task, False)
         self._attempt_over(task, cause)
 
     def _attempt_over(self, task: Task, cause) -> None:
@@ -600,7 +599,8 @@ class TaskManager:
             task.seal()
         else:
             task.phase = RECOVERING
-            self._wait_on(task, plan)
+            task.wait = plan
+            plan.start()
 
     def _attempt_failed(self, task: Task, exc: BaseException, phase: str):
         """Record a structured failure reason for the live attempt."""

@@ -11,7 +11,7 @@ Three policies cover the failure modes of long-running hybrid campaigns:
   constants (:data:`RETRY_ORIGINS`, :data:`BACKOFF_FACTOR`,
   :data:`BACKOFF_JITTER_S`).
 * :class:`Checkpointer` -- state persisted as durable data objects (the
-  save pays a real transfer to the checkpoint home,
+  save pays an intra-platform copy at the checkpoint home,
   :data:`CHECKPOINT_HOME`, every :data:`CHECKPOINT_INTERVAL`-th iteration).
   User code saves through it once per round -- the resilience ablation's
   checkpoint/restart arm and ``examples/fault_tolerance.py`` do -- so a
@@ -37,7 +37,8 @@ from typing import (
     Tuple,
 )
 
-from ..sim.events import AnyOf
+from ..data.transfers import Transfer
+from ..sim.events import Event, Hook
 from ..utils.log import get_logger
 from .failures import FailureReason
 
@@ -149,9 +150,10 @@ class RecoveryEngine:
                     reason: Optional[FailureReason]):
         """Decide the fate of a failed task attempt.
 
-        Returns None (give up: the task stays FAILED) or a generator the
-        task driver runs; the generator yields through detection + backoff
-        + capacity gates and returns True to retry, False to give up.
+        Returns None (give up: the task stays FAILED) or a retry plan for
+        the TaskManager to hold and ``start()``.  Its steps -- the
+        detection gate, the backoff, the capacity gate -- are landings, and
+        the last lands on ``tmgr._recovered(task, granted)``.
         """
         policy = self.config.retry
         if policy is None or reason is None:
@@ -168,45 +170,68 @@ class RecoveryEngine:
             if isinstance(task.avoid_nodes, frozenset):
                 task.avoid_nodes = set(task.avoid_nodes)  # the first add
             task.avoid_nodes.add(reason.node_name)
-        return self._retry_plan(tmgr, task, reason, policy)
+        return _RetryPlan(self, tmgr, task, reason, policy)
 
-    def _retry_plan(self, tmgr: "TaskManager", task: "Task",
-                    reason: FailureReason, policy: RetryPolicy):
-        engine = self.session.engine
-        failed_at = engine.now
-        # 1. Detection gate: a lost pilot is only *observed* dead once its
-        #    heartbeat lease expires; acting earlier would be oracle
-        #    knowledge the real control plane does not have.
-        if reason.origin == "pilot" and reason.pilot_uid:
-            declared = self.services.monitor.declared(reason.pilot_uid)
+    def _detect(self, plan: "_RetryPlan") -> None:
+        """1. Detection gate: a lost pilot is only *observed* dead once its
+        heartbeat lease expires; acting earlier would be oracle knowledge
+        the real control plane does not have."""
+        plan.failed_at = self.session.engine.now
+        if plan.reason.origin == "pilot" and plan.reason.pilot_uid:
+            declared = self.services.monitor.declared(plan.reason.pilot_uid)
             if declared is not None and not declared.processed:
-                yield declared
-        # 2. Jittered exponential backoff.
-        delay = policy.backoff_base_s \
-            * BACKOFF_FACTOR ** (task.attempts - 1)
+                plan.wait = Hook(declared, self._backoff, plan)
+                return
+        self._backoff(plan)
+
+    def _backoff(self, plan: "_RetryPlan", _: Any = None) -> None:
+        """2. Jittered exponential backoff."""
+        delay = plan.policy.backoff_base_s \
+            * BACKOFF_FACTOR ** (plan.task.attempts - 1)
         if BACKOFF_JITTER_S > 0:
             delay += float(self._rng.uniform(0, BACKOFF_JITTER_S))
+        plan.deadline = None
         if delay > 0:
-            yield engine.timeout(delay)
-        # 3. Capacity gate: late re-binding needs a live pilot; wait for
-        #    one (e.g. a resubmission clearing the batch queue) up to the
-        #    policy's patience.
-        deadline = engine.now + policy.rebind_wait_s
-        while not self._has_capacity(tmgr):
-            remaining = deadline - engine.now
-            if remaining <= 0:
-                self.gave_up.append(task.uid)
-                log.warning("%s: no pilot capacity within %.0fs; giving up",
-                            task.uid, policy.rebind_wait_s)
-                return False
-            timer = engine.timeout(remaining)
-            yield AnyOf(engine, [tmgr.pilots_changed, timer])
-            if not timer.processed:
-                timer.cancel()
-        self.records.append(RecoveryRecord(
-            task_uid=task.uid, origin=reason.origin, failed_at=failed_at,
-            resumed_at=engine.now, attempt=reason.attempt))
-        return True
+            plan.wait = self.session.engine.call_later(delay, self._capacity,
+                                                       plan)
+        else:
+            self._capacity(plan)
+
+    def _capacity(self, plan: "_RetryPlan") -> None:
+        """3. Capacity gate: late re-binding needs a live pilot; wait for
+        one (e.g. a resubmission clearing the batch queue) up to the
+        policy's patience, counted from the first look."""
+        engine = self.session.engine
+        tmgr, task = plan.tmgr, plan.task
+        plan.wait = plan.timer = None
+        if plan.deadline is None:
+            plan.deadline = engine.now + plan.policy.rebind_wait_s
+        if self._has_capacity(tmgr):
+            self.records.append(RecoveryRecord(
+                task_uid=task.uid, origin=plan.reason.origin,
+                failed_at=plan.failed_at, resumed_at=engine.now,
+                attempt=plan.reason.attempt))
+            return tmgr._recovered(task, True)
+        remaining = plan.deadline - engine.now
+        if remaining <= 0:
+            self.gave_up.append(task.uid)
+            log.warning("%s: no pilot capacity within %.0fs; giving up",
+                        task.uid, plan.policy.rebind_wait_s)
+            return tmgr._recovered(task, False)
+        # whichever lands first withdraws the other, and the gate looks
+        # again one zero-delay entry later
+        plan.timer = engine.call_later(remaining, self._expired, plan)
+        plan.wait = Hook(tmgr.pilots_changed, self._changed, plan)
+
+    def _changed(self, plan: "_RetryPlan", _: Any) -> None:
+        plan.timer.cancel()
+        plan.timer = None
+        plan.wait = self.session.engine.call_later(0.0, self._capacity, plan)
+
+    def _expired(self, plan: "_RetryPlan") -> None:
+        plan.timer = None  # it fired: the engine may hand it out again
+        plan.wait.cancel()
+        plan.wait = self.session.engine.call_later(0.0, self._capacity, plan)
 
     def _has_capacity(self, tmgr: "TaskManager") -> bool:
         from ..pilot.states import PilotState
@@ -250,15 +275,51 @@ class RecoveryEngine:
         return [r.latency_s for r in self.records]
 
 
+class _RetryPlan:
+    """A granted retry in progress, the record its steps land with:
+    ``wait`` is the hook or timer armed now (in the capacity gate, next to
+    the deadline ``timer``), and :meth:`cancel` withdraws them."""
+
+    __slots__ = ("recovery", "tmgr", "task", "reason", "policy",
+                 "failed_at", "deadline", "wait", "timer")
+
+    def __init__(self, recovery: RecoveryEngine, tmgr: "TaskManager",
+                 task: "Task", reason: FailureReason,
+                 policy: RetryPolicy) -> None:
+        self.recovery, self.tmgr, self.task = recovery, tmgr, task
+        self.reason, self.policy = reason, policy
+        self.failed_at = 0.0
+        self.deadline: Optional[float] = None
+        self.wait = self.timer = None
+
+    def start(self) -> None:
+        self.recovery._detect(self)
+
+    def cancel(self) -> None:
+        for armed in (self.wait, self.timer):
+            if armed is not None:
+                armed.cancel()
+        self.wait = self.timer = None
+
+
+def _settle(event: Event, error: Optional[BaseException]) -> None:
+    """A transfer's landing resolving *event*; a failure is its waiter's."""
+    if error is None:
+        event.succeed()
+    else:
+        event.fail(error).defuse()
+
+
 class Checkpointer:
     """Per-iteration checkpoints as durable, content-addressed objects.
 
-    ``save`` is a simulation (sub)process: the serialized state crosses the
-    fabric to the checkpoint home (sharing links with live staging -- a
-    checkpoint is not free) before the object is registered durable and
-    the in-memory payload committed.  The backing *store* survives the
-    session when the caller provides one, which is what lets a restarted
-    campaign resume from its predecessor's last checkpoint.
+    ``save`` is a process body: the serialized state is copied within the
+    checkpoint home (:data:`CHECKPOINT_HOME` to itself, on its 25 GB/s
+    local route; a checkpoint is not free) before the object is registered
+    durable and the in-memory payload committed.  The copy shares no link
+    with the staging of tasks on other platforms.  The backing *store*
+    survives the session when the caller provides one, which is what lets a
+    restarted campaign resume from its predecessor's last checkpoint.
     """
 
     def __init__(self, session,
@@ -278,8 +339,14 @@ class Checkpointer:
         nbytes = CHECKPOINT_BYTES if nbytes is None else nbytes
         home = CHECKPOINT_HOME
         if nbytes > 0:
-            yield from self.session.data.transfers.transfer(
-                home, home, nbytes, uid=f"ckpt.{key}.{iteration}")
+            copied = self.session.engine.event()
+            move = Transfer(home, home, nbytes, f"ckpt.{key}.{iteration}",
+                            _settle, copied)
+            self.session.data.transfers.transfer(move)
+            try:
+                yield copied
+            finally:
+                move.cancel()  # an abandoned save frees the link
         obj = self.session.data.intern(f"ckpt/{key}/{iteration}", nbytes or 0)
         self.session.data.register_durable(obj.oid, home)
         self._store[key] = (iteration, payload)

@@ -6,7 +6,7 @@ occurrence with a value; a :class:`Process` wraps a generator that *yields*
 events and is resumed when they trigger; :class:`Condition` composes events
 (:func:`AllOf` / :func:`AnyOf`).  A runtime wait is a timer or a callback,
 not a process: a :class:`Deferred` is one call at a time, a :class:`Ticker`
-one re-armed by its own handler, a wait on one event a callback on it.
+one re-armed by its own handler, a wait on one event a :class:`Hook` on it.
 
 Events move through three phases:
 
@@ -26,6 +26,7 @@ __all__ = [
     "PENDING",
     "Event",
     "Deferred",
+    "Hook",
     "Ticker",
     "Timeout",
     "Process",
@@ -171,6 +172,31 @@ class Deferred:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "cancelled" if self._cancelled else "armed"
         return f"<Deferred {state} at {id(self):#x}>"
+
+
+class Hook:
+    """A callback on an event someone else triggers, that its owner may
+    withdraw: ``fn(arg, error)`` runs when *event* is processed -- *error*
+    None if it succeeded, else what it failed with -- unless :meth:`cancel`
+    came first.  *event* must not be processed yet.
+    """
+
+    __slots__ = ("event", "fn", "arg")
+
+    def __init__(self, event: Event, fn: Callable[[Any, Any], None],
+                 arg: Any) -> None:
+        self.event, self.fn, self.arg = event, fn, arg
+        event.callbacks.append(self._fire)
+
+    def _fire(self, event: Event) -> None:
+        self.fn(self.arg, None if event._ok else event._value)
+
+    def cancel(self) -> None:
+        """Take the callback off its event.  An event processed without
+        running it (an earlier callback raised) has nothing left to take."""
+        callbacks = self.event.callbacks
+        if callbacks is not None:
+            callbacks.remove(self._fire)
 
 
 #: a Ticker's timer while its start entry is pending or its handler runs:

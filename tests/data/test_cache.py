@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.data import DataConfig, DataObject, DataServices
 from repro.pilot import DataManager, Session, StagingDirective
+from repro.pilot.data_manager import Staging
 
 
 def obj(name: str, size: float) -> DataObject:
@@ -144,8 +145,11 @@ class TestWipe:
 
             def stage(name, uid):
                 directive = StagingDirective(source=name, size_bytes=size)
-                session.run(until=session.engine.process(
-                    dmgr.stage([directive], "delta", uid, "stage_in")))
+                landed = session.engine.event()
+                dmgr.stage([directive], "delta", uid, "stage_in",
+                           Staging(lambda event, error: event.fail(error)
+                                   if error else event.succeed(), landed))
+                session.run(until=landed)
                 return data.intern(name, size).oid
 
             staged = [stage(name, f"task.{name}") for name in "abc"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.data.transfers import Transfer
 from repro.hpc import SharedLink
 from repro.pilot import Session
 from repro.sim import SimulationEngine
@@ -10,6 +11,22 @@ from repro.sim import SimulationEngine
 @pytest.fixture
 def engine():
     return SimulationEngine()
+
+
+def moved(session, src, dst, nbytes, uid=""):
+    """Start one transfer: an event its landing resolves with the record
+    (or fails with the error)."""
+    ts = session.data.transfers
+
+    def land(event, error):
+        if error is None:
+            event.succeed(ts.records[-1])
+        else:
+            event.fail(error)
+
+    landed = session.engine.event()
+    ts.transfer(Transfer(src, dst, nbytes, uid, land, landed))
+    return landed
 
 
 class TestSharedLink:
@@ -107,9 +124,8 @@ class TestTransferScheduler:
 
     def test_transfer_moves_bytes_and_records(self, session):
         ts = session.data.transfers
-        proc = session.engine.process(
-            ts.transfer("localhost", "delta", 1e9, uid="t1"))
-        record = session.run(until=proc)
+        record = session.run(until=moved(session, "localhost", "delta", 1e9,
+                                         uid="t1"))
         assert record.nbytes == 1e9
         assert record.duration == pytest.approx(session.now)
         assert ts.bytes_moved == pytest.approx(1e9)
@@ -124,19 +140,15 @@ class TestTransferScheduler:
 
     def test_concurrent_same_link_contend(self, session):
         ts = session.data.transfers
-        procs = [session.engine.process(
-            ts.transfer("localhost", "delta", 1e9)) for _ in range(3)]
-        session.run(until=session.engine.all_of(procs))
+        moves = [moved(session, "localhost", "delta", 1e9) for _ in range(3)]
+        session.run(until=session.engine.all_of(moves))
         # ~3 s serialisation on the shared 1 GB/s WAN link (not ~1 s)
         assert session.now > 2.9
 
     def test_concurrent_distinct_links_overlap(self, session):
-        ts = session.data.transfers
-        procs = [
-            session.engine.process(ts.transfer("localhost", "delta", 1e9)),
-            session.engine.process(ts.transfer("localhost", "frontier", 1e9)),
-        ]
-        session.run(until=session.engine.all_of(procs))
+        moves = [moved(session, "localhost", "delta", 1e9),
+                 moved(session, "localhost", "frontier", 1e9)]
+        session.run(until=session.engine.all_of(moves))
         # different links: both finish in ~1 s, not 2 s
         assert session.now < 1.5
 
@@ -151,6 +163,24 @@ class TestTransferScheduler:
             expected = ref.fabric.latency("localhost", "delta")
         assert session.fabric.latency("localhost", "delta") == expected
 
+    @pytest.mark.parametrize("after", [1e-5, 0.5])  # in latency, mid-flow
+    def test_a_cancelled_transfer_never_lands_and_frees_its_link(
+            self, session, after):
+        ts = session.data.transfers
+        landed = []
+        move = Transfer("localhost", "delta", 1e9, "t1",
+                        lambda *args: landed.append(args), None)
+        ts.transfer(move)
+        survivor = moved(session, "localhost", "delta", 1e9)
+        session.run(until=after)
+        move.cancel()
+        session.run(until=survivor)
+        assert ts.link("localhost", "delta").active_flows == 0
+        assert session.now < 1.5        # the survivor had the link alone
+        session.run()
+        assert landed == [] and ts.records == [survivor.value]
+        assert session.now == survivor.value.finished  # no timer left
+
     def test_negative_bytes_rejected(self, session):
         with pytest.raises(ValueError):
-            list(session.data.transfers.transfer("localhost", "delta", -1))
+            moved(session, "localhost", "delta", -1)

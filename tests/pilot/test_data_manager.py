@@ -1,9 +1,18 @@
 """Tests for the DataManager staging model (over the data subsystem)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.pilot import DataManager, Session, StagingDirective, TaskDescription
+from repro.pilot.data_manager import Staging
 from repro.utils.config import ConfigError
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture
@@ -17,14 +26,24 @@ def dmgr(session):
     return DataManager(session)
 
 
-def run_stage(session, dmgr, directives, platform="delta", uid="task.x",
-              phase="stage_in"):
-    def run():
-        count = yield from dmgr.stage(directives, platform, uid, phase)
-        return count
+def _land(event, error):
+    if error is None:
+        event.succeed()
+    else:
+        event.fail(error)
 
-    proc = session.engine.process(run())
-    return session.run(until=proc)
+
+def staged(session, dmgr, directives, platform="delta", uid="task.x",
+           phase="stage_in"):
+    """Start one staging call: an event its landing succeeds, or fails with
+    the error it lands with."""
+    landed = session.engine.event()
+    dmgr.stage(directives, platform, uid, phase, Staging(_land, landed))
+    return landed
+
+
+def run_stage(session, dmgr, directives, **kwargs):
+    session.run(until=staged(session, dmgr, directives, **kwargs))
 
 
 class TestStageDurations:
@@ -33,7 +52,7 @@ class TestStageDurations:
 
     def test_link_is_free(self, session, dmgr):
         directive = StagingDirective(action="link", source="a", target="b")
-        assert run_stage(session, dmgr, [directive]) == 1
+        run_stage(session, dmgr, [directive])
         assert session.now == 0.0
         assert dmgr.bytes_transferred == 0.0
 
@@ -66,8 +85,7 @@ class TestStagingProcess:
         directives = [
             StagingDirective(source=f"f{i}", target=f"g{i}",
                              size_bytes=int(1e9)) for i in range(3)]
-        count = run_stage(session, dmgr, directives)
-        assert count == 3
+        run_stage(session, dmgr, directives)
         # concurrent, but fair-shared on one WAN link: still ~3 s of wire time
         assert session.now > 2.5
         assert dmgr.bytes_transferred == pytest.approx(3e9)
@@ -81,8 +99,10 @@ class TestStagingProcess:
         assert duration is not None and duration >= 0
 
     def test_empty_directives_instant(self, session, dmgr):
-        assert run_stage(session, dmgr, [], uid="task.z") == 0
+        run_stage(session, dmgr, [], uid="task.z")
         assert session.now == 0.0
+        assert session.profiler.duration("task.z", "stage_in_start",
+                                         "stage_in_stop") == 0.0
 
     def test_zero_byte_transfer_costs_latency_only(self, session, dmgr):
         directives = [StagingDirective(source="empty.flag", target="f",
@@ -105,14 +125,20 @@ class TestStagingProcess:
         child happened to fail first in time."""
         settled = []
 
-        def perform(directive, task_platform, phase, owner_uid=""):
-            if directive.source == "slow":   # index 0: fails late
-                yield session.engine.timeout(5.0)
-            settled.append((directive.source, session.now))
-            if directive.source != "fine":
-                raise OSError(f"{directive.source} failed")
+        def resolve(move):
+            name = move.directive.source
 
-        monkeypatch.setattr(dmgr, "_perform", perform)
+            def settle(_):
+                settled.append((name, session.now))
+                dmgr._settle(move.staging, move.index, None if name == "fine"
+                             else OSError(f"{name} failed"))
+
+            if name == "slow":   # index 0: fails late
+                move.wait = session.engine.call_later(5.0, settle)
+            else:
+                settle(None)
+
+        monkeypatch.setattr(dmgr, "_resolve", resolve)
         directives = [StagingDirective(source=name, size_bytes=10)
                       for name in ("slow", "fine", "fast")]
         with pytest.raises(OSError, match="slow failed"):
@@ -131,8 +157,7 @@ class TestLinkAccounting:
             StagingDirective(action="transfer", source="c", target="d",
                              size_bytes=int(1e9)),
         ]
-        count = run_stage(session, dmgr, directives)
-        assert count == 2
+        run_stage(session, dmgr, directives)
         assert dmgr.bytes_transferred == pytest.approx(1e9)
         assert dmgr.links_total == 1
 
@@ -173,13 +198,9 @@ class TestCacheAndDedup:
         """Two tasks staging the same object to one platform at the same
         time coalesce into a single transfer."""
         directive = StagingDirective(source="dataset", size_bytes=int(1e9))
-
-        def staging(uid):
-            yield from dmgr.stage([directive], "delta", uid, "stage_in")
-
-        procs = [session.engine.process(staging(f"task.{i}"))
+        calls = [staged(session, dmgr, [directive], uid=f"task.{i}")
                  for i in range(3)]
-        session.run(until=session.engine.all_of(procs))
+        session.run(until=session.engine.all_of(calls))
         assert dmgr.cache_misses == 1
         assert dmgr.dedup_hits == 2
         assert dmgr.bytes_transferred == pytest.approx(1e9)
@@ -192,13 +213,9 @@ class TestCacheAndDedup:
             dmgr = DataManager(s)
             directive = StagingDirective(source="dataset",
                                          size_bytes=int(1e9))
-
-            def staging(uid):
-                yield from dmgr.stage([directive], "delta", uid, "stage_in")
-
-            procs = [s.engine.process(staging(f"task.{i}"))
+            calls = [staged(s, dmgr, [directive], uid=f"task.{i}")
                      for i in range(2)]
-            s.run(until=s.engine.all_of(procs))
+            s.run(until=s.engine.all_of(calls))
             assert dmgr.cache_misses == 2
             assert dmgr.bytes_transferred == pytest.approx(2e9)
 
@@ -220,13 +237,9 @@ class TestCacheAndDedup:
         a = DataManager(session)
         b = DataManager(session)
         directive = StagingDirective(source="dataset", size_bytes=int(1e9))
-        procs = [
-            session.engine.process(
-                a.stage([directive], "delta", "task.a", "stage_in")),
-            session.engine.process(
-                b.stage([directive], "delta", "task.b", "stage_in")),
-        ]
-        session.run(until=session.engine.all_of(procs))
+        calls = [staged(session, a, [directive], uid="task.a"),
+                 staged(session, b, [directive], uid="task.b")]
+        session.run(until=session.engine.all_of(calls))
         assert a.bytes_transferred + b.bytes_transferred == \
             pytest.approx(1e9)
         assert a.dedup_hits + b.dedup_hits == 1
@@ -279,6 +292,30 @@ class TestDeterminism:
                 return s.now, tuple(dmgr.transfer_wait_s)
 
         assert run_once() == run_once()
+
+    def test_links_come_into_being_in_the_same_order_whatever_the_hash(
+            self):
+        """Choosing among three holders creates their links: in an order
+        that string hashing (``PYTHONHASHSEED``) must not decide."""
+        script = textwrap.dedent("""
+            from repro.pilot import DataManager, Session, StagingDirective
+            from repro.pilot.data_manager import Staging
+            with Session(seed=4) as s:
+                dmgr = DataManager(s)
+                d = StagingDirective(source="dataset", size_bytes=int(1e9))
+                for platform in ("delta", "frontier", "r3"):
+                    landed = s.engine.event()
+                    dmgr.stage([d], platform, "task." + platform, "stage_in",
+                               Staging(lambda e, error: e.succeed(), landed))
+                    s.run(until=landed)
+                print(list(s.data.transfers.links()))
+            """)
+        orders = {subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env=dict(os.environ, PYTHONHASHSEED=str(seed),
+                                 PYTHONPATH=SRC)).stdout
+            for seed in range(4)}
+        assert len(orders) == 1, orders
 
     def test_fabric_transfer_time_stream_deterministic(self):
         draws = []

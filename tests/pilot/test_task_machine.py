@@ -1,8 +1,9 @@
 """The task path under composed disturbance: a stateful machine at the
 ``Session`` API.
 
-The session may carry a node fault model (the injector crashes, degrades
-and repairs nodes on its own clock) and the metrics plane.  Rules submit
+The session may carry a fault model (the injector crashes, degrades and
+repairs nodes on its own clock, flaps busy fabric links and corrupts
+arriving transfers) and the metrics plane.  Rules submit
 tasks every way ``submit_tasks`` allows -- two batches through one shared
 ``SubmissionWindow`` included -- cancel them, fault them, crash and repair
 nodes, register an observer that raises once, and move the clock; after
@@ -10,7 +11,8 @@ every rule no completed task may hold anything and no window may be over
 capacity.  The teardown ends the pilot, which must take its fault records
 with it, then quiesces: after that nothing may be left anywhere -- no slot,
 no window slot, no feed queued at a window, no live daemon, no event on the
-queue -- and the sampler's last sample is the quiesce-time one.  Only
+queue, no flow on a link, no transfer in flight -- and the sampler's last
+sample is the quiesce-time one.  Only
 public surface is used (plus ``TaskManager._live_load``), so the machine
 runs unchanged against any implementation of the path.
 """
@@ -60,7 +62,9 @@ picks = st.integers(min_value=0, max_value=63)
 node_faults = st.one_of(st.none(), st.builds(
     FaultModel, node_mtbf_s=st.sampled_from([60.0, 400.0, 3000.0]),
     node_mttr_s=st.sampled_from([0.0, 30.0, 300.0]),
-    degraded_fraction=st.sampled_from([0.0, 0.5])))
+    degraded_fraction=st.sampled_from([0.0, 0.5]),
+    transfer_corrupt_prob=st.sampled_from([0.0, 0.3]),
+    link_flap_mtbf_s=st.sampled_from([0.0, 20.0, 300.0])))
 sample_intervals = st.one_of(st.none(), st.sampled_from([5.0, 60.0]))
 
 
@@ -152,6 +156,10 @@ class TaskPathMachine(RuleBasedStateMachine):
             assert session.observability.metrics.sample_times[-1] \
                 == quiesced_at
         assert session.engine.is_idle()
+        assert [link.active_flows for link in
+                session.data.transfers.links().values()
+                if link.active_flows] == []
+        assert session.data.inflight == {}
         assert self.surfaced == self.raised
         for task in self.tasks:
             assert self.fired.get(task.uid) == 1, (task, self.fired)
@@ -299,6 +307,22 @@ class TaskPathMachine(RuleBasedStateMachine):
                 assert task.state in TaskState.FINAL, task
                 assert task.slots == [], task
                 assert task.uid not in held, task
+
+    @invariant()
+    def flows_and_transfers_in_flight_belong_to_staging_tasks(self):
+        """Each directive of a task in a staging state moves at most one
+        flow and registers at most one in-flight transfer; a cancelled or
+        failed staging call took its own off the links and the table."""
+        if not hasattr(self, "session"):
+            return
+        directives = sum(
+            len(t.description.input_staging)
+            + len(t.description.output_staging) for t in self.tasks
+            if t.state in (TaskState.TMGR_STAGING_INPUT,
+                           TaskState.TMGR_STAGING_OUTPUT))
+        links = self.session.data.transfers.links().values()
+        assert sum(link.active_flows for link in links) <= directives
+        assert len(self.session.data.inflight) <= directives
 
     @invariant()
     def shared_windows_stay_within_capacity(self):

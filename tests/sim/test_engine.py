@@ -12,7 +12,7 @@ from repro.sim import (
     Interrupt,
     SimulationEngine,
 )
-from repro.sim.events import Routine, Ticker
+from repro.sim.events import Hook, Routine, Ticker
 
 
 @pytest.fixture
@@ -409,6 +409,29 @@ def valued(engine, delay, value):
     event = engine.event()
     engine.call_later(delay, event.succeed, value)
     return event
+
+
+class TestHook:
+    def test_hands_the_outcome_to_its_callback(self, engine):
+        ok, failed = engine.event(), engine.event()
+        seen = []
+        Hook(ok, lambda arg, error: seen.append((arg, error)), "a")
+        Hook(failed, lambda arg, error: seen.append((arg, error)), "b")
+        ok.succeed(42)
+        boom = ValueError("boom")
+        failed.fail(boom).defuse()
+        engine.run()
+        assert seen == [("a", None), ("b", boom)]
+
+    def test_a_cancelled_hook_never_runs_and_the_others_do(self, engine):
+        event = engine.event()
+        seen = []
+        first = Hook(event, lambda arg, error: seen.append(arg), 1)
+        Hook(event, lambda arg, error: seen.append(arg), 2)
+        first.cancel()
+        event.succeed()
+        engine.run()
+        assert seen == [2]
 
 
 class TestConditions:

@@ -62,8 +62,9 @@ _HOSTS = "set through src/repro/serving/hosts.py:135 (create_host builds " \
 ALLOWED = {
     **{("FaultModel", name): (
         "an adversary mode of the fault injector: the task-path state "
-        "machine draws node degrades, and the composed-fault machine for "
-        "the service and data planes is to drive the rest")
+        "machine draws node degrades, link flaps and corrupt transfers, "
+        "and the composed-fault machine for the service and data planes "
+        "is to drive the rest")
        for name in FAULT_MODES},
     # records: built field by field by their producers (to_dict/from_dict,
     # the bus, the registry, the attribution engine)

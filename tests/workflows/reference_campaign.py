@@ -1,26 +1,31 @@
 """The process-per-entity campaign / data path, kept as the test oracle.
 
 Lifted from the commit before campaign nodes, windowed starts and staged
-directives became records (PR 22): one ``_run_node`` process per node with a
+directives became records: one ``_run_node`` process per node with a
 ``done`` event each, one ``_feed_window`` process per windowed
 ``submit_tasks`` call blocking in the generator ``SubmissionWindow.acquire``,
-and one ``_stage_one`` process per staging directive joined by ``AllOf``.
-The equivalence property in ``tests/test_properties.py`` runs one drawn
+and one ``_stage_one`` process per staging directive joined by ``AllOf`` --
+each directive the generator it was before staging became landings (a ride
+is a ``yield`` on the in-flight event, a move a ``yield`` on an event the
+transfer's landing resolves), the call itself a ``Routine``.  The
+equivalence property in ``tests/test_properties.py`` runs one drawn
 campaign through :func:`reference_stack` and through the shipped classes and
 demands the same outcome, row for row.
 
-Everything *below* these three drivers (task path, agent, executor, data
-services, fabric, engine) is the shipped code on both sides.
+Everything *below* these drivers (task path, agent, executor, data
+services, transfers, fabric, engine) is the shipped code on both sides.
+The reference directives keep no metrics and open no transfer spans.
 """
 
 from collections import deque
 from typing import Any, Dict, List
 
+from repro.data.transfers import Transfer, TransferAborted
 from repro.pilot.data_manager import DataManager
 from repro.pilot.description import TaskDescription
 from repro.pilot.task import Task
 from repro.pilot.task_manager import TaskManager
-from repro.sim.events import Interrupt
+from repro.sim.events import Interrupt, Routine
 from repro.workflows.campaign import (
     CampaignGraph,
     CampaignRunner,
@@ -64,10 +69,34 @@ class ReferenceWindow:
             event.succeed(None)
 
 
+def _land(event, error):
+    """A transfer's landing resolving *event* (a failure is the waiter's)."""
+    if error is None:
+        event.succeed()
+    else:
+        event.fail(error).defuse()
+
+
 class ReferenceDataManager(DataManager):
     """``stage`` as a fan-out of one child process per directive."""
 
-    def stage(self, directives, task_platform: str, uid: str, phase: str):
+    def stage(self, directives, task_platform, uid, phase, staging):
+        staging.manager = self
+        driver = self._drivers[staging] = Routine(
+            self.session.engine,
+            self._fan_out(directives, task_platform, uid, phase),
+            self._driven, staging)
+        driver.start()
+
+    def _driven(self, staging, ok, value):
+        del self._drivers[staging]
+        if ok or not isinstance(value, Interrupt):  # else: cancelled
+            staging.then(staging.arg, None if ok else value)
+
+    def _withdraw(self, staging):
+        self._drivers[staging].throw(Interrupt("cancelled"))
+
+    def _fan_out(self, directives, task_platform: str, uid: str, phase: str):
         engine = self.session.engine
         profiler = self.session.profiler
         directives = list(directives)
@@ -93,11 +122,73 @@ class ReferenceDataManager(DataManager):
     def _stage_one(self, directive, task_platform: str, phase: str,
                    owner_uid: str = ""):
         try:
-            yield from self._perform(directive, task_platform, phase,
-                                     owner_uid)
+            yield from self._perform(directive, task_platform, phase)
             return None
         except BaseException as exc:
             return exc
+
+    def _perform(self, directive, task_platform: str, phase: str):
+        """Resolve one directive: free link, warm hit, dedup wait or move."""
+        data = self.data
+        if directive.action == "link":
+            self.links_total += 1
+            return
+        src, dst = self._endpoints(directive, task_platform, phase)
+        obj = data.intern(directive.source or directive.target,
+                          directive.size_bytes)
+        if phase != "stage_out":
+            while True:
+                if data.holds(dst, obj.oid):  # warm replica: free
+                    data.touch(dst, obj.oid)
+                    self.cache_hits += 1
+                    self.bytes_saved += obj.size_bytes
+                    return
+                pending = data.inflight.get((obj.oid, dst))
+                if pending is None or not data.config.dedup_inflight:
+                    break
+                try:
+                    yield pending  # ride the in-flight transfer
+                except TransferAborted:
+                    continue  # the owner was cancelled: try again ourselves
+                self.dedup_hits += 1
+                self.bytes_saved += obj.size_bytes
+                return
+        key = (obj.oid, dst) if phase != "stage_out" else None
+        done = self.session.engine.event()
+        if key is not None:
+            data.inflight[key] = done
+        try:
+            self.cache_misses += 1
+            source = self._best_source(src, dst, obj)
+            landed = self.session.engine.event()
+            move = Transfer(source, dst, obj.size_bytes, self.uid, _land,
+                            landed)
+            data.transfers.transfer(move)
+            try:
+                yield landed
+            except Interrupt:
+                move.cancel()  # free the link for survivors
+                raise
+            self.bytes_transferred += obj.size_bytes
+            self.transfer_wait_s.append(self.session.engine.now
+                                        - move.started)
+            self._register(obj, src, dst, directive.action, phase)
+            done.succeed()
+        except Interrupt as exc:
+            # riders must not inherit our cancellation: hand them a typed
+            # abort so they retry the transfer themselves
+            if not done.triggered:
+                done.fail(TransferAborted(str(exc.cause or "cancelled")))
+                done.defuse()
+            raise
+        except BaseException as exc:
+            if not done.triggered:
+                done.fail(exc)
+                done.defuse()
+            raise
+        finally:
+            if key is not None and data.inflight.get(key) is done:
+                data.inflight.pop(key, None)
 
 
 class ReferenceTaskManager(TaskManager):
@@ -107,6 +198,7 @@ class ReferenceTaskManager(TaskManager):
         super().__init__(session, *args, **kwargs)
         # same object, same ``dmgr`` uid: only the staging driver differs
         self.data_manager.__class__ = ReferenceDataManager
+        self.data_manager._drivers = {}  # Staging -> the Routine driving it
 
     def submit_tasks(self, descriptions, chunk_size=None, window=None,
                      on_complete=None) -> List[Task]:

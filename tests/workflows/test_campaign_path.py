@@ -15,10 +15,11 @@ launch landing (a-i released b-i)      1        CampaignRunner._launch
 ====================================  =======  ==========================
 
 and no ``Process``, no ``Condition`` and no ``Routine`` at all.  A ``run=``
-node is one ``Routine`` (plus whatever its generator waits for); a warm
-stage-in adds nothing; a cold one adds the transfer's own four entries
-(latency timer, link timer, flow completion, in-flight event) and one join
-event.
+node is one ``Routine`` (plus whatever its generator waits for).  A staged
+task adds no ``Routine`` either: a warm stage-in adds nothing; a cold one
+adds the transfer's own four entries (latency timer, link timer, flow
+completion, in-flight event) and the one join landing of its
+``Staging``.
 """
 
 from collections import Counter
@@ -118,18 +119,17 @@ def test_a_run_node_is_one_routine(monkeypatch):
     assert made["entries"] == (2 * 4 + 2 + 1) + 1 + 1
 
 
-@pytest.mark.parametrize("inputs, entries, routines", [
-    # stage() and the directive run to their end inside the start landing
-    ("warm", 0, 2),
+@pytest.mark.parametrize("inputs, entries", [
+    # stage() settles the directive inside the start landing
+    ("warm", 0),
     # latency timer, link timer, flow completion, the in-flight (dedup)
-    # event -- the transfer's own -- and the join that resumes stage()
-    ("cold", 5, 2),
+    # event -- the transfer's own -- and the join landing of the call
+    ("cold", 5),
 ])
 def test_a_staged_directive_costs_only_what_it_waits_for(
-        monkeypatch, inputs, entries, routines):
+        monkeypatch, inputs, entries):
     plain = per_chain(monkeypatch, window=1)
     staged = per_chain(monkeypatch, window=1, inputs=inputs)
     assert staged.get("Process", 0) == staged.get("Condition", 0) == 0
-    # per task: stage() itself and its one directive
-    assert staged["Routine"] == 2 * routines
+    assert staged.get("Routine", 0) == 0     # a staged task runs none
     assert staged["entries"] - plain["entries"] == 2 * entries
