@@ -6,11 +6,11 @@ executable tasks onto one active pilot, ``session.run(until=wait_tasks)``
 -- and prints the kernel's own budget per task (entries made and generator
 resumes, read off ``engine.entries`` / ``engine.resumes``), the memory
 budget (traced heap bytes per default description, per finished task
-with the session still open, from a second, untimed run under
-tracemalloc, per task when a traced run is read, and per request a
-service client keeps) and the top functions by cumulative and internal
-time.  That
-is the path ``benchmarks/e2e`` measures as ``task_bag``, so what shows up
+with the session still open -- submitted plain and with an
+``on_complete`` observer, as the benchmark's bags are -- from untimed
+runs under tracemalloc, per task when a traced run is read, and per
+request a service client keeps) and the top functions by cumulative and
+internal time.  That is the path ``benchmarks/e2e`` measures as ``task_bag``, so what shows up
 here is what a user pays per task: description reads, state transitions,
 profile rows, the event kernel, the agent scheduler.  A loop that drives
 ``AgentScheduler`` directly hides the first three; that loop is profiled
@@ -141,11 +141,13 @@ def request_bytes(n_clients: int = 4, n_services: int = 2,
         return held / n
 
 
-def submit_drain(n_tasks: int, n_nodes: int, track_memory: bool = False):
+def submit_drain(n_tasks: int, n_nodes: int, track_memory: bool = False,
+                 on_complete=None):
     """The profiled workload; returns sustained tasks/sec, the kernel
     entries and generator resumes per task from submission to drain, and
     with *track_memory* the traced heap bytes each finished task still
-    holds (else None; tracemalloc slows the run, so never time that one)."""
+    holds (else None; tracemalloc slows the run, so never time that one).
+    *on_complete* is handed to ``submit_tasks``."""
     with Session(seed=0) as session:
         pilot, tmgr = active_pilot(session, n_nodes)
         engine = session.engine
@@ -154,7 +156,8 @@ def submit_drain(n_tasks: int, n_nodes: int, track_memory: bool = False):
             gc.collect()
             tracemalloc.start()
         t0 = time.perf_counter()
-        tasks = tmgr.submit_tasks(mixed_bag(n_tasks))
+        tasks = tmgr.submit_tasks(mixed_bag(n_tasks),
+                                  on_complete=on_complete)
         session.run(until=tmgr.wait_tasks(tasks))
         elapsed = time.perf_counter() - t0
         held = None
@@ -166,6 +169,15 @@ def submit_drain(n_tasks: int, n_nodes: int, track_memory: bool = False):
         assert scheduler.queue_length == 0 and not scheduler.held_tasks
         return (n_tasks / elapsed, (engine.entries - entries) / n_tasks,
                 (engine.resumes - resumes) / n_tasks, held)
+
+
+def task_bytes(n_tasks: int = 2_000, n_nodes: int = 16,
+               on_complete=None) -> float:
+    """Traced heap bytes each of *n_tasks* finished tasks still holds, the
+    session open: its record, description, profile records and completion
+    event.  The benchmark's bags pass an *on_complete* observer."""
+    return submit_drain(n_tasks, n_nodes, track_memory=True,
+                        on_complete=on_complete)[3]
 
 
 def main(argv) -> int:
@@ -181,13 +193,15 @@ def main(argv) -> int:
     profiler.enable()
     rate, entries, resumes, _ = submit_drain(n_tasks, n_nodes)
     profiler.disable()
-    held = submit_drain(n_tasks, n_nodes, track_memory=True)[3]
+    held = task_bytes(n_tasks, n_nodes)
+    observed = task_bytes(n_tasks, n_nodes, on_complete=lambda task: None)
 
     print(f"{n_tasks} tasks / {n_nodes} nodes: {rate:.0f} tasks/s")
     print(f"kernel budget per task: {entries:.4f} entries, "
           f"{resumes:.4f} resumes")
     print(f"memory budget: {description_bytes():.0f} B per description, "
-          f"{held:.0f} B per finished task, {read_bytes():.0f} B per task "
+          f"{held:.0f} B per finished task ({observed:.0f} B submitted with "
+          f"on_complete), {read_bytes():.0f} B per task "
           f"read (5,000 tasks, 16 nodes, telemetry on), "
           f"{request_bytes():.0f} B per request a client keeps (4 clients x "
           f"1,000 noop requests)")

@@ -37,6 +37,11 @@ from:
    under a ceiling: every task of a bag starts as one, and they are the
    largest live item at a task bag's peak.
 
+5. **bytes per finished task** -- the traced heap each finished task of a
+   2,000-task bag still holds with its session open
+   (``profile_hotpath.task_bytes``: its record, description, profile
+   records and completion event), held under a ceiling.
+
 Small-N floors double as the CI smoke: a hot-path regression that drags
 grant throughput below the floor, or a profiler tier that silently
 reverts to unbounded row retention, fails this module at any
@@ -51,7 +56,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from conftest import bench_scale
-from profile_hotpath import description_bytes
+from profile_hotpath import description_bytes, task_bytes
 
 from repro.analytics import ReportBuilder
 from repro.hpc import NodeList
@@ -104,9 +109,15 @@ E2E_CHUNK = 512
 #: CI smoke floors (conservative: >= 10x headroom on a laptop-class core)
 MIN_GRANTS_PER_S = 2_000
 MIN_E2E_TASKS_PER_S = 500
-#: traced heap bytes per default TaskDescription: about 418 as a slotted
-#: record on CPython 3.10-3.13, 538-939 in the dict-backed form
+#: traced heap bytes per default TaskDescription: about 178 on CPython
+#: 3.10-3.13, 418 while its four empty containers were built per instance,
+#: 538-939 in the dict-backed form
 DESCRIPTION_BYTES_CEILING = 500
+#: traced heap bytes per finished task (2,000 tasks, 16 nodes): 932 on
+#: CPython 3.10, 881 on 3.11, 872 on 3.12 (1,622 / 1,411 / 1,394 while the
+#: profile log was one flat list, tasks kept a __dict__ and a default
+#: description built its four empty containers); the largest plus 25%
+TASK_BYTES_CEILING = 1165
 
 
 @lru_cache(maxsize=None)
@@ -340,6 +351,15 @@ def test_scheduler_throughput_scaling(emit):
         title="Traced heap per default TaskDescription (10k kept alive)")
     assert per_description <= DESCRIPTION_BYTES_CEILING
 
+    # -- study 5: bytes per finished task -----------------------------------
+    per_task = task_bytes()
+    report.add_table(
+        ["bytes per finished task", "ceiling"],
+        [[f"{per_task:.0f}", TASK_BYTES_CEILING]],
+        title="Traced heap per finished task (2,000 tasks, 16 nodes, "
+              "session open)")
+    assert per_task <= TASK_BYTES_CEILING
+
     # wall-clock rates vary per machine: floor-gated, never drift-gated
     bench = BenchResult(params={"depths": DEPTHS,
                                 "reference_depths": REFERENCE_DEPTHS,
@@ -363,4 +383,7 @@ def test_scheduler_throughput_scaling(emit):
     bench.record("description_bytes", per_description, unit="B",
                  direction="lower", floor=DESCRIPTION_BYTES_CEILING,
                  scale_free=True, deterministic=False)
+    bench.record("task_bytes", per_task, unit="B", direction="lower",
+                 floor=TASK_BYTES_CEILING, scale_free=True,
+                 deterministic=False)
     emit(report, bench=bench)

@@ -9,12 +9,19 @@ flows on the same link fair-share its capacity -- so three parallel 1 GB
 stages on one 1 GB/s WAN link still take ~3 s of wall time, but stages on
 *different* links overlap for free and the one-way latency of each transfer
 is paid concurrently rather than in series.
+
+Every completed transfer stays in :attr:`TransferScheduler.records`, a
+:class:`TransferLog`: three doubles and three references per transfer, a
+:class:`TransferRecord` built only when one is read.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from operator import eq
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Optional, Tuple, Union)
 
 from ..hpc.network import Fabric, SharedLink
 from ..sim.events import Hook
@@ -22,7 +29,7 @@ from ..sim.events import Hook
 if TYPE_CHECKING:  # pragma: no cover
     from ..pilot.session import Session
 
-__all__ = ["Transfer", "TransferAborted", "TransferRecord",
+__all__ = ["Transfer", "TransferAborted", "TransferLog", "TransferRecord",
            "TransferScheduler"]
 
 
@@ -46,6 +53,59 @@ class TransferRecord:
     @property
     def duration(self) -> float:
         return self.finished - self.started
+
+
+class TransferLog:
+    """Append-only columnar log of completed transfers: ``nbytes``,
+    ``started`` and ``finished`` as three doubles of one ``array('d')``,
+    ``src``, ``dst`` and ``uid`` as three slots of one list.
+
+    ``len``, an int index (negative too), a slice (a list), iteration in
+    append order and ``==`` with a list or another log read it; each read
+    builds a fresh :class:`TransferRecord`, and the log holds none.
+    """
+
+    __slots__ = ("_nums", "_refs")
+
+    def __init__(self) -> None:
+        self._nums = array("d")  # nbytes, started, finished, ...
+        self._refs: List[str] = []  # src, dst, uid, ...
+
+    def add(self, src: str, dst: str, nbytes: float, started: float,
+            finished: float, uid: str) -> None:
+        """Keep one completed transfer."""
+        self._nums.extend((nbytes, started, finished))
+        self._refs += (src, dst, uid)
+
+    def __len__(self) -> int:
+        return len(self._nums) // 3
+
+    def __getitem__(self, index: Union[int, slice]):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("transfer index out of range")
+        k = 3 * index
+        src, dst, uid = self._refs[k:k + 3]
+        nbytes, started, finished = self._nums[k:k + 3]
+        return TransferRecord(src, dst, nbytes, started, finished, uid)
+
+    def __iter__(self) -> Iterator[TransferRecord]:
+        refs, nums = iter(self._refs), iter(self._nums)
+        for src, dst, uid, nbytes, started, finished in zip(
+                refs, refs, refs, nums, nums, nums):
+            yield TransferRecord(src, dst, nbytes, started, finished, uid)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, TransferLog)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 class Transfer:
@@ -81,7 +141,7 @@ class TransferScheduler:
     def __init__(self, session: "Session") -> None:
         self.session = session
         self._links: Dict[Tuple[str, str], SharedLink] = {}
-        self.records: List[TransferRecord] = []
+        self.records = TransferLog()
         self.bytes_moved = 0.0
         #: optional fault hook set by the resilience FaultInjector:
         #: ``corruption_check(src, dst, nbytes) -> bool`` decides whether a
@@ -153,9 +213,8 @@ class TransferScheduler:
                 f"({nbytes:.3g} bytes, checksum mismatch)")
         if error is None:
             self.bytes_moved += nbytes
-            self.records.append(TransferRecord(
-                src=src, dst=dst, nbytes=float(nbytes), started=move.started,
-                finished=self.session.engine.now, uid=move.uid))
+            self.records.add(src, dst, nbytes, move.started,
+                             self.session.engine.now, move.uid)
             if self._obs_metrics is not None and nbytes > 0:
                 key = Fabric._key(src, dst)
                 self._obs_metrics.counter(

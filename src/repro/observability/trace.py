@@ -63,7 +63,7 @@ tooling.
 from __future__ import annotations
 
 import json
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..pilot.states import TASK_MODEL, TaskState
@@ -86,9 +86,12 @@ PHASE_OF_STATE = {
     TaskState.RESCHEDULING: "reschedule",
 }
 
-#: the same, keyed by the profile event of each task state (None: the state
-#: closes the current phase and opens none)
-_PHASE_OF_EVENT = {event: PHASE_OF_STATE.get(state)
+#: a final state's phase: it closes the current phase and opens none (true,
+#: so that every task transition's code tests true)
+_NO_PHASE = "-"
+
+#: the same, keyed by the profile event of each task state
+_PHASE_OF_EVENT = {event: PHASE_OF_STATE.get(state, _NO_PHASE)
                    for state, event in TASK_MODEL.events.items()}
 
 
@@ -205,6 +208,9 @@ class Tracer:
         profiler.reader = self._read
         self._spans: List[Span] = []
         self._log: List[Any] = []
+        #: the profile's code table as last read, and the phase of each code
+        self._pairs: Any = None
+        self._phases: List[str] = []
         self._last_trace_id = 0
         self._last_span_id = 0
         # replay state: as far as the log has been read
@@ -275,31 +281,34 @@ class Tracer:
         """Read what the profile and the task log hold up to now."""
         self._profiler.share()  # hands what we have not seen to _read
         if self._log:
-            self._read([], 0)
+            self._read((), (), (), (), 0)
 
-    def _read(self, log: List[Any], start: int) -> None:
-        """Replay the task log merged with the profile *log* from field
-        *start* on (the stretch this tracer has not seen).
+    def _read(self, times, uids, codes, pairs, start: int) -> None:
+        """Replay the task log merged with the profile's columns from
+        record *start* on (the stretch this tracer has not seen).
 
         A tracked task's ``state:*`` record closes its open phase and opens
         the next, as the eager tracer's transition hook did; its attempt is
         the closed phase's, plus one after ``reschedule`` (the restart
-        bumps the counter between RESCHEDULING and the next state).  Every
-        record of the task log is stamped at or before the end of the
-        stretch, so the whole log is read.
+        bumps the counter between RESCHEDULING and the next state).  A
+        record is a task transition when its code names one: each code of
+        the profile's table is looked up once.  Every record of the task
+        log is stamped at or before the end of the stretch, so the whole
+        log is read.
         """
         own, self._log = self._log, []
-        base = self._profiler.recorded - (len(log) - start) // 4  # log[start]
-        events = log[start + 2::4]
+        base = self._profiler.recorded - len(times)  # record 0's number
+        phase_of = self._phase_of_code(pairs)
         # the task transitions among them by number, then a sentinel that
         # reads the task records stamped after the last of them
-        hits = chain(compress(range(len(events)),
-                              map(_PHASE_OF_EVENT.__contains__, events)),
+        hits = chain(compress(range(start, len(times)),
+                              map(phase_of.__getitem__, codes[start:])),
                      (None,))
         roots, phases = self._task_roots, self._task_phase
         append = self._spans.append
         trace_id, span_id = self._last_trace_id, self._last_span_id
         at, end = 0, len(own)
+        t0 = None
         for k in hits:
             while at < end and (k is None or own[at + 1] <= base + k):
                 if own[at] == _SUBMIT:
@@ -328,19 +337,22 @@ class Tracer:
                         root.end = t
             if k is None:
                 break
-            at_k = start + 4 * k
-            uid = log[at_k + 1]
+            uid = uids[k]
             # a tracked task has an open phase from its submission until a
             # final state that opens none (DONE, CANCELED): the rest of the
             # profile's transitions (pilots, untracked tasks) are not ours
             phase = phases.pop(uid, None)
             if phase is None:
                 continue
-            t = log[at_k]
+            t = times[k]
+            if t == t0:  # transitions of one instant share one float
+                t = t0
+            else:
+                t0 = t
             if phase.end is None:
                 phase.end = t
-            name = _PHASE_OF_EVENT[events[k]]
-            if name is not None:
+            name = phase_of[codes[k]]
+            if name is not _NO_PHASE:
                 root = roots[uid]
                 attempt = _get_attrs(phase)  # raw, unless read since
                 if type(attempt) is dict:
@@ -353,6 +365,17 @@ class Tracer:
                                                  t, attempt)
                 append(phase)
         self._last_trace_id, self._last_span_id = trace_id, span_id
+
+    def _phase_of_code(self, pairs) -> list:
+        """Code -> the phase its task transition opens (``_NO_PHASE`` for a
+        final state), or ``""`` for a record that is no task transition;
+        caught up with the profile's code table *pairs*."""
+        phase_of = self._phases
+        if self._pairs is not pairs and pairs:  # a new table: a clear()
+            self._pairs, phase_of[:] = pairs, []
+        for event, _ in islice(pairs, len(phase_of), None):
+            phase_of.append(_PHASE_OF_EVENT.get(event, ""))
+        return phase_of
 
     def task_root(self, uid: str) -> Optional[Span]:
         """The live root span of a task (None once completed/untracked)."""

@@ -129,7 +129,7 @@ class AgentExecutor:
                 # the result is the task's once that has passed.
                 try:
                     wall0 = _time.perf_counter()
-                    result = d.function(*d.fn_args, **dict(d.fn_kwargs))
+                    result = d.function(*d.fn_args, **dict(d._fn_kwargs))
                     measured = _time.perf_counter() - wall0
                 except Exception as exc:
                     self._payload_failed(task, exc)

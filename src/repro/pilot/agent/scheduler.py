@@ -69,6 +69,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 from ...hpc.node import NodeList, NodeState, Slot
 from ...sim.events import Event
 from ...utils.log import get_logger
+from ..task import NO_SLOTS
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..session import Session
@@ -215,7 +216,8 @@ class AgentScheduler:
     @staticmethod
     def _shape_of(task: "Task") -> ShapeKey:
         d = task.description
-        group = d.tags.get("colocate") if d.tags else None
+        tags = d._tags  # as stored: a default's is never built
+        group = tags.get("colocate") if tags else None
         return (d.cores_per_rank, d.gpus_per_rank, d.mem_per_rank_gb,
                 d.ranks, group)
 
@@ -278,7 +280,7 @@ class AgentScheduler:
             self.nodes[slot.node_index].release(slot)
             self._drop_node_held(slot.node_index, task.uid)
             changed |= 1 << slot.node_index
-        task.slots = []
+        task.slots = NO_SLOTS
         self._capacity_increased(changed)
 
     def withdraw(self, task: "Task") -> bool:
@@ -417,8 +419,9 @@ class AgentScheduler:
         d = task.description
         cores, gpus, mem = d.cores_per_rank, d.gpus_per_rank, d.mem_per_rank_gb
         slots: List[Slot] = []
-        group = d.tags.get("colocate") if d.tags else None
-        affinity = d.tags.get("affinity") if d.tags else None
+        tags = d._tags  # as stored: a default's is never built
+        group = tags.get("colocate") if tags else None
+        affinity = tags.get("affinity") if tags else None
         if affinity is None:  # placement-derived hint (never user tags)
             affinity = getattr(task, "affinity_key", None)
         pinned: Optional[int] = self._colocate_node.get(group) \

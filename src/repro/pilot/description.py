@@ -6,7 +6,10 @@ model now enables users to submit ServiceDescription and TaskDescription via
 a unified API").  Descriptions are schema-validated slotted records
 (:class:`repro.utils.config.Config`): each class declares ``__slots__``
 from its ``_schema``, so a description has no per-instance ``__dict__``.
-Entities are created from them by the managers.
+Its four container fields (``fn_kwargs``, ``input_staging``,
+``output_staging``, ``tags``) are built on their first read; the runtime
+tests them as stored (``d._tags``), so a task that sets none of them never
+holds one.  Entities are created from them by the managers.
 """
 
 from __future__ import annotations
@@ -150,11 +153,10 @@ class TaskDescription(Config):
         if not (self.duration_s >= 0 and self.pre_exec_s >= 0):
             raise ConfigError("durations must be >= 0")
         for key in ("input_staging", "output_staging"):
-            items = getattr(self, key)
-            # the default, a fresh empty list, is already normal; a given
-            # list is replaced by its own (None fails as it always did)
-            if items or key in kwargs or (from_dict and key in from_dict):
-                self._normalise_staging(key, items)
+            # the default is not built yet; a given list is replaced by its
+            # own (None fails as it always did)
+            if key in kwargs or (from_dict and key in from_dict):
+                self._normalise_staging(key, getattr(self, key))
 
     def _normalise_staging(self, key: str, items: List[Any]) -> None:
         directives: List[StagingDirective] = []

@@ -1,4 +1,4 @@
-"""Timestamped profile events, RADICAL-style: one flat log, read on demand.
+"""Timestamped profile events, RADICAL-style: one log of columns, read late.
 
 Every runtime component records ``(time, entity_uid, event, component)``;
 the analytics layer (:mod:`repro.analytics.metrics`) derives the paper's
@@ -8,12 +8,17 @@ metrics from the stamps:
 * **RT** (response time)   = communication + service + inference per request;
 * **IT** (inference time)  = the inference component alone.
 
-**Record appends.**  The profile is one flat append-only list of scalars,
-four per record.  :meth:`Profiler.record` is a counter bump and one list
-extension in every retaining level: it builds no row, touches no index,
-tests no length and allocates nothing the cyclic collector tracks, so a run
-that never reads its profile pays for neither rows nor collector passes
-over them.
+**Record appends.**  The profile is an append-only log of three columns:
+the times in one ``array('d')``, the uids in one list, and per record a
+small integer code (an ``array('H')``, widened to ``'L'`` past 65,536
+codes) that names its (event, component) pair in an interned table --
+components are manager and pilot uids, so a run has a handful of pairs.  A
+record costs 18 bytes and no object of its own (32 bytes of list slots and
+a boxed time while the log was one flat list).  :meth:`Profiler.record` is
+a counter bump, one code lookup and three appends in every retaining
+level: it builds no row, touches no index and allocates nothing the cyclic
+collector tracks, so a run that never reads its profile pays for neither
+rows nor collector passes over them.
 
 **Reading costs what the run recorded.**  The log is the only row store:
 :meth:`events` returns a :class:`ProfileView`, a snapshot of the log that
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import gc
 import json
+from array import array
 from collections.abc import Sequence
 from contextlib import contextmanager
 from itertools import islice
@@ -66,6 +72,9 @@ import numpy as np
 __all__ = ["Profiler", "ProfileEvent", "ProfileRow", "ProfileView"]
 
 ProfileEvent = Tuple[float, str, str, str]  # (time, uid, event, component)
+
+#: codes that fit the narrow code column
+_NARROW_CODES = 1 << 16
 
 
 @contextmanager
@@ -92,32 +101,53 @@ class ProfileRow(NamedTuple):
     component: str
 
 
+class _CodeTable(dict):
+    """``(event, component) -> code``; a pair not seen before takes the next
+    code, and ``pairs[code]`` gives the pair back."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.pairs: List[Tuple[str, str]] = []
+
+    def __missing__(self, pair: Tuple[str, str]) -> int:
+        code = self[pair] = len(self.pairs)
+        self.pairs.append(pair)
+        return code
+
+
 class ProfileView(Sequence):
-    """Read-only rows of a profile, each built when read (``time`` as a
-    float): ``len``, indexing (negative too; a slice is a view), iteration,
-    ``==`` with a list or a view, ``repr``.  A snapshot: the full level only
-    appends to its log and replaces it when it forgets, so later records
-    and a later ``clear()`` do not change a view."""
+    """Read-only rows of a profile, each built when read: ``len``, indexing
+    (negative too; a slice is a view), iteration, ``==`` with a list or a
+    view, ``repr``.  A snapshot: the full level only appends to its columns
+    and replaces them when it forgets, so later records and a later
+    ``clear()`` do not change a view."""
 
-    __slots__ = ("_log", "_at")
+    __slots__ = ("_times", "_uids", "_codes", "_pairs", "_at")
 
-    def __init__(self, log: list, at: Union[range, List[int]]) -> None:
-        self._log, self._at = log, at  # the log, the record numbers shown
+    def __init__(self, times: array, uids: List[str], codes: array,
+                 pairs: List[Tuple[str, str]],
+                 at: Union[range, List[int]]) -> None:
+        self._times, self._uids, self._codes = times, uids, codes
+        self._pairs = pairs  # code -> (event, component)
+        self._at = at        # the record numbers shown
 
     def __len__(self) -> int:
         return len(self._at)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return ProfileView(self._log, self._at[i])
+            return ProfileView(self._times, self._uids, self._codes,
+                               self._pairs, self._at[i])
         return self._row(self._at[i])
 
     def __iter__(self) -> Iterator[ProfileRow]:
         return map(self._row, self._at)
 
     def _row(self, k: int) -> ProfileRow:
-        log, k = self._log, 4 * k
-        return ProfileRow(float(log[k]), log[k + 1], log[k + 2], log[k + 3])
+        return ProfileRow(self._times[k], self._uids[k],
+                          *self._pairs[self._codes[k]])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (list, ProfileView)):
@@ -129,7 +159,7 @@ class ProfileView(Sequence):
 
 
 class Profiler:
-    """Flat record log with one choice of what a reader derives from it."""
+    """Columnar record log with one choice of what a reader derives from it."""
 
     LEVELS = ("full", "durations", "off")
 
@@ -137,60 +167,82 @@ class Profiler:
         if level not in self.LEVELS:
             raise ValueError(f"level must be one of {self.LEVELS}")
         self.level = level
-        #: the second reader: ``reader(log, start)`` is called with the log
-        #: (flat, oldest first, its last record numbered ``recorded - 1``)
-        #: and the field its unseen part starts at, before it is folded
-        self.reader: Optional[Callable[[list, int], None]] = None
+        #: the second reader: ``reader(times, uids, codes, pairs, start)``
+        #: is called with the columns (oldest first, the last record
+        #: numbered ``recorded - 1``), the code table and the record its
+        #: unseen part starts at, before that part is folded
+        self.reader: Optional[Callable[..., None]] = None
         self.clear()
 
     def record(self, time: float, uid: str, event: str,
                component: str = "") -> None:
-        """Record one profile event: a counter bump and one flat append."""
+        """Record one profile event: a counter bump, a code lookup and one
+        append per column."""
         self.recorded += 1
         if self.level == "off" and self.reader is None:
             return
-        self._log += (time, uid, event, component)
+        code = self._code_of[event, component]
+        self._times.append(time)
+        self._uids.append(uid)
+        try:
+            self._codes.append(code)
+        except OverflowError:  # code 65,536: the code column widens
+            self._codes = array("L", self._codes)
+            self._codes.append(code)
+
+    def _empty_columns(self) -> None:
+        """Start the columns afresh (the code table stays)."""
+        self._times = array("d")
+        self._uids: List[str] = []
+        self._codes = array("H" if len(self._pairs) <= _NARROW_CODES
+                            else "L")
+        self._shared = 0      # records [0, _shared) were handed to the reader
 
     # -- a reader arrives ----------------------------------------------------------
     def share(self) -> None:
         """Hand the reader what it has not seen, without consuming it: the
         profile's own readers still find it (``"off"``, which keeps
         nothing, drops it once read)."""
-        log = self._log
-        if self._shared < len(log):
+        times = self._times
+        if self._shared < len(times):
             with _collector_paused():
-                self.reader(log, self._shared)
-            self._shared = len(log)
-        if self.level == "off" and log:
-            self._log, self._shared = [], 0
+                self.reader(times, self._uids, self._codes, self._pairs,
+                            self._shared)
+            self._shared = len(times)
+        if self.level == "off" and times:
+            self._empty_columns()
 
     @property
     def _first(self) -> Dict[str, Dict[str, float]]:
         """The first-stamp index, caught up with the log (which the
         durations level folds into it and drops)."""
-        log, start = self._log, self._stamped
-        if start < len(log) and self.level != "off":
+        times, start = self._times, self._stamped
+        if start < len(times) and self.level != "off":
             if self.level == "full":
-                self._stamped = len(log)
+                self._stamped = len(times)
             elif self.reader is not None:
                 self.share()  # the reader's turn before the log is folded
-            self._stamp(islice(log, start, None, 4),
-                        islice(log, start + 1, None, 4),
-                        islice(log, start + 2, None, 4))
+            events = [event for event, _ in self._pairs]
+            self._stamp(islice(times, start, None),
+                        islice(self._uids, start, None),
+                        map(events.__getitem__, self._codes[start:]))
             if self.level == "durations":
-                self._log, self._shared = [], 0
+                self._empty_columns()
         return self._stamps
 
     def _stamp(self, times: Iterable, uids: Iterable[str],
                events: Iterable[str]) -> None:
         """Take the first stamp of every (uid, event) pair not stamped yet."""
         first, order = self._stamps, self._stamp_order
+        t0 = None  # records of one instant share one float
         for t, uid, event in zip(times, uids, events):
             stamps = first.get(event)
             if stamps is None:
                 stamps = first[event] = {}
             if uid not in stamps:
-                stamps[uid] = float(t)
+                if t != t0:
+                    t0 = float(t)
+                stamps[uid] = t0
                 order.append(event)
 
     # -- counters ------------------------------------------------------------
@@ -202,7 +254,7 @@ class Profiler:
         return 0 if self.level == "durations" else self.recorded - len(self)
 
     def __len__(self) -> int:
-        return len(self._log) // 4 if self.level == "full" else 0
+        return len(self._times) if self.level == "full" else 0
 
     # -- queries -------------------------------------------------------------
     def events(self, uid: Optional[str] = None,
@@ -213,20 +265,21 @@ class Profiler:
         uid-filtered lookups go through the per-uid index, so they cost
         O(rows of that uid) instead of O(rows).
         """
-        log = self._log if self.level == "full" else []
-        at = (range(len(log) // 4) if uid is None or not log
+        n = len(self)
+        at = (range(n) if uid is None or not n
               else self._uid_index().get(uid, []).copy())
+        pairs, codes = self._pairs, self._codes
         if event is not None:
-            at = [k for k in at if log[4 * k + 2] == event]
-        return ProfileView(log, at)
+            match = [e == event for e, _ in pairs]
+            at = [k for k in at if match[codes[k]]]
+        return ProfileView(self._times, self._uids, codes, pairs, at)
 
     def _uid_index(self) -> Dict[str, List[int]]:
         """``uid -> record numbers``, caught up with the log."""
-        log, by_uid = self._log, self._by_uid
-        if self._placed < len(log):
-            start, self._placed = self._placed, len(log)
-            for k, uid in enumerate(islice(log, start + 1, None, 4),
-                                    start // 4):
+        uids, by_uid = self._uids, self._by_uid
+        if self._placed < len(uids):
+            start, self._placed = self._placed, len(uids)
+            for k, uid in enumerate(islice(uids, start, None), start):
                 by_uid.setdefault(uid, []).append(k)
         return by_uid
 
@@ -259,16 +312,18 @@ class Profiler:
         replaced, not emptied: a view handed out keeps its snapshot."""
         if self.reader is not None:
             self.share()
-        self._log: list = []  # time, uid, event, component per record
-        self._shared = 0      # log[:_shared] was handed to the reader
+        #: code -> (event, component), and back
+        self._code_of = _CodeTable()
+        self._pairs = self._code_of.pairs
+        self._empty_columns()  # time, uid and code per record
         #: ``event -> {uid: first timestamp}``, each in first-occurrence
         #: order (all the "durations" level keeps), and the event of each
         #: stamp in the order they were taken
         self._stamps: Dict[str, Dict[str, float]] = {}
         self._stamp_order: List[str] = []
-        self._stamped = 0     # log[:_stamped] is stamped (full level)
+        self._stamped = 0     # records [0, _stamped) are stamped (full)
         self._by_uid: Dict[str, List[int]] = {}  # uid -> record numbers
-        self._placed = 0      # ... of the records in log[:_placed]
+        self._placed = 0      # ... of the records [0, _placed)
         #: record() calls total, regardless of level
         self.recorded = 0
 

@@ -55,8 +55,8 @@ from ..utils.log import get_logger
 from .data_manager import DataManager, Staging
 from .description import TaskDescription
 from .states import PilotState, TaskState
-from .task import (BINDING, RECOVERING, STAGE_IN, STAGE_OUT, STARTING, Pilot,
-                   Task)
+from .task import (BINDING, RECOVERING, STAGE_IN, STAGE_OUT, STARTING,
+                   Completion, Pilot, Task)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .session import Session
@@ -272,7 +272,7 @@ class TaskManager:
         reused descriptions never carry a stale hint; explicit user tags
         take precedence in the scheduler.
         """
-        staging = [s for s in task.description.input_staging
+        staging = [s for s in task.description._input_staging
                    if s.action == "transfer" and s.size_bytes > 0]
         if not staging:
             return
@@ -293,7 +293,7 @@ class TaskManager:
         pilot is overloaded relative to the least-loaded candidate by more
         than :data:`AFFINITY_LOAD_SLACK`.
         """
-        staging = task.description.input_staging
+        staging = task.description._input_staging
         if not staging:
             return None
         data = self.session.data
@@ -365,14 +365,17 @@ class TaskManager:
         obs = self._observability
         tasks: List[Task] = []
         table = self._tasks
+        completed = None
+        if on_complete is not None:  # one observer serves the whole batch
+            def completed(event: Completion) -> None:
+                on_complete(event.task)
         for desc, uid in zip(descriptions, uids):
             task = Task(session, desc, uid)
             task.owner = self
             for callback in callbacks:
                 task.on_state(callback)
-            if on_complete is not None:
-                task.completed.callbacks.append(
-                    lambda event, t=task: on_complete(t))
+            if completed is not None:
+                task.completed.callbacks.append(completed)
             if obs is not None:
                 obs.task_submitted(task)
             table[uid] = task
@@ -481,7 +484,7 @@ class TaskManager:
 
     def _bound(self, task: Task) -> None:
         """The pilot is active: stage in, or go straight to its agent."""
-        staging = task.description.input_staging
+        staging = task.description._input_staging  # as stored: () unset
         if staging:
             task.phase = STAGE_IN
             task.advance(TaskState.TMGR_STAGING_INPUT, self.uid)
@@ -491,7 +494,7 @@ class TaskManager:
 
     def _executed(self, task: Task) -> None:
         """Back from the agent, slots released: stage out, then DONE."""
-        staging = task.description.output_staging
+        staging = task.description._output_staging
         if staging:
             # stage-out overlaps with successor tasks' scheduling and
             # execution instead of holding compute hostage to the fabric

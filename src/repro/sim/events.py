@@ -461,11 +461,12 @@ class Condition(Event):
             self.succeed({})
             return
 
+        check = self._check  # one bound method for every constituent
         for event in self._events:
             if event.callbacks is None:  # already processed
-                self._check(event)
+                check(event)
             else:
-                event.callbacks.append(self._check)
+                event.callbacks.append(check)
 
     def _collect_values(self) -> dict:
         # Only *processed* events count: a pending Timeout pre-assigns its

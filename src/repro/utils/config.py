@@ -5,10 +5,14 @@ a small :class:`Config` base that validates keys against a declared schema,
 supports defaults, nested access and dict round-tripping.  Descriptions in
 :mod:`repro.pilot.description` build on this, and each of them is a slotted
 record: it declares ``__slots__`` from its ``_schema``, so an instance keeps
-its fields in fixed slots and has no per-instance ``__dict__``.  A default
-``TaskDescription`` holds about 418 B of traced heap on CPython 3.10-3.13,
-where the dict-backed form held 939 / 770 / 762 / 538 B; a task bag's
-descriptions are the largest live item at its peak RSS.
+its fields in fixed slots and has no per-instance ``__dict__``.  A slotted
+field whose default is an empty container (a task's ``fn_kwargs``,
+``input_staging``, ``output_staging`` and ``tags``) is built when it is
+first read, so a default ``TaskDescription`` holds about 178 B of traced
+heap on CPython 3.11 (418 B while those four were built per instance, and
+939 / 770 / 762 / 538 B on CPython 3.10-3.13 while descriptions were
+dict-backed); a task bag's descriptions are among the largest live items
+at its peak RSS.
 """
 
 from __future__ import annotations
@@ -28,14 +32,36 @@ class ConfigError(Exception):
 #: default values safe to share across instances without copying
 _IMMUTABLE = (str, int, float, bool, bytes, frozenset, type(None))
 
+#: what a slot built on first read holds until then: no field's schema
+#: admits a tuple, so neither a user's write nor ``None`` can look like it
+UNBUILT = ()
+
+
 def _store(cls: type, key: str) -> Callable[[Any, Any], None]:
     """How the constructor writes field *key* of a *cls* instance: through
     its slot's own setter, or, in a class that keeps a ``__dict__``, as a
     plain instance attribute."""
-    slot = getattr(cls, key, None)
+    slot = getattr(cls, "_" + key if key in cls._built_on_read else key,
+                   None)
     if isinstance(slot, MemberDescriptorType):
         return slot.__set__
     return lambda obj, value: object.__setattr__(obj, key, value)
+
+
+def _container_property(slot: MemberDescriptorType,
+                        make: Callable[[], Any]) -> property:
+    """The field of *slot*, built by *make* on its first read: from then on
+    every read returns that container."""
+    get, put = slot.__get__, slot.__set__
+
+    def read(self):
+        value = get(self)
+        if value is UNBUILT:
+            value = make()
+            put(self, value)
+        return value
+
+    return property(read, put)
 
 
 class Config:
@@ -64,6 +90,15 @@ class Config:
     pass through unchanged, so that common keyword values skip it; and per
     key the writer, the slot's own setter.  No merged dict is built unless
     ``from_dict`` is given.
+
+    A slotted field whose default is an empty container is not built per
+    instance: its slot holds :data:`UNBUILT`, and the field is a property
+    over the slot that builds the container on the first attribute or item
+    read (``d.tags``, ``d["tags"]``, ``d.get("tags")``) and returns that
+    one from then on.  The mapping reads that copy or compare (``==``,
+    ``as_dict``, ``repr``, copies, pickle) see an empty container without
+    building one.  The slot itself stays readable as ``_<field>``
+    (``d._tags``): the runtime tests it there, so its reads build nothing.
     """
 
     __slots__ = ()
@@ -73,13 +108,25 @@ class Config:
     #: (shared defaults, fresh-container makers, key -> exact types,
     #: key -> writer), each default paired with its field's writer
     _plan: tuple = ((), (), {}, {})
+    #: field -> the container type its first read builds
+    _built_on_read: Dict[str, type] = {}
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
+        lazy = cls._built_on_read = dict(cls._built_on_read)
+        for key, value in cls._defaults.items():
+            slot = cls.__dict__.get(key)
+            if isinstance(slot, MemberDescriptorType) \
+                    and isinstance(value, (dict, list, set)) and not value:
+                lazy[key] = type(value)
+                setattr(cls, "_" + key, slot)
+                setattr(cls, key, _container_property(slot, type(value)))
         store = {key: _store(cls, key) for key in cls._schema}
         shared, fresh = [], []
         for key, value in cls._defaults.items():
-            if isinstance(value, _IMMUTABLE) or (
+            if key in lazy:
+                shared.append((store[key], UNBUILT))
+            elif isinstance(value, _IMMUTABLE) or (
                     isinstance(value, tuple)
                     and all(isinstance(v, _IMMUTABLE) for v in value)):
                 shared.append((store[key], value))
@@ -111,11 +158,17 @@ class Config:
 
     @property
     def _data(self) -> Dict[str, Any]:
-        """The fields that were set, as a new mapping."""
+        """The fields that were set, as a new mapping (a field not built yet
+        as a new empty container, which is not kept)."""
         data = {}
+        lazy = self._built_on_read
         for key in self._schema:
             try:
-                data[key] = object.__getattribute__(self, key)
+                if key in lazy:
+                    value = object.__getattribute__(self, "_" + key)
+                    data[key] = lazy[key]() if value is UNBUILT else value
+                else:
+                    data[key] = object.__getattribute__(self, key)
             except AttributeError:
                 pass  # declared, never set
         return data
@@ -155,7 +208,13 @@ class Config:
 
     # -- mapping protocol ----------------------------------------------------
     def __getitem__(self, key: str) -> Any:
-        return self._data[key]
+        # an attribute read: a field built on first read is built here too
+        if key in self._schema:
+            try:
+                return object.__getattribute__(self, key)
+            except AttributeError:
+                pass  # declared, never set
+        raise KeyError(key)
 
     __setitem__ = __setattr__
 
@@ -163,7 +222,10 @@ class Config:
         return key in self._data
 
     def get(self, key: str, default: Any = None) -> Any:
-        return self._data.get(key, default)
+        try:
+            return self[key]
+        except KeyError:
+            return default
 
     def as_dict(self) -> Dict[str, Any]:
         """Return a deep copy of the underlying data."""

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import pickle
 import tracemalloc
 import types
 
@@ -14,7 +15,7 @@ from repro.pilot import (
     TaskDescription,
 )
 from repro import DataConfig, ResilienceConfig, RetryPolicy
-from repro.utils.config import Config, ConfigError
+from repro.utils.config import UNBUILT, Config, ConfigError
 
 
 NAN = float("nan")
@@ -185,9 +186,13 @@ DESCRIPTIONS = {
 }
 
 
-#: traced heap bytes per default TaskDescription: about 418 as a slotted
-#: record on CPython 3.10-3.13; the dict-backed form cost 939 / 770 / 762 /
-#: 538 on 3.10 / 3.11 / 3.12 / 3.13
+#: the task fields built on their first read
+BUILT_ON_READ = {"fn_kwargs", "input_staging", "output_staging", "tags"}
+
+#: traced heap bytes per default TaskDescription: about 178 on CPython
+#: 3.10-3.13 (418 while its four empty containers were built per
+#: instance); the dict-backed form cost 939 / 770 / 762 / 538 on 3.10 /
+#: 3.11 / 3.12 / 3.13
 DESCRIPTION_BYTES_CEILING = 500
 
 
@@ -278,9 +283,20 @@ class TestPlainAttributeStorage:
         assert not hasattr(desc, "__dict__")
 
     def test_every_field_is_a_slot(self, desc):
+        # a task's four container fields are properties over their slots,
+        # which stay readable as ``_<field>``; every other field is a slot
+        cls = type(desc)
+        containers = (BUILT_ON_READ if isinstance(desc, TaskDescription)
+                      else set())
+        assert set(cls._built_on_read) == containers
         for key in desc._schema:
-            assert isinstance(getattr(type(desc), key),
-                              types.MemberDescriptorType), key
+            if key in containers:
+                assert isinstance(getattr(cls, key), property), key
+                assert isinstance(getattr(cls, "_" + key),
+                                  types.MemberDescriptorType), key
+            else:
+                assert isinstance(getattr(cls, key),
+                                  types.MemberDescriptorType), key
 
     def test_a_default_task_description_stays_under_its_byte_ceiling(self):
         n = 10_000
@@ -294,3 +310,77 @@ class TestPlainAttributeStorage:
         finally:
             tracemalloc.stop()
         assert per < DESCRIPTION_BYTES_CEILING, per
+
+
+class TestContainersBuiltOnRead:
+    """A task's four container fields hold :data:`UNBUILT` until a user
+    reads them; from the first read on they are ordinary fields."""
+
+    @staticmethod
+    def unbuilt(desc):
+        return {key for key in BUILT_ON_READ
+                if getattr(desc, "_" + key) is UNBUILT}
+
+    @pytest.mark.parametrize("cls", [TaskDescription, ServiceDescription])
+    def test_a_default_builds_none_and_reads_as_empty(self, cls):
+        d = cls()
+        assert self.unbuilt(d) == BUILT_ON_READ
+        # the copying and comparing reads see empty containers, build none
+        assert d.as_dict()["tags"] == {} and "tags=" in repr(d)
+        assert d == cls() and "input_staging" in d
+        assert copy.copy(d) == d and pickle.loads(pickle.dumps(d)) == d
+        assert self.unbuilt(d) == BUILT_ON_READ
+
+    @pytest.mark.parametrize("cls", [TaskDescription, ServiceDescription])
+    def test_the_first_read_builds_one_container_for_good(self, cls):
+        d = cls()
+        assert d.tags is d.tags is d["tags"] is d.get("tags")
+        assert d.fn_kwargs is d["fn_kwargs"]
+        assert d["input_staging"] is d.input_staging
+        assert d.get("output_staging") is d.output_staging
+        assert self.unbuilt(d) == set()
+        d.tags["colocate"] = "g"
+        d.fn_kwargs["k"] = 1
+        d.input_staging.append(StagingDirective(source="s"))
+        assert d.as_dict()["tags"] == {"colocate": "g"}
+        assert d == d.as_dict() and d != cls()
+        assert "colocate" in repr(d)
+        for clone in (copy.copy(d), copy.deepcopy(d), d.copy(),
+                      pickle.loads(pickle.dumps(d))):
+            assert clone == d and clone.tags == {"colocate": "g"}
+            assert clone.fn_kwargs == {"k": 1}
+            assert clone.input_staging[0].source == "s"
+        assert cls().tags == {}  # nothing is shared with a fresh one
+
+    def test_a_write_replaces_the_container_and_none_is_a_value(self):
+        d = TaskDescription()
+        tags = {"affinity": "a"}
+        d.tags = tags
+        assert d.tags is tags and d["tags"] is tags
+        d["fn_kwargs"] = None  # None is always accepted, and is kept
+        assert d.fn_kwargs is None and d.as_dict()["fn_kwargs"] is None
+        with pytest.raises(ConfigError, match="expected"):
+            d.tags = ()  # the unbuilt marker is no value a field takes
+        assert d.tags is tags
+
+    def test_the_runtime_builds_no_container_of_a_default(self):
+        from repro import ObservabilityConfig
+        from repro.pilot import PilotManager, Session, TaskManager, TaskState
+
+        with Session(seed=3, observability=ObservabilityConfig()) as session:
+            pmgr, tmgr = PilotManager(session), TaskManager(session)
+            pilots = pmgr.submit_pilots([
+                PilotDescription(resource="delta", nodes=1, runtime_s=1e6),
+                PilotDescription(resource="delta", nodes=1, runtime_s=1e6)])
+            tmgr.add_pilots(pilots)  # two: data-affinity placement looks
+            descs = [TaskDescription(executable="x", duration_s=1.0,
+                                     cores_per_rank=1 + i % 4)
+                     for i in range(40)]
+            descs.append(TaskDescription(function=lambda: 7, duration_s=1.0))
+            tasks = tmgr.submit_tasks(descs, on_complete=lambda t: None)
+            session.run(until=tmgr.wait_tasks(tasks))
+            assert all(t.state == TaskState.DONE for t in tasks)
+            assert tasks[-1].result == 7
+            assert len(session.observability.tracer.spans) > 0
+            for d in descs:
+                assert self.unbuilt(d) == BUILT_ON_READ

@@ -1,7 +1,7 @@
 """The profile path end to end: what one plain task costs the profiler
-while it runs (nine flat records, no row, nothing for the cyclic collector
-to walk), and what a reader costs instead: each row is built when it is
-read and none is kept, the first stamps derive without rows."""
+while it runs (nine columnar records, no row, nothing for the cyclic
+collector to walk), and what a reader costs instead: each row is built
+when it is read and none is kept, the first stamps derive without rows."""
 
 import gc
 import tracemalloc
@@ -52,6 +52,13 @@ def rows_held(profiler):
     return held
 
 
+def logged(profiler):
+    """Records held in the profiler's columns (all three the same length)."""
+    n = len(profiler._times)
+    assert len(profiler._uids) == len(profiler._codes) == n
+    return n
+
+
 def run_bag(session, tmgr, n_tasks):
     tasks = tmgr.submit_tasks(
         [TaskDescription(executable="x", duration_s=10.0)
@@ -81,7 +88,7 @@ def test_one_plain_task_costs_nine_records_and_no_row(monkeypatch):
         assert built[0] == 0                        # nobody has asked yet
         for session, n in zip((few, many), records):
             profiler = session.profiler
-            assert len(profiler._log) == 4 * n and rows_held(profiler) == 0
+            assert logged(profiler) == n and rows_held(profiler) == 0
             assert profiler._stamps == {} and profiler._by_uid == {}
 
 
@@ -93,8 +100,8 @@ def test_nothing_is_derived_while_the_run_is_going(monkeypatch, level):
     with session:
         profiler = session.profiler
         assert profiler.recorded > 9000
-        kept = 0 if level == "off" else 4 * profiler.recorded
-        assert len(profiler._log) == kept
+        kept = 0 if level == "off" else profiler.recorded
+        assert logged(profiler) == kept
         assert profiler._stamps == {} and profiler._by_uid == {}
         # the first reader derives what the level keeps, and only that:
         # first stamps, from the log, without building a row
@@ -103,7 +110,7 @@ def test_nothing_is_derived_while_the_run_is_going(monkeypatch, level):
         assert built[0] == 0 and rows_held(profiler) == 0
         assert profiler._by_uid == {}
         # the full level keeps its log as the row store; durations folds it
-        assert len(profiler._log) == (kept if level == "full" else 0)
+        assert logged(profiler) == (kept if level == "full" else 0)
         assert len(profiler) == \
             (profiler.recorded if level == "full" else 0)
 
@@ -117,7 +124,7 @@ def test_no_read_leaves_a_row_held_by_the_profiler(monkeypatch):
         rows = profiler.events()
         assert len(rows) == first and built[0] == 0   # a view: no row yet
         assert sum(1 for _ in rows) == first and built[0] == first
-        assert len(profiler._log) == 4 * first        # read, not consumed
+        assert logged(profiler) == first             # read, not consumed
         assert profiler.timestamp("task.0000", "exec_start") is not None
         profiler.uids_with_event("exec_stop")
         (row,) = profiler.events("task.0000", "exec_start")
@@ -128,15 +135,17 @@ def test_no_read_leaves_a_row_held_by_the_profiler(monkeypatch):
         assert len(rows) == first                     # the view is a snapshot
         assert len(profiler) == first + 90
         assert rows_held(profiler) == 0
-        assert len(profiler._log) == 4 * (first + 90)
+        assert logged(profiler) == first + 90
 
 
 def test_a_first_stamp_query_keeps_little_per_record():
     # the first timestamp() after a task bag derives the first-stamp index
-    # and nothing else: 38.4 traced bytes per record on CPython 3.10, 29.6
+    # and nothing else: 43.7 traced bytes per record on CPython 3.10, 34.9
     # on 3.11 to 3.13, whose str-keyed dict entries drop the stored hash
-    # (305 / 311 B while it also built every row, a (uid, event) key per
-    # pair and a row deque per uid); the ceiling is the largest plus 25%
+    # (38.4 / 29.6 while the flat log's boxed times were shared with the
+    # stamps, which now take one float per instant; 305 / 311 B while it
+    # also built every row, a (uid, event) key per pair and a row deque
+    # per uid); the ceiling is the largest while the log was flat plus 25%
     session, _ = bag_session(5000)
     with session:
         profiler = session.profiler
@@ -155,7 +164,9 @@ def test_a_first_stamp_query_keeps_little_per_record():
 def test_record_leaves_nothing_for_the_collector_to_walk():
     with Session(seed=5) as session:
         record = session.profiler.record
-        record(0.0, "warm", "up", "test")
+        # the pair's first record interns it in the code table: a cost per
+        # (event, component) pair, not per record
+        record(0.0, "warm", "exec_start", "agent")
         uids = [f"task.{i:06d}" for i in range(2000)]
         now = 12.5
         gc.collect()

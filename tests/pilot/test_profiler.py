@@ -245,6 +245,29 @@ class TestJsonlPersistence:
         q.to_jsonl(path + ".again")
         assert Path(path).read_bytes() == Path(path + ".again").read_bytes()
 
+    @pytest.mark.parametrize("pairs", [300, (1 << 16) + 5])
+    def test_many_event_component_pairs_round_trip(self, pairs, tmp_path):
+        # each distinct (event, component) pair takes a code: past 256 the
+        # codes need more than a byte, past 65,536 the column widens
+        p = Profiler()
+        rows = [(float(i), f"t{i % 7}", f"e{i % 97}", f"c{i}")
+                for i in range(pairs)]
+        for row in rows:
+            p.record(*row)
+        p.record(9e9, "t0", "e0", "c0")  # an interned pair, after widening
+        assert len(p) == pairs + 1 and len(p._pairs) == pairs
+        assert p._codes.typecode == ("H" if pairs <= 1 << 16 else "L")
+        assert p.events()[:pairs] == rows
+        assert p.events()[-1] == (9e9, "t0", "e0", "c0")
+        path = str(tmp_path / "p.jsonl")
+        p.to_jsonl(path)
+        q = Profiler.from_jsonl(path)
+        assert q.events() == p.events() and q._first == p._first
+        assert [r.component for r in q.events(event="e5")] == \
+            [c for _, _, e, c in rows if e == "e5"]
+        q.to_jsonl(path + ".again")
+        assert Path(path).read_bytes() == Path(path + ".again").read_bytes()
+
     @pytest.mark.parametrize("lines", [
         [],                                             # empty file
         [["r", 1.0, "t", "a", "c"]],                    # a row, no header
@@ -298,7 +321,7 @@ class TestParentSpillFile:
 
 # -- derived indices ----------------------------------------------------------
 class TestDerivedIndices:
-    """Records append to a flat log; rows and indices are derived when a
+    """Records append to the columns; rows and indices are derived when a
     reader arrives (``tests/test_properties.py`` holds every level to the
     eager reference profiler)."""
 
@@ -310,7 +333,7 @@ class TestDerivedIndices:
         assert len(p.events()) == 100          # needs no index either
         assert p._stamped == 0 and p._by_uid == {}
         assert p.timestamp("t1", "ev") == 1.0  # first query derives
-        assert p._stamped == 4 * 100 and p._by_uid == {}
+        assert p._stamped == 100 and p._by_uid == {}  # records, not fields
         p.record(200.0, "t9", "ev")            # ... and later ones catch up
         assert p.uids_with_event("ev") == ["t0", "t1", "t2", "t9"]
         p.clear()

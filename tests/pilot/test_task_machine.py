@@ -36,6 +36,7 @@ from repro.pilot import (
     TaskManager,
     TaskState,
 )
+from repro.pilot.task import NO_SLOTS
 from repro.pilot.task_manager import SubmissionWindow
 from repro.resilience import (
     FaultModel,
@@ -305,7 +306,7 @@ class TaskPathMachine(RuleBasedStateMachine):
             assert self.fired.get(task.uid, 0) <= 1, task
             if task.completed.triggered:
                 assert task.state in TaskState.FINAL, task
-                assert task.slots == [], task
+                assert task.slots is NO_SLOTS, task  # released
                 assert task.uid not in held, task
 
     @invariant()

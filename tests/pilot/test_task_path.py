@@ -10,6 +10,7 @@ reproduce it exactly.
 """
 
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,34 @@ from repro.resilience import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "parent_task_waits.json"
+
+#: wall-clock seconds a test here may take: each takes well under one, but
+#: a task stranded in a wait never lets ``run(until=wait_tasks(...))``
+#: return while heartbeats keep the engine busy
+WALL_LIMIT_S = 60
+
+
+@pytest.fixture(autouse=True)
+def wall_clock_guard(request):
+    """Fail a test that outlives :data:`WALL_LIMIT_S` instead of hanging
+    the suite.  A process-wide ``SIGALRM`` timer, so the engine (its
+    ``entries``, the goldens) sees nothing of it; where there is no
+    ``SIGALRM`` the test runs unguarded."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def overran(signum, frame):
+        pytest.fail(f"{request.node.name} ran over {WALL_LIMIT_S} s of wall "
+                    f"time: a task stranded in a wait?", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, WALL_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def active_pilot(session, nodes=2):

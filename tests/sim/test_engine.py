@@ -451,6 +451,13 @@ class TestConditions:
         assert result == {t1: "fast"}
         assert engine.now == 1.0
 
+    def test_a_condition_waits_with_one_bound_method(self, engine):
+        # one ``_check`` serves every constituent: binding it per event
+        # cost each waited-on task a method object
+        events = [engine.event() for _ in range(3)]
+        AllOf(engine, events)
+        (check,) = {id(event.callbacks[0]) for event in events}
+
     def test_all_of_empty_succeeds_immediately(self, engine):
         cond = AllOf(engine, [])
         assert cond.triggered
