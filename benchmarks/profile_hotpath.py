@@ -9,7 +9,8 @@ budget (traced heap bytes per default description, per finished task
 with the session still open -- submitted plain and with an
 ``on_complete`` observer, as the benchmark's bags are -- from untimed
 runs under tracemalloc, per task when a traced run is read, and per
-request a service client keeps) and the top functions by cumulative and
+request a service client keeps, of noop replies that repeat and of llama
+replies whose text differs) and the top functions by cumulative and
 internal time.  That is the path ``benchmarks/e2e`` measures as ``task_bag``, so what shows up
 here is what a user pays per task: description reads, state transitions,
 profile rows, the event kernel, the agent scheduler.  A loop that drives
@@ -109,13 +110,15 @@ def read_bytes(n_tasks: int = 5_000, n_nodes: int = 16) -> float:
 
 
 def request_bytes(n_clients: int = 4, n_services: int = 2,
-                  n_requests: int = 1_000) -> float:
+                  n_requests: int = 1_000, model: str = "noop") -> float:
     """Traced heap bytes per request that the clients keep: *n_clients*
-    clients each stream *n_requests* round-robin noop requests at
-    *n_services* remote services, and every result stays on its client."""
+    clients each stream *n_requests* round-robin requests at *n_services*
+    remote *model* services, and every result stays on its client.  A noop
+    reply repeats the one before object for object; a ``"llama-8b"``
+    reply's text differs per reply (and is counted: the client keeps it)."""
     with Session(seed=0) as session:
         smgr = ServiceManager(session, registry_platform="delta")
-        handles = [smgr.start_remote(ServiceDescription(model="noop"),
+        handles = [smgr.start_remote(ServiceDescription(model=model),
                                      platform="delta")
                    for _ in range(n_services)]
         session.run(until=smgr.wait_ready(handles))
@@ -204,7 +207,9 @@ def main(argv) -> int:
           f"on_complete), {read_bytes():.0f} B per task "
           f"read (5,000 tasks, 16 nodes, telemetry on), "
           f"{request_bytes():.0f} B per request a client keeps (4 clients x "
-          f"1,000 noop requests)")
+          f"1,000 noop requests), "
+          f"{request_bytes(n_requests=250, model='llama-8b'):.0f} B per "
+          f"request with distinct reply text (4 x 250 llama requests)")
     if pstats_out:
         profiler.dump_stats(pstats_out)
         print(f"profile written to {pstats_out}")

@@ -14,7 +14,10 @@ the ``.txt``.
 Next to it, the traced heap per request that a client keeps
 (``profile_hotpath.request_bytes``: 4 clients x 1,000 noop requests over 2
 services) is held under a ceiling: at paper scale the client's result log
-is the runtime's largest per-request store.
+is the runtime's largest per-request store.  The same drive at llama
+services, 4 x 250 requests whose reply text differs per reply, is held
+under what it read while the log kept each reply's dict: a payload that
+does not repeat must never cost more than the dict did.
 """
 
 import time
@@ -35,12 +38,18 @@ from profile_hotpath import request_bytes
 #: the RT split recorded for the gated grid points
 RT_COMPONENTS = ("rt_mean_s", "communication_mean_s", "service_mean_s",
                  "inference_mean_s")
-#: traced heap bytes a client keeps per request: 261 on CPython 3.11 (466
-#: while every result was an object).  Replayed into a client without
-#: numpy, the same stream reads 309 on 3.10 and 260 on 3.11-3.13 (490 and
-#: 441 before); the replay reads 2 B under the live run.  The ceiling is
-#: the largest reading, 3.10's ~311, + 25 %
-CLIENT_BYTES_CEILING = 390
+#: traced heap bytes a client keeps per noop request: 75 on CPython 3.11
+#: (261 while the log kept each reply's dict, 466 while every result was an
+#: object).  Replayed into a client without numpy, the same stream reads
+#: 74.3 on 3.10 and 73.6 on 3.11-3.13 (306 and 257 with the dicts); the
+#: replay reads 2 B under the live run.  The ceiling is the largest
+#: reading, 3.10's ~76, + 25 %
+CLIENT_BYTES_CEILING = 95
+#: the same per request of 4 x 250 llama requests, the reply text (kept)
+#: differing per reply: 1,608 on CPython 3.11, 1,588 on 3.10 and 1,580 on
+#: 3.12-3.13 replayed.  The ceiling is the 3.11 reading while the log kept
+#: each reply's dict, 1,703.6, rounded down: that log fails it
+DISTINCT_BYTES_CEILING = 1_703
 
 
 def _rows(results):
@@ -105,6 +114,10 @@ def test_fig4_rt_local_strong_and_weak(benchmark, emit):
     bench.record("client_bytes_per_request", per_request, unit="B",
                  direction="lower", floor=CLIENT_BYTES_CEILING,
                  scale_free=True, deterministic=False)
+    per_distinct = request_bytes(n_requests=250, model="llama-8b")
+    bench.record("client_bytes_per_distinct_reply", per_distinct, unit="B",
+                 direction="lower", floor=DISTINCT_BYTES_CEILING,
+                 scale_free=True, deterministic=False)
     emit(report, bench=bench)
 
     # -- shape assertions ---------------------------------------------------------
@@ -126,3 +139,4 @@ def test_fig4_rt_local_strong_and_weak(benchmark, emit):
                  for (c, s), r in strong.items()}
     assert strong_tp[16] > strong_tp[1] * 0.95  # not degraded
     assert per_request <= CLIENT_BYTES_CEILING
+    assert per_distinct <= DISTINCT_BYTES_CEILING

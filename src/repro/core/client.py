@@ -25,17 +25,19 @@ reply that lands first withdraws it.
 
 Results accumulate on the client, in its :class:`ResultLog`, and feed
 :mod:`repro.analytics.metrics`.  The log keeps a request's numbers in one
-float array and its service uid and reply payload in one list; reading a
-row builds the :class:`InferenceResult` again, field for field what
-``infer`` returned.  A drive of 128k requests therefore keeps no object
-per request but the payload dict, and gives the cyclic collector nothing
-new to traverse.
+float array and its service uid and reply payload in one list, the
+payload as its values and keys in one tuple that a row shares with the
+row before while the replies repeat object for object; reading a row
+builds the :class:`InferenceResult` again, field for field what ``infer``
+returned.  A drive of 128k noop requests therefore keeps no object per
+request, and gives the cyclic collector nothing new to traverse.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from operator import is_
 from struct import Struct
 from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
                     Sequence, Union)
@@ -93,6 +95,8 @@ class InferenceResult:
 #: completed_at, service_time, inference_time, queue_time, ok, retries
 _WIDTH = 7
 _pack_row = Struct(f"{_WIDTH}d").pack
+#: the form of an empty payload dict: no values, no keys
+_EMPTY_FORM = ((),)
 
 
 class ResultLog:
@@ -107,19 +111,36 @@ class ResultLog:
     recomputes them with :meth:`ServiceClient._decompose`'s expressions,
     so every float matches bit for bit.
 
+    A ``dict`` payload is kept as its *form*, one tuple of its values
+    followed by the tuple of its keys.  A row whose keys are the very
+    objects of the row before's, in the same order, shares that keys
+    tuple; one whose values are too shares the whole form, so replies that
+    repeat object for object (a noop service's) add no object per row.
+    The test is identity, never ``==``: ``True`` / ``1`` / ``1.0``,
+    ``0.0`` / ``-0.0`` and NaN stay apart.  Any other payload (``None``, a
+    ``dict`` subclass) is kept as it is, in a form whose keys are None.
+
     ``len``, an int index (negative too), a slice (a list), iteration in
     append order and ``==`` with a list or another log read it.  Each read
     builds a fresh :class:`InferenceResult` and the log holds none: a read
-    row is a snapshot, and changing its fields does not change the log (its
-    ``payload`` is the dict the log keeps, as it was the reply's before).
+    row is a snapshot, and changing its fields does not change the log.
+    Its ``payload`` is a fresh dict of the form's keys and values, the
+    very objects of the reply's, so mutating it changes neither the log
+    nor any other read.
     """
 
-    __slots__ = ("client_uid", "_nums", "_refs")
+    __slots__ = ("client_uid", "_nums", "_refs", "_form", "_read_form",
+                 "_read_dict")
 
     def __init__(self, client_uid: str) -> None:
         self.client_uid = client_uid
         self._nums = array("d")
-        self._refs: List[Any] = []     # service_uid, payload, ...
+        self._refs: List[Any] = []     # service_uid, form, ...
+        self._form: tuple = _EMPTY_FORM    # the last row's
+        # the last dict form read and its dict, which every read of that
+        # form copies: a copy costs an eighth of building from the form
+        self._read_form: Optional[tuple] = None
+        self._read_dict: Dict[str, Any] = {}
 
     def append(self, result: InferenceResult) -> None:
         """Keep *result*; refuse one whose ``client_uid``, ``response_time``
@@ -135,25 +156,49 @@ class ResultLog:
         self._nums.frombytes(_pack_row(t0, t1, service_time, inference,
                                        result.queue_time, result.ok,
                                        result.retries))
-        self._refs += (result.service_uid, result.payload)
+        payload, form = result.payload, self._form
+        if type(payload) is dict:
+            keys = form[-1]
+            if (keys is None or len(keys) != len(payload)
+                    or not all(map(is_, payload, keys))):
+                keys = tuple(payload)
+                form = (*payload.values(), keys)
+            elif not all(map(is_, payload.values(), form)):
+                form = (*payload.values(), keys)
+        else:
+            form = (payload, None)
+        self._form = form
+        self._refs += (result.service_uid, form)
 
     def clear(self) -> None:
         self._nums = array("d")
         self._refs = []
+        self._form = _EMPTY_FORM
+        self._read_form, self._read_dict = None, {}
 
     def response_times(self) -> Iterator[float]:
         """Each row's ``response_time``, without building the rows."""
         nums = self._nums
         return map(float.__sub__, nums[1::_WIDTH], nums[0::_WIDTH])
 
-    def _row(self, service_uid: str, payload: Dict[str, Any], t0: float,
-             t1: float, service_time: float, inference: float,
-             queue: float, ok: float, retries: float) -> InferenceResult:
+    def _payload(self, form: tuple) -> Any:
+        """A fresh dict of *form*'s keys and values (or the kept payload
+        that is not a dict)."""
+        if form is not self._read_form:
+            keys = form[-1]
+            if keys is None:
+                return form[0]
+            self._read_form, self._read_dict = form, dict(zip(keys, form))
+        return self._read_dict.copy()
+
+    def _row(self, service_uid: str, form: tuple, t0: float, t1: float,
+             service_time: float, inference: float, queue: float,
+             ok: float, retries: float) -> InferenceResult:
         rt = t1 - t0
         return InferenceResult(
             self.client_uid, service_uid, ok != 0.0, t0, t1, rt,
             rt - service_time - inference, service_time, inference, queue,
-            payload, int(retries))
+            self._payload(form), int(retries))
 
     def __len__(self) -> int:
         return len(self._refs) >> 1

@@ -64,17 +64,26 @@ class ServiceInfo:
 
 
 class EndpointRegistry:
-    """Bus-served registry of live service endpoints."""
+    """Bus-served registry of live service endpoints.
+
+    A session's first registry is bound as ``registry`` (rng stream
+    ``registry.registry``); each later one (a second ServiceManager's)
+    takes its own name from the session's ids, ``registry.0001`` on, and
+    the rng stream of that name.
+    """
 
     def __init__(self, session: "Session",
                  platform: str = "localhost") -> None:
         self.session = session
         self.platform = platform
-        self.socket = session.bus.bind("registry", platform=platform)
+        name = session.ids.generate("registry")
+        if name == "registry.0000":
+            name = "registry"
+        self.socket = session.bus.bind(name, platform=platform)
         self._entries: Dict[str, ServiceInfo] = {}
         self._by_uid: Dict[str, ServiceInfo] = {}
         self._loads: Dict[str, LoadReport] = {}
-        self._rng = session.rng("registry.registry")
+        self._rng = session.rng(f"registry.{name}")
         self.socket.handle_with(self._on_request)
         session.bus.subscribe(TELEMETRY_TOPIC, platform, self._on_report)
 

@@ -302,6 +302,8 @@ class AgentScheduler:
             return False
         entry[_ALIVE] = False
         self._pending_count -= 1
+        if not self._pending_count:
+            self._entries = {}     # give a drained queue's peak table back
         if self._obs_metrics is not None:
             self._obs_track_dequeue(self._shape_of(task))
         return True
@@ -511,6 +513,8 @@ class AgentScheduler:
             heappop(queue)
             del self._entries[task.uid]
             self._pending_count -= 1
+            if not self._pending_count:
+                self._entries = {}     # as in withdraw
             if self._obs_metrics is not None:
                 self._obs_track_dequeue(shape)
             self._grant(task, event, slots, head[5])

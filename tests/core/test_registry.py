@@ -151,3 +151,47 @@ class TestInProcessReads:
     def test_lookup_missing_returns_none(self, env):
         _, registry, _ = env
         assert registry.lookup("missing") is None
+
+
+class TestRegistriesInOneSession:
+    def test_two_service_managers_each_serve_their_own_instances(self):
+        from repro import (PilotDescription, PilotManager, ServiceClient,
+                           ServiceDescription, ServiceManager, ServiceState)
+
+        with Session(seed=7) as session:
+            (pilot,) = PilotManager(session).submit_pilots(
+                PilotDescription(resource="delta", gpus=16, runtime_s=1e7))
+            first = ServiceManager(session)
+            second = ServiceManager(session, registry_platform="delta")
+            # the first keeps the fixed name (and rng stream) it always had
+            assert first.registry.address.name == "registry"
+            assert second.registry.address.name == "registry.0001"
+            noop = ServiceDescription(model="noop", gpus_per_rank=0)
+            (a,) = first.start_services(noop, pilot)
+            (b,) = second.start_services(noop, pilot)
+            session.run(until=session.engine.all_of([a.ready, b.ready]))
+            assert [s.uid for s in first.registry.list_services()] == [a.uid]
+            assert [s.uid for s in second.registry.list_services()] == [b.uid]
+            assert second.registry.lookup(a.address.name) is None
+
+            client = ServiceClient(session, platform="delta")
+
+            def work():
+                for handle in (a, b):
+                    result = yield from client.infer(handle.address, "hi")
+                    assert result.ok and result.service_uid == handle.uid
+
+            session.run(until=session.engine.process(work()))
+            for smgr, handle in ((first, a), (second, b)):
+                smgr.stop_services(handle)
+                session.run(until=handle.stopped)
+                assert handle.service_state == ServiceState.STOPPED
+                assert smgr.registry.list_services() == []
+            assert len(client.results) == 2
+
+    def test_a_later_registry_draws_from_its_own_stream(self):
+        with Session(seed=2) as session:
+            EndpointRegistry(session, platform="delta")
+            later = EndpointRegistry(session, platform="delta")
+            assert later._rng is session.rng("registry.registry.0001")
+            assert later._rng is not session.rng("registry.registry")

@@ -235,6 +235,106 @@ class TestResultLog:
 
 
 # ---------------------------------------------------------------------------
+# A payload reads back as the reply's: keys, values, order and identity
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+SHARED = [1, [2, 3]]
+
+#: payload streams, each appended row after row into one log
+STREAMS = {
+    "true, one, one-point-oh": [{"v": True}, {"v": 1}, {"v": 1.0},
+                                {"v": True}, {"v": True}],
+    "zero and minus zero": [{"v": 0.0}, {"v": -0.0}, {"v": 0.0},
+                            {"v": -0.0}],
+    "nan": [{"v": NAN}, {"v": NAN}, {"v": float("nan")}, {"v": 1.0}],
+    "a nested list shared by two rows": [{"ok": True, "data": SHARED},
+                                         {"ok": True, "data": SHARED},
+                                         {"ok": True, "data": [1, [2, 3]]}],
+    "the same keys in another order": [{"a": 1, "b": 2}, {"b": 2, "a": 1},
+                                       {"a": 1, "b": 2}],
+    "empty and none": [{}, {}, None, None, {}, {"ok": True}, None],
+    "keys true and one": [{True: "x"}, {1: "x"}, {1.0: "x"}],
+    "a busy reply between two ok replies": [
+        {"ok": True, "text": "", "model": "noop", "prompt_tokens": 1,
+         "completion_tokens": 0},
+        {"ok": False, "busy": True, "error": "busy", "queue_depth": 1,
+         "queue_bound": 1},
+        {"ok": True, "text": "", "model": "noop", "prompt_tokens": 1,
+         "completion_tokens": 0}],
+}
+
+
+def with_payload(i, payload):
+    row = made_row(i)
+    row.payload = payload
+    return row
+
+
+def assert_reads_back(read, kept):
+    """*read* is *kept*, field for field: ``repr``, type, and every payload
+    key and value the very object."""
+    assert repr(read) == repr(kept)
+    for name in FIELDS:
+        assert type(getattr(read, name)) is type(getattr(kept, name)), name
+    if type(kept.payload) is not dict:
+        assert read.payload is kept.payload
+        return
+    assert read.payload is not kept.payload
+    assert list(map(id, read.payload)) == list(map(id, kept.payload))
+    assert list(map(id, read.payload.values())) == \
+        list(map(id, kept.payload.values()))
+
+
+@pytest.mark.parametrize("stream", list(STREAMS), ids=list(STREAMS))
+def test_a_payload_reads_back_as_its_reply(stream):
+    log = ResultLog("client.t")
+    rows = [with_payload(i, p) for i, p in enumerate(STREAMS[stream])]
+    for row in rows:
+        log.append(row)
+    for read, kept in zip(log, rows):
+        assert_reads_back(read, kept)
+    for i, kept in enumerate(rows):
+        assert_reads_back(log[i], kept)
+        assert_reads_back(log[i - len(rows)], kept)
+    for read, kept in zip(log[1::2], rows[1::2]):
+        assert_reads_back(read, kept)
+
+
+def test_noop_replies_share_one_form_and_distinct_text_shares_keys():
+    """Rows that repeat object for object keep one form; rows whose keys
+    repeat keep one keys tuple; a ``dict`` is never kept."""
+    log = ResultLog("client.t")
+    ok = STREAMS["a busy reply between two ok replies"][0]
+    for i in range(4):
+        log.append(with_payload(i, dict(ok)))
+    for i in range(4, 8):
+        log.append(with_payload(i, dict(ok, text=f"reply {i}")))
+    forms = log._refs[1::2]
+    assert not any(type(form) is dict for form in forms)
+    assert len(set(map(id, forms[:4]))) == 1
+    assert len(set(map(id, forms[4:]))) == 4
+    assert len({id(form[-1]) for form in forms}) == 1
+
+
+def test_a_read_payload_is_a_fresh_dict():
+    log, rows = ResultLog("client.t"), []
+    ok = STREAMS["a busy reply between two ok replies"][0]
+    for i in range(3):
+        rows.append(with_payload(i, dict(ok, data=SHARED)))
+        log.append(rows[-1])
+    first = log[0].payload
+    first["text"] = "changed"
+    first["extra"] = 1
+    del first["ok"]
+    assert log[0].payload is not log[0].payload
+    for read, kept in zip(log, rows):
+        assert_reads_back(read, kept)
+        assert read.payload == ok | {"data": SHARED}
+    assert next(iter(log)).payload == ok | {"data": SHARED}
+
+
+# ---------------------------------------------------------------------------
 # What a request leaves behind
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Tests for the agent scheduler (placement, priority, colocation)."""
 
+import sys
+
 import pytest
 
 from repro.hpc import NodeList
@@ -321,6 +323,21 @@ class TestWithdrawAndCrashPaths:
         session.run()
         assert grant2.processed
 
+    def test_withdrawing_the_last_queued_request_drops_the_table(
+            self, session):
+        sched, _ = make_scheduler(session, n_nodes=1, cores=2)
+        session.run(until=sched.schedule(make_task(session,
+                                                   cores_per_rank=2)))
+        queued = [make_task(session, cores_per_rank=2) for _ in range(100)]
+        for task in queued:
+            sched.schedule(task)
+        table = sched._entries
+        for task in queued:
+            assert sched.withdraw(task)
+        assert sched.queue_length == 0
+        assert sched._entries is not table
+        assert sys.getsizeof(sched._entries) == sys.getsizeof({})
+
     def test_held_on_node_index_tracks_grants_and_releases(self, session):
         sched, nodes = make_scheduler(session, n_nodes=2, cores=4)
         a = make_task(session, cores_per_rank=1)
@@ -415,3 +432,25 @@ class TestRepairWakeup:
         late = sched.schedule(make_task(session, cores_per_rank=2))
         session.run()
         assert blocked.processed and late.processed
+
+
+def test_a_drained_bag_gives_the_entry_table_back():
+    """The uid -> entry table grew to the bag's queue depth; once the last
+    queued request is granted it is an empty dict's size again."""
+    from repro.pilot import PilotDescription, PilotManager, TaskManager
+    with Session(seed=0) as session:
+        pmgr, tmgr = PilotManager(session), TaskManager(session)
+        (pilot,) = pmgr.submit_pilots(PilotDescription(
+            resource="frontier", nodes=2, runtime_s=1e9))
+        tmgr.add_pilots(pilot)
+        session.run(until=pmgr.wait_active([pilot]))
+        tasks = tmgr.submit_tasks([
+            TaskDescription(executable="x", duration_s=60.0,
+                            cores_per_rank=1 + i % 4) for i in range(5_000)])
+        session.run(until=session.now + 1.0)
+        sched = pilot.agent.scheduler
+        assert sched.queue_length > 4_000
+        assert sys.getsizeof(sched._entries) > 100 * sys.getsizeof({})
+        session.run(until=tmgr.wait_tasks(tasks))
+        assert sched.queue_length == 0
+        assert sys.getsizeof(sched._entries) == sys.getsizeof({})
