@@ -111,6 +111,10 @@ READ_BYTES_CEILING = 1_000
 SMOKE_TRACE = RESULTS_DIR / "observability_smoke_trace.json"
 
 
+def landed(task):
+    """A grant's landing: the cycles read ``task.slots`` at the grant."""
+
+
 def grant_cycle_state(stack, observability):
     """A scheduler with every core held and DEPTH pending, one configuration."""
     session = stack.enter_context(Session(seed=0, profile="off",
@@ -121,13 +125,13 @@ def grant_cycle_state(stack, observability):
     holders = deque()
     for i in range(256 * 64 // 4):
         task = Task(session, desc, f"h{i}")
-        sched.schedule(task)
+        sched.schedule(task, landed)
         assert task.slots, "holder must be granted"
         holders.append(task)
     waiters = deque()
     for i in range(DEPTH):
         task = Task(session, desc, f"w{i}")
-        sched.schedule(task)
+        sched.schedule(task, landed)
         waiters.append(task)
     return sched, holders, waiters
 

@@ -20,7 +20,7 @@ from:
 
 2. **end-to-end submit+drain scaling** -- 10k/50k/100k mixed-shape tasks on
    256/1024/2048-node virtual platforms flow through the indexed scheduler
-   driven by the DES engine (grant events trigger releases), reporting
+   driven by the DES engine (each grant lands on the release), reporting
    sustained tasks/sec, and the Python-heap peak (tracemalloc) of the
    smallest run.
    The reference implementation is not run here: at 100k pending a single
@@ -167,11 +167,16 @@ def steady_state_cycle_rate(make_sched, depth, cycles):
         return cycles / elapsed
 
 
+def _landed(task):
+    """A grant's landing in the cycle study: the cycle reads ``task.slots``
+    at the grant, so the landing has nothing left to do."""
+
+
 def _make_indexed(session, nodes):
     sched = AgentScheduler(session, nodes, "pilot.bench")
 
     def inject(s, task, grant_expected):
-        s.schedule(task)
+        s.schedule(task, _landed)
         return bool(task.slots) == grant_expected or bool(task.slots)
     return sched, inject
 
@@ -202,9 +207,9 @@ def _make_reference(session, nodes):
 def submit_drain_rate(n_tasks, n_nodes, track_memory=False):
     """End-to-end submit+drain through the engine; returns a result dict.
 
-    Every grant event's callback releases the task's slots, so the drain
-    is fully event-driven: one ``session.run()`` flushes the entire
-    campaign through placement.
+    Every grant lands on ``sched.release``, as a finished task's slots go
+    back, so the drain is fully event-driven: one ``session.run()`` flushes
+    the entire campaign through placement.
     """
     if track_memory:
         tracemalloc.start()
@@ -215,9 +220,7 @@ def submit_drain_rate(n_tasks, n_nodes, track_memory=False):
         for i in range(n_tasks):
             cores, gpus = SHAPES[i % len(SHAPES)]
             task = make_task(session, f"t{i}", cores, gpus)
-            grant = sched.schedule(task)
-            grant.callbacks.append(
-                lambda ev, t=task: sched.release(t))
+            sched.schedule(task, sched.release)
         t_submit = time.perf_counter() - t0
         session.run()
         elapsed = time.perf_counter() - t0

@@ -93,9 +93,11 @@ def _mixed_program(kernel):
 def test_micro_engine_vs_minimal_heap_kernel():
     """What the kernel may cost: at most 1.5x a minimal one-heap kernel
     per event on a mixed timer + zero-delay-chain program.  Measured
-    0.77-0.86x -- the now-queue and the Deferred pool pay for the
-    priorities, cancellation and Event dispatch the minimal kernel lacks --
-    so the bound is the floor a kernel change starts from, not a target."""
+    0.71-0.84x in four runs on a 2-vCPU box (CPython 3.11), and once
+    1.56x on the same box under load -- the now-queue and the Deferred
+    pool pay for the priorities, cancellation and Event dispatch the
+    minimal kernel lacks -- so the bound is the floor a kernel change
+    starts from, not a target."""
     ours = min(_mixed_program(SimulationEngine()) for _ in range(7))
     minimal = min(_mixed_program(_MinimalKernel()) for _ in range(7))
     assert ours <= 1.5 * minimal, (
@@ -154,13 +156,14 @@ def test_micro_scheduler_grant_release(benchmark):
         with Session(seed=0) as session:
             nodes = NodeList.build(16, cores=64, gpus=4, mem_gb=256)
             sched = AgentScheduler(session, nodes, "pilot.micro")
+            landed = []
             for i in range(1000):
                 task = Task(session, TaskDescription(
                     executable="x", cores_per_rank=8, gpus_per_rank=1),
                     f"t{i}")
-                grant = sched.schedule(task)
+                sched.schedule(task, landed.append)
                 session.run()
-                assert grant.processed
+                assert landed[-1] is task
                 sched.release(task)
             return len(nodes)
 
@@ -203,9 +206,9 @@ def test_micro_llama_cost_model(benchmark):
     rng = RngHub(4).stream("llm")
 
     def run():
-        payload, duration = model.infer("the scheduler", rng,
-                                        {"max_tokens": 128})
-        return duration
+        _, span = model.infer_batch(["the scheduler"], rng,
+                                    [{"max_tokens": 128}])
+        return span
 
     duration = benchmark(run)
     assert duration > 0

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, \
-    Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from ..hpc.network import Fabric
 from ..sim.engine import SimulationEngine
@@ -270,25 +269,14 @@ class MessageBus:
                 sender: Optional[Address] = None) -> int:
         """Publish to all current subscribers; returns the fan-out count.
 
-        Subscribers whose fabric delay is identical (notably co-located
-        ones, and *all* of them for sender-less publishes, which are
-        delay-0) share **one** engine hop: the per-subscriber messages are
-        grouped by delay and each group lands through a single pooled
-        deferred that fans out in subscription order.  A wide same-delay
-        fan-out therefore costs one queue entry instead of one per
-        subscriber, and delivery order is unchanged -- same-delay entries
-        used to land back-to-back in subscription order anyway, and
-        distinct delays never shared a timestamp.
+        Each subscriber gets its own message and its own flight, sent in
+        subscription order after the fabric delay to its platform (zero
+        for a sender-less publish).
         """
         subs = self._subs.get(topic, ())
-        if not subs:
-            return 0
-        subs = list(subs)
         self.sent_count += len(subs)
         src = sender.platform if sender else None
         now = self.engine.now
-        groups: Dict[float, list] = {}
-        order: List[float] = []
         for sub in subs:
             msg = Message(kind="pub", payload=payload, sender=sender,
                           topic=topic)
@@ -297,17 +285,7 @@ class MessageBus:
                 delay = self.fabric.transfer_time(src, sub.platform,
                                                   msg.nbytes)
             msg.sent_at = now
-            flights = groups.get(delay)
-            if flights is None:
-                groups[delay] = flights = []
-                order.append(delay)
-            flights.append((msg, sub))
-        for delay in order:
-            flights = groups[delay]
-            if len(flights) == 1:
-                self.engine.call_later(delay, self._land_pub, flights[0])
-            else:
-                self.engine.call_later(delay, self._land_pub_batch, flights)
+            self.engine.call_later(delay, self._land_pub, (msg, sub))
         return len(subs)
 
     def _land_pub(self, flight: Tuple[Message, Subscription]) -> None:
@@ -319,16 +297,3 @@ class MessageBus:
         msg.received_at = self.engine.now
         self.delivered_count += 1
         sub.handler(msg)
-
-    def _land_pub_batch(
-            self, flights: Iterable[Tuple[Message, Subscription]]) -> None:
-        land = self._land_pub
-        flights = iter(flights)
-        for flight in flights:
-            try:
-                land(flight)
-            except BaseException:
-                # one consumer crashed: the rest of the group still gets
-                # the publication, then the crash surfaces from run()
-                self._land_pub_batch(flights)
-                raise

@@ -112,11 +112,6 @@ class Autoscaler:
         """Live (bootstrapping or ready) instances under management."""
         return len(self._live())
 
-    def targets(self):
-        """Addresses of READY managed instances (for client workloads)."""
-        return [h.address for h in self.handles
-                if h.is_ready and h.address is not None]
-
     @property
     def all_handles(self) -> List["ServiceHandle"]:
         """Every handle ever managed (live plus retired/failed)."""

@@ -176,11 +176,6 @@ class ResultLog:
         self._form = _EMPTY_FORM
         self._read_form, self._read_dict = None, {}
 
-    def response_times(self) -> Iterator[float]:
-        """Each row's ``response_time``, without building the rows."""
-        nums = self._nums
-        return map(float.__sub__, nums[1::_WIDTH], nums[0::_WIDTH])
-
     def _payload(self, form: tuple) -> Any:
         """A fresh dict of *form*'s keys and values (or the kept payload
         that is not a dict)."""
@@ -386,12 +381,6 @@ class ServiceClient:
             yield from self.infer(target, prompt, params, balancer=balancer,
                                   targets=current)
         return self.results[start:]
-
-    # -- stats ------------------------------------------------------------------------
-    def mean_rt(self) -> float:
-        if not self.results:
-            return float("nan")
-        return sum(self.results.response_times()) / len(self.results)
 
     def clear(self) -> None:
         self.results.clear()

@@ -57,8 +57,8 @@ class Fabric:
     """Pairwise communication model over a set of platforms.
 
     Routes are symmetric.  Intra-platform routes default to the platform's
-    own ``intra_latency``; inter-platform routes default to the paper's WAN
-    numbers and can be overridden per pair.
+    own ``intra_latency``; every inter-platform route is the paper's WAN
+    link (:data:`DEFAULT_WAN_LATENCY`, :data:`DEFAULT_WAN_BANDWIDTH_GBPS`).
 
     Every draw is a gaussian, so *rng* needs only ``normal(loc, scale[,
     size])``: a session hands over its block-drawn
@@ -82,19 +82,13 @@ class Fabric:
             latency=spec.intra_latency, bandwidth_gbps=LOCAL_BANDWIDTH_GBPS)
         self._resolved.clear()
 
-    def set_route(self, a: str, b: str, latency: LatencySpec) -> None:
-        """Define/override the route between platforms *a* and *b*."""
-        route = Route(latency=latency,
-                      bandwidth_gbps=DEFAULT_WAN_BANDWIDTH_GBPS)
-        self._routes[self._key(a, b)] = route
-        self._resolved.clear()
-
     @staticmethod
     def _key(a: str, b: str) -> Tuple[str, str]:
         return (a, b) if a <= b else (b, a)
 
     def route(self, a: str, b: str) -> Route:
-        """Resolve the route between two platforms (WAN default if unset)."""
+        """Resolve the route between two platforms (the WAN link if they
+        differ)."""
         if a == b:
             try:
                 return self._routes[(a, a)]
@@ -126,9 +120,6 @@ class Fabric:
         if route is None:  # once per pair: every bus hop asks
             route = self._resolved[(a, b)] = self.route(a, b)
         return route.transfer_time(nbytes, self._rng)
-
-    def is_local(self, a: str, b: str) -> bool:
-        return a == b
 
     def platforms(self):
         return dict(self._platforms)

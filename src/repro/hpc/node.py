@@ -312,10 +312,6 @@ class NodeList:
             return self.nodes[start + (ahead & -ahead).bit_length() - 1]
         return self.nodes[(mask & -mask).bit_length() - 1]
 
-    def root_qualifies(self, cores: int, gpus: int, mem_gb: float) -> bool:
-        """Does some node fit one rank of this shape right now?  Exact."""
-        return self.fit_mask(cores, gpus, mem_gb) != 0
-
     def can_ever_fit(self, cores: int, gpus: int, mem_gb: float) -> bool:
         """Could any node host this rank when completely empty?
 

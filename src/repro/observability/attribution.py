@@ -239,11 +239,6 @@ class CampaignAttribution:
                 totals[name] = totals.get(name, 0.0) + seconds
         return totals
 
-    def task_breakdowns(self) -> Dict[str, TaskPhases]:
-        """uid -> per-task phase breakdown."""
-        return {t.uid: t for node in self.nodes.values()
-                for t in node.tasks}
-
     # -- critical path -------------------------------------------------------
     def critical_path(self) -> List[PathStep]:
         """The chain of nodes that determined the makespan.

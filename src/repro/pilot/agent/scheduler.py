@@ -57,17 +57,17 @@ scales -- see ``benchmarks/test_ablation_sched_throughput.py``):
 The semantics are pinned to the seed implementation
 (``ReferenceScheduler`` in ``tests/pilot/reference_scheduler.py``) by a
 property test replaying random traffic through both and comparing grant
-order and slot assignments.
+order, landing order and slot assignments.
 """
 
 from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, \
+    Tuple
 
 from ...hpc.node import NodeList, NodeState, Slot
-from ...sim.events import Event
 from ...utils.log import get_logger
 from ..task import NO_SLOTS
 
@@ -83,8 +83,8 @@ log = get_logger("pilot.agent.scheduler")
 #: colocation group (None for ungrouped requests)
 ShapeKey = Tuple[int, int, float, int, Optional[str]]
 
-#: pending-queue entry: [(-priority), seq, task, event or landing, alive,
-#: enqueue time]
+#: pending-queue entry: [(-priority), seq, task, landing, alive, enqueue
+#: time]
 _ALIVE = 4
 
 
@@ -222,32 +222,23 @@ class AgentScheduler:
                 d.ranks, group)
 
     # -- public API ------------------------------------------------------------
-    def schedule(self, task: "Task", landing: Any = None) -> Optional[Event]:
-        """Request slots for *task*; event succeeds with ``List[Slot]``.
+    def schedule(self, task: "Task",
+                 landing: Callable[["Task"], None]) -> None:
+        """Request slots for *task*; a grant lands on ``landing(task)``.
 
-        With *landing* (the owning agent's grant handler) no event is made:
-        the grant schedules ``landing(task)`` where the event's callbacks
-        would have run -- one zero-delay kernel entry later, the handle in
-        ``task.wait`` -- and a request that can never be granted raises.
+        The grant puts the slots in ``task.slots`` and schedules
+        ``landing(task)`` one zero-delay kernel entry later, the handle in
+        ``task.wait``.  A request that can never be granted raises
+        :class:`SchedulerError`.
         """
         if task.uid in self._held:
-            error = f"{task.uid} already holds slots"
-        elif task.uid in self._entries:
-            error = f"{task.uid} is already queued"
-        elif not self._feasible(task):
-            error = (f"{task.uid} can never fit on pilot {self.pilot_uid}: "
-                     f"needs {task.n_cores}c/{task.n_gpus}g")
-        else:
-            error = None
-        if landing is not None:
-            if error is not None:
-                raise SchedulerError(error)
-            event = landing
-        else:
-            event = self.session.engine.event()
-            if error is not None:
-                event.fail(SchedulerError(error))
-                return event
+            raise SchedulerError(f"{task.uid} already holds slots")
+        if task.uid in self._entries:
+            raise SchedulerError(f"{task.uid} is already queued")
+        if not self._feasible(task):
+            raise SchedulerError(
+                f"{task.uid} can never fit on pilot {self.pilot_uid}: "
+                f"needs {task.n_cores}c/{task.n_gpus}g")
         shape = self._shape_of(task)
         if shape in self._infeasible:
             # Known-unplaceable at current capacity: enqueue without a
@@ -255,7 +246,7 @@ class AgentScheduler:
             # rejected since the last capacity increase, and capacity only
             # shrinks between increases, so trying again cannot succeed.
             self.stats.memo_hits += 1
-            self._enqueue(shape, task, event)
+            self._enqueue(shape, task, landing)
         else:
             # Invariant: a shape absent from the memo has no queued entries
             # (they were all granted or the shape is memoised), so
@@ -265,10 +256,9 @@ class AgentScheduler:
             slots = self._place(task)
             if slots is None:
                 self._infeasible.add(shape)
-                self._enqueue(shape, task, event)
+                self._enqueue(shape, task, landing)
             else:
-                self._grant(task, event, slots)
-        return None if event is landing else event
+                self._grant(task, landing, slots)
 
     def release(self, task: "Task") -> None:
         """Return a task's slots and re-run placement for waiters."""
@@ -289,11 +279,10 @@ class AgentScheduler:
         O(1): the entry is tombstoned in place and skipped lazily when its
         heap surfaces it.  No capacity changed, so no rescan is needed.
 
-        A requester interrupted at the grant instant (its URGENT
-        interruption overtakes the already-issued grant event) finds
-        nothing queued here, but the scheduler holds slots for it that
-        nobody will ever release: those are returned, and the call still
-        reports False -- there was no queued request.
+        A requester withdrawn at the grant instant (after the grant, before
+        its landing ran) finds nothing queued here, but the scheduler holds
+        slots for it that nobody will ever release: those are returned, and
+        the call still reports False -- there was no queued request.
         """
         entry = self._entries.pop(task.uid, None)
         if entry is None:
@@ -325,8 +314,9 @@ class AgentScheduler:
         return list(self._held)
 
     # -- queue plumbing ----------------------------------------------------------
-    def _enqueue(self, shape: ShapeKey, task: "Task", event: Any) -> None:
-        entry = [-task.description.priority, next(self._seq), task, event,
+    def _enqueue(self, shape: ShapeKey, task: "Task",
+                 landing: Callable[["Task"], None]) -> None:
+        entry = [-task.description.priority, next(self._seq), task, landing,
                  True, self.session.engine.now]
         heappush(self._shape_queues.setdefault(shape, []), entry)
         self._entries[task.uid] = entry
@@ -344,8 +334,8 @@ class AgentScheduler:
             heappop(queue)
         return None
 
-    def _grant(self, task: "Task", event: Any, slots: List[Slot],
-               queued_at: Optional[float] = None) -> None:
+    def _grant(self, task: "Task", landing: Callable[["Task"], None],
+               slots: List[Slot], queued_at: Optional[float] = None) -> None:
         """Hand *slots* to *task*; *queued_at* is when a pending entry was
         enqueued (None: granted on arrival, nothing was queued)."""
         self._held[task.uid] = slots
@@ -360,10 +350,7 @@ class AgentScheduler:
         if self._obs_metrics is not None:
             self._obs_grant_hist.observe(
                 0.0 if queued_at is None else now - queued_at)
-        if isinstance(event, Event):
-            event.succeed(slots)
-        else:  # the agent's landing: same queue position as the event
-            task.wait = self.session.engine.call_later(0.0, event, task)
+        task.wait = self.session.engine.call_later(0.0, landing, task)
 
     def _drop_node_held(self, node_index: int, uid: str) -> None:
         holders = self._node_held.get(node_index)
@@ -505,7 +492,7 @@ class AgentScheduler:
             if not fit_mask(shape[0], shape[1], shape[2]):
                 infeasible.add(shape)
                 continue
-            task, event = head[2], head[3]
+            task, landing = head[2], head[3]
             slots = self._place(task)
             if slots is None:
                 infeasible.add(shape)
@@ -517,7 +504,7 @@ class AgentScheduler:
                 self._entries = {}     # as in withdraw
             if self._obs_metrics is not None:
                 self._obs_track_dequeue(shape)
-            self._grant(task, event, slots, head[5])
+            self._grant(task, landing, slots, head[5])
             # Capacity never grows inside a pass: siblings of a shape that
             # no longer fits are parked here, not re-offered and popped.
             if queue and not fit_mask(shape[0], shape[1], shape[2]):

@@ -137,11 +137,6 @@ class PilotManager:
             batch = self.session.batch_system(pilot.platform.name)
             batch.cancel(pilot.batch_job)
 
-    def complete_pilot(self, pilot: Pilot) -> None:
-        """Release an active pilot's allocation cleanly (state DONE)."""
-        batch = self.session.batch_system(pilot.platform.name)
-        batch.complete(pilot.batch_job)
-
     def wait_active(self, pilots: Union[Pilot, Iterable[Pilot]]) -> Event:
         """Event succeeding once all given pilots are active."""
         if isinstance(pilots, Pilot):

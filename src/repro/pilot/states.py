@@ -147,9 +147,6 @@ class StateModel:
             f"illegal transition {current} -> {target} "
             f"(allowed: {self.transitions.get(current, ())})")
 
-    def is_final(self, state: str) -> bool:
-        return state in self.final
-
 
 TASK_MODEL = StateModel(TaskState.TRANSITIONS, TaskState.FINAL)
 PILOT_MODEL = StateModel(PilotState.TRANSITIONS, PilotState.FINAL)

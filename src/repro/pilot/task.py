@@ -18,8 +18,8 @@ none are the shared empty tuple :data:`NO_SLOTS`.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, AbstractSet, Any, Callable, Dict,
-                    Optional, Sequence, Tuple)
+from typing import (TYPE_CHECKING, AbstractSet, Any, Callable, Optional,
+                    Sequence, Tuple)
 
 from ..hpc.node import NodeList, Slot
 from ..sim.events import Event
@@ -244,13 +244,6 @@ class Pilot(_StatefulEntity):
     @property
     def n_nodes(self) -> int:
         return len(self.nodes) if self.nodes is not None else 0
-
-    def free_capacity(self) -> Dict[str, int]:
-        """Currently free cores/GPUs across the pilot's nodes."""
-        if self.nodes is None:
-            return {"cores": 0, "gpus": 0}
-        return {"cores": self.nodes.total_free_cores,
-                "gpus": self.nodes.total_free_gpus}
 
     def __repr__(self) -> str:
         return f"<Pilot {self.uid} {self.state} on {self.description.resource}>"

@@ -157,11 +157,6 @@ class HeartbeatMonitor:
         lease = self._leases.get(uid)
         return lease.declared if lease is not None else None
 
-    def is_live(self, uid: str) -> bool:
-        lease = self._leases.get(uid)
-        return lease is not None and not lease.expired \
-            and not lease.deregistered
-
     # -- the declaration ---------------------------------------------------------
     def _declare(self, lease: Lease) -> None:
         """Record the expiry of *lease* and trigger its declaration."""

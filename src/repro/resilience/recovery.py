@@ -12,7 +12,7 @@ Three policies cover the failure modes of long-running hybrid campaigns:
   :data:`BACKOFF_JITTER_S`).
 * :class:`Checkpointer` -- state persisted as durable data objects (the
   save pays an intra-platform copy at the checkpoint home,
-  :data:`CHECKPOINT_HOME`, every :data:`CHECKPOINT_INTERVAL`-th iteration).
+  :data:`CHECKPOINT_HOME`).
   User code saves through it once per round -- the resilience ablation's
   checkpoint/restart arm and ``examples/fault_tolerance.py`` do -- so a
   restart replays only work lost since the last checkpoint; lost warm-tier
@@ -67,8 +67,6 @@ BACKOFF_FACTOR = 2.0
 #: upper bound of the uniform jitter added to each backoff (seconds)
 BACKOFF_JITTER_S = 0.5
 
-#: a checkpoint is due every k-th iteration (1 = every iteration)
-CHECKPOINT_INTERVAL = 1
 #: serialized-state size charged per save when the caller names none
 CHECKPOINT_BYTES = 0.0
 #: durable home of checkpoint objects (the client side)
@@ -328,10 +326,6 @@ class Checkpointer:
         self._store: MutableMapping = store if store is not None else {}
         self.saves = 0
         self.restores = 0
-
-    def due(self, iteration: int) -> bool:
-        """Is *iteration* (0-based) a checkpoint boundary?"""
-        return (iteration + 1) % CHECKPOINT_INTERVAL == 0
 
     def save(self, key: str, iteration: int, payload: Any,
              nbytes: Optional[float] = None):

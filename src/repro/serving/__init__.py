@@ -12,7 +12,6 @@ from .backend import (
     ModelBackend,
     NoopModel,
     create_backend,
-    register_backend,
 )
 from .generator import MarkovGenerator, default_generator, tokenize
 from .hosts import HOSTS, OllamaHost, ServingHost, VllmHost, create_host
@@ -24,7 +23,6 @@ __all__ = [
     "ModelBackend",
     "NoopModel",
     "create_backend",
-    "register_backend",
     "MarkovGenerator",
     "default_generator",
     "tokenize",

@@ -26,7 +26,6 @@ __all__ = [
     "NoopModel",
     "LlamaModel",
     "create_backend",
-    "register_backend",
     "BACKENDS",
 ]
 
@@ -61,8 +60,10 @@ class ModelBackend:
     def infer(self, prompt: str, rng,
               params: Optional[Dict[str, Any]] = None,
               ) -> Tuple[InferenceResultPayload, float]:
-        """Run one inference: returns (payload, modeled duration seconds)."""
-        raise NotImplementedError
+        """Run one inference, a batch of one: returns (payload, modeled
+        duration seconds)."""
+        payloads, span = self.infer_batch([prompt], rng, [params])
+        return payloads[0], span
 
     def infer_batch(self, prompts: Sequence[str], rng,
                     params_list: Optional[Sequence[Optional[Dict[str, Any]]]]
@@ -71,21 +72,9 @@ class ModelBackend:
         """Run a coalesced batch: returns (payloads, busy span seconds).
 
         All requests of a batch complete together after the returned span
-        (the continuous-batching approximation).  The base implementation
-        has no batching advantage: the span is the sum of the individual
-        inference durations.  Backends with real batch execution override
-        this with a sub-linear cost model.
+        (the continuous-batching approximation).
         """
-        if not prompts:
-            raise ValueError("infer_batch needs at least one prompt")
-        params_list = self._norm_params(prompts, params_list)
-        payloads: List[InferenceResultPayload] = []
-        span = 0.0
-        for prompt, params in zip(prompts, params_list):
-            payload, duration = self.infer(prompt, rng, params)
-            payloads.append(payload)
-            span += duration
-        return payloads, span
+        raise NotImplementedError
 
     @staticmethod
     def _norm_params(prompts: Sequence[str],
@@ -118,12 +107,6 @@ class NoopModel(ModelBackend):
                   fs_aggregate_gbps: float = 100.0) -> float:
         # Starting the (empty) service runtime: python interpreter + imports.
         return float(max(0.05, rng.normal(0.5, 0.05)))
-
-    def infer(self, prompt: str, rng, params=None):
-        payload = InferenceResultPayload(
-            text="", prompt_tokens=count_tokens(prompt),
-            completion_tokens=0, model=self.name)
-        return payload, self.NOOP_COST_S
 
     def infer_batch(self, prompts, rng, params_list=None):
         if not prompts:
@@ -211,13 +194,6 @@ class LlamaModel(ModelBackend):
             text=text, prompt_tokens=prompt_tokens,
             completion_tokens=completion_tokens, model=self.name)
 
-    def infer(self, prompt: str, rng, params=None):
-        payload = self._sample_request(prompt, rng, params)
-        duration = (payload.prompt_tokens / self.prefill_tps
-                    + payload.completion_tokens / self.decode_tps)
-        duration *= float(max(0.5, rng.normal(1.0, 0.05)))
-        return payload, float(duration)
-
     def infer_batch(self, prompts, rng, params_list=None):
         if not prompts:
             raise ValueError("infer_batch needs at least one prompt")
@@ -245,14 +221,6 @@ BACKENDS: Dict[str, Callable[[], ModelBackend]] = {
 }
 
 _LLAMA_RE = re.compile(r"^llama-(\d+(?:\.\d+)?)b$")
-
-
-def register_backend(name: str,
-                     factory: Callable[[], ModelBackend]) -> None:
-    """Register a custom model backend factory."""
-    if name in BACKENDS:
-        raise ValueError(f"backend {name!r} already registered")
-    BACKENDS[name] = factory
 
 
 def create_backend(model_name: str) -> ModelBackend:

@@ -27,9 +27,8 @@ one-heap kernel by ``benchmarks/test_micro_kernels.py``):
 
 There is **one dispatch loop** (:meth:`SimulationEngine._dispatch`): the
 merged pop, the cancelled-entry skip and the dispatch body exist once, and
-:meth:`~SimulationEngine.step` and every :meth:`~SimulationEngine.run` mode
-are thin callers that differ only in the stop conditions they pass -- a stop
-event, a deadline, a budget of events.
+every :meth:`~SimulationEngine.run` mode is a thin caller that differs only
+in the stop conditions it passes -- a stop event, a deadline.
 
 The kernel counts its own work: ``entries`` made and generator ``resumes``;
 a budget per task, request or tick is a difference of the two.
@@ -40,7 +39,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Iterable, List, Union
+from typing import Any, Callable, Deque, Generator, List, Union
 
 from .events import (
     NORMAL,
@@ -59,10 +58,6 @@ _INF = float("inf")
 #: "no stop event" for :meth:`SimulationEngine._dispatch`: never scheduled,
 #: so never processed, and the loop needs no ``stop is None`` test per event
 _NEVER = Event(None)  # type: ignore[arg-type]
-#: budgets for :meth:`SimulationEngine._dispatch`: ``for _ in budget`` costs
-#: nothing per event that a ``while True`` would not
-_UNBOUNDED = itertools.repeat(None)
-_ONE_EVENT = (None,)
 
 
 class SimulationEngine:
@@ -105,10 +100,6 @@ class SimulationEngine:
                 return nowq[0][0]
             return heap[0][0]
         return nowq[0][0] if nowq else _INF
-
-    def is_idle(self) -> bool:
-        self._prune_cancelled()
-        return not self._heap and not self._nowq
 
     # -- scheduling -----------------------------------------------------------
     def schedule(self, event: Event, delay: float = 0.0,
@@ -171,14 +162,12 @@ class SimulationEngine:
         return AnyOf(self, events)
 
     # -- dispatch -------------------------------------------------------------
-    def _dispatch(self, stop: Event, deadline: float,
-                  budget: Iterable[None]) -> bool:
+    def _dispatch(self, stop: Event, deadline: float) -> bool:
         """The dispatch loop: pop the next live entry, run it, repeat.
 
         Stops -- returning True -- as soon as *stop* has been processed
-        (all of its callbacks ran), the next entry lies past *deadline*
-        (it stays queued; entries at exactly the deadline still fire), or
-        *budget* is used up (one item per popped entry, cancelled or not).
+        (all of its callbacks ran) or the next entry lies past *deadline*
+        (it stays queued; entries at exactly the deadline still fire).
         Returns False when both queues ran dry first.  Re-raises the value
         of a failed event nobody defused (an unhandled process crash).
         """
@@ -186,15 +175,15 @@ class SimulationEngine:
         nowq = self._nowq
         pool = self._pool
         heappop = heapq.heappop
-        for _ in budget:
+        while True:
             # Wait for *processing*, not just triggering: Timeout events
             # carry their value from creation, so .triggered alone is not
             # "occurred".
             if stop.callbacks is None:
                 return True
             # Merged pop across heap and now-queue.  Cancelled entries are
-            # skipped in the same pass: pruning ahead (is_idle()/peek()
-            # before every pop) would test both heads twice per event,
+            # skipped in the same pass: pruning ahead (peek() before every
+            # pop) would test both heads twice per event,
             # which adds up over the millions of events of a campaign.
             if nowq:
                 if heap and heap[0] < nowq[0]:
@@ -228,18 +217,6 @@ class SimulationEngine:
                 callback(event)
             if event._ok is False and not event._defused:
                 raise event._value
-        return True
-
-    def step(self) -> None:
-        """Process the single next event.
-
-        Raises :class:`IndexError` when the queue is empty, and re-raises the
-        value of failed events nobody defused (unhandled process crashes).
-        """
-        # prune first, so that the one-entry budget lands on a live entry
-        if self.is_idle():
-            raise IndexError("step from an empty event queue")
-        self._dispatch(_NEVER, _INF, _ONE_EVENT)
 
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
@@ -251,10 +228,10 @@ class SimulationEngine:
           (re-raising for failed events).
         """
         if until is None:
-            self._dispatch(_NEVER, _INF, _UNBOUNDED)
+            self._dispatch(_NEVER, _INF)
             return None
         if isinstance(until, Event):
-            if not self._dispatch(until, _INF, _UNBOUNDED):
+            if not self._dispatch(until, _INF):
                 raise RuntimeError(
                     "simulation ran out of events before the 'until' "
                     "event triggered (deadlock?)")
@@ -266,7 +243,7 @@ class SimulationEngine:
         if not deadline >= self.now:  # NaN is refused like a past deadline
             raise ValueError(
                 f"until ({deadline}) lies in the past (now={self.now})")
-        self._dispatch(_NEVER, deadline, _UNBOUNDED)
+        self._dispatch(_NEVER, deadline)
         self.now = deadline
         return None
 

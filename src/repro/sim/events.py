@@ -124,15 +124,6 @@ class Event:
         self.engine.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Adopt the outcome of another (triggered) event.
-
-        Used to chain events: the target assumes *event*'s ok/value.
-        """
-        self._ok = event._ok
-        self._value = event._value
-        self.engine.schedule(self)
-
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")

@@ -97,15 +97,6 @@ class RngHub:
             self._normals[name] = normals
         return normals
 
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a *new* generator for *name* (restarts the sequence)."""
-        return np.random.default_rng(self._derive(name))
-
-    def spawn(self, name: str) -> "RngHub":
-        """Derive a child hub, e.g. one per pilot or per experiment trial."""
-        digest = hashlib.sha256(f"{self.seed}:spawn:{name}".encode()).digest()
-        return RngHub(int.from_bytes(digest[:8], "little"))
-
     def __repr__(self) -> str:
         return (f"RngHub(seed={self.seed}, "
                 f"streams={sorted({*self._streams, *self._normals})})")

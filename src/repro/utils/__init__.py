@@ -6,12 +6,11 @@ every other subpackage can import them without cycles.
 
 from .ids import IdRegistry
 from .config import Config, ConfigError
-from .log import get_logger, set_log_level
+from .log import get_logger
 
 __all__ = [
     "IdRegistry",
     "Config",
     "ConfigError",
     "get_logger",
-    "set_log_level",
 ]

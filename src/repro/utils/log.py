@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import os
 
-__all__ = ["get_logger", "set_log_level"]
+__all__ = ["get_logger"]
 
 _ROOT = "repro"
 _CONFIGURED = False
@@ -42,10 +42,3 @@ def get_logger(name: str) -> logging.Logger:
         return logging.getLogger(name)
     return logging.getLogger(f"{_ROOT}.{name}")
 
-
-def set_log_level(level: int | str) -> None:
-    """Set the level on the ``repro`` root logger."""
-    _configure_root()
-    if isinstance(level, str):
-        level = getattr(logging, level.upper())
-    logging.getLogger(_ROOT).setLevel(level)

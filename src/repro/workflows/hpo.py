@@ -64,14 +64,6 @@ class FloatParam:
                 (math.log(self.high) - math.log(self.low))
         return (value - self.low) / (self.high - self.low)
 
-    def from_unit(self, unit: float) -> float:
-        unit = min(max(unit, 0.0), 1.0)
-        if self.log:
-            return float(math.exp(math.log(self.low)
-                                  + unit * (math.log(self.high)
-                                            - math.log(self.low))))
-        return float(self.low + unit * (self.high - self.low))
-
 
 @dataclass(frozen=True)
 class IntParam:
@@ -90,10 +82,6 @@ class IntParam:
 
     def to_unit(self, value: int) -> float:
         return (value - self.low) / (self.high - self.low)
-
-    def from_unit(self, unit: float) -> int:
-        unit = min(max(unit, 0.0), 1.0)
-        return int(round(self.low + unit * (self.high - self.low)))
 
 
 @dataclass(frozen=True)

@@ -172,11 +172,6 @@ class EnsembleUQ:
             raise RuntimeError("not fitted")
         return np.mean([m.predict_proba(X) for m in self._members], axis=0)
 
-    def member_disagreement(self, X: np.ndarray) -> np.ndarray:
-        """Per-sample std of member confidences (an uncertainty signal)."""
-        probs = np.stack([m.predict_proba(X) for m in self._members])
-        return probs.max(axis=2).std(axis=0)
-
 
 UQ_METHODS = ("bayesian-lora", "lora-ensemble")
 

@@ -176,7 +176,7 @@ class TestLanding:
         echo(server, lambda payload: "pong")
         client = bus.connect(platform="delta")
         reply = client.request(server.address, "ping")
-        engine.step()                         # request lands, reply leaves
+        engine.run(until=engine.peek())       # request lands, reply leaves
         assert client.in_flight == 1 and bus.dropped_count == 0
         client.close()
         engine.run(until=1.0)
@@ -322,22 +322,22 @@ class TestPubSub:
         assert msg.received_at > msg.sent_at  # WAN latency applied
 
 
-class TestPubCoalescing:
-    """Same-delay fan-out shares one engine hop (batched landing)."""
+class TestPublish:
+    """A publication is one flight per subscriber, in subscription order."""
 
-    def test_senderless_fanout_costs_one_queue_entry(self, setup):
+    def test_fanout_sends_one_flight_per_subscriber(self, setup):
         engine, _, bus = setup
         got = [[] for _ in range(5)]
         for seen in got:
             bus.subscribe("state", "delta", seen.append)
+        entries = engine.entries
         assert bus.publish("state", "payload") == 5
-        # all five deliveries ride one pooled deferred in the now-queue
-        assert len(engine._heap) + len(engine._nowq) == 1
+        assert engine.entries - entries == 5
         engine.run()
         assert [len(seen) for seen in got] == [1] * 5
         assert bus.delivered_count == 5
 
-    def test_batched_landing_preserves_subscription_order(self, setup):
+    def test_landings_keep_subscription_order(self, setup):
         engine, _, bus = setup
         got = []
         for i in range(4):
@@ -347,13 +347,13 @@ class TestPubCoalescing:
         engine.run()
         assert got == [(0, "x"), (1, "x"), (2, "x"), (3, "x")]
 
-    def test_cancelled_subscription_skipped_inside_batch(self, setup):
+    def test_a_cancelled_subscription_is_dropped_on_landing(self, setup):
         engine, _, bus = setup
         got = {"keep1": [], "doomed": [], "keep2": []}
         subs = {tag: bus.subscribe("state", "delta", seen.append)
                 for tag, seen in got.items()}
         assert bus.publish("state", "late") == 3
-        subs["doomed"].cancel()  # after publish, before the batch lands
+        subs["doomed"].cancel()  # after publish, before its flight lands
         engine.run()
         assert [len(seen) for seen in got.values()] == [1, 0, 1]
         # the flight to the cancelled subscription is counted, as dropped
@@ -373,8 +373,10 @@ class TestPubCoalescing:
         assert (bus.sent_count, bus.delivered_count, bus.dropped_count) \
             == (1, 0, 1)
 
-    def test_raising_subscriber_surfaces_from_run_and_siblings_are_served(
+    def test_raising_subscriber_surfaces_from_run_and_the_next_lands_later(
             self, setup):
+        # the kernel's rule: a raising entry surfaces from run(), and the
+        # entries after it stay queued for the next run()
         engine, _, bus = setup
         got = []
 
@@ -387,12 +389,16 @@ class TestPubCoalescing:
         assert bus.publish("state", "this") == 3
         with pytest.raises(RuntimeError, match="cannot consume this"):
             engine.run()
+        assert [msg.payload for msg in got] == ["this"]
+        assert (bus.sent_count, bus.delivered_count, bus.dropped_count) \
+            == (3, 2, 0)
+        engine.run()
         assert [msg.payload for msg in got] == ["this", "this"]
         assert (bus.sent_count, bus.delivered_count, bus.dropped_count) \
             == (3, 3, 0)
-        assert engine.is_idle()               # nothing left half-landed
+        assert engine.peek() == float("inf")  # nothing left half-landed
 
-    def test_distinct_delays_never_share_a_group(self, setup):
+    def test_distinct_delays_land_apart(self, setup):
         engine, _, bus = setup
         arrivals = {}
         for tag, platform in (("local", "r3"), ("remote", "delta")):

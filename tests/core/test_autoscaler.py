@@ -45,7 +45,7 @@ class TestLifecycle:
                 remote_platform="r3")
             session.run(until=smgr.wait_ready(scaler.handles))
             assert scaler.n_instances == 3
-            assert len(scaler.targets()) == 3
+            assert sum(h.is_ready for h in scaler.handles) == 3
             scaler.stop()
 
     def test_idle_fleet_stays_at_min(self, policy):

@@ -80,16 +80,15 @@ class TestRunWorkload:
         with pytest.raises(ValueError):
             session.run(until=proc)
 
-    def test_mean_rt_and_clear(self, env):
+    def test_clear_empties_the_results(self, env):
         session, _, handles = env
         client = ServiceClient(session, platform="delta")
-        assert client.mean_rt() != client.mean_rt()  # NaN before requests
 
         def work():
             yield from client.run_workload([handles[0].address], 5)
 
         session.run(until=session.engine.process(work()))
-        assert client.mean_rt() > 0
+        assert len(client.results) == 5
         client.clear()
         assert client.results == []
 

@@ -70,10 +70,10 @@ def transcript():
         assert all(h.is_ready for h in rest)
         smgr.stop_services(rest)
         session.run(until=smgr.wait_stopped(handles))
-        pmgr.complete_pilot(pilot)
+        session.batch_system(pilot.platform.name).complete(pilot.batch_job)
         session.quiesce()
         session.run()
-        assert engine.is_idle()
+        assert engine.peek() == float("inf")
         return {
             "rows": [[row.time, row.uid, row.event, row.component]
                      for row in session.profiler.events()],

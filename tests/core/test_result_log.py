@@ -138,8 +138,6 @@ def test_run_workload_returns_the_rows_it_added():
         second = session.run(until=session.engine.process(work(4)))
         assert type(second) is list and len(second) == 4
         assert client.results == first + second
-        assert client.mean_rt() == sum(
-            r.response_time for r in first + second) / 7
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +167,6 @@ class TestResultLog:
         log, rows = log_of(5)
         assert len(log) == 5 and list(log) == rows
         assert [repr(r) for r in log] == [repr(r) for r in rows]
-        assert list(log.response_times()) == [r.response_time for r in rows]
 
     def test_an_int_index_reads_one_row_negative_too(self):
         log, rows = log_of(5)
@@ -339,7 +336,8 @@ def test_a_read_payload_is_a_fresh_dict():
 # ---------------------------------------------------------------------------
 
 def test_requests_add_almost_nothing_for_the_cyclic_collector():
-    """A kept result is numbers in an array and an untracked payload dict:
+    """A kept result is numbers in an array and its payload's form, one
+    tuple of the reply's values and keys that repeating replies share:
     N requests leave the collector fewer than N/100 new objects to
     traverse (one tracked ``InferenceResult`` each while results were
     objects)."""

@@ -59,7 +59,7 @@ class TestBootstrap:
         (handle,) = smgr.start_services(
             ServiceDescription(model="llama-8b"), pilot)
         session.run(until=handle.ready)
-        assert pilot.free_capacity()["gpus"] == 15
+        assert pilot.nodes.total_free_gpus == 15
 
     def test_service_registered_in_registry(self, env):
         session, _, smgr, pilot = env
@@ -77,7 +77,7 @@ class TestBootstrap:
             [ServiceDescription(model="llama-8b") for _ in range(8)], pilot)
         session.run(until=smgr.wait_ready(handles))
         assert all(h.is_ready for h in handles)
-        assert pilot.free_capacity()["gpus"] == 8
+        assert pilot.nodes.total_free_gpus == 8
         # endpoints are distinct
         assert len({h.address.name for h in handles}) == 8
 
@@ -91,7 +91,7 @@ class TestBootstrap:
         session.run(until=handle.stopped)
         assert handle.service_state == ServiceState.FAILED
         # resources returned
-        assert pilot.free_capacity()["gpus"] == 16
+        assert pilot.nodes.total_free_gpus == 16
 
     def test_a_ready_service_outlives_its_startup_timeout(self, env):
         session, _, smgr, pilot = env
@@ -213,7 +213,7 @@ class TestStopAndFailure:
         assert handle.task.state == TaskState.DONE
         assert not handle.instance.running
         assert smgr.registry.list_services() == []
-        assert pilot.free_capacity()["cores"] == pilot.nodes.total_free_cores
+        assert pilot.nodes.total_free_cores == pilot.nodes.total_cores
 
     def test_bootstrap_failed_before_ready_withdraws_the_startup_timeout(
             self, env):
@@ -240,15 +240,16 @@ class TestStopAndFailure:
         session, _, smgr, pilot = env
         session.run(until=pilot.became_active)
         scheduler = pilot.agent.scheduler
-        full = pilot.free_capacity()
+        full = (pilot.nodes.total_free_cores, pilot.nodes.total_free_gpus)
         blocker = Task(session, TaskDescription(
             executable="hog", ranks=pilot.n_nodes,
-            cores_per_rank=full["cores"] // pilot.n_nodes), "task.blocker")
-        session.run(until=scheduler.schedule(blocker))
+            cores_per_rank=full[0] // pilot.n_nodes), "task.blocker")
+        granted = []
+        scheduler.schedule(blocker, granted.append)
         (handle,) = smgr.start_services(
             ServiceDescription(model="noop", gpus_per_rank=0), pilot)
         session.run(until=session.now + 1.0)
-        assert scheduler.queue_length == 1
+        assert granted == [blocker] and scheduler.queue_length == 1
         scheduler.release(blocker)  # grants the service's task ...
         assert handle.task.uid in scheduler.held_tasks
         smgr.fail_service(handle, RuntimeError("startup timeout"))  # too late
@@ -257,7 +258,8 @@ class TestStopAndFailure:
         assert handle.task.phase is None and handle.task.wait is None
         assert session.profiler.timestamp(handle.uid, "launch_start") is None
         assert scheduler.held_tasks == []
-        assert pilot.free_capacity() == full
+        assert (pilot.nodes.total_free_cores,
+                pilot.nodes.total_free_gpus) == full
 
     def test_stop_is_idempotent(self, env):
         session, _, smgr, pilot = env
@@ -402,17 +404,18 @@ class TestServicesEndWithTheirPilot:
 
     def _phase_window(self, phase, resilient):
         """When the service is in *phase*, and when the pilot's walltime
-        started: ``(enter, leave, started_at)`` on an unended run."""
+        started: ``(enter, leave, started_at)`` on an unended run, read
+        after each instant's entries ran."""
         session, _, _, pilot, handle, _ = self._aboard(phase, resilient)
         with session:
             inside = self.PHASES[phase]
             while not inside(handle):
-                session.engine.step()
+                session.run(until=session.engine.peek())
             enter = session.now
             if phase == "ready":
                 return enter, enter + 10.0, pilot.batch_job.started_at
             while inside(handle):
-                session.engine.step()
+                session.run(until=session.engine.peek())
             return enter, session.now, pilot.batch_job.started_at
 
     @pytest.mark.parametrize("resilient", [False, True],

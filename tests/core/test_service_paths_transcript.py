@@ -113,10 +113,10 @@ def transcript(timeouts=TIMEOUTS):
                 if h.service_state not in ("STOPPED", "FAILED")]
         smgr.stop_services(rest)
         session.run(until=smgr.wait_stopped(handles))
-        pmgr.complete_pilot(pilot)
+        session.batch_system(pilot.platform.name).complete(pilot.batch_job)
         session.quiesce()
         session.run()
-        assert engine.is_idle()
+        assert engine.peek() == float("inf")
         rows = [[row.time, row.uid, row.event, row.component]
                 for row in session.profiler.events()]
         if timeouts is TIMEOUTS:

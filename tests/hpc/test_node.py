@@ -115,7 +115,7 @@ class TestNodeList:
         assert nl.fit_mask(2, 1, 4.0) == 0b101
         nl[0].mark_degraded()
         nl[2].mark_down()
-        assert nl.fit_mask(2, 1, 4.0) == 0 and not nl.root_qualifies(2, 1, 4.0)
+        assert nl.fit_mask(2, 1, 4.0) == 0
         nl[1].release(slot)
         nl[2].mark_up()
         assert nl.fit_mask(2, 1, 4.0) == 0b110
@@ -125,9 +125,9 @@ class TestNodeList:
         nl = NodeList.build(count=1, cores=4, gpus=0, mem_gb=8.0)
         asks = (8.0 + 1e-9, 8.0 + 3e-9, 8.0, 8.0 - 1e-9, 8.0 - 3e-9)
         for mem in asks:  # tracked while free, so the node change refits
-            assert nl.root_qualifies(1, 0, mem) == nl[0].fits(1, 0, mem)
+            assert bool(nl.fit_mask(1, 0, mem)) == nl[0].fits(1, 0, mem)
         nl[0].allocate(cores=1, mem_gb=2e-9)
-        assert [nl.root_qualifies(1, 0, mem) for mem in asks] \
+        assert [bool(nl.fit_mask(1, 0, mem)) for mem in asks] \
             == [nl[0].fits(1, 0, mem) for mem in asks] \
             == [False, False, False, True, True]
 

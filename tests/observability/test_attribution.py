@@ -77,13 +77,18 @@ def diamond():
     return CampaignAttribution.from_spans(spans, makespan=33.0)
 
 
+def tasks_of(attr):
+    """uid -> per-task phase breakdown, read off the attributed nodes."""
+    return {t.uid: t for node in attr.nodes.values() for t in node.tasks}
+
+
 class TestPhaseBreakdowns:
     def test_phases_sum_across_attempts(self):
         spans = task_spans("t.0", 0.0, [
             ("agent_queue", 1.0), ("execute", 2.0), ("recovery", 3.0),
             ("execute", 4.0)])
         attr = CampaignAttribution.from_spans(spans)
-        task = attr.task_breakdowns()["t.0"]
+        task = tasks_of(attr)["t.0"]
         assert task.phases == {"agent_queue": 1.0, "execute": 6.0,
                                "recovery": 3.0}
         assert task.duration == pytest.approx(10.0)
@@ -93,12 +98,12 @@ class TestPhaseBreakdowns:
         orphan = Span(99, 9999, 12345, "execute", "task", 0.0)
         orphan.end = 50.0
         attr = CampaignAttribution.from_spans(spans + [orphan])
-        assert attr.task_breakdowns()["t.0"].phases == {"execute": 5.0}
+        assert tasks_of(attr)["t.0"].phases == {"execute": 5.0}
 
     def test_open_spans_count_as_zero_length(self):
         root = Span(1, next(_ids), None, "t.0", "task", 0.0)  # never closed
         attr = CampaignAttribution.from_spans([root])
-        task = attr.task_breakdowns()["t.0"]
+        task = tasks_of(attr)["t.0"]
         assert task.duration == 0.0 and task.phases == {}
 
     def test_non_task_categories_are_ignored(self):
@@ -106,7 +111,7 @@ class TestPhaseBreakdowns:
         node.end = 10.0
         attr = CampaignAttribution.from_spans(
             [node] + task_spans("t.0", 0.0, [("execute", 5.0)]))
-        assert set(attr.task_breakdowns()) == {"t.0"}
+        assert set(tasks_of(attr)) == {"t.0"}
 
     def test_phase_totals_aggregate_nodes(self):
         attr = diamond()

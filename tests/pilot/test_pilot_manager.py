@@ -49,7 +49,7 @@ class TestPilotLifecycle:
         (pilot,) = pmgr.submit_pilots(
             PilotDescription(resource="delta", nodes=2, runtime_s=1e6))
         session.run(until=pilot.became_active)
-        pmgr.complete_pilot(pilot)
+        session.batch_system(pilot.platform.name).complete(pilot.batch_job)
         session.run(until=pilot.finished)
         assert pilot.state == PilotState.DONE
         assert session.batch_system("delta").free_nodes == \
@@ -89,7 +89,7 @@ class TestPilotLifecycle:
         assert not pilot.became_active.ok
         assert batch.free_nodes == free
         session.run()
-        assert session.engine.is_idle()
+        assert session.engine.peek() == float("inf")
 
     @pytest.mark.parametrize("end, final", [
         ("cancel", PilotState.CANCELED),
@@ -126,9 +126,10 @@ class TestPilotLifecycle:
         assert all(p.is_active for p in pilots)
         assert pilots[1].nodes.total_free_gpus == 16
 
-    def test_free_capacity_reporting(self, session, pmgr):
+    def test_nodes_come_with_activation(self, session, pmgr):
         (pilot,) = pmgr.submit_pilots(
             PilotDescription(resource="delta", nodes=1))
-        assert pilot.free_capacity() == {"cores": 0, "gpus": 0}
+        assert pilot.nodes is None and pilot.n_nodes == 0
         session.run(until=pilot.became_active)
-        assert pilot.free_capacity() == {"cores": 64, "gpus": 4}
+        assert pilot.nodes.total_free_cores == 64
+        assert pilot.nodes.total_free_gpus == 4

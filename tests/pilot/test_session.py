@@ -172,7 +172,7 @@ class TestQuiesce:
             assert session.quiescing
             # drained soon after: no further heartbeat re-arming; only the
             # already-scheduled walltime/batch events remain to flush
-            assert session.engine.is_idle()
+            assert session.engine.peek() == float("inf")
             assert t_done <= session.now
 
     def test_quiesce_declares_no_false_failures(self):
@@ -211,7 +211,7 @@ class TestQuiesce:
 
             session.add_daemon(session.engine.process(late_daemon()))
             session.run()
-            assert session.engine.is_idle()
+            assert session.engine.peek() == float("inf")
             assert len(beats) <= 1  # interrupted before re-arming
 
     def test_quiesce_cancels_armed_lease_timers(self):
@@ -255,5 +255,5 @@ class TestQuiesce:
             session.quiesce()
             session.run()
             # drain flushes the 500s walltime, never the ~1e6s MTBF draw
-            assert session.engine.is_idle()
+            assert session.engine.peek() == float("inf")
             assert session.now <= 600.0

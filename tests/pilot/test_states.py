@@ -70,10 +70,6 @@ class TestTaskModel:
         with pytest.raises(StateError, match="no-op"):
             TASK_MODEL.check(TaskState.NEW, TaskState.NEW)
 
-    def test_is_final(self):
-        assert TASK_MODEL.is_final(TaskState.DONE)
-        assert not TASK_MODEL.is_final(TaskState.AGENT_EXECUTING)
-
 
 PILOT_STATES = [PilotState.NEW, PilotState.PMGR_LAUNCHING,
                 PilotState.PMGR_ACTIVE, PilotState.DONE, PilotState.FAILED,

@@ -156,7 +156,7 @@ class TaskPathMachine(RuleBasedStateMachine):
         if session.observability is not None:
             assert session.observability.metrics.sample_times[-1] \
                 == quiesced_at
-        assert session.engine.is_idle()
+        assert session.engine.peek() == float("inf")
         assert [link.active_flows for link in
                 session.data.transfers.links().values()
                 if link.active_flows] == []

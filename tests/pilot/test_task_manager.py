@@ -55,7 +55,7 @@ class TestHappyPath:
         session.run(until=tmgr.wait_tasks(tasks))
         assert all(t.state == TaskState.DONE for t in tasks)
         # all slots returned
-        assert pilot.free_capacity()["cores"] == 128
+        assert pilot.nodes.total_free_cores == 128
 
     def test_concurrency_bounded_by_capacity(self, env):
         session, _, tmgr, _ = env
@@ -105,7 +105,7 @@ class TestFailureAndCancel:
         session.run(until=tmgr.wait_tasks([task]))
         assert task.state == TaskState.FAILED
         assert isinstance(task.exception, ValueError)
-        assert pilot.free_capacity()["cores"] == 128  # slots released
+        assert pilot.nodes.total_free_cores == 128  # slots released
 
     def test_failure_does_not_affect_siblings(self, env):
         session, _, tmgr, _ = env
@@ -135,7 +135,7 @@ class TestFailureAndCancel:
         assert [t.result for t in tasks] == [None, None]
         assert session.now < 500.0
         assert pilot.agent.executor.executing_count == 0
-        assert pilot.free_capacity()["cores"] == 128
+        assert pilot.nodes.total_free_cores == 128
 
     def test_cancel_queued_task(self, env):
         session, _, tmgr, _ = env
@@ -198,7 +198,7 @@ class TestFailureAndCancel:
             assert b.state == (TaskState.FAILED if fault
                                else TaskState.CANCELED)
             assert pilot.agent.scheduler.held_tasks == []
-            assert pilot.free_capacity()["cores"] == pilot.nodes.total_cores
+            assert pilot.nodes.total_free_cores == pilot.nodes.total_cores
 
 
     def test_raising_observer_leaks_no_slots(self):
@@ -223,7 +223,7 @@ class TestFailureAndCancel:
             assert isinstance(task.exception, RuntimeError)
             assert task.slots is NO_SLOTS  # released: the shared empty tuple
             assert pilot.agent.scheduler.held_tasks == []
-            assert pilot.free_capacity()["cores"] == pilot.nodes.total_cores
+            assert pilot.nodes.total_free_cores == pilot.nodes.total_cores
             assert pilot.agent.executor.concurrent_launches == 0
 
     @pytest.mark.parametrize("final", TaskState.FINAL)
@@ -258,7 +258,7 @@ class TestFailureAndCancel:
             session.run(until=tmgr.wait_tasks(tasks))
             assert second.state == TaskState.DONE
             assert pilot.agent.scheduler.held_tasks == []
-            assert pilot.free_capacity()["cores"] == pilot.nodes.total_cores
+            assert pilot.nodes.total_free_cores == pilot.nodes.total_cores
             assert tmgr._live_load(pilot) == 0
 
     def test_a_surfacing_observer_restarts_only_what_still_waits(self):
@@ -408,7 +408,7 @@ class TestStageOutOverlap:
         stage_out_stop = session.profiler.timestamp(first.uid,
                                                     "stage_out_stop")
         assert second_start < stage_out_stop
-        assert pilot.free_capacity()["cores"] == 128
+        assert pilot.nodes.total_free_cores == 128
 
     def test_slots_free_while_stage_out_in_flight(self, env):
         session, _, tmgr, pilot = env
@@ -418,7 +418,7 @@ class TestStageOutOverlap:
                              "size_bytes": int(100e9)}]))
         session.run(until=30.0)  # past execution, inside stage-out
         assert task.state == TaskState.TMGR_STAGING_OUTPUT
-        assert pilot.free_capacity()["cores"] == 128
+        assert pilot.nodes.total_free_cores == 128
         session.run(until=tmgr.wait_tasks([task]))
         assert task.state == TaskState.DONE
 

@@ -2,9 +2,7 @@
 
 The resilience ablation's checkpoint/restart arm and
 ``examples/fault_tolerance.py`` save through the :class:`Checkpointer`
-once per round; these tests pin its save, cadence and restore."""
-
-import pytest
+once per round; these tests pin its save and restore."""
 
 from repro import ResilienceConfig, Session
 from repro.resilience import RetryPolicy, recovery
@@ -14,12 +12,6 @@ def resilient_session(store=None, seed=4):
     return Session(seed=seed, resilience_config=ResilienceConfig(
         retry=RetryPolicy(max_retries=1),
         checkpoint_store=store))
-
-
-@pytest.fixture
-def every(monkeypatch):
-    """``every(k)``: a checkpoint is due every k-th iteration."""
-    return lambda k: monkeypatch.setattr(recovery, "CHECKPOINT_INTERVAL", k)
 
 
 class TestCheckpointer:
@@ -54,13 +46,6 @@ class TestCheckpointer:
 
             session.run(until=session.engine.process(saver()))
             assert ckpt.latest("k") == (2, "state-2")
-
-    def test_due_follows_interval_policy(self, every):
-        every(3)
-        with resilient_session() as session:
-            ckpt = session.resilience.checkpoints
-            assert [ckpt.due(i) for i in range(6)] == \
-                [False, False, True, False, False, True]
 
     def test_store_survives_across_sessions(self):
         store = {}

@@ -100,7 +100,7 @@ def transcript():
         session.quiesce()
         pmgr.cancel_pilots(pmgr.pilots)
         session.run()
-        assert engine.is_idle()
+        assert engine.peek() == float("inf")
         obs = session.observability
         injector = session.resilience.injector
         return {

@@ -38,7 +38,7 @@ class TestMonitorLeases:
             session.run(until=15.0)
             assert not lease.expired
             assert lease.beats >= 10
-            assert monitor.is_live("svc.x")
+            assert lease.is_alive and monitor.lease("svc.x") is lease
 
     def test_silence_expires_lease_after_misses_times_interval(self):
         with resilient_session() as session:
@@ -50,7 +50,6 @@ class TestMonitorLeases:
             (record,) = monitor.detections
             assert record.uid == "svc.y"
             assert record.silence_s == pytest.approx(3.0)
-            assert not monitor.is_live("svc.y")
 
     def test_beats_rearm_the_lease(self):
         with resilient_session() as session:
@@ -90,7 +89,7 @@ class TestMonitorLeases:
             monitor.deregister("e1")
             assert session.engine.peek() == float("inf")
             assert not any(session.bus._subs.values())
-            assert not lease.is_alive and not monitor.is_live("e1")
+            assert not lease.is_alive and lease.deregistered
             session.run()
             assert session.now == 5.0
             assert not lease.expired and monitor.detections == []
@@ -113,7 +112,7 @@ class TestMonitorLeases:
             session.quiesce()
             lease = session.resilience.monitor.watch("late", 10.0, 3)
             assert not lease.is_alive and lease.deregistered
-            assert session.engine.is_idle()
+            assert session.engine.peek() == float("inf")
             assert not any(session.bus._subs.values())
 
     def test_quiesce_stops_an_armed_lease_without_a_declaration(self):
@@ -122,7 +121,7 @@ class TestMonitorLeases:
             lease = monitor.watch("svc.q", 10.0, 3)
             session.run(until=1.0)
             session.quiesce()
-            assert session.engine.is_idle() and not lease.is_alive
+            assert session.engine.peek() == float("inf") and not lease.is_alive
             lease.interrupt("again")          # idempotent, like a process
             session.run()
             assert session.now == 1.0 and monitor.detections == []
@@ -142,7 +141,8 @@ class TestPilotLiveness:
                 PilotDescription(resource="delta", nodes=1, runtime_s=500.0))
             session.run(until=100.0)
             assert pilot.is_active
-            assert session.resilience.monitor.is_live(pilot.uid)
+            lease = session.resilience.monitor.lease(pilot.uid)
+            assert lease.is_alive and not lease.expired
             assert session.resilience.monitor.detections == []
 
     def test_walltime_kill_is_detected_via_lease_expiry(self):
@@ -168,7 +168,7 @@ class TestPilotLiveness:
             (pilot,) = pmgr.submit_pilots(
                 PilotDescription(resource="delta", nodes=1, runtime_s=1e6))
             session.run(until=20.0)
-            pmgr.complete_pilot(pilot)
+            session.batch_system(pilot.platform.name).complete(pilot.batch_job)
             session.run()
             assert pilot.state == PilotState.DONE
             assert session.resilience.monitor.detections == []

@@ -171,14 +171,14 @@ class TestAvoidNodes:
             sched = AgentScheduler(session, nodes, "pilot.x")
             first = Task(session, TaskDescription(executable="x"), "t0")
             first.affinity_key = "hot-object"
-            sched.schedule(first)
+            sched.schedule(first, lambda task: None)
             session.run()
             hot_index = first.slots[0].node_index
             sched.release(first)
             retry = Task(session, TaskDescription(executable="x"), "t1")
             retry.affinity_key = "hot-object"
             retry.avoid_nodes = {nodes[hot_index].name}
-            sched.schedule(retry)
+            sched.schedule(retry, lambda task: None)
             session.run()
             assert retry.slots[0].node_index != hot_index
 

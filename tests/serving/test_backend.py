@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serving import (
-    LlamaModel,
-    NoopModel,
-    create_backend,
-    register_backend,
-)
+from repro.serving import LlamaModel, NoopModel, create_backend
 from repro.sim import RngHub
 
 
@@ -20,14 +15,14 @@ def rng():
 class TestNoopModel:
     def test_inference_is_essentially_free(self, rng):
         noop = NoopModel()
-        payload, duration = noop.infer("hello world", rng)
+        [payload], duration = noop.infer_batch(["hello world"], rng)
         assert duration < 1e-4
         assert payload.completion_tokens == 0
         assert payload.text == ""
 
     def test_prompt_tokens_counted(self, rng):
         noop = NoopModel()
-        payload, _ = noop.infer("one two three four", rng)
+        [payload], _ = noop.infer_batch(["one two three four"], rng)
         assert payload.prompt_tokens == 4
 
     def test_load_time_sub_second(self, rng):
@@ -52,29 +47,30 @@ class TestLlamaModel:
 
     def test_inference_seconds_scale(self, rng):
         llama = LlamaModel(params_b=8.0)
-        _, duration = llama.infer("explain pilot systems", rng,
-                                  {"max_tokens": 256})
+        _, duration = llama.infer_batch(["explain pilot systems"], rng,
+                                        [{"max_tokens": 256}])
         # ~192 tokens at 35 tok/s => a few seconds (Fig. 6 regime)
         assert 1.0 < duration < 15.0
 
     def test_inference_generates_real_text(self, rng):
         llama = LlamaModel(params_b=8.0)
-        payload, _ = llama.infer("the runtime", rng, {"max_tokens": 64})
+        [payload], _ = llama.infer_batch(["the runtime"], rng,
+                                         [{"max_tokens": 64}])
         assert payload.completion_tokens > 0
         assert len(payload.text.split()) == payload.completion_tokens
 
     def test_completion_respects_max_tokens(self, rng):
         llama = LlamaModel()
         for _ in range(20):
-            payload, _ = llama.infer("x", rng, {"max_tokens": 32})
+            [payload], _ = llama.infer_batch(["x"], rng, [{"max_tokens": 32}])
             assert payload.completion_tokens <= 32
 
     def test_longer_output_takes_longer(self, rng):
         llama = LlamaModel()
-        short = np.mean([llama.infer("p", rng, {"max_tokens": 16})[1]
-                         for _ in range(20)])
-        long = np.mean([llama.infer("p", rng, {"max_tokens": 512})[1]
-                        for _ in range(20)])
+        short = np.mean([llama.infer_batch(["p"], rng, [{"max_tokens": 16}])
+                         [1] for _ in range(20)])
+        long = np.mean([llama.infer_batch(["p"], rng, [{"max_tokens": 512}])
+                        [1] for _ in range(20)])
         assert long > short * 5
 
     def test_bigger_model_loads_longer(self, rng):
@@ -86,7 +82,7 @@ class TestLlamaModel:
         with pytest.raises(ValueError):
             LlamaModel(params_b=0)
         with pytest.raises(ValueError):
-            LlamaModel().infer("x", rng, {"max_tokens": -1})
+            LlamaModel().infer_batch(["x"], rng, [{"max_tokens": -1}])
         with pytest.raises(ValueError):
             LlamaModel().load_time(rng, concurrent_loads=0)
 
@@ -104,8 +100,18 @@ class TestBackendRegistry:
         with pytest.raises(KeyError, match="unknown model"):
             create_backend("gpt-oss-120b")
 
-    def test_register_custom(self):
-        register_backend("custom-test-model", NoopModel)
-        assert create_backend("custom-test-model").name == "noop"
-        with pytest.raises(ValueError):
-            register_backend("custom-test-model", NoopModel)
+
+
+@pytest.mark.parametrize("make", [NoopModel, LlamaModel,
+                                  lambda: LlamaModel(70.0, 8.0)])
+def test_one_inference_is_the_batch_of_one(make):
+    """``infer`` is ``infer_batch`` of one prompt, bit for bit: same
+    payload, same duration, same draws."""
+    for seed in range(10):
+        model = make()
+        one = model.infer("a pilot runs tasks", RngHub(seed).stream("m"),
+                          {"max_tokens": 48})
+        [payload], span = model.infer_batch(
+            ["a pilot runs tasks"], RngHub(seed).stream("m"),
+            [{"max_tokens": 48}])
+        assert one == (payload, span)

@@ -364,7 +364,7 @@ class TestRoutine:
 
         Routine(engine, body(), lambda *a: seen.append(a), None).start()
         assert seen == [(None, True, 7)]
-        assert engine.is_idle()
+        assert engine.peek() == float("inf")
 
     def test_throw_lands_at_the_yield_and_runs_cleanup(self, engine):
         from repro.sim.events import Routine
@@ -520,14 +520,6 @@ class TestEventSemantics:
         with pytest.raises(RuntimeError, match="loud"):
             engine.run()
 
-    def test_trigger_copies_outcome(self, engine):
-        src = engine.event()
-        dst = engine.event()
-        src.succeed(123)
-        dst.trigger(src)
-        engine.run()
-        assert dst.ok and dst.value == 123
-
     def test_mixing_engines_in_condition_rejected(self, engine):
         other = SimulationEngine()
         with pytest.raises(ValueError):
@@ -577,13 +569,11 @@ class TestFlattenedKernel:
         assert order == ["timeout", "immediate", "later"]
         assert engine.now == 2.0
 
-    def test_peek_and_is_idle_see_the_now_queue(self, engine):
-        assert engine.is_idle()
+    def test_peek_sees_the_now_queue(self, engine):
+        assert engine.peek() == float("inf")
         engine.event().succeed()
-        assert not engine.is_idle()
         assert engine.peek() == 0.0
         engine.run()
-        assert engine.is_idle()
         assert engine.peek() == float("inf")
 
     def test_call_later_zero_delay_fires_in_order(self, engine):
@@ -635,25 +625,8 @@ class TestFlattenedKernel:
 
 
 class TestRunModes:
-    """step() and the three run() modes share one dispatch loop; these pin
-    what each stop condition leaves behind."""
-
-    def test_step_raises_on_empty_queue(self, engine):
-        with pytest.raises(IndexError, match="empty event queue"):
-            engine.step()
-        engine.call_later(1.0, lambda _: None).cancel()
-        engine.call_later(0.0, lambda _: None).cancel()
-        with pytest.raises(IndexError):  # only cancelled entries: still empty
-            engine.step()
-        assert engine.now == 0.0
-
-    def test_step_skips_cancelled_entries_and_fires_one(self, engine):
-        seen = []
-        engine.call_later(1.0, seen.append, "dropped").cancel()
-        engine.call_later(2.0, seen.append, "first")
-        engine.call_later(3.0, seen.append, "second")
-        engine.step()
-        assert (seen, engine.now) == (["first"], 2.0)
+    """The three run() modes share one dispatch loop; these pin what each
+    stop condition leaves behind."""
 
     def test_run_until_float_leaves_the_overshoot_entry_queued(self, engine):
         seen = []
@@ -669,6 +642,25 @@ class TestRunModes:
         engine.run()
         assert seen == ["early", "on-time", "late"]
         assert engine.now == 5.0
+
+    def test_only_cancelled_entries_leave_nothing_to_run(self, engine):
+        seen = []
+        engine.call_later(1.0, seen.append, "late").cancel()
+        engine.call_later(0.0, seen.append, "now").cancel()
+        assert engine.peek() == float("inf")
+        engine.run()
+        assert (seen, engine.now) == ([], 0.0)
+
+    def test_run_until_peek_fires_one_instant_and_its_children(self, engine):
+        seen = []
+        engine.call_later(1.0, seen.append, "dropped").cancel()
+        engine.call_later(
+            2.0, lambda _: engine.call_later(0.0, seen.append, "child"))
+        engine.call_later(2.0, seen.append, "first")
+        engine.call_later(3.0, seen.append, "second")
+        engine.run(until=engine.peek())
+        assert (seen, engine.now) == (["first", "child"], 2.0)
+        assert engine.peek() == 3.0
 
     def test_run_until_float_fires_zero_delay_children_at_the_deadline(
             self, engine):
@@ -701,7 +693,8 @@ class TestRunModes:
         assert stop._defused
         engine.run()  # and the failure is not raised a second time
 
-    @pytest.mark.parametrize("drive", ["run", "deadline", "event", "step"])
+    @pytest.mark.parametrize("drive", ["run", "deadline", "event",
+                                       "instants"])
     def test_a_raising_entry_leaves_the_kernel_runnable(self, engine, drive):
         seen = []
 
@@ -723,9 +716,9 @@ class TestRunModes:
                 engine.run(until=10.0)
             elif drive == "event":
                 engine.run(until=last)
-            else:
-                while True:
-                    engine.step()
+            else:  # one instant at a time, as the lifecycle tests step
+                while engine.peek() != float("inf"):
+                    engine.run(until=engine.peek())
 
         with pytest.raises(RuntimeError, match="boom"):
             go()  # the Deferred's function raises ...
@@ -735,13 +728,9 @@ class TestRunModes:
         with pytest.raises(RuntimeError, match="boom"):
             go()  # the event callback raises
         assert engine.now == 2.0 and ev.processed
-        if drive == "step":
-            with pytest.raises(IndexError):
-                go()
-        else:
-            go()
+        go()
         assert seen == ["after"]
-        assert engine.is_idle()
+        assert engine.peek() == float("inf")
 
 
 class TestBadDelayRejected:
@@ -755,18 +744,18 @@ class TestBadDelayRejected:
     def test_call_later(self, engine, delay):
         with pytest.raises(ValueError):
             engine.call_later(delay, lambda _: None)
-        assert engine.is_idle()
+        assert engine.peek() == float("inf")
 
     def test_timeout_nan(self, engine):  # -1.0: see TestTimeAdvance
         with pytest.raises(ValueError):
             engine.timeout(float("nan"))
-        assert engine.is_idle()
+        assert engine.peek() == float("inf")
 
     @BAD
     def test_schedule(self, engine, delay):
         with pytest.raises(ValueError):
             engine.schedule(engine.event(), delay)
-        assert engine.is_idle()
+        assert engine.peek() == float("inf")
 
     def test_run_until_nan(self, engine):
         engine.timeout(1.0)

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.hpc import NodeList, NodeState
 from repro.pilot import Session, TaskDescription
-from repro.pilot.agent.scheduler import AgentScheduler
+from repro.pilot.agent.scheduler import AgentScheduler, SchedulerError
 from repro.pilot.states import (
     SERVICE_MODEL,
     TASK_MODEL,
@@ -117,8 +117,8 @@ def test_scheduler_never_oversubscribes(data):
 
     Accounting is over *all* tasks ever created: slots are assigned eagerly
     at grant time, so ``task.slots`` is the ground truth regardless of when
-    the grant event gets processed.  Infeasible requests fail their grant
-    and must leave capacity untouched (their failure is defused).  Requests
+    the grant's landing runs.  Infeasible requests are refused and must
+    leave capacity untouched.  Requests
     randomly carry data-affinity tags: the soft node preference must never
     weaken the invariant.
     """
@@ -128,7 +128,7 @@ def test_scheduler_never_oversubscribes(data):
         gpus = data.draw(st.integers(min_value=0, max_value=4))
         nodes = NodeList.build(n_nodes, cores, gpus, 64.0)
         sched = AgentScheduler(session, nodes, "pilot.prop")
-        tasks = []
+        tasks, landed = [], []
         for i in range(data.draw(st.integers(min_value=1, max_value=30))):
             holders = [t for t in tasks if t.slots]
             if holders and data.draw(st.booleans()):
@@ -147,9 +147,10 @@ def test_scheduler_never_oversubscribes(data):
                     gpus_per_rank=data.draw(
                         st.integers(min_value=0, max_value=max(gpus, 0))))
                 task = Task(session, desc, f"t{i}")
-                grant = sched.schedule(task)
-                if grant.triggered and grant.ok is False:
-                    grant.defuse()  # infeasible: expected, not an error
+                try:
+                    sched.schedule(task, landed.append)
+                except SchedulerError:
+                    pass  # infeasible: expected, not an error
                 else:
                     tasks.append(task)
                 session.run()
@@ -208,7 +209,7 @@ def test_free_capacity_index_matches_linear_scan(data):
     def check(shape, start, avoid):
         assert nodes.find_fit(*shape, start, avoid) \
             is _linear_find_fit(nodes, *shape, start, avoid)
-        assert nodes.root_qualifies(*shape) \
+        assert bool(nodes.fit_mask(*shape)) \
             == any(n.fits(*shape) for n in nodes)
 
     live = []
@@ -252,9 +253,10 @@ def test_indexed_scheduler_matches_reference(data):
     priorities, multi-rank requests, colocate groups, affinity hints and
     avoid sets) replays through the production :class:`AgentScheduler` and
     the :class:`ReferenceScheduler` (the seed's quadratic implementation,
-    kept as executable spec).  After every operation, grant *order*, slot
-    *assignments*, queue lengths and per-node free capacity must all
-    match exactly.
+    kept as executable spec).  After every operation both sessions run
+    dry, and grant *order*, the order in which the grants' landings run
+    (the reference's: its grant events' processing), slot *assignments*,
+    queue lengths and per-node free capacity must all match exactly.
     """
     from pilot.reference_scheduler import ReferenceScheduler
 
@@ -269,6 +271,7 @@ def test_indexed_scheduler_matches_reference(data):
         node_names = [n.name for n in nodes_a]
         pairs = {}          # uid -> (task_a, task_b)
         status = {}         # uid -> queued | held | done
+        landed_a, landed_b = [], []   # uids, in landing order
         n_ops = data.draw(st.integers(min_value=1, max_value=35))
         for i in range(n_ops):
             op = data.draw(st.sampled_from(
@@ -294,14 +297,20 @@ def test_indexed_scheduler_matches_reference(data):
                     ta.avoid_nodes = set(avoid)
                     tb.avoid_nodes = set(avoid)
                 pairs[uid] = (ta, tb)
-                ga = indexed.schedule(ta)
+                try:
+                    indexed.schedule(
+                        ta, lambda task: landed_a.append(task.uid))
+                    refused = False
+                except SchedulerError:
+                    refused = True
                 gb = reference.schedule(tb)
-                assert ga.triggered == gb.triggered
-                assert (ga.ok, gb.ok) in ((True, True), (False, False),
-                                          (None, None))
-                if ga.ok is False:
+                gb.callbacks.append(
+                    lambda event, uid=uid: event.ok and landed_b.append(uid))
+                assert refused == (gb.ok is False)
+                if refused:
+                    gb.defuse()
                     status[uid] = "done"  # infeasible on both
-                elif ga.ok:
+                elif gb.ok:
                     status[uid] = "held"
                 else:
                     status[uid] = "queued"
@@ -345,6 +354,9 @@ def test_indexed_scheduler_matches_reference(data):
                 if status.get(uid) == "queued" and ta.slots:
                     status[uid] = "held"
             # -- observational equivalence after every operation ----------
+            sa.run()
+            sb.run()
+            assert landed_a == landed_b
             rows_a = sa.profiler.events(event="schedule_ok")
             rows_b = sb.profiler.events(event="schedule_ok")
             assert [r[1] for r in rows_a] == [r[1] for r in rows_b]
@@ -395,8 +407,8 @@ class _ReferenceKernel:
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_run_modes_match_reference_kernel(data):
-    """``run()``, ``step()``, ``run(until=t)`` and ``run(until=event)`` are
-    one dispatch order, and it is the reference kernel's.
+    """``run()``, ``run(until=t)`` and ``run(until=event)`` are one
+    dispatch order, and it is the reference kernel's.
 
     A random event program (delayed calls, URGENT priorities, zero-delay
     sends fired *from* callbacks, triggered events, cancellations) is
@@ -473,10 +485,6 @@ def test_run_modes_match_reference_kernel(data):
     _, expected = replay(lambda kernel, _trace: kernel.run(),
                          _ReferenceKernel)
 
-    def by_step(engine, _trace):
-        while not engine.is_idle():
-            engine.step()
-
     def by_slices(engine, trace):
         for t in deadlines:
             engine.run(until=t)
@@ -494,11 +502,7 @@ def test_run_modes_match_reference_kernel(data):
         engine.run()
         assert trace.pop() == "late"
 
-    ran, ran_trace = replay(lambda engine, _trace: engine.run())
-    stepped, stepped_trace = replay(by_step)
-    assert ran_trace == expected
-    assert stepped_trace == expected
-    assert (stepped.now, len(stepped._pool)) == (ran.now, len(ran._pool))
+    assert replay(lambda engine, _trace: engine.run())[1] == expected
     assert replay(by_slices)[1] == expected
     assert replay(by_event)[1] == expected
 
@@ -941,7 +945,6 @@ def test_a_stream_name_is_normal_only_or_plain_never_both(name,
         hub.stream(name).random()
         with pytest.raises(ValueError):
             hub.normals(name)
-    hub.fresh(name)                           # a restart is either's
 
 
 # ---------------------------------------------------------------------------
@@ -1039,7 +1042,6 @@ def test_result_log_reads_back_what_decompose_built(data):
         assert [type(v) for v in vars_of(row)] \
             == [type(v) for v in vars_of(result)]
     assert log[-1] == results[-1] and log[:] == results
-    assert list(log.response_times()) == [r.response_time for r in results]
 
 
 def vars_of(result):
@@ -1777,7 +1779,7 @@ def _run_campaign_scenario(spec, reference):
             s.run()
         finally:
             campaign_module._GraphState = original
-        assert s.engine.is_idle()
+        assert s.engine.peek() == float("inf")
         if reference:
             states = list(runner.states.values())
         rows = {}

@@ -1,6 +1,5 @@
 """Tests for the utils layer: ids, config, logging."""
 
-import logging
 import threading
 
 import pytest
@@ -10,7 +9,6 @@ from repro.utils import (
     ConfigError,
     IdRegistry,
     get_logger,
-    set_log_level,
 )
 
 
@@ -100,9 +98,3 @@ class TestLogging:
     def test_namespacing(self):
         assert get_logger("pilot").name == "repro.pilot"
         assert get_logger("repro.core").name == "repro.core"
-
-    def test_set_level(self):
-        set_log_level("DEBUG")
-        assert logging.getLogger("repro").level == logging.DEBUG
-        set_log_level(logging.WARNING)
-        assert logging.getLogger("repro").level == logging.WARNING

@@ -34,12 +34,6 @@ class TestParams:
         samples = np.array([param.sample(rng) for _ in range(500)])
         assert (samples < 1e-3).mean() > 0.3  # log scale visits small values
 
-    def test_unit_roundtrip(self):
-        param = FloatParam("x", 1e-4, 1e-1, log=True)
-        for value in (1e-4, 1e-3, 5e-2):
-            assert param.from_unit(param.to_unit(value)) == \
-                pytest.approx(value, rel=1e-9)
-
     def test_int_param(self):
         rng = np.random.default_rng(0)
         param = IntParam("n", 2, 5)

@@ -104,13 +104,6 @@ class TestEnsemble:
         m = evaluate_probs(uq.predict_proba(X), y)
         assert m.accuracy > 0.9
 
-    def test_members_disagree_somewhere(self):
-        X, y = make_classification()
-        uq = EnsembleUQ(seed=0, n_members=3, epochs=5).fit(X, y)
-        disagreement = uq.member_disagreement(X)
-        assert disagreement.shape == (X.shape[0],)
-        assert disagreement.max() > 0
-
     def test_needs_two_members(self):
         with pytest.raises(ValueError):
             EnsembleUQ(n_members=1)
