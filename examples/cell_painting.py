@@ -22,7 +22,7 @@ def main() -> None:
     config = CellPaintingConfig(
         n_shards=10, images_per_shard=10, image_size=28,
         augmentations_per_image=2, min_shards_to_train=4,
-        n_trials=12, concurrent_trials=4, sampler="tpe", seed=3,
+        n_trials=12, concurrent_trials=4, seed=3,
         trial_epochs=15)
 
     with Session(seed=3) as session:

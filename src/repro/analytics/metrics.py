@@ -98,22 +98,6 @@ class BootstrapMetrics:
     publish: np.ndarray
     total: np.ndarray
 
-    @property
-    def launch_stats(self) -> DistStats:
-        return dist_stats(self.launch)
-
-    @property
-    def init_stats(self) -> DistStats:
-        return dist_stats(self.init)
-
-    @property
-    def publish_stats(self) -> DistStats:
-        return dist_stats(self.publish)
-
-    @property
-    def total_stats(self) -> DistStats:
-        return dist_stats(self.total)
-
     def component_means(self) -> Dict[str, float]:
         return {
             "launch": float(self.launch.mean()) if self.launch.size else float("nan"),
@@ -151,18 +135,6 @@ class ResponseMetrics:
     @property
     def rt_stats(self) -> DistStats:
         return dist_stats(self.response_time)
-
-    @property
-    def communication_stats(self) -> DistStats:
-        return dist_stats(self.communication)
-
-    @property
-    def service_stats(self) -> DistStats:
-        return dist_stats(self.service)
-
-    @property
-    def inference_stats(self) -> DistStats:
-        return dist_stats(self.inference)
 
     @property
     def queue_stats(self) -> DistStats:
@@ -224,23 +196,6 @@ class DataMetrics:
             return float("nan")
         return (self.cache_hits + self.dedup_hits) / total
 
-    @property
-    def bytes_requested(self) -> float:
-        return self.bytes_moved + self.bytes_saved
-
-    def row(self) -> Dict[str, object]:
-        """Flat report row (sizes in GB for readability)."""
-        return {
-            "moved_gb": self.bytes_moved / 1e9,
-            "saved_gb": self.bytes_saved / 1e9,
-            "hit_rate": self.hit_rate,
-            "hits": self.cache_hits,
-            "dedup": self.dedup_hits,
-            "misses": self.cache_misses,
-            "wait_mean_s": self.transfer_wait.mean,
-            "wait_p95_s": self.transfer_wait.p95,
-        }
-
 
 def data_metrics(manager) -> DataMetrics:
     """Extract :class:`DataMetrics` from a ``DataManager``."""
@@ -281,27 +236,6 @@ class FailureMetrics:
     wasted_core_s: float
     detection_latency: DistStats
     recovery_latency: DistStats
-
-    @property
-    def goodput_fraction(self) -> float:
-        """Useful share of all consumed core-seconds."""
-        total = self.goodput_core_s + self.wasted_core_s
-        if total <= 0:
-            return float("nan")
-        return self.goodput_core_s / total
-
-    def row(self) -> Dict[str, object]:
-        """Flat report row (core-hours for readability)."""
-        return {
-            "done": f"{self.n_done}/{self.n_tasks}",
-            "attempt_failures": self.failures_total,
-            "retries": self.retries_granted,
-            "goodput_core_h": self.goodput_core_s / 3600.0,
-            "wasted_core_h": self.wasted_core_s / 3600.0,
-            "goodput_frac": self.goodput_fraction,
-            "detect_p50_s": self.detection_latency.p50,
-            "recover_p50_s": self.recovery_latency.p50,
-        }
 
 
 def failure_metrics(session, tasks) -> FailureMetrics:
@@ -375,17 +309,6 @@ class CampaignMetrics:
     overlap_fraction: float
     peak_concurrency: int     # max simultaneously executing tasks
     peak_busy_cores: int      # max simultaneously busy cores
-
-    def row(self) -> Dict[str, object]:
-        """Flat report row (core-hours for readability)."""
-        return {
-            "makespan_s": self.makespan_s,
-            "tasks": f"{self.n_done}/{self.n_tasks}",
-            "busy_core_h": self.busy_core_s / 3600.0,
-            "idle_frac": self.idle_fraction,
-            "overlap_frac": self.overlap_fraction,
-            "peak_tasks": self.peak_concurrency,
-        }
 
 
 def campaign_metrics(session, groups: Dict[str, Iterable],

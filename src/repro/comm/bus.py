@@ -76,11 +76,6 @@ class ServerSocket:
         msg = request.make_reply(payload, sender=self.address, meta=meta)
         self.bus._deliver(msg)
 
-    @property
-    def pending(self) -> int:
-        """Requests that landed before a handler was installed."""
-        return len(self._backlog)
-
     def close(self) -> None:
         self.bus._unbind(self.address.name)
 
@@ -121,12 +116,6 @@ class ClientSocket:
                                   None, corr))
         return event
 
-    def send(self, target: Address, payload: Any) -> None:
-        """Fire-and-forget control message (no reply expected)."""
-        msg = Message(kind="control", payload=payload, sender=self.address,
-                      recipient=target, corr_id=None)
-        self.bus._deliver(msg)
-
     def cancel_request(self, event: Event) -> bool:
         """Abandon an outstanding request (e.g. after a client timeout).
 
@@ -139,13 +128,6 @@ class ClientSocket:
             return False
         del self._pending[corr]
         return True
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._pending)
-
-    def close(self) -> None:
-        self.bus._unbind(self.address.name)
 
 
 _Socket = Union[ServerSocket, ClientSocket]
@@ -212,10 +194,6 @@ class MessageBus:
 
     def _unbind(self, name: str) -> None:
         self._endpoints.pop(name, None)
-
-    def lookup(self, name: str) -> Optional[Address]:
-        socket = self._endpoints.get(name)
-        return socket.address if socket is not None else None
 
     # -- point-to-point delivery ---------------------------------------------------
     def _deliver(self, msg: Message) -> None:

@@ -95,11 +95,6 @@ class LoadReport:
     queue_bound: int = 0          # admission bound (0 = unbounded)
 
     @property
-    def capacity(self) -> int:
-        """Requests the instance can process concurrently."""
-        return self.workers * self.max_batch_size
-
-    @property
     def backlog(self) -> int:
         """Requests admitted but not yet completed."""
         return self.queue_depth + self.in_flight
@@ -125,7 +120,7 @@ class Message:
                  uid: Optional[int] = None,
                  sent_at: Optional[float] = None,
                  received_at: Optional[float] = None) -> None:
-        self.kind = kind        # "request" | "reply" | "pub" | "control"
+        self.kind = kind        # "request" | "reply" | "pub"
         self.payload = payload
         self.sender = sender
         self.recipient = recipient

@@ -108,11 +108,6 @@ class Autoscaler:
 
     # -- introspection ------------------------------------------------------------
     @property
-    def n_instances(self) -> int:
-        """Live (bootstrapping or ready) instances under management."""
-        return len(self._live())
-
-    @property
     def all_handles(self) -> List["ServiceHandle"]:
         """Every handle ever managed (live plus retired/failed)."""
         return self.handles + self.retired

@@ -170,12 +170,6 @@ class ResultLog:
         self._form = form
         self._refs += (result.service_uid, form)
 
-    def clear(self) -> None:
-        self._nums = array("d")
-        self._refs = []
-        self._form = _EMPTY_FORM
-        self._read_form, self._read_dict = None, {}
-
     def _payload(self, form: tuple) -> Any:
         """A fresh dict of *form*'s keys and values (or the kept payload
         that is not a dict)."""
@@ -381,6 +375,3 @@ class ServiceClient:
             yield from self.infer(target, prompt, params, balancer=balancer,
                                   targets=current)
         return self.results[start:]
-
-    def clear(self) -> None:
-        self.results.clear()

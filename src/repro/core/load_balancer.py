@@ -40,12 +40,10 @@ __all__ = [
 
 
 class LoadBalancer:
-    """Base policy: pick a target; observe request start/completion."""
+    """Base policy: a subclass's ``pick(targets)`` chooses a target; the
+    base observes request start and completion (a no-op here)."""
 
     name = "base"
-
-    def pick(self, targets: Sequence[Address]) -> Address:
-        raise NotImplementedError
 
     def record_start(self, target: Address) -> None:
         """A request to *target* is now in flight."""
@@ -93,9 +91,6 @@ class _ScoredBalancer(LoadBalancer):
         self._in_flight: Dict[str, int] = {}
         self._next = 0
 
-    def _score(self, target: Address) -> float:
-        raise NotImplementedError
-
     def pick(self, targets: Sequence[Address]) -> Address:
         if not targets:
             raise ValueError("no targets")
@@ -113,9 +108,6 @@ class _ScoredBalancer(LoadBalancer):
     def record_done(self, target: Address) -> None:
         name = target.name
         self._in_flight[name] = max(0, self._in_flight.get(name, 0) - 1)
-
-    def load_of(self, target: Address) -> int:
-        return self._in_flight.get(target.name, 0)
 
 
 class LeastLoadedBalancer(_ScoredBalancer):

@@ -109,27 +109,14 @@ class ServiceInstance:
                 buckets=(1, 2, 4, 8, 16, 32, 64, 128))
             depth_gauge = self._obs_metrics.gauge(
                 "service_queue_depth", {"service": uid})
-            self._obs_metrics.add_poll(
-                lambda: depth_gauge.set(self.queue_depth))
+            # requests that landed before start wait in the socket inbox
+            self._obs_metrics.add_poll(lambda: depth_gauge.set(
+                len(self._queue) + len(self.socket._backlog)))
 
     # -- lifecycle ----------------------------------------------------------------
     @property
     def running(self) -> bool:
         return self._running
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests admitted and waiting for a worker.
-
-        The socket term counts requests that landed before :meth:`start`;
-        a started service admits on arrival, so it is 0 from then on.
-        """
-        return len(self._queue) + self.socket.pending
-
-    @property
-    def in_flight(self) -> int:
-        """Requests currently being processed by workers."""
-        return self._in_flight
 
     def start(self) -> None:
         """Spawn worker loops (one per slot), arm heartbeats; admit arrivals.

@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 from operator import eq
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
-                    Optional, Tuple, Union)
+                    Optional, Tuple)
 
 from ..hpc.network import Fabric, SharedLink
 from ..sim.events import Hook
@@ -50,19 +50,15 @@ class TransferRecord:
     finished: float
     uid: str = ""
 
-    @property
-    def duration(self) -> float:
-        return self.finished - self.started
-
 
 class TransferLog:
     """Append-only columnar log of completed transfers: ``nbytes``,
     ``started`` and ``finished`` as three doubles of one ``array('d')``,
     ``src``, ``dst`` and ``uid`` as three slots of one list.
 
-    ``len``, an int index (negative too), a slice (a list), iteration in
-    append order and ``==`` with a list or another log read it; each read
-    builds a fresh :class:`TransferRecord`, and the log holds none.
+    ``len``, iteration in append order and ``==`` with a list or another
+    log read it; each read builds a fresh :class:`TransferRecord`, and the
+    log holds none.
     """
 
     __slots__ = ("_nums", "_refs")
@@ -79,19 +75,6 @@ class TransferLog:
 
     def __len__(self) -> int:
         return len(self._nums) // 3
-
-    def __getitem__(self, index: Union[int, slice]):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("transfer index out of range")
-        k = 3 * index
-        src, dst, uid = self._refs[k:k + 3]
-        nbytes, started, finished = self._nums[k:k + 3]
-        return TransferRecord(src, dst, nbytes, started, finished, uid)
 
     def __iter__(self) -> Iterator[TransferRecord]:
         refs, nums = iter(self._refs), iter(self._nums)

@@ -35,12 +35,11 @@ class JobState:
 
     PENDING = "PENDING"
     RUNNING = "RUNNING"
-    COMPLETED = "COMPLETED"
     TIMEOUT = "TIMEOUT"
     CANCELLED = "CANCELLED"
     FAILED = "FAILED"        # preempted / system fault, not user-initiated
 
-    FINAL = (COMPLETED, TIMEOUT, CANCELLED, FAILED)
+    FINAL = (TIMEOUT, CANCELLED, FAILED)
 
 
 class BatchJob:
@@ -86,13 +85,6 @@ class BatchSystem:
         self._running: Dict[BatchJob, Deferred] = {}
 
     # -- public API --------------------------------------------------------------
-    @property
-    def free_nodes(self) -> int:
-        return len(self._free)
-
-    @property
-    def queued_jobs(self) -> int:
-        return len(self._queue)
 
     def submit(self, n_nodes: int, walltime_s: float) -> BatchJob:
         """Enqueue an allocation request; returns the job handle."""
@@ -110,12 +102,6 @@ class BatchSystem:
         self._queue.append(job)
         self._schedule_pass()
         return job
-
-    def complete(self, job: BatchJob) -> None:
-        """Release a running job's nodes before its walltime expires."""
-        if job.state != JobState.RUNNING:
-            raise RuntimeError(f"cannot complete job in state {job.state}")
-        self._finish(job, JobState.COMPLETED)
 
     def fail(self, job: BatchJob) -> None:
         """Kill a running job from the system side (preemption, HW fault).

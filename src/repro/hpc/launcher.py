@@ -28,13 +28,11 @@ __all__ = [
 
 
 class LaunchMethod:
-    """Base class: a named launcher with a stochastic cost model."""
+    """Base class: a named launcher with a stochastic cost model, a
+    subclass's ``launch_time(n_concurrent, rng)``: the seconds to launch one
+    instance among *n_concurrent* peers."""
 
     name = "base"
-
-    def launch_time(self, n_concurrent: int, rng) -> float:
-        """Seconds to launch one instance among *n_concurrent* peers."""
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"

@@ -51,14 +51,6 @@ class Slot(NamedTuple):
     gpus: Tuple[int, ...] = ()
     mem_gb: float = 0.0
 
-    @property
-    def n_cores(self) -> int:
-        return len(self.cores)
-
-    @property
-    def n_gpus(self) -> int:
-        return len(self.gpus)
-
 
 class NodeState:
     """Mutable free/busy accounting for one node.
@@ -148,10 +140,6 @@ class NodeState:
     @property
     def free_gpus(self) -> int:
         return len(self._free_gpus)
-
-    @property
-    def free_mem_gb(self) -> float:
-        return self._free_mem
 
     def fits(self, cores: int, gpus: int = 0, mem_gb: float = 0.0) -> bool:
         """Can this node currently host the requested slot?"""
@@ -330,11 +318,6 @@ class NodeList:
     def total_gpus(self) -> int:
         """Static GPU capacity across all nodes."""
         return self._total_gpus
-
-    @property
-    def up_count(self) -> int:
-        """Nodes currently accepting placements."""
-        return sum(1 for n in self.nodes if n.is_up)
 
     @property
     def total_free_cores(self) -> int:

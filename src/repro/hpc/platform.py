@@ -91,14 +91,6 @@ class PlatformSpec:
         if self.gpus_per_node < 0:
             raise ValueError(f"{self.name}: gpus_per_node must be >= 0")
 
-    @property
-    def total_cores(self) -> int:
-        return self.nodes * self.cores_per_node
-
-    @property
-    def total_gpus(self) -> int:
-        return self.nodes * self.gpus_per_node
-
     def with_overrides(self, **kwargs) -> "PlatformSpec":
         """Return a copy with selected fields replaced (for experiments)."""
         return replace(self, **kwargs)

@@ -83,15 +83,11 @@ class TaskPhases:
     #: phase name -> total seconds (summed across attempts)
     phases: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
     def kept(self, drop: frozenset = frozenset()) -> float:
         """Sum of phase durations outside *drop* (falls back to the span
         extent when no phase data survived truncation)."""
         if not self.phases:
-            return 0.0 if drop else self.duration
+            return 0.0 if drop else self.end - self.start
         return sum(v for k, v in self.phases.items() if k not in drop)
 
 
@@ -109,10 +105,6 @@ class NodeAttribution:
     @property
     def end(self) -> float:
         return max(t.end for t in self.tasks)
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
     @property
     def phases(self) -> Dict[str, float]:

@@ -58,10 +58,6 @@ class _Instrument:
         self.name = name
         self.labels = labels
 
-    @property
-    def label_dict(self) -> Dict[str, str]:
-        return dict(self.labels)
-
     def __repr__(self) -> str:
         lbl = ",".join(f"{k}={v}" for k, v in self.labels)
         return f"<{type(self).__name__} {self.name}{{{lbl}}}>"

@@ -117,14 +117,6 @@ class Span:
         self.end: Optional[float] = None
         self.attrs: Optional[Dict[str, Any]] = attrs
 
-    @property
-    def open(self) -> bool:
-        return self.end is None
-
-    @property
-    def duration(self) -> Optional[float]:
-        return None if self.end is None else self.end - self.start
-
     def set_attr(self, key: str, value: Any) -> None:
         if self.attrs is None:
             self.attrs = {}
@@ -143,7 +135,8 @@ class Span:
         }
 
     def __repr__(self) -> str:
-        state = "open" if self.open else f"{self.duration:.3f}s"
+        state = ("open" if self.end is None
+                 else f"{self.end - self.start:.3f}s")
         return (f"<Span {self.name} trace={self.trace_id} "
                 f"id={self.span_id} {state}>")
 

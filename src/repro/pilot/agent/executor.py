@@ -55,14 +55,6 @@ class AgentExecutor:
         self._launching = 0
         self._executing = 0
 
-    @property
-    def concurrent_launches(self) -> int:
-        return self._launching
-
-    @property
-    def executing_count(self) -> int:
-        return self._executing
-
     # -- cost components ----------------------------------------------------------
     def launch_cost(self) -> float:
         """Sample this launch's cost at the current launch concurrency."""

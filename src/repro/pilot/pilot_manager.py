@@ -111,8 +111,7 @@ class PilotManager:
         if pilot.state == PilotState.PMGR_ACTIVE:
             final = finished.value
             self._finalise(pilot, (
-                PilotState.DONE if final == JobState.COMPLETED
-                else PilotState.CANCELED if final == JobState.CANCELLED
+                PilotState.CANCELED if final == JobState.CANCELLED
                 else PilotState.FAILED))  # walltime timeout / preemption
         elif not pilot.batch_job.started.triggered:
             self._finalise(pilot, PilotState.CANCELED)
@@ -144,9 +143,3 @@ class PilotManager:
         return self.session.engine.all_of(
             [p.became_active for p in pilots])
 
-    def get(self, uid: str) -> Pilot:
-        return self._pilots[uid]
-
-    @property
-    def pilots(self) -> List[Pilot]:
-        return list(self._pilots.values())

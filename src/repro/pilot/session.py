@@ -94,9 +94,6 @@ class Session:
                 f"platform {name!r} not attached to session "
                 f"(have: {sorted(self._platforms)})") from None
 
-    def platforms(self) -> Dict[str, PlatformSpec]:
-        return dict(self._platforms)
-
     def batch_system(self, platform_name: str) -> BatchSystem:
         """The (lazily created) batch scheduler of one platform."""
         system = self._batch.get(platform_name)
@@ -171,11 +168,6 @@ class Session:
         return self.engine.run(until=until)
 
     # -- quiesce / stop ----------------------------------------------------------
-    @property
-    def quiescing(self) -> bool:
-        """True once :meth:`quiesce` has been called."""
-        return self._quiescing
-
     def add_daemon(self, daemon) -> None:
         """Register a background keep-alive for quiesce to stop.
 
@@ -224,9 +216,6 @@ class Session:
                  self.uid, self.engine.now, len(daemons))
 
     # -- lifecycle -----------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def check_open(self) -> None:
         """Refuse new work on a closed session.

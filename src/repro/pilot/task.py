@@ -241,9 +241,5 @@ class Pilot(_StatefulEntity):
     def is_active(self) -> bool:
         return self.state == PilotState.PMGR_ACTIVE
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes) if self.nodes is not None else 0
-
     def __repr__(self) -> str:
         return f"<Pilot {self.uid} {self.state} on {self.description.resource}>"

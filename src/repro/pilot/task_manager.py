@@ -674,8 +674,6 @@ class TaskManager:
             task.on_state(callback)
 
     # -- introspection -----------------------------------------------------------------
-    def get(self, uid: str) -> Task:
-        return self._tasks[uid]
 
     @property
     def tasks(self) -> List[Task]:

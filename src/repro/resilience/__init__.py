@@ -33,7 +33,6 @@ from .failures import (
     NodeFailure,
     PilotLost,
     RuntimeFault,
-    ServiceCrash,
     classify_failure,
     failure_counts,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "ResilienceServices",
     "RetryPolicy",
     "RuntimeFault",
-    "ServiceCrash",
     "classify_failure",
     "failure_counts",
     "heartbeat_topic",

@@ -22,7 +22,6 @@ __all__ = [
     "NodeFailure",
     "PilotLost",
     "pilot_end_cause",
-    "ServiceCrash",
     "FailureReason",
     "classify_failure",
     "failure_counts",
@@ -60,14 +59,6 @@ def pilot_end_cause(pilot_uid: str, state: str, resilient: bool):
     if resilient and state == "FAILED":
         return PilotLost(pilot_uid, state)
     return f"{pilot_uid} ended {state}"
-
-
-class ServiceCrash(RuntimeFault):
-    """A serving instance crashed (process died, stops heartbeating)."""
-
-    def __init__(self, service_uid: str) -> None:
-        super().__init__(f"service {service_uid} crashed")
-        self.service_uid = service_uid
 
 
 @dataclass(frozen=True)
@@ -110,8 +101,6 @@ def classify_failure(exc: BaseException, at: float, attempt: int,
         origin = "node"
     elif isinstance(exc, PilotLost):
         origin = "pilot"
-    elif isinstance(exc, ServiceCrash):
-        origin = "service"
     elif name == "TransferAborted":
         origin = "transfer"
     elif name in ("SchedulerError", "ExecutionError"):

@@ -61,7 +61,7 @@ log = get_logger("resilience.recovery")
 #: failure origins worth retrying (binding errors and cancellations are not
 #: infrastructure faults)
 RETRY_ORIGINS = frozenset(
-    ("node", "pilot", "transfer", "staging", "executor", "service"))
+    ("node", "pilot", "transfer", "staging", "executor"))
 #: growth of the backoff per failed attempt
 BACKOFF_FACTOR = 2.0
 #: upper bound of the uniform jitter added to each backoff (seconds)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from .generator import count_tokens, default_generator
 
@@ -42,20 +42,17 @@ class InferenceResultPayload:
 
 
 class ModelBackend:
-    """Base class for servable models."""
+    """Base class for servable models.
+
+    A subclass provides ``load_time(rng, concurrent_loads, ...)``, the
+    seconds to load and initialise, and ``infer_batch(prompts, rng,
+    params_list)``: the payloads of a coalesced batch and its busy span
+    (all requests of a batch complete together after it, the
+    continuous-batching approximation).
+    """
 
     #: canonical model name (e.g. "llama-8b")
     name: str = "base"
-
-    def load_time(self, rng, concurrent_loads: int = 1,
-                  fs_bandwidth_gbps: float = 2.0,
-                  fs_aggregate_gbps: float = 100.0) -> float:
-        """Seconds to load+initialise under *concurrent_loads* contention.
-
-        ``fs_bandwidth_gbps`` is the per-client read cap;
-        ``fs_aggregate_gbps`` the shared pool concurrent loaders divide.
-        """
-        raise NotImplementedError
 
     def infer(self, prompt: str, rng,
               params: Optional[Dict[str, Any]] = None,
@@ -64,17 +61,6 @@ class ModelBackend:
         duration seconds)."""
         payloads, span = self.infer_batch([prompt], rng, [params])
         return payloads[0], span
-
-    def infer_batch(self, prompts: Sequence[str], rng,
-                    params_list: Optional[Sequence[Optional[Dict[str, Any]]]]
-                    = None,
-                    ) -> Tuple[List[InferenceResultPayload], float]:
-        """Run a coalesced batch: returns (payloads, busy span seconds).
-
-        All requests of a batch complete together after the returned span
-        (the continuous-batching approximation).
-        """
-        raise NotImplementedError
 
     @staticmethod
     def _norm_params(prompts: Sequence[str],

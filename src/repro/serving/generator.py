@@ -81,10 +81,6 @@ class MarkovGenerator:
         self._start_tokens = [t for t in self._vocab
                               if t in self._successors and t not in ".,;:!?"]
 
-    @property
-    def vocab_size(self) -> int:
-        return len(self._vocab)
-
     def generate(self, prompt: str, n_tokens: int, rng) -> str:
         """Generate *n_tokens* continuing from the prompt's last known token."""
         if n_tokens < 0:

@@ -262,10 +262,6 @@ class Timeout(Event):
         self._value = None
         engine.schedule(self, delay=delay)
 
-    @property
-    def delay(self) -> float:
-        return self._delay
-
     def cancel(self) -> None:
         """Withdraw the timeout before it fires.
 

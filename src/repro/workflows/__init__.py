@@ -25,10 +25,8 @@ from .campaign import (
 )
 from .mlp import MLPClassifier, MLPConfig
 from .hpo import (
-    ChoiceParam,
     FloatParam,
     IntParam,
-    RandomSampler,
     SearchSpace,
     Study,
     TpeSampler,
@@ -88,10 +86,8 @@ __all__ = [
     "StageFailure",
     "MLPClassifier",
     "MLPConfig",
-    "ChoiceParam",
     "FloatParam",
     "IntParam",
-    "RandomSampler",
     "SearchSpace",
     "Study",
     "TpeSampler",

@@ -266,9 +266,8 @@ class NodeRunner:
     """The per-node facade handed to custom ``run`` generators.
 
     Presents the runner's own surface (``session``, ``tmgr``,
-    ``submit_and_wait``) plus non-blocking tracked submission, with every
-    task submitted through it joining *this node's* bookkeeping and the
-    campaign's backpressure window.
+    ``submit_and_wait``), with every task submitted through it joining
+    *this node's* bookkeeping and the campaign's backpressure window.
     """
 
     def __init__(self, campaign: "CampaignRunner", key: str) -> None:
@@ -276,10 +275,6 @@ class NodeRunner:
         self._key = key
         self.session = campaign.session
         self.tmgr = campaign.tmgr
-
-    def submit(self, descriptions: List[TaskDescription]) -> List[Task]:
-        """Submit tasks under the campaign window without waiting."""
-        return self._campaign.submit(descriptions, node=self._key)
 
     def submit_and_wait(self, descriptions: List[TaskDescription],
                         failure_tolerance: float = 0.0):
@@ -432,11 +427,6 @@ class CampaignRunner:
         yield self.tmgr.wait_tasks(tasks)
         _check_tolerance(tasks, failure_tolerance)
         return tasks
-
-    @property
-    def tasks(self) -> List[Task]:
-        """Every task submitted through the campaign's tracked paths."""
-        return [t for tasks in self.node_tasks.values() for t in tasks]
 
     # -- campaign execution --------------------------------------------------------
     def run_campaign(self,

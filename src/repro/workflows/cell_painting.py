@@ -32,7 +32,7 @@ import numpy as np
 from ..pilot.description import TaskDescription
 from ..pilot.states import TaskState
 from .campaign import CampaignGraph, NodeRunner, StageFailure, TaskNode
-from .hpo import FloatParam, IntParam, RandomSampler, SearchSpace, Study, TpeSampler
+from .hpo import FloatParam, IntParam, SearchSpace, Study, TpeSampler
 from .imaging import DOSE_LEVELS_GY, augment, extract_features, generate_dataset
 from .mlp import MLPClassifier, MLPConfig
 
@@ -68,7 +68,6 @@ class CellPaintingConfig:
     n_trials: int = 8
     concurrent_trials: int = 4
     holdout_fraction: float = 0.3
-    sampler: str = "tpe"             # "tpe" | "random"
     seed: int = 0
     #: epochs given to each HPO trial's training run
     trial_epochs: int = 10
@@ -91,8 +90,6 @@ class CellPaintingConfig:
             raise ValueError("min_shards_to_train out of range")
         if not 0 < self.holdout_fraction < 1:
             raise ValueError("holdout_fraction must be in (0, 1)")
-        if self.sampler not in ("tpe", "random"):
-            raise ValueError("sampler must be tpe or random")
         if min(self.dataset_bytes, self.shard_bytes,
                self.features_bytes) < 0:
             raise ValueError("staging byte sizes must be >= 0")
@@ -229,10 +226,8 @@ def build_cell_painting_campaign(
 
     def run_training_stage(runner: NodeRunner, context: Dict[str, Any]):
         """Concurrent HPO rounds over the data harvested so far."""
-        sampler = (TpeSampler(seed=config.seed)
-                   if config.sampler == "tpe"
-                   else RandomSampler(seed=config.seed))
-        study = Study(HPO_SPACE, sampler=sampler, direction="minimize")
+        study = Study(HPO_SPACE, sampler=TpeSampler(seed=config.seed),
+                      direction="minimize")
         context["study"] = study
         trials_done = 0
 

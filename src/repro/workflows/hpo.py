@@ -3,14 +3,11 @@
 The Cell Painting pipeline drives training "by hyperparameter optimization
 using the Optuna framework ... exploring various hyperparameter
 configurations (e.g., learning rate, batch size, weight decay, and dropout
-rate)" (§II-A).  This module provides an ask/tell optimiser with two
-samplers:
-
-* :class:`RandomSampler` -- uniform over the space (baseline);
-* :class:`TpeSampler`    -- a Tree-structured-Parzen-Estimator-style
-  sampler: candidates are drawn and ranked by the density ratio of "good"
-  (top-quantile) vs "bad" observations, estimated with gaussian KDEs
-  (scipy) per dimension.
+rate)" (§II-A).  This module provides an ask/tell optimiser and its
+sampler, :class:`TpeSampler`, a Tree-structured-Parzen-Estimator-style
+sampler: candidates are drawn and ranked by the density ratio of "good"
+(top-quantile) vs "bad" observations, estimated with gaussian KDEs (scipy)
+per dimension.
 
 Ask/tell decouples trial generation from execution, which is what lets the
 pipeline evaluate trials *concurrently* as runtime tasks.
@@ -20,17 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "FloatParam",
     "IntParam",
-    "ChoiceParam",
     "SearchSpace",
     "Trial",
-    "RandomSampler",
     "TpeSampler",
     "Study",
 ]
@@ -84,21 +79,6 @@ class IntParam:
         return (value - self.low) / (self.high - self.low)
 
 
-@dataclass(frozen=True)
-class ChoiceParam:
-    """Categorical parameter."""
-
-    name: str
-    choices: Tuple[Any, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.choices) < 2:
-            raise ValueError(f"{self.name}: need >= 2 choices")
-
-    def sample(self, rng) -> Any:
-        return self.choices[int(rng.integers(len(self.choices)))]
-
-
 class SearchSpace:
     """An ordered collection of parameters."""
 
@@ -113,11 +93,6 @@ class SearchSpace:
     def sample(self, rng) -> Dict[str, Any]:
         return {p.name: p.sample(rng) for p in self.params}
 
-    @property
-    def numeric_params(self) -> List:
-        return [p for p in self.params
-                if isinstance(p, (FloatParam, IntParam))]
-
 
 @dataclass
 class Trial:
@@ -131,18 +106,6 @@ class Trial:
     @property
     def is_complete(self) -> bool:
         return self.state == "COMPLETE"
-
-
-class RandomSampler:
-    """Uniform random search."""
-
-    name = "random"
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = np.random.default_rng(seed)
-
-    def suggest(self, space: SearchSpace, trials: List[Trial]) -> Dict[str, Any]:
-        return space.sample(self._rng)
 
 
 class TpeSampler:
@@ -179,7 +142,7 @@ class TpeSampler:
         candidates = [space.sample(self._rng)
                       for _ in range(self.n_candidates)]
         scores = np.zeros(len(candidates))
-        for param in space.numeric_params:
+        for param in space.params:
             good_units = np.array([param.to_unit(t.params[param.name])
                                    for t in good], dtype=float)
             bad_units = np.array([param.to_unit(t.params[param.name])
@@ -190,13 +153,6 @@ class TpeSampler:
                 u = param.to_unit(cand[param.name])
                 scores[i] += (np.log(max(l_kde(u), 1e-12))
                               - np.log(max(g_kde(u), 1e-12)))
-        # Categoricals: bias candidates toward good choices.
-        for param in space.params:
-            if isinstance(param, ChoiceParam):
-                good_choices = [t.params[param.name] for t in good]
-                for i, cand in enumerate(candidates):
-                    freq = good_choices.count(cand[param.name]) / len(good)
-                    scores[i] += np.log(max(freq, 1.0 / (2 * len(good))))
         return candidates[int(np.argmax(scores))]
 
     @staticmethod
@@ -216,12 +172,12 @@ class TpeSampler:
 class Study:
     """Ask/tell optimisation study (minimisation)."""
 
-    def __init__(self, space: SearchSpace, sampler=None,
+    def __init__(self, space: SearchSpace, sampler,
                  direction: str = "minimize") -> None:
         if direction not in ("minimize", "maximize"):
             raise ValueError("direction must be minimize or maximize")
         self.space = space
-        self.sampler = sampler or RandomSampler()
+        self.sampler = sampler
         self.direction = direction
         self.trials: List[Trial] = []
 
@@ -260,7 +216,3 @@ class Study:
         if self.direction == "minimize":
             return min(complete, key=lambda t: t.value)
         return max(complete, key=lambda t: t.value)
-
-    @property
-    def best_value(self) -> float:
-        return self.best_trial.value

@@ -43,7 +43,7 @@ class PathwayDatabase:
         """Build a random database with *n_radiation* designated pathways.
 
         Radiation pathways preferentially contain low-index genes, which is
-        also where :func:`radiation_target_genes` concentrates mutation
+        also where the signature-detection workflow concentrates mutation
         burden -- giving the enrichment test a true signal to find.
         """
         if n_radiation > n_pathways:
@@ -72,14 +72,6 @@ class PathwayDatabase:
             pathways[name] = members
         return cls(universe=universe, pathways=pathways,
                    radiation_pathways=radiation)
-
-    @property
-    def radiation_target_genes(self) -> Set[str]:
-        """Union of the planted pathways' members."""
-        out: Set[str] = set()
-        for name in self.radiation_pathways:
-            out |= self.pathways[name]
-        return out
 
     def __len__(self) -> int:
         return len(self.pathways)

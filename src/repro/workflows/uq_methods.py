@@ -19,7 +19,7 @@ Brier score, accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -43,10 +43,6 @@ class UQMetrics:
     nll: float
     ece: float
     brier: float
-
-    def as_dict(self) -> Dict[str, float]:
-        return {"accuracy": self.accuracy, "nll": self.nll,
-                "ece": self.ece, "brier": self.brier}
 
 
 def expected_calibration_error(probs: np.ndarray, labels: np.ndarray,

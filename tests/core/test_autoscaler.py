@@ -44,7 +44,7 @@ class TestLifecycle:
                 ServiceDescription(model="noop"),
                 remote_platform="r3")
             session.run(until=smgr.wait_ready(scaler.handles))
-            assert scaler.n_instances == 3
+            assert len(scaler._live()) == 3
             assert sum(h.is_ready for h in scaler.handles) == 3
             scaler.stop()
 
@@ -58,7 +58,7 @@ class TestLifecycle:
                 remote_platform="r3")
             session.run(until=smgr.wait_ready(scaler.handles))
             session.run(until=session.now + 120.0)
-            assert scaler.n_instances == 2
+            assert len(scaler._live()) == 2
             assert scaler.scale_events == []
             scaler.stop()
 

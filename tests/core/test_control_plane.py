@@ -13,6 +13,10 @@ genuine event (the last profile row, 120.955 s).  It used to be 124.765 s,
 the next heartbeat of a stopped service instance, whose interval timeout
 the stop left on the event queue for the final drain to run the clock up
 to.  Stopping an instance now withdraws its armed beat.
+
+The last row was re-recorded too: the run ends its pilot the way the
+runtime ends one, by cancelling it (``state:CANCELED``); it used to end it
+through a batch-side ``complete`` (``state:DONE``) that nothing else called.
 """
 
 import json
@@ -70,7 +74,7 @@ def transcript():
         assert all(h.is_ready for h in rest)
         smgr.stop_services(rest)
         session.run(until=smgr.wait_stopped(handles))
-        session.batch_system(pilot.platform.name).complete(pilot.batch_job)
+        pmgr.cancel_pilots(pilot)
         session.quiesce()
         session.run()
         assert engine.peek() == float("inf")

@@ -153,7 +153,7 @@ def test_load_report_snapshot():
         assert isinstance(report, LoadReport)
         assert report.queue_depth == 0 and report.in_flight == 0
         assert report.queue_bound == 5
-        assert report.capacity == 1
+        assert (report.workers, report.max_batch_size) == (1, 1)
         assert report.est_queue_delay_s == 0.0
 
 
@@ -321,7 +321,7 @@ def test_balancer_accounting_survives_timeout():
         with pytest.raises(RequestTimeout):
             session.run(until=proc)
         assert client.timeouts == 3              # initial try + 2 retries
-        assert balancer.load_of(target) == 0     # no leaked in-flight
+        assert balancer._in_flight.get(target.name, 0) == 0  # none leaked
 
 
 def test_a_reply_before_the_timeout_leaves_no_armed_timer():
@@ -368,7 +368,7 @@ def test_a_late_reply_is_dropped_and_the_retry_succeeds(monkeypatch):
         assert [w for w in warned if "unmatched reply" in w] != []
         bus = session.bus
         assert bus.delivered_count + bus.dropped_count == bus.sent_count
-        assert client.socket.in_flight == 0
+        assert not client.socket._pending
 
 
 def test_balancer_accounting_survives_infer_success_and_busy():
@@ -385,4 +385,4 @@ def test_balancer_accounting_survives_infer_success_and_busy():
 
         procs = [session.engine.process(work(c)) for c in clients]
         session.run(until=session.engine.all_of(procs))
-        assert balancer.load_of(address) == 0
+        assert balancer._in_flight.get(address.name, 0) == 0

@@ -84,12 +84,12 @@ class TestLeastLoaded:
         lb = LeastLoadedBalancer()
         lb.record_start(TARGETS[0])
         lb.record_done(TARGETS[0])
-        assert lb.load_of(TARGETS[0]) == 0
+        assert lb._in_flight.get(TARGETS[0].name, 0) == 0
 
     def test_done_never_goes_negative(self):
         lb = LeastLoadedBalancer()
         lb.record_done(TARGETS[0])
-        assert lb.load_of(TARGETS[0]) == 0
+        assert lb._in_flight.get(TARGETS[0].name, 0) == 0
 
     def test_skews_away_from_slow_instance(self):
         lb = LeastLoadedBalancer()

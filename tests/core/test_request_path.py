@@ -126,13 +126,13 @@ def test_requests_sent_before_start_are_served_after_it_in_order():
                                       {"op": "infer", "prompt": str(i)}))
             session.run(until=0.5 * (i + 1))
         assert not any(e.triggered for e in early)
-        assert instance.queue_depth == 2      # waiting in the socket inbox
+        assert len(instance.socket._backlog) == 2   # in the socket inbox
         order = []
         for i, event in enumerate(early):
             event.callbacks.append(lambda ev, i=i: order.append(i))
 
         instance.start()
-        assert instance.socket.pending == 0   # handed over on start
+        assert not instance.socket._backlog   # handed over on start
         late = sock.request(address, {"op": "infer", "prompt": "late"})
         late.callbacks.append(lambda ev: order.append("late"))
         session.run(until=engine.all_of(early + [late]))
@@ -143,7 +143,7 @@ def test_requests_sent_before_start_are_served_after_it_in_order():
             == sorted(e.value.meta["received_at"] for e in early)
         assert early[0].value.meta["received_at"] < 1.0 \
             <= early[0].value.meta["dequeued_at"]
-        assert instance.queue_depth == 0
+        assert not instance._queue
         instance.stop()
 
 
@@ -157,7 +157,7 @@ def test_message_landing_on_a_stopped_instance_is_dropped():
         session.run(until=1.0)
         assert not reply.triggered
         assert session.bus.dropped_count == 1
-        assert instance.queue_depth == 0 and instance.requests_handled == 0
+        assert not instance._queue and instance.requests_handled == 0
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +285,9 @@ def request_transcript():
         receive = impatient.socket._receive
 
         def counting_receive(msg):
-            before = impatient.socket.in_flight
+            before = len(impatient.socket._pending)
             receive(msg)
-            if impatient.socket.in_flight == before:   # nobody waited
+            if len(impatient.socket._pending) == before:   # nobody waited
                 late.append(_reprs(engine.now))
         impatient.socket._receive = counting_receive
 

@@ -208,13 +208,6 @@ class TestResultLog:
         row.retries, row.ok = 99, False
         assert log[1] == rows[1] and log[1].retries == rows[1].retries
 
-    def test_clear_empties_the_log(self):
-        log, rows = log_of(3)
-        log.clear()
-        assert len(log) == 0 and not log and log == [] and list(log) == []
-        log.append(rows[2])
-        assert log == [rows[2]] and log[-1] == rows[2]
-
     def test_a_row_it_could_not_read_back_is_refused(self):
         log, rows = log_of(2)
         row = made_row(2)

@@ -242,8 +242,8 @@ class TestStopAndFailure:
         scheduler = pilot.agent.scheduler
         full = (pilot.nodes.total_free_cores, pilot.nodes.total_free_gpus)
         blocker = Task(session, TaskDescription(
-            executable="hog", ranks=pilot.n_nodes,
-            cores_per_rank=full[0] // pilot.n_nodes), "task.blocker")
+            executable="hog", ranks=len(pilot.nodes),
+            cores_per_rank=full[0] // len(pilot.nodes)), "task.blocker")
         granted = []
         scheduler.schedule(blocker, granted.append)
         (handle,) = smgr.start_services(
@@ -280,7 +280,7 @@ class TestStopAndFailure:
         smgr.stop_services(handle)
         session.run(until=handle.stopped)
         client = ServiceClient(session, platform="delta")
-        client.socket.send(address, {"op": "infer", "prompt": "x"})
+        client.socket.request(address, {"op": "infer", "prompt": "x"})
         session.run()
         assert session.bus.dropped_count >= 1
 
@@ -371,7 +371,7 @@ class TestServicesEndWithTheirPilot:
         "publish": lambda h: h.service_state == ServiceState.PUBLISHING,
         "ready": lambda h: h.service_state == ServiceState.READY,
         "draining": lambda h: h.service_state == ServiceState.STOPPING
-        and h.instance.queue_depth + h.instance.in_flight > 0,
+        and len(h.instance._queue) + h.instance._in_flight > 0,
     }
 
     @staticmethod

@@ -17,6 +17,10 @@ registration, while its reply is on the wire.  One landing earlier, the
 process left the endpoint registered for good (nothing deregistered it
 once the reply came); that path is pinned by
 ``test_service_lifecycle.py`` instead.
+
+The last row was re-recorded: the run ends its pilot the way the runtime
+ends one, by cancelling it (``state:CANCELED``); it used to end it through
+a batch-side ``complete`` (``state:DONE``) that nothing else called.
 """
 
 import json
@@ -101,7 +105,7 @@ def transcript(timeouts=TIMEOUTS):
             engine.process(client.infer(drained.address, "drain me",
                                         params={"max_tokens": 64}))
         session.run(until=session.now + 0.5)
-        assert drained.instance.queue_depth + drained.instance.in_flight \
+        assert len(drained.instance._queue) + drained.instance._in_flight \
             == len(clients)
         smgr.stop_services(drained)
         session.run(until=70.0)
@@ -113,7 +117,7 @@ def transcript(timeouts=TIMEOUTS):
                 if h.service_state not in ("STOPPED", "FAILED")]
         smgr.stop_services(rest)
         session.run(until=smgr.wait_stopped(handles))
-        session.batch_system(pilot.platform.name).complete(pilot.batch_job)
+        pmgr.cancel_pilots(pilot)
         session.quiesce()
         session.run()
         assert engine.peek() == float("inf")

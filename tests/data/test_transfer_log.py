@@ -28,15 +28,9 @@ def records(rows=ROWS):
 def test_reads_build_the_records_it_was_given():
     log, want = logged(), records()
     assert len(log) == 3 and list(log) == want and log == want
-    assert [log[i] for i in range(3)] == want
-    assert log[-1] == want[-1] and log[-3] == want[0]
-    assert log[1:] == want[1:] and log[::-1] == want[::-1]
-    assert type(log[0].nbytes) is float and log[0].duration == 1.5
+    assert type(next(iter(log)).nbytes) is float
     assert log == logged() and log != logged(ROWS[:2])
     assert repr(log) == repr(want)
-    for index in (3, -4):
-        with pytest.raises(IndexError):
-            log[index]
     with pytest.raises(TypeError):
         hash(log)
     assert (log == "rows") is False
@@ -44,7 +38,8 @@ def test_reads_build_the_records_it_was_given():
 
 def test_a_read_record_is_a_snapshot():
     log = logged()
-    assert log[0] is not log[0] and log[0] == log[0]
+    assert next(iter(log)) is not next(iter(log))
+    assert next(iter(log)) == next(iter(log))
 
 
 def test_a_transfer_keeps_no_object_of_its_own():
@@ -76,4 +71,4 @@ def test_the_scheduler_logs_every_completed_transfer():
         assert isinstance(ts.records, TransferLog)
         assert sorted(r.uid for r in ts.records) == ["a", "b"]
         assert [r.nbytes for r in ts.records] == [1e8, 1e8]
-        assert ts.records[-1].finished == session.now
+        assert list(ts.records)[-1].finished == session.now

@@ -32,7 +32,7 @@ class TestSubmission:
         nodes = engine.run(until=job.started)
         assert job.state == JobState.RUNNING
         assert len(nodes) == 4
-        assert batch.free_nodes == 4
+        assert len(batch._free) == 4
 
     def test_oversized_request_rejected(self, batch):
         with pytest.raises(ValueError, match="only"):
@@ -49,7 +49,7 @@ class TestSubmission:
         second = batch.submit(n_nodes=8, walltime_s=50.0)
         engine.run(until=first.started)
         assert second.state == JobState.PENDING
-        batch.complete(first)
+        batch.cancel(first)
         engine.run(until=second.started)
         assert second.started_at == engine.now
 
@@ -61,28 +61,32 @@ class TestSubmission:
 
 
 class TestCompletionAndWalltime:
-    def test_complete_releases_nodes(self, engine, batch):
-        job = batch.submit(n_nodes=8, walltime_s=1000.0)
-        engine.run(until=job.started)
-        batch.complete(job)
-        assert job.state == JobState.COMPLETED
-        assert batch.free_nodes == 8
-        engine.run()
-        assert engine.now < 1000.0  # walltime watchdog was cancelled
-
     def test_walltime_enforced(self, engine, batch):
         job = batch.submit(n_nodes=2, walltime_s=60.0)
         state = engine.run(until=job.finished)
         assert state == JobState.TIMEOUT
         assert engine.now == pytest.approx(60.0)
-        assert batch.free_nodes == 8
+        assert len(batch._free) == 8
 
-    def test_complete_non_running_raises(self, engine, batch):
-        job = batch.submit(n_nodes=2, walltime_s=60.0)
+    def test_fail_releases_nodes(self, engine, batch):
+        job = batch.submit(n_nodes=8, walltime_s=1000.0)
         engine.run(until=job.started)
-        batch.complete(job)
-        with pytest.raises(RuntimeError):
-            batch.complete(job)
+        batch.fail(job)
+        assert job.state == JobState.FAILED
+        assert len(batch._free) == 8
+        assert engine.run(until=job.finished) == JobState.FAILED
+        engine.run()
+        assert engine.now < 1000.0  # the walltime timer was withdrawn
+
+    def test_fail_non_running_raises(self, engine, batch):
+        blocker = batch.submit(n_nodes=8, walltime_s=60.0)
+        queued = batch.submit(n_nodes=2, walltime_s=60.0)
+        engine.run(until=blocker.started)
+        with pytest.raises(RuntimeError, match="PENDING"):
+            batch.fail(queued)  # a user cancels a queued job; none fails it
+        batch.fail(blocker)
+        with pytest.raises(RuntimeError, match="FAILED"):
+            batch.fail(blocker)
 
     def test_cancel_pending_job(self, engine, batch):
         blocker = batch.submit(n_nodes=8, walltime_s=100.0)
@@ -90,14 +94,16 @@ class TestCompletionAndWalltime:
         engine.run(until=blocker.started)
         batch.cancel(queued)
         assert queued.state == JobState.CANCELLED
-        assert batch.queued_jobs == 0
+        assert len(batch._queue) == 0
 
     def test_cancel_running_job(self, engine, batch):
         job = batch.submit(n_nodes=4, walltime_s=100.0)
         engine.run(until=job.started)
         batch.cancel(job)
         assert job.state == JobState.CANCELLED
-        assert batch.free_nodes == 8
+        assert len(batch._free) == 8
+        engine.run()
+        assert engine.now < 100.0  # the walltime timer was withdrawn
 
     @pytest.mark.parametrize("ran_for", [None, 0.5])
     def test_cancel_during_bring_up_returns_the_nodes(self, engine, ran_for):
@@ -110,18 +116,18 @@ class TestCompletionAndWalltime:
         waiting = batch.submit(n_nodes=2, walltime_s=100.0)
         if ran_for is not None:  # else: before the bring-up even started
             engine.run(until=ran_for)
-        assert job.state == JobState.PENDING and batch.free_nodes == 1
+        assert job.state == JobState.PENDING and len(batch._free) == 1
         cancelled_at = engine.now
         batch.cancel(job)
         assert job.state == JobState.CANCELLED
-        assert batch.queued_jobs == 0  # the freed nodes started `waiting`
+        assert len(batch._queue) == 0  # the freed nodes started `waiting`
         assert engine.run(until=job.finished) == JobState.CANCELLED
         engine.run(until=waiting.started)
         batch.cancel(waiting)
         engine.run()
         assert not job.started.triggered and job.started_at is None
         assert job.finished_at == cancelled_at
-        assert batch.free_nodes == 4
+        assert len(batch._free) == 4
         # neither the abandoned delay nor a walltime dragged the clock on
         assert engine.now == waiting.started_at
 

@@ -14,14 +14,14 @@ class TestNodeState:
     def test_initially_all_free(self, node):
         assert node.free_cores == 8
         assert node.free_gpus == 4
-        assert node.free_mem_gb == 64.0
+        assert node._free_mem == 64.0
 
     def test_allocate_reduces_free(self, node):
         slot = node.allocate(cores=2, gpus=1, mem_gb=16.0)
         assert node.free_cores == 6
         assert node.free_gpus == 3
-        assert node.free_mem_gb == 48.0
-        assert slot.n_cores == 2 and slot.n_gpus == 1
+        assert node._free_mem == 48.0
+        assert len(slot.cores) == 2 and len(slot.gpus) == 1
 
     def test_allocated_indices_are_disjoint(self, node):
         s1 = node.allocate(cores=3, gpus=2)
@@ -34,7 +34,7 @@ class TestNodeState:
         node.release(slot)
         assert node.free_cores == 8
         assert node.free_gpus == 4
-        assert node.free_mem_gb == 64.0
+        assert node._free_mem == 64.0
 
     def test_overallocation_raises(self, node):
         with pytest.raises(RuntimeError, match="cannot allocate"):

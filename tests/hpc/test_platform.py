@@ -27,7 +27,7 @@ class TestCatalog:
 
     def test_frontier_supports_experiment_1_scale(self):
         # Experiment 1 needs 640 GPUs at 1 GPU per service.
-        assert FRONTIER.total_gpus >= 640
+        assert FRONTIER.nodes * FRONTIER.gpus_per_node >= 640
         assert FRONTIER.gpus_per_node == 8
 
     def test_delta_pilot_shape_matches_table_2(self):
@@ -40,8 +40,8 @@ class TestCatalog:
         assert DELTA.intra_latency.std_ms == pytest.approx(0.014)
 
     def test_totals(self):
-        assert LOCALHOST.total_cores == 8
-        assert R3.total_gpus == 16
+        assert LOCALHOST.nodes * LOCALHOST.cores_per_node == 8
+        assert R3.nodes * R3.gpus_per_node == 16
 
     def test_register_custom_platform(self):
         spec = PlatformSpec(

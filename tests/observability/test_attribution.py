@@ -91,7 +91,7 @@ class TestPhaseBreakdowns:
         task = tasks_of(attr)["t.0"]
         assert task.phases == {"agent_queue": 1.0, "execute": 6.0,
                                "recovery": 3.0}
-        assert task.duration == pytest.approx(10.0)
+        assert task.end - task.start == pytest.approx(10.0)
 
     def test_orphan_phase_spans_are_skipped(self):
         spans = task_spans("t.0", 0.0, [("execute", 5.0)])
@@ -104,7 +104,7 @@ class TestPhaseBreakdowns:
         root = Span(1, next(_ids), None, "t.0", "task", 0.0)  # never closed
         attr = CampaignAttribution.from_spans([root])
         task = tasks_of(attr)["t.0"]
-        assert task.duration == 0.0 and task.phases == {}
+        assert task.end - task.start == 0.0 and task.phases == {}
 
     def test_non_task_categories_are_ignored(self):
         node = Span(1, next(_ids), None, "g/a", "campaign_node", 0.0)

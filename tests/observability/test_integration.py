@@ -70,8 +70,8 @@ class TestCampaignTrace:
             names = [s.name for s in phases]
             for required in ("submit", "schedule", "agent_queue", "execute"):
                 assert required in names, (task.uid, names)
-            assert all(not s.open for s in phases)
-            assert not root.open
+            assert all(s.end is not None for s in phases)
+            assert root.end is not None
             # phases tile the root span in order
             assert phases[0].start == root.start
             for prev, cur in zip(phases, phases[1:]):
@@ -86,7 +86,7 @@ class TestCampaignTrace:
         for span in node_spans.values():
             assert span.parent_id == camp.span_id
             assert span.trace_id == camp.trace_id
-            assert not span.open
+            assert span.end is not None
             assert span.attrs["status"] == "done"
         for key, tasks in runner.node_tasks.items():
             for task in tasks:
@@ -186,7 +186,7 @@ class TestDataPlane:
         (root,) = obs.tracer.find(name=tasks[0].uid, category="task")
         assert span.parent_id == root.span_id
         assert span.attrs["bytes"] == 1e9
-        assert not span.open
+        assert span.end is not None
 
 
 class TestDetectionLatency:

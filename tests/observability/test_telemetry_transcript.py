@@ -89,7 +89,7 @@ def transcript(level):
         session.run(until=session.engine.all_of(
             [proc, tmgr.wait_tasks(tasks)]))
         session.quiesce()
-        pmgr.cancel_pilots(pmgr.pilots)
+        pmgr.cancel_pilots(list(pmgr._pilots.values()))
         session.run()
         obs = session.observability
         tracer, metrics, profiler = obs.tracer, obs.metrics, session.profiler

@@ -22,7 +22,7 @@ class TestPilotLifecycle:
             PilotDescription(resource="delta", nodes=4, runtime_s=3600))
         session.run(until=pilot.became_active)
         assert pilot.state == PilotState.PMGR_ACTIVE
-        assert pilot.n_nodes == 4
+        assert len(pilot.nodes) == 4
         assert pilot.agent is not None
 
     def test_pilot_nodes_have_platform_shape(self, session, pmgr):
@@ -45,16 +45,6 @@ class TestPilotLifecycle:
         assert pilot.state == PilotState.FAILED
         assert session.now >= 60.0
 
-    def test_complete_pilot_releases_allocation(self, session, pmgr):
-        (pilot,) = pmgr.submit_pilots(
-            PilotDescription(resource="delta", nodes=2, runtime_s=1e6))
-        session.run(until=pilot.became_active)
-        session.batch_system(pilot.platform.name).complete(pilot.batch_job)
-        session.run(until=pilot.finished)
-        assert pilot.state == PilotState.DONE
-        assert session.batch_system("delta").free_nodes == \
-            session.platform("delta").nodes
-
     def test_cancel_active_pilot(self, session, pmgr):
         (pilot,) = pmgr.submit_pilots(
             PilotDescription(resource="delta", nodes=2))
@@ -62,6 +52,18 @@ class TestPilotLifecycle:
         pmgr.cancel_pilots(pilot)
         session.run(until=pilot.finished)
         assert pilot.state == PilotState.CANCELED
+        assert len(session.batch_system("delta")._free) == \
+            session.platform("delta").nodes
+
+    def test_preempted_pilot_releases_allocation(self, session, pmgr):
+        (pilot,) = pmgr.submit_pilots(
+            PilotDescription(resource="delta", nodes=2, runtime_s=1e6))
+        session.run(until=pilot.became_active)
+        session.batch_system("delta").fail(pilot.batch_job)
+        session.run(until=pilot.finished)
+        assert pilot.state == PilotState.FAILED
+        assert len(session.batch_system("delta")._free) == \
+            session.platform("delta").nodes
 
     def test_cancel_pending_pilot(self, session, pmgr):
         spec = session.platform("delta")
@@ -79,15 +81,15 @@ class TestPilotLifecycle:
         # the batch job already holds its nodes but has not started: the
         # cancel must neither raise nor leak them
         batch = session.batch_system("delta")
-        free = batch.free_nodes
+        free = len(batch._free)
         (pilot,) = pmgr.submit_pilots(
             PilotDescription(resource="delta", nodes=2))
-        assert batch.free_nodes == free - 2
+        assert len(batch._free) == free - 2
         pmgr.cancel_pilots(pilot)
         session.run(until=pilot.finished)
         assert pilot.state == PilotState.CANCELED
         assert not pilot.became_active.ok
-        assert batch.free_nodes == free
+        assert len(batch._free) == free
         session.run()
         assert session.engine.peek() == float("inf")
 
@@ -129,7 +131,7 @@ class TestPilotLifecycle:
     def test_nodes_come_with_activation(self, session, pmgr):
         (pilot,) = pmgr.submit_pilots(
             PilotDescription(resource="delta", nodes=1))
-        assert pilot.nodes is None and pilot.n_nodes == 0
+        assert pilot.nodes is None
         session.run(until=pilot.became_active)
         assert pilot.nodes.total_free_cores == 64
         assert pilot.nodes.total_free_gpus == 4

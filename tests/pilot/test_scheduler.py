@@ -45,7 +45,7 @@ class TestPlacement:
         assert landed == [task]
         slots = task.slots
         assert len(slots) == 1
-        assert slots[0].n_cores == 2 and slots[0].n_gpus == 1
+        assert len(slots[0].cores) == 2 and len(slots[0].gpus) == 1
         assert nodes.total_free_cores == 14
 
     def test_multi_rank_atomic_placement(self, session, landed):

@@ -45,7 +45,7 @@ class TestSession:
         session = Session()
         session.close()
         session.close()
-        assert session.closed
+        assert session._closed
 
     def test_use_after_close_raises_and_reading_keeps_working(self):
         """At the parent a task submitted after close() ran to DONE and
@@ -88,7 +88,7 @@ class TestSession:
         # nothing was started, the clock did not move, reading still works
         assert session.now == closed_at
         assert [t.uid for t in tmgr.tasks] == [task.uid]
-        assert len(pmgr.pilots) == 1 and smgr.services == []
+        assert len(pmgr._pilots) == 1 and smgr.services == []
         assert task.state == "DONE"
         assert session.profiler.timestamp(task.uid, "state:DONE") \
             == closed_at
@@ -169,7 +169,7 @@ class TestQuiesce:
             t_done = session.now
             session.quiesce()
             session.run()  # would loop heartbeats forever without quiesce
-            assert session.quiescing
+            assert session._quiescing
             # drained soon after: no further heartbeat re-arming; only the
             # already-scheduled walltime/batch events remain to flush
             assert session.engine.peek() == float("inf")

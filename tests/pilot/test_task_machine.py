@@ -169,8 +169,8 @@ class TaskPathMachine(RuleBasedStateMachine):
             scheduler = pilot.agent.scheduler
             assert scheduler.held_tasks == []
             assert scheduler.queue_length == 0
-            assert pilot.agent.executor.concurrent_launches == 0
-            assert pilot.agent.executor.executing_count == 0
+            assert pilot.agent.executor._launching == 0
+            assert pilot.agent.executor._executing == 0
             for node in pilot.nodes:
                 if node.is_up:
                     assert node.free_cores == node.num_cores, node.name
@@ -270,7 +270,7 @@ class TaskPathMachine(RuleBasedStateMachine):
         node = self.pilot.nodes[index]
         node.mark_down()
         for uid in self.pilot.agent.scheduler.held_on_node(index):
-            self._surfacing(self.tmgr.fail_task, self.tmgr.get(uid),
+            self._surfacing(self.tmgr.fail_task, self.tmgr._tasks[uid],
                             NodeFailure(node.name, self.pilot.uid))
 
     @rule(index=st.integers(min_value=0, max_value=1))
@@ -341,9 +341,9 @@ class TaskPathMachine(RuleBasedStateMachine):
                 last[task.uid] = \
                     self.session.profiler.events(task.uid)[-1].event
         executor = self.pilot.agent.executor
-        assert executor.concurrent_launches == \
+        assert executor._launching == \
             sum(1 for event in last.values() if event == "launch_start")
-        assert executor.executing_count == \
+        assert executor._executing == \
             sum(1 for event in last.values() if event == "exec_start")
 
 

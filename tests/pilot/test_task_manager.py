@@ -107,6 +107,16 @@ class TestFailureAndCancel:
         assert isinstance(task.exception, ValueError)
         assert pilot.nodes.total_free_cores == 128  # slots released
 
+    def test_a_task_no_node_can_hold_fails_in_the_agent(self, env):
+        session, _, tmgr, pilot = env
+        (task,) = tmgr.submit_tasks(
+            TaskDescription(executable="x", cores_per_rank=1000))
+        session.run(until=tmgr.wait_tasks([task]))
+        assert task.state == TaskState.FAILED
+        assert task.failure.origin == "scheduler"
+        assert "can never fit" in str(task.exception)
+        assert pilot.nodes.total_free_cores == 128
+
     def test_failure_does_not_affect_siblings(self, env):
         session, _, tmgr, _ = env
         def boom():
@@ -134,7 +144,7 @@ class TestFailureAndCancel:
         assert [t.state for t in tasks] == [TaskState.CANCELED] * 2
         assert [t.result for t in tasks] == [None, None]
         assert session.now < 500.0
-        assert pilot.agent.executor.executing_count == 0
+        assert pilot.agent.executor._executing == 0
         assert pilot.nodes.total_free_cores == 128
 
     def test_cancel_queued_task(self, env):
@@ -224,7 +234,7 @@ class TestFailureAndCancel:
             assert task.slots is NO_SLOTS  # released: the shared empty tuple
             assert pilot.agent.scheduler.held_tasks == []
             assert pilot.nodes.total_free_cores == pilot.nodes.total_cores
-            assert pilot.agent.executor.concurrent_launches == 0
+            assert pilot.agent.executor._launching == 0
 
     @pytest.mark.parametrize("final", TaskState.FINAL)
     def test_observer_raising_on_a_final_state_strands_nothing(self, final):
@@ -339,8 +349,8 @@ class TestFailureAndCancel:
             pmgr.cancel_pilots(pilot)
             session.run()  # drain: nothing of the task is left to fire
             assert session.now == interrupted_at
-            assert pilot.agent.executor.concurrent_launches == 0
-            assert pilot.agent.executor.executing_count == 0
+            assert pilot.agent.executor._launching == 0
+            assert pilot.agent.executor._executing == 0
 
 
 class TestPilotSelection:

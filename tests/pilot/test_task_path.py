@@ -290,7 +290,7 @@ def test_fault_retry_cancel_scenario_matches_the_parent_row_for_row():
         node = pilot.nodes[victim.slots[0].node_index]
         node.mark_down()
         for uid in pilot.agent.scheduler.held_on_node(node.index):
-            tmgr.fail_task(tmgr.get(uid), NodeFailure(node.name, pilot.uid))
+            tmgr.fail_task(tmgr._tasks[uid], NodeFailure(node.name, pilot.uid))
         session.run(until=t0 + 30.0)
         node.mark_up()
         pilot.agent.scheduler.kick()

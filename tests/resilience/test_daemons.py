@@ -98,7 +98,7 @@ def transcript():
         smgr.stop_services(scaler.all_handles)
         session.run(until=smgr.wait_stopped(scaler.all_handles))
         session.quiesce()
-        pmgr.cancel_pilots(pmgr.pilots)
+        pmgr.cancel_pilots(list(pmgr._pilots.values()))
         session.run()
         assert engine.peek() == float("inf")
         obs = session.observability
@@ -120,7 +120,8 @@ def transcript():
             "task_states": [[t.uid, t.state] for t in tasks],
             "service_states": [[h.uid, h.service_state]
                                for h in scaler.all_handles],
-            "pilot_states": [[p.uid, p.state] for p in pmgr.pilots],
+            "pilot_states": [[p.uid, p.state]
+                             for p in pmgr._pilots.values()],
             "final_now": session.now,
         }
 

@@ -162,15 +162,15 @@ class TestPilotLiveness:
                 (LEASE_MISSES + 1) * interval + 1e-6
             assert record.declared_at > 60.0  # observed *after* the death
 
-    def test_orderly_pilot_completion_never_declares(self):
+    def test_orderly_pilot_cancel_never_declares(self):
         with resilient_session() as session:
             pmgr = PilotManager(session)
             (pilot,) = pmgr.submit_pilots(
                 PilotDescription(resource="delta", nodes=1, runtime_s=1e6))
             session.run(until=20.0)
-            session.batch_system(pilot.platform.name).complete(pilot.batch_job)
+            pmgr.cancel_pilots(pilot)
             session.run()
-            assert pilot.state == PilotState.DONE
+            assert pilot.state == PilotState.CANCELED
             assert session.resilience.monitor.detections == []
 
     def test_recovery_acts_only_after_declaration(self):

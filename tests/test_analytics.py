@@ -261,14 +261,11 @@ class TestCampaignMetricsEdgeCases:
             with pytest.raises(ValueError, match="total_cores"):
                 campaign_metrics(session, {}, total_cores=0)
 
-    def test_row_is_flat_and_readable(self):
+    def test_counts_tasks_and_busy_core_seconds(self):
         from repro import Session
         from repro.analytics import campaign_metrics
         with Session(seed=1) as session:
             task = self._task(session, "t0", 0.0, 3600.0)
-            row = campaign_metrics(session, {"g": [task]},
-                                   total_cores=2).row()
-            assert row["tasks"] == "1/1"
-            assert row["busy_core_h"] == pytest.approx(1.0)
-            assert set(row) == {"makespan_s", "tasks", "busy_core_h",
-                                "idle_frac", "overlap_frac", "peak_tasks"}
+            m = campaign_metrics(session, {"g": [task]}, total_cores=2)
+            assert (m.n_done, m.n_tasks) == (1, 1)
+            assert m.busy_core_s == pytest.approx(3600.0)

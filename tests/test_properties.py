@@ -155,8 +155,8 @@ def test_scheduler_never_oversubscribes(data):
                     tasks.append(task)
                 session.run()
             # invariant: every core/GPU is free or owned by exactly one slot
-            used_cores = sum(s.n_cores for t in tasks for s in t.slots)
-            used_gpus = sum(s.n_gpus for t in tasks for s in t.slots)
+            used_cores = sum(len(s.cores) for t in tasks for s in t.slots)
+            used_gpus = sum(len(s.gpus) for t in tasks for s in t.slots)
             assert nodes.total_free_cores + used_cores == n_nodes * cores
             assert nodes.total_free_gpus + used_gpus == n_nodes * gpus
             for node in nodes:
@@ -370,7 +370,7 @@ def test_indexed_scheduler_matches_reference(data):
             for na, nb in zip(nodes_a, nodes_b):
                 assert na.free_cores == nb.free_cores
                 assert na.free_gpus == nb.free_gpus
-                assert na.free_mem_gb == nb.free_mem_gb
+                assert na._free_mem == nb._free_mem
 
 
 class _ReferenceKernel:
@@ -1208,7 +1208,7 @@ def test_barriered_graph_submits_the_streaming_tasks_level_by_level(spec):
             times = {task.description.name: (
                 prof.timestamp(task.uid, "state:TMGR_SCHEDULING"),
                 prof.timestamp(task.uid, "state:DONE"))
-                for task in runner.tasks}
+                for tasks in runner.node_tasks.values() for task in tasks}
             return calls, names, times
 
     _, streamed, _ = run(streaming)
@@ -1696,7 +1696,8 @@ def _scenario_graphs(spec):
                 tasks = yield from runner.submit_and_wait(
                     descriptions(g, j, node), node["tolerance"])
             elif kind == "run_submit":
-                tasks = runner.submit(descriptions(g, j, node))
+                tasks = runner._campaign.submit(descriptions(g, j, node),
+                                                node=runner._key)
                 yield engine.timeout(node["wait_s"])
                 yield runner.tmgr.wait_tasks(tasks)
             elif kind == "run_timeout":

@@ -1,5 +1,4 @@
-"""Every parameter of the public API has a caller that sets it, and every
-public function and method has a caller that calls it.
+"""Every parameter of the public API has a caller that sets it.
 
 An option or a path stays only if a non-test caller uses it: ``src/repro``
 itself, a ``benchmarks/`` module (``benchmarks/e2e/`` included) or an
@@ -17,13 +16,10 @@ Calls are matched by name only, so a parameter counts as set when any
 callable of that name gets it: the census can miss a test-only parameter,
 never flag a set one.
 
-The call side reads the same sources: a function or public method is
-called when its name is called, when it is handed on as an argument (a
-bare name or attribute, such as ``landing=self._granted``), or when the
-fixed benchmark reads it by name -- a ``probe()`` path in
-``benchmarks/e2e/rep.py`` or a method of a ``benchmarks/e2e/layer_trace.py``
-target.  The few public callables nothing calls are on :data:`UNCALLED`,
-each with one of the reasons in :data:`UNCALLED_REASONS`.
+Whether a function body is reached at all is not read off names: the
+drivers of ``benchmarks/reach.py`` run it, and a body none of them enters
+has an entry in ``benchmarks/reach_ledger.json`` (the CI ``reach`` job;
+``tests/test_reach.py`` checks the ledger's entries without a run).
 """
 
 import ast
@@ -109,7 +105,7 @@ ALLOWED = {
         "models", "methods", "n_classes", "latent_dim", "feature_dim")},
     "make_qa_dataset": _UQ,
     **{("CellPaintingConfig", name): _CELL for name in (
-        "augmentations_per_image", "holdout_fraction", "sampler")},
+        "augmentations_per_image", "holdout_fraction")},
     "Study": _CELL + ": the HPO study's objective sense",
     "TpeSampler": _CELL,
     "augment": _CELL,
@@ -130,38 +126,6 @@ ALLOWED = {
         "set through benchmarks/test_ablation_serving.py:22 (the vLLM "
         "arm's keywords, passed as **kw)"),
 }
-
-
-#: the reasons a public callable may stay without a non-test caller
-UNCALLED_REASONS = (
-    "an invariant probe",
-    "a read API that README documents",
-    "the on-disk form that README documents",
-)
-
-#: callable -> reason it stays though no non-test caller calls it
-UNCALLED = {
-    "SimulationEngine.peek": (
-        "an invariant probe: a drained engine reads peek() == inf"),
-    "DataServices.occupancy": (
-        "an invariant probe: a location's warm-tier bytes, held against "
-        "its capacity and its copies"),
-    "MonitorHub.of_kind": (
-        "a read API that README documents: the anomalies of one kind"),
-    "Tracer.find": "a read API that README documents: spans by name",
-    "Tracer.spans_of_trace": (
-        "a read API that README documents: one trace's spans"),
-    "Profiler.to_jsonl": (
-        "the on-disk form that README documents: one record per line"),
-    "Profiler.from_jsonl": (
-        "the on-disk form that README documents: read back"),
-    "Tracer.to_jsonl": (
-        "the on-disk form that README documents: one span per line"),
-}
-
-#: where the fixed benchmark reads the program by name
-E2E_PROBES = ROOT / "benchmarks/e2e/rep.py"
-E2E_TARGETS = ROOT / "benchmarks/e2e/layer_trace.py"
 
 
 def _modules():
@@ -285,58 +249,6 @@ def census():
     return api, found
 
 
-def _name(node):
-    """The name an expression ends in, or None."""
-    if isinstance(node, ast.Starred):
-        node = node.value
-    return (node.id if isinstance(node, ast.Name) else
-            node.attr if isinstance(node, ast.Attribute) else None)
-
-
-def calls_in(tree):
-    """Names *tree* calls or hands on as an argument."""
-    found = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            found.add(_name(node.func))
-            found.update(map(_name, node.args))
-            found.update(_name(kw.value) for kw in node.keywords)
-    found.discard(None)
-    return found
-
-
-def e2e_reads():
-    """Names the fixed benchmark reads: ``probe()`` path parts and
-    layer-trace target methods."""
-    found = set()
-    for node in ast.walk(ast.parse(E2E_PROBES.read_text())):
-        if (isinstance(node, ast.Call) and len(node.args) > 1
-                and _name(node.func) in ("probe", "size", "total")
-                and isinstance(node.args[1], ast.Constant)):
-            found.update(node.args[1].value.split("."))
-    for node in ast.walk(ast.parse(E2E_TARGETS.read_text())):
-        if isinstance(node, ast.AnnAssign) and _name(node.target) == "TARGETS":
-            for _, _, methods in ast.literal_eval(node.value):
-                found.update(m.split(":")[0] for m in methods)
-    return found
-
-
-@functools.lru_cache(maxsize=None)
-def call_census():
-    """The public functions and methods (key -> called name) and the names
-    some non-test caller calls (read once per run)."""
-    functions = {name for module in _modules()
-                 for name in getattr(module, "__all__", ())
-                 if inspect.isfunction(getattr(module, name, None))}
-    api = {key: called for key, (called, _, _) in catalogue().items()
-           if "." in key or key in functions}
-    found = e2e_reads()
-    for base in CALLERS:
-        for path in sorted((ROOT / base).rglob("*.py")):
-            found |= calls_in(ast.parse(path.read_text()))
-    return api, found
-
-
 def _defaulted(catalogue):
     return [(key, p.name) for key, (_, params, _) in catalogue.items()
             for p in params if p.default is not inspect.Parameter.empty]
@@ -397,33 +309,3 @@ def test_positional_and_keyword_arguments_count_but_defaults_do_not():
     assert sets("g.f(0, c=name)") == {("f", "c")}
     assert sets("f(*args, **kwargs)") == set()
     assert sets("f(0, 1.0)") == set()            # equal to the default
-
-
-def test_every_public_callable_has_a_non_test_caller():
-    api, found = call_census()
-    uncalled = sorted(key for key, called in api.items()
-                      if called not in found and key not in UNCALLED)
-    assert uncalled == [], (
-        "public, but no non-test caller calls them; delete each, or name "
-        f"its caller: {uncalled}")
-
-
-def test_uncalled_entries_name_uncalled_callables():
-    api, found = call_census()
-    for key, reason in UNCALLED.items():
-        assert key in api, f"{key} is not a public function or method"
-        assert api[key] not in found, (
-            f"{key} now has a caller; drop its entry")
-        assert reason.startswith(UNCALLED_REASONS), (key, reason)
-
-
-def test_calls_and_names_handed_on_count():
-    def calls(source):
-        return calls_in(ast.parse(source))
-
-    assert calls("f(0)") == {"f"}
-    assert calls("a.b.g(x, *rest)") == {"g", "x", "rest"}
-    assert calls("s.schedule(task, landing=self._granted)") == {
-        "schedule", "task", "_granted"}
-    assert calls("g = a.f") == set()             # bound, never called
-    assert {"faults", "any_of"} <= e2e_reads()   # what rep.py / layer_trace

@@ -149,7 +149,7 @@ class TestStreamingExecution:
         run_graphs(session, runner, self.diamond())
         assert set(runner.node_tasks) == {
             "diamond/a", "diamond/b", "diamond/c", "diamond/d"}
-        assert len(runner.tasks) == 4
+        assert sum(map(len, runner.node_tasks.values())) == 4
 
     def test_multiple_graphs_stream_in_one_campaign(self, env):
         session, tmgr = env
@@ -209,11 +209,13 @@ class TestStreamingExecution:
             run_graphs(session, runner, [graph, graph])
 
     def test_custom_node_runner_surface(self, env):
-        """Custom run nodes get submit (non-blocking) + submit_and_wait."""
+        """Custom run nodes get submit_and_wait; a submission under the
+        campaign window without waiting joins the node's bookkeeping too."""
         session, tmgr = env
 
         def run(runner, ctx):
-            early = runner.submit([sim_task("early", 30.0)])
+            early = runner._campaign.submit([sim_task("early", 30.0)],
+                                            node=runner._key)
             tasks = yield from runner.submit_and_wait(
                 [sim_task(f"bag-{i}", 2.0) for i in range(3)])
             ctx["bag_done_at"] = runner.session.engine.now
@@ -389,9 +391,9 @@ class TestFailurePropagation:
             tracer = session.observability.tracer
             spans = {s.name: s for s in tracer.find(category="campaign_node")}
             assert set(spans) == {"torn/bag", "torn/waiter"}
-            assert all(s.attrs["status"] == "aborted" and not s.open
+            assert all(s.attrs["status"] == "aborted" and s.end is not None
                        for s in spans.values())
-            (task,) = runner.tasks
+            ((task,),) = runner.node_tasks.values()
             assert not task.is_final  # still running: nobody cancelled it
             session.run(until=task.completed)
             session.run(until=session.now + 5.0)

@@ -85,8 +85,9 @@ def campaign_cost(n_chains, monkeypatch, window=8, tail=None, inputs=None):
             CampaignGraph("chains", nodes)))
         session.run(until=proc)
         monkeypatch.undo()
-        assert all(t.state == "DONE" for t in runner.tasks)
-        assert len(runner.tasks) == 2 * n_chains
+        tasks = [t for ts in runner.node_tasks.values() for t in ts]
+        assert all(t.state == "DONE" for t in tasks)
+        assert len(tasks) == 2 * n_chains
         return dict(made, entries=engine.entries - entries)
 
 

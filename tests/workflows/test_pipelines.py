@@ -154,8 +154,6 @@ class TestCellPainting:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CellPaintingConfig(min_shards_to_train=10, n_shards=2).validate()
-        with pytest.raises(ValueError):
-            CellPaintingConfig(sampler="grid").validate()
 
     @pytest.mark.parametrize("field", [
         "n_trials", "concurrent_trials", "trial_epochs"])
