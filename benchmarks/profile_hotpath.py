@@ -8,7 +8,8 @@ resumes, read off ``engine.entries`` / ``engine.resumes``), the memory
 budget (traced heap bytes per default description, per finished task
 with the session still open -- submitted plain and with an
 ``on_complete`` observer, as the benchmark's bags are -- from untimed
-runs under tracemalloc, per task when a traced run is read, and per
+runs under tracemalloc, per task when a traced run is read -- its
+spans counted, and every span read and held -- and per
 request a service client keeps, of noop replies that repeat and of llama
 replies whose text differs) and the top functions by cumulative and
 internal time.  That is the path ``benchmarks/e2e`` measures as ``task_bag``, so what shows up
@@ -89,8 +90,21 @@ def mixed_bag(n_tasks: int):
 
 def read_bytes(n_tasks: int = 5_000, n_nodes: int = 16) -> float:
     """Traced heap bytes a finished task adds when its run is read: every
-    profile row iterated once and the tracer's spans built, after a bag of
-    *n_tasks* mixed-shape tasks with the telemetry plane on."""
+    profile row iterated once and the tracer's spans counted, after a bag
+    of *n_tasks* mixed-shape tasks with the telemetry plane on.  The count
+    replays the run into span rows and makes no span object."""
+    return _bytes_read(n_tasks, n_nodes, len)
+
+
+def held_read_bytes(n_tasks: int = 5_000, n_nodes: int = 16) -> float:
+    """The same, with every span read and the list of them kept: a span
+    object per span beside its row."""
+    return _bytes_read(n_tasks, n_nodes, list)
+
+
+def _bytes_read(n_tasks: int, n_nodes: int, read) -> float:
+    """Traced heap per task that iterating the profile and ``read(spans)``
+    add, what ``read`` returns kept."""
     with Session(seed=0, observability=ObservabilityConfig()) as session:
         _, tmgr = active_pilot(session, n_nodes)
         tasks = tmgr.submit_tasks(mixed_bag(n_tasks))
@@ -101,11 +115,11 @@ def read_bytes(n_tasks: int = 5_000, n_nodes: int = 16) -> float:
         try:
             before = tracemalloc.get_traced_memory()[0]
             rows = sum(1 for _ in session.profiler.events())
-            spans = session.observability.tracer.spans
+            kept = read(session.observability.tracer.spans)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert rows == session.profiler.recorded and spans
+        assert rows == session.profiler.recorded and kept
         return held / n_tasks
 
 
@@ -205,7 +219,8 @@ def main(argv) -> int:
     print(f"memory budget: {description_bytes():.0f} B per description, "
           f"{held:.0f} B per finished task ({observed:.0f} B submitted with "
           f"on_complete), {read_bytes():.0f} B per task "
-          f"read (5,000 tasks, 16 nodes, telemetry on), "
+          f"read ({held_read_bytes():.0f} B with every span read and "
+          f"held; 5,000 tasks, 16 nodes, telemetry on), "
           f"{request_bytes():.0f} B per request a client keeps (4 clients x "
           f"1,000 noop requests), "
           f"{request_bytes(n_requests=250, model='llama-8b'):.0f} B per "

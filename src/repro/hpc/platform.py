@@ -13,7 +13,7 @@ A :class:`PlatformSpec` is immutable; mutable node state lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 __all__ = [

@@ -4,7 +4,7 @@ Post-mortem analytics already exist (the flat :class:`Profiler` row table),
 but explaining *why* a task was slow needs causality: which campaign node
 submitted it, how long it waited in which queue, which transfers ran on its
 behalf, how many recovery attempts it burned.  The :class:`Tracer` keeps
-that as a forest of :class:`Span` objects:
+that as a forest of spans:
 
 * every task submitted through an instrumented TaskManager gets a **root
   span** (category ``task``), opened at submission and closed when its
@@ -23,7 +23,7 @@ once, by the profiler (:mod:`repro.pilot.profiler`); the tracer keeps no
 copy of it.  While a run is live the tracer records two things per task in
 its own append-only log: the submission (uid, attempt, the ids of the
 explicit or ambient parent) and the completion event, each stamped with the
-profile's record count at that moment.  No task ``Span`` exists until
+profile's record count at that moment.  No task span exists until
 something asks: ``Tracer.spans`` -- and with it ``len``, ``find``,
 ``spans_of_trace``, ``task_root``, ``start_span``, both exporters,
 ``CampaignAttribution.from_spans`` and the dashboard summary -- first
@@ -34,24 +34,32 @@ once each, in every profile level, before it folds or drops them (see
 handed out in that merged order, and ``start_span`` replays before it takes
 its own, so ids, order, parents, stamps and attrs are those an eager tracer
 builds (``tests/observability/reference_tracer.py`` is that tracer;
-``tests/test_properties.py`` holds the two equal).  What this buys and
-costs: the run pays for neither span construction nor a second copy of the
-transitions, the **first query does** (about 1.2 us per span; later
-queries replay only what was recorded since).  This replay is the one span
-constructor: every analysis of a run's spans (the exporters, the
-attribution engine, the dashboard) reads them from here.
+``tests/test_properties.py`` holds the two equal).  The run pays for
+neither span rows nor a second copy of the transitions; the **first
+query** does (about 0.7 us a span on CPython 3.11), later queries replay
+only what was recorded since.  This replay is the one span constructor:
+every analysis of a run's spans (the exporters, the attribution engine,
+the dashboard) reads them from here.
 
-**A task span's attribute stays raw until read.**  A task root carries
-``{"uid": uid}`` and a phase ``{"attempt": n}``, one attribute each.  The
-replay stores that one value raw in the ``attrs`` slot; the first read of
-``attrs`` builds the dict, and every later read returns that same dict, so
-``set_attr``, item writes, ``as_dict`` and the exporters see what they
-always saw.  A task span nobody asks for its attributes costs about 160
-traced bytes instead of 345 (CPython 3.11).
+**A span is a row until it is read.**  The replay appends each span to
+columns -- trace and parent id, a code for its (name, category), start and
+end (NaN while open), and its one raw attribute: a task root's uid, a
+phase's attempt, or an explicit span's ``attrs`` -- about 50 traced bytes
+a span (36 in the columns, the rest their growth slack; a span object
+built by the replay cost 166).  ``Tracer.spans`` is a :class:`SpanView`
+over those rows: ``len``, ``bool``, ``==`` and both exporters read the
+columns and make no span object.  The first read of a span makes one
+(about 0.3 us and 88 bytes with its cache slot), which stays: every later
+read returns that same object.  It reads its fields off its row and writes
+``end`` and ``attrs`` back into it, so ``set_attr``, item writes on
+``attrs`` and ``end_span`` are what the exporters see, also after the
+caller dropped the span.  ``attrs`` of a task span is built as a dict on its first read
+and kept beside the row.  ``Span`` itself stays the plain record the eager
+tracer and hand-built analyses construct.
 
 **Mid-run queries** are first-class.  A span still open when queried has
 ``end is None``; the *same object* is closed by the next query after its
-closing record -- a ``Span`` handed out by one query is brought up to date
+closing record -- a span handed out by one query is brought up to date
 by the next, not behind the caller's back in between.
 
 Export formats: ``to_chrome_trace(path)`` writes Chrome trace-event JSON
@@ -63,8 +71,14 @@ tooling.
 from __future__ import annotations
 
 import json
-from itertools import chain, compress, islice
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+import sys
+from array import array
+from struct import Struct
+from collections.abc import Sequence
+from itertools import chain, count, islice
+from operator import itemgetter
+from typing import (TYPE_CHECKING, Any, Dict, Iterator, List, Optional,
+                    Tuple)
 
 from ..pilot.states import TASK_MODEL, TaskState
 
@@ -72,7 +86,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..pilot.session import Session
     from ..pilot.task import Task
 
-__all__ = ["Span", "Tracer"]
+__all__ = ["Span", "SpanView", "Tracer"]
 
 #: task state -> phase-span name opened on entering that state (states
 #: absent here -- final states -- close the current phase without opening)
@@ -86,13 +100,39 @@ PHASE_OF_STATE = {
     TaskState.RESCHEDULING: "reschedule",
 }
 
-#: a final state's phase: it closes the current phase and opens none (true,
-#: so that every task transition's code tests true)
-_NO_PHASE = "-"
+#: span kinds, by code: (name, category, the key of the raw attribute).  A
+#: task root's name is its raw attribute (its uid); an explicit span's raw
+#: attribute is its ``attrs`` itself (key None).  Codes 0 and 1 are the
+#: root and the ``submit`` phase; explicit kinds are added on first use.
+_TASK_KINDS: List[Tuple[Optional[str], str, Optional[str]]] = [
+    (None, "task", "uid"), ("submit", "task", "attempt")] + [
+    (name, "task", "attempt") for name in PHASE_OF_STATE.values()]
+_ROOT, _SUBMIT_PHASE = 0, 1
+_RESCHEDULE = _TASK_KINDS.index(("reschedule", "task", "attempt"))
 
-#: the same, keyed by the profile event of each task state
-_PHASE_OF_EVENT = {event: PHASE_OF_STATE.get(state, _NO_PHASE)
-                   for state, event in TASK_MODEL.events.items()}
+#: a final state's code: it closes the current phase and opens none (true,
+#: so that every task transition's code tests true)
+_NO_PHASE = -1
+
+#: profile event of each task state -> the span code of the phase it opens
+_PHASE_OF_EVENT = {
+    event: (_TASK_KINDS.index((PHASE_OF_STATE[state], "task", "attempt"))
+            if state in PHASE_OF_STATE else _NO_PHASE)
+    for state, event in TASK_MODEL.events.items()}
+
+_NAN = float("nan")
+#: ``attrs`` not built for a task span yet
+_RAW = object()
+
+#: a task log record, packed: 2 x its stamp (+ 1 for a completion), its
+#: sim time
+_RECORD = Struct("=qd")
+_pack = _RECORD.pack
+#: what a submission's record leaves out: attempt 1, no parent (ids 0)
+_PLAIN = (1, 0, 0)
+#: the replay's sentinel hit, after every profile record, and the due
+#: stamp once the task log is read
+_AFTER, _NEVER = sys.maxsize, float("inf")
 
 
 class Span:
@@ -141,56 +181,142 @@ class Span:
                 f"id={self.span_id} {state}>")
 
 
-#: the ``attrs`` slot's own accessors: a task span keeps its one attribute
-#: raw in the slot, behind an ``attrs`` property
-_get_attrs, _set_attrs = Span.attrs.__get__, Span.attrs.__set__
+class _RowSpan:
+    """A span read off a tracer: :class:`Span`'s fields, read from row
+    ``k`` of the tracer's columns; ``end`` and ``attrs`` are written back
+    into it.  One is made per row, on the row's first read."""
 
+    __slots__ = ("_tracer", "_k")
 
-class _TaskPhase(Span):
-    """A task phase span: its one attribute (the attempt) stays raw in the
-    ``attrs`` slot until ``attrs`` is first read, which builds the dict
-    once; from then on ``attrs`` is that dict."""
-
-    __slots__ = ()
-    _key = "attempt"
+    def __init__(self, tracer: "Tracer", k: int) -> None:
+        self._tracer = tracer
+        self._k = k
 
     @property
-    def attrs(self) -> Dict[str, Any]:
-        attrs = _get_attrs(self)
-        if type(attrs) is not dict:
-            attrs = {self._key: attrs}
-            _set_attrs(self, attrs)
+    def trace_id(self) -> int:
+        return self._tracer._trace[self._k]
+
+    @property
+    def span_id(self) -> int:
+        return self._k + 1
+
+    @property
+    def parent_id(self) -> Optional[int]:
+        return self._tracer._parent[self._k] or None
+
+    @property
+    def name(self) -> str:
+        tracer = self._tracer
+        name = tracer._kinds[tracer._code[self._k]][0]
+        return tracer._attr[self._k] if name is None else name
+
+    @property
+    def category(self) -> str:
+        tracer = self._tracer
+        return tracer._kinds[tracer._code[self._k]][1]
+
+    @property
+    def start(self) -> float:
+        return self._tracer._start[self._k]
+
+    def _get_end(self) -> Optional[float]:
+        end = self._tracer._end[self._k]
+        return None if end != end else end
+
+    def _set_end(self, value: Optional[float]) -> None:
+        self._tracer._end[self._k] = _NAN if value is None else value
+
+    def _get_attrs(self) -> Optional[Dict[str, Any]]:
+        tracer, k = self._tracer, self._k
+        key = tracer._kinds[tracer._code[k]][2]
+        if key is None:
+            return tracer._attr[k]
+        attrs = tracer._attrs.get(k, _RAW)
+        if attrs is _RAW:
+            attrs = tracer._attrs[k] = {key: tracer._attr[k]}
         return attrs
 
-    attrs = attrs.setter(_set_attrs)
+    def _set_attrs(self, value: Optional[Dict[str, Any]]) -> None:
+        tracer, k = self._tracer, self._k
+        if tracer._kinds[tracer._code[k]][2] is None:
+            tracer._attr[k] = value
+        else:
+            tracer._attrs[k] = value
+
+    end = property(_get_end, _set_end)
+    attrs = property(_get_attrs, _set_attrs)
+    set_attr = Span.set_attr
+    as_dict = Span.as_dict
+    __repr__ = Span.__repr__
 
 
-class _TaskRoot(_TaskPhase):
-    """A task root span: its one attribute is the task uid."""
+class SpanView(Sequence):
+    """Read-only spans of a tracer, each made when first read: ``len``,
+    ``bool``, indexing (negative too; a slice is a view), iteration, ``==``
+    with a list or a view, ``repr``.  A snapshot of the rows there were:
+    spans replayed later are not in it, but its spans are closed by later
+    queries as every span is."""
 
-    __slots__ = ()
-    _key = "uid"
+    __slots__ = ("_tracer", "_at")
 
+    def __init__(self, tracer: "Tracer", at: range) -> None:
+        self._tracer = tracer
+        self._at = at   # the rows shown
 
-#: record kinds of the tracer's own log (first field of a record)
-_SUBMIT, _DONE = 0, 1
+    def __len__(self) -> int:
+        return len(self._at)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SpanView(self._tracer, self._at[i])
+        return self._tracer._span(self._at[i])
+
+    def __iter__(self) -> Iterator[_RowSpan]:
+        tracer = self._tracer
+        made = tracer._slots()
+        for k in self._at:  # _span, inlined: a read of every span is hot
+            span = made[k]
+            if span is None:
+                span = made[k] = _RowSpan(tracer, k)
+            yield span
+
+    def __eq__(self, other) -> bool:
+        """The same spans (spans compare by identity): a span nobody read
+        yet is in no list, and a tracer's rows are its own."""
+        if isinstance(other, SpanView):
+            return len(self) == len(other) and (
+                not self._at or (other._tracer is self._tracer
+                                 and other._at == self._at))
+        if not isinstance(other, list):
+            return NotImplemented
+        made = self._tracer._made
+        return len(self) == len(other) and all(
+            k < len(made) and made[k] is span
+            for k, span in zip(self._at, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 class Tracer:
     """Span store, fed by explicit spans, its task log and the profile.
 
-    The two task hooks append one record each to ``_log`` and build
+    The two task hooks append one record each to the task log and build
     nothing; :attr:`spans` replays what has not been read yet.  The log is
-    one flat list (plain scalars: nothing for the garbage collector to
-    track), a record is a run of fields led by its kind and the profile's
-    record count when it was made (its *stamp*):
+    two columns (nothing for the garbage collector to track): ``_uids``,
+    and ``_records``, one packed 16-byte record per uid -- the profile's
+    record count when it was made (its *stamp*), stored doubled and plus
+    one for a completion, and the sim time.  A
+    submission that is not a first attempt without a parent also keeps
+    (attempt, parent trace id, parent span id) in ``_submits`` (ids 0
+    without a parent).  A record stamped *s* replays after profile record
+    ``s - 1`` and before profile record *s*.
 
-    * ``_SUBMIT, stamp, t, uid, attempt, parent trace id, parent span id``
-      -- both ids None without a parent;
-    * ``_DONE, stamp, t, uid`` -- the completion event fired.
-
-    A record stamped *s* replays after profile record ``s - 1`` and before
-    profile record *s*.
+    The spans are rows of the columns ``_trace``, ``_parent`` (0: none),
+    ``_code`` (into the kind table ``_kinds``), ``_start``, ``_end`` (NaN:
+    open) and ``_attr``; row *k* is span id ``k + 1``.  ``_made`` holds
+    the span object of every row read so far, ``_attrs`` the attribute
+    dicts built for task spans.
     """
 
     def __init__(self, session: "Session") -> None:
@@ -199,18 +325,30 @@ class Tracer:
         if profiler.reader is not None:
             raise RuntimeError("the session's profile already has a reader")
         profiler.reader = self._read
-        self._spans: List[Span] = []
-        self._log: List[Any] = []
-        #: the profile's code table as last read, and the phase of each code
+        # the task log
+        self._engine = session.engine
+        self._records = bytearray()
+        self._uids: List[str] = []
+        self._submits: Dict[str, Tuple[int, int, int]] = {}
+        # the span rows
+        self._trace, self._parent = array("i"), array("i")
+        self._code = array("i")
+        self._start, self._end = array("d"), array("d")
+        self._attr: List[Any] = []
+        self._kinds = list(_TASK_KINDS)
+        self._code_of = {kind: code for code, kind in enumerate(self._kinds)}
+        self._made: List[Optional[_RowSpan]] = []
+        self._attrs: Dict[int, Any] = {}
+        #: the profile's code table as last read, and the span code of the
+        #: phase each of its codes opens (0: no task transition)
         self._pairs: Any = None
-        self._phases: List[str] = []
+        self._phases: List[int] = []
         self._last_trace_id = 0
-        self._last_span_id = 0
         # replay state: as far as the log has been read
-        #: task uid -> its live root span (dropped on completion)
-        self._task_roots: Dict[str, Span] = {}
-        #: task uid -> currently open phase span
-        self._task_phase: Dict[str, Span] = {}
+        #: task uid -> the row of its live root span (dropped on completion)
+        self._task_roots: Dict[str, int] = {}
+        #: task uid -> the row of its currently open phase span
+        self._task_phase: Dict[str, int] = {}
         #: ambient parent for tasks submitted while set (campaign nodes
         #: wrap their synchronous submit calls with this)
         self.context_parent: Optional[Span] = None
@@ -225,17 +363,24 @@ class Tracer:
             trace_id = parent.trace_id
         else:
             trace_id = self._last_trace_id = self._last_trace_id + 1
-        self._last_span_id = span_id = self._last_span_id + 1
-        span = Span(trace_id, span_id,
-                    parent.span_id if parent is not None else None,
-                    name, category, self.session.engine.now, attrs)
-        self._spans.append(span)
-        return span
+        kind = (name, category, None)
+        code = self._code_of.get(kind)
+        if code is None:
+            code = self._code_of[kind] = len(self._kinds)
+            self._kinds.append(kind)
+        row = len(self._code)
+        self._trace.append(trace_id)
+        self._parent.append(0 if parent is None else parent.span_id)
+        self._code.append(code)
+        self._start.append(self._engine.now)
+        self._end.append(_NAN)
+        self._attr.append(attrs)
+        return self._span(row)
 
     def end_span(self, span: Span) -> Span:
         """Close a span at the current sim time (idempotent)."""
         if span.end is None:
-            span.end = self.session.engine.now
+            span.end = self._engine.now
         return span
 
     # -- task lifecycle hooks: one log record each ---------------------------
@@ -248,19 +393,23 @@ class Tracer:
         owes a :meth:`task_completed` when the completion event fires.
         """
         parent = task.trace_parent or self.context_parent
-        self._log += (_SUBMIT, self._profiler.recorded,
-                      self.session.engine.now, task.uid, task.attempts,
-                      None if parent is None else parent.trace_id,
-                      None if parent is None else parent.span_id)
+        if parent is not None or task.attempts != 1:
+            self._submits[task.uid] = (
+                task.attempts, 0, 0) if parent is None else (
+                task.attempts, parent.trace_id, parent.span_id)
+        self._uids.append(task.uid)
+        records = self._records  # extended in place: no attribute store
+        records += _pack(2 * self._profiler.recorded, self._engine.now)
 
     def task_completed(self, uid: str) -> None:
         """Completion event fired: any open phase and the root close."""
-        self._log += (_DONE, self._profiler.recorded,
-                      self.session.engine.now, uid)
+        self._uids.append(uid)
+        records = self._records
+        records += _pack(2 * self._profiler.recorded + 1, self._engine.now)
 
     # -- replay --------------------------------------------------------------
     @property
-    def spans(self) -> List[Span]:
+    def spans(self) -> SpanView:
         """Every span so far, in id order; reads the logs up to now.
 
         The replay resumes where the last query stopped and consumes the
@@ -268,12 +417,27 @@ class Tracer:
         object is closed by the query that follows its closing record.
         """
         self._catch_up()
-        return self._spans
+        return SpanView(self, range(len(self._code)))
+
+    def _slots(self) -> List[Optional[_RowSpan]]:
+        """``_made``, grown to a slot per row."""
+        made = self._made
+        if len(made) < len(self._code):
+            made.extend([None] * (len(self._code) - len(made)))
+        return made
+
+    def _span(self, k: int) -> _RowSpan:
+        """Row *k*'s span object, made on its first read."""
+        made = self._slots()
+        span = made[k]
+        if span is None:
+            span = made[k] = _RowSpan(self, k)
+        return span
 
     def _catch_up(self) -> None:
         """Read what the profile and the task log hold up to now."""
         self._profiler.share()  # hands what we have not seen to _read
-        if self._log:
+        if self._uids:
             self._read((), (), (), (), 0)
 
     def _read(self, times, uids, codes, pairs, start: int) -> None:
@@ -289,46 +453,58 @@ class Tracer:
         log is stamped at or before the end of the stretch, so the whole
         log is read.
         """
-        own, self._log = self._log, []
+        own = zip(_RECORD.iter_unpack(self._records), self._uids)
+        submits = self._submits
         base = self._profiler.recorded - len(times)  # record 0's number
         phase_of = self._phase_of_code(pairs)
-        # the task transitions among them by number, then a sentinel that
-        # reads the task records stamped after the last of them
-        hits = chain(compress(range(start, len(times)),
-                              map(phase_of.__getitem__, codes[start:])),
-                     (None,))
+        # the task transitions among them, (number, the code of the phase
+        # opened), then a sentinel that reads the task records stamped
+        # after the last of them
+        hits = chain(filter(itemgetter(1), zip(
+            count(start), map(phase_of.__getitem__, codes[start:]))),
+            ((_AFTER, 0),))
         roots, phases = self._task_roots, self._task_phase
-        append = self._spans.append
-        trace_id, span_id = self._last_trace_id, self._last_span_id
-        at, end = 0, len(own)
-        t0 = None
-        for k in hits:
-            while at < end and (k is None or own[at + 1] <= base + k):
-                if own[at] == _SUBMIT:
-                    t, uid, attempt, parent_trace, parent_id = \
-                        own[at + 2:at + 7]
-                    at += 7
-                    if parent_trace is None:
+        trace, code, end, attr = self._trace, self._code, self._end, \
+            self._attr
+        add_trace, add_parent = trace.append, self._parent.append
+        add_code, add_start = code.append, self._start.append
+        add_end, add_attr = end.append, attr.append
+        trace_id, row = self._last_trace_id, len(code)
+        record = next(own, None)
+        due = _NEVER if record is None else record[0][0] >> 1
+        for k, opened in hits:
+            last = base + k
+            while due <= last:  # the task records due before hit k
+                (stamp, t), uid = record
+                if not stamp & 1:  # a submission: its root and submit phase
+                    attempt, parent_trace, parent_id = submits.pop(
+                        uid, _PLAIN)
+                    if not parent_trace:
                         trace_id = parent_trace = trace_id + 1
-                    span_id += 2
-                    root = roots[uid] = _TaskRoot(parent_trace, span_id - 1,
-                                                  parent_id, uid, "task", t,
-                                                  uid)
-                    append(root)
-                    phase = phases[uid] = _TaskPhase(
-                        parent_trace, span_id, span_id - 1, "submit", "task",
-                        t, attempt)
-                    append(phase)
-                else:
-                    t, uid = own[at + 2], own[at + 3]
-                    at += 4
+                    roots[uid], phases[uid] = row, row + 1
+                    add_trace(parent_trace)
+                    add_trace(parent_trace)
+                    add_parent(parent_id)
+                    add_parent(row + 1)
+                    add_code(_ROOT)
+                    add_code(_SUBMIT_PHASE)
+                    add_start(t)
+                    add_start(t)
+                    add_end(_NAN)
+                    add_end(_NAN)
+                    add_attr(uid)
+                    add_attr(attempt)
+                    row += 2
+                else:  # a completion: the open phase and the root close
                     phase = phases.pop(uid, None)
-                    if phase is not None and phase.end is None:
-                        phase.end = t
+                    if phase is not None and end[phase] != end[phase]:
+                        end[phase] = t
                     root = roots.pop(uid, None)
-                    if root is not None and root.end is None:
-                        root.end = t
-            if k is None:
+                    if root is not None and end[root] != end[root]:
+                        end[root] = t
+                record = next(own, None)
+                due = _NEVER if record is None else record[0][0] >> 1
+            if k is _AFTER:
                 break
             uid = uids[k]
             # a tracked task has an open phase from its submission until a
@@ -338,57 +514,82 @@ class Tracer:
             if phase is None:
                 continue
             t = times[k]
-            if t == t0:  # transitions of one instant share one float
-                t = t0
-            else:
-                t0 = t
-            if phase.end is None:
-                phase.end = t
-            name = phase_of[codes[k]]
-            if name is not _NO_PHASE:
+            e = end[phase]
+            if e != e:  # open (NaN): not ended by hand since
+                end[phase] = t
+            if opened != _NO_PHASE:
                 root = roots[uid]
-                attempt = _get_attrs(phase)  # raw, unless read since
-                if type(attempt) is dict:
-                    attempt = attempt["attempt"]
-                if phase.name == "reschedule":
+                attempt = attr[phase]
+                if code[phase] == _RESCHEDULE:
                     attempt += 1
-                span_id += 1
-                phase = phases[uid] = _TaskPhase(root.trace_id, span_id,
-                                                 root.span_id, name, "task",
-                                                 t, attempt)
-                append(phase)
-        self._last_trace_id, self._last_span_id = trace_id, span_id
+                phases[uid] = row
+                add_trace(trace[root])
+                add_parent(root + 1)
+                add_code(opened)
+                add_start(t)
+                add_end(_NAN)
+                add_attr(attempt)
+                row += 1
+        self._last_trace_id = trace_id
+        self._records, self._uids = bytearray(), []
 
     def _phase_of_code(self, pairs) -> list:
-        """Code -> the phase its task transition opens (``_NO_PHASE`` for a
-        final state), or ``""`` for a record that is no task transition;
-        caught up with the profile's code table *pairs*."""
+        """Profile code -> the span code of the phase its task transition
+        opens (``_NO_PHASE`` for a final state), or 0 for a record that is
+        no task transition; caught up with the profile's code table
+        *pairs*."""
         phase_of = self._phases
         if self._pairs is not pairs and pairs:  # a new table: a clear()
             self._pairs, phase_of[:] = pairs, []
         for event, _ in islice(pairs, len(phase_of), None):
-            phase_of.append(_PHASE_OF_EVENT.get(event, ""))
+            phase_of.append(_PHASE_OF_EVENT.get(event, 0))
         return phase_of
 
     def task_root(self, uid: str) -> Optional[Span]:
         """The live root span of a task (None once completed/untracked)."""
         self._catch_up()
-        return self._task_roots.get(uid)
+        row = self._task_roots.get(uid)
+        return None if row is None else self._span(row)
 
     # -- queries -------------------------------------------------------------
     def spans_of_trace(self, trace_id: int) -> List[Span]:
-        return [s for s in self.spans if s.trace_id == trace_id]
+        self._catch_up()
+        return [self._span(k) for k, trace in enumerate(self._trace)
+                if trace == trace_id]
 
     def find(self, name: Optional[str] = None,
              category: Optional[str] = None) -> List[Span]:
-        return [s for s in self.spans
-                if (name is None or s.name == name)
-                and (category is None or s.category == category)]
+        self._catch_up()
+        kinds = self._kinds
+        return [self._span(k)
+                for k, (code, raw) in enumerate(zip(self._code, self._attr))
+                if (category is None or kinds[code][1] == category)
+                and (name is None or name == (
+                    raw if kinds[code][0] is None else kinds[code][0]))]
 
     def __len__(self) -> int:
         return len(self.spans)
 
     # -- export --------------------------------------------------------------
+    def _rows(self) -> Iterator[tuple]:
+        """Every span's fields, caught up, as :meth:`Span.as_dict` has them
+        and in its order: read off the columns, with no span object made."""
+        self._catch_up()
+        kinds, built = self._kinds, self._attrs
+        for k, (trace_id, parent_id, code, start, end, raw) in enumerate(zip(
+                self._trace, self._parent, self._code, self._start,
+                self._end, self._attr)):
+            name, category, key = kinds[code]
+            if key is None:
+                attrs = raw
+            else:
+                attrs = built.get(k, _RAW)
+                if attrs is _RAW:
+                    attrs = {key: raw}
+            yield (trace_id, k + 1, parent_id or None,
+                   raw if name is None else name, category, start,
+                   None if end != end else end, attrs or {})
+
     def chrome_trace_events(self) -> List[Dict[str, Any]]:
         """Chrome trace-event list: one complete ("X") event per span.
 
@@ -398,28 +599,30 @@ class Tracer:
         """
         events: List[Dict[str, Any]] = []
         tids: Dict[int, int] = {}
-        for span in self.spans:
-            tid = tids.get(span.trace_id)
+        for (trace_id, span_id, parent_id, name, category, start, end,
+             attrs) in self._rows():
+            tid = tids.get(trace_id)
             if tid is None:
-                tid = tids[span.trace_id] = len(tids) + 1
+                tid = tids[trace_id] = len(tids) + 1
                 events.append({
                     "ph": "M", "pid": 1, "tid": tid, "name": "thread_name",
-                    "args": {"name": span.name},
+                    "args": {"name": name},
                 })
-            end = span.end if span.end is not None else span.start
+            if end is None:
+                end = start
             events.append({
                 "ph": "X",
                 "pid": 1,
                 "tid": tid,
-                "name": span.name,
-                "cat": span.category or "span",
-                "ts": span.start * 1e6,       # trace events use microseconds
-                "dur": (end - span.start) * 1e6,
+                "name": name,
+                "cat": category or "span",
+                "ts": start * 1e6,            # trace events use microseconds
+                "dur": (end - start) * 1e6,
                 "args": {
-                    "trace_id": span.trace_id,
-                    "span_id": span.span_id,
-                    "parent_id": span.parent_id,
-                    **(span.attrs or {}),
+                    "trace_id": trace_id,
+                    "span_id": span_id,
+                    "parent_id": parent_id,
+                    **attrs,
                 },
             })
         return events
@@ -434,7 +637,9 @@ class Tracer:
 
     def to_jsonl(self, path: str) -> int:
         """One span per line; returns the span count."""
+        keys = ("trace_id", "span_id", "parent_id", "name", "category",
+                "start", "end", "attrs")
         with open(path, "w") as fh:
-            for span in self.spans:
-                fh.write(json.dumps(span.as_dict()) + "\n")
+            for row in self._rows():
+                fh.write(json.dumps(dict(zip(keys, row))) + "\n")
         return len(self.spans)

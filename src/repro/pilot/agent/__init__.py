@@ -40,6 +40,8 @@ class Agent:
         self.platform_name = platform_name
         self.scheduler = AgentScheduler(session, nodes, pilot_uid)
         self.executor = AgentExecutor(session, pilot_uid, launch_method)
+        #: the grant landing, bound once: every queued request holds it
+        self._landing = self._granted
 
     def submit(self, task: "Task") -> None:
         """Take a bound (and staged) task: queue it for slots.  A request
@@ -47,7 +49,7 @@ class Agent:
         task.phase = QUEUED
         task.advance(TaskState.AGENT_SCHEDULING, self.pilot_uid)
         try:
-            self.scheduler.schedule(task, self._granted)
+            self.scheduler.schedule(task, self._landing)
         except SchedulerError as exc:
             task.wait = self.session.engine.call_later(
                 0.0, self._refused, (task, exc))

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Tuple
 
 from ..data.objects import DataObject
 from ..data.transfers import Transfer, TransferAborted
-from ..sim.events import Event, Hook
+from ..sim.events import Hook
 from .description import StagingDirective
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -69,17 +69,15 @@ class PilotState:
     NEW = "NEW"
     PMGR_LAUNCHING = "PMGR_LAUNCHING"   # batch job queued / bootstrapping
     PMGR_ACTIVE = "PMGR_ACTIVE"         # agent up, accepting work
-    DONE = "DONE"
     FAILED = "FAILED"
     CANCELED = "CANCELED"
 
-    FINAL: Tuple[str, ...] = (DONE, FAILED, CANCELED)
+    FINAL: Tuple[str, ...] = (FAILED, CANCELED)
 
     TRANSITIONS: Dict[str, Tuple[str, ...]] = {
         NEW: (PMGR_LAUNCHING,),
         PMGR_LAUNCHING: (PMGR_ACTIVE,),
-        PMGR_ACTIVE: (DONE,),
-        DONE: (),
+        PMGR_ACTIVE: (),
         FAILED: (),
         CANCELED: (),
     }

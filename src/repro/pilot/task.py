@@ -23,7 +23,6 @@ from typing import (TYPE_CHECKING, AbstractSet, Any, Callable, Optional,
 
 from ..hpc.node import NodeList, Slot
 from ..sim.events import Event
-from ..utils.ids import IdRegistry
 from .description import PilotDescription, TaskDescription
 from .states import (
     PILOT_MODEL,

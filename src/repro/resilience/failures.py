@@ -14,8 +14,8 @@ a user cancellation (never retried).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional
 
 __all__ = [
     "RuntimeFault",

@@ -33,7 +33,7 @@ from ..pilot.description import TaskDescription
 from ..pilot.states import TaskState
 from .campaign import CampaignGraph, NodeRunner, StageFailure, TaskNode
 from .hpo import FloatParam, IntParam, SearchSpace, Study, TpeSampler
-from .imaging import DOSE_LEVELS_GY, augment, extract_features, generate_dataset
+from .imaging import augment, extract_features, generate_dataset
 from .mlp import MLPClassifier, MLPConfig
 
 __all__ = ["CellPaintingConfig", "CellPaintingResult",

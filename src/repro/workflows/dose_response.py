@@ -10,7 +10,7 @@ quality, and derive the classic summary quantities (slope, EC50).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 

@@ -16,7 +16,7 @@ pipeline evaluate trials *concurrently* as runtime tasks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np

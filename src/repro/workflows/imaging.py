@@ -16,7 +16,6 @@ through broadcasting on coordinate grids, features via array reductions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np

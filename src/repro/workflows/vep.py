@@ -14,7 +14,7 @@ The real VEP's cost is modelled by the task description (minutes of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from .vcf import Variant

@@ -4,7 +4,7 @@ import json
 from types import SimpleNamespace
 
 from repro import Session
-from repro.observability.trace import Span, Tracer
+from repro.observability.trace import Tracer
 from repro.pilot.states import TaskState
 
 
@@ -219,8 +219,9 @@ class TestSpansFromProfiler:
 
     def test_a_task_span_builds_its_attrs_once_and_keeps_writes(
             self, tmp_path):
-        # a task root or phase keeps its one attribute raw until ``attrs``
-        # is read; the dict built then is what every later read returns
+        # a task root or phase row keeps its one attribute raw until
+        # ``attrs`` is read; the dict built then is what every later read
+        # returns
         with Session(seed=1) as session:
             tracer = Tracer(session)
             tracer.task_submitted(SimpleNamespace(uid="task.a", attempts=1,
@@ -234,8 +235,10 @@ class TestSpansFromProfiler:
             root, *phases = tracer.spans
             reschedule = phases[-1]
             assert reschedule.name == "reschedule" and reschedule.end is None
-            assert (Span.attrs.__get__(root),
-                    Span.attrs.__get__(reschedule)) == ("task.a", 1)
+            # the rows keep the raw value; no dict is built until read
+            assert (tracer._attr[root.span_id - 1],
+                    tracer._attr[reschedule.span_id - 1]) == ("task.a", 1)
+            assert tracer._attrs == {}
             assert root.attrs is root.attrs
             assert reschedule.attrs is reschedule.attrs
             reschedule.attrs["note"] = "read while open"

@@ -72,15 +72,14 @@ class TestTaskModel:
 
 
 PILOT_STATES = [PilotState.NEW, PilotState.PMGR_LAUNCHING,
-                PilotState.PMGR_ACTIVE, PilotState.DONE, PilotState.FAILED,
+                PilotState.PMGR_ACTIVE, PilotState.FAILED,
                 PilotState.CANCELED]
 
 #: every legal pilot transition; anything else must raise
 PILOT_LEGAL = {
     (PilotState.NEW, PilotState.PMGR_LAUNCHING),
     (PilotState.PMGR_LAUNCHING, PilotState.PMGR_ACTIVE),
-    (PilotState.PMGR_ACTIVE, PilotState.DONE),
-    # any live state may fail or be canceled
+    # any live state may fail or be canceled: the ways a pilot ends
     (PilotState.NEW, PilotState.FAILED),
     (PilotState.NEW, PilotState.CANCELED),
     (PilotState.PMGR_LAUNCHING, PilotState.FAILED),
@@ -94,7 +93,12 @@ class TestPilotModel:
     def test_happy_path(self):
         PILOT_MODEL.check(PilotState.NEW, PilotState.PMGR_LAUNCHING)
         PILOT_MODEL.check(PilotState.PMGR_LAUNCHING, PilotState.PMGR_ACTIVE)
-        PILOT_MODEL.check(PilotState.PMGR_ACTIVE, PilotState.DONE)
+        # an active pilot ends cancelled (its walltime, or by the user) or
+        # failed; nothing enters a DONE state
+        PILOT_MODEL.check(PilotState.PMGR_ACTIVE, PilotState.CANCELED)
+        PILOT_MODEL.check(PilotState.PMGR_ACTIVE, PilotState.FAILED)
+        assert not hasattr(PilotState, "DONE")
+        assert PilotState.FINAL == (PilotState.FAILED, PilotState.CANCELED)
 
     def test_launching_may_fail(self):
         PILOT_MODEL.check(PilotState.PMGR_LAUNCHING, PilotState.FAILED)

@@ -492,3 +492,23 @@ def test_a_hook_left_on_a_processed_event_still_cancels():
         assert raised == [first]
         assert [first.state, second.state] == ["FAILED", "CANCELED"]
         assert second.completed.processed
+
+
+def test_every_queued_request_holds_the_agents_one_grant_landing():
+    # the agent binds its grant landing once: a deep queue holds one bound
+    # method, not one per request
+    with Session(seed=0) as session:
+        pmgr, tmgr = PilotManager(session), TaskManager(session)
+        (pilot,) = pmgr.submit_pilots(
+            PilotDescription(resource="delta", nodes=1, runtime_s=1e9))
+        tmgr.add_pilots(pilot)
+        session.run(until=pmgr.wait_active([pilot]))
+        tasks = tmgr.submit_tasks([TaskDescription(
+            executable="x", duration_s=5.0, cores_per_rank=64)] * 20)
+        session.run(until=session.now + 1.0)
+        entries = list(pilot.agent.scheduler._entries.values())
+        assert len(entries) >= 10
+        assert {id(entry[3]) for entry in entries} == \
+            {id(pilot.agent._landing)}
+        session.run(until=tmgr.wait_tasks(tasks))
+        assert all(t.state == TaskState.DONE for t in tasks)

@@ -82,6 +82,9 @@ ALLOWED = {
     "PlatformSpec": "a record field: a platform's static description, "
                     "also set through with_overrides(**kwargs)",
     "ServiceInfo": "a record field: a registry entry",
+    ("Span", "attrs"): (
+        "a record field: a span built by hand (the eager reference tracer, "
+        "an attribution's input); the tracer's own spans are its rows"),
     "TaskPhases": "a record field: built by the attribution engine",
     ("TaskNode", "failure_tolerance"): (
         "a record field: a campaign node's tolerance, read when its bag "
