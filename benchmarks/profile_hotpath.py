@@ -4,7 +4,8 @@ Profiles a task bag through the public API -- a default ``Session()``
 (profile tier ``full``), ``TaskManager.submit_tasks`` of N mixed-shape
 executable tasks onto one active pilot, ``session.run(until=wait_tasks)``
 -- and prints the kernel's own budget per task (entries made and generator
-resumes, read off ``engine.entries`` / ``engine.resumes``), the memory
+resumes, read off ``engine.entries`` / ``engine.resumes``), the Python
+calls a queued plain task makes (``sys.setprofile`` call events), the memory
 budget (traced heap bytes per default description, per finished task
 with the session still open -- submitted plain and with an
 ``on_complete`` observer, as the benchmark's bags are -- from untimed
@@ -188,6 +189,38 @@ def submit_drain(n_tasks: int, n_nodes: int, track_memory: bool = False,
                 (engine.resumes - resumes) / n_tasks, held)
 
 
+def python_calls(n_tasks: int) -> int:
+    """Python calls (``sys.setprofile`` ``call`` events) a bag of *n_tasks*
+    one-core executable tasks makes from submission to drain on one
+    56-core node: every task after the first 56 waits in the scheduler's
+    queue and is granted by a release."""
+    with Session(seed=5) as session:
+        _, tmgr = active_pilot(session, 1)
+        descriptions = [TaskDescription(executable="x", duration_s=10.0)
+                        for _ in range(n_tasks)]
+        calls = [0]
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        sys.setprofile(count)
+        try:
+            tasks = tmgr.submit_tasks(descriptions)
+            session.run(until=tmgr.wait_tasks(tasks))
+        finally:
+            sys.setprofile(None)
+        assert all(t.state == TaskState.DONE for t in tasks)
+        return calls[0]
+
+
+def queued_task_calls(few: int = 500, many: int = 1_000) -> float:
+    """Python calls per queued plain task: two bag sizes differenced, so
+    the per-bag constants cancel (``tests/pilot/test_task_path.py`` pins
+    the figure)."""
+    return (python_calls(many) - python_calls(few)) / (many - few)
+
+
 def task_bytes(n_tasks: int = 2_000, n_nodes: int = 16,
                on_complete=None) -> float:
     """Traced heap bytes each of *n_tasks* finished tasks still holds, the
@@ -215,7 +248,8 @@ def main(argv) -> int:
 
     print(f"{n_tasks} tasks / {n_nodes} nodes: {rate:.0f} tasks/s")
     print(f"kernel budget per task: {entries:.4f} entries, "
-          f"{resumes:.4f} resumes")
+          f"{resumes:.4f} resumes, {queued_task_calls():.2f} Python calls "
+          f"per queued task (one-core bags of 500 and 1,000 on one node)")
     print(f"memory budget: {description_bytes():.0f} B per description, "
           f"{held:.0f} B per finished task ({observed:.0f} B submitted with "
           f"on_complete), {read_bytes():.0f} B per task "

@@ -9,14 +9,21 @@ most one live slot (verified by property-based tests).
 Placement queries read **per-rank-shape fit masks**: for every rank shape
 ``(cores, gpus, mem_gb)`` a :class:`NodeList` has been asked about, one
 Python ``int`` whose bit *i* says whether node *i* passes
-:meth:`NodeState.fits` for one such rank right now.  A node change
-(allocate / release / health flip) re-evaluates that one node against the
-tracked shapes, O(tracked shapes); ``find_fit`` from a round-robin start
-with wrap-around is a shift and a lowest-set-bit, whatever the pool size or
-load, and returns exactly the node the seed's linear first-fit scan would
-(including the soft ``avoid`` deferral).  A bit is *exact* -- "no bit set"
-means no node fits -- so the scheduler's wake filter and pre-placement
-check read the same masks.
+:meth:`NodeState.fits` for one such rank right now.  The list's mask table
+is a dict keyed by the rank shape (``NodeList._fit_masks[shape]`` builds an
+untracked shape's mask on its first read, O(nodes)).  A node change
+(allocate / release / health flip) costs what it changes: each node keeps
+the set of tracked shapes it fits as a bit word, the list memoises that
+word per node state ``(free cores, free GPUs, free memory)`` (a node that
+is not up fits nothing), and the change XORs the node's old word with its
+new one and flips the node's bit in only the masks of the shapes whose
+answer moved -- one or two on an allocate or release, none when a node
+stays full.  ``find_fit`` from a round-robin start with wrap-around is a
+shift and a lowest-set-bit, whatever the pool size or load, and returns
+exactly the node the seed's linear first-fit scan would (including the
+soft ``avoid`` deferral).  A bit is *exact* -- "no bit set" means no node
+fits -- so the scheduler's wake filter and pre-placement check read the
+same masks.
 """
 
 from __future__ import annotations
@@ -28,13 +35,19 @@ __all__ = ["Slot", "NodeState", "NodeList"]
 #: A rank shape: what one rank asks of a node, ``(cores, gpus, mem_gb)``.
 RankShape = Tuple[int, int, float]
 
-#: Rank shapes a NodeList keeps fit masks for, at the least.  A node change
-#: costs O(tracked shapes) and building an untracked shape's mask O(nodes),
-#: so a list tracks up to ``max(_MIN_TRACKED_SHAPES, nodes)`` shapes: a
-#: node change never costs more than one rebuild.  A workload with more
+#: Rank shapes a NodeList keeps fit masks for, at the least.  Building an
+#: untracked shape's mask costs O(nodes), so a list tracks up to
+#: ``max(_MIN_TRACKED_SHAPES, nodes)`` shapes.  A workload with more
 #: distinct rank shapes than that overflows the table, which clears it and
 #: lets the live shapes refill lazily on their next query.
 _MIN_TRACKED_SHAPES = 64
+
+#: Node states ``(free cores, free GPUs, free memory)`` whose fit words a
+#: NodeList memoises, at the most.  A miss costs O(tracked shapes); a
+#: homogeneous pool whose ranks ask no memory reaches (cores + 1) x (GPUs
+#: + 1) states.  Like the mask table, a full memo is cleared and refills
+#: lazily.
+_MAX_NODE_STATES = 4096
 
 
 class Slot(NamedTuple):
@@ -78,36 +91,40 @@ class NodeState:
         self._free_cores: List[int] = list(range(cores))
         self._free_gpus: List[int] = list(range(gpus))
         self._free_mem = float(mem_gb)
-        #: the owning NodeList's fit-mask table (shared, mutated in place)
-        #: and this node's bit in every mask; None for a free-standing node
-        self._fit_masks: Optional[Dict[RankShape, int]] = None
+        #: the owning NodeList's fit table (shared, mutated in place) and
+        #: this node's bit in every mask; None for a free-standing node
+        self._table: Optional[_FitTable] = None
         self._bit = 1 << index
+        #: bit *k*: this node fits the table's tracked shape *k* right now
+        self._fits = 0
         #: health hooks ``(node, kind)`` with kind in down | degraded | up
         #: -- schedulers subscribe to wake parked work on a repair
         self._health_listeners: List[Callable[["NodeState", str], None]] = []
 
     def _refit(self) -> None:
-        """Re-evaluate this node's bit in every tracked shape's fit mask.
-
-        The predicate is :meth:`fits`, spelled out so the node's state is
-        read once for all shapes.
-        """
-        masks = self._fit_masks
-        if not masks:
+        """Flip this node's bit in the masks of the shapes whose answer
+        moved: the old fit word XOR the new one (the table's memo of this
+        node state), one set bit per shape that changed."""
+        table = self._table
+        if table is None:
             return
-        bit = self._bit
-        up = self.health == NodeState.UP
-        free_cores = len(self._free_cores)
-        free_gpus = len(self._free_gpus)
-        free_mem = self._free_mem
-        for shape, mask in masks.items():
-            cores, gpus, mem_gb = shape
-            if (up and free_cores >= cores and free_gpus >= gpus
-                    and free_mem >= mem_gb - 1e-9):
-                if not mask & bit:
-                    masks[shape] = mask | bit
-            elif mask & bit:
-                masks[shape] = mask ^ bit
+        if self.health == NodeState.UP:
+            state = (len(self._free_cores), len(self._free_gpus),
+                     self._free_mem)
+            fits = table.words.get(state)
+            if fits is None:
+                fits = table.word(state)
+        else:
+            fits = 0
+        moved = fits ^ self._fits
+        if moved:
+            self._fits = fits
+            bit = self._bit
+            shapes = table.shapes
+            while moved:
+                low = moved & -moved
+                table[shapes[low.bit_length() - 1]] ^= bit
+                moved ^= low
 
     # -- health ----------------------------------------------------------------
     @property
@@ -197,6 +214,61 @@ class NodeState:
                 f"{self.free_gpus}g/{self._free_mem:.0f}GB>")
 
 
+class _FitTable(dict):
+    """``rank shape -> fit mask`` for the shapes a :class:`NodeList` tracks.
+
+    Reading an untracked shape builds its mask, O(nodes), and tracks it as
+    shape *k* (``shapes[k]``): each node's fit word gains bit *k* and the
+    memo of words per node state (``words``) starts over, since no word in
+    it answers for the new shape.  A full table is cleared first, and every
+    node's word with it.  Kept current by the nodes (``NodeState._refit``).
+    """
+
+    __slots__ = ("nodes", "max_shapes", "shapes", "words")
+
+    def __init__(self, nodes: List[NodeState], max_shapes: int) -> None:
+        super().__init__()
+        self.nodes = nodes
+        self.max_shapes = max_shapes
+        #: tracked shape *k*, whose bit in a fit word is ``1 << k``
+        self.shapes: List[RankShape] = []
+        #: node state ``(free cores, free GPUs, free memory)`` -> the fit
+        #: word of an up node in that state
+        self.words: Dict[Tuple[int, int, float], int] = {}
+
+    def __missing__(self, shape: RankShape) -> int:
+        if len(self.shapes) >= self.max_shapes:
+            self.clear()
+            self.shapes.clear()
+            for node in self.nodes:
+                node._fits = 0
+        cores, gpus, mem_gb = shape
+        shape_bit = 1 << len(self.shapes)
+        self.shapes.append(shape)
+        self.words.clear()
+        mask = 0
+        for node in self.nodes:
+            if node.fits(cores, gpus, mem_gb):
+                mask |= node._bit
+                node._fits |= shape_bit
+        self[shape] = mask
+        return mask
+
+    def word(self, state: Tuple[int, int, float]) -> int:
+        """The tracked shapes an up node in *state* fits (memoised): the
+        predicate is :meth:`NodeState.fits`, spelled out."""
+        free_cores, free_gpus, free_mem = state
+        word = 0
+        for k, (cores, gpus, mem_gb) in enumerate(self.shapes):
+            if (free_cores >= cores and free_gpus >= gpus
+                    and free_mem >= mem_gb - 1e-9):
+                word |= 1 << k
+        if len(self.words) >= _MAX_NODE_STATES:
+            self.words.clear()
+        self.words[state] = word
+        return word
+
+
 class NodeList:
     """An ordered collection of :class:`NodeState` with search helpers.
 
@@ -208,10 +280,10 @@ class NodeList:
 
     def __init__(self, nodes: List[NodeState]) -> None:
         self.nodes = list(nodes)
-        #: rank shape -> fit mask; built lazily per shape by :meth:`fit_mask`,
-        #: kept current by the nodes themselves (``NodeState._refit``)
-        self._fit_masks: Dict[RankShape, int] = {}
         self._max_shapes = max(_MIN_TRACKED_SHAPES, len(self.nodes))
+        #: rank shape -> fit mask; built on a shape's first read, kept
+        #: current by the nodes themselves (``NodeState._refit``)
+        self._fit_masks = _FitTable(self.nodes, self._max_shapes)
         # The runtime indexes nodes by Slot.node_index everywhere
         # (scheduler release, colocation pins, the fit masks' bit
         # addressing), so node.index must equal list position; fail loudly
@@ -222,10 +294,10 @@ class NodeList:
                     f"node {node.name} has index {node.index} at list "
                     f"position {pos}; NodeList requires dense, in-order "
                     f"node indices")
-            if node._fit_masks is not None:
+            if node._table is not None:
                 raise ValueError(
                     f"node {node.name} already belongs to a NodeList")
-            node._fit_masks = self._fit_masks
+            node._table = self._fit_masks
         self._index_of = {node.name: node.index for node in self.nodes}
         #: distinct static (cores, gpus, mem) profiles for O(1) feasibility
         self._profiles = sorted({(n.num_cores, n.num_gpus, n.mem_gb)
@@ -251,25 +323,6 @@ class NodeList:
             for i in range(count)
         ])
 
-    def fit_mask(self, cores: int, gpus: int = 0,
-                 mem_gb: float = 0.0) -> int:
-        """Bit *i* set iff node *i* fits one ``(cores, gpus, mem_gb)`` rank.
-
-        Exact at all times: O(1) for a tracked shape, one O(nodes) pass of
-        :meth:`NodeState.fits` the first time a shape is asked about.
-        """
-        shape = (cores, gpus, mem_gb)
-        mask = self._fit_masks.get(shape)
-        if mask is None:
-            if len(self._fit_masks) >= self._max_shapes:
-                self._fit_masks.clear()
-            mask = 0
-            for node in self.nodes:
-                if node.fits(cores, gpus, mem_gb):
-                    mask |= node._bit
-            self._fit_masks[shape] = mask
-        return mask
-
     def find_fit(self, cores: int, gpus: int = 0, mem_gb: float = 0.0,
                  start: int = 0,
                  avoid: Optional[set] = None) -> Optional[NodeState]:
@@ -285,7 +338,7 @@ class NodeList:
         answers "nothing fits" with one dict lookup.  The returned node is
         always identical to what the seed's linear scan would have picked.
         """
-        mask = self.fit_mask(cores, gpus, mem_gb)
+        mask = self._fit_masks[cores, gpus, mem_gb]
         if not mask:
             return None
         if avoid:

@@ -532,6 +532,9 @@ class Tracer:
                 row += 1
         self._last_trace_id = trace_id
         self._records, self._uids = bytearray(), []
+        if not roots and not phases:
+            # every task closed: fresh tables give the peak capacity back
+            self._task_roots, self._task_phase = {}, {}
 
     def _phase_of_code(self, pairs) -> list:
         """Profile code -> the span code of the phase its task transition

@@ -56,10 +56,6 @@ class AgentExecutor:
         self._executing = 0
 
     # -- cost components ----------------------------------------------------------
-    def launch_cost(self) -> float:
-        """Sample this launch's cost at the current launch concurrency."""
-        return self.launcher.launch_time(max(1, self._launching), self._rng)
-
     def _duration(self, task: "Task") -> float:
         d = task.description
         duration = float(d.duration_s)
@@ -81,8 +77,8 @@ class AgentExecutor:
         task.phase = LAUNCH
         self.session.profiler.record(engine.now, task.uid, "launch_start",
                                      self.pilot_uid)
-        task.wait = engine.call_later(self.launch_cost(), self._launched,
-                                      task)
+        cost = self.launcher.launch_time(self._launching, self._rng)
+        task.wait = engine.call_later(cost, self._launched, task)
 
     def _launched(self, task: "Task") -> None:
         task.wait = None

@@ -126,6 +126,21 @@ class StateModel:
         self.final = final
         #: profile event name of each state, built once
         self.events = {state: f"state:{state}" for state in transitions}
+        #: state -> every target :meth:`check` lets it move to, built once
+        #: so a legal transition is one set lookup
+        states = {*transitions, *final,
+                  *(target for targets in transitions.values()
+                    for target in targets)}
+        self.allowed = {current: frozenset(
+            target for target in states if self._legal(current, target))
+            for current in states}
+
+    def _legal(self, current: str, target: str) -> bool:
+        try:
+            self.check(current, target)
+        except StateError:
+            return False
+        return True
 
     def check(self, current: str, target: str) -> None:
         """Raise :class:`StateError` unless ``current -> target`` is legal."""

@@ -75,11 +75,13 @@ class _StatefulEntity:
 
     def advance(self, target: str, component: str = "") -> None:
         """Move to *target* state; records profile + notifies callbacks."""
-        self._model.check(self.state, target)
+        model = self._model
+        if target not in model.allowed[self.state]:
+            model.check(self.state, target)  # raises: the move is illegal
         self.state = target
         session = self.session
         session.profiler.record(session.engine.now, self.uid,
-                                self._model.events[target], component)
+                                model.events[target], component)
         if self._callbacks:
             for callback in self._callbacks:
                 callback(self, target)
@@ -172,7 +174,7 @@ class Task(_StatefulEntity):
         The event fires even when an observer of the transition raises:
         the exception goes to the caller, the waiters are still released.
         """
-        if self.is_final:
+        if self.state in TaskState.FINAL:
             return
         try:
             self.advance(state, component)

@@ -240,19 +240,25 @@ class TaskManager:
         if not self._pilots:
             raise RuntimeError(
                 "no pilots attached to this TaskManager; call add_pilots()")
-        candidates = [p for p in self._pilots
-                      if p.state not in PilotState.FINAL]
+        candidates = self._pilots
+        for pilot in candidates:
+            if pilot.state in PilotState.FINAL:  # one ended: leave it out
+                candidates = [p for p in candidates
+                              if p.state not in PilotState.FINAL]
+                break
         if not candidates:
             raise RuntimeError("all attached pilots are final")
         if self._resilience is not None:
             # Late re-binding prefers pilots with a clean record; if every
             # candidate is blacklisted, use them anyway (degrade, not fail).
             blacklist = self._resilience.recovery.blacklisted_pilots
-            healthy = [p for p in candidates if p.uid not in blacklist]
-            if healthy:
-                candidates = healthy
+            if blacklist:
+                healthy = [p for p in candidates if p.uid not in blacklist]
+                if healthy:
+                    candidates = healthy
         if self.placement == "data_affinity":
-            self._tag_node_affinity(task)
+            if task.description._input_staging:  # as stored: () unset
+                self._tag_node_affinity(task)
             if len(candidates) > 1:
                 choice = self._affinity_choice(task, candidates)
                 if choice is not None:
@@ -473,7 +479,7 @@ class TaskManager:
             self._live_bound[pilot.uid] = \
                 self._live_bound.get(pilot.uid, 0) + 1
             active = pilot.became_active
-            if pilot.is_active:
+            if pilot.state == PilotState.PMGR_ACTIVE:
                 self._bound(task)
             elif active.processed:  # not active, and never will be again
                 self._resumed(task, None if active.ok else active.value)

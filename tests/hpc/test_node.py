@@ -110,24 +110,25 @@ class TestNodeList:
 
     def test_fit_mask_follows_every_node_change(self):
         nl = NodeList.build(count=3, cores=4, gpus=1, mem_gb=8.0)
-        assert nl.fit_mask(2, 1, 4.0) == 0b111
+        assert nl._fit_masks[2, 1, 4.0] == 0b111
         slot = nl[1].allocate(cores=3)
-        assert nl.fit_mask(2, 1, 4.0) == 0b101
+        assert nl._fit_masks[2, 1, 4.0] == 0b101
         nl[0].mark_degraded()
         nl[2].mark_down()
-        assert nl.fit_mask(2, 1, 4.0) == 0
+        assert nl._fit_masks[2, 1, 4.0] == 0
         nl[1].release(slot)
         nl[2].mark_up()
-        assert nl.fit_mask(2, 1, 4.0) == 0b110
-        assert nl.fit_mask(0) == 0b110  # a zero-core rank still needs health
+        assert nl._fit_masks[2, 1, 4.0] == 0b110
+        # a zero-core rank still needs health
+        assert nl._fit_masks[0, 0, 0.0] == 0b110
 
     def test_fit_mask_keeps_fits_memory_slack(self):
         nl = NodeList.build(count=1, cores=4, gpus=0, mem_gb=8.0)
         asks = (8.0 + 1e-9, 8.0 + 3e-9, 8.0, 8.0 - 1e-9, 8.0 - 3e-9)
         for mem in asks:  # tracked while free, so the node change refits
-            assert bool(nl.fit_mask(1, 0, mem)) == nl[0].fits(1, 0, mem)
+            assert bool(nl._fit_masks[1, 0, mem]) == nl[0].fits(1, 0, mem)
         nl[0].allocate(cores=1, mem_gb=2e-9)
-        assert [bool(nl.fit_mask(1, 0, mem)) for mem in asks] \
+        assert [bool(nl._fit_masks[1, 0, mem]) for mem in asks] \
             == [nl[0].fits(1, 0, mem) for mem in asks] \
             == [False, False, False, True, True]
 

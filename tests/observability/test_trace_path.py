@@ -12,6 +12,7 @@ constants cancel.
 import functools
 import gc
 import json
+import sys
 
 from repro import (
     ObservabilityConfig,
@@ -280,3 +281,26 @@ def test_views_of_two_tracers_are_equal_only_when_empty():
         assert mine.spans[-1].as_dict() == theirs.spans[-1].as_dict()
         assert mine.spans == mine.spans[:] and mine.spans[1:] != mine.spans
         assert (mine.spans == object()) is False
+
+
+def test_a_replay_that_closes_every_task_gives_its_tables_back():
+    # The replay's uid -> row tables hold one entry per task in flight.
+    # The read-bytes bag (5,000 mixed-shape tasks on 16 nodes, all
+    # submitted before the first query) grows them to one entry per task;
+    # once the replay has closed every task they are fresh dicts again, not
+    # empty dicts that keep their peak capacity.
+    with Session(seed=0, observability=ObservabilityConfig()) as session:
+        pmgr, tmgr = PilotManager(session), TaskManager(session)
+        (pilot,) = pmgr.submit_pilots(
+            PilotDescription(resource="frontier", nodes=16, runtime_s=1e9))
+        tmgr.add_pilots(pilot)
+        session.run(until=pmgr.wait_active([pilot]))
+        tasks = tmgr.submit_tasks([
+            TaskDescription(executable="x", duration_s=60.0,
+                            cores_per_rank=(1, 2, 4, 8)[i % 4])
+            for i in range(5_000)])
+        session.run(until=tmgr.wait_tasks(tasks))
+        tracer = session.observability.tracer
+        assert len(tracer.spans) == 5_000 * SPANS_PER_ATTEMPT
+        assert sys.getsizeof(tracer._task_roots) == sys.getsizeof({})
+        assert sys.getsizeof(tracer._task_phase) == sys.getsizeof({})

@@ -266,7 +266,7 @@ class TestHotPath:
         sched.schedule(waiter, landed.append)  # probed once, memoised
         assert max(n.free_cores for n in nodes) >= 2
         assert max(n.free_gpus for n in nodes) >= 1
-        assert nodes.fit_mask(2, 1, 0.0) == 0
+        assert nodes._fit_masks[2, 1, 0.0] == 0
         before = sched.stats.place_attempts
         sched.kick()
         session.run()
@@ -318,6 +318,28 @@ class TestHotPath:
         assert sched.stats.place_attempts == attempts  # all memo hits
         assert sched.stats.memo_hits >= 50
         assert sched.queue_length == 51
+
+    def test_a_shape_full_after_a_grant_stays_parked_with_withdrawn_entries(
+            self, session, landed):
+        # The grant that fills the node leaves the shape only a withdrawn
+        # entry: the shape is parked all the same, so the next request of
+        # it is a memo hit, not a doomed probe (SchedulerStats as before)
+        sched, _ = make_scheduler(session, n_nodes=1, cores=4)
+        hog = make_task(session, cores_per_rank=4)
+        sched.schedule(hog, landed.append)
+        a, b, c = (make_task(session, cores_per_rank=2) for _ in range(3))
+        for task in (a, b, c):
+            sched.schedule(task, landed.append)
+        assert sched.withdraw(c)
+        sched.release(hog)
+        session.run()
+        assert landed == [hog, a, b]
+        assert sched.stats.as_dict() == {
+            "place_attempts": 4, "grants": 3, "passes": 1, "memo_hits": 2}
+        sched.schedule(make_task(session, cores_per_rank=2), landed.append)
+        assert sched.stats.as_dict() == {
+            "place_attempts": 4, "grants": 3, "passes": 1, "memo_hits": 3}
+        assert sched.queue_length == 1
 
     def test_distinct_shape_still_probed_after_memo(self, session, landed):
         # memoising one shape must not block a smaller one (backfill)
@@ -449,6 +471,27 @@ class TestWithdrawAndCrashPaths:
         assert a.uid not in sched.held_on_node(0)
         sched.release(b)
         assert sched.held_on_node(0) == [] and sched.held_on_node(1) == []
+
+    def test_held_on_node_lists_holders_in_grant_order(self, session,
+                                                       landed):
+        # the fault injector kills held_on_node(crashed) in this order
+        sched, nodes = make_scheduler(session, n_nodes=2, cores=4)
+        a = make_task(session, cores_per_rank=1)
+        b = make_task(session, ranks=2, cores_per_rank=3)
+        c = make_task(session, cores_per_rank=1)
+        for task in (a, b, c):
+            sched.schedule(task, landed.append)
+        assert [s.node_index for s in a.slots] == [0]
+        assert [s.node_index for s in b.slots] == [1, 0]  # spans both
+        assert [s.node_index for s in c.slots] == [1]
+        assert sched.held_on_node(0) == [a.uid, b.uid]
+        assert sched.held_on_node(1) == [b.uid, c.uid]
+        sched.release(a)
+        assert sched.held_on_node(0) == [b.uid]
+        sched.schedule(a, landed.append)  # granted again: now the latest
+        assert [s.node_index for s in a.slots] == [0]
+        assert sched.held_on_node(0) == [b.uid, a.uid]
+        assert sched.held_on_node(1) == [b.uid, c.uid]
 
     def test_node_crash_reports_resident_tasks_only(self, session, landed):
         # the fault injector kills exactly held_on_node(crashed) tasks

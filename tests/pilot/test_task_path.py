@@ -11,6 +11,7 @@ reproduce it exactly.
 
 import json
 import signal
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,43 @@ def test_one_plain_task_costs_four_engine_entries(monkeypatch):
     assert (many - few) / 50 == 4             # per-batch constants cancel
     assert few_starts == many_starts == 1     # one start landing per batch
     assert resumes == 0                       # nothing runs per task
+
+
+def python_calls(n_tasks):
+    """Python calls (``sys.setprofile`` ``call`` events) a bag of *n_tasks*
+    one-core executable tasks makes from submission to drain on one
+    64-core node: every task after the first 64 waits in the scheduler's
+    queue and is granted by a release."""
+    with Session(seed=5) as session:
+        _, tmgr, _ = active_pilot(session, nodes=1)
+        descriptions = [TaskDescription(executable="x", duration_s=10.0)
+                        for _ in range(n_tasks)]
+        calls = [0]
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+
+        sys.setprofile(count)
+        try:
+            tasks = tmgr.submit_tasks(descriptions)
+            session.run(until=tmgr.wait_tasks(tasks))
+        finally:
+            sys.setprofile(None)
+        assert all(t.state == TaskState.DONE for t in tasks)
+        return calls[0]
+
+
+#: Python calls per queued plain task, read as 57.0: 82.0 before a node
+#: change flipped only the fit bits that moved, the grant pass read its
+#: masks once and the queues became FIFOs per priority
+QUEUED_TASK_CALLS = 57.5
+
+
+def test_a_queued_plain_task_costs_at_most_N_python_calls():
+    few, many = python_calls(500), python_calls(1_000)
+    per_task = (many - few) / 500              # per-bag constants cancel
+    assert per_task <= QUEUED_TASK_CALLS, per_task
 
 
 def test_a_windowed_chunk_costs_its_start_landing_and_nothing_else(

@@ -191,7 +191,12 @@ def test_free_capacity_index_matches_linear_scan(data):
     memory requests either side of ``NodeState.fits``' 1e-9 slack,
     zero-core requests, a few shapes asked about again and again (their
     masks live through every node change in between) and more distinct
-    shapes in one run than the mask table tracks.
+    shapes in one run than the mask table tracks.  After every operation
+    every tracked shape's mask must equal ``NodeState.fits`` node by node,
+    not only the queried shape's: a node change flips only the bits of the
+    shapes whose answer moved, read off a memo of fit words per node
+    state, so a stale word -- after a health flip, or after the flood
+    clears the table and renumbers its shapes -- shows up here.
     """
     n_nodes = data.draw(st.one_of(st.integers(1, 6), st.integers(7, 100)))
     cores = data.draw(st.integers(min_value=1, max_value=8))
@@ -209,8 +214,15 @@ def test_free_capacity_index_matches_linear_scan(data):
     def check(shape, start, avoid):
         assert nodes.find_fit(*shape, start, avoid) \
             is _linear_find_fit(nodes, *shape, start, avoid)
-        assert bool(nodes.fit_mask(*shape)) \
+        assert bool(nodes._fit_masks[shape]) \
             == any(n.fits(*shape) for n in nodes)
+
+    def check_table():
+        table = nodes._fit_masks
+        assert len(table) <= nodes._max_shapes
+        for shape, mask in table.items():
+            assert [bool(mask >> node.index & 1) for node in nodes] \
+                == [node.fits(*shape) for node in nodes], shape
 
     live = []
     if data.draw(st.booleans()):  # saturated pool: fits lie far apart
@@ -239,6 +251,7 @@ def test_free_capacity_index_matches_linear_scan(data):
                 check((want_c, 0, k * 0.25), touched, None)
         # every operation is followed by a query that scans from (or just
         # past) the node it touched
+        check_table()
         check(data.draw(queried_shapes),
               (touched + data.draw(st.integers(0, 1))) % n_nodes,
               set(data.draw(st.lists(st.sampled_from(names), max_size=3))))
