@@ -6,7 +6,9 @@ executable tasks onto one active pilot, ``session.run(until=wait_tasks)``
 -- and prints the kernel's own budget per task (entries made and generator
 resumes, read off ``engine.entries`` / ``engine.resumes``), the Python
 calls a queued plain task makes (``sys.setprofile`` call events), the memory
-budget (traced heap bytes per default description, per finished task
+budget (traced heap bytes and call opcodes per default description --
+an opcode trace, which sees a call from Python into C that a profile hook
+does not -- per finished task
 with the session still open -- submitted plain and with an
 ``on_complete`` observer, as the benchmark's bags are -- from untimed
 runs under tracemalloc, per task when a traced run is read -- its
@@ -34,6 +36,7 @@ with pytest (see ``benchmarks/conftest.py``).
 """
 
 import cProfile
+import dis
 import gc
 import pstats
 import sys
@@ -69,6 +72,66 @@ def description_bytes(n: int = 10_000) -> float:
         return (tracemalloc.get_traced_memory()[0] - before) / len(kept)
     finally:
         tracemalloc.stop()
+
+
+#: the call opcodes of CPython 3.10-3.13 (3.11's ``PRECALL`` not counted)
+CALL_OPS = frozenset({"CALL", "CALL_KW", "CALL_FUNCTION", "CALL_FUNCTION_KW",
+                      "CALL_FUNCTION_EX", "CALL_METHOD"})
+
+
+def calls_made(fn) -> int:
+    """Call opcodes Python code executes while ``fn()`` runs, those in
+    ``fn`` included.  Every executed instruction is seen and its offset
+    looked up with ``dis``, so a call from Python into C counts too, which
+    a profile hook's ``call`` events miss.  CPython 3.12+ is watched
+    through ``sys.monitoring``: there ``f_trace_opcodes`` set in a call
+    event may turn no opcode events on (3.12.1 reads 0), and a ``CALL``
+    event may skip ``CALL_FUNCTION_EX``; before 3.12, an opcode trace."""
+    calls, sites, own = [0], {}, sys._getframe().f_code
+
+    def seen(code, offset):
+        if code not in sites:
+            sites[code] = () if code is own else {
+                ins.offset for ins in dis.get_instructions(code)
+                if ins.opname in CALL_OPS}
+        if offset in sites[code]:
+            calls[0] += 1
+
+    if hasattr(sys, "monitoring"):
+        mon = sys.monitoring
+        tool = next(i for i in range(6) if mon.get_tool(i) is None)
+        mon.use_tool_id(tool, "calls_made")
+        mon.register_callback(tool, mon.events.INSTRUCTION, seen)
+        mon.set_events(tool, mon.events.INSTRUCTION)
+        try:
+            fn()
+        finally:
+            mon.set_events(tool, 0)
+            mon.free_tool_id(tool)
+        return calls[0]
+
+    def trace(frame, event, arg):
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            seen(frame.f_code, frame.f_lasti)
+        return trace
+
+    held = sys.gettrace()  # a coverage or debugger hook, put back after
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(held)
+    return calls[0]
+
+
+def description_calls(n: int = 1_000) -> float:
+    """Call opcodes per ``TaskDescription(executable=, cores_per_rank=,
+    duration_s=)`` while *n* are built, each build's own call included
+    (``tests/pilot/test_description.py`` pins the figure)."""
+    return calls_made(lambda: [
+        TaskDescription(executable="x", cores_per_rank=1, duration_s=60.0)
+        for _ in range(n)]) / n
 
 
 def active_pilot(session, n_nodes: int):
@@ -250,7 +313,8 @@ def main(argv) -> int:
     print(f"kernel budget per task: {entries:.4f} entries, "
           f"{resumes:.4f} resumes, {queued_task_calls():.2f} Python calls "
           f"per queued task (one-core bags of 500 and 1,000 on one node)")
-    print(f"memory budget: {description_bytes():.0f} B per description, "
+    print(f"memory budget: {description_bytes():.0f} B per description "
+          f"({description_calls():.2f} calls to build one), "
           f"{held:.0f} B per finished task ({observed:.0f} B submitted with "
           f"on_complete), {read_bytes():.0f} B per task "
           f"read ({held_read_bytes():.0f} B with every span read and "

@@ -28,6 +28,7 @@ same masks.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = ["Slot", "NodeState", "NodeList"]
@@ -61,8 +62,13 @@ class Slot(NamedTuple):
     node_index: int
     node_name: str
     cores: Tuple[int, ...]
-    gpus: Tuple[int, ...] = ()
-    mem_gb: float = 0.0
+    gpus: Tuple[int, ...]
+    mem_gb: float
+
+
+#: ``Slot(...)`` without its generated Python ``__new__``: the placement
+#: path makes one per rank placed, every field given
+_new_slot = partial(tuple.__new__, Slot)
 
 
 class NodeState:
@@ -187,7 +193,7 @@ class NodeState:
         del free_gpus[:gpus]
         self._free_mem -= mem_gb
         self._refit()
-        return Slot(self.index, self.name, core_ids, gpu_ids, mem_gb)
+        return _new_slot((self.index, self.name, core_ids, gpu_ids, mem_gb))
 
     def release(self, slot: Slot) -> None:
         """Return a slot's resources; raises on double-release."""

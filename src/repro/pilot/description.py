@@ -9,7 +9,11 @@ from its ``_schema``, so a description has no per-instance ``__dict__``.
 Its four container fields (``fn_kwargs``, ``input_staging``,
 ``output_staging``, ``tags``) are built on their first read; the runtime
 tests them as stored (``d._tags``), so a task that sets none of them never
-holds one.  Entities are created from them by the managers.
+holds one.  A class's checks are its ``_validate(self, given)`` hook, run
+once per construction after every field is stored (*given* holds the
+keywords as checked, ``from_dict`` merged under them); the task's also
+turns given staging dicts into :class:`StagingDirective` records.
+Entities are created from them by the managers.
 """
 
 from __future__ import annotations
@@ -46,8 +50,7 @@ class StagingDirective(Config):
 
     ACTIONS = ("transfer", "copy", "link")
 
-    def __init__(self, from_dict=None, **kwargs) -> None:
-        super().__init__(from_dict, **kwargs)
+    def _validate(self, given: Dict[str, Any]) -> None:
         if self.action not in self.ACTIONS:
             raise ConfigError(
                 f"staging action {self.action!r} not in {self.ACTIONS}")
@@ -69,8 +72,7 @@ class PilotDescription(Config):
     __slots__ = tuple(_schema)
     _defaults = {"nodes": 0, "cores": 0, "gpus": 0, "runtime_s": 3600.0}
 
-    def __init__(self, from_dict=None, **kwargs) -> None:
-        super().__init__(from_dict, **kwargs)
+    def _validate(self, given: Dict[str, Any]) -> None:
         if not self.resource:
             raise ConfigError("PilotDescription.resource is required")
         if self.nodes <= 0 and self.cores <= 0 and self.gpus <= 0:
@@ -140,8 +142,7 @@ class TaskDescription(Config):
         "pilot": "",
     }
 
-    def __init__(self, from_dict=None, **kwargs) -> None:
-        super().__init__(from_dict, **kwargs)
+    def _validate(self, given: Dict[str, Any]) -> None:
         if self.function is not None and not callable(self.function):
             raise ConfigError("TaskDescription.function must be callable")
         if self.ranks < 1:
@@ -155,20 +156,17 @@ class TaskDescription(Config):
         for key in ("input_staging", "output_staging"):
             # the default is not built yet; a given list is replaced by its
             # own (None fails as it always did)
-            if key in kwargs or (from_dict and key in from_dict):
-                self._normalise_staging(key, getattr(self, key))
-
-    def _normalise_staging(self, key: str, items: List[Any]) -> None:
-        directives: List[StagingDirective] = []
-        for item in items:
-            if isinstance(item, StagingDirective):
-                directives.append(item)
-            elif isinstance(item, dict):
-                directives.append(StagingDirective(item))
-            else:
-                raise ConfigError(
-                    f"{key} entries must be StagingDirective or dict")
-        object.__setattr__(self, key, directives)
+            if key in given:
+                directives: List[StagingDirective] = []
+                for item in given[key]:
+                    if isinstance(item, StagingDirective):
+                        directives.append(item)
+                    elif isinstance(item, dict):
+                        directives.append(StagingDirective(item))
+                    else:
+                        raise ConfigError(
+                            f"{key} entries must be StagingDirective or dict")
+                setattr(self, key, directives)
 
 
 class ServiceDescription(TaskDescription):
@@ -210,8 +208,7 @@ class ServiceDescription(TaskDescription):
         "priority": 100,           # services schedule before compute tasks
     })
 
-    def __init__(self, from_dict=None, **kwargs) -> None:
-        super().__init__(from_dict, **kwargs)
+    def _validate(self, given: Dict[str, Any]) -> None:
         if not self.startup_timeout_s > 0:
             raise ConfigError("startup_timeout_s must be positive")
         if self.max_concurrency < 1:

@@ -117,7 +117,12 @@ class Task(_StatefulEntity):
 
     def __init__(self, session: "Session",
                  description: TaskDescription, uid: str) -> None:
-        super().__init__(session, uid)
+        # the base's four fields, written here: a task is made per
+        # submission, and entering ``_StatefulEntity.__init__`` costs a frame
+        self.session = session
+        self.uid = uid
+        self.state = self._initial
+        self._callbacks = ()
         self.description = description
         self.pilot_uid: Optional[str] = None
         self.slots: Sequence[Slot] = NO_SLOTS

@@ -13,6 +13,11 @@ heap on CPython 3.11 (418 B while those four were built per instance, and
 939 / 770 / 762 / 538 B on CPython 3.10-3.13 while descriptions were
 dict-backed); a task bag's descriptions are among the largest live items
 at its peak RSS.
+
+A record is built in one pass on its class's unchecked *twin* (see
+:class:`Config`): a ``TaskDescription`` of three keywords takes 11 call
+opcodes and about 2 us on CPython 3.11 (30 and about 4 us while the
+constructor wrote each default through its slot's setter).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import copy
 from functools import partial
 from types import MemberDescriptorType
-from typing import Any, Callable, Dict, Mapping
+from typing import Any, Callable, Dict
 
 __all__ = ["Config", "ConfigError"]
 
@@ -36,16 +41,9 @@ _IMMUTABLE = (str, int, float, bool, bytes, frozenset, type(None))
 #: admits a tuple, so neither a user's write nor ``None`` can look like it
 UNBUILT = ()
 
-
-def _store(cls: type, key: str) -> Callable[[Any, Any], None]:
-    """How the constructor writes field *key* of a *cls* instance: through
-    its slot's own setter, or, in a class that keeps a ``__dict__``, as a
-    plain instance attribute."""
-    slot = getattr(cls, "_" + key if key in cls._built_on_read else key,
-                   None)
-    if isinstance(slot, MemberDescriptorType):
-        return slot.__set__
-    return lambda obj, value: object.__setattr__(obj, key, value)
+#: a build function's keyword defaults: a field without a default, and one whose
+#: default container is made per instance
+_UNSET, _FRESH = object(), object()
 
 
 def _container_property(slot: MemberDescriptorType,
@@ -64,7 +62,73 @@ def _container_property(slot: MemberDescriptorType,
     return property(read, put)
 
 
-class Config:
+class _RecordType(type):
+    """The type of every :class:`Config` class: calling a class is the one
+    way a record is built."""
+
+    # unannotated: this is the signature every record class shows
+    def __call__(cls, from_dict=None, **kwargs):
+        if from_dict:
+            merged = dict(from_dict)
+            merged.update(kwargs)
+            kwargs = merged
+        # every given key is checked in the order it was given, so the
+        # first bad one is the one reported
+        exact, build, checks = cls._plan
+        for key, value in kwargs.items():
+            if type(value) not in exact.get(key, ()):
+                kwargs[key] = cls._check(key, value)
+        self = build(**kwargs)
+        for check in checks:
+            check(self, kwargs)
+        self.__class__ = cls
+        return self
+
+
+class _TwinType(_RecordType):
+    """The type of a twin: calling one makes a bare instance."""
+
+    __call__ = type.__call__
+
+
+def _compile(cls: type) -> Callable[..., Any]:
+    """*cls*'s build function: it takes every field as a keyword, its
+    default as the keyword's, makes an instance of the twin and stores
+    each field with a plain store.  A default container is made
+    fresh per instance (an empty one by its type, a nested one by
+    deepcopy); a field built on first read stores :data:`UNBUILT` in its
+    slot; a field without a default stays unset unless given."""
+    env: Dict[str, Any] = {"__twin": cls._twin,
+                           "__unset": _UNSET, "__fresh": _FRESH}
+    params, body = [], ["    self = __twin()"]
+    for i, key in enumerate(cls._schema):
+        target = "_" + key if key in cls._built_on_read else key
+        if key not in cls._defaults:
+            params.append(f"{key}=__unset")
+            body.append(f"    if {key} is not __unset: self.{key} = {key}")
+            continue
+        value = UNBUILT if key in cls._built_on_read else cls._defaults[key]
+        if isinstance(value, _IMMUTABLE) or (
+                isinstance(value, tuple)
+                and all(isinstance(v, _IMMUTABLE) for v in value)):
+            env[f"__d{i}"] = value
+            params.append(f"{key}=__d{i}")
+            body.append(f"    self.{target} = {key}")
+        else:
+            env[f"__make{i}"] = (type(value) if isinstance(
+                value, (dict, list, set)) and not value
+                else partial(copy.deepcopy, value))
+            params.append(f"{key}=__fresh")
+            body.append(f"    self.{target} = __make{i}() "
+                        f"if {key} is __fresh else {key}")
+    source = (f"def __build(*, {', '.join(params)}):\n" if params
+              else "def __build():\n") + "\n".join(body) \
+        + "\n    return self\n"
+    exec(compile(source, f"<{cls.__qualname__} build>", "exec"), env)
+    return env["__build"]
+
+
+class Config(metaclass=_RecordType):
     """A record with schema-checked attribute and item access.
 
     Subclasses declare ``_schema`` (key -> type, tuple of types, or None
@@ -83,13 +147,20 @@ class Config:
 
     Construction is the control plane's per-task cost (every
     :class:`~repro.pilot.description.TaskDescription` of a million-task
-    campaign passes through here), so each class compiles one plan when it
-    is defined: the immutable defaults, shared by reference; the container
-    defaults, each made fresh per instance (an empty one by its type, a
-    nested one by deepcopy); per key, the exact types :meth:`_check` would
-    pass through unchanged, so that common keyword values skip it; and per
-    key the writer, the slot's own setter.  No merged dict is built unless
-    ``from_dict`` is given.
+    campaign passes through here), so a record is built on its class's
+    *twin*, made once per class: a subclass that adds no slot and whose
+    ``__setattr__`` is ``object.__setattr__``, so its stores are not
+    checked.  Calling a class runs the metaclass's ``__call__``, the only
+    constructor.  It merges ``from_dict`` under the keywords and checks
+    each given value in the order given (:meth:`_check`, skipped for a
+    value whose type it passes unchanged).  The class's build function,
+    generated once per class, makes a twin instance and stores every
+    field, given or default, with a plain store.  Then the
+    ``_validate(self, given)`` hook of each class in the MRO runs once,
+    base first, and ``__class__`` becomes the class itself.  A twin never
+    escapes: if a check raises, it is dropped.  Copies and pickle make the
+    instance through ``cls.__new__`` and ``__setstate__``, never through
+    the constructor.
 
     A slotted field whose default is an empty container is not built per
     instance: its slot holds :data:`UNBUILT`, and the field is a property
@@ -105,14 +176,20 @@ class Config:
 
     _schema: Dict[str, Any] = {}
     _defaults: Dict[str, Any] = {}
-    #: (shared defaults, fresh-container makers, key -> exact types,
-    #: key -> writer), each default paired with its field's writer
-    _plan: tuple = ((), (), {}, {})
     #: field -> the container type its first read builds
     _built_on_read: Dict[str, type] = {}
+    #: (key -> the exact types :meth:`_check` passes through unchanged,
+    #: the build function, the ``_validate`` hooks of the class's MRO, base first)
+    _plan: tuple = ({}, None, ())
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
+        if type(cls) is _TwinType:
+            return
+        if "__init__" in cls.__dict__:
+            raise TypeError(f"{cls.__name__}: a record is built by its "
+                            f"class's call, which runs no __init__; put "
+                            f"its checks in _validate(self, given)")
         lazy = cls._built_on_read = dict(cls._built_on_read)
         for key, value in cls._defaults.items():
             slot = cls.__dict__.get(key)
@@ -121,40 +198,20 @@ class Config:
                 lazy[key] = type(value)
                 setattr(cls, "_" + key, slot)
                 setattr(cls, key, _container_property(slot, type(value)))
-        store = {key: _store(cls, key) for key in cls._schema}
-        shared, fresh = [], []
-        for key, value in cls._defaults.items():
-            if key in lazy:
-                shared.append((store[key], UNBUILT))
-            elif isinstance(value, _IMMUTABLE) or (
-                    isinstance(value, tuple)
-                    and all(isinstance(v, _IMMUTABLE) for v in value)):
-                shared.append((store[key], value))
-            elif isinstance(value, (dict, list, set)) and not value:
-                fresh.append((store[key], type(value)))
-            else:
-                fresh.append((store[key], partial(copy.deepcopy, value)))
         exact = {}
         for key, expected in cls._schema.items():
             if expected is not None:
                 types = expected if isinstance(expected, tuple) else (expected,)
                 exact[key] = frozenset(types) | {type(None)}
-        cls._plan = (tuple(shared), tuple(fresh), exact, store)
-
-    def __init__(self, from_dict: Mapping[str, Any] | None = None, **kwargs: Any) -> None:
-        shared, fresh, exact, store = self._plan
-        for put, value in shared:
-            put(self, value)
-        for put, make in fresh:
-            put(self, make())
-        if from_dict:
-            merged = dict(from_dict)
-            merged.update(kwargs)
-            kwargs = merged
-        for key, value in kwargs.items():
-            if type(value) not in exact.get(key, ()):
-                value = self._check(key, value)
-            store[key](self, value)
+        cls._twin = _TwinType(
+            cls.__name__, (cls,),
+            {"__slots__": (), "__setattr__": object.__setattr__,
+             "__module__": cls.__module__,
+             "__qualname__": f"{cls.__qualname__}.<twin>"})
+        cls._plan = (exact, _compile(cls),
+                     tuple(klass.__dict__["_validate"]
+                           for klass in reversed(cls.__mro__)
+                           if "_validate" in klass.__dict__))
 
     @property
     def _data(self) -> Dict[str, Any]:
@@ -174,13 +231,14 @@ class Config:
         return data
 
     # -- validation ---------------------------------------------------------
-    def _check(self, key: str, value: Any) -> Any:
-        if key not in self._schema:
+    @classmethod
+    def _check(cls, key: str, value: Any) -> Any:
+        if key not in cls._schema:
             raise ConfigError(
-                f"{type(self).__name__}: unknown key {key!r} "
-                f"(known: {sorted(self._schema)})"
+                f"{cls.__name__}: unknown key {key!r} "
+                f"(known: {sorted(cls._schema)})"
             )
-        expected = self._schema[key]
+        expected = cls._schema[key]
         if value is None or expected is None:
             return value
         if not isinstance(value, expected):
@@ -190,7 +248,7 @@ class Config:
             if isinstance(expected, tuple) and float in expected and isinstance(value, int):
                 return float(value)
             raise ConfigError(
-                f"{type(self).__name__}.{key}: expected {expected}, "
+                f"{cls.__name__}.{key}: expected {expected}, "
                 f"got {type(value).__name__} ({value!r})"
             )
         return value

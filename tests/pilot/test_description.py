@@ -2,9 +2,13 @@
 
 import copy
 import gc
+import importlib.util
+import inspect
 import pickle
+import pickletools
 import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from repro.utils.config import UNBUILT, Config, ConfigError
 
 
 NAN = float("nan")
+ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.mark.parametrize("build", [
@@ -310,6 +315,101 @@ class TestPlainAttributeStorage:
         finally:
             tracemalloc.stop()
         assert per < DESCRIPTION_BYTES_CEILING, per
+
+
+#: call opcodes per description, read as 11.0: the build itself, the
+#: keywords' ``items()``, two per keyword (its type, its exact types), the
+#: build function, its bare twin instance and the class's check; 30.0 while the
+#: constructor wrote each default through its slot's setter
+DESCRIPTION_CALLS = 11.5
+
+
+def test_a_task_description_makes_at_most_N_calls():
+    spec = importlib.util.spec_from_file_location(
+        "profile_hotpath", ROOT / "benchmarks" / "profile_hotpath.py")
+    hotpath = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hotpath)
+    per = hotpath.description_calls(1_000)
+    assert per <= DESCRIPTION_CALLS, per
+
+
+class TestBuiltOnATwin:
+    """A record is built on its class's twin, an unchecked subclass made
+    once per class; the twin never escapes the constructor."""
+
+    CLASSES = (TaskDescription, ServiceDescription, StagingDirective,
+               PilotDescription)
+
+    @staticmethod
+    def twins_alive(classes):
+        twins = {cls._twin for cls in classes}
+        gc.collect()
+        return [obj for obj in gc.get_objects() if type(obj) in twins]
+
+    def test_every_path_gives_the_class_itself(self, desc):
+        cls = type(desc)
+        assert cls in self.CLASSES
+        for made in (cls(from_dict=desc.as_dict()), desc.copy(),
+                     copy.copy(desc), copy.deepcopy(desc),
+                     pickle.loads(pickle.dumps(desc))):
+            assert type(made) is cls and made == desc
+
+    def test_a_pickled_description_names_its_class(self, desc):
+        cls = type(desc)
+        names = [arg for op, arg, _ in pickletools.genops(pickle.dumps(desc))
+                 if isinstance(arg, str)]
+        assert cls.__qualname__ in names
+        assert not any("twin" in name for name in names)
+        # a twin that escaped could not be pickled as the class
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(cls._twin())
+
+    @pytest.mark.parametrize("build", [
+        lambda: TaskDescription(ranks=0),
+        lambda: TaskDescription(executable="x", input_staging=["bad"]),
+        lambda: ServiceDescription(max_concurrency=0),
+        lambda: StagingDirective(action="teleport"),
+        lambda: PilotDescription(nodes=1),
+        lambda: PilotDescription(from_dict={"resource": "delta"}, nodes=1,
+                                 runtime_s=-1.0),
+    ])
+    def test_a_construction_that_raises_leaves_no_twin(self, build):
+        with pytest.raises(ConfigError):
+            build()
+        assert self.twins_alive(self.CLASSES) == []
+        held = TaskDescription._twin()  # the probe sees one that is held
+        assert self.twins_alive(self.CLASSES) == [held]
+
+    def test_a_class_made_at_runtime_gets_its_own_twin(self):
+        class Rate(Config):
+            __slots__ = ("rate", "label")
+            _schema = {"rate": float, "label": str}
+            _defaults = {"rate": 0.5}
+
+        Fast = type("Fast", (Rate,), {"__slots__": (),
+                                      "_defaults": {"rate": 2.0}})
+        assert Rate._twin.__bases__ == (Rate,)
+        assert Fast._twin.__bases__ == (Fast,)
+        r, f = Rate(rate=1), Fast(label="x")
+        assert type(r) is Rate and r.rate == 1.0 and type(r.rate) is float
+        assert type(f) is Fast and f.rate == 2.0 and f.label == "x"
+        assert "label" not in r and r.as_dict() == {"rate": 1.0}
+
+    def test_a_record_class_cannot_define_init(self):
+        # the constructor would never call it: its checks would not run
+        with pytest.raises(TypeError, match="_validate"):
+            type("Checked", (Config,), {"__init__": lambda self: None})
+
+    def test_the_signature_is_the_one_constructor(self):
+        for cls in self.CLASSES + (Config,):
+            assert str(inspect.signature(cls)) == "(from_dict=None, **kwargs)"
+
+    def test_each_class_check_runs_once_base_first(self):
+        # no constructor chain: each class's own hook, once, in MRO order
+        task, service = (cls.__dict__["_validate"]
+                         for cls in (TaskDescription, ServiceDescription))
+        assert TaskDescription._plan[2] == (task,)
+        assert ServiceDescription._plan[2] == (task, service)
 
 
 class TestContainersBuiltOnRead:

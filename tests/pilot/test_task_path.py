@@ -131,10 +131,12 @@ def python_calls(n_tasks):
         return calls[0]
 
 
-#: Python calls per queued plain task, read as 57.0: 82.0 before a node
-#: change flipped only the fit bits that moved, the grant pass read its
-#: masks once and the queues became FIFOs per priority
-QUEUED_TASK_CALLS = 57.5
+#: Python calls per queued plain task, read as 55.0: 57.0 while a slot was
+#: made through its NamedTuple ``__new__`` and a task entered its base's
+#: ``__init__``, 82.0 before a node change flipped only the fit bits that
+#: moved, the grant pass read its masks once and the queues became FIFOs
+#: per priority
+QUEUED_TASK_CALLS = 55.5
 
 
 def test_a_queued_plain_task_costs_at_most_N_python_calls():
