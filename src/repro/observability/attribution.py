@@ -285,26 +285,34 @@ class CampaignAttribution:
         """Makespan lower bound with the *drop* phases costing zero.
 
         Longest dependency path where each node weighs its slowest task's
-        kept-phase sum.  With ``drop=()`` this is the pure DAG bound.
+        kept-phase sum.  With ``drop=()`` this is the pure DAG bound.  The
+        walk is depth-first on an explicit stack, so a chain of any depth
+        resolves; a node is finished once its dependencies are, each read
+        in edge order.
         """
         drop = frozenset(drop)
         unknown = drop - _PHASE_SET
         if unknown:
             raise ValueError(f"unknown phases: {sorted(unknown)}")
         finish: Dict[str, float] = {}
-
-        def resolve(key: str) -> float:
-            cached = finish.get(key)
-            if cached is not None:
-                return cached
-            finish[key] = 0.0  # cycle guard: partial data cannot recurse
-            ready = max((resolve(d) for d in self.edges.get(key, ())),
-                        default=0.0)
-            value = ready + self.nodes[key].weight(drop)
-            finish[key] = value
-            return value
-
-        return max((resolve(key) for key in self.nodes), default=0.0)
+        # the bottom frame is the call that reads every node; a node on
+        # the stack reads as 0.0, the cycle guard
+        stack = [("", iter(self.nodes), [])]
+        while True:
+            key, deps, ready = stack[-1]
+            for dep in deps:
+                if dep not in finish:
+                    finish[dep] = 0.0
+                    stack.append((dep, iter(self.edges.get(dep, ())), []))
+                    break
+                ready.append(finish[dep])
+            else:
+                stack.pop()
+                if not stack:
+                    return max(ready, default=0.0)
+                finish[key] = value = (max(ready, default=0.0)
+                                       + self.nodes[key].weight(drop))
+                stack[-1][2].append(value)
 
     def projections(self) -> Dict[str, Projection]:
         """The standard what-if suite, each validated against the actual."""

@@ -3,9 +3,11 @@
 Mirrors RADICAL-Pilot's ``PilotDescription`` / ``TaskDescription`` and the
 paper's ``ServiceDescription`` extension (§III: "RADICAL-Pilot's execution
 model now enables users to submit ServiceDescription and TaskDescription via
-a unified API").  Descriptions are schema-validated slotted records
-(:class:`repro.utils.config.Config`): each class declares ``__slots__``
-from its ``_schema``, so a description has no per-instance ``__dict__``.
+a unified API").  Descriptions are schema-validated slotted attribute
+records (:class:`repro.utils.config.Config`): each class declares
+``__slots__`` from its ``_schema``, so a description has no per-instance
+``__dict__``, and every field is stored at build, so a read is a plain
+slot read.  A description compares and hashes by identity, as a task does.
 Its four container fields (``fn_kwargs``, ``input_staging``,
 ``output_staging``, ``tags``) are built on their first read; the runtime
 tests them as stored (``d._tags``), so a task that sets none of them never
@@ -151,8 +153,11 @@ class TaskDescription(Config):
             raise ConfigError("cores_per_rank must be >= 1")
         if self.gpus_per_rank < 0:
             raise ConfigError("gpus_per_rank must be >= 0")
-        if not (self.duration_s >= 0 and self.pre_exec_s >= 0):
+        if not (self.duration_s >= 0 and self.pre_exec_s >= 0
+                and self.duration_jitter_s >= 0):
             raise ConfigError("durations must be >= 0")
+        if not self.mem_per_rank_gb >= 0:
+            raise ConfigError("mem_per_rank_gb must be >= 0")
         for key in ("input_staging", "output_staging"):
             # the default is not built yet; a given list is replaced by its
             # own (None fails as it always did)

@@ -1,8 +1,12 @@
 """Schema-checked records: the storage of every description.
 
-RADICAL-Pilot descriptions are dict-like objects with a fixed schema.  We use
-a small :class:`Config` base that validates keys against a declared schema,
-supports defaults, nested access and dict round-tripping.  Descriptions in
+RADICAL-Pilot's descriptions are records with a fixed schema.  Ours are
+attribute records on a small :class:`Config` base that checks every field
+against a declared schema, applies defaults and round-trips through a dict
+(``as_dict`` / ``from_dict``).  Every declared field is stored at build (one
+without a default as None), so reading one is a plain attribute read, and
+an unknown name raises the interpreter's own ``AttributeError``.  Records
+compare and hash by identity.  Descriptions in
 :mod:`repro.pilot.description` build on this, and each of them is a slotted
 record: it declares ``__slots__`` from its ``_schema``, so an instance keeps
 its fields in fixed slots and has no per-instance ``__dict__``.  A slotted
@@ -41,9 +45,9 @@ _IMMUTABLE = (str, int, float, bool, bytes, frozenset, type(None))
 #: admits a tuple, so neither a user's write nor ``None`` can look like it
 UNBUILT = ()
 
-#: a build function's keyword defaults: a field without a default, and one whose
-#: default container is made per instance
-_UNSET, _FRESH = object(), object()
+#: a build function's keyword default for a field whose default container is
+#: made per instance
+_FRESH = object()
 
 
 def _container_property(slot: MemberDescriptorType,
@@ -69,9 +73,7 @@ class _RecordType(type):
     # unannotated: this is the signature every record class shows
     def __call__(cls, from_dict=None, **kwargs):
         if from_dict:
-            merged = dict(from_dict)
-            merged.update(kwargs)
-            kwargs = merged
+            kwargs = dict(from_dict, **kwargs)
         # every given key is checked in the order it was given, so the
         # first bad one is the one reported
         exact, build, checks = cls._plan
@@ -97,17 +99,13 @@ def _compile(cls: type) -> Callable[..., Any]:
     each field with a plain store.  A default container is made
     fresh per instance (an empty one by its type, a nested one by
     deepcopy); a field built on first read stores :data:`UNBUILT` in its
-    slot; a field without a default stays unset unless given."""
-    env: Dict[str, Any] = {"__twin": cls._twin,
-                           "__unset": _UNSET, "__fresh": _FRESH}
+    slot; a field without a default stores None."""
+    env: Dict[str, Any] = {"__twin": cls._twin, "__fresh": _FRESH}
     params, body = [], ["    self = __twin()"]
     for i, key in enumerate(cls._schema):
         target = "_" + key if key in cls._built_on_read else key
-        if key not in cls._defaults:
-            params.append(f"{key}=__unset")
-            body.append(f"    if {key} is not __unset: self.{key} = {key}")
-            continue
-        value = UNBUILT if key in cls._built_on_read else cls._defaults[key]
+        value = (UNBUILT if key in cls._built_on_read
+                 else cls._defaults.get(key))
         if isinstance(value, _IMMUTABLE) or (
                 isinstance(value, tuple)
                 and all(isinstance(v, _IMMUTABLE) for v in value)):
@@ -129,21 +127,21 @@ def _compile(cls: type) -> Callable[..., Any]:
 
 
 class Config(metaclass=_RecordType):
-    """A record with schema-checked attribute and item access.
+    """A record with schema-checked attribute access.
 
     Subclasses declare ``_schema`` (key -> type, tuple of types, or None
-    for any value) and ``_defaults`` (key -> default value).  Unknown keys
-    raise :class:`ConfigError` early instead of silently propagating typos.
+    for any value) and ``_defaults`` (key -> default value; a field without
+    one is None).  Unknown keys raise :class:`ConfigError` early instead of
+    silently propagating typos.
 
     A subclass that declares ``__slots__ = tuple(_schema)`` (the keys it
     adds, if its base already slots the rest) keeps its fields in slots;
     one that does not keeps them in its instance ``__dict__``.  Either way
-    reading a set field -- ``d.ranks`` on the scheduler's placement path --
-    is ordinary attribute lookup and never enters :meth:`__getattr__`.
-    Every write is checked: ``__setattr__`` is overridden and the
-    constructor checks each keyword.  The mapping reads (``[]``, ``get``,
-    ``in``, ``as_dict``, ``==``, ``repr``, copies) see the fields that were
-    set, through ``_data``, a mapping built on demand.
+    every field is stored at build, so reading one -- ``d.ranks`` on the
+    scheduler's placement path -- is ordinary attribute lookup.  Every
+    write is checked: ``__setattr__`` is overridden and the constructor
+    checks each keyword.  ``as_dict``, ``repr`` and the copies see the
+    fields through ``_data``, a mapping built on demand.
 
     Construction is the control plane's per-task cost (every
     :class:`~repro.pilot.description.TaskDescription` of a million-task
@@ -164,12 +162,11 @@ class Config(metaclass=_RecordType):
 
     A slotted field whose default is an empty container is not built per
     instance: its slot holds :data:`UNBUILT`, and the field is a property
-    over the slot that builds the container on the first attribute or item
-    read (``d.tags``, ``d["tags"]``, ``d.get("tags")``) and returns that
-    one from then on.  The mapping reads that copy or compare (``==``,
-    ``as_dict``, ``repr``, copies, pickle) see an empty container without
-    building one.  The slot itself stays readable as ``_<field>``
-    (``d._tags``): the runtime tests it there, so its reads build nothing.
+    over the slot that builds the container on its first read (``d.tags``)
+    and returns that one from then on.  The reads that copy (``as_dict``,
+    ``repr``, copies, pickle) see an empty container without building one.
+    The slot itself stays readable as ``_<field>`` (``d._tags``): the
+    runtime tests it there, so its reads build nothing.
     """
 
     __slots__ = ()
@@ -215,19 +212,14 @@ class Config(metaclass=_RecordType):
 
     @property
     def _data(self) -> Dict[str, Any]:
-        """The fields that were set, as a new mapping (a field not built yet
-        as a new empty container, which is not kept)."""
-        data = {}
+        """Every field, as a new mapping (a field not built yet as a new
+        empty container, which is not kept)."""
         lazy = self._built_on_read
-        for key in self._schema:
-            try:
-                if key in lazy:
-                    value = object.__getattribute__(self, "_" + key)
-                    data[key] = lazy[key]() if value is UNBUILT else value
-                else:
-                    data[key] = object.__getattribute__(self, key)
-            except AttributeError:
-                pass  # declared, never set
+        data = {key: getattr(self, "_" + key if key in lazy else key)
+                for key in self._schema}
+        for key, make in lazy.items():
+            if data[key] is UNBUILT:
+                data[key] = make()
         return data
 
     # -- validation ---------------------------------------------------------
@@ -243,9 +235,8 @@ class Config(metaclass=_RecordType):
             return value
         if not isinstance(value, expected):
             # Be forgiving about int/float coercion -- common in descriptions.
-            if expected in (float, (float,)) and isinstance(value, int):
-                return float(value)
-            if isinstance(expected, tuple) and float in expected and isinstance(value, int):
+            if isinstance(value, int) and float in (
+                    expected if isinstance(expected, tuple) else (expected,)):
                 return float(value)
             raise ConfigError(
                 f"{cls.__name__}.{key}: expected {expected}, "
@@ -253,38 +244,10 @@ class Config(metaclass=_RecordType):
             )
         return value
 
-    # -- attribute protocol -------------------------------------------------
-    def __getattr__(self, key: str) -> Any:
-        # reached only for names ordinary lookup did not find: a declared
-        # field that was never set reads as None, anything else is an error
-        if key in self._schema:
-            return None
-        raise AttributeError(f"{type(self).__name__} has no attribute {key!r}")
-
     def __setattr__(self, key: str, value: Any) -> None:
         object.__setattr__(self, key, self._check(key, value))
 
-    # -- mapping protocol ----------------------------------------------------
-    def __getitem__(self, key: str) -> Any:
-        # an attribute read: a field built on first read is built here too
-        if key in self._schema:
-            try:
-                return object.__getattribute__(self, key)
-            except AttributeError:
-                pass  # declared, never set
-        raise KeyError(key)
-
-    __setitem__ = __setattr__
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
-    def get(self, key: str, default: Any = None) -> Any:
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
+    # -- copies --------------------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:
         """Return a deep copy of the underlying data."""
         return copy.deepcopy(self._data)
@@ -292,20 +255,13 @@ class Config(metaclass=_RecordType):
     def copy(self) -> "Config":
         return type(self)(from_dict=self.as_dict())
 
-    # copy / deepcopy / pickle carry the set fields, and only those
+    # copy / deepcopy / pickle carry every field
     def __getstate__(self) -> Dict[str, Any]:
         return self._data
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         for key, value in state.items():
             object.__setattr__(self, key, value)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Config):
-            return self._data == other._data
-        if isinstance(other, dict):
-            return self._data == other
-        return NotImplemented
 
     def __repr__(self) -> str:
         keys = ", ".join(f"{k}={v!r}" for k, v in sorted(self._data.items()))

@@ -1,6 +1,7 @@
 """The attribution engine: phase breakdowns, critical path, what-if bounds."""
 
 import itertools
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro import (
     TaskManager,
 )
 from repro.observability.attribution import (
+    PHASES,
     RECOVERY_PHASES,
     TRANSFER_PHASES,
     WAIT_PHASES,
@@ -206,6 +208,77 @@ class TestWhatIf:
         task = TaskPhases("t.0", 0.0, 7.0, {})
         assert task.kept() == 7.0
         assert task.kept(WAIT_PHASES) == 0.0  # but drops to 0 under drops
+
+
+def recursive_what_if(attr, drop=()):
+    """:meth:`CampaignAttribution.what_if` as it was written with a
+    recursive resolve (one Python frame per dependency level), kept as the
+    reference of the iterative walk."""
+    drop = frozenset(drop)
+    finish = {}
+
+    def resolve(key):
+        cached = finish.get(key)
+        if cached is not None:
+            return cached
+        finish[key] = 0.0  # cycle guard: partial data cannot recurse
+        ready = max((resolve(d) for d in attr.edges.get(key, ())),
+                    default=0.0)
+        value = ready + attr.nodes[key].weight(drop)
+        finish[key] = value
+        return value
+
+    return max((resolve(key) for key in attr.nodes), default=0.0)
+
+
+#: phase seconds: mostly small whole numbers, so that paths tie and cross,
+#: with the odd zero of either sign and NaN, whose ``max`` is order-bound
+_SECONDS = [1.0, 2.0, 3.0, 4.0, 5.0, 2.5, 0.0, -0.0, float("nan")]
+
+
+def random_attribution(rng):
+    """One to eight nodes of one to three tasks with random phase mixes,
+    random edges (self-loops, cycles, repeated and unknown keys) and a
+    random set of dropped phases."""
+    keys = rng.sample("abcdefgh", rng.randint(1, 8))
+    nodes = {}
+    for key in keys:
+        tasks = []
+        for i in range(rng.randint(1, 3)):
+            phases = {rng.choice(PHASES): rng.choice(_SECONDS)
+                      for _ in range(rng.randint(0, 3))}
+            start = rng.uniform(0.0, 10.0)
+            tasks.append(TaskPhases(f"{key}.{i}", start,
+                                    start + rng.uniform(0.0, 10.0), phases))
+        nodes[key] = NodeAttribution(key, tasks)
+    edges = {key: tuple(rng.choice(keys + ["zz"])
+                        for _ in range(rng.randint(0, 4)))
+             for key in keys + ["zz"] if rng.random() < 0.9}
+    drop = frozenset(p for p in PHASES if rng.random() < 0.2)
+    return CampaignAttribution(nodes, edges, makespan=1.0), drop
+
+
+class TestIterativeWhatIf:
+    def test_the_walk_gives_the_recursive_values(self):
+        # cycle-guard values included: a node on the path reads as 0.0,
+        # so which node the walk enters first decides what the others read
+        rng = random.Random(51)
+        for _ in range(5000):
+            attr, drop = random_attribution(rng)
+            assert repr(attr.what_if(drop)) == repr(
+                recursive_what_if(attr, drop)), (attr.edges, drop)
+
+    def test_a_deep_chain_resolves(self):
+        # each node depends on the next one the constructor was given, so
+        # the walk descends the whole chain from the first key
+        n = 3000
+        nodes = {f"n{i}": NodeAttribution(f"n{i}", [
+            TaskPhases(f"t{i}", float(i), float(i) + 1.0, {"execute": 1.0})])
+            for i in range(n)}
+        edges = {f"n{i}": (f"n{i + 1}",) for i in range(n - 1)}
+        attr = CampaignAttribution(nodes, edges)
+        assert attr.what_if() == float(n)
+        assert attr.what_if({"execute"}) == 0.0
 
 
 class TestGracefulDegradation:

@@ -11,6 +11,14 @@ description classes, under their shipped names so that every
 ``tests/test_properties.py`` builds and writes both forms with the same
 random keywords and holds them to the same views, or the same error.
 
+Three edits follow the shipped contract where it changed on purpose.
+Every declared field is stored at build, one without a default as None,
+and there is no ``__getattr__``: an unknown name raises the interpreter's
+own ``AttributeError``.  The mapping face (``[]``, ``get``, ``in``,
+``==``) is gone: records compare and hash by identity.  And
+:class:`TaskDescription` refuses a negative or NaN ``mem_per_rank_gb`` or
+``duration_jitter_s`` as it does ``duration_s``.
+
 Its range checks refuse NaN the way the shipped ones do (``not x >= 0``),
 so that both forms raise the same error for the same value.  Do not
 optimise this module: its value is being obviously the original.
@@ -31,13 +39,14 @@ class Config:
     """A dict-backed object with schema-checked attribute access.
 
     Subclasses declare ``_schema`` (key -> type or tuple of types) and
-    ``_defaults`` (key -> default value).  Unknown keys raise
-    :class:`ConfigError` early instead of silently propagating typos.
+    ``_defaults`` (key -> default value; a field without one is None).
+    Unknown keys raise :class:`ConfigError` early instead of silently
+    propagating typos.
 
     The backing dict *is* the instance ``__dict__`` (``_data`` is the
-    mapping view of it), so reading a set field -- ``d.ranks`` on the
-    scheduler's placement path -- is ordinary attribute lookup and never
-    enters :meth:`__getattr__`.  Every write still goes through
+    mapping view of it), so reading a field -- ``d.ranks`` on the
+    scheduler's placement path -- is ordinary attribute lookup.  Every
+    write still goes through
     :meth:`_check`: ``__setattr__`` is overridden, and nothing else puts
     keys into the instance dict.
 
@@ -58,7 +67,7 @@ class Config:
         """(shared-defaults dict, [(key, copier), ...]) for this class."""
         plan = cls.__dict__.get("_default_plan_cache")
         if plan is None:
-            shared: Dict[str, Any] = {}
+            shared: Dict[str, Any] = dict.fromkeys(cls._schema)
             copied = []
             for key, value in cls._defaults.items():
                 if isinstance(value, _IMMUTABLE) or (
@@ -114,28 +123,8 @@ class Config:
             )
         return value
 
-    # -- attribute protocol -------------------------------------------------
-    def __getattr__(self, key: str) -> Any:
-        # reached only for names ordinary lookup did not find: a declared
-        # field that was never set reads as None, anything else is an error
-        if key in self._schema:
-            return None
-        raise AttributeError(f"{type(self).__name__} has no attribute {key!r}")
-
     def __setattr__(self, key: str, value: Any) -> None:
         self.__dict__[key] = self._check(key, value)
-
-    # -- mapping protocol ----------------------------------------------------
-    def __getitem__(self, key: str) -> Any:
-        return self._data[key]
-
-    __setitem__ = __setattr__
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._data.get(key, default)
 
     def as_dict(self) -> Dict[str, Any]:
         """Return a deep copy of the underlying data."""
@@ -143,13 +132,6 @@ class Config:
 
     def copy(self) -> "Config":
         return type(self)(from_dict=self.as_dict())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Config):
-            return self._data == other._data
-        if isinstance(other, dict):
-            return self._data == other
-        return NotImplemented
 
     def __repr__(self) -> str:
         keys = ", ".join(f"{k}={v!r}" for k, v in sorted(self._data.items()))
@@ -276,14 +258,17 @@ class TaskDescription(Config):
             raise ConfigError("cores_per_rank must be >= 1")
         if self.gpus_per_rank < 0:
             raise ConfigError("gpus_per_rank must be >= 0")
-        if not (self.duration_s >= 0 and self.pre_exec_s >= 0):
+        if not (self.duration_s >= 0 and self.pre_exec_s >= 0
+                and self.duration_jitter_s >= 0):
             raise ConfigError("durations must be >= 0")
+        if not self.mem_per_rank_gb >= 0:
+            raise ConfigError("mem_per_rank_gb must be >= 0")
         self._normalise_staging("input_staging")
         self._normalise_staging("output_staging")
 
     def _normalise_staging(self, key: str) -> None:
         directives: List[StagingDirective] = []
-        for item in self[key]:
+        for item in self._data[key]:
             if isinstance(item, StagingDirective):
                 directives.append(item)
             elif isinstance(item, dict):

@@ -386,6 +386,26 @@ def drain_cyclic_bag(scheduler_cls, n_shapes, n_tasks, n_nodes=1024):
         return time.perf_counter() - t0, grants, sched
 
 
+def drain_calls_per_grant(n_shapes, n_tasks=3000):
+    """Python calls (``sys.setprofile`` ``call`` events) per grant of a
+    :func:`drain_cyclic_bag` of the scheduler, after one unprofiled
+    warm-up drain (the first, cold drain reads higher)."""
+    drain_cyclic_bag(AgentScheduler, n_shapes, n_tasks)
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
+        _, grants, _ = drain_cyclic_bag(AgentScheduler, n_shapes, n_tasks)
+    finally:
+        sys.setprofile(None)
+    assert len(grants) == n_tasks
+    return calls[0] / n_tasks
+
+
 class TestFitMaskTable:
     """A bag with one rank shape more than the old fixed 64-entry table
     cleared it on every query, rebuilding an O(nodes) mask per task."""
@@ -401,6 +421,14 @@ class TestFitMaskTable:
         assert len(sched.nodes._fit_masks) == 65  # every shape stays tracked
         assert sched.stats.grants == 3000
         assert wall_65 <= 1.5 * wall_64
+
+    def test_65_shapes_make_the_calls_64_do(self):
+        # the wall-clock gate's exact twin: Python calls per grant read
+        # about 40.2 at 64 shapes and 40.5 at 65; per-shape work that grew
+        # with the table would show here with the box's load taken out
+        per_64 = drain_calls_per_grant(64)
+        per_65 = drain_calls_per_grant(65)
+        assert abs(per_65 - per_64) <= 0.02 * per_64, (per_64, per_65)
 
     @pytest.mark.parametrize("n_shapes", [64, 65])
     def test_cyclic_bag_grants_match_the_reference(self, n_shapes):

@@ -1,5 +1,8 @@
 """Tests for the entity state models."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.pilot.states import (
@@ -180,3 +183,72 @@ class TestServiceModel:
             for target in self.SERVICE_STATES:
                 with pytest.raises(StateError):
                     SERVICE_MODEL.check(final, target)
+
+
+# ---------------------------------------------------------------------------
+# README's state tables
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[2] / "README.md"
+CLASSES = {"TaskState": TaskState, "PilotState": PilotState,
+           "ServiceState": ServiceState}
+MODELS = {TaskState: TASK_MODEL, PilotState: PILOT_MODEL,
+          ServiceState: SERVICE_MODEL}
+
+
+def readme_state_tables(text):
+    """``{class name: (final states, [(state, targets), ...])}`` as
+    README's state tables write them: a ```X.TRANSITIONS` (final: ...):``
+    line, a blank line, the header and rule, then one row per state."""
+    tables = {}
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        head = re.fullmatch(r"`(\w+)\.TRANSITIONS` \(final: (.*)\):", line)
+        if head is None:
+            continue
+        rows = []
+        for row in lines[i + 4:]:
+            if not row.startswith("| "):
+                break
+            state, targets = row.strip("|").split("|")
+            rows.append((state.strip().strip("`"),
+                         tuple(re.findall(r"`(\w+)`", targets))))
+        tables[head.group(1)] = (tuple(re.findall(r"`(\w+)`",
+                                                  head.group(2))), rows)
+    return tables
+
+
+def table_mismatches(text, classes):
+    """Where README's tables and the classes' declarations differ."""
+    tables = readme_state_tables(text)
+    wrong = sorted(set(tables) ^ set(classes))
+    for name in sorted(set(tables) & set(classes)):
+        cls = classes[name]
+        if tables[name] != (cls.FINAL, list(cls.TRANSITIONS.items())):
+            wrong.append(name)
+    return wrong
+
+
+class TestReadmeStateTables:
+    def test_the_tables_are_the_declarations(self):
+        assert table_mismatches(README.read_text(), CLASSES) == []
+
+    def test_a_hand_edit_to_either_side_shows(self, monkeypatch):
+        text = README.read_text()
+        row = "| `PMGR_LAUNCHING` | `PMGR_ACTIVE` |"
+        assert text.count(row) == 1
+        edited = text.replace(row, "| `PMGR_LAUNCHING` | `PMGR_ACTIVE`, "
+                                   "`NEW` |")
+        assert table_mismatches(edited, CLASSES) == ["PilotState"]
+        monkeypatch.setitem(ServiceState.TRANSITIONS, ServiceState.READY,
+                            (ServiceState.STOPPING, ServiceState.LAUNCHING))
+        assert table_mismatches(text, CLASSES) == ["ServiceState"]
+
+    @pytest.mark.parametrize("cls", [TaskState, PilotState, ServiceState])
+    def test_the_prose_names_the_undeclared_moves(self, cls):
+        # besides its declared moves, a state that is not final may move
+        # to a final state other than DONE and STOPPED
+        ends = set(cls.FINAL) - {"DONE", "STOPPED"}
+        for state, targets in cls.TRANSITIONS.items():
+            extra = set() if state in cls.FINAL else ends - {state}
+            assert MODELS[cls].allowed[state] == set(targets) | extra

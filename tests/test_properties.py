@@ -1900,7 +1900,7 @@ class _Directive:
 
 
 #: a bare record with a float field (int -> float coercion), a mixed float
-#: tuple, a field no default sets and a nested container default
+#: tuple, fields without a default (None) and a nested container default
 _RATE_SCHEMA = {"rate": float, "scale": (float, str), "label": str,
                 "bins": list, "meta": dict}
 _RATE_DEFAULTS = {"rate": 0.5, "bins": [], "meta": {"k": [1]}}
@@ -2001,26 +2001,24 @@ def _canon(value):
 def _outcome(fn):
     try:
         return ("ok", fn())
+    except AttributeError as exc:
+        # the interpreter's own: its wording differs across versions
+        return ("raise", "AttributeError", exc.name)
     except Exception as exc:  # noqa: BLE001 -- the error is the outcome
         return ("raise", type(exc).__name__, str(exc))
 
 
-def _observe(record, rebuild):
+def _observe(record):
     """Every read of the contract, as comparable data."""
     keys = list(type(record)._schema) + ["bogus"]
     deep = copy.deepcopy(record)
     return {
         "as_dict": _canon(record.as_dict()),
         "repr": repr(record),
-        "eq": (record == record.as_dict(), record == rebuild(),
-               record == {}, record != record.as_dict()),
-        "copy": _outcome(lambda: (_canon(record.copy().as_dict()),
-                                  record.copy() == record)),
-        "deepcopy": (type(deep).__name__, repr(deep), deep == record,
+        "copy": _outcome(lambda: _canon(record.copy().as_dict())),
+        "deepcopy": (type(deep).__name__, repr(deep),
                      _canon(deep.as_dict())),
-        "fields": [(key, key in record, _canon(record.get(key, "unset")),
-                    _outcome(lambda k=key: _canon(getattr(record, k))),
-                    _outcome(lambda k=key: _canon(record[k])))
+        "fields": [(key, _outcome(lambda k=key: _canon(getattr(record, k))))
                    for key in keys],
     }
 
@@ -2046,19 +2044,16 @@ def _run_description(form, cls, spec):
     # which given containers the record holds as they were given
     aliased = sorted(key for key, value in given.items()
                      if isinstance(value, (list, dict))
-                     and record.get(key) is value)
-    outcomes = [("ok", _observe(record, build), aliased)]
-    for how, key, value in writes:
+                     and getattr(record, key) is value)
+    outcomes = [("ok", _observe(record), aliased)]
+    for key, value in writes:
         value = _materialise(value, form)
-        if how == "attr":
-            outcomes.append(_outcome(lambda: setattr(record, key, value)))
-        else:
-            outcomes.append(_outcome(lambda: record.__setitem__(key, value)))
-        outcomes.append(("ok", _observe(record, build)))
+        outcomes.append(_outcome(lambda: setattr(record, key, value)))
+        outcomes.append(("ok", _observe(record)))
     # edit every container in place: a default container shared between
     # instances shows up in the next fresh one
     for key in type(record)._schema:
-        held = record.get(key)
+        held = getattr(record, key)
         if isinstance(held, dict):
             held["m"] = 1
         elif isinstance(held, list):
@@ -2077,10 +2072,10 @@ def test_slotted_descriptions_match_the_dict_backed_reference(data):
     Random keyword sets -- valid values, ints for float fields, ``None``,
     wrong types, unknown and ``_private`` names, staging entries as dicts
     or ``StagingDirective``\\ s, ``from_dict`` with overriding keywords --
-    build both forms; random writes through attributes and items follow.
-    Both must raise the same error with the same message, or agree on
-    ``as_dict``, ``repr``, ``==``, ``copy``, ``copy.deepcopy``, ``in``,
-    ``get``, attribute and item reads, after every step.  Last, every
+    build both forms; random attribute writes follow.  Both must raise the
+    same error with the same message (an ``AttributeError`` by its type and
+    the attribute's name), or agree on ``as_dict``, ``repr``, ``copy``,
+    ``copy.deepcopy`` and attribute reads, after every step.  Last, every
     container field is edited in place, and a fresh default instance must
     not see the edits (no default container is shared)."""
     from pilot import reference_config as ref
@@ -2104,9 +2099,8 @@ def test_slotted_descriptions_match_the_dict_backed_reference(data):
         from_dict = keywords("from_dict")
     writes = []
     for _ in range(data.draw(st.integers(0, 4), label="writes")):
-        how = data.draw(st.sampled_from(["attr", "item"]))
         key = data.draw(names)
-        writes.append((how, key, data.draw(_value_for(schema, key))))
+        writes.append((key, data.draw(_value_for(schema, key))))
     spec = (from_dict, kwargs, writes, minimal)
 
     got = _run_description(shipped, slotted, spec)

