@@ -134,6 +134,18 @@ def description_calls(n: int = 1_000) -> float:
         for _ in range(n)]) / n
 
 
+def staged_description_calls(n: int = 1_000) -> float:
+    """Call opcodes per ``TaskDescription`` with two dict staging entries
+    (``hybrid_campaign``'s ``sim`` shape) while *n* are built
+    (``tests/pilot/test_description.py`` pins the figure)."""
+    return calls_made(lambda: [
+        TaskDescription(executable="sim", cores_per_rank=4, duration_s=60.0,
+                        input_staging=[
+                            {"source": "dataset", "size_bytes": 1 << 20},
+                            {"source": "shard-0", "size_bytes": 1 << 16}])
+        for _ in range(n)]) / n
+
+
 def active_pilot(session, n_nodes: int):
     """One active pilot of *n_nodes* frontier nodes and its task manager."""
     pmgr = PilotManager(session)
@@ -314,7 +326,8 @@ def main(argv) -> int:
           f"{resumes:.4f} resumes, {queued_task_calls():.2f} Python calls "
           f"per queued task (one-core bags of 500 and 1,000 on one node)")
     print(f"memory budget: {description_bytes():.0f} B per description "
-          f"({description_calls():.2f} calls to build one), "
+          f"({description_calls():.2f} calls to build one, "
+          f"{staged_description_calls():.2f} with two staging dicts), "
           f"{held:.0f} B per finished task ({observed:.0f} B submitted with "
           f"on_complete), {read_bytes():.0f} B per task "
           f"read ({held_read_bytes():.0f} B with every span read and "

@@ -42,7 +42,12 @@ Three studies plus a smoke artifact:
    run (every module imported, a large heap to traverse) the pairs split
    by order -- 0.43-0.50 with the off side first, 0.88-0.95 with the full
    side first.  Acceptance: the median per-pair full/off ratio stays above
-   ``MIN_FULL_RATIO``.
+   ``MIN_FULL_RATIO``.  Both arms' clocks also time building the 3,000
+   descriptions, so the ratio moves when that common work does; its
+   counted twin does not: the plane's work per task -- profile records,
+   spans, metric samples and kernel entries of the full side -- must be
+   the same in every full run, and is recorded as exact deterministic
+   metrics that ``repro.observability.regress`` holds to the baseline.
 
 3. **bytes per task read** -- the traced heap a finished task adds when
    its run is read: the profile's rows iterated once and the tracer's
@@ -178,7 +183,9 @@ def e2e_rate(observability):
     """Full TaskManager pipeline tasks/sec, one configuration.
 
     With tracing on, reading every span once is on the clock; returns
-    (tasks/s, tracer or None, seconds of that read).
+    (tasks/s, tracer or None, seconds of that read, the run's counts per
+    task: profile records, spans, metric samples and kernel entries, read
+    after the clock stopped).
     """
     gc.collect()  # not this run's garbage: the previous run's session
     with Session(seed=11, profile="durations",
@@ -202,7 +209,15 @@ def e2e_rate(observability):
             assert closed == 5 * E2E_TASKS
         done = time.perf_counter()
         assert all(t.state == TaskState.DONE for t in tasks)
-        return E2E_TASKS / (done - t0), tracer, done - t_query
+        counts = {
+            "profile_records_per_task": session.profiler.recorded,
+            "spans_per_task": 0 if tracer is None else len(tracer.spans),
+            "metric_samples_per_task": 0 if obs is None else sum(map(
+                len, obs.metrics.series.values())),
+            "kernel_entries_per_task": session.engine.entries,
+        }
+        return (E2E_TASKS / (done - t0), tracer, done - t_query,
+                {name: n / E2E_TASKS for name, n in counts.items()})
 
 
 def export_smoke_trace(tracer) -> int:
@@ -248,18 +263,19 @@ def test_observability_overhead(emit):
 
     # -- study 2 + smoke artifact: full pipeline, every plane on -------------
     full_cfg = ObservabilityConfig(sample_interval_s=60.0)
-    e2e_off_runs, e2e_full_runs, query_s = [], [], []
+    e2e_off_runs, e2e_full_runs, query_s, full_counts = [], [], [], []
     for pair in range(E2E_PAIRS):
         order = [None, full_cfg]
         if pair % 2:
             order.reverse()
         for config in order:
-            rate, traced, first_query_s = e2e_rate(config)
+            rate, traced, first_query_s, counts = e2e_rate(config)
             if config is None:
                 e2e_off_runs.append(rate)
             else:
                 e2e_full_runs.append(rate)
                 query_s.append(first_query_s)
+                full_counts.append(counts)
                 tracer = traced
     e2e_off = statistics.median(e2e_off_runs)
     e2e_full = statistics.median(e2e_full_runs)
@@ -276,6 +292,12 @@ def test_observability_overhead(emit):
                f"{statistics.median(query_s) * 1e3:.0f} ms of the full "
                f"side; pairs "
                f"{' '.join(f'{r:.2f}' for r in e2e_pairs)})"))
+    # the plane's work, counted: the same in every full run, so exact
+    # where the wall-clock ratio above is noise-bound
+    counted = full_counts[0]
+    assert all(counts == counted for counts in full_counts), full_counts
+    report.add_kv({name: f"{value:.4f}" for name, value in counted.items()},
+                  title="The full plane's work per task (every full run)")
     assert e2e_ratio >= MIN_FULL_RATIO, \
         f"full-plane end-to-end rate {e2e_full:.0f}/s is {e2e_ratio:.2f}x " \
         f"of off (pairs: {[round(r, 2) for r in e2e_pairs]})"
@@ -308,6 +330,8 @@ def test_observability_overhead(emit):
                  floor=MIN_FULL_RATIO, scale_free=True,
                  deterministic=False)
     bench.record("spans_exported", float(n_spans))
+    for name, value in counted.items():
+        bench.record(name, value, unit="1/task", direction="lower")
     # depends on the interpreter's object layout: ceiling-gated only
     bench.record("read_bytes_per_task", per_task_read, unit="B",
                  direction="lower", floor=READ_BYTES_CEILING,

@@ -20,7 +20,7 @@ Ending the job any other way withdraws it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.engine import SimulationEngine
 from ..sim.events import NORMAL, URGENT, Deferred, Event
@@ -79,7 +79,8 @@ class BatchSystem:
         self.rng = rng
         #: names the jobs (the session's: same seed, same uids)
         self.ids = ids
-        self._free: Set[int] = set(range(spec.nodes))
+        #: free node indices as sorted, disjoint ``(start, stop)`` runs
+        self._free_runs: List[Tuple[int, int]] = [(0, spec.nodes)]
         self._queue: List[BatchJob] = []
         #: job holding nodes -> its armed timer (bring-up, then walltime)
         self._running: Dict[BatchJob, Deferred] = {}
@@ -134,23 +135,22 @@ class BatchSystem:
     def _schedule_pass(self) -> None:
         """Start every job that fits right now, in queue order (backfill:
         a later job that fits starts while the head waits)."""
-        progressed = True
-        while progressed:
-            progressed = False
-            for job in list(self._queue):
-                if job.n_nodes <= len(self._free):
-                    self._queue.remove(job)
-                    self._start(job)
-                    progressed = True
-                    break
+        for job in list(self._queue):  # a start only shrinks the free set
+            if job.n_nodes <= sum(b - a for a, b in self._free_runs):
+                self._queue.remove(job)
+                self._start(job)
 
     def _start(self, job: BatchJob) -> None:
         # Sample a queue-resident delay (system noise) before nodes hand over.
         delay = 0.0
         if self.spec.queue_wait_scale_s > 0:
             delay = float(self.rng.exponential(self.spec.queue_wait_scale_s))
-        nodes = sorted(self._free)[:job.n_nodes]
-        self._free.difference_update(nodes)
+        nodes: List[int] = []  # the lowest free indices
+        while len(nodes) < job.n_nodes:
+            start, stop = self._free_runs.pop(0)
+            nodes.extend(range(start, stop)[:job.n_nodes - len(nodes)])
+            if nodes[-1] + 1 < stop:
+                self._free_runs.insert(0, (nodes[-1] + 1, stop))
         job.node_indices = nodes
         # an immediate hand-over precedes whatever else is due now
         self._running[job] = self.engine.call_later(
@@ -171,7 +171,14 @@ class BatchSystem:
     def _finish(self, job: BatchJob, final_state: str) -> None:
         job.state = final_state
         job.finished_at = self.engine.now
-        self._free.update(job.node_indices)
+        runs: List[Tuple[int, int]] = []  # adjacent runs merged
+        for start, stop in sorted(self._free_runs + [
+                (node, node + 1) for node in job.node_indices]):
+            if runs and start == runs[-1][1]:
+                runs[-1] = (runs[-1][0], stop)
+            else:
+                runs.append((start, stop))
+        self._free_runs = runs
         timer = self._running.pop(job, None)
         if timer is not None:
             timer.cancel()  # keep the event heap (and the clock) clean

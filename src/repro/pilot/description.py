@@ -11,18 +11,20 @@ slot read.  A description compares and hashes by identity, as a task does.
 Its four container fields (``fn_kwargs``, ``input_staging``,
 ``output_staging``, ``tags``) are built on their first read; the runtime
 tests them as stored (``d._tags``), so a task that sets none of them never
-holds one.  A class's checks are its ``_validate(self, given)`` hook, run
-once per construction after every field is stored (*given* holds the
-keywords as checked, ``from_dict`` merged under them); the task's also
-turns given staging dicts into :class:`StagingDirective` records.
-Entities are created from them by the managers.
+holds one.  A constructor checks only the fields it is given, against
+their types and then their ``_rules`` (the task's turn given staging dicts
+into :class:`StagingDirective` records); ``None`` is a value only of
+``function`` and ``PilotDescription.resource``, and a pilot's size and
+``resource`` are checked by its ``_validate``.  Entities are created from
+descriptions by the managers.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List
 
-from ..utils.config import Config, ConfigError
+from ..utils.config import Config, ConfigError, Rule
 
 __all__ = [
     "PilotDescription",
@@ -52,13 +54,11 @@ class StagingDirective(Config):
 
     ACTIONS = ("transfer", "copy", "link")
 
-    def _validate(self, given: Dict[str, Any]) -> None:
-        if self.action not in self.ACTIONS:
-            raise ConfigError(
-                f"staging action {self.action!r} not in {self.ACTIONS}")
-        # each check written so that NaN fails it
-        if not self.size_bytes >= 0:
-            raise ConfigError("size_bytes must be >= 0")
+    _rules = {
+        "action": Rule("in", ACTIONS, "staging action {!r} not in "
+                       + str(ACTIONS)),
+        "size_bytes": Rule(">=", 0, "size_bytes must be >= 0"),
+    }
 
 
 class PilotDescription(Config):
@@ -74,14 +74,14 @@ class PilotDescription(Config):
     __slots__ = tuple(_schema)
     _defaults = {"nodes": 0, "cores": 0, "gpus": 0, "runtime_s": 3600.0}
 
-    def _validate(self, given: Dict[str, Any]) -> None:
+    _rules = {"runtime_s": Rule(">", 0, "runtime_s must be positive")}
+
+    def _validate(self) -> None:
         if not self.resource:
             raise ConfigError("PilotDescription.resource is required")
         if self.nodes <= 0 and self.cores <= 0 and self.gpus <= 0:
             raise ConfigError(
                 "PilotDescription needs nodes, cores or gpus > 0")
-        if not self.runtime_s > 0:
-            raise ConfigError("runtime_s must be positive")
 
     def required_nodes(self, cores_per_node: int, gpus_per_node: int) -> int:
         """Whole nodes needed on a platform with the given per-node shape."""
@@ -93,6 +93,25 @@ class PilotDescription(Config):
                 raise ConfigError("pilot requests GPUs on a GPU-less platform")
             need = max(need, -(-self.gpus // gpus_per_node))
         return max(1, need)
+
+
+def _callable(function: Any) -> Any:
+    if function is not None and not callable(function):
+        raise ConfigError("TaskDescription.function must be callable")
+    return function
+
+
+def _directives(key: str, entries: List[Any]) -> List[StagingDirective]:
+    """A given staging list as a new list of :class:`StagingDirective`
+    records: a dict entry becomes one, a record is kept."""
+    directives: List[StagingDirective] = []
+    for item in entries:
+        if not isinstance(item, (StagingDirective, dict)):
+            raise ConfigError(
+                f"{key} entries must be StagingDirective or dict")
+        directives.append(item if isinstance(item, StagingDirective)
+                          else StagingDirective(item))
+    return directives
 
 
 class TaskDescription(Config):
@@ -144,34 +163,17 @@ class TaskDescription(Config):
         "pilot": "",
     }
 
-    def _validate(self, given: Dict[str, Any]) -> None:
-        if self.function is not None and not callable(self.function):
-            raise ConfigError("TaskDescription.function must be callable")
-        if self.ranks < 1:
-            raise ConfigError("ranks must be >= 1")
-        if self.cores_per_rank < 1:
-            raise ConfigError("cores_per_rank must be >= 1")
-        if self.gpus_per_rank < 0:
-            raise ConfigError("gpus_per_rank must be >= 0")
-        if not (self.duration_s >= 0 and self.pre_exec_s >= 0
-                and self.duration_jitter_s >= 0):
-            raise ConfigError("durations must be >= 0")
-        if not self.mem_per_rank_gb >= 0:
-            raise ConfigError("mem_per_rank_gb must be >= 0")
-        for key in ("input_staging", "output_staging"):
-            # the default is not built yet; a given list is replaced by its
-            # own (None fails as it always did)
-            if key in given:
-                directives: List[StagingDirective] = []
-                for item in given[key]:
-                    if isinstance(item, StagingDirective):
-                        directives.append(item)
-                    elif isinstance(item, dict):
-                        directives.append(StagingDirective(item))
-                    else:
-                        raise ConfigError(
-                            f"{key} entries must be StagingDirective or dict")
-                setattr(self, key, directives)
+    _rules = {
+        "function": _callable,
+        "ranks": Rule(">=", 1, "ranks must be >= 1"),
+        "cores_per_rank": Rule(">=", 1, "cores_per_rank must be >= 1"),
+        "gpus_per_rank": Rule(">=", 0, "gpus_per_rank must be >= 0"),
+        "mem_per_rank_gb": Rule(">=", 0, "mem_per_rank_gb must be >= 0"),
+        **dict.fromkeys(("duration_s", "duration_jitter_s", "pre_exec_s"),
+                        Rule(">=", 0, "durations must be >= 0")),
+        "input_staging": partial(_directives, "input_staging"),
+        "output_staging": partial(_directives, "output_staging"),
+    }
 
 
 class ServiceDescription(TaskDescription):
@@ -213,14 +215,15 @@ class ServiceDescription(TaskDescription):
         "priority": 100,           # services schedule before compute tasks
     })
 
-    def _validate(self, given: Dict[str, Any]) -> None:
-        if not self.startup_timeout_s > 0:
-            raise ConfigError("startup_timeout_s must be positive")
-        if self.max_concurrency < 1:
-            raise ConfigError("max_concurrency must be >= 1")
-        if self.max_batch_size < 0:
-            raise ConfigError("max_batch_size must be >= 0 (0 = default)")
-        if self.max_queue_depth < 0:
-            raise ConfigError("max_queue_depth must be >= 0 (0 = unbounded)")
-        if not self.heartbeat_interval_s > 0:
-            raise ConfigError("heartbeat_interval_s must be positive")
+    _rules = dict(TaskDescription._rules)
+    _rules.update({
+        "startup_timeout_s": Rule(">", 0,
+                                  "startup_timeout_s must be positive"),
+        "heartbeat_interval_s": Rule(">", 0,
+                                     "heartbeat_interval_s must be positive"),
+        "max_concurrency": Rule(">=", 1, "max_concurrency must be >= 1"),
+        "max_batch_size": Rule(">=", 0,
+                               "max_batch_size must be >= 0 (0 = default)"),
+        "max_queue_depth": Rule(
+            ">=", 0, "max_queue_depth must be >= 0 (0 = unbounded)"),
+    })

@@ -1,41 +1,42 @@
 """Schema-checked records: the storage of every description.
 
 RADICAL-Pilot's descriptions are records with a fixed schema.  Ours are
-attribute records on a small :class:`Config` base that checks every field
+attribute records on a small :class:`Config` base that checks each field
 against a declared schema, applies defaults and round-trips through a dict
-(``as_dict`` / ``from_dict``).  Every declared field is stored at build (one
-without a default as None), so reading one is a plain attribute read, and
-an unknown name raises the interpreter's own ``AttributeError``.  Records
-compare and hash by identity.  Descriptions in
-:mod:`repro.pilot.description` build on this, and each of them is a slotted
-record: it declares ``__slots__`` from its ``_schema``, so an instance keeps
-its fields in fixed slots and has no per-instance ``__dict__``.  A slotted
-field whose default is an empty container (a task's ``fn_kwargs``,
-``input_staging``, ``output_staging`` and ``tags``) is built when it is
-first read, so a default ``TaskDescription`` holds about 178 B of traced
-heap on CPython 3.11 (418 B while those four were built per instance, and
-939 / 770 / 762 / 538 B on CPython 3.10-3.13 while descriptions were
-dict-backed); a task bag's descriptions are among the largest live items
-at its peak RSS.
-
-A record is built in one pass on its class's unchecked *twin* (see
-:class:`Config`): a ``TaskDescription`` of three keywords takes 11 call
-opcodes and about 2 us on CPython 3.11 (30 and about 4 us while the
-constructor wrote each default through its slot's setter).
+(``as_dict`` / ``from_dict``).  Every field is stored at build, so a read
+is a plain attribute read; records compare and hash by identity.  The
+descriptions of :mod:`repro.pilot.description` are slotted records whose
+empty-container fields are built on first read: a default
+``TaskDescription`` holds about 178 B of traced heap on CPython 3.11.  Each
+record class has one constructor, an ``__init__`` generated from its
+schema: a ``TaskDescription`` of three keywords enters that one function
+and takes 5 call opcodes (``benchmarks/profile_hotpath.py``).
 """
 
 from __future__ import annotations
 
 import copy
+import enum
 from functools import partial
 from types import MemberDescriptorType
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
-__all__ = ["Config", "ConfigError"]
+__all__ = ["Config", "ConfigError", "Rule"]
 
 
 class ConfigError(Exception):
     """Raised for unknown keys or schema violations."""
+
+
+class Rule(NamedTuple):
+    """A field's own check, written into its class's constructor: a given
+    value must stand in relation *op* (``">="``, ``">"`` or ``"in"``) to
+    *operand* (``not value >= operand``: NaN fails), or :class:`ConfigError`
+    is raised with *message* formatted with the value."""
+
+    op: str
+    operand: Any
+    message: str
 
 
 #: default values safe to share across instances without copying
@@ -45,9 +46,8 @@ _IMMUTABLE = (str, int, float, bool, bytes, frozenset, type(None))
 #: admits a tuple, so neither a user's write nor ``None`` can look like it
 UNBUILT = ()
 
-#: a build function's keyword default for a field whose default container is
-#: made per instance
-_FRESH = object()
+#: every constructor keyword's default: the field was not given
+_NOT_GIVEN = enum.Enum("_Given", {"NOT": "not given"}).NOT
 
 
 def _container_property(slot: MemberDescriptorType,
@@ -66,127 +66,123 @@ def _container_property(slot: MemberDescriptorType,
     return property(read, put)
 
 
-class _RecordType(type):
-    """The type of every :class:`Config` class: calling a class is the one
-    way a record is built."""
-
-    # unannotated: this is the signature every record class shows
-    def __call__(cls, from_dict=None, **kwargs):
-        if from_dict:
-            kwargs = dict(from_dict, **kwargs)
-        # every given key is checked in the order it was given, so the
-        # first bad one is the one reported
-        exact, build, checks = cls._plan
-        for key, value in kwargs.items():
-            if type(value) not in exact.get(key, ()):
-                kwargs[key] = cls._check(key, value)
-        self = build(**kwargs)
-        for check in checks:
-            check(self, kwargs)
-        self.__class__ = cls
-        return self
-
-
-class _TwinType(_RecordType):
-    """The type of a twin: calling one makes a bare instance."""
-
-    __call__ = type.__call__
-
-
-def _compile(cls: type) -> Callable[..., Any]:
-    """*cls*'s build function: it takes every field as a keyword, its
-    default as the keyword's, makes an instance of the twin and stores
-    each field with a plain store.  A default container is made
-    fresh per instance (an empty one by its type, a nested one by
-    deepcopy); a field built on first read stores :data:`UNBUILT` in its
-    slot; a field without a default stores None."""
-    env: Dict[str, Any] = {"__twin": cls._twin, "__fresh": _FRESH}
-    params, body = [], ["    self = __twin()"]
-    for i, key in enumerate(cls._schema):
-        target = "_" + key if key in cls._built_on_read else key
-        value = (UNBUILT if key in cls._built_on_read
-                 else cls._defaults.get(key))
-        if isinstance(value, _IMMUTABLE) or (
-                isinstance(value, tuple)
-                and all(isinstance(v, _IMMUTABLE) for v in value)):
-            env[f"__d{i}"] = value
-            params.append(f"{key}=__d{i}")
-            body.append(f"    self.{target} = {key}")
+def _compile(cls: type, hook: Optional[Callable[[Any], None]]
+             ) -> Callable[..., None]:
+    """*cls*'s ``__init__``: ``from_dict`` merged under keywords that
+    default to ``_NOT_GIVEN``, an unknown key refused; one pass in schema
+    order that gives a field not given its default (a container fresh,
+    :data:`UNBUILT` if built on read) and checks a given one's type at once
+    (an exact schema type skips :meth:`Config._check`) and its rule after
+    the pass, so wrong types come before bad values; then a plain store of
+    every field on the twin, and *hook*."""
+    env: Dict[str, Any] = {
+        "__ng": _NOT_GIVEN, "__keys": frozenset(cls._schema),
+        "__check": cls._check, "__E": ConfigError, "__twin": cls._twin,
+        "__cls": cls, "__retype": object.__dict__["__class__"].__set__,
+        "__hook": hook}
+    params, merge, checks, stores = [], [], [], []
+    for i, (key, expected) in enumerate(cls._schema.items()):
+        default, target = cls._defaults.get(key), key
+        if key in cls._built_on_read:
+            target, default = "_" + key, UNBUILT
+        if isinstance(default, _IMMUTABLE) or (
+                isinstance(default, tuple)
+                and all(isinstance(v, _IMMUTABLE) for v in default)):
+            env[f"__d{i}"] = default
+            made = f"__d{i}"
         else:
-            env[f"__make{i}"] = (type(value) if isinstance(
-                value, (dict, list, set)) and not value
-                else partial(copy.deepcopy, value))
-            params.append(f"{key}=__fresh")
-            body.append(f"    self.{target} = __make{i}() "
-                        f"if {key} is __fresh else {key}")
-    source = (f"def __build(*, {', '.join(params)}):\n" if params
-              else "def __build():\n") + "\n".join(body) \
-        + "\n    return self\n"
-    exec(compile(source, f"<{cls.__qualname__} build>", "exec"), env)
-    return env["__build"]
+            env[f"__make{i}"] = (type(default) if isinstance(
+                default, (dict, list, set)) and not default
+                else partial(copy.deepcopy, default))
+            made = f"__make{i}()"
+        params.append(f"{key}=__ng")
+        merge.append(f"        if {key} is __ng:\n"
+                     f"            {key} = from_dict.get({key!r}, __ng)")
+        stores.append(f"    self.{target} = {key}")
+        given = []
+        if expected is not None:
+            types = expected if isinstance(expected, tuple) else (expected,)
+            env[f"__t{i}"] = frozenset(
+                types + ((type(None),) if default is None else ()))
+            given.append(f"        if type({key}) not in __t{i}:\n"
+                         f"            {key} = __check({key!r}, {key})")
+        rule = cls._rules.get(key)
+        if isinstance(rule, Rule):
+            env[f"__o{i}"], env[f"__m{i}"] = rule.operand, rule.message
+            given.append(f"        if not {key} {rule.op} __o{i} "
+                         f"and __bad is None:\n"
+                         f"            __bad = __E(__m{i}.format({key}))")
+        elif rule is not None:
+            env[f"__r{i}"] = rule
+            given.append(f"        try:\n"
+                         f"            {key} = __r{i}({key})\n"
+                         f"        except __E as __failed:\n"
+                         f"            if __bad is None:\n"
+                         f"                __bad = __failed")
+        checks.append(f"    if {key} is __ng:\n        {key} = {made}")
+        if given:
+            checks.append("    else:\n" + "\n".join(given))
+    source = "\n".join([
+        f"def __init__(self, /, from_dict=None, "
+        f"{''.join(p + ', ' for p in (['*', *params] if params else []))}"
+        f"**unknown):",
+        "    if from_dict or unknown:",
+        "        if unknown or not __keys.issuperset(from_dict):",
+        "            for __key in (*(from_dict or ()), *unknown):",
+        "                if __key not in __keys:",
+        "                    __check(__key, None)",
+        *merge,
+        "    __bad = None",
+        *checks,
+        "    if __bad is not None:",
+        "        raise __bad",
+        "    __retype(self, __twin)",
+        *stores,
+        "    self.__class__ = __cls",
+        *(["    __hook(self)"] if hook is not None else []), ""])
+    exec(compile(source, f"<{cls.__qualname__} constructor>", "exec"), env)
+    return env["__init__"]
 
 
-class Config(metaclass=_RecordType):
+class Config:
     """A record with schema-checked attribute access.
 
     Subclasses declare ``_schema`` (key -> type, tuple of types, or None
-    for any value) and ``_defaults`` (key -> default value; a field without
-    one is None).  Unknown keys raise :class:`ConfigError` early instead of
-    silently propagating typos.
+    for any value), ``_defaults`` (a field without one is None) and
+    ``_rules`` (key -> a :class:`Rule`, or a function that returns the
+    value to store or raises :class:`ConfigError`); a check of several
+    fields, or of one that must be given, is ``_validate(self)``, run once
+    every field is stored.  ``None`` is a value only of a field whose
+    default is None.  ``__slots__ = tuple(_schema)`` keeps the fields in
+    slots.  Every write is checked: ``__setattr__`` is overridden.
 
-    A subclass that declares ``__slots__ = tuple(_schema)`` (the keys it
-    adds, if its base already slots the rest) keeps its fields in slots;
-    one that does not keeps them in its instance ``__dict__``.  Either way
-    every field is stored at build, so reading one -- ``d.ranks`` on the
-    scheduler's placement path -- is ordinary attribute lookup.  Every
-    write is checked: ``__setattr__`` is overridden and the constructor
-    checks each keyword.  ``as_dict``, ``repr`` and the copies see the
-    fields through ``_data``, a mapping built on demand.
-
-    Construction is the control plane's per-task cost (every
-    :class:`~repro.pilot.description.TaskDescription` of a million-task
-    campaign passes through here), so a record is built on its class's
-    *twin*, made once per class: a subclass that adds no slot and whose
-    ``__setattr__`` is ``object.__setattr__``, so its stores are not
-    checked.  Calling a class runs the metaclass's ``__call__``, the only
-    constructor.  It merges ``from_dict`` under the keywords and checks
-    each given value in the order given (:meth:`_check`, skipped for a
-    value whose type it passes unchanged).  The class's build function,
-    generated once per class, makes a twin instance and stores every
-    field, given or default, with a plain store.  Then the
-    ``_validate(self, given)`` hook of each class in the MRO runs once,
-    base first, and ``__class__`` becomes the class itself.  A twin never
-    escapes: if a check raises, it is dropped.  Copies and pickle make the
-    instance through ``cls.__new__`` and ``__setstate__``, never through
-    the constructor.
-
-    A slotted field whose default is an empty container is not built per
-    instance: its slot holds :data:`UNBUILT`, and the field is a property
-    over the slot that builds the container on its first read (``d.tags``)
-    and returns that one from then on.  The reads that copy (``as_dict``,
-    ``repr``, copies, pickle) see an empty container without building one.
-    The slot itself stays readable as ``_<field>`` (``d._tags``): the
-    runtime tests it there, so its reads build nothing.
+    ``__init_subclass__`` generates each class's ``__init__`` (see
+    :func:`_compile`; a record class defines none) and checks every default
+    with it, once.  It stores on the class's *twin*, a subclass whose
+    ``__setattr__`` is ``object.__setattr__``; no check runs after the
+    switch, so a twin never escapes.  Copies and pickle go through
+    ``cls.__new__`` and ``__setstate__``.  A slotted field whose default is
+    an empty container holds :data:`UNBUILT` until its first read
+    (``d.tags``) builds it; the copying reads build none, and the runtime
+    tests the raw slot (``d._tags``).
     """
 
     __slots__ = ()
 
     _schema: Dict[str, Any] = {}
     _defaults: Dict[str, Any] = {}
+    _rules: Dict[str, Any] = {}
     #: field -> the container type its first read builds
     _built_on_read: Dict[str, type] = {}
-    #: (key -> the exact types :meth:`_check` passes through unchanged,
-    #: the build function, the ``_validate`` hooks of the class's MRO, base first)
-    _plan: tuple = ({}, None, ())
 
-    def __init_subclass__(cls, **kwargs: Any) -> None:
+    def __init_subclass__(cls, twin: bool = False, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        if type(cls) is _TwinType:
+        if twin:
             return
         if "__init__" in cls.__dict__:
-            raise TypeError(f"{cls.__name__}: a record is built by its "
-                            f"class's call, which runs no __init__; put "
-                            f"its checks in _validate(self, given)")
+            raise TypeError(f"{cls.__name__}: the constructor is generated; "
+                            f"put a field's check in _rules, one that reads "
+                            f"several fields in _validate(self)")
         lazy = cls._built_on_read = dict(cls._built_on_read)
         for key, value in cls._defaults.items():
             slot = cls.__dict__.get(key)
@@ -195,20 +191,13 @@ class Config(metaclass=_RecordType):
                 lazy[key] = type(value)
                 setattr(cls, "_" + key, slot)
                 setattr(cls, key, _container_property(slot, type(value)))
-        exact = {}
-        for key, expected in cls._schema.items():
-            if expected is not None:
-                types = expected if isinstance(expected, tuple) else (expected,)
-                exact[key] = frozenset(types) | {type(None)}
-        cls._twin = _TwinType(
-            cls.__name__, (cls,),
-            {"__slots__": (), "__setattr__": object.__setattr__,
-             "__module__": cls.__module__,
-             "__qualname__": f"{cls.__qualname__}.<twin>"})
-        cls._plan = (exact, _compile(cls),
-                     tuple(klass.__dict__["_validate"]
-                           for klass in reversed(cls.__mro__)
-                           if "_validate" in klass.__dict__))
+        cls._twin = type(cls.__name__, (cls,), {
+            "__slots__": (), "__setattr__": object.__setattr__,
+            "__module__": cls.__module__,
+            "__qualname__": f"{cls.__qualname__}.<twin>"}, twin=True)
+        # every default passes the checks a given value does, once
+        _compile(cls, None)(cls.__new__(cls), **cls._defaults)
+        cls.__init__ = _compile(cls, getattr(cls, "_validate", None))
 
     @property
     def _data(self) -> Dict[str, Any]:
@@ -231,7 +220,8 @@ class Config(metaclass=_RecordType):
                 f"(known: {sorted(cls._schema)})"
             )
         expected = cls._schema[key]
-        if value is None or expected is None:
+        if expected is None or (value is None
+                                and cls._defaults.get(key) is None):
             return value
         if not isinstance(value, expected):
             # Be forgiving about int/float coercion -- common in descriptions.

@@ -7,6 +7,11 @@ from repro.sim import RngHub, SimulationEngine
 from repro.utils import IdRegistry
 
 
+def free_nodes(batch):
+    """How many nodes the batch system holds free (its runs' lengths)."""
+    return sum(stop - start for start, stop in batch._free_runs)
+
+
 def make_spec(nodes=8, queue_wait=0.0):
     return PlatformSpec(
         name="testmachine", nodes=nodes, cores_per_node=4, gpus_per_node=2,
@@ -32,7 +37,7 @@ class TestSubmission:
         nodes = engine.run(until=job.started)
         assert job.state == JobState.RUNNING
         assert len(nodes) == 4
-        assert len(batch._free) == 4
+        assert free_nodes(batch) == 4
 
     def test_oversized_request_rejected(self, batch):
         with pytest.raises(ValueError, match="only"):
@@ -53,6 +58,25 @@ class TestSubmission:
         engine.run(until=second.started)
         assert second.started_at == engine.now
 
+    def test_a_job_gets_the_lowest_free_indices_after_releases(
+            self, engine, batch):
+        # as sorting the free set did: runs freed out of order merge back
+        jobs = [batch.submit(n_nodes=n, walltime_s=100.0) for n in (2, 3, 2)]
+        engine.run(until=jobs[-1].started)
+        assert [j.node_indices for j in jobs] == [[0, 1], [2, 3, 4], [5, 6]]
+        batch.cancel(jobs[1])
+        batch.cancel(jobs[0])
+        assert batch._free_runs == [(0, 5), (7, 8)] and free_nodes(batch) == 6
+        wide = batch.submit(n_nodes=6, walltime_s=100.0)
+        engine.run(until=wide.started)
+        assert wide.node_indices == [0, 1, 2, 3, 4, 7]
+        assert batch._free_runs == [] and free_nodes(batch) == 0
+        batch.cancel(jobs[2])
+        narrow = batch.submit(n_nodes=1, walltime_s=100.0)
+        engine.run(until=narrow.started)
+        assert narrow.node_indices == [5]
+        assert batch._free_runs == [(6, 7)]
+
     def test_node_indices_disjoint_across_jobs(self, engine, batch):
         j1 = batch.submit(n_nodes=3, walltime_s=100.0)
         j2 = batch.submit(n_nodes=3, walltime_s=100.0)
@@ -66,14 +90,14 @@ class TestCompletionAndWalltime:
         state = engine.run(until=job.finished)
         assert state == JobState.TIMEOUT
         assert engine.now == pytest.approx(60.0)
-        assert len(batch._free) == 8
+        assert free_nodes(batch) == 8
 
     def test_fail_releases_nodes(self, engine, batch):
         job = batch.submit(n_nodes=8, walltime_s=1000.0)
         engine.run(until=job.started)
         batch.fail(job)
         assert job.state == JobState.FAILED
-        assert len(batch._free) == 8
+        assert free_nodes(batch) == 8
         assert engine.run(until=job.finished) == JobState.FAILED
         engine.run()
         assert engine.now < 1000.0  # the walltime timer was withdrawn
@@ -101,7 +125,7 @@ class TestCompletionAndWalltime:
         engine.run(until=job.started)
         batch.cancel(job)
         assert job.state == JobState.CANCELLED
-        assert len(batch._free) == 8
+        assert free_nodes(batch) == 8
         engine.run()
         assert engine.now < 100.0  # the walltime timer was withdrawn
 
@@ -116,7 +140,7 @@ class TestCompletionAndWalltime:
         waiting = batch.submit(n_nodes=2, walltime_s=100.0)
         if ran_for is not None:  # else: before the bring-up even started
             engine.run(until=ran_for)
-        assert job.state == JobState.PENDING and len(batch._free) == 1
+        assert job.state == JobState.PENDING and free_nodes(batch) == 1
         cancelled_at = engine.now
         batch.cancel(job)
         assert job.state == JobState.CANCELLED
@@ -127,7 +151,7 @@ class TestCompletionAndWalltime:
         engine.run()
         assert not job.started.triggered and job.started_at is None
         assert job.finished_at == cancelled_at
-        assert len(batch._free) == 4
+        assert free_nodes(batch) == 4
         # neither the abandoned delay nor a walltime dragged the clock on
         assert engine.now == waiting.started_at
 

@@ -1,6 +1,7 @@
 """Structured bench results, baseline aggregation, and the regression gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +193,26 @@ class TestRegressCli:
         old, new = self._write_pair(tmp_path, 100.0, 100.0, floor=200.0)
         assert regress_main([old, new]) == 1
         assert "REGRESSION [floor]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", [
+        "profile_records_per_task", "spans_per_task",
+        "metric_samples_per_task", "kernel_entries_per_task"])
+    def test_a_doctored_observability_count_exits_nonzero(
+            self, tmp_path, capsys, name):
+        # the full plane's counted work per task, against its baseline
+        baseline = Path(__file__).resolve().parents[2] \
+            / "BENCH_ablation_observability.json"
+        doc = json.loads(baseline.read_text())
+        metric = doc["benchmarks"]["test_observability_overhead"][
+            "metrics"][name]
+        assert metric.get("deterministic", True)
+        metric["value"] *= 1.2
+        doctored = tmp_path / "doctored.json"
+        doctored.write_text(json.dumps(doc))
+        assert regress_main([str(baseline), str(baseline)]) == 0
+        assert regress_main([str(baseline), str(doctored)]) == 1
+        assert f"REGRESSION [drift] test_observability_overhead.{name}" \
+            in capsys.readouterr().out
 
     def test_tolerance_flag(self, tmp_path):
         old, new = self._write_pair(tmp_path, 100.0, 80.0)

@@ -11,13 +11,19 @@ description classes, under their shipped names so that every
 ``tests/test_properties.py`` builds and writes both forms with the same
 random keywords and holds them to the same views, or the same error.
 
-Three edits follow the shipped contract where it changed on purpose.
+Five edits follow the shipped contract where it changed on purpose.
 Every declared field is stored at build, one without a default as None,
 and there is no ``__getattr__``: an unknown name raises the interpreter's
 own ``AttributeError``.  The mapping face (``[]``, ``get``, ``in``,
-``==``) is gone: records compare and hash by identity.  And
+``==``) is gone: records compare and hash by identity.
 :class:`TaskDescription` refuses a negative or NaN ``mem_per_rank_gb`` or
-``duration_jitter_s`` as it does ``duration_s``.
+``duration_jitter_s`` as it does ``duration_s``.  ``None`` is a value only
+of a field whose default is None (or whose schema admits any value).  And
+a construction with several bad keys reports, of the merged ``from_dict``
+and keywords, the first unknown key, else the first wrong type in schema
+order, else the first bad value in schema order (each class's value checks
+are listed in that order), and only then a check that reads several
+fields.
 
 Its range checks refuse NaN the way the shipped ones do (``not x >= 0``),
 so that both forms raise the same error for the same value.  Do not
@@ -94,7 +100,11 @@ class Config:
             merged.update(from_dict)
         merged.update(kwargs)
         for key, value in merged.items():
-            data[key] = self._check(key, value)
+            if key not in self._schema:
+                self._check(key, value)
+        for key in self._schema:
+            if key in merged:
+                data[key] = self._check(key, merged[key])
 
     @property
     def _data(self) -> Dict[str, Any]:
@@ -109,7 +119,8 @@ class Config:
                 f"(known: {sorted(self._schema)})"
             )
         expected = self._schema[key]
-        if value is None or expected is None:
+        if expected is None or (value is None
+                                and self._defaults.get(key) is None):
             return value
         if not isinstance(value, expected):
             # Be forgiving about int/float coercion -- common in descriptions.
@@ -180,13 +191,13 @@ class PilotDescription(Config):
 
     def __init__(self, from_dict=None, **kwargs) -> None:
         super().__init__(from_dict, **kwargs)
+        if not self.runtime_s > 0:
+            raise ConfigError("runtime_s must be positive")
         if not self.resource:
             raise ConfigError("PilotDescription.resource is required")
         if self.nodes <= 0 and self.cores <= 0 and self.gpus <= 0:
             raise ConfigError(
                 "PilotDescription needs nodes, cores or gpus > 0")
-        if not self.runtime_s > 0:
-            raise ConfigError("runtime_s must be positive")
 
     def required_nodes(self, cores_per_node: int, gpus_per_node: int) -> int:
         """Whole nodes needed on a platform with the given per-node shape."""
@@ -258,11 +269,11 @@ class TaskDescription(Config):
             raise ConfigError("cores_per_rank must be >= 1")
         if self.gpus_per_rank < 0:
             raise ConfigError("gpus_per_rank must be >= 0")
+        if not self.mem_per_rank_gb >= 0:
+            raise ConfigError("mem_per_rank_gb must be >= 0")
         if not (self.duration_s >= 0 and self.pre_exec_s >= 0
                 and self.duration_jitter_s >= 0):
             raise ConfigError("durations must be >= 0")
-        if not self.mem_per_rank_gb >= 0:
-            raise ConfigError("mem_per_rank_gb must be >= 0")
         self._normalise_staging("input_staging")
         self._normalise_staging("output_staging")
 
@@ -320,11 +331,11 @@ class ServiceDescription(TaskDescription):
         super().__init__(from_dict, **kwargs)
         if not self.startup_timeout_s > 0:
             raise ConfigError("startup_timeout_s must be positive")
+        if not self.heartbeat_interval_s > 0:
+            raise ConfigError("heartbeat_interval_s must be positive")
         if self.max_concurrency < 1:
             raise ConfigError("max_concurrency must be >= 1")
         if self.max_batch_size < 0:
             raise ConfigError("max_batch_size must be >= 0 (0 = default)")
         if self.max_queue_depth < 0:
             raise ConfigError("max_queue_depth must be >= 0 (0 = unbounded)")
-        if not self.heartbeat_interval_s > 0:
-            raise ConfigError("heartbeat_interval_s must be positive")

@@ -19,7 +19,7 @@ from repro.pilot import (
     TaskDescription,
 )
 from repro import DataConfig, ResilienceConfig, RetryPolicy
-from repro.utils.config import UNBUILT, Config, ConfigError
+from repro.utils.config import UNBUILT, Config, ConfigError, Rule
 
 
 NAN = float("nan")
@@ -186,6 +186,82 @@ class TestStagingDirective:
         assert d.size_bytes == 0
 
 
+class TestNoneIsAValueOnlyWhereItIsTheDefault:
+    """``None`` is refused, at build and on write, by every field whose
+    default is not None; ``function`` and ``PilotDescription.resource``
+    (whose hook refuses it) take it."""
+
+    @staticmethod
+    def refused(cls, key, **kwargs):
+        with pytest.raises(ConfigError,
+                           match=rf"^{cls.__name__}\.{key}: expected .*, "
+                                 r"got NoneType \(None\)$"):
+            cls(**dict(kwargs, **{key: None}))
+        record = cls(**kwargs)
+        with pytest.raises(ConfigError, match="got NoneType"):
+            setattr(record, key, None)
+
+    @pytest.mark.parametrize("key", [
+        "ranks", "duration_s", "priority", "tags", "name", "executable",
+        "input_staging", "fn_args", "pilot"])
+    def test_task_description(self, key):
+        self.refused(TaskDescription, key)
+        d = TaskDescription(function=None)
+        assert d.function is None
+        d.function = None
+
+    @pytest.mark.parametrize("key", ["max_concurrency", "model",
+                                     "startup_timeout_s", "priority"])
+    def test_service_description(self, key):
+        self.refused(ServiceDescription, key)
+
+    @pytest.mark.parametrize("key", ["nodes", "cores", "runtime_s"])
+    def test_pilot_description(self, key):
+        self.refused(PilotDescription, key, resource="frontier", cores=4)
+        d = PilotDescription(resource="frontier", nodes=1)
+        d.resource = None  # the one field without a default
+        with pytest.raises(ConfigError, match="resource is required"):
+            PilotDescription(resource=None, nodes=1)
+
+    @pytest.mark.parametrize("key", ["source", "action", "size_bytes"])
+    def test_staging_directive(self, key):
+        self.refused(StagingDirective, key)
+
+
+class TestErrorPrecedence:
+    """Unknown keys first, then types, then values, each in schema order,
+    whatever the order of the keywords."""
+
+    def test_unknown_before_type_before_value(self):
+        with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+            TaskDescription(ranks=0, cores_per_rank="2", bogus=1)
+        with pytest.raises(ConfigError, match="cores_per_rank: expected"):
+            TaskDescription(ranks=0, cores_per_rank="2")
+        with pytest.raises(ConfigError, match="^ranks must be >= 1$"):
+            TaskDescription(duration_s=-1.0, ranks=0)
+
+    def test_schema_order_within_a_kind(self):
+        with pytest.raises(ConfigError, match="ranks: expected"):
+            TaskDescription(priority="high", ranks="2")
+        with pytest.raises(ConfigError, match="mem_per_rank_gb must"):
+            TaskDescription(pre_exec_s=-1.0, mem_per_rank_gb=-1.0)
+        with pytest.raises(ConfigError, match="heartbeat_interval_s must"):
+            ServiceDescription(max_concurrency=0, heartbeat_interval_s=0)
+
+    def test_from_dict_is_merged_before_any_check(self):
+        with pytest.raises(ConfigError, match="unknown key 'walltime'"):
+            PilotDescription({"walltime": 60}, nodes="1", queue="debug")
+        with pytest.raises(ConfigError, match="runtime_s must be positive"):
+            PilotDescription({"runtime_s": -1.0}, nodes=1)
+        assert PilotDescription({"nodes": 1}, resource="x", nodes=2).nodes == 2
+
+    def test_a_staging_entry_is_checked_with_the_values(self):
+        with pytest.raises(ConfigError, match="^ranks must be >= 1$"):
+            TaskDescription(input_staging=["bad"], ranks=0)
+        with pytest.raises(ConfigError, match="staging action 'teleport'"):
+            TaskDescription(input_staging=[{"action": "teleport"}])
+
+
 #: one valid instance of every description class, with non-default values
 DESCRIPTIONS = {
     "task": lambda: TaskDescription(
@@ -299,8 +375,10 @@ class TestPlainAttributeStorage:
         assert r.as_dict() == {"rate": 4.0, "label": None}
         r.label = "x"
         assert r.as_dict() == {"rate": 4.0, "label": "x"}
-        r.label = None  # None is always accepted
+        r.label = None  # a field without a default takes None
         assert r.label is None
+        with pytest.raises(ConfigError, match="got NoneType"):
+            r.rate = None  # one with a default does not
 
     def test_no_instance_has_a_dict(self, desc):
         # as tests/comm/test_message.py pins for Message
@@ -336,20 +414,35 @@ class TestPlainAttributeStorage:
         assert per < DESCRIPTION_BYTES_CEILING, per
 
 
-#: call opcodes per description, read as 11.0: the build itself, the
-#: keywords' ``items()``, two per keyword (its type, its exact types), the
-#: build function, its bare twin instance and the class's check; 30.0 while the
-#: constructor wrote each default through its slot's setter
-DESCRIPTION_CALLS = 11.5
+#: call opcodes per description, read as 5.0: the call itself, the switch
+#: to the twin and the type of each of the three keywords; 11.0 while a
+#: metaclass ``__call__`` checked each keyword and ran a build function and
+#: a ``_validate`` hook, 30.0 while the constructor wrote each default
+#: through its slot's setter
+DESCRIPTION_CALLS = 5.5
+#: call opcodes per ``TaskDescription`` with two dict staging entries
+#: (``hybrid_campaign``'s ``sim`` shape), read as 32.0: 41.0 while the
+#: staging dicts were turned into records by the ``_validate`` hook
+STAGED_DESCRIPTION_CALLS = 32.5
 
 
-def test_a_task_description_makes_at_most_N_calls():
+@pytest.fixture(scope="module")
+def hotpath():
     spec = importlib.util.spec_from_file_location(
         "profile_hotpath", ROOT / "benchmarks" / "profile_hotpath.py")
-    hotpath = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(hotpath)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_task_description_makes_at_most_N_calls(hotpath):
     per = hotpath.description_calls(1_000)
     assert per <= DESCRIPTION_CALLS, per
+
+
+def test_a_staged_task_description_makes_at_most_N_calls(hotpath):
+    per = hotpath.staged_description_calls(1_000)
+    assert per <= STAGED_DESCRIPTION_CALLS, per
 
 
 class TestBuiltOnATwin:
@@ -381,7 +474,7 @@ class TestBuiltOnATwin:
         assert not any("twin" in name for name in names)
         # a twin that escaped could not be pickled as the class
         with pytest.raises((pickle.PicklingError, AttributeError)):
-            pickle.dumps(cls._twin())
+            pickle.dumps(object.__new__(cls._twin))
 
     @pytest.mark.parametrize("build", [
         lambda: TaskDescription(ranks=0),
@@ -396,7 +489,8 @@ class TestBuiltOnATwin:
         with pytest.raises(ConfigError):
             build()
         assert self.twins_alive(self.CLASSES) == []
-        held = TaskDescription._twin()  # the probe sees one that is held
+        # the probe sees one that is held
+        held = object.__new__(TaskDescription._twin)
         assert self.twins_alive(self.CLASSES) == [held]
 
     def test_a_class_made_at_runtime_gets_its_own_twin(self):
@@ -420,16 +514,62 @@ class TestBuiltOnATwin:
         with pytest.raises(TypeError, match="_validate"):
             type("Checked", (Config,), {"__init__": lambda self: None})
 
-    def test_the_signature_is_the_one_constructor(self):
-        for cls in self.CLASSES + (Config,):
-            assert str(inspect.signature(cls)) == "(from_dict=None, **kwargs)"
+    def test_the_signature_lists_every_field(self):
+        # one generated __init__ per class, every field a keyword of it
+        for cls in self.CLASSES:
+            params = inspect.signature(cls).parameters
+            assert list(params) == ["from_dict", *cls._schema, "unknown"]
+            kinds = {params[key].kind for key in cls._schema}
+            assert kinds == {inspect.Parameter.KEYWORD_ONLY}
+            assert params["unknown"].kind is inspect.Parameter.VAR_KEYWORD
+            init = cls.__dict__["__init__"]
+            assert init.__code__.co_filename == \
+                f"<{cls.__qualname__} constructor>"
+        # one private "not given" default: only a given field is checked
+        params = inspect.signature(TaskDescription).parameters
+        defaults = {params[key].default for key in TaskDescription._schema}
+        assert len(defaults) == 1 and "not given" in repr(*defaults)
 
-    def test_each_class_check_runs_once_base_first(self):
-        # no constructor chain: each class's own hook, once, in MRO order
-        task, service = (cls.__dict__["_validate"]
-                         for cls in (TaskDescription, ServiceDescription))
-        assert TaskDescription._plan[2] == (task,)
-        assert ServiceDescription._plan[2] == (task, service)
+    def test_only_pilot_description_keeps_a_class_hook(self):
+        # every single-field check is a rule of its field
+        for cls in self.CLASSES:
+            hooks = [klass for klass in cls.__mro__
+                     if "_validate" in klass.__dict__]
+            assert hooks == ([PilotDescription]
+                             if cls is PilotDescription else [])
+
+    def test_a_rule_runs_on_given_values_and_once_on_the_default(self):
+        seen = []
+
+        def note(value):
+            seen.append(value)
+            return value
+
+        class Noted(Config):
+            __slots__ = ("size", "label")
+            _schema = {"size": int, "label": list}
+            _defaults = {"size": 0, "label": []}
+            _rules = {"size": Rule(">=", 0, "size {!r} < 0"), "label": note}
+
+        assert seen == [[]]  # the default, when the class was made
+        Noted()
+        Noted(size=3)
+        assert seen == [[]]
+        Noted(label=["x"])
+        assert seen == [[], ["x"]]
+        with pytest.raises(ConfigError, match=r"^size -1 < 0$"):
+            Noted(size=-1)
+
+    def test_a_bad_default_fails_when_the_class_is_made(self):
+        with pytest.raises(ConfigError, match="size -1 < 0"):
+            type("Bad", (Config,), {
+                "__slots__": ("size",), "_schema": {"size": int},
+                "_defaults": {"size": -1},
+                "_rules": {"size": Rule(">=", 0, "size {!r} < 0")}})
+        with pytest.raises(ConfigError, match="expected"):
+            type("Mistyped", (Config,), {
+                "__slots__": ("size",), "_schema": {"size": int},
+                "_defaults": {"size": "0"}})
 
 
 class TestContainersBuiltOnRead:
@@ -472,13 +612,14 @@ class TestContainersBuiltOnRead:
             assert clone.input_staging[0].source == "s"
         assert cls().tags == {}  # nothing is shared with a fresh one
 
-    def test_a_write_replaces_the_container_and_none_is_a_value(self):
+    def test_a_write_replaces_the_container_and_none_is_refused(self):
         d = TaskDescription()
         tags = {"affinity": "a"}
         d.tags = tags
         assert d.tags is tags
-        d.fn_kwargs = None  # None is always accepted, and is kept
-        assert d.fn_kwargs is None and d.as_dict()["fn_kwargs"] is None
+        with pytest.raises(ConfigError, match="expected"):
+            d.fn_kwargs = None  # its default is a container, not None
+        assert d._fn_kwargs is UNBUILT
         with pytest.raises(ConfigError, match="expected"):
             d.tags = ()  # the unbuilt marker is no value a field takes
         assert d.tags is tags

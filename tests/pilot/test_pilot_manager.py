@@ -5,6 +5,11 @@ import pytest
 from repro.pilot import PilotDescription, PilotManager, PilotState, Session
 
 
+def free_nodes(batch):
+    """How many nodes the batch system holds free (its runs' lengths)."""
+    return sum(stop - start for start, stop in batch._free_runs)
+
+
 @pytest.fixture
 def session():
     with Session(seed=1) as s:
@@ -52,7 +57,7 @@ class TestPilotLifecycle:
         pmgr.cancel_pilots(pilot)
         session.run(until=pilot.finished)
         assert pilot.state == PilotState.CANCELED
-        assert len(session.batch_system("delta")._free) == \
+        assert free_nodes(session.batch_system("delta")) == \
             session.platform("delta").nodes
 
     def test_preempted_pilot_releases_allocation(self, session, pmgr):
@@ -62,7 +67,7 @@ class TestPilotLifecycle:
         session.batch_system("delta").fail(pilot.batch_job)
         session.run(until=pilot.finished)
         assert pilot.state == PilotState.FAILED
-        assert len(session.batch_system("delta")._free) == \
+        assert free_nodes(session.batch_system("delta")) == \
             session.platform("delta").nodes
 
     def test_cancel_pending_pilot(self, session, pmgr):
@@ -81,15 +86,15 @@ class TestPilotLifecycle:
         # the batch job already holds its nodes but has not started: the
         # cancel must neither raise nor leak them
         batch = session.batch_system("delta")
-        free = len(batch._free)
+        free = free_nodes(batch)
         (pilot,) = pmgr.submit_pilots(
             PilotDescription(resource="delta", nodes=2))
-        assert len(batch._free) == free - 2
+        assert free_nodes(batch) == free - 2
         pmgr.cancel_pilots(pilot)
         session.run(until=pilot.finished)
         assert pilot.state == PilotState.CANCELED
         assert not pilot.became_active.ok
-        assert len(batch._free) == free
+        assert free_nodes(batch) == free
         session.run()
         assert session.engine.peek() == float("inf")
 

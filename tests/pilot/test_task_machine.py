@@ -196,7 +196,7 @@ class TaskPathMachine(RuleBasedStateMachine):
         function = {"executable": None, "function": lambda: 7,
                     "raising": _boom}[payload]
         self._submit([TaskDescription(
-            executable=None if function else "x", function=function,
+            executable="" if function else "x", function=function,
             cores_per_rank=shape[0], ranks=shape[1], duration_s=duration,
             pre_exec_s=pre_exec) for _ in range(n)])
 

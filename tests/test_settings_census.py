@@ -89,10 +89,12 @@ ALLOWED = {
     ("TaskNode", "failure_tolerance"): (
         "a record field: a campaign node's tolerance, read when its bag "
         "settles"),
-    # the description schemas
-    **{name: "the description schemas' from_dict"
-       for name in ("Config", "PilotDescription", "ServiceDescription",
-                    "TaskDescription")},
+    # the description schemas: every field is a keyword of the generated
+    # constructor, and from_dict merges a dict under them
+    **{name: "a record field: a description's schema field, or the "
+             "description schemas' from_dict"
+       for name in ("PilotDescription", "ServiceDescription",
+                    "StagingDirective", "TaskDescription")},
     # read APIs
     "EndpointRegistry.list_services": "a read API's filter",
     "FaultInjector.faults": "a read API's filter",
